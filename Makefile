@@ -4,7 +4,7 @@ PYTHON     ?= python
 PYTHONPATH := src
 export PYTHONPATH
 
-.PHONY: test lint typecheck bench bench-kernels bench-check chaos verify experiments durability-smoke clean
+.PHONY: test lint typecheck bench benchmark chaos verify experiments durability-smoke clean
 
 # Tier-1: the full unit/integration/property suite.
 test:
@@ -12,8 +12,7 @@ test:
 
 # Determinism & invariant linter (rules RDP001..RDP007 plus the
 # flow-sensitive RDP101..RDP105; see DESIGN.md §10 and §14).  --strict
-# promotes warnings to failures; the incremental cache under
-# .lint-cache/ makes warm runs near-instant (use --no-cache to bypass).
+# promotes warnings to failures.
 lint:
 	$(PYTHON) -m repro.lint --strict src/
 
@@ -29,14 +28,10 @@ typecheck:
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only
 
-# Fast kernel-only perf probe (no experiments).
-bench-kernels:
-	$(PYTHON) -m repro.tools.bench --kernels-only --output /dev/null
-
-# Perf regression gate: re-run the kernels and compare against the
-# committed BENCH_sim.json (throughput floor + solver-speedup bound).
-bench-check:
-	$(PYTHON) -m repro.tools.bench --check
+# The repo benchmark (BENCHMARK.json; see bench/README.md): six
+# workloads, end-to-end and per-layer metrics -> .bench_out/results.json.
+benchmark:
+	$(PYTHON) -m bench run
 
 # Chaos soak: a seeded randomized failure schedule (disk/node/NIC/Lstor
 # faults) injected under live DFSIO+TeraSort traffic, run twice to prove
@@ -45,11 +40,10 @@ CHAOS_ARGS ?=
 chaos:
 	$(PYTHON) -m repro.tools.chaos --runs 2 $(CHAOS_ARGS)
 
-# Lint + typing gates, tier-1 tests, chaos soak, and the smoke-scale
-# perf report.  Regenerates BENCH_sim.json so perf changes show up as a
-# diff in review.
+# Lint + typing gates, tier-1 tests, chaos soak, and one smoke pass of
+# the repo benchmark (every workload once, results checked).
 verify: lint typecheck test chaos
-	$(PYTHON) -m repro.tools.bench --compare-jobs 1,4
+	$(PYTHON) -m bench run --smoke
 
 # Small-fleet durability smoke: the §2 experiment end-to-end -- analytic
 # ladder, legacy small-fleet simulator, and the long-horizon Monte-Carlo
@@ -63,4 +57,4 @@ experiments:
 
 clean:
 	find . -name __pycache__ -type d -prune -exec rm -rf {} +
-	rm -rf .pytest_cache .benchmarks
+	rm -rf .pytest_cache .benchmarks .bench_out .hypothesis .mypy_cache

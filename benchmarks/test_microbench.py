@@ -14,6 +14,7 @@ from repro.ec.reed_solomon import ReedSolomon
 from repro.matching.hungarian import hungarian
 from repro.matching.hopcroft_karp import hopcroft_karp
 from repro.sim.engine import Simulator
+from repro.sim.network import Nic, Switch
 from repro.storage.payload import BytesPayload
 
 
@@ -121,34 +122,34 @@ def test_bench_sim_engine_process_churn(benchmark):
 
 
 def test_bench_network_solver_churn(benchmark):
-    """Incremental fair-share solver under a 512-flow churn burst."""
-    from repro.tools.bench import run_network_churn
+    """Incremental fair-share solver under a 512-flow churn burst.
+
+    Same LCG history as the tier-1 event-budget guard in
+    ``tests/test_network_solver.py``.
+    """
+    num_nics, num_flows = 64, 512
 
     def churn():
-        elapsed, _events = run_network_churn("incremental", num_nics=64, num_flows=512)
-        return elapsed
+        sim = Simulator()
+        switch = Switch(sim)
+        nics = [switch.attach(Nic(f"n{i}", units.gbps(10))) for i in range(num_nics)]
 
-    benchmark.pedantic(churn, rounds=3, iterations=1)
+        def feeder():
+            state = 0x2545F4914F6CDD1D
+            for _ in range(num_flows):
+                state = (state * 6364136223846793005 + 1442695040888963407) % (1 << 64)
+                src = nics[state % num_nics]
+                dst = nics[(state >> 8) % num_nics]
+                if dst is src:
+                    dst = nics[(state % num_nics + 1) % num_nics]
+                switch.transfer(src, dst, 4 * units.MiB + (state >> 16) % (16 * units.MiB))
+                yield sim.timeout(0.0005)
 
+        sim.process(feeder())
+        sim.run()
+        return switch.active_flows
 
-def test_network_churn_event_budget():
-    """Perf guard: a 512-flow churn burst stays within an event budget.
-
-    The incremental solver's lazy completion heap must keep the engine
-    event count proportional to arrivals/departures -- a handful of
-    events per flow (arrival stagger, completion timer, delivery, done)
-    plus re-arms -- never proportional to flows^2.  The budget of 16
-    events/flow is ~2x the observed cost, so it trips on any return to
-    per-event timer rebuilds long before wall-clock does.
-    """
-    from repro.tools.bench import run_network_churn
-
-    num_flows = 512
-    _elapsed, events = run_network_churn("incremental", num_nics=64, num_flows=num_flows)
-    assert events <= 16 * num_flows + 64, (
-        f"{events} engine events for {num_flows} flows: "
-        "event count is no longer proportional to arrivals/departures"
-    )
+    assert benchmark.pedantic(churn, rounds=3, iterations=1) == 0
 
 
 def test_bench_hungarian_50x50(benchmark):

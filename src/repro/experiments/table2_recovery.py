@@ -24,7 +24,6 @@ from repro.core.recovery import (
     RecoveryManager,
     RecoveryOptions,
     simulate_raid6_read_phase,
-    simulate_raid6_rebuild,
     simulate_raid6_writeback_phase,
 )
 from repro.experiments.common import build_raidp_warm, pick_scale
@@ -52,8 +51,6 @@ DEFAULT_SEEDS = (1,)
 
 #: Task key: ("raidp", lock mode, chunk size, nic index, seed) or
 #: ("raid6", chunk size, nic index, phase) with phase "read"/"write".
-#: Legacy whole-row keys -- ("raidp", lock, chunk, nic) and
-#: ("raid6", chunk, nic) -- are still accepted by :func:`run_task`.
 TaskKey = Tuple
 
 
@@ -75,7 +72,7 @@ def tasks(
 
 def task_deps(key: TaskKey) -> Tuple[TaskKey, ...]:
     """The writeback phase consumes the read phase's boundary time."""
-    if key[0] == "raid6" and len(key) == 4 and key[3] == "write":
+    if key[0] == "raid6" and key[3] == "write":
         return (("raid6", key[1], key[2], "read"),)
     return ()
 
@@ -89,11 +86,8 @@ def task_cost(key: TaskKey) -> float:
     one-straggler-serializes-everything schedule.
     """
     if key[0] == "raid6":
-        chunk = key[1]
-        whole = 9.0 if chunk == 4 * units.MiB else 0.5
-        if len(key) == 4:
-            return whole * (0.8 if key[3] == "read" else 0.2)
-        return whole
+        whole = 9.0 if key[1] == 4 * units.MiB else 0.5
+        return whole * (0.8 if key[3] == "read" else 0.2)
     return 1.7
 
 
@@ -104,11 +98,10 @@ def _nic_rate(nic_index: int) -> float:
 def run_task(
     key: TaskKey, full_scale: bool = False, deps: Optional[Dict[TaskKey, float]] = None
 ) -> float:
-    """One task: a RAIDP repetition, a RAID-6 phase, or a legacy row."""
+    """One task: a RAIDP repetition or a RAID-6 phase."""
     scale = pick_scale(full_scale)
     if key[0] == "raidp":
-        _kind, lock_mode, chunk, nic_index = key[:4]
-        seed = key[4] if len(key) == 5 else DEFAULT_SEEDS[0]
+        _kind, lock_mode, chunk, nic_index, seed = key
         dfs = build_raidp_warm(scale, seed=seed)
         manager = RecoveryManager(dfs)
         options = RecoveryOptions(
@@ -120,26 +113,19 @@ def run_task(
         return report.duration
     # RAID-6 rebuilds both failed disks from all survivors.  Each of the
     # paper's disks carries 16 superchunks x 6 GB = 96 GB of data.
-    _kind, chunk, nic_index = key[:3]
+    _kind, chunk, nic_index, phase = key
     data_per_disk = 16 * scale.superchunk_size
     survivors = scale.num_nodes - 2
-    if len(key) == 4:
-        if key[3] == "read":
-            return simulate_raid6_read_phase(
-                data_per_disk=data_per_disk,
-                surviving_disks=survivors,
-                chunk_size=chunk,
-                nic_rate=_nic_rate(nic_index),
-            )
-        boundary = (deps or {})[("raid6", chunk, nic_index, "read")]
-        return simulate_raid6_writeback_phase(
-            boundary,
+    if phase == "read":
+        return simulate_raid6_read_phase(
             data_per_disk=data_per_disk,
             surviving_disks=survivors,
             chunk_size=chunk,
             nic_rate=_nic_rate(nic_index),
         )
-    return simulate_raid6_rebuild(
+    boundary = (deps or {})[("raid6", chunk, nic_index, "read")]
+    return simulate_raid6_writeback_phase(
+        boundary,
         data_per_disk=data_per_disk,
         surviving_disks=survivors,
         chunk_size=chunk,

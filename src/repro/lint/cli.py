@@ -7,14 +7,11 @@ Usage::
     python -m repro.lint --format sarif --output lint.sarif src/
     python -m repro.lint --select RDP101 src/  # one rule only
     python -m repro.lint --baseline .lint-baseline.json src/
-    python -m repro.lint --no-cache src/       # force full re-analysis
     python -m repro.lint --list-rules          # the rule set and scopes
 
-Findings are cached per file under ``.lint-cache/`` keyed on content
-hash + ruleset version, so a warm run only re-analyzes edited files;
-``--no-cache`` bypasses it.  ``--baseline FILE`` filters findings whose
-fingerprint a reviewed baseline accepts; ``--write-baseline FILE``
-snapshots the current findings as that baseline.
+``--baseline FILE`` filters findings whose fingerprint a reviewed
+baseline accepts; ``--write-baseline FILE`` snapshots the current
+findings as that baseline.
 
 Exit codes: 0 clean, 1 unsuppressed error findings (or warnings under
 ``--strict``), 2 usage errors.
@@ -28,7 +25,6 @@ import sys
 from typing import Dict, List, Optional, Sequence
 
 from .baseline import apply_baseline, load_baseline, write_baseline
-from .cache import DEFAULT_CACHE_DIR, LintCache
 from .engine import Finding, LintConfig, LintEngine
 from .rules import default_rules
 from .sarif import render_sarif
@@ -38,10 +34,8 @@ from .sarif import render_sarif
 #: is reviewable in one place; everything else uses inline
 #: ``# raidp: noqa[RULE] -- reason`` suppressions.
 DEFAULT_ALLOWLISTS: Dict[str, tuple] = {
-    # The perf harness and the hot-path profiler exist to read the wall
-    # clock.
+    # The hot-path profiler exists to read the wall clock.
     "RDP001": (
-        "*/repro/tools/bench.py",
         "*/repro/tools/profile.py",
         "*/repro/obs/simprofile.py",
     ),
@@ -57,24 +51,14 @@ def build_engine(
     select: Optional[Sequence[str]] = None,
     ignore: Optional[Sequence[str]] = None,
     allowlists: Optional[Dict[str, tuple]] = None,
-    cache_dir: Optional[str] = None,
 ) -> LintEngine:
-    """The standard engine: default rules + repo allowlists.
-
-    ``cache_dir`` enables the incremental cache (None = no caching --
-    library callers opt in; the CLI passes it by default).
-    """
+    """The standard engine: default rules + repo allowlists."""
     config = LintConfig(
         select=frozenset(select) if select else None,
         ignore=frozenset(ignore) if ignore else frozenset(),
         allowlists=dict(DEFAULT_ALLOWLISTS if allowlists is None else allowlists),
     )
-    cache = (
-        LintCache(cache_dir, config_key=config.cache_key())
-        if cache_dir is not None
-        else None
-    )
-    return LintEngine(default_rules(), config, cache=cache)
+    return LintEngine(default_rules(), config)
 
 
 def _render_text(
@@ -162,17 +146,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="snapshot current findings as the reviewed baseline and exit 0",
     )
     parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="bypass the incremental per-file cache",
-    )
-    parser.add_argument(
-        "--cache-dir",
-        default=DEFAULT_CACHE_DIR,
-        metavar="DIR",
-        help=f"incremental cache directory (default: {DEFAULT_CACHE_DIR})",
-    )
-    parser.add_argument(
         "--select",
         default=None,
         metavar="RULES",
@@ -209,11 +182,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     select = [r.strip() for r in args.select.split(",")] if args.select else None
     ignore = [r.strip() for r in args.ignore.split(",")] if args.ignore else None
-    engine = build_engine(
-        select=select,
-        ignore=ignore,
-        cache_dir=None if args.no_cache else args.cache_dir,
-    )
+    engine = build_engine(select=select, ignore=ignore)
     findings = engine.lint_paths(args.paths)
 
     if args.write_baseline is not None:

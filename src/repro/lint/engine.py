@@ -219,7 +219,7 @@ class LintConfig:
     #: rule id -> glob patterns of files the rule skips entirely.  Unlike
     #: a ``noqa``, an allowlist entry exempts a whole file -- reserved
     #: for files whose *purpose* conflicts with the rule (the wall-clock
-    #: perf harness vs RDP001).
+    #: profiler vs RDP001).
     allowlists: Dict[str, Tuple[str, ...]] = field(default_factory=dict)
 
     def rule_enabled(self, rule_id: str) -> bool:
@@ -233,16 +233,6 @@ class LintConfig:
             for pattern in self.allowlists.get(rule_id, ())
         )
 
-    def cache_key(self) -> str:
-        """Canonical rendering for the incremental cache key."""
-        select = ",".join(sorted(self.select)) if self.select is not None else "*"
-        ignore = ",".join(sorted(self.ignore))
-        allow = ";".join(
-            f"{rule_id}={'|'.join(patterns)}"
-            for rule_id, patterns in sorted(self.allowlists.items())
-        )
-        return f"select={select} ignore={ignore} allow={allow}"
-
 
 class LintEngine:
     """Runs a rule set over sources, files, or directory trees."""
@@ -251,17 +241,12 @@ class LintEngine:
         self,
         rules: Sequence[Rule],
         config: Optional[LintConfig] = None,
-        cache: Optional[object] = None,
     ) -> None:
         self.config = config or LintConfig()
         self.rules: List[Rule] = [
             rule for rule in rules if self.config.rule_enabled(rule.id)
         ]
         self.files_checked = 0
-        #: Optional :class:`repro.lint.cache.LintCache`; findings for a
-        #: file whose (content, ruleset, config) key matches are reused
-        #: without re-parsing.
-        self.cache = cache
 
     # -- single source ---------------------------------------------------
     def lint_source(self, source: str, path: str = "<string>") -> List[Finding]:
@@ -365,14 +350,7 @@ class LintEngine:
     def lint_file(self, path: str) -> List[Finding]:
         source = Path(path).read_text(encoding="utf-8")
         self.files_checked += 1
-        if self.cache is not None:
-            cached = self.cache.get(str(path), source)
-            if cached is not None:
-                return cached
-        findings = self.lint_source(source, path=str(path))
-        if self.cache is not None:
-            self.cache.put(str(path), source, findings)
-        return findings
+        return self.lint_source(source, path=str(path))
 
     def lint_paths(self, paths: Iterable[str]) -> List[Finding]:
         """Lint files and/or directory trees; order-stable output."""

@@ -19,7 +19,7 @@ Design constraints, mirroring :mod:`repro.obs.tracer`:
 2. **Zero cost when disabled.**  The engine consults
    :func:`active_profiler` once per ``run()`` call -- never per event --
    and takes the ordinary inlined drain loop when no profiler is
-   active.  The ``profile_overhead`` bench kernel guards this.
+   active.
 3. **No sim imports.**  ``sim/engine.py`` imports this module; the
    reverse would be a cycle, so classification duck-types dispatched
    entries (``_callbacks`` / ``fn`` / ``body``) instead of naming

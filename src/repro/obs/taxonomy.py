@@ -34,7 +34,8 @@ CATEGORIES: Dict[str, str] = {
     "fault": "Fault-injection instants (disk_fail, node_crash, ...), "
     "emitted by faults.py.",
     "journal": "Journal occupancy counter samples, emitted by core/journal.py.",
-    "bench": "Synthetic spans emitted by the perf harness (tools/bench.py).",
+    "bench": "Process bodies under repro/tools/ (the chaos soak's traffic "
+    "and verify loops), attributed by obs/simprofile.py.",
     "workload": "Application-level workload drivers (DFSIO, TeraSort, "
     "WordCount task loops), attributed by obs/simprofile.py.",
     "durability": "Long-horizon durability-engine events (loss-risk "

@@ -22,8 +22,7 @@ Design constraints, in order -- the same three the tracer obeys:
    shared :class:`Histogram` objects.
 2. **Zero cost when disabled.**  The engine consults
    :func:`active_sampler` once per ``run()`` call -- never per event --
-   so the disabled path costs one attribute load per run (gated at
-   <=1% by the ``sampler_overhead`` bench kernel).
+   so the disabled path costs one attribute load per run.
 3. **No sim imports.**  ``sim/engine.py`` imports this module; the
    reverse would be a cycle.  The MetricSet is duck-typed through its
    ``as_dict`` contract and the bucket-quantile kernel is local.

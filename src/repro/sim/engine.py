@@ -39,17 +39,16 @@ Pending entries live in three lanes, dispatched in exact global
 
 Dispatch always takes the minimum ``(time, seq)`` across the three
 lanes, so the routing policy never changes the dispatch order -- it only
-changes which container held the entry.  ``RAIDP_SCHEDULER=heap``
-(mirroring ``RAIDP_NET_SOLVER``) retains the pure binary-heap reference:
-the lane is simply never used, and the differential tests in
-``tests/test_scheduler_differential.py`` prove both modes dispatch
-bitwise-identically.
+changes which container held the entry.  The pure binary-heap reference
+is test-side code: ``tests/oracles.py`` subclasses the simulator so
+every timed entry is heap-pushed, and
+``tests/test_scheduler_differential.py`` requires bitwise-identical
+dispatch.
 """
 
 from __future__ import annotations
 
 import heapq
-import os
 from collections import deque
 from typing import Any, Callable, Deque, Dict, Generator, Iterable, List, Optional, Tuple
 
@@ -64,21 +63,7 @@ ProcessBody = Generator["Event", Any, Any]
 #: Sentinel stored in ``Event._callbacks`` once the event has dispatched.
 _DISPATCHED = object()
 
-#: Environment override for the scheduler ("calendar" or "heap"); an
-#: explicit ``Simulator(scheduler=...)`` argument wins.
-SCHEDULER_ENV_VAR = "RAIDP_SCHEDULER"
-
 _NEG_INF = float("-inf")
-_POS_INF = float("inf")
-
-
-def _resolve_scheduler(explicit: Optional[str]) -> str:
-    mode = explicit or os.environ.get(SCHEDULER_ENV_VAR, "") or "calendar"
-    if mode not in ("calendar", "heap"):
-        raise ValueError(
-            f"unknown scheduler {mode!r} (expected 'calendar' or 'heap')"
-        )
-    return mode
 
 
 class _Deferred:
@@ -493,7 +478,7 @@ class Simulator:
     single heap bit-for-bit.
     """
 
-    def __init__(self, start: float = 0.0, scheduler: Optional[str] = None) -> None:
+    def __init__(self, start: float = 0.0) -> None:
         self.now: float = start
         # The tracer bound at construction (NULL_TRACER unless a tracer
         # is active); instrumentation sites branch on ``trace.enabled``.
@@ -513,19 +498,14 @@ class Simulator:
         self._sampler = active_sampler()
         if self._sampler is not None and self._sampler.enabled:
             self._sampler.register_run(self.now)
-        #: "calendar" (deque lane + overflow heap) or "heap" (pure
-        #: binary-heap reference, kept for differential testing).
-        self.scheduler = _resolve_scheduler(scheduler)
         # Entries are (time, seq, Event-or-_Deferred); seq is unique, so
         # the third element is never compared.
         self._heap: List[Tuple[float, int, Any]] = []
         # Calendar lane: (time, seq, entry) with non-decreasing (time,
-        # seq); _lane_tail is the largest time ever appended (reset when
-        # the lane drains so the next monotone run is recaptured).  Heap
-        # mode pins the tail at +inf so every timed entry heap-spills.
+        # seq); _lane_tail is the time of the latest append.  An empty
+        # lane accepts any time, recapturing the next monotone run.
         self._lane: Deque[Tuple[float, int, Any]] = deque()
-        self._lane_reset = _NEG_INF if self.scheduler == "calendar" else _POS_INF
-        self._lane_tail = self._lane_reset
+        self._lane_tail = _NEG_INF
         # Zero-delay entries for the current instant: (seq, entry) pairs,
         # appended in seq order (seq is globally monotone).
         self._now_bucket: Deque[Tuple[int, Any]] = deque()
@@ -568,19 +548,16 @@ class Simulator:
     def __setstate__(self, state: Dict[str, Any]) -> None:
         self.now = float(state["now"])
         # Tracing/profiling state is process-local and never snapshotted;
-        # rebind to whatever is active in the restoring process.  The
-        # scheduler mode likewise re-resolves from the environment.
+        # rebind to whatever is active in the restoring process.
         self.trace = active_tracer()
         self._trace_run = self.trace.register_run() if self.trace.enabled else 0
         self._profile = active_profiler()
         self._sampler = active_sampler()
         if self._sampler is not None and self._sampler.enabled:
             self._sampler.register_run(self.now)
-        self.scheduler = _resolve_scheduler(None)
         self._heap = []
         self._lane = deque()
-        self._lane_reset = _NEG_INF if self.scheduler == "calendar" else _POS_INF
-        self._lane_tail = self._lane_reset
+        self._lane_tail = _NEG_INF
         self._now_bucket = deque()
         self._seq = int(state["seq"])
         self._live_processes = 0
@@ -860,18 +837,19 @@ class Simulator:
                     continue
                 else:
                     break
-                if when > now and flush_hooks:
-                    self._run_flush_hooks()
-                    continue
+                if when > now:
+                    if flush_hooks:
+                        self._run_flush_hooks()
+                        continue
+                elif when < now:
+                    raise SimulationError("time went backwards")
                 if until is not None and when > until:
                     self.now = until
                     return
                 if use_lane:
                     event = lane_popleft()[2]
                 else:
-                    when, _seq, event = pop(heap)
-                    if when < now:
-                        raise SimulationError("time went backwards")
+                    event = pop(heap)[2]
                 now = self.now = when
             # Inlined Event._dispatch + pool recycling.
             cls = event.__class__

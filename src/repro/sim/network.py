@@ -23,11 +23,10 @@ finished or was since re-rated are skipped on pop.  This keeps the event
 count proportional to the number of flow arrivals/departures rather than
 to bytes transferred or to the square of the flow count.
 
-The pre-existing rebuild-the-world allocator is retained as the
-*reference* solver (``Switch(sim, solver="reference")`` or
-``RAIDP_NET_SOLVER=reference``): it banks every flow and re-solves the
-whole topology on every event.  It is the oracle for the differential
-property tests and the baseline for the ``flows_per_sec`` bench kernel.
+The rebuild-the-world *reference* allocator (bank every flow and
+re-solve the whole topology on every event) is test-side code: a
+``Switch`` subclass in ``tests/oracles.py``, the oracle for the
+differential tests in ``tests/test_network_solver.py``.
 
 Per-node accumulated traffic is tracked so experiments can report the
 paper's "accumulated network GB" bars (Fig. 10).
@@ -36,7 +35,6 @@ paper's "accumulated network GB" bars (Fig. 10).
 from __future__ import annotations
 
 import heapq
-import os
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -45,10 +43,6 @@ from repro.errors import SimulationError
 from repro.sim.engine import Event, Simulator
 from repro.sim.stats import TimeWeightedGauge
 from repro.sim.snapshot import InlineState
-
-#: Environment override for the default allocator ("incremental" or
-#: "reference"); an explicit ``Switch(solver=...)`` argument wins.
-SOLVER_ENV_VAR = "RAIDP_NET_SOLVER"
 
 _INF = float("inf")
 
@@ -157,17 +151,9 @@ class Switch(InlineState):
     #: Fixed one-way latency added to every transfer (switch + stack).
     BASE_LATENCY = 50 * units.USEC
 
-    def __init__(
-        self, sim: Simulator, name: str = "switch", solver: Optional[str] = None
-    ) -> None:
-        if solver is None:
-            solver = os.environ.get(SOLVER_ENV_VAR, "") or "incremental"
-        if solver not in ("incremental", "reference"):
-            raise ValueError(f"unknown network solver {solver!r}")
+    def __init__(self, sim: Simulator, name: str = "switch") -> None:
         self.sim = sim
         self.name = name
-        self.solver = solver
-        self._incremental = solver == "incremental"
         self._nics: Dict[str, Nic] = {}
         #: Global ordered set of active flows (arrival order).
         self._flows: Dict[_Flow, None] = {}
@@ -181,7 +167,7 @@ class Switch(InlineState):
         self._timer_deadline = _INF
         self._timer_version = 0
         #: Ports touched by arrivals at the current instant, awaiting one
-        #: batched solve at the timestamp boundary (incremental only).
+        #: batched solve at the timestamp boundary.
         self._pending_dirty: Dict[_Port, None] = {}
         self._flush_scheduled = False
         self.total_bytes = 0
@@ -256,22 +242,18 @@ class Switch(InlineState):
         trace = sim.trace
         if trace.enabled:
             trace.count("net", "active_flows", now, len(self._flows))
-        if self._incremental:
-            # Batch same-instant arrivals into one boundary solve: a
-            # recovery wave starting k flows at once costs one component
-            # re-solve instead of k.  Exact, because a flow banked at the
-            # instant it arrived has moved zero bytes either way and the
-            # final same-instant rates are what every flow's deadline is
-            # computed from.  The reference solver keeps the per-arrival
-            # re-solve, preserving the oracle's historical behavior.
-            pending = self._pending_dirty
-            pending[src_port] = None
-            pending[dst_port] = None
-            if not self._flush_scheduled:
-                self._flush_scheduled = True
-                self.sim.add_flush_hook(self._flush_pending)
-        else:
-            self._update([src_port, dst_port])
+        # Batch same-instant arrivals into one boundary solve: a recovery
+        # wave starting k flows at once costs one component re-solve
+        # instead of k.  Exact, because a flow banked at the instant it
+        # arrived has moved zero bytes either way and the final
+        # same-instant rates are what every flow's deadline is computed
+        # from.
+        pending = self._pending_dirty
+        pending[src_port] = None
+        pending[dst_port] = None
+        if not self._flush_scheduled:
+            self._flush_scheduled = True
+            self.sim.add_flush_hook(self._flush_pending)
         return done
 
     def _flush_pending(self) -> None:
@@ -302,8 +284,8 @@ class Switch(InlineState):
             rx_rate is not None and rx_rate <= 0
         ):
             raise ValueError("NIC rate must be positive")
-        # Arrivals queued at this instant must be solved at the old
-        # capacities first, exactly as the per-arrival path would have.
+        # Arrivals queued at this instant preceded the change: solve them
+        # at the old capacities first.
         self._flush_pending()
         dirty: List[_Port] = []
         if tx_rate is not None:
@@ -316,7 +298,7 @@ class Switch(InlineState):
             port = self._rx_ports.get(nic)
             if port is not None and port.flows:
                 dirty.append(port)
-        if dirty or self.solver == "reference":
+        if dirty:
             self._update(dirty)
 
     # ------------------------------------------------------------------
@@ -330,10 +312,7 @@ class Switch(InlineState):
         reallocation never sees half-removed flows.
         """
         now = self.sim.now
-        if self.solver == "reference":
-            candidates = list(self._flows)
-        else:
-            candidates = self._component(dirty_ports)
+        candidates = self._component(dirty_ports)
         trace = self.sim.trace
         if trace.enabled:
             trace.instant("net", "resolve", now, flows=len(candidates))
@@ -358,8 +337,8 @@ class Switch(InlineState):
 
         Ports are vertices, flows are edges.  Dicts (not sets) keep the
         traversal order deterministic; the result is sorted by flow
-        arrival order so the solve's tie-breaking matches the reference
-        solver's global iteration.
+        arrival order so the solve's tie-breaking matches a global
+        iteration over every flow.
 
         Recovery traffic is overwhelmingly star-shaped (many sources
         converging on one rebuilding node), so a hub-check shortcut
@@ -475,9 +454,9 @@ class Switch(InlineState):
     def _solve(self, flows: List[_Flow], now: float) -> None:
         """Progressive filling restricted to ``flows``; re-rate changes.
 
-        ``flows`` is closed under port sharing (a connected component, or
-        everything in reference mode), so the computed rates equal what
-        global progressive filling would assign these flows.
+        ``flows`` is closed under port sharing (a connected component),
+        so the computed rates equal what global progressive filling
+        would assign these flows.
         """
         if not flows:
             return
@@ -624,14 +603,12 @@ class Switch(InlineState):
             for flow in finished:
                 self._deliver(flow, delivery)
         # Departures free bandwidth: re-solve the components the finished
-        # flows' ports belong to (everything, in reference mode).
+        # flows' ports belong to.
         dirty: Dict[_Port, None] = {}
         for flow in finished:
             dirty[flow.src_port] = None
             dirty[flow.dst_port] = None
-        if self.solver == "reference":
-            self._update([])
-        elif dirty:
+        if dirty:
             self._update(list(dirty))
         else:
             self._arm_timer(now)
@@ -648,11 +625,10 @@ class Switch(InlineState):
 
         Progress is reported as-if banked to now (without mutating state),
         so two switches driven through identical histories are directly
-        comparable even though the incremental solver banks lazily.
+        comparable even though progress is banked lazily.
         """
         # Arrivals queued at this instant have no rates yet; solve them
-        # before reporting so mid-instant introspection matches the
-        # per-arrival solver's view.
+        # before reporting so mid-instant introspection sees final rates.
         self._flush_pending()
         now = self.sim.now
         rows = []

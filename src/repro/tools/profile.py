@@ -24,9 +24,9 @@ swaps the per-dispatch attribution for an interpreter-level cProfile of
 the same slice, when function-granularity wall time is needed.
 
 The JSON export follows the repo's report conventions (a ``schema``
-version plus sorted keys, like :mod:`repro.lint` findings and the bench
-report); this module is allow-listed for the ``RDP001`` wall-clock rule
-for the same reason the bench harness is.
+version plus sorted keys, like :mod:`repro.lint` findings); this module
+is allow-listed for the ``RDP001`` wall-clock rule because a profiler
+exists to read the host clock.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from repro.experiments.runner import REGISTRY, run_experiment
 from repro.obs import simprofile
 
 #: JSON output schema version (bump on breaking shape changes).
-JSON_SCHEMA_VERSION = 1
+JSON_SCHEMA_VERSION = 2
 
 #: Default number of ranked buckets printed.
 DEFAULT_LIMIT = 15
@@ -144,14 +144,12 @@ def report_dict(
     experiment: str,
     tasks_run: int,
     wall_seconds: float,
-    scheduler: str,
 ) -> Dict[str, Any]:
-    """The JSON-exportable report (schema-versioned, like the bench report)."""
+    """The JSON-exportable report (schema-versioned)."""
     return {
         "schema": JSON_SCHEMA_VERSION,
         "experiment": experiment,
         "tasks": tasks_run,
-        "scheduler": scheduler,
         "wall_seconds": round(wall_seconds, 3),
         "totals": profiler.totals(),
         "buckets": [bucket.as_dict() for bucket in profiler.ranked()],
@@ -254,9 +252,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.cprofile:
         return run_cprofile(args.experiment, args.tasks, args.full, args.limit)
 
-    from repro.sim.engine import _resolve_scheduler
-
-    scheduler = _resolve_scheduler(None)
     with simprofile.capture() as profiler:
         tasks_run, wall = run_slice(args.experiment, args.tasks, args.full)
     slice_label = (
@@ -264,18 +259,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if tasks_run < 0
         else f"{args.experiment} (first {tasks_run} task(s))"
     )
-    print(
-        render_report(
-            profiler,
-            f"{slice_label} [{scheduler} scheduler]",
-            limit=args.limit,
-            wall_seconds=wall,
-        )
-    )
+    print(render_report(profiler, slice_label, limit=args.limit, wall_seconds=wall))
     if args.json:
-        payload = report_dict(
-            profiler, args.experiment, tasks_run, wall, scheduler
-        )
+        payload = report_dict(profiler, args.experiment, tasks_run, wall)
         with open(args.json, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
             fh.write("\n")

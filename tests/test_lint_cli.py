@@ -1,5 +1,5 @@
-"""CLI-layer tests: SARIF rendering, baselines, the incremental cache,
-and the RDP007 stale-suppression rule.
+"""CLI-layer tests: SARIF rendering, baselines, and the RDP007
+stale-suppression rule.
 
 The SARIF test validates the document structurally against the parts of
 the 2.1.0 schema the code-scanning ingest actually requires (version,
@@ -15,7 +15,6 @@ from repro.lint.baseline import (
     load_baseline,
     write_baseline,
 )
-from repro.lint.cache import LintCache, ruleset_version
 from repro.lint.cli import build_engine, main
 from repro.lint.engine import LintConfig, LintEngine
 from repro.lint.sarif import SARIF_SCHEMA_URI, render_sarif
@@ -77,7 +76,7 @@ def test_sarif_via_cli_output_file(tmp_path, capsys):
     target.write_text(LEAKY)
     out = tmp_path / "report.sarif"
     code = main(
-        ["--format", "sarif", "--output", str(out), "--no-cache", str(target)]
+        ["--format", "sarif", "--output", str(out), str(target)]
     )
     assert code == 0  # scoped rules skip a path outside src/repro
     document = json.loads(out.read_text())
@@ -120,69 +119,10 @@ def test_cli_baseline_gate(tmp_path):
     target.write_text(LEAKY)
     baseline = tmp_path / "baseline.json"
     # Unbaselined: the leak fails the run.
-    assert main(["--no-cache", str(target)]) == 1
+    assert main([str(target)]) == 1
     # Snapshot, then the same findings pass under the baseline.
-    assert main(["--no-cache", "--write-baseline", str(baseline), str(target)]) == 0
-    assert main(["--no-cache", "--baseline", str(baseline), str(target)]) == 0
-
-
-# ----------------------------------------------------------------------
-# Incremental cache.
-# ----------------------------------------------------------------------
-def test_cache_cold_and_warm_agree(tmp_path):
-    target = tmp_path / "src" / "repro" / "sim" / "leaky.py"
-    target.parent.mkdir(parents=True)
-    target.write_text(LEAKY)
-
-    def engine():
-        return build_engine(cache_dir=str(tmp_path / "cache"))
-
-    cold_engine = engine()
-    cold = cold_engine.lint_paths([str(target)])
-    assert cold_engine.cache.misses == 1 and cold_engine.cache.hits == 0
-    warm_engine = engine()
-    warm = warm_engine.lint_paths([str(target)])
-    assert warm_engine.cache.hits == 1 and warm_engine.cache.misses == 0
-    assert warm == cold
-
-
-def test_cache_invalidated_by_content_change(tmp_path):
-    target = tmp_path / "src" / "repro" / "sim" / "leaky.py"
-    target.parent.mkdir(parents=True)
-    target.write_text(LEAKY)
-    cache_dir = str(tmp_path / "cache")
-    build_engine(cache_dir=cache_dir).lint_paths([str(target)])
-    target.write_text(LEAKY + "\n# trailing comment\n")
-    engine = build_engine(cache_dir=cache_dir)
-    engine.lint_paths([str(target)])
-    assert engine.cache.misses == 1
-
-
-def test_cache_keyed_on_run_configuration(tmp_path):
-    target = tmp_path / "src" / "repro" / "sim" / "leaky.py"
-    target.parent.mkdir(parents=True)
-    target.write_text(LEAKY)
-    cache_dir = str(tmp_path / "cache")
-    narrow = build_engine(select=["RDP101"], cache_dir=cache_dir)
-    narrow.lint_paths([str(target)])
-    full = build_engine(cache_dir=cache_dir)
-    full_findings = full.lint_paths([str(target)])
-    # The full run must not be served the RDP101-only findings.
-    assert full.cache.misses == 1
-    assert {f.rule for f in full_findings} >= {"RDP101", "RDP006"}
-
-
-def test_cache_corruption_is_a_miss(tmp_path):
-    cache = LintCache(str(tmp_path / "cache"), config_key="k")
-    cache.put("a.py", "x = 1\n", [])
-    entry = next((tmp_path / "cache").iterdir())
-    entry.write_text("{not json")
-    assert cache.get("a.py", "x = 1\n") is None
-
-
-def test_ruleset_version_is_stable_within_a_checkout():
-    assert ruleset_version() == ruleset_version()
-    assert len(ruleset_version()) == 16
+    assert main(["--write-baseline", str(baseline), str(target)]) == 0
+    assert main(["--baseline", str(baseline), str(target)]) == 0
 
 
 # ----------------------------------------------------------------------

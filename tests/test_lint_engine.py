@@ -177,7 +177,7 @@ def test_cli_lints_directories_recursively(tmp_path, capsys):
 
 def test_build_engine_uses_repo_allowlists():
     engine = build_engine()
-    assert engine.config.allowlisted("RDP001", "src/repro/tools/bench.py")
+    assert engine.config.allowlisted("RDP001", "src/repro/tools/profile.py")
     assert not engine.config.allowlisted("RDP001", "src/repro/sim/engine.py")
 
 

@@ -11,6 +11,7 @@ import ast
 import importlib
 import inspect
 import pkgutil
+import re
 from pathlib import Path
 from typing import get_type_hints
 
@@ -39,6 +40,28 @@ def test_source_tree_has_no_unsuppressed_warnings():
     assert warnings == [], "\n".join(
         f"{f.path}:{f.line}: {f.rule} {f.message}" for f in warnings
     )
+
+
+def test_environment_switch_inventory():
+    """The ``RAIDP_*`` environment names read under ``src/``, exactly.
+
+    Every such variable is a run configuration the tests and the
+    benchmark must cover; a new one has to be added here on purpose.
+    Only string constants count -- identifiers such as
+    ``table2_recovery.RAIDP_ROWS`` are not environment names.
+    """
+    names = set()
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                if re.fullmatch(r"RAIDP_[A-Z_]+", node.value):
+                    names.add(node.value)
+    assert names == {
+        "RAIDP_JOBS",
+        "RAIDP_MP_CONTEXT",
+        "RAIDP_SNAPSHOT_DIR",
+        "RAIDP_WARM_START",
+    }
 
 
 def _strict_modules():

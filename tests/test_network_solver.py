@@ -1,11 +1,13 @@
 """Differential tests: incremental fair-share solver vs the reference.
 
 The incremental allocator (per-port registries, dirty-component re-solve,
-lazy completion heap) must allocate the same max-min rates as the
-retained rebuild-the-world reference solver on any sequence of flow
-arrivals, departures, and NIC-rate changes.  These tests drive both
-solvers through identical randomized histories and compare rates at
-every step, plus the degenerate topologies and the accounting bugfixes.
+same-instant arrival batching, solve fast paths, lazy completion heap)
+must allocate the same max-min rates as a rebuild-the-world reference on
+any sequence of flow arrivals, departures, and NIC-rate changes.  The
+reference is :class:`tests.oracles.ReferenceSwitch`, a test-side subclass.  These
+tests drive both through identical randomized histories and compare
+rates at every step, plus the degenerate topologies, the accounting
+bugfixes and the churn event budget.
 """
 
 import random
@@ -15,13 +17,17 @@ import pytest
 from repro import units
 from repro.sim.engine import Simulator
 from repro.sim.network import Nic, Switch
+from tests.oracles import ReferenceSwitch
 
 GBPS = units.gbps(1)
 
 
+SOLVERS = {"incremental": Switch, "reference": ReferenceSwitch}
+
+
 def _build(solver, rates):
     sim = Simulator()
-    switch = Switch(sim, solver=solver)
+    switch = SOLVERS[solver](sim)
     nics = [switch.attach(Nic(f"n{i}", rate)) for i, rate in enumerate(rates)]
     return sim, switch, nics
 
@@ -244,3 +250,36 @@ def test_idle_rate_change_is_a_no_op():
     sim.run()
     assert switch.active_flows == 0
     assert a.stats.flows_finished == 1
+
+
+def test_network_churn_event_budget():
+    """Work-counter guard: a 512-flow churn stays within an event budget.
+
+    The lazy completion heap must keep the engine event count
+    proportional to arrivals/departures -- a handful of events per flow
+    (arrival stagger, completion timer, delivery, done) plus re-arms --
+    never proportional to flows^2.  The budget of 16 events/flow is ~2x
+    the observed cost, so it trips on any return to per-event timer
+    rebuilds.  A deterministic LCG picks endpoints and sizes.
+    """
+    num_nics, num_flows = 64, 512
+    sim, switch, nics = _build("incremental", [units.gbps(10)] * num_nics)
+
+    def feeder():
+        state = 0x2545F4914F6CDD1D
+        for _ in range(num_flows):
+            state = (state * 6364136223846793005 + 1442695040888963407) % (1 << 64)
+            src = nics[state % num_nics]
+            dst = nics[(state >> 8) % num_nics]
+            if dst is src:
+                dst = nics[(state % num_nics + 1) % num_nics]
+            switch.transfer(src, dst, 4 * units.MiB + (state >> 16) % (16 * units.MiB))
+            yield sim.timeout(0.0005)
+
+    sim.process(feeder())
+    sim.run()
+    assert switch.active_flows == 0
+    assert sim._seq <= 16 * num_flows + 64, (
+        f"{sim._seq} engine events for {num_flows} flows: "
+        "event count is no longer proportional to arrivals/departures"
+    )

@@ -3,8 +3,8 @@
 Two guarantees ride on the incremental network solver:
 
 - **Fingerprint stability**: a full workload run under the incremental
-  solver produces bitwise-identical results to the retained brute-force
-  reference solver (and to itself, run twice).
+  solver produces bitwise-identical results to the brute-force reference
+  (``tests.oracles.ReferenceSwitch``) and to itself, run twice.
 - **Scale-out tractability**: the ext-scale sweep's largest point (256
   nodes) completes at smoke scale and shows the expected shape.
 """
@@ -15,14 +15,16 @@ from repro import units
 from repro.core.cluster import RaidpCluster
 from repro.core.node import RaidpConfig
 from repro.hdfs.config import DfsConfig
+from repro.sim import cluster as sim_cluster
 from repro.sim.cluster import ClusterSpec
-from repro.sim.network import SOLVER_ENV_VAR
+from repro.sim.network import Switch
 from repro.workloads.dfsio import dfsio_read, dfsio_write
+from tests.oracles import ReferenceSwitch
 
 
-def _fingerprint(solver, monkeypatch, seed=42):
+def _fingerprint(switch_class, monkeypatch, seed=42):
     """One smoke-scale RAIDP workload run, reduced to a hashable tuple."""
-    monkeypatch.setenv(SOLVER_ENV_VAR, solver)
+    monkeypatch.setattr(sim_cluster, "Switch", switch_class)
     dfs = RaidpCluster(
         spec=ClusterSpec(num_nodes=8),
         config=DfsConfig(replication=2),
@@ -30,6 +32,7 @@ def _fingerprint(solver, monkeypatch, seed=42):
         payload_mode="tokens",
         seed=seed,
     )
+    assert type(dfs.switch) is switch_class
     write = dfsio_write(dfs, units.GiB)
     read = dfsio_read(dfs)
     placements = tuple(
@@ -45,20 +48,17 @@ def _fingerprint(solver, monkeypatch, seed=42):
 
 def test_incremental_solver_fingerprint_matches_reference(monkeypatch):
     """The incremental solver changes wall-clock cost, not results."""
-    incremental = _fingerprint("incremental", monkeypatch)
-    reference = _fingerprint("reference", monkeypatch)
+    incremental = _fingerprint(Switch, monkeypatch)
+    reference = _fingerprint(ReferenceSwitch, monkeypatch)
     assert incremental == reference
 
 
 def test_incremental_solver_fingerprint_is_stable(monkeypatch):
-    assert _fingerprint("incremental", monkeypatch) == _fingerprint(
-        "incremental", monkeypatch
-    )
+    assert _fingerprint(Switch, monkeypatch) == _fingerprint(Switch, monkeypatch)
 
 
-def test_flow_accounting_balances_after_workload(monkeypatch):
+def test_flow_accounting_balances_after_workload():
     """Every started flow finishes once the workload drains."""
-    monkeypatch.setenv(SOLVER_ENV_VAR, "incremental")
     dfs = RaidpCluster(
         spec=ClusterSpec(num_nodes=8),
         config=DfsConfig(replication=2),
