@@ -80,7 +80,7 @@ class Balancer:
             key=lambda s: -self.dfs.map.used_slots(s),
         ):
             for _slot, block_name in sorted(self.dfs.map.blocks_in(sc_id).items()):
-                locations = self._locations_of(block_name)
+                locations = self.dfs.namenode.locate_block_by_name(block_name)
                 if locations is None:
                     continue
                 target = self._best_target(set(locations.datanodes), loads, hot)
@@ -109,12 +109,6 @@ class Balancer:
                 best_pressure = pressure
                 best_target = sc_id
         return best_target
-
-    def _locations_of(self, block_name: str) -> Optional[BlockLocations]:
-        for locations in self.dfs.namenode.all_blocks():
-            if locations.block.name == block_name:
-                return locations
-        return None
 
     # ------------------------------------------------------------------
     # Execution.

@@ -86,9 +86,7 @@ class RaidpCluster(InlineState):
                 domains, superchunks_per_disk, spec=layout_spec
             )
         self.map = SuperchunkMap(self.layout)
-        self.placement = RaidpPlacement(
-            self.layout, self.map, seed=seed, node_of=self.layout.domain_of
-        )
+        self.placement = RaidpPlacement(self.layout, self.map, seed=seed)
         self.namenode = NameNode(self.config, self.placement)
         #: The server hosting the NameNode process (heartbeat endpoint).
         #: Like small Hadoop deployments, it is collocated with node 0.

@@ -23,7 +23,18 @@ Terminology used throughout the core package:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from types import MappingProxyType
+from typing import (
+    Dict,
+    FrozenSet,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from repro import units
 from repro.errors import CapacityError, LayoutError
@@ -103,6 +114,11 @@ class Layout(InlineState):
             missing = [d for d in self._disks if d not in self._domains]
             if missing:
                 raise LayoutError(f"disks without a failure domain: {missing}")
+        # failure domain -> its disks currently in the layout.
+        self._domain_disks: Dict[str, List[str]] = {}
+        if self._domains is not None:
+            for disk in self._disks:
+                self._domain_disks.setdefault(self._domains[disk], []).append(disk)
         self._superchunks: Dict[int, Superchunk] = {}
         # disk -> ordered slots (superchunk id per slot).
         self._slots: Dict[str, List[int]] = {d: [] for d in self._disks}
@@ -115,6 +131,10 @@ class Layout(InlineState):
         if self._domains is None:
             return None
         return self._domains[disk]
+
+    def disks_in_domain(self, domain: str) -> List[str]:
+        """The layout's current disks whose failure domain is ``domain``."""
+        return list(self._domain_disks.get(domain, ()))
 
     def same_domain(self, disk_a: str, disk_b: str) -> bool:
         """True iff both disks sit in one configured failure domain."""
@@ -133,9 +153,13 @@ class Layout(InlineState):
     def disks(self) -> List[str]:
         return list(self._disks)
 
+    def has_disk(self, disk: str) -> bool:
+        return disk in self._slots
+
     @property
-    def superchunks(self) -> Dict[int, Superchunk]:
-        return dict(self._superchunks)
+    def superchunks(self) -> Mapping[int, Superchunk]:
+        """Read-only live view: sc_id -> record."""
+        return MappingProxyType(self._superchunks)
 
     def superchunk(self, sc_id: int) -> Superchunk:
         try:
@@ -149,6 +173,19 @@ class Layout(InlineState):
             return list(self._slots[disk])
         except KeyError:
             raise LayoutError(f"unknown disk {disk}") from None
+
+    def holds(self, disk: str, sc_id: int) -> bool:
+        """True iff ``disk`` is in the layout and stores a copy of ``sc_id``.
+
+        A superchunk's record keeps *naming* a disk after that disk was
+        removed -- and still does if the disk later rejoins empty -- so
+        "named" is not "held": only this answers where copies live.
+        """
+        return sc_id in self._slots.get(disk, ())
+
+    def is_mirrored(self, sc: Superchunk) -> bool:
+        """True iff both disks the record names hold the superchunk."""
+        return self.holds(sc.disk_a, sc.sc_id) and self.holds(sc.disk_b, sc.sc_id)
 
     def shared(self, disk_a: str, disk_b: str) -> Optional[int]:
         """The superchunk the two disks share, if any."""
@@ -200,6 +237,8 @@ class Layout(InlineState):
                 raise LayoutError(f"disk {disk} needs a failure domain")
         self._disks.append(disk)
         self._slots[disk] = []
+        if self._domains is not None:
+            self._domain_disks.setdefault(self._domains[disk], []).append(disk)
 
     def add_superchunk(self, disk_a: str, disk_b: str) -> Superchunk:
         """Allocate a new mirrored superchunk across two disks."""
@@ -249,6 +288,8 @@ class Layout(InlineState):
             self._pair_index.pop(sc.disks, None)
         del self._slots[disk]
         self._disks.remove(disk)
+        if self._domains is not None:
+            self._domain_disks[self._domains[disk]].remove(disk)
         return orphans
 
     def remirror(self, sc_id: int, new_disk: str) -> Superchunk:
@@ -365,7 +406,10 @@ class Layout(InlineState):
         """Re-check every invariant from scratch; raises on violation."""
         seen_pairs: Set[FrozenSet[str]] = set()
         for sc in self._superchunks.values():
-            live = [d for d in (sc.disk_a, sc.disk_b) if d in self._slots]
+            # Homes are the named disks that *hold* the copy: a removed
+            # disk that rejoined empty is named but holds nothing, and
+            # the superchunk is singly-homed until it is remirrored.
+            live = [d for d in (sc.disk_a, sc.disk_b) if self.holds(d, sc.sc_id)]
             if len(set(live)) != len(live):
                 raise LayoutError(f"superchunk {sc.sc_id} mirrored onto one disk")
             if len(live) == 2:
@@ -381,7 +425,8 @@ class Layout(InlineState):
                     )
             for disk in live:
                 slot = sc.slot_on(disk)
-                if self._slots[disk][slot] != sc.sc_id:
+                slots = self._slots[disk]
+                if slot >= len(slots) or slots[slot] != sc.sc_id:
                     raise LayoutError(
                         f"slot table corrupt: disk {disk} slot {slot}"
                     )
@@ -397,10 +442,7 @@ class Layout(InlineState):
     @property
     def is_fully_mirrored(self) -> bool:
         """True when every superchunk currently has both copies."""
-        return all(
-            sum(1 for d in sc.disks if d in self._slots) == 2
-            for sc in self._superchunks.values()
-        )
+        return all(self.is_mirrored(sc) for sc in self._superchunks.values())
 
     @staticmethod
     def max_total_superchunks(num_disks: int) -> int:

@@ -13,9 +13,9 @@ replica) and balances load by picking the least-full eligible superchunk.
 from __future__ import annotations
 
 import random
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
-from repro.core.layout import Layout, LayoutSpec
+from repro.core.layout import Layout, LayoutSpec, Superchunk
 from repro.errors import CapacityError, PlacementError
 from repro.hdfs.block import Block, BlockLocations
 from repro.hdfs.namenode import PlacementPolicy, healthy_datanode
@@ -90,8 +90,10 @@ class SuperchunkMap(InlineState):
 class RaidpPlacement(PlacementPolicy):
     """Placement restricted to superchunk-sharing DataNode pairs.
 
-    Disk ids in the layout are DataNode names (the evaluation runs one
-    disk per node, as the paper does).
+    Disk ids in the layout are DataNode names.  The writer is a server
+    name: on one-disk-per-node clusters (the paper's evaluation) that is
+    the disk itself, on multi-disk servers it is the failure domain of
+    the server's per-disk DataNodes.
     """
 
     def __init__(
@@ -99,15 +101,10 @@ class RaidpPlacement(PlacementPolicy):
         layout: Layout,
         superchunk_map: SuperchunkMap,
         seed: int = 0xA1D9,
-        node_of: Optional[Callable[[str], str]] = None,
     ) -> None:
-        """``node_of`` maps a DataNode name to its server, so the
-        writer-local preference works on multi-disk servers (the writer
-        is a server name; eligible DataNodes are per-disk)."""
         self.layout = layout
         self.map = superchunk_map
         self._rng = random.Random(seed)
-        self._node_of = node_of or (lambda name: name)
 
     def choose_targets(
         self,
@@ -119,24 +116,13 @@ class RaidpPlacement(PlacementPolicy):
         # yet been declared dead by the heartbeat detector must not
         # receive new blocks.
         alive = {dn.name for dn in datanodes if healthy_datanode(dn)}
-        candidates = self._eligible_superchunks(alive)
-        if not candidates:
+        pool = self._writer_local_superchunks(writer, alive)
+        if not pool:
+            pool = self._eligible_superchunks(alive)
+        if not pool:
             raise PlacementError(
                 "no superchunk with free slots spans two live datanodes"
             )
-        preferred = (
-            [
-                sc_id
-                for sc_id in candidates
-                if any(
-                    (self._node_of(d) or d) == writer or d == writer
-                    for d in self._pair(sc_id)
-                )
-            ]
-            if writer is not None
-            else []
-        )
-        pool = preferred or candidates
         # Balance by *disk* load (the busier disk of each pair), so every
         # spindle receives an even share of the write stream; ties break
         # by superchunk fullness, then by the seeded RNG.
@@ -147,13 +133,14 @@ class RaidpPlacement(PlacementPolicy):
             )
             return (loads[0], loads[1], self.map.used_slots(sc_id))
 
-        best = min(pressure(sc) for sc in pool)
-        tied = [sc for sc in pool if pressure(sc) == best]
+        pressures = [pressure(sc) for sc in pool]
+        best = min(pressures)
+        tied = [sc for sc, weight in zip(pool, pressures) if weight == best]
         sc_id = self._rng.choice(tied)
         slot = self.map.allocate_slot(sc_id, block.name)
         pair = list(self._pair(sc_id))
         for index, disk in enumerate(pair):
-            if disk == writer or (self._node_of(disk) or disk) == writer:
+            if self._is_local(disk, writer):
                 pair.insert(0, pair.pop(index))
                 break
         return BlockLocations(block=block, datanodes=pair, sc_id=sc_id, slot=slot)
@@ -162,14 +149,50 @@ class RaidpPlacement(PlacementPolicy):
         sc = self.layout.superchunk(sc_id)
         return sc.disk_a, sc.disk_b
 
+    def _is_local(self, disk: str, writer: Optional[str]) -> bool:
+        return writer is not None and (
+            disk == writer or self.layout.domain_of(disk) == writer
+        )
+
+    def _writer_local_superchunks(
+        self, writer: Optional[str], alive: set
+    ) -> List[int]:
+        """Eligible superchunks with a copy on the writer's own disk(s).
+
+        Eligibility requires both named disks to hold the superchunk, so
+        the writer's slot tables index every candidate: the cost is the
+        superchunks per disk, not the cluster's.
+        """
+        if writer is None:
+            return []
+        layout = self.layout
+        disks = layout.disks_in_domain(writer)
+        if layout.has_disk(writer) and writer not in disks:
+            disks.append(writer)
+        local = {sc_id for disk in disks for sc_id in layout.superchunks_of(disk)}
+        return sorted(
+            sc_id for sc_id in local if self._eligible(layout.superchunk(sc_id), alive)
+        )
+
     def _eligible_superchunks(self, alive: set) -> List[int]:
-        eligible = []
-        for sc_id, sc in self.layout.superchunks.items():
-            if self.map.is_frozen(sc_id):
-                continue  # under recovery: writes are diverted (§3.4)
-            if sc.disk_a in alive and sc.disk_b in alive and self.map.free_slots(sc_id) > 0:
-                eligible.append(sc_id)
-        return sorted(eligible)
+        """Every eligible superchunk: the writer-agnostic full scan."""
+        return sorted(
+            sc.sc_id
+            for sc in self.layout.superchunks.values()
+            if self._eligible(sc, alive)
+        )
+
+    def _eligible(self, sc: Superchunk, alive: set) -> bool:
+        if self.map.is_frozen(sc.sc_id):
+            return False  # under recovery: writes are diverted (§3.4)
+        return (
+            sc.disk_a in alive
+            and sc.disk_b in alive
+            and self.map.free_slots(sc.sc_id) > 0
+            # Named is not held: a removed disk that rejoined empty is
+            # still named by the superchunks it lost.
+            and self.layout.is_mirrored(sc)
+        )
 
     def release(self, locations: BlockLocations) -> None:
         """Return a deleted block's slot to the pool."""

@@ -371,7 +371,7 @@ class RecoveryManager:
         try:
             for slot in sorted(blocks):
                 block_name = blocks[slot]
-                locations = self._locations_by_name(block_name)
+                locations = dfs.namenode.locate_block_by_name(block_name)
                 if locations is None:
                     continue  # a preallocation filler, not a live block
                 # Read at the sender, stream, write at the receiver.
@@ -418,12 +418,6 @@ class RecoveryManager:
                 sc=sc_id, sender=sender, receiver=receiver,
                 blocks=len(installed),
             )
-        return None
-
-    def _locations_by_name(self, block_name: str) -> Optional[BlockLocations]:
-        for locations in self.dfs.namenode.all_blocks():
-            if locations.block.name == block_name:
-                return locations
         return None
 
     # ==================================================================
@@ -712,7 +706,7 @@ class RecoveryManager:
                 # surviving copy.  If the client rolled the version back
                 # (no replica survived the write), the parity's old view
                 # is already correct.
-                locations = self._locations_by_name(record.block_name)
+                locations = dfs.namenode.locate_block_by_name(record.block_name)
                 if locations is not None and locations.version == record.version:
                     roll_forward[record.slot] = record.new_data
         if slots is None:
@@ -918,7 +912,7 @@ class RecoveryManager:
         dfs.map.register_superchunk(sc_id)
         blocks = dfs.map.blocks_in(sc_id)
         for slot, block_name in sorted(blocks.items()):
-            locations = self._locations_by_name(block_name)
+            locations = dfs.namenode.locate_block_by_name(block_name)
             if locations is None:
                 continue
             payload = rebuilt.get(slot)

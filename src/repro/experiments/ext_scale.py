@@ -10,9 +10,10 @@ fixed per-node working set and reports, per replication scheme:
   plus the dead disk's surviving mirrors -- independent of cluster size),
 - accumulated network GB per node (RAIDP's 2 copies vs HDFS-3's 3).
 
-The sweep leans on the incremental fair-share solver: at 256 nodes a
-write burst keeps hundreds of flows in flight, where the old
-rebuild-the-world allocator was O(flows^2) per arrival.
+The sweep leans on the incremental fair-share solver and on placement
+that reads the writer's own slot tables: at 256 nodes a write burst
+keeps hundreds of flows in flight, and both cost what a burst touches
+rather than the cluster size (DESIGN.md section 7.5).
 """
 
 from __future__ import annotations
@@ -84,12 +85,22 @@ def task_deps(key: TaskKey) -> Tuple[TaskKey, ...]:
 
 
 def task_cost(key: TaskKey) -> float:
-    """Relative weight: ingest work scales with node count; recovery on a
-    restored snapshot is roughly constant (one superchunk rebuild)."""
+    """Relative weight, in units of the 16-node RAIDP write.
+
+    Measured at smoke scale, seconds at 16/64/128/256 nodes: RAIDP
+    write 0.022/0.075/0.17/0.48 -- linear in nodes, placement and
+    rate solves costing what they touch; hdfs-3 0.012/0.064/0.20/0.84
+    -- its placement shuffles every live node per block, a quadratic
+    term that passes the RAIDP write at 128 nodes; recovery
+    0.007/0.019/0.043/0.082 -- mostly the snapshot restore, a quarter
+    of the write.
+    """
+    scale = key[1] / 16.0
     if len(key) == 4 and key[3] == "recovery":
-        return 1.0
-    num_nodes = key[1]
-    return max(1.0, num_nodes / 16.0)
+        return 0.25 * scale
+    if key[0] == "hdfs3":
+        return 0.5 * scale + 0.12 * scale * scale
+    return scale
 
 
 def _build(scheme: str, num_nodes: int, seed: int) -> Any:

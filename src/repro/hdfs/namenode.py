@@ -119,6 +119,8 @@ class NameNode(InlineState):
         self._datanodes: Dict[str, "DataNode"] = {}
         self._files: Dict[str, List[Block]] = {}
         self._blocks: Dict[int, BlockLocations] = {}
+        #: block name -> the same records (names are unique per block id).
+        self._blocks_by_name: Dict[str, BlockLocations] = {}
         self._next_block_id = 0
         #: (block name, dropped replica names) per pipeline recovery the
         #: clients reported -- the short blocks awaiting re-replication.
@@ -180,6 +182,7 @@ class NameNode(InlineState):
         release = getattr(self.placement, "release", None)
         for block in blocks:
             record = self._blocks.pop(block.block_id)
+            del self._blocks_by_name[block.name]
             if release is not None:
                 release(record)  # free the superchunk slot (RAIDP)
             records.append(record)
@@ -207,6 +210,7 @@ class NameNode(InlineState):
         )
         self._files[path].append(block)
         self._blocks[block.block_id] = locations
+        self._blocks_by_name[block.name] = locations
         return locations
 
     def locate_block(self, block_id: int) -> BlockLocations:
@@ -214,6 +218,10 @@ class NameNode(InlineState):
             return self._blocks[block_id]
         except KeyError:
             raise DfsError(f"unknown block {block_id}") from None
+
+    def locate_block_by_name(self, block_name: str) -> Optional[BlockLocations]:
+        """The record of the block stored under ``block_name``, if any."""
+        return self._blocks_by_name.get(block_name)
 
     def all_blocks(self) -> List[BlockLocations]:
         return list(self._blocks.values())
@@ -264,12 +272,11 @@ class NameNode(InlineState):
         newer version while the node was down).  Returns
         ``(readopted, orphans, stale)`` as sorted block-name lists.
         """
-        by_name = {loc.block.name: loc for loc in self._blocks.values()}
         readopted: List[str] = []
         orphans: List[str] = []
         stale: List[str] = []
         for block_name in held:
-            locations = by_name.get(block_name)
+            locations = self._blocks_by_name.get(block_name)
             if locations is None:
                 orphans.append(block_name)
                 continue

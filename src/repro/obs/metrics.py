@@ -118,6 +118,10 @@ def cluster_metrics(
 
     switch = dfs.switch
     metrics.register_counter("net_bytes_total", lambda s=switch: s.total_bytes)
+    # Exact solver work: non-empty solves and the filling steps (port
+    # offers evaluated + flows rated) they took.
+    metrics.register_counter("net_solves_total", lambda s=switch: s.solves)
+    metrics.register_counter("net_fill_steps_total", lambda s=switch: s.fill_steps)
     metrics.register_gauge("net_active_flows", switch.flows_gauge)
 
     # Blocks below their replication target right now: the cluster's

@@ -23,10 +23,15 @@ finished or was since re-rated are skipped on pop.  This keeps the event
 count proportional to the number of flow arrivals/departures rather than
 to bytes transferred or to the square of the flow count.
 
+A solve that is neither a lone flow nor a one-round star runs
+progressive filling off a heap of per-port offers, so it costs the flows
+it freezes rather than a scan of every port per round.
+
 The rebuild-the-world *reference* allocator (bank every flow and
-re-solve the whole topology on every event) is test-side code: a
-``Switch`` subclass in ``tests/oracles.py``, the oracle for the
-differential tests in ``tests/test_network_solver.py``.
+re-solve the whole topology on every event) and the scan-every-port
+filling loop are test-side code: ``Switch`` subclasses in
+``tests/oracles.py``, the oracles for the differential tests in
+``tests/test_network_solver.py``.
 
 Per-node accumulated traffic is tracked so experiments can report the
 paper's "accumulated network GB" bars (Fig. 10).
@@ -171,6 +176,10 @@ class Switch(InlineState):
         self._pending_dirty: Dict[_Port, None] = {}
         self._flush_scheduled = False
         self.total_bytes = 0
+        #: Exact work counters: non-empty solves, and filling steps
+        #: (port offers evaluated + flows rated) summed over them.
+        self.solves = 0
+        self.fill_steps = 0
         #: Concurrent flow count over time (metrics-registry snapshot).
         self.flows_gauge = TimeWeightedGauge(start_time=sim.now)
 
@@ -460,11 +469,13 @@ class Switch(InlineState):
         """
         if not flows:
             return
+        self.solves += 1
         if len(flows) == 1:
             # Single-flow fast path: a lone flow on both its ports runs at
             # the slower endpoint; no filling rounds needed.
             flow = flows[0]
             if len(flow.src_port.flows) == 1 and len(flow.dst_port.flows) == 1:
+                self.fill_steps += 3  # two port offers, one flow rated
                 self._set_rate(flow, min(flow.src_port.capacity, flow.dst_port.capacity), now)
                 return
         remaining_cap: Dict[_Port, float] = {}
@@ -479,9 +490,9 @@ class Switch(InlineState):
         # One-round fast path: if some port carries *every* flow and its
         # fair share is strictly the smallest on offer, progressive
         # filling freezes all flows in the first round at that share.
-        # Strict dominance matters: on a tie the generic loop's min()
-        # picks a different bottleneck first, changing the deadline-push
-        # order, so ties fall through to the exact iteration.
+        # Strict dominance matters: on a tie the generic arm picks a
+        # different bottleneck first (the first-seen port), changing the
+        # deadline-push order, so ties fall through to the exact iteration.
         count = len(flows)
         if count > 1:
             hub: Optional[_Port] = None
@@ -495,32 +506,72 @@ class Switch(InlineState):
                     if port is not hub and remaining_cap[port] / port_load <= share:
                         break
                 else:
+                    self.fill_steps += len(load) + count
                     for flow in flows:
                         self._set_rate(flow, share, now)
                     return
-        unfrozen: Dict[_Flow, None] = dict.fromkeys(flows)
+        self._fill(flows, remaining_cap, load, now)
+
+    def _fill(
+        self,
+        flows: List[_Flow],
+        remaining_cap: Dict[_Port, float],
+        load: Dict[_Port, int],
+        now: float,
+    ) -> None:
+        """Heap-driven progressive filling: the generic arm of ``_solve``.
+
+        Each round freezes the flows of the port offering the smallest
+        fair share ``remaining_cap / load``; on equal offers the port
+        seen first in the seq-ordered flow scan wins, which is ``load``'s
+        insertion order.  One heap entry per port is keyed ``(offer,
+        first-seen index)`` and a fresh one is pushed whenever a freeze
+        takes a flow off the port.  A port's load only ever decreases,
+        so an entry is live iff the load it was pushed with is still the
+        port's load -- older ones are skipped on pop.  A round thus
+        costs its frozen flows (plus a log factor), not a scan over
+        every port and every unfrozen flow.
+        """
+        first_seen = {port: index for index, port in enumerate(load)}
+        heap = [
+            (remaining_cap[port] / port_load, first_seen[port], port_load, port)
+            for port, port_load in load.items()
+        ]
+        heapq.heapify(heap)
+        steps = len(heap)
+        unfrozen = set(flows)
         while unfrozen:
-            # The bottleneck port is the one offering the smallest fair
-            # share to its unfrozen flows.
-            bottleneck = min(
-                (port for port in load if load[port] > 0),
-                key=lambda port: remaining_cap[port] / load[port],
-            )
+            _offer, _index, pushed_load, bottleneck = heapq.heappop(heap)
+            if load[bottleneck] != pushed_load:
+                continue  # superseded: the port lost flows since the push
             # Clamp: repeated subtraction can drive a port's remaining
             # capacity a few ULPs below zero, and a negative share would
             # make flows run backwards (a livelock in disguise).
-            share = max(remaining_cap[bottleneck], 0.0) / load[bottleneck]
-            frozen_now = [
-                flow
-                for flow in unfrozen
-                if flow.src_port is bottleneck or flow.dst_port is bottleneck
-            ]
+            share = max(remaining_cap[bottleneck], 0.0) / pushed_load
+            # The port's own registry is in arrival order and, the
+            # component being closed under port sharing, holds every
+            # unfrozen flow that touches the bottleneck.
+            frozen_now = [flow for flow in bottleneck.flows if flow in unfrozen]
+            load[bottleneck] = 0  # all of its flows freeze: out of the race
+            steps += len(frozen_now)
             for flow in frozen_now:
-                for port in (flow.src_port, flow.dst_port):
-                    remaining_cap[port] -= share
-                    load[port] -= 1
-                del unfrozen[flow]
+                other = flow.dst_port if flow.src_port is bottleneck else flow.src_port
+                remaining_cap[other] -= share
+                other_load = load[other] = load[other] - 1
+                if other_load > 0:
+                    steps += 1
+                    heapq.heappush(
+                        heap,
+                        (
+                            remaining_cap[other] / other_load,
+                            first_seen[other],
+                            other_load,
+                            other,
+                        ),
+                    )
+                unfrozen.discard(flow)
                 self._set_rate(flow, share, now)
+        self.fill_steps += steps
 
     def _set_rate(self, flow: _Flow, rate: float, now: float) -> None:
         """Apply a solved rate; push a fresh deadline if it changed."""

@@ -11,6 +11,10 @@ from __future__ import annotations
 import heapq
 from typing import Any
 
+from repro.core.placement import RaidpPlacement
+from repro.errors import PlacementError
+from repro.hdfs.block import BlockLocations
+from repro.hdfs.namenode import healthy_datanode
 from repro.sim.engine import Event, Simulator, Timeout
 from repro.sim.network import Switch
 
@@ -85,3 +89,90 @@ class ReferenceSwitch(Switch):
                 for flow in unfrozen
                 if flow.src_port not in bottlenecks and flow.dst_port not in bottlenecks
             ]
+
+
+class ScanFillSwitch(Switch):
+    """The exact-arithmetic oracle for the generic filling arm.
+
+    Progressive filling as a plain scan: every round takes ``min()`` over
+    all ports still carrying unfrozen flows (first port in scan order on
+    ties) and filters every unfrozen flow against the bottleneck.  Same
+    floats, same ``_set_rate`` order as production's heap -- compared
+    with ``==`` -- at O(rounds x (ports + flows)) per solve, which the
+    work counters show.
+    """
+
+    def _fill(self, flows, remaining_cap, load, now):
+        unfrozen = dict.fromkeys(flows)
+        while unfrozen:
+            racing = [port for port in load if load[port] > 0]
+            bottleneck = min(
+                racing, key=lambda port: remaining_cap[port] / load[port]
+            )
+            share = max(remaining_cap[bottleneck], 0.0) / load[bottleneck]
+            frozen_now = [
+                flow
+                for flow in unfrozen
+                if flow.src_port is bottleneck or flow.dst_port is bottleneck
+            ]
+            self.fill_steps += len(racing) + len(frozen_now)
+            for flow in frozen_now:
+                for port in (flow.src_port, flow.dst_port):
+                    remaining_cap[port] -= share
+                    load[port] -= 1
+                del unfrozen[flow]
+                self._set_rate(flow, share, now)
+
+
+class FullScanPlacement(RaidpPlacement):
+    """The scan-everything oracle for RAIDP block placement.
+
+    Every call lists every eligible superchunk of the cluster, then tests
+    each one's pair against the writer to find the writer-local subset --
+    no use of the writer's slot tables or the domain index.  The pool,
+    the pressure minimum (re-evaluated per use), the tied list and the
+    RNG draw are what production must reproduce call for call.
+    """
+
+    def choose_targets(self, block, writer, datanodes):
+        alive = {dn.name for dn in datanodes if healthy_datanode(dn)}
+        disks = self.layout.disks
+
+        def holds(disk, sc_id):
+            return disk in disks and sc_id in self.layout.superchunks_of(disk)
+
+        candidates = sorted(
+            sc_id
+            for sc_id, sc in self.layout.superchunks.items()
+            if not self.map.is_frozen(sc_id)
+            and sc.disk_a in alive
+            and sc.disk_b in alive
+            and self.map.free_slots(sc_id) > 0
+            and holds(sc.disk_a, sc_id)
+            and holds(sc.disk_b, sc_id)
+        )
+        if not candidates:
+            raise PlacementError("no eligible superchunk")
+
+        def local(disk):
+            return writer is not None and (
+                disk == writer or (self.layout.domain_of(disk) or disk) == writer
+            )
+
+        preferred = [sc for sc in candidates if any(map(local, self._pair(sc)))]
+        pool = preferred or candidates
+
+        def pressure(sc_id):
+            loads = sorted(map(self.map.load_of_disk, self._pair(sc_id)), reverse=True)
+            return (loads[0], loads[1], self.map.used_slots(sc_id))
+
+        best = min(pressure(sc) for sc in pool)
+        tied = [sc for sc in pool if pressure(sc) == best]
+        sc_id = self._rng.choice(tied)
+        slot = self.map.allocate_slot(sc_id, block.name)
+        pair = list(self._pair(sc_id))
+        for index, disk in enumerate(pair):
+            if local(disk):
+                pair.insert(0, pair.pop(index))
+                break
+        return BlockLocations(block=block, datanodes=pair, sc_id=sc_id, slot=slot)

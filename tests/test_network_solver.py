@@ -8,6 +8,11 @@ reference is :class:`tests.oracles.ReferenceSwitch`, a test-side subclass.  Thes
 tests drive both through identical randomized histories and compare
 rates at every step, plus the degenerate topologies, the accounting
 bugfixes and the churn event budget.
+
+The heap-driven filling arm is additionally held *bitwise* to the
+scan-every-port loop it replaced (:class:`tests.oracles.ScanFillSwitch`)
+on large all-ties components, and to a work budget linear in the size
+of what each solve touches.
 """
 
 import random
@@ -17,7 +22,7 @@ import pytest
 from repro import units
 from repro.sim.engine import Simulator
 from repro.sim.network import Nic, Switch
-from tests.oracles import ReferenceSwitch
+from tests.oracles import ReferenceSwitch, ScanFillSwitch
 
 GBPS = units.gbps(1)
 
@@ -283,3 +288,139 @@ def test_network_churn_event_budget():
         f"{sim._seq} engine events for {num_flows} flows: "
         "event count is no longer proportional to arrivals/departures"
     )
+
+
+# ----------------------------------------------------------------------
+# Heap-driven filling vs the scan loop: bit-for-bit, and within budget.
+# ----------------------------------------------------------------------
+def _pipeline_script(rng, num_nics, num_ops):
+    """Replication-pipeline bursts on equal-rate NICs, plus rate changes.
+
+    Equal rates and a handful of sizes make nearly every offer a tie, so
+    only the first-seen tie-break reproduces the bottleneck order; the
+    opening burst (one pipeline per NIC at t=0) is one big component.
+    """
+    sizes = [4 * units.MiB, 8 * units.MiB, 8 * units.MiB + 4096]
+
+    def pipeline(at, head):
+        hops = [head] + rng.sample([i for i in range(num_nics) if i != head], 3)
+        return (at, "pipeline", (hops, rng.choice(sizes)))
+
+    script = [pipeline(0.0, head) for head in range(num_nics)]
+    now = 0.0
+    for _ in range(num_ops):
+        now += rng.choice([0.0, 0.0, 0.001, rng.uniform(0.0, 0.01)])
+        if rng.random() < 0.8:
+            script.append(pipeline(now, rng.randrange(num_nics)))
+        else:
+            script.append(
+                (now, "rates", (rng.randrange(num_nics), rng.choice([0.1, 0.5, 1.0, 2.0])))
+            )
+    return script
+
+
+def _replay_pipelines(switch_cls, num_nics, script):
+    sim = Simulator()
+    switch = switch_cls(sim)
+    rate = units.gbps(10)
+    nics = [switch.attach(Nic(f"n{i}", rate)) for i in range(num_nics)]
+    snapshots, completions = [], []
+    started = 0
+
+    def driver():
+        nonlocal started
+        for step, (at, op, args) in enumerate(script):
+            if at > sim.now:
+                yield sim.timeout(at - sim.now)
+            if op == "pipeline":
+                hops, nbytes = args
+                for src, dst in zip(hops, hops[1:]):
+                    done = switch.transfer(nics[src], nics[dst], nbytes)
+                    done.add_callback(
+                        lambda ev, flow=started: completions.append(
+                            (flow, sim.now, ev.value)
+                        )
+                    )
+                    started += 1
+            else:
+                index, factor = args
+                switch.set_nic_rates(
+                    nics[index], tx_rate=rate * factor, rx_rate=rate * factor
+                )
+            # Once per instant, so same-instant arrivals stay one batch.
+            if step + 1 == len(script) or script[step + 1][0] > at:
+                snapshots.append((sim.now, switch.flow_rates()))
+
+    sim.process(driver())
+    sim.run()
+    assert switch.active_flows == 0
+    return snapshots, completions, switch._push_seq, sim.now, sim._seq
+
+
+@pytest.mark.parametrize("num_nics,seed", [(64, 0), (64, 1), (128, 2), (256, 3)])
+def test_heap_filling_is_bitwise_the_scan_loop(num_nics, seed):
+    script = _pipeline_script(random.Random(seed), num_nics, num_ops=120)
+    heap = _replay_pipelines(Switch, num_nics, script)
+    scan = _replay_pipelines(ScanFillSwitch, num_nics, script)
+    # ``==`` throughout: rates and remaining bytes at every step, the
+    # completion order with times and durations, the number of deadline
+    # pushes (one per _set_rate that changed a rate), the end instant and
+    # the engine's event count.
+    for (t_heap, rows_heap), (t_scan, rows_scan) in zip(heap[0], scan[0]):
+        assert t_heap == t_scan
+        assert rows_heap == rows_scan
+    assert heap == scan
+
+
+class _SolveLedger:
+    """Mixin recording (flows, ports, filling steps) of every solve."""
+
+    def __init__(self, sim):
+        super().__init__(sim)
+        self.ledger = []
+
+    def _solve(self, flows, now):
+        before = self.fill_steps
+        super()._solve(flows, now)
+        if flows:
+            ports = {p for f in flows for p in (f.src_port, f.dst_port)}
+            self.ledger.append((len(flows), len(ports), self.fill_steps - before))
+
+
+def _replica_burst_ledger(base):
+    """256 NICs each head a three-hop pipeline at t=0; run to drain."""
+    num_nics = 256
+    cls = type("Ledgered" + base.__name__, (_SolveLedger, base), {})
+    rng = random.Random(13)
+    sim = Simulator()
+    switch = cls(sim)
+    nics = [switch.attach(Nic(f"n{i}", units.gbps(10))) for i in range(num_nics)]
+    for head in range(num_nics):
+        hops = [head] + rng.sample([i for i in range(num_nics) if i != head], 3)
+        for src, dst in zip(hops, hops[1:]):
+            switch.transfer(nics[src], nics[dst], 8 * units.MiB)
+    sim.run()
+    assert switch.active_flows == 0
+    assert switch.solves == len(switch.ledger)
+    assert switch.fill_steps == sum(steps for _f, _p, steps in switch.ledger)
+    return switch.ledger
+
+
+def test_filling_work_budget_is_linear_per_solve():
+    """Work-counter guard: a solve costs what it touches, not rounds x ports.
+
+    Heap filling evaluates one offer per port up front and at most one
+    more per frozen flow, and rates each flow once: steps <= ports +
+    2 * flows.  The budget 2 * (flows + ports) holds for every solve of
+    a 768-flow replication burst and its drain; the scan loop -- an
+    offer per racing port per round -- must overshoot it, or the budget
+    is not measuring the thing this test is named for.
+    """
+    ledger = _replica_burst_ledger(Switch)
+    assert max(flows for flows, _p, _s in ledger) >= 700  # one big component
+    for flows, ports, steps in ledger:
+        assert steps <= 2 * (flows + ports), (flows, ports, steps)
+    scan = _replica_burst_ledger(ScanFillSwitch)
+    assert [row[:2] for row in scan] == [row[:2] for row in ledger]
+    assert any(steps > 2 * (flows + ports) for flows, ports, steps in scan)
+    assert sum(s for *_r, s in scan) > 10 * sum(s for *_r, s in ledger)

@@ -51,6 +51,13 @@ def test_snapshot_reflects_workload_activity(loaded_cluster):
     )
     assert total_writes > 0
     assert snap["counters"]["net_bytes_total"] == dfs.total_network_bytes()
+    # The solver's exact work counters ride next to the byte total.
+    assert snap["counters"]["net_solves_total"] == dfs.switch.solves > 0
+    assert (
+        snap["counters"]["net_fill_steps_total"]
+        == dfs.switch.fill_steps
+        >= dfs.switch.solves
+    )
     # The workload drained: nothing in flight, nothing at risk.
     assert snap["gauges"]["net_active_flows"]["current"] == 0.0
     assert snap["gauges"]["net_active_flows"]["max"] >= 1.0

@@ -6,7 +6,8 @@ Two guarantees ride on the incremental network solver:
   solver produces bitwise-identical results to the brute-force reference
   (``tests.oracles.ReferenceSwitch``) and to itself, run twice.
 - **Scale-out tractability**: the ext-scale sweep's largest point (256
-  nodes) completes at smoke scale and shows the expected shape.
+  nodes) completes at smoke scale and shows the expected shape, and a
+  512-node RAIDP ingest reproduces its pinned simulated result.
 """
 
 import pytest
@@ -86,6 +87,26 @@ def test_ext_scale_256_node_point_completes_and_has_shape():
     write_16, per_node_gb_16, _ = run_task(("raidp", 16, 1))
     assert write_s == pytest.approx(write_16, rel=0.25)
     assert per_node_gb == pytest.approx(per_node_gb_16, rel=0.25)
+
+
+def test_ext_scale_512_node_write_reproduces_the_pinned_point():
+    """Twice the sweep's largest size, held to the exact simulated result.
+
+    The values were produced by the scan-every-port filling loop and the
+    scan-every-superchunk placement (about 6 s of host time); heap
+    filling and the writer index must land on the same floats, in about
+    a second.  The work counters say why: a few dozen filling steps per
+    solve where the scan loop spent rounds x ports.
+    """
+    from repro.experiments.ext_scale import BYTES_PER_NODE, _build
+
+    num_nodes = 512
+    dfs = _build("raidp", num_nodes, 1)
+    write = dfsio_write(dfs, num_nodes * BYTES_PER_NODE)
+    assert write.runtime == 0.7714890324906774
+    assert dfs.switch.total_bytes / num_nodes / units.GB == 0.033562624
+    assert dfs.switch.solves == 193
+    assert dfs.switch.fill_steps == 21710
 
 
 def test_ext_scale_raidp_network_beats_hdfs3():
