@@ -4,7 +4,7 @@ PYTHON     ?= python
 PYTHONPATH := src
 export PYTHONPATH
 
-.PHONY: test lint typecheck bench benchmark chaos verify experiments durability-smoke clean
+.PHONY: test lint typecheck bench benchmark chaos verify profile experiments durability-smoke clean
 
 # Tier-1: the full unit/integration/property suite.
 test:
@@ -44,6 +44,14 @@ chaos:
 # the repo benchmark (every workload once, results checked).
 verify: lint typecheck test chaos
 	$(PYTHON) -m bench run --smoke
+
+# Hot-path smoke: the ten hottest dispatch consumers of the recovery
+# sample (table2's first two tasks) and of the scale-out sweep, each
+# with the run's exact network work counters.  CI appends both tables
+# to the job summary.
+profile:
+	$(PYTHON) -m repro.tools.raidpctl profile table2 --tasks 2 --limit 10
+	$(PYTHON) -m repro.tools.raidpctl profile ext-scale --limit 10
 
 # Small-fleet durability smoke: the §2 experiment end-to-end -- analytic
 # ladder, legacy small-fleet simulator, and the long-horizon Monte-Carlo

@@ -749,11 +749,10 @@ class RecoveryManager:
                 ops = []
                 if source_sc is not None:
                     ops.append(
-                        self.sim.process(
-                            source_dn.disk.read(
-                                source_dn.superchunk_base(source_sc) + offset,
-                                run,
-                            )
+                        source_dn.disk.start_io(
+                            "read",
+                            source_dn.superchunk_base(source_sc) + offset,
+                            run,
                         )
                     )
                 ops.append(

@@ -11,8 +11,9 @@ RAID-6 row splits into its gather/decode phase and its writeback phase
 -- two simulators chained on the exact boundary time, bitwise-identical
 to the monolithic schedule (proved by the differential test against
 ``simulate_raid6_rebuild``).  Cost annotations let the parallel runner
-start the dominant RAID-6 4 MB gather first instead of letting it
-serialize the tail of a ``--jobs N`` run.
+start the dominant RAID-6 4 MB gathers first, then the 4 MB RAIDP
+rebuilds, instead of letting them serialize the tail of a ``--jobs N``
+run behind a queue of sub-second 64 MB tasks.
 """
 
 from __future__ import annotations
@@ -80,15 +81,22 @@ def task_deps(key: TaskKey) -> Tuple[TaskKey, ...]:
 def task_cost(key: TaskKey) -> float:
     """Relative wall-clock weight (measured at smoke scale, in seconds).
 
-    The RAID-6 4 MB rows dominate the table (~8-9s each vs ~1-2s per
-    RAIDP row); their gather phase is ~80% of that.  Longest-first
-    dispatch off these weights is what lets ``--jobs N`` beat the
+    Host cost follows the chunk count, so the 4 MB tasks are the whole
+    table: a RAID-6 gather is 4.3 s and its writeback 1.2 s, a RAIDP
+    rebuild 1.4 s (0.95 s under the superchunk lock at 10 Gbps, where
+    serialized XORs leave the network timer little to do), and every
+    64 MB task is under a third of a second.  Longest-first dispatch
+    off these weights is what lets ``--jobs N`` beat the
     one-straggler-serializes-everything schedule.
     """
+    small_chunks = key[2 if key[0] == "raidp" else 1] == 4 * units.MiB
     if key[0] == "raid6":
-        whole = 9.0 if key[1] == 4 * units.MiB else 0.5
-        return whole * (0.8 if key[3] == "read" else 0.2)
-    return 1.7
+        if key[3] == "read":
+            return 4.3 if small_chunks else 0.3
+        return 1.2 if small_chunks else 0.08
+    if not small_chunks:
+        return 0.08
+    return 0.95 if (key[1], key[3]) == ("superchunk", 0) else 1.4
 
 
 def _nic_rate(nic_index: int) -> float:

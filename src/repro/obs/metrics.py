@@ -27,6 +27,20 @@ from typing import Any, Optional
 from repro.sim.stats import MetricSet
 
 
+#: Exact switch work counters, metric name -> ``Switch`` attribute:
+#: non-empty solves, the filling steps (port offers evaluated + flows
+#: rated) they took, completion deadlines pushed (one per effective
+#: re-rate), and completion-timer dispatches with the share of them that
+#: retired nothing.  Deterministic, so they are compared with ``==``.
+SWITCH_WORK_COUNTERS = {
+    "net_solves_total": "solves",
+    "net_fill_steps_total": "fill_steps",
+    "net_deadline_pushes_total": "deadline_pushes",
+    "net_timer_fires_total": "timer_fires",
+    "net_timer_idle_total": "timer_idle_fires",
+}
+
+
 def cluster_metrics(
     dfs: Any,
     metrics: Optional[MetricSet] = None,
@@ -118,10 +132,10 @@ def cluster_metrics(
 
     switch = dfs.switch
     metrics.register_counter("net_bytes_total", lambda s=switch: s.total_bytes)
-    # Exact solver work: non-empty solves and the filling steps (port
-    # offers evaluated + flows rated) they took.
-    metrics.register_counter("net_solves_total", lambda s=switch: s.solves)
-    metrics.register_counter("net_fill_steps_total", lambda s=switch: s.fill_steps)
+    for name, attribute in SWITCH_WORK_COUNTERS.items():
+        metrics.register_counter(
+            name, lambda s=switch, a=attribute: getattr(s, a)
+        )
     metrics.register_gauge("net_active_flows", switch.flows_gauge)
 
     # Blocks below their replication target right now: the cluster's

@@ -147,6 +147,10 @@ class SimProfiler:
     def __init__(self) -> None:
         self.buckets: Dict[BucketKey, BucketStats] = {}
         self._code_cache: Dict[CodeType, BucketKey] = {}
+        #: Components seen registering timestamp-boundary hooks, by id:
+        #: the profiled run's switches, whose exact work counters the
+        #: report prints beside the wall shares.
+        self.hook_owners: Dict[int, Any] = {}
 
     # -- attribution ----------------------------------------------------
     def bucket_for(self, entry: Any) -> BucketKey:
@@ -184,6 +188,18 @@ class SimProfiler:
             key = classify_code(code)
             self._code_cache[code] = key
         return key
+
+    def watch_hooks(self, hooks: List[Any]) -> None:
+        """Remember who owns the boundary hooks about to run.
+
+        Duck-typed like :meth:`bucket_for` (no sim imports): a bound
+        method's ``__self__`` is the component.  Kept alive so its
+        counters can be read once the run is over.
+        """
+        for fn in hooks:
+            owner = getattr(fn, "__self__", None)
+            if owner is not None:
+                self.hook_owners[id(owner)] = owner
 
     def record(self, key: BucketKey, sim_dt: float, wall_dt: float) -> None:
         """Account one dispatched entry to ``key``."""

@@ -201,7 +201,10 @@ class Disk(InlineState):
             raise DiskFailedError(f"I/O on failed disk {self.name}")
 
     # ------------------------------------------------------------------
-    # I/O.  These are process bodies: drive them with ``yield from``.
+    # I/O.  read/write/sync/read_modify_write are process bodies: drive
+    # them with ``yield from``.  start_io returns an event to wait on
+    # beside other events; stream_io is the no-queue form for a disk
+    # with a single sequential client.
     # ------------------------------------------------------------------
     def read(self, offset: int, nbytes: int) -> Generator:
         """Read ``nbytes`` at ``offset``; returns the I/O duration."""
@@ -336,6 +339,61 @@ class Disk(InlineState):
         if trace.enabled:
             trace.complete("disk", kind, t0, sim.now, disk=self.name, bytes=nbytes)
         return duration
+
+    def start_io(self, kind: str, offset: int, nbytes: int) -> Event:
+        """Start a read/write now; returns the event of its completion.
+
+        For callers that overlap a disk I/O with something else (the
+        recovery puller's ``all_of([read, flow])``) instead of driving
+        :meth:`read`/:meth:`write` with ``yield from``.  The event's
+        value is the I/O duration; every failure ``_io`` can raise --
+        out of bounds, failed before, failed while the head moved --
+        arrives through the event, never at the call.
+
+        When the FIFO queue is idle the I/O takes its slot at the call,
+        is charged at once and costs one schedule entry: the returned
+        timeout, whose first callback closes the accounting and releases
+        the slot (handing it to whoever queued meanwhile) before any
+        waiter sees the event.  Otherwise -- busy queue, elevator order,
+        or an error to deliver -- it is ``_io`` in a process of its own.
+        Completion time, head, stats, queue gauge, latency histogram and
+        trace span are those of the queued path either way
+        (``tests/test_sim_disk.py`` checks the equivalence).
+        """
+        sim = self.sim
+        queue = self._queue
+        grant = None
+        if isinstance(queue, Resource) and not (
+            self.failed
+            or offset < 0
+            or nbytes < 0
+            or offset + nbytes > self.geometry.capacity
+        ):
+            grant = queue.try_acquire()
+        if grant is None:
+            return sim.process(self._io(kind, offset, nbytes))
+        t0 = sim.now
+        queue_gauge = self.queue_gauge
+        queue_gauge.adjust(1.0, t0)
+        duration = self._charge(kind, offset, nbytes)
+        done = sim.timeout(duration, duration)
+
+        def complete(event: Event) -> None:
+            now = sim.now
+            queue_gauge.adjust(-1.0, now)
+            self.io_latency.observe(now - t0)
+            queue.release(grant)
+            if self.failed:
+                # Waiters attach after this callback, so they all see
+                # the failure, as if the event had been failed outright.
+                event._exception = DiskFailedError(f"I/O on failed disk {self.name}")
+                return
+            trace = sim.trace
+            if trace.enabled:
+                trace.complete("disk", kind, t0, now, disk=self.name, bytes=nbytes)
+
+        done._callbacks = complete
+        return done
 
     def stream_io(self, kind: str, offset: int, nbytes: int) -> float:
         """Charge an uncontended I/O and return its duration (no yields).

@@ -918,12 +918,14 @@ class Simulator:
                     head = l0 if (h0 is None or (l0 is not None and l0 < h0)) else h0
                     when = head[0]
                     if when > self.now and self._flush_hooks:
+                        profile.watch_hooks(self._flush_hooks)
                         self._run_flush_hooks()
                         continue
                     if until is not None and when > until:
                         self.now = until
                         return
                 elif self._flush_hooks:
+                    profile.watch_hooks(self._flush_hooks)
                     self._run_flush_hooks()
                     continue
                 else:

@@ -23,9 +23,11 @@ finished or was since re-rated are skipped on pop.  This keeps the event
 count proportional to the number of flow arrivals/departures rather than
 to bytes transferred or to the square of the flow count.
 
-A solve that is neither a lone flow nor a one-round star runs
-progressive filling off a heap of per-port offers, so it costs the flows
-it freezes rather than a scan of every port per round.
+A re-solve takes one of two arms.  A hub-bottlenecked star -- recovery
+traffic converging on one rebuilding node, or a lone flow -- is banked,
+retired and re-rated straight off the hub's own registry: no search, no
+sort, no offers to compare.  Anything else runs progressive filling off a heap of per-port offers, so it
+costs the flows it freezes rather than a scan of every port per round.
 
 The rebuild-the-world *reference* allocator (bank every flow and
 re-solve the whole topology on every event) and the scan-every-port
@@ -41,7 +43,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro import units
 from repro.errors import SimulationError
@@ -180,6 +182,10 @@ class Switch(InlineState):
         #: (port offers evaluated + flows rated) summed over them.
         self.solves = 0
         self.fill_steps = 0
+        #: Completion-timer dispatches, and those that retired nothing
+        #: (superseded by a re-arm, or every due deadline had moved).
+        self.timer_fires = 0
+        self.timer_idle_fires = 0
         #: Concurrent flow count over time (metrics-registry snapshot).
         self.flows_gauge = TimeWeightedGauge(start_time=sim.now)
 
@@ -316,30 +322,130 @@ class Switch(InlineState):
     def _update(self, dirty_ports: List[_Port]) -> None:
         """Bank, finish-detect, and re-solve the affected component(s).
 
-        The three phases are deliberately separate (finish detection
-        returns the finished flows instead of removing them mid-scan):
-        reallocation never sees half-removed flows.
+        Two arms: a hub-bottlenecked star is handled whole by
+        :meth:`_update_star`; everything else is BFS + ``_bank`` +
+        ``_solve``.  In both, finish detection, retirement and re-rating
+        are separate steps, so reallocation never sees half-removed
+        flows, and completions are delivered only after the allocator
+        ran on clean state.
         """
         now = self.sim.now
-        candidates = self._component(dirty_ports)
-        trace = self.sim.trace
-        if trace.enabled:
-            trace.instant("net", "resolve", now, flows=len(candidates))
-        # Phase 1: bank progress for every flow whose rate may change.
-        finished = self._bank(candidates, now)
-        # Phase 2: retire finished flows from every registry.
-        for flow in finished:
-            self._retire(flow)
-        if finished:
-            candidates = [flow for flow in candidates if not flow.finished]
-        # Phase 3: re-solve and re-rate the survivors.
-        self._solve(candidates, now)
-        # Deliver completions only after the allocator ran on clean state.
+        finished = self._update_star(dirty_ports, now)
+        if finished is None:
+            candidates = self._component(dirty_ports)
+            trace = self.sim.trace
+            if trace.enabled:
+                trace.instant("net", "resolve", now, flows=len(candidates))
+            finished = self._bank(candidates, now)
+            for flow in finished:
+                self._retire(flow)
+            if finished:
+                candidates = [flow for flow in candidates if not flow.finished]
+            self._solve(candidates, now)
         if finished:
             delivery = self.sim.sleep(self.BASE_LATENCY)
             for flow in finished:
                 self._deliver(flow, delivery)
         self._arm_timer(now)
+
+    def _update_star(
+        self, dirty_ports: List[_Port], now: float
+    ) -> Optional[List[_Flow]]:
+        """The star arm: bank, retire and re-rate a one-round star.
+
+        A *star* is a component whose every flow touches one shared hub
+        port while each spoke port carries exactly one flow -- the shape
+        of recovery traffic (many sources converging on one rebuilding
+        node) and of a lone flow.  The hub's registry then IS the
+        component, in arrival order, so no BFS and no sort are needed.
+        When the hub's fair share is *strictly* below every spoke's
+        capacity, progressive filling freezes every flow in its first
+        round at that share, so no offers need comparing either: the
+        survivors are re-rated in registry order, which is the order the
+        general arm would push their deadlines in.  Strictness matters:
+        on a tie the general arm's first-seen port may be a spoke, which
+        freezes one flow first and hands the hub ``(cap - share) /
+        (count - 1)`` -- a different float.  A lone flow has no order to
+        disturb and runs at its slower endpoint either way.
+
+        Returns the flows that finished (already retired), or None --
+        with nothing retired or re-rated -- when the dirty ports are
+        anything else; the general arm then takes over.  It may find the
+        hub's flows already banked (a departure can lift the share to a
+        spoke's capacity): banking twice at one instant moves nothing.
+        """
+        hub: Optional[_Port] = None
+        for port in dirty_ports:
+            count = len(port.flows)
+            if count == 0:
+                continue
+            if count == 1:
+                # A spoke (or a lone flow's end): the hub is whichever
+                # end of its flow the other dirty ports agree on.
+                (flow,) = port.flows
+                if hub is None:
+                    hub = flow.dst_port if flow.src_port is port else flow.src_port
+                elif hub is not flow.src_port and hub is not flow.dst_port:
+                    return None
+            elif hub is None:
+                hub = port
+            elif hub is not port:
+                return None
+        if hub is None:
+            return None
+        flows = hub.flows
+        hub_is_tx = hub.is_tx
+        spoke_cap = _INF
+        for flow in flows:
+            if hub_is_tx:
+                spoke, cap = flow.dst_port, flow.dst.rx_rate
+            else:
+                spoke, cap = flow.src_port, flow.src.tx_rate
+            if len(spoke.flows) != 1:
+                return None
+            if cap < spoke_cap:
+                spoke_cap = cap
+        finished = self._bank(flows, now)
+        if finished:
+            # Only the survivors' spokes bound the survivors' share.
+            spoke_cap = min(
+                (
+                    flow.dst.rx_rate if hub_is_tx else flow.src.tx_rate
+                    for flow in flows
+                    if flow.remaining > flow.threshold
+                ),
+                default=_INF,
+            )
+        count = len(flows) - len(finished)
+        if count:
+            share = max(hub.capacity, 0.0) / count
+            if spoke_cap <= share:
+                if count > 1:
+                    return None
+                share = spoke_cap
+            if share <= 0:
+                return None
+        trace = self.sim.trace
+        if trace.enabled:
+            trace.instant("net", "resolve", now, flows=len(flows))
+        for flow in finished:
+            self._retire(flow)
+        if not count:
+            return finished
+        self.solves += 1
+        self.fill_steps += 2 * count + 1  # count + 1 port offers, count flows
+        completions = self._completions
+        push_seq = self._push_seq
+        for flow in flows:
+            if share == flow.rate and flow.deadline != _INF:
+                continue  # undisturbed: the existing heap entry stays valid
+            flow.rate = share
+            deadline = now + flow.remaining / share
+            flow.deadline = deadline
+            push_seq += 1
+            heapq.heappush(completions, (deadline, push_seq, flow))
+        self._push_seq = push_seq
+        return finished
 
     def _component(self, dirty_ports: List[_Port]) -> List[_Flow]:
         """Flows in the connected component(s) of the dirty ports.
@@ -348,15 +454,7 @@ class Switch(InlineState):
         traversal order deterministic; the result is sorted by flow
         arrival order so the solve's tie-breaking matches a global
         iteration over every flow.
-
-        Recovery traffic is overwhelmingly star-shaped (many sources
-        converging on one rebuilding node), so a hub-check shortcut
-        replaces the BFS + sort with one pass over the hub's registry,
-        which is already in arrival order.
         """
-        hub = self._star_hub(dirty_ports)
-        if hub is not None:
-            return list(hub.flows)
         seen_ports: Dict[_Port, None] = dict.fromkeys(dirty_ports)
         flows: Dict[_Flow, None] = {}
         stack = list(dirty_ports)
@@ -371,43 +469,7 @@ class Switch(InlineState):
                             stack.append(other)
         return sorted(flows, key=lambda flow: flow.seq)
 
-    @staticmethod
-    def _star_hub(dirty_ports: List[_Port]) -> Optional[_Port]:
-        """The single hub port if the dirty component is a star, else None.
-
-        A *star* is a component whose every flow touches one shared hub
-        port while each spoke port carries exactly one flow.  The hub's
-        flow registry then IS the component, in arrival order (each flow
-        was appended to it at creation), so callers can skip the BFS and
-        the sort.  Returns None whenever the shape is anything else --
-        correctness never depends on this detecting a star.
-        """
-        hub: Optional[_Port] = None
-        for port in dirty_ports:
-            count = len(port.flows)
-            if count == 0:
-                continue
-            if count == 1:
-                # A spoke: its only flow's other endpoint is the hub
-                # candidate (possibly another lone spoke -- the
-                # verification pass below still holds for a 1-flow pair).
-                (flow,) = port.flows
-                candidate = flow.dst_port if flow.src_port is port else flow.src_port
-            else:
-                candidate = port
-            if hub is None:
-                hub = candidate
-            elif hub is not candidate:
-                return None
-        if hub is None:
-            return None
-        for flow in hub.flows:
-            other = flow.dst_port if flow.src_port is hub else flow.src_port
-            if other is not hub and len(other.flows) != 1:
-                return None
-        return hub
-
-    def _bank(self, flows: List[_Flow], now: float) -> List[_Flow]:
+    def _bank(self, flows: Iterable[_Flow], now: float) -> List[_Flow]:
         """Credit ``flows`` with bytes moved at their current rate.
 
         Pure detection: returns the flows that crossed their completion
@@ -470,14 +532,6 @@ class Switch(InlineState):
         if not flows:
             return
         self.solves += 1
-        if len(flows) == 1:
-            # Single-flow fast path: a lone flow on both its ports runs at
-            # the slower endpoint; no filling rounds needed.
-            flow = flows[0]
-            if len(flow.src_port.flows) == 1 and len(flow.dst_port.flows) == 1:
-                self.fill_steps += 3  # two port offers, one flow rated
-                self._set_rate(flow, min(flow.src_port.capacity, flow.dst_port.capacity), now)
-                return
         remaining_cap: Dict[_Port, float] = {}
         load: Dict[_Port, int] = {}
         for flow in flows:
@@ -487,29 +541,6 @@ class Switch(InlineState):
                     load[port] = 1
                 else:
                     load[port] += 1
-        # One-round fast path: if some port carries *every* flow and its
-        # fair share is strictly the smallest on offer, progressive
-        # filling freezes all flows in the first round at that share.
-        # Strict dominance matters: on a tie the generic arm picks a
-        # different bottleneck first (the first-seen port), changing the
-        # deadline-push order, so ties fall through to the exact iteration.
-        count = len(flows)
-        if count > 1:
-            hub: Optional[_Port] = None
-            for port, port_load in load.items():
-                if port_load == count:
-                    hub = port
-                    break
-            if hub is not None:
-                share = max(remaining_cap[hub], 0.0) / count
-                for port, port_load in load.items():
-                    if port is not hub and remaining_cap[port] / port_load <= share:
-                        break
-                else:
-                    self.fill_steps += len(load) + count
-                    for flow in flows:
-                        self._set_rate(flow, share, now)
-                    return
         self._fill(flows, remaining_cap, load, now)
 
     def _fill(
@@ -519,7 +550,7 @@ class Switch(InlineState):
         load: Dict[_Port, int],
         now: float,
     ) -> None:
-        """Heap-driven progressive filling: the generic arm of ``_solve``.
+        """Heap-driven progressive filling: the general arm's allocator.
 
         Each round freezes the flows of the port offering the smallest
         fair share ``remaining_cap / load``; on equal offers the port
@@ -623,7 +654,9 @@ class Switch(InlineState):
         timer.add_callback(lambda _ev: self._on_timer(version))
 
     def _on_timer(self, version: int) -> None:
+        self.timer_fires += 1
         if version != self._timer_version:
+            self.timer_idle_fires += 1
             return  # stale timer from before a re-arm
         self._timer_deadline = _INF
         now = self.sim.now
@@ -636,6 +669,7 @@ class Switch(InlineState):
             flow.deadline = _INF
             due.append(flow)
         if not due:
+            self.timer_idle_fires += 1
             self._arm_timer(now)
             return
         # Bank the due flows; anything that has not quite crossed the
@@ -670,6 +704,11 @@ class Switch(InlineState):
     @property
     def active_flows(self) -> int:
         return len(self._flows)
+
+    @property
+    def deadline_pushes(self) -> int:
+        """Completion deadlines pushed so far (one per effective re-rate)."""
+        return self._push_seq
 
     def flow_rates(self) -> List[Tuple[str, str, float, float]]:
         """Active flows as (src, dst, remaining, rate), in arrival order.

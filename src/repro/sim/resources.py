@@ -86,6 +86,19 @@ class Resource(InlineState):
             self._queue.append(event)
         return event
 
+    def try_acquire(self) -> Optional["_Grant"]:
+        """Take a unit right now, or return None: no event, no waiting.
+
+        Succeeds exactly when :meth:`request` would have granted at once
+        (a free unit and nobody queued), so FIFO order is never jumped.
+        The caller owes the grant to :meth:`release` like any other.
+        """
+        if self._in_use < self.capacity and not self._queue:
+            self._in_use += 1
+            self.total_grants += 1
+            return _Grant(self)
+        return None
+
     def release(self, grant: "_Grant") -> None:
         if grant.resource is not self:
             raise SimulationError("grant released to the wrong resource")

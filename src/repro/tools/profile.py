@@ -41,6 +41,8 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.experiments.runner import REGISTRY, run_experiment
 from repro.obs import simprofile
+from repro.obs.metrics import SWITCH_WORK_COUNTERS
+from repro.sim.network import Switch
 
 #: JSON output schema version (bump on breaking shape changes).
 JSON_SCHEMA_VERSION = 2
@@ -136,7 +138,36 @@ def render_report(
             f"     ... {len(ranked) - limit} more buckets "
             f"({rest_wall / total_wall * 100:.1f}% of wall)"
         )
+    lines.append(work_line(profiler))
     return "\n".join(lines)
+
+
+def switch_work(profiler: simprofile.SimProfiler) -> Dict[str, int]:
+    """The run's exact network work: counters summed over its switches.
+
+    Wall shares move with the host; these repeat exactly, so two reports
+    can be compared by them even when their wall columns cannot.
+    """
+    switches = [
+        owner for owner in profiler.hook_owners.values() if isinstance(owner, Switch)
+    ]
+    return {
+        name: sum(getattr(switch, attribute) for switch in switches)
+        for name, attribute in SWITCH_WORK_COUNTERS.items()
+    }
+
+
+def work_line(profiler: simprofile.SimProfiler) -> str:
+    """The report footer: solves, deadline pushes and idle timer fires."""
+    work = switch_work(profiler)
+    return "work: " + ", ".join(
+        f"{name}={work[name]:,}"
+        for name in (
+            "net_solves_total",
+            "net_deadline_pushes_total",
+            "net_timer_idle_total",
+        )
+    )
 
 
 def report_dict(
@@ -152,6 +183,7 @@ def report_dict(
         "tasks": tasks_run,
         "wall_seconds": round(wall_seconds, 3),
         "totals": profiler.totals(),
+        "work": switch_work(profiler),
         "buckets": [bucket.as_dict() for bucket in profiler.ranked()],
     }
 
@@ -267,7 +299,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             fh.write("\n")
         print(f"wrote {args.json} ({len(payload['buckets'])} buckets)")
     _write_step_summary(
-        f"hot paths: {slice_label}", markdown_table(profiler, limit=10)
+        f"hot paths: {slice_label}",
+        f"{markdown_table(profiler, limit=10)}\n\n`{work_line(profiler)}`",
     )
     return 0
 

@@ -45,12 +45,26 @@ class HeapSimulator(Simulator):
             heapq.heappush(self._heap, (self.now + delay, self._seq, event))
 
 
-class ReferenceSwitch(Switch):
+class GeneralArmSwitch(Switch):
+    """The star arm's oracle: every component takes the general arm.
+
+    BFS, ``_bank``, ``_solve`` and heap ``_fill`` are production's own;
+    only the fused star pass is switched off, so a star differential
+    compares it with the path it must reproduce float for float and
+    counter for counter.  The oracles below build on this one: with the
+    star arm left in, they would compare it with itself on stars.
+    """
+
+    def _update_star(self, dirty_ports, now):
+        return None
+
+
+class ReferenceSwitch(GeneralArmSwitch):
     """The brute-force oracle: every event re-solves the whole topology.
 
     Each arrival is solved on the spot (no same-instant batching), every
     solve banks and re-rates *all* active flows (no component scoping),
-    rates come from textbook progressive filling (no fast paths), and a
+    rates come from textbook progressive filling (no star arm, no heap), and a
     rate change re-solves even when it touches no flow.  Banking, the
     completion heap and delivery are inherited.
     """
@@ -91,7 +105,7 @@ class ReferenceSwitch(Switch):
             ]
 
 
-class ScanFillSwitch(Switch):
+class ScanFillSwitch(GeneralArmSwitch):
     """The exact-arithmetic oracle for the generic filling arm.
 
     Progressive filling as a plain scan: every round takes ``min()`` over

@@ -12,7 +12,9 @@ bugfixes and the churn event budget.
 The heap-driven filling arm is additionally held *bitwise* to the
 scan-every-port loop it replaced (:class:`tests.oracles.ScanFillSwitch`)
 on large all-ties components, and to a work budget linear in the size
-of what each solve touches.
+of what each solve touches.  The star arm is held bitwise to the general
+arm (:class:`tests.oracles.GeneralArmSwitch`, and the scan loop behind
+it) on churning reconstruction stars.
 """
 
 import random
@@ -22,7 +24,7 @@ import pytest
 from repro import units
 from repro.sim.engine import Simulator
 from repro.sim.network import Nic, Switch
-from tests.oracles import ReferenceSwitch, ScanFillSwitch
+from tests.oracles import GeneralArmSwitch, ReferenceSwitch, ScanFillSwitch
 
 GBPS = units.gbps(1)
 
@@ -290,6 +292,26 @@ def test_network_churn_event_budget():
     )
 
 
+def test_timer_counters_tell_idle_fires_from_working_ones():
+    """A deadline an arrival moved later still fires: counted as idle."""
+    rate = units.gbps(10)
+    sim, switch, (a, b, c) = _build("incremental", [rate] * 3)
+
+    def late():
+        yield sim.timeout(0.25)
+        switch.transfer(b, c, int(rate))
+
+    switch.transfer(a, c, int(rate))  # alone: due at t=1
+    sim.process(late())  # halves its rate at t=0.25: now due at t=1.75
+    sim.run()
+    # The t=1 timer finds nothing due and re-arms; t=1.75 retires the
+    # first flow, t=2 the second.
+    assert (switch.timer_fires, switch.timer_idle_fires) == (3, 1)
+    # Three solves (arrival, arrival, departure); each flow is rated on
+    # arrival and re-rated once.
+    assert (switch.solves, switch.deadline_pushes) == (3, 4)
+
+
 # ----------------------------------------------------------------------
 # Heap-driven filling vs the scan loop: bit-for-bit, and within budget.
 # ----------------------------------------------------------------------
@@ -372,19 +394,251 @@ def test_heap_filling_is_bitwise_the_scan_loop(num_nics, seed):
     assert heap == scan
 
 
+# ----------------------------------------------------------------------
+# The star arm vs the general arm: bit-for-bit under membership churn.
+# ----------------------------------------------------------------------
+_STAR_RATE = units.gbps(10)
+#: Spoke capacities per scenario.  ``hub``: every spoke outruns the hub's
+#: share (the reconstruction shape).  ``spoke``: slow spokes bottleneck
+#: first.  ``tied``: with three flows up the hub's share *equals* a
+#: spoke's capacity, and (C - C/3) / 2 != C/3 in binary64, so whoever
+#: treats the tie as dominance rates two flows one ulp high.  ``mixed``:
+#: all of it at once.
+_STAR_SPOKE_RATES = {
+    "hub": [_STAR_RATE],
+    "spoke": [_STAR_RATE / 100, _STAR_RATE / 64, _STAR_RATE / 7],
+    "tied": [_STAR_RATE / 3],
+    "mixed": [_STAR_RATE, _STAR_RATE / 2, _STAR_RATE / 3, _STAR_RATE / 10],
+}
+
+
+def _star_script(rng, num_spokes, mode, num_ops):
+    """Staggered reconstruction-style churn on one hub.
+
+    ``burst`` starts equal-size flows on several spokes at one instant in
+    shuffled spoke order (lock-step finishes, exact deadline ties whose
+    completion order is the deadline-push order); ``chain`` starts a
+    puller that opens its next chunk from the completion callback of the
+    last (membership changes twice per chunk); ``rates`` rescales the hub
+    or a spoke mid-flight.  The replay skips spokes that are still busy,
+    so the shape stays a star -- except for the odd ``double``, which
+    lands two flows on one spoke and breaks it for a while.
+    """
+    # A 15-wide burst drains in ~3 ms, the pace of the ops below.
+    chunk = units.MiB // 4
+    sizes = [chunk, chunk, 2 * chunk, chunk + 4096]
+    spokes = list(range(1, num_spokes + 1))
+    width = min(num_spokes, 3 if mode == "tied" else 15)
+    script = [(0.0, "burst", (rng.sample(spokes, width), sizes[0]))]
+    now = 0.0
+    for _ in range(num_ops):
+        now += rng.choice([0.0, 0.0005, 0.003, rng.uniform(0.0, 0.01)])
+        kind = rng.random()
+        if kind < 0.35:
+            group = rng.sample(spokes, rng.randrange(1, width + 1))
+            script.append((now, "burst", (group, rng.choice(sizes))))
+        elif kind < 0.7:
+            script.append(
+                (now, "chain", (rng.choice(spokes), rng.choice(sizes), rng.randrange(2, 6)))
+            )
+        elif kind < 0.95:
+            target = rng.choice([0, 0] + spokes)
+            script.append((now, "rates", (target, rng.choice([0.25, 0.5, 1.0, 2.0]))))
+        else:
+            script.append((now, "double", (rng.choice(spokes), rng.choice(sizes))))
+    return script
+
+
+def _replay_star(switch_cls, num_spokes, mode, hub_receives, seed, script):
+    rng = random.Random(seed)
+    sim = Simulator()
+    switch = switch_cls(sim)
+    rates = [_STAR_RATE] + [
+        rng.choice(_STAR_SPOKE_RATES[mode]) for _ in range(num_spokes)
+    ]
+    nics = [switch.attach(Nic(f"n{i}", rate)) for i, rate in enumerate(rates)]
+    snapshots, completions = [], []
+    started = 0
+    busy = [0] * len(nics)
+
+    def start(spoke, nbytes, chunks_left=0):
+        nonlocal started
+        flow, started = started, started + 1
+        busy[spoke] += 1
+        ends = (nics[spoke], nics[0]) if hub_receives else (nics[0], nics[spoke])
+        done = switch.transfer(*ends, nbytes)
+
+        def on_done(event):
+            completions.append((flow, sim.now, event.value))
+            busy[spoke] -= 1
+            if chunks_left:
+                start(spoke, nbytes, chunks_left - 1)
+
+        done.add_callback(on_done)
+
+    def driver():
+        for step, (at, op, args) in enumerate(script):
+            if at > sim.now:
+                yield sim.timeout(at - sim.now)
+            if op == "burst":
+                group, nbytes = args
+                for spoke in group:
+                    if not busy[spoke]:
+                        start(spoke, nbytes)
+            elif op == "chain":
+                if not busy[args[0]]:
+                    start(*args)
+            elif op == "double":
+                start(*args)
+                start(*args)
+            else:
+                index, factor = args
+                switch.set_nic_rates(
+                    nics[index], tx_rate=rates[index] * factor, rx_rate=rates[index] * factor
+                )
+            if step + 1 == len(script) or script[step + 1][0] > at:
+                snapshots.append((sim.now, switch.flow_rates()))
+
+    sim.process(driver())
+    sim.run()
+    assert switch.active_flows == 0
+    return {
+        "snapshots": snapshots,
+        "completions": completions,
+        "pushes": switch._push_seq,
+        "solves": switch.solves,
+        "fill_steps": switch.fill_steps,
+        "end": sim.now,
+        "seq": sim._seq,
+    }
+
+
+@pytest.mark.parametrize("hub_receives", [True, False], ids=["rx-hub", "tx-hub"])
+@pytest.mark.parametrize(
+    "num_spokes,mode,seed",
+    [
+        (2, "hub", 0),
+        (3, "tied", 1),
+        (5, "tied", 2),
+        (15, "hub", 3),
+        (15, "spoke", 4),
+        (15, "mixed", 5),
+        (64, "hub", 6),
+        (64, "mixed", 7),
+    ],
+)
+def test_star_arm_is_bitwise_the_general_arm(num_spokes, mode, seed, hub_receives):
+    script = _star_script(random.Random(seed), num_spokes, mode, num_ops=80)
+    star, general, scan = (
+        _replay_star(cls, num_spokes, mode, hub_receives, seed, script)
+        for cls in (Switch, GeneralArmSwitch, ScanFillSwitch)
+    )
+    # ``==`` throughout: rates and remaining bytes at every step, then
+    # completion order with times and durations, deadline pushes, solve
+    # and filling-step counts, the end instant and the engine's event
+    # count.
+    for (t_star, rows_star), (t_general, rows_general) in zip(
+        star["snapshots"], general["snapshots"]
+    ):
+        assert t_star == t_general
+        assert rows_star == rows_general
+    assert star == general
+    # The scan loop behind the general arm agrees on everything but its
+    # own (larger) step count on multi-round solves.
+    del scan["fill_steps"], general["fill_steps"]
+    assert scan == general
+
+
+@pytest.mark.parametrize("op", ["rates", "arrival"])
+def test_star_arm_when_a_flow_finishes_inside_the_update(op):
+    """A flow can cross its threshold in ``_update``'s own bank, not the
+    timer's: something re-solves at its exact deadline, ahead of the
+    timer entry.  The survivors' share and the spokes that bound it must
+    then be the survivors' alone -- here the departing flow sat on the
+    slowest spoke, and the lone survivor must not inherit its rate."""
+    slow = _STAR_RATE / 10
+    size = units.MiB
+
+    def replay(switch_cls):
+        sim = Simulator()
+        switch = switch_cls(sim)
+        hub, crawler, sprinter, late = (
+            switch.attach(Nic(name, rate))
+            for name, rate in [
+                ("hub", _STAR_RATE), ("crawler", slow),
+                ("sprinter", _STAR_RATE), ("late", _STAR_RATE),
+            ]
+        )
+        seen = []
+
+        def driver():
+            switch.transfer(crawler, hub, size)  # spoke-bound: due at size / slow
+            switch.transfer(sprinter, hub, 100 * size)
+            # Scheduled before the flush arms the timer, so at the tie
+            # this process runs first.
+            yield sim.timeout(size / slow)
+            if op == "rates":
+                switch.set_nic_rates(hub, rx_rate=_STAR_RATE / 2)
+            else:
+                switch.transfer(late, hub, size)
+            seen.append((sim.now, switch.flow_rates()))
+
+        sim.process(driver())
+        sim.run()
+        return seen, switch._push_seq, switch.solves, switch.fill_steps, sim.now, sim._seq
+
+    star, general = replay(Switch), replay(GeneralArmSwitch)
+    assert star == general
+    ((_at, rows),) = star[0]
+    # The crawler is gone; the sprinter has the halved hub to itself, or
+    # the whole hub shared with the newcomer.
+    assert rows[0][0] == "sprinter" and rows[0][3] == _STAR_RATE / 2
+    assert len(rows) == (1 if op == "rates" else 2)
+
+
+def test_star_arm_takes_the_stars_and_only_the_stars():
+    """The differential above is not vacuous, in either direction."""
+    tallies = {}
+    for mode in ("hub", "spoke", "tied"):
+        tally = tallies[mode] = {"star": 0, "general": 0}
+
+        class Counting(Switch):
+            def _update_star(self, dirty_ports, now, tally=tally):
+                finished = super()._update_star(dirty_ports, now)
+                if any(port.flows for port in dirty_ports):  # something to solve
+                    tally["general" if finished is None else "star"] += 1
+                return finished
+
+        spokes = 3 if mode == "tied" else 15
+        script = _star_script(random.Random(3), spokes, mode, num_ops=80)
+        _replay_star(Counting, spokes, mode, True, 3, script)
+    # Hub-bottlenecked: the arm's home.  Slow spokes: mostly the general
+    # arm.  Ties: some of each.
+    assert tallies["hub"]["star"] > 2 * tallies["hub"]["general"]
+    assert tallies["spoke"]["general"] > tallies["spoke"]["star"]
+    assert tallies["tied"]["star"] and tallies["tied"]["general"]
+
+
 class _SolveLedger:
-    """Mixin recording (flows, ports, filling steps) of every solve."""
+    """Mixin recording (flows, ports, filling steps) of every solve.
+
+    Hooks ``_update`` rather than ``_solve``: the star arm never calls
+    ``_solve``, and a ledger that missed its solves would let the budget
+    below go unchecked for them.  What an update solved is what survives
+    in the dirty ports' component afterwards.
+    """
 
     def __init__(self, sim):
         super().__init__(sim)
         self.ledger = []
 
-    def _solve(self, flows, now):
-        before = self.fill_steps
-        super()._solve(flows, now)
-        if flows:
+    def _update(self, dirty_ports):
+        solves, steps = self.solves, self.fill_steps
+        super()._update(dirty_ports)
+        if self.solves != solves:
+            flows = Switch._component(self, dirty_ports)
             ports = {p for f in flows for p in (f.src_port, f.dst_port)}
-            self.ledger.append((len(flows), len(ports), self.fill_steps - before))
+            self.ledger.append((len(flows), len(ports), self.fill_steps - steps))
 
 
 def _replica_burst_ledger(base):

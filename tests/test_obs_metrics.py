@@ -58,6 +58,20 @@ def test_snapshot_reflects_workload_activity(loaded_cluster):
         == dfs.switch.fill_steps
         >= dfs.switch.solves
     )
+    # Every effective re-rate pushed a deadline; every timer dispatch is
+    # counted, idle ones (superseded, or nothing due) among them.
+    assert (
+        snap["counters"]["net_deadline_pushes_total"]
+        == dfs.switch._push_seq
+        >= dfs.switch.solves
+    )
+    assert (
+        snap["counters"]["net_timer_fires_total"]
+        == dfs.switch.timer_fires
+        > snap["counters"]["net_timer_idle_total"]
+        == dfs.switch.timer_idle_fires
+        >= 0
+    )
     # The workload drained: nothing in flight, nothing at risk.
     assert snap["gauges"]["net_active_flows"]["current"] == 0.0
     assert snap["gauges"]["net_active_flows"]["max"] >= 1.0

@@ -126,6 +126,14 @@ def test_cli_report_and_json_export(tmp_path, capsys):
     assert report["buckets"], "expected at least one hot-path bucket"
     for bucket in report["buckets"]:
         assert is_registered(bucket["category"])
+    # The footer reports work, not only wall shares: the exact network
+    # counters of table2's first task (byte-range, 4 MB chunks, 10 Gbps).
+    assert (
+        "work: net_solves_total=46,043, net_deadline_pushes_total=593,930, "
+        "net_timer_idle_total=15,520"
+    ) in text
+    assert report["work"]["net_solves_total"] == 46043
+    assert report["work"]["net_timer_fires_total"] == 38548
 
 
 def test_step_summary_written_when_env_set(tmp_path, monkeypatch):
@@ -136,3 +144,4 @@ def test_step_summary_written_when_env_set(tmp_path, monkeypatch):
     assert main(["table2", "--tasks", "1"]) == 0
     content = summary.read_text()
     assert "| # | category | callsite |" in content
+    assert "`work: net_solves_total=46,043, " in content

@@ -256,3 +256,64 @@ def test_double_recovery_freezes_superchunks_in_sorted_order():
     assert frozen_order == sorted(frozen_order)
     assert unfrozen_order == sorted(unfrozen_order)
     assert sorted(unfrozen_order) == sorted(frozen_order)
+
+
+# ----------------------------------------------------------------------
+# A source disk dying under a puller (regression for the event-form read).
+# ----------------------------------------------------------------------
+def test_source_disk_failing_mid_chunk_is_a_tolerated_loss():
+    """The puller awaits its source read as an event beside the network
+    flow.  A disk that dies while the head moves must fail that event at
+    the read's own completion time -- never raise at the call, never
+    strand the queue slot -- so ``all_of`` fails, the monitor's
+    ``tolerate_loss`` mode records the superchunk as lost, and the
+    surviving pullers' flows drain on their own.  Instants and counters
+    are the values the process-wrapped read produced before."""
+    dfs = sparse_cluster(num_nodes=8, per_disk=3, payload_mode="tokens")
+    write_some_data(dfs, files=6)
+    a, b = pick_sharing_pair(dfs)
+    shared = dfs.layout.shared(a, b)
+    manager = RecoveryManager(dfs)
+    lost_source = manager._pick_lost_source(a, b, shared)
+    victim = dfs.datanode_by_name(
+        min(
+            dfs.layout.superchunk(sc_id).mirror_of(lost_source.name)
+            for sc_id in dfs.layout.superchunks_of(lost_source.name)
+            if sc_id != shared
+        )
+    )
+    sim = dfs.sim
+    t0 = sim.now
+    seen = {}
+
+    def saboteur():
+        yield sim.timeout(0.004)  # inside the first 1 MiB source read
+        victim.disk.fail()
+
+    def recovery():
+        options = RecoveryOptions(chunk_size=units.MiB, nic_index=1)
+        seen["report"] = yield from manager.double_failure_body(
+            a, b, options=options, remirror_rest=False, install=False,
+            tolerate_loss=True,
+        )
+        seen["at"] = sim.now - t0
+        seen["active"] = dfs.switch.active_flows
+        seen["audit"] = dfs.switch.audit_flow_conservation()
+
+    sim.process(saboteur())
+    sim.process(recovery())
+    sim.run()
+    ((lost_sc, error),) = seen["report"].lost_superchunks
+    assert lost_sc == shared
+    assert str(error) == f"I/O on failed disk {victim.disk.name}"
+    # Reported when the doomed read would have completed, with the other
+    # pullers' chunks still on the wire; they finish and nothing leaks.
+    assert seen["at"].hex() == "0x1.05cf8a351c7f0p-7"
+    assert (seen["active"], seen["audit"]) == (3, [])
+    assert (sim.now - t0).hex() == "0x1.4bb81c4f3a31ep-4"
+    assert dfs.switch.active_flows == 0
+    assert dfs.switch.audit_flow_conservation() == []
+    assert (dfs.switch.solves, dfs.switch.deadline_pushes) == (45, 69)
+    assert victim.disk.stats.reads == 1
+    assert victim.disk._queue.in_use == 0 and victim.disk._queue.queue_length == 0
+    assert victim.disk.audit_state() == []

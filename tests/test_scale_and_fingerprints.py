@@ -8,6 +8,11 @@ Two guarantees ride on the incremental network solver:
 - **Scale-out tractability**: the ext-scale sweep's largest point (256
   nodes) completes at smoke scale and shows the expected shape, and a
   512-node RAIDP ingest reproduces its pinned simulated result.
+
+The two cheap Table 2 RAIDP rows (64 MB chunks @10G) are pinned the same
+way -- seconds by ``float.hex`` plus the solver's and the engine's exact
+work counters -- so a host-cost change in the reconstruction path has to
+show that it moved no simulated float.
 """
 
 import pytest
@@ -107,6 +112,43 @@ def test_ext_scale_512_node_write_reproduces_the_pinned_point():
     assert dfs.switch.total_bytes / num_nodes / units.GB == 0.033562624
     assert dfs.switch.solves == 193
     assert dfs.switch.fill_steps == 21710
+
+
+@pytest.mark.parametrize(
+    "lock_mode,seconds,engine_entries",
+    [
+        ("byte_range", "0x1.3ed1a65501d45p+7", 13063),
+        ("superchunk", "0x1.8ac614d884d0ap+7", 10183),
+    ],
+)
+def test_table2_raidp_64mb_rows_reproduce_the_pinned_points(
+    lock_mode, seconds, engine_entries
+):
+    """Two Table 2 rows held to the exact simulated result and work.
+
+    A 6 GB superchunk rebuilt from 14 mirrors + 1 Lstor in 64 MB chunks:
+    a 15-spoke star on the receiver's NIC whose membership changes twice
+    per chunk.  Seconds, solves, filling steps and deadline pushes are
+    what the BFS + ``_solve`` path and the process-wrapped source reads
+    produced.  Only the engine's entry count moved: a source read awaited
+    as an event is one schedule entry where the process took four
+    (bootstrap, grant, sleep, completion), and there are 14 x 96 = 1344
+    of them -- 17095 - 3 * 1344 = 13063 and 14215 - 3 * 1344 = 10183.
+    """
+    from repro.core.recovery import RecoveryManager, RecoveryOptions
+    from repro.experiments.common import build_raidp_warm, pick_scale
+
+    # table2_recovery.run_task(("raidp", lock_mode, 64 MiB, 0, 1)), spelled
+    # out to keep hold of the cluster and read its counters.
+    dfs = build_raidp_warm(pick_scale(False), seed=1)
+    options = RecoveryOptions(lock_mode=lock_mode, chunk_size=64 * units.MiB, nic_index=0)
+    report = RecoveryManager(dfs).recover_double_failure(
+        "n0", "n1", options=options, remirror_rest=False, install=False
+    )
+    assert report.duration.hex() == seconds
+    switch = dfs.switch
+    assert (switch.solves, switch.fill_steps, switch.deadline_pushes) == (1426, 4306, 1440)
+    assert dfs.sim._seq == engine_entries
 
 
 def test_ext_scale_raidp_network_beats_hdfs3():

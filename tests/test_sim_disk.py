@@ -285,3 +285,166 @@ def test_stream_io_respects_failure_and_bounds():
     disk.fail()
     with pytest.raises(DiskFailedError):
         disk.stream_io("read", 0, units.MiB)
+
+
+# ----------------------------------------------------------------------
+# start_io: an I/O awaited as an event.  On an idle FIFO disk it holds
+# the queue slot from the call to the completion callback in one
+# schedule entry; everything observable must equal the queued process.
+# ----------------------------------------------------------------------
+def _observables(sim, disk, tracer):
+    spans = [
+        (e.name, e.ts, e.dur, e.attrs)
+        for e in tracer.events
+        if e.phase == "X" and e.category == "disk"
+    ]
+    return (
+        sim.now,
+        disk.head,
+        disk.stats,
+        disk.queue_gauge._area,
+        disk.queue_gauge.max_value,
+        disk.queue_gauge.average(sim.now),
+        disk.io_latency.counts,
+        disk.io_latency.sum,
+        disk.io_latency.max,
+        spans,
+    )
+
+
+def _run_ops(start):
+    """Drive _STREAM_OPS back to back; ``start(disk, op)`` yields the event."""
+    from repro.obs import tracer as tracing
+
+    with tracing.capture() as tracer:
+        sim = Simulator()
+        disk = make_disk(sim)
+
+        def body():
+            durations = []
+            for kind, offset, nbytes in _STREAM_OPS:
+                durations.append((yield start(sim, disk, kind, offset, nbytes)))
+            return durations
+
+        durations = sim.run_process(body())
+    return durations, _observables(sim, disk, tracer), sim._seq
+
+
+def test_start_io_matches_queued_path_exactly():
+    def as_process(sim, disk, kind, offset, nbytes):
+        op = disk.read if kind == "read" else disk.write
+        return sim.process(op(offset, nbytes))
+
+    def as_event(sim, disk, kind, offset, nbytes):
+        return disk.start_io(kind, offset, nbytes)
+
+    queued_durations, queued_seen, queued_seq = _run_ops(as_process)
+    event_durations, event_seen, event_seq = _run_ops(as_event)
+    assert event_durations == queued_durations  # bitwise, not approx
+    assert event_seen == queued_seen
+    assert len(queued_seen[-1]) == len(_STREAM_OPS)  # the spans were compared
+    # One schedule entry per I/O where the process took four (bootstrap,
+    # grant, sleep, completion).
+    assert queued_seq - event_seq == 3 * len(_STREAM_OPS)
+
+
+def test_start_io_second_requester_queues_and_is_granted_at_release():
+    sim = Simulator()
+    disk = make_disk(sim)
+    log = []
+
+    def first():
+        duration = yield disk.start_io("write", 0, 64 * units.MiB)
+        log.append(("first", sim.now, duration))
+
+    def second(label, use_event, at):
+        yield sim.timeout(at)  # mid-I/O: the slot is taken
+        assert disk._queue.in_use == 1
+        if use_event:
+            # A busy disk takes the queued path: a process, behind `first`.
+            event = disk.start_io("write", 64 * units.MiB, units.MiB)
+            assert type(event).__name__ == "Process"
+            duration = yield event
+        else:
+            duration = yield from disk.write(65 * units.MiB, units.MiB)
+        log.append((label, sim.now, duration))
+
+    sim.process(first())
+    sim.process(second("second", use_event=True, at=0.0001))
+    sim.process(second("third", use_event=False, at=0.0002))
+    sim.run()
+    whole = 64 * units.MiB / disk.geometry.transfer_rate
+    one = units.MiB / disk.geometry.transfer_rate
+    # FIFO: granted at the first I/O's release, in arrival order, each
+    # sequential to the last (no seek), so the times add up exactly.
+    assert [label for label, _t, _d in log] == ["first", "second", "third"]
+    assert log[0][1:] == (whole, whole)
+    assert log[1][1:] == (whole + one, one)
+    assert log[2][1:] == (whole + one + one, one)
+    assert disk.stats.seeks == 0
+    assert disk._queue.in_use == 0 and disk._queue.queue_length == 0
+    assert disk.queue_gauge.max_value == 3.0
+    assert disk.audit_state() == []
+
+
+@pytest.mark.parametrize("fail_at", ["before", "during"])
+def test_start_io_failure_arrives_through_the_event(fail_at):
+    sim = Simulator()
+    disk = make_disk(sim)
+    seen = []
+
+    def body():
+        if fail_at == "before":
+            disk.fail()
+        event = disk.start_io("read", 0, 64 * units.MiB)  # must not raise here
+        flow = sim.timeout(10.0)
+        try:
+            yield sim.all_of([event, flow])
+        except DiskFailedError as err:
+            seen.append((sim.now, str(err)))
+
+    def saboteur():
+        yield sim.timeout(0.1)
+        disk.fail()
+
+    sim.process(body())
+    if fail_at == "during":
+        sim.process(saboteur())
+    sim.run()
+    duration = 64 * units.MiB / disk.geometry.transfer_rate
+    # Failed before: the error surfaces at once.  Failed while the head
+    # moved: at the I/O's own completion time, like _io's re-check.
+    assert seen == [(0.0 if fail_at == "before" else duration, "I/O on failed disk d0")]
+    # The slot is free again and the books balance: no grant leaked.
+    assert disk._queue.in_use == 0 and disk._queue.queue_length == 0
+    assert disk.queue_gauge._value == 0.0
+    assert disk.audit_state() == []
+    disk.repair()
+    assert sim.run_process(disk.read(0, units.MiB)) > 0
+
+
+def test_start_io_out_of_bounds_arrives_through_the_event():
+    sim = Simulator()
+    disk = make_disk(sim)
+
+    def body():
+        event = disk.start_io("read", disk.geometry.capacity, units.MiB)
+        with pytest.raises(ValueError, match="outside disk"):
+            yield event
+        return "survived"
+
+    assert sim.run_process(body()) == "survived"
+    assert disk._queue.in_use == 0
+
+
+def test_start_io_on_an_elevator_disk_takes_the_queued_path():
+    sim = Simulator()
+    disk = Disk(sim, DiskGeometry(), name="d0", scheduler="elevator")
+
+    def body():
+        event = disk.start_io("write", 0, units.MiB)
+        assert type(event).__name__ == "Process"
+        return (yield event)
+
+    assert sim.run_process(body()) == units.MiB / disk.geometry.transfer_rate
+    assert disk._queue.total_grants == 1
