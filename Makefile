@@ -10,9 +10,8 @@ export PYTHONPATH
 test:
 	$(PYTHON) -m pytest -x -q
 
-# Determinism & invariant linter (rules RDP001..RDP007 plus the
-# flow-sensitive RDP101..RDP105; see DESIGN.md §10 and §14).  --strict
-# promotes warnings to failures.
+# Determinism & invariant linter (rules RDP001..RDP007 plus RDP101; see
+# DESIGN.md §10 and §14).  --strict promotes warnings to failures.
 lint:
 	$(PYTHON) -m repro.lint --strict src/
 

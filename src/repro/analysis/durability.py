@@ -1,11 +1,10 @@
 """Durability and availability under failures (paper §2, "Failure Domains").
 
 The paper's claim: RAIDP is *less available* than triplication or erasure
-coding -- a rack failure can take both a superchunk's replicas' racks...
-no: can take one replica *and* its Lstor offline together -- but *on par
-in durability*, because a rack failure destroys nothing: data and local
-erasure codes come back when power does.  This module quantifies both
-sides:
+coding -- a rack failure can take one replica *and* its Lstor offline
+together -- but *on par in durability*, because a rack failure destroys
+nothing: data and local erasure codes come back when power does.  This
+module quantifies both sides:
 
 - :func:`mttdl_*` -- classic analytic mean-time-to-data-loss estimates
   from disk AFR and rebuild times.

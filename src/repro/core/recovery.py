@@ -961,7 +961,7 @@ class _Raid6Rig:
     separate simulators (``Simulator(start=boundary)`` for the second)
     and produce bitwise-identical completion times to the single-sim
     monolith, which the experiment decomposition exploits to pipeline
-    RAID-6 rows across pool workers.  ``simulate_raid6_rebuild`` keeps
+    RAID-6 rows across pool workers.  ``tests/oracles.py`` composes
     the monolithic schedule as the differential oracle for that claim.
     """
 
@@ -1059,34 +1059,6 @@ def _raid6_xor_rate(chunk_size: int, xor_rate: Optional[float]) -> float:
     return RecoveryOptions(chunk_size=chunk_size).xor_rate
 
 
-def simulate_raid6_rebuild(
-    data_per_disk: int,
-    surviving_disks: int = 14,
-    chunk_size: int = 4 * units.MiB,
-    nic_rate: float = units.gbps(10),
-    disk_rate: Optional[float] = None,
-    xor_rate: Optional[float] = None,
-) -> float:
-    """Simulated wall-clock of a distributed RAID-6 double rebuild.
-
-    Every stripe lost two blocks, so *all* data on *all* survivors must be
-    read and shipped to the rebuild master, decoded, and two disks'
-    worth of data written back out.  Returns the duration in seconds.
-
-    Runs both phases in one simulator; the per-phase entry points below
-    decompose the same schedule for the parallel runner.
-    """
-    xor_rate = _raid6_xor_rate(chunk_size, xor_rate)
-    rig = _Raid6Rig(surviving_disks, chunk_size, nic_rate, disk_rate)
-
-    def rebuild() -> Generator:
-        yield from rig.read_all(data_per_disk, xor_rate)
-        yield from rig.write_all(data_per_disk)
-
-    rig.sim.run_process(rebuild())
-    return rig.sim.now
-
-
 def simulate_raid6_read_phase(
     data_per_disk: int,
     surviving_disks: int = 14,
@@ -1095,7 +1067,9 @@ def simulate_raid6_read_phase(
     disk_rate: Optional[float] = None,
     xor_rate: Optional[float] = None,
 ) -> float:
-    """Phase 1 of the RAID-6 rebuild: gather and decode every survivor.
+    """Phase 1 of the RAID-6 double rebuild: gather and decode every
+    survivor.  Every stripe lost two blocks, so *all* data on *all*
+    survivors is read, shipped to the rebuild master and decoded.
 
     Returns the boundary time at which the last chunk has been decoded,
     suitable for handing to :func:`simulate_raid6_writeback_phase` as its

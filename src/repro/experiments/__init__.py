@@ -1,7 +1,7 @@
 """Experiment regenerators: one module per table/figure of the paper.
 
-Every experiment module exposes ``run(scale=...) -> ExperimentResult``
-and registers itself with the registry in
+Every experiment module exposes ``run(full_scale=False, ...) ->
+ExperimentResult`` and is listed in the registry in
 :mod:`repro.experiments.runner`, which also provides the CLI::
 
     python -m repro.experiments            # list experiments

@@ -109,20 +109,21 @@ def warm_phase(
     The cold path assembles the cluster, runs ``warmup`` on it (a
     failure-free ingest such as ``dfsio_write``, ``teragen``, or
     ``wordcount_input``), and snapshots the quiescent result; warm
-    callers restore straight to the phase boundary.  The stored key
-    embeds the boundary's simulated time (see
-    :func:`repro.sim.snapshot.phase_key`), so replays that share a
-    warmup -- fig9's read of fig8's dataset, fig10's four workloads --
-    simulate it once per (topology, seed) per process.
+    callers restore straight to the phase boundary.  The warmup is
+    deterministic, so (tag, parameters, code fingerprint) identifies the
+    post-warmup state: replays that share a warmup -- fig9's read of
+    fig8's dataset, fig10's four workloads -- simulate it once per
+    (topology, seed) per process.
     """
-    base_key = snapshot.snapshot_key(tag, **key_params)
 
     def build() -> Any:
         dfs = builder()
         warmup(dfs)
         return dfs
 
-    return snapshot.GLOBAL_STORE.get_or_build_phase(base_key, build)
+    return snapshot.GLOBAL_STORE.get_or_build(
+        snapshot.snapshot_key(tag, **key_params), build
+    )
 
 
 def build_hdfs_written(

@@ -48,13 +48,10 @@ SUPERCHUNKS_PER_DISK = 8
 #: (scheme, num_nodes, seed, phase) with phase "write"/"recovery" for
 #: RAIDP points.  The write phase returns its measurements plus a
 #: snapshot of the post-ingest cluster; the recovery phase restores that
-#: snapshot instead of re-simulating the whole ingest.  Legacy 3-tuple
-#: RAIDP keys still run both phases in one simulator.
+#: snapshot instead of re-simulating the whole ingest.
 #:
-#: Phase-split RAIDP tasks additionally run under the flight recorder
-#: and append a 4th element -- per-phase disk-latency SLO summaries --
-#: to their result tuples; the first three elements keep the legacy
-#: layout, so 3-unpacking consumers keep working.
+#: RAIDP tasks run under the flight recorder and carry a 4th result
+#: element -- per-phase disk-latency SLO summaries.
 TaskKey = Tuple
 
 #: Sampling cadence for the phase SLO summaries (simulated seconds).
@@ -170,15 +167,13 @@ def run_task(
 ) -> Tuple:
     """One sweep point or phase.
 
-    - hdfs3 / legacy raidp keys return (write seconds, net GB per node,
-      recovery seconds or None).
+    - hdfs3 keys return (write seconds, net GB per node, None).
     - ("raidp", n, seed, "write") returns (write seconds, net GB per
       node, snapshot bytes, slo digest) -- the snapshot travels to the
       recovery task as a dependency result (pickled across the pool
       boundary, which is what makes spawn-context workers work at all).
     - ("raidp", n, seed, "recovery") returns the final row tuple
-      (write seconds, net GB per node, recovery seconds, slo digests);
-      indexes 0-2 are the legacy triple.
+      (write seconds, net GB per node, recovery seconds, slo digests).
     """
     from repro.obs.metrics import cluster_metrics
     from repro.obs.timeseries import Sampler, capture
@@ -186,17 +181,17 @@ def run_task(
 
     scheme, num_nodes, seed = key[:3]
     if len(key) == 4 and key[3] == "recovery":
-        dep = (deps or {})[(scheme, num_nodes, seed, "write")]
-        write_s, per_node_gb, blob = dep[:3]
-        slo = dict(dep[3]) if len(dep) > 3 else {}
+        write_s, per_node_gb, blob, write_slo = (deps or {})[
+            (scheme, num_nodes, seed, "write")
+        ]
         with capture(Sampler(interval=SLO_SAMPLE_INTERVAL)) as sampler:
             dfs = RaidpCluster.from_snapshot(blob)
             sampler.watch(cluster_metrics(dfs))
             recovery_s = _recover_worst_pair(dfs)
-        slo["recovery"] = _phase_slo(sampler)
+        slo = {**write_slo, "recovery": _phase_slo(sampler)}
         return write_s, per_node_gb, recovery_s, slo
     dataset = num_nodes * BYTES_PER_NODE * (8 if full_scale else 1)
-    if len(key) == 4:  # phase-split raidp: sampled write phase
+    if scheme == "raidp":  # sampled write phase
         with capture(Sampler(interval=SLO_SAMPLE_INTERVAL)) as sampler:
             dfs = _build(scheme, num_nodes, seed)
             sampler.watch(cluster_metrics(dfs))
@@ -209,9 +204,7 @@ def run_task(
     dfs = _build(scheme, num_nodes, seed)
     write = dfsio_write(dfs, dataset)
     per_node_gb = dfs.switch.total_bytes / num_nodes / units.GB
-    if scheme != "raidp":
-        return write.runtime, per_node_gb, None
-    return write.runtime, per_node_gb, _recover_worst_pair(dfs)
+    return write.runtime, per_node_gb, None
 
 
 def merge(
@@ -246,13 +239,8 @@ def merge(
                     f"{scheme} recovery @{num_nodes}",
                     mean(s[2] for s in samples),
                 )
-                # SLO columns ride only on phase-split (sampled) runs;
-                # legacy 3-tuple samples simply have no digest to report.
-                digests = [s[3] for s in samples if len(s) > 3]
                 for phase in ("write", "recovery"):
-                    rows = [d[phase] for d in digests if d.get(phase)]
-                    if not rows:
-                        continue
+                    rows = [s[3][phase] for s in samples]
                     result.add(
                         f"{scheme} {phase} p99 worst @{num_nodes}",
                         mean(r["p99_worst"] for r in rows),

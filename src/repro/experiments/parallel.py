@@ -34,9 +34,8 @@ The worker count comes from, in priority order: an explicit ``jobs``
 argument, the ``RAIDP_JOBS`` environment variable, else 1 (sequential,
 in-process -- the sequential path runs the exact same task/merge code).
 ``jobs <= 0`` means "all cores".  The pool start method is ``fork``
-where available (snapshot stores and imports are inherited); set
-``RAIDP_MP_CONTEXT=spawn`` to force the spawn path, which the snapshot
-tests use to prove every dependency payload survives pickling.
+where available (snapshot stores and imports are inherited), else
+``spawn``; every dependency payload survives pickling either way.
 """
 
 from __future__ import annotations
@@ -63,9 +62,6 @@ WHOLE_EXPERIMENT = "__whole_experiment__"
 
 #: Environment variable consulted when no explicit job count is given.
 JOBS_ENV_VAR = "RAIDP_JOBS"
-
-#: Environment variable forcing a multiprocessing start method.
-MP_CONTEXT_ENV_VAR = "RAIDP_MP_CONTEXT"
 
 
 class TaskSpec(NamedTuple):
@@ -134,16 +130,8 @@ def _execute(spec: TaskSpec, deps: Optional[Dict[Hashable, Any]] = None) -> Any:
 def _pool_context() -> multiprocessing.context.BaseContext:
     # fork shares the already-imported interpreter state (cheap start,
     # deterministic hash seed inheritance, warm snapshot store); fall
-    # back to spawn elsewhere.  RAIDP_MP_CONTEXT overrides for tests.
+    # back to spawn elsewhere.
     methods = multiprocessing.get_all_start_methods()
-    override = os.environ.get(MP_CONTEXT_ENV_VAR, "").strip()
-    if override:
-        if override not in methods:
-            raise ValueError(
-                f"{MP_CONTEXT_ENV_VAR}={override!r} not available; "
-                f"choose from {methods}"
-            )
-        return multiprocessing.get_context(override)
     return multiprocessing.get_context("fork" if "fork" in methods else "spawn")
 
 

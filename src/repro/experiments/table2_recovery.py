@@ -10,10 +10,11 @@ task per seed, warm-started from a shared cluster snapshot), and each
 RAID-6 row splits into its gather/decode phase and its writeback phase
 -- two simulators chained on the exact boundary time, bitwise-identical
 to the monolithic schedule (proved by the differential test against
-``simulate_raid6_rebuild``).  Cost annotations let the parallel runner
-start the dominant RAID-6 4 MB gathers first, then the 4 MB RAIDP
-rebuilds, instead of letting them serialize the tail of a ``--jobs N``
-run behind a queue of sub-second 64 MB tasks.
+the single-simulator oracle in ``tests/oracles.py``).  Cost
+annotations let the parallel runner start the dominant RAID-6 4 MB
+gathers first, then the 4 MB RAIDP rebuilds, instead of letting them
+serialize the tail of a ``--jobs N`` run behind a queue of sub-second
+64 MB tasks.
 """
 
 from __future__ import annotations

@@ -1,10 +1,9 @@
-"""Per-function control-flow graphs for the flow-sensitive lint rules.
+"""Per-function control-flow graphs for the flow-sensitive lint rule.
 
 The flat AST rules (RDP001..RDP006) ask "does this syntax appear?";
-the RDP1xx rules ask "is there a *path* on which this happens?" -- a
-grant acquired and never released on an exception path, a value read
-before a yield and written back after.  Answering path questions needs
-a CFG, and this module builds one per function:
+RDP101 asks "is there a *path* on which this happens?" -- a grant
+acquired and never released on an exception path.  Answering path
+questions needs a CFG, and this module builds one per function:
 
 * one :class:`CFGNode` per simple statement, plus synthetic nodes for
   entry/exit, the *exceptional* exit, loop heads, except dispatch, and
@@ -34,11 +33,6 @@ import ast
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 __all__ = ["CFGNode", "CFG", "build_cfg", "function_cfgs", "qualified_functions"]
-
-#: Edge kinds.  ``exc`` edges carry the state *before* the source node
-#: (its statement aborted mid-flight); every other kind carries the
-#: state after it.
-EDGE_KINDS = ("next", "true", "false", "back", "exc", "case")
 
 # Control kinds routed through ``finally`` frames.
 _NEXT = "next"
@@ -88,16 +82,8 @@ class CFG:
         self.is_generator = False
 
     @property
-    def entry(self) -> CFGNode:
-        return self.nodes[self.ENTRY]
-
-    @property
     def exit(self) -> CFGNode:
         return self.nodes[self.EXIT]
-
-    @property
-    def raise_exit(self) -> CFGNode:
-        return self.nodes[self.RAISE_EXIT]
 
     def statement_nodes(self) -> Iterator[CFGNode]:
         for node in self.nodes:

@@ -3,15 +3,9 @@
 Usage::
 
     python -m repro.lint src/                  # lint a tree (text output)
-    python -m repro.lint --format json src/    # machine-readable findings
-    python -m repro.lint --format sarif --output lint.sarif src/
+    python -m repro.lint --format json --output lint.json src/
     python -m repro.lint --select RDP101 src/  # one rule only
-    python -m repro.lint --baseline .lint-baseline.json src/
     python -m repro.lint --list-rules          # the rule set and scopes
-
-``--baseline FILE`` filters findings whose fingerprint a reviewed
-baseline accepts; ``--write-baseline FILE`` snapshots the current
-findings as that baseline.
 
 Exit codes: 0 clean, 1 unsuppressed error findings (or warnings under
 ``--strict``), 2 usage errors.
@@ -24,10 +18,8 @@ import json
 import sys
 from typing import Dict, List, Optional, Sequence
 
-from .baseline import apply_baseline, load_baseline, write_baseline
 from .engine import Finding, LintConfig, LintEngine
 from .rules import default_rules
-from .sarif import render_sarif
 
 #: Whole-file exemptions for rules whose premise a file's *purpose*
 #: violates.  Kept here (not in each file) so the full exemption surface
@@ -117,13 +109,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro.lint",
         description="Static determinism & invariant checks for the RAIDP "
-        "simulator: flat rules RDP001..RDP007 plus the flow-sensitive "
-        "CFG/dataflow rules RDP101..RDP105.",
+        "simulator: RDP001..RDP007 plus RDP101.",
     )
     parser.add_argument("paths", nargs="*", help="files or directories to lint")
     parser.add_argument(
         "--format",
-        choices=("text", "json", "sarif"),
+        choices=("text", "json"),
         default="text",
         help="output format (default: text)",
     )
@@ -132,18 +123,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         default=None,
         metavar="FILE",
         help="write the report to FILE instead of stdout",
-    )
-    parser.add_argument(
-        "--baseline",
-        default=None,
-        metavar="FILE",
-        help="drop findings whose fingerprint the reviewed baseline accepts",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        default=None,
-        metavar="FILE",
-        help="snapshot current findings as the reviewed baseline and exit 0",
     )
     parser.add_argument(
         "--select",
@@ -185,27 +164,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     engine = build_engine(select=select, ignore=ignore)
     findings = engine.lint_paths(args.paths)
 
-    if args.write_baseline is not None:
-        count = write_baseline(findings, args.write_baseline)
-        print(f"wrote {count} fingerprint(s) to {args.write_baseline}")
-        return 0
-
-    baselined = 0
-    if args.baseline is not None:
-        try:
-            baseline = load_baseline(args.baseline)
-        except ValueError as exc:
-            parser.error(str(exc))
-        findings, baselined = apply_baseline(findings, baseline)
-
-    if args.format == "sarif":
-        report = render_sarif(findings, engine.rules)
-    elif args.format == "json":
+    if args.format == "json":
         report = _render_json(findings, engine)
     else:
         report = _render_text(findings, engine, show_source=args.show_source)
-        if baselined:
-            report += f"\n({baselined} finding(s) accepted by baseline)"
     if args.output is not None:
         with open(args.output, "w", encoding="utf-8") as handle:
             handle.write(report + "\n")

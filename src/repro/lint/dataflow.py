@@ -1,22 +1,13 @@
 """A worklist dataflow framework over :mod:`repro.lint.cfg` graphs.
 
-Two lattices cover the RDP1xx rules:
-
-* **Reaching definitions with yield staleness** -- the classic
-  var -> {definition sites} map, augmented with one bit per definition:
-  has the definition *crossed a yield point* since it was made?  A
-  simulation process that reads shared state into a local, yields, and
-  writes the local back is exactly "a stale definition reaches a
-  write-back", so the staleness bit turns RDP102 into a set-membership
-  test.
-* **Live acquires** -- a may-analysis over gen/kill sets supplied by the
-  rule: tokens (grants) enter the set at acquire sites and leave at
-  release/escape sites.  A token alive at the normal or exceptional
-  exit is a leak.  Exception edges normally carry the state *before*
-  the raising statement; ``exc_kills`` lets a rule declare per-node
-  kills that hold even on the exception edge (a ``release`` inside a
-  ``finally`` is trusted to run -- cleanup code is assumed
-  non-throwing, the standard analyzer concession).
+One lattice covers RDP101, **live acquires**: a may-analysis over
+gen/kill sets supplied by the rule.  Tokens (grants) enter the set at
+acquire sites and leave at release/escape sites; a token alive at the
+normal or exceptional exit is a leak.  Exception edges normally carry
+the state *before* the raising statement; ``exc_kills`` lets a rule
+declare per-node kills that hold even on the exception edge (a
+``release`` inside a ``finally`` is trusted to run -- cleanup code is
+assumed non-throwing, the standard analyzer concession).
 
 The solver is a plain round-robin worklist over reverse postorder.
 States are compared with ``==`` and joined per edge; everything
@@ -25,7 +16,6 @@ iterates in deterministic order so the linter's output is byte-stable.
 
 from __future__ import annotations
 
-import ast
 from typing import Dict, FrozenSet, Generic, List, Optional, Tuple, TypeVar
 
 from .cfg import CFG, CFGNode
@@ -33,10 +23,7 @@ from .cfg import CFG, CFGNode
 __all__ = [
     "ForwardAnalysis",
     "run_forward",
-    "ReachingDefinitions",
-    "Definition",
     "GenKillAnalysis",
-    "assigned_names",
 ]
 
 S = TypeVar("S")
@@ -113,96 +100,6 @@ def run_forward(cfg: CFG, analysis: ForwardAnalysis[S]) -> Tuple[List[Optional[S
             out_states[index] = new_out
             exc_states[index] = new_exc
     return in_states, out_states
-
-
-# ----------------------------------------------------------------------
-# Reaching definitions with yield staleness.
-# ----------------------------------------------------------------------
-#: One definition: (defining node index, crossed_a_yield_since).
-Definition = Tuple[int, bool]
-
-#: State: variable name -> reaching definitions.  Immutable values so
-#: states can be shared between nodes safely.
-ReachState = Dict[str, FrozenSet[Definition]]
-
-
-def assigned_names(stmt: ast.AST) -> List[str]:
-    """Variable names a statement (re)binds, in source order."""
-    names: List[str] = []
-
-    def targets(node: ast.AST) -> None:
-        if isinstance(node, ast.Name):
-            names.append(node.id)
-        elif isinstance(node, (ast.Tuple, ast.List)):
-            for elt in node.elts:
-                targets(elt)
-        elif isinstance(node, ast.Starred):
-            targets(node.value)
-
-    if isinstance(stmt, ast.Assign):
-        for target in stmt.targets:
-            targets(target)
-    elif isinstance(stmt, (ast.AugAssign, ast.AnnAssign)):
-        targets(stmt.target)
-    elif isinstance(stmt, (ast.For, ast.AsyncFor)):
-        targets(stmt.target)
-    elif isinstance(stmt, (ast.With, ast.AsyncWith)):
-        for item in stmt.items:
-            if item.optional_vars is not None:
-                targets(item.optional_vars)
-    elif isinstance(stmt, ast.ExceptHandler):
-        if stmt.name:
-            names.append(stmt.name)
-    elif isinstance(stmt, (ast.Import, ast.ImportFrom)):
-        for alias in stmt.names:
-            names.append((alias.asname or alias.name).split(".", 1)[0])
-    # Walrus assignments can hide anywhere in an expression.
-    for sub in ast.walk(stmt):
-        if isinstance(sub, ast.NamedExpr) and isinstance(sub.target, ast.Name):
-            names.append(sub.target.id)
-    return names
-
-
-class ReachingDefinitions(ForwardAnalysis[ReachState]):
-    """var -> {(def site, crossed yield)} with union join."""
-
-    def initial(self, cfg: CFG) -> ReachState:
-        # Parameters are definitions made at the entry node.
-        func = cfg.func
-        params: List[str] = []
-        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            args = func.args
-            for arg in args.posonlyargs + args.args + args.kwonlyargs:
-                params.append(arg.arg)
-            if args.vararg:
-                params.append(args.vararg.arg)
-            if args.kwarg:
-                params.append(args.kwarg.arg)
-        return {name: frozenset({(CFG.ENTRY, False)}) for name in params}
-
-    def join(self, a: ReachState, b: ReachState) -> ReachState:
-        if a == b:
-            return a
-        merged: ReachState = dict(a)
-        for name, defs in b.items():
-            existing = merged.get(name)
-            merged[name] = defs if existing is None else existing | defs
-        return merged
-
-    def transfer(self, node: CFGNode, state: ReachState) -> ReachState:
-        stmt = node.stmt
-        stale = node.is_yield
-        killed = assigned_names(stmt) if stmt is not None else []
-        if not stale and not killed:
-            return state
-        new: ReachState = {}
-        for name, defs in state.items():
-            if stale:
-                defs = frozenset((site, True) for site, _crossed in defs)
-            new[name] = defs
-        for name in killed:
-            new[name] = frozenset({(node.index, False)})
-        return new
 
 
 # ----------------------------------------------------------------------

@@ -135,9 +135,8 @@ class Suppressions:
 class FileContext:
     """Everything a rule needs about one file: parsed once, shared.
 
-    The flow-sensitive rules all need per-function CFGs and the module
-    call graph; they are built on first use and shared across rules so
-    five RDP1xx rules cost one CFG construction, not five.
+    Per-function CFGs are built on first use, so files outside a flow
+    rule's scope never pay for them.
     """
 
     path: str  # forward-slash path as given/walked, used for scoping
@@ -145,7 +144,6 @@ class FileContext:
     tree: ast.Module
     lines: List[str] = field(default_factory=list)
     _cfgs: Optional[dict] = field(default=None, repr=False, compare=False)
-    _callgraph: Optional[object] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.lines:
@@ -163,14 +161,6 @@ class FileContext:
 
             self._cfgs = function_cfgs(self.tree)
         return self._cfgs
-
-    def callgraph(self) -> "object":
-        """The module call graph (cached)."""
-        if self._callgraph is None:
-            from .callgraph import ModuleCallGraph
-
-            self._callgraph = ModuleCallGraph.build(self.tree)
-        return self._callgraph
 
 
 class Rule:

@@ -1,9 +1,8 @@
-"""Flow-sensitive rules RDP101..RDP105, built on cfg/dataflow/callgraph.
+"""The flow-sensitive rule, RDP101, built on cfg/dataflow.
 
-The flat rules check syntax; these check *paths*.  Every rule here
-reasons over per-function CFGs (:mod:`repro.lint.cfg`), the worklist
-analyses (:mod:`repro.lint.dataflow`), and -- where call-site context
-matters -- the module call graph (:mod:`repro.lint.callgraph`).
+The flat rules check syntax; this one checks *paths*, over per-function
+CFGs (:mod:`repro.lint.cfg`) and the gen/kill worklist analysis
+(:mod:`repro.lint.dataflow`).
 
 ``RDP101`` resource-leak
     A grant obtained by yielding ``resource.request()`` /
@@ -12,37 +11,6 @@ matters -- the module call graph (:mod:`repro.lint.callgraph`).
     a sim process is how disk/node faults surface).  Releases inside a
     ``finally`` satisfy all paths; any other mention of the grant
     (passed on, returned, guarded) counts as an ownership hand-off.
-
-``RDP102`` stale-state-across-yield
-    ``local = shared.attr`` ... ``yield`` ... ``shared.attr = f(local)``
-    writes back a value read before the process was suspended; the
-    calendar scheduler and same-instant batching make whatever ran
-    during the suspension invisible to the write.  Re-read after
-    resumption.
-
-``RDP103`` RNG stream discipline
-    Every random draw must flow from a *named, seeded* stream -- a
-    ``Random(seed)`` / ``default_rng(seed)`` / ``SeedSequence`` spawn
-    threaded through parameters or seeded in ``__init__`` -- never from
-    an untraceable receiver.  Call sites that bind a callee's rng-ish
-    parameter are checked interprocedurally via the call graph.
-
-``RDP104`` zero-delay ordering hazard
-    Two callbacks registered for the same instant (``add_callback``,
-    ``_schedule_callback``, ``add_flush_hook``) that touch the same
-    attribute chain -- one writing what a sibling reads or writes --
-    are ordered only by now-bucket FIFO position, an accident of
-    registration order.  Make the dependency an event edge instead.
-
-``RDP105`` snapshot-safety
-    Classes in the snapshot capture graph (``InlineState`` subclasses
-    and ``snapshot()``-rooted facades) must not bind ambient handles
-    (open files, tracers, std streams) in ``__init__`` unless they
-    declare pickling custody via ``__getstate__`` or sit in the
-    reviewed exclusion table; ``InlineState`` subclasses must not
-    override ``__setstate__`` (that silently defeats the inline-storage
-    restore), and declared ``__slots__`` must cover every attribute
-    ``__init__`` assigns.
 """
 
 from __future__ import annotations
@@ -51,44 +19,11 @@ import ast
 from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
 
 from .cfg import CFG
-from .dataflow import GenKillAnalysis, ReachingDefinitions, run_forward
+from .dataflow import GenKillAnalysis, run_forward
 from .engine import FileContext, Finding, Rule
+from .rules import _dotted
 
-__all__ = [
-    "ResourceLeakRule",
-    "StaleYieldStateRule",
-    "RngDisciplineRule",
-    "SameInstantHazardRule",
-    "SnapshotSafetyRule",
-    "FLOW_RULES",
-]
-
-#: The simulated data plane: where processes run and resources live.
-DATA_PLANE_PATHS = (
-    "*/repro/sim/*",
-    "*/repro/core/*",
-    "*/repro/hdfs/*",
-    "*/repro/faults.py",
-)
-
-
-def _dotted(node: ast.AST) -> Optional[str]:
-    if isinstance(node, ast.Name):
-        return node.id
-    if isinstance(node, ast.Attribute):
-        base = _dotted(node.value)
-        return f"{base}.{node.attr}" if base is not None else None
-    return None
-
-
-def _pure_chain(node: ast.AST) -> Optional[str]:
-    """``a.b.c`` only when the expression is a bare name/attribute chain."""
-    if isinstance(node, ast.Name):
-        return node.id
-    if isinstance(node, ast.Attribute):
-        base = _pure_chain(node.value)
-        return f"{base}.{node.attr}" if base is not None else None
-    return None
+__all__ = ["ResourceLeakRule"]
 
 
 def _names_loaded(stmt: ast.AST) -> Set[str]:
@@ -107,7 +42,13 @@ class ResourceLeakRule(Rule):
     id = "RDP101"
     title = "every acquired grant is released on every CFG path"
     severity = "error"
-    paths = DATA_PLANE_PATHS
+    #: The simulated data plane: where processes run and resources live.
+    paths = (
+        "*/repro/sim/*",
+        "*/repro/core/*",
+        "*/repro/hdfs/*",
+        "*/repro/faults.py",
+    )
 
     ACQUIRE_METHODS = frozenset({"request", "acquire"})
 
@@ -226,508 +167,3 @@ class ResourceLeakRule(Rule):
                 f"grant {var!r} from {receiver}.{{request,acquire}}() can leak: "
                 f"{how} leaves {qualname}() without releasing it; {fix}",
             )
-
-
-# ----------------------------------------------------------------------
-# RDP102 -- read-modify-write of shared state spanning a yield.
-# ----------------------------------------------------------------------
-class StaleYieldStateRule(Rule):
-    id = "RDP102"
-    title = "no write-back of shared state read before a yield"
-    severity = "error"
-    paths = DATA_PLANE_PATHS
-
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        for qualname in sorted(ctx.function_cfgs()):
-            cfg = ctx.function_cfgs()[qualname]
-            if not cfg.is_generator:
-                continue
-            yield from self._check_function(ctx, qualname, cfg)
-
-    def _check_function(
-        self, ctx: FileContext, qualname: str, cfg: CFG
-    ) -> Iterator[Finding]:
-        # var definitions of interest: local = <pure attribute chain>.
-        chain_defs: Dict[Tuple[str, int], str] = {}  # (var, def node) -> chain
-        writebacks: List[Tuple[int, str, Set[str]]] = []  # (node, chain, rhs names)
-        for node in cfg.statement_nodes():
-            stmt = node.stmt
-            if not isinstance(stmt, ast.Assign) or len(stmt.targets) != 1:
-                continue
-            target = stmt.targets[0]
-            if isinstance(target, ast.Name):
-                chain = _pure_chain(stmt.value)
-                if chain is not None and "." in chain:
-                    chain_defs[(target.id, node.index)] = chain
-            elif isinstance(target, ast.Attribute):
-                chain = _pure_chain(target)
-                if chain is not None:
-                    writebacks.append((node.index, chain, _names_loaded(stmt.value)))
-        if not chain_defs or not writebacks:
-            return
-
-        in_states, _out = run_forward(cfg, ReachingDefinitions())
-        for node_index, chain, rhs_names in writebacks:
-            state = in_states[node_index]
-            if state is None:
-                continue
-            for var in sorted(rhs_names):
-                for site, crossed in sorted(state.get(var, frozenset())):
-                    if not crossed:
-                        continue
-                    if chain_defs.get((var, site)) != chain:
-                        continue
-                    stmt = cfg.nodes[node_index].stmt
-                    assert stmt is not None
-                    yield self.finding(
-                        ctx,
-                        stmt,
-                        f"{qualname}() writes {chain} back from {var!r}, which "
-                        f"was read at line {getattr(cfg.nodes[site].stmt, 'lineno', '?')} "
-                        "before a yield; the world can change across a "
-                        "suspension -- re-read after resumption",
-                    )
-
-
-# ----------------------------------------------------------------------
-# RDP103 -- every random draw flows from a named seeded stream.
-# ----------------------------------------------------------------------
-class RngDisciplineRule(Rule):
-    id = "RDP103"
-    title = "random draws flow from seeded streams threaded through parameters"
-    severity = "error"
-    paths = DATA_PLANE_PATHS + ("*/repro/analysis/*",)
-
-    #: Method names that consume randomness from a stream object.
-    DRAW_METHODS = frozenset(
-        {
-            "random", "randint", "randrange", "getrandbits", "choice", "choices",
-            "shuffle", "sample", "uniform", "gauss", "normalvariate", "expovariate",
-            "betavariate", "triangular", "vonmisesvariate", "paretovariate",
-            "weibullvariate", "lognormvariate",
-            # numpy Generator draws used in this repo
-            "poisson", "exponential", "weibull", "normal", "standard_normal",
-            "integers", "binomial", "hypergeometric", "permutation",
-        }
-    )
-    #: Constructors that yield a *seeded* stream when given arguments.
-    SEEDED_CTORS = frozenset({"Random", "default_rng", "RandomState", "SeedSequence"})
-    #: Parameter/attribute names that denote a stream by convention.
-    RNG_NAMES = frozenset(
-        {"rng", "rnd", "rand", "prng", "stream", "seedseq", "seed_seq", "rng_stream"}
-    )
-    RNG_ANNOTATIONS = frozenset({"Random", "Generator", "RandomState", "SeedSequence"})
-
-    # -- blessing -------------------------------------------------------
-    def _rngish_name(self, name: str) -> bool:
-        return name in self.RNG_NAMES or "rng" in name.lstrip("_")
-
-    def _rngish_param(self, arg: ast.arg) -> bool:
-        if self._rngish_name(arg.arg):
-            return True
-        if arg.annotation is not None:
-            dotted = _dotted(arg.annotation)
-            if dotted is not None and dotted.rsplit(".", 1)[-1] in self.RNG_ANNOTATIONS:
-                return True
-        return False
-
-    def _seeded_ctor(self, call: ast.Call) -> bool:
-        dotted = _dotted(call.func)
-        if dotted is None:
-            return False
-        return dotted.rsplit(".", 1)[-1] in self.SEEDED_CTORS and bool(
-            call.args or call.keywords
-        )
-
-    def _blessed(self, expr: ast.AST, blessed_names: Set[str]) -> bool:
-        """Is the expression traceable to a named seeded stream?"""
-        if isinstance(expr, ast.Name):
-            return expr.id in blessed_names or self._rngish_name(expr.id)
-        if isinstance(expr, ast.Attribute):
-            # self._rng, model.rng, ... -- an rng-ish *attribute name* is
-            # the naming discipline; assignments to such attributes are
-            # themselves checked at the assignment site.
-            return self._rngish_name(expr.attr)
-        if isinstance(expr, ast.Call):
-            if self._seeded_ctor(expr):
-                return True
-            if isinstance(expr.func, ast.Attribute) and expr.func.attr == "spawn":
-                return self._blessed(expr.func.value, blessed_names)
-            # An rng-ish *factory* (make_rng, self._trial_rng) is the same
-            # naming discipline one call deeper; its body is checked when
-            # its own function is visited.
-            dotted = _dotted(expr.func)
-            if dotted is not None and self._rngish_name(dotted.rsplit(".", 1)[-1]):
-                return True
-            return False
-        if isinstance(expr, ast.Subscript):
-            return self._blessed(expr.value, blessed_names)
-        if isinstance(expr, ast.Starred):
-            return self._blessed(expr.value, blessed_names)
-        return False
-
-    # -- the check ------------------------------------------------------
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        graph = ctx.callgraph()
-        for qualname in sorted(graph.functions):  # type: ignore[attr-defined]
-            info = graph.functions[qualname]  # type: ignore[attr-defined]
-            yield from self._check_function(ctx, graph, info)
-
-    def _check_function(self, ctx: FileContext, graph: object, info: object) -> Iterator[Finding]:
-        func = info.node  # type: ignore[attr-defined]
-        blessed: Set[str] = set()
-        args = func.args
-        for arg in args.posonlyargs + args.args + args.kwonlyargs:
-            if self._rngish_param(arg):
-                blessed.add(arg.arg)
-        # One pass in source order: locals assigned from blessed values
-        # are blessed from then on (flow-insensitive but line-ordered,
-        # which matches how straight-line seeding code reads).
-        statements = _own_statements(func)
-        for stmt in statements:
-            if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1:
-                target = stmt.targets[0]
-                if isinstance(target, ast.Name) and self._blessed(stmt.value, blessed):
-                    blessed.add(target.id)
-                # Assignments *to* rng-ish names must themselves be blessed:
-                # naming something `rng` and binding it to ambient state is
-                # how hidden global streams sneak in.
-                for tgt, name in self._rngish_targets(stmt):
-                    if not self._blessed(stmt.value, blessed):
-                        yield self.finding(
-                            ctx,
-                            stmt,
-                            f"{name!r} is bound to a value that is not a seeded "
-                            "stream (seeded Random/default_rng/SeedSequence, a "
-                            "spawn of one, or an rng parameter); seed it "
-                            "explicitly and thread it through parameters",
-                        )
-        for node in _own_nodes(func):
-            if (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr in self.DRAW_METHODS
-                and self._looks_like_stream(node.func.value)
-                and not self._blessed(node.func.value, blessed)
-            ):
-                receiver = _dotted(node.func.value) or "<expr>"
-                yield self.finding(
-                    ctx,
-                    node,
-                    f"random draw {receiver}.{node.func.attr}() does not "
-                    "flow from a named seeded stream; thread a seeded "
-                    "Random/SeedSequence through parameters (RDP103)",
-                )
-        # Interprocedural: call sites binding a callee's rng-ish
-        # parameter must pass a blessed stream.
-        for site in info.calls:  # type: ignore[attr-defined]
-            if site.resolved is None:
-                continue
-            callee = graph.functions[site.resolved]  # type: ignore[attr-defined]
-            yield from self._check_call_site(ctx, site, callee, blessed)
-
-    def _rngish_targets(self, stmt: ast.Assign) -> List[Tuple[ast.AST, str]]:
-        out = []
-        for target in stmt.targets:
-            if isinstance(target, ast.Name) and self._rngish_name(target.id):
-                out.append((target, target.id))
-            elif isinstance(target, ast.Attribute) and self._rngish_name(target.attr):
-                out.append((target, _pure_chain(target) or target.attr))
-        return out
-
-    def _looks_like_stream(self, receiver: ast.AST) -> bool:
-        """Only name/attribute receivers are judged (no call results)."""
-        return _pure_chain(receiver) is not None
-
-    def _check_call_site(
-        self, ctx: FileContext, site: object, callee: object, blessed: Set[str]
-    ) -> Iterator[Finding]:
-        call: ast.Call = site.node  # type: ignore[attr-defined]
-        params: List[str] = callee.params  # type: ignore[attr-defined]
-        callee_args = callee.node.args  # type: ignore[attr-defined]
-        rngish = {
-            arg.arg
-            for arg in callee_args.posonlyargs + callee_args.args + callee_args.kwonlyargs
-            if self._rngish_param(arg)
-        }
-        if not rngish:
-            return
-        # Positional args: offset by one for bound-method calls (self).
-        offset = 0
-        if params and params[0] in ("self", "cls"):
-            dotted = site.callee  # type: ignore[attr-defined]
-            if "." in dotted or dotted == callee.qualname.split(".", 1)[0]:  # type: ignore[attr-defined]
-                offset = 1
-        bindings: List[Tuple[str, ast.AST]] = []
-        for index, arg in enumerate(call.args):
-            if isinstance(arg, ast.Starred):
-                continue
-            slot = index + offset
-            if slot < len(params):
-                bindings.append((params[slot], arg))
-        for keyword in call.keywords:
-            if keyword.arg is not None:
-                bindings.append((keyword.arg, keyword.value))
-        for name, value in bindings:
-            if name in rngish and not self._blessed(value, blessed):
-                yield self.finding(
-                    ctx,
-                    value,
-                    f"argument for {callee.qualname}(..., {name}=...) is not a "  # type: ignore[attr-defined]
-                    "seeded stream; pass the caller's named rng (or a spawn "
-                    "of it), never ambient state (RDP103)",
-                )
-
-
-# ----------------------------------------------------------------------
-# RDP104 -- same-instant callbacks racing on shared attribute chains.
-# ----------------------------------------------------------------------
-class SameInstantHazardRule(Rule):
-    id = "RDP104"
-    title = "same-instant callbacks must not race on shared state"
-    severity = "error"
-    paths = DATA_PLANE_PATHS
-
-    #: Call attributes that enqueue a callable for the *current* instant.
-    REGISTRARS = frozenset({"add_callback", "_schedule_callback", "add_flush_hook"})
-
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        for qualname in sorted(ctx.function_cfgs()):
-            cfg = ctx.function_cfgs()[qualname]
-            yield from self._check_function(ctx, qualname, cfg.func)
-
-    def _check_function(self, ctx: FileContext, qualname: str, func: ast.AST) -> Iterator[Finding]:
-        local_defs: Dict[str, ast.AST] = {}
-        for stmt in _own_statements(func):
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                local_defs[stmt.name] = stmt
-        registrations: List[Tuple[ast.Call, str, ast.AST]] = []
-        for node in _own_nodes(func):
-            if (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr in self.REGISTRARS
-                and node.args
-            ):
-                callback = node.args[0]
-                if isinstance(callback, ast.Name) and callback.id in local_defs:
-                    registrations.append((node, callback.id, local_defs[callback.id]))
-                elif isinstance(callback, ast.Lambda):
-                    registrations.append((node, "<lambda>", callback))
-        registrations.sort(key=lambda reg: (reg[0].lineno, reg[0].col_offset))
-        if len(registrations) < 2:
-            return
-        effects = [
-            (call, name, self._chain_effects(body))
-            for call, name, body in registrations
-        ]
-        for later in range(1, len(effects)):
-            call_b, name_b, (reads_b, writes_b) = effects[later]
-            for earlier in range(later):
-                _call_a, name_a, (reads_a, writes_a) = effects[earlier]
-                conflict = (writes_a & (reads_b | writes_b)) | (writes_b & reads_a)
-                if conflict:
-                    chains = ", ".join(sorted(conflict))
-                    yield self.finding(
-                        ctx,
-                        call_b,
-                        f"same-instant callbacks {name_a!r} and {name_b!r} in "
-                        f"{qualname}() both touch {chains}; now-bucket dispatch "
-                        "order is registration order, an accident -- chain the "
-                        "events explicitly or mutate in one place (RDP104)",
-                    )
-
-    @staticmethod
-    def _chain_effects(func: ast.AST) -> Tuple[Set[str], Set[str]]:
-        """(reads, writes) of pure attribute chains in a callback body."""
-        reads: Set[str] = set()
-        writes: Set[str] = set()
-        body = func.body if isinstance(func.body, list) else [func.body]
-        for stmt in body:
-            for node in ast.walk(stmt):
-                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-                    continue
-                if isinstance(node, ast.Attribute):
-                    chain = _pure_chain(node)
-                    if chain is None or "." not in chain:
-                        continue
-                    if isinstance(node.ctx, (ast.Store, ast.Del)):
-                        writes.add(chain)
-                    else:
-                        reads.add(chain)
-        # A chain both written and read inside one callback is internal
-        # sequencing, not a cross-callback race input by itself.
-        return reads, writes
-
-
-# ----------------------------------------------------------------------
-# RDP105 -- snapshot capture graph holds no ambient handles.
-# ----------------------------------------------------------------------
-class SnapshotSafetyRule(Rule):
-    id = "RDP105"
-    title = "snapshot-captured classes hold no ambient handles"
-    severity = "error"
-    paths = (
-        "*/repro/sim/*",
-        "*/repro/core/*",
-        "*/repro/hdfs/*",
-        "*/repro/storage/*",
-    )
-
-    #: (class name, attribute) pairs reviewed as intentional custody.
-    EXCLUSIONS: FrozenSet[Tuple[str, str]] = frozenset()
-
-    #: Value shapes that denote ambient, process-local handles.
-    AMBIENT_CALLS = frozenset({"open", "active_tracer", "active_profiler", "active_sampler"})
-    AMBIENT_CHAINS = frozenset({"sys.stdout", "sys.stderr", "sys.stdin"})
-
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, ast.ClassDef):
-                yield from self._check_class(ctx, node)
-
-    def _check_class(self, ctx: FileContext, cls: ast.ClassDef) -> Iterator[Finding]:
-        base_names = {
-            dotted.rsplit(".", 1)[-1]
-            for base in cls.bases
-            if (dotted := _dotted(base)) is not None
-        }
-        inline_state = "InlineState" in base_names and cls.name != "InlineState"
-        has_snapshot_hook = any(
-            isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef))
-            and member.name in ("snapshot", "from_snapshot")
-            for member in cls.body
-        )
-        defines_getstate = any(
-            isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef))
-            and member.name == "__getstate__"
-            for member in cls.body
-        )
-        if inline_state:
-            for member in cls.body:
-                if (
-                    isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef))
-                    and member.name == "__setstate__"
-                ):
-                    yield self.finding(
-                        ctx,
-                        member,
-                        f"{cls.name} subclasses InlineState but overrides "
-                        "__setstate__, silently defeating the inline-storage "
-                        "restore path every snapshot relies on",
-                    )
-        if not inline_state and not has_snapshot_hook:
-            return
-        slots = self._declared_slots(cls)
-        init = next(
-            (
-                member
-                for member in cls.body
-                if isinstance(member, ast.FunctionDef) and member.name == "__init__"
-            ),
-            None,
-        )
-        if init is None:
-            return
-        for stmt in ast.walk(init):
-            if not isinstance(stmt, ast.Assign):
-                continue
-            for target in stmt.targets:
-                if not (
-                    isinstance(target, ast.Attribute)
-                    and isinstance(target.value, ast.Name)
-                    and target.value.id == "self"
-                ):
-                    continue
-                attr = target.attr
-                if slots is not None and attr not in slots:
-                    yield self.finding(
-                        ctx,
-                        stmt,
-                        f"{cls.name}.__init__ assigns self.{attr} which is not "
-                        f"in the declared __slots__; snapshot restore walks the "
-                        "declared layout, so undeclared attributes silently "
-                        "vanish (or fail) across capture/restore",
-                    )
-                if defines_getstate or (cls.name, attr) in self.EXCLUSIONS:
-                    continue
-                if self._ambient_value(stmt.value):
-                    yield self.finding(
-                        ctx,
-                        stmt,
-                        f"{cls.name}.__init__ binds self.{attr} to an ambient "
-                        "handle (file/tracer/std stream); snapshot capture "
-                        "would pickle process-local state -- keep handles out "
-                        "of the capture graph or declare custody via "
-                        "__getstate__",
-                    )
-
-    @staticmethod
-    def _declared_slots(cls: ast.ClassDef) -> Optional[Set[str]]:
-        for member in cls.body:
-            if (
-                isinstance(member, ast.Assign)
-                and len(member.targets) == 1
-                and isinstance(member.targets[0], ast.Name)
-                and member.targets[0].id == "__slots__"
-            ):
-                value = member.value
-                if isinstance(value, (ast.Tuple, ast.List, ast.Set)):
-                    names = {
-                        elt.value
-                        for elt in value.elts
-                        if isinstance(elt, ast.Constant) and isinstance(elt.value, str)
-                    }
-                    return names if names else None  # () means "no opinion"
-        return None
-
-    def _ambient_value(self, value: ast.AST) -> bool:
-        for node in ast.walk(value):
-            if isinstance(node, ast.Call):
-                dotted = _dotted(node.func)
-                if dotted is not None and dotted.rsplit(".", 1)[-1] in self.AMBIENT_CALLS:
-                    return True
-            chain = _pure_chain(node)
-            if chain in self.AMBIENT_CHAINS:
-                return True
-        return False
-
-
-# Shared helper: a function's own statements, nested defs left opaque
-# (their bodies are visited via their own FunctionInfo/CFG entries).
-def _own_statements(func: ast.AST) -> List[ast.stmt]:
-    out: List[ast.stmt] = []
-    stack: List[ast.stmt] = list(getattr(func, "body", []))
-    while stack:
-        stmt = stack.pop(0)
-        out.append(stmt)
-        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            continue
-        for field in ("body", "orelse", "finalbody"):
-            stack.extend(getattr(stmt, field, []) or [])
-        for handler in getattr(stmt, "handlers", []) or []:
-            stack.extend(handler.body)
-    return out
-
-
-def _own_nodes(func: ast.AST) -> Iterator[ast.AST]:
-    """Every AST node in the function's own body, each exactly once,
-    nested function/lambda bodies left opaque."""
-    stack: List[ast.AST] = list(ast.iter_child_nodes(func))
-    while stack:
-        node = stack.pop()
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-            continue
-        yield node
-        stack.extend(ast.iter_child_nodes(node))
-
-
-def FLOW_RULES() -> List[Rule]:
-    """The flow-sensitive rule set, in id order."""
-    return [
-        ResourceLeakRule(),
-        StaleYieldStateRule(),
-        RngDisciplineRule(),
-        SameInstantHazardRule(),
-        SnapshotSafetyRule(),
-    ]

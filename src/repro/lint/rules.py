@@ -47,7 +47,6 @@ __all__ = [
     "TraceTaxonomyRule",
     "FloatSumRule",
     "AnnotationRule",
-    "DEFAULT_RULES",
     "default_rules",
 ]
 
@@ -610,8 +609,8 @@ class AnnotationRule(Rule):
 
 
 def default_rules(taxonomy: Optional[frozenset] = None) -> List[Rule]:
-    """The standard rule set, in id order: flat rules then flow rules."""
-    from .flowrules import FLOW_RULES
+    """The standard rule set, in id order: flat rules then RDP101."""
+    from .flowrules import ResourceLeakRule
 
     return [
         WallClockRule(),
@@ -620,9 +619,5 @@ def default_rules(taxonomy: Optional[frozenset] = None) -> List[Rule]:
         TraceTaxonomyRule(categories=taxonomy),
         FloatSumRule(),
         AnnotationRule(),
-    ] + FLOW_RULES()
-
-
-#: Instantiated standard rules (module-import side-effect free except
-#: for the taxonomy import inside TraceTaxonomyRule).
-DEFAULT_RULES = default_rules
+        ResourceLeakRule(),
+    ]

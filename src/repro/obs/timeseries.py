@@ -25,7 +25,8 @@ Design constraints, in order -- the same three the tracer obeys:
    so the disabled path costs one attribute load per run.
 3. **No sim imports.**  ``sim/engine.py`` imports this module; the
    reverse would be a cycle.  The MetricSet is duck-typed through its
-   ``as_dict`` contract and the bucket-quantile kernel is local.
+   ``as_dict`` contract, and the bucket-quantile kernel lives here
+   (``sim/stats.py`` imports it).
 """
 
 from __future__ import annotations
@@ -55,6 +56,7 @@ __all__ = [
     "deactivate",
     "active_sampler",
     "capture",
+    "percentile_from_buckets",
     "write_timeseries",
     "load_timeseries",
 ]
@@ -79,17 +81,18 @@ def percentile_label(q: float) -> str:
     return "p" + format(q * 100.0, "g").replace(".", "")
 
 
-def _percentile_from_buckets(
+def percentile_from_buckets(
     bounds: Tuple[float, ...],
     counts: List[int],
     q: float,
     observed_max: float,
 ) -> float:
-    """Bucket-quantile estimate with linear interpolation.
+    """Bucket-quantile kernel shared by ``sim.stats.Histogram`` and the
+    windowed deltas here: linear interpolation within the bucket holding
+    the target rank.
 
-    Local twin of :func:`repro.sim.stats.percentile_from_buckets` (this
-    module must not import the sim stack); the arithmetic is identical
-    and cross-checked in the tests.
+    ``counts`` has ``len(bounds) + 1`` entries; the last bucket is
+    open-ended and interpolates toward ``observed_max``.
     """
     total = sum(counts)
     if total == 0:
@@ -329,7 +332,7 @@ class Sampler:
         if window_count > 0:
             values[f"{key}:mean"] = delta_sum / window_count
         for q in self.percentiles:
-            values[f"{key}:{percentile_label(q)}"] = _percentile_from_buckets(
+            values[f"{key}:{percentile_label(q)}"] = percentile_from_buckets(
                 bounds, delta_counts, q, observed_max
             )
 

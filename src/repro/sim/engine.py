@@ -895,7 +895,7 @@ class Simulator:
             if target != due:
                 # The caller's horizon precedes the next tick.
                 return
-            sampler.sample(self)  # raidp: noqa[RDP103] -- deterministic calendar tick recorder, not a random draw
+            sampler.sample(self)
 
     def _drain_profiled(self, until: Optional[float], profile: Any) -> None:
         """The run loop with per-dispatch attribution.

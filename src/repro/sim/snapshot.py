@@ -31,10 +31,9 @@ Correctness model
   is unreachable, not merely unlikely to be reused.  Staleness is a key
   miss, never a wrong restore.
 
-The default store is in-memory and per-process; ``fork``-context pool
-workers inherit the parent's store for free.  Setting
-``RAIDP_SNAPSHOT_DIR`` spills snapshots to disk so spawn-context workers
-and repeated CLI invocations can share them.
+The store is in-memory and per-process; ``fork``-context pool workers
+inherit the parent's store for free, and spawn-context workers receive
+the snapshots they need as pickled dependency results.
 
 When a span tracer is active the store is bypassed and builders run
 cold: the warmup's spans belong in the trace, and restored simulators
@@ -51,23 +50,7 @@ from typing import Any, Callable, Dict, Optional
 from repro.errors import SimulationError
 from repro.obs.tracer import active_tracer
 
-#: Optional on-disk spill directory (shared across processes/invocations).
-SNAPSHOT_DIR_ENV = "RAIDP_SNAPSHOT_DIR"
-
-#: Set to ``0``/``false``/``no`` to force cold builds everywhere (used by
-#: the cold-vs-warm differential tests and ``bench --before/--after``).
-WARM_START_ENV = "RAIDP_WARM_START"
-
 _code_digest: Optional[str] = None
-
-
-def warm_start_enabled() -> bool:
-    """True unless ``RAIDP_WARM_START`` disables the snapshot store."""
-    return os.environ.get(WARM_START_ENV, "1").strip().lower() not in (
-        "0",
-        "false",
-        "no",
-    )
 
 
 def code_fingerprint() -> str:
@@ -98,32 +81,6 @@ def snapshot_key(tag: str, **params: Any) -> str:
     """Canonical store key: tag, sorted parameters, code fingerprint."""
     inner = ",".join(f"{name}={params[name]!r}" for name in sorted(params))
     return f"{tag}({inner})@{code_fingerprint()}"
-
-
-def phase_key(base_key: str, boundary: float) -> str:
-    """Full key of a *phase* snapshot: base key + phase-boundary time.
-
-    A phase snapshot captures a cluster after a warmup phase (data
-    ingest, journal flush) rather than after bare assembly, so its
-    identity includes the simulated time at which the phase ended.  The
-    boundary is a product of the build -- it cannot be computed before
-    running the warmup -- which is why stores keep a ``base_key ->
-    full_key`` index (:meth:`SnapshotStore.resolve_phase`): warm lookups
-    start from the pre-run key, but the stored artifact is named by what
-    was actually captured.
-    """
-    return f"{base_key}+t={boundary!r}"
-
-
-def phase_boundary(obj: Any) -> float:
-    """The phase-boundary time of a built cluster: its simulator's now."""
-    sim = getattr(obj, "sim", None)
-    if sim is None:
-        raise SimulationError(
-            f"phase snapshot target {type(obj).__name__} has no .sim; "
-            "cannot read its phase-boundary time"
-        )
-    return float(sim.now)
 
 
 def capture(obj: Any) -> bytes:
@@ -179,110 +136,17 @@ class InlineState:
 
 
 class SnapshotStore:
-    """A keyed snapshot cache: in-memory, optionally spilled to disk."""
+    """A keyed, in-memory snapshot cache."""
 
-    def __init__(self, directory: Optional[str] = None) -> None:
+    def __init__(self) -> None:
         self._memory: Dict[str, bytes] = {}
-        #: base key -> full key for phase snapshots (boundary time is
-        #: part of the stored key but unknown before the warmup runs).
-        self._phase_index: Dict[str, str] = {}
-        self._directory = directory
         self.hits = 0
         self.misses = 0
-
-    def _spill_dir(self) -> Optional[str]:
-        if self._directory is not None:
-            return self._directory
-        env = os.environ.get(SNAPSHOT_DIR_ENV, "").strip()
-        return env or None
-
-    def _spill_path(self, key: str) -> Optional[str]:
-        directory = self._spill_dir()
-        if directory is None:
-            return None
-        digest = hashlib.sha256(key.encode("utf-8")).hexdigest()
-        return os.path.join(directory, f"{digest}.snap")
-
-    def get(self, key: str) -> Optional[bytes]:
-        blob = self._memory.get(key)
-        if blob is not None:
-            return blob
-        path = self._spill_path(key)
-        if path is not None and os.path.exists(path):
-            with open(path, "rb") as handle:  # raidp: noqa[RDP003] -- spill-store read between simulations, not in a sim process
-                blob = handle.read()
-            self._memory[key] = blob
-            return blob
-        return None
-
-    def put(self, key: str, blob: bytes) -> None:
-        self._memory[key] = blob
-        path = self._spill_path(key)
-        if path is not None:
-            os.makedirs(os.path.dirname(path), exist_ok=True)
-            # Atomic publish: spawn-context siblings may race on the same
-            # key, and both write identical bytes (same code, same key).
-            tmp = f"{path}.tmp.{os.getpid()}"
-            with open(tmp, "wb") as handle:  # raidp: noqa[RDP003] -- spill-store write between simulations, not in a sim process
-                handle.write(blob)
-            os.replace(tmp, path)
 
     def clear(self) -> None:
         self._memory.clear()
-        self._phase_index.clear()
         self.hits = 0
         self.misses = 0
-
-    def resolve_phase(self, base_key: str) -> Optional[str]:
-        """Map a phase snapshot's pre-run key to its stored full key."""
-        full_key = self._phase_index.get(base_key)
-        if full_key is not None:
-            return full_key
-        path = self._spill_path(base_key)
-        if path is not None and os.path.exists(path + ".key"):
-            with open(path + ".key", encoding="utf-8") as handle:  # raidp: noqa[RDP003] -- spill-store index read between simulations, not in a sim process
-                full_key = handle.read().strip()
-            self._phase_index[base_key] = full_key
-            return full_key
-        return None
-
-    def _publish_phase(self, base_key: str, full_key: str) -> None:
-        self._phase_index[base_key] = full_key
-        path = self._spill_path(base_key)
-        if path is not None:
-            os.makedirs(os.path.dirname(path), exist_ok=True)
-            tmp = f"{path}.key.tmp.{os.getpid()}"
-            with open(tmp, "w", encoding="utf-8") as handle:  # raidp: noqa[RDP003] -- spill-store index write between simulations, not in a sim process
-                handle.write(full_key)
-            os.replace(tmp, path + ".key")
-
-    def get_or_build_phase(self, base_key: str, builder: Callable[[], Any]) -> Any:
-        """:meth:`get_or_build` for snapshots taken after a warmup phase.
-
-        ``builder`` assembles a cluster *and* runs its failure-free
-        warmup (ingest, journal flush) to quiescence; the snapshot
-        captures that post-warmup state, and the stored key embeds the
-        phase-boundary time (:func:`phase_key`) read off the built
-        cluster.  Lookups resolve ``base_key`` through the phase index
-        first, so warm callers never re-simulate the warmup.  Identity
-        contract is get_or_build's: built-and-captured on a miss,
-        restored copy on a hit, and a missing/stale snapshot is a
-        rebuild, never a wrong restore.
-        """
-        if not warm_start_enabled() or active_tracer().enabled:
-            return builder()
-        full_key = self.resolve_phase(base_key)
-        if full_key is not None:
-            blob = self.get(full_key)
-            if blob is not None:
-                self.hits += 1
-                return restore(blob)
-        self.misses += 1
-        obj = builder()
-        full_key = phase_key(base_key, phase_boundary(obj))
-        self.put(full_key, capture(obj))
-        self._publish_phase(base_key, full_key)
-        return obj
 
     def get_or_build(self, key: str, builder: Callable[[], Any]) -> Any:
         """Return the cluster under ``key``, building it at most once.
@@ -296,15 +160,15 @@ class SnapshotStore:
         warm-start differential tests pin this; :class:`InlineState`
         makes it hold for wall-clock behaviour too).
         """
-        if not warm_start_enabled() or active_tracer().enabled:
+        if active_tracer().enabled:
             return builder()
-        blob = self.get(key)
+        blob = self._memory.get(key)
         if blob is not None:
             self.hits += 1
             return restore(blob)
         self.misses += 1
         obj = builder()
-        self.put(key, capture(obj))
+        self._memory[key] = capture(obj)
         return obj
 
 

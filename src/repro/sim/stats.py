@@ -16,6 +16,8 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from math import fsum
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple, Union
+
+from repro.obs.timeseries import percentile_from_buckets
 from repro.sim.snapshot import InlineState
 
 
@@ -249,37 +251,6 @@ class Histogram(InlineState):
             "bounds": list(self.bounds),
             "counts": list(self.counts),
         }
-
-
-def percentile_from_buckets(
-    bounds: Tuple[float, ...],
-    counts: List[int],
-    q: float,
-    observed_max: float,
-) -> float:
-    """Shared bucket-quantile kernel for Histogram and windowed deltas.
-
-    ``counts`` has ``len(bounds) + 1`` entries; the last bucket is
-    open-ended and interpolates toward ``observed_max``.
-    """
-    total = sum(counts)
-    if total == 0:
-        return 0.0
-    target = q * total
-    cumulative = 0
-    for index, count in enumerate(counts):
-        if count == 0:
-            continue
-        previous = cumulative
-        cumulative += count
-        if cumulative >= target:
-            lo = bounds[index - 1] if index > 0 else 0.0
-            hi = bounds[index] if index < len(bounds) else observed_max
-            if hi < lo:
-                hi = lo
-            fraction = (target - previous) / count if count else 0.0
-            return lo + (hi - lo) * fraction
-    return observed_max
 
 
 def _key(name: str, labels: Dict[str, Any]) -> str:

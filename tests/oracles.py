@@ -1,9 +1,10 @@
 """Reference implementations the differential suites compare against.
 
 Oracles are test-side code: production modules carry no switch, branch
-or hook for them.  Each subclasses the production class and replaces the
-optimized decisions with the obvious ones, so a defect in the optimized
-path shows up as a disagreement.
+or hook for them.  The classes subclass the production class and replace
+the optimized decisions with the obvious ones; the two functions at the
+end run, in one simulator, a schedule production splits across two.
+Either way a defect in the production path shows up as a disagreement.
 """
 
 from __future__ import annotations
@@ -11,12 +12,16 @@ from __future__ import annotations
 import heapq
 from typing import Any
 
+from repro import units
 from repro.core.placement import RaidpPlacement
+from repro.core.recovery import _Raid6Rig, _raid6_xor_rate
 from repro.errors import PlacementError
+from repro.experiments import ext_scale
 from repro.hdfs.block import BlockLocations
 from repro.hdfs.namenode import healthy_datanode
 from repro.sim.engine import Event, Simulator, Timeout
 from repro.sim.network import Switch
+from repro.workloads.dfsio import dfsio_write
 
 
 class HeapSimulator(Simulator):
@@ -190,3 +195,27 @@ class FullScanPlacement(RaidpPlacement):
                 pair.insert(0, pair.pop(index))
                 break
         return BlockLocations(block=block, datanodes=pair, sc_id=sc_id, slot=slot)
+
+
+def raid6_rebuild_single_sim(data_per_disk, surviving_disks, chunk_size, nic_rate):
+    """The RAID-6 double rebuild as one schedule: gather+decode, then
+    writeback, in the same simulator.  Returns the completion time."""
+    rig = _Raid6Rig(surviving_disks, chunk_size, nic_rate, None)
+    xor_rate = _raid6_xor_rate(chunk_size, None)
+
+    def rebuild():
+        yield from rig.read_all(data_per_disk, xor_rate)
+        yield from rig.write_all(data_per_disk)
+
+    rig.sim.run_process(rebuild())
+    return rig.sim.now
+
+
+def ext_scale_raidp_single_sim(num_nodes, seed):
+    """One ext-scale RAIDP point without the snapshot hand-off: ingest
+    and worst-pair recovery on the same cluster, no sampler attached.
+    Returns (write seconds, net GB per node, recovery seconds)."""
+    dfs = ext_scale._build("raidp", num_nodes, seed)
+    write = dfsio_write(dfs, num_nodes * ext_scale.BYTES_PER_NODE)
+    per_node_gb = dfs.switch.total_bytes / num_nodes / units.GB
+    return write.runtime, per_node_gb, ext_scale._recover_worst_pair(dfs)

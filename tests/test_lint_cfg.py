@@ -1,7 +1,7 @@
-"""CFG builder, dataflow solver, and call graph unit tests.
+"""CFG builder and gen/kill dataflow solver unit tests.
 
 The golden-file tests pin the exact ``CFG.pretty()`` rendering for the
-control shapes the flow rules lean on hardest: a ``try/finally``
+control shapes RDP101 leans on hardest: a ``try/finally``
 spanning a yield (exception edges must route *through* the finally), a
 ``while/else`` (the else runs only on normal exit), and nested
 generators (inner bodies are opaque to the outer CFG but get their own
@@ -10,14 +10,8 @@ graph).  If the builder's shape drifts, these diffs say exactly where.
 
 import ast
 
-from repro.lint.callgraph import ModuleCallGraph
 from repro.lint.cfg import CFG, build_cfg, function_cfgs
-from repro.lint.dataflow import (
-    GenKillAnalysis,
-    ReachingDefinitions,
-    assigned_names,
-    run_forward,
-)
+from repro.lint.dataflow import GenKillAnalysis, run_forward
 
 
 def cfg_of(source: str, name: str = None):
@@ -176,46 +170,8 @@ def test_build_cfg_rejects_non_functions():
 
 
 # ----------------------------------------------------------------------
-# Dataflow: reaching definitions with the yield-staleness bit.
+# Dataflow: the gen/kill live-acquire lattice.
 # ----------------------------------------------------------------------
-def test_reaching_defs_mark_yield_crossings():
-    source = (
-        "def proc(disk, sim):\n"
-        "    pending = disk.pending\n"
-        "    yield sim.sleep(1.0)\n"
-        "    disk.pending = pending + 1\n"
-    )
-    cfg = cfg_of(source)
-    in_states, _ = run_forward(cfg, ReachingDefinitions())
-    writeback = [n for n in cfg.statement_nodes() if isinstance(n.stmt, ast.Assign)][-1]
-    defs = in_states[writeback.index]["pending"]
-    assert all(crossed for _site, crossed in defs)
-    # Parameters are definitions made at the entry.
-    assert any(site == CFG.ENTRY for site, _ in in_states[writeback.index]["disk"])
-
-
-def test_reaching_defs_fresh_after_reread():
-    source = (
-        "def proc(disk, sim):\n"
-        "    yield sim.sleep(1.0)\n"
-        "    pending = disk.pending\n"
-        "    disk.pending = pending + 1\n"
-    )
-    cfg = cfg_of(source)
-    in_states, _ = run_forward(cfg, ReachingDefinitions())
-    writeback = [n for n in cfg.statement_nodes() if isinstance(n.stmt, ast.Assign)][-1]
-    assert all(not crossed for _site, crossed in in_states[writeback.index]["pending"])
-
-
-def test_assigned_names_cover_the_binding_forms():
-    stmt = ast.parse("a, (b, *c) = x").body[0]
-    assert assigned_names(stmt) == ["a", "b", "c"]
-    stmt = ast.parse("for k, v in items:\n    pass").body[0]
-    assert assigned_names(stmt) == ["k", "v"]
-    stmt = ast.parse("if (n := compute()):\n    pass").body[0]
-    assert "n" in assigned_names(stmt)
-
-
 def test_genkill_exception_edge_keeps_pre_state():
     # token acquired at node A, released at node B; B can raise -- the
     # exception edge out of B must still carry the token (release did
@@ -242,46 +198,3 @@ def test_genkill_exception_edge_keeps_pre_state():
     # The acquire's own exc edge still reaches RAISE_EXIT state-free.
     assert in_states[CFG.RAISE_EXIT] == frozenset()
     assert in_states[CFG.EXIT] == frozenset()
-
-
-# ----------------------------------------------------------------------
-# Call graph.
-# ----------------------------------------------------------------------
-MODULE = """\
-class Base:
-    def ping(self):
-        return 1
-
-class Worker(Base):
-    def __init__(self, sim):
-        self.sim = sim
-
-    def spin(self):
-        yield self.sim.sleep(1.0)
-        self.ping()
-
-def launch(sim):
-    worker = Worker(sim)
-    sim.process(worker.spin())
-    sim.process(plain())
-
-def plain():
-    yield None
-
-def helper():
-    return plain
-"""
-
-
-def test_callgraph_resolution_and_classification():
-    graph = ModuleCallGraph.build(ast.parse(MODULE))
-    assert graph.generators() == ["Worker.spin", "plain"]
-    # self.ping() resolves up the module-local base chain.
-    assert "Base.ping" in graph.callees("Worker.spin")
-    # Worker(sim) resolves to the constructor.
-    assert "Worker.__init__" in graph.callees("launch")
-    assert graph.callers("plain") == ["launch"]
-    # Only generator instantiations handed to *.process() are entries;
-    # worker.spin() is not resolvable module-locally (receiver is a
-    # variable), so plain() is the one classified entry.
-    assert graph.process_entries == ["plain"]

@@ -1,23 +1,17 @@
-"""Seeded-violation fixtures for the flow-sensitive rules RDP101..RDP105.
+"""Seeded-violation fixtures for the flow-sensitive rule RDP101.
 
-Every rule gets at least one snippet that must fire and a matching
-clean snippet encoding the blessed idiom, so a rule change that stops
-catching the hazard -- or starts flagging the fix -- breaks loudly.
-The hypothesis test generates leak/no-leak *pairs* from the same
-skeleton and checks the rule separates them on every draw.
+Snippets that must fire sit beside clean snippets encoding the blessed
+idiom, so a rule change that stops catching the hazard -- or starts
+flagging the fix -- breaks loudly.  The hypothesis test generates
+leak/no-leak *pairs* from the same skeleton and checks the rule
+separates them on every draw.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.lint.engine import LintConfig, LintEngine
-from repro.lint.flowrules import (
-    ResourceLeakRule,
-    RngDisciplineRule,
-    SameInstantHazardRule,
-    SnapshotSafetyRule,
-    StaleYieldStateRule,
-)
+from repro.lint.flowrules import ResourceLeakRule
 
 SIM_PATH = "src/repro/sim/fake.py"
 
@@ -140,253 +134,3 @@ def test_rdp101_differential_leak_vs_no_leak(sleeps, protected, resource):
         assert findings == []
     else:
         assert rule_ids(findings) == ["RDP101"]
-
-
-# ----------------------------------------------------------------------
-# RDP102 -- stale state across a yield.
-# ----------------------------------------------------------------------
-def test_rdp102_flags_read_modify_write_across_yield():
-    source = (
-        "def proc(disk, sim):\n"
-        "    pending = disk.stats.pending\n"
-        "    yield sim.sleep(1.0)\n"
-        "    disk.stats.pending = pending + 1\n"
-    )
-    findings = run_rule(StaleYieldStateRule(), source)
-    assert rule_ids(findings) == ["RDP102"]
-    assert "disk.stats.pending" in findings[0].message
-
-
-def test_rdp102_accepts_reread_after_yield():
-    source = (
-        "def proc(disk, sim):\n"
-        "    yield sim.sleep(1.0)\n"
-        "    pending = disk.stats.pending\n"
-        "    disk.stats.pending = pending + 1\n"
-    )
-    assert run_rule(StaleYieldStateRule(), source) == []
-
-
-def test_rdp102_accepts_unrelated_writeback():
-    # The local came from a *different* chain; writing it elsewhere is
-    # not a read-modify-write of the same cell.
-    source = (
-        "def proc(disk, sim):\n"
-        "    limit = disk.geometry.capacity\n"
-        "    yield sim.sleep(1.0)\n"
-        "    disk.stats.high_water = limit\n"
-    )
-    assert run_rule(StaleYieldStateRule(), source) == []
-
-
-def test_rdp102_flags_only_the_stale_branch():
-    source = (
-        "def proc(disk, sim, fast):\n"
-        "    count = disk.stats.count\n"
-        "    if fast:\n"
-        "        disk.stats.count = count + 1\n"
-        "    else:\n"
-        "        yield sim.sleep(1.0)\n"
-        "        disk.stats.count = count + 1\n"
-    )
-    findings = run_rule(StaleYieldStateRule(), source)
-    assert len(findings) == 1
-    assert findings[0].line == 7
-
-
-# ----------------------------------------------------------------------
-# RDP103 -- RNG stream discipline.
-# ----------------------------------------------------------------------
-def test_rdp103_flags_unblessed_receiver_draw():
-    source = (
-        "def jitter(model, n):\n"
-        "    return [model.helper.random() for _ in range(n)]\n"
-    )
-    findings = run_rule(RngDisciplineRule(), source)
-    assert rule_ids(findings) == ["RDP103"]
-
-
-def test_rdp103_accepts_threaded_rng_parameter():
-    source = "def jitter(rng, n):\n    return [rng.random() for _ in range(n)]\n"
-    assert run_rule(RngDisciplineRule(), source) == []
-
-
-def test_rdp103_accepts_seeded_ctor_and_spawn():
-    source = (
-        "import random\n"
-        "def build(seed):\n"
-        "    rng = random.Random(seed)\n"
-        "    child_rng = rng.spawn(1)\n"
-        "    return rng.random() + child_rng.random()\n"
-    )
-    assert run_rule(RngDisciplineRule(), source) == []
-
-
-def test_rdp103_flags_rng_named_binding_from_ambient_state():
-    source = (
-        "def sneaky(registry):\n"
-        "    rng = registry.global_random\n"
-        "    return rng.random()\n"
-    )
-    findings = run_rule(RngDisciplineRule(), source)
-    assert rule_ids(findings) == ["RDP103"]
-    assert "seeded" in findings[0].message
-
-
-def test_rdp103_interprocedural_call_site_check():
-    source = (
-        "def draw(rng, n):\n"
-        "    return rng.randint(0, n)\n"
-        "def caller(model):\n"
-        "    return draw(model.clock, 10)\n"
-    )
-    findings = run_rule(RngDisciplineRule(), source)
-    assert rule_ids(findings) == ["RDP103"]
-    assert "draw" in findings[0].message
-
-
-def test_rdp103_interprocedural_accepts_blessed_argument():
-    source = (
-        "def draw(rng, n):\n"
-        "    return rng.randint(0, n)\n"
-        "def caller(rng):\n"
-        "    return draw(rng.spawn(1), 10)\n"
-    )
-    assert run_rule(RngDisciplineRule(), source) == []
-
-
-def test_rdp103_accepts_rng_factory_call():
-    source = (
-        "def trial(self, index):\n"
-        "    rng = self._trial_rng(index)\n"
-        "    return rng.random()\n"
-    )
-    assert run_rule(RngDisciplineRule(), source) == []
-
-
-# ----------------------------------------------------------------------
-# RDP104 -- same-instant callback ordering hazards.
-# ----------------------------------------------------------------------
-def test_rdp104_flags_write_read_race():
-    source = (
-        "def transfer(self, ev1, ev2, port):\n"
-        "    def bump(_ev):\n"
-        "        port.stats.flows = port.stats.flows + 1\n"
-        "    def snapshot(_ev):\n"
-        "        total = port.stats.flows\n"
-        "        port.log.append(total)\n"
-        "    ev1.add_callback(bump)\n"
-        "    ev2.add_callback(snapshot)\n"
-    )
-    findings = run_rule(SameInstantHazardRule(), source)
-    assert rule_ids(findings) == ["RDP104"]
-    assert "port.stats.flows" in findings[0].message
-
-
-def test_rdp104_accepts_disjoint_callbacks():
-    source = (
-        "def transfer(self, ev1, ev2, port):\n"
-        "    def bump(_ev):\n"
-        "        port.stats.flows = port.stats.flows + 1\n"
-        "    def log_time(_ev):\n"
-        "        port.log.append(1)\n"
-        "    ev1.add_callback(bump)\n"
-        "    ev2.add_callback(log_time)\n"
-    )
-    assert run_rule(SameInstantHazardRule(), source) == []
-
-
-def test_rdp104_accepts_single_registration():
-    source = (
-        "def transfer(self, ev, port):\n"
-        "    def bump(_ev):\n"
-        "        port.stats.flows = port.stats.flows + 1\n"
-        "    ev.add_callback(bump)\n"
-    )
-    assert run_rule(SameInstantHazardRule(), source) == []
-
-
-def test_rdp104_flags_lambda_conflicts():
-    source = (
-        "def arm(self, ev1, ev2, node):\n"
-        "    ev1.add_callback(lambda _e: setattr(node, 'x', node.stats.seen))\n"
-        "    def reader(_e):\n"
-        "        node.stats.seen = 1\n"
-        "    ev2.add_callback(reader)\n"
-    )
-    findings = run_rule(SameInstantHazardRule(), source)
-    assert rule_ids(findings) == ["RDP104"]
-
-
-# ----------------------------------------------------------------------
-# RDP105 -- snapshot safety.
-# ----------------------------------------------------------------------
-def test_rdp105_flags_ambient_handle_on_inline_state():
-    source = (
-        "class Disk(InlineState):\n"
-        "    def __init__(self, size):\n"
-        "        self.size = size\n"
-        "        self.trace = active_tracer()\n"
-    )
-    findings = run_rule(SnapshotSafetyRule(), source)
-    assert rule_ids(findings) == ["RDP105"]
-    assert "ambient" in findings[0].message
-
-
-def test_rdp105_accepts_getstate_custody():
-    source = (
-        "class Disk(InlineState):\n"
-        "    def __init__(self, size):\n"
-        "        self.size = size\n"
-        "        self.trace = active_tracer()\n"
-        "    def __getstate__(self):\n"
-        "        return {'size': self.size}\n"
-    )
-    assert run_rule(SnapshotSafetyRule(), source) == []
-
-
-def test_rdp105_flags_setstate_override():
-    source = (
-        "class Disk(InlineState):\n"
-        "    def __init__(self, size):\n"
-        "        self.size = size\n"
-        "    def __setstate__(self, state):\n"
-        "        pass\n"
-    )
-    findings = run_rule(SnapshotSafetyRule(), source)
-    assert rule_ids(findings) == ["RDP105"]
-    assert "__setstate__" in findings[0].message
-
-
-def test_rdp105_flags_slots_mismatch():
-    source = (
-        "class Disk(InlineState):\n"
-        "    __slots__ = ('size',)\n"
-        "    def __init__(self, size):\n"
-        "        self.size = size\n"
-        "        self.extra = 1\n"
-    )
-    findings = run_rule(SnapshotSafetyRule(), source)
-    assert rule_ids(findings) == ["RDP105"]
-    assert "__slots__" in findings[0].message
-
-
-def test_rdp105_ignores_classes_outside_the_capture_graph():
-    source = (
-        "class Tool:\n"
-        "    def __init__(self):\n"
-        "        self.out = sys.stdout\n"
-    )
-    assert run_rule(SnapshotSafetyRule(), source) == []
-
-
-def test_rdp105_flags_snapshot_facade_with_open_handle():
-    source = (
-        "class Exporter:\n"
-        "    def __init__(self, path):\n"
-        "        self.handle = open(path, 'w')\n"
-        "    def snapshot(self):\n"
-        "        return dict(self.__dict__)\n"
-    )
-    findings = run_rule(SnapshotSafetyRule(), source)
-    assert rule_ids(findings) == ["RDP105"]

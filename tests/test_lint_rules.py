@@ -247,8 +247,4 @@ def test_default_rules_cover_all_registered_ids():
         "RDP005",
         "RDP006",
         "RDP101",
-        "RDP102",
-        "RDP103",
-        "RDP104",
-        "RDP105",
     ]

@@ -42,6 +42,92 @@ def test_source_tree_has_no_unsuppressed_warnings():
     )
 
 
+# ----------------------------------------------------------------------
+# The kept rules, pinned to the bugs that justify them: each historical
+# defect (DESIGN.md 10.2, 14.4) is re-seeded into the *real* file by text
+# substitution and must draw exactly the finding that caught it.
+# ----------------------------------------------------------------------
+def _mutated(relative, original, replacement):
+    """(path, pristine source, source with the defect re-seeded)."""
+    path = SRC / "repro" / relative
+    source = path.read_text(encoding="utf-8")
+    assert source.count(original) == 1, f"{relative} no longer has {original!r}"
+    return str(path), source, source.replace(original, replacement)
+
+
+def _lines_of(source, text):
+    return [n for n, line in enumerate(source.splitlines(), 1) if line.strip() == text]
+
+
+def _flatten_try_finally(source, acquire):
+    """Dedent the ``try: ... finally: ...`` that follows the ``acquire``
+    line into straight-line acquire / body / release."""
+    lines = source.splitlines(keepends=True)
+    (start,) = [i for i, line in enumerate(lines) if line.strip() == acquire]
+    indent = lines[start][: len(lines[start]) - len(lines[start].lstrip())]
+    assert lines[start + 1] == f"{indent}try:\n"
+    end = start + 2
+    while lines[end].startswith(indent + " ") or lines[end] == f"{indent}finally:\n":
+        end += 1
+    body = [
+        line[4:] for line in lines[start + 2 : end] if line != f"{indent}finally:\n"
+    ]
+    assert len(body) == end - start - 3  # exactly one finally at this depth
+    return "".join(lines[: start + 1] + body + lines[end:])
+
+
+def test_rdp001_catches_the_hash_seeded_payload_bug():
+    path, pristine, mutant = _mutated(
+        "storage/payload.py",
+        '    key = f"{seed}\\x1f{version}\\x1f{name}".encode("utf-8")\n'
+        '    return (zlib.crc32(b"hi\\x1f" + key) << 32) | zlib.crc32(b"lo\\x1f" + key)\n',
+        "    return hash((seed, name, version))\n",
+    )
+    engine = build_engine()
+    assert engine.lint_source(pristine, path=path) == []
+    (finding,) = engine.lint_source(mutant, path=path)
+    assert finding.rule == "RDP001"
+    assert finding.line in _lines_of(mutant, "return hash((seed, name, version))")
+
+
+def test_rdp002_catches_the_set_order_freeze_loop():
+    path, pristine, mutant = _mutated(
+        "core/recovery.py",
+        "        frozen = sorted(\n            {\n",
+        "        frozen = (\n            {\n",
+    )
+    engine = build_engine()
+    assert engine.lint_source(pristine, path=path) == []
+    findings = engine.lint_source(mutant, path=path)
+    assert [f.rule for f in findings] == ["RDP002", "RDP002"]
+    # The freeze and the unfreeze loop of double_failure_body -- not the
+    # single-failure path's loops over a list of the same name.
+    after = _lines_of(mutant, "frozen = (")[0]
+    loops = [n for n in _lines_of(mutant, "for sc_id in frozen:") if n > after]
+    assert [f.line for f in findings] == loops and len(loops) == 2
+
+
+@pytest.mark.parametrize(
+    "acquire, grant, resource",
+    [
+        ("grant = yield lock_whole.request()", "grant", "lock_whole"),
+        ("grant = yield lock_ranges.acquire(offset, offset + run)", "grant", "lock_ranges"),
+        ("bus_grant = yield memory_bus.request()", "bus_grant", "memory_bus"),
+    ],
+)
+def test_rdp101_catches_each_recovery_lock_leak(acquire, grant, resource):
+    path = SRC / "repro" / "core" / "recovery.py"
+    pristine = path.read_text(encoding="utf-8")
+    mutant = _flatten_try_finally(pristine, acquire)
+    engine = build_engine()
+    assert engine.lint_source(pristine, path=str(path)) == []
+    (finding,) = engine.lint_source(mutant, path=str(path))
+    assert finding.rule == "RDP101"
+    assert finding.line in _lines_of(mutant, acquire)
+    assert f"grant {grant!r} from {resource}." in finding.message
+    assert "exception path" in finding.message and "puller()" in finding.message
+
+
 def test_environment_switch_inventory():
     """The ``RAIDP_*`` environment names read under ``src/``, exactly.
 
@@ -56,12 +142,56 @@ def test_environment_switch_inventory():
             if isinstance(node, ast.Constant) and isinstance(node.value, str):
                 if re.fullmatch(r"RAIDP_[A-Z_]+", node.value):
                     names.add(node.value)
-    assert names == {
-        "RAIDP_JOBS",
-        "RAIDP_MP_CONTEXT",
-        "RAIDP_SNAPSHOT_DIR",
-        "RAIDP_WARM_START",
-    }
+    assert names == {"RAIDP_JOBS"}
+
+
+# ----------------------------------------------------------------------
+# DESIGN.md names what the tree holds.
+# ----------------------------------------------------------------------
+DESIGN = (SRC.parent / "DESIGN.md").read_text(encoding="utf-8")
+
+
+def _design_section(number):
+    start = DESIGN.index(f"\n## {number}. ")
+    return DESIGN[start : DESIGN.index("\n## ", start + 1)]
+
+
+def test_design_repository_map_matches_tree():
+    """Every ``name.py`` and ``name/`` in section 6's map exists, and
+    every module of the package is on the map."""
+    block = _design_section(6).split("```")[1]
+    base, named = SRC.parent, set()
+    for line in block.splitlines():
+        indent = len(line) - len(line.lstrip())
+        directory = re.match(r"([\w/]+)/\s", line.lstrip() + " ")
+        if indent <= 2 and directory:  # deeper lines continue the entry above
+            base = (SRC / "repro" if indent else SRC.parent) / directory.group(1)
+            assert base.is_dir(), f"DESIGN.md section 6 names {base}/"
+        elif indent == 2:
+            base = SRC / "repro"  # the package's top-level modules
+        for name in re.findall(r"\b\w+\.py\b", line):
+            assert (base / name).is_file(), f"DESIGN.md section 6 names {base / name}"
+            named.add(base / name)
+    modules = {p for p in (SRC / "repro").rglob("*.py") if not p.name.startswith("__")}
+    assert modules <= named, sorted(modules - named)
+
+
+def test_design_rule_table_matches_default_rules():
+    """Section 10's table: the ids and scopes ``--list-rules`` prints,
+    plus the two engine-level ids that have no Rule class."""
+    from repro.lint import default_rules
+    from repro.lint.engine import STALE_SUPPRESSION_RULE_ID, SUPPRESSION_RULE_ID
+
+    rows = re.findall(r"^\| (RDP\d{3}) \|.*\| ([^|]+) \|$", _design_section(10), re.M)
+    documented = {rule_id: scope for rule_id, scope in rows}
+    assert len(documented) == len(rows)
+    expected = {SUPPRESSION_RULE_ID: "all files", STALE_SUPPRESSION_RULE_ID: "all files"}
+    for rule in default_rules():
+        expected[rule.id] = ", ".join(
+            "`" + pattern.removeprefix("*/repro/").removesuffix("*") + "`"
+            for pattern in rule.paths
+        ) or "all files"
+    assert documented == expected
 
 
 def _strict_modules():

@@ -17,13 +17,13 @@ from repro.core.recovery import (
     RecoveryManager,
     RecoveryOptions,
     simulate_raid6_read_phase,
-    simulate_raid6_rebuild,
     simulate_raid6_writeback_phase,
 )
 from repro.errors import SimulationError
 from repro.experiments.common import Scale, build_raidp, build_raidp_warm
 from repro.sim import snapshot
 from repro.sim.engine import Simulator
+from tests.oracles import ext_scale_raidp_single_sim, raid6_rebuild_single_sim
 
 
 @pytest.fixture(autouse=True)
@@ -32,6 +32,13 @@ def _fresh_store():
     snapshot.GLOBAL_STORE.clear()
     yield
     snapshot.GLOBAL_STORE.clear()
+
+
+def _cold_store(monkeypatch):
+    """Every build runs cold: the store hands back what the builder made."""
+    monkeypatch.setattr(
+        snapshot.GLOBAL_STORE, "get_or_build", lambda key, builder: builder()
+    )
 
 
 def _recover(dfs, lock_mode="byte_range", chunk=64 * units.MiB, nic_index=0):
@@ -90,14 +97,6 @@ def test_snapshot_keys_isolate_parameters():
     assert all(key.endswith(snapshot.code_fingerprint()) for key in keys)
 
 
-def test_warm_start_env_kill_switch(monkeypatch):
-    monkeypatch.setenv(snapshot.WARM_START_ENV, "0")
-    scale = Scale()
-    build_raidp_warm(scale, seed=1)
-    assert snapshot.GLOBAL_STORE.hits == 0
-    assert snapshot.GLOBAL_STORE.misses == 0
-
-
 def test_tracer_bypasses_snapshot_store():
     from repro.obs.tracer import Tracer, capture as trace_capture
 
@@ -108,90 +107,23 @@ def test_tracer_bypasses_snapshot_store():
     assert snapshot.GLOBAL_STORE.misses == 0
 
 
-def test_spill_dir_round_trip(tmp_path, monkeypatch):
-    monkeypatch.setenv(snapshot.SNAPSHOT_DIR_ENV, str(tmp_path))
-    store = snapshot.SnapshotStore()
-    key = snapshot.snapshot_key("spill-test", n=1)
-    store.put(key, b"payload")
-    fresh = snapshot.SnapshotStore()  # simulates a new process
-    assert fresh.get(key) == b"payload"
-
-
-# ----------------------------------------------------------------------
-# Phase snapshots: memoizing build + warmup behind a boundary-time key.
-# ----------------------------------------------------------------------
-def test_phase_key_embeds_boundary_time():
-    base = snapshot.snapshot_key("phase-test", n=1)
-    key = snapshot.phase_key(base, 12.5)
-    assert key.startswith(base)
-    # repr()-exact: boundaries differing in the last ulp are distinct keys.
-    assert key != snapshot.phase_key(base, 12.5 + 2**-40)
-
-
-def test_phase_boundary_requires_a_simulator():
-    with pytest.raises(SimulationError):
-        snapshot.phase_boundary(object())
-
-
-def test_get_or_build_phase_simulates_warmup_once():
+def test_get_or_build_simulates_warmup_once():
     from types import SimpleNamespace
 
-    base = snapshot.snapshot_key("phase-unit", n=1)
+    key = snapshot.snapshot_key("build-once", n=1)
     calls = []
 
     def build():
         calls.append(1)
         return SimpleNamespace(sim=SimpleNamespace(now=42.0), payload=[1, 2, 3])
 
-    first = snapshot.GLOBAL_STORE.get_or_build_phase(base, build)
+    first = snapshot.GLOBAL_STORE.get_or_build(key, build)
     assert calls == [1]
-    assert snapshot.GLOBAL_STORE.resolve_phase(base) == snapshot.phase_key(base, 42.0)
-    second = snapshot.GLOBAL_STORE.get_or_build_phase(base, build)
+    second = snapshot.GLOBAL_STORE.get_or_build(key, build)
     assert calls == [1]  # builder + warmup ran exactly once
     assert second is not first and second.sim is not first.sim
     assert second.payload == [1, 2, 3]
     assert second.sim.now == 42.0
-
-
-def test_get_or_build_phase_respects_kill_switch(monkeypatch):
-    from types import SimpleNamespace
-
-    monkeypatch.setenv(snapshot.WARM_START_ENV, "0")
-    base = snapshot.snapshot_key("phase-kill", n=1)
-    calls = []
-
-    def build():
-        calls.append(1)
-        return SimpleNamespace(sim=SimpleNamespace(now=1.0))
-
-    snapshot.GLOBAL_STORE.get_or_build_phase(base, build)
-    snapshot.GLOBAL_STORE.get_or_build_phase(base, build)
-    assert calls == [1, 1]
-    assert snapshot.GLOBAL_STORE.hits == 0
-    assert snapshot.GLOBAL_STORE.misses == 0
-
-
-def test_phase_index_spills_across_processes(tmp_path, monkeypatch):
-    from types import SimpleNamespace
-
-    monkeypatch.setenv(snapshot.SNAPSHOT_DIR_ENV, str(tmp_path))
-    base = snapshot.snapshot_key("phase-spill", n=1)
-    store = snapshot.SnapshotStore()
-    store.get_or_build_phase(
-        base, lambda: SimpleNamespace(sim=SimpleNamespace(now=7.0), data="x")
-    )
-
-    fresh = snapshot.SnapshotStore()  # simulates a new process
-    calls = []
-
-    def rebuild():
-        calls.append(1)
-        return SimpleNamespace(sim=SimpleNamespace(now=7.0), data="x")
-
-    restored = fresh.get_or_build_phase(base, rebuild)
-    assert calls == []  # warm-started across the "process" boundary
-    assert restored.data == "x"
-    assert restored.sim.now == 7.0
 
 
 def test_core_classes_restore_through_inline_state():
@@ -216,18 +148,17 @@ def test_core_classes_restore_through_inline_state():
 def test_table2_warm_vs_cold_rows_identical(monkeypatch):
     from repro.experiments import table2_recovery as t2
 
-    def rows(enabled):
-        monkeypatch.setenv(snapshot.WARM_START_ENV, "1" if enabled else "0")
-        snapshot.GLOBAL_STORE.clear()
+    def rows():
         results = {}
         for key in _table2_cheap_keys():
             deps = {dep: results[dep] for dep in t2.task_deps(key)}
             results[key] = t2.run_task(key, deps=deps)
         return results
 
-    warm = rows(True)
+    warm = rows()
     assert snapshot.GLOBAL_STORE.hits > 0  # the sweep restored snapshots
-    assert rows(False) == warm
+    _cold_store(monkeypatch)
+    assert rows() == warm
 
 
 @pytest.mark.parametrize("name", ["fig8", "fig9", "fig10"])
@@ -236,8 +167,8 @@ def test_figure_rows_warm_vs_cold_identical(name, monkeypatch):
 
     Three passes: a first warm pass (populates the store; misses return
     the built clusters), a second warm pass (every build/phase restored
-    from snapshots), and a cold pass with the store disabled.  All three
-    row sets must match exactly.
+    from snapshots), and a cold pass with the store substituted by one
+    that always builds.  All three row sets must match exactly.
     """
     from repro.experiments.parallel import run_many
 
@@ -245,13 +176,10 @@ def test_figure_rows_warm_vs_cold_identical(name, monkeypatch):
         (result,) = run_many([name], jobs=1, seeds=(1,))
         return result.rows
 
-    monkeypatch.setenv(snapshot.WARM_START_ENV, "1")
-    snapshot.GLOBAL_STORE.clear()
     first = run_once()
     restored = run_once()
     assert snapshot.GLOBAL_STORE.hits > 0  # second pass ran from snapshots
-    monkeypatch.setenv(snapshot.WARM_START_ENV, "0")
-    snapshot.GLOBAL_STORE.clear()
+    _cold_store(monkeypatch)
     cold = run_once()
     assert first == restored == cold
 
@@ -267,7 +195,7 @@ def test_raid6_phase_split_matches_monolith():
         chunk_size=64 * units.MiB,
         nic_rate=units.gbps(10),
     )
-    monolith = simulate_raid6_rebuild(**kwargs)
+    monolith = raid6_rebuild_single_sim(**kwargs)
     boundary = simulate_raid6_read_phase(**kwargs)
     split = simulate_raid6_writeback_phase(boundary, **kwargs)
     assert 0.0 < boundary < split
@@ -300,7 +228,7 @@ def test_table2_cheap_rows_jobs1_vs_jobs2_identical():
 def test_ext_scale_split_matches_legacy_single_sim():
     from repro.experiments import ext_scale
 
-    legacy = ext_scale.run_task(("raidp", 16, 1))
+    legacy = ext_scale_raidp_single_sim(16, 1)
     write = ext_scale.run_task(("raidp", 16, 1, "write"))
     final = ext_scale.run_task(
         ("raidp", 16, 1, "recovery"),
@@ -308,7 +236,7 @@ def test_ext_scale_split_matches_legacy_single_sim():
     )
     # write s, net GB/node, recovery s -- all bitwise; the phase-split
     # run's 4th element is the flight-recorder SLO digest, which the
-    # legacy single-sim path (no sampler) does not produce.
+    # single-sim oracle (no sampler) does not produce.
     assert final[:3] == legacy
     assert set(final[3]) == {"write", "recovery"}
 
@@ -317,7 +245,9 @@ def test_ext_scale_spawn_context_exercises_snapshot_pickling(monkeypatch):
     """A spawn-context pool run: the write phase's cluster snapshot must
     survive two pickle crossings (worker -> parent -> worker) and still
     produce the sequential answer bit-for-bit."""
-    from repro.experiments import ext_scale
+    import multiprocessing
+
+    from repro.experiments import parallel
     from repro.experiments.parallel import TaskSpec, run_specs
 
     specs = [
@@ -326,7 +256,9 @@ def test_ext_scale_spawn_context_exercises_snapshot_pickling(monkeypatch):
         TaskSpec("repro.experiments.ext_scale", ("hdfs3", 16, 1), False),
     ]
     sequential = run_specs(specs, jobs=1)
-    monkeypatch.setenv("RAIDP_MP_CONTEXT", "spawn")
+    monkeypatch.setattr(
+        parallel, "_pool_context", lambda: multiprocessing.get_context("spawn")
+    )
     spawned = run_specs(specs, jobs=2)
     # The write task's third element is the snapshot blob itself; compare
     # measurements, then prove the blobs restore to equivalent clusters
