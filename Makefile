@@ -52,9 +52,9 @@ profile:
 	$(PYTHON) -m repro.tools.raidpctl profile table2 --tasks 2 --limit 10
 	$(PYTHON) -m repro.tools.raidpctl profile ext-scale --limit 10
 
-# Small-fleet durability smoke: the §2 experiment end-to-end -- analytic
-# ladder, legacy small-fleet simulator, and the long-horizon Monte-Carlo
-# engine (1k disks x 10 years) -- at smoke scale.
+# Durability smoke: the §2 experiment end-to-end -- the analytic MTTDL
+# ladder and the long-horizon Monte-Carlo engine (1k disks x 10 years)
+# over the same five schemes -- at smoke scale.
 durability-smoke:
 	$(PYTHON) -m repro.experiments ext-durability
 

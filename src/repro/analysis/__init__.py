@@ -1,15 +1,14 @@
 """Analytic models: cost, design space, and the Table 1 property matrix.
 
-- :mod:`repro.analysis.repair_traffic` -- closed-form repair volumes per
-  redundancy scheme (feeds Fig. 1 and Table 1).
+- :mod:`repro.analysis.scheme` -- the one description of a redundancy
+  scheme (what it stores, tolerates and reads on repair, and its rung of
+  the analytic MTTDL ladder) that everything below except ``cost`` reads.
 - :mod:`repro.analysis.design_space` -- Fig. 1's storage-efficiency vs
   repair-efficiency plane.
 - :mod:`repro.analysis.properties` -- derives Table 1's +/-/± matrix from
   quantitative mini-models instead of hand-waving.
 - :mod:`repro.analysis.cost` -- the Section 4 feasibility and TCO study
   (Lstor bill of materials, derived disk costs, Fig. 7 breakdown).
-- :mod:`repro.analysis.durability` -- analytic MTTDL ladder and the
-  legacy small-fleet failure simulator (paper §2).
 - :mod:`repro.analysis.montecarlo` -- the long-horizon fleet durability
   engine (Weibull lifetimes, latent sector errors, correlated bursts).
 """
@@ -19,13 +18,11 @@ from repro.analysis.design_space import DesignPoint, design_space_points
 from repro.analysis.montecarlo import (
     DurabilityEngine,
     Fleet,
-    Scheme,
     SchemeReport,
     analytic_mc_mttdl,
-    default_schemes,
 )
 from repro.analysis.properties import Rating, property_matrix
-from repro.analysis.repair_traffic import RepairTraffic, repair_traffic
+from repro.analysis.scheme import Scheme, default_schemes
 
 __all__ = [
     "DatacenterCostModel",
@@ -34,7 +31,6 @@ __all__ = [
     "Fleet",
     "LstorBom",
     "Rating",
-    "RepairTraffic",
     "Scheme",
     "SchemeReport",
     "ServerExample",
@@ -42,5 +38,4 @@ __all__ = [
     "default_schemes",
     "design_space_points",
     "property_matrix",
-    "repair_traffic",
 ]

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List
 
-from repro.analysis.repair_traffic import repair_traffic
+from repro.analysis.scheme import paper_schemes
 
 
 @dataclass(frozen=True)
@@ -32,46 +32,19 @@ class DesignPoint:
         )
 
 
-def storage_efficiency(scheme: str, n: int = 10, superchunks_per_disk: int = 15) -> float:
-    if scheme == "triplication":
-        return 1.0 / 3.0
-    if scheme == "erasure":
-        return n / (n + 2.0)
-    if scheme == "raidp":
-        # Two replicas plus one superchunk-sized Lstor per disk of S
-        # superchunks: raw = 2S + 1 superchunk-equivalents per S useful.
-        s = superchunks_per_disk
-        return s / (2.0 * s + 1.0)
-    raise ValueError(f"unknown scheme {scheme!r}")
-
-
 def design_space_points(
     n: int = 10, superchunks_per_disk: int = 15
 ) -> List[DesignPoint]:
     """Compute the three schemes' Fig. 1 coordinates."""
-    points = []
-    for scheme, traffic_name in (
-        ("triplication", "replication"),
-        ("erasure", "erasure"),
-        ("raidp", "raidp"),
-    ):
-        single = repair_traffic(
-            traffic_name, failures=1, n=n, superchunks_per_disk=superchunks_per_disk
+    return [
+        DesignPoint(
+            scheme=scheme.name,
+            storage_efficiency=scheme.storage_efficiency,
+            repair_efficiency_single=1.0 / scheme.repair_volume(1),
+            repair_efficiency_double=1.0 / scheme.repair_volume(2),
         )
-        double = repair_traffic(
-            traffic_name, failures=2, n=n, superchunks_per_disk=superchunks_per_disk
-        )
-        points.append(
-            DesignPoint(
-                scheme=scheme,
-                storage_efficiency=storage_efficiency(
-                    scheme, n=n, superchunks_per_disk=superchunks_per_disk
-                ),
-                repair_efficiency_single=1.0 / single.volume_per_lost_byte,
-                repair_efficiency_double=1.0 / double.volume_per_lost_byte,
-            )
-        )
-    return points
+        for scheme in paper_schemes(n, superchunks_per_disk)
+    ]
 
 
 def verify_middle_point(points: List[DesignPoint]) -> bool:

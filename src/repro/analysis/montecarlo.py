@@ -1,14 +1,15 @@
 """Long-horizon Monte-Carlo fleet durability engine (paper §2 at scale).
 
-:mod:`repro.analysis.durability` judges one datum over a toy fleet with
-per-event Python loops; this module is its grown-up sibling: a fleet of
-thousands of disks, years of simulated time, and the failure physics the
-warehouse-scale durability literature sweeps -- Weibull disk lifetimes,
-latent sector errors gated by the scrub cadence, rack-correlated outage
-and burst events, and lazy recovery against a bounded repair-bandwidth
-pool.  All five §2 contenders (2-way/3-way replication, RAIDP with 1 and
-2 Lstors, and n+2 erasure coding) are scored on *shared* event streams,
-so scheme deltas are paired comparisons, not independent noise.
+The analytic ladder (:meth:`~repro.analysis.scheme.Scheme.mttdl_hours`)
+assumes independent exponential failures; this module is the one
+simulator that relaxes it: a fleet of thousands of disks, years of
+simulated time, and the failure physics the warehouse-scale durability
+literature sweeps -- Weibull disk lifetimes, latent sector errors gated
+by the scrub cadence, rack-correlated outage and burst events, and lazy
+recovery against a bounded repair-bandwidth pool.  All five §2
+contenders (2-way/3-way replication, RAIDP with 1 and 2 Lstors, and n+2
+erasure coding) are scored on *shared* event streams, so scheme deltas
+are paired comparisons, not independent noise.
 
 Epoch-batch architecture
 ------------------------
@@ -40,7 +41,7 @@ indicator counting needs.
 
 Validation: in the independent-exponential, no-LSE, no-burst regime the
 engine's loss rate has a closed form (:func:`analytic_mc_mttdl`) that
-differs from the classic :func:`~repro.analysis.durability.mttdl_replication`
+differs from the classic :func:`~repro.analysis.scheme.mttdl_replication`
 ladder only by a documented window-overlap factor; the property test in
 ``tests/test_montecarlo.py`` pins both.
 
@@ -59,8 +60,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.analysis.durability import HOURS_PER_YEAR
-from repro.errors import ReproError
+from repro.analysis.scheme import DurabilityModelError, Scheme, default_schemes
 from repro.faults import (
     CorrelatedFailureModel,
     DiskLifetimeModel,
@@ -68,19 +68,14 @@ from repro.faults import (
     RepairModel,
 )
 from repro.obs.tracer import active_tracer
+from repro.units import HOURS_PER_YEAR
 
 __all__ = [
     "Fleet",
-    "Scheme",
     "SchemeReport",
     "DurabilityEngine",
     "analytic_mc_mttdl",
-    "default_schemes",
 ]
-
-
-class DurabilityModelError(ReproError):
-    """A durability-engine configuration is unsatisfiable."""
 
 
 # ----------------------------------------------------------------------
@@ -125,104 +120,6 @@ class Fleet:
 
 
 # ----------------------------------------------------------------------
-# Redundancy schemes.
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class Scheme:
-    """One redundancy scheme, abstracted to what the judge needs.
-
-    ``width`` members are placed on ``width`` distinct racks, one
-    uniform disk per rack.  ``tolerance`` concurrent permanent losses
-    are survivable; ``needed_online`` members must be simultaneously
-    online for a read to succeed.  RAIDP carries extra structure: each
-    member disk has ``lstors`` co-located parity devices whose chains
-    span ``chain_length`` superchunks, so surviving a both-replicas-dead
-    window requires a chain decode from ``chain_length - 1`` other
-    disks' replicas (tolerating ``lstors - 1`` additional source
-    failures beyond the first chain).
-    """
-
-    name: str
-    kind: str  # "replication" | "raidp" | "erasure"
-    width: int
-    tolerance: int
-    needed_online: int
-    lstors: int = 0
-    chain_length: int = 128
-    #: Disks' worth of data read to rebuild one failed disk.
-    read_amplification: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("replication", "raidp", "erasure"):
-            raise DurabilityModelError(f"unknown scheme kind {self.kind!r}")
-        if self.width < 1 or self.needed_online < 1:
-            raise DurabilityModelError("scheme width/needed_online must be >= 1")
-        if self.needed_online > self.width:
-            raise DurabilityModelError("needed_online cannot exceed width")
-        if self.kind == "raidp" and self.lstors < 1:
-            raise DurabilityModelError("raidp needs at least one Lstor")
-
-    @property
-    def repair_traffic_gb_factor(self) -> float:
-        """Disks' worth of bytes moved (read + write) per disk rebuilt."""
-        return self.read_amplification + 1.0
-
-    @staticmethod
-    def replication(copies: int, name: Optional[str] = None) -> "Scheme":
-        if copies < 2:
-            raise DurabilityModelError("replication needs >= 2 copies")
-        return Scheme(
-            name=name or f"rep{copies}",
-            kind="replication",
-            width=copies,
-            tolerance=copies - 1,
-            needed_online=1,
-        )
-
-    @staticmethod
-    def raidp(
-        lstors: int = 1, chain_length: int = 128, name: Optional[str] = None
-    ) -> "Scheme":
-        if name is None:
-            name = "raidp" if lstors == 1 else f"raidp({lstors} lstors)"
-        return Scheme(
-            name=name,
-            kind="raidp",
-            width=2,
-            # Both replicas may die as long as a parity chain still
-            # decodes; k Lstors tolerate k-1 further source losses.
-            tolerance=1 + lstors,
-            needed_online=1,
-            lstors=lstors,
-            chain_length=chain_length,
-        )
-
-    @staticmethod
-    def erasure(n: int, k: int = 2, name: Optional[str] = None) -> "Scheme":
-        if n < 2 or k < 1:
-            raise DurabilityModelError("erasure needs n >= 2, k >= 1")
-        return Scheme(
-            name=name or f"ec({n}+{k})",
-            kind="erasure",
-            width=n + k,
-            tolerance=k,
-            needed_online=n,
-            read_amplification=float(n),
-        )
-
-
-def default_schemes(ec_width: int = 6) -> Tuple[Scheme, ...]:
-    """The five §2 contenders on one event stream."""
-    return (
-        Scheme.replication(2),
-        Scheme.replication(3),
-        Scheme.raidp(lstors=1),
-        Scheme.raidp(lstors=2),
-        Scheme.erasure(ec_width, 2),
-    )
-
-
-# ----------------------------------------------------------------------
 # Results.
 # ----------------------------------------------------------------------
 @dataclass
@@ -247,8 +144,8 @@ class SchemeReport:
     unavailable_group_hours: float = 0.0
     #: Expected group-hours spent below full redundancy.
     at_risk_group_hours: float = 0.0
-    #: Mean groups below full redundancy per timeline bucket (averaged
-    #: over trials; bucket 0 is the start of the horizon).
+    #: Groups below full redundancy per timeline bucket, summed over
+    #: trials (bucket 0 is the start of the horizon).
     at_risk_timeline: np.ndarray = field(
         default_factory=lambda: np.zeros(0, dtype=float)
     )
@@ -282,6 +179,12 @@ class SchemeReport:
         hours = self.group_years * HOURS_PER_YEAR
         return self.unavailable_group_hours / hours if hours else 0.0
 
+    @property
+    def availability_nines(self) -> float:
+        """Nines of per-group availability, capped at 18 like
+        :attr:`durability_nines`."""
+        return -math.log10(max(self.unavailability, 1e-18))
+
     def merge(self, other: "SchemeReport") -> "SchemeReport":
         if other.name != self.name:
             raise DurabilityModelError(
@@ -312,12 +215,6 @@ class SchemeReport:
             ),
         )
 
-    def mean_timeline(self) -> np.ndarray:
-        """Per-bucket mean groups at risk, normalized by trial count."""
-        if not self.trials or self.at_risk_timeline.size == 0:
-            return self.at_risk_timeline
-        return self.at_risk_timeline / self.trials
-
 
 # ----------------------------------------------------------------------
 # Shared probability helpers (also used by the analytic cross-check).
@@ -336,15 +233,15 @@ def _binom_tail(q: float, draws: int, k: int) -> float:
     return max(0.0, 1.0 - head)
 
 
-def _chain_blocked(q: float, chain_length: int, lstors: int) -> float:
+def _chain_blocked(q: float, scheme: Scheme) -> float:
     """P(a RAIDP parity-chain decode fails) given per-source badness q.
 
-    The chain reads ``chain_length - 1`` sibling superchunks from their
-    surviving replicas; with ``k`` Lstors the decode survives ``k - 1``
-    bad sources (the extra chains cover them), so it is blocked when at
-    least ``k`` sources are bad.
+    The chain reads the ``superchunks_per_disk - 1`` sibling superchunks
+    from their surviving replicas; with ``k`` Lstors the decode survives
+    ``k - 1`` bad sources (the extra chains cover them), so it is blocked
+    when at least ``k`` sources are bad.
     """
-    return _binom_tail(q, max(chain_length - 1, 0), lstors)
+    return _binom_tail(q, scheme.superchunks_per_disk - 1, scheme.lstors)
 
 
 def analytic_mc_mttdl(
@@ -364,7 +261,7 @@ def analytic_mc_mttdl(
     ``1 / (MTTF + T)`` and is mid-repair with stationary probability
     ``T / (MTTF + T)`` -- the exact quantities the engine's event
     streams realize, rather than the first-order ``lambda * T``.  Note
-    the classic :func:`~repro.analysis.durability.mttdl_replication`
+    the classic :func:`~repro.analysis.scheme.mttdl_replication`
     ladder assumes *serialized* rebuild stages, which halves the
     tolerance-2 MTTDL relative to this overlapping-window model -- the
     property test pins that factor rather than pretending the two
@@ -403,7 +300,7 @@ def analytic_mc_mttdl(
             * p_dead**k
             * (1.0 - p_dead) ** (others - k)
             * (k / others)
-            * _chain_blocked(k / others, scheme.chain_length, scheme.lstors) ** 2
+            * _chain_blocked(k / others, scheme) ** 2
             for k in range(others + 1)
         )
         rate = 2.0 * lam * mean_term
@@ -653,16 +550,8 @@ class DurabilityEngine:
         # bad if its disk is dead or its read hits a latent error.
         q = dead_others / max(fleet.num_disks - 1, 1)
         q = q + (1.0 - q) * p_block_lse
-        side_self = (
-            1.0
-            if failed_lstor_destroyed
-            else _chain_blocked(q, scheme.chain_length, scheme.lstors)
-        )
-        side_partner = (
-            1.0
-            if any_dead_lstor_destroyed
-            else _chain_blocked(q, scheme.chain_length, scheme.lstors)
-        )
+        side_self = 1.0 if failed_lstor_destroyed else _chain_blocked(q, scheme)
+        side_partner = 1.0 if any_dead_lstor_destroyed else _chain_blocked(q, scheme)
         p_assist_fail = side_self * side_partner
         p_loss = p_partner * p_assist_fail
         # Assist-survivable both-dead windows are *unavailable*: parity
@@ -730,7 +619,8 @@ class DurabilityEngine:
     # -- one trial --------------------------------------------------------
     def _simulate_trial(
         self, trial: int, years: float
-    ) -> Dict[str, Dict[str, float]]:
+    ) -> Tuple[Dict[str, Dict[str, float]], Dict[str, np.ndarray]]:
+        """(float tallies, at-risk timeline) per scheme name for one trial."""
         fleet = self.fleet
         horizon = years * HOURS_PER_YEAR
         rng = self._trial_rng(trial)
@@ -740,10 +630,15 @@ class DurabilityEngine:
         trace = active_tracer()
 
         p_block: Dict[str, float] = {}
+        repair_gb_per_disk: Dict[str, float] = {}
         for scheme in self.schemes:
             groups_per_disk = fleet.groups_per_disk(scheme.width)
             p_block[scheme.name] = self.latent.block_read_error_probability(
                 1.0 / max(groups_per_disk, 1.0)
+            )
+            # Bytes moved per disk rebuilt: the repair read plus the write.
+            repair_gb_per_disk[scheme.name] = fleet.disk_capacity_gb * (
+                scheme.repair_volume(1) + 1.0
             )
 
         tallies: Dict[str, Dict[str, float]] = {
@@ -808,9 +703,7 @@ class DurabilityEngine:
                 tally = tallies[scheme.name]
                 tally["expected_groups_lost"] += groups_per_disk * p_loss
                 tally["unavailable_group_hours"] += groups_per_disk * unavail_hours
-                tally["repair_gb"] += (
-                    fleet.disk_capacity_gb * scheme.repair_traffic_gb_factor
-                )
+                tally["repair_gb"] += repair_gb_per_disk[scheme.name]
                 if trace.enabled and p_loss > 0.0:
                     trace.instant(
                         "durability",
@@ -838,6 +731,7 @@ class DurabilityEngine:
         total_dead_hours = math.fsum(
             float(min(done[i], horizon) - times[i]) for i in range(times.size)
         )
+        timelines: Dict[str, np.ndarray] = {}
         for scheme in self.schemes:
             groups_per_disk = fleet.groups_per_disk(scheme.width)
             tally = tallies[scheme.name]
@@ -846,7 +740,7 @@ class DurabilityEngine:
             tally["peak_groups_at_risk"] = (
                 float(scheme_timeline.max()) if scheme_timeline.size else 0.0
             )
-            tally["timeline"] = scheme_timeline  # type: ignore[assignment]
+            timelines[scheme.name] = scheme_timeline
 
         # --- availability over merged outage segments ---
         for start, end, dark in self._outage_segments(outages):
@@ -876,7 +770,7 @@ class DurabilityEngine:
                 "durability", "trial", 0.0, horizon, trial=trial,
                 failures=int(times.size),
             )
-        return tallies
+        return tallies, timelines
 
     # -- public API -------------------------------------------------------
     def run(
@@ -896,16 +790,17 @@ class DurabilityEngine:
         per_trial: Dict[str, List[Dict[str, float]]] = {
             scheme.name: [] for scheme in self.schemes
         }
+        timeline_sums = {
+            scheme.name: np.zeros(self.timeline_buckets) for scheme in self.schemes
+        }
         for trial in range(first_trial, first_trial + trials):
-            tallies = self._simulate_trial(trial, years)
+            tallies, timelines = self._simulate_trial(trial, years)
             for scheme in self.schemes:
                 per_trial[scheme.name].append(tallies[scheme.name])
+                timeline_sums[scheme.name] += timelines[scheme.name]
         reports: Dict[str, SchemeReport] = {}
         for scheme in self.schemes:
             rows = per_trial[scheme.name]
-            timeline = np.zeros(self.timeline_buckets)
-            for row in rows:
-                timeline += row["timeline"]  # type: ignore[index]
             reports[scheme.name] = SchemeReport(
                 name=scheme.name,
                 trials=trials,
@@ -921,7 +816,7 @@ class DurabilityEngine:
                 at_risk_group_hours=math.fsum(
                     row["at_risk_group_hours"] for row in rows
                 ),
-                at_risk_timeline=timeline,
+                at_risk_timeline=timeline_sums[scheme.name],
                 peak_groups_at_risk=max(
                     row["peak_groups_at_risk"] for row in rows
                 ),

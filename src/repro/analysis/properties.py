@@ -6,8 +6,10 @@ and then ranked: the best scheme(s) get "+", the worst "-", the middle
 "±".  The test suite asserts the derived matrix matches the published
 one, which is a genuine reproduction of the table rather than a copy.
 
-Schemes: ``3rep`` (triplication), ``ec`` (n+2 Reed-Solomon), ``raidp``.
-All three tolerate double disk failures.
+Schemes: ``3rep`` (triplication), ``ec`` (n+2 Reed-Solomon), ``raidp``
+-- the :func:`~repro.analysis.scheme.paper_schemes` Fig. 1 plots.  What
+a scheme stores, reads and repairs is read off those objects; only the
+write-path rows are mini-models of their own.
 """
 
 from __future__ import annotations
@@ -16,6 +18,9 @@ import enum
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Tuple
 
+from repro.analysis.scheme import Scheme, paper_schemes
+
+#: Table 1's column keys, in :func:`paper_schemes` order.
 SCHEMES = ("3rep", "ec", "raidp")
 
 
@@ -56,24 +61,22 @@ def _rank(values: Dict[str, float]) -> Dict[str, Rating]:
 
 def _metrics(n: int, superchunks_per_disk: int) -> List[Tuple[str, Dict[str, float]]]:
     """(property, scheme -> cost) pairs; lower cost = better."""
-    s = superchunks_per_disk
+    schemes = dict(zip(SCHEMES, paper_schemes(n, superchunks_per_disk)))
+
+    def derived(cost: Callable[[Scheme], float]) -> Dict[str, float]:
+        return {key: cost(scheme) for key, scheme in schemes.items()}
+
     return [
         # Raw capacity consumed per useful byte.
-        (
-            "storage capacity",
-            {"3rep": 3.0, "ec": (n + 2) / n, "raidp": 2.0 + 1.0 / s},
-        ),
+        ("storage capacity", derived(lambda s: s.storage_overhead)),
         # Read flexibility: reciprocal of directly readable copies.
         (
             "read parallelism / load balancing",
-            {"3rep": 1 / 3, "ec": 1.0, "raidp": 1 / 2},
+            derived(lambda s: 1 / s.readable_copies),
         ),
         # Cost of a read when the primary copy is unavailable (blocks
         # that must be touched).
-        (
-            "degraded read",
-            {"3rep": 1.0, "ec": float(n), "raidp": 1.0},
-        ),
+        ("degraded read", derived(lambda s: s.degraded_read_blocks)),
         # Foreground CPU work per write, in parity computations (RAIDP's
         # are offloaded to the Lstor but still consume a device pipeline;
         # half-weight captures "in between").
@@ -82,10 +85,7 @@ def _metrics(n: int, superchunks_per_disk: int) -> List[Tuple[str, Dict[str, flo
             {"3rep": 0.0, "ec": 2.0, "raidp": 1.0},
         ),
         # Disk sequentiality: fragments a write stream is split into.
-        (
-            "disk sequentiality",
-            {"3rep": 1.0, "ec": float(n), "raidp": 1.0},
-        ),
+        ("disk sequentiality", derived(lambda s: float(s.needed_online))),
         # Network blocks moved for a sub-stripe (small) write of 1 block.
         # 3rep sends 2 remote copies; EC must update 2 remote parities
         # (read-modify-write over the network: 2 reads + 2 writes); RAIDP
@@ -116,26 +116,12 @@ def _metrics(n: int, superchunks_per_disk: int) -> List[Tuple[str, Dict[str, flo
             "write disk: multi-block",
             {"3rep": 3.0, "ec": (n + 2) / n, "raidp": 4.0},
         ),
-        # Repair traffic per lost byte, single failure.
-        (
-            "repair traffic: single failure",
-            {"3rep": 1.0, "ec": float(n), "raidp": 1.0},
-        ),
-        # Repair traffic per lost byte, double failure.
-        (
-            "repair traffic: dual failure",
-            {
-                "3rep": 1.0,
-                "ec": float(n),
-                "raidp": ((2 * s - 2) + s) / (2 * s - 1),
-            },
-        ),
+        # Repair traffic per lost byte, single and double failure.
+        ("repair traffic: single failure", derived(lambda s: s.repair_volume(1))),
+        ("repair traffic: dual failure", derived(lambda s: s.repair_volume(2))),
         # Failure domains a datum's redundancy spans (reciprocal: fewer
         # domains = worse availability).
-        (
-            "failure domain tolerance",
-            {"3rep": 1 / 3, "ec": 1 / (n + 2), "raidp": 1 / 2},
-        ),
+        ("failure domain tolerance", derived(lambda s: 1 / s.width)),
     ]
 
 

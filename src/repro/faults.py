@@ -50,8 +50,7 @@ import numpy as np
 
 from repro.errors import ReproError
 from repro.sim.engine import Process
-
-HOURS_PER_YEAR = 24 * 365.0
+from repro.units import HOURS_PER_YEAR
 
 FAULT_KINDS = (
     "disk_fail",
@@ -386,14 +385,14 @@ def chaos_schedule(
 
 
 # ----------------------------------------------------------------------
-# Shared failure-model parameters.
+# Fleet failure-model parameters.
 #
-# Both halves of the failure story consume these: the in-simulator fault
-# injector above (seconds-scale chaos under live traffic) and the
-# long-horizon durability engine (:mod:`repro.analysis.montecarlo`,
-# years-scale fleet statistics).  Keeping the parameter vocabulary in one
-# place means an experiment that stresses "AFR 4%, 2-week scrub cadence,
-# correlated rack bursts" names the same quantities in both worlds.
+# Only the long-horizon durability engine (:mod:`repro.analysis.montecarlo`,
+# years-scale fleet statistics) consumes these; the in-simulator fault
+# injector above (seconds-scale chaos under live traffic) takes explicit
+# schedules and reads none of them.  They live beside it so "AFR 4%,
+# 2-week scrub cadence, correlated rack bursts" is one vocabulary for
+# anything that fails disks.
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class DiskLifetimeModel:

@@ -25,8 +25,8 @@ Each rule turns one prose invariant from DESIGN.md into a machine check:
     Every literal span category at a tracer emission site must be
     registered in :data:`repro.obs.taxonomy.CATEGORIES`.
 ``RDP005``
-    Float accumulation in stats code goes through ``math.fsum`` /
-    ``MetricSet`` idioms, not bare ``sum()`` (associativity drift).
+    Float accumulation in stats code goes through ``math.fsum``, not
+    bare ``sum()`` (associativity drift).
 ``RDP006``
     Public functions in ``core/`` and ``sim/`` are fully annotated
     (every parameter and the return type) -- the static half of the
@@ -500,7 +500,7 @@ class TraceTaxonomyRule(Rule):
 # ----------------------------------------------------------------------
 class FloatSumRule(Rule):
     id = "RDP005"
-    title = "float accumulation goes through math.fsum / MetricSet"
+    title = "float accumulation goes through math.fsum"
     severity = "error"
     paths = (
         "*/repro/sim/*",
@@ -521,8 +521,7 @@ class FloatSumRule(Rule):
                     ctx,
                     node,
                     "bare sum() over floats accumulates rounding error "
-                    "order-sensitively; use math.fsum() (or a MetricSet "
-                    "counter for integral series)",
+                    "order-sensitively; use math.fsum()",
                 )
 
     @staticmethod

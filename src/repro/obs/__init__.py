@@ -15,24 +15,15 @@ from repro.obs.export import (
     write_trace,
 )
 from repro.obs.metrics import cluster_metrics, cluster_snapshot
-from repro.obs.tracer import (
-    NULL_TRACER,
-    Tracer,
-    activate,
-    active_tracer,
-    capture,
-    deactivate,
-)
+from repro.obs.tracer import NULL_TRACER, Tracer, active_tracer, capture
 
 __all__ = [
     "NULL_TRACER",
     "Tracer",
-    "activate",
     "active_tracer",
     "capture",
     "cluster_metrics",
     "cluster_snapshot",
-    "deactivate",
     "load_trace",
     "recovery_breakdown",
     "render_summary",

@@ -35,8 +35,6 @@ from repro.errors import AuditError, DfsError, LayoutError
 __all__ = [
     "AuditViolation",
     "Auditor",
-    "activate",
-    "deactivate",
     "active_auditor",
     "capture",
 ]
@@ -362,21 +360,6 @@ class Auditor:
 # The currently active auditor.  Monitor/recovery probe sites consult
 # this on their (rare) events; None means auditing is off.
 _ACTIVE: Optional[Auditor] = None
-
-
-def activate(auditor: Optional[Auditor] = None) -> Auditor:
-    """Install ``auditor`` (or a fresh one) as the ambient auditor."""
-    global _ACTIVE
-    if auditor is None:
-        auditor = Auditor()
-    _ACTIVE = auditor
-    return auditor
-
-
-def deactivate() -> None:
-    """Restore the disabled default."""
-    global _ACTIVE
-    _ACTIVE = None
 
 
 def active_auditor() -> Optional[Auditor]:

@@ -41,8 +41,6 @@ from repro.obs.taxonomy import is_registered
 __all__ = [
     "BucketStats",
     "SimProfiler",
-    "activate",
-    "deactivate",
     "active_profiler",
     "capture",
     "classify_code",
@@ -239,21 +237,6 @@ class SimProfiler:
 # The currently active profiler.  New Simulators pick this up at
 # construction time; already-built simulators keep whatever they bound.
 _ACTIVE: Optional[SimProfiler] = None
-
-
-def activate(profiler: Optional[SimProfiler] = None) -> SimProfiler:
-    """Install ``profiler`` (or a fresh one) for subsequently built sims."""
-    global _ACTIVE
-    if profiler is None:
-        profiler = SimProfiler()
-    _ACTIVE = profiler
-    return profiler
-
-
-def deactivate() -> None:
-    """Restore the disabled default."""
-    global _ACTIVE
-    _ACTIVE = None
 
 
 def active_profiler() -> Optional[SimProfiler]:

@@ -25,8 +25,7 @@ Design constraints, in order -- the same three the tracer obeys:
    so the disabled path costs one attribute load per run.
 3. **No sim imports.**  ``sim/engine.py`` imports this module; the
    reverse would be a cycle.  The MetricSet is duck-typed through its
-   ``as_dict`` contract, and the bucket-quantile kernel lives here
-   (``sim/stats.py`` imports it).
+   ``as_dict`` contract.
 """
 
 from __future__ import annotations
@@ -52,8 +51,6 @@ __all__ = [
     "SCHEMA",
     "TimeSeriesStore",
     "Sampler",
-    "activate",
-    "deactivate",
     "active_sampler",
     "capture",
     "percentile_from_buckets",
@@ -87,9 +84,8 @@ def percentile_from_buckets(
     q: float,
     observed_max: float,
 ) -> float:
-    """Bucket-quantile kernel shared by ``sim.stats.Histogram`` and the
-    windowed deltas here: linear interpolation within the bucket holding
-    the target rank.
+    """Bucket-quantile kernel for the windowed deltas: linear
+    interpolation within the bucket holding the target rank.
 
     ``counts`` has ``len(bounds) + 1`` entries; the last bucket is
     open-ended and interpolates toward ``observed_max``.
@@ -394,21 +390,6 @@ def load_timeseries(path: str) -> Tuple[Dict[str, Any], List[Dict[str, Any]]]:
 # The currently active sampler.  New Simulators pick this up at
 # construction time; already-built simulators keep whatever they bound.
 _ACTIVE: Optional[Sampler] = None
-
-
-def activate(sampler: Optional[Sampler] = None) -> Sampler:
-    """Install ``sampler`` (or a fresh one) for subsequently built sims."""
-    global _ACTIVE
-    if sampler is None:
-        sampler = Sampler()
-    _ACTIVE = sampler
-    return sampler
-
-
-def deactivate() -> None:
-    """Restore the disabled default."""
-    global _ACTIVE
-    _ACTIVE = None
 
 
 def active_sampler() -> Optional[Sampler]:

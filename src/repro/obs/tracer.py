@@ -47,8 +47,6 @@ __all__ = [
     "Tracer",
     "NullTracer",
     "NULL_TRACER",
-    "activate",
-    "deactivate",
     "active_tracer",
     "capture",
 ]
@@ -277,21 +275,6 @@ NULL_TRACER = NullTracer()
 # The currently active tracer.  New Simulators pick this up at
 # construction time; already-built simulators keep whatever they bound.
 _ACTIVE: Any = NULL_TRACER
-
-
-def activate(tracer: Optional[Tracer] = None) -> Tracer:
-    """Install ``tracer`` (or a fresh one) for subsequently built sims."""
-    global _ACTIVE
-    if tracer is None:
-        tracer = Tracer()
-    _ACTIVE = tracer
-    return tracer
-
-
-def deactivate() -> None:
-    """Restore the disabled default."""
-    global _ACTIVE
-    _ACTIVE = NULL_TRACER
 
 
 def active_tracer() -> Any:

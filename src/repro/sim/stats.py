@@ -1,11 +1,13 @@
 """Measurement helpers: counters, gauges, and time-weighted averages.
 
-Experiments accumulate metrics through a :class:`MetricSet` so the
-benchmark harness can print consistent tables.  Everything here is plain
-arithmetic -- no simulation dependencies -- which also makes it easy to
-property-test.
+Components own their instruments (plain int counts, a
+:class:`TimeWeightedGauge`, a :class:`Histogram`); a :class:`MetricSet`
+is a registry of live views over them, so one snapshot call reads every
+instrument of a cluster.  Everything here is plain arithmetic -- no
+simulation dependencies -- which also makes it easy to property-test.
 
-Metrics may carry labels (``metrics.counter("disk_reads", disk="n3-d0")``);
+Metrics may carry labels
+(``metrics.register_counter("disk_reads", supplier, disk="n3-d0")``);
 labelled children are stored under a canonical ``name{k=v,...}`` key with
 the label pairs sorted, so registration order never changes the key.
 """
@@ -17,22 +19,7 @@ from dataclasses import dataclass, field
 from math import fsum
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple, Union
 
-from repro.obs.timeseries import percentile_from_buckets
 from repro.sim.snapshot import InlineState
-
-
-class Counter(InlineState):
-    """A monotonically increasing count."""
-
-    __slots__ = ("value",)
-
-    def __init__(self) -> None:
-        self.value = 0
-
-    def add(self, amount: int = 1) -> None:
-        if amount < 0:
-            raise ValueError("counters only increase")
-        self.value += amount
 
 
 class CounterView:
@@ -56,11 +43,6 @@ class CounterView:
 
     def add(self, amount: int = 1) -> None:
         raise TypeError("CounterView is read-only; mutate the component")
-
-
-#: What a MetricSet stores under a counter key: an owned Counter or a
-#: live read-only view over a component's own count.
-CounterLike = Union[Counter, CounterView]
 
 
 class GaugeView:
@@ -96,23 +78,9 @@ class TimeWeightedGauge:
 
     Used to report, e.g., the average number of outstanding journal
     records (the paper observes "at most one or two outstanding").
-
-    A gauge observes one *window* of simulated time at a time; windows
-    closed by :meth:`reset` (a new experiment repetition restarting the
-    clock at zero) or folded in by :meth:`merge` accumulate into
-    ``_extra_area``/``_extra_span`` so :meth:`average` stays the
-    lifetime time-weighted mean across all windows.
     """
 
-    __slots__ = (
-        "_value",
-        "_last_time",
-        "_area",
-        "_start",
-        "max_value",
-        "_extra_area",
-        "_extra_span",
-    )
+    __slots__ = ("_value", "_last_time", "_area", "_start", "max_value")
 
     def __init__(self, start_time: float = 0.0, initial: float = 0.0) -> None:
         self._value = initial
@@ -120,8 +88,6 @@ class TimeWeightedGauge:
         self._start = start_time
         self._area = 0.0
         self.max_value = initial
-        self._extra_area = 0.0
-        self._extra_span = 0.0
 
     def set(self, value: float, now: float) -> None:
         last = self._last_time
@@ -148,31 +114,6 @@ class TimeWeightedGauge:
         if value > self.max_value:
             self.max_value = value
 
-    def reset(self, now: float, value: Optional[float] = None) -> None:
-        """Start a new observation window at ``now``.
-
-        Experiment repetitions restart simulated time at zero, which a
-        plain :meth:`set` would reject as time running backwards.  The
-        completed window's area is folded into the lifetime totals, so
-        :meth:`average` still reflects every window observed.
-        """
-        self._extra_area += self._area
-        self._extra_span += self._last_time - self._start
-        self._area = 0.0
-        self._start = now
-        self._last_time = now
-        if value is not None:
-            self._value = value
-            self.max_value = max(self.max_value, value)
-
-    def merge(self, other: "TimeWeightedGauge") -> None:
-        """Fold another gauge's observed windows into this one's totals."""
-        other_area = other._area + other._value * 0.0 + other._extra_area
-        other_span = (other._last_time - other._start) + other._extra_span
-        self._extra_area += other_area
-        self._extra_span += other_span
-        self.max_value = max(self.max_value, other.max_value)
-
     @property
     def current(self) -> float:
         return self._value
@@ -180,15 +121,15 @@ class TimeWeightedGauge:
     def average(self, now: Optional[float] = None) -> float:
         if now is None:
             now = self._last_time
-        span = (now - self._start) + self._extra_span
+        span = now - self._start
         if span <= 0:
             return self._value
-        area = self._area + self._value * (now - self._last_time) + self._extra_area
+        area = self._area + self._value * (now - self._last_time)
         return area / span
 
 
-#: What a MetricSet stores under a gauge key: an owned/adopted
-#: time-weighted gauge or a live read-only view.
+#: What a MetricSet stores under a gauge key: an adopted time-weighted
+#: gauge or a live read-only view.
 GaugeLike = Union[TimeWeightedGauge, GaugeView]
 
 
@@ -216,31 +157,9 @@ class Histogram(InlineState):
         if sample > self.max:
             self.max = sample
 
-    def merge(self, other: "Histogram") -> None:
-        if tuple(other.bounds) != tuple(self.bounds):
-            raise ValueError("cannot merge histograms with different bounds")
-        for index, count in enumerate(other.counts):
-            self.counts[index] += count
-        self.total += other.total
-        self.sum += other.sum
-        self.max = max(self.max, other.max)
-
     @property
     def mean(self) -> float:
         return self.sum / self.total if self.total else 0.0
-
-    def percentile(self, q: float) -> float:
-        """Estimate the ``q``-quantile (``0.0 <= q <= 1.0``) from buckets.
-
-        Linear interpolation within the bucket containing the target
-        rank; the open-ended top bucket interpolates toward the observed
-        max.  Exact for the bucket edges, approximate inside.
-        """
-        if not 0.0 <= q <= 1.0:
-            raise ValueError("quantile must be in [0, 1]")
-        if self.total == 0:
-            return 0.0
-        return percentile_from_buckets(self.bounds, self.counts, q, self.max)
 
     def as_dict(self) -> Dict[str, Any]:
         return {
@@ -261,20 +180,12 @@ def _key(name: str, labels: Dict[str, Any]) -> str:
 
 
 class MetricSet(InlineState):
-    """A named bag of counters, gauges, and histograms for one run."""
+    """A named registry of live counters, gauges, and histograms."""
 
     def __init__(self) -> None:
-        self._counters: Dict[str, CounterLike] = {}
+        self._counters: Dict[str, CounterView] = {}
         self._gauges: Dict[str, GaugeLike] = {}
         self._histograms: Dict[str, Histogram] = {}
-
-    # -- counters -------------------------------------------------------
-    def counter(self, name: str, **labels: Any) -> CounterLike:
-        key = _key(name, labels)
-        counter = self._counters.get(key)
-        if counter is None:
-            counter = self._counters[key] = Counter()
-        return counter
 
     def register_counter(
         self, name: str, supplier: Callable[[], int], **labels: Any
@@ -283,23 +194,6 @@ class MetricSet(InlineState):
         view = CounterView(supplier)
         self._counters[_key(name, labels)] = view
         return view
-
-    def add(self, name: str, amount: int = 1, **labels: Any) -> None:
-        self.counter(name, **labels).add(amount)
-
-    def get(self, name: str, **labels: Any) -> int:
-        counter = self._counters.get(_key(name, labels))
-        return counter.value if counter is not None else 0
-
-    # -- gauges ---------------------------------------------------------
-    def gauge(self, name: str, now: float = 0.0, **labels: Any) -> TimeWeightedGauge:
-        key = _key(name, labels)
-        gauge = self._gauges.get(key)
-        if gauge is None:
-            gauge = self._gauges[key] = TimeWeightedGauge(start_time=now)
-        if not isinstance(gauge, TimeWeightedGauge):
-            raise TypeError(f"{key} is a read-only gauge view")
-        return gauge
 
     def register_gauge(self, name: str, gauge: GaugeLike, **labels: Any) -> GaugeLike:
         """Adopt a live gauge owned by a component (shared reference)."""
@@ -313,20 +207,6 @@ class MetricSet(InlineState):
         view = GaugeView(supplier)
         self._gauges[_key(name, labels)] = view
         return view
-
-    # -- histograms -----------------------------------------------------
-    def histogram(
-        self, name: str, bounds: Optional[Tuple[float, ...]] = None, **labels: Any
-    ) -> Histogram:
-        key = _key(name, labels)
-        histogram = self._histograms.get(key)
-        if histogram is None:
-            if bounds is not None:
-                histogram = Histogram(bounds=tuple(bounds))
-            else:
-                histogram = Histogram()
-            self._histograms[key] = histogram
-        return histogram
 
     def register_histogram(
         self, name: str, histogram: Histogram, **labels: Any
@@ -359,32 +239,6 @@ class MetricSet(InlineState):
                 for key, histogram in sorted(self._histograms.items())
             },
         }
-
-    def merge(self, other: "MetricSet") -> None:
-        for key, counter in other._counters.items():
-            mine = self._counters.get(key)
-            if mine is None:
-                mine = self._counters[key] = Counter()
-            # Reading other's value works for owned counters and live
-            # views alike; merging *into* a view raises (views mirror a
-            # component, they are not aggregation targets).
-            mine.add(counter.value)
-        for key, gauge in other._gauges.items():
-            if isinstance(gauge, GaugeView):
-                raise TypeError(f"cannot merge live gauge view {key}")
-            mine_gauge = self._gauges.get(key)
-            if mine_gauge is None:
-                mine_gauge = self._gauges[key] = TimeWeightedGauge()
-            if isinstance(mine_gauge, GaugeView):
-                raise TypeError(f"cannot merge into live gauge view {key}")
-            mine_gauge.merge(gauge)
-        for key, histogram in other._histograms.items():
-            mine_hist = self._histograms.get(key)
-            if mine_hist is None:
-                mine_hist = self._histograms[key] = Histogram(
-                    bounds=tuple(histogram.bounds)
-                )
-            mine_hist.merge(histogram)
 
 
 def mean(samples: Iterable[float]) -> float:

@@ -33,6 +33,10 @@ SECOND = 1.0
 MINUTE = 60.0
 HOUR = 3600.0
 
+# The durability models (``faults.py``'s fleet statistics and
+# ``analysis/``) count time in hours and quote rates per year.
+HOURS_PER_YEAR = 24 * 365.0
+
 # Network rates in bytes/second.  NIC line rates are conventionally quoted
 # in bits per second.
 def gbps(gigabits: float) -> float:

@@ -11,70 +11,62 @@ from repro.analysis.cost import (
     ServerExample,
     fig7_rows,
 )
-from repro.analysis.design_space import (
-    design_space_points,
-    storage_efficiency,
-    verify_middle_point,
-)
+from repro.analysis.design_space import design_space_points, verify_middle_point
 from repro.analysis.properties import (
     SCHEMES,
     Rating,
     property_matrix,
     render_matrix,
 )
-from repro.analysis.repair_traffic import (
-    erasure_repair,
-    raidp_repair,
-    repair_traffic,
-    replication_repair,
-)
+from repro.analysis.scheme import DurabilityModelError, Scheme, paper_schemes
 
 
 # ----------------------------------------------------------------------
 # Repair traffic.
 # ----------------------------------------------------------------------
 def test_replication_repair_is_ideal():
-    assert replication_repair(1).volume_per_lost_byte == 1.0
-    assert replication_repair(2).volume_per_lost_byte == 1.0
+    assert Scheme.replication(3).repair_volume(1) == 1.0
+    assert Scheme.replication(3).repair_volume(2) == 1.0
 
 
 def test_erasure_repair_costs_n():
-    assert erasure_repair(10, 1).volume_per_lost_byte == 10.0
+    assert Scheme.erasure(10).repair_volume(1) == 10.0
 
 
 def test_raidp_single_failure_matches_replication():
-    assert raidp_repair(15, 1).volume_per_lost_byte == 1.0
+    assert Scheme.raidp(superchunks_per_disk=15).repair_volume(1) == 1.0
 
 
 def test_raidp_double_failure_between_extremes():
-    volume = raidp_repair(15, 2).volume_per_lost_byte
+    volume = Scheme.raidp(superchunks_per_disk=15).repair_volume(2)
     assert 1.0 < volume < 10.0
     # With S=15: (2*15-2 + 15) / (2*15-1) = 43/29.
     assert volume == pytest.approx(43 / 29)
 
 
 def test_repair_traffic_dispatch():
-    assert repair_traffic("triplication").scheme == "replication"
-    assert repair_traffic("rs", n=6).volume_per_lost_byte == 6.0
-    with pytest.raises(ValueError):
-        repair_traffic("parchive")
+    """The formulas dispatch on ``kind``; an unknown kind is no scheme."""
+    assert Scheme.erasure(6).repair_volume(1) == 6.0
+    with pytest.raises(DurabilityModelError):
+        Scheme(name="parchive", kind="parchive", width=3, tolerance=2, needed_online=1)
 
 
 def test_repair_traffic_validation():
-    with pytest.raises(ValueError):
-        erasure_repair(0, 1)
-    with pytest.raises(ValueError):
-        raidp_repair(0, 2)
+    with pytest.raises(DurabilityModelError):
+        Scheme.erasure(0)
+    with pytest.raises(DurabilityModelError):
+        Scheme.raidp(superchunks_per_disk=0).repair_volume(2)
 
 
 # ----------------------------------------------------------------------
 # Fig. 1 design space.
 # ----------------------------------------------------------------------
 def test_storage_efficiencies():
-    assert storage_efficiency("triplication") == pytest.approx(1 / 3)
-    assert storage_efficiency("erasure", n=10) == pytest.approx(10 / 12)
+    triplication, erasure, raidp = paper_schemes(n=10, superchunks_per_disk=15)
+    assert triplication.storage_efficiency == pytest.approx(1 / 3)
+    assert erasure.storage_efficiency == pytest.approx(10 / 12)
     # RAIDP with 15 superchunks/disk: 15 useful per 31 raw.
-    assert storage_efficiency("raidp", superchunks_per_disk=15) == pytest.approx(15 / 31)
+    assert raidp.storage_efficiency == pytest.approx(15 / 31)
 
 
 def test_raidp_is_a_middle_point():
@@ -85,6 +77,23 @@ def test_raidp_is_a_middle_point():
 def test_design_point_rows_render():
     for point in design_space_points():
         assert point.scheme in point.row()
+
+
+def test_fig1_values_are_pinned():
+    """All nine Fig. 1 values, as printed before the rows were derived
+    from ``Scheme`` (n=10, S=15)."""
+    assert {
+        p.scheme: (
+            p.storage_efficiency,
+            p.repair_efficiency_single,
+            p.repair_efficiency_double,
+        )
+        for p in design_space_points()
+    } == {
+        "triplication": (0.3333333333333333, 1.0, 1.0),
+        "erasure": (0.8333333333333334, 0.1, 0.1),
+        "raidp": (0.4838709677419355, 1.0, 0.6744186046511628),
+    }
 
 
 # ----------------------------------------------------------------------
@@ -139,6 +148,56 @@ def test_property_matrix_matches_paper():
     assert rows["write disk: multi-block"].ratings["raidp"] is Rating.WORST
     worst_value = max(rows["failure domain tolerance"].values.values())
     assert rows["failure domain tolerance"].values["raidp"] == worst_value
+
+
+#: Table 1 as derived before its rows were read off ``Scheme`` (n=10,
+#: S=15): (row, costs, ratings), both in ``SCHEMES`` order.
+TABLE1_GOLDEN = [
+    ("storage capacity", (3.0, 1.2, 2.066666666666667), "-+±"),
+    ("read parallelism / load balancing", (0.3333333333333333, 1.0, 0.5), "+-±"),
+    ("degraded read", (1.0, 10.0, 1.0), "+-+"),
+    ("cpu consumption (sync latency)", (0.0, 2.0, 1.0), "+-±"),
+    ("disk sequentiality", (1.0, 10.0, 1.0), "+-+"),
+    ("write network: sub-stripe", (2.0, 4.0, 1.0), "±-+"),
+    ("write network: full stripe", (2.0, 0.2, 1.0), "-+±"),
+    ("write disk: sub-sector", (1.0, 2.0, 2.0), "+--"),
+    ("write disk: sub-block", (3.0, 12.0, 4.0), "+-±"),
+    ("write disk: multi-block", (3.0, 1.2, 4.0), "±+-"),
+    ("repair traffic: single failure", (1.0, 10.0, 1.0), "+-+"),
+    ("repair traffic: dual failure", (1.0, 10.0, 1.4827586206896552), "+-±"),
+    (
+        "failure domain tolerance",
+        (0.3333333333333333, 0.08333333333333333, 0.5),
+        "±+-",
+    ),
+]
+
+
+def test_table1_values_and_ratings_are_pinned():
+    rows = property_matrix()
+    assert [row.name for row in rows] == [name for name, _, _ in TABLE1_GOLDEN]
+    for row, (name, costs, ratings) in zip(rows, TABLE1_GOLDEN):
+        assert "".join(row.ratings[s].value for s in SCHEMES) == ratings, name
+        assert [row.values[s] for s in SCHEMES] == pytest.approx(
+            list(costs), rel=1e-12
+        ), name
+
+
+@pytest.mark.parametrize("n, s", [(10, 15), (6, 128), (4, 999)])
+def test_fig1_and_table1_move_together(n, s):
+    """Both read the same ``Scheme`` objects, so a change of ``n`` or
+    ``S`` cannot reach one and miss the other."""
+    points = design_space_points(n, s)
+    rows = {row.name: row.values for row in property_matrix(n, s)}
+    for key, point in zip(SCHEMES, points):
+        assert rows["storage capacity"][key] == pytest.approx(
+            1 / point.storage_efficiency, rel=1e-12
+        )
+        assert rows["repair traffic: dual failure"][key] == pytest.approx(
+            1 / point.repair_efficiency_double, rel=1e-12
+        )
+    assert rows["storage capacity"]["ec"] == pytest.approx((n + 2) / n)
+    assert rows["storage capacity"]["raidp"] == pytest.approx(2 + 1 / s)
 
 
 def test_property_matrix_covers_all_rows():

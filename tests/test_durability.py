@@ -1,20 +1,18 @@
-"""Tests for the durability/availability analysis (paper §2)."""
+"""Tests for the analytic MTTDL ladder (paper §2).
+
+The Monte-Carlo side of the §2 argument is ``tests/test_montecarlo.py``.
+"""
 
 import pytest
 
-from repro.analysis.durability import (
-    FailureSimulator,
-    FleetSpec,
-    durability_summary,
+from repro.analysis.scheme import (
+    default_schemes,
     mttdl_erasure,
     mttdl_raidp,
     mttdl_replication,
 )
 
 
-# ----------------------------------------------------------------------
-# Analytic MTTDL.
-# ----------------------------------------------------------------------
 def test_more_replicas_last_longer():
     two = mttdl_replication(2, 1e6, 12.0)
     three = mttdl_replication(3, 1e6, 12.0)
@@ -62,154 +60,8 @@ def test_replication_validation():
 
 
 def test_summary_orders_schemes():
-    summary = durability_summary()
+    summary = {s.name: s.mttdl_hours(1e6, 12.0) for s in default_schemes()}
     assert summary["rep2"] < summary["raidp"]
     assert summary["raidp"] == pytest.approx(summary["rep3"])
     assert summary["raidp(2 lstors)"] > summary["raidp"]
-
-
-# ----------------------------------------------------------------------
-# Monte-Carlo.
-# ----------------------------------------------------------------------
-@pytest.fixture(scope="module")
-def outcomes():
-    # Aggressive failure rates so events occur within few trials.
-    spec = FleetSpec(
-        num_racks=8,
-        disks_per_rack=4,
-        disk_afr=0.5,
-        rack_outage_rate=12.0,
-        rebuild_hours=24.0 * 14,
-        years=3.0,
-    )
-    return FailureSimulator(spec, seed=7).run(trials=600)
-
-
-def test_monte_carlo_durability_ordering(outcomes):
-    """Data-loss probability: rep2 >> raidp ~ rep3."""
-    assert outcomes["rep2"].loss_probability > outcomes["rep3"].loss_probability
-    assert outcomes["rep2"].loss_probability > outcomes["raidp"].loss_probability
-    # RAIDP's durability is in triplication's class (within noise).
-    assert outcomes["raidp"].loss_probability <= outcomes["rep2"].loss_probability / 2
-
-
-def test_monte_carlo_availability_penalty(outcomes):
-    """The paper's §2 concession: RAIDP spans only two failure domains,
-    so rack outages hide data more often than under triplication."""
-    assert (
-        outcomes["raidp"].unavailability_probability
-        >= outcomes["rep3"].unavailability_probability
-    )
-
-
-def test_monte_carlo_is_deterministic():
-    spec = FleetSpec(disk_afr=0.3, years=1.0)
-    first = FailureSimulator(spec, seed=3).run(trials=50)
-    second = FailureSimulator(spec, seed=3).run(trials=50)
-    for name in first:
-        assert first[name].loss_probability == second[name].loss_probability
-
-
-def test_monte_carlo_counts_are_consistent(outcomes):
-    for outcome in outcomes.values():
-        assert outcome.trials == 600
-        assert 0 <= outcome.data_loss_events <= outcome.trials
-        assert 0 <= outcome.unavailability_events <= outcome.trials
-
-
-# ----------------------------------------------------------------------
-# The §2 caveat and the _judge fixes (ISSUE 7 satellites).
-# ----------------------------------------------------------------------
-def test_raidp_unavailability_strictly_exceeds_rep3(outcomes):
-    """Regression: with the co-located-Lstor caveat honoured, RAIDP's
-    two failure domains must cost it strictly more unavailability than
-    triplication's three under rack outages -- the old judge read
-    ``local_parity_racks`` into the void and under-counted this."""
-    assert (
-        outcomes["raidp"].unavailability_probability
-        > outcomes["rep3"].unavailability_probability
-    )
-
-
-def test_judge_sees_unavailability_between_outages():
-    """Both replicas dead at once (survivable for RAIDP via parity) is
-    an *unavailability* window even when no rack outage is in flight;
-    the old judge only sampled outage-start instants."""
-    sim = FailureSimulator(FleetSpec(), seed=1)
-    h0, h1 = 0, sim.spec.disks_per_rack  # racks 0 and 1
-    lost, unavailable = sim._judge(
-        holders=[h0, h1],
-        tolerance=2,
-        needed_online=1,
-        local_parity_racks=[0, 1],
-        disk_failures=[(10.0, h0), (15.0, h1)],
-        rack_outages=[],
-    )
-    assert not lost
-    assert unavailable
-
-
-def test_judge_does_not_score_availability_after_loss():
-    """Once data is lost there is nothing left to be unavailable; the
-    old judge kept scoring outages against the stale, partially
-    populated dead_until left behind by the early break."""
-    sim = FailureSimulator(FleetSpec(rebuild_hours=336.0), seed=1)
-    h0, h1 = 0, sim.spec.disks_per_rack
-    lost, unavailable = sim._judge(
-        holders=[h0, h1],
-        tolerance=1,  # rep2: the second overlapping failure is loss
-        needed_online=1,
-        local_parity_racks=[],
-        disk_failures=[(10.0, h0), (20.0, h1)],
-        rack_outages=[(30.0, 0), (30.0, 1)],
-    )
-    assert lost
-    assert not unavailable
-
-
-def test_judge_disables_dark_lstor_assist():
-    """A rack outage disables the co-located Lstor's parity assist: a
-    second replica failure during that window is a loss, where the same
-    failure with the Lstor's rack lit is survivable."""
-    sim = FailureSimulator(FleetSpec(), seed=1)
-    h0, h1 = 0, sim.spec.disks_per_rack
-    base = dict(
-        holders=[h0, h1],
-        tolerance=2,
-        needed_online=1,
-        local_parity_racks=[0, 1],
-        disk_failures=[(10.0, h0), (17.0, h1)],
-    )
-    lost_lit, _ = sim._judge(rack_outages=[], **base)
-    # Rack 0 (the first dead replica's Lstor) goes dark at hour 15; the
-    # default 4-hour outage covers the second failure at hour 17.
-    lost_dark, _ = sim._judge(rack_outages=[(15.0, 0)], **base)
-    assert not lost_lit
-    assert lost_dark
-
-
-def test_ec_stripe_clipped_to_fleet_is_not_stronger():
-    """Regression: clipping the stripe to the rack count must also
-    shrink its data width -- the old run() left needed_online at the
-    unclipped value, making a 5-rack 'ec(6+2)' impossibly strong."""
-    spec = FleetSpec(
-        num_racks=5,
-        disks_per_rack=4,
-        disk_afr=0.5,
-        rack_outage_rate=12.0,
-        rebuild_hours=24.0 * 14,
-        years=3.0,
-    )
-    outcomes_clipped = FailureSimulator(spec, seed=7).run(trials=300)
-    ec = outcomes_clipped["ec(6+2)"]
-    # A 5-disk n+2 stripe (n=3) still loses data under these stress
-    # rates; the mis-derived variant scored an 8-wide tolerance on a
-    # 5-wide placement and reported near-zero loss.
-    assert ec.trials == 300
-    assert ec.loss_probability > 0
-
-
-def test_ec_raises_on_undersized_fleet():
-    spec = FleetSpec(num_racks=3, disks_per_rack=4)
-    with pytest.raises(ValueError):
-        FailureSimulator(spec, seed=7).run(trials=10)
+    assert summary["ec(6+2)"] == mttdl_erasure(6, 2, 1e6, 12.0)

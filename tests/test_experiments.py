@@ -78,3 +78,33 @@ def test_fig8_runs_at_reduced_scale():
     # Core shape even with a single seed.
     assert rows["raidp opt: only superchunks"] < 1.0
     assert rows["raidp unopt: +journal"] > 5.0
+
+
+def test_ext_durability_rungs_share_the_five_schemes():
+    """Both rungs read ``default_schemes()``: every row names one of the
+    five, each rung lists all five, and the §2 trade shows in the MC rows."""
+    from repro.analysis.scheme import default_schemes
+    from repro.experiments import ext_durability
+
+    keys = ext_durability.tasks()
+    assert len(keys) == 5 and {key[0] for key in keys} == {"analytic", "mc"}
+    result = ext_durability.run(jobs=1)
+    rows = {label: value for label, value, _ in result.rows}
+    names = [scheme.name for scheme in default_schemes()]
+    by_rung = {}
+    for label in rows:
+        rung, _, rest = label.partition(" [")
+        by_rung.setdefault(rung, []).append(rest.split("]")[0])
+    assert set(by_rung) == {
+        "analytic MTTDL",
+        "MC nines",
+        "MC availability nines",
+        "MC repair GB/day",
+        "MC peak groups at-risk",
+    }
+    for rung, listed in by_rung.items():
+        assert listed == names, rung
+    assert rows["MC nines [rep2]"] < rows["MC nines [raidp]"] < rows["MC nines [rep3]"]
+    assert (
+        rows["MC availability nines [raidp]"] < rows["MC availability nines [rep3]"]
+    )

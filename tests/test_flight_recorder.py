@@ -28,12 +28,13 @@ from repro.obs.timeseries import (
     Sampler,
     TimeSeriesStore,
     load_timeseries,
+    percentile_from_buckets,
     percentile_label,
     write_timeseries,
 )
 from repro.sim.cluster import ClusterSpec
 from repro.sim.engine import Simulator
-from repro.sim.stats import Histogram, MetricSet, percentile_from_buckets
+from repro.sim.stats import Histogram, MetricSet
 
 
 def _cluster(seed=11, nodes=8):
@@ -110,7 +111,7 @@ def test_sampler_grid_and_counter_series():
 
 def test_sampler_windowed_percentiles_match_stats_kernel():
     metrics = MetricSet()
-    hist = metrics.histogram("lat")
+    hist = metrics.register_histogram("lat", Histogram())
     with ts_mod.capture(interval=1.0) as sampler:
         sim = Simulator()
         sampler.watch(metrics)

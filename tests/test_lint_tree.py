@@ -17,6 +17,7 @@ from typing import get_type_hints
 
 import pytest
 
+import repro.analysis
 import repro.core
 import repro.sim
 from repro.lint.cli import build_engine
@@ -196,7 +197,7 @@ def test_design_rule_table_matches_default_rules():
 
 def _strict_modules():
     names = []
-    for package in (repro.core, repro.sim):
+    for package in (repro.analysis, repro.core, repro.sim):
         for info in pkgutil.iter_modules(package.__path__):
             names.append(f"{package.__name__}.{info.name}")
     return sorted(names)
@@ -224,13 +225,13 @@ def _type_checking_names(module):
 def test_promoted_packages_have_no_untyped_defs():
     """The local mirror of mypy's ``disallow_untyped_defs`` gate.
 
-    CI runs mypy with strict overrides for ``repro.experiments`` and
-    ``repro.tools`` (pyproject.toml); mypy is not in the local image, so
-    this sweep enforces the same surface -- every def fully annotated --
-    without it.
+    CI runs mypy with strict overrides for ``repro.experiments``,
+    ``repro.tools`` and ``repro.analysis`` (pyproject.toml); mypy is not
+    in the local image, so this sweep enforces the same surface -- every
+    def fully annotated -- without it.
     """
     offenders = []
-    for package in ("repro/experiments", "repro/tools"):
+    for package in ("repro/experiments", "repro/tools", "repro/analysis"):
         for path in sorted((SRC / package).rglob("*.py")):
             tree = ast.parse(path.read_text(encoding="utf-8"))
             for node in ast.walk(tree):

@@ -16,18 +16,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.durability import (
-    HOURS_PER_YEAR,
+from repro.analysis.montecarlo import DurabilityEngine, Fleet, analytic_mc_mttdl
+from repro.analysis.scheme import (
+    DurabilityModelError,
+    Scheme,
+    default_schemes,
     mttdl_erasure,
     mttdl_replication,
-)
-from repro.analysis.montecarlo import (
-    DurabilityEngine,
-    DurabilityModelError,
-    Fleet,
-    Scheme,
-    analytic_mc_mttdl,
-    default_schemes,
 )
 from repro.faults import (
     CorrelatedFailureModel,
@@ -35,6 +30,7 @@ from repro.faults import (
     LatentErrorModel,
     RepairModel,
 )
+from repro.units import HOURS_PER_YEAR
 
 # ----------------------------------------------------------------------
 # Validation regime: exponential lifetimes with MTTF exactly 1e4 hours,
@@ -58,7 +54,7 @@ VALIDATION_FLEET = Fleet(num_racks=8, disks_per_rack=8, groups=10_000)
 VALIDATION_SCHEMES = (
     Scheme.replication(2),
     Scheme.replication(3),
-    Scheme.raidp(lstors=1, chain_length=8),
+    Scheme.raidp(lstors=1, superchunks_per_disk=8),
     Scheme.erasure(4, 2),
 )
 
@@ -124,13 +120,13 @@ def test_analytic_mc_matches_ladder_factors():
 
 def test_second_lstor_extends_raidp_mttdl():
     one = analytic_mc_mttdl(
-        Scheme.raidp(lstors=1, chain_length=8),
+        Scheme.raidp(lstors=1, superchunks_per_disk=8),
         VALIDATION_FLEET,
         VALIDATION_LIFETIME,
         VALIDATION_REPAIR,
     )
     two = analytic_mc_mttdl(
-        Scheme.raidp(lstors=2, chain_length=8),
+        Scheme.raidp(lstors=2, superchunks_per_disk=8),
         VALIDATION_FLEET,
         VALIDATION_LIFETIME,
         VALIDATION_REPAIR,
@@ -211,6 +207,38 @@ def test_raidp_concedes_availability(default_reports):
     )
 
 
+def test_default_run_is_pinned():
+    """The smoke fleet's first eight trials, float for float, as they
+    were before ``Scheme`` moved to ``analysis/scheme.py`` -- so the bench
+    digest is not the only guard on the judge's arithmetic."""
+    engine = DurabilityEngine(Fleet(20, 50, groups=100_000), seed=0xD15C)
+    reports = engine.run(8, years=10.0)
+    assert {
+        name: (
+            r.expected_groups_lost.hex(),
+            r.repair_gb.hex(),
+            r.unavailable_group_hours.hex(),
+        )
+        for name, r in reports.items()
+    } == {
+        "rep2": (
+            "0x1.54eb954f2460cp+4", "0x1.9cd7800000000p+23", "0x1.69490aa31afb3p+9",
+        ),
+        "rep3": (
+            "0x1.5c872a92ebdd4p-11", "0x1.9cd7800000000p+23", "0x1.230e330538080p+0",
+        ),
+        "raidp": (
+            "0x1.5c35e15223980p+0", "0x1.9cd7800000000p+23", "0x1.8ad23a6367cdbp+9",
+        ),
+        "raidp(2 lstors)": (
+            "0x1.e97e888bd9c38p-2", "0x1.9cd7800000000p+23", "0x1.8e84053452970p+9",
+        ),
+        "ec(6+2)": (
+            "0x1.ca694ec6caa4fp-7", "0x1.693c900000000p+25", "0x1.faad34e6b3322p+5",
+        ),
+    }
+
+
 # ----------------------------------------------------------------------
 # Validation errors.
 # ----------------------------------------------------------------------
@@ -227,6 +255,24 @@ def test_scheme_wider_than_fleet_rejected():
             fleet=Fleet(num_racks=4, disks_per_rack=10),
             schemes=(Scheme.erasure(6, 2),),
         )
+
+
+def test_scheme_validation():
+    # S - 1 siblings feed a chain decode; S < 1 would score the chain as
+    # never blocked, i.e. RAIDP as unable to lose data.
+    for bad in (0, -3):
+        with pytest.raises(DurabilityModelError, match="superchunk"):
+            Scheme.raidp(superchunks_per_disk=bad)
+    with pytest.raises(DurabilityModelError, match="Lstor"):
+        Scheme.raidp(lstors=0)
+    # 0 <= tolerance < width + lstors: each Lstor buys one more
+    # survivable loss than the members alone.
+    for bad in (-1, 3):
+        with pytest.raises(DurabilityModelError, match="tolerance"):
+            Scheme("x", "replication", width=3, tolerance=bad, needed_online=1)
+    assert Scheme.raidp(lstors=2).tolerance == 3
+    with pytest.raises(DurabilityModelError, match="tolerance"):
+        Scheme("x", "raidp", width=2, tolerance=4, needed_online=1, lstors=2)
 
 
 def test_duplicate_scheme_names_rejected():

@@ -2,16 +2,7 @@
 
 import pytest
 
-from repro.sim.stats import Counter, Histogram, MetricSet, TimeWeightedGauge, mean
-
-
-def test_counter_increases_only():
-    counter = Counter()
-    counter.add()
-    counter.add(5)
-    assert counter.value == 6
-    with pytest.raises(ValueError):
-        counter.add(-1)
+from repro.sim.stats import Histogram, MetricSet, TimeWeightedGauge, mean
 
 
 def test_time_weighted_gauge_average():
@@ -32,34 +23,6 @@ def test_gauge_adjust_and_monotone_time():
     assert gauge.current == 0
     with pytest.raises(ValueError):
         gauge.set(1.0, now=0.5)
-
-
-def test_gauge_reset_rebases_the_clock():
-    # A repetition restarts simulated time at zero; reset() must accept
-    # that where a plain set() raises, while keeping the lifetime average.
-    gauge = TimeWeightedGauge(start_time=0.0)
-    gauge.set(2.0, now=4.0)  # window 1: value 0 for [0, 4)
-    with pytest.raises(ValueError):
-        gauge.set(2.0, now=0.0)
-    gauge.reset(0.0, value=2.0)
-    gauge.set(2.0, now=4.0)  # window 2: value 2 for [0, 4)
-    # Lifetime: 0*4 + 2*4 = 8 over 8 seconds.
-    assert gauge.average(4.0) == pytest.approx(1.0)
-    assert gauge.current == 2.0
-    assert gauge.max_value == 2.0
-
-
-def test_gauge_merge_combines_windows():
-    a = TimeWeightedGauge()
-    a.set(2.0, now=2.0)  # 0 for [0,2)
-    b = TimeWeightedGauge()
-    b.set(4.0, now=1.0)  # 0 for [0,1)
-    b.set(4.0, now=3.0)  # 4 for [1,3)
-    a.merge(b)
-    # a: area 0 over 2s; b: area 8 over 3s -> combined 8 over 5s... plus
-    # a's live value 2.0 extends to the average instant.
-    assert a.average(2.0) == pytest.approx(8.0 / 5.0)
-    assert a.max_value == 4.0
 
 
 def test_gauge_average_at_start_time():
@@ -94,39 +57,18 @@ def test_histogram_bisect_matches_linear_scan():
     assert hist.counts == expected
 
 
-def test_histogram_merge():
-    a = Histogram(bounds=(1.0, 10.0))
-    b = Histogram(bounds=(1.0, 10.0))
-    a.observe(0.5)
-    b.observe(5.0)
-    b.observe(50.0)
-    a.merge(b)
-    assert a.counts == [1, 1, 1]
-    assert a.total == 3
-    assert a.max == 50.0
-    with pytest.raises(ValueError):
-        a.merge(Histogram(bounds=(2.0,)))
-
-
-def test_metric_set_counters_and_merge():
-    metrics = MetricSet()
-    metrics.add("reads", 3)
-    metrics.add("writes")
-    other = MetricSet()
-    other.add("reads", 2)
-    metrics.merge(other)
-    assert metrics.get("reads") == 5
-    assert metrics.get("missing") == 0
-    assert metrics.as_dict()["counters"] == {"reads": 5, "writes": 1}
-
-
 def test_metric_set_labels_and_all_kinds():
     metrics = MetricSet()
-    metrics.add("disk_reads", 3, disk="n0-d0")
-    metrics.add("disk_reads", 1, disk="n1-d0")
-    gauge = metrics.gauge("queue_depth", disk="n0-d0")
+    reads = {"n0-d0": 3, "n1-d0": 1}
+    for disk in reads:
+        metrics.register_counter("disk_reads", lambda d=disk: reads[d], disk=disk)
+    gauge = metrics.register_gauge("queue_depth", TimeWeightedGauge(), disk="n0-d0")
     gauge.set(2.0, now=1.0)
-    hist = metrics.histogram("io_latency", bounds=(1.0,), disk="n0-d0")
+    depth = [4.0]
+    metrics.register_gauge_view("inflight", lambda: depth[0])
+    hist = metrics.register_histogram(
+        "io_latency", Histogram(bounds=(1.0,)), disk="n0-d0"
+    )
     hist.observe(0.5)
     snapshot = metrics.as_dict(now=2.0)
     assert snapshot["counters"] == {
@@ -136,29 +78,19 @@ def test_metric_set_labels_and_all_kinds():
     gauges = snapshot["gauges"]
     assert gauges["queue_depth{disk=n0-d0}"]["current"] == 2.0
     assert gauges["queue_depth{disk=n0-d0}"]["average"] == pytest.approx(1.0)
+    assert gauges["inflight"] == {"current": 4.0, "max": 4.0, "average": 4.0}
     hists = snapshot["histograms"]
     assert hists["io_latency{disk=n0-d0}"]["count"] == 1
+    # Views are live: the component's next count shows without re-registering.
+    reads["n0-d0"] += 2
+    depth[0] = 1.0
+    later = metrics.as_dict()
+    assert later["counters"]["disk_reads{disk=n0-d0}"] == 5
+    assert later["gauges"]["inflight"] == {"current": 1.0, "max": 4.0, "average": 1.0}
     # Label order never changes the key.
-    metrics.add("xfers", 1, src="a", dst="b")
-    assert metrics.get("xfers", dst="b", src="a") == 1
-
-
-def test_metric_set_merge_all_kinds():
-    a = MetricSet()
-    b = MetricSet()
-    a.gauge("g").set(2.0, now=2.0)
-    b.gauge("g").set(4.0, now=2.0)
-    b.histogram("h", bounds=(1.0,)).observe(0.5)
-    b.add("c", 7)
-    a.merge(b)
-    snapshot = a.as_dict()
-    assert snapshot["counters"] == {"c": 7}
-    assert snapshot["gauges"]["g"]["max"] == 4.0
-    assert snapshot["histograms"]["h"]["count"] == 1
-    # Merging into an empty set deep-copies histogram counts (mutating the
-    # source afterwards must not leak through).
-    b.histogram("h").observe(0.2)
-    assert a.as_dict()["histograms"]["h"]["count"] == 1
+    metrics.register_counter("xfers", lambda: 1, src="a", dst="b")
+    metrics.register_counter("xfers", lambda: 2, dst="b", src="a")
+    assert metrics.as_dict()["counters"]["xfers{dst=b,src=a}"] == 2
 
 
 def test_mean_helper():

@@ -27,10 +27,8 @@ from repro.obs.export import (
 from repro.obs.tracer import (
     NULL_TRACER,
     Tracer,
-    activate,
     active_tracer,
     capture,
-    deactivate,
     iter_spans,
 )
 from repro.sim.cluster import ClusterSpec
@@ -102,10 +100,6 @@ def test_null_tracer_is_inert():
 
 
 def test_activation_scoping():
-    assert active_tracer() is NULL_TRACER
-    tracer = activate()
-    assert active_tracer() is tracer
-    deactivate()
     assert active_tracer() is NULL_TRACER
     with capture() as captured:
         assert active_tracer() is captured
