@@ -4,7 +4,7 @@ PYTHON     ?= python
 PYTHONPATH := src
 export PYTHONPATH
 
-.PHONY: test lint typecheck bench benchmark chaos verify profile experiments durability-smoke clean
+.PHONY: test lint typecheck shapes bench benchmark chaos verify profile experiments durability-smoke clean
 
 # Tier-1: the full unit/integration/property suite.
 test:
@@ -23,6 +23,12 @@ typecheck:
 		&& $(PYTHON) -m mypy src/repro \
 		|| echo "typecheck: mypy not installed; skipping (CI runs it)"
 
+# The paper-shape assertions (who wins, ratios, crossovers) of every
+# figure and table, timing off: tier-1's tests/test_experiments.py
+# delegates them here, so this is the gate that runs them (~45 s).
+shapes:
+	$(PYTHON) -m pytest benchmarks/ --benchmark-disable -q
+
 # Full pytest-benchmark harness (slow; asserts every figure/table shape).
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only
@@ -39,9 +45,10 @@ CHAOS_ARGS ?=
 chaos:
 	$(PYTHON) -m repro.tools.chaos --runs 2 $(CHAOS_ARGS)
 
-# Lint + typing gates, tier-1 tests, chaos soak, and one smoke pass of
-# the repo benchmark (every workload once, results checked).
-verify: lint typecheck test chaos
+# Lint + typing gates, tier-1 tests, the paper-shape assertions, the
+# (always audited) chaos soak, and one smoke pass of the repo benchmark
+# (every workload once, results checked).
+verify: lint typecheck test shapes chaos
 	$(PYTHON) -m bench run --smoke
 
 # Hot-path smoke: the ten hottest dispatch consumers of the recovery

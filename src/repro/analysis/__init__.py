@@ -19,7 +19,6 @@ from repro.analysis.montecarlo import (
     DurabilityEngine,
     Fleet,
     SchemeReport,
-    analytic_mc_mttdl,
 )
 from repro.analysis.properties import Rating, property_matrix
 from repro.analysis.scheme import Scheme, default_schemes
@@ -34,7 +33,6 @@ __all__ = [
     "Scheme",
     "SchemeReport",
     "ServerExample",
-    "analytic_mc_mttdl",
     "default_schemes",
     "design_space_points",
     "property_matrix",

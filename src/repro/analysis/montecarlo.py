@@ -40,7 +40,7 @@ nines-of-durability estimates converge with far fewer trials than
 indicator counting needs.
 
 Validation: in the independent-exponential, no-LSE, no-burst regime the
-engine's loss rate has a closed form (:func:`analytic_mc_mttdl`) that
+engine's loss rate has a closed form (``tests/oracles.py``) that
 differs from the classic :func:`~repro.analysis.scheme.mttdl_replication`
 ladder only by a documented window-overlap factor; the property test in
 ``tests/test_montecarlo.py`` pins both.
@@ -74,7 +74,6 @@ __all__ = [
     "Fleet",
     "SchemeReport",
     "DurabilityEngine",
-    "analytic_mc_mttdl",
 ]
 
 
@@ -242,71 +241,6 @@ def _chain_blocked(q: float, scheme: Scheme) -> float:
     when at least ``k`` sources are bad.
     """
     return _binom_tail(q, scheme.superchunks_per_disk - 1, scheme.lstors)
-
-
-def analytic_mc_mttdl(
-    scheme: Scheme,
-    fleet: Fleet,
-    lifetime: DiskLifetimeModel,
-    repair: RepairModel,
-) -> float:
-    """Closed-form per-group MTTDL (years) under the engine's semantics.
-
-    Valid in the validation regime only: exponential lifetimes
-    (``weibull_shape == 1``), no latent errors, no bursts, an uncontended
-    repair pool, and eager recovery.  Derivation: a group dies when its
-    ``tolerance + 1``-th member fails while ``tolerance`` others sit in
-    their repair windows of length T.  The renewal process alternates
-    MTTF of life with T of repair, so a disk fails at rate
-    ``1 / (MTTF + T)`` and is mid-repair with stationary probability
-    ``T / (MTTF + T)`` -- the exact quantities the engine's event
-    streams realize, rather than the first-order ``lambda * T``.  Note
-    the classic :func:`~repro.analysis.scheme.mttdl_replication`
-    ladder assumes *serialized* rebuild stages, which halves the
-    tolerance-2 MTTDL relative to this overlapping-window model -- the
-    property test pins that factor rather than pretending the two
-    models agree exactly.  For RAIDP the chain-blocked term is convex
-    in the fleet's dead fraction, so a point estimate at the mean dead
-    count would understate the loss rate (Jensen); the RAIDP branch
-    therefore takes the expectation over the binomial dead-count
-    distribution explicitly.
-    """
-    window = repair.detection_hours + repair.disk_rebuild_hours
-    cycle = lifetime.mttf_hours + window
-    lam = 1.0 / cycle  # renewal failure rate per disk
-    p_dead = window / cycle  # stationary P(a specific disk is mid-repair)
-    if scheme.kind == "replication":
-        others = scheme.width - 1
-        # Loss at a member failure when `others` are all already dead.
-        rate = scheme.width * lam * p_dead**others
-    elif scheme.kind == "erasure":
-        # tolerance others (of width-1) already dead at a member failure.
-        rate = (
-            scheme.width
-            * lam
-            * math.comb(scheme.width - 1, scheme.tolerance)
-            * p_dead**scheme.tolerance
-        )
-    else:  # raidp
-        # At a failure event the engine sees K other disks dead
-        # (K ~ Binomial(num_disks - 1, p_dead) in steady state), prices
-        # the partner as dead with probability ~K / (num_disks - 1),
-        # and blocks each chain decode with the same K-dependent rate.
-        # The product K * side(K)^2 is convex in K, so expectation over
-        # K is taken term by term.
-        others = fleet.num_disks - 1
-        mean_term = math.fsum(
-            math.comb(others, k)
-            * p_dead**k
-            * (1.0 - p_dead) ** (others - k)
-            * (k / others)
-            * _chain_blocked(k / others, scheme) ** 2
-            for k in range(others + 1)
-        )
-        rate = 2.0 * lam * mean_term
-    if rate <= 0.0:
-        return math.inf
-    return 1.0 / rate / HOURS_PER_YEAR
 
 
 # ----------------------------------------------------------------------

@@ -20,6 +20,7 @@ from repro.core.placement import SuperchunkMap
 from repro.errors import BlockMissingError
 from repro.hdfs.block import BlockLocations
 from repro.hdfs.client import DfsClient
+from repro.hdfs.namenode import healthy_datanode
 from repro.storage.payload import XorAccumulator
 
 
@@ -69,7 +70,7 @@ class RaidpClient(DfsClient):
                 continue
             mirror_name = self.layout.superchunk(other_sc).mirror_of(source.name)
             mirror = self.namenode.datanode(mirror_name)
-            if not mirror.alive:
+            if not healthy_datanode(mirror):
                 raise BlockMissingError(
                     f"degraded read of {block.name} needs dead mirror {mirror_name}"
                 )

@@ -10,7 +10,7 @@ the unoptimized ablation is requested.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional
+from typing import Dict, Iterator, List, Optional
 
 from repro import units
 from repro.core.layout import (
@@ -19,6 +19,7 @@ from repro.core.layout import (
     domain_aware_layout,
     rotational_layout,
 )
+from repro.core.journal import RecordState
 from repro.core.node import RaidpConfig, RaidpDataNode
 from repro.core.placement import RaidpPlacement, SuperchunkMap
 from repro.errors import LayoutError
@@ -196,6 +197,31 @@ class RaidpCluster(InlineState):
                         f"mirror divergence on block {locations.block.name}"
                     )
 
+    def _parity_trusted(self) -> Iterator[RaidpDataNode]:
+        """The DataNodes whose parity must equal their disk's XOR: alive,
+        in the layout (one evicted by recovery rejoined empty) and with a
+        live Lstor.  Dead and evicted disks keep their parity and journal
+        as they were, for recovery to read."""
+        for datanode in self.datanodes:
+            if (
+                datanode.alive
+                and datanode.name in self.layout.disks
+                and not datanode.lstors.primary.failed
+            ):
+                yield datanode
+
+    def unabsorbed_writes(self) -> List[str]:
+        """``node:block@version`` per write still between journal append
+        and commit on a parity-trusted DataNode -- the only span in which
+        parity legitimately trails the data (a COMMITTED record has
+        absorbed its delta).  Empty on a quiescent cluster."""
+        return [
+            f"{datanode.name}:{record.block_name}@{record.version}"
+            for datanode in self._parity_trusted()
+            for record in datanode.lstors.primary.journal.replay_candidates()
+            if record.state is RecordState.APPENDED
+        ]
+
     def verify_parity(self) -> None:
         """Every live Lstor's XOR parity matches its disk's superchunks.
 
@@ -203,14 +229,8 @@ class RaidpCluster(InlineState):
         configuration is verified through
         :meth:`RaidpDataNode.lstors.reconstruct_block` in tests.
         """
-        for datanode in self.datanodes:
-            if not datanode.alive:
-                continue
-            if datanode.name not in self.layout.disks:
-                continue  # evicted by recovery; rejoined empty, nothing to check
+        for datanode in self._parity_trusted():
             lstor = datanode.lstors.primary
-            if lstor.failed:
-                continue
             sc_ids = self.layout.superchunks_of(datanode.name)
             for slot in range(self.map.slots_per_superchunk):
                 expected = self.factory.zero(self.config.block_size)

@@ -191,10 +191,6 @@ class Layout(InlineState):
         """The superchunk the two disks share, if any."""
         return self._pair_index.get(frozenset((disk_a, disk_b)))
 
-    def sharing_partners(self, disk: str) -> List[str]:
-        """Disks that share a superchunk with ``disk``."""
-        return [self._superchunks[sc].mirror_of(disk) for sc in self._slots[disk]]
-
     def max_superchunks(self, disk: str) -> int:
         limit = len(self._disks) - 1
         if self.spec.max_superchunks_per_disk is not None:

@@ -159,12 +159,6 @@ class Lstor(InlineState):
         """
         return nbytes / self.write_rate
 
-    def snapshot_parity(self) -> Dict[int, Payload]:
-        """Copy of the parity region (used by recovery and tests)."""
-        self._check_alive()
-        slots = sorted(set(self._parity) | set(self._parity_accum))
-        return {slot: self.parity_block(slot) for slot in slots}
-
 
 class LstorStack(InlineState):
     """``k`` Lstors on one disk: Reed-Solomon parities over superchunks.

@@ -34,6 +34,7 @@ from typing import Any, Dict, Generator, List, Optional, Set, Tuple
 from repro.core.recovery import RecoveryManager, RecoveryOptions, RecoveryReport
 from repro.errors import ReproError
 from repro.hdfs.datanode import DataNode
+from repro.hdfs.namenode import healthy_datanode
 from repro.obs.audit import active_auditor
 from repro.sim.engine import Process
 from repro.sim.network import Nic
@@ -115,9 +116,6 @@ class ClusterMonitor:
     # ------------------------------------------------------------------
     # Heartbeats.
     # ------------------------------------------------------------------
-    def _healthy(self, datanode: DataNode) -> bool:
-        return datanode.alive and not datanode.disk.failed and datanode.node.alive
-
     def _heartbeat_target_nic(self, datanode: DataNode) -> Optional[Nic]:
         """NIC the heartbeat RPC lands on: the NameNode's node.
 
@@ -140,7 +138,7 @@ class ClusterMonitor:
     def _heartbeat_loop(self, datanode: DataNode) -> Generator:
         interval = self.config.heartbeat_interval
         while self._running:
-            if self._healthy(datanode):
+            if healthy_datanode(datanode):
                 # The heartbeat is a tiny control message; its network
                 # cost is negligible and charged as the ack size.
                 target_nic = self._heartbeat_target_nic(datanode)
@@ -244,7 +242,7 @@ class ClusterMonitor:
                 partner = layout.superchunk(sc_id).mirror_of(name)
                 if partner in expanded or partner in self._handled:
                     continue
-                if not self._healthy(self.dfs.namenode.datanode(partner)):
+                if not healthy_datanode(self.dfs.namenode.datanode(partner)):
                     expanded.append(partner)
         return expanded
 

@@ -475,15 +475,16 @@ class RaidpDataNode(DataNode):
         """
         key = (locations.block.name, locations.version)
         partner = self._partner_of(locations)
-        if partner is None:
-            # Degraded single-replica write: nothing to wait for.
-            if not self.lstors.primary.failed:
-                self.lstors.primary.journal.mark_acked(record.record_id)
-                self.lstors.primary.journal.clear(record.record_id, self.sim.now)
-            return None
         self._awaiting_ack[key] = record
-        # Did the partner's ack already arrive?
-        if key in self._pending_acks:
+        if partner is None or not partner._journal_active():
+            # Nothing to wait for: a degraded single-replica write, or a
+            # mirror that lost its Lstor -- it journals nothing, so it
+            # will never acknowledge.  Acknowledged by decree; a live
+            # mirror still gets our ack below, as any other would.
+            self._clear_record(key)
+            if partner is None:
+                return None
+        elif key in self._pending_acks:  # the partner's ack already arrived
             self._pending_acks.pop(key)
             self._clear_record(key)
         flow = self.switch.transfer(

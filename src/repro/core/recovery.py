@@ -34,6 +34,7 @@ from repro.core.journal import RecordState
 from repro.core.node import RaidpDataNode
 from repro.errors import DataLossError, MatchingError, RecoveryError, ReproError
 from repro.hdfs.block import BlockLocations
+from repro.hdfs.namenode import healthy_datanode
 from repro.matching.hungarian import DynamicHungarian
 from repro.sim.engine import Simulator
 from repro.sim.network import Nic
@@ -141,11 +142,8 @@ class RecoveryManager:
         senders = []
         for sc in orphans:
             sender = sc.mirror_of(failed)
-            survivor = self.dfs.datanode_by_name(sender)
-            if sender not in layout.disks or not (
-                survivor.alive
-                and not survivor.disk.failed
-                and survivor.node.alive
+            if sender not in layout.disks or not healthy_datanode(
+                self.dfs.datanode_by_name(sender)
             ):
                 # The surviving mirror is itself dead: the superchunk is
                 # doubly lost and remirroring cannot help.  Leave it for
@@ -162,10 +160,7 @@ class RecoveryManager:
         receivers = [
             dn.name
             for dn in self.dfs.datanodes
-            if dn.alive
-            and dn.node.alive
-            and not dn.disk.failed
-            and dn.name != failed
+            if healthy_datanode(dn) and dn.name != failed
         ]
         if options.planner == "greedy":
             return self._plan_greedy(senders, receivers)
@@ -315,34 +310,7 @@ class RecoveryManager:
             self.dfs.map.freeze(sc_id)
         try:
             self.dfs.layout.remove_disk(failed)
-            self._last_plan_cost = 0.0
-            plan = self.plan_single_failure(failed, options)
-            report.plan_cost = getattr(self, "_last_plan_cost", 0.0)
-            if trace.enabled:
-                # Planning is pure (charges no simulated time): a
-                # zero-duration phase span keeps it in the breakdown.
-                trace.complete(
-                    "recovery", "plan", self.sim.now, self.sim.now,
-                    failed=failed, moves=len(plan), cost=report.plan_cost,
-                )
-            if plan:
-                transfers = [
-                    self.sim.process(
-                        self._remirror_superchunk(sc_id, sender, receiver, options),
-                        name=f"remirror:sc{sc_id}",
-                    )
-                    for sc_id, sender, receiver in plan
-                ]
-                # Await each transfer individually: one superchunk's
-                # sender dying mid-copy (a stacked failure) must not
-                # abort the others.
-                for entry, proc in zip(plan, transfers):
-                    try:
-                        yield proc
-                    except ReproError as exc:
-                        report.failed_remirrors.append((entry, exc))
-                    else:
-                        report.remirrored.append(entry)
+            yield from self._remirror_orphans(failed, options, report)
         finally:
             for sc_id in frozen:
                 self.dfs.map.unfreeze(sc_id)
@@ -353,6 +321,40 @@ class RecoveryManager:
                 failed=failed, remirrored=len(report.remirrored),
             )
         return report
+
+    def _remirror_orphans(
+        self, failed: str, options: RecoveryOptions, report: RecoveryReport
+    ) -> Generator:
+        """Plan the re-replication of ``failed``'s orphan superchunks and
+        run it into ``report``, one transfer process per superchunk.
+        ``failed`` must already be out of the layout."""
+        self._last_plan_cost = 0.0
+        plan = self.plan_single_failure(failed, options)
+        report.plan_cost += self._last_plan_cost
+        trace = self.sim.trace
+        if trace.enabled:
+            # Planning is pure (charges no simulated time): a
+            # zero-duration phase span keeps it in the breakdown.
+            trace.complete(
+                "recovery", "plan", self.sim.now, self.sim.now,
+                failed=failed, moves=len(plan), cost=self._last_plan_cost,
+            )
+        transfers = [
+            self.sim.process(
+                self._remirror_superchunk(sc_id, sender, receiver, options),
+                name=f"remirror:sc{sc_id}",
+            )
+            for sc_id, sender, receiver in plan
+        ]
+        # Await each transfer individually: one superchunk's sender dying
+        # mid-copy (a stacked failure) must not abort the others.
+        for entry, proc in zip(plan, transfers):
+            try:
+                yield proc
+            except ReproError as exc:
+                report.failed_remirrors.append((entry, exc))
+            else:
+                report.remirrored.append(entry)
 
     def _remirror_superchunk(
         self, sc_id: int, sender: str, receiver: str, options: RecoveryOptions
@@ -504,17 +506,7 @@ class RecoveryManager:
                     lost_source = self._pick_lost_source(failed_a, failed_b, shared)
                     # Source superchunks *before* the layout forgets the
                     # failed disks.
-                    source_scs = [
-                        sc_id
-                        for sc_id in dfs.layout.superchunks_of(lost_source.name)
-                        if sc_id != shared
-                    ]
-                    mirrors = {
-                        sc_id: dfs.layout.superchunk(sc_id).mirror_of(
-                            lost_source.name
-                        )
-                        for sc_id in source_scs
-                    }
+                    mirrors = self._mirrors_of(lost_source, shared)
                     receiver_name = recovery_node or self._pick_recovery_node(
                         exclude={failed_a, failed_b}
                     )
@@ -562,29 +554,7 @@ class RecoveryManager:
                     dfs.layout.remove_disk(failed)
             if remirror_rest:
                 for failed in (failed_a, failed_b):
-                    plan = self.plan_single_failure(failed, options)
-                    if trace.enabled:
-                        trace.complete(
-                            "recovery", "plan", self.sim.now, self.sim.now,
-                            failed=failed, moves=len(plan),
-                        )
-                    if not plan:
-                        continue
-                    procs = [
-                        self.sim.process(
-                            self._remirror_superchunk(sc, s, r, options)
-                        )
-                        for sc, s, r in plan
-                    ]
-                    # Isolated per superchunk, as in single recovery: a
-                    # stacked failure mid-copy costs one chunk, not all.
-                    for entry, proc in zip(plan, procs):
-                        try:
-                            yield proc
-                        except ReproError as exc:
-                            report.failed_remirrors.append((entry, exc))
-                        else:
-                            report.remirrored.append(entry)
+                    yield from self._remirror_orphans(failed, options, report)
         finally:
             for sc_id in frozen:
                 dfs.map.unfreeze(sc_id)
@@ -598,7 +568,7 @@ class RecoveryManager:
         return report
 
     def _pick_lost_source(
-        self, failed_a: str, failed_b: str, shared: Optional[int]
+        self, failed_a: str, failed_b: str, shared: int
     ) -> RaidpDataNode:
         """Choose which failed disk's Lstor drives the reconstruction.
 
@@ -614,18 +584,10 @@ class RecoveryManager:
             datanode = dfs.datanode_by_name(name)
             if datanode.lstors.primary.failed:
                 continue
-            mirrors_ok = True
-            for sc_id in dfs.layout.superchunks_of(name):
-                if sc_id == shared:
-                    continue
-                mirror = dfs.datanode_by_name(
-                    dfs.layout.superchunk(sc_id).mirror_of(name)
-                )
-                if not (
-                    mirror.alive and not mirror.disk.failed and mirror.node.alive
-                ):
-                    mirrors_ok = False
-                    break
+            mirrors_ok = all(
+                healthy_datanode(dfs.datanode_by_name(mirror))
+                for mirror in self._mirrors_of(datanode, shared).values()
+            )
             candidates.append((not mirrors_ok, name))
         if not candidates:
             raise DataLossError(
@@ -639,7 +601,7 @@ class RecoveryManager:
         for dn in self.dfs.datanodes:
             if dn.name in exclude or dn.name not in layout.disks:
                 continue
-            if dn.alive and not dn.disk.failed and dn.node.alive:
+            if healthy_datanode(dn):
                 return dn.name
         raise RecoveryError("no live node available for reconstruction")
 
@@ -673,7 +635,7 @@ class RecoveryManager:
         surviving: Dict[int, Dict[int, Payload]] = {}
         for sc_id, mirror_name in mirrors.items():
             mirror = dfs.datanode_by_name(mirror_name)
-            if not mirror.alive:
+            if not healthy_datanode(mirror):
                 raise DataLossError(
                     f"mirror {mirror_name} of superchunk {sc_id} is dead too"
                 )
@@ -931,7 +893,7 @@ class RecoveryManager:
             name = dn.name
             if name == receiver or name in exclude:
                 continue
-            if not (dn.alive and not dn.disk.failed and dn.node.alive):
+            if not healthy_datanode(dn):
                 continue
             if name not in layout.disks:
                 continue  # rejoined-from-wipe disks re-enter via add_disk
@@ -999,20 +961,17 @@ class _Raid6Rig:
 
     def source_stream(self, index: int, data_per_disk: int, xor_rate: float) -> Generator:
         # Each survivor disk has exactly this stream as its client, so
-        # the read takes the uncontended stream_io fast path: a timeout
-        # for the charged duration replaces the process + queue
-        # round-trip (identical simulated timing, ~half the schedule
-        # entries per chunk).  Hot loop: locals are pre-bound.
+        # every read finds the queue idle: start_io's single schedule
+        # entry.  Hot loop: locals are pre-bound.
         sim, chunk_size = self.sim, self.chunk_size
-        disk = self.source_disks[index]
-        stream_io = disk.stream_io
+        start_io = self.source_disks[index].start_io
         transfer = self.switch.transfer
         src, master = self.sources[index], self.master
-        timeout, all_of, sleep = sim.timeout, sim.all_of, sim.sleep
+        all_of, sleep = sim.all_of, sim.sleep
         offset = 0
         while offset < data_per_disk:
             run = min(chunk_size, data_per_disk - offset)
-            read = timeout(stream_io("read", offset, run))
+            read = start_io("read", offset, run)
             flow = transfer(src, master, run)
             yield all_of([read, flow])
             # Decode on the master (serialized per received chunk).
@@ -1022,17 +981,17 @@ class _Raid6Rig:
 
     def writeback(self, index: int, data_per_disk: int) -> Generator:
         # Mirror of source_stream: each replacement disk is private to
-        # its writeback stream, so writes take the stream_io fast path.
-        sim, chunk_size = self.sim, self.chunk_size
-        stream_io = self.replacement_disks[index].stream_io
+        # its writeback stream.
+        chunk_size = self.chunk_size
+        start_io = self.replacement_disks[index].start_io
         transfer = self.switch.transfer
         master, dst = self.master, self.replacements[index]
-        timeout, all_of = sim.timeout, sim.all_of
+        all_of = self.sim.all_of
         offset = 0
         while offset < data_per_disk:
             run = min(chunk_size, data_per_disk - offset)
             flow = transfer(master, dst, run)
-            write = timeout(stream_io("write", offset, run))
+            write = start_io("write", offset, run)
             yield all_of([flow, write])
             offset += run
         return None

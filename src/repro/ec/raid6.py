@@ -118,10 +118,6 @@ class Raid6Array:
         self._q = np.zeros(disk_size, dtype=np.uint8)
         self._failed: set = set()
 
-    @property
-    def total_disks(self) -> int:
-        return self.data_disks + 2
-
     # ------------------------------------------------------------------
     # I/O.
     # ------------------------------------------------------------------

@@ -114,9 +114,6 @@ class FaultSchedule:
     def __len__(self) -> int:
         return len(self.faults)
 
-    def extended(self, *faults: Fault) -> "FaultSchedule":
-        return FaultSchedule(self.faults + tuple(faults))
-
     def shifted(self, delta: float) -> "FaultSchedule":
         """The same schedule, ``delta`` seconds later."""
         return FaultSchedule(

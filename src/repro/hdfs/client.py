@@ -26,7 +26,7 @@ from repro.errors import BlockMissingError, DeviceError, DfsError, PlacementErro
 from repro.hdfs.block import BlockLocations
 from repro.hdfs.config import DfsConfig
 from repro.hdfs.datanode import DataNode
-from repro.hdfs.namenode import NameNode
+from repro.hdfs.namenode import NameNode, healthy_datanode
 from repro.sim.engine import Event, Simulator
 from repro.sim.network import Switch
 from repro.sim.node import Node
@@ -336,15 +336,6 @@ class DfsClient(InlineState):
             payload = results[0]
         return payload
 
-    def _replica_healthy(self, datanode: DataNode) -> bool:
-        """Same health predicate as the cluster monitor: the DataNode
-        process is up, its disk works, and its host node is alive."""
-        return (
-            datanode.alive
-            and not datanode.disk.failed
-            and datanode.node.alive
-        )
-
     def _choose_replica(
         self,
         locations: BlockLocations,
@@ -355,7 +346,7 @@ class DfsClient(InlineState):
             datanode
             for name in locations.datanodes
             if name not in exclude
-            and self._replica_healthy(datanode := self.namenode.datanode(name))
+            and healthy_datanode(datanode := self.namenode.datanode(name))
         ]
         if not live:
             raise BlockMissingError(

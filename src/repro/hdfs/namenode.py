@@ -144,9 +144,6 @@ class NameNode(InlineState):
     def datanodes(self) -> List["DataNode"]:
         return list(self._datanodes.values())
 
-    def live_datanodes(self) -> List["DataNode"]:
-        return [dn for dn in self._datanodes.values() if dn.alive]
-
     # ------------------------------------------------------------------
     # Namespace.
     # ------------------------------------------------------------------

@@ -155,15 +155,6 @@ def _scan_expr(node: Optional[ast.AST]) -> Tuple[bool, bool]:
     return (can_raise, has_yield)
 
 
-def _header_expr(stmt: ast.stmt) -> Optional[ast.AST]:
-    """The part of a compound statement evaluated *at* its node."""
-    if isinstance(stmt, (ast.If, ast.While)):
-        return stmt.test
-    if isinstance(stmt, (ast.For, ast.AsyncFor)):
-        return stmt.iter
-    return None
-
-
 # ----------------------------------------------------------------------
 # Frames: the control context a statement executes under.
 # ----------------------------------------------------------------------

@@ -149,11 +149,6 @@ class FileContext:
         if not self.lines:
             self.lines = self.source.splitlines()
 
-    def source_line(self, lineno: int) -> str:
-        if 1 <= lineno <= len(self.lines):
-            return self.lines[lineno - 1]
-        return ""
-
     def function_cfgs(self) -> dict:
         """qualname -> CFG for every function in the file (cached)."""
         if self._cfgs is None:

@@ -147,10 +147,6 @@ class DynamicHungarian:
     def n_cols(self) -> int:
         return len(self._matrix[0]) if self._matrix else 0
 
-    def cost_of(self, row: int, col: int) -> Optional[float]:
-        value = self._matrix[row][col]
-        return None if value == _INF else value
-
     def remove_edge(self, row: int, col: int) -> None:
         """Forbid the (row, col) pair."""
         self._matrix[row][col] = _INF

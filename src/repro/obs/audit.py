@@ -146,12 +146,14 @@ class Auditor:
 
         Chaos passes its (injection, recovery-completion) windows: a
         replica listed on a dead node *during detection lag* is the
-        protocol working as designed, not an invariant break.  Returns
-        the number of newly waived records.
+        protocol working as designed, not an invariant break.  A
+        ``final`` audit looks at a drained cluster, so its findings are
+        never waived, whatever the window.  Returns the number of newly
+        waived records.
         """
         waived = 0
         for violation in self.violations:
-            if violation.waived:
+            if violation.waived or violation.event == "final":
                 continue
             for start, end in windows:
                 if start <= violation.ts <= end:
@@ -333,17 +335,20 @@ class Auditor:
 
         Reuses the cluster's own verifiers -- they already encode the
         guards (dead/evicted datanodes, failed Lstors) -- but converts
-        the raise into a structured record.  Skipped while any journal
-        record is outstanding: parity legitimately trails the data until
-        the journal clears.
+        the raise into a structured record.  Parity may trail the data
+        only while a write sits between journal append and commit; on a
+        quiescent cluster such a write is itself a finding, never a
+        reason to skip the check.
         """
         verify_parity = getattr(dfs, "verify_parity", None)
         if verify_parity is None:
             return
-        journals_empty = getattr(dfs, "journals_empty", None)
-        if journals_empty is not None and not journals_empty():
-            return
         self.checks_run += 1
+        for write in dfs.unabsorbed_writes():
+            self._record(
+                "parity-coverage", now, write,
+                "journal record still APPENDED on a quiescent cluster", event,
+            )
         try:
             verify_parity()
         except LayoutError as exc:

@@ -230,7 +230,10 @@ class Sampler:
         Restarts the tick grid at ``start`` (sample instants are
         ``start + k * interval``, computed by multiplication so the grid
         never drifts) and opens a new run index, mirroring the tracer's
-        run bookkeeping so rows align with trace events.
+        run bookkeeping so rows align with trace events.  The previous
+        run's watched registries and hooks are dropped with its grid:
+        they belong to a finished simulation, which a hook would go on
+        auditing at every tick of this one.
         """
         index = len(self._run_labels)
         self._run_labels.append(label or f"run-{index}")
@@ -238,6 +241,8 @@ class Sampler:
         self._base = float(start)
         self._ticks = 0
         self._prev_hist.clear()
+        self._metrics.clear()
+        self._hooks.clear()
         return index
 
     @property

@@ -40,7 +40,7 @@ repetitions land on separate tracks.
 from __future__ import annotations
 
 from types import TracebackType
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple, Type
+from typing import Any, Dict, Iterable, List, Optional, Tuple, Type
 
 __all__ = [
     "TraceEvent",
@@ -101,62 +101,6 @@ class TraceEvent:
             f"TraceEvent({self.phase!r}, {self.category}/{self.name}, "
             f"ts={self.ts:.6f}, dur={self.dur:.6f}, run={self.run})"
         )
-
-
-class _Span:
-    """Context manager recording a complete event on exit.
-
-    Created by :meth:`Tracer.span`; reads the clock object's ``now`` at
-    enter and exit, so it works with a :class:`Simulator` or anything
-    else exposing ``now``.
-    """
-
-    __slots__ = ("_tracer", "_clock", "_category", "_name", "_attrs", "_t0")
-
-    def __init__(self, tracer: "Tracer", clock: Any, category: str, name: str, attrs: dict) -> None:
-        self._tracer = tracer
-        self._clock = clock
-        self._category = category
-        self._name = name
-        self._attrs = attrs
-        self._t0 = 0.0
-
-    def __enter__(self) -> "_Span":
-        self._t0 = self._clock.now
-        return self
-
-    def __exit__(
-        self,
-        exc_type: Optional[Type[BaseException]],
-        exc: Optional[BaseException],
-        tb: Optional[TracebackType],
-    ) -> None:
-        if exc_type is not None:
-            self._attrs = dict(self._attrs or {})
-            self._attrs["error"] = exc_type.__name__
-        self._tracer.complete(
-            self._category, self._name, self._t0, self._clock.now, **(self._attrs or {})
-        )
-
-
-class _NullSpan:
-    """Shared no-op context manager for the disabled path."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> "_NullSpan":
-        return self
-
-    def __exit__(
-        self,
-        exc_type: Optional[Type[BaseException]],
-        exc: Optional[BaseException],
-        tb: Optional[TracebackType],
-    ) -> None:
-        return None
-
-
-_NULL_SPAN = _NullSpan()
 
 
 class Tracer:
@@ -229,10 +173,6 @@ class Tracer:
             )
         )
 
-    def span(self, clock: Any, category: str, name: str, **attrs: Any) -> _Span:
-        """Context manager measuring ``clock.now`` at enter/exit."""
-        return _Span(self, clock, category, name, attrs)
-
     def __len__(self) -> int:
         return len(self.events)
 
@@ -261,9 +201,6 @@ class NullTracer:
 
     def count(self, category: str, name: str, ts: float, value: float) -> None:
         return None
-
-    def span(self, clock: Any, category: str, name: str, **attrs: Any) -> _NullSpan:
-        return _NULL_SPAN
 
     def __len__(self) -> int:
         return 0
@@ -306,9 +243,3 @@ class capture:
         global _ACTIVE
         _ACTIVE = self._previous
 
-
-def iter_spans(events: List[TraceEvent], category: Optional[str] = None) -> Iterator[TraceEvent]:
-    """All complete (phase ``"X"``) events, optionally one category."""
-    for event in events:
-        if event.phase == "X" and (category is None or event.category == category):
-            yield event

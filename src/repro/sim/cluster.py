@@ -31,7 +31,6 @@ class ClusterSpec(InlineState):
     num_nodes: int = 16
     disks_per_node: int = 1
     disk_geometry: DiskGeometry = field(default_factory=DiskGeometry)
-    disk_scheduler: str = "fifo"  # or "elevator"
     nic_rate: float = units.gbps(10)
     secondary_nic_rate: Optional[float] = units.gbps(1)
     cpu: CpuModel = field(default_factory=CpuModel)
@@ -54,7 +53,7 @@ class Cluster(InlineState):
         spec = self.spec
         node = Node(self.sim, name=f"n{index}", cpu=spec.cpu, ram=spec.ram)
         for _disk_index in range(spec.disks_per_node):
-            node.add_disk(spec.disk_geometry, scheduler=spec.disk_scheduler)
+            node.add_disk(spec.disk_geometry)
         primary = Nic(f"{node.name}.nic0", spec.nic_rate)
         node.add_nic(self.switch.attach(primary))
         if spec.secondary_nic_rate is not None:

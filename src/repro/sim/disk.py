@@ -26,9 +26,9 @@ from dataclasses import dataclass, field
 from typing import Generator, List, Optional
 
 from repro import units
-from repro.errors import DiskFailedError, SimulationError
+from repro.errors import DiskFailedError
 from repro.sim.engine import Event, Simulator
-from repro.sim.resources import ElevatorResource, Resource
+from repro.sim.resources import Resource
 from repro.sim.stats import Histogram, TimeWeightedGauge
 from repro.sim.snapshot import InlineState
 
@@ -135,14 +135,10 @@ class Disk(InlineState):
         sim: Simulator,
         geometry: Optional[DiskGeometry] = None,
         name: str = "disk",
-        scheduler: str = "fifo",
     ) -> None:
-        if scheduler not in ("fifo", "elevator"):
-            raise ValueError(f"unknown disk scheduler {scheduler!r}")
         self.sim = sim
         self.geometry = geometry or DiskGeometry()
         self.name = name
-        self.scheduler = scheduler
         self.head = 0  # byte offset the head currently rests at
         self.failed = False
         self.stats = DiskStats()
@@ -150,11 +146,7 @@ class Disk(InlineState):
         # end-to-end I/O latency (queueing included).
         self.queue_gauge = TimeWeightedGauge(start_time=sim.now)
         self.io_latency = Histogram(bounds=(0.001, 0.005, 0.02, 0.1, 0.5, 2.0))
-        self._elevator = scheduler == "elevator"
-        if self._elevator:
-            self._queue = ElevatorResource(sim, name=f"{name}.queue")
-        else:
-            self._queue = Resource(sim, capacity=1, name=f"{name}.queue")
+        self._queue = Resource(sim, capacity=1, name=f"{name}.queue")
 
     def audit_state(self) -> List[str]:
         """Internal-consistency problems, as strings (empty = healthy).
@@ -178,12 +170,6 @@ class Disk(InlineState):
             problems.append(f"disk {self.name}: negative byte accounting")
         return problems
 
-    def _enqueue(self, offset: int) -> Event:
-        """Queue an I/O; the elevator orders waiters by target offset."""
-        if self.scheduler == "elevator":
-            return self._queue.request(offset)
-        return self._queue.request()
-
     # ------------------------------------------------------------------
     # Failure injection.
     # ------------------------------------------------------------------
@@ -203,8 +189,9 @@ class Disk(InlineState):
     # ------------------------------------------------------------------
     # I/O.  read/write/sync/read_modify_write are process bodies: drive
     # them with ``yield from``.  start_io returns an event to wait on
-    # beside other events; stream_io is the no-queue form for a disk
-    # with a single sequential client.
+    # beside other events.  A latency sample is recorded for an I/O that
+    # ran, never for one refused at its grant because the disk died
+    # while it queued: nothing was charged for that one.
     # ------------------------------------------------------------------
     def read(self, offset: int, nbytes: int) -> Generator:
         """Read ``nbytes`` at ``offset``; returns the I/O duration."""
@@ -226,7 +213,7 @@ class Disk(InlineState):
         t0 = sim.now
         self.queue_gauge.adjust(1.0, t0)
         try:
-            grant = yield self._enqueue(self.head)
+            grant = yield self._queue.request()
         except BaseException:
             self.queue_gauge.adjust(-1.0, sim.now)
             raise
@@ -236,10 +223,9 @@ class Disk(InlineState):
             yield sim.sleep(delay)
             self.stats.syncs += 1
             self.stats.busy_seconds += delay
+            self.io_latency.observe(sim.now - t0)
         finally:
-            now = sim.now
-            self.queue_gauge.adjust(-1.0, now)
-            self.io_latency.observe(now - t0)
+            self.queue_gauge.adjust(-1.0, sim.now)
             self._queue.release(grant)
         trace = sim.trace
         if trace.enabled:
@@ -271,10 +257,7 @@ class Disk(InlineState):
         t0 = sim.now
         self.queue_gauge.adjust(1.0, t0)
         try:
-            if self._elevator:
-                grant = yield self._queue.request(offset)
-            else:
-                grant = yield self._queue.request()
+            grant = yield self._queue.request()
         except BaseException:
             self.queue_gauge.adjust(-1.0, sim.now)
             raise
@@ -289,11 +272,10 @@ class Disk(InlineState):
             self.stats.busy_seconds += settle + self.geometry.transfer_time(nbytes)
             self.head = offset + nbytes
             yield sim.sleep(duration)
+            self.io_latency.observe(sim.now - t0)
             self._check_alive()
         finally:
-            now = sim.now
-            self.queue_gauge.adjust(-1.0, now)
-            self.io_latency.observe(now - t0)
+            self.queue_gauge.adjust(-1.0, sim.now)
             self._queue.release(grant)
         trace = sim.trace
         if trace.enabled:
@@ -314,12 +296,7 @@ class Disk(InlineState):
         t0 = sim.now
         queue_gauge.adjust(1.0, t0)
         try:
-            # _enqueue inlined: one I/O per call makes the extra method
-            # frame measurable in the recovery chunk loops.
-            if self._elevator:
-                grant = yield self._queue.request(offset)
-            else:
-                grant = yield self._queue.request()
+            grant = yield self._queue.request()
         except BaseException:
             queue_gauge.adjust(-1.0, sim.now)
             raise
@@ -328,12 +305,11 @@ class Disk(InlineState):
                 raise DiskFailedError(f"I/O on failed disk {self.name}")
             duration = self._charge(kind, offset, nbytes)
             yield sim.sleep(duration)
+            self.io_latency.observe(sim.now - t0)
             if self.failed:
                 raise DiskFailedError(f"I/O on failed disk {self.name}")
         finally:
-            now = sim.now
-            queue_gauge.adjust(-1.0, now)
-            self.io_latency.observe(now - t0)
+            queue_gauge.adjust(-1.0, sim.now)
             self._queue.release(grant)
         trace = sim.trace
         if trace.enabled:
@@ -354,8 +330,8 @@ class Disk(InlineState):
         is charged at once and costs one schedule entry: the returned
         timeout, whose first callback closes the accounting and releases
         the slot (handing it to whoever queued meanwhile) before any
-        waiter sees the event.  Otherwise -- busy queue, elevator order,
-        or an error to deliver -- it is ``_io`` in a process of its own.
+        waiter sees the event.  Otherwise -- busy queue, or an error to
+        deliver -- it is ``_io`` in a process of its own.
         Completion time, head, stats, queue gauge, latency histogram and
         trace span are those of the queued path either way
         (``tests/test_sim_disk.py`` checks the equivalence).
@@ -363,7 +339,7 @@ class Disk(InlineState):
         sim = self.sim
         queue = self._queue
         grant = None
-        if isinstance(queue, Resource) and not (
+        if not (
             self.failed
             or offset < 0
             or nbytes < 0
@@ -394,46 +370,6 @@ class Disk(InlineState):
 
         done._callbacks = complete
         return done
-
-    def stream_io(self, kind: str, offset: int, nbytes: int) -> float:
-        """Charge an uncontended I/O and return its duration (no yields).
-
-        The fast path for disks with exactly one sequential client -- the
-        RAID-6 rig's per-survivor source streams and per-replacement
-        writeback streams -- where the FIFO queue is provably idle at
-        every request, so the grant/release round-trip (a process wrapper
-        plus three schedule entries per I/O) adds zero simulated time.
-        The caller waits out the returned duration itself (e.g. inside an
-        ``all_of`` with an overlapping network flow).
-
-        Timing, head movement, stats, queue gauge, latency histogram and
-        the trace span are identical to driving :meth:`read`/:meth:`write`
-        through the idle queue (``tests/test_sim_disk.py`` checks the
-        equivalence); a busy queue raises instead of silently jumping it.
-        """
-        if offset < 0 or nbytes < 0 or offset + nbytes > self.geometry.capacity:
-            raise ValueError(
-                f"{kind} outside disk {self.name}: offset={offset} nbytes={nbytes}"
-            )
-        if self.failed:
-            raise DiskFailedError(f"I/O on failed disk {self.name}")
-        if self._queue._in_use or self._queue.queue_length:
-            raise SimulationError(
-                f"stream_io on busy disk {self.name}: the uncontended fast "
-                "path requires an idle queue"
-            )
-        t0 = self.sim.now
-        duration = self._charge(kind, offset, nbytes)
-        gauge = self.queue_gauge
-        gauge.adjust(1.0, t0)
-        gauge.adjust(-1.0, t0 + duration)
-        self.io_latency.observe(duration)
-        trace = self.sim.trace
-        if trace.enabled:
-            trace.complete(
-                "disk", kind, t0, t0 + duration, disk=self.name, bytes=nbytes
-            )
-        return duration
 
     def _charge(self, kind: str, offset: int, nbytes: int) -> float:
         """Compute the I/O duration and update head position and stats."""

@@ -486,7 +486,8 @@ class Simulator:
         # counter, so traced and untraced runs execute identical
         # schedules.
         self.trace = active_tracer()
-        self._trace_run = self.trace.register_run() if self.trace.enabled else 0
+        if self.trace.enabled:
+            self.trace.register_run()
         # The profiler bound at construction (None unless one is
         # active).  Consulted once per run() call -- never per event --
         # so the disabled path costs nothing on the hot loop.
@@ -550,7 +551,8 @@ class Simulator:
         # Tracing/profiling state is process-local and never snapshotted;
         # rebind to whatever is active in the restoring process.
         self.trace = active_tracer()
-        self._trace_run = self.trace.register_run() if self.trace.enabled else 0
+        if self.trace.enabled:
+            self.trace.register_run()
         self._profile = active_profiler()
         self._sampler = active_sampler()
         if self._sampler is not None and self._sampler.enabled:

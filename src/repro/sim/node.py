@@ -57,15 +57,8 @@ class Node(InlineState):
     # ------------------------------------------------------------------
     # Device attachment.
     # ------------------------------------------------------------------
-    def add_disk(
-        self, geometry: Optional[DiskGeometry] = None, scheduler: str = "fifo"
-    ) -> Disk:
-        disk = Disk(
-            self.sim,
-            geometry,
-            name=f"{self.name}.d{len(self.disks)}",
-            scheduler=scheduler,
-        )
+    def add_disk(self, geometry: Optional[DiskGeometry] = None) -> Disk:
+        disk = Disk(self.sim, geometry, name=f"{self.name}.d{len(self.disks)}")
         self.disks.append(disk)
         return disk
 

@@ -218,67 +218,8 @@ class ByteRangeLock(InlineState):
                 earlier.append((start, end))
 
     @property
-    def held_ranges(self) -> List[Tuple[int, int]]:
-        return list(self._held)
-
-    @property
     def queue_length(self) -> int:
         return len(self._waiters)
-
-
-class ElevatorResource(InlineState):
-    """A capacity-one resource granting waiters in C-LOOK disk order.
-
-    Waiters declare a *position* (byte offset); on each release the next
-    grant goes to the nearest waiter at or beyond the last served
-    position, wrapping to the lowest waiter when the sweep passes the
-    end -- the classic one-direction elevator.  Starvation-free: every
-    sweep visits every waiter once.
-    """
-
-    def __init__(self, sim: Simulator, name: str = "") -> None:
-        self.sim = sim
-        self.name = name
-        self._in_use = False
-        self._waiters: List[Tuple[int, int, Event]] = []  # (position, seq, event)
-        self._seq = 0
-        self._head_position = 0
-        self.total_grants = 0
-
-    @property
-    def queue_length(self) -> int:
-        return len(self._waiters)
-
-    def request(self, position: int) -> Event:
-        event = self.sim.event()
-        if not self._in_use and not self._waiters:
-            self._in_use = True
-            self._head_position = position
-            self.total_grants += 1
-            event.succeed(_Grant(self))
-        else:
-            self._seq += 1
-            self._waiters.append((position, self._seq, event))
-        return event
-
-    def release(self, grant: "_Grant") -> None:
-        if grant.resource is not self:
-            raise SimulationError("grant released to the wrong resource")
-        if grant.released:
-            raise SimulationError("grant released twice")
-        grant.released = True
-        if not self._waiters:
-            self._in_use = False
-            return
-        # C-LOOK: nearest waiter at/after the head; else wrap to lowest.
-        ahead = [w for w in self._waiters if w[0] >= self._head_position]
-        pool = ahead or self._waiters
-        chosen = min(pool, key=lambda w: (w[0], w[1]))
-        self._waiters.remove(chosen)
-        position, _seq, event = chosen
-        self._head_position = position
-        self.total_grants += 1
-        event.succeed(_Grant(self))
 
 
 def with_resource(resource: Resource, body: Generator) -> Generator:

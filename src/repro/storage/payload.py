@@ -152,9 +152,6 @@ class BytesPayload(Payload):
         merged[offset:end] = patch.data
         return BytesPayload.adopt(merged)
 
-    def to_bytes(self) -> bytes:
-        return self.data.tobytes()
-
     def checksum(self) -> int:
         """CRC32 of the content (models HDFS's per-block checksum file).
 

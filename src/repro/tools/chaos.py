@@ -18,7 +18,12 @@ the soak asserts:
   :meth:`~repro.core.monitor.ClusterMonitor.rejoin`;
 - **determinism**: two runs with the same seed produce bit-identical
   history fingerprints (injections, detections, per-block checksums,
-  final clock, network byte counts).
+  final clock, network byte counts);
+- **the state invariants**: an :class:`repro.obs.audit.Auditor` probes
+  every run at each detection, recovery and flight-recorder tick, then
+  audits the drained cluster (layout laws, superchunk homes, flows, disk
+  accounting, replica presence, parity and mirror *content*); findings
+  inside the fault->recovery span are waived, final-audit ones never.
 
 Run it from the shell (the ``make chaos`` target does exactly this)::
 
@@ -41,8 +46,11 @@ from repro.core.monitor import ClusterMonitor, MonitorConfig
 from repro.errors import ReproError
 from repro.faults import FaultInjector, FaultSchedule, chaos_schedule
 from repro.hdfs.config import DfsConfig
+from repro.hdfs.namenode import healthy_datanode
 from repro.obs import audit as audit_mod
 from repro.obs import timeseries as ts_mod
+from repro.obs import tracer as tracer_mod
+from repro.obs.export import write_trace
 from repro.obs.metrics import cluster_metrics
 from repro.obs.slo import health_report, render_dash, write_health_report
 from repro.sim.cluster import ClusterSpec
@@ -72,7 +80,7 @@ RESTART_DELAY = 4.0
 class ChaosResult:
     """Outcome of one soak run.
 
-    ``health`` (present only on flight-recorder runs) rides *outside*
+    ``health`` (present only under an ambient sampler) rides *outside*
     the fingerprint: sampled and unsampled runs must stay bit-identical
     on ``fingerprint``, which the determinism tests compare.
     """
@@ -173,7 +181,7 @@ def _safe_rewrite(dfs: Any, client: Any, path: str, skipped: List[int]) -> Gener
         healthy = [
             name
             for name in locations.datanodes
-            if client._replica_healthy(dfs.namenode.datanode(name))
+            if healthy_datanode(dfs.namenode.datanode(name))
         ]
         if not healthy:
             skipped[0] += 1
@@ -291,11 +299,7 @@ def _verify_replicas(dfs: Any, problems: List[str]) -> None:
         expected = dfs.factory.make(block.name, locations.version, block.size)
         for name in locations.datanodes:
             datanode = dfs.namenode.datanode(name)
-            if not (
-                datanode.alive
-                and not datanode.disk.failed
-                and datanode.node.alive
-            ):
+            if not healthy_datanode(datanode):
                 problems.append(f"{block.name}: listed replica {name} is dead")
                 continue
             if not datanode.has_block(block.name):
@@ -395,16 +399,14 @@ def _verify_lifecycle(
 
 
 # ----------------------------------------------------------------------
-# Flight-recorder plumbing.
+# The audit's waiver span and the health report's phases.
 # ----------------------------------------------------------------------
 def _fault_recovery_span(
     monitor: ClusterMonitor, injector: FaultInjector, final_time: float
 ) -> Optional[Tuple[float, float]]:
     """First injection -> last recovery-completion/rejoin, or None when
-    nothing was injected.  Replication-state violations inside this span
-    are expected (detection lag, in-flight remirroring) and get waived;
-    anything outside it -- in particular at the final deep audit -- is a
-    real finding."""
+    nothing was injected: where degraded replication state is expected
+    (detection lag, in-flight remirroring) and audit findings are waived."""
     starts = [record.at for record in injector.injected]
     if not starts:
         return None
@@ -454,64 +456,32 @@ def build_cluster(seed: int) -> RaidpCluster:
 
 
 def run_chaos(
-    seed: int = DEFAULT_SEED,
-    schedule: Optional[FaultSchedule] = None,
-    doubles: int = 1,
-    singles: int = 1,
-    node_crashes: int = 1,
-    nic_degrades: int = 1,
-    lstor_losses: int = 1,
-    sample_interval: Optional[float] = None,
-    audit: bool = False,
-    sampler: Optional[ts_mod.Sampler] = None,
-    auditor: Optional[audit_mod.Auditor] = None,
+    seed: int = DEFAULT_SEED, schedule: Optional[FaultSchedule] = None
 ) -> ChaosResult:
     """Run one soak; returns the pass/fail verdict and the run's
     deterministic history fingerprint.
 
-    ``sample_interval`` turns on the flight recorder (time-series
-    telemetry at that simulated-second cadence); ``audit`` turns on the
-    redundancy invariant auditor (checked at sample points when sampling
-    is also on, and always at detection/recovery/final).  Both are
-    observer-only: the fingerprint is bit-identical either way.  A
-    caller may instead pass pre-built ``sampler``/``auditor`` objects
-    (the CLI does, so it can export them afterwards).
+    The flight recorder is the caller's ``with timeseries.capture(...)``
+    around the call, as ``--trace`` is a ``with tracer.capture()``: the
+    soak samples into the ambient sampler and audits at its ticks too.
+    Observers only: the fingerprint is bit-identical either way.
     """
-    if sampler is None and sample_interval is not None:
-        sampler = ts_mod.Sampler(interval=sample_interval)
-    if auditor is None and audit:
-        auditor = audit_mod.Auditor(fail_fast=False)
-    with contextlib.ExitStack() as stack:
-        if sampler is not None:
-            stack.enter_context(ts_mod.capture(sampler))
-        if auditor is not None:
-            stack.enter_context(audit_mod.capture(auditor))
-        # The sampler must be active *before* the Simulator is built --
-        # the engine binds it at construction time.
+    sampler = ts_mod.active_sampler()
+    with audit_mod.capture(fail_fast=False) as auditor:
         dfs = build_cluster(seed)
         if schedule is None:
             schedule = chaos_schedule(
-                dfs,
-                seed,
-                window=FAULT_WINDOW,
-                singles=singles,
-                doubles=doubles,
-                node_crashes=node_crashes,
-                nic_degrades=nic_degrades,
-                lstor_losses=lstor_losses,
-                restart_delay=RESTART_DELAY,
+                dfs, seed, window=FAULT_WINDOW, restart_delay=RESTART_DELAY
             )
         monitor = ClusterMonitor(
             dfs,
             MonitorConfig(heartbeat_interval=0.5, dead_after=2.0, sweep_interval=0.5),
         )
         injector = FaultInjector(dfs, schedule, monitor=monitor)
-        if auditor is not None:
-            auditor.attach(dfs, monitor=monitor)
-        if sampler is not None:
+        auditor.attach(dfs, monitor=monitor)
+        if sampler is not None:  # its new run dropped the last run's hooks
             sampler.watch(cluster_metrics(dfs, monitor=monitor))
-            if auditor is not None:
-                sampler.on_sample(auditor.on_sample)
+            sampler.on_sample(auditor.on_sample)
 
         skipped = [0]
         monitor.start()
@@ -525,18 +495,16 @@ def run_chaos(
             problems.append("fault schedule did not finish before the horizon")
         monitor.stop()
         dfs.sim.run()  # drain the heartbeat/detector loops
+        auditor.audit(dfs.sim, dfs.sim.now, event="final")
 
-        span = _fault_recovery_span(monitor, injector, dfs.sim.now)
-        if auditor is not None:
-            auditor.audit(dfs.sim, dfs.sim.now, event="final")
-            if span is not None:
-                auditor.waive_between(
-                    [span],
-                    "detection-lag: replication state is expected to be "
-                    "degraded between injection and recovery completion",
-                )
-            for violation in auditor.unwaived():
-                problems.append(f"audit: {violation.as_dict()}")
+    span = _fault_recovery_span(monitor, injector, dfs.sim.now)
+    if span is not None:
+        auditor.waive_between(
+            [span],
+            "detection-lag: replication state is expected to be "
+            "degraded between injection and recovery completion",
+        )
+    problems.extend(f"audit: {v.as_dict()}" for v in auditor.unwaived())
 
     # ------------------------------------------------------------------
     # Post-mortem verification.
@@ -547,11 +515,6 @@ def run_chaos(
     if lost:
         problems.append(f"{len(lost)} blocks lost: "
                         f"{[loc.block.name for loc in lost][:5]}")
-    try:
-        dfs.verify_mirrors()
-        dfs.verify_parity()
-    except ReproError as exc:
-        problems.append(f"invariant check failed: {exc}")
 
     blocks_fp: List = []
     dfs.sim.run_process(_verify_reads(dfs, problems, blocks_fp))
@@ -606,12 +569,14 @@ def run_chaos(
     )
 
 
-def run_repeated(seed: int = DEFAULT_SEED, runs: int = 2, **kwargs: Any) -> ChaosResult:
+def run_repeated(
+    seed: int = DEFAULT_SEED, runs: int = 2, schedule: Optional[FaultSchedule] = None
+) -> ChaosResult:
     """Run the soak ``runs`` times with the same seed; the fingerprints
     must be bit-identical or the combined result fails."""
-    first = run_chaos(seed, **kwargs)
+    first = run_chaos(seed, schedule)
     for index in range(1, runs):
-        again = run_chaos(seed, **kwargs)
+        again = run_chaos(seed, schedule)
         first.problems.extend(again.problems)
         if again.fingerprint != first.fingerprint:
             diff_keys = [
@@ -663,7 +628,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         metavar="PATH",
         default=None,
         help="write the run's health report (SLO verdicts, per-phase "
-        "latency series, audit summary) as JSON; implies sampling + audit",
+        "latency series, audit summary) as JSON; implies sampling",
     )
     parser.add_argument(
         "--timeseries",
@@ -674,37 +639,24 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--dash",
         action="store_true",
-        help="render the health report to the terminal (implies --health "
-        "plumbing; raidpctl dash renders saved reports)",
+        help="render the health report to the terminal; implies sampling "
+        "(raidpctl dash renders saved reports)",
     )
     options = parser.parse_args(argv)
 
-    want_health = options.health is not None or options.dash
     interval = options.sample_interval
-    if interval is None and (want_health or options.timeseries):
+    if interval is None and (options.health or options.dash or options.timeseries):
         interval = ts_mod.DEFAULT_INTERVAL
-    recorder_kwargs: Dict = {}
-    sampler: Optional[ts_mod.Sampler] = None
-    if interval is not None:
-        sampler = ts_mod.Sampler(interval=interval)
-        recorder_kwargs["sampler"] = sampler
-    if want_health or sampler is not None:
-        recorder_kwargs["auditor"] = audit_mod.Auditor(fail_fast=False)
-
-    if options.trace:
-        from repro.obs.export import write_trace
-        from repro.obs.tracer import Tracer, capture
-
-        with capture(Tracer()) as tracer:
-            result = run_repeated(
-                options.seed, runs=max(1, options.runs), **recorder_kwargs
-            )
+    # The soak finds both observers the same way: whatever is active
+    # when its Simulator is built.
+    off = contextlib.nullcontext()
+    tracing: Any = tracer_mod.capture() if options.trace else off
+    sampling: Any = ts_mod.capture(interval=interval) if interval is not None else off
+    with tracing as tracer, sampling as sampler:
+        result = run_repeated(options.seed, runs=max(1, options.runs))
+    if tracer is not None:
         count = write_trace(tracer, options.trace)
         print(f"trace: {count} events -> {options.trace}")
-    else:
-        result = run_repeated(
-            options.seed, runs=max(1, options.runs), **recorder_kwargs
-        )
     if sampler is not None and options.timeseries:
         lines = ts_mod.write_timeseries(sampler, options.timeseries)
         print(f"timeseries: {lines} lines -> {options.timeseries}")

@@ -14,14 +14,14 @@ Usage::
     python -m repro.tools.profile table2 --tasks 2     # first 2 tasks only
     python -m repro.tools.profile fig8 --limit 25      # longer report
     python -m repro.tools.profile table2 --json p.json # machine-readable
-    python -m repro.tools.profile table2 --cprofile    # interpreter view
 
 Also exposed as ``raidpctl profile``.  The event counts and simulated
 seconds are exactly reproducible run-to-run (profiling never perturbs
 the schedule); wall-clock samples are host measurements and vary, but
-the ranking is stable for any meaningfully hot path.  ``--cprofile``
-swaps the per-dispatch attribution for an interpreter-level cProfile of
-the same slice, when function-granularity wall time is needed.
+the ranking is stable for any meaningfully hot path.  For
+function-granularity wall time, run the experiment under the
+interpreter's own profiler:
+``python -m cProfile -s tottime -m repro.experiments table2``.
 
 The JSON export follows the repo's report conventions (a ``schema``
 version plus sorted keys, like :mod:`repro.lint` findings); this module
@@ -214,32 +214,6 @@ def _write_step_summary(title: str, table: str) -> None:
         fh.write(f"### {title}\n\n{table}\n")
 
 
-# ----------------------------------------------------------------------
-# cProfile mode.
-# ----------------------------------------------------------------------
-def run_cprofile(
-    name: str, max_tasks: Optional[int], full_scale: bool, limit: int
-) -> int:
-    """Interpreter-level wall-clock profile of the same slice.
-
-    Complements the deterministic profiler: the sim profiler attributes
-    cost to *dispatch consumers* (what the schedule spends its time on),
-    cProfile to *functions* (where the interpreter spends its cycles).
-    """
-    import cProfile
-    import pstats
-
-    profile = cProfile.Profile()
-    profile.enable()
-    tasks_run, wall = run_slice(name, max_tasks, full_scale)
-    profile.disable()
-    slice_label = "all tasks" if tasks_run < 0 else f"first {tasks_run} task(s)"
-    print(f"cProfile: {name} ({slice_label}), {wall:.2f}s wall")
-    stats = pstats.Stats(profile, stream=sys.stdout)
-    stats.sort_stats("tottime").print_stats(limit)
-    return 0
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro.tools.profile",
@@ -271,18 +245,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument(
         "--full", action="store_true", help="profile at paper scale (slow)"
     )
-    parser.add_argument(
-        "--cprofile",
-        action="store_true",
-        help="use interpreter-level cProfile instead of the sim profiler",
-    )
     args = parser.parse_args(argv)
     if args.experiment not in REGISTRY:
         parser.error(
             f"unknown experiment {args.experiment!r}; known: {sorted(REGISTRY)}"
         )
-    if args.cprofile:
-        return run_cprofile(args.experiment, args.tasks, args.full, args.limit)
 
     with simprofile.capture() as profiler:
         tasks_run, wall = run_slice(args.experiment, args.tasks, args.full)

@@ -10,7 +10,6 @@ Subcommands::
     raidpctl trace run.json                       # summarize a trace file
     raidpctl profile table2 --tasks 2             # rank simulation hot paths
     raidpctl dash health.json                     # render a health report
-    raidpctl dash --live --seed 7                 # chaos run + live dash
 
 Every command is deterministic and runs entirely in simulation.
 """
@@ -92,38 +91,22 @@ def _build_parser() -> argparse.ArgumentParser:
     profile.add_argument("--limit", type=int, default=None, metavar="N")
     profile.add_argument("--json", default=None, metavar="PATH")
     profile.add_argument("--full", action="store_true")
-    profile.add_argument("--cprofile", action="store_true")
 
     dash = sub.add_parser(
         "dash",
         help="render a flight-recorder health report (per-phase "
         "sparklines + SLO verdicts) from a saved JSON file, optionally "
-        "alongside its time-series JSONL, or live from a chaos run",
+        "alongside its time-series JSONL (`python -m repro.tools.chaos "
+        "--dash` runs a soak and dashes it)",
     )
     dash.add_argument(
-        "report",
-        nargs="?",
-        default=None,
-        help="health report JSON written by chaos --health",
+        "report", help="health report JSON written by chaos --health"
     )
     dash.add_argument(
         "--timeseries",
         metavar="PATH",
         default=None,
         help="sampled time-series JSONL to summarize alongside the report",
-    )
-    dash.add_argument(
-        "--live",
-        action="store_true",
-        help="run a chaos soak now and dash its health report",
-    )
-    dash.add_argument("--seed", type=int, default=None, help="chaos seed for --live")
-    dash.add_argument(
-        "--sample-interval",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="sampling cadence for --live (default 0.5s)",
     )
     dash.add_argument(
         "--width", type=int, default=40, help="sparkline width (default 40)"
@@ -288,8 +271,6 @@ def cmd_profile(args: argparse.Namespace) -> int:
         argv += ["--json", args.json]
     if args.full:
         argv.append("--full")
-    if args.cprofile:
-        argv.append("--cprofile")
     return profile_main(argv)
 
 
@@ -297,20 +278,6 @@ def cmd_dash(args: argparse.Namespace) -> int:
     from repro.obs.slo import load_health_report, render_dash
     from repro.obs.timeseries import load_timeseries
 
-    if args.live:
-        from repro.tools.chaos import DEFAULT_SEED, run_chaos
-
-        interval = args.sample_interval if args.sample_interval else 0.5
-        seed = args.seed if args.seed is not None else DEFAULT_SEED
-        result = run_chaos(seed=seed, sample_interval=interval, audit=True)
-        assert result.health is not None
-        print(render_dash(result.health, width=args.width))
-        for problem in result.problems:
-            print(f"  PROBLEM: {problem}")
-        return 0 if result.ok else 1
-    if args.report is None:
-        print("dash: pass a health report JSON or --live", file=sys.stderr)
-        return 2
     report = load_health_report(args.report)
     print(render_dash(report, width=args.width))
     if args.timeseries:

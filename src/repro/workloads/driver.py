@@ -31,10 +31,6 @@ class WorkloadResult:
         return self.network_bytes - self.extra.get("shuffle_bytes", 0.0)
 
     @property
-    def runtime_minutes(self) -> float:
-        return self.runtime / units.MINUTE
-
-    @property
     def network_gb(self) -> float:
         return self.network_bytes / units.GB
 

@@ -2,25 +2,31 @@
 
 Oracles are test-side code: production modules carry no switch, branch
 or hook for them.  The classes subclass the production class and replace
-the optimized decisions with the obvious ones; the two functions at the
-end run, in one simulator, a schedule production splits across two.
-Either way a defect in the production path shows up as a disagreement.
+the optimized decisions with the obvious ones; two functions run, in
+one simulator, a schedule production splits across two; the last is the
+Monte-Carlo engine's closed form.  Either way a defect in the production
+path shows up as a disagreement.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from typing import Any
 
 from repro import units
+from repro.analysis.montecarlo import Fleet, _chain_blocked
+from repro.analysis.scheme import Scheme
 from repro.core.placement import RaidpPlacement
 from repro.core.recovery import _Raid6Rig, _raid6_xor_rate
 from repro.errors import PlacementError
 from repro.experiments import ext_scale
+from repro.faults import DiskLifetimeModel, RepairModel
 from repro.hdfs.block import BlockLocations
 from repro.hdfs.namenode import healthy_datanode
 from repro.sim.engine import Event, Simulator, Timeout
 from repro.sim.network import Switch
+from repro.units import HOURS_PER_YEAR
 from repro.workloads.dfsio import dfsio_write
 
 
@@ -219,3 +225,68 @@ def ext_scale_raidp_single_sim(num_nodes, seed):
     write = dfsio_write(dfs, num_nodes * ext_scale.BYTES_PER_NODE)
     per_node_gb = dfs.switch.total_bytes / num_nodes / units.GB
     return write.runtime, per_node_gb, ext_scale._recover_worst_pair(dfs)
+
+
+def analytic_mc_mttdl(
+    scheme: Scheme,
+    fleet: Fleet,
+    lifetime: DiskLifetimeModel,
+    repair: RepairModel,
+) -> float:
+    """Closed-form per-group MTTDL (years) under the engine's semantics.
+
+    Valid in the validation regime only: exponential lifetimes
+    (``weibull_shape == 1``), no latent errors, no bursts, an uncontended
+    repair pool, and eager recovery.  Derivation: a group dies when its
+    ``tolerance + 1``-th member fails while ``tolerance`` others sit in
+    their repair windows of length T.  The renewal process alternates
+    MTTF of life with T of repair, so a disk fails at rate
+    ``1 / (MTTF + T)`` and is mid-repair with stationary probability
+    ``T / (MTTF + T)`` -- the exact quantities the engine's event
+    streams realize, rather than the first-order ``lambda * T``.  Note
+    the classic :func:`~repro.analysis.scheme.mttdl_replication`
+    ladder assumes *serialized* rebuild stages, which halves the
+    tolerance-2 MTTDL relative to this overlapping-window model -- the
+    property test pins that factor rather than pretending the two
+    models agree exactly.  For RAIDP the chain-blocked term is convex
+    in the fleet's dead fraction, so a point estimate at the mean dead
+    count would understate the loss rate (Jensen); the RAIDP branch
+    therefore takes the expectation over the binomial dead-count
+    distribution explicitly.
+    """
+    window = repair.detection_hours + repair.disk_rebuild_hours
+    cycle = lifetime.mttf_hours + window
+    lam = 1.0 / cycle  # renewal failure rate per disk
+    p_dead = window / cycle  # stationary P(a specific disk is mid-repair)
+    if scheme.kind == "replication":
+        others = scheme.width - 1
+        # Loss at a member failure when `others` are all already dead.
+        rate = scheme.width * lam * p_dead**others
+    elif scheme.kind == "erasure":
+        # tolerance others (of width-1) already dead at a member failure.
+        rate = (
+            scheme.width
+            * lam
+            * math.comb(scheme.width - 1, scheme.tolerance)
+            * p_dead**scheme.tolerance
+        )
+    else:  # raidp
+        # At a failure event the engine sees K other disks dead
+        # (K ~ Binomial(num_disks - 1, p_dead) in steady state), prices
+        # the partner as dead with probability ~K / (num_disks - 1),
+        # and blocks each chain decode with the same K-dependent rate.
+        # The product K * side(K)^2 is convex in K, so expectation over
+        # K is taken term by term.
+        others = fleet.num_disks - 1
+        mean_term = math.fsum(
+            math.comb(others, k)
+            * p_dead**k
+            * (1.0 - p_dead) ** (others - k)
+            * (k / others)
+            * _chain_blocked(k / others, scheme) ** 2
+            for k in range(others + 1)
+        )
+        rate = 2.0 * lam * mean_term
+    if rate <= 0.0:
+        return math.inf
+    return 1.0 / rate / HOURS_PER_YEAR

@@ -7,14 +7,27 @@ the tier-1 suite so regressions in the failure lifecycle surface in CI.
 
 import pytest
 
-from repro.tools.chaos import DEFAULT_SEED, run_chaos, run_repeated
+from repro.core.cluster import RaidpCluster
+from repro.faults import chaos_schedule
+from repro.tools.chaos import (
+    DEFAULT_SEED,
+    FAULT_WINDOW,
+    RESTART_DELAY,
+    build_cluster,
+    run_chaos,
+    run_repeated,
+)
 
 SEED = 20260806
 
 
 @pytest.fixture(scope="module")
 def soak():
-    return run_repeated(SEED, runs=2, nic_degrades=0, lstor_losses=0)
+    schedule = chaos_schedule(
+        build_cluster(SEED), SEED, window=FAULT_WINDOW,
+        nic_degrades=0, lstor_losses=0, restart_delay=RESTART_DELAY,
+    )
+    return run_repeated(SEED, runs=2, schedule=schedule)
 
 
 def test_chaos_soak_survives(soak):
@@ -54,6 +67,23 @@ def test_chaos_timeline_orders_fault_detect_recover(soak):
         )
     rendered = soak.render_timeline()
     assert "victims" in rendered and "rec lat" in rendered
+
+
+def test_gate_seed_passes_the_final_audit(monkeypatch):
+    """Bench seed 701 is one the always-on auditor used to fail (a
+    refused disk I/O counted as a completed one), and the soak's content
+    check is the final audit's: parity and mirror equality each run
+    exactly once per soak, there."""
+    calls = {"verify_parity": 0, "verify_mirrors": 0}
+    for name in calls:
+        def counted(self, _name=name, _real=getattr(RaidpCluster, name)):
+            calls[_name] += 1
+            return _real(self)
+
+        monkeypatch.setattr(RaidpCluster, name, counted)
+    result = run_chaos(seed=701)
+    assert result.ok, "\n".join(result.problems)
+    assert calls == {"verify_parity": 1, "verify_mirrors": 1}
 
 
 def test_chaos_cli_rejects_unknown_args():

@@ -93,6 +93,23 @@ def test_roll_forward_from_every_torn_state(steps_a, steps_b):
     assert dfs.journals_empty()
 
 
+def test_a_mirror_without_an_lstor_leaves_no_record_waiting():
+    """A partner whose Lstor is lost journals nothing and never
+    acknowledges; the journaling side must not wait for it (the paper's
+    "one or two outstanding", not one more per write for ever)."""
+    dfs = make_cluster()
+    locations = allocate_block(dfs)
+    lossy, journaling = (dfs.datanode_by_name(n) for n in locations.datanodes)
+    lossy.lstors.primary.fail()
+    dfs.sim.run_process(dfs.client(0).write_block(locations))
+    assert journaling.lstors.primary.journal.total_appends == 1
+    assert lossy.lstors.primary.journal.total_appends == 0
+    assert not journaling._awaiting_ack
+    assert dfs.journals_empty()
+    dfs.verify_mirrors()
+    dfs.verify_parity()
+
+
 def test_roll_forward_is_idempotent():
     dfs = make_cluster()
     locations = allocate_block(dfs)

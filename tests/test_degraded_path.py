@@ -82,6 +82,47 @@ def test_degraded_read_fails_without_any_lstor():
         dfs.sim.run_process(reader.read_block(locations))
 
 
+def test_degraded_read_refuses_a_sibling_on_an_undetected_dead_disk():
+    """Detection lag: a sibling mirror's disk died but its DataNode is
+    not yet declared dead.  The read cannot be assembled, and says so
+    the way every read does -- ``BlockMissingError`` -- instead of
+    leaking the device's ``DiskFailedError``."""
+    dfs = cluster()
+
+    def fill():
+        for index, client in enumerate(dfs.clients):
+            yield from client.write_file(f"/f{index}", 4 * units.MiB)
+
+    dfs.sim.run_process(fill())
+    reader = dfs.client(0)
+
+    def populated_sibling(locations):
+        """A mirror, outside the block's own replicas, that the degraded
+        read of ``locations`` must read a stored block from."""
+        source = reader._pick_parity_source(locations.sc_id)
+        for other_sc, name in RecoveryManager(dfs)._mirrors_of(
+            source, locations.sc_id
+        ).items():
+            mirror = dfs.datanode_by_name(name)
+            if (
+                name not in locations.datanodes
+                and mirror.block_in_slot(other_sc, locations.slot) is not None
+            ):
+                return mirror
+        return None
+
+    locations, victim = next(
+        (loc, mirror)
+        for loc in dfs.namenode.all_blocks()
+        if (mirror := populated_sibling(loc)) is not None
+    )
+    fail_both_replicas(dfs, locations)
+    victim.disk.fail()
+    assert victim.alive  # not yet detected
+    with pytest.raises(BlockMissingError, match=f"dead mirror {victim.name}"):
+        dfs.sim.run_process(reader.degraded_read(locations))
+
+
 def test_normal_reads_unaffected():
     dfs = cluster(payload_mode="tokens")
     writer = dfs.client(0)

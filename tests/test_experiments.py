@@ -2,8 +2,9 @@
 
 The heavyweight simulation experiments (fig8/fig9/fig10/table2) are
 exercised with full shape assertions by the benchmark harness under
-``benchmarks/``; here we cover the registry plumbing and the fast
-analytic experiments, plus one reduced-seed simulation run.
+``benchmarks/`` (``make shapes``, a prerequisite of ``make verify``);
+here we cover the registry plumbing and the fast analytic experiments,
+plus one reduced-seed simulation run.
 """
 
 import pytest

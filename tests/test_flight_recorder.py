@@ -216,7 +216,9 @@ def test_chaos_fingerprint_bitwise_identical_and_healthy():
     from repro.tools.chaos import run_chaos
 
     bare = run_chaos(seed=20260809)
-    recorded = run_chaos(seed=20260809, sample_interval=0.5, audit=True)
+    with ts_mod.capture(interval=0.5):
+        recorded = run_chaos(seed=20260809)
+    assert bare.health is None
     assert bare.ok, bare.problems
     assert recorded.ok, recorded.problems
     assert recorded.fingerprint == bare.fingerprint
@@ -238,6 +240,31 @@ def test_chaos_fingerprint_bitwise_identical_and_healthy():
     }
     dash = slo_mod.render_dash(health)
     assert "SLO verdicts" in dash and "phase fault" in dash
+
+
+def test_a_new_run_drops_the_last_runs_registries_and_hooks():
+    """One ambient sampler, two simulations (a two-run soak): the second
+    run's ticks must not keep sampling -- or auditing -- the finished
+    first cluster."""
+    ticks = {"first": 0, "second": 0}
+
+    def run(label):
+        sim = Simulator()
+        metrics = MetricSet()
+        metrics.register_counter(label, lambda: 1)
+        sampler.watch(metrics)
+        sampler.on_sample(lambda _sim, _now: ticks.__setitem__(label, ticks[label] + 1))
+        sim.run_process(_sleeper(sim))
+
+    def _sleeper(sim):
+        yield sim.timeout(1.2)
+
+    with ts_mod.capture(interval=0.5) as sampler:
+        run("first")
+        run("second")
+    assert ticks == {"first": 2, "second": 2}
+    assert [ts for ts, _ in sampler.store.series("first", run=1)] == []
+    assert [ts for ts, _ in sampler.store.series("second", run=1)] == [0.5, 1.0]
 
 
 # ----------------------------------------------------------------------
@@ -338,6 +365,49 @@ def test_auditor_records_and_waives():
     summary = auditor.summary()
     assert summary["violations"] == len(new) and summary["unwaived"] == 0
     assert all(r.get("waiver") == "fault window" for r in summary["records"])
+
+
+def test_final_audit_content_check_is_never_skipped_or_waived():
+    """A record left on a dead disk (kept for recovery to read) does not
+    switch the parity check off; one still APPENDED on a live node is a
+    finding of its own; and no window waives what a final audit finds."""
+    dfs = _cluster()
+    _write_files(dfs)
+    locations = next(iter(dfs.namenode.all_blocks()))
+    dead, live = (dfs.datanode_by_name(n) for n in locations.datanodes)
+    content = live.slot_payload(locations.sc_id, locations.slot)
+
+    def leave_record_on(datanode):
+        datanode.lstors.primary.journal.append(
+            block_name=locations.block.name, sc_id=locations.sc_id,
+            slot=locations.slot, old_data=content, new_data=content,
+            parity_delta=content.xor(content), nbytes=locations.block.size,
+            now=dfs.sim.now, version=locations.version,
+        )
+
+    def parity_findings(ts):
+        new = auditor.audit(dfs.sim, ts, event="final")
+        return [(v.subject, v.detail) for v in new if v.check == "parity-coverage"]
+
+    auditor = audit_mod.Auditor()
+    auditor.attach(dfs)
+    leave_record_on(dead)
+    dead.alive = False
+    assert not dfs.journals_empty() and dfs.unabsorbed_writes() == []
+    live.lstors.primary.absorb(locations.slot, content)  # corrupt live parity
+    assert parity_findings(5.0) == [
+        ("lstor", f"parity mismatch on {live.name} slot {locations.slot}")
+    ]
+    live.lstors.primary.absorb(locations.slot, content)  # and undo
+    leave_record_on(live)
+    write = f"{live.name}:{locations.block.name}@{locations.version}"
+    assert dfs.unabsorbed_writes() == [write]
+    assert [subject for subject, _ in parity_findings(6.0)] == [write]
+    auditor.waive_between([(0.0, 10.0)], "fault window")
+    assert {(v.check, v.ts) for v in auditor.unwaived()} >= {
+        ("parity-coverage", 5.0), ("parity-coverage", 6.0)
+    }
+    assert all(v.event == "final" for v in auditor.unwaived())
 
 
 def test_auditor_flags_orphaned_superchunk():

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.montecarlo import DurabilityEngine, Fleet, analytic_mc_mttdl
+from repro.analysis.montecarlo import DurabilityEngine, Fleet
 from repro.analysis.scheme import (
     DurabilityModelError,
     Scheme,
@@ -31,6 +31,7 @@ from repro.faults import (
     RepairModel,
 )
 from repro.units import HOURS_PER_YEAR
+from tests.oracles import analytic_mc_mttdl
 
 # ----------------------------------------------------------------------
 # Validation regime: exponential lifetimes with MTTF exactly 1e4 hours,

@@ -1,129 +1,13 @@
-"""Tests for the elevator disk scheduler and SSD geometry (paper §8)."""
-
-import pytest
+"""Tests for the SSD geometry (paper §8)."""
 
 from repro import units
 from repro.core.cluster import RaidpCluster
 from repro.core.node import RaidpConfig
-from repro.errors import SimulationError
 from repro.hdfs.config import DfsConfig
 from repro.sim.cluster import ClusterSpec
 from repro.sim.disk import Disk, DiskGeometry, ssd_geometry
 from repro.sim.engine import Simulator
-from repro.sim.resources import ElevatorResource
 from repro.workloads.dfsio import dfsio_write
-
-
-# ----------------------------------------------------------------------
-# ElevatorResource.
-# ----------------------------------------------------------------------
-def test_elevator_grants_in_position_order():
-    sim = Simulator()
-    elevator = ElevatorResource(sim)
-    order = []
-
-    def holder():
-        grant = yield elevator.request(0)
-        yield sim.timeout(1.0)
-        elevator.release(grant)
-
-    def rider(position):
-        yield sim.timeout(0.1)  # queue up while the holder works
-        grant = yield elevator.request(position)
-        order.append(position)
-        elevator.release(grant)
-
-    sim.process(holder())
-    for position in (500, 100, 900, 300):
-        sim.process(rider(position))
-    sim.run()
-    assert order == [100, 300, 500, 900]
-
-
-def test_elevator_wraps_like_c_look():
-    sim = Simulator()
-    elevator = ElevatorResource(sim)
-    order = []
-
-    def holder():
-        grant = yield elevator.request(600)  # head parked high
-        yield sim.timeout(1.0)
-        elevator.release(grant)
-
-    def rider(position):
-        yield sim.timeout(0.1)
-        grant = yield elevator.request(position)
-        order.append(position)
-        elevator.release(grant)
-
-    sim.process(holder())
-    for position in (100, 700, 50, 900):
-        sim.process(rider(position))
-    sim.run()
-    # Sweep up from 600 (700, 900), then wrap to the bottom (50, 100).
-    assert order == [700, 900, 50, 100]
-
-
-def test_elevator_release_errors():
-    sim = Simulator()
-    elevator = ElevatorResource(sim)
-
-    def body():
-        grant = yield elevator.request(0)
-        elevator.release(grant)
-        elevator.release(grant)
-
-    sim.process(body())
-    with pytest.raises(SimulationError):
-        sim.run()
-
-
-# ----------------------------------------------------------------------
-# Elevator-scheduled disk.
-# ----------------------------------------------------------------------
-def test_elevator_disk_reduces_seek_time():
-    """With queue depth (batched async submission, as a writeback layer
-    produces), the elevator sorts distant regions into sweeps where FIFO
-    ping-pongs between them."""
-
-    def run(scheduler):
-        sim = Simulator()
-        disk = Disk(sim, DiskGeometry(), name="d", scheduler=scheduler)
-
-        def one_io(offset):
-            yield from disk.write(offset, units.MiB)
-
-        # Interleaved submission order across three distant regions.
-        for i in range(6):
-            for base in (0, 500 * units.GiB, 1000 * units.GiB):
-                sim.process(one_io(base + i * units.MiB))
-        sim.run()
-        return disk.stats.seek_seconds
-
-    assert run("elevator") < run("fifo") / 2
-
-
-def test_unknown_scheduler_rejected():
-    sim = Simulator()
-    with pytest.raises(ValueError):
-        Disk(sim, scheduler="cfq")
-
-
-def test_elevator_cluster_runs_correctly():
-    """A cluster on elevator-scheduled disks behaves identically in the
-    content plane.  (Its *timing* benefit needs queue depth; the RAIDP
-    write paths issue I/O serially per stream, so runtimes match FIFO --
-    see the raw-disk test above for the scheduling effect itself.)"""
-    dfs = RaidpCluster(
-        spec=ClusterSpec(num_nodes=8, disk_scheduler="elevator"),
-        config=DfsConfig(replication=2),
-        raidp=RaidpConfig(),
-        payload_mode="tokens",
-    )
-    result = dfsio_write(dfs, units.GiB)
-    assert result.runtime > 0
-    dfs.verify_parity()
-    dfs.verify_mirrors()
 
 
 # ----------------------------------------------------------------------

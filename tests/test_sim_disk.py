@@ -145,6 +145,44 @@ def test_failure_mid_queue_kills_waiting_io():
     assert "late-error" in outcomes or not proc.is_alive
 
 
+def test_a_refused_io_is_not_a_completed_one():
+    """Requests granted after the disk died are refused uncharged: they
+    leave no latency sample, so the auditor's own inequality (samples
+    <= reads + writes + syncs) holds and the windowed percentiles count
+    only I/Os that ran."""
+    sim = Simulator()
+    disk = make_disk(sim)
+    refused = []
+
+    def runner():
+        with pytest.raises(DiskFailedError):
+            yield from disk.write(0, 64 * units.MiB)
+
+    def queued(body):
+        yield sim.timeout(0.001)  # queue behind the running write
+        try:
+            yield from body
+        except DiskFailedError:
+            refused.append(sim.now)
+
+    def failer():
+        yield sim.timeout(0.002)
+        disk.fail()
+
+    sim.process(runner())
+    sim.process(queued(disk.read(units.GiB, units.MiB)))
+    sim.process(queued(disk.sync()))
+    sim.process(queued(disk.read_modify_write(2 * units.GiB, units.MiB)))
+    sim.process(failer())
+    sim.run()
+    assert len(refused) == 3
+    # One charged write (it died under the head), nothing else.
+    assert (disk.stats.ios, disk.stats.syncs) == (1, 0)
+    assert disk.io_latency.total == 1
+    assert disk.queue_gauge.current == 0
+    assert disk.audit_state() == []
+
+
 def test_out_of_range_io_rejected():
     sim = Simulator()
     disk = make_disk(sim, capacity=units.GiB)
@@ -208,8 +246,9 @@ def test_repair_resets_head_and_clears_failure():
 
 
 # ----------------------------------------------------------------------
-# stream_io: the uncontended fast path must be observationally identical
-# to the queued read/write path (timing, head, stats, gauge, histogram).
+# start_io: an I/O awaited as an event.  On an idle FIFO disk it holds
+# the queue slot from the call to the completion callback in one
+# schedule entry; everything observable must equal the queued process.
 # ----------------------------------------------------------------------
 _STREAM_OPS = [
     ("write", 0, 4 * units.MiB),
@@ -220,78 +259,6 @@ _STREAM_OPS = [
 ]
 
 
-def test_stream_io_matches_queued_path_exactly():
-    queued_sim = Simulator()
-    queued = make_disk(queued_sim)
-
-    def queued_body():
-        durations = []
-        for kind, offset, nbytes in _STREAM_OPS:
-            op = queued.read if kind == "read" else queued.write
-            durations.append((yield from op(offset, nbytes)))
-        return durations
-
-    queued_durations = queued_sim.run_process(queued_body())
-
-    stream_sim = Simulator()
-    stream = make_disk(stream_sim)
-
-    def stream_body():
-        durations = []
-        for kind, offset, nbytes in _STREAM_OPS:
-            duration = stream.stream_io(kind, offset, nbytes)
-            yield stream_sim.timeout(duration)
-            durations.append(duration)
-        return durations
-
-    stream_durations = stream_sim.run_process(stream_body())
-
-    assert stream_durations == queued_durations  # bitwise, not approx
-    assert stream_sim.now == queued_sim.now
-    assert stream.head == queued.head
-    assert stream.stats.seeks == queued.stats.seeks
-    assert stream.stats.seek_seconds == queued.stats.seek_seconds
-    assert stream.io_latency.counts == queued.io_latency.counts
-    assert stream.io_latency.sum == queued.io_latency.sum
-    assert stream.io_latency.max == queued.io_latency.max
-    assert stream.queue_gauge.max_value == queued.queue_gauge.max_value
-
-
-def test_stream_io_refuses_busy_queue():
-    from repro.errors import SimulationError
-
-    sim = Simulator()
-    disk = make_disk(sim)
-
-    def holder():
-        yield from disk.write(0, 64 * units.MiB)
-
-    def contender():
-        yield sim.timeout(0.0001)  # the holder owns the queue by now
-        with pytest.raises(SimulationError, match="busy disk"):
-            disk.stream_io("read", 0, units.MiB)
-
-    sim.process(holder())
-    sim.run_process(contender())
-
-
-def test_stream_io_respects_failure_and_bounds():
-    sim = Simulator()
-    disk = make_disk(sim)
-    with pytest.raises(ValueError):
-        disk.stream_io("read", -1, units.MiB)
-    with pytest.raises(ValueError):
-        disk.stream_io("read", disk.geometry.capacity, units.MiB)
-    disk.fail()
-    with pytest.raises(DiskFailedError):
-        disk.stream_io("read", 0, units.MiB)
-
-
-# ----------------------------------------------------------------------
-# start_io: an I/O awaited as an event.  On an idle FIFO disk it holds
-# the queue slot from the call to the completion callback in one
-# schedule entry; everything observable must equal the queued process.
-# ----------------------------------------------------------------------
 def _observables(sim, disk, tracer):
     spans = [
         (e.name, e.ts, e.dur, e.attrs)
@@ -435,16 +402,3 @@ def test_start_io_out_of_bounds_arrives_through_the_event():
 
     assert sim.run_process(body()) == "survived"
     assert disk._queue.in_use == 0
-
-
-def test_start_io_on_an_elevator_disk_takes_the_queued_path():
-    sim = Simulator()
-    disk = Disk(sim, DiskGeometry(), name="d0", scheduler="elevator")
-
-    def body():
-        event = disk.start_io("write", 0, units.MiB)
-        assert type(event).__name__ == "Process"
-        return (yield event)
-
-    assert sim.run_process(body()) == units.MiB / disk.geometry.transfer_rate
-    assert disk._queue.total_grants == 1
