@@ -60,10 +60,12 @@ profile:
 	$(PYTHON) -m repro.tools.raidpctl profile ext-scale --limit 10
 
 # Durability smoke: the §2 experiment end-to-end -- the analytic MTTDL
-# ladder and the long-horizon Monte-Carlo engine (1k disks x 10 years)
-# over the same five schemes -- at smoke scale.
+# ladder and the long-horizon Monte-Carlo engine over the same five
+# schemes -- at smoke scale (1k disks x 10 years x 48 trials) and at the
+# scale the engine exists for (10k disks x 10 years x 200 trials, ~2 s).
 durability-smoke:
 	$(PYTHON) -m repro.experiments ext-durability
+	$(PYTHON) -m repro.experiments ext-durability --full --jobs 1
 
 # Regenerate every table/figure of the paper (uses all cores).
 experiments:

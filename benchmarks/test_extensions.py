@@ -1,5 +1,6 @@
 """Benches for the beyond-the-paper extension experiments."""
 
+import pytest
 from conftest import rows_by_label
 
 from repro.experiments.ext_durability import run as run_durability
@@ -7,8 +8,10 @@ from repro.experiments.ext_ssd import run as run_ssd
 from repro.experiments.ext_updates import run as run_updates
 
 
-def test_ext_durability(benchmark, run_once):
-    result = run_once(benchmark, run_durability)
+# Both scales: the 10,000-disk fleet is the one the engine exists for.
+@pytest.mark.parametrize("full_scale", [False, True], ids=["smoke", "full"])
+def test_ext_durability(benchmark, run_once, full_scale):
+    result = run_once(benchmark, run_durability, full_scale=full_scale)
     rows = rows_by_label(result)
     # Analytic ladder: rep2 << raidp == rep3 << raidp(2 lstors).
     assert rows["analytic MTTDL [rep2] (years)"] < rows["analytic MTTDL [raidp] (years)"]

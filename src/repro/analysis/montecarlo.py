@@ -56,7 +56,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -243,6 +243,112 @@ def _chain_blocked(q: float, scheme: Scheme) -> float:
     return _binom_tail(q, scheme.superchunks_per_disk - 1, scheme.lstors)
 
 
+#: ``judge(dead_others, dead_outside, pairs, remaining_outside, burst,
+#: any_dead_lstor) -> (P(group lost), expected unavailable group-hours)``
+#: for one group containing the disk that just failed.  ``dead_outside``
+#: and ``pairs`` (dead pairs on distinct racks) summarize the dead set
+#: excluding the failed disk's rack (group members never share it);
+#: ``remaining_outside`` is those disks' summed remaining repair time,
+#: which prices the expected both-copies-dead overlap window; ``burst`` /
+#: ``any_dead_lstor``: the failed disk's / a dead candidate's Lstors died too.
+Judge = Callable[[int, int, float, float, bool, bool], Tuple[float, float]]
+
+
+def _compile_judge(fleet: Fleet, scheme: Scheme, p_block_lse: float) -> Judge:
+    """``scheme``'s judge on ``fleet``: the ``kind`` ladder and every
+    factor that depends only on the pair run here, once, not per event."""
+    other_racks = fleet.num_racks - 1
+    disks_per_rack = fleet.disks_per_rack
+    # P(one specific member dead) per dead disk outside the rack.
+    per_disk = 1.0 / (other_racks * disks_per_rack)
+    if scheme.kind == "replication" and scheme.width == 2:
+        def judge(
+            dead_others: int, dead_outside: int, pairs: float,
+            remaining_outside: float, burst: bool, any_dead_lstor: bool,
+        ) -> Tuple[float, float]:
+            # Partner dead, or the surviving copy's rebuild read hits a
+            # latent error the scrubber has not cleaned yet.
+            p_partner = dead_outside * per_disk
+            return p_partner + (1.0 - p_partner) * p_block_lse, 0.0
+
+    elif scheme.kind == "replication":
+        others = scheme.width - 1
+        # others == 2: the two other members land on 2 uniform distinct
+        # racks among `other_racks`, one uniform disk each; sum over
+        # distinct-rack dead pairs.
+        pair_ways = math.comb(other_racks, 2) * disks_per_rack**2
+
+        def judge(
+            dead_others: int, dead_outside: int, pairs: float,
+            remaining_outside: float, burst: bool, any_dead_lstor: bool,
+        ) -> Tuple[float, float]:
+            # rep3+: all other members already dead, or all-but-one dead
+            # and the last source read hits a latent error.
+            p_partner = dead_outside * per_disk
+            if others == 2:
+                p_all = pairs / pair_ways if other_racks > 1 else 0.0
+                p_but_one = 2.0 * p_partner * (1.0 - p_partner)
+            else:
+                p_all = p_partner**others
+                p_but_one = others * p_partner ** (others - 1) * (1.0 - p_partner)
+            return p_all + p_but_one * p_block_lse, 0.0
+
+    elif scheme.kind == "erasure":
+        members = scheme.width - 1  # other stripe members
+        if other_racks < members:
+            raise DurabilityModelError("stripe wider than the fleet")
+        stripes = math.comb(other_racks, members)
+        # P(two specific dead disks are both stripe members): the stripe
+        # occupies `members` of the other racks.
+        p_rack_pair = (
+            math.comb(other_racks - 2, members - 2) / stripes if members >= 2 else 0.0
+        )
+        p_rack_single = math.comb(other_racks - 1, members - 1) / stripes
+        disks_per_rack_sq = disks_per_rack**2
+        # At exactly `tolerance` erasures the decode needs all n remaining
+        # sources clean; any latent error finishes it.
+        p_lse_decode = 1.0 - (1.0 - p_block_lse) ** scheme.needed_online
+
+        def judge(
+            dead_others: int, dead_outside: int, pairs: float,
+            remaining_outside: float, burst: bool, any_dead_lstor: bool,
+        ) -> Tuple[float, float]:
+            p_two = pairs * p_rack_pair / disks_per_rack_sq
+            p_one = dead_outside * p_rack_single / disks_per_rack
+            return p_two + p_one * p_lse_decode, 0.0
+
+    else:
+        # raidp: partner dead AND both parity-chain decodes blocked.
+        # Chain sources are replicas scattered fleet-wide; a source is
+        # bad if its disk is dead or its read hits a latent error -- a
+        # function of the dead count alone, so each count decodes once.
+        fleet_others = max(fleet.num_disks - 1, 1)
+        blocked_at: Dict[int, float] = {}
+
+        def judge(
+            dead_others: int, dead_outside: int, pairs: float,
+            remaining_outside: float, burst: bool, any_dead_lstor: bool,
+        ) -> Tuple[float, float]:
+            blocked = blocked_at.get(dead_others)
+            if blocked is None:
+                q = dead_others / fleet_others
+                q = q + (1.0 - q) * p_block_lse
+                blocked = blocked_at[dead_others] = _chain_blocked(q, scheme)
+            side_self = 1.0 if burst else blocked
+            side_partner = 1.0 if any_dead_lstor else blocked
+            p_assist_fail = side_self * side_partner
+            # Assist-survivable both-dead windows are *unavailable*:
+            # parity decode restores durability, not serving.  Expected
+            # overlap hours = sum over dead candidates of their remaining
+            # repair time, weighted by the placement probability.
+            return (
+                dead_outside * per_disk * p_assist_fail,
+                remaining_outside * per_disk * (1.0 - p_assist_fail),
+            )
+
+    return judge
+
+
 # ----------------------------------------------------------------------
 # The engine.
 # ----------------------------------------------------------------------
@@ -371,7 +477,7 @@ class DurabilityEngine:
         return outages
 
     # -- repair scheduling ----------------------------------------------
-    def _schedule_repairs(self, times: np.ndarray) -> np.ndarray:
+    def _schedule_repairs(self, times: List[float]) -> List[float]:
         """Repair-completion time per failure event.
 
         Each failure is detected after ``detection_hours``; lazy
@@ -381,7 +487,7 @@ class DurabilityEngine:
         ``concurrent_rebuilds`` pool.
         """
         repair = self.repair
-        done = np.empty(times.size)
+        done = [0.0] * len(times)
         slots = [0.0] * repair.concurrent_rebuilds
         heapq.heapify(slots)
         pending: List[Tuple[float, float, int]] = []  # (deadline, detect, idx)
@@ -393,8 +499,8 @@ class DurabilityEngine:
                 heapq.heappush(slots, finish)
                 done[idx] = finish
 
-        for idx in range(times.size):
-            detect = float(times[idx]) + repair.detection_hours
+        for idx, failed_at in enumerate(times):
+            detect = failed_at + repair.detection_hours
             # Deadline-expired stragglers release before this arrival.
             while pending and pending[0][0] <= detect:
                 entry = pending.pop(0)
@@ -406,96 +512,6 @@ class DurabilityEngine:
         for entry in pending:
             release([entry], entry[0])
         return done
-
-    # -- per-event judgment ---------------------------------------------
-    def _judge_event(
-        self,
-        scheme: Scheme,
-        rack_of_failed: int,
-        dead_others: int,
-        dead_outside_rack: int,
-        dead_pairs_distinct_racks: float,
-        remaining_hours_outside_rack: float,
-        failed_lstor_destroyed: bool,
-        any_dead_lstor_destroyed: bool,
-        p_block_lse: float,
-    ) -> Tuple[float, float]:
-        """(P(group lost), expected unavailable group-hours) for one
-        group containing the disk that just failed.
-
-        ``dead_outside_rack`` / ``dead_pairs_distinct_racks`` summarize
-        the concurrently-dead set D excluding the failed disk's rack
-        (group members never share it); ``remaining_hours_outside_rack``
-        is the summed remaining repair time of those disks, which prices
-        the expected both-copies-dead overlap window.
-        """
-        fleet = self.fleet
-        other_racks = fleet.num_racks - 1
-        per_disk = 1.0 / (other_racks * fleet.disks_per_rack)
-        p_partner = dead_outside_rack * per_disk  # P(one specific member dead)
-        if scheme.kind == "replication":
-            if scheme.width == 2:
-                # Partner dead, or the surviving copy's rebuild read hits
-                # a latent error the scrubber has not cleaned yet.
-                return p_partner + (1.0 - p_partner) * p_block_lse, 0.0
-            # rep3+: all other members already dead, or all-but-one dead
-            # and the last source read hits a latent error.
-            others = scheme.width - 1
-            if others == 2:
-                # The two other members land on 2 uniform distinct racks
-                # among `other_racks`, one uniform disk each; sum over
-                # distinct-rack dead pairs.
-                p_all = (
-                    dead_pairs_distinct_racks
-                    / (math.comb(other_racks, 2) * fleet.disks_per_rack**2)
-                    if other_racks > 1
-                    else 0.0
-                )
-                p_but_one = 2.0 * p_partner * (1.0 - p_partner)
-            else:
-                p_all = p_partner**others
-                p_but_one = others * p_partner ** (others - 1) * (1.0 - p_partner)
-            return p_all + p_but_one * p_block_lse, 0.0
-        if scheme.kind == "erasure":
-            members = scheme.width - 1  # other stripe members
-            if other_racks < members:
-                raise DurabilityModelError("stripe wider than the fleet")
-            # P(two specific dead disks are both stripe members): the
-            # stripe occupies `members` of the other racks.
-            p_rack_pair = (
-                math.comb(other_racks - 2, members - 2)
-                / math.comb(other_racks, members)
-                if members >= 2
-                else 0.0
-            )
-            p_two = (
-                dead_pairs_distinct_racks * p_rack_pair / fleet.disks_per_rack**2
-            )
-            p_rack_single = math.comb(other_racks - 1, members - 1) / math.comb(
-                other_racks, members
-            )
-            p_one = dead_outside_rack * p_rack_single / fleet.disks_per_rack
-            # At exactly `tolerance` erasures the decode needs all n
-            # remaining sources clean; any latent error finishes it.
-            p_lse_decode = 1.0 - (1.0 - p_block_lse) ** scheme.needed_online
-            return p_two + p_one * p_lse_decode, 0.0
-        # raidp: partner dead AND both parity-chain decodes blocked.
-        # Chain sources are replicas scattered fleet-wide; a source is
-        # bad if its disk is dead or its read hits a latent error.
-        q = dead_others / max(fleet.num_disks - 1, 1)
-        q = q + (1.0 - q) * p_block_lse
-        side_self = 1.0 if failed_lstor_destroyed else _chain_blocked(q, scheme)
-        side_partner = 1.0 if any_dead_lstor_destroyed else _chain_blocked(q, scheme)
-        p_assist_fail = side_self * side_partner
-        p_loss = p_partner * p_assist_fail
-        # Assist-survivable both-dead windows are *unavailable*: parity
-        # decode restores durability, not serving.  Expected overlap
-        # hours = sum over dead candidates of their remaining repair
-        # time, weighted by the placement probability.
-        unavailable_hours = (
-            remaining_hours_outside_rack * per_disk * (1.0 - p_assist_fail)
-        )
-        return p_loss, unavailable_hours
 
     # -- availability over outage segments --------------------------------
     def _outage_segments(
@@ -552,159 +568,140 @@ class DurabilityEngine:
 
     # -- one trial --------------------------------------------------------
     def _simulate_trial(
-        self, trial: int, years: float
-    ) -> Tuple[Dict[str, Dict[str, float]], Dict[str, np.ndarray]]:
-        """(float tallies, at-risk timeline) per scheme name for one trial."""
+        self, trial: int, years: float,
+        compiled: List[Tuple[Scheme, float, float, Judge]],
+        unreadable: Dict[Tuple[int, int], List[float]],
+    ) -> List[Tuple[float, float, float, float, np.ndarray]]:
+        """Per compiled scheme, one trial's (expected_groups_lost,
+        unavailable_group_hours, at_risk_group_hours, repair_gb, at-risk
+        timeline).  ``unreadable`` memoizes the expected unreadable groups
+        of an outage segment by ``(dark racks, lit dead disks)`` across
+        the trials of one run.
+        """
         fleet = self.fleet
         horizon = years * HOURS_PER_YEAR
         rng = self._trial_rng(trial)
-        times, disks, from_burst = self._sample_failures(rng, horizon)
+        times_a, disks_a, burst_a = self._sample_failures(rng, horizon)
+        # One conversion per trial; the event loop runs on Python scalars.
+        times, disks, bursts = times_a.tolist(), disks_a.tolist(), burst_a.tolist()
+        racks_a = disks_a // fleet.disks_per_rack
+        racks = racks_a.tolist()
         done = self._schedule_repairs(times)
         outages = self._sample_outages(rng, horizon)
         trace = active_tracer()
+        tracing: bool = trace.enabled
 
-        p_block: Dict[str, float] = {}
-        repair_gb_per_disk: Dict[str, float] = {}
-        for scheme in self.schemes:
-            groups_per_disk = fleet.groups_per_disk(scheme.width)
-            p_block[scheme.name] = self.latent.block_read_error_probability(
-                1.0 / max(groups_per_disk, 1.0)
-            )
-            # Bytes moved per disk rebuilt: the repair read plus the write.
-            repair_gb_per_disk[scheme.name] = fleet.disk_capacity_gb * (
-                scheme.repair_volume(1) + 1.0
-            )
-
-        tallies: Dict[str, Dict[str, float]] = {
-            scheme.name: {
-                "expected_groups_lost": 0.0,
-                "unavailable_group_hours": 0.0,
-                "at_risk_group_hours": 0.0,
-                "repair_gb": 0.0,
-                "peak_groups_at_risk": 0.0,
-            }
-            for scheme in self.schemes
-        }
+        schemes = range(len(compiled))
+        judges = [judge for _scheme, _groups, _gb, judge in compiled]
+        # An event that finds no other disk dead has one of two verdicts.
+        idle = [
+            [judge(0, 0, 0.0, 0.0, burst, False) for judge in judges]
+            for burst in (False, True)
+        ]
+        lost = [0.0] * len(compiled)
+        unavailable = [0.0] * len(compiled)
+        repair_gb = [0.0] * len(compiled)
 
         # --- sparse data-loss judgment over failure events ---
-        active: Dict[int, Tuple[float, bool]] = {}  # disk -> (done, burst)
+        active: Dict[int, Tuple[float, bool, int]] = {}  # disk -> (done, burst, rack)
         expiry: List[Tuple[float, int]] = []
-        bucket_hours = horizon / self.timeline_buckets
-        dead_disk_timeline = np.zeros(self.timeline_buckets)
-        for i in range(times.size):
-            t = float(times[i])
-            disk = int(disks[i])
-            burst = bool(from_burst[i])
+        buckets = self.timeline_buckets
+        bucket_hours = horizon / buckets
+        dead_disk_timeline = [0.0] * buckets
+        for i, t in enumerate(times):
+            disk = disks[i]
+            rack = racks[i]
+            burst = bursts[i]
             while expiry and expiry[0][0] <= t:
                 _when, gone = heapq.heappop(expiry)
                 entry = active.get(gone)
                 if entry is not None and entry[0] <= t:
                     del active[gone]
-            rack = fleet.rack_of(disk)
-            dead_others = 0
-            dead_outside = 0
-            remaining_outside = 0.0
-            per_rack: Dict[int, int] = {}
-            any_dead_lstor_destroyed = False
-            for other, (other_done, other_burst) in active.items():
-                if other == disk:
-                    continue
-                dead_others += 1
-                other_rack = fleet.rack_of(other)
-                if other_rack != rack:
-                    dead_outside += 1
-                    remaining_outside += other_done - t
-                    per_rack[other_rack] = per_rack.get(other_rack, 0) + 1
-                    if other_burst:
-                        any_dead_lstor_destroyed = True
-            pairs = (
-                dead_outside * dead_outside
-                - math.fsum(float(c * c) for c in per_rack.values())
-            ) / 2.0
-            for scheme in self.schemes:
-                groups_per_disk = fleet.groups_per_disk(scheme.width)
-                p_loss, unavail_hours = self._judge_event(
-                    scheme,
-                    rack,
-                    dead_others,
-                    dead_outside,
-                    pairs,
-                    remaining_outside,
-                    burst,
-                    any_dead_lstor_destroyed,
-                    p_block[scheme.name],
-                )
-                tally = tallies[scheme.name]
-                tally["expected_groups_lost"] += groups_per_disk * p_loss
-                tally["unavailable_group_hours"] += groups_per_disk * unavail_hours
-                tally["repair_gb"] += repair_gb_per_disk[scheme.name]
-                if trace.enabled and p_loss > 0.0:
+            dead_others = len(active) - (disk in active)
+            if not dead_others:
+                verdicts = idle[burst]
+            else:
+                dead_outside = 0
+                remaining = 0.0  # summed repair hours left outside the rack
+                per_rack: Dict[int, int] = {}
+                lstor_dead = False  # some dead partner candidate's Lstors died too
+                for other_done, other_burst, other_rack in active.values():
+                    if other_rack != rack:
+                        dead_outside += 1
+                        remaining += other_done - t
+                        per_rack[other_rack] = per_rack.get(other_rack, 0) + 1
+                        if other_burst:
+                            lstor_dead = True
+                same_rack = sum(c * c for c in per_rack.values())
+                pairs = (dead_outside * dead_outside - same_rack) / 2.0
+                event = (dead_others, dead_outside, pairs, remaining, burst, lstor_dead)
+                verdicts = [judge(*event) for judge in judges]
+            # `+=` per event, in event order: the rounding sequence is
+            # what the pinned tallies and the bench digest hold fixed.
+            for k in schemes:
+                p_loss, unavailable_hours = verdicts[k]
+                scheme, groups_per_disk, gb, _judge = compiled[k]
+                lost[k] += groups_per_disk * p_loss
+                unavailable[k] += groups_per_disk * unavailable_hours
+                repair_gb[k] += gb
+                if tracing and p_loss > 0.0:
                     trace.instant(
-                        "durability",
-                        "loss_risk",
-                        t,
-                        scheme=scheme.name,
+                        "durability", "loss_risk", t, scheme=scheme.name,
                         expected_groups=groups_per_disk * p_loss,
                         dead=dead_others + 1,
                     )
-            finish = float(done[i])
-            active[disk] = (finish, burst)
+            finish = done[i]
+            active[disk] = (finish, burst, rack)
             heapq.heappush(expiry, (finish, disk))
-            if trace.enabled:
+            if tracing:
                 trace.count("fleet", "dead_disks", t, float(len(active)))
             # Blocks-at-risk timeline: the dead interval [t, finish).
             lo = t / bucket_hours
             hi = min(finish, horizon) / bucket_hours
             first = int(lo)
-            last = min(int(math.ceil(hi)), self.timeline_buckets)
-            for b in range(first, last):
-                overlap = min(hi, b + 1.0) - max(lo, float(b))
-                if overlap > 0:
-                    dead_disk_timeline[b] += overlap
-
-        total_dead_hours = math.fsum(
-            float(min(done[i], horizon) - times[i]) for i in range(times.size)
-        )
-        timelines: Dict[str, np.ndarray] = {}
-        for scheme in self.schemes:
-            groups_per_disk = fleet.groups_per_disk(scheme.width)
-            tally = tallies[scheme.name]
-            tally["at_risk_group_hours"] = groups_per_disk * total_dead_hours
-            scheme_timeline = dead_disk_timeline * groups_per_disk
-            tally["peak_groups_at_risk"] = (
-                float(scheme_timeline.max()) if scheme_timeline.size else 0.0
-            )
-            timelines[scheme.name] = scheme_timeline
+            if hi <= first + 1.0 and first < buckets:
+                dead_disk_timeline[first] += hi - lo  # one bucket: the loop, run once
+            else:
+                for b in range(first, min(math.ceil(hi), buckets)):
+                    overlap = min(hi, b + 1.0) - max(lo, float(b))
+                    if overlap > 0:
+                        dead_disk_timeline[b] += overlap
 
         # --- availability over merged outage segments ---
+        done_a = np.array(done)
         for start, end, dark in self._outage_segments(outages):
             mid = (start + end) / 2.0
-            dead_mask = (times <= mid) & (done > mid)
-            dark_set = set(dark)
-            lit_dead = 0
-            for disk in disks[dead_mask]:
-                if fleet.rack_of(int(disk)) not in dark_set:
-                    lit_dead += 1
-            lit_disks = (fleet.num_racks - len(dark)) * fleet.disks_per_rack
-            q_dead = lit_dead / lit_disks if lit_disks else 0.0
-            hours = end - start
-            for scheme in self.schemes:
-                p_unreadable = self._segment_unreadable(
-                    scheme, len(dark), q_dead
-                )
-                tallies[scheme.name]["unavailable_group_hours"] += (
-                    fleet.groups * p_unreadable * hours
-                )
-            if trace.enabled:
+            dead_racks = racks_a[(times_a <= mid) & (done_a > mid)].tolist()
+            lit_dead = sum(rack not in dark for rack in dead_racks)
+            expected = unreadable.get((len(dark), lit_dead))
+            if expected is None:
+                lit_disks = (fleet.num_racks - len(dark)) * fleet.disks_per_rack
+                q_dead = lit_dead / lit_disks if lit_disks else 0.0
+                expected = unreadable[len(dark), lit_dead] = [
+                    fleet.groups * self._segment_unreadable(scheme, len(dark), q_dead)
+                    for scheme, _groups, _gb, _judge in compiled
+                ]
+            for k in schemes:
+                unavailable[k] += expected[k] * (end - start)
+            if tracing:
                 trace.complete(
                     "fleet", "rack_outage_segment", start, end, racks=len(dark)
                 )
-        if trace.enabled:
+        if tracing:
             trace.complete(
-                "durability", "trial", 0.0, horizon, trial=trial,
-                failures=int(times.size),
+                "durability", "trial", 0.0, horizon, trial=trial, failures=len(times)
             )
-        return tallies, timelines
+        total_dead_hours = math.fsum(
+            min(finish, horizon) - t for t, finish in zip(times, done)
+        )
+        timeline = np.array(dead_disk_timeline)
+        return [
+            (
+                lost[k], unavailable[k], groups_per_disk * total_dead_hours,
+                repair_gb[k], timeline * groups_per_disk,
+            )
+            for k, (_scheme, groups_per_disk, _gb, _judge) in enumerate(compiled)
+        ]
 
     # -- public API -------------------------------------------------------
     def run(
@@ -721,38 +718,41 @@ class DurabilityEngine:
             raise DurabilityModelError("need at least one trial")
         if years <= 0:
             raise DurabilityModelError("years must be positive")
-        per_trial: Dict[str, List[Dict[str, float]]] = {
-            scheme.name: [] for scheme in self.schemes
-        }
-        timeline_sums = {
-            scheme.name: np.zeros(self.timeline_buckets) for scheme in self.schemes
-        }
-        for trial in range(first_trial, first_trial + trials):
-            tallies, timelines = self._simulate_trial(trial, years)
-            for scheme in self.schemes:
-                per_trial[scheme.name].append(tallies[scheme.name])
-                timeline_sums[scheme.name] += timelines[scheme.name]
-        reports: Dict[str, SchemeReport] = {}
+        # Compiled per call, not per engine: the engine keeps no derived
+        # state, so a model swapped between runs is the model judged.
+        compiled: List[Tuple[Scheme, float, float, Judge]] = []
         for scheme in self.schemes:
-            rows = per_trial[scheme.name]
+            groups_per_disk = self.fleet.groups_per_disk(scheme.width)
+            p_block_lse = self.latent.block_read_error_probability(
+                1.0 / max(groups_per_disk, 1.0)
+            )
+            # Bytes moved per disk rebuilt: the repair read plus the write.
+            repair_gb = self.fleet.disk_capacity_gb * (scheme.repair_volume(1) + 1.0)
+            judge = _compile_judge(self.fleet, scheme, p_block_lse)
+            compiled.append((scheme, groups_per_disk, repair_gb, judge))
+        unreadable: Dict[Tuple[int, int], List[float]] = {}
+        tallies: List[List[Tuple[float, ...]]] = [[] for _ in compiled]
+        timelines = [np.zeros(self.timeline_buckets) for _ in compiled]
+        peaks = [0.0] * len(compiled)
+        for trial in range(first_trial, first_trial + trials):
+            rows = self._simulate_trial(trial, years, compiled, unreadable)
+            for k, (*tally, timeline) in enumerate(rows):
+                tallies[k].append(tuple(tally))
+                timelines[k] += timeline
+                peaks[k] = max(peaks[k], float(timeline.max()))
+        reports: Dict[str, SchemeReport] = {}
+        for k, scheme in enumerate(self.schemes):
+            lost, unavailable, at_risk, gb = zip(*tallies[k])
             reports[scheme.name] = SchemeReport(
                 name=scheme.name,
                 trials=trials,
                 group_years=self.fleet.groups * years * trials,
-                expected_groups_lost=math.fsum(
-                    row["expected_groups_lost"] for row in rows
-                ),
-                repair_gb=math.fsum(row["repair_gb"] for row in rows),
+                expected_groups_lost=math.fsum(lost),
+                repair_gb=math.fsum(gb),
                 sim_days=years * 365.0 * trials,
-                unavailable_group_hours=math.fsum(
-                    row["unavailable_group_hours"] for row in rows
-                ),
-                at_risk_group_hours=math.fsum(
-                    row["at_risk_group_hours"] for row in rows
-                ),
-                at_risk_timeline=timeline_sums[scheme.name],
-                peak_groups_at_risk=max(
-                    row["peak_groups_at_risk"] for row in rows
-                ),
+                unavailable_group_hours=math.fsum(unavailable),
+                at_risk_group_hours=math.fsum(at_risk),
+                at_risk_timeline=timelines[k],
+                peak_groups_at_risk=peaks[k],
             )
         return reports

@@ -97,7 +97,7 @@ def merge(
     result = ExperimentResult(
         experiment="ext-durability",
         title="durability vs availability (paper §2, quantified)",
-        unit="MTTDL years / event probabilities / nines / GB per day",
+        unit="MTTDL years / nines / GB per day / groups",
     )
     analytic = cast(Dict[str, float], keyed[("analytic",)])
     for name, years in analytic.items():

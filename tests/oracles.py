@@ -3,20 +3,21 @@
 Oracles are test-side code: production modules carry no switch, branch
 or hook for them.  The classes subclass the production class and replace
 the optimized decisions with the obvious ones; two functions run, in
-one simulator, a schedule production splits across two; the last is the
-Monte-Carlo engine's closed form.  Either way a defect in the production
-path shows up as a disagreement.
+one simulator, a schedule production splits across two; the last two are
+the Monte-Carlo engine's closed form and its per-event judge as it was
+before it was compiled per scheme.  Either way a defect in the
+production path shows up as a disagreement.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from typing import Any
+from typing import Any, Tuple
 
 from repro import units
 from repro.analysis.montecarlo import Fleet, _chain_blocked
-from repro.analysis.scheme import Scheme
+from repro.analysis.scheme import DurabilityModelError, Scheme
 from repro.core.placement import RaidpPlacement
 from repro.core.recovery import _Raid6Rig, _raid6_xor_rate
 from repro.errors import PlacementError
@@ -290,3 +291,94 @@ def analytic_mc_mttdl(
     if rate <= 0.0:
         return math.inf
     return 1.0 / rate / HOURS_PER_YEAR
+
+
+def reference_judge(
+    fleet: Fleet,
+    scheme: Scheme,
+    dead_others: int,
+    dead_outside_rack: int,
+    dead_pairs_distinct_racks: float,
+    remaining_hours_outside_rack: float,
+    failed_lstor_destroyed: bool,
+    any_dead_lstor_destroyed: bool,
+    p_block_lse: float,
+) -> Tuple[float, float]:
+    """(P(group lost), expected unavailable group-hours) for one group
+    containing the disk that just failed: the engine's per-event judge
+    as it ran before ``montecarlo._compile_judge`` hoisted everything
+    that depends only on (fleet, scheme) -- the ``kind`` ladder walked,
+    every ``comb`` ratio and every chain decode re-derived, per call.
+
+    ``dead_outside_rack`` / ``dead_pairs_distinct_racks`` summarize the
+    concurrently-dead set D excluding the failed disk's rack (group
+    members never share it); ``remaining_hours_outside_rack`` is the
+    summed remaining repair time of those disks, which prices the
+    expected both-copies-dead overlap window.
+    """
+    other_racks = fleet.num_racks - 1
+    per_disk = 1.0 / (other_racks * fleet.disks_per_rack)
+    p_partner = dead_outside_rack * per_disk  # P(one specific member dead)
+    if scheme.kind == "replication":
+        if scheme.width == 2:
+            # Partner dead, or the surviving copy's rebuild read hits
+            # a latent error the scrubber has not cleaned yet.
+            return p_partner + (1.0 - p_partner) * p_block_lse, 0.0
+        # rep3+: all other members already dead, or all-but-one dead
+        # and the last source read hits a latent error.
+        others = scheme.width - 1
+        if others == 2:
+            # The two other members land on 2 uniform distinct racks
+            # among `other_racks`, one uniform disk each; sum over
+            # distinct-rack dead pairs.
+            p_all = (
+                dead_pairs_distinct_racks
+                / (math.comb(other_racks, 2) * fleet.disks_per_rack**2)
+                if other_racks > 1
+                else 0.0
+            )
+            p_but_one = 2.0 * p_partner * (1.0 - p_partner)
+        else:
+            p_all = p_partner**others
+            p_but_one = others * p_partner ** (others - 1) * (1.0 - p_partner)
+        return p_all + p_but_one * p_block_lse, 0.0
+    if scheme.kind == "erasure":
+        members = scheme.width - 1  # other stripe members
+        if other_racks < members:
+            raise DurabilityModelError("stripe wider than the fleet")
+        # P(two specific dead disks are both stripe members): the
+        # stripe occupies `members` of the other racks.
+        p_rack_pair = (
+            math.comb(other_racks - 2, members - 2)
+            / math.comb(other_racks, members)
+            if members >= 2
+            else 0.0
+        )
+        p_two = (
+            dead_pairs_distinct_racks * p_rack_pair / fleet.disks_per_rack**2
+        )
+        p_rack_single = math.comb(other_racks - 1, members - 1) / math.comb(
+            other_racks, members
+        )
+        p_one = dead_outside_rack * p_rack_single / fleet.disks_per_rack
+        # At exactly `tolerance` erasures the decode needs all n
+        # remaining sources clean; any latent error finishes it.
+        p_lse_decode = 1.0 - (1.0 - p_block_lse) ** scheme.needed_online
+        return p_two + p_one * p_lse_decode, 0.0
+    # raidp: partner dead AND both parity-chain decodes blocked.
+    # Chain sources are replicas scattered fleet-wide; a source is
+    # bad if its disk is dead or its read hits a latent error.
+    q = dead_others / max(fleet.num_disks - 1, 1)
+    q = q + (1.0 - q) * p_block_lse
+    side_self = 1.0 if failed_lstor_destroyed else _chain_blocked(q, scheme)
+    side_partner = 1.0 if any_dead_lstor_destroyed else _chain_blocked(q, scheme)
+    p_assist_fail = side_self * side_partner
+    p_loss = p_partner * p_assist_fail
+    # Assist-survivable both-dead windows are *unavailable*: parity
+    # decode restores durability, not serving.  Expected overlap
+    # hours = sum over dead candidates of their remaining repair
+    # time, weighted by the placement probability.
+    unavailable_hours = (
+        remaining_hours_outside_rack * per_disk * (1.0 - p_assist_fail)
+    )
+    return p_loss, unavailable_hours

@@ -9,13 +9,16 @@ classic ``mttdl_*`` ladder by exact factors asserted below, so the chain
 engine -> analytic_mc_mttdl -> ladder is pinned end to end.
 """
 
+import hashlib
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis import montecarlo
 from repro.analysis.montecarlo import DurabilityEngine, Fleet
 from repro.analysis.scheme import (
     DurabilityModelError,
@@ -30,8 +33,9 @@ from repro.faults import (
     LatentErrorModel,
     RepairModel,
 )
+from repro.obs import tracer
 from repro.units import HOURS_PER_YEAR
-from tests.oracles import analytic_mc_mttdl
+from tests.oracles import analytic_mc_mttdl, reference_judge
 
 # ----------------------------------------------------------------------
 # Validation regime: exponential lifetimes with MTTF exactly 1e4 hours,
@@ -208,36 +212,242 @@ def test_raidp_concedes_availability(default_reports):
     )
 
 
-def test_default_run_is_pinned():
-    """The smoke fleet's first eight trials, float for float, as they
-    were before ``Scheme`` moved to ``analysis/scheme.py`` -- so the bench
-    digest is not the only guard on the judge's arithmetic."""
-    engine = DurabilityEngine(Fleet(20, 50, groups=100_000), seed=0xD15C)
-    reports = engine.run(8, years=10.0)
-    assert {
+def _pin(reports):
+    """Every float tally of every scheme, as ``float.hex``."""
+    return {
         name: (
             r.expected_groups_lost.hex(),
             r.repair_gb.hex(),
             r.unavailable_group_hours.hex(),
+            r.at_risk_group_hours.hex(),
+            r.peak_groups_at_risk.hex(),
+            float(r.at_risk_timeline.sum()).hex(),
         )
         for name, r in reports.items()
-    } == {
+    }
+
+
+def test_default_run_is_pinned():
+    """The smoke fleet's first eight trials, float for float, as they
+    were before ``Scheme`` moved to ``analysis/scheme.py`` -- so the bench
+    digest is not the only guard on the judge's arithmetic.  The last
+    three columns (at-risk hours, peak, timeline sum) are the values of
+    the commit before the judge was compiled per scheme: the tally
+    accumulators and the timeline are what that change rewrote."""
+    engine = DurabilityEngine(Fleet(20, 50, groups=100_000), seed=0xD15C)
+    assert _pin(engine.run(8, years=10.0)) == {
         "rep2": (
             "0x1.54eb954f2460cp+4", "0x1.9cd7800000000p+23", "0x1.69490aa31afb3p+9",
+            "0x1.fa3c5e81e4e36p+21", "0x1.1f7e6cacd9140p+5", "0x1.630efcd959b36p+12",
         ),
         "rep3": (
             "0x1.5c872a92ebdd4p-11", "0x1.9cd7800000000p+23", "0x1.230e330538080p+0",
+            "0x1.7bad46e16baa8p+22", "0x1.af3da303459e0p+5", "0x1.0a4b3da303469p+13",
         ),
         "raidp": (
             "0x1.5c35e15223980p+0", "0x1.9cd7800000000p+23", "0x1.8ad23a6367cdbp+9",
+            "0x1.fa3c5e81e4e36p+21", "0x1.1f7e6cacd9140p+5", "0x1.630efcd959b36p+12",
         ),
         "raidp(2 lstors)": (
             "0x1.e97e888bd9c38p-2", "0x1.9cd7800000000p+23", "0x1.8e84053452970p+9",
+            "0x1.fa3c5e81e4e36p+21", "0x1.1f7e6cacd9140p+5", "0x1.630efcd959b36p+12",
         ),
         "ec(6+2)": (
             "0x1.ca694ec6caa4fp-7", "0x1.693c900000000p+25", "0x1.faad34e6b3322p+5",
+            "0x1.fa3c5e81e4e36p+23", "0x1.1f7e6cacd9140p+7", "0x1.630efcd959b36p+14",
         ),
     }
+
+
+def test_lazy_weibull_run_is_pinned():
+    """The same fleet under lazy recovery (batches of three, six-hour
+    deadline) and infant-mortality lifetimes: the straggler and batch
+    arms of the repair scheduler, which the default models never reach.
+    Values of the commit before the judge was compiled per scheme."""
+    engine = DurabilityEngine(
+        Fleet(20, 50, groups=100_000),
+        lifetime=DiskLifetimeModel(weibull_shape=0.8),
+        repair=RepairModel(lazy_threshold=3, lazy_max_wait_hours=6.0),
+        seed=0xD15C,
+    )
+    assert _pin(engine.run(8, years=10.0)) == {
+        "rep2": (
+            "0x1.db8e918140801p+3", "0x1.1a3a000000000p+23", "0x1.4d32e22e1d0f4p+10",
+            "0x1.f813bfffffffep+21", "0x1.19188c4622e20p+5", "0x1.618b65b2d9696p+12",
+        ),
+        "rep3": (
+            "0x1.eeba0abe6ef57p-12", "0x1.1a3a000000000p+23", "0x1.566b0ed8f6a00p-1",
+            "0x1.7a0ecffffffffp+22", "0x1.a5a4d26934530p+5", "0x1.09288c46230f1p+13",
+        ),
+        "raidp": (
+            "0x1.ca68efdded72fp-2", "0x1.1a3a000000000p+23", "0x1.5f9f22ac46b8dp+10",
+            "0x1.f813bfffffffep+21", "0x1.19188c4622e20p+5", "0x1.618b65b2d9696p+12",
+        ),
+        "raidp(2 lstors)": (
+            "0x1.cc8d97ed369bep-5", "0x1.1a3a000000000p+23", "0x1.6063668f660e8p+10",
+            "0x1.f813bfffffffep+21", "0x1.19188c4622e20p+5", "0x1.618b65b2d9696p+12",
+        ),
+        "ec(6+2)": (
+            "0x1.450e29e565cd6p-7", "0x1.ede5800000000p+24", "0x1.2a0b8887b4b41p+5",
+            "0x1.f813bfffffffep+23", "0x1.19188c4622e20p+7", "0x1.618b65b2d9696p+14",
+        ),
+    }
+
+
+# ----------------------------------------------------------------------
+# The compiled judge: same floats, counted work, observed not disturbed.
+# ----------------------------------------------------------------------
+JUDGED_SCHEMES = st.one_of(
+    st.integers(min_value=2, max_value=6).map(Scheme.replication),
+    st.sampled_from((2, 4, 6, 10, 30, 70)).map(lambda n: Scheme.erasure(n, 2)),
+    st.builds(
+        Scheme.raidp,
+        lstors=st.integers(min_value=1, max_value=3),
+        superchunks_per_disk=st.sampled_from((2, 8, 128)),
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    fleet=st.builds(
+        Fleet,
+        num_racks=st.integers(min_value=2, max_value=60),
+        disks_per_rack=st.integers(min_value=1, max_value=300),
+    ),
+    scheme=JUDGED_SCHEMES,
+    dead=st.integers(min_value=0, max_value=80).flatmap(
+        lambda others: st.tuples(
+            st.just(others), st.integers(min_value=0, max_value=others)
+        )
+    ),
+    pair_share=st.floats(min_value=0.0, max_value=1.0),
+    remaining_outside=st.floats(min_value=0.0, max_value=5000.0),
+    p_block_lse=st.floats(min_value=0.0, max_value=0.5),
+)
+def test_compiled_judge_matches_reference(
+    fleet, scheme, dead, pair_share, remaining_outside, p_block_lse
+):
+    """``_compile_judge`` returns, float for float, what the per-event
+    ladder it replaced (``tests/oracles.py::reference_judge``) returns --
+    every arm, including the width >= 4 replication arm no default
+    scheme reaches and the stripe-wider-than-the-fleet rejection."""
+    dead_others, dead_outside = dead
+    pairs = pair_share * dead_outside * dead_outside / 2.0
+    try:
+        judge = montecarlo._compile_judge(fleet, scheme, p_block_lse)
+    except DurabilityModelError:
+        assert scheme.kind == "erasure" and scheme.width > fleet.num_racks
+        with pytest.raises(DurabilityModelError, match="wider than the fleet"):
+            reference_judge(
+                fleet, scheme, dead_others, dead_outside, pairs,
+                remaining_outside, False, False, p_block_lse,
+            )
+        return
+    # One compiled judge serves all four calls, so RAIDP's per-dead-count
+    # table is read on a miss and then on three hits.
+    for burst in (False, True):
+        for any_dead_lstor in (False, True):
+            event = (
+                dead_others, dead_outside, pairs, remaining_outside,
+                burst, any_dead_lstor,
+            )
+            assert judge(*event) == reference_judge(
+                fleet, scheme, *event, p_block_lse
+            )
+
+
+def test_run_work_is_counted(monkeypatch):
+    """Exact work counters of the pinned run: they repeat on any host.
+
+    The commit that walked the ladder per event made 10,552
+    ``_binom_tail`` calls here (6,542 of them chain decodes); a compiled
+    run decodes a chain once per distinct dead count per RAIDP scheme and
+    scores an outage segment once per distinct (dark racks, lit dead)."""
+    calls = Counter()
+    dead_counts = set()
+
+    def counted(name):
+        real = getattr(montecarlo, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(montecarlo, name, wrapper)
+
+    counted("_binom_tail")
+    counted("_chain_blocked")
+    compile_judge = montecarlo._compile_judge
+
+    def watched_compile(fleet, scheme, p_block_lse):
+        calls["_compile_judge"] += 1
+        judge = compile_judge(fleet, scheme, p_block_lse)
+
+        def watched(dead_others, *rest):
+            calls["judge"] += 1
+            dead_counts.add(dead_others)
+            return judge(dead_others, *rest)
+
+        return watched
+
+    monkeypatch.setattr(montecarlo, "_compile_judge", watched_compile)
+    engine = DurabilityEngine(Fleet(20, 50, groups=100_000), seed=0xD15C)
+    reports = engine.run(8, 10.0)
+    raidp_schemes = sum(scheme.kind == "raidp" for scheme in engine.schemes)
+    assert calls["_compile_judge"] == len(engine.schemes)  # the ladder: once each
+    assert calls["_chain_blocked"] <= len(dead_counts) * raidp_schemes
+    assert calls["_binom_tail"] <= 4_100
+    assert (
+        calls["_compile_judge"], calls["_chain_blocked"], calls["_binom_tail"],
+        calls["judge"], len(dead_counts),
+    ) == (5, 18, 38, 755, 9)
+    # The counting wrappers observed the pinned run, not another one.
+    assert reports["raidp"].expected_groups_lost.hex() == "0x1.5c35e15223980p+0"
+
+
+def test_tracing_the_engine_is_an_observer():
+    """Four smoke trials, traced and untraced: the same reports field
+    for field, and exactly the events the per-event judge emitted."""
+    fleet = Fleet(20, 50, groups=100_000)
+    bare = DurabilityEngine(fleet, seed=0xD15C).run(4, 10.0)
+    with tracer.capture() as trace:
+        traced = DurabilityEngine(fleet, seed=0xD15C).run(4, 10.0)
+    for name, report in bare.items():
+        theirs = vars(traced[name]).copy()
+        ours = vars(report).copy()
+        assert np.array_equal(ours.pop("at_risk_timeline"), theirs.pop("at_risk_timeline"))
+        assert ours == theirs
+
+    kinds = Counter((event.category, event.name) for event in trace.events)
+    trials = [e for e in trace.events if (e.category, e.name) == ("durability", "trial")]
+    assert [e.attrs["trial"] for e in trials] == [0, 1, 2, 3]
+    # One dead-disk count per failure event, one span per merged segment,
+    # one loss_risk per (event, scheme) with p_loss > 0 -- and no other.
+    assert kinds == {
+        ("fleet", "dead_disks"): sum(e.attrs["failures"] for e in trials),
+        ("fleet", "rack_outage_segment"): 207,
+        ("durability", "loss_risk"): 913,
+        ("durability", "trial"): 4,
+    }
+    assert len(trace.events) == 1_921
+    risks = [e for e in trace.events if e.name == "loss_risk"]
+    for name, report in bare.items():
+        assert math.fsum(
+            e.attrs["expected_groups"] for e in risks if e.attrs["scheme"] == name
+        ) == pytest.approx(report.expected_groups_lost, rel=1e-12)
+    # Order, timestamps and every attribute (``expected_groups`` and
+    # ``dead`` among them), bit for bit as before the judge was compiled.
+    digest = hashlib.sha256()
+    for e in trace.events:
+        attrs = sorted(
+            (key, value.hex() if isinstance(value, float) else value)
+            for key, value in e.attrs.items()
+        )
+        digest.update(
+            repr((e.seq, e.phase, e.category, e.name, e.ts.hex(), e.dur.hex(), attrs)).encode()
+        )
+    assert digest.hexdigest()[:16] == "905fd5a79f496f4c"
 
 
 # ----------------------------------------------------------------------
