@@ -4,7 +4,7 @@ PYTHON     ?= python
 PYTHONPATH := src
 export PYTHONPATH
 
-.PHONY: test lint typecheck shapes bench benchmark chaos verify profile experiments durability-smoke clean
+.PHONY: test lint typecheck shapes bench benchmark chaos verify profile flight-recorder experiments durability-smoke clean
 
 # Tier-1: the full unit/integration/property suite.
 test:
@@ -59,6 +59,25 @@ profile:
 	$(PYTHON) -m repro.tools.raidpctl profile table2 --tasks 2 --limit 10
 	$(PYTHON) -m repro.tools.raidpctl profile ext-scale --limit 10
 
+# Flight recorder: one audited, sampled soak -> the health report and
+# the sampled time series CI uploads, then `raidpctl dash` re-renders
+# them from disk.  The soak runs twice and both files must repeat byte
+# for byte: the artifact is as deterministic as the fingerprint.
+flight-recorder:
+	mkdir -p flight-recorder/again
+	$(PYTHON) -m repro.tools.chaos --runs 1 \
+		--health flight-recorder/chaos-health.json \
+		--timeseries flight-recorder/chaos-timeseries.jsonl --dash
+	$(PYTHON) -m repro.tools.chaos --runs 1 \
+		--health flight-recorder/again/chaos-health.json \
+		--timeseries flight-recorder/again/chaos-timeseries.jsonl > /dev/null
+	cmp flight-recorder/chaos-health.json flight-recorder/again/chaos-health.json
+	cmp flight-recorder/chaos-timeseries.jsonl flight-recorder/again/chaos-timeseries.jsonl
+	rm -r flight-recorder/again
+	$(PYTHON) -m repro.tools.raidpctl dash \
+		flight-recorder/chaos-health.json \
+		--timeseries flight-recorder/chaos-timeseries.jsonl
+
 # Durability smoke: the §2 experiment end-to-end -- the analytic MTTDL
 # ladder and the long-horizon Monte-Carlo engine over the same five
 # schemes -- at smoke scale (1k disks x 10 years x 48 trials) and at the
@@ -73,4 +92,4 @@ experiments:
 
 clean:
 	find . -name __pycache__ -type d -prune -exec rm -rf {} +
-	rm -rf .pytest_cache .benchmarks .bench_out .hypothesis .mypy_cache
+	rm -rf .pytest_cache .benchmarks .bench_out .hypothesis .mypy_cache flight-recorder

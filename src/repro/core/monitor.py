@@ -180,7 +180,7 @@ class ClusterMonitor:
                     "recovery", "detect", self.sim.now, dead=sorted(stale)
                 )
             auditor = active_auditor()
-            if auditor is not None and auditor.enabled:
+            if auditor is not None:
                 auditor.audit(self.sim, self.sim.now, event="detect")
             # Quarantine *before* spawning: the next sweep (which is not
             # blocked behind this recovery) must not re-detect the set.
@@ -272,7 +272,7 @@ class ClusterMonitor:
         self.reports.append(report)
         self.report_times.append(self.sim.now)
         auditor = active_auditor()
-        if auditor is not None and auditor.enabled:
+        if auditor is not None:
             auditor.audit(self.sim, self.sim.now, event="recovered")
         # Remirrors that a stacked failure aborted mid-copy: the metadata
         # rolled back, so the next sweep can retry or degrade gracefully,

@@ -175,8 +175,7 @@ def run_task(
     - ("raidp", n, seed, "recovery") returns the final row tuple
       (write seconds, net GB per node, recovery seconds, slo digests).
     """
-    from repro.obs.metrics import cluster_metrics
-    from repro.obs.timeseries import Sampler, capture
+    from repro.obs.timeseries import capture
     from repro.workloads.dfsio import dfsio_write
 
     scheme, num_nodes, seed = key[:3]
@@ -184,17 +183,17 @@ def run_task(
         write_s, per_node_gb, blob, write_slo = (deps or {})[
             (scheme, num_nodes, seed, "write")
         ]
-        with capture(Sampler(interval=SLO_SAMPLE_INTERVAL)) as sampler:
+        with capture(interval=SLO_SAMPLE_INTERVAL) as sampler:
             dfs = RaidpCluster.from_snapshot(blob)
-            sampler.watch(cluster_metrics(dfs))
+            sampler.watch(dfs)
             recovery_s = _recover_worst_pair(dfs)
         slo = {**write_slo, "recovery": _phase_slo(sampler)}
         return write_s, per_node_gb, recovery_s, slo
     dataset = num_nodes * BYTES_PER_NODE * (8 if full_scale else 1)
     if scheme == "raidp":  # sampled write phase
-        with capture(Sampler(interval=SLO_SAMPLE_INTERVAL)) as sampler:
+        with capture(interval=SLO_SAMPLE_INTERVAL) as sampler:
             dfs = _build(scheme, num_nodes, seed)
-            sampler.watch(cluster_metrics(dfs))
+            sampler.watch(dfs)
             write = dfsio_write(dfs, dataset)
         per_node_gb = dfs.switch.total_bytes / num_nodes / units.GB
         return (

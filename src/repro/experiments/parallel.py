@@ -98,9 +98,10 @@ def supports_tasks(module: Any) -> bool:
 
 
 def task_cost(module: Any, key: Hashable) -> float:
-    """Relative cost weight of one task (1.0 when unannotated)."""
+    """Relative cost weight of one task (1.0 when unannotated, and for
+    a whole-experiment task)."""
     if key == WHOLE_EXPERIMENT:
-        return float(getattr(module, "COST_HINT", 1.0))
+        return 1.0
     cost_fn = getattr(module, "task_cost", None)
     return float(cost_fn(key)) if cost_fn is not None else 1.0
 

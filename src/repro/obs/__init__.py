@@ -1,32 +1,11 @@
-"""Observability: span tracing, metric collection, and trace export.
+"""Observability: tracer, profiler, flight recorder, auditor, SLO engine.
 
-The package is deliberately dependency-free in the direction that
-matters: :mod:`repro.obs.tracer` imports nothing from the simulation
-stack, so ``sim/engine.py`` can import it without cycles.  All event
-timestamps are *simulated* seconds -- never wall clock -- so traces are
-as deterministic as the runs that produce them.
+Import the submodule you need (``from repro.obs import tracer``); the
+package re-exports nothing.  What ``sim/engine.py`` imports --
+:mod:`~repro.obs.ambient`, :mod:`~repro.obs.tracer`,
+:mod:`~repro.obs.simprofile`, :mod:`~repro.obs.timeseries` and the
+:mod:`~repro.obs.metrics` reader -- imports nothing from the simulation
+stack, so there is no cycle.  All event timestamps are *simulated*
+seconds -- never wall clock -- so traces and time series are as
+deterministic as the runs that produce them.
 """
-
-from repro.obs.export import (
-    load_trace,
-    recovery_breakdown,
-    render_summary,
-    summarize,
-    write_trace,
-)
-from repro.obs.metrics import cluster_metrics, cluster_snapshot
-from repro.obs.tracer import NULL_TRACER, Tracer, active_tracer, capture
-
-__all__ = [
-    "NULL_TRACER",
-    "Tracer",
-    "active_tracer",
-    "capture",
-    "cluster_metrics",
-    "cluster_snapshot",
-    "load_trace",
-    "recovery_breakdown",
-    "render_summary",
-    "summarize",
-    "write_trace",
-]

@@ -27,10 +27,10 @@ acceptance bar is "zero **un-waived** violations".
 from __future__ import annotations
 
 from dataclasses import dataclass
-from types import TracebackType
-from typing import Any, Dict, List, Optional, Set, Tuple, Type
+from typing import Any, ContextManager, Dict, List, Optional, Set, Tuple
 
 from repro.errors import AuditError, DfsError, LayoutError
+from repro.obs.ambient import Slot
 
 __all__ = [
     "AuditViolation",
@@ -70,37 +70,26 @@ class AuditViolation:
         return record
 
 
-@dataclass
-class _Attachment:
-    """What one audited cluster exposes (all optional, duck-typed)."""
-
-    dfs: Any
-    monitor: Optional[Any] = None
-
-
 class Auditor:
     """Runs the invariant catalogue against an attached cluster.
 
     ``fail_fast=True`` (the test posture) raises :class:`AuditError` on
     the first violation; the default records and continues (the chaos
-    posture).  ``enabled`` may be flipped to ``False`` to mute an
-    installed auditor.
+    posture).
     """
-
-    enabled: bool = True
 
     def __init__(self, fail_fast: bool = False) -> None:
         self.fail_fast = fail_fast
         self.violations: List[AuditViolation] = []
         self.checks_run = 0
         self.audits_run = 0
-        self._attachment: Optional[_Attachment] = None
+        self._dfs: Optional[Any] = None
 
     # -- wiring ---------------------------------------------------------
-    def attach(self, dfs: Any, monitor: Optional[Any] = None) -> None:
-        """Point the auditor at a cluster facade (and optionally its
-        monitor).  Probes are no-ops until attached."""
-        self._attachment = _Attachment(dfs=dfs, monitor=monitor)
+    def attach(self, dfs: Any) -> None:
+        """Point the auditor at a cluster facade (duck-typed: each check
+        skips what the facade lacks).  Probes are no-ops until attached."""
+        self._dfs = dfs
 
     def on_sample(self, sim: Any, now: float) -> None:
         """Sampler hook signature: cheap checks at every tick."""
@@ -115,10 +104,9 @@ class Auditor:
         content checks (parity XOR, mirror equality, replica presence)
         that require a quiescent cluster.
         """
-        attachment = self._attachment
-        if attachment is None or not self.enabled:
+        dfs = self._dfs
+        if dfs is None:
             return []
-        dfs = attachment.dfs
         before = len(self.violations)
         self.audits_run += 1
         self._check_replication(dfs, now, event)
@@ -362,38 +350,16 @@ class Auditor:
                 self._record("mirror-equality", now, "mirrors", str(exc), event)
 
 
-# The currently active auditor.  Monitor/recovery probe sites consult
-# this on their (rare) events; None means auditing is off.
-_ACTIVE: Optional[Auditor] = None
+# Monitor/recovery probe sites consult this on their (rare) events;
+# None means auditing is off.
+_SLOT: Slot[Auditor] = Slot()
 
 
 def active_auditor() -> Optional[Auditor]:
     """The ambient auditor (None when auditing is off)."""
-    return _ACTIVE
+    return _SLOT.get()
 
 
-class capture:
+def capture(fail_fast: bool = False) -> ContextManager[Auditor]:
     """``with capture(fail_fast=True) as auditor:`` -- scoped activation."""
-
-    __slots__ = ("_auditor", "_previous")
-
-    def __init__(
-        self, auditor: Optional[Auditor] = None, fail_fast: bool = False
-    ) -> None:
-        self._auditor = auditor if auditor is not None else Auditor(fail_fast=fail_fast)
-        self._previous: Optional[Auditor] = None
-
-    def __enter__(self) -> Auditor:
-        global _ACTIVE
-        self._previous = _ACTIVE
-        _ACTIVE = self._auditor
-        return self._auditor
-
-    def __exit__(
-        self,
-        exc_type: Optional[Type[BaseException]],
-        exc: Optional[BaseException],
-        tb: Optional[TracebackType],
-    ) -> None:
-        global _ACTIVE
-        _ACTIVE = self._previous
+    return _SLOT.capture(Auditor(fail_fast=fail_fast))

@@ -1,33 +1,24 @@
-"""Cluster-wide metrics registry: one MetricSet over every component.
+"""The one reader of a cluster's instruments.
 
-The simulator's components each keep their own cheap always-on
-instruments -- per-disk :class:`~repro.sim.stats.DiskStats` counters, a
-queue-depth :class:`~repro.sim.stats.TimeWeightedGauge` and an I/O
-latency :class:`~repro.sim.stats.Histogram` on every :class:`Disk`, an
-active-flow gauge on the :class:`Switch`, and an outstanding-record
-gauge per journal.  This module gathers them into a single labeled
-:class:`~repro.sim.stats.MetricSet` so an experiment (or ``raidpctl``
-or the flight-recorder :class:`~repro.obs.timeseries.Sampler`) can
-snapshot the whole cluster in one call.
-
-``cluster_metrics`` registers *live views*: gauges and histograms are
-the component-owned objects themselves, and component counts (plain int
-attributes on ``DiskStats``, datanodes, clients) are exposed through
-read-only :class:`~repro.sim.stats.CounterView` suppliers that re-read
-the component on every access.  One registry built at cluster
-construction therefore stays correct for the cluster's whole lifetime
--- there is nothing to refresh.  ``cluster_snapshot`` is the one-shot
-convenience: build, register, and return ``as_dict(now)``.
+Components own their numbers (:mod:`repro.sim.stats`): plain int counts
+on ``DiskStats``, datanodes, clients, journals and the switch, a
+queue-depth gauge and a latency histogram per disk, an active-flow gauge
+on the switch, an outstanding-record gauge per journal.
+:func:`read_cluster` walks them at call time and names each one with a
+series key -- ``name`` or ``name{label=value}`` with the component's
+name as the value (``disk_reads{disk=n3.d0}``,
+``journal_appends{journal=...}``, ``client_read_failovers{client=0}``).
+Nothing is registered and nothing is copied ahead of time, so there is
+nothing to refresh: a reading is as current as the call that took it.
+The flight-recorder :class:`~repro.obs.timeseries.Sampler` is the reader
+in traffic (one call per tick); duck-typed, no sim imports.
 """
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Any, Dict, Optional, Tuple
 
-from repro.sim.stats import MetricSet
-
-
-#: Exact switch work counters, metric name -> ``Switch`` attribute:
+#: Exact switch work counters, series name -> ``Switch`` attribute:
 #: non-empty solves, the filling steps (port offers evaluated + flows
 #: rated) they took, completion deadlines pushed (one per effective
 #: re-rate), and completion-timer dispatches with the share of them that
@@ -41,140 +32,73 @@ SWITCH_WORK_COUNTERS = {
 }
 
 
-def cluster_metrics(
-    dfs: Any,
-    metrics: Optional[MetricSet] = None,
-    monitor: Optional[Any] = None,
-) -> MetricSet:
-    """Register every component instrument of ``dfs`` into one registry.
+def read_cluster(
+    dfs: Any, monitor: Optional[Any] = None
+) -> Tuple[Dict[str, float], Dict[str, Any]]:
+    """Read every instrument of ``dfs`` once: ``(readings, histograms)``.
 
-    Counters are live read-only views over the components' cumulative
-    counts (the registry never goes stale); gauges and histograms are
-    the live objects themselves.  Labels identify the component:
-    ``disk=<name>``, ``dn=<name>``, ``journal=<name>``,
-    ``client=<index>``.  Passing a :class:`ClusterMonitor` additionally
-    registers recovery repair-traffic views (``repair_bytes_total``,
-    ``recoveries_total``, ``recovery_errors_total``).
+    ``readings`` maps series key to the current value of a count or
+    gauge; ``histograms`` maps series key to the component's *live*
+    :class:`~repro.sim.stats.Histogram` (cumulative -- the caller takes
+    its own windows).  Passing the :class:`ClusterMonitor` adds the
+    repair accounting (``repair_bytes_total``, ``recoveries_total``,
+    ``recovery_errors_total``).
     """
-    metrics = metrics if metrics is not None else MetricSet()
-
+    readings: Dict[str, float] = {}
+    histograms: Dict[str, Any] = {}
     for datanode in dfs.datanodes:
         disk = datanode.disk
-        name = disk.name
         stats = disk.stats
-        metrics.register_counter("disk_reads", lambda s=stats: s.reads, disk=name)
-        metrics.register_counter("disk_writes", lambda s=stats: s.writes, disk=name)
-        metrics.register_counter(
-            "disk_bytes_read", lambda s=stats: s.bytes_read, disk=name
-        )
-        metrics.register_counter(
-            "disk_bytes_written", lambda s=stats: s.bytes_written, disk=name
-        )
-        metrics.register_counter("disk_seeks", lambda s=stats: s.seeks, disk=name)
-        metrics.register_gauge("disk_queue_depth", disk.queue_gauge, disk=name)
-        metrics.register_histogram("disk_io_latency", disk.io_latency, disk=name)
-
-        metrics.register_counter(
-            "dn_blocks_written",
-            lambda d=datanode: d.stats_blocks_written,
-            dn=datanode.name,
-        )
-        metrics.register_counter(
-            "dn_blocks_read",
-            lambda d=datanode: d.stats_blocks_read,
-            dn=datanode.name,
-        )
-
-        lstors = getattr(datanode, "lstors", None)
-        if lstors is not None:
-            for lstor in lstors.lstors:
-                journal = lstor.journal
-                metrics.register_gauge(
-                    "journal_outstanding",
-                    journal.outstanding_gauge,
-                    journal=lstor.name,
-                )
-                metrics.register_counter(
-                    "journal_appends",
-                    lambda j=journal: j.total_appends,
-                    journal=lstor.name,
-                )
-                metrics.register_counter(
-                    "journal_clears",
-                    lambda j=journal: j.total_clears,
-                    journal=lstor.name,
-                )
-                metrics.register_counter(
-                    "journal_used_bytes",
-                    lambda j=journal: j.used_bytes,
-                    journal=lstor.name,
-                )
-
-    for index, client in enumerate(getattr(dfs, "clients", ()) or ()):
-        if hasattr(client, "stats_pipeline_recoveries"):
-            metrics.register_counter(
-                "client_pipeline_recoveries",
-                lambda c=client: c.stats_pipeline_recoveries,
-                client=index,
+        label = f"{{disk={disk.name}}}"
+        readings["disk_reads" + label] = float(stats.reads)
+        readings["disk_writes" + label] = float(stats.writes)
+        readings["disk_bytes_read" + label] = float(stats.bytes_read)
+        readings["disk_bytes_written" + label] = float(stats.bytes_written)
+        readings["disk_seeks" + label] = float(stats.seeks)
+        readings["disk_queue_depth" + label] = float(disk.queue_gauge.current)
+        histograms["disk_io_latency" + label] = disk.io_latency
+        label = f"{{dn={datanode.name}}}"
+        readings["dn_blocks_written" + label] = float(datanode.stats_blocks_written)
+        readings["dn_blocks_read" + label] = float(datanode.stats_blocks_read)
+        lstors = getattr(datanode, "lstors", None)  # RAIDP datanodes only
+        for lstor in lstors.lstors if lstors is not None else ():
+            journal = lstor.journal
+            label = f"{{journal={lstor.name}}}"
+            readings["journal_outstanding" + label] = float(
+                journal.outstanding_gauge.current
             )
-        if hasattr(client, "stats_read_failovers"):
-            metrics.register_counter(
-                "client_read_failovers",
-                lambda c=client: c.stats_read_failovers,
-                client=index,
+            readings["journal_appends" + label] = float(journal.total_appends)
+            readings["journal_clears" + label] = float(journal.total_clears)
+            readings["journal_used_bytes" + label] = float(journal.used_bytes)
+    for index, client in enumerate(dfs.clients):
+        label = f"{{client={index}}}"
+        readings["client_pipeline_recoveries" + label] = float(
+            client.stats_pipeline_recoveries
+        )
+        readings["client_read_failovers" + label] = float(client.stats_read_failovers)
+        if hasattr(client, "stats_degraded_reads"):  # RAIDP clients only
+            readings["client_degraded_reads" + label] = float(
+                client.stats_degraded_reads
             )
-        if hasattr(client, "stats_degraded_reads"):
-            metrics.register_counter(
-                "client_degraded_reads",
-                lambda c=client: c.stats_degraded_reads,
-                client=index,
-            )
-
     switch = dfs.switch
-    metrics.register_counter("net_bytes_total", lambda s=switch: s.total_bytes)
+    readings["net_bytes_total"] = float(switch.total_bytes)
     for name, attribute in SWITCH_WORK_COUNTERS.items():
-        metrics.register_counter(
-            name, lambda s=switch, a=attribute: getattr(s, a)
-        )
-    metrics.register_gauge("net_active_flows", switch.flows_gauge)
-
+        readings[name] = float(getattr(switch, attribute))
+    readings["net_active_flows"] = float(switch.flows_gauge.current)
     # Blocks below their replication target right now: the cluster's
-    # exposure to the next failure.  A live view -- the sampler reads it
-    # at every tick, so the recovery-window exposure curve is visible.
-    namenode = dfs.namenode
-    metrics.register_gauge_view(
-        "blocks_at_risk", lambda n=namenode: float(len(n.under_replicated()))
-    )
-
+    # exposure to the next failure, read at every tick so the
+    # recovery-window exposure curve is visible.
+    readings["blocks_at_risk"] = float(len(dfs.namenode.under_replicated()))
     if monitor is not None:
-        metrics.register_counter(
-            "repair_bytes_total", lambda m=monitor: _repair_bytes(m)
+        # Reconstruction bytes are recorded directly; each remirrored
+        # superchunk moves one superchunk of payload.
+        superchunk_size = dfs.layout.spec.superchunk_size
+        readings["repair_bytes_total"] = float(
+            sum(
+                report.bytes_reconstructed + len(report.remirrored) * superchunk_size
+                for report in monitor.reports
+            )
         )
-        metrics.register_counter(
-            "recoveries_total", lambda m=monitor: len(m.reports)
-        )
-        metrics.register_counter(
-            "recovery_errors_total", lambda m=monitor: len(m.recovery_errors)
-        )
-    return metrics
-
-
-def _repair_bytes(monitor: Any) -> int:
-    """Cumulative repair traffic implied by the monitor's reports.
-
-    Reconstruction bytes are recorded directly; each remirrored
-    superchunk moves one superchunk of payload from sender to receiver.
-    """
-    total = 0
-    layout = getattr(monitor.dfs, "layout", None)
-    superchunk_size = layout.spec.superchunk_size if layout is not None else 0
-    for report in monitor.reports:
-        total += report.bytes_reconstructed
-        total += len(report.remirrored) * superchunk_size
-    return total
-
-
-def cluster_snapshot(dfs: Any, now: Optional[float] = None) -> dict:
-    """One-shot metrics snapshot of the whole cluster."""
-    metrics = cluster_metrics(dfs)
-    return metrics.as_dict(now=now if now is not None else dfs.sim.now)
+        readings["recoveries_total"] = float(len(monitor.reports))
+        readings["recovery_errors_total"] = float(len(monitor.recovery_errors))
+    return readings, histograms

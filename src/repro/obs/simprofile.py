@@ -33,9 +33,10 @@ from __future__ import annotations
 
 import time
 from math import fsum
-from types import CodeType, TracebackType
-from typing import Any, Dict, List, Optional, Tuple, Type
+from types import CodeType
+from typing import Any, ContextManager, Dict, List, Optional, Tuple
 
+from repro.obs.ambient import Slot
 from repro.obs.taxonomy import is_registered
 
 __all__ = [
@@ -132,11 +133,7 @@ class SimProfiler:
 
     One profiler may observe several sequential simulators (an
     experiment sweeping seeds); buckets accumulate across all of them.
-    ``enabled`` may be flipped to ``False`` to mute an existing profiler;
-    the engine re-checks it at every ``run()`` entry.
     """
-
-    enabled: bool = True
 
     #: The wall clock used around each dispatch; engine code calls this
     #: through the profiler so the clock read stays inside this module.
@@ -230,40 +227,15 @@ class SimProfiler:
             "buckets": len(self.buckets),
         }
 
-    def __len__(self) -> int:
-        return len(self.buckets)
 
-
-# The currently active profiler.  New Simulators pick this up at
-# construction time; already-built simulators keep whatever they bound.
-_ACTIVE: Optional[SimProfiler] = None
+_SLOT: Slot[SimProfiler] = Slot()
 
 
 def active_profiler() -> Optional[SimProfiler]:
     """The profiler new Simulators bind to (None when disabled)."""
-    return _ACTIVE
+    return _SLOT.get()
 
 
-class capture:
-    """``with capture() as profiler:`` -- activate for the block's duration."""
-
-    __slots__ = ("_profiler", "_previous")
-
-    def __init__(self, profiler: Optional[SimProfiler] = None) -> None:
-        self._profiler = profiler if profiler is not None else SimProfiler()
-        self._previous: Optional[SimProfiler] = None
-
-    def __enter__(self) -> SimProfiler:
-        global _ACTIVE
-        self._previous = _ACTIVE
-        _ACTIVE = self._profiler
-        return self._profiler
-
-    def __exit__(
-        self,
-        exc_type: Optional[Type[BaseException]],
-        exc: Optional[BaseException],
-        tb: Optional[TracebackType],
-    ) -> None:
-        global _ACTIVE
-        _ACTIVE = self._previous
+def capture() -> ContextManager[SimProfiler]:
+    """``with capture() as profiler:`` -- a fresh profiler for the block."""
+    return _SLOT.capture(SimProfiler())

@@ -1,10 +1,11 @@
 """Declarative SLOs over flight-recorder windows, and the health report.
 
-ROADMAP item 4 frames the north star as tail-latency SLOs under
-recovery storms.  This module supplies the evaluation half: an
-:class:`SloSpec` names a time-series (a :class:`~repro.obs.timeseries`
-series such as ``disk_io_latency:p99``), an objective, and an error
-budget; :func:`evaluate_slos` scores specs over sampler windows --
+A number the flight recorder samples explains itself when it is judged
+against a stated objective: ext-scale's ``p99 worst`` / ``SLO ok`` rows
+and the chaos soak's health artifact are both verdicts of this module.
+An :class:`SloSpec` names a time-series (a :class:`~repro.obs.timeseries`
+series such as ``disk_io_latency:p99``), an upper objective, and an
+error budget; :func:`evaluate_slos` scores specs over sampler windows --
 optionally split into named phases (pre-fault / fault / recovery /
 drain) -- computing the *burn rate*: the fraction of samples out of
 objective divided by the budgeted fraction.  Burn <= 1 means the window
@@ -59,7 +60,7 @@ KEY_SERIES = (
 
 @dataclass(frozen=True)
 class SloSpec:
-    """One objective over one time-series.
+    """One upper objective (``value <= objective``) over one time-series.
 
     ``mode="each"`` scores every sample in the window against the
     objective and burns the error budget by the out-of-objective
@@ -71,23 +72,18 @@ class SloSpec:
     name: str
     series: str
     objective: float
-    comparison: str = "<="  # "<=" or ">="
     budget: float = 0.0  # allowed out-of-objective sample fraction
     mode: str = "each"  # "each" or "final"
     unit: str = ""
 
     def __post_init__(self) -> None:
-        if self.comparison not in ("<=", ">="):
-            raise ValueError(f"unknown comparison {self.comparison!r}")
         if self.mode not in ("each", "final"):
             raise ValueError(f"unknown mode {self.mode!r}")
         if not 0.0 <= self.budget < 1.0:
             raise ValueError("budget must be a fraction in [0, 1)")
 
     def meets(self, value: float) -> bool:
-        if self.comparison == "<=":
-            return value <= self.objective
-        return value >= self.objective
+        return value <= self.objective
 
 
 @dataclass
@@ -106,7 +102,7 @@ class SloResult:
             "name": self.spec.name,
             "series": self.spec.series,
             "objective": self.spec.objective,
-            "comparison": self.spec.comparison,
+            "comparison": "<=",  # the only one; kept for the report schema
             "budget": self.spec.budget,
             "mode": self.spec.mode,
             "unit": self.spec.unit,
@@ -132,19 +128,19 @@ def default_slos() -> Tuple[SloSpec, ...]:
     return (
         SloSpec(
             "disk-p50-latency", "disk_io_latency:p50", 0.05,
-            comparison="<=", budget=0.05, unit="s",
+            budget=0.05, unit="s",
         ),
         SloSpec(
             "disk-p99-latency", "disk_io_latency:p99", 0.5,
-            comparison="<=", budget=0.05, unit="s",
+            budget=0.05, unit="s",
         ),
         SloSpec(
             "blocks-at-risk", "blocks_at_risk", 0.0,
-            comparison="<=", budget=0.25,
+            budget=0.25,
         ),
         SloSpec(
             "repair-traffic", "repair_bytes_total", 64.0 * gib,
-            comparison="<=", mode="final", unit="B",
+            mode="final", unit="B",
         ),
     )
 
@@ -180,10 +176,9 @@ def evaluate_slo(
         burn = fraction / spec.budget
     else:
         burn = 0.0 if breaches == 0 else inf
-    worst = max(values) if spec.comparison == "<=" else min(values)
     return SloResult(
         spec=spec, samples=len(values), breaches=breaches,
-        burn_rate=burn, ok=burn <= 1.0, worst=worst,
+        burn_rate=burn, ok=burn <= 1.0, worst=max(values),
     )
 
 
@@ -204,8 +199,6 @@ def evaluate_slos(
 
 def _series_stats(points: Sequence[Tuple[float, float]]) -> Dict[str, Any]:
     values = [value for _ts, value in points]
-    if not values:
-        return {"samples": 0}
     return {
         "samples": len(values),
         "min": min(values),
@@ -218,26 +211,23 @@ def _series_stats(points: Sequence[Tuple[float, float]]) -> Dict[str, Any]:
 
 def health_report(
     sampler: Any,
-    auditor: Optional[Any] = None,
-    specs: Optional[Sequence[SloSpec]] = None,
-    phases: Optional[Sequence[Tuple[str, float, float]]] = None,
-    title: str = "",
-    run: Optional[int] = None,
+    auditor: Any,
+    phases: Sequence[Tuple[str, float, float]],
+    title: str,
+    run: int,
 ) -> Dict[str, Any]:
-    """One JSON-serializable verdict over a sampled (and audited) run.
+    """One JSON-serializable verdict over run ``run`` of a sampled and
+    audited soak, scored against :func:`default_slos`.
 
     ``phases`` are ``(name, t0, t1)`` windows (chaos passes pre-fault /
-    fault / recovery / drain); omitted, the whole retained window is one
-    phase.  The report carries, per phase, summary statistics and the
-    retained points of the key series (p50/p99 disk latency among them)
-    plus SLO verdicts; globally, the audit summary and repair-GB
-    accounting.  ``ok`` requires every overall SLO green and zero
-    un-waived audit violations.
+    fault / recovery / drain).  The report carries, per phase, summary
+    statistics and the retained points of the key series (p50/p99 disk
+    latency among them) plus SLO verdicts; globally, the audit summary
+    and repair-GB accounting.  ``ok`` requires every overall SLO green
+    and zero un-waived audit violations.
     """
     store = sampler.store
-    specs = tuple(specs) if specs is not None else default_slos()
-    if phases is None:
-        phases = (("all", -inf, inf),)
+    specs = default_slos()
     phase_rows: List[Dict[str, Any]] = []
     for name, t0, t1 in phases:
         series: Dict[str, Any] = {}
@@ -248,8 +238,8 @@ def health_report(
         phase_rows.append(
             {
                 "phase": name,
-                "t0": None if t0 == -inf else t0,
-                "t1": None if t1 == inf else t1,
+                "t0": t0,
+                "t1": t1,
                 "series": series,
                 "slos": [
                     r.as_dict() for r in evaluate_slos(store, specs, t0, t1, run)
@@ -259,19 +249,18 @@ def health_report(
     overall = evaluate_slos(store, specs, None, None, run)
     repair_points = store.series("repair_bytes_total", run=run)
     repair_bytes = repair_points[-1][1] if repair_points else 0.0
-    audit_summary = auditor.summary() if auditor is not None else None
-    unwaived = audit_summary["unwaived"] if audit_summary else 0
+    audit_summary = auditor.summary()
     report: Dict[str, Any] = {
         "schema": HEALTH_SCHEMA,
         "title": title,
-        "interval": getattr(sampler, "interval", None),
-        "samples": getattr(sampler, "samples_taken", len(store)),
+        "interval": sampler.interval,
+        "samples": store.total_appended,
         "phases": phase_rows,
         "slos": [r.as_dict() for r in overall],
         "audit": audit_summary,
         "repair_bytes": repair_bytes,
         "repair_gb": repair_bytes / float(1 << 30),
-        "ok": all(r.ok for r in overall) and unwaived == 0,
+        "ok": all(r.ok for r in overall) and audit_summary["unwaived"] == 0,
     }
     return report
 

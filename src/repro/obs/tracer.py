@@ -39,8 +39,9 @@ repetitions land on separate tracks.
 
 from __future__ import annotations
 
-from types import TracebackType
-from typing import Any, Dict, Iterable, List, Optional, Tuple, Type
+from typing import Any, ContextManager, Dict, Iterable, List, Optional, Tuple
+
+from repro.obs.ambient import Slot
 
 __all__ = [
     "TraceEvent",
@@ -106,9 +107,8 @@ class TraceEvent:
 class Tracer:
     """Collects :class:`TraceEvent` records in memory.
 
-    ``enabled`` may be flipped to ``False`` to mute an existing tracer;
-    instrumentation sites re-check it on every emission, so the toggle
-    takes effect immediately.
+    ``enabled`` is what instrumentation sites branch on before building
+    an event's arguments; :class:`NullTracer` answers ``False``.
     """
 
     enabled: bool = True
@@ -209,37 +209,14 @@ class NullTracer:
 #: The process-wide disabled tracer; Simulators default to this.
 NULL_TRACER = NullTracer()
 
-# The currently active tracer.  New Simulators pick this up at
-# construction time; already-built simulators keep whatever they bound.
-_ACTIVE: Any = NULL_TRACER
+_SLOT: Slot[Any] = Slot(NULL_TRACER)
 
 
 def active_tracer() -> Any:
     """The tracer new Simulators bind to (NULL_TRACER when disabled)."""
-    return _ACTIVE
+    return _SLOT.get()
 
 
-class capture:
+def capture(tracer: Optional[Tracer] = None) -> ContextManager[Tracer]:
     """``with capture() as tracer:`` -- activate for the block's duration."""
-
-    __slots__ = ("_tracer", "_previous")
-
-    def __init__(self, tracer: Optional[Tracer] = None) -> None:
-        self._tracer = tracer if tracer is not None else Tracer()
-        self._previous: Any = None
-
-    def __enter__(self) -> Tracer:
-        global _ACTIVE
-        self._previous = _ACTIVE
-        _ACTIVE = self._tracer
-        return self._tracer
-
-    def __exit__(
-        self,
-        exc_type: Optional[Type[BaseException]],
-        exc: Optional[BaseException],
-        tb: Optional[TracebackType],
-    ) -> None:
-        global _ACTIVE
-        _ACTIVE = self._previous
-
+    return _SLOT.capture(tracer if tracer is not None else Tracer())

@@ -14,7 +14,7 @@ deterministic discrete-event simulator:
   star-topology switch with per-node traffic accounting.
 - :mod:`repro.sim.node` / :mod:`repro.sim.cluster` -- servers that bundle
   CPU, RAM, disks and NICs, and a cluster topology builder.
-- :mod:`repro.sim.stats` -- counters and time-series gathering.
+- :mod:`repro.sim.stats` -- the gauge and histogram components own.
 """
 
 from repro.sim.engine import AllOf, AnyOf, Event, Process, Simulator, Timeout

@@ -142,7 +142,7 @@ class Disk(InlineState):
         self.head = 0  # byte offset the head currently rests at
         self.failed = False
         self.stats = DiskStats()
-        # Live metrics the registry snapshots: queue depth over time and
+        # Live instruments the metrics reader reads: queue depth over time and
         # end-to-end I/O latency (queueing included).
         self.queue_gauge = TimeWeightedGauge(start_time=sim.now)
         self.io_latency = Histogram(bounds=(0.001, 0.005, 0.02, 0.1, 0.5, 2.0))

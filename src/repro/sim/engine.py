@@ -96,7 +96,7 @@ class Event:
     An event starts *pending*, is *triggered* exactly once via
     :meth:`succeed` or :meth:`fail`, and then delivers its value (or raises
     its exception) in every process that yielded it.  Callbacks attached
-    after triggering run on the next :meth:`Simulator.step`.
+    after triggering run on the next dispatch.
     """
 
     __slots__ = ("sim", "_callbacks", "_value", "_exception", "triggered", "_scheduled")
@@ -480,25 +480,7 @@ class Simulator:
 
     def __init__(self, start: float = 0.0) -> None:
         self.now: float = start
-        # The tracer bound at construction (NULL_TRACER unless a tracer
-        # is active); instrumentation sites branch on ``trace.enabled``.
-        # Emitting events never touches the schedule or the sequence
-        # counter, so traced and untraced runs execute identical
-        # schedules.
-        self.trace = active_tracer()
-        if self.trace.enabled:
-            self.trace.register_run()
-        # The profiler bound at construction (None unless one is
-        # active).  Consulted once per run() call -- never per event --
-        # so the disabled path costs nothing on the hot loop.
-        self._profile = active_profiler()
-        # The flight-recorder sampler (None unless one is active).  Also
-        # consulted once per run(); when active, run() drains to each
-        # sample instant via the ordinary `until` mechanism, so sampling
-        # never perturbs the schedule or the sequence counter.
-        self._sampler = active_sampler()
-        if self._sampler is not None and self._sampler.enabled:
-            self._sampler.register_run(self.now)
+        self._bind_observers()
         # Entries are (time, seq, Event-or-_Deferred); seq is unique, so
         # the third element is never compared.
         self._heap: List[Tuple[float, int, Any]] = []
@@ -520,6 +502,27 @@ class Simulator:
         # One-shot hooks run when the cascade at the current instant has
         # drained, before simulated time advances (see add_flush_hook).
         self._flush_hooks: List[Callable[[], None]] = []
+
+    def _bind_observers(self) -> None:
+        """Bind whatever observers are ambient right now (see
+        :mod:`repro.obs.ambient`): the tracer (``NULL_TRACER`` when none
+        is active; instrumentation sites branch on ``trace.enabled``),
+        the profiler and the sampler (``None`` when off; ``run()`` tests
+        them once per call, never per event).
+
+        Observers only read.  Emitting trace events, attributing
+        dispatches and sampling -- ``run()`` drains to each sample
+        instant via the ordinary ``until`` mechanism -- never touch the
+        schedule or the sequence counter, so observed and bare runs
+        execute identical schedules.
+        """
+        self.trace = active_tracer()
+        if self.trace.enabled:
+            self.trace.register_run()
+        self._profile = active_profiler()
+        self._sampler = active_sampler()
+        if self._sampler is not None:
+            self._sampler.register_run(self.now)
 
     # ------------------------------------------------------------------
     # Snapshot support.
@@ -548,15 +551,9 @@ class Simulator:
 
     def __setstate__(self, state: Dict[str, Any]) -> None:
         self.now = float(state["now"])
-        # Tracing/profiling state is process-local and never snapshotted;
-        # rebind to whatever is active in the restoring process.
-        self.trace = active_tracer()
-        if self.trace.enabled:
-            self.trace.register_run()
-        self._profile = active_profiler()
-        self._sampler = active_sampler()
-        if self._sampler is not None and self._sampler.enabled:
-            self._sampler.register_run(self.now)
+        # Observers are process-local and never snapshotted; rebind to
+        # whatever is ambient in the restoring process.
+        self._bind_observers()
         self._heap = []
         self._lane = deque()
         self._lane_tail = _NEG_INF
@@ -703,58 +700,6 @@ class Simulator:
     def _note_process_failure(self, process: Process, exc: BaseException) -> None:
         self._failed.append((process, exc))
 
-    def _next_entry(self) -> Tuple[float, Any]:
-        """Pop the globally minimal (time, seq) entry; advance the clock.
-
-        The non-inlined single-step selection shared by :meth:`step` and
-        the profiled loop; semantics match the inlined :meth:`_drain`
-        loop exactly.  Raises IndexError on an empty schedule.
-        """
-        bucket = self._now_bucket
-        lane = self._lane
-        heap = self._heap
-        now = self.now
-        # (when, seq) of each candidate; bucket entries fire at `now`.
-        best_src = -1
-        best_when = 0.0
-        best_seq = 0
-        if bucket:
-            best_src, best_when, best_seq = 0, now, bucket[0][0]
-        if lane:
-            l0 = lane[0]
-            if best_src < 0 or (l0[0], l0[1]) < (best_when, best_seq):
-                best_src, best_when, best_seq = 1, l0[0], l0[1]
-        if heap:
-            h0 = heap[0]
-            if best_src < 0 or (h0[0], h0[1]) < (best_when, best_seq):
-                best_src, best_when, best_seq = 2, h0[0], h0[1]
-        if best_src < 0:
-            raise IndexError("step from an empty schedule")
-        if best_src == 0:
-            entry = bucket.popleft()[1]
-        elif best_src == 1:
-            entry = lane.popleft()[2]
-        else:
-            best_when, _seq, entry = heapq.heappop(heap)
-        if best_when < now:
-            raise SimulationError("time went backwards")
-        self.now = best_when
-        return best_when, entry
-
-    def step(self) -> None:
-        """Advance to and dispatch the next scheduled entry.
-
-        Flush hooks are a :meth:`run`-loop notion; ``step`` dispatches
-        scheduled entries only and leaves boundary hooks to the caller.
-        """
-        _when, event = self._next_entry()
-        event._dispatch()
-        cls = type(event)
-        if cls is _Deferred:
-            self._deferred_pool.append(event)
-        elif cls is _Sleep:
-            self._sleep_pool.append(event)
-
     def run(self, until: Optional[float] = None) -> float:
         """Run until the schedule drains or simulated time reaches ``until``.
 
@@ -764,12 +709,10 @@ class Simulator:
         """
         from repro.errors import DeadlockError
 
-        profile = self._profile
-        sampler = self._sampler
-        if sampler is not None and sampler.enabled:
-            self._drain_sampled(until, sampler)
-        elif profile is not None and profile.enabled:
-            self._drain_profiled(until, profile)
+        if self._sampler is not None:
+            self._drain_sampled(until, self._sampler)
+        elif self._profile is not None:
+            self._drain_profiled(until, self._profile)
         else:
             self._drain(until)
         self._raise_orphan_failures()
@@ -884,11 +827,10 @@ class Simulator:
         without trailing empty ticks.
         """
         profile = self._profile
-        profiled = profile is not None and profile.enabled
         while True:
             due = sampler.next_due()
             target = due if until is None or due <= until else until
-            if profiled:
+            if profile is not None:
                 self._drain_profiled(target, profile)
             else:
                 self._drain(target)
@@ -902,38 +844,47 @@ class Simulator:
     def _drain_profiled(self, until: Optional[float], profile: Any) -> None:
         """The run loop with per-dispatch attribution.
 
-        Selection, flush-hook and until semantics are identical to
-        :meth:`_drain` (via :meth:`_next_entry`); the only additions are
-        bucket classification before dispatch and wall/sim-time
-        accounting around it.  Profiling never touches the sequence
-        counter or the schedule, so profiled and unprofiled runs execute
-        bitwise-identical schedules.
+        Entry selection (the minimal ``(time, seq)`` across the three
+        lanes, bucket entries firing at ``now``), flush-hook and
+        ``until`` semantics are those of :meth:`_drain`, written out of
+        line; the only additions are bucket classification before
+        dispatch and wall/sim-time accounting around it.  Profiling never
+        touches the sequence counter or the schedule, so profiled and
+        unprofiled runs execute bitwise-identical schedules (tested in
+        ``tests/test_profile.py``).
         """
         clock = profile.clock
         record = profile.record
         bucket_for = profile.bucket_for
+        bucket = self._now_bucket
+        lane = self._lane
+        heap = self._heap
+        hooks = self._flush_hooks
         while True:
-            if not self._now_bucket:
-                if self._lane or self._heap:
-                    l0 = self._lane[0] if self._lane else None
-                    h0 = self._heap[0] if self._heap else None
-                    head = l0 if (h0 is None or (l0 is not None and l0 < h0)) else h0
-                    when = head[0]
-                    if when > self.now and self._flush_hooks:
-                        profile.watch_hooks(self._flush_hooks)
-                        self._run_flush_hooks()
-                        continue
-                    if until is not None and when > until:
-                        self.now = until
-                        return
-                elif self._flush_hooks:
-                    profile.watch_hooks(self._flush_hooks)
+            source: Any = None
+            when, seq = self.now, 0
+            if bucket:
+                source, seq = bucket, bucket[0][0]
+            if lane and (source is None or lane[0][:2] < (when, seq)):
+                source, when, seq = lane, lane[0][0], lane[0][1]
+            if heap and (source is None or heap[0][:2] < (when, seq)):
+                source, when, seq = heap, heap[0][0], heap[0][1]
+            if not bucket:
+                # The instant has drained: boundary hooks run before time
+                # advances (or the run ends), then the horizon applies.
+                if hooks and (source is None or when > self.now):
+                    profile.watch_hooks(hooks)
                     self._run_flush_hooks()
                     continue
-                else:
+                if source is None:
                     break
-            prev_now = self.now
-            when, event = self._next_entry()
+                if until is not None and when > until:
+                    self.now = until
+                    return
+            event = heapq.heappop(heap)[2] if source is heap else source.popleft()[-1]
+            if when < self.now:
+                raise SimulationError("time went backwards")
+            prev_now, self.now = self.now, when
             key = bucket_for(event)
             t0 = clock()
             event._dispatch()

@@ -186,7 +186,7 @@ class Switch(InlineState):
         #: (superseded by a re-arm, or every due deadline had moved).
         self.timer_fires = 0
         self.timer_idle_fires = 0
-        #: Concurrent flow count over time (metrics-registry snapshot).
+        #: Concurrent flow count over time (read by ``obs.metrics``).
         self.flows_gauge = TimeWeightedGauge(start_time=sim.now)
 
     # ------------------------------------------------------------------

@@ -51,7 +51,6 @@ from repro.obs import audit as audit_mod
 from repro.obs import timeseries as ts_mod
 from repro.obs import tracer as tracer_mod
 from repro.obs.export import write_trace
-from repro.obs.metrics import cluster_metrics
 from repro.obs.slo import health_report, render_dash, write_health_report
 from repro.sim.cluster import ClusterSpec
 from repro.workloads.driver import workload_body
@@ -478,9 +477,9 @@ def run_chaos(
             MonitorConfig(heartbeat_interval=0.5, dead_after=2.0, sweep_interval=0.5),
         )
         injector = FaultInjector(dfs, schedule, monitor=monitor)
-        auditor.attach(dfs, monitor=monitor)
+        auditor.attach(dfs)
         if sampler is not None:  # its new run dropped the last run's hooks
-            sampler.watch(cluster_metrics(dfs, monitor=monitor))
+            sampler.watch(dfs, monitor)
             sampler.on_sample(auditor.on_sample)
 
         skipped = [0]

@@ -3,17 +3,18 @@
 Oracles are test-side code: production modules carry no switch, branch
 or hook for them.  The classes subclass the production class and replace
 the optimized decisions with the obvious ones; two functions run, in
-one simulator, a schedule production splits across two; the last two are
-the Monte-Carlo engine's closed form and its per-event judge as it was
-before it was compiled per scheme.  Either way a defect in the
-production path shows up as a disagreement.
+one simulator, a schedule production splits across two; then come the
+Monte-Carlo engine's closed form and its per-event judge as it was
+before it was compiled per scheme; last, the registry of live views the
+one metrics reader replaced.  Either way a defect in the production
+path shows up as a disagreement.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from typing import Any, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro import units
 from repro.analysis.montecarlo import Fleet, _chain_blocked
@@ -25,6 +26,7 @@ from repro.experiments import ext_scale
 from repro.faults import DiskLifetimeModel, RepairModel
 from repro.hdfs.block import BlockLocations
 from repro.hdfs.namenode import healthy_datanode
+from repro.obs.metrics import SWITCH_WORK_COUNTERS
 from repro.sim.engine import Event, Simulator, Timeout
 from repro.sim.network import Switch
 from repro.units import HOURS_PER_YEAR
@@ -382,3 +384,152 @@ def reference_judge(
         remaining_hours_outside_rack * per_disk * (1.0 - p_assist_fail)
     )
     return p_loss, unavailable_hours
+
+
+class RegistryReader:
+    """The registry of live views ``obs.metrics.read_cluster`` replaced.
+
+    Construction registers a supplier (counts, ``blocks_at_risk``) or
+    adopts the component's own object (gauges, histograms) under a
+    canonical ``name{k=v,...}`` key with the label pairs sorted;
+    :meth:`as_dict` re-reads every view into the sorted nested snapshot
+    the sampler used to flatten, and :meth:`flat` is that flattening:
+    ``float(count)``, gauge ``current``, and per histogram its bucket
+    counts, sum and max.
+    """
+
+    def __init__(self, dfs: Any, monitor: Optional[Any] = None) -> None:
+        self._counters: Dict[str, Callable[[], int]] = {}
+        self._gauges: Dict[str, Any] = {}
+        self._gauge_views: Dict[str, Callable[[], float]] = {}
+        self._gauge_view_max: Dict[str, float] = {}
+        self._histograms: Dict[str, Any] = {}
+        for datanode in dfs.datanodes:
+            disk = datanode.disk
+            stats = disk.stats
+            self.counter("disk_reads", lambda s=stats: s.reads, disk=disk.name)
+            self.counter("disk_writes", lambda s=stats: s.writes, disk=disk.name)
+            self.counter("disk_bytes_read", lambda s=stats: s.bytes_read, disk=disk.name)
+            self.counter(
+                "disk_bytes_written", lambda s=stats: s.bytes_written, disk=disk.name
+            )
+            self.counter("disk_seeks", lambda s=stats: s.seeks, disk=disk.name)
+            self._gauges[self.key("disk_queue_depth", disk=disk.name)] = disk.queue_gauge
+            self._histograms[self.key("disk_io_latency", disk=disk.name)] = disk.io_latency
+            self.counter(
+                "dn_blocks_written", lambda d=datanode: d.stats_blocks_written,
+                dn=datanode.name,
+            )
+            self.counter(
+                "dn_blocks_read", lambda d=datanode: d.stats_blocks_read,
+                dn=datanode.name,
+            )
+            lstors = getattr(datanode, "lstors", None)
+            if lstors is not None:
+                for lstor in lstors.lstors:
+                    journal = lstor.journal
+                    self._gauges[self.key("journal_outstanding", journal=lstor.name)] = (
+                        journal.outstanding_gauge
+                    )
+                    self.counter(
+                        "journal_appends", lambda j=journal: j.total_appends,
+                        journal=lstor.name,
+                    )
+                    self.counter(
+                        "journal_clears", lambda j=journal: j.total_clears,
+                        journal=lstor.name,
+                    )
+                    self.counter(
+                        "journal_used_bytes", lambda j=journal: j.used_bytes,
+                        journal=lstor.name,
+                    )
+        for index, client in enumerate(getattr(dfs, "clients", ()) or ()):
+            for name in ("pipeline_recoveries", "read_failovers", "degraded_reads"):
+                if hasattr(client, f"stats_{name}"):
+                    self.counter(
+                        f"client_{name}",
+                        lambda c=client, a=f"stats_{name}": getattr(c, a),
+                        client=index,
+                    )
+        switch = dfs.switch
+        self.counter("net_bytes_total", lambda s=switch: s.total_bytes)
+        for name, attribute in SWITCH_WORK_COUNTERS.items():
+            self.counter(name, lambda s=switch, a=attribute: getattr(s, a))
+        self._gauges["net_active_flows"] = switch.flows_gauge
+        namenode = dfs.namenode
+        self._gauge_views["blocks_at_risk"] = (
+            lambda n=namenode: float(len(n.under_replicated()))
+        )
+        if monitor is not None:
+            self.counter("repair_bytes_total", lambda m=monitor: self._repair_bytes(m))
+            self.counter("recoveries_total", lambda m=monitor: len(m.reports))
+            self.counter(
+                "recovery_errors_total", lambda m=monitor: len(m.recovery_errors)
+            )
+
+    @staticmethod
+    def key(name: str, **labels: Any) -> str:
+        if not labels:
+            return name
+        inner = ",".join(f"{key}={labels[key]}" for key in sorted(labels))
+        return f"{name}{{{inner}}}"
+
+    def counter(self, name: str, supplier: Callable[[], int], **labels: Any) -> None:
+        self._counters[self.key(name, **labels)] = supplier
+
+    @staticmethod
+    def _repair_bytes(monitor: Any) -> int:
+        total = 0
+        layout = getattr(monitor.dfs, "layout", None)
+        superchunk_size = layout.spec.superchunk_size if layout is not None else 0
+        for report in monitor.reports:
+            total += report.bytes_reconstructed
+            total += len(report.remirrored) * superchunk_size
+        return total
+
+    def as_dict(self, now: Optional[float] = None) -> Dict[str, Any]:
+        gauges: Dict[str, Dict[str, float]] = {
+            key: {
+                "current": gauge.current,
+                "max": gauge.max_value,
+                "average": gauge.average(now),
+            }
+            for key, gauge in self._gauges.items()
+        }
+        for key, supplier in self._gauge_views.items():
+            # A view has no history: its max is over the instants read.
+            value = float(supplier())
+            peak = self._gauge_view_max[key] = max(
+                self._gauge_view_max.get(key, 0.0), value
+            )
+            gauges[key] = {"current": value, "max": peak, "average": value}
+        return {
+            "counters": {
+                key: int(supplier()) for key, supplier in sorted(self._counters.items())
+            },
+            "gauges": dict(sorted(gauges.items())),
+            "histograms": {
+                key: {
+                    "count": hist.total,
+                    "sum": hist.sum,
+                    "max": hist.max,
+                    "mean": hist.sum / hist.total if hist.total else 0.0,
+                    "bounds": list(hist.bounds),
+                    "counts": list(hist.counts),
+                }
+                for key, hist in sorted(self._histograms.items())
+            },
+        }
+
+    def flat(
+        self, now: float
+    ) -> Tuple[Dict[str, float], Dict[str, Tuple[list, float, float]]]:
+        snapshot = self.as_dict(now)
+        readings = {key: float(count) for key, count in snapshot["counters"].items()}
+        for key, gauge in snapshot["gauges"].items():
+            readings[key] = float(gauge["current"])
+        histograms = {
+            key: (list(hist["counts"]), float(hist["sum"]), float(hist["max"]))
+            for key, hist in snapshot["histograms"].items()
+        }
+        return readings, histograms

@@ -23,18 +23,16 @@ from repro.hdfs.config import DfsConfig
 from repro.obs import audit as audit_mod
 from repro.obs import slo as slo_mod
 from repro.obs import timeseries as ts_mod
-from repro.obs.metrics import cluster_metrics, cluster_snapshot
+from repro.obs.metrics import read_cluster
 from repro.obs.timeseries import (
-    Sampler,
     TimeSeriesStore,
     load_timeseries,
     percentile_from_buckets,
-    percentile_label,
     write_timeseries,
 )
 from repro.sim.cluster import ClusterSpec
 from repro.sim.engine import Simulator
-from repro.sim.stats import Histogram, MetricSet
+from repro.sim.stats import Histogram
 
 
 def _cluster(seed=11, nodes=8):
@@ -87,13 +85,17 @@ def test_store_filters_by_run():
 # ----------------------------------------------------------------------
 # Sampler: tick grid, counters/gauges, windowed percentiles.
 # ----------------------------------------------------------------------
-def test_sampler_grid_and_counter_series():
-    metrics = MetricSet()
+def _watch_fake(monkeypatch, reader):
+    """Point the sampler's one reader at ``reader()`` for synthetic series."""
+    monkeypatch.setattr(ts_mod, "read_cluster", lambda dfs, monitor: reader())
+
+
+def test_sampler_grid_and_counter_series(monkeypatch):
     box = [0]
-    metrics.register_counter("ops", lambda: box[0])
+    _watch_fake(monkeypatch, lambda: ({"ops": float(box[0])}, {}))
     with ts_mod.capture(interval=0.5) as sampler:
         sim = Simulator()
-        sampler.watch(metrics)
+        sampler.watch(None)
 
         def ticker():
             for _ in range(9):
@@ -106,15 +108,15 @@ def test_sampler_grid_and_counter_series():
     assert sampler.store.series("ops") == [
         (0.5, 2.0), (1.0, 4.0), (1.5, 6.0), (2.0, 7.0), (2.5, 9.0)
     ]
-    assert sampler.samples_taken == 5
+    assert sampler.store.total_appended == 5
 
 
-def test_sampler_windowed_percentiles_match_stats_kernel():
-    metrics = MetricSet()
-    hist = metrics.register_histogram("lat", Histogram())
+def test_sampler_windowed_percentiles_match_stats_kernel(monkeypatch):
+    hist = Histogram()
+    _watch_fake(monkeypatch, lambda: ({}, {"lat": hist}))
     with ts_mod.capture(interval=1.0) as sampler:
         sim = Simulator()
-        sampler.watch(metrics)
+        sampler.watch(None)
 
         window1 = {}
 
@@ -147,15 +149,13 @@ def test_sampler_windowed_percentiles_match_stats_kernel():
     lo = max(b for b in hist.bounds if b < 0.05)
     hi = min(b for b in hist.bounds if b >= 0.05)
     assert lo < points[2.0] <= hi
-    assert percentile_label(0.5) == "p50"
-    assert percentile_label(0.999) == "p999"
 
 
 def test_sampler_aggregates_labeled_histograms():
     """Per-disk labeled histograms roll up into a cluster-wide series."""
     with ts_mod.capture(interval=0.05) as sampler:
         dfs = _cluster()
-        sampler.watch(cluster_metrics(dfs))
+        sampler.watch(dfs)
         _write_files(dfs)
     agg = sampler.store.series("disk_io_latency:count")
     assert agg, "aggregate series missing"
@@ -181,7 +181,9 @@ def test_sampled_run_is_bitwise_identical():
         else:
             dfs = _cluster(seed=5)
             _write_files(dfs)
-        return (dfs.sim.now, dfs.sim._seq, cluster_snapshot(dfs))
+        readings, histograms = read_cluster(dfs)
+        latency = {key: (h.counts, h.sum, h.max) for key, h in histograms.items()}
+        return (dfs.sim.now, dfs.sim._seq, readings, latency)
 
     assert fingerprint(False) == fingerprint(True)
 
@@ -242,17 +244,66 @@ def test_chaos_fingerprint_bitwise_identical_and_healthy():
     assert "SLO verdicts" in dash and "phase fault" in dash
 
 
-def test_a_new_run_drops_the_last_runs_registries_and_hooks():
+def test_soak_series_names_and_sampled_rows_are_pinned():
+    """The flight recorder's artifact, value for value: the default
+    soak's 243 series (named here from the cluster's components, not
+    from the reader) and a float-hex digest of its 61 sampled rows, as
+    measured before the registry of views was replaced by the reader."""
+    import hashlib
+
+    from repro.tools.chaos import build_cluster, run_chaos
+
+    dfs = build_cluster(805381)
+    windows = ("count", "mean", "p50", "p99")
+    expected = {
+        "blocks_at_risk", "net_active_flows", "net_bytes_total",
+        "net_solves_total", "net_fill_steps_total", "net_deadline_pushes_total",
+        "net_timer_fires_total", "net_timer_idle_total",
+        "repair_bytes_total", "recoveries_total", "recovery_errors_total",
+        *(f"disk_io_latency:{w}" for w in windows),
+    }
+    for index, datanode in enumerate(dfs.datanodes):
+        disk, journal = datanode.disk.name, datanode.lstors.primary.name
+        expected |= {
+            f"disk_{name}{{disk={disk}}}"
+            for name in ("reads", "writes", "bytes_read", "bytes_written", "seeks",
+                         "queue_depth")
+        }
+        expected |= {f"disk_io_latency{{disk={disk}}}:{w}" for w in windows}
+        expected |= {f"dn_blocks_{name}{{dn={datanode.name}}}" for name in ("read", "written")}
+        expected |= {
+            f"journal_{name}{{journal={journal}}}"
+            for name in ("outstanding", "appends", "clears", "used_bytes")
+        }
+        expected |= {
+            f"client_{name}{{client={index}}}"
+            for name in ("pipeline_recoveries", "read_failovers", "degraded_reads")
+        }
+    with ts_mod.capture(interval=0.5) as sampler:
+        assert run_chaos(805381).ok
+    assert sampler.store.names() == sorted(expected) and len(expected) == 243
+    digest = hashlib.sha256()
+    for run, ts, row in sampler.store.rows():
+        digest.update(f"{run} {ts.hex()}".encode())
+        for name in sorted(row):
+            digest.update(f" {name}={row[name].hex()}".encode())
+        digest.update(b"\n")
+    assert len(sampler.store) == 61
+    assert digest.hexdigest() == (
+        "b5f99c0e42d9122608f145760e2dd76bc82e7e19d431d560fd91347ddc92652f"
+    )
+
+
+def test_a_new_run_drops_the_last_runs_registries_and_hooks(monkeypatch):
     """One ambient sampler, two simulations (a two-run soak): the second
     run's ticks must not keep sampling -- or auditing -- the finished
     first cluster."""
     ticks = {"first": 0, "second": 0}
+    monkeypatch.setattr(ts_mod, "read_cluster", lambda label, monitor: ({label: 1.0}, {}))
 
     def run(label):
         sim = Simulator()
-        metrics = MetricSet()
-        metrics.register_counter(label, lambda: 1)
-        sampler.watch(metrics)
+        sampler.watch(label)
         sampler.on_sample(lambda _sim, _now: ticks.__setitem__(label, ticks[label] + 1))
         sim.run_process(_sleeper(sim))
 
@@ -273,7 +324,7 @@ def test_a_new_run_drops_the_last_runs_registries_and_hooks():
 def test_timeseries_jsonl_round_trip(tmp_path):
     with ts_mod.capture(interval=0.05) as sampler:
         dfs = _cluster()
-        sampler.watch(cluster_metrics(dfs))
+        sampler.watch(dfs)
         _write_files(dfs)
     path = str(tmp_path / "ts.jsonl")
     lines = write_timeseries(sampler, path)
@@ -296,10 +347,10 @@ def test_trace_exports_carry_telemetry_samples(tmp_path):
     with trace_capture(Tracer()) as tracer:
         with ts_mod.capture(interval=0.05) as sampler:
             dfs = _cluster()
-            sampler.watch(cluster_metrics(dfs))
+            sampler.watch(dfs)
             _write_files(dfs)
     telemetry = [e for e in tracer.events if e.category == "telemetry"]
-    assert len(telemetry) == sampler.samples_taken
+    assert len(telemetry) == sampler.store.total_appended
     assert all(e.name == "sample" for e in telemetry)
 
     jsonl = str(tmp_path / "run.jsonl")
@@ -449,7 +500,7 @@ def _points(values, t0=1.0, dt=1.0):
 
 
 def test_slo_each_mode_burn_rate():
-    spec = slo_mod.SloSpec("lat", "x:p99", 0.1, comparison="<=", budget=0.2)
+    spec = slo_mod.SloSpec("lat", "x:p99", 0.1, budget=0.2)
     result = slo_mod.evaluate_slo(spec, _points([0.05] * 8 + [0.5] * 2))
     assert result.samples == 10 and result.breaches == 2
     assert result.burn_rate == pytest.approx(1.0)  # 20% breach / 20% budget
@@ -459,7 +510,7 @@ def test_slo_each_mode_burn_rate():
 
 
 def test_slo_zero_budget_and_final_mode():
-    strict = slo_mod.SloSpec("zero", "x", 0.0, comparison="<=", budget=0.0)
+    strict = slo_mod.SloSpec("zero", "x", 0.0, budget=0.0)
     assert slo_mod.evaluate_slo(strict, _points([0.0, 0.0])).ok
     breached = slo_mod.evaluate_slo(strict, _points([0.0, 1.0]))
     assert breached.burn_rate == math.inf and not breached.ok
@@ -474,7 +525,7 @@ def test_slo_zero_budget_and_final_mode():
     assert empty.ok and empty.samples == 0
 
     with pytest.raises(ValueError):
-        slo_mod.SloSpec("bad", "x", 1.0, comparison="==")
+        slo_mod.SloSpec("bad", "x", 1.0, mode="sometimes")
     with pytest.raises(ValueError):
         slo_mod.SloSpec("bad", "x", 1.0, budget=1.5)
 
@@ -491,12 +542,15 @@ def test_sparkline_shape():
 def test_health_report_round_trip(tmp_path):
     with ts_mod.capture(interval=0.05) as sampler:
         dfs = _cluster()
-        sampler.watch(cluster_metrics(dfs))
+        sampler.watch(dfs)
         _write_files(dfs)
     auditor = audit_mod.Auditor()
     auditor.attach(dfs)
     auditor.audit(dfs.sim, dfs.sim.now, event="final")
-    report = slo_mod.health_report(sampler, auditor=auditor, title="unit")
+    report = slo_mod.health_report(
+        sampler, auditor, phases=[("all", 0.0, dfs.sim.now)], title="unit",
+        run=sampler.run,
+    )
     assert report["ok"]
     assert report["phases"][0]["phase"] == "all"
     path = str(tmp_path / "health.json")

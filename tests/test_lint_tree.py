@@ -152,6 +152,7 @@ def test_settable_value_census():
     (here), not by accretion."""
     import dataclasses
 
+    from repro.obs import audit, simprofile, slo, timeseries, tracer
     from repro.sim.cluster import ClusterSpec
     from repro.sim.disk import Disk
     from repro.sim.node import Node
@@ -159,6 +160,22 @@ def test_settable_value_census():
 
     def params(fn):
         return [name for name in inspect.signature(fn).parameters if name != "self"]
+
+    # The observers: what a caller can set when switching one on.
+    assert params(tracer.capture) == ["tracer"]
+    assert params(tracer.Tracer.__init__) == ["categories"]
+    assert params(simprofile.capture) == []
+    assert params(simprofile.SimProfiler.__init__) == []
+    assert params(timeseries.capture) == ["interval"]
+    assert params(timeseries.Sampler.__init__) == ["interval"]
+    assert params(timeseries.Sampler.watch) == ["dfs", "monitor"]
+    assert params(audit.capture) == ["fail_fast"]
+    assert params(audit.Auditor.__init__) == ["fail_fast"]
+    assert params(audit.Auditor.attach) == ["dfs"]
+    assert params(slo.health_report) == ["sampler", "auditor", "phases", "title", "run"]
+    assert [f.name for f in dataclasses.fields(slo.SloSpec)] == [
+        "name", "series", "objective", "budget", "mode", "unit",
+    ]
 
     assert params(chaos.run_chaos) == ["seed", "schedule"]
     assert params(chaos.run_repeated) == ["seed", "runs", "schedule"]
@@ -190,6 +207,52 @@ def test_settable_value_census():
             main(argv)
 
 
+def _assigned_names(statement):
+    """The plain names an ``x = ...`` / ``x: T = ...`` statement binds."""
+    targets = getattr(statement, "targets", None) or [getattr(statement, "target", None)]
+    return {target.id for target in targets if isinstance(target, ast.Name)}
+
+
+def test_ambient_slot_inventory():
+    """One ambient mechanism: ``obs/ambient.Slot`` is the only code
+    under ``src/repro/`` that rebinds an ambient observer, each of the
+    four observer modules owns exactly one, and no observer but the
+    tracer (whose ``enabled`` is the null-object hot-path check) carries
+    a mute flag."""
+    package = SRC / "repro"
+    globals_rebound, occupant_writers, enabled_flags = set(), set(), set()
+    slot_classes, slot_owners = [], []
+    for path in sorted(package.rglob("*.py")):
+        relative = path.relative_to(package).as_posix()
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Global):
+                globals_rebound |= {(relative, name) for name in node.names}
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+                if node.attr == "_occupant":
+                    occupant_writers.add(relative)
+            elif isinstance(node, ast.ClassDef):
+                if node.name == "Slot":
+                    slot_classes.append(relative)
+                if relative.startswith("obs/") and any(
+                    "enabled" in _assigned_names(statement) for statement in node.body
+                ):
+                    enabled_flags.add((relative, node.name))
+        for statement in tree.body:  # module level only
+            assert "_ACTIVE" not in _assigned_names(statement), relative
+            value = getattr(statement, "value", None)
+            if isinstance(value, ast.Call) and getattr(value.func, "id", "") == "Slot":
+                slot_owners.append(relative)
+    # The one `global` left is a memo of the source digest, not an observer.
+    assert globals_rebound == {("sim/snapshot.py", "_code_digest")}
+    assert occupant_writers == {"obs/ambient.py"}
+    assert slot_classes == ["obs/ambient.py"]
+    assert slot_owners == [
+        "obs/audit.py", "obs/simprofile.py", "obs/timeseries.py", "obs/tracer.py",
+    ]
+    assert enabled_flags == {("obs/tracer.py", "NullTracer"), ("obs/tracer.py", "Tracer")}
+
+
 # ----------------------------------------------------------------------
 # DESIGN.md names what the tree holds.
 # ----------------------------------------------------------------------
@@ -219,6 +282,57 @@ def test_design_repository_map_matches_tree():
             named.add(base / name)
     modules = {p for p in (SRC / "repro").rglob("*.py") if not p.name.startswith("__")}
     assert modules <= named, sorted(modules - named)
+    _check_observability_sections_cite_the_tree()
+
+
+#: Names sections 9 and 13 cite from outside ``obs/`` and ``sim/stats.py``.
+_FOREIGN = {
+    "AuditError", "COMMITTED", "DiskStats", "None", "layout.verify()",
+    "RaidpCluster.unabsorbed_writes",
+}
+
+
+def _check_observability_sections_cite_the_tree():
+    """Sections 9 and 13: every ``obs/*.py`` / ``sim/*.py`` / ``tests/*.py``
+    path exists (and a ``::name`` is defined in it), and every class,
+    constant or call they cite is a name of ``obs/``, ``sim/stats.py``
+    or ``sim/engine.py`` (or an attribute of one of their classes) -- so
+    a deleted name cannot stay documented."""
+    from repro.sim import engine, stats
+
+    owners = [stats, engine] + [
+        importlib.import_module(f"repro.obs.{info.name}")
+        for info in pkgutil.iter_modules([str(SRC / "repro" / "obs")])
+    ]
+    owners += [
+        value for module in owners[:] for value in vars(module).values()
+        if inspect.isclass(value) and value.__module__ == module.__name__
+    ]
+
+    def resolves(name):
+        head, _, attribute = name.partition(".")
+        found = [getattr(o, head) for o in owners if hasattr(o, head)]
+        if attribute and found:  # Class.method
+            return any(hasattr(f, attribute) for f in found)
+        # instance.method goes by its method name
+        return resolves(attribute) if attribute else bool(found)
+
+    text = (_design_section(9) + _design_section(13)).replace("\n", " ")
+    for token in sorted(set(re.findall(r"`([^`]+)`", text))):
+        path = re.fullmatch(r"((?:obs|sim|tests)/\w+\.py)(?:::(\w+))?", token)
+        if path:
+            base = SRC.parent if token.startswith("tests/") else SRC / "repro"
+            assert (base / path.group(1)).is_file(), f"DESIGN.md cites {token}"
+            if path.group(2):
+                source = (base / path.group(1)).read_text(encoding="utf-8")
+                assert re.search(rf"^(def|class) {path.group(2)}\b", source, re.M), token
+            continue
+        name = re.fullmatch(r"([A-Za-z_][\w.]*)(\(.*\))?", token)
+        if not name or token in _FOREIGN:
+            continue
+        bare = name.group(1)
+        cited_as_code = name.group(2) or re.fullmatch(r"[A-Z]\w*[a-z]\w*|[A-Z][A-Z_]{2,}", bare)
+        assert not cited_as_code or resolves(bare), f"DESIGN.md cites `{token}`"
 
 
 def test_design_rule_table_matches_default_rules():

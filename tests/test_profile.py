@@ -15,7 +15,6 @@ import json
 from repro.obs import simprofile
 from repro.obs.simprofile import SimProfiler, classify_code
 from repro.obs.taxonomy import is_registered
-from repro.sim.engine import Simulator
 from repro.units import MiB
 
 
@@ -50,20 +49,6 @@ def test_deterministic_columns_reproduce_exactly():
         }
 
     assert deterministic(first) == deterministic(second)
-
-
-def test_muted_profiler_collects_nothing():
-    profiler = SimProfiler()
-    profiler.enabled = False
-    with simprofile.capture(profiler):
-        sim = Simulator()
-
-        def body():
-            yield sim.timeout(1.0)
-
-        sim.process(body())
-        sim.run()
-    assert len(profiler) == 0
 
 
 def test_classify_code_maps_modules_to_registered_categories():

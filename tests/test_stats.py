@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim.stats import Histogram, MetricSet, TimeWeightedGauge, mean
+from repro.sim.stats import Histogram, TimeWeightedGauge, mean
 
 
 def test_time_weighted_gauge_average():
@@ -36,7 +36,7 @@ def test_histogram_buckets_and_mean():
         hist.observe(sample)
     assert hist.counts == [2, 1, 1]
     assert hist.total == 4
-    assert hist.mean == pytest.approx((0.5 + 5.0 + 50.0 + 0.1) / 4)
+    assert hist.sum == pytest.approx(0.5 + 5.0 + 50.0 + 0.1)
     assert hist.max == 50.0
 
 
@@ -55,42 +55,6 @@ def test_histogram_bisect_matches_linear_scan():
             index += 1
         expected[index] += 1
     assert hist.counts == expected
-
-
-def test_metric_set_labels_and_all_kinds():
-    metrics = MetricSet()
-    reads = {"n0-d0": 3, "n1-d0": 1}
-    for disk in reads:
-        metrics.register_counter("disk_reads", lambda d=disk: reads[d], disk=disk)
-    gauge = metrics.register_gauge("queue_depth", TimeWeightedGauge(), disk="n0-d0")
-    gauge.set(2.0, now=1.0)
-    depth = [4.0]
-    metrics.register_gauge_view("inflight", lambda: depth[0])
-    hist = metrics.register_histogram(
-        "io_latency", Histogram(bounds=(1.0,)), disk="n0-d0"
-    )
-    hist.observe(0.5)
-    snapshot = metrics.as_dict(now=2.0)
-    assert snapshot["counters"] == {
-        "disk_reads{disk=n0-d0}": 3,
-        "disk_reads{disk=n1-d0}": 1,
-    }
-    gauges = snapshot["gauges"]
-    assert gauges["queue_depth{disk=n0-d0}"]["current"] == 2.0
-    assert gauges["queue_depth{disk=n0-d0}"]["average"] == pytest.approx(1.0)
-    assert gauges["inflight"] == {"current": 4.0, "max": 4.0, "average": 4.0}
-    hists = snapshot["histograms"]
-    assert hists["io_latency{disk=n0-d0}"]["count"] == 1
-    # Views are live: the component's next count shows without re-registering.
-    reads["n0-d0"] += 2
-    depth[0] = 1.0
-    later = metrics.as_dict()
-    assert later["counters"]["disk_reads{disk=n0-d0}"] == 5
-    assert later["gauges"]["inflight"] == {"current": 1.0, "max": 4.0, "average": 1.0}
-    # Label order never changes the key.
-    metrics.register_counter("xfers", lambda: 1, src="a", dst="b")
-    metrics.register_counter("xfers", lambda: 2, dst="b", src="a")
-    assert metrics.as_dict()["counters"]["xfers{dst=b,src=a}"] == 2
 
 
 def test_mean_helper():
