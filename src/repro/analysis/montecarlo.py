@@ -110,9 +110,6 @@ class Fleet:
     def num_disks(self) -> int:
         return self.num_racks * self.disks_per_rack
 
-    def rack_of(self, disk: int) -> int:
-        return disk // self.disks_per_rack
-
     def groups_per_disk(self, width: int) -> float:
         """Expected groups with a member on a given disk."""
         return self.groups * width / self.num_disks

@@ -1,7 +1,9 @@
 """The Lstor's append-only journal (paper §3.4).
 
-Every incoming write creates a journal record holding the new data, the
-old data it overwrites, and the parity delta.  The protocol is:
+Every incoming write creates a journal record referencing the new data
+and the old data it overwrites.  The parity delta is derived, not stored:
+it is ``old XOR new``, computed once where the Lstor absorbs it
+(:meth:`repro.core.lstor.LstorStack.absorb_update`).  The protocol is:
 
 1. append the record to the journal (fast, on the Lstor),
 2. commit the data write to disk (synced),
@@ -40,7 +42,11 @@ class RecordState(enum.Enum):
 
 @dataclass
 class JournalRecord(InlineState):
-    """One write's worth of recovery information."""
+    """One write's worth of recovery information.
+
+    Holds references to the immutable old and new payloads; the parity
+    delta is their XOR and is recomputed on replay, never kept here.
+    """
 
     record_id: int
     block_name: str
@@ -48,7 +54,6 @@ class JournalRecord(InlineState):
     slot: int
     old_data: Payload
     new_data: Payload
-    parity_delta: Payload
     nbytes: int
     version: int = 1
     state: RecordState = RecordState.APPENDED
@@ -114,7 +119,6 @@ class Journal(InlineState):
         slot: int,
         old_data: Payload,
         new_data: Payload,
-        parity_delta: Payload,
         nbytes: int,
         now: float,
         version: int = 1,
@@ -126,7 +130,6 @@ class Journal(InlineState):
             slot=slot,
             old_data=old_data,
             new_data=new_data,
-            parity_delta=parity_delta,
             nbytes=nbytes,
             version=version,
         )

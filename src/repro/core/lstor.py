@@ -232,6 +232,7 @@ class LstorStack(InlineState):
     ) -> None:
         """Propagate one block update into every parity in the stack.
 
+        The one place a write's ``old XOR new`` delta is computed.
         ``shard_index`` is the superchunk's slot on this disk (the RS data
         shard index); ``slot`` is the block slot within the superchunk.
         ``tag`` deduplicates replays (see :meth:`Lstor.absorb`).
@@ -247,8 +248,8 @@ class LstorStack(InlineState):
         deltas = self._codec.parity_delta(shard_index, old.data, new.data)
         for lstor, delta in zip(self.lstors, deltas):
             if not lstor.failed:
-                # parity_delta returns freshly allocated buffers: adopt
-                # them copy-free.
+                # The codec returns freshly allocated buffers: adopt them
+                # copy-free.
                 lstor.absorb(slot, BytesPayload.adopt(delta), tag=tag)
 
     def reconstruct_block(

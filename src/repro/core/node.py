@@ -221,7 +221,6 @@ class RaidpDataNode(DataNode):
         block = locations.block
         sc_id, slot = self._placement_of(locations)
         old = self.slot_payload(sc_id, slot)
-        delta = old.xor(payload)
 
         record = None
         if self._journal_active():
@@ -231,7 +230,6 @@ class RaidpDataNode(DataNode):
                 slot=slot,
                 old_data=old,
                 new_data=payload,
-                parity_delta=delta,
                 nbytes=block.size,
                 now=self.sim.now,
                 version=locations.version,
@@ -321,7 +319,6 @@ class RaidpDataNode(DataNode):
                     slot=slot,
                     old_data=old,
                     new_data=payload,
-                    parity_delta=old.xor(payload),
                     nbytes=run,
                     now=self.sim.now,
                     version=locations.version,
@@ -426,7 +423,6 @@ class RaidpDataNode(DataNode):
                 slot=slot,
                 old_data=old,
                 new_data=new,
-                parity_delta=old.xor(new),
                 nbytes=nbytes,
                 now=self.sim.now,
                 version=locations.version,

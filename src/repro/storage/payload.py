@@ -9,7 +9,7 @@ cannot be mutated from underneath it).
 from __future__ import annotations
 
 import zlib
-from typing import FrozenSet, Optional, Tuple, Union
+from typing import Dict, FrozenSet, Optional, Tuple, Union
 
 import numpy as np
 from repro.sim.snapshot import InlineState
@@ -71,7 +71,7 @@ class BytesPayload(Payload):
     :meth:`adopt`.
     """
 
-    __slots__ = ("data", "_crc")
+    __slots__ = ("data", "_crc", "_zero")
 
     def __init__(self, data: Union[bytes, np.ndarray]) -> None:
         if isinstance(data, bytes):
@@ -88,6 +88,7 @@ class BytesPayload(Payload):
         arr.setflags(write=False)
         self.data = arr
         self._crc: Optional[int] = None
+        self._zero: Optional[bool] = None
 
     @classmethod
     def adopt(cls, arr: np.ndarray) -> "BytesPayload":
@@ -102,11 +103,14 @@ class BytesPayload(Payload):
         arr.setflags(write=False)
         payload.data = arr
         payload._crc = None
+        payload._zero = None
         return payload
 
     @classmethod
     def zeros(cls, length: int) -> "BytesPayload":
-        return cls.adopt(np.zeros(length, dtype=np.uint8))
+        payload = cls.adopt(np.zeros(length, dtype=np.uint8))
+        payload._zero = True
+        return payload
 
     def xor(self, other: Payload) -> "BytesPayload":
         if not isinstance(other, BytesPayload):
@@ -115,6 +119,13 @@ class BytesPayload(Payload):
             raise ValueError(
                 f"payload length mismatch: {len(self.data)} vs {len(other.data)}"
             )
+        # XOR with a payload already known to be zero is the other operand
+        # itself (both are immutable): first writes, deletes and installs
+        # into empty slots allocate and compute nothing.
+        if other._zero:
+            return self
+        if self._zero:
+            return other
         return BytesPayload.adopt(np.bitwise_xor(self.data, other.data))
 
     def xor_into(self, accum: np.ndarray) -> None:
@@ -136,7 +147,10 @@ class BytesPayload(Payload):
         return self.data.copy()
 
     def is_zero(self) -> bool:
-        return not self.data.any()
+        """Cached like the CRC: computed once, never assumed from the source."""
+        if self._zero is None:
+            self._zero = not self.data.any()
+        return self._zero
 
     def slice(self, start: int, end: int) -> "BytesPayload":
         # The slice is a read-only view over this payload's immutable
@@ -288,6 +302,7 @@ class ContentFactory(InlineState):
             raise ValueError(f"unknown payload mode {mode!r}")
         self.mode = mode
         self.seed = seed
+        self._zeros: Dict[int, BytesPayload] = {}
 
     @property
     def symbolic(self) -> bool:
@@ -296,10 +311,22 @@ class ContentFactory(InlineState):
     def make(self, name: str, version: int, length: int) -> Payload:
         if self.mode == "tokens":
             return TokenPayload.of(name, version)
-        rng = np.random.default_rng(_stable_seed(self.seed, name, version))
-        return BytesPayload.adopt(rng.integers(0, 256, size=length, dtype=np.uint8))
+        # One 64-bit PCG64 draw per 8 bytes: its little-endian bytes are
+        # exactly the stream ``integers(0, 256, dtype=uint8)`` buffers out
+        # one byte at a time (pinned by the golden-content test).  The
+        # word buffer is frozen before the byte view is taken, so the
+        # payload's whole base chain is read-only and slices stay views.
+        bits = np.random.PCG64(_stable_seed(self.seed, name, version))
+        words = bits.random_raw(-(-length // 8)).astype("<u8", copy=False)
+        words.setflags(write=False)
+        return BytesPayload.adopt(words.view(np.uint8)[:length])
 
     def zero(self, length: int) -> Payload:
         if self.mode == "tokens":
             return TokenPayload.zeros()
-        return BytesPayload.zeros(length)
+        # Payloads are immutable, so every empty slot of one length can
+        # share a single zero buffer.
+        zero = self._zeros.get(length)
+        if zero is None:
+            zero = self._zeros[length] = BytesPayload.zeros(length)
+        return zero

@@ -37,7 +37,6 @@ import contextlib
 import dataclasses
 import json
 import sys
-import zlib
 from typing import Any, Dict, Generator, List, Optional, Tuple
 
 from repro import units
@@ -252,50 +251,49 @@ def _traffic(dfs: Any, skipped: List[int]) -> Generator:
 # ----------------------------------------------------------------------
 # Verification.
 # ----------------------------------------------------------------------
-def _payload_checksum(payload: Any) -> int:
-    method = getattr(payload, "checksum", None)
-    if method is not None:
-        return method()
-    tokens = getattr(payload, "tokens", None)
-    if tokens is not None:  # symbolic payloads: stable digest of the set
-        return zlib.crc32(repr(sorted(tokens)).encode())
-    return zlib.crc32(repr(payload).encode())
+def _expected_payloads(dfs: Any) -> Dict[str, Any]:
+    """The content generator's payload for every block at its current
+    version, minted once per soak and shared by both verifiers."""
+    return {
+        loc.block.name: dfs.factory.make(loc.block.name, loc.version, loc.block.size)
+        for loc in dfs.namenode.all_blocks()
+    }
 
 
-def _verify_reads(dfs: Any, problems: List[str], blocks_fp: List) -> Generator:
+def _verify_reads(
+    dfs: Any, expected: Dict[str, Any], problems: List[str], blocks_fp: List
+) -> Generator:
     """Read every block back through the regular client path and compare
     it bit-for-bit to the content generator's expected payload."""
     client = dfs.clients[0]
     for path in sorted(dfs.namenode.list_files()):
         for block in dfs.namenode.file_blocks(path):
             locations = dfs.namenode.locate_block(block.block_id)
-            expected = dfs.factory.make(block.name, locations.version, block.size)
             try:
                 payload = yield from client.read_block(locations)
             except ReproError as exc:
                 problems.append(f"read of {block.name} ({path}) failed: {exc}")
                 continue
-            if payload != expected:
+            if payload != expected[block.name]:
                 problems.append(f"{block.name} ({path}) read back wrong content")
             blocks_fp.append(
                 (
                     block.name,
                     locations.version,
                     tuple(sorted(locations.datanodes)),
-                    _payload_checksum(payload),
+                    payload.checksum(),
                 )
             )
     return None
 
 
-def _verify_replicas(dfs: Any, problems: List[str]) -> None:
+def _verify_replicas(dfs: Any, expected: Dict[str, Any], problems: List[str]) -> None:
     """Every listed replica must be healthy and hold the exact bytes."""
     for locations in dfs.namenode.all_blocks():
         block = locations.block
         if locations.replica_count == 0:
             problems.append(f"{block.name}: no replicas survived")
             continue
-        expected = dfs.factory.make(block.name, locations.version, block.size)
         for name in locations.datanodes:
             datanode = dfs.namenode.datanode(name)
             if not healthy_datanode(datanode):
@@ -304,7 +302,7 @@ def _verify_replicas(dfs: Any, problems: List[str]) -> None:
             if not datanode.has_block(block.name):
                 problems.append(f"{block.name}: replica {name} lost the content")
                 continue
-            if datanode.content_of(block.name) != expected:
+            if datanode.content_of(block.name) != expected[block.name]:
                 problems.append(f"{block.name}: replica {name} diverged")
 
 
@@ -509,14 +507,18 @@ def run_chaos(
     # Post-mortem verification.
     # ------------------------------------------------------------------
     _verify_lifecycle(dfs, monitor, injector, problems)
-    _verify_replicas(dfs, problems)
+    expected = _expected_payloads(dfs)
+    _verify_replicas(dfs, expected, problems)
     lost = dfs.namenode.lost_blocks()
     if lost:
         problems.append(f"{len(lost)} blocks lost: "
                         f"{[loc.block.name for loc in lost][:5]}")
 
     blocks_fp: List = []
-    dfs.sim.run_process(_verify_reads(dfs, problems, blocks_fp))
+    dfs.sim.run_process(_verify_reads(dfs, expected, problems, blocks_fp))
+    # The dead cluster's failed processes hold tracebacks that keep this
+    # frame alive until a full gc: drop the minted blocks now, not then.
+    expected.clear()
 
     fingerprint = {
         "injections": [

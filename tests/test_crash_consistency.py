@@ -54,7 +54,6 @@ def torn_write(dfs, locations, steps_a, steps_b):
                 slot=slot,
                 old_data=old,
                 new_data=payload,
-                parity_delta=old.xor(payload),
                 nbytes=block.size,
                 now=dfs.sim.now,
                 version=locations.version,
@@ -183,7 +182,6 @@ def append_one(journal, name="blk_1", nbytes=1024):
         slot=0,
         old_data=zero_payload(),
         new_data=zero_payload(),
-        parity_delta=zero_payload(),
         nbytes=nbytes,
         now=0.0,
     )

@@ -187,7 +187,7 @@ def test_double_failure_during_inflight_single_recovery():
 def payloads(factory, name, nbytes):
     old = factory.make(name, 1, nbytes)
     new = factory.make(name, 2, nbytes)
-    return old, new, old.xor(new)
+    return old, new
 
 
 def test_journal_strict_capacity_overflow():
@@ -195,17 +195,17 @@ def test_journal_strict_capacity_overflow():
 
     factory = ContentFactory("tokens")
     journal = Journal(capacity=2 * units.MiB, strict_capacity=True)
-    old, new, delta = payloads(factory, "blk_a", units.MiB)
-    first = journal.append("blk_a", 0, 0, old, new, delta, units.MiB, now=0.0)
-    journal.append("blk_b", 0, 1, old, new, delta, units.MiB, now=0.0)
+    old, new = payloads(factory, "blk_a", units.MiB)
+    first = journal.append("blk_a", 0, 0, old, new, units.MiB, now=0.0)
+    journal.append("blk_b", 0, 1, old, new, units.MiB, now=0.0)
     with pytest.raises(JournalError):
-        journal.append("blk_c", 0, 2, old, new, delta, units.MiB, now=0.0)
+        journal.append("blk_c", 0, 2, old, new, units.MiB, now=0.0)
     assert journal.overflows == 0  # strict mode raises instead of counting
     # Clearing a record frees its space for a new append.
     journal.mark_committed(first.record_id)
     journal.mark_acked(first.record_id)
     journal.clear(first.record_id, now=1.0)
-    journal.append("blk_c", 0, 2, old, new, delta, units.MiB, now=1.0)
+    journal.append("blk_c", 0, 2, old, new, units.MiB, now=1.0)
     assert journal.outstanding == 2
 
 
@@ -214,9 +214,9 @@ def test_journal_soft_capacity_counts_overflows():
 
     factory = ContentFactory("tokens")
     journal = Journal(capacity=units.MiB, strict_capacity=False)
-    old, new, delta = payloads(factory, "blk_a", units.MiB)
-    journal.append("blk_a", 0, 0, old, new, delta, units.MiB, now=0.0)
-    journal.append("blk_b", 0, 1, old, new, delta, units.MiB, now=0.0)
+    old, new = payloads(factory, "blk_a", units.MiB)
+    journal.append("blk_a", 0, 0, old, new, units.MiB, now=0.0)
+    journal.append("blk_b", 0, 1, old, new, units.MiB, now=0.0)
     assert journal.overflows == 1
     assert journal.high_water_bytes == 2 * units.MiB
 

@@ -432,7 +432,7 @@ def test_final_audit_content_check_is_never_skipped_or_waived():
         datanode.lstors.primary.journal.append(
             block_name=locations.block.name, sc_id=locations.sc_id,
             slot=locations.slot, old_data=content, new_data=content,
-            parity_delta=content.xor(content), nbytes=locations.block.size,
+            nbytes=locations.block.size,
             now=dfs.sim.now, version=locations.version,
         )
 

@@ -5,12 +5,20 @@ groups where every element is its own inverse, so parity identities
 proved symbolically hold bitwise.
 """
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.storage.payload import BytesPayload, ContentFactory, TokenPayload
+from repro.storage.payload import (
+    BytesPayload,
+    ContentFactory,
+    TokenPayload,
+    _is_safely_immutable,
+    _stable_seed,
+)
 
 
 # ----------------------------------------------------------------------
@@ -77,6 +85,84 @@ def test_bytes_xor_group_properties(data, seed):
     assert a.xor(b) == b.xor(a)  # commutative
     assert a.xor(b).xor(c) == a.xor(b.xor(c))  # associative
     assert a.xor(a).is_zero()  # self-inverse
+    # Zero is the identity on either side, whether the zero is known by
+    # construction, computed from adopted content, or not yet known.
+    made = BytesPayload.zeros(len(data))
+    found = BytesPayload.adopt(np.zeros(len(data), dtype=np.uint8))
+    assert found.is_zero()  # computed here, cached from now on
+    unknown = BytesPayload(bytes(len(data)))
+    for zero in (made, found, unknown):
+        assert a.xor(zero) == a and zero.xor(a) == a
+        assert zero.xor(zero).is_zero()
+    assert a.xor(made) is a and made.xor(a) is a  # nothing allocated
+    assert a.xor(found) is a and found.xor(a) is a
+    for zero in (made, found, unknown):  # the checks come before the shortcut
+        with pytest.raises(ValueError):
+            zero.xor(BytesPayload(data + b"x"))
+        with pytest.raises(ValueError):
+            BytesPayload(data + b"x").xor(zero)
+        with pytest.raises(TypeError):
+            zero.xor(TokenPayload.zeros())
+
+
+@pytest.mark.parametrize("content, expected", [(b"\0\0\0\0\0", True), (b"\0\0\1\0\0", False)])
+def test_is_zero_is_computed_once_never_assumed(content, expected):
+    """Adopted and minted payloads do not know whether they are zero
+    until asked; the answer comes from the bytes and is then cached."""
+    scans = []
+
+    class Scanned(np.ndarray):  # ndarray methods cannot be monkeypatched
+        def any(self, *args, **kwargs):
+            scans.append(1)
+            return super().any(*args, **kwargs)
+
+    adopted = BytesPayload.adopt(np.frombuffer(content, dtype=np.uint8).copy())
+    assert adopted._zero is None
+    adopted.data = adopted.data.view(Scanned)
+    assert adopted.is_zero() is expected and adopted.is_zero() is expected
+    assert len(scans) == 1
+    minted = ContentFactory(seed=7).make("blk_0001", 3, 64)
+    assert minted._zero is None and not minted.is_zero() and minted._zero is False
+    assert ContentFactory(seed=7).make("blk_0001", 3, 0).is_zero()  # vacuously
+    assert BytesPayload.zeros(5)._zero is True
+    assert ContentFactory().zero(5).is_zero()
+
+
+def _every_constructor():
+    raw = b"pickle me, all 23 bytes"
+    factory = ContentFactory(seed=7)
+    minted = factory.make("blk_0001", 3, 13)
+    return {
+        "bytes": BytesPayload(raw),
+        "bytearray": BytesPayload(bytearray(raw)),
+        "memoryview": BytesPayload(memoryview(raw)),
+        "array": BytesPayload(np.frombuffer(raw, dtype=np.uint8).copy()),
+        "adopt": BytesPayload.adopt(np.frombuffer(raw, dtype=np.uint8).copy()),
+        "zeros": BytesPayload.zeros(9),
+        "factory-zero": factory.zero(9),
+        "minted": minted,
+        "minted-empty": factory.make("blk_0001", 3, 0),
+        "slice": minted.slice(3, 11),
+        "splice": minted.splice(2, BytesPayload(b"XYZ")),
+        "xor": minted.xor(factory.make("blk_0002", 1, 13)),
+        "xor-zero": minted.xor(factory.zero(13)),
+    }
+
+
+@pytest.mark.parametrize("how", sorted(_every_constructor()))
+def test_bytes_payload_pickle_roundtrip(how):
+    """Snapshots and pool workers pickle payloads: content, checksum and
+    the zero flag survive, whatever was cached before the dump."""
+    payload = _every_constructor()[how]
+    cold = pickle.loads(pickle.dumps(payload))
+    crc, zero = payload.checksum(), payload.is_zero()
+    warm = pickle.loads(pickle.dumps(payload))
+    for copy in (cold, warm):
+        assert copy == payload and len(copy) == len(payload)
+        assert copy.data.dtype == np.uint8
+        assert copy.checksum() == crc and copy.is_zero() is zero
+        assert copy.xor(payload).is_zero()
+    assert warm._crc == crc and warm._zero is zero  # the caches travel
 
 
 # ----------------------------------------------------------------------
@@ -117,6 +203,63 @@ def test_factory_is_deterministic():
     assert factory.make("blk", 1, 64) == again.make("blk", 1, 64)
     assert factory.make("blk", 1, 64) != factory.make("blk", 2, 64)
     assert factory.make("blk", 1, 64) != factory.make("other", 1, 64)
+
+
+#: The parent's ``integers(0, 256, dtype=uint8)`` stream, by CRC32 per
+#: length.  A numpy upgrade that changed PCG64's raw output, or a mint
+#: that reordered bytes, would otherwise silently change every block.
+GOLDEN_CONTENT = {
+    0: 0x00000000,
+    1: 0x4C667A2E,
+    7: 0x5330ADB7,
+    8: 0x9B38986D,
+    13: 0x46F0E84F,
+    65536: 0x0428A64A,
+    262144: 0xF7B45113,
+}
+
+
+def test_factory_golden_content():
+    factory = ContentFactory(seed=7)
+    whole = factory.make("blk_0001", 3, 262144)
+    assert whole.data[:8].tobytes() == bytes.fromhex("070de0cbdc72e451")
+    for length, crc in GOLDEN_CONTENT.items():
+        payload = factory.make("blk_0001", 3, length)
+        assert len(payload) == length and payload.data.dtype == np.uint8
+        assert payload.checksum() == crc, f"length {length}"
+        # Prefix stability: the length only truncates the stream.
+        assert np.array_equal(payload.data, whole.data[:length])
+    # The byte-at-a-time draw the word-width mint replaced stays the reference.
+    reference = np.random.default_rng(_stable_seed(7, "blk_0001", 3)).integers(
+        0, 256, size=65536 + 13, dtype=np.uint8
+    )
+    assert np.array_equal(factory.make("blk_0001", 3, 65536 + 13).data, reference)
+
+
+@pytest.mark.parametrize("length", [1, 7, 8, 13, 65536])
+def test_minted_payload_is_frozen_to_the_root_and_slices_are_views(length):
+    """Freezing only the outermost byte view would leave the word buffer
+    writable: ``_is_safely_immutable`` would then make every ``slice()``
+    of a minted payload a silent copy."""
+    payload = ContentFactory(seed=7).make("blk_0001", 3, length)
+    arr = payload.data
+    while arr is not None:  # the whole base chain, down to the owner
+        assert isinstance(arr, np.ndarray) and not arr.flags.writeable
+        arr = arr.base
+    assert _is_safely_immutable(payload.data)
+    piece = payload.slice(length // 3, length)
+    assert np.shares_memory(piece.data, payload.data)
+    assert piece == BytesPayload(payload.data[length // 3:].tobytes())
+    assert piece.slice(0, len(piece)).data.ctypes.data == piece.data.ctypes.data
+
+
+def test_factory_zero_is_one_shared_immutable_payload_per_length():
+    factory = ContentFactory()
+    assert factory.zero(64) is factory.zero(64)
+    assert factory.zero(64) is not factory.zero(32)
+    assert len(factory.zero(32)) == 32 and factory.zero(32).is_zero()
+    assert not factory.zero(64).data.flags.writeable
+    assert factory.zero(64) == BytesPayload.zeros(64)
 
 
 def test_factory_token_mode():
