@@ -119,27 +119,38 @@ class Lstor(InlineState):
             self._parity[slot] = parity
         return parity
 
-    def absorb(self, slot: int, delta: Payload, tag: Optional[Hashable] = None) -> None:
-        """Fold ``delta`` (= old XOR new) into the parity at ``slot``.
+    def absorb(
+        self, slot: int, *terms: Payload, tag: Optional[Hashable] = None
+    ) -> None:
+        """Fold the XOR of ``terms`` into the parity at ``slot``.
 
-        ``tag``, when given, deduplicates: a delta absorbed under the same
-        tag twice is applied once (journal replay idempotency).  Pure
-        state change; use :meth:`absorb_timed` from simulation processes
-        to also charge device-transfer time.
+        ``terms`` is one delta (= old XOR new) or a write's old and new
+        content; the bytes plane folds each term into the parity in
+        place, so the delta itself is never allocated.  ``tag``, when
+        given, deduplicates: an update absorbed under the same tag twice
+        is applied once (journal replay idempotency).  Pure state change;
+        use :meth:`absorb_timed` from simulation processes to also charge
+        device-transfer time.
         """
         self._check_alive()
         if tag is not None:
             if tag in self._absorbed_tags:
                 return
             self._absorbed_tags.add(tag)
-        if not self.factory.symbolic and isinstance(delta, BytesPayload):
+        if not self.factory.symbolic and isinstance(terms[0], BytesPayload):
             accum = self._parity_accum.get(slot)
             if accum is None:
                 accum = np.zeros(self.block_size, dtype=np.uint8)
                 self._parity_accum[slot] = accum
-            delta.xor_into(accum)
+            for term in terms:
+                if not isinstance(term, BytesPayload):
+                    raise TypeError("cannot XOR bytes with symbolic payload")
+                term.xor_into(accum)
             self._parity.pop(slot, None)
         else:
+            delta = terms[0]
+            for term in terms[1:]:
+                delta = delta.xor(term)
             self._parity[slot] = self.parity_block(slot).xor(delta)
         self.stats_parity_updates += 1
 
@@ -232,7 +243,9 @@ class LstorStack(InlineState):
     ) -> None:
         """Propagate one block update into every parity in the stack.
 
-        The one place a write's ``old XOR new`` delta is computed.
+        The one place a write's ``old XOR new`` delta is applied; a
+        single Lstor folds ``old`` and ``new`` into its parity one after
+        the other, stacked Lstors get the codec's per-row deltas.
         ``shard_index`` is the superchunk's slot on this disk (the RS data
         shard index); ``slot`` is the block slot within the superchunk.
         ``tag`` deduplicates replays (see :meth:`Lstor.absorb`).
@@ -241,7 +254,7 @@ class LstorStack(InlineState):
             if not self.lstors[0].failed:
                 # A failed Lstor absorbs nothing: the disk keeps serving,
                 # degraded to plain replication until the device is reset.
-                self.lstors[0].absorb(slot, old.xor(new), tag=tag)
+                self.lstors[0].absorb(slot, old, new, tag=tag)
             return
         if not isinstance(old, BytesPayload) or not isinstance(new, BytesPayload):
             raise TypeError("stacked Lstors require BytesPayload data")

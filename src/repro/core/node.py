@@ -19,8 +19,9 @@ every configuration; only the *charged time* differs between variants.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Generator, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Generator, Optional, Tuple
 
 from repro import units
 from repro.core.journal import JournalRecord, RecordState
@@ -98,7 +99,7 @@ class RaidpDataNode(DataNode):
         self.map = superchunk_map
         self.raidp = raidp
         self.switch = switch
-        self.namenode: Optional["NameNode"] = None
+        self._namenode: Optional["weakref.ref[NameNode]"] = None
         self.lstors = LstorStack(
             sim,
             factory,
@@ -117,7 +118,27 @@ class RaidpDataNode(DataNode):
         self._awaiting_ack: Dict[Tuple[str, int], JournalRecord] = {}
 
     def attach_namenode(self, namenode: "NameNode") -> None:
-        self.namenode = namenode
+        self._namenode = weakref.ref(namenode)
+
+    @property
+    def namenode(self) -> Optional["NameNode"]:
+        """The NameNode this DataNode reports to, held weakly: the
+        NameNode owns its DataNodes, so a strong link back would make
+        every cluster a reference cycle."""
+        return None if self._namenode is None else self._namenode()
+
+    def __getstate__(self) -> Dict[str, Any]:
+        # A weakref does not pickle: a snapshot carries the NameNode
+        # itself, which __setstate__ weakens again -- the restored link
+        # points at the restored NameNode.
+        state = dict(self.__dict__)
+        state["_namenode"] = self.namenode
+        return state
+
+    def __setstate__(self, state: Any) -> None:
+        namenode = state.pop("_namenode")
+        super().__setstate__(state)
+        self._namenode = None if namenode is None else weakref.ref(namenode)
 
     # ------------------------------------------------------------------
     # Superchunk geometry.

@@ -178,5 +178,5 @@ class Scrubber:
     def _matches_checksum(
         datanode: DataNode, block_name: str, candidate: Payload
     ) -> bool:
-        expected = datanode._checksums.get(block_name)
-        return expected is not None and expected == candidate.checksum()
+        record = datanode._checksums.get(block_name)
+        return record is not None and record.checksum() == candidate.checksum()

@@ -70,9 +70,11 @@ class DataNode(InlineState):
         self.writer_lock = Lock(sim, name=f"{self._name}.writer")
         self._contents: Dict[str, Payload] = {}
         self._versions: Dict[str, int] = {}
-        # Checksum records (HDFS keeps a CRC file beside every block);
-        # updated on store, *not* by media decay -- the scrubber's anchor.
-        self._checksums: Dict[str, int] = {}
+        # Checksum records (HDFS keeps a CRC file beside every block):
+        # the payload as stored, whose cached CRC is computed on first
+        # read.  Updated on store, *not* by media decay -- the scrubber's
+        # anchor.
+        self._checksums: Dict[str, Payload] = {}
         self.alive = True
         self.stats_blocks_written = 0
         self.stats_blocks_read = 0
@@ -89,18 +91,16 @@ class DataNode(InlineState):
     # Content store (the data plane).
     # ------------------------------------------------------------------
     def store_content(self, block_name: str, payload: Payload, version: int) -> None:
-        # CRC-based (never hash(): PYTHONHASHSEED-randomized), so the
-        # checksum record is stable across processes and runs.
         self._contents[block_name] = payload
         self._versions[block_name] = version
-        self._checksums[block_name] = payload.checksum()
+        self._checksums[block_name] = payload
 
     def content_checksum_ok(self, block_name: str) -> bool:
         """Does the stored content still match its checksum record?"""
-        expected = self._checksums.get(block_name)
-        if expected is None:
+        record = self._checksums.get(block_name)
+        if record is None:
             return False
-        return self.content_of(block_name).checksum() == expected
+        return self.content_of(block_name).checksum() == record.checksum()
 
     def content_of(self, block_name: str) -> Payload:
         try:

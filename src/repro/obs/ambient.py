@@ -8,7 +8,9 @@ owns one :class:`Slot`; ``with module.capture(...)`` occupies it for a
 block, and whoever needs the observer inside the block asks the slot.
 A Simulator asks once, at construction (and again when restored from a
 snapshot), and keeps what it found: one built outside the block never
-sees the observer, one built inside keeps it after the block ends.
+sees the observer, one built inside keeps it after the block ends -- the
+sampler and the profiler for as long as their owner still holds them
+(they hold what they read, so the simulator holds them weakly).
 
 This is the only ambient mechanism under ``src/repro/`` (pinned by
 ``tests/test_lint_tree.py::test_ambient_slot_inventory``).

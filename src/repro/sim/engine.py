@@ -49,12 +49,13 @@ dispatch.
 from __future__ import annotations
 
 import heapq
+import weakref
 from collections import deque
 from typing import Any, Callable, Deque, Dict, Generator, Iterable, List, Optional, Tuple
 
 from repro.errors import SimulationError
-from repro.obs.simprofile import active_profiler
-from repro.obs.timeseries import active_sampler
+from repro.obs.simprofile import SimProfiler, active_profiler
+from repro.obs.timeseries import Sampler, active_sampler
 from repro.obs.tracer import active_tracer
 
 # A process body: a generator that yields Events and may return a value.
@@ -368,6 +369,11 @@ class Process(Event):
         target.add_callback(self._rcb)
 
     def _finish_ok(self, value: Any) -> None:
+        # The body is done: drop its prebound resumers (``_rcb`` is a
+        # bound method of this process, so keeping it makes every
+        # finished process a reference cycle).  Every resume path tests
+        # ``triggered`` before reaching them.
+        del self._send, self._bthrow, self._rcb
         sim = self.sim
         sim._live_processes -= 1
         trace = sim.trace
@@ -379,6 +385,7 @@ class Process(Event):
         self.succeed(value)
 
     def _finish_fail(self, exc: BaseException) -> None:
+        del self._send, self._bthrow, self._rcb  # see _finish_ok
         sim = self.sim
         sim._live_processes -= 1
         trace = sim.trace
@@ -515,14 +522,30 @@ class Simulator:
         instant via the ordinary ``until`` mechanism -- never touch the
         schedule or the sequence counter, so observed and bare runs
         execute identical schedules.
+
+        The sampler and the profiler are held weakly: each keeps the
+        components it reads alive (the watched cluster, the auditor's
+        hook, the flush-hook owners), so a strong link back would make
+        every observed cluster a reference cycle.  Their owner is whoever
+        captured them; one nobody holds any more has no reader left.
         """
         self.trace = active_tracer()
         if self.trace.enabled:
             self.trace.register_run()
-        self._profile = active_profiler()
-        self._sampler = active_sampler()
-        if self._sampler is not None:
-            self._sampler.register_run(self.now)
+        profile = active_profiler()
+        self._profile_ref = None if profile is None else weakref.ref(profile)
+        sampler = active_sampler()
+        self._sampler_ref = None if sampler is None else weakref.ref(sampler)
+        if sampler is not None:
+            sampler.register_run(self.now)
+
+    @property
+    def _profile(self) -> Optional[SimProfiler]:
+        return None if self._profile_ref is None else self._profile_ref()
+
+    @property
+    def _sampler(self) -> Optional[Sampler]:
+        return None if self._sampler_ref is None else self._sampler_ref()
 
     # ------------------------------------------------------------------
     # Snapshot support.
@@ -709,12 +732,16 @@ class Simulator:
         """
         from repro.errors import DeadlockError
 
-        if self._sampler is not None:
-            self._drain_sampled(until, self._sampler)
-        elif self._profile is not None:
-            self._drain_profiled(until, self._profile)
+        sampler, profile = self._sampler, self._profile
+        if sampler is not None:
+            self._drain_sampled(until, sampler)
+        elif profile is not None:
+            self._drain_profiled(until, profile)
         else:
             self._drain(until)
+        # Pooled sleeps point back at this simulator; an idle pool would
+        # make every finished simulator a reference cycle.
+        self._sleep_pool.clear()
         self._raise_orphan_failures()
         if (
             until is None
@@ -904,9 +931,19 @@ class Simulator:
         return proc.value
 
     def _raise_orphan_failures(self) -> None:
-        """Re-raise the first process crash that no waiter ever saw."""
-        for process, exc in self._failed:
-            if not process.observed():
-                self._failed.clear()
-                raise exc
-        self._failed.clear()
+        """Re-raise the first process crash that no waiter ever saw.
+
+        That crash keeps its full traceback.  Every other failure of the
+        run has been delivered to its waiters by now and keeps its type
+        and message only: its traceback holds the engine frame that
+        caught the crash, whose ``self`` is the failed process (a cycle
+        through ``_exception``), and whose caller chain pins every frame
+        up to ``run()``'s caller.
+        """
+        failed, self._failed = self._failed, []
+        orphan = next((exc for process, exc in failed if not process.observed()), None)
+        for _process, exc in failed:
+            if exc is not orphan:
+                exc.__traceback__ = None
+        if orphan is not None:
+            raise orphan

@@ -134,13 +134,15 @@ class BytesPayload(Payload):
         ``accum`` must be a writable uint8 array of matching length owned
         by the caller; it is never retained.  This keeps long XOR chains
         (parity absorption, superchunk reconstruction) copy-free while the
-        payload itself stays immutable.
+        payload itself stays immutable.  A payload known to be zero (see
+        :meth:`xor`) changes nothing and computes nothing.
         """
         if len(accum) != len(self.data):
             raise ValueError(
                 f"payload length mismatch: {len(accum)} vs {len(self.data)}"
             )
-        np.bitwise_xor(accum, self.data, out=accum)
+        if not self._zero:
+            np.bitwise_xor(accum, self.data, out=accum)
 
     def mutable_copy(self) -> np.ndarray:
         """A writable copy of the content, for use as an XOR accumulator."""

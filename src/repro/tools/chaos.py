@@ -516,9 +516,6 @@ def run_chaos(
 
     blocks_fp: List = []
     dfs.sim.run_process(_verify_reads(dfs, expected, problems, blocks_fp))
-    # The dead cluster's failed processes hold tracebacks that keep this
-    # frame alive until a full gc: drop the minted blocks now, not then.
-    expected.clear()
 
     fingerprint = {
         "injections": [

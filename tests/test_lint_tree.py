@@ -146,6 +146,23 @@ def test_environment_switch_inventory():
     assert names == {"RAIDP_JOBS"}
 
 
+def test_no_collector_or_allocator_control():
+    """A run's memory returns through reference counting (DESIGN.md,
+    "Object lifetime"), so nothing under ``src/`` imports ``gc`` or
+    ``ctypes``: a forced collection, a paused collector or tuned
+    thresholds would hide a new reference cycle instead of removing it
+    (``tests/test_lifetime.py`` finds the cycle), and malloc tuning
+    would hide it from the benchmark's peak RSS."""
+    imports = set()
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imports |= {alias.name.split(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imports.add((node.module or "").split(".")[0])
+    assert not imports & {"gc", "ctypes"}
+
+
 def test_settable_value_census():
     """The constructor parameters, config fields and CLI arguments of
     the surfaces that lost a knob, exactly: one comes back on purpose
