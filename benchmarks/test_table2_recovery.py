@@ -2,7 +2,9 @@
 
 from conftest import rows_by_label
 
+from repro.experiments import table2_recovery
 from repro.experiments.table2_recovery import run
+from tests.oracles import assert_rows_agree, table2_differential
 
 
 def test_table2_recovery_runtimes(benchmark, run_once):
@@ -33,3 +35,14 @@ def test_table2_recovery_runtimes(benchmark, run_once):
     assert raid6_1g > 8 * rows["raidp byte_range 4MB @1Gbps"]
     # Larger chunks slow the RAID-6 decode too (cache effects).
     assert rows["raid6 64MB @10Gbps"] >= raid6_10g
+
+
+def test_table2_rows_agree_with_the_chunk_loop(monkeypatch):
+    """All twelve rows on the fluid lane against the per-chunk oracle
+    (``tests.oracles.discrete_lane``): each within 1%, every pair the
+    oracle separates by more than that in the same order.  ~15 s, most
+    of it the oracle's RAID-6 4 MB gathers; tier-1 runs the cheap rows
+    (``tests/test_transfer.py``)."""
+    fluid, oracle = table2_differential(table2_recovery.tasks(), monkeypatch)
+    assert len(oracle) == 12
+    assert_rows_agree(fluid, oracle)

@@ -36,8 +36,9 @@ from repro.errors import DataLossError, MatchingError, RecoveryError, ReproError
 from repro.hdfs.block import BlockLocations
 from repro.hdfs.namenode import healthy_datanode
 from repro.matching.hungarian import DynamicHungarian
+from repro.sim.disk import Disk, DiskGeometry, DiskRun
 from repro.sim.engine import Simulator
-from repro.sim.network import Nic
+from repro.sim.network import Nic, Stage, Switch, Transfer
 from repro.sim.resources import ByteRangeLock, Lock
 from repro.storage.payload import Payload, XorAccumulator
 
@@ -692,64 +693,7 @@ class RecoveryManager:
                 rebuilt[slot] = payload
 
         # --- timed plane: one puller thread per source + one for parity.
-        lock_whole = Lock(self.sim, name="reconstruct")
-        lock_ranges = ByteRangeLock(self.sim, name="reconstruct")
-        # Large chunks miss the last-level cache, so concurrent XOR
-        # threads contend on the receiver's DRAM bandwidth: one streaming
-        # XOR at a time.  Cache-resident (small) chunks XOR in parallel.
-        memory_bus = Lock(self.sim, name="xor-bus")
-        streaming = options.chunk_size > options.cache_threshold
-        nic_of = lambda dn: dn.node.nics[options.nic_index]  # noqa: E731
-        rx_nic = nic_of(receiver)
-
-        def puller(source_dn: RaidpDataNode, source_sc: Optional[int]) -> Generator:
-            """Stream one source (a mirror superchunk, or the parity when
-            ``source_sc`` is None) into the receiver, chunk by chunk."""
-            offset = byte_lo
-            while offset < byte_hi:
-                run = min(options.chunk_size, byte_hi - offset)
-                ops = []
-                if source_sc is not None:
-                    ops.append(
-                        source_dn.disk.start_io(
-                            "read",
-                            source_dn.superchunk_base(source_sc) + offset,
-                            run,
-                        )
-                    )
-                ops.append(
-                    dfs.switch.transfer(nic_of(source_dn), rx_nic, run)
-                )
-                yield self.sim.all_of(ops)
-                # XOR the received chunk into the staging buffer under the
-                # configured correctness lock.  A superchunk-wide lock
-                # serializes everything by itself; byte-range XORs run in
-                # parallel except for the share of a streaming chunk that
-                # contends on DRAM bandwidth (prefetch hides the rest).
-                xor_time = run / options.xor_rate
-                if options.lock_mode == "superchunk":
-                    grant = yield lock_whole.request()
-                    try:
-                        yield self.sim.sleep(options.lock_overhead + xor_time)
-                    finally:
-                        lock_whole.release(grant)
-                else:
-                    grant = yield lock_ranges.acquire(offset, offset + run)
-                    try:
-                        bus_share = options.streaming_bus_share if streaming else 0.0
-                        yield self.sim.sleep(
-                            options.lock_overhead + (1.0 - bus_share) * xor_time
-                        )
-                        if bus_share > 0.0:
-                            bus_grant = yield memory_bus.request()
-                            try:
-                                yield self.sim.sleep(bus_share * xor_time)
-                            finally:
-                                memory_bus.release(bus_grant)
-                    finally:
-                        lock_ranges.release(grant)
-                offset += run
-            return None
+        pullers = _Pullers(dfs, receiver, options, byte_lo, byte_hi)
 
         def writer() -> Generator:
             # Move assembled block files to the receiver's disk.
@@ -765,22 +709,26 @@ class RecoveryManager:
 
         threads = [
             self.sim.process(
-                puller(dfs.datanode_by_name(mirror_name), sc_id),
+                pullers.puller(dfs.datanode_by_name(mirror_name), sc_id),
                 name=f"pull:sc{sc_id}",
             )
             for sc_id, mirror_name in mirrors.items()
         ]
         threads.append(
-            self.sim.process(puller(lost_source, None), name="pull:parity")
+            self.sim.process(pullers.puller(lost_source, None), name="pull:parity")
         )
         yield self.sim.all_of(threads)
         yield self.sim.process(writer(), name="assemble")
         if trace.enabled:
+            # ``bound``: what set the pullers' pace over the longest
+            # constant-rate stretch of any body (absent when every
+            # stream was a single chunk).
+            bound = {"bound": pullers.bound()} if pullers.bodies else {}
             trace.complete(
                 "recovery", "reconstruct", t0, self.sim.now,
                 sc=shared_sc, source=lost_source.name,
                 receiver=receiver_name, bytes=sc_size,
-                pullers=len(threads),
+                pullers=len(threads), **bound,
             )
         return rebuilt
 
@@ -909,12 +857,134 @@ class RecoveryManager:
         )
 
 
+class _Pullers:
+    """The timed plane of one reconstruction (§6.4): a puller thread per
+    source -- each surviving mirror superchunk and the Lstor parity --
+    streams into the receiver, and every chunk is XORed into the staging
+    buffer under the configured lock.
+
+    A stream's first chunk runs chunk by chunk, because it carries the
+    transient: the first wave of arrivals and the first lock convoy.
+    The rest of the stream is one :class:`~repro.sim.network.Transfer`
+    body whose stage -- the XOR behind the shared lock -- overlaps the
+    other streams (DESIGN.md §4c).  ``tests/oracles.py`` keeps the chunk
+    loop over the whole stream as the differential oracle.
+    """
+
+    def __init__(
+        self,
+        dfs: RaidpCluster,
+        receiver: RaidpDataNode,
+        options: RecoveryOptions,
+        byte_lo: int,
+        byte_hi: int,
+    ) -> None:
+        sim = self.sim = dfs.sim
+        self.switch = dfs.switch
+        self.options = options
+        self.rx_nic = receiver.node.nics[options.nic_index]
+        self.byte_lo = byte_lo
+        self.byte_hi = byte_hi
+        self.lock_whole = Lock(sim, name="reconstruct")
+        self.lock_ranges = ByteRangeLock(sim, name="reconstruct")
+        # Large chunks miss the last-level cache, so concurrent XOR
+        # threads contend on the receiver's DRAM bandwidth: one streaming
+        # XOR at a time.  Cache-resident (small) chunks XOR in parallel.
+        self.memory_bus = Lock(sim, name="xor-bus")
+        self.streaming = options.chunk_size > options.cache_threshold
+        # The bodies' view of the same stage: each chunk costs its puller
+        # the lock overhead plus its XOR, and the streams share what the
+        # superchunk lock (or, for streaming chunks, the bus) can pass.
+        chunk = options.chunk_size
+        xor_s = chunk / options.xor_rate
+        self.stage_s = options.lock_overhead + xor_s
+        if options.lock_mode == "superchunk":
+            self.stage = Stage("lock", chunk / self.stage_s)
+        elif self.streaming:
+            self.stage = Stage("bus", chunk / (options.streaming_bus_share * xor_s))
+        else:
+            self.stage = Stage("range")  # disjoint ranges XOR in parallel
+        self.bodies: List[Transfer] = []
+
+    def bound(self) -> Optional[str]:
+        """The constraint over the longest constant-rate segment of any
+        body (``nic``, ``lock``, ``bus``, ``disk`` or ``own``)."""
+        return max(self.bodies, key=lambda body: body.longest).bound
+
+    def puller(self, source_dn: RaidpDataNode, source_sc: Optional[int]) -> Generator:
+        """Stream one source (a mirror superchunk, or the parity when
+        ``source_sc`` is None) into the receiver: its first chunk, then
+        the rest as one body."""
+        sim, options, switch, stage = self.sim, self.options, self.switch, self.stage
+        lock_whole, lock_ranges = self.lock_whole, self.lock_ranges
+        memory_bus = self.memory_bus
+        src_nic = source_dn.node.nics[options.nic_index]
+        disk = source_dn.disk if source_sc is not None else None
+        offset = self.byte_lo
+        start = offset  # on the source disk
+        if source_sc is not None:
+            start += source_dn.superchunk_base(source_sc)
+        size = self.byte_hi - offset
+        run = min(options.chunk_size, size)
+        ops = []
+        if disk is not None:
+            ops.append(disk.start_io("read", start, run))
+        ops.append(switch.transfer(src_nic, self.rx_nic, run))
+        yield sim.all_of(ops)
+        # XOR the received chunk into the staging buffer under the
+        # configured correctness lock.  A superchunk-wide lock serializes
+        # everything by itself; byte-range XORs run in parallel except
+        # for the share of a streaming chunk that contends on DRAM
+        # bandwidth (prefetch hides the rest).  Holding the superchunk
+        # lock or the bus holds the bodies' stage too.
+        xor_time = run / options.xor_rate
+        if options.lock_mode == "superchunk":
+            grant = yield lock_whole.request()
+            try:
+                switch.hold_stage(stage, True)
+                yield sim.sleep(options.lock_overhead + xor_time)
+            finally:
+                switch.hold_stage(stage, False)
+                lock_whole.release(grant)
+        else:
+            grant = yield lock_ranges.acquire(offset, offset + run)
+            try:
+                bus_share = options.streaming_bus_share if self.streaming else 0.0
+                yield sim.sleep(options.lock_overhead + (1.0 - bus_share) * xor_time)
+                if bus_share > 0.0:
+                    bus_grant = yield memory_bus.request()
+                    try:
+                        switch.hold_stage(stage, True)
+                        yield sim.sleep(bus_share * xor_time)
+                    finally:
+                        switch.hold_stage(stage, False)
+                        memory_bus.release(bus_grant)
+            finally:
+                lock_ranges.release(grant)
+        if run < size:
+            body = switch.stream(
+                src_nic, self.rx_nic, size - run, options.chunk_size, self.stage_s,
+                disk=DiskRun(disk, "read", start + run) if disk is not None else None,
+                shared=stage,
+            )
+            self.bodies.append(body)
+            yield body.done
+        return None
+
+
 # ======================================================================
 # RAID-6 rebuild baseline (Table 2, bottom rows).
 # ======================================================================
 class _Raid6Rig:
     """Hardware for the distributed RAID-6 rebuild: one rebuild master,
     two replacement disks, ``surviving_disks`` survivors on one switch.
+
+    Every stream -- a survivor's gather, a replacement's writeback --
+    runs its first chunk chunk by chunk and the rest as one
+    :class:`~repro.sim.network.Transfer` body.  Its stage (the decode)
+    is private: the streams start together and stay in lock step, so it
+    adds serially to every chunk while the master's NIC idles (DESIGN.md
+    §4c).  ``tests/oracles.py`` keeps the chunk loops as the oracle.
 
     The rebuild runs as two strictly sequential phases -- gather+decode,
     then writeback -- which share no simulation state beyond the clock:
@@ -935,9 +1005,6 @@ class _Raid6Rig:
         disk_rate: Optional[float],
         start: float = 0.0,
     ) -> None:
-        from repro.sim.disk import Disk, DiskGeometry
-        from repro.sim.network import Switch
-
         self.chunk_size = chunk_size
         self.sim = Simulator(start=start)
         geometry = (
@@ -961,39 +1028,39 @@ class _Raid6Rig:
 
     def source_stream(self, index: int, data_per_disk: int, xor_rate: float) -> Generator:
         # Each survivor disk has exactly this stream as its client, so
-        # every read finds the queue idle: start_io's single schedule
-        # entry.  Hot loop: locals are pre-bound.
-        sim, chunk_size = self.sim, self.chunk_size
-        start_io = self.source_disks[index].start_io
-        transfer = self.switch.transfer
-        src, master = self.sources[index], self.master
-        all_of, sleep = sim.all_of, sim.sleep
-        offset = 0
-        while offset < data_per_disk:
-            run = min(chunk_size, data_per_disk - offset)
-            read = start_io("read", offset, run)
-            flow = transfer(src, master, run)
-            yield all_of([read, flow])
-            # Decode on the master (serialized per received chunk).
-            yield sleep(run / xor_rate)
-            offset += run
+        # its first read finds the queue idle: start_io's single
+        # schedule entry.
+        chunk_size = self.chunk_size
+        disk, src = self.source_disks[index], self.sources[index]
+        run = min(chunk_size, data_per_disk)
+        read = disk.start_io("read", 0, run)
+        flow = self.switch.transfer(src, self.master, run)
+        yield self.sim.all_of([read, flow])
+        # Decode on the master (serialized per received chunk).
+        yield self.sim.sleep(run / xor_rate)
+        if run < data_per_disk:
+            body = self.switch.stream(
+                src, self.master, data_per_disk - run, chunk_size,
+                chunk_size / xor_rate, disk=DiskRun(disk, "read", run),
+            )
+            yield body.done
         return None
 
     def writeback(self, index: int, data_per_disk: int) -> Generator:
         # Mirror of source_stream: each replacement disk is private to
-        # its writeback stream.
+        # its writeback stream, and a written chunk has no stage.
         chunk_size = self.chunk_size
-        start_io = self.replacement_disks[index].start_io
-        transfer = self.switch.transfer
-        master, dst = self.master, self.replacements[index]
-        all_of = self.sim.all_of
-        offset = 0
-        while offset < data_per_disk:
-            run = min(chunk_size, data_per_disk - offset)
-            flow = transfer(master, dst, run)
-            write = start_io("write", offset, run)
-            yield all_of([flow, write])
-            offset += run
+        disk, dst = self.replacement_disks[index], self.replacements[index]
+        run = min(chunk_size, data_per_disk)
+        flow = self.switch.transfer(self.master, dst, run)
+        write = disk.start_io("write", 0, run)
+        yield self.sim.all_of([flow, write])
+        if run < data_per_disk:
+            body = self.switch.stream(
+                self.master, dst, data_per_disk - run, chunk_size, 0.0,
+                disk=DiskRun(disk, "write", run),
+            )
+            yield body.done
         return None
 
     def read_all(self, data_per_disk: int, xor_rate: float) -> Generator:

@@ -10,11 +10,10 @@ task per seed, warm-started from a shared cluster snapshot), and each
 RAID-6 row splits into its gather/decode phase and its writeback phase
 -- two simulators chained on the exact boundary time, bitwise-identical
 to the monolithic schedule (proved by the differential test against
-the single-simulator oracle in ``tests/oracles.py``).  Cost
-annotations let the parallel runner start the dominant RAID-6 4 MB
-gathers first, then the 4 MB RAIDP rebuilds, instead of letting them
-serialize the tail of a ``--jobs N`` run behind a queue of sub-second
-64 MB tasks.
+the single-simulator oracle in ``tests/oracles.py``).  Every rebuild
+stream runs its first chunk discretely and the rest as one fluid
+``Transfer`` body (DESIGN.md §4c), so the whole table is a fraction of
+a second; the cost annotations start the RAIDP rebuilds first.
 """
 
 from __future__ import annotations
@@ -80,24 +79,17 @@ def task_deps(key: TaskKey) -> Tuple[TaskKey, ...]:
 
 
 def task_cost(key: TaskKey) -> float:
-    """Relative wall-clock weight (measured at smoke scale, in seconds).
+    """Relative wall-clock weight (measured at smoke scale, in
+    milliseconds, medians of five runs on a 2-vCPU x86 host).
 
-    Host cost follows the chunk count, so the 4 MB tasks are the whole
-    table: a RAID-6 gather is 4.3 s and its writeback 1.2 s, a RAIDP
-    rebuild 1.4 s (0.95 s under the superchunk lock at 10 Gbps, where
-    serialized XORs leave the network timer little to do), and every
-    64 MB task is under a third of a second.  Longest-first dispatch
-    off these weights is what lets ``--jobs N`` beat the
-    one-straggler-serializes-everything schedule.
+    Every stream is one discrete chunk plus one fluid body, so host cost
+    no longer follows the chunk count: a RAIDP rebuild is ~4 ms at any
+    chunk size or NIC, most of it the warm-start snapshot restore; a
+    RAID-6 gather is ~0.4 ms and its writeback ~0.2 ms.
     """
-    small_chunks = key[2 if key[0] == "raidp" else 1] == 4 * units.MiB
-    if key[0] == "raid6":
-        if key[3] == "read":
-            return 4.3 if small_chunks else 0.3
-        return 1.2 if small_chunks else 0.08
-    if not small_chunks:
-        return 0.08
-    return 0.95 if (key[1], key[3]) == ("superchunk", 0) else 1.4
+    if key[0] == "raidp":
+        return 4.0
+    return 0.4 if key[3] == "read" else 0.2
 
 
 def _nic_rate(nic_index: int) -> float:

@@ -18,7 +18,7 @@ from __future__ import annotations
 import ast
 from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
 
-from .cfg import CFG
+from .cfg import CFG, CFGNode
 from .dataflow import GenKillAnalysis, run_forward
 from .engine import FileContext, Finding, Rule
 from .rules import _dotted
@@ -36,6 +36,13 @@ def _names_loaded(stmt: ast.AST) -> Set[str]:
 # ----------------------------------------------------------------------
 #: token = (grant var, acquiring node index, receiver repr)
 _Token = Tuple[str, int, str]
+
+
+class _NormalPaths(GenKillAnalysis[_Token]):
+    """The live-acquire analysis with exception edges carrying nothing."""
+
+    def transfer_exc(self, node: CFGNode, state: FrozenSet[_Token]) -> FrozenSet[_Token]:
+        return self._empty
 
 
 class ResourceLeakRule(Rule):
@@ -141,21 +148,24 @@ class ResourceLeakRule(Rule):
                 if node.in_cleanup:
                     exc_kills.setdefault(node.index, set()).update(released_in_cleanup)
 
+        frozen_kills = {index: frozenset(ts) for index, ts in kills.items()}
         analysis = GenKillAnalysis(
             gens,
-            {index: frozenset(ts) for index, ts in kills.items()},
+            frozen_kills,
             {index: frozenset(ts) for index, ts in exc_kills.items()},
         )
         in_states, _out = run_forward(cfg, analysis)
-        live_normal = in_states[CFG.EXIT] or frozenset()
-        live_exc = in_states[CFG.RAISE_EXIT] or frozenset()
+        live = (in_states[CFG.EXIT] or frozenset()) | (in_states[CFG.RAISE_EXIT] or frozenset())
+        # Which leaks a path free of exceptions carries.  A finally body
+        # is built once, so a token that entered it on an exception edge
+        # would otherwise ride on along the finally's normal exit too.
+        normal_states, _out = run_forward(cfg, _NormalPaths(gens, frozen_kills))
+        live_normal = normal_states[CFG.EXIT] or frozenset()
         for token in tokens:
             var, acq_index, receiver = token
-            on_normal = token in live_normal
-            on_exc = token in live_exc
-            if not on_normal and not on_exc:
+            if token not in live:
                 continue
-            if on_normal:
+            if token in live_normal:
                 how = "a return path"
                 fix = "release it on every path (try/finally)"
             else:

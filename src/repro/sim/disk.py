@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Generator, List, Optional
+from typing import Callable, Dict, Generator, List, Optional, Sequence, Tuple
 
 from repro import units
 from repro.errors import DiskFailedError
@@ -70,6 +70,15 @@ class DiskGeometry(InlineState):
 
     def transfer_time(self, nbytes: int) -> float:
         return nbytes / self.transfer_rate
+
+    def reposition_time(self, distance: float) -> float:
+        """Seek plus any rotational loss of a head move of ``distance``."""
+        if distance == 0:
+            return 0.0
+        seek = self.seek_time(int(distance))
+        if distance > self.near_threshold:
+            seek += self.rotational_latency
+        return seek
 
 
 def ssd_geometry(
@@ -147,6 +156,15 @@ class Disk(InlineState):
         self.queue_gauge = TimeWeightedGauge(start_time=sim.now)
         self.io_latency = Histogram(bounds=(0.001, 0.005, 0.02, 0.1, 0.5, 2.0))
         self._queue = Resource(sim, capacity=1, name=f"{name}.queue")
+        #: Open stream-body runs (see :class:`DiskRun`), in opening order
+        #: -> (the callback that cuts the run off if the disk dies, the one
+        #: that tells its body the disk changed hands).
+        self._runs: Dict[
+            "DiskRun", Tuple[Callable[[DiskFailedError], None], Callable[[], None]]
+        ] = {}
+        #: The queued I/O holding the FIFO slot is letting the open runs
+        #: take their turn first (:meth:`_yield_to_runs`).
+        self._runs_turn = False
 
     def audit_state(self) -> List[str]:
         """Internal-consistency problems, as strings (empty = healthy).
@@ -168,14 +186,66 @@ class Disk(InlineState):
             )
         if self.stats.bytes_read < 0 or self.stats.bytes_written < 0:
             problems.append(f"disk {self.name}: negative byte accounting")
+        if self.failed and self._runs:
+            problems.append(f"disk {self.name}: a stream run outlived the disk")
         return problems
 
     # ------------------------------------------------------------------
     # Failure injection.
     # ------------------------------------------------------------------
     def fail(self) -> None:
-        """Mark the disk failed; all subsequent I/O raises."""
+        """Mark the disk failed; all subsequent I/O raises, and every
+        open stream run is cut off at this instant."""
         self.failed = True
+        for cut, _wake in list(self._runs.values()):
+            cut(DiskFailedError(f"I/O on failed disk {self.name}"))
+
+    # ------------------------------------------------------------------
+    # Open runs and the FIFO.  A run does not queue, so the disk shares
+    # itself out: a queued I/O that holds the FIFO slot first lets every
+    # open run take the chunk it would have had queued ahead of it (the
+    # runs' turn: one chunk apiece at the media rate), then stalls them
+    # while it is served.  Back-to-back queued I/O thus alternates with
+    # the runs chunk by chunk, as the chunk loops they stand for would.
+    # ------------------------------------------------------------------
+    def _wake_runs(self) -> None:
+        """Tell the open runs' bodies the disk changed hands."""
+        for _cut, wake in self._runs.values():
+            wake()
+
+    def _yield_to_runs(self) -> Generator:
+        """The runs' turn, taken by the queued I/O holding the slot
+        (process body: drive with ``yield from`` right after the grant);
+        leaves the runs stalled behind the I/O."""
+        self._runs_turn = True
+        self._wake_runs()
+        try:
+            transfer_time = self.geometry.transfer_time
+            yield self.sim.sleep(math.fsum(transfer_time(run.chunk) for run in self._runs))
+        finally:
+            self._runs_turn = False
+            self._wake_runs()
+
+    def run_rate(self, runs: Sequence[Tuple[float, int]]) -> float:
+        """Bytes/s the disk passes to its open runs together, given each
+        run's (head position, chunk) in opening order.
+
+        Nothing while a queued I/O is served (or the disk is dead); the
+        media rate for a lone run; and for several, whose chunk reads
+        interleave through the FIFO in turn, the media rate less the
+        head move from each chunk's end to the next run's head.
+        """
+        if self.failed or (self._queue.in_use and not self._runs_turn):
+            return 0.0
+        geometry = self.geometry
+        if len(runs) < 2:
+            return geometry.transfer_rate
+        ends = [head + chunk for head, chunk in runs]
+        busy = math.fsum(
+            geometry.transfer_time(chunk) + geometry.reposition_time(abs(head - ends[i - 1]))
+            for i, (head, chunk) in enumerate(runs)
+        )
+        return math.fsum(chunk for _head, chunk in runs) / busy
 
     def repair(self) -> None:
         """Bring a (replaced) disk back; its content is gone, head at 0."""
@@ -191,7 +261,9 @@ class Disk(InlineState):
     # them with ``yield from``.  start_io returns an event to wait on
     # beside other events.  A latency sample is recorded for an I/O that
     # ran, never for one refused at its grant because the disk died
-    # while it queued: nothing was charged for that one.
+    # while it queued: nothing was charged for that one.  With runs open,
+    # every one of them gives the runs their turn once it holds the FIFO
+    # slot, and wakes them when it frees it.
     # ------------------------------------------------------------------
     def read(self, offset: int, nbytes: int) -> Generator:
         """Read ``nbytes`` at ``offset``; returns the I/O duration."""
@@ -218,6 +290,8 @@ class Disk(InlineState):
             self.queue_gauge.adjust(-1.0, sim.now)
             raise
         try:
+            if self._runs:
+                yield from self._yield_to_runs()
             self._check_alive()
             delay = self.geometry.seek_min + self.geometry.rotational_latency
             yield sim.sleep(delay)
@@ -227,6 +301,8 @@ class Disk(InlineState):
         finally:
             self.queue_gauge.adjust(-1.0, sim.now)
             self._queue.release(grant)
+            if self._runs:
+                self._wake_runs()
         trace = sim.trace
         if trace.enabled:
             trace.complete("disk", "sync", t0, sim.now, disk=self.name)
@@ -262,6 +338,8 @@ class Disk(InlineState):
             self.queue_gauge.adjust(-1.0, sim.now)
             raise
         try:
+            if self._runs:
+                yield from self._yield_to_runs()
             self._check_alive()
             duration = self._charge("read", offset, read_bytes)
             # Rewrite of the just-read region: reduced rotational delay.
@@ -277,6 +355,8 @@ class Disk(InlineState):
         finally:
             self.queue_gauge.adjust(-1.0, sim.now)
             self._queue.release(grant)
+            if self._runs:
+                self._wake_runs()
         trace = sim.trace
         if trace.enabled:
             trace.complete("disk", "rmw", t0, sim.now, disk=self.name, bytes=nbytes)
@@ -301,6 +381,8 @@ class Disk(InlineState):
             queue_gauge.adjust(-1.0, sim.now)
             raise
         try:
+            if self._runs:
+                yield from self._yield_to_runs()
             if self.failed:
                 raise DiskFailedError(f"I/O on failed disk {self.name}")
             duration = self._charge(kind, offset, nbytes)
@@ -311,6 +393,8 @@ class Disk(InlineState):
         finally:
             queue_gauge.adjust(-1.0, sim.now)
             self._queue.release(grant)
+            if self._runs:
+                self._wake_runs()
         trace = sim.trace
         if trace.enabled:
             trace.complete("disk", kind, t0, sim.now, disk=self.name, bytes=nbytes)
@@ -326,7 +410,8 @@ class Disk(InlineState):
         out of bounds, failed before, failed while the head moved --
         arrives through the event, never at the call.
 
-        When the FIFO queue is idle the I/O takes its slot at the call,
+        When the FIFO queue is idle and no run is open (no turn to
+        give, :meth:`_yield_to_runs`) the I/O takes its slot at the call,
         is charged at once and costs one schedule entry: the returned
         timeout, whose first callback closes the accounting and releases
         the slot (handing it to whoever queued meanwhile) before any
@@ -341,6 +426,7 @@ class Disk(InlineState):
         grant = None
         if not (
             self.failed
+            or self._runs
             or offset < 0
             or nbytes < 0
             or offset + nbytes > self.geometry.capacity
@@ -359,6 +445,8 @@ class Disk(InlineState):
             queue_gauge.adjust(-1.0, now)
             self.io_latency.observe(now - t0)
             queue.release(grant)
+            if self._runs:
+                self._wake_runs()
             if self.failed:
                 # Waiters attach after this callback, so they all see
                 # the failure, as if the event had been failed outright.
@@ -377,9 +465,7 @@ class Disk(InlineState):
         distance = abs(offset - self.head)
         duration = geometry.transfer_time(nbytes)
         if distance != 0:
-            seek = geometry.seek_time(distance)
-            if distance > geometry.near_threshold:
-                seek += geometry.rotational_latency
+            seek = geometry.reposition_time(distance)
             duration += seek
             self.stats.seeks += 1
             self.stats.seek_seconds += seek
@@ -407,3 +493,76 @@ class Disk(InlineState):
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "FAILED" if self.failed else "ok"
         return f"<Disk {self.name} {state} head={self.head} ios={self.stats.ios}>"
+
+
+class DiskRun:
+    """A stream body's side of a disk: the sequential run it reads or
+    writes from ``offset`` on (:meth:`repro.sim.network.Switch.stream`).
+
+    The third way to await a disk I/O (DESIGN.md §7.3).  The run is one
+    long I/O, ``chunk`` bytes at a time, that does not take the FIFO
+    slot; instead the disk is a shared constraint of the bodies on it
+    (:meth:`Disk.run_rate`): the open runs split its rate, and a queued
+    I/O gives them their turn and then stalls them while it is served.
+    The run counts in the queue gauge while open, and its bytes, busy
+    seconds and trace span are charged when it closes -- with the bytes
+    the body actually moved, so a run the disk's death cuts short
+    charges what it read, as one sequential transfer.  No latency sample
+    is taken, and the head moves between interleaved runs slow them
+    without counting as seeks: the chunk I/Os the run stands for are not
+    simulated one by one.
+    """
+
+    __slots__ = ("disk", "kind", "offset", "chunk", "t0")
+
+    def __init__(self, disk: Disk, kind: str, offset: int) -> None:
+        self.disk = disk
+        self.kind = kind
+        self.offset = offset
+        self.chunk = 0
+        self.t0 = 0.0
+
+    @property
+    def rate(self) -> float:
+        return self.disk.geometry.transfer_rate
+
+    def open(
+        self,
+        nbytes: int,
+        chunk: int,
+        cut: Callable[[DiskFailedError], None],
+        wake: Callable[[], None],
+    ) -> Optional[DiskFailedError]:
+        """Start the run of ``nbytes``, ``chunk`` at a time; ``cut`` is
+        called if the disk dies before it closes, ``wake`` whenever the
+        disk changes hands between the runs and a queued I/O meanwhile.
+        Returns the error instead when the disk is dead now."""
+        disk = self.disk
+        if self.offset < 0 or self.offset + nbytes > disk.geometry.capacity:
+            raise ValueError(
+                f"{self.kind} run outside disk {disk.name}: "
+                f"offset={self.offset} nbytes={nbytes}"
+            )
+        if disk.failed:
+            return DiskFailedError(f"I/O on failed disk {disk.name}")
+        self.chunk = chunk
+        self.t0 = disk.sim.now
+        disk.queue_gauge.adjust(1.0, self.t0)
+        disk._runs[self] = (cut, wake)
+        return None
+
+    def close(self, nbytes: int) -> None:
+        """End the run, charging the ``nbytes`` it moved."""
+        disk = self.disk
+        sim = disk.sim
+        del disk._runs[self]
+        disk.queue_gauge.adjust(-1.0, sim.now)
+        # One sequential transfer, as the body's rate paid for it: a seek
+        # to the run's start from wherever the head was left is not.
+        disk.head = self.offset
+        disk._charge(self.kind, self.offset, nbytes)
+        trace = sim.trace
+        if trace.enabled:
+            trace.complete(
+                "disk", self.kind, self.t0, sim.now, disk=disk.name, bytes=nbytes
+            )

@@ -35,6 +35,13 @@ filling loop are test-side code: ``Switch`` subclasses in
 ``tests/oracles.py``, the oracles for the differential tests in
 ``tests/test_network_solver.py``.
 
+A chunked stream's *body* -- every chunk after its first -- can run as
+one :class:`Transfer` (:meth:`Switch.stream`): a flow that also crosses
+the disk it reads or writes, the shared stage its chunks queue for and
+its own chunk-cycle cap, and whose solved share is paced into one chunk
+per cycle.  Bodies take the general arm; the star arm keeps two-port
+flows.
+
 Per-node accumulated traffic is tracked so experiments can report the
 paper's "accumulated network GB" bars (Fig. 10).
 """
@@ -43,13 +50,16 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
 
 from repro import units
 from repro.errors import SimulationError
 from repro.sim.engine import Event, Simulator
 from repro.sim.stats import TimeWeightedGauge
 from repro.sim.snapshot import InlineState
+
+if TYPE_CHECKING:
+    from repro.sim.disk import Disk, DiskRun
 
 _INF = float("inf")
 
@@ -87,14 +97,19 @@ class _Port:
 
     ``flows`` is a dict used as an ordered set: insertion order is the
     flow arrival order (deterministic), membership/removal are O(1).
+    ``bodies`` counts the :class:`Transfer` bodies among them (the star
+    arm declines any hub that carries one), and ``label`` names the
+    constraint the port stands for when it bounds a body's rate.
     """
 
-    __slots__ = ("nic", "is_tx", "flows")
+    __slots__ = ("nic", "is_tx", "flows", "bodies", "label")
 
-    def __init__(self, nic: Nic, is_tx: bool) -> None:
+    def __init__(self, nic: Nic, is_tx: bool, label: str = "nic") -> None:
         self.nic = nic
         self.is_tx = is_tx
         self.flows: Dict["_Flow", None] = {}
+        self.bodies = 0
+        self.label = label
 
     @property
     def capacity(self) -> float:
@@ -115,6 +130,7 @@ class _Flow:
         "last_update",
         "src_port",
         "dst_port",
+        "ports",
         "seq",
         "deadline",
         "finished",
@@ -128,8 +144,7 @@ class _Flow:
         nbytes: int,
         done: Event,
         now: float,
-        src_port: _Port,
-        dst_port: _Port,
+        ports: Tuple[_Port, ...],
         seq: int,
     ) -> None:
         self.src = src
@@ -140,8 +155,12 @@ class _Flow:
         self.done = done
         self.started_at = now
         self.last_update = now
-        self.src_port = src_port
-        self.dst_port = dst_port
+        # Every port the flow crosses, its NIC ends first: the solver
+        # walks ``ports``; the star arm, which takes two-port flows only,
+        # reads the ends directly.
+        self.ports = ports
+        self.src_port = ports[0]
+        self.dst_port = ports[1]
         self.seq = seq  # arrival order: canonical solve/tie-break order
         self.deadline = _INF  # latest pushed completion deadline
         self.finished = False
@@ -150,6 +169,190 @@ class _Flow:
         # cannot strand a flow.  Precomputed -- it is consulted on every
         # bank of every flow.
         self.threshold = max(1e-6, self.total * 1e-12)
+
+
+class Stage:
+    """A stage the streams of one job pass through behind a shared FIFO
+    lock (a reconstruction's XOR lock, its memory bus).
+
+    The lock staggers the streams, so the stage *overlaps* their wire
+    time: to the solver it is a capacity port of ``rate`` bytes/s that
+    every :class:`Transfer` body naming it shares max-min fairly with
+    the NICs.  A chunk that runs outside any body takes the real lock;
+    while it holds it (:meth:`Switch.hold_stage`) the port passes
+    nothing.  An unbounded stage (the default) has no port -- holders of
+    different byte ranges work in parallel -- but still makes its bodies
+    overlapping ones (see :meth:`Switch.stream`).  The port is a
+    transmit port of a pseudo-NIC whose rate is the stage's capacity.
+    """
+
+    __slots__ = ("name", "rate", "port")
+
+    def __init__(self, name: str, rate: float = _INF) -> None:
+        self.name = name
+        self.rate = rate
+        self.port = None if rate == _INF else _Port(Nic(name, rate), True, name)
+
+    @property
+    def held(self) -> bool:
+        """Does a chunk outside every body hold the lock now?"""
+        return self.port is not None and self.port.nic.tx_rate == 0.0
+
+
+class _DiskPort(_Port):
+    """The disk under one or more bodies' runs: they share its
+    :meth:`~repro.sim.disk.Disk.run_rate` max-min fairly -- its media
+    rate, less the head moves when several runs interleave -- and pass
+    nothing while a queued I/O is served.  One per disk, for as long as
+    a run is open on it (:meth:`Switch.stream`)."""
+
+    __slots__ = ("disk",)
+
+    def __init__(self, disk: "Disk") -> None:
+        super().__init__(Nic(disk.name, disk.geometry.transfer_rate), True, "disk")
+        self.disk = disk
+
+    @property
+    def capacity(self) -> float:
+        return self.disk.run_rate(
+            [
+                (body.disk.offset + body.moved, body.disk.chunk)
+                for body in self.flows
+                if isinstance(body, Transfer) and body.disk is not None
+            ]
+        )
+
+
+class _Cycle:
+    """One chunk of a stream, in seconds: the disk I/O and the wire
+    transfer overlap (plus the switch latency on the wire), then the
+    chunk's stage work follows."""
+
+    __slots__ = ("chunk", "disk_rate", "stage_s")
+
+    def __init__(self, chunk: int, disk_rate: Optional[float], stage_s: float) -> None:
+        self.chunk = chunk
+        self.disk_rate = disk_rate
+        self.stage_s = stage_s
+
+    def disk_bound(self, wire: float) -> bool:
+        """Does the disk, not the wire, set the chunk's I/O time?"""
+        if self.disk_rate is None or wire <= 0:
+            return False
+        return self.chunk / self.disk_rate > self.chunk / wire + Switch.BASE_LATENCY
+
+    def rate(self, wire: float) -> float:
+        """Bytes/s of a stream whose chunks cross the wire at ``wire``."""
+        if wire <= 0:
+            return 0.0
+        io_s = self.chunk / wire + Switch.BASE_LATENCY
+        if self.disk_rate is not None:
+            io_s = max(io_s, self.chunk / self.disk_rate)
+        return self.chunk / (io_s + self.stage_s)
+
+
+class _CyclePort(_Port):
+    """An overlapping body's private port: its own chunk cycle at the
+    source NIC's current transmit rate, which caps the body when no
+    shared constraint does (a small rebuild, a slow source disk)."""
+
+    __slots__ = ("cycle",)
+
+    def __init__(self, nic: Nic, cycle: _Cycle) -> None:
+        super().__init__(nic, True, "own")
+        self.cycle = cycle
+
+    @property
+    def capacity(self) -> float:
+        return self.cycle.rate(self.nic.tx_rate)
+
+
+class Transfer(_Flow):
+    """The body of a chunked stream: every chunk after the first, as one
+    flow whose rate is piecewise-constant (DESIGN.md §4c).
+
+    ``ports`` are the two NIC ends, then -- for an overlapping body -- its
+    shared stage's port (if bounded) and its own :class:`_CyclePort`,
+    then its disk's :class:`_DiskPort` (if it has a run).  The solver
+    hands the body a max-min *share* of them, and :meth:`pace` turns it
+    into the body's rate:
+
+    - **overlapping** (``shared``): the stage sits behind a lock every
+      stream holds in turn, so it runs while other streams are on the
+      wire; the rate is the share itself.
+    - **private**: streams that start together stay in lock step, so
+      the stage adds serially to every chunk and the wire idles during
+      it.  A share set by a NIC is the body's wire rate, and the rate is
+      one chunk per :meth:`_Cycle.rate` cycle at that wire rate; a share
+      set by the disk is its read (or write) rate, and the stage follows
+      each chunk of it.
+
+    The body also records which constraint set its rate over its
+    longest constant-rate segment (``bound``: ``nic``, ``disk``,
+    ``own``, or a stage's name).
+    """
+
+    __slots__ = (
+        "cycle", "disk", "shared", "label", "segment_start", "longest", "bound",
+    )
+
+    def __init__(
+        self,
+        src: Nic,
+        dst: Nic,
+        nbytes: int,
+        done: Event,
+        now: float,
+        ports: Tuple[_Port, ...],
+        seq: int,
+        cycle: _Cycle,
+        disk: Optional["DiskRun"],
+        shared: bool,
+    ) -> None:
+        super().__init__(src, dst, nbytes, done, now, ports, seq)
+        self.cycle = cycle
+        self.disk = disk
+        self.shared = shared
+        self.label: Optional[str] = None
+        self.segment_start = now
+        self.longest = -1.0
+        self.bound: Optional[str] = None
+
+    def pace(self, share: float, port: _Port, now: float) -> float:
+        """The rate of a body the solver froze at ``share`` on ``port``."""
+        cycle = self.cycle
+        if self.shared:
+            rate = share
+            label = port.label
+            if label == "own" and cycle.disk_bound(self.src.tx_rate):
+                label = "disk"
+        elif port.label == "disk":
+            rate = cycle.chunk / (cycle.chunk / share + cycle.stage_s) if share > 0 else 0.0
+            label = "disk"
+        else:
+            rate = cycle.rate(share)
+            label = "disk" if cycle.disk_bound(share) else "nic"
+        if rate != self.rate or label != self.label:
+            self._end_segment(now)
+            self.label = label
+        return rate
+
+    def _end_segment(self, now: float) -> None:
+        if self.label is not None and now - self.segment_start > self.longest:
+            self.longest = now - self.segment_start
+            self.bound = self.label
+        self.segment_start = now
+
+    @property
+    def moved(self) -> int:
+        """Whole bytes banked so far."""
+        return int(round(self.total - max(self.remaining, 0.0)))
+
+    def close(self, now: float) -> None:
+        """The body left the switch: settle its bound and its disk run."""
+        self._end_segment(now)
+        if self.disk is not None:
+            self.disk.close(self.moved)
 
 
 class Switch(InlineState):
@@ -177,6 +380,8 @@ class Switch(InlineState):
         #: batched solve at the timestamp boundary.
         self._pending_dirty: Dict[_Port, None] = {}
         self._flush_scheduled = False
+        #: The port of each disk that open body runs are on.
+        self._disk_ports: Dict["Disk", _DiskPort] = {}
         self.total_bytes = 0
         #: Exact work counters: non-empty solves, and filling steps
         #: (port offers evaluated + flows rated) summed over them.
@@ -247,14 +452,17 @@ class Switch(InlineState):
         src_port = self._port(src, is_tx=True)
         dst_port = self._port(dst, is_tx=False)
         self._flow_seq += 1
-        flow = _Flow(
-            src, dst, nbytes, done, now, src_port, dst_port, self._flow_seq
-        )
+        flow = _Flow(src, dst, nbytes, done, now, (src_port, dst_port), self._flow_seq)
         self._flows[flow] = None
         src_port.flows[flow] = None
         dst_port.flows[flow] = None
+        self._arrive(flow, now)
+        return done
+
+    def _arrive(self, flow: _Flow, now: float) -> None:
+        """Count a registered flow in and queue its ports for the solve."""
         self.flows_gauge.adjust(1.0, now)
-        trace = sim.trace
+        trace = self.sim.trace
         if trace.enabled:
             trace.count("net", "active_flows", now, len(self._flows))
         # Batch same-instant arrivals into one boundary solve: a recovery
@@ -264,12 +472,123 @@ class Switch(InlineState):
         # same-instant rates are what every flow's deadline is computed
         # from.
         pending = self._pending_dirty
-        pending[src_port] = None
-        pending[dst_port] = None
+        for port in flow.ports:
+            pending[port] = None
         if not self._flush_scheduled:
             self._flush_scheduled = True
             self.sim.add_flush_hook(self._flush_pending)
-        return done
+
+    def _touch(self, port: _Port) -> None:
+        """Queue ``port`` for the solve at the end of this instant (its
+        disk's FIFO slot was taken or freed)."""
+        self._pending_dirty[port] = None
+        if not self._flush_scheduled:
+            self._flush_scheduled = True
+            self.sim.add_flush_hook(self._flush_pending)
+
+    def stream(
+        self,
+        src: Nic,
+        dst: Nic,
+        nbytes: int,
+        chunk: int,
+        stage_s: float,
+        disk: Optional["DiskRun"] = None,
+        shared: Optional[Stage] = None,
+    ) -> Transfer:
+        """Start the body of a chunked stream: ``nbytes`` more bytes that
+        a chunk loop would move ``chunk`` at a time, as one flow.
+
+        Each chunk would overlap its ``disk`` I/O (if any) with its
+        transfer, then spend ``stage_s`` seconds in a stage.  With a
+        ``shared`` stage the streams overlap it (the body crosses the
+        stage's port and its own chunk-cycle port); without one the
+        stage is private and adds serially to every chunk (see
+        :class:`Transfer`).  A body with a disk run also crosses the
+        disk's port, shared with every other run on that disk.  The rate
+        is re-solved whenever flow membership, a NIC rate or the disk's
+        FIFO slot changes hands, like any flow's.
+
+        The body's ``done`` event fires like :meth:`transfer`'s.  Its
+        disk run is one long I/O: if the disk dies mid-body the body
+        ends at that instant, keeps the bytes it moved, and ``done``
+        fails with the :class:`DiskFailedError`.
+        """
+        if nbytes <= 0 or chunk <= 0:
+            raise ValueError("a stream body needs positive bytes and chunk")
+        sim = self.sim
+        now = sim.now
+        cycle = _Cycle(chunk, disk.rate if disk is not None else None, stage_s)
+        ports: Tuple[_Port, ...] = (self._port(src, is_tx=True), self._port(dst, is_tx=False))
+        if shared is not None:
+            if shared.port is not None:
+                ports += (shared.port,)
+            ports += (_CyclePort(src, cycle),)
+        if disk is not None:
+            disk_port = self._disk_ports.get(disk.disk) or _DiskPort(disk.disk)
+            ports += (disk_port,)
+        self._flow_seq += 1
+        body = Transfer(
+            src, dst, nbytes, sim.event(), now, ports, self._flow_seq,
+            cycle, disk, shared is not None,
+        )
+        if disk is not None:
+            failed = disk.open(
+                nbytes,
+                chunk,
+                lambda error: self._cut(body, error),
+                lambda: self._touch(disk_port),
+            )
+            if failed is not None:
+                body.finished = True
+                body.done.fail(failed)
+                return body
+            self._disk_ports[disk.disk] = disk_port
+        src.stats.flows_started += 1
+        self._flows[body] = None
+        for port in ports:
+            port.flows[body] = None
+            port.bodies += 1
+        self._arrive(body, now)
+        return body
+
+    def hold_stage(self, stage: Stage, held: bool) -> None:
+        """A chunk outside every body takes (``held``) or releases the
+        lock in front of ``stage``: while it holds it, no body passes
+        the stage, and the bodies crossing it are re-solved either way."""
+        port = stage.port
+        if port is None:
+            return
+        port.nic.tx_rate = 0.0 if held else stage.rate
+        if port.flows:
+            self._flush_pending()  # arrivals at this instant came first
+            self._update([port])
+
+    def _cut(self, body: Transfer, error: BaseException) -> None:
+        """The disk under ``body`` died: end the body at this instant.
+
+        It keeps (and accounts) the bytes it moved, leaves the switch,
+        fails its ``done`` with ``error``, and the bandwidth it held is
+        re-solved like any departure's.
+        """
+        # Arrivals queued at this instant preceded the fault.
+        self._flush_pending()
+        now = self.sim.now
+        self._bank((body,), now)
+        self._retire(body)
+        moved = body.moved
+        body.src.stats.bytes_sent += moved
+        body.dst.stats.bytes_received += moved
+        body.src.stats.flows_finished += 1
+        self.total_bytes += moved
+        trace = self.sim.trace
+        if trace.enabled:
+            trace.complete(
+                "net", "flow", body.started_at, now,
+                src=body.src.name, dst=body.dst.name, bytes=moved, cut=True,
+            )
+        body.done.fail(error)
+        self._update(list(body.ports))
 
     def _flush_pending(self) -> None:
         """Solve the arrivals accumulated at the current instant."""
@@ -391,8 +710,8 @@ class Switch(InlineState):
                 hub = port
             elif hub is not port:
                 return None
-        if hub is None:
-            return None
+        if hub is None or hub.bodies:
+            return None  # a body crosses more than two ports: not a star
         flows = hub.flows
         hub_is_tx = hub.is_tx
         spoke_cap = _INF
@@ -450,10 +769,10 @@ class Switch(InlineState):
     def _component(self, dirty_ports: List[_Port]) -> List[_Flow]:
         """Flows in the connected component(s) of the dirty ports.
 
-        Ports are vertices, flows are edges.  Dicts (not sets) keep the
-        traversal order deterministic; the result is sorted by flow
-        arrival order so the solve's tie-breaking matches a global
-        iteration over every flow.
+        Ports are vertices, flows are (hyper)edges over their ports.
+        Dicts (not sets) keep the traversal order deterministic; the
+        result is sorted by flow arrival order so the solve's
+        tie-breaking matches a global iteration over every flow.
         """
         seen_ports: Dict[_Port, None] = dict.fromkeys(dirty_ports)
         flows: Dict[_Flow, None] = {}
@@ -463,7 +782,7 @@ class Switch(InlineState):
             for flow in port.flows:
                 if flow not in flows:
                     flows[flow] = None
-                    for other in (flow.src_port, flow.dst_port):
+                    for other in flow.ports:
                         if other not in seen_ports:
                             seen_ports[other] = None
                             stack.append(other)
@@ -492,8 +811,14 @@ class Switch(InlineState):
         """Drop a finished flow from the global and per-port registries."""
         flow.finished = True
         del self._flows[flow]
-        del flow.src_port.flows[flow]
-        del flow.dst_port.flows[flow]
+        for port in flow.ports:
+            del port.flows[flow]
+        if isinstance(flow, Transfer):
+            for port in flow.ports:
+                port.bodies -= 1
+            if flow.disk is not None and not flow.ports[-1].flows:
+                del self._disk_ports[flow.disk.disk]  # its last run closes
+            flow.close(self.sim.now)
         self.flows_gauge.adjust(-1.0, self.sim.now)
 
     def _deliver(self, flow: _Flow, delivery: Event) -> None:
@@ -535,7 +860,7 @@ class Switch(InlineState):
         remaining_cap: Dict[_Port, float] = {}
         load: Dict[_Port, int] = {}
         for flow in flows:
-            for port in (flow.src_port, flow.dst_port):
+            for port in flow.ports:
                 if port not in remaining_cap:
                     remaining_cap[port] = port.capacity
                     load[port] = 1
@@ -586,22 +911,27 @@ class Switch(InlineState):
             load[bottleneck] = 0  # all of its flows freeze: out of the race
             steps += len(frozen_now)
             for flow in frozen_now:
-                other = flow.dst_port if flow.src_port is bottleneck else flow.src_port
-                remaining_cap[other] -= share
-                other_load = load[other] = load[other] - 1
-                if other_load > 0:
-                    steps += 1
-                    heapq.heappush(
-                        heap,
-                        (
-                            remaining_cap[other] / other_load,
-                            first_seen[other],
-                            other_load,
-                            other,
-                        ),
-                    )
+                for other in flow.ports:
+                    if other is bottleneck:
+                        continue
+                    remaining_cap[other] -= share
+                    other_load = load[other] = load[other] - 1
+                    if other_load > 0:
+                        steps += 1
+                        heapq.heappush(
+                            heap,
+                            (
+                                remaining_cap[other] / other_load,
+                                first_seen[other],
+                                other_load,
+                                other,
+                            ),
+                        )
                 unfrozen.discard(flow)
-                self._set_rate(flow, share, now)
+                if isinstance(flow, Transfer):
+                    self._set_rate(flow, flow.pace(share, bottleneck, now), now)
+                else:
+                    self._set_rate(flow, share, now)
         self.fill_steps += steps
 
     def _set_rate(self, flow: _Flow, rate: float, now: float) -> None:
@@ -639,7 +969,10 @@ class Switch(InlineState):
         if not heap:
             # Arrivals awaiting their boundary solve have no rate yet;
             # the pending flush will arm the timer when it rates them.
-            if self._flows and not self._pending_dirty:
+            # A body behind a held stage or disk resumes at the release.
+            if self._flows and not self._pending_dirty and not all(
+                any(port.capacity <= 0 for port in flow.ports) for flow in self._flows
+            ):
                 raise SimulationError("active flows but no positive rates")
             return
         top = heap[0][0]
@@ -691,8 +1024,8 @@ class Switch(InlineState):
         # flows' ports belong to.
         dirty: Dict[_Port, None] = {}
         for flow in finished:
-            dirty[flow.src_port] = None
-            dirty[flow.dst_port] = None
+            for port in flow.ports:
+                dirty[port] = None
         if dirty:
             self._update(list(dirty))
         else:
@@ -756,6 +1089,9 @@ class Switch(InlineState):
                 problems.append(f"net: flow {label} missing from tx port")
             if flow not in flow.dst_port.flows:
                 problems.append(f"net: flow {label} missing from rx port")
+            for port in flow.ports[2:]:
+                if flow not in port.flows:
+                    problems.append(f"net: flow {label} missing from {port.label} port")
         for ports, side in ((self._tx_ports, "tx"), (self._rx_ports, "rx")):
             for nic, port in ports.items():
                 for flow in port.flows:

@@ -16,13 +16,16 @@ import heapq
 import math
 from typing import Any, Callable, Dict, Optional, Tuple
 
+import pytest
+
 from repro import units
 from repro.analysis.montecarlo import Fleet, _chain_blocked
 from repro.analysis.scheme import DurabilityModelError, Scheme
+from repro.core import recovery
 from repro.core.placement import RaidpPlacement
-from repro.core.recovery import _Raid6Rig, _raid6_xor_rate
+from repro.core.recovery import _Pullers, _Raid6Rig, _raid6_xor_rate
 from repro.errors import PlacementError
-from repro.experiments import ext_scale
+from repro.experiments import ext_scale, table2_recovery
 from repro.faults import DiskLifetimeModel, RepairModel
 from repro.hdfs.block import BlockLocations
 from repro.hdfs.namenode import healthy_datanode
@@ -204,6 +207,135 @@ class FullScanPlacement(RaidpPlacement):
                 pair.insert(0, pair.pop(index))
                 break
         return BlockLocations(block=block, datanodes=pair, sc_id=sc_id, slot=slot)
+
+
+class DiscretePullers(_Pullers):
+    """The fluid body's oracle: every reconstruction stream chunk by
+    chunk, start to end -- the puller loop production ran before its
+    streams got a :class:`~repro.sim.network.Transfer` body.  Substitute
+    it for ``repro.core.recovery._Pullers`` (see :func:`discrete_lane`)."""
+
+    def puller(self, source_dn, source_sc):
+        """Stream one source (a mirror superchunk, or the parity when
+        ``source_sc`` is None) into the receiver, chunk by chunk."""
+        options = self.options
+        byte_lo, byte_hi, rx_nic = self.byte_lo, self.byte_hi, self.rx_nic
+        lock_whole, lock_ranges = self.lock_whole, self.lock_ranges
+        memory_bus, streaming = self.memory_bus, self.streaming
+        nic_of = lambda dn: dn.node.nics[options.nic_index]  # noqa: E731
+        offset = byte_lo
+        while offset < byte_hi:
+            run = min(options.chunk_size, byte_hi - offset)
+            ops = []
+            if source_sc is not None:
+                ops.append(
+                    source_dn.disk.start_io(
+                        "read",
+                        source_dn.superchunk_base(source_sc) + offset,
+                        run,
+                    )
+                )
+            ops.append(
+                self.switch.transfer(nic_of(source_dn), rx_nic, run)
+            )
+            yield self.sim.all_of(ops)
+            xor_time = run / options.xor_rate
+            if options.lock_mode == "superchunk":
+                grant = yield lock_whole.request()
+                try:
+                    yield self.sim.sleep(options.lock_overhead + xor_time)
+                finally:
+                    lock_whole.release(grant)
+            else:
+                grant = yield lock_ranges.acquire(offset, offset + run)
+                try:
+                    bus_share = options.streaming_bus_share if streaming else 0.0
+                    yield self.sim.sleep(
+                        options.lock_overhead + (1.0 - bus_share) * xor_time
+                    )
+                    if bus_share > 0.0:
+                        bus_grant = yield memory_bus.request()
+                        try:
+                            yield self.sim.sleep(bus_share * xor_time)
+                        finally:
+                            memory_bus.release(bus_grant)
+                finally:
+                    lock_ranges.release(grant)
+            offset += run
+        return None
+
+
+class DiscreteRaid6Rig(_Raid6Rig):
+    """The RAID-6 rig's chunk loops over whole streams (the fluid rig's
+    oracle); substitute it for ``repro.core.recovery._Raid6Rig``."""
+
+    def source_stream(self, index, data_per_disk, xor_rate):
+        sim, chunk_size = self.sim, self.chunk_size
+        start_io = self.source_disks[index].start_io
+        transfer = self.switch.transfer
+        src, master = self.sources[index], self.master
+        all_of, sleep = sim.all_of, sim.sleep
+        offset = 0
+        while offset < data_per_disk:
+            run = min(chunk_size, data_per_disk - offset)
+            read = start_io("read", offset, run)
+            flow = transfer(src, master, run)
+            yield all_of([read, flow])
+            # Decode on the master (serialized per received chunk).
+            yield sleep(run / xor_rate)
+            offset += run
+        return None
+
+    def writeback(self, index, data_per_disk):
+        chunk_size = self.chunk_size
+        start_io = self.replacement_disks[index].start_io
+        transfer = self.switch.transfer
+        master, dst = self.master, self.replacements[index]
+        all_of = self.sim.all_of
+        offset = 0
+        while offset < data_per_disk:
+            run = min(chunk_size, data_per_disk - offset)
+            flow = transfer(master, dst, run)
+            write = start_io("write", offset, run)
+            yield all_of([flow, write])
+            offset += run
+        return None
+
+
+def discrete_lane(monkeypatch):
+    """Run every rebuild stream chunk by chunk for the rest of the test:
+    the per-chunk oracle of the fluid lane, with no production switch."""
+    monkeypatch.setattr(recovery, "_Pullers", DiscretePullers)
+    monkeypatch.setattr(recovery, "_Raid6Rig", DiscreteRaid6Rig)
+
+
+def _table2_rows(keys):
+    run_task, task_deps = table2_recovery.run_task, table2_recovery.task_deps
+    values = {}
+    for key in keys:
+        deps = {dep: values[dep] for dep in task_deps(key)}
+        values[key] = run_task(key, deps=deps) if deps else run_task(key)
+    return {key: value for key, value in values.items() if key[-1] != "read"}
+
+
+def table2_differential(keys, monkeypatch):
+    """(fluid rows, oracle rows) of the Table 2 tasks ``keys``, by task."""
+    fluid = _table2_rows(keys)
+    with monkeypatch.context() as patch:
+        discrete_lane(patch)
+        oracle = _table2_rows(keys)
+    return fluid, oracle
+
+
+def assert_rows_agree(fluid, oracle):
+    """Each row within 1%, and every pair of rows the oracle tells apart
+    by more than that keeps its order (the 1 Gbps rows tie to the ulp)."""
+    for key, value in oracle.items():
+        assert fluid[key] == pytest.approx(value, rel=0.01), key
+    for low in oracle:
+        for high in oracle:
+            if oracle[low] < 0.99 * oracle[high]:
+                assert fluid[low] < fluid[high], (low, high)
 
 
 def raid6_rebuild_single_sim(data_per_disk, surviving_disks, chunk_size, nic_rate):

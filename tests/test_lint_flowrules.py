@@ -53,6 +53,27 @@ def test_rdp101_flags_return_path_leak():
     assert "return path" in findings[0].message
 
 
+def test_rdp101_names_the_exception_path_through_an_outer_finally():
+    """The inner span's leak leaves through the outer ``finally``, whose
+    body is built once for every way in: the normal exit it shares with
+    the fault-free path must not make it a return-path leak."""
+    source = (
+        "def worker(outer, inner, sim):\n"
+        "    grant = yield outer.request()\n"
+        "    try:\n"
+        "        inner_grant = yield inner.request()\n"
+        "        yield sim.sleep(1.0)\n"
+        "        inner.release(inner_grant)\n"
+        "    finally:\n"
+        "        outer.release(grant)\n"
+        "    return None\n"
+    )
+    findings = run_rule(ResourceLeakRule(), source)
+    assert rule_ids(findings) == ["RDP101"]
+    assert "'inner_grant'" in findings[0].message
+    assert "exception path" in findings[0].message
+
+
 def test_rdp101_accepts_try_finally():
     source = (
         "def worker(res, sim):\n"

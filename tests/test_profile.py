@@ -16,6 +16,7 @@ from repro.obs import simprofile
 from repro.obs.simprofile import SimProfiler, classify_code
 from repro.obs.taxonomy import is_registered
 from repro.units import MiB
+from tests.oracles import discrete_lane
 
 
 def _dfsio_run():
@@ -97,9 +98,12 @@ def test_run_slice_resolves_task_dependencies():
     assert wall > 0.0
 
 
-def test_cli_report_and_json_export(tmp_path, capsys):
+def test_cli_report_and_json_export(tmp_path, capsys, monkeypatch):
+    """On the per-chunk oracle (``tests.oracles.discrete_lane``): a
+    175k-event slice, whose exact network work is the pinned footer."""
     from repro.tools.profile import main
 
+    discrete_lane(monkeypatch)
     out = tmp_path / "profile.json"
     assert main(["table2", "--tasks", "1", "--json", str(out)]) == 0
     text = capsys.readouterr().out
@@ -122,6 +126,8 @@ def test_cli_report_and_json_export(tmp_path, capsys):
 
 
 def test_step_summary_written_when_env_set(tmp_path, monkeypatch):
+    """The same slice on the fluid lane: each stream's first chunk plus
+    one body, so the footer counts a few dozen solves."""
     from repro.tools.profile import main
 
     summary = tmp_path / "summary.md"
@@ -129,4 +135,7 @@ def test_step_summary_written_when_env_set(tmp_path, monkeypatch):
     assert main(["table2", "--tasks", "1"]) == 0
     content = summary.read_text()
     assert "| # | category | callsite |" in content
-    assert "`work: net_solves_total=46,043, " in content
+    assert (
+        "`work: net_solves_total=30, net_deadline_pushes_total=152, "
+        "net_timer_idle_total=1`"
+    ) in content

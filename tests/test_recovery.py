@@ -14,6 +14,7 @@ from repro.core.recovery import RecoveryManager, RecoveryOptions
 from repro.errors import RecoveryError
 from repro.hdfs.config import DfsConfig
 from repro.sim.cluster import ClusterSpec
+from tests.oracles import discrete_lane
 
 
 def sparse_cluster(num_nodes=8, per_disk=3, payload_mode="bytes", **raidp_kwargs):
@@ -261,14 +262,18 @@ def test_double_recovery_freezes_superchunks_in_sorted_order():
 # ----------------------------------------------------------------------
 # A source disk dying under a puller (regression for the event-form read).
 # ----------------------------------------------------------------------
-def test_source_disk_failing_mid_chunk_is_a_tolerated_loss():
-    """The puller awaits its source read as an event beside the network
+def _fail_source_mid_chunk():
+    """Kill a mirror puller's source disk inside its first 1 MiB read
+    (4 MiB superchunks: every stream is that chunk plus a 3 MiB body).
+
+    The puller awaits its source read as an event beside the network
     flow.  A disk that dies while the head moves must fail that event at
     the read's own completion time -- never raise at the call, never
     strand the queue slot -- so ``all_of`` fails, the monitor's
     ``tolerate_loss`` mode records the superchunk as lost, and the
-    surviving pullers' flows drain on their own.  Instants and counters
-    are the values the process-wrapped read produced before."""
+    surviving pullers drain on their own.  Returns (report instant, end
+    instant, solves, deadline pushes), checking what must hold on either
+    lane along the way."""
     dfs = sparse_cluster(num_nodes=8, per_disk=3, payload_mode="tokens")
     write_some_data(dfs, files=6)
     a, b = pick_sharing_pair(dfs)
@@ -308,12 +313,31 @@ def test_source_disk_failing_mid_chunk_is_a_tolerated_loss():
     assert str(error) == f"I/O on failed disk {victim.disk.name}"
     # Reported when the doomed read would have completed, with the other
     # pullers' chunks still on the wire; they finish and nothing leaks.
-    assert seen["at"].hex() == "0x1.05cf8a351c7f0p-7"
     assert (seen["active"], seen["audit"]) == (3, [])
-    assert (sim.now - t0).hex() == "0x1.4bb81c4f3a31ep-4"
     assert dfs.switch.active_flows == 0
     assert dfs.switch.audit_flow_conservation() == []
-    assert (dfs.switch.solves, dfs.switch.deadline_pushes) == (45, 69)
     assert victim.disk.stats.reads == 1
     assert victim.disk._queue.in_use == 0 and victim.disk._queue.queue_length == 0
     assert victim.disk.audit_state() == []
+    switch = dfs.switch
+    return (seen["at"].hex(), (sim.now - t0).hex(), switch.solves, switch.deadline_pushes)
+
+
+def test_source_disk_failing_mid_chunk_is_a_tolerated_loss(monkeypatch):
+    """On the per-chunk oracle (``tests.oracles.discrete_lane``), the
+    instants and counters the process-wrapped read produced before."""
+    discrete_lane(monkeypatch)
+    assert _fail_source_mid_chunk() == (
+        "0x1.05cf8a351c7f0p-7", "0x1.4bb81c4f3a31ep-4", 45, 69
+    )
+
+
+def test_source_disk_failing_mid_chunk_fluid_lane():
+    """The fault falls inside the first chunk, which the fluid lane runs
+    chunk by chunk too: the loss is reported at the oracle's instant.
+    The two survivors then drain as 3 MiB bodies, 1.9% sooner than
+    chunk by chunk (the bodies overlap their XORs with the wire fully;
+    two chunk loops only partly), with fewer solves and deadlines."""
+    assert _fail_source_mid_chunk() == (
+        "0x1.05cf8a351c7f0p-7", "0x1.45bea1df93dc4p-4", 39, 61
+    )

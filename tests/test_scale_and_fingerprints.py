@@ -11,8 +11,9 @@ Two guarantees ride on the incremental network solver:
 
 The two cheap Table 2 RAIDP rows (64 MB chunks @10G) are pinned the same
 way -- seconds by ``float.hex`` plus the solver's and the engine's exact
-work counters -- so a host-cost change in the reconstruction path has to
-show that it moved no simulated float.
+work counters -- on the fluid lane and on its per-chunk oracle, so a
+host-cost change in the reconstruction path has to show that it moved
+no simulated float.
 """
 
 import pytest
@@ -25,7 +26,7 @@ from repro.sim import cluster as sim_cluster
 from repro.sim.cluster import ClusterSpec
 from repro.sim.network import Switch
 from repro.workloads.dfsio import dfsio_read, dfsio_write
-from tests.oracles import ReferenceSwitch
+from tests.oracles import ReferenceSwitch, discrete_lane
 
 
 def _fingerprint(switch_class, monkeypatch, seed=42):
@@ -117,6 +118,22 @@ def test_ext_scale_512_node_write_reproduces_the_pinned_point():
     assert dfs.switch.fill_steps == 21710
 
 
+def _table2_raidp_64mb_row(lock_mode):
+    """table2_recovery.run_task(("raidp", lock_mode, 64 MiB, 0, 1)),
+    spelled out to keep hold of the cluster and read its counters."""
+    from repro.core.recovery import RecoveryManager, RecoveryOptions
+    from repro.experiments.common import build_raidp_warm, pick_scale
+
+    dfs = build_raidp_warm(pick_scale(False), seed=1)
+    options = RecoveryOptions(lock_mode=lock_mode, chunk_size=64 * units.MiB, nic_index=0)
+    report = RecoveryManager(dfs).recover_double_failure(
+        "n0", "n1", options=options, remirror_rest=False, install=False
+    )
+    switch = dfs.switch
+    work = (switch.solves, switch.fill_steps, switch.deadline_pushes, dfs.sim._seq)
+    return report.duration.hex(), work
+
+
 @pytest.mark.parametrize(
     "lock_mode,seconds,engine_entries",
     [
@@ -125,9 +142,10 @@ def test_ext_scale_512_node_write_reproduces_the_pinned_point():
     ],
 )
 def test_table2_raidp_64mb_rows_reproduce_the_pinned_points(
-    lock_mode, seconds, engine_entries
+    lock_mode, seconds, engine_entries, monkeypatch
 ):
-    """Two Table 2 rows held to the exact simulated result and work.
+    """Two Table 2 rows held to the exact simulated result and work, on
+    the per-chunk oracle (``tests.oracles.discrete_lane``).
 
     A 6 GB superchunk rebuilt from 14 mirrors + 1 Lstor in 64 MB chunks:
     a 15-spoke star on the receiver's NIC whose membership changes twice
@@ -138,20 +156,26 @@ def test_table2_raidp_64mb_rows_reproduce_the_pinned_points(
     (bootstrap, grant, sleep, completion), and there are 14 x 96 = 1344
     of them -- 17095 - 3 * 1344 = 13063 and 14215 - 3 * 1344 = 10183.
     """
-    from repro.core.recovery import RecoveryManager, RecoveryOptions
-    from repro.experiments.common import build_raidp_warm, pick_scale
-
-    # table2_recovery.run_task(("raidp", lock_mode, 64 MiB, 0, 1)), spelled
-    # out to keep hold of the cluster and read its counters.
-    dfs = build_raidp_warm(pick_scale(False), seed=1)
-    options = RecoveryOptions(lock_mode=lock_mode, chunk_size=64 * units.MiB, nic_index=0)
-    report = RecoveryManager(dfs).recover_double_failure(
-        "n0", "n1", options=options, remirror_rest=False, install=False
+    discrete_lane(monkeypatch)
+    assert _table2_raidp_64mb_row(lock_mode) == (
+        seconds, (1426, 4306, 1440, engine_entries)
     )
-    assert report.duration.hex() == seconds
-    switch = dfs.switch
-    assert (switch.solves, switch.fill_steps, switch.deadline_pushes) == (1426, 4306, 1440)
-    assert dfs.sim._seq == engine_entries
+
+
+@pytest.mark.parametrize(
+    "lock_mode,seconds,work",
+    [
+        ("byte_range", "0x1.3d029fa292394p+7", (58, 2315, 305, 379)),
+        ("superchunk", "0x1.8ac61b663d84bp+7", (44, 1733, 135, 321)),
+    ],
+)
+def test_table2_raidp_64mb_fluid_rows_reproduce_the_pinned_points(lock_mode, seconds, work):
+    """The same rows on the fluid lane, pinned the same way (seconds,
+    solves, filling steps, deadline pushes, engine entries).  Each
+    stream runs one chunk discretely, then one body: what is left is
+    the first chunks, the first lock convoy's stage holds and releases,
+    and one arrival and one departure per body."""
+    assert _table2_raidp_64mb_row(lock_mode) == (seconds, work)
 
 
 def test_ext_scale_raidp_network_beats_hdfs3():
