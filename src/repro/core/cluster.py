@@ -10,15 +10,10 @@ the unoptimized ablation is requested.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, Iterator, List, Optional
+from typing import Iterator, List, Optional
 
 from repro import units
-from repro.core.layout import (
-    Layout,
-    LayoutSpec,
-    domain_aware_layout,
-    rotational_layout,
-)
+from repro.core.layout import LayoutSpec, domain_aware_layout, rotational_layout
 from repro.core.journal import RecordState
 from repro.core.node import RaidpConfig, RaidpDataNode
 from repro.core.placement import RaidpPlacement, SuperchunkMap
@@ -29,7 +24,7 @@ from repro.hdfs.namenode import NameNode
 from repro.sim.cluster import Cluster, ClusterSpec
 from repro.sim.engine import Simulator
 from repro.sim.network import Switch
-from repro.storage.payload import ContentFactory, Payload
+from repro.storage.payload import ContentFactory
 from repro.sim.snapshot import InlineState
 
 
@@ -159,26 +154,6 @@ class RaidpCluster(InlineState):
 
     def run(self, until: Optional[float] = None) -> float:
         return self.sim.run(until=until)
-
-    # ------------------------------------------------------------------
-    # Warm-start snapshots (see repro.sim.snapshot).
-    # ------------------------------------------------------------------
-    def snapshot(self) -> bytes:
-        """Capture the quiescent cluster for later :meth:`from_snapshot`.
-
-        Only legal between runs: the simulator refuses to pickle while
-        events are scheduled or a process is mid-body.
-        """
-        from repro.sim.snapshot import capture
-
-        return capture(self)
-
-    @classmethod
-    def from_snapshot(cls, blob: bytes) -> "RaidpCluster":
-        """Restore a fresh, unshared cluster from :meth:`snapshot` bytes."""
-        from repro.sim.snapshot import checked_restore
-
-        return checked_restore(blob, cls)
 
     # ------------------------------------------------------------------
     # Invariant checking (used by tests and the failure drills).

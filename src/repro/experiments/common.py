@@ -11,7 +11,7 @@ set because they simulate every 64 KB packet.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, List, Optional
+from typing import Any, Callable, Iterable, Optional
 
 from repro import units
 from repro.core.cluster import RaidpCluster
@@ -64,38 +64,11 @@ def build_raidp(scale: Scale, seed: int, **raidp_kwargs: Any) -> RaidpCluster:
     )
 
 
-def build_raidp_warm(scale: Scale, seed: int, **raidp_kwargs: Any) -> RaidpCluster:
-    """Snapshot-backed :func:`build_raidp`.
-
-    Returns a fresh restored copy per call; the underlying build runs at
-    most once per (scale, seed, config) per process (see
-    :mod:`repro.sim.snapshot` for the staleness and identity model).
-    """
-    key = snapshot.snapshot_key(
-        "build_raidp",
-        dataset=scale.dataset,
-        superchunk=scale.superchunk_size,
-        nodes=scale.num_nodes,
-        seed=seed,
-        **raidp_kwargs,
-    )
-    return snapshot.GLOBAL_STORE.get_or_build(
-        key, lambda: build_raidp(scale, seed, **raidp_kwargs)
-    )
-
-
-def build_hdfs_warm(replication: int, scale: Scale, seed: int) -> HdfsCluster:
-    """Snapshot-backed :func:`build_hdfs` (same contract as above)."""
-    key = snapshot.snapshot_key(
-        "build_hdfs",
-        replication=replication,
-        dataset=scale.dataset,
-        nodes=scale.num_nodes,
-        seed=seed,
-    )
-    return snapshot.GLOBAL_STORE.get_or_build(
-        key, lambda: build_hdfs(replication, scale, seed)
-    )
+#: Aliases of the plain builders with one reader: the benchmark's span
+#: tracer (``bench/trace.py::BUILDERS`` looks each name up on this
+#: module).  No experiment calls them.
+build_raidp_warm = build_raidp
+build_hdfs_warm = build_hdfs
 
 
 def warm_phase(
@@ -110,10 +83,10 @@ def warm_phase(
     failure-free ingest such as ``dfsio_write``, ``teragen``, or
     ``wordcount_input``), and snapshots the quiescent result; warm
     callers restore straight to the phase boundary.  The warmup is
-    deterministic, so (tag, parameters, code fingerprint) identifies the
-    post-warmup state: replays that share a warmup -- fig9's read of
-    fig8's dataset, fig10's four workloads -- simulate it once per
-    (topology, seed) per process.
+    deterministic, so (tag, parameters) identifies the post-warmup
+    state: replays that share a warmup -- fig9's and fig10's reads of
+    one DFSIO dataset -- simulate it once per (topology, seed) per
+    process.
     """
 
     def build() -> Any:

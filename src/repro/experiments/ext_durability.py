@@ -67,11 +67,6 @@ def tasks(
     return keys
 
 
-def task_cost(key: TaskKey) -> float:
-    """The MC chunks dominate; the analytic rung is free."""
-    return 4.0 if key[0] == "mc" else 0.1
-
-
 def run_task(key: TaskKey, full_scale: bool = False) -> TaskValue:
     if key[0] == "analytic":
         return {

@@ -28,6 +28,7 @@ from repro.experiments.parallel import fan_out
 from repro.experiments.runner import ExperimentResult
 from repro.hdfs.config import DfsConfig
 from repro.hdfs.filesystem import HdfsCluster
+from repro.sim import snapshot
 from repro.sim.cluster import ClusterSpec
 
 #: Cluster sizes swept (the paper's 16 plus three scale-out points).
@@ -79,25 +80,6 @@ def task_deps(key: TaskKey) -> Tuple[TaskKey, ...]:
     if len(key) == 4 and key[3] == "recovery":
         return ((key[0], key[1], key[2], "write"),)
     return ()
-
-
-def task_cost(key: TaskKey) -> float:
-    """Relative weight, in units of the 16-node RAIDP write.
-
-    Measured at smoke scale, seconds at 16/64/128/256 nodes: RAIDP
-    write 0.022/0.075/0.17/0.48 -- linear in nodes, placement and
-    rate solves costing what they touch; hdfs-3 0.012/0.064/0.20/0.84
-    -- its placement shuffles every live node per block, a quadratic
-    term that passes the RAIDP write at 128 nodes; recovery
-    0.007/0.019/0.043/0.082 -- mostly the snapshot restore, a quarter
-    of the write.
-    """
-    scale = key[1] / 16.0
-    if len(key) == 4 and key[3] == "recovery":
-        return 0.25 * scale
-    if key[0] == "hdfs3":
-        return 0.5 * scale + 0.12 * scale * scale
-    return scale
 
 
 def _build(scheme: str, num_nodes: int, seed: int) -> Any:
@@ -184,7 +166,7 @@ def run_task(
             (scheme, num_nodes, seed, "write")
         ]
         with capture(interval=SLO_SAMPLE_INTERVAL) as sampler:
-            dfs = RaidpCluster.from_snapshot(blob)
+            dfs = snapshot.restore(blob)
             sampler.watch(dfs)
             recovery_s = _recover_worst_pair(dfs)
         slo = {**write_slo, "recovery": _phase_slo(sampler)}
@@ -197,7 +179,7 @@ def run_task(
             write = dfsio_write(dfs, dataset)
         per_node_gb = dfs.switch.total_bytes / num_nodes / units.GB
         return (
-            write.runtime, per_node_gb, dfs.snapshot(),
+            write.runtime, per_node_gb, snapshot.capture(dfs),
             {"write": _phase_slo(sampler)},
         )
     dfs = _build(scheme, num_nodes, seed)

@@ -17,10 +17,8 @@ from repro.experiments.common import (
     DEFAULT_SEEDS,
     Scale,
     build_hdfs,
-    build_hdfs_warm,
     build_hdfs_written,
     build_raidp,
-    build_raidp_warm,
     build_raidp_written,
     pick_scale,
     warm_phase,
@@ -74,9 +72,10 @@ def _warm_generated(
 def run_task(key: TaskKey, full_scale: bool = False) -> Tuple[float, float]:
     """One cell: (runtime, network bytes) for one system+workload+seed.
 
-    Every workload's un-measured ingest phase (DFSIO write, TeraGen,
-    WordCount corpus generation) is phase-memoized: the cluster restores
-    at the post-ingest boundary instead of re-simulating it per task,
+    The write runs on a freshly built cluster.  Every other workload's
+    un-measured ingest phase (DFSIO write, TeraGen, WordCount corpus
+    generation) is phase-memoized: the cluster restores at the
+    post-ingest boundary instead of re-simulating it per task,
     bitwise-identical to the inline run (fingerprint tests pin this).
     """
     system, workload, seed = key
@@ -84,9 +83,9 @@ def run_task(key: TaskKey, full_scale: bool = False) -> Tuple[float, float]:
     dataset = scale.dataset
     if workload == "write":
         dfs = (
-            build_hdfs_warm(3, scale, seed)
+            build_hdfs(3, scale, seed)
             if system == "hdfs3"
-            else build_raidp_warm(scale, seed)
+            else build_raidp(scale, seed)
         )
         res = dfsio_write(dfs, dataset)
         return res.runtime, float(res.network_bytes)

@@ -13,8 +13,8 @@ from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 from repro.experiments.common import (
     DEFAULT_SEEDS,
-    build_hdfs_warm,
-    build_raidp_warm,
+    build_hdfs,
+    build_raidp,
     pick_scale,
 )
 from repro.experiments.parallel import fan_out
@@ -85,19 +85,14 @@ def tasks(full_scale: bool = False, seeds: Sequence[int] = DEFAULT_SEEDS) -> Lis
 
 
 def run_task(key: TaskKey, full_scale: bool = False) -> float:
-    """One cell: build the cluster for ``key``'s seed and time the write.
-
-    Cluster assembly is snapshot-memoized (the write itself is the
-    measured phase, so only the empty-cluster build is shared); restored
-    and cold-built clusters are bitwise-indistinguishable.
-    """
+    """One cell: build the cluster for ``key``'s seed and time the write."""
     system, spec, dataset_kind, seed = key
     scale = pick_scale(full_scale)
     dataset = scale.dataset if dataset_kind == "full" else scale.unoptimized_dataset
     if system == "hdfs":
-        dfs = build_hdfs_warm(int(spec), scale, seed)
+        dfs = build_hdfs(int(spec), scale, seed)
     else:
-        dfs = build_raidp_warm(scale, seed, **_BAR_KWARGS[spec])
+        dfs = build_raidp(scale, seed, **_BAR_KWARGS[spec])
     return dfsio_write(dfs, dataset).runtime
 
 

@@ -12,15 +12,12 @@ those sweep points out to a worker pool:
   assembles the per-key values into the final
   :class:`~repro.experiments.runner.ExperimentResult`.  Each key embeds
   its own placement seed, so results are bit-identical at any job count.
-- A task module may additionally export ``task_cost(key) -> float``
-  (relative cost weight) and ``task_deps(key) -> keys`` (same-module
-  prerequisite keys).  Costs drive longest-task-first dispatch so a
-  straggler row (the per-packet configurations, the RAID-6 4 MB rebuild)
-  starts first instead of serializing the tail of the run.  Dependency
-  edges let one task hand its result -- e.g. a post-warmup cluster
-  snapshot, or a rebuild phase boundary time -- to a successor task; a
-  dependent module's ``run_task`` accepts the extra keyword ``deps``, a
-  ``{key: result}`` dict of its prerequisites.
+- A task module may additionally export ``task_deps(key) -> keys``
+  (same-module prerequisite keys).  Dependency edges let one task hand
+  its result -- e.g. a post-ingest cluster snapshot, or a rebuild phase
+  boundary time -- to a successor task; a dependent module's
+  ``run_task`` accepts the extra keyword ``deps``, a ``{key: result}``
+  dict of its prerequisites.
 - Modules without the protocol run whole-experiment-at-a-time (still
   inside a worker, so independent experiments overlap).
 
@@ -33,9 +30,10 @@ path a trivially valid topological order.
 The worker count comes from, in priority order: an explicit ``jobs``
 argument, the ``RAIDP_JOBS`` environment variable, else 1 (sequential,
 in-process -- the sequential path runs the exact same task/merge code).
-``jobs <= 0`` means "all cores".  The pool start method is ``fork``
-where available (snapshot stores and imports are inherited), else
-``spawn``; every dependency payload survives pickling either way.
+``jobs <= 0`` means "all cores".  Tasks start in emission order, each
+dependent once its prerequisites finish.  The pool start method is ``fork`` where available (snapshot
+stores and imports are inherited), else ``spawn``; every dependency
+payload survives pickling either way.
 """
 
 from __future__ import annotations
@@ -97,15 +95,6 @@ def supports_tasks(module: Any) -> bool:
     )
 
 
-def task_cost(module: Any, key: Hashable) -> float:
-    """Relative cost weight of one task (1.0 when unannotated, and for
-    a whole-experiment task)."""
-    if key == WHOLE_EXPERIMENT:
-        return 1.0
-    cost_fn = getattr(module, "task_cost", None)
-    return float(cost_fn(key)) if cost_fn is not None else 1.0
-
-
 def task_deps(module: Any, key: Hashable) -> Tuple[Hashable, ...]:
     """Same-module prerequisite keys of one task (empty when unannotated)."""
     if key == WHOLE_EXPERIMENT:
@@ -137,18 +126,16 @@ def _pool_context() -> multiprocessing.context.BaseContext:
 
 
 class _Plan:
-    """Resolved dependency/cost structure over one spec list."""
+    """Resolved dependency structure over one spec list."""
 
     def __init__(self, specs: Sequence[TaskSpec]) -> None:
         index_of: Dict[Tuple[str, Hashable], int] = {}
         for index, spec in enumerate(specs):
             index_of[(spec.module, spec.key)] = index
         self.specs = list(specs)
-        self.costs: List[float] = []
         self.deps: List[Tuple[int, ...]] = []
         for index, spec in enumerate(specs):
             module = importlib.import_module(spec.module)
-            self.costs.append(task_cost(module, spec.key))
             dep_indices = []
             for dep_key in task_deps(module, spec.key):
                 dep_index = index_of.get((spec.module, dep_key))
@@ -184,11 +171,12 @@ def _run_sequential(plan: _Plan) -> List[Any]:
 
 
 def _run_pooled(plan: _Plan, workers: int) -> List[Any]:
-    """Dependency-aware pool dispatch, longest-known-task first.
+    """Dependency-aware pool dispatch.
 
-    Ready tasks are submitted in descending cost order; the pool consumes
-    its queue FIFO, so submission order is start order.  Results are
-    slotted by input index, never completion order.
+    The tasks ready at the start are submitted in emission order, each
+    dependent as soon as its prerequisites finish; the pool consumes its
+    queue FIFO, so submission order is start order.  Results are slotted
+    by input index, never completion order.
     """
     total = len(plan.specs)
     results: List[Any] = [None] * total
@@ -220,9 +208,7 @@ def _run_pooled(plan: _Plan, workers: int) -> List[Any]:
     with _pool_context().Pool(processes=workers) as pool:
 
         def submit(indices: List[int]) -> None:
-            # Longest task first; ties broken by input order so dispatch
-            # stays deterministic.
-            for index in sorted(indices, key=lambda i: (-plan.costs[i], i)):
+            for index in indices:
                 on_done, on_error = _make_callbacks(index)
                 pool.apply_async(
                     _execute,

@@ -6,14 +6,14 @@ RAID-6 rebuild baseline that must read and decode every surviving disk to
 reconstruct the two lost ones.
 
 Task decomposition: RAIDP rows fan out per placement repetition (one
-task per seed, warm-started from a shared cluster snapshot), and each
-RAID-6 row splits into its gather/decode phase and its writeback phase
--- two simulators chained on the exact boundary time, bitwise-identical
-to the monolithic schedule (proved by the differential test against
-the single-simulator oracle in ``tests/oracles.py``).  Every rebuild
-stream runs its first chunk discretely and the rest as one fluid
-``Transfer`` body (DESIGN.md §4c), so the whole table is a fraction of
-a second; the cost annotations start the RAIDP rebuilds first.
+task per seed, each on a freshly built cluster), and each RAID-6 row
+splits into its gather/decode phase and its writeback phase -- two
+simulators chained on the exact boundary time, bitwise-identical to the
+monolithic schedule (proved by the differential test against the
+single-simulator oracle in ``tests/oracles.py``).  Every rebuild stream
+runs its first chunk discretely and the rest as one fluid ``Transfer``
+body (DESIGN.md §4c), so every task takes milliseconds and the whole
+table a fraction of a second.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from repro.core.recovery import (
     simulate_raid6_read_phase,
     simulate_raid6_writeback_phase,
 )
-from repro.experiments.common import build_raidp_warm, pick_scale
+from repro.experiments.common import build_raidp, pick_scale
 from repro.experiments.parallel import fan_out
 from repro.experiments.runner import ExperimentResult
 from repro.sim.stats import mean
@@ -78,20 +78,6 @@ def task_deps(key: TaskKey) -> Tuple[TaskKey, ...]:
     return ()
 
 
-def task_cost(key: TaskKey) -> float:
-    """Relative wall-clock weight (measured at smoke scale, in
-    milliseconds, medians of five runs on a 2-vCPU x86 host).
-
-    Every stream is one discrete chunk plus one fluid body, so host cost
-    no longer follows the chunk count: a RAIDP rebuild is ~4 ms at any
-    chunk size or NIC, most of it the warm-start snapshot restore; a
-    RAID-6 gather is ~0.4 ms and its writeback ~0.2 ms.
-    """
-    if key[0] == "raidp":
-        return 4.0
-    return 0.4 if key[3] == "read" else 0.2
-
-
 def _nic_rate(nic_index: int) -> float:
     return units.gbps(10) if nic_index == 0 else units.gbps(1)
 
@@ -103,7 +89,7 @@ def run_task(
     scale = pick_scale(full_scale)
     if key[0] == "raidp":
         _kind, lock_mode, chunk, nic_index, seed = key
-        dfs = build_raidp_warm(scale, seed=seed)
+        dfs = build_raidp(scale, seed=seed)
         manager = RecoveryManager(dfs)
         options = RecoveryOptions(
             lock_mode=lock_mode, chunk_size=chunk, nic_index=nic_index

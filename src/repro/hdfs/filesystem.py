@@ -76,23 +76,3 @@ class HdfsCluster(InlineState):
 
     def run(self, until: Optional[float] = None) -> float:
         return self.sim.run(until=until)
-
-    # ------------------------------------------------------------------
-    # Warm-start snapshots (see repro.sim.snapshot).
-    # ------------------------------------------------------------------
-    def snapshot(self) -> bytes:
-        """Capture the quiescent cluster for later :meth:`from_snapshot`.
-
-        Only legal between runs: the simulator refuses to pickle while
-        events are scheduled or a process is mid-body.
-        """
-        from repro.sim.snapshot import capture
-
-        return capture(self)
-
-    @classmethod
-    def from_snapshot(cls, blob: bytes) -> "HdfsCluster":
-        """Restore a fresh, unshared cluster from :meth:`snapshot` bytes."""
-        from repro.sim.snapshot import checked_restore
-
-        return checked_restore(blob, cls)

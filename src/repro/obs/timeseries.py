@@ -222,8 +222,17 @@ class Sampler:
     # -- registration ---------------------------------------------------
     def watch(self, dfs: Any, monitor: Optional[Any] = None) -> None:
         """Sample ``dfs`` (and ``monitor``'s repair accounting) at every
-        subsequent tick of this run."""
+        subsequent tick of this run.
+
+        The first window starts here: its baseline is the watched
+        cluster's histograms as they stand (all zero on a fresh cluster;
+        a restored one carries the phase that wrote it).
+        """
         self._watched = (dfs, monitor)
+        _readings, histograms = read_cluster(dfs, monitor)
+        self._prev_hist = {
+            key: (hist.sum, list(hist.counts)) for key, hist in histograms.items()
+        }
 
     def on_sample(self, hook: Callable[[Any, float], None]) -> None:
         """Run ``hook(sim, now)`` after each sample (auditor probes)."""

@@ -23,11 +23,9 @@ finished or was since re-rated are skipped on pop.  This keeps the event
 count proportional to the number of flow arrivals/departures rather than
 to bytes transferred or to the square of the flow count.
 
-A re-solve takes one of two arms.  A hub-bottlenecked star -- recovery
-traffic converging on one rebuilding node, or a lone flow -- is banked,
-retired and re-rated straight off the hub's own registry: no search, no
-sort, no offers to compare.  Anything else runs progressive filling off a heap of per-port offers, so it
-costs the flows it freezes rather than a scan of every port per round.
+A re-solve runs progressive filling off a heap of per-port offers, so
+it costs the flows it freezes rather than a scan of every port per
+round.
 
 The rebuild-the-world *reference* allocator (bank every flow and
 re-solve the whole topology on every event) and the scan-every-port
@@ -39,8 +37,7 @@ A chunked stream's *body* -- every chunk after its first -- can run as
 one :class:`Transfer` (:meth:`Switch.stream`): a flow that also crosses
 the disk it reads or writes, the shared stage its chunks queue for and
 its own chunk-cycle cap, and whose solved share is paced into one chunk
-per cycle.  Bodies take the general arm; the star arm keeps two-port
-flows.
+per cycle.
 
 Per-node accumulated traffic is tracked so experiments can report the
 paper's "accumulated network GB" bars (Fig. 10).
@@ -97,18 +94,16 @@ class _Port:
 
     ``flows`` is a dict used as an ordered set: insertion order is the
     flow arrival order (deterministic), membership/removal are O(1).
-    ``bodies`` counts the :class:`Transfer` bodies among them (the star
-    arm declines any hub that carries one), and ``label`` names the
-    constraint the port stands for when it bounds a body's rate.
+    ``label`` names the constraint the port stands for when it bounds a
+    body's rate.
     """
 
-    __slots__ = ("nic", "is_tx", "flows", "bodies", "label")
+    __slots__ = ("nic", "is_tx", "flows", "label")
 
     def __init__(self, nic: Nic, is_tx: bool, label: str = "nic") -> None:
         self.nic = nic
         self.is_tx = is_tx
         self.flows: Dict["_Flow", None] = {}
-        self.bodies = 0
         self.label = label
 
     @property
@@ -156,8 +151,7 @@ class _Flow:
         self.started_at = now
         self.last_update = now
         # Every port the flow crosses, its NIC ends first: the solver
-        # walks ``ports``; the star arm, which takes two-port flows only,
-        # reads the ends directly.
+        # walks ``ports``; the auditor reads the ends directly.
         self.ports = ports
         self.src_port = ports[0]
         self.dst_port = ports[1]
@@ -548,7 +542,6 @@ class Switch(InlineState):
         self._flows[body] = None
         for port in ports:
             port.flows[body] = None
-            port.bodies += 1
         self._arrive(body, now)
         return body
 
@@ -641,130 +634,27 @@ class Switch(InlineState):
     def _update(self, dirty_ports: List[_Port]) -> None:
         """Bank, finish-detect, and re-solve the affected component(s).
 
-        Two arms: a hub-bottlenecked star is handled whole by
-        :meth:`_update_star`; everything else is BFS + ``_bank`` +
-        ``_solve``.  In both, finish detection, retirement and re-rating
-        are separate steps, so reallocation never sees half-removed
-        flows, and completions are delivered only after the allocator
-        ran on clean state.
+        BFS + ``_bank`` + ``_solve``: finish detection, retirement and
+        re-rating are separate steps, so reallocation never sees
+        half-removed flows, and completions are delivered only after the
+        allocator ran on clean state.
         """
         now = self.sim.now
-        finished = self._update_star(dirty_ports, now)
-        if finished is None:
-            candidates = self._component(dirty_ports)
-            trace = self.sim.trace
-            if trace.enabled:
-                trace.instant("net", "resolve", now, flows=len(candidates))
-            finished = self._bank(candidates, now)
-            for flow in finished:
-                self._retire(flow)
-            if finished:
-                candidates = [flow for flow in candidates if not flow.finished]
-            self._solve(candidates, now)
+        candidates = self._component(dirty_ports)
+        trace = self.sim.trace
+        if trace.enabled:
+            trace.instant("net", "resolve", now, flows=len(candidates))
+        finished = self._bank(candidates, now)
+        for flow in finished:
+            self._retire(flow)
+        if finished:
+            candidates = [flow for flow in candidates if not flow.finished]
+        self._solve(candidates, now)
         if finished:
             delivery = self.sim.sleep(self.BASE_LATENCY)
             for flow in finished:
                 self._deliver(flow, delivery)
         self._arm_timer(now)
-
-    def _update_star(
-        self, dirty_ports: List[_Port], now: float
-    ) -> Optional[List[_Flow]]:
-        """The star arm: bank, retire and re-rate a one-round star.
-
-        A *star* is a component whose every flow touches one shared hub
-        port while each spoke port carries exactly one flow -- the shape
-        of recovery traffic (many sources converging on one rebuilding
-        node) and of a lone flow.  The hub's registry then IS the
-        component, in arrival order, so no BFS and no sort are needed.
-        When the hub's fair share is *strictly* below every spoke's
-        capacity, progressive filling freezes every flow in its first
-        round at that share, so no offers need comparing either: the
-        survivors are re-rated in registry order, which is the order the
-        general arm would push their deadlines in.  Strictness matters:
-        on a tie the general arm's first-seen port may be a spoke, which
-        freezes one flow first and hands the hub ``(cap - share) /
-        (count - 1)`` -- a different float.  A lone flow has no order to
-        disturb and runs at its slower endpoint either way.
-
-        Returns the flows that finished (already retired), or None --
-        with nothing retired or re-rated -- when the dirty ports are
-        anything else; the general arm then takes over.  It may find the
-        hub's flows already banked (a departure can lift the share to a
-        spoke's capacity): banking twice at one instant moves nothing.
-        """
-        hub: Optional[_Port] = None
-        for port in dirty_ports:
-            count = len(port.flows)
-            if count == 0:
-                continue
-            if count == 1:
-                # A spoke (or a lone flow's end): the hub is whichever
-                # end of its flow the other dirty ports agree on.
-                (flow,) = port.flows
-                if hub is None:
-                    hub = flow.dst_port if flow.src_port is port else flow.src_port
-                elif hub is not flow.src_port and hub is not flow.dst_port:
-                    return None
-            elif hub is None:
-                hub = port
-            elif hub is not port:
-                return None
-        if hub is None or hub.bodies:
-            return None  # a body crosses more than two ports: not a star
-        flows = hub.flows
-        hub_is_tx = hub.is_tx
-        spoke_cap = _INF
-        for flow in flows:
-            if hub_is_tx:
-                spoke, cap = flow.dst_port, flow.dst.rx_rate
-            else:
-                spoke, cap = flow.src_port, flow.src.tx_rate
-            if len(spoke.flows) != 1:
-                return None
-            if cap < spoke_cap:
-                spoke_cap = cap
-        finished = self._bank(flows, now)
-        if finished:
-            # Only the survivors' spokes bound the survivors' share.
-            spoke_cap = min(
-                (
-                    flow.dst.rx_rate if hub_is_tx else flow.src.tx_rate
-                    for flow in flows
-                    if flow.remaining > flow.threshold
-                ),
-                default=_INF,
-            )
-        count = len(flows) - len(finished)
-        if count:
-            share = max(hub.capacity, 0.0) / count
-            if spoke_cap <= share:
-                if count > 1:
-                    return None
-                share = spoke_cap
-            if share <= 0:
-                return None
-        trace = self.sim.trace
-        if trace.enabled:
-            trace.instant("net", "resolve", now, flows=len(flows))
-        for flow in finished:
-            self._retire(flow)
-        if not count:
-            return finished
-        self.solves += 1
-        self.fill_steps += 2 * count + 1  # count + 1 port offers, count flows
-        completions = self._completions
-        push_seq = self._push_seq
-        for flow in flows:
-            if share == flow.rate and flow.deadline != _INF:
-                continue  # undisturbed: the existing heap entry stays valid
-            flow.rate = share
-            deadline = now + flow.remaining / share
-            flow.deadline = deadline
-            push_seq += 1
-            heapq.heappush(completions, (deadline, push_seq, flow))
-        self._push_seq = push_seq
-        return finished
 
     def _component(self, dirty_ports: List[_Port]) -> List[_Flow]:
         """Flows in the connected component(s) of the dirty ports.
@@ -814,8 +704,6 @@ class Switch(InlineState):
         for port in flow.ports:
             del port.flows[flow]
         if isinstance(flow, Transfer):
-            for port in flow.ports:
-                port.bodies -= 1
             if flow.disk is not None and not flow.ports[-1].flows:
                 del self._disk_ports[flow.disk.disk]  # its last run closes
             flow.close(self.sim.now)
@@ -875,7 +763,7 @@ class Switch(InlineState):
         load: Dict[_Port, int],
         now: float,
     ) -> None:
-        """Heap-driven progressive filling: the general arm's allocator.
+        """Heap-driven progressive filling.
 
         Each round freezes the flows of the port offering the smallest
         fair share ``remaining_cap / load``; on equal offers the port

@@ -1,20 +1,19 @@
-"""Warm-start snapshots of quiescent simulated clusters.
+"""Phase snapshots of quiescent simulated clusters.
 
-Sweep-style experiments (``table2``, ``ext-scale``) re-simulate an
-identical failure-free warmup -- cluster assembly, data ingest, journal
-flush -- before the part of the run that actually differs.  This module
-captures that common prefix once and hands every subsequent task a fresh
-restored copy, so repeated sweep points pay for the warmup once per
-(parameters, code version) instead of once per task.
+Experiments whose tasks share a failure-free ingest (fig9's and fig10's
+reads of a DFSIO-written cluster, fig10's TeraGen and WordCount inputs)
+simulate it once per parameters and hand every task a restored copy of
+the post-ingest cluster; ext-scale hands its write phase's cluster to
+its recovery phase the same way.
 
 Correctness model
 -----------------
 - :func:`capture` pickles the whole cluster facade.  The
   :class:`~repro.sim.engine.Simulator` refuses to pickle unless
   *quiescent* (empty schedule, no live process, no pending failure), so
-  a snapshot can only be taken between runs -- exactly the warm-start
-  boundary.  Everything else in the object graph (disks, switch, layout,
-  RNGs, payload factory) is plain picklable state.
+  a snapshot can only be taken between runs.  Everything else in the
+  object graph (disks, switch, layout, RNGs, payload factory) is plain
+  picklable state.
 - :func:`restore` unpickles a brand-new object graph on every call.
   Restored clusters share nothing, so tasks cannot contaminate each
   other through a cached object.
@@ -26,14 +25,11 @@ Correctness model
   keeps their wall-clock behaviour identical as well (restored objects
   would otherwise lose CPython's inline attribute storage and run
   15-25% slower).
-- Snapshot keys embed :func:`code_fingerprint` -- a digest over the
-  ``repro`` package sources -- so a snapshot written by different code
-  is unreachable, not merely unlikely to be reused.  Staleness is a key
-  miss, never a wrong restore.
 
-The store is in-memory and per-process; ``fork``-context pool workers
-inherit the parent's store for free, and spawn-context workers receive
-the snapshots they need as pickled dependency results.
+The store is in-memory and per-process, so the code cannot change under
+a key; ``fork``-context pool workers inherit the parent's store,
+spawn-context workers start with an empty one, and ext-scale's handoff
+crosses the pool boundary as a pickled dependency result.
 
 When a span tracer is active the store is bypassed and builders run
 cold: the warmup's spans belong in the trace, and restored simulators
@@ -42,45 +38,16 @@ would register fresh trace runs mid-experiment.
 
 from __future__ import annotations
 
-import hashlib
-import os
 import pickle
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Callable, Dict
 
-from repro.errors import SimulationError
 from repro.obs.tracer import active_tracer
-
-_code_digest: Optional[str] = None
-
-
-def code_fingerprint() -> str:
-    """Digest over every ``repro`` source file, cached per process.
-
-    Walks the package directory rather than inspecting loaded modules so
-    the fingerprint covers code a snapshot *could* touch on restore, not
-    just what happens to be imported at capture time.
-    """
-    global _code_digest
-    if _code_digest is None:
-        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-        hasher = hashlib.sha256()
-        for dirpath, dirnames, filenames in os.walk(root):
-            dirnames[:] = sorted(d for d in dirnames if d != "__pycache__")
-            for filename in sorted(filenames):
-                if not filename.endswith(".py"):
-                    continue
-                path = os.path.join(dirpath, filename)
-                hasher.update(os.path.relpath(path, root).encode("utf-8"))
-                with open(path, "rb") as handle:  # raidp: noqa[RDP003] -- hashes host sources between runs, not in a sim process
-                    hasher.update(handle.read())
-        _code_digest = hasher.hexdigest()[:16]
-    return _code_digest
 
 
 def snapshot_key(tag: str, **params: Any) -> str:
-    """Canonical store key: tag, sorted parameters, code fingerprint."""
+    """Canonical store key: the tag and the sorted parameters."""
     inner = ",".join(f"{name}={params[name]!r}" for name in sorted(params))
-    return f"{tag}({inner})@{code_fingerprint()}"
+    return f"{tag}({inner})"
 
 
 def capture(obj: Any) -> bytes:
@@ -175,16 +142,3 @@ class SnapshotStore:
 #: Process-wide store used by the experiment builders.
 GLOBAL_STORE = SnapshotStore()
 
-
-def checked_restore(blob: bytes, expected_type: type) -> Any:
-    """Restore a snapshot and verify its facade type.
-
-    Used by the cluster-level ``from_snapshot`` hooks so a blob captured
-    from the wrong cluster class fails loudly instead of half-working.
-    """
-    obj = restore(blob)
-    if not isinstance(obj, expected_type):
-        raise SimulationError(
-            f"snapshot holds {type(obj).__name__}, expected {expected_type.__name__}"
-        )
-    return obj

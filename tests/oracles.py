@@ -62,27 +62,13 @@ class HeapSimulator(Simulator):
             heapq.heappush(self._heap, (self.now + delay, self._seq, event))
 
 
-class GeneralArmSwitch(Switch):
-    """The star arm's oracle: every component takes the general arm.
-
-    BFS, ``_bank``, ``_solve`` and heap ``_fill`` are production's own;
-    only the fused star pass is switched off, so a star differential
-    compares it with the path it must reproduce float for float and
-    counter for counter.  The oracles below build on this one: with the
-    star arm left in, they would compare it with itself on stars.
-    """
-
-    def _update_star(self, dirty_ports, now):
-        return None
-
-
-class ReferenceSwitch(GeneralArmSwitch):
+class ReferenceSwitch(Switch):
     """The brute-force oracle: every event re-solves the whole topology.
 
     Each arrival is solved on the spot (no same-instant batching), every
     solve banks and re-rates *all* active flows (no component scoping),
-    rates come from textbook progressive filling (no star arm, no heap), and a
-    rate change re-solves even when it touches no flow.  Banking, the
+    rates come from textbook progressive filling (no heap), and a rate
+    change re-solves even when it touches no flow.  Banking, the
     completion heap and delivery are inherited.
     """
 
@@ -122,8 +108,8 @@ class ReferenceSwitch(GeneralArmSwitch):
             ]
 
 
-class ScanFillSwitch(GeneralArmSwitch):
-    """The exact-arithmetic oracle for the generic filling arm.
+class ScanFillSwitch(Switch):
+    """The exact-arithmetic oracle for heap-driven filling.
 
     Progressive filling as a plain scan: every round takes ``min()`` over
     all ports still carrying unfrozen flows (first port in scan order on

@@ -169,6 +169,34 @@ def test_sampler_aggregates_labeled_histograms():
     assert any(v > 0 for _, v in sampler.store.series("disk_io_latency:p99"))
 
 
+def test_a_restored_clusters_first_window_counts_only_what_follows_the_watch():
+    """A cluster restored from a written snapshot carries the writing
+    phase's histograms: the first window after ``watch()`` diffs against
+    them, not against zero, so the windows add up to the new I/Os."""
+    from repro.sim import snapshot
+
+    def ios(dfs):
+        return sum(sum(dn.disk.io_latency.counts) for dn in dfs.datanodes)
+
+    written = _cluster()
+    _write_files(written)
+    blob = snapshot.capture(written)
+    with ts_mod.capture(interval=0.05) as sampler:
+        dfs = snapshot.restore(blob)
+        before = ios(dfs)
+        sampler.watch(dfs)
+
+        def rewrite():
+            for index, client in enumerate(dfs.clients):
+                yield from client.write_file(f"/fr/g{index}", units.MiB)
+            yield dfs.sim.timeout(1.0)  # a tick after the last I/O closes its window
+
+        dfs.sim.run_process(rewrite())
+    windows = [count for _ts, count in sampler.store.series("disk_io_latency:count")]
+    assert before > 0 and windows[0] > 0
+    assert sum(windows) == ios(dfs) - before
+
+
 # ----------------------------------------------------------------------
 # Observer-only: bitwise identity.
 # ----------------------------------------------------------------------
@@ -191,7 +219,6 @@ def test_sampled_run_is_bitwise_identical():
 def test_table2_rows_bitwise_identical_under_flight_recorder():
     """One table2 sweep point, bare vs sampled+audited: same row."""
     from repro.experiments import table2_recovery as t2
-    from repro.sim import snapshot
 
     key = next(
         key for key in t2.tasks()
@@ -199,12 +226,9 @@ def test_table2_rows_bitwise_identical_under_flight_recorder():
     )
     assert not t2.task_deps(key)
 
-    snapshot.GLOBAL_STORE.clear()
     bare = t2.run_task(key)
-    snapshot.GLOBAL_STORE.clear()
     with ts_mod.capture(interval=0.5), audit_mod.capture(fail_fast=True):
         recorded = t2.run_task(key)
-    snapshot.GLOBAL_STORE.clear()
     assert recorded == bare
 
 

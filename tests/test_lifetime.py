@@ -18,11 +18,11 @@ import weakref
 import pytest
 
 from repro import units
-from repro.core.cluster import RaidpCluster
 from repro.core.recovery import RecoveryManager, RecoveryOptions
 from repro.experiments import ext_scale, table2_recovery
 from repro.experiments.common import Scale, build_hdfs, build_raidp
 from repro.obs import simprofile, timeseries
+from repro.sim import snapshot
 from repro.sim.engine import Simulator
 from repro.tools.chaos import run_chaos
 from repro.workloads.dfsio import dfsio_write
@@ -80,7 +80,7 @@ def test_sampled_chaos_soak_frees_its_cluster(simulators):
 
 
 def test_warm_double_failure_recovery_frees_its_cluster(simulators):
-    """Table 2's 4 MB byte-range task on a ``build_raidp_warm`` cluster."""
+    """Table 2's 4 MB byte-range task."""
     key = ("raidp", "byte_range", 4 * units.MiB, 0, 1)
     with collector_off():
         assert table2_recovery.run_task(key) > 0
@@ -102,9 +102,9 @@ def test_hdfs3_dfsio_write_frees_its_cluster(profiled):
 
 
 def test_restored_cluster_frees_itself_and_rebinds_its_namenode():
-    blob = build_raidp(Scale(), seed=1).snapshot()
+    blob = snapshot.capture(build_raidp(Scale(), seed=1))
     with collector_off():
-        restored = RaidpCluster.from_snapshot(blob)
+        restored = snapshot.restore(blob)
         assert all(dn.namenode is restored.namenode for dn in restored.datanodes)
         report = RecoveryManager(restored).recover_double_failure(
             "n0", "n1", options=RecoveryOptions(chunk_size=64 * units.MiB),

@@ -260,8 +260,7 @@ def test_ambient_slot_inventory():
             value = getattr(statement, "value", None)
             if isinstance(value, ast.Call) and getattr(value.func, "id", "") == "Slot":
                 slot_owners.append(relative)
-    # The one `global` left is a memo of the source digest, not an observer.
-    assert globals_rebound == {("sim/snapshot.py", "_code_digest")}
+    assert globals_rebound == set()
     assert occupant_writers == {"obs/ambient.py"}
     assert slot_classes == ["obs/ambient.py"]
     assert slot_owners == [

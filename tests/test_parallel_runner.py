@@ -91,18 +91,15 @@ def test_fig8_jobs1_and_jobs4_rows_identical():
 
 
 def test_table2_jobs1_and_jobs2_rows_identical():
-    from repro.experiments.table2_recovery import merge, tasks
-    from repro.experiments.parallel import fan_out
+    """Both 64 MB RAID-6 rows, whose writeback tasks wait on their
+    gathers across the pool boundary.  The 64 MB RAIDP rows are
+    ``test_snapshot_warmstart``'s."""
+    from repro import units
+    from repro.experiments.table2_recovery import tasks
 
-    module = "repro.experiments.table2_recovery"
-    keys = tasks()
-    # Restrict to the two cheapest rows to keep the test fast; the point
-    # is pool-vs-inline equivalence, not coverage of every row.
-    subset = [k for k in keys if k[0] == "raid6"]
-    specs = [TaskSpec(module, key, False) for key in subset]
-    inline = run_specs(specs, jobs=1)
-    pooled = run_specs(specs, jobs=2)
-    assert inline == pooled
+    subset = [k for k in tasks() if k[0] == "raid6" and k[1] == 64 * units.MiB]
+    specs = [TaskSpec("repro.experiments.table2_recovery", key, False) for key in subset]
+    assert run_specs(specs, jobs=1) == run_specs(specs, jobs=2)
 
 
 def test_run_many_preserves_request_order():

@@ -122,9 +122,9 @@ def _table2_raidp_64mb_row(lock_mode):
     """table2_recovery.run_task(("raidp", lock_mode, 64 MiB, 0, 1)),
     spelled out to keep hold of the cluster and read its counters."""
     from repro.core.recovery import RecoveryManager, RecoveryOptions
-    from repro.experiments.common import build_raidp_warm, pick_scale
+    from repro.experiments.common import build_raidp, pick_scale
 
-    dfs = build_raidp_warm(pick_scale(False), seed=1)
+    dfs = build_raidp(pick_scale(False), seed=1)
     options = RecoveryOptions(lock_mode=lock_mode, chunk_size=64 * units.MiB, nic_index=0)
     report = RecoveryManager(dfs).recover_double_failure(
         "n0", "n1", options=options, remirror_rest=False, install=False

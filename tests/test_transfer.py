@@ -20,11 +20,12 @@ from repro.core.node import RaidpConfig
 from repro.core.recovery import RecoveryManager, RecoveryOptions
 from repro.errors import DiskFailedError
 from repro.experiments import table2_recovery as t2
-from repro.experiments.common import build_raidp_warm, pick_scale
+from repro.experiments.common import build_raidp, pick_scale
 from repro.hdfs.config import DfsConfig
 from repro.sim.cluster import ClusterSpec
 from repro.sim.disk import Disk, DiskRun
 from repro.sim.engine import Simulator
+from repro.sim import snapshot
 from repro.sim.network import Nic, Stage, Switch
 from tests.oracles import assert_rows_agree, discrete_lane, table2_differential
 from tests.test_recovery import pick_sharing_pair, sparse_cluster, write_some_data
@@ -76,14 +77,14 @@ def test_single_chunk_streams_take_no_body(pullers):
 def test_a_finished_rebuild_holds_no_open_body():
     """After a fluid rebuild the cluster is quiescent: no flow, no disk
     run, no held stage -- so it snapshots like any other."""
-    dfs = build_raidp_warm(pick_scale(False), seed=1)
+    dfs = build_raidp(pick_scale(False), seed=1)
     options = RecoveryOptions(chunk_size=64 * units.MiB)
     RecoveryManager(dfs).recover_double_failure(
         "n0", "n1", options=options, remirror_rest=False, install=False
     )
     assert dfs.switch.active_flows == 0 and dfs.switch._disk_ports == {}
     assert all(dn.disk._runs == {} for dn in dfs.datanodes)
-    assert RaidpCluster.from_snapshot(dfs.snapshot()).sim.now == dfs.sim.now
+    assert snapshot.restore(snapshot.capture(dfs)).sim.now == dfs.sim.now
 
 
 @pytest.mark.parametrize(
@@ -102,7 +103,7 @@ def test_the_reconstruct_span_names_what_bound_the_rebuild(lock_mode, chunk, nic
     from repro.obs.tracer import capture
 
     with capture() as tracer:
-        dfs = build_raidp_warm(pick_scale(False), seed=1)
+        dfs = build_raidp(pick_scale(False), seed=1)
         options = RecoveryOptions(lock_mode=lock_mode, chunk_size=chunk, nic_index=nic_index)
         RecoveryManager(dfs).recover_double_failure(
             "n0", "n1", options=options, remirror_rest=False, install=False
@@ -177,7 +178,7 @@ def test_receiver_nic_rate_change_re_rates_the_bodies(pullers, monkeypatch):
     and the body ends 1.5% late.)"""
 
     def rebuild():
-        dfs = build_raidp_warm(pick_scale(False), seed=1)
+        dfs = build_raidp(pick_scale(False), seed=1)
         receiver = "n2"
         rx = dfs.datanode_by_name(receiver).node.nics[0]
         sim = dfs.sim
