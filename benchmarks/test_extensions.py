@@ -3,9 +3,13 @@
 import pytest
 from conftest import rows_by_label
 
+from repro.experiments import ext_ssd
+from repro.experiments.common import pick_scale
 from repro.experiments.ext_durability import run as run_durability
 from repro.experiments.ext_ssd import run as run_ssd
 from repro.experiments.ext_updates import run as run_updates
+from repro.sim.disk import DiskGeometry, ssd_geometry
+from tests.oracles import assert_rows_agree, packet_train_differential
 
 
 # Both scales: the 10,000-disk fleet is the one the engine exists for.
@@ -49,3 +53,25 @@ def test_ext_ssd(benchmark, run_once):
     )
     # The re-write variant settles near the per-disk transfer bound (2x).
     assert 1.5 < rows["raidp re-write +journal [SSD]"] < 2.3
+
+
+def test_ext_ssd_unoptimized_rows_agree_with_the_packet_loop(monkeypatch):
+    """The unoptimized cell on HDD and on SSD: within 0.5% of the packet
+    loop, with the same network bytes."""
+    scale = pick_scale(False)
+    label = "raidp unopt only-superchunks"
+    builders = {
+        media: (lambda geometry=geometry: ext_ssd.build_raidp(geometry, scale, label))
+        for media, geometry in (("HDD", DiskGeometry()), ("SSD", ssd_geometry()))
+    }
+    train, oracle = packet_train_differential(
+        builders, scale.unoptimized_dataset, monkeypatch
+    )
+    assert_rows_agree(
+        {media: runtime for media, (runtime, _net) in train.items()},
+        {media: runtime for media, (runtime, _net) in oracle.items()},
+        rel=0.005,
+    )
+    assert {media: net for media, (_rt, net) in train.items()} == {
+        media: net for media, (_rt, net) in oracle.items()
+    }

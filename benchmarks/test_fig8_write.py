@@ -3,7 +3,10 @@
 import pytest
 from conftest import rows_by_label
 
+from repro.experiments import fig8_write
+from repro.experiments.common import build_raidp, pick_scale
 from repro.experiments.fig8_write import run
+from tests.oracles import assert_rows_agree, packet_train_differential
 
 
 def test_fig8_write_performance(benchmark, run_once):
@@ -39,3 +42,25 @@ def test_fig8_write_performance(benchmark, run_once):
     un_journal = rows["raidp unopt: +journal"]
     assert 1.2 < un_sc < 2.5
     assert un_journal > 10.0
+
+
+def test_fig8_unoptimized_rows_agree_with_the_packet_loop(monkeypatch):
+    """The three unoptimized cells at seed 1, as Fig. 8 runs them: each
+    within 0.5% of the packet loop (``tests/oracles.py``), in the loop's
+    order, with the same network bytes."""
+    scale = pick_scale(False)
+    builders = {
+        label: (lambda kwargs=kwargs: build_raidp(scale, 1, **kwargs))
+        for label, kwargs, _paper in fig8_write.UNOPTIMIZED_BARS
+    }
+    train, oracle = packet_train_differential(
+        builders, scale.unoptimized_dataset, monkeypatch
+    )
+    assert_rows_agree(
+        {label: runtime for label, (runtime, _net) in train.items()},
+        {label: runtime for label, (runtime, _net) in oracle.items()},
+        rel=0.005,
+    )
+    assert {label: net for label, (_rt, net) in train.items()} == {
+        label: net for label, (_rt, net) in oracle.items()
+    }

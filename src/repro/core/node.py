@@ -32,7 +32,7 @@ from repro.errors import DfsError
 from repro.hdfs.block import Block, BlockLocations
 from repro.hdfs.config import DfsConfig
 from repro.hdfs.datanode import DataNode
-from repro.sim.disk import Disk
+from repro.sim.disk import Disk, DiskTrain
 from repro.sim.engine import Event, Simulator
 from repro.sim.network import Switch
 from repro.sim.node import Node
@@ -51,7 +51,7 @@ class RaidpConfig(InlineState):
     ``enable_journal`` ("+journal") on top of the bare superchunk layout;
     ``optimized`` selects block accumulation plus the writer lock;
     ``update_oriented`` enables the read-before-write ("re-write")
-    variant with preallocated superchunk files.
+    variant with preallocated superchunk files, on the optimized path.
     """
 
     enable_parity: bool = True
@@ -74,6 +74,10 @@ class RaidpConfig(InlineState):
             raise ValueError("need at least one Lstor per disk")
         if self.enable_journal and not self.enable_parity:
             raise ValueError("the journal protects parity; enable parity first")
+        if self.update_oriented and not self.optimized:
+            raise ValueError(
+                "the re-write variant rides the optimized (accumulated) path"
+            )
 
 
 class RaidpDataNode(DataNode):
@@ -306,14 +310,20 @@ class RaidpDataNode(DataNode):
         payload: Payload,
         inbound: Optional[Event],
     ) -> Generator:
-        """Unoptimized path: journal, sync, and write per 64 KB packet.
+        """Unoptimized path: journal, write and sync every 64 KB packet.
 
         This is the configuration Fig. 8 shows going off the chart: every
-        packet forces a journal record, a disk write at the block's fixed
-        superchunk offset (ping-ponging against concurrent writers), and a
-        sync.  Acks are charged as latency per packet rather than modeled
-        as per-packet flows (pure event-count reduction; the dominant
-        costs -- seeks and syncs -- are fully modeled).
+        packet is a journal record, a disk write at the block's fixed
+        superchunk offset and a sync, and concurrent writers' packets
+        ping-pong the head between superchunks.  The packets run as one
+        packet train (:meth:`~repro.sim.network.Switch.train`, DESIGN.md
+        §4c): alone on its disk it writes one packet per cycle -- journal
+        append, write, sync, ack latency, Lstor transfer -- and beside
+        other trains one packet per round of the disk, each packet paying
+        its seek and its sync.  The journal holds one packet-sized record
+        for the train while it runs; an Lstor lost mid-train leaves the
+        train at the overheads it opened with.  ``tests/oracles.py``
+        keeps the packet loop as the oracle.
         """
         block = locations.block
         sc_id, slot = self._placement_of(locations)
@@ -323,49 +333,46 @@ class RaidpDataNode(DataNode):
         # streaming batch: concurrent dirtiers trigger early flushes); the
         # journal's sync-per-packet rule forces true packet-granularity
         # I/O, which is what sends this configuration off the chart.
-        granularity = (
+        packet = (
             self.config.packet_size
             if self.raidp.enable_journal
             else 5 * units.MiB // 8
         )
-        offset = 0
-        while offset < block.size:
-            run = min(granularity, block.size - offset)
-            record = None
-            if self._journal_active():
-                journal = self.lstors.primary.journal
-                record = journal.append(
-                    block_name=block.name,
-                    sc_id=sc_id,
-                    slot=slot,
-                    old_data=old,
-                    new_data=payload,
-                    nbytes=run,
-                    now=self.sim.now,
-                    version=locations.version,
-                )
-                yield self.sim.timeout(
-                    self.lstors.primary.journal_write_time(run)
-                )
-            if (
-                self.raidp.update_oriented
-                and self.raidp.enable_parity
-                and not old.is_zero()
-            ):
-                yield from self.fs.read(block.name, offset, run)
-            yield from self.fs.write(block.name, offset, run)
-            if record is not None:
-                yield from self.fs.sync()
-                # Per-packet remote acknowledgment, charged as latency
-                # rather than modeled as per-packet flows (see docstring).
-                yield self.sim.timeout(2 * self.switch.BASE_LATENCY)
-                if not self.lstors.primary.failed:
-                    journal.mark_committed(record.record_id)
-                    journal.mark_acked(record.record_id)
-                    journal.clear(record.record_id, self.sim.now)
-            if self.raidp.enable_parity:
-                yield self.sim.timeout(run / self.raidp.lstor_write_rate)
-            offset += run
+        geometry = self.disk.geometry
+        cycle = geometry.transfer_time(packet)
+        record = None
+        journaling = self._journal_active()
+        if journaling:
+            journal = self.lstors.primary.journal
+            record = journal.append(
+                block_name=block.name,
+                sc_id=sc_id,
+                slot=slot,
+                old_data=old,
+                new_data=payload,
+                nbytes=packet,
+                now=self.sim.now,
+                version=locations.version,
+            )
+            # Each packet's remote acknowledgment is charged as latency
+            # rather than modeled as a flow.
+            cycle += (
+                self.lstors.primary.journal_write_time(packet)
+                + geometry.sync_time
+                + 2 * self.switch.BASE_LATENCY
+            )
+        if self.raidp.enable_parity:
+            cycle += packet / self.raidp.lstor_write_rate
+        offset = self.block_offset(sc_id, slot)
+        yield from self.disk.seek(offset)
+        train = self.switch.train(
+            DiskTrain(self.disk, offset, sync=journaling), block.size, packet, cycle
+        )
+        yield train.done
+        if record is not None and not self.lstors.primary.failed:
+            journal.mark_committed(record.record_id)
+            journal.mark_acked(record.record_id)
+            journal.clear(record.record_id, self.sim.now)
         if inbound is not None:
             yield inbound
         if self.config.sync_on_block_close:

@@ -125,12 +125,19 @@ class RaidpPlacement(PlacementPolicy):
             )
         # Balance by *disk* load (the busier disk of each pair), so every
         # spindle receives an even share of the write stream; ties break
-        # by superchunk fullness, then by the seeded RNG.
+        # by superchunk fullness, then by the seeded RNG.  A disk's load
+        # sums its superchunks' slots: taken once per disk per call.
+        load: Dict[str, int] = {}
+
+        def load_of(disk: str) -> int:
+            value = load.get(disk)
+            if value is None:
+                value = load[disk] = self.map.load_of_disk(disk)
+            return value
+
         def pressure(sc_id: int) -> Tuple[int, int, int]:
             a, b = self._pair(sc_id)
-            loads = sorted(
-                (self.map.load_of_disk(a), self.map.load_of_disk(b)), reverse=True
-            )
+            loads = sorted((load_of(a), load_of(b)), reverse=True)
             return (loads[0], loads[1], self.map.used_slots(sc_id))
 
         pressures = [pressure(sc) for sc in pool]

@@ -32,24 +32,28 @@ CONFIGS = [
 ]
 
 
+def build_raidp(geometry: DiskGeometry, scale: Scale, label: str) -> RaidpCluster:
+    """The RAIDP cluster of one configuration on ``geometry``'s media."""
+    return RaidpCluster(
+        spec=ClusterSpec(num_nodes=scale.num_nodes, disk_geometry=geometry),
+        config=DfsConfig(replication=2),
+        raidp=RaidpConfig(**dict(CONFIGS)[label]),
+        superchunk_size=scale.superchunk_size,
+        payload_mode="tokens",
+        seed=1,
+    )
+
+
 def _family(geometry: DiskGeometry, scale: Scale, dataset: int) -> Dict[str, float]:
     spec = ClusterSpec(num_nodes=scale.num_nodes, disk_geometry=geometry)
     hdfs = HdfsCluster(
         spec=spec, config=DfsConfig(replication=3), payload_mode="tokens", seed=1
     )
     baseline = dfsio_write(hdfs, dataset).runtime
-    ratios = {}
-    for label, kwargs in CONFIGS:
-        dfs = RaidpCluster(
-            spec=spec,
-            config=DfsConfig(replication=2),
-            raidp=RaidpConfig(**kwargs),
-            superchunk_size=scale.superchunk_size,
-            payload_mode="tokens",
-            seed=1,
-        )
-        ratios[label] = dfsio_write(dfs, dataset).runtime / baseline
-    return ratios
+    return {
+        label: dfsio_write(build_raidp(geometry, scale, label), dataset).runtime / baseline
+        for label, _kwargs in CONFIGS
+    }
 
 
 def run(full_scale: bool = False) -> ExperimentResult:

@@ -71,6 +71,11 @@ class DiskGeometry(InlineState):
     def transfer_time(self, nbytes: int) -> float:
         return nbytes / self.transfer_rate
 
+    @property
+    def sync_time(self) -> float:
+        """A cache flush: a settle plus half a rotation (:meth:`Disk.sync`)."""
+        return self.seek_min + self.rotational_latency
+
     def reposition_time(self, distance: float) -> float:
         """Seek plus any rotational loss of a head move of ``distance``."""
         if distance == 0:
@@ -221,31 +226,50 @@ class Disk(InlineState):
         self._wake_runs()
         try:
             transfer_time = self.geometry.transfer_time
-            yield self.sim.sleep(math.fsum(transfer_time(run.chunk) for run in self._runs))
+            yield self.sim.sleep(
+                math.fsum(transfer_time(run.chunk) + run.overhead for run in self._runs)
+            )
         finally:
             self._runs_turn = False
             self._wake_runs()
 
-    def run_rate(self, runs: Sequence[Tuple[float, int]]) -> float:
+    def run_rate(self, runs: Sequence[Tuple["DiskRun", float]]) -> float:
         """Bytes/s the disk passes to its open runs together, given each
-        run's (head position, chunk) in opening order.
+        run with its head position, in opening order.
 
-        Nothing while a queued I/O is served (or the disk is dead); the
-        media rate for a lone run; and for several, whose chunk reads
-        interleave through the FIFO in turn, the media rate less the
-        head move from each chunk's end to the next run's head.
+        Nothing while a queued I/O is served (or the disk is dead).
+        Otherwise the runs' chunks interleave through the FIFO in turn,
+        one round at a time: each chunk's transfer, plus its run's fixed
+        per-chunk overhead (a packet train's sync), plus -- with several
+        runs -- the head move from the previous chunk's end.  A lone run
+        without overhead streams at the media rate.
         """
         if self.failed or (self._queue.in_use and not self._runs_turn):
             return 0.0
         geometry = self.geometry
-        if len(runs) < 2:
+        if len(runs) < 2 and not (runs and runs[0][0].overhead):
             return geometry.transfer_rate
-        ends = [head + chunk for head, chunk in runs]
         busy = math.fsum(
-            geometry.transfer_time(chunk) + geometry.reposition_time(abs(head - ends[i - 1]))
-            for i, (head, chunk) in enumerate(runs)
+            geometry.transfer_time(run.chunk) + run.overhead + seek
+            for (run, _head), seek in zip(runs, self._round_seeks(runs))
         )
-        return math.fsum(chunk for _head, chunk in runs) / busy
+        return math.fsum(run.chunk for run, _head in runs) / busy
+
+    def _round_seeks(self, runs: Sequence[Tuple["DiskRun", float]]) -> List[float]:
+        """Each run's head move in a round: from the previous run's chunk
+        end to its head (none for a lone run)."""
+        if len(runs) < 2:
+            return [0.0] * len(runs)
+        reposition = self.geometry.reposition_time
+        ends = [head + run.chunk for run, head in runs]
+        return [reposition(abs(head - ends[i - 1])) for i, (_run, head) in enumerate(runs)]
+
+    def settle_runs(self, runs: Sequence[Tuple["DiskRun", float]]) -> None:
+        """The open runs (with their head positions, in opening order)
+        are about to change: each accounts the chunks it moved since they
+        last did, with its head move in the round they ran."""
+        for (run, head), seek in zip(runs, self._round_seeks(runs)):
+            run.settle(head, seek)
 
     def repair(self) -> None:
         """Bring a (replaced) disk back; its content is gone, head at 0."""
@@ -293,7 +317,7 @@ class Disk(InlineState):
             if self._runs:
                 yield from self._yield_to_runs()
             self._check_alive()
-            delay = self.geometry.seek_min + self.geometry.rotational_latency
+            delay = self.geometry.sync_time
             yield sim.sleep(delay)
             self.stats.syncs += 1
             self.stats.busy_seconds += delay
@@ -306,6 +330,42 @@ class Disk(InlineState):
         trace = sim.trace
         if trace.enabled:
             trace.complete("disk", "sync", t0, sim.now, disk=self.name)
+        return None
+
+    def seek(self, offset: int) -> Generator:
+        """Move the head to ``offset`` ahead of a packet train opening
+        there: one queued reposition, counted as a seek.  Nothing when
+        the head is already there or runs are open -- their round
+        charges every chunk's head move (:meth:`run_rate`)."""
+        if self._runs or self.head == offset:
+            return None
+        self._check_alive()
+        sim = self.sim
+        t0 = sim.now
+        self.queue_gauge.adjust(1.0, t0)
+        try:
+            grant = yield self._queue.request()
+        except BaseException:
+            self.queue_gauge.adjust(-1.0, sim.now)
+            raise
+        try:
+            if self._runs:
+                yield from self._yield_to_runs()
+            self._check_alive()
+            delay = self.geometry.reposition_time(abs(offset - self.head))
+            self.head = offset
+            yield sim.sleep(delay)
+            self.stats.seeks += 1
+            self.stats.seek_seconds += delay
+            self.stats.busy_seconds += delay
+        finally:
+            self.queue_gauge.adjust(-1.0, sim.now)
+            self._queue.release(grant)
+            if self._runs:
+                self._wake_runs()
+        trace = sim.trace
+        if trace.enabled:
+            trace.complete("disk", "seek", t0, sim.now, disk=self.name)
         return None
 
     def read_modify_write(
@@ -510,10 +570,11 @@ class DiskRun:
     charges what it read, as one sequential transfer.  No latency sample
     is taken, and the head moves between interleaved runs slow them
     without counting as seeks: the chunk I/Os the run stands for are not
-    simulated one by one.
+    simulated one by one.  ``overhead`` is the fixed time each chunk
+    costs the disk on top of its transfer (none for a stream body).
     """
 
-    __slots__ = ("disk", "kind", "offset", "chunk", "t0")
+    __slots__ = ("disk", "kind", "offset", "chunk", "t0", "overhead")
 
     def __init__(self, disk: Disk, kind: str, offset: int) -> None:
         self.disk = disk
@@ -521,6 +582,7 @@ class DiskRun:
         self.offset = offset
         self.chunk = 0
         self.t0 = 0.0
+        self.overhead = 0.0
 
     @property
     def rate(self) -> float:
@@ -551,18 +613,93 @@ class DiskRun:
         disk._runs[self] = (cut, wake)
         return None
 
+    def settle(self, head: float, seek: float) -> None:
+        """The disk's runs are about to change; this one's head is at
+        ``head`` and each of its chunks moved the head for ``seek``
+        seconds since they last changed (:meth:`Disk.settle_runs`)."""
+
     def close(self, nbytes: int) -> None:
         """End the run, charging the ``nbytes`` it moved."""
         disk = self.disk
         sim = disk.sim
         del disk._runs[self]
         disk.queue_gauge.adjust(-1.0, sim.now)
-        # One sequential transfer, as the body's rate paid for it: a seek
-        # to the run's start from wherever the head was left is not.
-        disk.head = self.offset
-        disk._charge(self.kind, self.offset, nbytes)
+        self._charge(nbytes)
         trace = sim.trace
         if trace.enabled:
             trace.complete(
                 "disk", self.kind, self.t0, sim.now, disk=disk.name, bytes=nbytes
             )
+
+    def _charge(self, nbytes: int) -> None:
+        # One sequential transfer, as the body's rate paid for it: a seek
+        # to the run's start from wherever the head was left is not.
+        self.disk.head = self.offset
+        self.disk._charge(self.kind, self.offset, nbytes)
+
+
+class DiskTrain(DiskRun):
+    """A packet train's side of its disk
+    (:meth:`repro.sim.network.Switch.train`): the run of one block
+    replica written ``chunk`` bytes -- a packet -- at a time, each packet
+    its own write and, with ``sync``, followed by a cache flush: the
+    run's per-chunk overhead.
+
+    Charged packet by packet when it closes: a write per packet (and a
+    sync), the bytes, and a seek for each packet written while another
+    run shared the disk -- its head move in the round
+    (:meth:`Disk.run_rate`).  Busy seconds are the transfer, the syncs
+    and those head moves.  Still no latency sample: the packets are not
+    simulated one by one.  A train that opens alone finds the head at
+    its offset (:meth:`Disk.seek`), so its first packet never seeks.
+    """
+
+    __slots__ = ("sync", "mark", "placed", "seeks", "seek_seconds")
+
+    def __init__(self, disk: Disk, offset: int, sync: bool) -> None:
+        super().__init__(disk, "write", offset)
+        self.sync = sync
+        self.overhead = disk.geometry.sync_time if sync else 0.0
+        self.mark: float = offset
+        self.placed = False
+        self.seeks = 0
+        self.seek_seconds = 0.0
+
+    def open(
+        self,
+        nbytes: int,
+        chunk: int,
+        cut: Callable[[DiskFailedError], None],
+        wake: Callable[[], None],
+    ) -> Optional[DiskFailedError]:
+        self.placed = not self.disk._runs
+        return super().open(nbytes, chunk, cut, wake)
+
+    def _packets(self, head: float) -> int:
+        """Packets started before the head reached ``head``."""
+        return math.ceil((head - self.offset) / self.chunk)
+
+    def settle(self, head: float, seek: float) -> None:
+        packets = self._packets(head) - self._packets(self.mark)
+        if packets and self.placed:
+            packets -= 1
+            self.placed = False
+        if seek:
+            self.seeks += packets
+            self.seek_seconds += packets * seek
+        self.mark = head
+
+    def _charge(self, nbytes: int) -> None:
+        disk = self.disk
+        stats = disk.stats
+        packets = self._packets(self.offset + nbytes)
+        busy = disk.geometry.transfer_time(nbytes) + self.seek_seconds
+        stats.writes += packets
+        stats.bytes_written += nbytes
+        stats.seeks += self.seeks
+        stats.seek_seconds += self.seek_seconds
+        if self.sync:
+            stats.syncs += packets
+            busy += packets * self.overhead
+        stats.busy_seconds += busy
+        disk.head = self.offset + nbytes

@@ -37,7 +37,8 @@ A chunked stream's *body* -- every chunk after its first -- can run as
 one :class:`Transfer` (:meth:`Switch.stream`): a flow that also crosses
 the disk it reads or writes, the shared stage its chunks queue for and
 its own chunk-cycle cap, and whose solved share is paced into one chunk
-per cycle.
+per cycle.  A packet train (:meth:`Switch.train`) is such a body with no
+NIC ends: only its own cycle's cap and its disk.
 
 Per-node accumulated traffic is tracked so experiments can report the
 paper's "accumulated network GB" bars (Fig. 10).
@@ -112,7 +113,8 @@ class _Port:
 
 
 class _Flow:
-    """An in-flight transfer between two NICs."""
+    """An in-flight transfer between two NICs (none for a packet train,
+    :meth:`Switch.train`)."""
 
     __slots__ = (
         "src",
@@ -134,8 +136,8 @@ class _Flow:
 
     def __init__(
         self,
-        src: Nic,
-        dst: Nic,
+        src: Optional[Nic],
+        dst: Optional[Nic],
         nbytes: int,
         done: Event,
         now: float,
@@ -208,13 +210,16 @@ class _DiskPort(_Port):
 
     @property
     def capacity(self) -> float:
-        return self.disk.run_rate(
-            [
-                (body.disk.offset + body.moved, body.disk.chunk)
-                for body in self.flows
-                if isinstance(body, Transfer) and body.disk is not None
-            ]
-        )
+        return self.disk.run_rate(self.runs())
+
+    def runs(self) -> List[Tuple["DiskRun", float]]:
+        """The open runs with their (banked) head positions, in opening
+        order."""
+        return [
+            (body.disk, body.disk.offset + body.moved)
+            for body in self.flows
+            if isinstance(body, Transfer) and body.disk is not None
+        ]
 
 
 class _Cycle:
@@ -292,8 +297,8 @@ class Transfer(_Flow):
 
     def __init__(
         self,
-        src: Nic,
-        dst: Nic,
+        src: Optional[Nic],
+        dst: Optional[Nic],
         nbytes: int,
         done: Event,
         now: float,
@@ -318,7 +323,7 @@ class Transfer(_Flow):
         if self.shared:
             rate = share
             label = port.label
-            if label == "own" and cycle.disk_bound(self.src.tx_rate):
+            if label == "own" and self.src is not None and cycle.disk_bound(self.src.tx_rate):
                 label = "disk"
         elif port.label == "disk":
             rate = cycle.chunk / (cycle.chunk / share + cycle.stage_s) if share > 0 else 0.0
@@ -510,26 +515,62 @@ class Switch(InlineState):
         """
         if nbytes <= 0 or chunk <= 0:
             raise ValueError("a stream body needs positive bytes and chunk")
-        sim = self.sim
-        now = sim.now
         cycle = _Cycle(chunk, disk.rate if disk is not None else None, stage_s)
         ports: Tuple[_Port, ...] = (self._port(src, is_tx=True), self._port(dst, is_tx=False))
         if shared is not None:
             if shared.port is not None:
                 ports += (shared.port,)
             ports += (_CyclePort(src, cycle),)
+        return self._open_body(src, dst, nbytes, ports, cycle, disk, shared is not None)
+
+    def train(self, run: "DiskRun", nbytes: int, chunk: int, cycle_s: float) -> Transfer:
+        """Start a packet train: ``nbytes`` that ``run`` writes ``chunk``
+        at a time, one chunk per ``cycle_s`` seconds while it has its
+        disk to itself, as one body.
+
+        The train crosses no NIC and moves no network bytes: only its
+        own cycle's cap and its disk's port, which it shares with every
+        other run there (:meth:`~repro.sim.disk.Disk.run_rate`, whose
+        round then charges each chunk its head move and the run's
+        per-chunk overhead).  ``done`` fires like a stream body's and
+        fails the same way if the disk dies mid-train.
+        """
+        if nbytes <= 0 or chunk <= 0 or cycle_s <= 0:
+            raise ValueError("a packet train needs positive bytes, chunk and cycle")
+        own = _Port(Nic("train", chunk / cycle_s), True, "own")
+        cycle = _Cycle(chunk, None, cycle_s)
+        return self._open_body(None, None, nbytes, (own,), cycle, run, True)
+
+    def _open_body(
+        self,
+        src: Optional[Nic],
+        dst: Optional[Nic],
+        nbytes: int,
+        ports: Tuple[_Port, ...],
+        cycle: _Cycle,
+        disk: Optional["DiskRun"],
+        shared: bool,
+    ) -> Transfer:
+        """Register a stream body or a train on ``ports`` (then its
+        disk's port, when it has a run) and queue it for the solve."""
+        sim = self.sim
+        now = sim.now
         if disk is not None:
-            disk_port = self._disk_ports.get(disk.disk) or _DiskPort(disk.disk)
+            disk_port = self._disk_ports.get(disk.disk)
+            if disk_port is None:
+                disk_port = _DiskPort(disk.disk)
+            elif disk_port.flows:
+                self._settle_disk(disk_port, now)
             ports += (disk_port,)
         self._flow_seq += 1
         body = Transfer(
             src, dst, nbytes, sim.event(), now, ports, self._flow_seq,
-            cycle, disk, shared is not None,
+            cycle, disk, shared,
         )
         if disk is not None:
             failed = disk.open(
                 nbytes,
-                chunk,
+                cycle.chunk,
                 lambda error: self._cut(body, error),
                 lambda: self._touch(disk_port),
             )
@@ -538,12 +579,19 @@ class Switch(InlineState):
                 body.done.fail(failed)
                 return body
             self._disk_ports[disk.disk] = disk_port
-        src.stats.flows_started += 1
+        if src is not None:
+            src.stats.flows_started += 1
         self._flows[body] = None
         for port in ports:
             port.flows[body] = None
         self._arrive(body, now)
         return body
+
+    def _settle_disk(self, port: _DiskPort, now: float) -> None:
+        """The runs on ``port``'s disk are about to change: bank their
+        bodies and let the runs account what they moved."""
+        self._bank(port.flows, now)
+        port.disk.settle_runs(port.runs())
 
     def hold_stage(self, stage: Stage, held: bool) -> None:
         """A chunk outside every body takes (``held``) or releases the
@@ -570,16 +618,18 @@ class Switch(InlineState):
         self._bank((body,), now)
         self._retire(body)
         moved = body.moved
-        body.src.stats.bytes_sent += moved
-        body.dst.stats.bytes_received += moved
-        body.src.stats.flows_finished += 1
-        self.total_bytes += moved
-        trace = self.sim.trace
-        if trace.enabled:
-            trace.complete(
-                "net", "flow", body.started_at, now,
-                src=body.src.name, dst=body.dst.name, bytes=moved, cut=True,
-            )
+        src, dst = body.src, body.dst
+        if src is not None and dst is not None:  # a train moves no network bytes
+            src.stats.bytes_sent += moved
+            dst.stats.bytes_received += moved
+            src.stats.flows_finished += 1
+            self.total_bytes += moved
+            trace = self.sim.trace
+            if trace.enabled:
+                trace.complete(
+                    "net", "flow", body.started_at, now,
+                    src=src.name, dst=dst.name, bytes=moved, cut=True,
+                )
         body.done.fail(error)
         self._update(list(body.ports))
 
@@ -701,11 +751,14 @@ class Switch(InlineState):
         """Drop a finished flow from the global and per-port registries."""
         flow.finished = True
         del self._flows[flow]
+        disk_run = flow.disk if isinstance(flow, Transfer) else None
+        if disk_run is not None:
+            self._settle_disk(self._disk_ports[disk_run.disk], self.sim.now)
         for port in flow.ports:
             del port.flows[flow]
         if isinstance(flow, Transfer):
-            if flow.disk is not None and not flow.ports[-1].flows:
-                del self._disk_ports[flow.disk.disk]  # its last run closes
+            if disk_run is not None and not flow.ports[-1].flows:
+                del self._disk_ports[disk_run.disk]  # its last run closes
             flow.close(self.sim.now)
         self.flows_gauge.adjust(-1.0, self.sim.now)
 
@@ -717,17 +770,22 @@ class Switch(InlineState):
         is the order per-flow sleeps would have dispatched in (their seqs
         would have been consecutive), so completion delivery order is
         unchanged.  The base latency keeps even an infinitely-fast link's
-        transfer time nonzero.
+        transfer time nonzero.  A packet train crossed no link: it is
+        done with its last packet, and moved no network bytes.
         """
-        flow.src.stats.bytes_sent += flow.total
-        flow.dst.stats.bytes_received += flow.total
-        flow.src.stats.flows_finished += 1
+        src, dst = flow.src, flow.dst
+        if src is None or dst is None:
+            flow.done.succeed(self.sim.now - flow.started_at)
+            return
+        src.stats.bytes_sent += flow.total
+        dst.stats.bytes_received += flow.total
+        src.stats.flows_finished += 1
         self.total_bytes += flow.total
         trace = self.sim.trace
         if trace.enabled:
             trace.complete(
                 "net", "flow", flow.started_at, self.sim.now,
-                src=flow.src.name, dst=flow.dst.name, bytes=flow.total,
+                src=src.name, dst=dst.name, bytes=flow.total,
             )
             trace.count("net", "active_flows", self.sim.now, len(self._flows))
         duration = self.sim.now - flow.started_at + self.BASE_LATENCY
@@ -944,11 +1002,14 @@ class Switch(InlineState):
         now = self.sim.now
         rows = []
         for flow in self._flows:
+            src, dst = flow.src, flow.dst
+            if src is None or dst is None:
+                continue  # a packet train: no network flow
             elapsed = now - flow.last_update
             remaining = flow.remaining
             if elapsed > 0 and flow.rate > 0:
                 remaining = max(0.0, remaining - flow.rate * elapsed)
-            rows.append((flow.src.name, flow.dst.name, remaining, flow.rate))
+            rows.append((src.name, dst.name, remaining, flow.rate))
         return rows
 
     def node_traffic(self) -> Dict[str, FlowStats]:
@@ -966,7 +1027,8 @@ class Switch(InlineState):
         """
         problems: List[str] = []
         for flow in self._flows:
-            label = f"{flow.src.name}->{flow.dst.name}"
+            src, dst = flow.src, flow.dst
+            label = f"{src.name}->{dst.name}" if src and dst else "train"
             if flow.finished:
                 problems.append(f"net: finished flow {label} still active")
             if flow.remaining < -1e-6:
@@ -990,6 +1052,8 @@ class Switch(InlineState):
                         )
         active_by_src: Dict[str, int] = {}
         for flow in self._flows:
+            if flow.src is None:
+                continue  # a packet train
             name = flow.src.name
             active_by_src[name] = active_by_src.get(name, 0) + 1
         for name, nic in self._nics.items():
