@@ -10,8 +10,8 @@ export PYTHONPATH
 test:
 	$(PYTHON) -m pytest -x -q
 
-# Determinism & invariant linter (rules RDP001..RDP007 plus RDP101; see
-# DESIGN.md §10 and §14).  --strict promotes warnings to failures.
+# Determinism & invariant linter (rules RDP001..RDP007; see DESIGN.md
+# §10).  --strict promotes warnings to failures.
 lint:
 	$(PYTHON) -m repro.lint --strict src/
 

@@ -4,7 +4,7 @@ Usage::
 
     python -m repro.lint src/                  # lint a tree (text output)
     python -m repro.lint --format json --output lint.json src/
-    python -m repro.lint --select RDP101 src/  # one rule only
+    python -m repro.lint --select RDP001 src/  # one rule only
     python -m repro.lint --list-rules          # the rule set and scopes
 
 Exit codes: 0 clean, 1 unsuppressed error findings (or warnings under
@@ -109,7 +109,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro.lint",
         description="Static determinism & invariant checks for the RAIDP "
-        "simulator: RDP001..RDP007 plus RDP101.",
+        "simulator: RDP001..RDP007.",
     )
     parser.add_argument("paths", nargs="*", help="files or directories to lint")
     parser.add_argument(

@@ -133,29 +133,16 @@ class Suppressions:
 
 @dataclass
 class FileContext:
-    """Everything a rule needs about one file: parsed once, shared.
-
-    Per-function CFGs are built on first use, so files outside a flow
-    rule's scope never pay for them.
-    """
+    """Everything a rule needs about one file: parsed once, shared."""
 
     path: str  # forward-slash path as given/walked, used for scoping
     source: str
     tree: ast.Module
     lines: List[str] = field(default_factory=list)
-    _cfgs: Optional[dict] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.lines:
             self.lines = self.source.splitlines()
-
-    def function_cfgs(self) -> dict:
-        """qualname -> CFG for every function in the file (cached)."""
-        if self._cfgs is None:
-            from .cfg import function_cfgs
-
-            self._cfgs = function_cfgs(self.tree)
-        return self._cfgs
 
 
 class Rule:

@@ -608,9 +608,7 @@ class AnnotationRule(Rule):
 
 
 def default_rules(taxonomy: Optional[frozenset] = None) -> List[Rule]:
-    """The standard rule set, in id order: flat rules then RDP101."""
-    from .flowrules import ResourceLeakRule
-
+    """The standard rule set, in id order."""
     return [
         WallClockRule(),
         UnorderedIterationRule(),
@@ -618,5 +616,4 @@ def default_rules(taxonomy: Optional[frozenset] = None) -> List[Rule]:
         TraceTaxonomyRule(categories=taxonomy),
         FloatSumRule(),
         AnnotationRule(),
-        ResourceLeakRule(),
     ]

@@ -188,6 +188,15 @@ class Event:
         else:
             self._callbacks = [callbacks, callback]
 
+    def _abandon(self, callback: Callable[["Event"], None]) -> None:
+        """The waiter ``callback`` stopped waiting (its process was
+        interrupted): the event must not resume it later."""
+        callbacks = self._callbacks
+        if callbacks is callback:
+            self._callbacks = None
+        elif isinstance(callbacks, list) and callback in callbacks:
+            callbacks.remove(callback)
+
     def _dispatch(self) -> None:
         callbacks, self._callbacks = self._callbacks, _DISPATCHED
         if callbacks is None:
@@ -294,7 +303,11 @@ class Process(Event):
     def _throw(self, exc: BaseException) -> None:
         if self.triggered:
             return
-        self._waiting_on = None
+        # The wait is abandoned: a resource request withdraws from its
+        # queue, or hands back the grant it got but never delivered.
+        waiting, self._waiting_on = self._waiting_on, None
+        if waiting is not None:
+            waiting._abandon(self._rcb)
         try:
             target = self._bthrow(exc)
         except StopIteration as stop:
@@ -509,6 +522,10 @@ class Simulator:
         # One-shot hooks run when the cascade at the current instant has
         # drained, before simulated time advances (see add_flush_hook).
         self._flush_hooks: List[Callable[[], None]] = []
+        # The grant ledger: primitive (a Resource or a ByteRangeLock) ->
+        # grants it has out.  An entry leaves at zero, so a run that
+        # released everything holds nothing here (see run()).
+        self._grants: Dict[Any, int] = {}
 
     def _bind_observers(self) -> None:
         """Bind whatever observers are ambient right now (see
@@ -565,10 +582,11 @@ class Simulator:
             or self._flush_hooks
             or self._live_processes
             or self._failed
+            or self._grants
         ):
             raise SimulationError(
                 "simulator snapshot requires quiescence: empty schedule, "
-                "no live processes, no pending failures"
+                "no live processes, no pending failures, no held grants"
             )
         return {"now": self.now, "seq": self._seq}
 
@@ -587,6 +605,7 @@ class Simulator:
         self._deferred_pool = []
         self._sleep_pool = []
         self._flush_hooks = []
+        self._grants = {}
 
     # ------------------------------------------------------------------
     # Event construction helpers.
@@ -723,12 +742,35 @@ class Simulator:
     def _note_process_failure(self, process: Process, exc: BaseException) -> None:
         self._failed.append((process, exc))
 
+    def _grant(self, primitive: Any) -> None:
+        """Ledger: ``primitive`` gave out one more grant."""
+        grants = self._grants
+        grants[primitive] = grants.get(primitive, 0) + 1
+
+    def _ungrant(self, primitive: Any) -> None:
+        """Ledger: one of ``primitive``'s grants came back."""
+        grants = self._grants
+        count = grants[primitive] - 1
+        if count:
+            grants[primitive] = count
+        else:
+            del grants[primitive]
+
+    def _held_names(self) -> str:
+        """The ledger for an error message: ``name xN`` per primitive."""
+        return ", ".join(
+            f"{primitive.name or type(primitive).__name__} x{count}"
+            for primitive, count in self._grants.items()
+        )
+
     def run(self, until: Optional[float] = None) -> float:
         """Run until the schedule drains or simulated time reaches ``until``.
 
         Returns the final simulated time.  Raises the first unobserved
-        process failure, and raises :class:`DeadlockError` if processes
-        remain blocked after the schedule drains.
+        process failure, raises :class:`DeadlockError` if processes
+        remain blocked after the schedule drains, and refuses a quiescent
+        end -- schedule drained, no process live -- that still holds a
+        grant: nothing is left that could release it.
         """
         from repro.errors import DeadlockError
 
@@ -743,14 +785,19 @@ class Simulator:
         # make every finished simulator a reference cycle.
         self._sleep_pool.clear()
         self._raise_orphan_failures()
-        if (
-            until is None
-            and self._live_processes > 0
-            and not self._heap
-            and not self._lane
-        ):
-            raise DeadlockError(
-                f"{self._live_processes} process(es) blocked forever at t={self.now}"
+        if self._heap or self._lane or self._now_bucket:
+            return self.now  # stopped at ``until``
+        if self._live_processes:
+            if until is None:
+                held = f"; holding {self._held_names()}" if self._grants else ""
+                raise DeadlockError(
+                    f"{self._live_processes} process(es) blocked forever "
+                    f"at t={self.now}{held}"
+                )
+        elif self._grants:
+            raise SimulationError(
+                f"run ended at t={self.now} still holding {self._held_names()}: "
+                "no process is left to release them"
             )
         return self.now
 

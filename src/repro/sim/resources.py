@@ -12,12 +12,18 @@ Three primitives cover every need in the reproduction:
   reconstruction locking comparison (Table 2): locking the *entire*
   superchunk serializes the XOR work of recovery threads, while a
   byte-range lock lets threads working on different file regions overlap.
+
+Every grant is entered in the simulator's grant ledger while it is out
+(``Simulator._grant`` / ``_ungrant``; a FIFO hand-off moves a grant
+without touching it), so a run that ends holding one is refused.  A
+process interrupted while it waits on a request withdraws it: queued, it
+leaves the queue; granted but not yet delivered, the grant goes back.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Generator, List, Optional, Tuple
+from typing import Any, Callable, Deque, List, Optional, Tuple
 
 from repro.errors import SimulationError
 from repro.sim.engine import Event, Simulator
@@ -43,10 +49,7 @@ class Resource(InlineState):
         self.capacity = capacity
         self.name = name
         self._in_use = 0
-        self._queue: Deque[Event] = deque()
-        # Accounting for utilization reports.
-        self.total_waits = 0
-        self.total_grants = 0
+        self._queue: Deque[_Request] = deque()
 
     @property
     def in_use(self) -> int:
@@ -65,13 +68,14 @@ class Resource(InlineState):
         simulated I/O passes through here once.
         """
         sim = self.sim
-        event = Event.__new__(Event)
+        event = _Request.__new__(_Request)
         event.sim = sim
         event._callbacks = None
         event._exception = None
+        event.owner = self
         if self._in_use < self.capacity and not self._queue:
             self._in_use += 1
-            self.total_grants += 1
+            sim._grant(self)
             # Inlined event.succeed(_Grant(self)).
             event._value = _Grant(self)
             event.triggered = True
@@ -82,7 +86,6 @@ class Resource(InlineState):
             event._value = None
             event.triggered = False
             event._scheduled = False
-            self.total_waits += 1
             self._queue.append(event)
         return event
 
@@ -95,7 +98,7 @@ class Resource(InlineState):
         """
         if self._in_use < self.capacity and not self._queue:
             self._in_use += 1
-            self.total_grants += 1
+            self.sim._grant(self)
             return _Grant(self)
         return None
 
@@ -107,12 +110,11 @@ class Resource(InlineState):
         if self._queue:
             # O(1) FIFO handoff: the released token passes straight to the
             # head waiter with no allocation.  The unit never goes idle,
-            # so _in_use is untouched and the token stays live.  Inlined
-            # waiter.succeed(grant): queued events are request()-private
-            # and still pending, so the triggered/scheduled checks are
-            # statically true.
+            # so _in_use and the ledger are untouched and the token stays
+            # live.  Inlined waiter.succeed(grant): queued events are
+            # request()-private and still pending, so the
+            # triggered/scheduled checks are statically true.
             waiter = self._queue.popleft()
-            self.total_grants += 1
             waiter._value = grant
             waiter.triggered = True
             waiter._scheduled = True
@@ -122,6 +124,27 @@ class Resource(InlineState):
         else:
             grant.released = True
             self._in_use -= 1
+            self.sim._ungrant(self)
+
+    def _withdraw(self, request: "_Request") -> None:
+        """An interrupted waiter gives ``request`` up."""
+        if request.triggered:
+            self.release(request._value)
+        else:
+            self._queue.remove(request)
+
+
+class _Request(Event):
+    """A request's event: ``owner`` (the primitive it waits on) takes it
+    back when its waiter is interrupted (:meth:`Process.interrupt`)."""
+
+    __slots__ = ("owner",)
+
+    owner: Any  # a Resource or a ByteRangeLock
+
+    def _abandon(self, callback: Callable[[Event], None]) -> None:
+        super()._abandon(callback)
+        self.owner._withdraw(self)
 
 
 class _Grant:
@@ -157,7 +180,7 @@ class ByteRangeLock(InlineState):
         self.sim = sim
         self.name = name
         self._held: List[Tuple[int, int]] = []
-        self._waiters: Deque[Tuple[int, int, Event]] = deque()
+        self._waiters: Deque[Tuple[int, int, _Request]] = deque()
 
     @staticmethod
     def _overlaps(a_start: int, a_end: int, b_start: int, b_end: int) -> bool:
@@ -172,9 +195,11 @@ class ByteRangeLock(InlineState):
         """Return an event granting exclusive access to ``[start, end)``."""
         if end <= start:
             raise ValueError(f"empty byte range [{start}, {end})")
-        event = self.sim.event()
+        event = _Request(self.sim)
+        event.owner = self
         if not self._conflicts(start, end) and not self._blocked_by_waiter(start, end):
             self._held.append((start, end))
+            self.sim._grant(self)
             event.succeed((start, end))
         else:
             self._waiters.append((start, end, event))
@@ -194,7 +219,19 @@ class ByteRangeLock(InlineState):
             self._held.remove(grant)
         except ValueError:
             raise SimulationError(f"byte range {grant} released but not held") from None
+        self.sim._ungrant(self)
         self._wake_waiters()
+
+    def _withdraw(self, request: _Request) -> None:
+        """An interrupted waiter gives ``request`` up."""
+        if request.triggered:
+            self.release(request._value)
+            return
+        for index, (_start, _end, event) in enumerate(self._waiters):
+            if event is request:
+                del self._waiters[index]
+                break
+        self._wake_waiters()  # it may have been all that blocked a later one
 
     def _wake_waiters(self) -> None:
         # Grant waiters in FIFO order, skipping over (but not past) blocked
@@ -212,6 +249,7 @@ class ByteRangeLock(InlineState):
                 if not blocked:
                     del self._waiters[index]
                     self._held.append((start, end))
+                    self.sim._grant(self)
                     event.succeed((start, end))
                     granted_any = True
                     break
@@ -221,15 +259,3 @@ class ByteRangeLock(InlineState):
     def queue_length(self) -> int:
         return len(self._waiters)
 
-
-def with_resource(resource: Resource, body: Generator) -> Generator:
-    """Process helper: run generator ``body`` while holding ``resource``.
-
-    Usage: ``result = yield from with_resource(disk_lock, do_io())``.
-    """
-    grant = yield resource.request()
-    try:
-        result = yield from body
-    finally:
-        resource.release(grant)
-    return result

@@ -8,12 +8,7 @@ import pytest
 
 from repro.lint.cli import build_engine, main
 
-LEAKY = (
-    "def worker(res, sim):\n"
-    "    grant = yield res.request()\n"
-    "    yield sim.sleep(1.0)\n"
-    "    res.release(grant)\n"
-)
+CLOCKED = "import time\n\n\ndef stamp():\n    return time.time()\n"
 SIM_PATH = "src/repro/sim/fake.py"
 
 
@@ -21,14 +16,14 @@ SIM_PATH = "src/repro/sim/fake.py"
 # Report output.
 # ----------------------------------------------------------------------
 def test_json_via_cli_output_file(tmp_path, capsys):
-    target = tmp_path / "src" / "repro" / "sim" / "leaky.py"
+    target = tmp_path / "src" / "repro" / "sim" / "clocked.py"
     target.parent.mkdir(parents=True)
-    target.write_text(LEAKY)
+    target.write_text(CLOCKED)
     out = tmp_path / "report.json"
-    argv = ["--select", "RDP101", "--format", "json", "--output", str(out)]
+    argv = ["--select", "RDP001", "--format", "json", "--output", str(out)]
     assert main(argv + [str(target)]) == 1
     document = json.loads(out.read_text())
-    assert [f["rule"] for f in document["findings"]] == ["RDP101"]
+    assert [f["rule"] for f in document["findings"]] == ["RDP001"]
     assert capsys.readouterr().out == ""
 
 
@@ -70,11 +65,11 @@ def test_rdp007_quiet_while_the_suppression_still_earns_its_keep():
 
 
 def test_rdp007_ignores_rules_that_did_not_run():
-    # Under --select RDP101 the RDP001 suppression was never exercised,
+    # Under --select RDP001 the RDP002 suppression was never exercised,
     # so it is not stale -- it just did not run.
-    engine = build_engine(select=["RDP101", "RDP007"])
+    engine = build_engine(select=["RDP001", "RDP007"])
     findings = engine.lint_source(
-        "x = 1  # raidp: noqa[RDP001] -- judged by the full run only\n",
+        "x = 1  # raidp: noqa[RDP002] -- judged by the full run only\n",
         path=SIM_PATH,
     )
     assert findings == []

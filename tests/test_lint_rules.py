@@ -246,5 +246,4 @@ def test_default_rules_cover_all_registered_ids():
         "RDP004",
         "RDP005",
         "RDP006",
-        "RDP101",
     ]

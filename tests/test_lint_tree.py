@@ -1,10 +1,12 @@
 """End-to-end lint and typing gates over the real source tree.
 
 These are the tests that make the invariants *stick*: the whole of
-``src/`` must lint clean with the repo allowlists, and every annotation
+``src/`` must lint clean with the repo allowlists, every annotation
 in the strict packages must actually resolve (a missing import hidden
 by ``from __future__ import annotations`` fails here, the way it once
-did for ``repro.obs.tracer``).
+did for ``repro.obs.tracer``), and each historical defect re-seeded into
+the real file must be caught again, by a lint rule or by the
+simulator's grant ledger.
 """
 
 import ast
@@ -12,6 +14,8 @@ import importlib
 import inspect
 import pkgutil
 import re
+import sys
+import types
 from pathlib import Path
 from typing import get_type_hints
 
@@ -20,7 +24,12 @@ import pytest
 import repro.analysis
 import repro.core
 import repro.sim
+from repro import units
+from repro.core import recovery
+from repro.errors import DeadlockError, SimulationError
 from repro.lint.cli import build_engine
+from repro.sim.engine import ProcessInterrupt, Simulator
+from tests.test_recovery import pick_sharing_pair, sparse_cluster, write_some_data
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -44,9 +53,9 @@ def test_source_tree_has_no_unsuppressed_warnings():
 
 
 # ----------------------------------------------------------------------
-# The kept rules, pinned to the bugs that justify them: each historical
-# defect (DESIGN.md 10.2, 14.4) is re-seeded into the *real* file by text
-# substitution and must draw exactly the finding that caught it.
+# The kept checks, pinned to the bugs that justify them: each historical
+# defect (DESIGN.md 7.3, 10.2) is re-seeded into the *real* file by text
+# substitution and must be caught again.
 # ----------------------------------------------------------------------
 def _mutated(relative, original, replacement):
     """(path, pristine source, source with the defect re-seeded)."""
@@ -108,25 +117,98 @@ def test_rdp002_catches_the_set_order_freeze_loop():
     assert [f.line for f in findings] == loops and len(loops) == 2
 
 
+def _killed_recovery(monkeypatch, source, acquire, options):
+    """Run a double-failure recovery with ``source``'s ``_Pullers.puller``
+    swapped in, interrupting the first puller that reaches the sleep
+    after ``acquire`` (holding that grant).  The recovery's own process
+    absorbs the interrupt; returns what ``run()`` raised, or None."""
+    path = str(SRC / "repro" / "core" / "recovery.py")
+    module = types.ModuleType("recovery_under_test")
+    monkeypatch.setitem(sys.modules, module.__name__, module)
+    exec(compile(source, path, "exec"), module.__dict__)
+    puller = module._Pullers.puller
+    monkeypatch.setattr(recovery._Pullers, "puller", puller)
+    lines = [line.strip() for line in source.splitlines()]
+    start = lines.index(acquire)
+    sleep_line = next(
+        n for n, line in enumerate(lines[start:], start + 1)
+        if line.startswith("yield sim.sleep(")
+    )
+
+    pullers, killed = {}, []
+    spawn, sleep = Simulator.process, Simulator.sleep
+
+    def process(sim, body, name=""):
+        proc = spawn(sim, body, name)
+        if getattr(body, "gi_code", None) is puller.__code__:
+            pullers[body.gi_frame] = proc
+        return proc
+
+    def sleep_or_die(sim, delay, value=None):
+        caller = sys._getframe(1)
+        if not killed and caller.f_code is puller.__code__ and caller.f_lineno == sleep_line:
+            killed.append(pullers[caller])
+            killed[0].interrupt("killed at its yield")
+        return sleep(sim, delay, value)
+
+    monkeypatch.setattr(Simulator, "process", process)
+    monkeypatch.setattr(Simulator, "sleep", sleep_or_die)
+    dfs = sparse_cluster(num_nodes=8, per_disk=3, payload_mode="tokens")
+    write_some_data(dfs)
+    a, b = pick_sharing_pair(dfs)
+    manager = recovery.RecoveryManager(dfs)
+
+    def drive():
+        try:
+            yield from manager.double_failure_body(
+                a, b, options=options, remirror_rest=False, install=False
+            )
+        except ProcessInterrupt:
+            pass
+
+    dfs.sim.process(drive())
+    error = None
+    try:
+        dfs.sim.run()
+    except SimulationError as refused:
+        error = refused
+    assert len(killed) == 1 and killed[0].name.startswith("pull:")
+    return error
+
+
 @pytest.mark.parametrize(
-    "acquire, grant, resource",
+    "acquire, options, name",
     [
-        ("grant = yield lock_whole.request()", "grant", "lock_whole"),
-        ("grant = yield lock_ranges.acquire(offset, offset + run)", "grant", "lock_ranges"),
-        ("bus_grant = yield memory_bus.request()", "bus_grant", "memory_bus"),
+        (
+            "grant = yield lock_whole.request()",
+            recovery.RecoveryOptions(lock_mode="superchunk"),
+            "reconstruct",
+        ),
+        (
+            "grant = yield lock_ranges.acquire(offset, offset + run)",
+            recovery.RecoveryOptions(),
+            "reconstruct",
+        ),
+        (
+            "bus_grant = yield memory_bus.request()",
+            recovery.RecoveryOptions(cache_threshold=units.MiB),  # streaming XOR
+            "xor-bus",
+        ),
     ],
+    ids=["lock_whole", "lock_ranges", "memory_bus"],
 )
-def test_rdp101_catches_each_recovery_lock_leak(acquire, grant, resource):
-    path = SRC / "repro" / "core" / "recovery.py"
-    pristine = path.read_text(encoding="utf-8")
+def test_kill_at_yield_catches_each_recovery_lock_leak(monkeypatch, acquire, options, name):
+    """A puller killed at the sleep it takes holding a grant: the real
+    file releases it on the way out, and each ``try/finally`` flattened
+    back out (the three leaks RDP101 once found) is refused -- the other
+    pullers queue behind the leak, so by ``DeadlockError``, naming the
+    held primitive."""
+    pristine = (SRC / "repro" / "core" / "recovery.py").read_text(encoding="utf-8")
+    assert _killed_recovery(monkeypatch, pristine, acquire, options) is None
     mutant = _flatten_try_finally(pristine, acquire)
-    engine = build_engine()
-    assert engine.lint_source(pristine, path=str(path)) == []
-    (finding,) = engine.lint_source(mutant, path=str(path))
-    assert finding.rule == "RDP101"
-    assert finding.line in _lines_of(mutant, acquire)
-    assert f"grant {grant!r} from {resource}." in finding.message
-    assert "exception path" in finding.message and "puller()" in finding.message
+    error = _killed_recovery(monkeypatch, mutant, acquire, options)
+    assert isinstance(error, DeadlockError)
+    assert f"{name} x1" in str(error)
 
 
 def test_environment_switch_inventory():
@@ -277,7 +359,8 @@ DESIGN = (SRC.parent / "DESIGN.md").read_text(encoding="utf-8")
 
 def _design_section(number):
     start = DESIGN.index(f"\n## {number}. ")
-    return DESIGN[start : DESIGN.index("\n## ", start + 1)]
+    end = DESIGN.find("\n## ", start + 1)
+    return DESIGN[start : end if end != -1 else None]
 
 
 def test_design_repository_map_matches_tree():
