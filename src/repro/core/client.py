@@ -60,7 +60,7 @@ class RaidpClient(DfsClient):
             )
         source = self._pick_parity_source(sc_id)
         # Parity block ships from the failed disk's (alive) node.
-        accum = XorAccumulator(source.lstors.primary.parity_block(slot))
+        accum = XorAccumulator(source.lstors.parity_block(slot))
         yield self.switch.transfer(
             source.node.primary_nic, self.node.primary_nic, block.size
         )
@@ -75,10 +75,8 @@ class RaidpClient(DfsClient):
                     f"degraded read of {block.name} needs dead mirror {mirror_name}"
                 )
             assert isinstance(mirror, RaidpDataNode)
-            sibling_name = mirror.block_in_slot(other_sc, slot)
             payload = mirror.slot_payload(other_sc, slot)
-            if sibling_name is not None:
-                yield from mirror.fs.read(sibling_name, 0, block.size)
+            yield from mirror.read_slot(other_sc, slot, block.size)
             yield self.switch.transfer(
                 mirror.node.primary_nic, self.node.primary_nic, block.size
             )

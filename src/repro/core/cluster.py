@@ -205,13 +205,12 @@ class RaidpCluster(InlineState):
         :meth:`RaidpDataNode.lstors.reconstruct_block` in tests.
         """
         for datanode in self._parity_trusted():
-            lstor = datanode.lstors.primary
             sc_ids = self.layout.superchunks_of(datanode.name)
             for slot in range(self.map.slots_per_superchunk):
                 expected = self.factory.zero(self.config.block_size)
                 for sc_id in sc_ids:
                     expected = expected.xor(datanode.slot_payload(sc_id, slot))
-                actual = lstor.parity_block(slot)
+                actual = datanode.lstors.parity_block(slot)
                 if actual != expected:
                     raise LayoutError(
                         f"parity mismatch on {datanode.name} slot {slot}"

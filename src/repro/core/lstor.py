@@ -23,7 +23,7 @@ the transfer into the device, charged at ``write_rate``.
 
 from __future__ import annotations
 
-from typing import Dict, Generator, Hashable, List, Optional
+from typing import Dict, Generator, Hashable, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -39,6 +39,17 @@ from repro.storage.payload import (
     XorAccumulator,
 )
 from repro.sim.snapshot import InlineState
+
+
+def filler_name(sc_id: int, slot: int) -> str:
+    return f"pre_sc{sc_id}_s{slot}"
+
+
+def filler(factory: ContentFactory, sc_id: int, slot: int, block_size: int) -> Payload:
+    """The preallocation content of block slot ``slot`` of superchunk
+    ``sc_id`` (the update-oriented setup, paper §5).  A pure function of
+    its arguments, so both mirrors and the parity derive it alike."""
+    return factory.make(filler_name(sc_id, slot), 0, block_size)
 
 
 class Lstor(InlineState):
@@ -72,7 +83,6 @@ class Lstor(InlineState):
         # Tags of already-absorbed updates: device-side sequence-number
         # dedup, which makes journal roll-forward idempotent.
         self._absorbed_tags: set = set()
-        self.stats_parity_updates = 0
         self.stats_bytes_absorbed = 0
 
     # ------------------------------------------------------------------
@@ -108,6 +118,9 @@ class Lstor(InlineState):
         the same slot never mutate it (journal records stay correct).
         """
         self._check_alive()
+        return self._current(slot)
+
+    def _current(self, slot: int) -> Payload:
         parity = self._parity.get(slot)
         if parity is None:
             accum = self._parity_accum.get(slot)
@@ -137,6 +150,12 @@ class Lstor(InlineState):
             if tag in self._absorbed_tags:
                 return
             self._absorbed_tags.add(tag)
+        self._xor_in(slot, terms)
+
+    def _xor_in(self, slot: int, terms: Tuple[Payload, ...]) -> None:
+        """The parity arithmetic of :meth:`absorb`, with no liveness or
+        tag check: :class:`LstorStack` also folds preallocation baselines
+        through it, which a failed device held from before it failed."""
         if not self.factory.symbolic and isinstance(terms[0], BytesPayload):
             accum = self._parity_accum.get(slot)
             if accum is None:
@@ -151,8 +170,7 @@ class Lstor(InlineState):
             delta = terms[0]
             for term in terms[1:]:
                 delta = delta.xor(term)
-            self._parity[slot] = self.parity_block(slot).xor(delta)
-        self.stats_parity_updates += 1
+            self._parity[slot] = self._current(slot).xor(delta)
 
     def absorb_timed(self, slot: int, delta: Payload, nbytes: int) -> Generator:
         """Process body: absorb a delta, charging transfer time."""
@@ -220,6 +238,13 @@ class LstorStack(InlineState):
         self._codec = (
             ReedSolomon(data_shards, parity_count) if parity_count > 1 else None
         )
+        # Preallocated superchunks as (shard index, sc_id): the parity
+        # covers their fillers from the start, but a slot's share is
+        # folded in only when the slot is first read (``_folded``).  XOR
+        # and the RS rows are indifferent to order, so absorbs before the
+        # fold land exactly where they would have.
+        self._prefilled: List[Tuple[int, int]] = []
+        self._folded: Set[int] = set()
 
     @property
     def primary(self) -> Lstor:
@@ -232,6 +257,50 @@ class LstorStack(InlineState):
         """Replace every Lstor in the stack (see :meth:`Lstor.reset`)."""
         for lstor in self.lstors:
             lstor.reset(now)
+        self._prefilled.clear()
+        self._folded.clear()
+
+    def prefill(self, superchunks: List[Tuple[int, int]]) -> None:
+        """Cover the fillers (:func:`filler`) of preallocated superchunks,
+        given as ``(shard_index, sc_id)`` pairs, without minting any."""
+        self._prefilled.extend(superchunks)
+
+    def _fold_baseline(self, slot: int) -> None:
+        """Fold the preallocation fillers at ``slot`` into every parity
+        row, once -- failed rows too: they held them before failing."""
+        if not self._prefilled or slot in self._folded:
+            return
+        self._folded.add(slot)
+        zero = self.factory.zero(self.block_size)
+        for shard_index, sc_id in self._prefilled:
+            payload = filler(self.factory, sc_id, slot, self.block_size)
+            if self._codec is None:
+                self.lstors[0]._xor_in(slot, (payload,))
+                continue
+            for lstor, delta in zip(
+                self.lstors, self._row_deltas(shard_index, zero, payload)
+            ):
+                lstor._xor_in(slot, (delta,))
+
+    def _row_deltas(
+        self, shard_index: int, old: Payload, new: Payload
+    ) -> List[BytesPayload]:
+        """The codec's per-row parity deltas of one shard update."""
+        assert self._codec is not None
+        if not isinstance(old, BytesPayload) or not isinstance(new, BytesPayload):
+            raise TypeError("stacked Lstors require BytesPayload data")
+        # The codec returns freshly allocated buffers: adopt them copy-free.
+        return [
+            BytesPayload.adopt(delta)
+            for delta in self._codec.parity_delta(shard_index, old.data, new.data)
+        ]
+
+    def parity_block(self, slot: int) -> Payload:
+        """The primary's parity at block slot ``slot`` (see
+        :meth:`Lstor.parity_block`): the read path, which brings in the
+        slot's preallocation baseline first."""
+        self._fold_baseline(slot)
+        return self.primary.parity_block(slot)
 
     def absorb_update(
         self,
@@ -256,14 +325,9 @@ class LstorStack(InlineState):
                 # degraded to plain replication until the device is reset.
                 self.lstors[0].absorb(slot, old, new, tag=tag)
             return
-        if not isinstance(old, BytesPayload) or not isinstance(new, BytesPayload):
-            raise TypeError("stacked Lstors require BytesPayload data")
-        deltas = self._codec.parity_delta(shard_index, old.data, new.data)
-        for lstor, delta in zip(self.lstors, deltas):
+        for lstor, delta in zip(self.lstors, self._row_deltas(shard_index, old, new)):
             if not lstor.failed:
-                # The codec returns freshly allocated buffers: adopt them
-                # copy-free.
-                lstor.absorb(slot, BytesPayload.adopt(delta), tag=tag)
+                lstor.absorb(slot, delta, tag=tag)
 
     def reconstruct_block(
         self,
@@ -278,6 +342,7 @@ class LstorStack(InlineState):
         indices to recover.  For a single Lstor this is the XOR chain of
         the paper's Fig. 2; for stacks it is an RS decode.
         """
+        self._fold_baseline(slot)
         alive = self.alive_lstors()
         if not alive:
             raise LstorFailedError(f"no live Lstor in stack {self.name}")

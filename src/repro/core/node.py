@@ -4,7 +4,9 @@ Extends the baseline :class:`~repro.hdfs.datanode.DataNode` with the
 paper's Section 5 machinery:
 
 - block files live at fixed offsets inside preallocated superchunk
-  regions (``fs_policy="fixed"``),
+  regions (``fs_policy="fixed"``); the update-oriented setup's filler
+  content is derived on demand, never stored (see
+  :meth:`RaidpDataNode.preallocate_superchunks`),
 - every block write updates the disk's Lstor parity at the block's slot,
 - writes are journaled; the record clears when the mirror's
   acknowledgment arrives,
@@ -21,12 +23,12 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Dict, Generator, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Generator, Optional, Set, Tuple
 
 from repro import units
 from repro.core.journal import JournalRecord, RecordState
 from repro.core.layout import Layout
-from repro.core.lstor import LstorStack
+from repro.core.lstor import LstorStack, filler, filler_name
 from repro.core.placement import SuperchunkMap
 from repro.errors import DfsError
 from repro.hdfs.block import Block, BlockLocations
@@ -117,6 +119,10 @@ class RaidpDataNode(DataNode):
         # block name -> (sc_id, slot); (sc_id, slot) -> block name.
         self._slot_of: Dict[str, Tuple[int, int]] = {}
         self._block_at: Dict[Tuple[int, int], str] = {}
+        # Preallocated superchunks and those of their slots bound (or
+        # deleted) since: the others hold their filler.
+        self._prefilled: Set[int] = set()
+        self._overwritten: Set[Tuple[int, int]] = set()
         # Acks that arrived before our own record committed.
         self._pending_acks: Dict[Tuple[str, int], int] = {}
         self._awaiting_ack: Dict[Tuple[str, int], JournalRecord] = {}
@@ -162,19 +168,43 @@ class RaidpDataNode(DataNode):
     # ------------------------------------------------------------------
     # Slot-level content tracking (overrides the name-keyed base store).
     # ------------------------------------------------------------------
+    def _holds_filler(self, sc_id: int, slot: int) -> bool:
+        return sc_id in self._prefilled and (sc_id, slot) not in self._overwritten
+
     def block_in_slot(self, sc_id: int, slot: int) -> Optional[str]:
-        return self._block_at.get((sc_id, slot))
+        name = self._block_at.get((sc_id, slot))
+        if name is None and self._holds_filler(sc_id, slot):
+            return filler_name(sc_id, slot)
+        return name
 
     def slot_payload(self, sc_id: int, slot: int) -> Payload:
         """Current content of a block slot (zero when never written)."""
         name = self._block_at.get((sc_id, slot))
-        if name is None:
-            return self.factory.zero(self.config.block_size)
-        return self.content_of(name)
+        if name is not None:
+            return self.content_of(name)
+        if self._holds_filler(sc_id, slot):
+            return filler(self.factory, sc_id, slot, self.config.block_size)
+        return self.factory.zero(self.config.block_size)
+
+    def read_slot(self, sc_id: int, slot: int, nbytes: int) -> Generator:
+        """Charge the disk read of a slot's content: a block through its
+        file, a filler (which has none) at the slot's fixed offset, an
+        empty slot not at all."""
+        name = self._block_at.get((sc_id, slot))
+        if name is not None:
+            yield from self.fs.read(name, 0, nbytes)
+        elif self._holds_filler(sc_id, slot):
+            yield from self.disk.read(self.block_offset(sc_id, slot), nbytes)
+        return None
 
     def _bind_slot(self, name: str, sc_id: int, slot: int) -> None:
         self._slot_of[name] = (sc_id, slot)
         self._block_at[(sc_id, slot)] = name
+        self._unfill(sc_id, slot)
+
+    def _unfill(self, sc_id: int, slot: int) -> None:
+        if sc_id in self._prefilled:
+            self._overwritten.add((sc_id, slot))
 
     # ------------------------------------------------------------------
     # Preallocation (update-oriented evaluation setup, paper §5).
@@ -182,32 +212,23 @@ class RaidpDataNode(DataNode):
     def preallocate_superchunks(self) -> None:
         """Fill every local slot with deterministic content, parity-consistent.
 
-        Charges no simulated time: this models the experiment setup, not
-        the measured workload.  Both mirrors of a superchunk call this
-        with the same factory, so contents agree bitwise.
+        Nothing is minted or stored: the DataNode records its superchunks
+        as prefilled, and until a block is bound to a slot (or deleted
+        from it) the slot's content is its :func:`~repro.core.lstor.filler`,
+        derived on demand.  The Lstor stack folds a slot's fillers into
+        its parity the first time that slot's parity is read.  Charges no
+        simulated time: this models the experiment setup, not the
+        measured workload.  Both mirrors of a superchunk derive the same
+        fillers, so contents agree bitwise.
         """
-        for sc_id in self.layout.superchunks_of(self.name):
-            for slot in range(self.map.slots_per_superchunk):
-                if (sc_id, slot) in self._block_at:
-                    continue
-                name = f"pre_sc{sc_id}_s{slot}"
-                payload = self.factory.make(name, 0, self.config.block_size)
-                self.store_content(name, payload, 0)
-                self._bind_slot(name, sc_id, slot)
-                if self.raidp.enable_parity:
-                    self.lstors.absorb_update(
-                        self.shard_index_of(sc_id),
-                        slot,
-                        self.factory.zero(self.config.block_size),
-                        payload,
-                    )
-
-    def block_report(self) -> list:
-        """DFS blocks held, excluding preallocation fillers (which are
-        local artifacts of the update-oriented setup, not DFS blocks)."""
-        return [
-            name for name in super().block_report() if not name.startswith("pre_sc")
-        ]
+        if self._block_at or self._prefilled:
+            raise DfsError(
+                f"{self.name}: preallocation sets up an empty DataNode, once"
+            )
+        sc_ids = self.layout.superchunks_of(self.name)
+        self._prefilled.update(sc_ids)
+        if self.raidp.enable_parity:
+            self.lstors.prefill([(self.shard_index_of(sc), sc) for sc in sc_ids])
 
     # ------------------------------------------------------------------
     # Block file lifecycle.
@@ -232,6 +253,7 @@ class RaidpDataNode(DataNode):
                     old,
                     self.factory.zero(self.config.block_size),
                 )
+            self._unfill(sc_id, slot)
             name = self._block_at.pop((sc_id, slot), None)
             if name is not None:
                 self._slot_of.pop(name, None)
@@ -600,6 +622,8 @@ class RaidpDataNode(DataNode):
                 self.fs.delete(block_name)
         self._slot_of.clear()
         self._block_at.clear()
+        self._prefilled.clear()
+        self._overwritten.clear()
         self._pending_acks.clear()
         self._awaiting_ack.clear()
         self.lstors.reset(self.sim.now)
@@ -609,11 +633,14 @@ class RaidpDataNode(DataNode):
     # ------------------------------------------------------------------
     def superchunk_payloads(self, sc_id: int) -> Dict[int, Payload]:
         """slot -> payload for every occupied slot of a local superchunk."""
+        prefilled = sc_id in self._prefilled
         result = {}
         for slot in range(self.map.slots_per_superchunk):
             name = self._block_at.get((sc_id, slot))
             if name is not None:
                 result[slot] = self.content_of(name)
+            elif prefilled and (sc_id, slot) not in self._overwritten:
+                result[slot] = filler(self.factory, sc_id, slot, self.config.block_size)
         return result
 
     def install_recovered_block(

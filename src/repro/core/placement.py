@@ -13,7 +13,7 @@ replica) and balances load by picking the least-full eligible superchunk.
 from __future__ import annotations
 
 import random
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.layout import Layout, LayoutSpec, Superchunk
 from repro.errors import CapacityError, PlacementError
@@ -114,8 +114,18 @@ class RaidpPlacement(PlacementPolicy):
     ) -> BlockLocations:
         # The full health predicate: a disk that already died but has not
         # yet been declared dead by the heartbeat detector must not
-        # receive new blocks.
-        alive = {dn.name for dn in datanodes if healthy_datanode(dn)}
+        # receive new blocks.  Asked only of the candidates' disks, once
+        # per disk per call.
+        by_name = {dn.name: dn for dn in datanodes}
+        health: Dict[str, bool] = {}
+
+        def alive(disk: str) -> bool:
+            ok = health.get(disk)
+            if ok is None:
+                datanode = by_name.get(disk)
+                ok = health[disk] = datanode is not None and healthy_datanode(datanode)
+            return ok
+
         pool = self._writer_local_superchunks(writer, alive)
         if not pool:
             pool = self._eligible_superchunks(alive)
@@ -162,7 +172,7 @@ class RaidpPlacement(PlacementPolicy):
         )
 
     def _writer_local_superchunks(
-        self, writer: Optional[str], alive: set
+        self, writer: Optional[str], alive: Callable[[str], bool]
     ) -> List[int]:
         """Eligible superchunks with a copy on the writer's own disk(s).
 
@@ -181,7 +191,7 @@ class RaidpPlacement(PlacementPolicy):
             sc_id for sc_id in local if self._eligible(layout.superchunk(sc_id), alive)
         )
 
-    def _eligible_superchunks(self, alive: set) -> List[int]:
+    def _eligible_superchunks(self, alive: Callable[[str], bool]) -> List[int]:
         """Every eligible superchunk: the writer-agnostic full scan."""
         return sorted(
             sc.sc_id
@@ -189,13 +199,13 @@ class RaidpPlacement(PlacementPolicy):
             if self._eligible(sc, alive)
         )
 
-    def _eligible(self, sc: Superchunk, alive: set) -> bool:
+    def _eligible(self, sc: Superchunk, alive: Callable[[str], bool]) -> bool:
         if self.map.is_frozen(sc.sc_id):
             return False  # under recovery: writes are diverted (§3.4)
         return (
-            sc.disk_a in alive
-            and sc.disk_b in alive
-            and self.map.free_slots(sc.sc_id) > 0
+            self.map.free_slots(sc.sc_id) > 0
+            and alive(sc.disk_a)
+            and alive(sc.disk_b)
             # Named is not held: a removed disk that rejoined empty is
             # still named by the superchunks it lost.
             and self.layout.is_mirrored(sc)

@@ -682,7 +682,7 @@ class RecoveryManager:
                 if slot in payloads
             }
             missing = lost_source.shard_index_of(shared_sc)
-            chain = XorAccumulator(lost_source.lstors.primary.parity_block(slot))
+            chain = XorAccumulator(lost_source.lstors.parity_block(slot))
             for payload in blocks_at_slot.values():
                 chain.add(payload)
             accum = chain.result()

@@ -156,14 +156,12 @@ class Scrubber:
             raise RecoveryError(f"{block.name} lacks a superchunk placement")
         # XOR the parity with every *other* local superchunk's block at
         # this slot; each contributes one local disk read.
-        chain = XorAccumulator(datanode.lstors.primary.parity_block(slot))
+        chain = XorAccumulator(datanode.lstors.parity_block(slot))
         for other_sc in datanode.layout.superchunks_of(datanode.name):
             if other_sc == sc_id:
                 continue
-            other_name = datanode.block_in_slot(other_sc, slot)
             payload = datanode.slot_payload(other_sc, slot)
-            if other_name is not None:
-                yield from datanode.fs.read(other_name, 0, block.size)
+            yield from datanode.read_slot(other_sc, slot, block.size)
             chain.add(payload)
         accum = chain.result()
         if not self._matches_checksum(datanode, block.name, accum):

@@ -22,6 +22,7 @@ from repro import units
 from repro.analysis.montecarlo import Fleet, _chain_blocked
 from repro.analysis.scheme import DurabilityModelError, Scheme
 from repro.core import recovery
+from repro.core.lstor import filler_name
 from repro.core.node import RaidpDataNode
 from repro.core.placement import RaidpPlacement
 from repro.core.recovery import _Pullers, _Raid6Rig, _raid6_xor_rate
@@ -358,6 +359,29 @@ def packet_loop(monkeypatch):
     rest of the test: the packet train's oracle, with no production
     switch."""
     monkeypatch.setattr(RaidpDataNode, "_stream_block", _packet_loop)
+
+
+def eager_preallocate(self):
+    """Lazy preallocation's oracle: ``RaidpDataNode.preallocate_superchunks``
+    as the loop it was before fillers were derived on demand -- mint
+    every local slot's filler, store it as a block named after it and
+    absorb it into the parity.  Substitute it on the class before the
+    cluster is built."""
+    for sc_id in self.layout.superchunks_of(self.name):
+        for slot in range(self.map.slots_per_superchunk):
+            if (sc_id, slot) in self._block_at:
+                continue
+            name = filler_name(sc_id, slot)
+            payload = self.factory.make(name, 0, self.config.block_size)
+            self.store_content(name, payload, 0)
+            self._bind_slot(name, sc_id, slot)
+            if self.raidp.enable_parity:
+                self.lstors.absorb_update(
+                    self.shard_index_of(sc_id),
+                    slot,
+                    self.factory.zero(self.config.block_size),
+                    payload,
+                )
 
 
 def _table2_rows(keys):

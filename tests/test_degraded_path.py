@@ -5,6 +5,7 @@ import pytest
 
 from repro import units
 from repro.core.cluster import RaidpCluster
+from repro.core.node import RaidpConfig
 from repro.core.recovery import RecoveryManager
 from repro.errors import BlockMissingError
 from repro.hdfs.config import DfsConfig
@@ -121,6 +122,31 @@ def test_degraded_read_refuses_a_sibling_on_an_undetected_dead_disk():
     assert victim.alive  # not yet detected
     with pytest.raises(BlockMissingError, match=f"dead mirror {victim.name}"):
         dfs.sim.run_process(reader.degraded_read(locations))
+
+
+def test_degraded_read_over_preallocated_fillers():
+    """On the re-write variant's preallocated superchunks most sibling
+    slots hold a filler, which has no block file: each is read at its
+    slot's fixed offset, one block per sibling superchunk."""
+    dfs = RaidpCluster(
+        spec=ClusterSpec(num_nodes=5),
+        config=DfsConfig(block_size=units.MiB, replication=2),
+        raidp=RaidpConfig(update_oriented=True),
+        superchunk_size=4 * units.MiB,
+        payload_mode="bytes",
+    )
+    dfs.sim.run_process(dfs.client(0).write_file("/f", 2 * units.MiB))
+    block = dfs.namenode.file_blocks("/f")[0]
+    locations = dfs.namenode.locate_block(block.block_id)
+    original = dfs.datanode_by_name(locations.datanodes[0]).content_of(block.name)
+    fail_both_replicas(dfs, locations)
+    reader = next(c for c in dfs.clients if c.node.name not in locations.datanodes)
+    read_before = sum(dn.disk.stats.bytes_read for dn in dfs.datanodes)
+    payload = dfs.sim.run_process(reader.degraded_read(locations))
+    assert payload == original
+    siblings = len(dfs.layout.superchunks_of(locations.datanodes[0])) - 1
+    read = sum(dn.disk.stats.bytes_read for dn in dfs.datanodes) - read_before
+    assert read == siblings * block.size
 
 
 def test_normal_reads_unaffected():

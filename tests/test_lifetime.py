@@ -101,6 +101,19 @@ def test_hdfs3_dfsio_write_frees_its_cluster(profiled):
         assert gc.collect() == 0
 
 
+def test_rewrite_dfsio_write_frees_its_cluster():
+    """The re-write variant: lazily derived fillers and the Lstor
+    stacks' preallocation baselines hold no back-reference."""
+    with collector_off():
+        dfs = build_raidp(Scale(), seed=1, update_oriented=True)
+        assert dfsio_write(dfs, 256 * units.MiB).runtime > 0
+        dfs.verify_parity()
+        ref = weakref.ref(dfs)
+        del dfs
+        assert ref() is None
+        assert gc.collect() == 0
+
+
 def test_restored_cluster_frees_itself_and_rebinds_its_namenode():
     blob = snapshot.capture(build_raidp(Scale(), seed=1))
     with collector_off():

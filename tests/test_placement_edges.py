@@ -5,6 +5,7 @@ import pytest
 from repro import units
 from repro.core.cluster import RaidpCluster
 from repro.core.layout import Layout, LayoutSpec, rotational_layout
+from repro.core import placement as placement_module
 from repro.core.placement import RaidpPlacement, SuperchunkMap
 from repro.errors import CapacityError, PlacementError
 from repro.hdfs.block import Block
@@ -78,6 +79,28 @@ def test_placement_balances_disk_load():
         placement.choose_targets(block(index), None, datanodes)
     loads = [sc_map.load_of_disk(d) for d in layout.disks]
     assert max(loads) - min(loads) <= 1
+
+
+@pytest.mark.parametrize("writer", ["d0", "d5"])
+def test_placement_health_checks_do_not_grow_with_the_cluster(writer, monkeypatch):
+    """A writer-local allocation asks the health predicate about the
+    disks of its candidate superchunks only, once each: the count is set
+    by the superchunks per disk, not by the number of DataNodes."""
+    calls = []
+    monkeypatch.setattr(
+        placement_module, "healthy_datanode", lambda dn: calls.append(dn.name) or True
+    )
+    per_allocation = {}
+    for num_disks in (8, 64):
+        layout = rotational_layout(num_disks, superchunks_per_disk=3, spec=SPEC)
+        placement = RaidpPlacement(layout, SuperchunkMap(layout))
+        datanodes = [FakeDn(d) for d in layout.disks]
+        calls.clear()
+        for index in range(4):
+            placement.choose_targets(block(index), writer, datanodes)
+        per_allocation[num_disks] = len(calls)
+    # Per call: the writer and the partners of its three superchunks.
+    assert per_allocation == {8: 4 * 4, 64: 4 * 4}
 
 
 def test_raidp_cluster_rejects_oversize_block():

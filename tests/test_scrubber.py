@@ -4,6 +4,7 @@ import pytest
 
 from repro import units
 from repro.core.cluster import RaidpCluster
+from repro.core.node import RaidpConfig
 from repro.core.scrubber import Scrubber, corrupt_block
 from repro.errors import DataLossError, RecoveryError
 from repro.hdfs.config import DfsConfig
@@ -68,6 +69,28 @@ def test_repair_from_local_parity_is_network_free():
     dfs.sim.run_process(scrubber.repair(victim, locations, source="local_parity"))
     assert dfs.total_network_bytes() == before  # zero network
     assert victim.content_checksum_ok(block.name)
+    dfs.verify_mirrors()
+    dfs.verify_parity()
+
+
+def test_local_parity_repair_over_preallocated_fillers():
+    """The re-write variant's sibling slots hold fillers with no block
+    file; the local repair reads them at their fixed offsets."""
+    dfs = RaidpCluster(
+        spec=ClusterSpec(num_nodes=5),
+        config=DfsConfig(block_size=units.MiB, replication=2),
+        raidp=RaidpConfig(update_oriented=True),
+        superchunk_size=4 * units.MiB,
+        payload_mode="bytes",
+    )
+    block, locations, victim = write_and_pick_block(dfs, size=2 * units.MiB)
+    corrupt_block(victim, block.name)
+    read_before = victim.disk.stats.bytes_read
+    scrubber = Scrubber(dfs)
+    dfs.sim.run_process(scrubber.repair(victim, locations, source="local_parity"))
+    assert victim.content_checksum_ok(block.name)
+    siblings = len(dfs.layout.superchunks_of(victim.name)) - 1
+    assert victim.disk.stats.bytes_read - read_before == siblings * block.size
     dfs.verify_mirrors()
     dfs.verify_parity()
 
