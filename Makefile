@@ -81,10 +81,16 @@ flight-recorder:
 # Durability smoke: the §2 experiment end-to-end -- the analytic MTTDL
 # ladder and the long-horizon Monte-Carlo engine over the same five
 # schemes -- at smoke scale (1k disks x 10 years x 48 trials) and at the
-# scale the engine exists for (10k disks x 10 years x 200 trials, ~2 s).
+# scale the engine exists for (10k disks x 10 years x 200 trials, ~1.3 s).
+# The full scale runs again as two chunks on two workers and must print
+# the same bytes: chunked runs merge bit-identically.
 durability-smoke:
 	$(PYTHON) -m repro.experiments ext-durability
-	$(PYTHON) -m repro.experiments ext-durability --full --jobs 1
+	mkdir -p durability-smoke
+	$(PYTHON) -m repro.experiments ext-durability --full --jobs 1 > durability-smoke/jobs1.txt
+	cat durability-smoke/jobs1.txt
+	$(PYTHON) -m repro.experiments ext-durability --full --jobs 2 > durability-smoke/jobs2.txt
+	cmp durability-smoke/jobs1.txt durability-smoke/jobs2.txt
 
 # Regenerate every table/figure of the paper (uses all cores).
 experiments:
@@ -92,4 +98,4 @@ experiments:
 
 clean:
 	find . -name __pycache__ -type d -prune -exec rm -rf {} +
-	rm -rf .pytest_cache .benchmarks .bench_out .hypothesis .mypy_cache flight-recorder
+	rm -rf .pytest_cache .benchmarks .bench_out .hypothesis .mypy_cache flight-recorder durability-smoke

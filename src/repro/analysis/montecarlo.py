@@ -26,10 +26,13 @@ that everything durability-relevant happens at a sparse set of instants:
    times into repair-completion times.
 3. **Sparse judgment**: data loss is only possible at a failure instant,
    so each scheme is judged exactly there, against the set of
-   concurrently-dead disks.  Placement is *not* tracked per group;
-   instead the engine scores the expected number of lost groups
-   combinatorially (uniform distinct-rack placement), which is what a
-   per-group simulation converges to, without the per-group memory.
+   concurrently-dead disks.  The dead sets are sparse (earlier event,
+   event) pairs, so each scheme's judge runs once per trial over arrays
+   of per-event counts, and the tallies fold its verdicts in event
+   order: bit for bit the floats of a per-event loop.  Placement is
+   *not* tracked per group; the engine scores the expected number of
+   lost groups combinatorially (uniform distinct-rack placement), which
+   is what a per-group simulation converges to, without its memory.
 4. **Outage segments**: transient rack outages are merged into maximal
    segments of constant dark-rack sets; availability is integrated per
    segment, again in expectation over placements.
@@ -53,10 +56,10 @@ trials out across workers and merge without result drift.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from heapq import heapreplace
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -240,15 +243,28 @@ def _chain_blocked(q: float, scheme: Scheme) -> float:
     return _binom_tail(q, scheme.superchunks_per_disk - 1, scheme.lstors)
 
 
+def _per_count(
+    counts: np.ndarray, table: Dict[int, float], value: Callable[[int], float]
+) -> np.ndarray:
+    """``value(count)`` per element of ``counts``; ``table`` memoizes it,
+    so each distinct count is evaluated once per run, in Python floats."""
+    distinct, index = np.unique(counts, return_inverse=True)
+    for count in distinct.tolist():
+        if count not in table:
+            table[count] = value(count)
+    return np.array([table[count] for count in distinct.tolist()])[index]
+
+
 #: ``judge(dead_others, dead_outside, pairs, remaining_outside, burst,
 #: any_dead_lstor) -> (P(group lost), expected unavailable group-hours)``
-#: for one group containing the disk that just failed.  ``dead_outside``
-#: and ``pairs`` (dead pairs on distinct racks) summarize the dead set
-#: excluding the failed disk's rack (group members never share it);
-#: ``remaining_outside`` is those disks' summed remaining repair time,
-#: which prices the expected both-copies-dead overlap window; ``burst`` /
-#: ``any_dead_lstor``: the failed disk's / a dead candidate's Lstors died too.
-Judge = Callable[[int, int, float, float, bool, bool], Tuple[float, float]]
+#: for one group containing the disk that just failed, elementwise over a
+#: trial's failure events.  ``dead_outside`` and ``pairs`` (dead pairs on
+#: distinct racks) summarize the dead set excluding the failed disk's
+#: rack (group members never share it); ``remaining_outside`` is those
+#: disks' summed remaining repair time, which prices the expected
+#: both-copies-dead overlap window; ``burst`` / ``any_dead_lstor``: the
+#: failed disk's / a dead candidate's Lstors died too.
+Judge = Callable[..., Tuple[np.ndarray, Union[np.ndarray, float]]]
 
 
 def _compile_judge(fleet: Fleet, scheme: Scheme, p_block_lse: float) -> Judge:
@@ -260,9 +276,9 @@ def _compile_judge(fleet: Fleet, scheme: Scheme, p_block_lse: float) -> Judge:
     per_disk = 1.0 / (other_racks * disks_per_rack)
     if scheme.kind == "replication" and scheme.width == 2:
         def judge(
-            dead_others: int, dead_outside: int, pairs: float,
-            remaining_outside: float, burst: bool, any_dead_lstor: bool,
-        ) -> Tuple[float, float]:
+            dead_others: np.ndarray, dead_outside: np.ndarray, pairs: np.ndarray,
+            remaining_outside: np.ndarray, burst: np.ndarray, any_dead_lstor: np.ndarray,
+        ) -> Tuple[np.ndarray, float]:
             # Partner dead, or the surviving copy's rebuild read hits a
             # latent error the scrubber has not cleaned yet.
             p_partner = dead_outside * per_disk
@@ -274,20 +290,25 @@ def _compile_judge(fleet: Fleet, scheme: Scheme, p_block_lse: float) -> Judge:
         # racks among `other_racks`, one uniform disk each; sum over
         # distinct-rack dead pairs.
         pair_ways = math.comb(other_racks, 2) * disks_per_rack**2
+        by_count: Dict[int, float] = {}
+
+        def wide(dead_outside: int) -> float:
+            # In Python floats: numpy's `**` does not round like C `pow`.
+            p_partner = dead_outside * per_disk
+            p_but_one = others * p_partner ** (others - 1) * (1.0 - p_partner)
+            return p_partner**others + p_but_one * p_block_lse
 
         def judge(
-            dead_others: int, dead_outside: int, pairs: float,
-            remaining_outside: float, burst: bool, any_dead_lstor: bool,
-        ) -> Tuple[float, float]:
+            dead_others: np.ndarray, dead_outside: np.ndarray, pairs: np.ndarray,
+            remaining_outside: np.ndarray, burst: np.ndarray, any_dead_lstor: np.ndarray,
+        ) -> Tuple[np.ndarray, float]:
             # rep3+: all other members already dead, or all-but-one dead
             # and the last source read hits a latent error.
+            if others != 2:
+                return _per_count(dead_outside, by_count, wide), 0.0
             p_partner = dead_outside * per_disk
-            if others == 2:
-                p_all = pairs / pair_ways if other_racks > 1 else 0.0
-                p_but_one = 2.0 * p_partner * (1.0 - p_partner)
-            else:
-                p_all = p_partner**others
-                p_but_one = others * p_partner ** (others - 1) * (1.0 - p_partner)
+            p_all = pairs / pair_ways if other_racks > 1 else 0.0
+            p_but_one = 2.0 * p_partner * (1.0 - p_partner)
             return p_all + p_but_one * p_block_lse, 0.0
 
     elif scheme.kind == "erasure":
@@ -307,9 +328,9 @@ def _compile_judge(fleet: Fleet, scheme: Scheme, p_block_lse: float) -> Judge:
         p_lse_decode = 1.0 - (1.0 - p_block_lse) ** scheme.needed_online
 
         def judge(
-            dead_others: int, dead_outside: int, pairs: float,
-            remaining_outside: float, burst: bool, any_dead_lstor: bool,
-        ) -> Tuple[float, float]:
+            dead_others: np.ndarray, dead_outside: np.ndarray, pairs: np.ndarray,
+            remaining_outside: np.ndarray, burst: np.ndarray, any_dead_lstor: np.ndarray,
+        ) -> Tuple[np.ndarray, float]:
             p_two = pairs * p_rack_pair / disks_per_rack_sq
             p_one = dead_outside * p_rack_single / disks_per_rack
             return p_two + p_one * p_lse_decode, 0.0
@@ -322,17 +343,17 @@ def _compile_judge(fleet: Fleet, scheme: Scheme, p_block_lse: float) -> Judge:
         fleet_others = max(fleet.num_disks - 1, 1)
         blocked_at: Dict[int, float] = {}
 
+        def chain(dead_others: int) -> float:
+            q = dead_others / fleet_others
+            return _chain_blocked(q + (1.0 - q) * p_block_lse, scheme)
+
         def judge(
-            dead_others: int, dead_outside: int, pairs: float,
-            remaining_outside: float, burst: bool, any_dead_lstor: bool,
-        ) -> Tuple[float, float]:
-            blocked = blocked_at.get(dead_others)
-            if blocked is None:
-                q = dead_others / fleet_others
-                q = q + (1.0 - q) * p_block_lse
-                blocked = blocked_at[dead_others] = _chain_blocked(q, scheme)
-            side_self = 1.0 if burst else blocked
-            side_partner = 1.0 if any_dead_lstor else blocked
+            dead_others: np.ndarray, dead_outside: np.ndarray, pairs: np.ndarray,
+            remaining_outside: np.ndarray, burst: np.ndarray, any_dead_lstor: np.ndarray,
+        ) -> Tuple[np.ndarray, np.ndarray]:
+            blocked = _per_count(dead_others, blocked_at, chain)
+            side_self = np.where(burst, 1.0, blocked)
+            side_partner = np.where(any_dead_lstor, 1.0, blocked)
             p_assist_fail = side_self * side_partner
             # Assist-survivable both-dead windows are *unavailable*:
             # parity decode restores durability, not serving.  Expected
@@ -344,6 +365,20 @@ def _compile_judge(fleet: Fleet, scheme: Scheme, p_block_lse: float) -> Judge:
             )
 
     return judge
+
+
+def _ragged(counts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(owner, step): element ``o`` of ``counts`` expanded into ``counts[o]``
+    entries, in order, each with its step ``0 .. counts[o] - 1``."""
+    owner = np.repeat(np.arange(counts.size), counts)
+    return owner, np.arange(owner.size) - np.repeat(np.cumsum(counts) - counts, counts)
+
+
+def _fold(addends: np.ndarray) -> float:
+    """``total += a`` over ``addends`` in order, from ``0.0``: the same
+    rounding sequence as a per-event loop.  ``np.add.accumulate`` is a
+    strictly sequential fold; ``np.sum`` would pair terms."""
+    return float(np.add.accumulate(addends)[-1]) if addends.size else 0.0
 
 
 # ----------------------------------------------------------------------
@@ -480,34 +515,35 @@ class DurabilityEngine:
         Each failure is detected after ``detection_hours``; lazy
         recovery then holds it until ``lazy_threshold`` disks are
         pending or the oldest has waited ``lazy_max_wait_hours``.  A
-        released rebuild takes the next free slot of the
-        ``concurrent_rebuilds`` pool.
+        released rebuild takes the earliest free slot (``slots[0]``) of
+        the ``concurrent_rebuilds`` pool.
         """
         repair = self.repair
+        detection, rebuild = repair.detection_hours, repair.disk_rebuild_hours
+        max_wait, threshold = repair.lazy_max_wait_hours, repair.lazy_threshold
         done = [0.0] * len(times)
-        slots = [0.0] * repair.concurrent_rebuilds
-        heapq.heapify(slots)
+        slots = [0.0] * repair.concurrent_rebuilds  # all equal: a heap
         pending: List[Tuple[float, float, int]] = []  # (deadline, detect, idx)
-
-        def release(batch: List[Tuple[float, float, int]], trigger: float) -> None:
-            for _deadline, detect, idx in batch:
-                begin = max(trigger, detect, heapq.heappop(slots))
-                finish = begin + repair.disk_rebuild_hours
-                heapq.heappush(slots, finish)
-                done[idx] = finish
-
         for idx, failed_at in enumerate(times):
-            detect = failed_at + repair.detection_hours
+            detect = failed_at + detection
             # Deadline-expired stragglers release before this arrival.
             while pending and pending[0][0] <= detect:
-                entry = pending.pop(0)
-                release([entry], entry[0])
-            pending.append((detect + repair.lazy_max_wait_hours, detect, idx))
-            if len(pending) >= repair.lazy_threshold:
-                release(pending, detect)
-                pending = []
-        for entry in pending:
-            release([entry], entry[0])
+                deadline, waited, held = pending.pop(0)
+                done[held] = finish = max(deadline, waited, slots[0]) + rebuild
+                heapreplace(slots, finish)
+            if len(pending) + 1 < threshold:
+                pending.append((detect + max_wait, detect, idx))
+                continue
+            # A full batch releases now: the held disks, then this one.
+            for _deadline, waited, held in pending:
+                done[held] = finish = max(detect, waited, slots[0]) + rebuild
+                heapreplace(slots, finish)
+            pending.clear()
+            done[idx] = finish = max(detect, slots[0]) + rebuild
+            heapreplace(slots, finish)
+        for deadline, waited, held in pending:
+            done[held] = finish = max(deadline, waited, slots[0]) + rebuild
+            heapreplace(slots, finish)
         return done
 
     # -- availability over outage segments --------------------------------
@@ -578,97 +614,72 @@ class DurabilityEngine:
         fleet = self.fleet
         horizon = years * HOURS_PER_YEAR
         rng = self._trial_rng(trial)
-        times_a, disks_a, burst_a = self._sample_failures(rng, horizon)
-        # One conversion per trial; the event loop runs on Python scalars.
-        times, disks, bursts = times_a.tolist(), disks_a.tolist(), burst_a.tolist()
-        racks_a = disks_a // fleet.disks_per_rack
-        racks = racks_a.tolist()
-        done = self._schedule_repairs(times)
-        outages = self._sample_outages(rng, horizon)
+        times, disks, bursts = self._sample_failures(rng, horizon)
+        racks = disks // fleet.disks_per_rack
+        done = np.array(self._schedule_repairs(times.tolist()))
+        segments = self._outage_segments(self._sample_outages(rng, horizon))
         trace = active_tracer()
-        tracing: bool = trace.enabled
+        n = times.size
 
-        schemes = range(len(compiled))
-        judges = [judge for _scheme, _groups, _gb, judge in compiled]
-        # An event that finds no other disk dead has one of two verdicts.
-        idle = [
-            [judge(0, 0, 0.0, 0.0, burst, False) for judge in judges]
-            for burst in (False, True)
-        ]
-        lost = [0.0] * len(compiled)
-        unavailable = [0.0] * len(compiled)
-        repair_gb = [0.0] * len(compiled)
+        # --- the dead set, as sparse (earlier event j, event i) pairs ---
+        # j's disk is dead at i iff j < i <= last[j]: the disk is not struck
+        # again before i (a dict of disks keeps only the latest event) and
+        # its repair is not done by then (`done <= t` expires it).
+        by_disk = np.argsort(disks, kind="stable")
+        again = disks[by_disk[1:]] == disks[by_disk[:-1]]
+        next_hit = np.full(n, n)
+        next_hit[by_disk[:-1][again]] = by_disk[1:][again]
+        last = np.minimum(next_hit, np.searchsorted(times, done) - 1)
+        j, step = _ragged(last - np.arange(n))
+        i = j + step + 1
+        own = np.bincount(i[disks[j] == disks[i]], minlength=n)  # struck while dead
+        dead_others = np.bincount(i, minlength=n) - own
+        outside = racks[j] != racks[i]
+        j, i = j[outside], i[outside]
+        dead_outside = np.bincount(i, minlength=n)
+        rack_keys, per_rack = np.unique(i * fleet.num_racks + racks[j], return_counts=True)
+        same_rack = np.bincount(rack_keys // fleet.num_racks, per_rack * per_rack, n)
+        pairs = (dead_outside * dead_outside - same_rack) / 2.0
+        lstor_dead = np.bincount(i[bursts[j]], minlength=n) > 0  # their Lstors died too
+        # `remaining` is a float sum, so it is added in the dict's order:
+        # a disk sits where its dead streak began, and a disk struck again
+        # while dead keeps that place.  One rank per pass keeps each
+        # event's sum the same left fold.
+        streak_pos = np.where(own[by_disk], 0, np.arange(n))
+        streak = np.empty_like(by_disk)
+        streak[by_disk] = by_disk[np.maximum.accumulate(streak_pos)]
+        order = np.lexsort((streak[j], i))
+        j, i = j[order], i[order]
+        rank = np.arange(i.size) - np.searchsorted(i, i)
+        left = done[j] - times[i]
+        remaining = np.zeros(n)  # summed repair hours left outside the rack
+        for r in range(int(dead_outside.max(initial=0))):
+            at = rank == r
+            remaining[i[at]] += left[at]
 
-        # --- sparse data-loss judgment over failure events ---
-        active: Dict[int, Tuple[float, bool, int]] = {}  # disk -> (done, burst, rack)
-        expiry: List[Tuple[float, int]] = []
+        # --- blocks-at-risk timeline: each dead interval [t, done) ---
         buckets = self.timeline_buckets
         bucket_hours = horizon / buckets
-        dead_disk_timeline = [0.0] * buckets
-        for i, t in enumerate(times):
-            disk = disks[i]
-            rack = racks[i]
-            burst = bursts[i]
-            while expiry and expiry[0][0] <= t:
-                _when, gone = heapq.heappop(expiry)
-                entry = active.get(gone)
-                if entry is not None and entry[0] <= t:
-                    del active[gone]
-            dead_others = len(active) - (disk in active)
-            if not dead_others:
-                verdicts = idle[burst]
-            else:
-                dead_outside = 0
-                remaining = 0.0  # summed repair hours left outside the rack
-                per_rack: Dict[int, int] = {}
-                lstor_dead = False  # some dead partner candidate's Lstors died too
-                for other_done, other_burst, other_rack in active.values():
-                    if other_rack != rack:
-                        dead_outside += 1
-                        remaining += other_done - t
-                        per_rack[other_rack] = per_rack.get(other_rack, 0) + 1
-                        if other_burst:
-                            lstor_dead = True
-                same_rack = sum(c * c for c in per_rack.values())
-                pairs = (dead_outside * dead_outside - same_rack) / 2.0
-                event = (dead_others, dead_outside, pairs, remaining, burst, lstor_dead)
-                verdicts = [judge(*event) for judge in judges]
-            # `+=` per event, in event order: the rounding sequence is
-            # what the pinned tallies and the bench digest hold fixed.
-            for k in schemes:
-                p_loss, unavailable_hours = verdicts[k]
-                scheme, groups_per_disk, gb, _judge = compiled[k]
-                lost[k] += groups_per_disk * p_loss
-                unavailable[k] += groups_per_disk * unavailable_hours
-                repair_gb[k] += gb
-                if tracing and p_loss > 0.0:
-                    trace.instant(
-                        "durability", "loss_risk", t, scheme=scheme.name,
-                        expected_groups=groups_per_disk * p_loss,
-                        dead=dead_others + 1,
-                    )
-            finish = done[i]
-            active[disk] = (finish, burst, rack)
-            heapq.heappush(expiry, (finish, disk))
-            if tracing:
-                trace.count("fleet", "dead_disks", t, float(len(active)))
-            # Blocks-at-risk timeline: the dead interval [t, finish).
-            lo = t / bucket_hours
-            hi = min(finish, horizon) / bucket_hours
-            first = int(lo)
-            if hi <= first + 1.0 and first < buckets:
-                dead_disk_timeline[first] += hi - lo  # one bucket: the loop, run once
-            else:
-                for b in range(first, min(math.ceil(hi), buckets)):
-                    overlap = min(hi, b + 1.0) - max(lo, float(b))
-                    if overlap > 0:
-                        dead_disk_timeline[b] += overlap
+        lo = times / bucket_hours
+        hi = np.minimum(done, horizon) / bucket_hours
+        first = lo.astype(np.int64)
+        spans = np.minimum(np.ceil(hi).astype(np.int64), buckets) - first
+        dead_at, step = _ragged(spans)
+        bucket = first[dead_at] + step
+        overlap = np.minimum(hi[dead_at], bucket + 1.0) - np.maximum(lo[dead_at], bucket)
+        kept = overlap > 0
+        dead_disk_timeline = np.zeros(buckets)
+        np.add.at(dead_disk_timeline, bucket[kept], overlap[kept])  # in event order
+        total_dead_hours = math.fsum(np.minimum(done, horizon) - times)
 
         # --- availability over merged outage segments ---
-        done_a = np.array(done)
-        for start, end, dark in self._outage_segments(outages):
+        # A disk struck again while dead counts once: its earlier event
+        # ends at the next one, as in the judgment's dead set.
+        next_time = np.append(times, math.inf)[next_hit]
+        dark_hours: List[Tuple[List[float], float]] = []  # (per scheme, hours)
+        for start, end, dark in segments:
             mid = (start + end) / 2.0
-            dead_racks = racks_a[(times_a <= mid) & (done_a > mid)].tolist()
+            dead_racks = racks[(times <= mid) & (done > mid) & (next_time > mid)].tolist()
             lit_dead = sum(rack not in dark for rack in dead_racks)
             expected = unreadable.get((len(dark), lit_dead))
             if expected is None:
@@ -678,27 +689,40 @@ class DurabilityEngine:
                     fleet.groups * self._segment_unreadable(scheme, len(dark), q_dead)
                     for scheme, _groups, _gb, _judge in compiled
                 ]
-            for k in schemes:
-                unavailable[k] += expected[k] * (end - start)
-            if tracing:
-                trace.complete(
-                    "fleet", "rack_outage_segment", start, end, racks=len(dark)
-                )
-        if tracing:
-            trace.complete(
-                "durability", "trial", 0.0, horizon, trial=trial, failures=len(times)
-            )
-        total_dead_hours = math.fsum(
-            min(finish, horizon) - t for t, finish in zip(times, done)
-        )
-        timeline = np.array(dead_disk_timeline)
-        return [
-            (
-                lost[k], unavailable[k], groups_per_disk * total_dead_hours,
-                repair_gb[k], timeline * groups_per_disk,
-            )
-            for k, (_scheme, groups_per_disk, _gb, _judge) in enumerate(compiled)
-        ]
+            dark_hours.append((expected, end - start))
+
+        # --- one judge call per scheme; the per-event `+=` as a fold ---
+        event = (dead_others, dead_outside, pairs, remaining, bursts, lstor_dead)
+        rows: List[Tuple[float, float, float, float, np.ndarray]] = []
+        p_losses: List[np.ndarray] = []
+        for k, (_scheme, groups, gb, judge) in enumerate(compiled):
+            p_loss, hours = judge(*event)
+            unavailable = _fold(np.broadcast_to(groups * hours, times.shape))
+            for expected, length in dark_hours:  # after the events, in order
+                unavailable += expected[k] * length
+            rows.append((
+                _fold(groups * p_loss), unavailable, groups * total_dead_hours,
+                _fold(np.full(n, gb)), dead_disk_timeline * groups,
+            ))
+            p_losses.append(p_loss)
+        if trace.enabled:
+            dead = (dead_others + 1).tolist()
+            risks = [
+                (scheme.name, groups, p_loss.tolist())
+                for (scheme, groups, _gb, _judge), p_loss in zip(compiled, p_losses)
+            ]
+            for e, t in enumerate(times.tolist()):
+                for name, groups, risk in risks:
+                    if risk[e] > 0.0:
+                        trace.instant(
+                            "durability", "loss_risk", t, scheme=name,
+                            expected_groups=groups * risk[e], dead=dead[e],
+                        )
+                trace.count("fleet", "dead_disks", t, float(dead[e]))
+            for start, end, dark in segments:
+                trace.complete("fleet", "rack_outage_segment", start, end, racks=len(dark))
+            trace.complete("durability", "trial", 0.0, horizon, trial=trial, failures=n)
+        return rows
 
     # -- public API -------------------------------------------------------
     def run(

@@ -4,9 +4,10 @@ Oracles are test-side code: production modules carry no switch, branch
 or hook for them.  The classes subclass the production class and replace
 the optimized decisions with the obvious ones; two functions run, in
 one simulator, a schedule production splits across two; then come the
-Monte-Carlo engine's closed form and its per-event judge as it was
-before it was compiled per scheme; last, the registry of live views the
-one metrics reader replaced.  Either way a defect in the production
+Monte-Carlo engine's closed form, its per-event judge as it was before
+it was compiled per scheme, and its trial as the loop over failure
+events it was before it judged arrays; last, the registry of live views
+the one metrics reader replaced.  Either way a defect in the production
 path shows up as a disagreement.
 """
 
@@ -14,12 +15,13 @@ from __future__ import annotations
 
 import heapq
 import math
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
+import numpy as np
 import pytest
 
 from repro import units
-from repro.analysis.montecarlo import Fleet, _chain_blocked
+from repro.analysis.montecarlo import DurabilityEngine, Fleet, _chain_blocked
 from repro.analysis.scheme import DurabilityModelError, Scheme
 from repro.core import recovery
 from repro.core.lstor import filler_name
@@ -32,6 +34,7 @@ from repro.faults import DiskLifetimeModel, RepairModel
 from repro.hdfs.block import BlockLocations
 from repro.hdfs.namenode import healthy_datanode
 from repro.obs.metrics import SWITCH_WORK_COUNTERS
+from repro.obs.tracer import active_tracer
 from repro.sim.engine import Event, Simulator, Timeout
 from repro.sim.network import Switch
 from repro.units import HOURS_PER_YEAR
@@ -612,6 +615,190 @@ def reference_judge(
         remaining_hours_outside_rack * per_disk * (1.0 - p_assist_fail)
     )
     return p_loss, unavailable_hours
+
+
+def _closure_schedule(repair: RepairModel, times: List[float]) -> List[float]:
+    """Repair-completion time per failure event: the scheduler as it ran
+    with a ``release`` closure and a pop-then-push per rebuild."""
+    done = [0.0] * len(times)
+    slots = [0.0] * repair.concurrent_rebuilds
+    heapq.heapify(slots)
+    pending: List[Tuple[float, float, int]] = []  # (deadline, detect, idx)
+
+    def release(batch: List[Tuple[float, float, int]], trigger: float) -> None:
+        for _deadline, detect, idx in batch:
+            begin = max(trigger, detect, heapq.heappop(slots))
+            finish = begin + repair.disk_rebuild_hours
+            heapq.heappush(slots, finish)
+            done[idx] = finish
+
+    for idx, failed_at in enumerate(times):
+        detect = failed_at + repair.detection_hours
+        # Deadline-expired stragglers release before this arrival.
+        while pending and pending[0][0] <= detect:
+            entry = pending.pop(0)
+            release([entry], entry[0])
+        pending.append((detect + repair.lazy_max_wait_hours, detect, idx))
+        if len(pending) >= repair.lazy_threshold:
+            release(pending, detect)
+            pending = []
+    for entry in pending:
+        release([entry], entry[0])
+    return done
+
+
+def _one_event(judge: Callable[..., Any]) -> Callable[..., Tuple[float, float]]:
+    """``judge`` on a single event's scalars, as the per-event loop called it."""
+
+    def call(*event: Any) -> Tuple[float, float]:
+        p_loss, hours = judge(*(np.array([value]) for value in event))
+        return float(p_loss[0]), float(np.broadcast_to(hours, (1,))[0])
+
+    return call
+
+
+def event_loop_trial(
+    engine: DurabilityEngine, trial: int, years: float,
+    compiled: List[Tuple[Scheme, float, float, Callable[..., Any]]],
+    unreadable: Dict[Tuple[int, int], List[float]],
+) -> List[Tuple[float, float, float, float, np.ndarray]]:
+    """``DurabilityEngine._simulate_trial`` as a loop over failure events:
+    a dict of dead disks with heap expiry, one judgment per event (an
+    event that finds no other disk dead takes one of two verdicts per
+    scheme), a ``+=`` per event and scheme, and the timeline's buckets
+    filled per event.  It shares the engine's samplers and compiled
+    judges, and brings its own repair scheduler.  An outage segment
+    counts the disks dead at its midpoint by replaying the stream into a
+    dict, so a disk struck again while dead counts once, as in the
+    judgment's dead set.
+    """
+    fleet = engine.fleet
+    horizon = years * HOURS_PER_YEAR
+    rng = engine._trial_rng(trial)
+    times_a, disks_a, burst_a = engine._sample_failures(rng, horizon)
+    # One conversion per trial; the event loop runs on Python scalars.
+    times, disks, bursts = times_a.tolist(), disks_a.tolist(), burst_a.tolist()
+    racks_a = disks_a // fleet.disks_per_rack
+    racks = racks_a.tolist()
+    done = _closure_schedule(engine.repair, times)
+    outages = engine._sample_outages(rng, horizon)
+    trace = active_tracer()
+    tracing: bool = trace.enabled
+
+    schemes = range(len(compiled))
+    judges = [_one_event(judge) for _scheme, _groups, _gb, judge in compiled]
+    # An event that finds no other disk dead has one of two verdicts.
+    idle = [
+        [judge(0, 0, 0.0, 0.0, burst, False) for judge in judges]
+        for burst in (False, True)
+    ]
+    lost = [0.0] * len(compiled)
+    unavailable = [0.0] * len(compiled)
+    repair_gb = [0.0] * len(compiled)
+
+    # --- sparse data-loss judgment over failure events ---
+    active: Dict[int, Tuple[float, bool, int]] = {}  # disk -> (done, burst, rack)
+    expiry: List[Tuple[float, int]] = []
+    buckets = engine.timeline_buckets
+    bucket_hours = horizon / buckets
+    dead_disk_timeline = [0.0] * buckets
+    for i, t in enumerate(times):
+        disk = disks[i]
+        rack = racks[i]
+        burst = bursts[i]
+        while expiry and expiry[0][0] <= t:
+            _when, gone = heapq.heappop(expiry)
+            entry = active.get(gone)
+            if entry is not None and entry[0] <= t:
+                del active[gone]
+        dead_others = len(active) - (disk in active)
+        if not dead_others:
+            verdicts = idle[burst]
+        else:
+            dead_outside = 0
+            remaining = 0.0  # summed repair hours left outside the rack
+            per_rack: Dict[int, int] = {}
+            lstor_dead = False  # some dead partner candidate's Lstors died too
+            for other_done, other_burst, other_rack in active.values():
+                if other_rack != rack:
+                    dead_outside += 1
+                    remaining += other_done - t
+                    per_rack[other_rack] = per_rack.get(other_rack, 0) + 1
+                    if other_burst:
+                        lstor_dead = True
+            same_rack = sum(c * c for c in per_rack.values())
+            pairs = (dead_outside * dead_outside - same_rack) / 2.0
+            event = (dead_others, dead_outside, pairs, remaining, burst, lstor_dead)
+            verdicts = [judge(*event) for judge in judges]
+        # `+=` per event, in event order: the rounding sequence is
+        # what the pinned tallies and the bench digest hold fixed.
+        for k in schemes:
+            p_loss, unavailable_hours = verdicts[k]
+            scheme, groups_per_disk, gb, _judge = compiled[k]
+            lost[k] += groups_per_disk * p_loss
+            unavailable[k] += groups_per_disk * unavailable_hours
+            repair_gb[k] += gb
+            if tracing and p_loss > 0.0:
+                trace.instant(
+                    "durability", "loss_risk", t, scheme=scheme.name,
+                    expected_groups=groups_per_disk * p_loss,
+                    dead=dead_others + 1,
+                )
+        finish = done[i]
+        active[disk] = (finish, burst, rack)
+        heapq.heappush(expiry, (finish, disk))
+        if tracing:
+            trace.count("fleet", "dead_disks", t, float(len(active)))
+        # Blocks-at-risk timeline: the dead interval [t, finish).
+        lo = t / bucket_hours
+        hi = min(finish, horizon) / bucket_hours
+        first = int(lo)
+        if hi <= first + 1.0 and first < buckets:
+            dead_disk_timeline[first] += hi - lo  # one bucket: the loop, run once
+        else:
+            for b in range(first, min(math.ceil(hi), buckets)):
+                overlap = min(hi, b + 1.0) - max(lo, float(b))
+                if overlap > 0:
+                    dead_disk_timeline[b] += overlap
+
+    # --- availability over merged outage segments ---
+    for start, end, dark in engine._outage_segments(outages):
+        mid = (start + end) / 2.0
+        latest: Dict[int, Tuple[float, int]] = {}  # disk -> (done, rack)
+        for t, disk, rack, finish in zip(times, disks, racks, done):
+            if t <= mid:
+                latest[disk] = (finish, rack)
+        dead_racks = [rack for finish, rack in latest.values() if finish > mid]
+        lit_dead = sum(rack not in dark for rack in dead_racks)
+        expected = unreadable.get((len(dark), lit_dead))
+        if expected is None:
+            lit_disks = (fleet.num_racks - len(dark)) * fleet.disks_per_rack
+            q_dead = lit_dead / lit_disks if lit_disks else 0.0
+            expected = unreadable[len(dark), lit_dead] = [
+                fleet.groups * engine._segment_unreadable(scheme, len(dark), q_dead)
+                for scheme, _groups, _gb, _judge in compiled
+            ]
+        for k in schemes:
+            unavailable[k] += expected[k] * (end - start)
+        if tracing:
+            trace.complete(
+                "fleet", "rack_outage_segment", start, end, racks=len(dark)
+            )
+    if tracing:
+        trace.complete(
+            "durability", "trial", 0.0, horizon, trial=trial, failures=len(times)
+        )
+    total_dead_hours = math.fsum(
+        min(finish, horizon) - t for t, finish in zip(times, done)
+    )
+    timeline = np.array(dead_disk_timeline)
+    return [
+        (
+            lost[k], unavailable[k], groups_per_disk * total_dead_hours,
+            repair_gb[k], timeline * groups_per_disk,
+        )
+        for k, (_scheme, groups_per_disk, _gb, _judge) in enumerate(compiled)
+    ]
 
 
 class RegistryReader:

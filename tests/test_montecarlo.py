@@ -35,7 +35,7 @@ from repro.faults import (
 )
 from repro.obs import tracer
 from repro.units import HOURS_PER_YEAR
-from tests.oracles import analytic_mc_mttdl, reference_judge
+from tests.oracles import analytic_mc_mttdl, event_loop_trial, reference_judge
 
 # ----------------------------------------------------------------------
 # Validation regime: exponential lifetimes with MTTF exactly 1e4 hours,
@@ -344,15 +344,20 @@ def test_compiled_judge_matches_reference(
                 remaining_outside, False, False, p_block_lse,
             )
         return
-    # One compiled judge serves all four calls, so RAIDP's per-dead-count
-    # table is read on a miss and then on three hits.
-    for burst in (False, True):
-        for any_dead_lstor in (False, True):
-            event = (
-                dead_others, dead_outside, pairs, remaining_outside,
-                burst, any_dead_lstor,
-            )
-            assert judge(*event) == reference_judge(
+    # The four events go in as arrays, the way a trial calls the judge,
+    # and twice: RAIDP's per-dead-count table is read on a miss, then on
+    # a hit.
+    events = [
+        (dead_others, dead_outside, pairs, remaining_outside, burst, any_dead_lstor)
+        for burst in (False, True)
+        for any_dead_lstor in (False, True)
+    ]
+    columns = [np.array(column) for column in zip(*events)]
+    for _call in range(2):
+        p_loss, hours = judge(*columns)
+        hours = np.broadcast_to(hours, p_loss.shape)
+        for k, event in enumerate(events):
+            assert (float(p_loss[k]), float(hours[k])) == reference_judge(
                 fleet, scheme, *event, p_block_lse
             )
 
@@ -363,7 +368,10 @@ def test_run_work_is_counted(monkeypatch):
     The commit that walked the ladder per event made 10,552
     ``_binom_tail`` calls here (6,542 of them chain decodes); a compiled
     run decodes a chain once per distinct dead count per RAIDP scheme and
-    scores an outage segment once per distinct (dark racks, lit dead)."""
+    scores an outage segment once per distinct (dark racks, lit dead).
+    A judge scores a whole trial's events in one call: 40 calls, where
+    the per-event loop made 755 (one per scheme for each event that
+    found another disk dead, plus two idle verdicts per scheme and trial)."""
     calls = Counter()
     dead_counts = set()
 
@@ -386,7 +394,7 @@ def test_run_work_is_counted(monkeypatch):
 
         def watched(dead_others, *rest):
             calls["judge"] += 1
-            dead_counts.add(dead_others)
+            dead_counts.update(np.unique(dead_others).tolist())
             return judge(dead_others, *rest)
 
         return watched
@@ -396,12 +404,13 @@ def test_run_work_is_counted(monkeypatch):
     reports = engine.run(8, 10.0)
     raidp_schemes = sum(scheme.kind == "raidp" for scheme in engine.schemes)
     assert calls["_compile_judge"] == len(engine.schemes)  # the ladder: once each
+    assert calls["judge"] == len(engine.schemes) * 8  # once per scheme and trial
     assert calls["_chain_blocked"] <= len(dead_counts) * raidp_schemes
     assert calls["_binom_tail"] <= 4_100
     assert (
         calls["_compile_judge"], calls["_chain_blocked"], calls["_binom_tail"],
         calls["judge"], len(dead_counts),
-    ) == (5, 18, 38, 755, 9)
+    ) == (5, 18, 38, 40, 9)
     # The counting wrappers observed the pinned run, not another one.
     assert reports["raidp"].expected_groups_lost.hex() == "0x1.5c35e15223980p+0"
 
@@ -448,6 +457,158 @@ def test_tracing_the_engine_is_an_observer():
             repr((e.seq, e.phase, e.category, e.name, e.ts.hex(), e.dur.hex(), attrs)).encode()
         )
     assert digest.hexdigest()[:16] == "905fd5a79f496f4c"
+
+
+# ----------------------------------------------------------------------
+# Array judgment against the per-event loop it replaced.
+# ----------------------------------------------------------------------
+#: Every judge arm: width-2, width-3 and wide replication, RAIDP with one
+#: and two Lstors, and erasure -- all narrow enough for a four-rack fleet.
+DIFFERENTIAL_SCHEMES = (
+    Scheme.replication(2),
+    Scheme.replication(3),
+    Scheme.replication(4),
+    Scheme.raidp(),
+    Scheme.raidp(lstors=2, superchunks_per_disk=8),
+    Scheme.erasure(2, 2),
+)
+
+
+class DifferentialEngine(DurabilityEngine):
+    """Runs each trial through ``tests/oracles.py::event_loop_trial`` as
+    well, on the same compiled judges, and asserts the two agree bit for
+    bit: every tally by ``float.hex``, the timeline by array equality."""
+
+    def _simulate_trial(self, trial, years, compiled, unreadable):
+        rows = super()._simulate_trial(trial, years, compiled, unreadable)
+        oracle = event_loop_trial(self, trial, years, compiled, {})
+        assert len(rows) == len(oracle) == len(compiled)
+        for (*tally, timeline), (*expected, expected_timeline) in zip(rows, oracle):
+            assert [x.hex() for x in tally] == [x.hex() for x in expected], trial
+            assert np.array_equal(timeline, expected_timeline), trial
+        return rows
+
+
+def _struck_while_dead(engine, trial, years):
+    """Failure events of ``trial`` that strike a disk whose repair from
+    an earlier event has not finished."""
+    times, disks, _bursts = engine._sample_failures(
+        engine._trial_rng(trial), years * HOURS_PER_YEAR
+    )
+    done = engine._schedule_repairs(times.tolist())
+    dead_until = {}
+    hits = 0
+    for t, disk, finish in zip(times.tolist(), disks.tolist(), done):
+        hits += dead_until.get(disk, -math.inf) > t
+        dead_until[disk] = finish
+    return hits
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    fleet=st.builds(
+        Fleet,
+        num_racks=st.integers(min_value=4, max_value=8),
+        disks_per_rack=st.integers(min_value=1, max_value=25),
+        groups=st.integers(min_value=1, max_value=10**6),
+    ),
+    lifetime=st.builds(
+        DiskLifetimeModel,
+        afr=st.floats(min_value=0.01, max_value=0.6),
+        weibull_shape=st.floats(min_value=0.5, max_value=2.5),
+    ),
+    correlated=st.builds(
+        CorrelatedFailureModel,
+        rack_outage_rate_per_year=st.floats(min_value=0.0, max_value=6.0),
+        rack_outage_hours=st.floats(min_value=0.5, max_value=300.0),
+        burst_rate_per_rack_year=st.floats(min_value=0.0, max_value=1.0),
+        burst_kill_probability=st.floats(min_value=0.0, max_value=1.0),
+    ),
+    repair=st.builds(
+        RepairModel,
+        detection_hours=st.floats(min_value=0.0, max_value=48.0),
+        disk_rebuild_hours=st.floats(min_value=1.0, max_value=1000.0),
+        concurrent_rebuilds=st.integers(min_value=1, max_value=8),
+        lazy_threshold=st.integers(min_value=1, max_value=4),
+        lazy_max_wait_hours=st.floats(min_value=0.0, max_value=200.0),
+    ),
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+)
+def test_array_judgment_matches_event_loop(fleet, lifetime, correlated, repair, seed):
+    """Each trial's tallies and timeline equal, bit for bit, those of the
+    per-event loop the array judgment replaced -- across fleet shapes,
+    lifetimes, bursts and outages, detection and rebuild times, rebuild
+    slots and lazy batching."""
+    DifferentialEngine(
+        fleet, DIFFERENTIAL_SCHEMES, lifetime, correlated=correlated,
+        repair=repair, seed=seed,
+    ).run(2, years=5.0)
+
+
+def test_array_judgment_matches_event_loop_when_disks_are_struck_while_dead():
+    """Whole-rack bursts and infant mortality queued behind one rebuild
+    slot strike disks whose repair is still pending: the dead set's
+    per-disk replacement, and ``remaining`` summed in the dict's order (a
+    disk keeps the place its dead streak took), not in event order."""
+    engine = DifferentialEngine(
+        Fleet(8, 6, groups=10_000), DIFFERENTIAL_SCHEMES,
+        DiskLifetimeModel(afr=0.1, weibull_shape=0.5),
+        correlated=CorrelatedFailureModel(
+            burst_rate_per_rack_year=1.0, burst_kill_probability=1.0
+        ),
+        repair=RepairModel(concurrent_rebuilds=1, disk_rebuild_hours=400.0),
+        seed=1,
+    )
+    engine.run(2, years=10.0)
+    assert sum(_struck_while_dead(engine, trial, 10.0) for trial in range(2)) >= 1
+
+
+def test_array_judgment_of_a_trial_without_failures():
+    """No failure events: empty arrays, zero tallies, and the outage
+    segments still scored."""
+    engine = DifferentialEngine(
+        Fleet(4, 2, groups=10_000), DIFFERENTIAL_SCHEMES,
+        DiskLifetimeModel(afr=1e-9),
+        correlated=CorrelatedFailureModel(
+            rack_outage_rate_per_year=50.0, burst_rate_per_rack_year=0.0
+        ),
+    )
+    reports = engine.run(1, years=1.0)
+    assert engine._sample_failures(engine._trial_rng(0), HOURS_PER_YEAR)[0].size == 0
+    for report in reports.values():
+        assert report.expected_groups_lost == report.repair_gb == 0.0
+        assert report.at_risk_group_hours == 0.0
+        assert not report.at_risk_timeline.any()
+    assert reports["rep2"].unavailable_group_hours > 0.0
+
+
+def test_outage_counts_a_disk_struck_while_dead_once(monkeypatch):
+    """A disk struck again before its repair finished is one dead disk at
+    an outage segment's midpoint, as it is in the judgment's dead set."""
+    # Disk 0 (rack 0) fails at 100 h and again at 105 h; with the default
+    # repairs its dead intervals, [100, 112.25) and [105, 117.25), both
+    # hold 108 h, the midpoint of rack 3's outage [106, 110).
+    monkeypatch.setattr(
+        DurabilityEngine, "_sample_failures",
+        lambda self, rng, horizon: (
+            np.array([100.0, 105.0]), np.array([0, 0]), np.array([False, False])
+        ),
+    )
+    monkeypatch.setattr(
+        DurabilityEngine, "_sample_outages",
+        lambda self, rng, horizon: [(106.0, 110.0, 3)],
+    )
+    q_dead = []
+    segment_unreadable = DurabilityEngine._segment_unreadable
+
+    def spy(self, scheme, dark_count, q):
+        q_dead.append(q)
+        return segment_unreadable(self, scheme, dark_count, q)
+
+    monkeypatch.setattr(DurabilityEngine, "_segment_unreadable", spy)
+    engine = DurabilityEngine(Fleet(4, 2, groups=1_000), schemes=(Scheme.replication(2),))
+    engine.run(1, years=1.0)
+    assert q_dead == [1 / 6]  # one dead disk among the six lit ones
 
 
 # ----------------------------------------------------------------------
