@@ -4,7 +4,7 @@ PYTHON     ?= python
 PYTHONPATH := src
 export PYTHONPATH
 
-.PHONY: test lint typecheck shapes bench benchmark chaos verify profile flight-recorder experiments durability-smoke clean
+.PHONY: test lint typecheck shapes bench benchmark chaos verify profile flight-recorder experiments durability-smoke scale-smoke clean
 
 # Tier-1: the full unit/integration/property suite.
 test:
@@ -92,10 +92,24 @@ durability-smoke:
 	$(PYTHON) -m repro.experiments ext-durability --full --jobs 2 > durability-smoke/jobs2.txt
 	cmp durability-smoke/jobs1.txt durability-smoke/jobs2.txt
 
+# Scale-out smoke: the 16-256 node sweep at one and at two workers must
+# print the same bytes (each point is one task, merged by key), then
+# once at --full (8x the data, superchunks grown with it), timed.
+scale-smoke:
+	mkdir -p scale-smoke
+	$(PYTHON) -m repro.experiments ext-scale --jobs 1 > scale-smoke/jobs1.txt
+	cat scale-smoke/jobs1.txt
+	$(PYTHON) -m repro.experiments ext-scale --jobs 2 > scale-smoke/jobs2.txt
+	cmp scale-smoke/jobs1.txt scale-smoke/jobs2.txt
+	@start=$$(date +%s); \
+	$(PYTHON) -m repro.experiments ext-scale --full --jobs 2 > scale-smoke/full.txt && \
+	echo "ext-scale --full --jobs 2: $$(( $$(date +%s) - start )) s"
+	cat scale-smoke/full.txt
+
 # Regenerate every table/figure of the paper (uses all cores).
 experiments:
 	$(PYTHON) -m repro.experiments all --full --jobs 0
 
 clean:
 	find . -name __pycache__ -type d -prune -exec rm -rf {} +
-	rm -rf .pytest_cache .benchmarks .bench_out .hypothesis .mypy_cache flight-recorder durability-smoke
+	rm -rf .pytest_cache .benchmarks .bench_out .hypothesis .mypy_cache flight-recorder durability-smoke scale-smoke

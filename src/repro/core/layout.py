@@ -125,6 +125,9 @@ class Layout(InlineState):
         # unordered disk pair -> superchunk id (the 1-sharing index).
         self._pair_index: Dict[FrozenSet[str], int] = {}
         self._next_id = 0
+        #: Bumped by every mutator: caches derived from the slot tables
+        #: (the superchunk map's per-disk load tally) key on it.
+        self.mutations = 0
 
     def domain_of(self, disk: str) -> Optional[str]:
         """The disk's failure domain, or None when domains are unused."""
@@ -235,6 +238,7 @@ class Layout(InlineState):
         self._slots[disk] = []
         if self._domains is not None:
             self._domain_disks.setdefault(self._domains[disk], []).append(disk)
+        self.mutations += 1
 
     def add_superchunk(self, disk_a: str, disk_b: str) -> Superchunk:
         """Allocate a new mirrored superchunk across two disks."""
@@ -268,6 +272,7 @@ class Layout(InlineState):
         self._slots[disk_a].append(sc.sc_id)
         self._slots[disk_b].append(sc.sc_id)
         self._pair_index[pair] = sc.sc_id
+        self.mutations += 1
         return sc
 
     def remove_disk(self, disk: str) -> List[Superchunk]:
@@ -286,6 +291,7 @@ class Layout(InlineState):
         self._disks.remove(disk)
         if self._domains is not None:
             self._domain_disks[self._domains[disk]].remove(disk)
+        self.mutations += 1
         return orphans
 
     def remirror(self, sc_id: int, new_disk: str) -> Superchunk:
@@ -328,6 +334,7 @@ class Layout(InlineState):
         self._superchunks[sc_id] = updated
         self._slots[new_disk].append(sc_id)
         self._pair_index[pair] = sc_id
+        self.mutations += 1
         return updated
 
     def restore_superchunk(self, previous: Superchunk, receiver: str) -> None:
@@ -352,6 +359,7 @@ class Layout(InlineState):
         self._superchunks[sc_id] = previous
         if all(d in self._slots for d in previous.disks):
             self._pair_index[previous.disks] = sc_id
+        self.mutations += 1
 
     def rehome(self, sc_id: int, disk_a: str, disk_b: str) -> Superchunk:
         """Re-create a fully-orphaned superchunk on a fresh disk pair.
@@ -393,6 +401,7 @@ class Layout(InlineState):
         self._slots[disk_a].append(sc_id)
         self._slots[disk_b].append(sc_id)
         self._pair_index[pair] = sc_id
+        self.mutations += 1
         return updated
 
     # ------------------------------------------------------------------

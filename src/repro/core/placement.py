@@ -13,7 +13,7 @@ replica) and balances load by picking the least-full eligible superchunk.
 from __future__ import annotations
 
 import random
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.core.layout import Layout, LayoutSpec, Superchunk
 from repro.errors import CapacityError, PlacementError
@@ -38,6 +38,11 @@ class SuperchunkMap(InlineState):
         # Superchunks under recovery: writes are diverted away from them
         # (paper §3.4) until the recovery completes.
         self._frozen: set = set()
+        # disk -> occupied slots over the superchunks it holds, for the
+        # disks asked about since the layout's last mutation; slot
+        # claims and releases keep it current (see load_of_disk).
+        self._load: Dict[str, int] = {}
+        self._load_epoch = layout.mutations
 
     # ------------------------------------------------------------------
     # Recovery-time write diversion (paper §3.4).
@@ -74,17 +79,44 @@ class SuperchunkMap(InlineState):
         for slot in range(self.slots_per_superchunk):
             if slot not in occupancy:
                 occupancy[slot] = block_name
+                self._count(sc_id, 1)
                 return slot
         raise CapacityError(f"superchunk {sc_id} has no free slots")
 
     def release_slot(self, sc_id: int, slot: int) -> None:
-        self._occupancy[sc_id].pop(slot, None)
+        if self._occupancy[sc_id].pop(slot, None) is not None:
+            self._count(sc_id, -1)
 
     def load_of_disk(self, disk: str) -> int:
-        """Occupied slots across all superchunks on ``disk`` (load proxy)."""
-        return sum(
-            self.used_slots(sc_id) for sc_id in self.layout.superchunks_of(disk)
-        )
+        """Occupied slots across all superchunks on ``disk`` (load proxy).
+
+        Summed over the disk's slot table once per layout mutation, then
+        tallied: O(1) per call while the layout holds still.
+        """
+        load = self._tally()
+        value = load.get(disk)
+        if value is None:
+            value = load[disk] = sum(
+                self.used_slots(sc_id) for sc_id in self.layout.superchunks_of(disk)
+            )
+        return value
+
+    def _tally(self) -> Dict[str, int]:
+        """The load tally, emptied if the layout mutated since it was kept."""
+        if self._load_epoch != self.layout.mutations:
+            self._load_epoch = self.layout.mutations
+            self._load.clear()
+        return self._load
+
+    def _count(self, sc_id: int, delta: int) -> None:
+        # Only disks that *hold* the superchunk carry its slots: a disk
+        # that rejoined empty is still named by the records it lost.
+        load = self._tally()
+        if load:
+            sc = self.layout.superchunk(sc_id)
+            for disk in (sc.disk_a, sc.disk_b):
+                if disk in load and self.layout.holds(disk, sc_id):
+                    load[disk] += delta
 
 
 class RaidpPlacement(PlacementPolicy):
@@ -110,19 +142,18 @@ class RaidpPlacement(PlacementPolicy):
         self,
         block: Block,
         writer: Optional[str],
-        datanodes: Sequence["DataNode"],
+        datanodes: Mapping[str, "DataNode"],
     ) -> BlockLocations:
         # The full health predicate: a disk that already died but has not
         # yet been declared dead by the heartbeat detector must not
         # receive new blocks.  Asked only of the candidates' disks, once
         # per disk per call.
-        by_name = {dn.name: dn for dn in datanodes}
         health: Dict[str, bool] = {}
 
         def alive(disk: str) -> bool:
             ok = health.get(disk)
             if ok is None:
-                datanode = by_name.get(disk)
+                datanode = datanodes.get(disk)
                 ok = health[disk] = datanode is not None and healthy_datanode(datanode)
             return ok
 
@@ -135,24 +166,20 @@ class RaidpPlacement(PlacementPolicy):
             )
         # Balance by *disk* load (the busier disk of each pair), so every
         # spindle receives an even share of the write stream; ties break
-        # by superchunk fullness, then by the seeded RNG.  A disk's load
-        # sums its superchunks' slots: taken once per disk per call.
-        load: Dict[str, int] = {}
-
-        def load_of(disk: str) -> int:
-            value = load.get(disk)
-            if value is None:
-                value = load[disk] = self.map.load_of_disk(disk)
-            return value
-
-        def pressure(sc_id: int) -> Tuple[int, int, int]:
-            a, b = self._pair(sc_id)
-            loads = sorted((load_of(a), load_of(b)), reverse=True)
-            return (loads[0], loads[1], self.map.used_slots(sc_id))
-
-        pressures = [pressure(sc) for sc in pool]
-        best = min(pressures)
-        tied = [sc for sc, weight in zip(pool, pressures) if weight == best]
+        # by superchunk fullness, then by the seeded RNG.  One pass scores
+        # each candidate once and keeps the tied list in pool order.
+        load_of = self.map.load_of_disk
+        best: Optional[Tuple[int, int, int]] = None
+        tied: List[int] = []
+        for sc in pool:
+            a, b = self._pair(sc)
+            load_a, load_b = load_of(a), load_of(b)
+            used = self.map.used_slots(sc)
+            weight = (load_a, load_b, used) if load_a >= load_b else (load_b, load_a, used)
+            if best is None or weight < best:
+                best, tied = weight, [sc]
+            elif weight == best:
+                tied.append(sc)
         sc_id = self._rng.choice(tied)
         slot = self.map.allocate_slot(sc_id, block.name)
         pair = list(self._pair(sc_id))

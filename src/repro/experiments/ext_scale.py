@@ -11,9 +11,15 @@ fixed per-node working set and reports, per replication scheme:
 - accumulated network GB per node (RAIDP's 2 copies vs HDFS-3's 3).
 
 The sweep leans on the incremental fair-share solver and on placement
-that reads the writer's own slot tables: at 256 nodes a write burst
-keeps hundreds of flows in flight, and both cost what a burst touches
-rather than the cluster size (DESIGN.md section 7.5).
+that reads the writer's own slot tables and a per-disk load tally: at
+256 nodes a write burst keeps hundreds of flows in flight, and both cost
+what a burst touches rather than the cluster size (DESIGN.md section
+7.5).  HDFS-3 placement reads each DataNode's health once per block, the
+floor of a bit-exact stock policy.
+
+Each point is one task: a RAIDP point ingests and then fails its worst
+pair on the same live cluster, each phase under its own sampler, so no
+cluster is pickled between phases.
 """
 
 from __future__ import annotations
@@ -28,7 +34,6 @@ from repro.experiments.parallel import fan_out
 from repro.experiments.runner import ExperimentResult
 from repro.hdfs.config import DfsConfig
 from repro.hdfs.filesystem import HdfsCluster
-from repro.sim import snapshot
 from repro.sim.cluster import ClusterSpec
 
 #: Cluster sizes swept (the paper's 16 plus three scale-out points).
@@ -39,21 +44,17 @@ SCHEMES = ("hdfs3", "raidp")
 SCALE_SEEDS = (1,)
 
 #: Per-node working set and layout constants, sized so the 256-node
-#: point stays interactive at smoke scale (full scale multiplies by 8).
+#: point stays interactive at smoke scale (full scale multiplies the
+#: working set and the superchunk size by 8).
 BLOCK_SIZE = 8 * units.MiB
 BYTES_PER_NODE = 32 * units.MiB
 SUPERCHUNK_SIZE = 32 * units.MiB
 SUPERCHUNKS_PER_DISK = 8
 
-#: Task key: (scheme, num_nodes, placement seed) for HDFS-3 points, or
-#: (scheme, num_nodes, seed, phase) with phase "write"/"recovery" for
-#: RAIDP points.  The write phase returns its measurements plus a
-#: snapshot of the post-ingest cluster; the recovery phase restores that
-#: snapshot instead of re-simulating the whole ingest.
-#:
-#: RAIDP tasks run under the flight recorder and carry a 4th result
-#: element -- per-phase disk-latency SLO summaries.
-TaskKey = Tuple
+#: Task key: (scheme, num_nodes, placement seed).  RAIDP points run
+#: under the flight recorder and carry a 4th result element -- per-phase
+#: disk-latency SLO summaries.
+TaskKey = Tuple[str, int, int]
 
 #: Sampling cadence for the phase SLO summaries (simulated seconds).
 SLO_SAMPLE_INTERVAL = 0.25
@@ -63,26 +64,17 @@ def tasks(
     full_scale: bool = False, seeds: Optional[Sequence[int]] = None
 ) -> List[TaskKey]:
     seeds = tuple(seeds) if seeds is not None else SCALE_SEEDS
-    keys: List[TaskKey] = []
-    for num_nodes in SIZES:
-        for scheme in SCHEMES:
-            for seed in seeds:
-                if scheme == "raidp":
-                    keys.append((scheme, num_nodes, seed, "write"))
-                    keys.append((scheme, num_nodes, seed, "recovery"))
-                else:
-                    keys.append((scheme, num_nodes, seed))
-    return keys
+    return [
+        (scheme, num_nodes, seed)
+        for num_nodes in SIZES
+        for scheme in SCHEMES
+        for seed in seeds
+    ]
 
 
-def task_deps(key: TaskKey) -> Tuple[TaskKey, ...]:
-    """The recovery phase consumes the write phase's cluster snapshot."""
-    if len(key) == 4 and key[3] == "recovery":
-        return ((key[0], key[1], key[2], "write"),)
-    return ()
-
-
-def _build(scheme: str, num_nodes: int, seed: int) -> Any:
+def _build(scheme: str, num_nodes: int, seed: int, scale: int = 1) -> Any:
+    """The point's empty cluster; ``scale`` grows RAIDP's superchunks
+    with the dataset, so a scaled ingest still fits the layout."""
     spec = ClusterSpec(num_nodes=num_nodes)
     if scheme == "hdfs3":
         return HdfsCluster(
@@ -95,7 +87,7 @@ def _build(scheme: str, num_nodes: int, seed: int) -> Any:
         spec=spec,
         config=DfsConfig(replication=2, block_size=BLOCK_SIZE),
         raidp=RaidpConfig(),
-        superchunk_size=SUPERCHUNK_SIZE,
+        superchunk_size=SUPERCHUNK_SIZE * scale,
         superchunks_per_disk=SUPERCHUNKS_PER_DISK,
         payload_mode="tokens",
         seed=seed,
@@ -144,48 +136,37 @@ def _phase_slo(sampler: Any) -> Dict[str, float]:
     return digest
 
 
-def run_task(
-    key: TaskKey, full_scale: bool = False, deps: Optional[Dict[TaskKey, Tuple]] = None
-) -> Tuple:
-    """One sweep point or phase.
+def run_task(key: TaskKey, full_scale: bool = False) -> Tuple:
+    """One sweep point.
 
     - hdfs3 keys return (write seconds, net GB per node, None).
-    - ("raidp", n, seed, "write") returns (write seconds, net GB per
-      node, snapshot bytes, slo digest) -- the snapshot travels to the
-      recovery task as a dependency result (pickled across the pool
-      boundary, which is what makes spawn-context workers work at all).
-    - ("raidp", n, seed, "recovery") returns the final row tuple
-      (write seconds, net GB per node, recovery seconds, slo digests).
+    - raidp keys return (write seconds, net GB per node, recovery
+      seconds, {"write": slo, "recovery": slo}): the worst-pair recovery
+      runs on the ingested cluster itself, its simulator re-bound to a
+      second sampler so each phase gets its own SLO digest.
     """
     from repro.obs.timeseries import capture
     from repro.workloads.dfsio import dfsio_write
 
-    scheme, num_nodes, seed = key[:3]
-    if len(key) == 4 and key[3] == "recovery":
-        write_s, per_node_gb, blob, write_slo = (deps or {})[
-            (scheme, num_nodes, seed, "write")
-        ]
-        with capture(interval=SLO_SAMPLE_INTERVAL) as sampler:
-            dfs = snapshot.restore(blob)
-            sampler.watch(dfs)
-            recovery_s = _recover_worst_pair(dfs)
-        slo = {**write_slo, "recovery": _phase_slo(sampler)}
-        return write_s, per_node_gb, recovery_s, slo
-    dataset = num_nodes * BYTES_PER_NODE * (8 if full_scale else 1)
-    if scheme == "raidp":  # sampled write phase
-        with capture(interval=SLO_SAMPLE_INTERVAL) as sampler:
-            dfs = _build(scheme, num_nodes, seed)
-            sampler.watch(dfs)
-            write = dfsio_write(dfs, dataset)
-        per_node_gb = dfs.switch.total_bytes / num_nodes / units.GB
-        return (
-            write.runtime, per_node_gb, snapshot.capture(dfs),
-            {"write": _phase_slo(sampler)},
-        )
-    dfs = _build(scheme, num_nodes, seed)
-    write = dfsio_write(dfs, dataset)
+    scheme, num_nodes, seed = key
+    scale = 8 if full_scale else 1
+    dataset = num_nodes * BYTES_PER_NODE * scale
+    if scheme == "hdfs3":
+        dfs = _build(scheme, num_nodes, seed)
+        write = dfsio_write(dfs, dataset)
+        return write.runtime, dfs.switch.total_bytes / num_nodes / units.GB, None
+    with capture(interval=SLO_SAMPLE_INTERVAL) as sampler:
+        dfs = _build(scheme, num_nodes, seed, scale)
+        sampler.watch(dfs)
+        write = dfsio_write(dfs, dataset)
     per_node_gb = dfs.switch.total_bytes / num_nodes / units.GB
-    return write.runtime, per_node_gb, None
+    slo = {"write": _phase_slo(sampler)}
+    with capture(interval=SLO_SAMPLE_INTERVAL) as sampler:
+        dfs.sim.bind_observers()
+        sampler.watch(dfs)
+        recovery_s = _recover_worst_pair(dfs)
+    slo["recovery"] = _phase_slo(sampler)
+    return write.runtime, per_node_gb, recovery_s, slo
 
 
 def merge(
@@ -203,14 +184,7 @@ def merge(
     )
     for num_nodes in SIZES:
         for scheme in SCHEMES:
-            samples = [
-                keyed[
-                    (scheme, num_nodes, seed, "recovery")
-                    if scheme == "raidp"
-                    else (scheme, num_nodes, seed)
-                ]
-                for seed in seeds
-            ]
+            samples = [keyed[(scheme, num_nodes, seed)] for seed in seeds]
             result.add(f"{scheme} write @{num_nodes}", mean(s[0] for s in samples))
             result.add(
                 f"{scheme} net GB/node @{num_nodes}", mean(s[1] for s in samples)

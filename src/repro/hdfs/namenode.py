@@ -13,7 +13,8 @@ NameNode itself.
 from __future__ import annotations
 
 import random
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence
+from collections import defaultdict
+from typing import TYPE_CHECKING, DefaultDict, Dict, Iterable, List, Mapping, Optional
 
 from repro.errors import (
     DfsError,
@@ -50,15 +51,37 @@ def healthy_datanode(datanode) -> bool:
 
 
 class PlacementPolicy(InlineState):
-    """Chooses the replica set for a new block."""
+    """Chooses the replica set for a new block.
+
+    ``datanodes`` is the NameNode's registry, name -> DataNode in
+    registration order; a policy reads it and never copies it whole.
+    """
 
     def choose_targets(
         self,
         block: Block,
         writer: Optional[str],
-        datanodes: Sequence["DataNode"],
+        datanodes: Mapping[str, "DataNode"],
     ) -> BlockLocations:
         raise NotImplementedError
+
+
+def _shuffle(rng: random.Random, x: List[str]) -> None:
+    """``rng.shuffle(x)``, with the per-element ``_randbelow`` call inlined.
+
+    The same Fisher-Yates swaps from the same ``getrandbits`` draws
+    (rejection sampling at ``n.bit_length()`` bits), so the list and the
+    generator's state end exactly as ``random.Random.shuffle`` leaves
+    them; a Python-level call per element is what it saves.
+    """
+    getrandbits = rng.getrandbits
+    for i in range(len(x) - 1, 0, -1):
+        n = i + 1
+        k = n.bit_length()
+        j = getrandbits(k)
+        while j >= n:
+            j = getrandbits(k)
+        x[i], x[j] = x[j], x[i]
 
 
 class ReplicationPlacement(PlacementPolicy):
@@ -71,6 +94,10 @@ class ReplicationPlacement(PlacementPolicy):
     reproduction must be.  (The residual imbalance relative to RAIDP's
     superchunk-slot placement is what makes RAIDP's "only superchunks"
     bar marginally beat HDFS-2 in Fig. 8.)
+
+    Each call reads every registered DataNode's health once: the number
+    of healthy ones sets the shuffles' lengths and so the RNG draws, so
+    this pass is the floor of any bit-exact version of the policy.
     """
 
     def __init__(self, replication: int, seed: int = 0xDA7A) -> None:
@@ -78,35 +105,34 @@ class ReplicationPlacement(PlacementPolicy):
             raise ValueError("replication must be >= 1")
         self.replication = replication
         self._rng = random.Random(seed)
-        self._placed: dict = {}
+        #: DataNode name -> replicas placed there (0 until the first).
+        self._placed: DefaultDict[str, int] = defaultdict(int)
 
     def choose_targets(
         self,
         block: Block,
         writer: Optional[str],
-        datanodes: Sequence["DataNode"],
+        datanodes: Mapping[str, "DataNode"],
     ) -> BlockLocations:
-        alive = [dn for dn in datanodes if healthy_datanode(dn)]
-        if len(alive) < self.replication:
+        remaining = [name for name, dn in datanodes.items() if healthy_datanode(dn)]
+        if len(remaining) < self.replication:
             raise PlacementError(
-                f"need {self.replication} live datanodes, have {len(alive)}"
+                f"need {self.replication} live datanodes, have {len(remaining)}"
             )
         chosen: List[str] = []
-        by_name = {dn.name: dn for dn in alive}
-        if writer is not None and writer in by_name:
+        if writer is not None and writer in remaining:
+            remaining.remove(writer)
             chosen.append(writer)
-        remaining = [dn.name for dn in alive if dn.name not in chosen]
-        self._rng.shuffle(remaining)  # random tie-break, then least-loaded
-        remaining.sort(key=lambda name: self._placed.get(name, 0))
+        _shuffle(self._rng, remaining)  # random tie-break, then least-loaded
+        remaining.sort(key=self._placed.__getitem__)
         # HDFS picks randomly among under-loaded candidates rather than
         # strictly least-loaded, leaving the marginal imbalance the paper
         # observes; sample from the bottom three quarters.
-        pool_size = max(3 * len(remaining) // 4, self.replication)
-        pool = remaining[:pool_size]
-        self._rng.shuffle(pool)
-        chosen.extend(pool[: self.replication - len(chosen)])
+        del remaining[max(3 * len(remaining) // 4, self.replication) :]
+        _shuffle(self._rng, remaining)
+        chosen.extend(remaining[: self.replication - len(chosen)])
         for name in chosen:
-            self._placed[name] = self._placed.get(name, 0) + 1
+            self._placed[name] += 1
         return BlockLocations(block=block, datanodes=chosen)
 
 
@@ -202,9 +228,7 @@ class NameNode(InlineState):
             size=size,
         )
         self._next_block_id += 1
-        locations = self.placement.choose_targets(
-            block, writer, list(self._datanodes.values())
-        )
+        locations = self.placement.choose_targets(block, writer, self._datanodes)
         self._files[path].append(block)
         self._blocks[block.block_id] = locations
         self._blocks_by_name[block.name] = locations

@@ -500,7 +500,7 @@ class Simulator:
 
     def __init__(self, start: float = 0.0) -> None:
         self.now: float = start
-        self._bind_observers()
+        self.bind_observers()
         # Entries are (time, seq, Event-or-_Deferred); seq is unique, so
         # the third element is never compared.
         self._heap: List[Tuple[float, int, Any]] = []
@@ -527,7 +527,7 @@ class Simulator:
         # released everything holds nothing here (see run()).
         self._grants: Dict[Any, int] = {}
 
-    def _bind_observers(self) -> None:
+    def bind_observers(self) -> None:
         """Bind whatever observers are ambient right now (see
         :mod:`repro.obs.ambient`): the tracer (``NULL_TRACER`` when none
         is active; instrumentation sites branch on ``trace.enabled``),
@@ -539,6 +539,11 @@ class Simulator:
         instant via the ordinary ``until`` mechanism -- never touch the
         schedule or the sequence counter, so observed and bare runs
         execute identical schedules.
+
+        Construction and snapshot restore bind; between two ``run()``
+        calls a caller may bind again, so the next phase of a live
+        simulation reports to the observers ambient now (a sampler
+        opens a new run at the current instant) without a pickle.
 
         The sampler and the profiler are held weakly: each keeps the
         components it reads alive (the watched cluster, the auditor's
@@ -594,7 +599,7 @@ class Simulator:
         self.now = float(state["now"])
         # Observers are process-local and never snapshotted; rebind to
         # whatever is ambient in the restoring process.
-        self._bind_observers()
+        self.bind_observers()
         self._heap = []
         self._lane = deque()
         self._lane_tail = _NEG_INF

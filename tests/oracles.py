@@ -2,8 +2,9 @@
 
 Oracles are test-side code: production modules carry no switch, branch
 or hook for them.  The classes subclass the production class and replace
-the optimized decisions with the obvious ones; two functions run, in
-one simulator, a schedule production splits across two; then come the
+the optimized decisions with the obvious ones; one function runs, in
+one simulator, the RAID-6 rebuild production splits across two, and one
+runs an ext-scale RAIDP point with no observer bound; then come the
 Monte-Carlo engine's closed form, its per-event judge as it was before
 it was compiled per scheme, and its trial as the loop over failure
 events it was before it judged arrays; last, the registry of live views
@@ -32,7 +33,7 @@ from repro.errors import PlacementError
 from repro.experiments import ext_scale, table2_recovery
 from repro.faults import DiskLifetimeModel, RepairModel
 from repro.hdfs.block import BlockLocations
-from repro.hdfs.namenode import healthy_datanode
+from repro.hdfs.namenode import ReplicationPlacement, healthy_datanode
 from repro.obs.metrics import SWITCH_WORK_COUNTERS
 from repro.obs.tracer import active_tracer
 from repro.sim.engine import Event, Simulator, Timeout
@@ -146,18 +147,50 @@ class ScanFillSwitch(Switch):
                 self._set_rate(flow, share, now)
 
 
+class RosterCopyPlacement(ReplicationPlacement):
+    """Stock HDFS placement as it was before it read the roster in place.
+
+    Every call copies the registry into a list of healthy DataNodes, a
+    name index and a second list of names, shuffles through
+    ``random.Random.shuffle`` and sorts by ``dict.get``.  The replica set
+    and the RNG state after each call are what production must reproduce.
+    """
+
+    def choose_targets(self, block, writer, datanodes):
+        alive = [dn for dn in datanodes.values() if healthy_datanode(dn)]
+        if len(alive) < self.replication:
+            raise PlacementError(
+                f"need {self.replication} live datanodes, have {len(alive)}"
+            )
+        chosen = []
+        by_name = {dn.name: dn for dn in alive}
+        if writer is not None and writer in by_name:
+            chosen.append(writer)
+        remaining = [dn.name for dn in alive if dn.name not in chosen]
+        self._rng.shuffle(remaining)
+        remaining.sort(key=lambda name: self._placed.get(name, 0))
+        pool_size = max(3 * len(remaining) // 4, self.replication)
+        pool = remaining[:pool_size]
+        self._rng.shuffle(pool)
+        chosen.extend(pool[: self.replication - len(chosen)])
+        for name in chosen:
+            self._placed[name] = self._placed.get(name, 0) + 1
+        return BlockLocations(block=block, datanodes=chosen)
+
+
 class FullScanPlacement(RaidpPlacement):
     """The scan-everything oracle for RAIDP block placement.
 
     Every call lists every eligible superchunk of the cluster, then tests
     each one's pair against the writer to find the writer-local subset --
-    no use of the writer's slot tables or the domain index.  The pool,
-    the pressure minimum (re-evaluated per use), the tied list and the
-    RNG draw are what production must reproduce call for call.
+    no use of the writer's slot tables or the domain index -- and sums
+    each disk's load over its superchunks -- no use of the map's tally.
+    The pool, the pressure minimum (re-evaluated per use), the tied list
+    and the RNG draw are what production must reproduce call for call.
     """
 
     def choose_targets(self, block, writer, datanodes):
-        alive = {dn.name for dn in datanodes if healthy_datanode(dn)}
+        alive = {name for name, dn in datanodes.items() if healthy_datanode(dn)}
         disks = self.layout.disks
 
         def holds(disk, sc_id):
@@ -184,8 +217,11 @@ class FullScanPlacement(RaidpPlacement):
         preferred = [sc for sc in candidates if any(map(local, self._pair(sc)))]
         pool = preferred or candidates
 
+        def load_of(disk):
+            return sum(map(self.map.used_slots, self.layout.superchunks_of(disk)))
+
         def pressure(sc_id):
-            loads = sorted(map(self.map.load_of_disk, self._pair(sc_id)), reverse=True)
+            loads = sorted(map(load_of, self._pair(sc_id)), reverse=True)
             return (loads[0], loads[1], self.map.used_slots(sc_id))
 
         best = min(pressure(sc) for sc in pool)
@@ -452,8 +488,8 @@ def raid6_rebuild_single_sim(data_per_disk, surviving_disks, chunk_size, nic_rat
 
 
 def ext_scale_raidp_single_sim(num_nodes, seed):
-    """One ext-scale RAIDP point without the snapshot hand-off: ingest
-    and worst-pair recovery on the same cluster, no sampler attached.
+    """One ext-scale RAIDP point with no observer: ingest and worst-pair
+    recovery on the same cluster, no sampler bound to either phase.
     Returns (write seconds, net GB per node, recovery seconds)."""
     dfs = ext_scale._build("raidp", num_nodes, seed)
     write = dfsio_write(dfs, num_nodes * ext_scale.BYTES_PER_NODE)

@@ -84,18 +84,25 @@ def test_ext_scale_256_node_point_completes_and_has_shape():
     """The sweep's largest point runs at smoke scale (incremental solver)."""
     from repro.experiments.ext_scale import run_task
 
-    write_key = ("raidp", 256, 1, "write")
-    write_s, per_node_gb, recovery_s, _slo = run_task(
-        ("raidp", 256, 1, "recovery"), deps={write_key: run_task(write_key)}
-    )
+    write_s, per_node_gb, recovery_s, _slo = run_task(("raidp", 256, 1))
     assert write_s > 0
     assert recovery_s > 0
     assert per_node_gb > 0
     # Scale-out: the same per-node working set on 16 nodes must cost
     # about the same per node as on 256 (write pipelines are local).
-    write_16, per_node_gb_16 = run_task(("raidp", 16, 1, "write"))[:2]
+    write_16, per_node_gb_16 = run_task(("raidp", 16, 1))[:2]
     assert write_s == pytest.approx(write_16, rel=0.25)
     assert per_node_gb == pytest.approx(per_node_gb_16, rel=0.25)
+
+
+def test_ext_scale_full_scale_raidp_point_completes():
+    """At ``--full`` the dataset grows 8x and the superchunks with it: the
+    ingest fits the layout (8 x 32 MiB superchunks per disk did not)."""
+    from repro.experiments.ext_scale import run_task
+
+    write_s, per_node_gb, recovery_s, slo = run_task(("raidp", 16, 1), full_scale=True)
+    assert write_s > 0 and per_node_gb > 0 and recovery_s > 0
+    assert set(slo) == {"write", "recovery"}
 
 
 def test_ext_scale_512_node_write_reproduces_the_pinned_point():
@@ -181,7 +188,7 @@ def test_table2_raidp_64mb_fluid_rows_reproduce_the_pinned_points(lock_mode, sec
 def test_ext_scale_raidp_network_beats_hdfs3():
     from repro.experiments.ext_scale import run_task
 
-    _w, raidp_gb = run_task(("raidp", 64, 1, "write"))[:2]
+    _w, raidp_gb = run_task(("raidp", 64, 1))[:2]
     _w, hdfs_gb, rec = run_task(("hdfs3", 64, 1))
     assert rec is None
     # 1 remote copy (plus parity acks) vs 2 remote copies.
