@@ -105,9 +105,7 @@ def recovery_duration(planner):
 
     dfs.sim.run_process(writers())
     manager = RecoveryManager(dfs)
-    report = manager.recover_single_failure(
-        "n0", RecoveryOptions(planner=planner)
-    )
+    report = manager.recover(("n0",), RecoveryOptions(planner=planner))
     loads = [dfs.map.load_of_disk(dn.name) for dn in dfs.datanodes if dn.alive]
     return report.duration, max(loads) - min(loads)
 

@@ -54,13 +54,12 @@ def main() -> None:
     )
 
     manager = RecoveryManager(dfs)
-    report = manager.recover_double_failure(
-        victim_a,
-        victim_b,
-        options=RecoveryOptions(lock_mode="byte_range", chunk_size=units.MiB),
+    report = manager.recover(
+        (victim_a, victim_b),
+        RecoveryOptions(lock_mode="byte_range", chunk_size=units.MiB),
     )
     print(
-        f"recovered superchunk {report.reconstructed_sc} and re-mirrored "
+        f"recovered superchunk {report.reconstructed[0]} and re-mirrored "
         f"{len(report.remirrored)} superchunks in "
         f"{units.format_duration(report.duration)} (simulated)"
     )

@@ -41,9 +41,7 @@ def main() -> None:
         dfs = build_loaded_cluster()
         manager = RecoveryManager(dfs)
         victim = "n0"
-        report = manager.recover_single_failure(
-            victim, RecoveryOptions(planner=planner)
-        )
+        report = manager.recover((victim,), RecoveryOptions(planner=planner))
         print(f"planner={planner}: disk {victim} failed, plan:")
         for sc_id, sender, receiver in report.remirrored:
             print(f"  superchunk {sc_id}: {sender} -> {receiver}")

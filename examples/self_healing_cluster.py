@@ -64,8 +64,8 @@ def main() -> None:
         print(f"t={when:5.1f}s  monitor detected dead: {', '.join(names)}")
     for report in monitor.reports:
         what = (
-            f"reconstructed superchunk {report.reconstructed_sc} and "
-            if report.reconstructed_sc is not None
+            f"reconstructed superchunks {report.reconstructed} and "
+            if report.reconstructed
             else ""
         )
         print(

@@ -301,7 +301,7 @@ class Layout(InlineState):
         copy is re-created on ``new_disk``.  All invariants re-checked.
         """
         old = self.superchunk(sc_id)
-        survivors = [d for d in (old.disk_a, old.disk_b) if d in self._slots]
+        survivors = [d for d in (old.disk_a, old.disk_b) if self.holds(d, sc_id)]
         if len(survivors) != 1:
             raise LayoutError(
                 f"superchunk {sc_id} has {len(survivors)} surviving copies; "
@@ -343,8 +343,8 @@ class Layout(InlineState):
         The receiver gives the superchunk back and the pre-remirror
         record is reinstated, so the chunk returns to its singly-homed
         (orphan) state and a later recovery can re-plan it.  The old
-        pair index entry is only restored when both old homes are still
-        in the layout (the usual case -- one of them is a removed dead
+        pair index entry is only restored when both old homes still hold
+        the superchunk (the usual case -- one of them is a removed dead
         disk -- leaves no pair entry, matching post-``remove_disk``
         state).
         """
@@ -357,7 +357,7 @@ class Layout(InlineState):
         if slots is not None and sc_id in slots:
             slots.remove(sc_id)
         self._superchunks[sc_id] = previous
-        if all(d in self._slots for d in previous.disks):
+        if all(self.holds(d, sc_id) for d in previous.disks):
             self._pair_index[previous.disks] = sc_id
         self.mutations += 1
 
@@ -369,7 +369,7 @@ class Layout(InlineState):
         pair.  All invariants re-checked.
         """
         old = self.superchunk(sc_id)
-        if any(d in self._slots for d in old.disks):
+        if any(self.holds(d, sc_id) for d in old.disks):
             raise LayoutError(
                 f"superchunk {sc_id} still has a live home; use remirror"
             )

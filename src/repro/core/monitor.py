@@ -3,9 +3,9 @@
 HDFS DataNodes heartbeat the NameNode every few seconds; a node silent
 past the timeout is declared dead and its blocks re-replicated.  RAIDP
 keeps the same machinery (paper §5 inherits it from HDFS) with one twist:
-when the detector finds *two* dead disks in the same sweep that share a
-superchunk, it runs the double-failure reconstruction instead of two
-independent single recoveries.
+each sweep hands its whole dead set to one recovery, which remirrors
+what a survivor still holds and decodes through an Lstor what none does
+(:meth:`RecoveryManager.failure_body`).
 
 :class:`ClusterMonitor` runs as simulation processes: one heartbeat
 sender per DataNode and one detector loop.  Loops are stoppable so the
@@ -194,7 +194,7 @@ class ClusterMonitor:
         return None
 
     def _handle_failures(self, stale: List[str]) -> Generator:
-        """Child-process body: run the right recovery for one dead set.
+        """Child-process body: recover one dead set.
 
         Runs concurrently with further detection sweeps.  A recovery
         failing (say, its receiver died mid-remirror) is recorded in
@@ -203,15 +203,29 @@ class ClusterMonitor:
         """
         trace = self.sim.trace
         t0 = self.sim.now
+        dead = tuple(sorted(stale))
         try:
-            yield from self._recover_set(stale)
-        except ReproError as exc:
-            self.recovery_errors.append(
-                (self.sim.now, tuple(sorted(stale)), exc)
+            report = yield from self.manager.failure_body(
+                stale, options=self.recovery_options
             )
+        except ReproError as exc:
+            self.recovery_errors.append((self.sim.now, dead, exc))
+        else:
+            self.reports.append(report)
+            self.report_times.append(self.sim.now)
+            auditor = active_auditor()
+            if auditor is not None:
+                auditor.audit(self.sim, self.sim.now, event="recovered")
+            # Remirrors that a stacked failure aborted mid-copy (the
+            # metadata rolled back, so the next sweep can retry or
+            # degrade gracefully) and superchunks past the design point:
+            # the operator should still see them.
+            for _entry, exc in report.failed_remirrors:
+                self.recovery_errors.append((self.sim.now, dead, exc))
+            for _sc_id, exc in report.lost_superchunks:
+                self.recovery_errors.append((self.sim.now, dead, exc))
         if trace.enabled:
-            # Detection-to-restored window (covers every recovery the
-            # dead set fanned out into).
+            # Detection-to-restored window.
             trace.complete(
                 "recovery", "window", t0, self.sim.now, dead=sorted(stale)
             )
@@ -225,8 +239,8 @@ class ClusterMonitor:
         single failures would make the first recovery read from the other
         (dead) disk.  Any sharing partner that is *currently* unhealthy
         has also stopped heartbeating -- it is doomed to be declared dead
-        next sweep anyway -- so it is co-detected now and the pair gets
-        the Lstor-assisted double recovery it needs.
+        next sweep anyway -- so it is co-detected now and the pair is
+        recovered as one dead set.
         """
         layout = getattr(self.dfs, "layout", None)
         if layout is None:
@@ -245,54 +259,6 @@ class ClusterMonitor:
                 if not healthy_datanode(self.dfs.namenode.datanode(partner)):
                     expanded.append(partner)
         return expanded
-
-    def _recover_set(self, stale: List[str]) -> Generator:
-        # Pair up disks that share a superchunk: those need the
-        # Lstor-assisted double recovery; the rest are single failures.
-        remaining = list(stale)
-        while len(remaining) >= 2:
-            pair = self._find_sharing_pair(remaining)
-            if pair is None:
-                break
-            a, b = pair
-            remaining.remove(a)
-            remaining.remove(b)
-            report = yield from self.manager.double_failure_body(
-                a, b, options=self.recovery_options, tolerate_loss=True
-            )
-            self._note_report(report, stale)
-        for name in remaining:
-            report = yield from self.manager.single_failure_body(
-                name, options=self.recovery_options
-            )
-            self._note_report(report, stale)
-        return None
-
-    def _note_report(self, report: RecoveryReport, stale: List[str]) -> None:
-        self.reports.append(report)
-        self.report_times.append(self.sim.now)
-        auditor = active_auditor()
-        if auditor is not None:
-            auditor.audit(self.sim, self.sim.now, event="recovered")
-        # Remirrors that a stacked failure aborted mid-copy: the metadata
-        # rolled back, so the next sweep can retry or degrade gracefully,
-        # but the operator should still see them.
-        for _entry, exc in report.failed_remirrors:
-            self.recovery_errors.append(
-                (self.sim.now, tuple(sorted(stale)), exc)
-            )
-        for _sc_id, exc in report.lost_superchunks:
-            self.recovery_errors.append(
-                (self.sim.now, tuple(sorted(stale)), exc)
-            )
-
-    def _find_sharing_pair(self, names: List[str]) -> Optional[Tuple[str, str]]:
-        layout = self.dfs.layout
-        for i, a in enumerate(names):
-            for b in names[i + 1 :]:
-                if a in layout.disks and b in layout.disks and layout.shared(a, b) is not None:
-                    return a, b
-        return None
 
     # ------------------------------------------------------------------
     # Rejoin (the revival path).

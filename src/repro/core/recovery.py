@@ -1,24 +1,28 @@
 """Failure recovery: re-replication planning and Lstor reconstruction.
 
-Covers the paper's Section 3.3 and the Section 6.4 evaluation:
+Covers the paper's Section 3.3 and the Section 6.4 evaluation.  One body
+recovers any set of dead disks, planned per superchunk from the disks
+outside the set that still hold it (:meth:`Layout.holds`):
 
-**Single disk failure.**  Every superchunk of the failed disk survives on
-exactly one other disk (its *sender*).  Recovery matches each sender with
+**A healthy holder survives: remirror.**  The superchunk is matched with
 a *receiver* disk such that 1-sharing is preserved, no receiver takes
 more than one superchunk (parallelism), mutual-exchange violations (the
 paper's D0<->D2 example) are excluded, and disk load is balanced.  Two
 planners are provided: a greedy least-loaded planner and a min-cost
 assignment planner on the dynamic Hungarian solver -- the formulation the
-paper sketches in Fig. 6.
+paper sketches in Fig. 6.  A holder that is itself failing leaves the
+superchunk to that disk's own recovery.
 
-**Double disk failure.**  At most one superchunk is shared; it is
-reconstructed on a recovery node by XOR-ing the failed disk's Lstor
-parity with the surviving mirrors of that disk's other superchunks.  The
-timed model matches §6.4: one thread per source (14 superchunk threads +
-1 parity thread on a 16-node cluster), each looping request-chunk /
-lock / XOR, under either a whole-superchunk lock or a byte-range lock,
-at a configurable chunk size and over a configurable NIC -- the axes of
-Table 2.  The content plane is verified bit-exactly through the Lstor.
+**No holder survives: decode.**  After two failures at most one
+superchunk is lost, and either dead disk's Lstor rebuilds it: on a
+recovery node, XOR that disk's parity with the surviving mirrors of its
+other superchunks.  The timed model matches §6.4: one thread per source
+(14 superchunk threads + 1 parity thread on a 16-node cluster), each
+looping request-chunk / lock / XOR, under either a whole-superchunk lock
+or a byte-range lock, at a configurable chunk size and over a
+configurable NIC -- the axes of Table 2.  The content plane is verified
+bit-exactly through the Lstor.  A superchunk no dead holder's chain can
+decode is past the design point and is recorded as lost.
 
 A RAID-6 full-array rebuild simulator provides Table 2's baseline rows.
 """
@@ -26,7 +30,7 @@ A RAID-6 full-array rebuild simulator provides Table 2's baseline rows.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Generator, List, Optional, Tuple
+from typing import Dict, Generator, List, Optional, Sequence, Tuple
 
 from repro import units
 from repro.core.cluster import RaidpCluster
@@ -67,7 +71,8 @@ class RecoveryOptions:
     #: recovery nodes, one half per failed disk's Lstor (§3.3: "the two
     #: Lstors and sets of mirroring superchunks can be used to rebuild
     #: the lost superchunk in parallel, with each set used to rebuild
-    #: half").  Falls back to single-source when an Lstor is dead.
+    #: half").  Falls back to one source when only one dead holder's
+    #: Lstor and chain survive.
     parallel_halves: bool = False
 
     def __post_init__(self) -> None:
@@ -92,11 +97,12 @@ class RecoveryReport:
 
     duration: float = 0.0
     remirrored: List[Tuple[int, str, str]] = field(default_factory=list)
-    reconstructed_sc: Optional[int] = None
+    #: Superchunks decoded through an Lstor, in the order they were.
+    reconstructed: List[int] = field(default_factory=list)
     bytes_reconstructed: int = 0
     plan_cost: float = 0.0
-    #: The dead disks this recovery covered (one for a single failure,
-    #: two for a double) -- lets auditors match reports to failures.
+    #: The dead set this recovery covered -- lets auditors match reports
+    #: to failures.
     failed_disks: Tuple[str, ...] = ()
     #: ((sc_id, sender, receiver), error) per remirror that failed --
     #: e.g. a sender dying mid-copy (a stacked failure).  The rest of
@@ -108,7 +114,8 @@ class RecoveryReport:
     #: (sc_id, error) per superchunk whose reconstruction was impossible
     #: -- more overlapping failures than the two the design tolerates.
     #: Recorded rather than raised so the recovery can still salvage the
-    #: singly-lost superchunks around it.
+    #: singly-lost superchunks around it; :meth:`RecoveryManager.recover`
+    #: raises the first once the body is done.
     lost_superchunks: List[Tuple[int, ReproError]] = field(default_factory=list)
 
 
@@ -122,35 +129,30 @@ class RecoveryManager:
     # ==================================================================
     # Planning (pure, no simulated time).
     # ==================================================================
-    def plan_single_failure(
+    def plan_remirror(
         self, failed: str, options: Optional[RecoveryOptions] = None
     ) -> List[Tuple[int, str, str]]:
-        """Match orphan superchunks to receivers: (sc_id, sender, receiver).
+        """Match ``failed``'s orphan superchunks to receivers:
+        (sc_id, sender, receiver).
 
-        Must be called *after* the failed disk was removed from the
-        layout.  Raises :class:`RecoveryError` when no legal full
+        An orphan names ``failed`` and is held by exactly one disk, its
+        sender.  Must be called *after* the failed disk was removed from
+        the layout.  Raises :class:`RecoveryError` when no legal full
         assignment exists.
         """
         options = options or RecoveryOptions()
         layout = self.dfs.layout
-        orphans = [
-            sc
-            for sc in layout.superchunks.values()
-            if failed in sc.disks and len([d for d in sc.disks if d in layout.disks]) == 1
-        ]
-        if not orphans:
-            return []
         senders = []
-        for sc in orphans:
-            sender = sc.mirror_of(failed)
-            if sender not in layout.disks or not healthy_datanode(
-                self.dfs.datanode_by_name(sender)
-            ):
-                # The surviving mirror is itself dead: the superchunk is
-                # doubly lost and remirroring cannot help.  Leave it for
-                # the sharing pair's Lstor reconstruction (or, beyond the
-                # design point, for degraded reads) rather than planning
-                # a copy from a disk that cannot be read.
+        for sc in layout.superchunks.values():
+            if failed not in sc.disks:
+                continue
+            holders = [d for d in (sc.disk_a, sc.disk_b) if layout.holds(d, sc.sc_id)]
+            if len(holders) != 1:
+                continue  # still mirrored, rebuilt elsewhere, or lost
+            sender = holders[0]
+            if not healthy_datanode(self.dfs.datanode_by_name(sender)):
+                # The survivor is failing too: a copy from it cannot be
+                # read.  Its own recovery decodes the superchunk.
                 continue
             senders.append((sc.sc_id, sender))
         if not senders:
@@ -274,52 +276,108 @@ class RecoveryManager:
         return None
 
     # ==================================================================
-    # Single-failure execution.
+    # Recovery of a dead set.
     # ==================================================================
-    def recover_single_failure(
-        self, failed: str, options: Optional[RecoveryOptions] = None
+    def recover(
+        self,
+        dead: Sequence[str],
+        options: Optional[RecoveryOptions] = None,
+        reconstruct_only: bool = False,
     ) -> RecoveryReport:
-        """Full single-failure recovery, driving the simulation itself.
+        """Recover ``dead``, driving the simulation itself; raises the
+        first superchunk loss the body recorded once it is done.
 
-        Use :meth:`single_failure_body` instead when calling from inside
-        a running simulation process (e.g. the cluster monitor).
+        Use :meth:`failure_body` instead when calling from inside a
+        running simulation process (e.g. the cluster monitor).
         """
-        return self.sim.run_process(
-            self.single_failure_body(failed, options), name=f"recover:{failed}"
+        report = self.sim.run_process(
+            self.failure_body(dead, options, reconstruct_only),
+            name=f"recover:{'+'.join(dead)}",
         )
+        if report.lost_superchunks:
+            raise report.lost_superchunks[0][1]
+        return report
 
-    def single_failure_body(
-        self, failed: str, options: Optional[RecoveryOptions] = None
+    def failure_body(
+        self,
+        dead: Sequence[str],
+        options: Optional[RecoveryOptions] = None,
+        reconstruct_only: bool = False,
     ) -> Generator:
-        """Process body: plan, transfer, rewire metadata; returns a report."""
+        """Process body: recover every superchunk a ``dead`` disk holds;
+        returns the report.
+
+        The superchunks no disk outside ``dead`` still holds are decoded
+        first, in id order (:meth:`_decode`); one that cannot be is
+        recorded in ``report.lost_superchunks`` and the recovery goes
+        on.  Then each dead disk's orphans are remirrored
+        (:meth:`plan_remirror`).  ``reconstruct_only`` stops after the
+        decodes and installs nothing: §6.4's timing experiment measures
+        reconstruction alone, and a maximally-dense layout has no legal
+        pair left to install on.
+        """
         options = options or RecoveryOptions()
-        report = RecoveryReport(failed_disks=(failed,))
+        dfs = self.dfs
+        layout = dfs.layout
+        report = RecoveryReport(failed_disks=tuple(dead))
         started = self.sim.now
         trace = self.sim.trace
-        self.dfs.namenode.mark_datanode_dead(failed)
-        if failed not in self.dfs.layout.disks:
-            # A re-failure of a disk recovery already evicted (e.g. a
-            # rejoined node dying again before the balancer re-admitted
-            # it): its data was re-homed the first time, so there is
-            # nothing to move -- just the liveness bookkeeping above.
-            report.duration = self.sim.now - started
-            return report
-        # Divert writes away from the affected superchunks until the
-        # recovery completes (paper §3.4).
-        frozen = list(self.dfs.layout.superchunks_of(failed))
+        # A dead disk recovery already evicted (e.g. a rejoined node
+        # dying again before the balancer re-admitted it) holds nothing:
+        # only its liveness changes.
+        present = [name for name in dead if layout.has_disk(name)]
+        # Divert writes away from the dead disks' superchunks for the
+        # whole recovery window (paper §3.4).  Sorted: freeze/unfreeze
+        # must not run in set-hash order (RDP002) -- a shared superchunk
+        # appears in both disks' lists, and ordered traversal keeps every
+        # freeze-window trace and fingerprint bitwise reproducible.
+        frozen = sorted(
+            {
+                sc_id
+                for name in present
+                for sc_id in layout.superchunks_of(name)
+            }
+        )
+        # Plan the decodes before anything moves.
+        decodes = []
         for sc_id in frozen:
-            self.dfs.map.freeze(sc_id)
+            sc = layout.superchunk(sc_id)
+            if not any(
+                layout.holds(disk, sc_id)
+                for disk in (sc.disk_a, sc.disk_b)
+                if disk not in dead
+            ):
+                decodes.append((sc_id, self._decoders(sc_id, dead)))
+        for sc_id in frozen:
+            dfs.map.freeze(sc_id)
         try:
-            self.dfs.layout.remove_disk(failed)
-            yield from self._remirror_orphans(failed, options, report)
+            for name in dead:
+                dfs.namenode.mark_datanode_dead(name)
+            for sc_id, decoders in decodes:
+                try:
+                    yield from self._decode(
+                        sc_id, decoders, dead, options, report, reconstruct_only
+                    )
+                except ReproError as exc:
+                    # Past the design point, or no healthy receiver is
+                    # left: record the loss and still salvage everything
+                    # singly lost.
+                    report.lost_superchunks.append((sc_id, exc))
+            for name in present:
+                if layout.has_disk(name):  # an install may have removed it
+                    layout.remove_disk(name)
+            if not reconstruct_only:
+                for name in present:
+                    yield from self._remirror_orphans(name, options, report)
         finally:
             for sc_id in frozen:
-                self.dfs.map.unfreeze(sc_id)
+                dfs.map.unfreeze(sc_id)
         report.duration = self.sim.now - started
         if trace.enabled:
             trace.complete(
-                "recovery", "single", started, self.sim.now,
-                failed=failed, remirrored=len(report.remirrored),
+                "recovery", "recover", started, self.sim.now,
+                dead=list(dead), reconstructed=list(report.reconstructed),
+                remirrored=len(report.remirrored),
             )
         return report
 
@@ -330,7 +388,7 @@ class RecoveryManager:
         run it into ``report``, one transfer process per superchunk.
         ``failed`` must already be out of the layout."""
         self._last_plan_cost = 0.0
-        plan = self.plan_single_failure(failed, options)
+        plan = self.plan_remirror(failed, options)
         report.plan_cost += self._last_plan_cost
         trace = self.sim.trace
         if trace.enabled:
@@ -424,178 +482,75 @@ class RecoveryManager:
         return None
 
     # ==================================================================
-    # Double-failure reconstruction (Table 2's RAIDP rows).
+    # Decoding a superchunk no survivor holds (Table 2's RAIDP rows).
     # ==================================================================
-    def recover_double_failure(
-        self,
-        failed_a: str,
-        failed_b: str,
-        recovery_node: Optional[str] = None,
-        options: Optional[RecoveryOptions] = None,
-        remirror_rest: bool = True,
-        install: bool = True,
-    ) -> RecoveryReport:
-        """Survive a simultaneous two-disk failure (drives the sim).
-
-        Use :meth:`double_failure_body` from inside a running simulation
-        process.
-        """
-        return self.sim.run_process(
-            self.double_failure_body(
-                failed_a,
-                failed_b,
-                recovery_node=recovery_node,
-                options=options,
-                remirror_rest=remirror_rest,
-                install=install,
-            ),
-            name=f"recover:{failed_a}+{failed_b}",
-        )
-
-    def double_failure_body(
-        self,
-        failed_a: str,
-        failed_b: str,
-        recovery_node: Optional[str] = None,
-        options: Optional[RecoveryOptions] = None,
-        remirror_rest: bool = True,
-        install: bool = True,
-        tolerate_loss: bool = False,
-    ) -> Generator:
-        """Process body for a simultaneous two-disk failure.
-
-        Reconstructs the shared superchunk from ``failed_a``'s Lstor and
-        the surviving mirrors of its other superchunks, then (optionally)
-        re-replicates both disks' remaining superchunks like two single
-        failures.  Returns the report; reconstruction correctness is
-        verified bit-exactly by the caller via the cluster invariants.
-
-        With ``tolerate_loss`` (the monitor's mode), a shared superchunk
-        that cannot be reconstructed -- a third overlapping casualty
-        broke the XOR chain, which is past the two-failure design point
-        -- is recorded in ``report.lost_superchunks`` and the rest of
-        the recovery proceeds; without it the error propagates.
-        """
-        options = options or RecoveryOptions()
+    def _decoders(
+        self, sc_id: int, dead: Sequence[str]
+    ) -> List[Tuple[RaidpDataNode, Dict[int, str]]]:
+        """The dead holders of ``sc_id`` whose Lstor can rebuild it, in
+        name order, each with its chain: the disk holding each of its
+        other superchunks.  A holder qualifies when its Lstor lives and
+        every chain disk is outside ``dead``, holds its copy and is
+        healthy -- a third overlapping failure breaks one side's chain,
+        and the other side still decodes."""
         dfs = self.dfs
-        report = RecoveryReport(failed_disks=(failed_a, failed_b))
-        started = self.sim.now
-        trace = self.sim.trace
-        shared = dfs.layout.shared(failed_a, failed_b)
-        # Divert writes away from both disks' superchunks for the whole
-        # recovery window (paper §3.4).  Sorted: freeze/unfreeze must not
-        # run in set-hash order (RDP002) -- a shared superchunk appears
-        # in both disks' lists, and ordered traversal keeps every
-        # freeze-window trace and fingerprint bitwise reproducible.
-        frozen = sorted(
-            {
-                sc_id
-                for failed in (failed_a, failed_b)
-                if failed in dfs.layout.disks
-                for sc_id in dfs.layout.superchunks_of(failed)
-            }
-        )
-        for sc_id in frozen:
-            dfs.map.freeze(sc_id)
-        try:
-            dfs.namenode.mark_datanode_dead(failed_a)
-            dfs.namenode.mark_datanode_dead(failed_b)
-
-            rebuilt: Dict[int, Payload] = {}
-            if shared is not None:
-                try:
-                    lost_source = self._pick_lost_source(failed_a, failed_b, shared)
-                    # Source superchunks *before* the layout forgets the
-                    # failed disks.
-                    mirrors = self._mirrors_of(lost_source, shared)
-                    receiver_name = recovery_node or self._pick_recovery_node(
-                        exclude={failed_a, failed_b}
-                    )
-                    other_source = dfs.datanode_by_name(
-                        failed_b if lost_source.name == failed_a else failed_a
-                    )
-                    if (
-                        options.parallel_halves
-                        and not other_source.lstors.primary.failed
-                    ):
-                        rebuilt = yield from self._reconstruct_halves(
-                            shared, lost_source, other_source, receiver_name, options
-                        )
-                    else:
-                        rebuilt = yield from self._reconstruct_superchunk(
-                            shared, lost_source, mirrors, receiver_name, options
-                        )
-                    report.reconstructed_sc = shared
-                    report.bytes_reconstructed = len(rebuilt) * dfs.config.block_size
-                    if install:
-                        # Re-home onto a legal pair and rewire metadata.  §6.4's
-                        # timing experiment measures reconstruction only (and a
-                        # maximally-dense layout has no legal pair left), so the
-                        # Table 2 harness passes install=False.
-                        self._install_reconstruction(
-                            shared, rebuilt, receiver_name, failed_a, failed_b
-                        )
-                        if trace.enabled:
-                            trace.complete(
-                                "recovery", "install", self.sim.now,
-                                self.sim.now, sc=shared,
-                                receiver=receiver_name,
-                            )
-                except ReproError as exc:
-                    # A third overlapping casualty broke the XOR chain (or
-                    # no healthy receiver remains).  That superchunk is
-                    # past the two-failure design point; record the loss
-                    # and still salvage everything singly lost.
-                    if not tolerate_loss:
-                        raise
-                    report.lost_superchunks.append((shared, exc))
-
-            for failed in (failed_a, failed_b):
-                if failed in dfs.layout.disks:  # _install_reconstruction may have removed them
-                    dfs.layout.remove_disk(failed)
-            if remirror_rest:
-                for failed in (failed_a, failed_b):
-                    yield from self._remirror_orphans(failed, options, report)
-        finally:
-            for sc_id in frozen:
-                dfs.map.unfreeze(sc_id)
-        report.duration = self.sim.now - started
-        if trace.enabled:
-            trace.complete(
-                "recovery", "double", started, self.sim.now,
-                failed_a=failed_a, failed_b=failed_b, shared=shared,
-                remirrored=len(report.remirrored),
-            )
-        return report
-
-    def _pick_lost_source(
-        self, failed_a: str, failed_b: str, shared: int
-    ) -> RaidpDataNode:
-        """Choose which failed disk's Lstor drives the reconstruction.
-
-        Either side works in a clean double failure.  When a *third*
-        overlapping failure killed the mirror of one side's source
-        superchunks, that side's XOR chain cannot be read back -- prefer
-        the side whose surviving mirrors are all actually healthy, so a
-        co-detected extra failure does not abort the whole recovery.
-        """
-        dfs = self.dfs
-        candidates = []
-        for name in (failed_a, failed_b):
+        layout = dfs.layout
+        decoders = []
+        for name in sorted(dead):
             datanode = dfs.datanode_by_name(name)
-            if datanode.lstors.primary.failed:
+            if not layout.holds(name, sc_id) or datanode.lstors.primary.failed:
                 continue
-            mirrors_ok = all(
-                healthy_datanode(dfs.datanode_by_name(mirror))
-                for mirror in self._mirrors_of(datanode, shared).values()
-            )
-            candidates.append((not mirrors_ok, name))
-        if not candidates:
+            chain = {
+                other: layout.superchunk(other).mirror_of(name)
+                for other in layout.superchunks_of(name)
+                if other != sc_id
+            }
+            if all(
+                holder not in dead
+                and layout.holds(holder, other)
+                and healthy_datanode(dfs.datanode_by_name(holder))
+                for other, holder in chain.items()
+            ):
+                decoders.append((datanode, chain))
+        return decoders
+
+    def _decode(
+        self,
+        sc_id: int,
+        decoders: List[Tuple[RaidpDataNode, Dict[int, str]]],
+        dead: Sequence[str],
+        options: RecoveryOptions,
+        report: RecoveryReport,
+        reconstruct_only: bool,
+    ) -> Generator:
+        """Rebuild ``sc_id`` through its first decoder (the first two,
+        one half each, with ``parallel_halves``) and, unless
+        ``reconstruct_only``, re-home it on a fresh legal pair."""
+        if not decoders:
             raise DataLossError(
-                "both Lstors gone: the shared superchunk is unrecoverable"
+                f"superchunk {sc_id} is lost: no dead holder has a live "
+                "Lstor and a healthy chain"
             )
-        candidates.sort()
-        return dfs.datanode_by_name(candidates[0][1])
+        receiver_name = self._pick_recovery_node(exclude=set(dead))
+        if options.parallel_halves and len(decoders) > 1:
+            rebuilt = yield from self._reconstruct_halves(
+                sc_id, decoders[0], decoders[1], receiver_name, dead, options
+            )
+        else:
+            source, chain = decoders[0]
+            rebuilt = yield from self._reconstruct_superchunk(
+                sc_id, source, chain, receiver_name, options
+            )
+        report.reconstructed.append(sc_id)
+        report.bytes_reconstructed += len(rebuilt) * self.dfs.config.block_size
+        if not reconstruct_only:
+            self._install_reconstruction(sc_id, rebuilt, receiver_name, dead)
+            trace = self.sim.trace
+            if trace.enabled:
+                trace.complete(
+                    "recovery", "install", self.sim.now, self.sim.now,
+                    sc=sc_id, receiver=receiver_name,
+                )
 
     def _pick_recovery_node(self, exclude: set) -> str:
         layout = self.dfs.layout
@@ -735,15 +690,16 @@ class RecoveryManager:
     def _reconstruct_halves(
         self,
         shared_sc: int,
-        source_a: RaidpDataNode,
-        source_b: RaidpDataNode,
+        half_a: Tuple[RaidpDataNode, Dict[int, str]],
+        half_b: Tuple[RaidpDataNode, Dict[int, str]],
         receiver_name: str,
+        dead: Sequence[str],
         options: RecoveryOptions,
     ) -> Generator:
-        """Rebuild the two halves concurrently, one per failed Lstor.
+        """Rebuild the two halves concurrently, one per dead Lstor.
 
-        Half A comes from ``source_a``'s parity and its mirrors; half B
-        symmetrically from ``source_b`` -- demonstrating the §3.3
+        Half A comes from ``half_a``'s parity and chain; half B
+        symmetrically from ``half_b`` -- demonstrating the §3.3
         flexibility that either Lstor can serve any part of the
         superchunk.  Each half streams into its own recovery node, so
         the receiver NIC bottleneck halves too.
@@ -751,23 +707,19 @@ class RecoveryManager:
         dfs = self.dfs
         slots_total = dfs.map.slots_per_superchunk
         if slots_total < 2:
-            mirrors = self._mirrors_of(source_a, shared_sc)
             result = yield from self._reconstruct_superchunk(
-                shared_sc, source_a, mirrors, receiver_name, options
+                shared_sc, *half_a, receiver_name, options
             )
             return result
         block_size = dfs.config.block_size
         mid_slot = slots_total // 2
         mid_byte = mid_slot * block_size
         full_size = dfs.layout.spec.superchunk_size
-        receiver_b = self._pick_recovery_node(
-            exclude={source_a.name, source_b.name, receiver_name}
-        )
-        half_a = self.sim.process(
+        receiver_b = self._pick_recovery_node(exclude={*dead, receiver_name})
+        proc_a = self.sim.process(
             self._reconstruct_superchunk(
                 shared_sc,
-                source_a,
-                self._mirrors_of(source_a, shared_sc),
+                *half_a,
                 receiver_name,
                 options,
                 byte_range=(0, mid_byte),
@@ -775,11 +727,10 @@ class RecoveryManager:
             ),
             name="rebuild:half-a",
         )
-        half_b = self.sim.process(
+        proc_b = self.sim.process(
             self._reconstruct_superchunk(
                 shared_sc,
-                source_b,
-                self._mirrors_of(source_b, shared_sc),
+                *half_b,
                 receiver_b,
                 options,
                 byte_range=(mid_byte, full_size),
@@ -787,36 +738,26 @@ class RecoveryManager:
             ),
             name="rebuild:half-b",
         )
-        results = yield self.sim.all_of([half_a, half_b])
+        results = yield self.sim.all_of([proc_a, proc_b])
         rebuilt: Dict[int, Payload] = {}
         for partial in results:
             rebuilt.update(partial)
         return rebuilt
-
-    def _mirrors_of(self, source: RaidpDataNode, shared_sc: int) -> Dict[int, str]:
-        """Mirror disk of each of ``source``'s other superchunks."""
-        layout = self.dfs.layout
-        return {
-            sc_id: layout.superchunk(sc_id).mirror_of(source.name)
-            for sc_id in layout.superchunks_of(source.name)
-            if sc_id != shared_sc
-        }
 
     def _install_reconstruction(
         self,
         sc_id: int,
         rebuilt: Dict[int, Payload],
         receiver_name: str,
-        failed_a: str,
-        failed_b: str,
+        dead: Sequence[str],
     ) -> None:
         """Re-home the reconstructed superchunk and update all metadata."""
         dfs = self.dfs
-        partner_name = self._pick_partner_for(receiver_name, {failed_a, failed_b})
+        partner_name = self._pick_partner_for(receiver_name, set(dead))
         # Forget the dead homes first so rehome sees a fully-orphaned chunk.
-        for failed in (failed_a, failed_b):
-            if failed in dfs.layout.disks:
-                dfs.layout.remove_disk(failed)
+        for name in dead:
+            if dfs.layout.has_disk(name):
+                dfs.layout.remove_disk(name)
         dfs.layout.rehome(sc_id, receiver_name, partner_name)
         dfs.map.register_superchunk(sc_id)
         blocks = dfs.map.blocks_in(sc_id)

@@ -29,7 +29,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from repro import units
 from repro.core.cluster import RaidpCluster
 from repro.core.node import RaidpConfig
-from repro.core.recovery import RecoveryManager, RecoveryOptions
+from repro.core.recovery import RecoveryManager
 from repro.experiments.parallel import fan_out
 from repro.experiments.runner import ExperimentResult
 from repro.hdfs.config import DfsConfig
@@ -105,13 +105,7 @@ def _recover_worst_pair(dfs: RaidpCluster) -> float:
         if dfs.layout.shared(a, b) is not None
     )
     manager = RecoveryManager(dfs)
-    report = manager.recover_double_failure(
-        pair[0],
-        pair[1],
-        options=RecoveryOptions(),
-        remirror_rest=False,
-        install=False,
-    )
+    report = manager.recover(pair, reconstruct_only=True)
     return report.duration
 
 

@@ -94,9 +94,7 @@ def run_task(
         options = RecoveryOptions(
             lock_mode=lock_mode, chunk_size=chunk, nic_index=nic_index
         )
-        report = manager.recover_double_failure(
-            "n0", "n1", options=options, remirror_rest=False, install=False
-        )
+        report = manager.recover(("n0", "n1"), options, reconstruct_only=True)
         return report.duration
     # RAID-6 rebuilds both failed disks from all survivors.  Each of the
     # paper's disks carries 16 superchunks x 6 GB = 96 GB of data.

@@ -201,16 +201,16 @@ def summarize(events: List[TraceEvent]) -> Dict[str, Dict[str, Any]]:
     return dict(sorted(table.items()))
 
 
-#: Recovery phase names that count as children of a whole-recovery span.
+#: The whole-recovery span, and the phase spans that count as its children.
+_RECOVERY_SPAN = "recover"
 _RECOVERY_PHASES = ("plan", "reconstruct", "remirror", "install")
-_RECOVERY_PARENTS = ("single", "double")
 
 
 def recovery_breakdown(events: List[TraceEvent]) -> List[Dict[str, Any]]:
     """Per-recovery phase decomposition with per-superchunk rows.
 
-    For every whole-recovery span (``recovery.single`` /
-    ``recovery.double``) returns its child phase spans that fall inside
+    For every whole-recovery span (``recovery.recover``, one per dead
+    set, tagged ``dead=``) returns its child phase spans that fall inside
     its window, both as a straight sum (cost) and as a union of
     intervals (wall-clock coverage -- phases run in parallel across
     superchunks).  ``coverage`` near 1.0 means the phases account for
@@ -221,7 +221,7 @@ def recovery_breakdown(events: List[TraceEvent]) -> List[Dict[str, Any]]:
         for event in events
         if event.phase == "X"
         and event.category == "recovery"
-        and event.name in _RECOVERY_PARENTS
+        and event.name == _RECOVERY_SPAN
     ]
     phase_spans = [
         event
@@ -266,7 +266,6 @@ def recovery_breakdown(events: List[TraceEvent]) -> List[Dict[str, Any]]:
         out.append(
             {
                 "run": parent.run,
-                "kind": parent.name,
                 "attrs": parent.attrs or {},
                 "start_s": parent.ts,
                 "total_s": parent.dur,
@@ -308,7 +307,7 @@ def render_summary(
         lines.append("")
         attrs = ", ".join(f"{k}={v}" for k, v in item["attrs"].items())
         lines.append(
-            f"recovery [{item['kind']}] run={item['run']} {attrs}".rstrip()
+            f"recovery run={item['run']} {attrs}".rstrip()
         )
         lines.append(
             f"  total {item['total_s']:.3f} s | phase sum {item['phase_sum_s']:.3f} s"

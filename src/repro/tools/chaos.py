@@ -388,7 +388,7 @@ def _verify_lifecycle(
             problems.append(f"no recovery report covers {victim}")
     seen_double = any(len(names) > 1 for names in disk_fail_times.values())
     if seen_double and not any(
-        report.reconstructed_sc is not None for report in monitor.reports
+        report.reconstructed for report in monitor.reports
     ):
         problems.append("double failure injected but no Lstor reconstruction ran")
     for when, names, exc in monitor.recovery_errors:
@@ -527,7 +527,7 @@ def run_chaos(
         "rejoined": [(t, name) for t, name in monitor.rejoined],
         "reports": [
             (report.duration, sorted(report.remirrored),
-             report.reconstructed_sc, report.bytes_reconstructed)
+             list(report.reconstructed), report.bytes_reconstructed)
             for report in monitor.reports
         ],
         "recovery_errors": [

@@ -24,7 +24,7 @@ from repro import units
 from repro.analysis.cost import DatacenterCostModel, LstorBom, ServerExample
 from repro.core.cluster import RaidpCluster
 from repro.core.node import RaidpConfig
-from repro.core.recovery import RecoveryManager, RecoveryOptions
+from repro.core.recovery import RecoveryManager
 from repro.hdfs.config import DfsConfig
 from repro.hdfs.filesystem import HdfsCluster
 from repro.sim.cluster import ClusterSpec
@@ -200,15 +200,15 @@ def cmd_drill(args: argparse.Namespace) -> int:
             if x < y and dfs.layout.shared(x, y) is not None
         )
         print(f"double failure drill: {a} and {b} (shared superchunk lost)")
-        report = manager.recover_double_failure(a, b, options=RecoveryOptions())
+        report = manager.recover((a, b))
         print(
-            f"reconstructed superchunk {report.reconstructed_sc}, re-mirrored "
+            f"reconstructed superchunk {report.reconstructed[0]}, re-mirrored "
             f"{len(report.remirrored)} in {units.format_duration(report.duration)}"
         )
     else:
         victim = dfs.layout.disks[0]
         print(f"single failure drill: {victim}")
-        report = manager.recover_single_failure(victim)
+        report = manager.recover((victim,))
         print(
             f"re-mirrored {len(report.remirrored)} superchunks in "
             f"{units.format_duration(report.duration)}"

@@ -5,6 +5,8 @@ heavier randomized schedule; this keeps a single reduced configuration in
 the tier-1 suite so regressions in the failure lifecycle surface in CI.
 """
 
+import hashlib
+import json
 from collections import Counter
 
 import numpy as np
@@ -53,6 +55,18 @@ def test_chaos_soak_injected_and_recovered(soak):
     assert fp["recovery_errors"] == []
     assert fp["blocks"], "nothing was verified"
     assert fp["under_replicated"] == 0
+
+
+def test_soak_fingerprint_is_pinned(soak):
+    """The module soak's whole history, as canonical JSON, hashes to one
+    value.  A change that moves the soak's schedule or any recovery in
+    it must re-pin this on purpose."""
+    text = json.dumps(
+        soak.fingerprint, sort_keys=True, separators=(",", ":"), default=list
+    )
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "9455f68cdd721626c59e9d264c8f048b397b06622281d1033cfbe0cf03875b6a"
+    )
 
 
 def test_chaos_timeline_orders_fault_detect_recover(soak):

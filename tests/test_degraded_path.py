@@ -101,9 +101,10 @@ def test_degraded_read_refuses_a_sibling_on_an_undetected_dead_disk():
         """A mirror, outside the block's own replicas, that the degraded
         read of ``locations`` must read a stored block from."""
         source = reader._pick_parity_source(locations.sc_id)
-        for other_sc, name in RecoveryManager(dfs)._mirrors_of(
-            source, locations.sc_id
-        ).items():
+        for other_sc in dfs.layout.superchunks_of(source.name):
+            if other_sc == locations.sc_id:
+                continue
+            name = dfs.layout.superchunk(other_sc).mirror_of(source.name)
             mirror = dfs.datanode_by_name(name)
             if (
                 name not in locations.datanodes
@@ -190,7 +191,7 @@ def test_recovery_unfreezes_when_done():
     dfs.sim.run_process(writers())
     manager = RecoveryManager(dfs)
     affected = list(dfs.layout.superchunks_of("n0"))
-    manager.recover_single_failure("n0")
+    manager.recover(("n0",))
     assert all(not dfs.map.is_frozen(sc) for sc in affected)
     # And post-recovery writes can use the re-mirrored superchunks again.
     client = dfs.client(1)

@@ -175,7 +175,7 @@ def test_double_failure_during_inflight_single_recovery():
     pair_report = next(
         r for r in monitor.reports if set(r.failed_disks) == set(pair)
     )
-    assert pair_report.reconstructed_sc is not None or pair_report.lost_superchunks
+    assert pair_report.reconstructed or pair_report.lost_superchunks
     assert pair_report.remirrored
     # Every surviving block replica is bit-exact.
     dfs.verify_mirrors()

@@ -148,9 +148,9 @@ def test_whole_server_failure_loses_nothing():
                 assert dfs.layout.shared(a, b) is None
     victim_node.fail()
     manager = RecoveryManager(dfs)
-    reports = [manager.recover_single_failure(name) for name in victim_dns]
+    reports = [manager.recover((name,)) for name in victim_dns]
     # ...so every recovery is plain re-replication.
-    assert all(r.reconstructed_sc is None for r in reports)
+    assert not any(r.reconstructed for r in reports)
     assert dfs.layout.is_fully_mirrored
     dfs.verify_mirrors()
     dfs.verify_parity()
@@ -181,6 +181,6 @@ def test_monitor_handles_server_failure_without_reconstruction():
     monitor.stop()
     dfs.sim.run()
     assert monitor.reports
-    assert all(r.reconstructed_sc is None for r in monitor.reports)
+    assert not any(r.reconstructed for r in monitor.reports)
     dfs.verify_mirrors()
     dfs.verify_parity()

@@ -120,9 +120,9 @@ def test_restored_cluster_frees_itself_and_rebinds_its_namenode():
     with collector_off():
         restored = snapshot.restore(blob)
         assert all(dn.namenode is restored.namenode for dn in restored.datanodes)
-        report = RecoveryManager(restored).recover_double_failure(
-            "n0", "n1", options=RecoveryOptions(chunk_size=64 * units.MiB),
-            remirror_rest=False, install=False,
+        report = RecoveryManager(restored).recover(
+            ("n0", "n1"), RecoveryOptions(chunk_size=64 * units.MiB),
+            reconstruct_only=True,
         )
         assert report.duration > 0
         ref = weakref.ref(restored)

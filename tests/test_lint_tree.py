@@ -109,12 +109,11 @@ def test_rdp002_catches_the_set_order_freeze_loop():
     engine = build_engine()
     assert engine.lint_source(pristine, path=path) == []
     findings = engine.lint_source(mutant, path=path)
-    assert [f.rule for f in findings] == ["RDP002", "RDP002"]
-    # The freeze and the unfreeze loop of double_failure_body -- not the
-    # single-failure path's loops over a list of the same name.
+    assert [f.rule for f in findings] == ["RDP002", "RDP002", "RDP002"]
+    # The decode-planning, freeze and unfreeze loops of failure_body.
     after = _lines_of(mutant, "frozen = (")[0]
     loops = [n for n in _lines_of(mutant, "for sc_id in frozen:") if n > after]
-    assert [f.line for f in findings] == loops and len(loops) == 2
+    assert [f.line for f in findings] == loops and len(loops) == 3
 
 
 def _killed_recovery(monkeypatch, source, acquire, options):
@@ -160,9 +159,7 @@ def _killed_recovery(monkeypatch, source, acquire, options):
 
     def drive():
         try:
-            yield from manager.double_failure_body(
-                a, b, options=options, remirror_rest=False, install=False
-            )
+            yield from manager.failure_body((a, b), options, reconstruct_only=True)
         except ProcessInterrupt:
             pass
 

@@ -53,10 +53,8 @@ def test_parallel_halves_is_bit_exact():
         if dfs.datanode_by_name(a).has_block(name)
     }
     manager = RecoveryManager(dfs)
-    report = manager.recover_double_failure(
-        a, b, options=RecoveryOptions(parallel_halves=True)
-    )
-    assert report.reconstructed_sc == shared
+    report = manager.recover((a, b), RecoveryOptions(parallel_halves=True))
+    assert report.reconstructed == [shared]
     dfs.verify_mirrors()
     dfs.verify_parity()
     for name, original in originals.items():
@@ -85,9 +83,7 @@ def test_parallel_halves_speeds_up_reconstruction():
         )
         manager = RecoveryManager(dfs)
         options = RecoveryOptions(parallel_halves=parallel)
-        report = manager.recover_double_failure(
-            "n0", "n1", options=options, remirror_rest=False, install=False
-        )
+        report = manager.recover(("n0", "n1"), options, reconstruct_only=True)
         return report.duration
 
     single = duration(False)
@@ -101,8 +97,6 @@ def test_parallel_halves_falls_back_when_one_lstor_dead():
     a, b = sharing_pair(dfs)
     dfs.datanode_by_name(b).lstors.primary.fail()
     manager = RecoveryManager(dfs)
-    report = manager.recover_double_failure(
-        a, b, options=RecoveryOptions(parallel_halves=True)
-    )
-    assert report.reconstructed_sc is not None
+    report = manager.recover((a, b), RecoveryOptions(parallel_halves=True))
+    assert report.reconstructed
     dfs.verify_mirrors()

@@ -130,8 +130,8 @@ def test_lazy_preallocation_matches_the_eager_loop(mode, monkeypatch):
         dfs.verify_mirrors()
 
     for dfs in (lazy, eager):
-        report = RecoveryManager(dfs).recover_double_failure(*sharing_pair(dfs))
-        assert report.reconstructed_sc is not None
+        report = RecoveryManager(dfs).recover(sharing_pair(dfs))
+        assert report.reconstructed
         verify_parity(dfs)
         dfs.verify_mirrors()
     sc_ids = sorted(set(sc_ids) | set(lazy.layout.superchunks))

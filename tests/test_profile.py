@@ -60,9 +60,9 @@ def test_classify_code_maps_modules_to_registered_categories():
         (disk.Disk._io, "disk", "disk:Disk._io"),
         (network.Switch.transfer, "net", "network:Switch.transfer"),
         (
-            recovery.RecoveryManager.double_failure_body,
+            recovery.RecoveryManager.failure_body,
             "recovery",
-            "recovery:RecoveryManager.double_failure_body",
+            "recovery:RecoveryManager.failure_body",
         ),
         (classify_code, "engine", "simprofile:classify_code"),
     ]

@@ -66,7 +66,7 @@ def test_trace_command_summarizes_a_recorded_drill(tmp_path, capsys):
     capsys.readouterr()
     assert main(["trace", path]) == 0
     out = capsys.readouterr().out
-    assert "recovery [double]" in out
+    assert "recovery run=0 dead=['n0', 'n1']" in out
     assert "reconstruct" in out
     assert "coverage" in out
 

@@ -51,7 +51,7 @@ def test_single_failure_plan_is_legal():
     victim = dfs.datanodes[0].name
     dfs.namenode.mark_datanode_dead(victim)
     orphans = {sc.sc_id for sc in dfs.layout.remove_disk(victim)}
-    plan = manager.plan_single_failure(victim)
+    plan = manager.plan_remirror(victim)
     assert {sc for sc, _s, _r in plan} == orphans
     receivers = [r for _sc, _s, r in plan]
     assert len(set(receivers)) == len(receivers)  # parallelism: one each
@@ -64,7 +64,7 @@ def test_single_failure_recovery_restores_mirroring():
     write_some_data(dfs)
     manager = RecoveryManager(dfs)
     victim = dfs.datanodes[2].name
-    report = manager.recover_single_failure(victim)
+    report = manager.recover((victim,))
     assert dfs.layout.is_fully_mirrored
     dfs.layout.verify()
     dfs.verify_mirrors()
@@ -77,7 +77,7 @@ def test_single_failure_restores_replica_counts():
     write_some_data(dfs)
     manager = RecoveryManager(dfs)
     victim = dfs.datanodes[1].name
-    manager.recover_single_failure(victim)
+    manager.recover((victim,))
     for locations in dfs.namenode.all_blocks():
         live = [
             n for n in locations.datanodes if dfs.namenode.datanode(n).alive
@@ -92,7 +92,7 @@ def test_greedy_and_hungarian_planners_both_work():
         write_some_data(dfs)
         manager = RecoveryManager(dfs)
         options = RecoveryOptions(planner=planner)
-        report = manager.recover_single_failure(dfs.datanodes[0].name, options)
+        report = manager.recover((dfs.datanodes[0].name,), options)
         assert dfs.layout.is_fully_mirrored
         durations[planner] = report.duration
     assert set(durations) == {"greedy", "hungarian"}
@@ -104,9 +104,7 @@ def test_hungarian_balances_load_at_least_as_well_as_greedy():
         dfs = sparse_cluster(payload_mode="tokens")
         write_some_data(dfs, files=8)
         manager = RecoveryManager(dfs)
-        manager.recover_single_failure(
-            dfs.datanodes[0].name, RecoveryOptions(planner=planner)
-        )
+        manager.recover((dfs.datanodes[0].name,), RecoveryOptions(planner=planner))
         per_disk = [
             dfs.map.load_of_disk(dn.name) for dn in dfs.datanodes if dn.alive
         ]
@@ -137,8 +135,8 @@ def test_double_failure_reconstructs_lost_superchunk_bit_exact():
         if datanode.has_block(name):
             lost_blocks[name] = datanode.content_of(name)
     manager = RecoveryManager(dfs)
-    report = manager.recover_double_failure(a, b)
-    assert report.reconstructed_sc == shared
+    report = manager.recover((a, b))
+    assert report.reconstructed == [shared]
     for name, original in lost_blocks.items():
         locations = next(
             loc for loc in dfs.namenode.all_blocks() if loc.block.name == name
@@ -155,7 +153,7 @@ def test_double_failure_restores_full_mirroring_and_parity():
     write_some_data(dfs, files=8)
     a, b = pick_sharing_pair(dfs)
     manager = RecoveryManager(dfs)
-    manager.recover_double_failure(a, b)
+    manager.recover((a, b))
     dfs.layout.verify()
     assert dfs.layout.is_fully_mirrored
     dfs.verify_mirrors()
@@ -175,8 +173,8 @@ def test_double_failure_without_shared_superchunk():
             break
     assert non_sharing, "expected a non-sharing pair in a sparse layout"
     manager = RecoveryManager(dfs)
-    report = manager.recover_double_failure(*non_sharing)
-    assert report.reconstructed_sc is None
+    report = manager.recover(non_sharing)
+    assert report.reconstructed == []
     dfs.verify_mirrors()
 
 
@@ -186,8 +184,8 @@ def test_double_failure_uses_other_lstor_when_first_failed():
     a, b = pick_sharing_pair(dfs)
     dfs.datanode_by_name(a).lstors.primary.fail()
     manager = RecoveryManager(dfs)
-    report = manager.recover_double_failure(a, b)
-    assert report.reconstructed_sc is not None
+    report = manager.recover((a, b))
+    assert report.reconstructed
     dfs.verify_mirrors()
 
 
@@ -201,7 +199,7 @@ def test_double_failure_with_both_lstors_dead_is_data_loss():
     dfs.datanode_by_name(b).lstors.primary.fail()
     manager = RecoveryManager(dfs)
     with pytest.raises(DataLossError):
-        manager.recover_double_failure(a, b)
+        manager.recover((a, b))
 
 
 def test_reconstruction_lock_modes_and_chunk_sizes_run():
@@ -212,7 +210,7 @@ def test_reconstruction_lock_modes_and_chunk_sizes_run():
             a, b = pick_sharing_pair(dfs)
             manager = RecoveryManager(dfs)
             options = RecoveryOptions(lock_mode=lock_mode, chunk_size=chunk)
-            report = manager.recover_double_failure(a, b, options=options)
+            report = manager.recover((a, b), options)
             assert report.duration > 0
 
 
@@ -252,7 +250,7 @@ def test_double_recovery_freezes_superchunks_in_sorted_order():
     dfs.map.freeze = record_freeze
     dfs.map.unfreeze = record_unfreeze
     manager = RecoveryManager(dfs)
-    manager.recover_double_failure(a, b)
+    manager.recover((a, b))
     assert frozen_order, "double recovery froze nothing"
     assert frozen_order == sorted(frozen_order)
     assert unfrozen_order == sorted(unfrozen_order)
@@ -269,8 +267,8 @@ def _fail_source_mid_chunk():
     The puller awaits its source read as an event beside the network
     flow.  A disk that dies while the head moves must fail that event at
     the read's own completion time -- never raise at the call, never
-    strand the queue slot -- so ``all_of`` fails, the monitor's
-    ``tolerate_loss`` mode records the superchunk as lost, and the
+    strand the queue slot -- so ``all_of`` fails, the recovery records
+    the superchunk as lost, and the
     surviving pullers drain on their own.  Returns (report instant, end
     instant, solves, deadline pushes), checking what must hold on either
     lane along the way."""
@@ -279,14 +277,8 @@ def _fail_source_mid_chunk():
     a, b = pick_sharing_pair(dfs)
     shared = dfs.layout.shared(a, b)
     manager = RecoveryManager(dfs)
-    lost_source = manager._pick_lost_source(a, b, shared)
-    victim = dfs.datanode_by_name(
-        min(
-            dfs.layout.superchunk(sc_id).mirror_of(lost_source.name)
-            for sc_id in dfs.layout.superchunks_of(lost_source.name)
-            if sc_id != shared
-        )
-    )
+    (_source, chain), *_ = manager._decoders(shared, (a, b))
+    victim = dfs.datanode_by_name(min(chain.values()))
     sim = dfs.sim
     t0 = sim.now
     seen = {}
@@ -297,9 +289,8 @@ def _fail_source_mid_chunk():
 
     def recovery():
         options = RecoveryOptions(chunk_size=units.MiB, nic_index=1)
-        seen["report"] = yield from manager.double_failure_body(
-            a, b, options=options, remirror_rest=False, install=False,
-            tolerate_loss=True,
+        seen["report"] = yield from manager.failure_body(
+            (a, b), options, reconstruct_only=True
         )
         seen["at"] = sim.now - t0
         seen["active"] = dfs.switch.active_flows
@@ -341,3 +332,54 @@ def test_source_disk_failing_mid_chunk_fluid_lane():
     assert _fail_source_mid_chunk() == (
         "0x1.05cf8a351c7f0p-7", "0x1.45bea1df93dc4p-4", 39, 61
     )
+
+
+# ----------------------------------------------------------------------
+# Survivors are the disks that hold a copy, not the ones a record names.
+# ----------------------------------------------------------------------
+def _sc_contents(dfs, holder, sc_id):
+    datanode = dfs.datanode_by_name(holder)
+    return {
+        name: datanode.content_of(name)
+        for name in dfs.map.blocks_in(sc_id).values()
+        if datanode.has_block(name)
+    }
+
+
+def test_a_rejoined_empty_disk_is_no_sender():
+    """n0 and n1 share superchunk 0 and both fail.  n0 recovers alone
+    (superchunk 0 waits: its survivor n1 is failing), is repaired and
+    rejoins empty.  The record of superchunk 0 still names n0, but n0
+    holds nothing, so n1's recovery finds no survivor and decodes the
+    superchunk from n1's Lstor -- rather than planning a copy from the
+    empty disk, which fails and loses the superchunk's blocks."""
+    from repro.core.monitor import ClusterMonitor
+
+    dfs = sparse_cluster()
+    write_some_data(dfs, files=8)
+    assert dfs.layout.shared("n0", "n1") == 0
+    originals = _sc_contents(dfs, "n1", 0)
+    assert originals
+    manager = RecoveryManager(dfs)
+    for name in ("n0", "n1"):
+        dfs.datanode_by_name(name).disk.fail()
+    first = manager.recover(("n0",))
+    assert 0 not in [sc_id for sc_id, _s, _r in first.remirrored]
+    n0 = dfs.datanode_by_name("n0")
+    n0.disk.repair()
+    ClusterMonitor(dfs).rejoin(n0)
+    assert not dfs.layout.holds("n0", 0)
+
+    second = manager.recover(("n1",))
+    assert second.reconstructed == [0]
+    assert second.failed_remirrors == [] and second.lost_superchunks == []
+    assert dfs.namenode.lost_blocks() == []
+    dfs.layout.verify()
+    assert dfs.layout.is_fully_mirrored
+    dfs.verify_mirrors()
+    dfs.verify_parity()
+    for name, original in originals.items():
+        locations = dfs.namenode.locate_block_by_name(name)
+        assert len(locations.datanodes) == 2
+        for home in locations.datanodes:
+            assert dfs.datanode_by_name(home).content_of(name) == original

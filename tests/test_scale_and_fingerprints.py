@@ -133,9 +133,7 @@ def _table2_raidp_64mb_row(lock_mode):
 
     dfs = build_raidp(pick_scale(False), seed=1)
     options = RecoveryOptions(lock_mode=lock_mode, chunk_size=64 * units.MiB, nic_index=0)
-    report = RecoveryManager(dfs).recover_double_failure(
-        "n0", "n1", options=options, remirror_rest=False, install=False
-    )
+    report = RecoveryManager(dfs).recover(("n0", "n1"), options, reconstruct_only=True)
     switch = dfs.switch
     work = (switch.solves, switch.fill_steps, switch.deadline_pushes, dfs.sim._seq)
     return report.duration.hex(), work

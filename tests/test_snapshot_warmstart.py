@@ -45,14 +45,10 @@ def _cold_store(monkeypatch):
 
 def _recover(dfs, lock_mode="byte_range", chunk=64 * units.MiB, nic_index=0):
     manager = RecoveryManager(dfs)
-    report = manager.recover_double_failure(
-        "n0",
-        "n1",
-        options=RecoveryOptions(
-            lock_mode=lock_mode, chunk_size=chunk, nic_index=nic_index
-        ),
-        remirror_rest=False,
-        install=False,
+    report = manager.recover(
+        ("n0", "n1"),
+        RecoveryOptions(lock_mode=lock_mode, chunk_size=chunk, nic_index=nic_index),
+        reconstruct_only=True,
     )
     return report.duration
 

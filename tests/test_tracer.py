@@ -59,7 +59,7 @@ def test_complete_instant_count_emission():
 def test_category_filter_drops_unlisted_categories():
     tracer = Tracer(categories={"recovery"})
     tracer.complete("disk", "read", 0.0, 1.0)
-    tracer.complete("recovery", "single", 0.0, 1.0)
+    tracer.complete("recovery", "recover", 0.0, 1.0)
     tracer.instant("net", "resolve", 0.5)
     assert [event.category for event in tracer.events] == ["recovery"]
 
@@ -227,6 +227,34 @@ def _recovery_cluster(seed=3):
     return dfs
 
 
+def _sharing_pair(dfs):
+    return next(
+        (x, y)
+        for x in dfs.layout.disks
+        for y in dfs.layout.disks
+        if x < y and dfs.layout.shared(x, y) is not None
+    )
+
+
+@pytest.mark.parametrize("size", [1, 2])
+def test_one_recovery_span_carries_the_dead_set(size):
+    """A lone disk and a sharing pair both recover under one
+    ``recovery.recover`` span that names the dead set; ``raidpctl
+    trace`` prints it."""
+    with capture() as tracer:
+        dfs = _recovery_cluster()
+        dead = _sharing_pair(dfs)[:size]
+        report = RecoveryManager(dfs).recover(dead)
+    (span,) = [e for e in tracer.events if e.name == "recover"]
+    assert span.category == "recovery"
+    assert span.attrs["dead"] == list(dead)
+    assert span.attrs["reconstructed"] == report.reconstructed
+    assert len(report.reconstructed) == size - 1
+    (item,) = recovery_breakdown(tracer.events)
+    assert item["attrs"]["dead"] == list(dead)
+    assert f"recovery run=0 dead={list(dead)}" in render_summary(tracer.events)
+
+
 def test_double_failure_phases_sum_to_reported_duration():
     """The acceptance property behind ``raidpctl trace`` on table2: for a
     reconstruction-only double recovery, the phase spans exactly cover
@@ -234,26 +262,19 @@ def test_double_failure_phases_sum_to_reported_duration():
     with capture() as tracer:
         dfs = _recovery_cluster()
         manager = RecoveryManager(dfs)
-        a, b = next(
-            (x, y)
-            for x in dfs.layout.disks
-            for y in dfs.layout.disks
-            if x < y and dfs.layout.shared(x, y) is not None
-        )
-        report = manager.recover_double_failure(
-            a, b, options=RecoveryOptions(), remirror_rest=False, install=False
+        report = manager.recover(
+            _sharing_pair(dfs), RecoveryOptions(), reconstruct_only=True
         )
     breakdowns = recovery_breakdown(tracer.events)
     assert len(breakdowns) == 1
     item = breakdowns[0]
-    assert item["kind"] == "double"
     assert item["total_s"] == pytest.approx(report.duration)
     reconstruct = item["phases"]["reconstruct"]
     assert reconstruct["sum_s"] == pytest.approx(report.duration)
     assert item["coverage"] == pytest.approx(1.0)
-    assert item["superchunks"][0]["sc"] == report.reconstructed_sc
+    assert [item["superchunks"][0]["sc"]] == report.reconstructed
     text = render_summary(tracer.events)
-    assert "recovery [double]" in text and "coverage 100.0%" in text
+    assert "coverage 100.0%" in text
 
 
 def test_single_failure_phase_spans_cover_remirrors():
@@ -261,11 +282,10 @@ def test_single_failure_phase_spans_cover_remirrors():
         dfs = _recovery_cluster()
         manager = RecoveryManager(dfs)
         victim = dfs.layout.disks[0]
-        report = manager.recover_single_failure(victim)
+        report = manager.recover((victim,))
     breakdowns = recovery_breakdown(tracer.events)
     assert len(breakdowns) == 1
     item = breakdowns[0]
-    assert item["kind"] == "single"
     assert item["total_s"] == pytest.approx(report.duration)
     remirror = item["phases"]["remirror"]
     assert remirror["count"] == len(report.remirrored)

@@ -68,8 +68,8 @@ def test_single_chunk_streams_take_no_body(pullers):
     dfs = sparse_cluster(num_nodes=8, per_disk=3, payload_mode="tokens")
     write_some_data(dfs)
     a, b = pick_sharing_pair(dfs)
-    report = RecoveryManager(dfs).recover_double_failure(a, b)
-    assert report.reconstructed_sc is not None
+    report = RecoveryManager(dfs).recover((a, b))
+    assert report.reconstructed
     (plane,) = pullers
     assert plane.bodies == []
 
@@ -79,9 +79,7 @@ def test_a_finished_rebuild_holds_no_open_body():
     run, no held stage -- so it snapshots like any other."""
     dfs = build_raidp(pick_scale(False), seed=1)
     options = RecoveryOptions(chunk_size=64 * units.MiB)
-    RecoveryManager(dfs).recover_double_failure(
-        "n0", "n1", options=options, remirror_rest=False, install=False
-    )
+    RecoveryManager(dfs).recover(("n0", "n1"), options, reconstruct_only=True)
     assert dfs.switch.active_flows == 0 and dfs.switch._disk_ports == {}
     assert all(dn.disk._runs == {} for dn in dfs.datanodes)
     assert snapshot.restore(snapshot.capture(dfs)).sim.now == dfs.sim.now
@@ -105,9 +103,7 @@ def test_the_reconstruct_span_names_what_bound_the_rebuild(lock_mode, chunk, nic
     with capture() as tracer:
         dfs = build_raidp(pick_scale(False), seed=1)
         options = RecoveryOptions(lock_mode=lock_mode, chunk_size=chunk, nic_index=nic_index)
-        RecoveryManager(dfs).recover_double_failure(
-            "n0", "n1", options=options, remirror_rest=False, install=False
-        )
+        RecoveryManager(dfs).recover(("n0", "n1"), options, reconstruct_only=True)
     (span,) = [e for e in tracer.events if e.name == "reconstruct"]
     assert span.attrs["bound"] == bound
     assert f"pullers=15, bound={bound}" in render_summary(tracer.events)
@@ -127,8 +123,8 @@ def test_source_disk_failing_inside_a_body_is_a_tolerated_loss(pullers):
     a, b = pick_sharing_pair(dfs)
     shared = dfs.layout.shared(a, b)
     manager = RecoveryManager(dfs)
-    mirrors = manager._mirrors_of(manager._pick_lost_source(a, b, shared), shared)
-    victim = dfs.datanode_by_name(mirrors[min(mirrors)])
+    (_source, chain), *_ = manager._decoders(shared, (a, b))
+    victim = dfs.datanode_by_name(chain[min(chain)])
     sim, switch = dfs.sim, dfs.switch
     t0 = sim.now
     seen = {}
@@ -143,9 +139,8 @@ def test_source_disk_failing_inside_a_body_is_a_tolerated_loss(pullers):
 
     def rebuild():
         options = RecoveryOptions(chunk_size=units.MiB, nic_index=1)
-        seen["report"] = yield from manager.double_failure_body(
-            a, b, options=options, remirror_rest=False, install=False,
-            tolerate_loss=True,
+        seen["report"] = yield from manager.failure_body(
+            (a, b), options, reconstruct_only=True
         )
         seen["at"] = sim.now
 
@@ -188,9 +183,8 @@ def test_receiver_nic_rate_change_re_rates_the_bodies(pullers, monkeypatch):
             dfs.switch.set_nic_rates(rx, rx_rate=units.gbps(1))
 
         sim.process(degrade())
-        return RecoveryManager(dfs).recover_double_failure(
-            "n0", "n1", recovery_node=receiver, options=RecoveryOptions(),
-            remirror_rest=False, install=False,
+        return RecoveryManager(dfs).recover(
+            ("n0", "n1"), RecoveryOptions(), reconstruct_only=True
         ).duration
 
     fluid = rebuild()
@@ -222,8 +216,8 @@ def test_a_shared_stage_saturated_for_part_of_the_rebuild(pullers, monkeypatch):
         )
         a, b = pick_sharing_pair(dfs)
         options = RecoveryOptions(lock_mode="superchunk", chunk_size=units.MiB)
-        return RecoveryManager(dfs).recover_double_failure(
-            a, b, options=options, remirror_rest=False, install=False
+        return RecoveryManager(dfs).recover(
+            (a, b), options, reconstruct_only=True
         ).duration
 
     fluid = rebuild()
@@ -270,8 +264,8 @@ def test_parallel_halves_agree_with_the_chunk_loop(
             payload_mode="tokens",
         )
         options = RecoveryOptions(parallel_halves=True, lock_mode=lock_mode, chunk_size=chunk)
-        duration = RecoveryManager(dfs).recover_double_failure(
-            "n0", "n1", options=options, remirror_rest=False, install=False
+        duration = RecoveryManager(dfs).recover(
+            ("n0", "n1"), options, reconstruct_only=True
         ).duration
         assert max(dn.disk.stats.busy_seconds for dn in dfs.datanodes) <= dfs.sim.now
         assert dfs.switch._disk_ports == {}
