@@ -4,7 +4,7 @@ PYTHON     ?= python
 PYTHONPATH := src
 export PYTHONPATH
 
-.PHONY: test lint typecheck shapes bench benchmark chaos verify profile flight-recorder experiments durability-smoke scale-smoke clean
+.PHONY: test lint typecheck shapes bench benchmark chaos verify profile flight-recorder experiments durability-smoke experiments-smoke clean
 
 # Tier-1: the full unit/integration/property suite.
 test:
@@ -92,19 +92,20 @@ durability-smoke:
 	$(PYTHON) -m repro.experiments ext-durability --full --jobs 2 > durability-smoke/jobs2.txt
 	cmp durability-smoke/jobs1.txt durability-smoke/jobs2.txt
 
-# Scale-out smoke: the 16-256 node sweep at one and at two workers must
-# print the same bytes (each point is one task, merged by key), then
-# once at --full (8x the data, superchunks grown with it), timed.
-scale-smoke:
-	mkdir -p scale-smoke
-	$(PYTHON) -m repro.experiments ext-scale --jobs 1 > scale-smoke/jobs1.txt
-	cat scale-smoke/jobs1.txt
-	$(PYTHON) -m repro.experiments ext-scale --jobs 2 > scale-smoke/jobs2.txt
-	cmp scale-smoke/jobs1.txt scale-smoke/jobs2.txt
+# Experiments smoke: every experiment at one and at two workers must
+# print the same bytes (each task is keyed and merged in emission
+# order), then the 16-256 node scale-out sweep once at --full (8x the
+# data, superchunks grown with it), timed.
+experiments-smoke:
+	mkdir -p experiments-smoke
+	$(PYTHON) -m repro.experiments all --jobs 1 > experiments-smoke/jobs1.txt
+	cat experiments-smoke/jobs1.txt
+	$(PYTHON) -m repro.experiments all --jobs 2 > experiments-smoke/jobs2.txt
+	cmp experiments-smoke/jobs1.txt experiments-smoke/jobs2.txt
 	@start=$$(date +%s); \
-	$(PYTHON) -m repro.experiments ext-scale --full --jobs 2 > scale-smoke/full.txt && \
+	$(PYTHON) -m repro.experiments ext-scale --full --jobs 2 > experiments-smoke/scale-full.txt && \
 	echo "ext-scale --full --jobs 2: $$(( $$(date +%s) - start )) s"
-	cat scale-smoke/full.txt
+	cat experiments-smoke/scale-full.txt
 
 # Regenerate every table/figure of the paper (uses all cores).
 experiments:
@@ -112,4 +113,4 @@ experiments:
 
 clean:
 	find . -name __pycache__ -type d -prune -exec rm -rf {} +
-	rm -rf .pytest_cache .benchmarks .bench_out .hypothesis .mypy_cache flight-recorder durability-smoke scale-smoke
+	rm -rf .pytest_cache .benchmarks .bench_out .hypothesis .mypy_cache flight-recorder durability-smoke experiments-smoke

@@ -927,15 +927,8 @@ class _Raid6Rig:
     adds serially to every chunk while the master's NIC idles (DESIGN.md
     §4c).  ``tests/oracles.py`` keeps the chunk loops as the oracle.
 
-    The rebuild runs as two strictly sequential phases -- gather+decode,
-    then writeback -- which share no simulation state beyond the clock:
-    the read phase never touches the replacement disks and the writeback
-    phase never touches the sources.  The phases can therefore run in
-    separate simulators (``Simulator(start=boundary)`` for the second)
-    and produce bitwise-identical completion times to the single-sim
-    monolith, which the experiment decomposition exploits to pipeline
-    RAID-6 rows across pool workers.  ``tests/oracles.py`` composes
-    the monolithic schedule as the differential oracle for that claim.
+    The rebuild runs gather+decode, then writeback, in one simulator:
+    :func:`simulate_raid6_rebuild` is one Table 2 row.
     """
 
     def __init__(
@@ -944,10 +937,9 @@ class _Raid6Rig:
         chunk_size: int,
         nic_rate: float,
         disk_rate: Optional[float],
-        start: float = 0.0,
     ) -> None:
         self.chunk_size = chunk_size
-        self.sim = Simulator(start=start)
+        self.sim = Simulator()
         geometry = (
             DiskGeometry(transfer_rate=disk_rate) if disk_rate else DiskGeometry()
         )
@@ -1026,7 +1018,7 @@ def _raid6_xor_rate(chunk_size: int, xor_rate: Optional[float]) -> float:
     return RecoveryOptions(chunk_size=chunk_size).xor_rate
 
 
-def simulate_raid6_read_phase(
+def simulate_raid6_rebuild(
     data_per_disk: int,
     surviving_disks: int = 14,
     chunk_size: int = 4 * units.MiB,
@@ -1034,33 +1026,18 @@ def simulate_raid6_read_phase(
     disk_rate: Optional[float] = None,
     xor_rate: Optional[float] = None,
 ) -> float:
-    """Phase 1 of the RAID-6 double rebuild: gather and decode every
-    survivor.  Every stripe lost two blocks, so *all* data on *all*
-    survivors is read, shipped to the rebuild master and decoded.
-
-    Returns the boundary time at which the last chunk has been decoded,
-    suitable for handing to :func:`simulate_raid6_writeback_phase` as its
-    ``start``.
-    """
-    xor_rate = _raid6_xor_rate(chunk_size, xor_rate)
-    rig = _Raid6Rig(surviving_disks, chunk_size, nic_rate, disk_rate)
-    rig.sim.run_process(rig.read_all(data_per_disk, xor_rate))
-    return rig.sim.now
-
-
-def simulate_raid6_writeback_phase(
-    start: float,
-    data_per_disk: int,
-    surviving_disks: int = 14,
-    chunk_size: int = 4 * units.MiB,
-    nic_rate: float = units.gbps(10),
-    disk_rate: Optional[float] = None,
-) -> float:
-    """Phase 2 of the RAID-6 rebuild: stream decoded data to both
-    replacement disks, starting at the read phase's boundary time.
+    """The RAID-6 double rebuild.  Every stripe lost two blocks, so *all*
+    data on *all* survivors is read, shipped to the rebuild master and
+    decoded; the decoded data then streams to both replacement disks.
 
     Returns the rebuild completion time (the Table 2 row value).
     """
-    rig = _Raid6Rig(surviving_disks, chunk_size, nic_rate, disk_rate, start=start)
-    rig.sim.run_process(rig.write_all(data_per_disk))
+    xor_rate = _raid6_xor_rate(chunk_size, xor_rate)
+    rig = _Raid6Rig(surviving_disks, chunk_size, nic_rate, disk_rate)
+
+    def rebuild() -> Generator:
+        yield from rig.read_all(data_per_disk, xor_rate)
+        yield from rig.write_all(data_per_disk)
+
+    rig.sim.run_process(rebuild())
     return rig.sim.now

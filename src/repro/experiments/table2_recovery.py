@@ -6,14 +6,10 @@ RAID-6 rebuild baseline that must read and decode every surviving disk to
 reconstruct the two lost ones.
 
 Task decomposition: RAIDP rows fan out per placement repetition (one
-task per seed, each on a freshly built cluster), and each RAID-6 row
-splits into its gather/decode phase and its writeback phase -- two
-simulators chained on the exact boundary time, bitwise-identical to the
-monolithic schedule (proved by the differential test against the
-single-simulator oracle in ``tests/oracles.py``).  Every rebuild stream
-runs its first chunk discretely and the rest as one fluid ``Transfer``
-body (DESIGN.md §4c), so every task takes milliseconds and the whole
-table a fraction of a second.
+task per seed, each on a freshly built cluster), and each RAID-6 row is
+one task.  Every rebuild stream runs its first chunk discretely and the
+rest as one fluid ``Transfer`` body (DESIGN.md §4c), so every task takes
+milliseconds and the whole table a fraction of a second.
 """
 
 from __future__ import annotations
@@ -24,8 +20,7 @@ from repro import units
 from repro.core.recovery import (
     RecoveryManager,
     RecoveryOptions,
-    simulate_raid6_read_phase,
-    simulate_raid6_writeback_phase,
+    simulate_raid6_rebuild,
 )
 from repro.experiments.common import build_raidp, pick_scale
 from repro.experiments.parallel import fan_out
@@ -51,7 +46,9 @@ RAID6_ROWS = [
 DEFAULT_SEEDS = (1,)
 
 #: Task key: ("raidp", lock mode, chunk size, nic index, seed) or
-#: ("raid6", chunk size, nic index, phase) with phase "read"/"write".
+#: ("raid6", chunk size, nic index, "write").  The RAID-6 key's trailing
+#: "write" names the row's completion; ``bench/workloads.py`` looks the
+#: row up by it.
 TaskKey = Tuple
 
 
@@ -66,26 +63,16 @@ def tasks(
                 keys.append(("raidp", lock_mode, chunk, nic_index, seed))
     for chunk, _paper_10g, _paper_1g in RAID6_ROWS:
         for nic_index in (0, 1):
-            keys.append(("raid6", chunk, nic_index, "read"))
             keys.append(("raid6", chunk, nic_index, "write"))
     return keys
-
-
-def task_deps(key: TaskKey) -> Tuple[TaskKey, ...]:
-    """The writeback phase consumes the read phase's boundary time."""
-    if key[0] == "raid6" and key[3] == "write":
-        return (("raid6", key[1], key[2], "read"),)
-    return ()
 
 
 def _nic_rate(nic_index: int) -> float:
     return units.gbps(10) if nic_index == 0 else units.gbps(1)
 
 
-def run_task(
-    key: TaskKey, full_scale: bool = False, deps: Optional[Dict[TaskKey, float]] = None
-) -> float:
-    """One task: a RAIDP repetition or a RAID-6 phase."""
+def run_task(key: TaskKey, full_scale: bool = False) -> float:
+    """One task: a RAIDP repetition or a RAID-6 rebuild."""
     scale = pick_scale(full_scale)
     if key[0] == "raidp":
         _kind, lock_mode, chunk, nic_index, seed = key
@@ -98,21 +85,10 @@ def run_task(
         return report.duration
     # RAID-6 rebuilds both failed disks from all survivors.  Each of the
     # paper's disks carries 16 superchunks x 6 GB = 96 GB of data.
-    _kind, chunk, nic_index, phase = key
-    data_per_disk = 16 * scale.superchunk_size
-    survivors = scale.num_nodes - 2
-    if phase == "read":
-        return simulate_raid6_read_phase(
-            data_per_disk=data_per_disk,
-            surviving_disks=survivors,
-            chunk_size=chunk,
-            nic_rate=_nic_rate(nic_index),
-        )
-    boundary = (deps or {})[("raid6", chunk, nic_index, "read")]
-    return simulate_raid6_writeback_phase(
-        boundary,
-        data_per_disk=data_per_disk,
-        surviving_disks=survivors,
+    _kind, chunk, nic_index, _write = key
+    return simulate_raid6_rebuild(
+        data_per_disk=16 * scale.superchunk_size,
+        surviving_disks=scale.num_nodes - 2,
         chunk_size=chunk,
         nic_rate=_nic_rate(nic_index),
     )

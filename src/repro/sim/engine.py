@@ -498,8 +498,8 @@ class Simulator:
     single heap bit-for-bit.
     """
 
-    def __init__(self, start: float = 0.0) -> None:
-        self.now: float = start
+    def __init__(self) -> None:
+        self.now: float = 0.0
         self.bind_observers()
         # Entries are (time, seq, Event-or-_Deferred); seq is unique, so
         # the third element is never compared.

@@ -37,9 +37,9 @@ import json
 import os
 import sys
 import time
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Optional, Sequence, Tuple
 
-from repro.experiments.runner import REGISTRY, run_experiment
+from repro.experiments.runner import REGISTRY
 from repro.obs import simprofile
 from repro.obs.metrics import SWITCH_WORK_COUNTERS
 from repro.sim.network import Switch
@@ -68,35 +68,19 @@ def run_slice(
     Uses the experiment's task protocol (``tasks``/``run_task``) when it
     has one, so a slice exercises the same per-task code paths the
     parallel runner does; experiments without the protocol always run
-    whole.  Dependencies of sliced tasks are resolved within the run.
-    Returns (tasks_run, wall_seconds).
+    whole.  Everything runs here at one job whatever ``RAIDP_JOBS``
+    says: work in pool workers is invisible to the profiler.  Returns
+    (tasks_run, wall_seconds), with -1 tasks for a whole run.
     """
     module = _experiment_module(name)
     start = time.perf_counter()
-    if max_tasks is None or not hasattr(module, "tasks"):
-        run_experiment(name, full_scale=full_scale)
+    if not hasattr(module, "tasks"):
+        module.run(full_scale=full_scale)
         return (-1, time.perf_counter() - start)
-    task_deps = getattr(module, "task_deps", lambda _key: ())
-    results: Dict[Any, Any] = {}
-
-    def run_one(key: Any) -> None:
-        if key in results:
-            return
-        deps = tuple(task_deps(key))
-        for dep in deps:
-            run_one(dep)
-        kwargs: Dict[str, Any] = {"full_scale": full_scale}
-        if deps:
-            kwargs["deps"] = {dep: results[dep] for dep in deps}
-        results[key] = module.run_task(key, **kwargs)
-
-    count = 0
-    for key in module.tasks(full_scale=full_scale):
-        run_one(key)
-        count += 1
-        if count >= max_tasks:
-            break
-    return (count, time.perf_counter() - start)
+    keys = module.tasks(full_scale=full_scale)[:max_tasks]
+    for key in keys:
+        module.run_task(key, full_scale=full_scale)
+    return (-1 if max_tasks is None else len(keys), time.perf_counter() - start)
 
 
 # ----------------------------------------------------------------------

@@ -2,9 +2,8 @@
 
 Oracles are test-side code: production modules carry no switch, branch
 or hook for them.  The classes subclass the production class and replace
-the optimized decisions with the obvious ones; one function runs, in
-one simulator, the RAID-6 rebuild production splits across two, and one
-runs an ext-scale RAIDP point with no observer bound; then come the
+the optimized decisions with the obvious ones; one function runs an
+ext-scale RAIDP point with no observer bound; then come the
 Monte-Carlo engine's closed form, its per-event judge as it was before
 it was compiled per scheme, and its trial as the loop over failure
 events it was before it judged arrays; last, the registry of live views
@@ -28,7 +27,7 @@ from repro.core import recovery
 from repro.core.lstor import filler_name
 from repro.core.node import RaidpDataNode
 from repro.core.placement import RaidpPlacement
-from repro.core.recovery import _Pullers, _Raid6Rig, _raid6_xor_rate
+from repro.core.recovery import _Pullers, _Raid6Rig
 from repro.errors import PlacementError
 from repro.experiments import ext_scale, table2_recovery
 from repro.faults import DiskLifetimeModel, RepairModel
@@ -424,12 +423,7 @@ def eager_preallocate(self):
 
 
 def _table2_rows(keys):
-    run_task, task_deps = table2_recovery.run_task, table2_recovery.task_deps
-    values = {}
-    for key in keys:
-        deps = {dep: values[dep] for dep in task_deps(key)}
-        values[key] = run_task(key, deps=deps) if deps else run_task(key)
-    return {key: value for key, value in values.items() if key[-1] != "read"}
+    return {key: table2_recovery.run_task(key) for key in keys}
 
 
 def table2_differential(keys, monkeypatch):
@@ -471,20 +465,6 @@ def packet_train_differential(builders, dataset, monkeypatch):
         packet_loop(patch)
         oracle = runs()
     return train, oracle
-
-
-def raid6_rebuild_single_sim(data_per_disk, surviving_disks, chunk_size, nic_rate):
-    """The RAID-6 double rebuild as one schedule: gather+decode, then
-    writeback, in the same simulator.  Returns the completion time."""
-    rig = _Raid6Rig(surviving_disks, chunk_size, nic_rate, None)
-    xor_rate = _raid6_xor_rate(chunk_size, None)
-
-    def rebuild():
-        yield from rig.read_all(data_per_disk, xor_rate)
-        yield from rig.write_all(data_per_disk)
-
-    rig.sim.run_process(rebuild())
-    return rig.sim.now
 
 
 def ext_scale_raidp_single_sim(num_nodes, seed):

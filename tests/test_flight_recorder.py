@@ -224,7 +224,6 @@ def test_table2_rows_bitwise_identical_under_flight_recorder():
         key for key in t2.tasks()
         if key[0] == "raidp" and key[2] == 64 * units.MiB
     )
-    assert not t2.task_deps(key)
 
     bare = t2.run_task(key)
     with ts_mod.capture(interval=0.5), audit_mod.capture(fail_fast=True):

@@ -91,15 +91,60 @@ def test_fig8_jobs1_and_jobs4_rows_identical():
 
 
 def test_table2_jobs1_and_jobs2_rows_identical():
-    """Both 64 MB RAID-6 rows, whose writeback tasks wait on their
-    gathers across the pool boundary.  The 64 MB RAIDP rows are
-    ``test_snapshot_warmstart``'s."""
+    """Both 64 MB RAID-6 rows, one task each.  The 64 MB RAIDP rows are
+    the next test's."""
     from repro import units
     from repro.experiments.table2_recovery import tasks
 
     subset = [k for k in tasks() if k[0] == "raid6" and k[1] == 64 * units.MiB]
     specs = [TaskSpec("repro.experiments.table2_recovery", key, False) for key in subset]
     assert run_specs(specs, jobs=1) == run_specs(specs, jobs=2)
+
+
+def test_table2_cheap_rows_jobs1_vs_jobs2_identical():
+    """The four 64 MB RAIDP rebuilds."""
+    from repro import units
+    from repro.experiments.table2_recovery import tasks
+
+    specs = [
+        TaskSpec("repro.experiments.table2_recovery", key, False)
+        for key in tasks()
+        if key[0] == "raidp" and key[2] == 64 * units.MiB
+    ]
+    assert run_specs(specs, jobs=1) == run_specs(specs, jobs=2)
+
+
+def test_ext_scale_spawn_context_matches_sequential(monkeypatch):
+    """A spawn-context pool run: each point is one task, built and run
+    in a fresh interpreter, and must produce the sequential answer
+    bit-for-bit."""
+    import multiprocessing
+
+    specs = [
+        TaskSpec("repro.experiments.ext_scale", ("raidp", 16, 1), False),
+        TaskSpec("repro.experiments.ext_scale", ("hdfs3", 16, 1), False),
+    ]
+    sequential = run_specs(specs, jobs=1)
+    monkeypatch.setattr(
+        parallel, "_pool_context", lambda: multiprocessing.get_context("spawn")
+    )
+    assert run_specs(specs, jobs=2) == sequential
+
+
+def test_a_failing_task_raises_its_own_error_through_the_pool():
+    """A task that raises in a worker fails the whole run in the caller
+    with the task's own exception, next to a task that succeeds."""
+    from repro import units
+
+    specs = [
+        TaskSpec("repro.experiments.table2_recovery", key, False)
+        for key in (
+            ("raid6", 64 * units.MiB, 0, "write"),
+            ("raidp", "bogus", 4 * units.MiB, 0, 1),
+        )
+    ]
+    with pytest.raises(ValueError, match="unknown lock mode"):
+        run_specs(specs, jobs=2)
 
 
 def test_run_many_preserves_request_order():

@@ -90,12 +90,25 @@ def test_ranked_report_orders_by_wall_then_events():
     assert [b.callsite for b in ranked] == ["network:b", "client:c", "disk:a"]
 
 
-def test_run_slice_resolves_task_dependencies():
+def test_run_slice_runs_the_first_tasks():
     from repro.tools.profile import run_slice
 
     tasks_run, wall = run_slice("table2", max_tasks=2)
     assert tasks_run == 2
     assert wall > 0.0
+
+
+def test_run_slice_stays_in_process_under_raidp_jobs(monkeypatch):
+    """A whole run is profiled in this process even when ``RAIDP_JOBS``
+    asks for workers, whose events the profiler could not see."""
+    from repro.experiments.parallel import JOBS_ENV_VAR
+    from repro.tools.profile import run_slice
+
+    monkeypatch.setenv(JOBS_ENV_VAR, "2")
+    with simprofile.capture() as profiler:
+        tasks_run, _wall = run_slice("table2")
+    assert tasks_run == -1
+    assert profiler.totals()["events"] > 0
 
 
 def test_cli_report_and_json_export(tmp_path, capsys, monkeypatch):

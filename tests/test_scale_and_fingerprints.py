@@ -13,7 +13,7 @@ The two cheap Table 2 RAIDP rows (64 MB chunks @10G) are pinned the same
 way -- seconds by ``float.hex`` plus the solver's and the engine's exact
 work counters -- on the fluid lane and on its per-chunk oracle, so a
 host-cost change in the reconstruction path has to show that it moved
-no simulated float.
+no simulated float.  The four RAID-6 rows are pinned by seconds alone.
 """
 
 import pytest
@@ -26,7 +26,7 @@ from repro.sim import cluster as sim_cluster
 from repro.sim.cluster import ClusterSpec
 from repro.sim.network import Switch
 from repro.workloads.dfsio import dfsio_read, dfsio_write
-from tests.oracles import ReferenceSwitch, discrete_lane
+from tests.oracles import ReferenceSwitch, discrete_lane, ext_scale_raidp_single_sim
 
 
 def _fingerprint(switch_class, monkeypatch, seed=42):
@@ -93,6 +93,22 @@ def test_ext_scale_256_node_point_completes_and_has_shape():
     write_16, per_node_gb_16 = run_task(("raidp", 16, 1))[:2]
     assert write_s == pytest.approx(write_16, rel=0.25)
     assert per_node_gb == pytest.approx(per_node_gb_16, rel=0.25)
+
+
+def test_ext_scale_point_matches_single_sim_oracle():
+    from repro.experiments import ext_scale
+
+    oracle = ext_scale_raidp_single_sim(16, 1)
+    point = ext_scale.run_task(("raidp", 16, 1))
+    # write s, net GB/node, recovery s -- all bitwise; the point's 4th
+    # element is the flight-recorder SLO digest of each phase, which the
+    # oracle (no sampler) does not produce.  Sampling never moves the
+    # schedule, and neither does re-binding the live simulator.
+    assert point[:3] == oracle
+    assert set(point[3]) == {"write", "recovery"}
+    # Each phase was sampled: the recovery's sampler is bound to the
+    # live simulator, not left unread.
+    assert all(phase["p99_worst"] > 0 for phase in point[3].values())
 
 
 def test_ext_scale_full_scale_raidp_point_completes():
@@ -181,6 +197,25 @@ def test_table2_raidp_64mb_fluid_rows_reproduce_the_pinned_points(lock_mode, sec
     the first chunks, the first lock convoy's stage holds and releases,
     and one arrival and one departure per body."""
     assert _table2_raidp_64mb_row(lock_mode) == (seconds, work)
+
+
+@pytest.mark.parametrize(
+    "chunk_mib,nic_index,seconds",
+    [
+        (4, 0, "0x1.fa098a2611258p+10"),
+        (4, 1, "0x1.a08600265f62ap+13"),
+        (64, 0, "0x1.002daf1a6b927p+11"),
+        (64, 1, "0x1.a147035c71584p+13"),
+    ],
+    ids=["4MB-10G", "4MB-1G", "64MB-10G", "64MB-1G"],
+)
+def test_table2_raid6_rows_are_pinned(chunk_mib, nic_index, seconds):
+    """The four RAID-6 rows, one simulator each: gather and decode every
+    survivor, then write both replacement disks."""
+    from repro.experiments.table2_recovery import run_task
+
+    key = ("raid6", chunk_mib * units.MiB, nic_index, "write")
+    assert run_task(key).hex() == seconds
 
 
 def test_ext_scale_raidp_network_beats_hdfs3():

@@ -1,13 +1,10 @@
-"""Phase snapshots and the task-grain decomposition.
+"""Phase snapshots.
 
 The acceptance property of the phase snapshots: a snapshot-restored
 cluster is *indistinguishable* from a cold-built one -- bitwise-identical
-experiment fingerprints, at any job count, in any pool start-method.
-These tests pin that property on a written RAIDP cluster and
-fig9/fig10, plus the structural guarantees (quiescence gating, keyed
-parameters, phase-split equivalence) that make it hold; ``ext-scale``,
-whose points need no snapshot, is held to its single-simulator oracle
-and to the sequential run under a spawn-context pool.
+experiment fingerprints.  These tests pin that property on a written
+RAIDP cluster and fig9/fig10, plus the structural guarantees (quiescence
+gating, keyed parameters) that make it hold.
 """
 
 import pickle
@@ -15,17 +12,11 @@ import pickle
 import pytest
 
 from repro import units
-from repro.core.recovery import (
-    RecoveryManager,
-    RecoveryOptions,
-    simulate_raid6_read_phase,
-    simulate_raid6_writeback_phase,
-)
+from repro.core.recovery import RecoveryManager, RecoveryOptions
 from repro.errors import SimulationError
 from repro.experiments.common import Scale, build_raidp_written
 from repro.sim import snapshot
 from repro.sim.engine import Simulator
-from tests.oracles import ext_scale_raidp_single_sim, raid6_rebuild_single_sim
 
 
 @pytest.fixture(autouse=True)
@@ -176,92 +167,3 @@ def test_figure_rows_warm_vs_cold_identical(name, monkeypatch):
     _cold_store(monkeypatch)
     cold = run_once()
     assert first == restored == cold
-
-
-# ----------------------------------------------------------------------
-# RAID-6 phase split: two simulators chained on the boundary time must
-# reproduce the monolithic schedule exactly.
-# ----------------------------------------------------------------------
-def test_raid6_phase_split_matches_monolith():
-    kwargs = dict(
-        data_per_disk=16 * units.GiB,
-        surviving_disks=14,
-        chunk_size=64 * units.MiB,
-        nic_rate=units.gbps(10),
-    )
-    monolith = raid6_rebuild_single_sim(**kwargs)
-    boundary = simulate_raid6_read_phase(**kwargs)
-    split = simulate_raid6_writeback_phase(boundary, **kwargs)
-    assert 0.0 < boundary < split
-    assert split == monolith  # bitwise, not approx
-
-
-# ----------------------------------------------------------------------
-# Experiment-level identity across job counts; ext-scale's one-task point.
-# ----------------------------------------------------------------------
-def test_table2_cheap_rows_jobs1_vs_jobs2_identical():
-    """The four 64 MB RAIDP rebuilds.  The 64 MB RAID-6 rows, with their
-    gather -> writeback dependency, are ``test_parallel_runner``'s."""
-    from repro.experiments import table2_recovery as t2
-    from repro.experiments.parallel import TaskSpec, run_specs
-
-    specs = [
-        TaskSpec("repro.experiments.table2_recovery", key, False)
-        for key in t2.tasks()
-        if key[0] == "raidp" and key[2] == 64 * units.MiB
-    ]
-    assert run_specs(specs, jobs=1) == run_specs(specs, jobs=2)
-
-
-def test_ext_scale_point_matches_single_sim_oracle():
-    from repro.experiments import ext_scale
-
-    oracle = ext_scale_raidp_single_sim(16, 1)
-    point = ext_scale.run_task(("raidp", 16, 1))
-    # write s, net GB/node, recovery s -- all bitwise; the point's 4th
-    # element is the flight-recorder SLO digest of each phase, which the
-    # oracle (no sampler) does not produce.  Sampling never moves the
-    # schedule, and neither does re-binding the live simulator.
-    assert point[:3] == oracle
-    assert set(point[3]) == {"write", "recovery"}
-    # Each phase was sampled: the recovery's sampler is bound to the
-    # live simulator, not left unread.
-    assert all(phase["p99_worst"] > 0 for phase in point[3].values())
-
-
-def test_ext_scale_spawn_context_matches_sequential(monkeypatch):
-    """A spawn-context pool run: each point is one task, built and run
-    in a fresh interpreter, and must produce the sequential answer
-    bit-for-bit."""
-    import multiprocessing
-
-    from repro.experiments import parallel
-    from repro.experiments.parallel import TaskSpec, run_specs
-
-    specs = [
-        TaskSpec("repro.experiments.ext_scale", ("raidp", 16, 1), False),
-        TaskSpec("repro.experiments.ext_scale", ("hdfs3", 16, 1), False),
-    ]
-    sequential = run_specs(specs, jobs=1)
-    monkeypatch.setattr(
-        parallel, "_pool_context", lambda: multiprocessing.get_context("spawn")
-    )
-    assert run_specs(specs, jobs=2) == sequential
-
-
-# ----------------------------------------------------------------------
-# Parallel runner: dependency plumbing.
-# ----------------------------------------------------------------------
-def test_run_specs_rejects_missing_dependency():
-    from repro.experiments.parallel import TaskSpec, run_specs
-
-    specs = [
-        TaskSpec(
-            "repro.experiments.table2_recovery",
-            ("raid6", 64 * units.MiB, 0, "write"),
-            False,
-        )
-    ]
-    with pytest.raises(ValueError, match="depends on"):
-        run_specs(specs, jobs=1)
-
