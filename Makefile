@@ -81,13 +81,16 @@ flight-recorder:
 # Durability smoke: the §2 experiment end-to-end -- the analytic MTTDL
 # ladder and the long-horizon Monte-Carlo engine over the same five
 # schemes -- at smoke scale (1k disks x 10 years x 48 trials) and at the
-# scale the engine exists for (10k disks x 10 years x 200 trials, ~1.3 s).
-# The full scale runs again as two chunks on two workers and must print
-# the same bytes: chunked runs merge bit-identically.
+# scale the engine exists for (10k disks x 10 years x 200 trials, ~0.9 s),
+# timed.  The full scale runs again as two chunks on two workers and must
+# print the same bytes: chunked runs merge bit-identically.
 durability-smoke:
 	$(PYTHON) -m repro.experiments ext-durability
 	mkdir -p durability-smoke
-	$(PYTHON) -m repro.experiments ext-durability --full --jobs 1 > durability-smoke/jobs1.txt
+	@start=$$(date +%s%N); \
+	$(PYTHON) -m repro.experiments ext-durability --full --jobs 1 > durability-smoke/jobs1.txt && \
+	ms=$$(( ($$(date +%s%N) - start) / 1000000 )) && \
+	echo "ext-durability --full --jobs 1: $$((ms / 1000)).$$(printf %03d $$((ms % 1000))) s"
 	cat durability-smoke/jobs1.txt
 	$(PYTHON) -m repro.experiments ext-durability --full --jobs 2 > durability-smoke/jobs2.txt
 	cmp durability-smoke/jobs1.txt durability-smoke/jobs2.txt

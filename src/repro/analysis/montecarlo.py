@@ -21,9 +21,10 @@ that everything durability-relevant happens at a sparse set of instants:
    drawn for the whole fleet at once; each failing disk is replaced and
    re-drawn in vectorized rounds until the horizon is clear.  10k disks
    x 10 years at 2% AFR is ~2000 failure events -- the arrays stay tiny.
-2. **Repair scheduling** (one ordered pass): detection delay, lazy
-   batching, and the ``concurrent_rebuilds`` slot pool turn failure
-   times into repair-completion times.
+2. **Repair scheduling** (a recurrence): detection delay and lazy
+   batching release rebuilds in time order, so a rebuild's slot frees
+   when the one released ``concurrent_rebuilds`` earlier completes; only
+   the releases that find their slot busy are walked.
 3. **Sparse judgment**: data loss is only possible at a failure instant,
    so each scheme is judged exactly there, against the set of
    concurrently-dead disks.  The dead sets are sparse (earlier event,
@@ -35,7 +36,8 @@ that everything durability-relevant happens at a sparse set of instants:
    is what a per-group simulation converges to, without its memory.
 4. **Outage segments**: transient rack outages are merged into maximal
    segments of constant dark-rack sets; availability is integrated per
-   segment, again in expectation over placements.
+   segment, again in expectation over placements, counting each one's
+   dead disks over the window of events that can be dead at its midpoint.
 
 The expectation-based judgment makes per-trial results smooth (a trial
 contributes fractional expected losses rather than a 0/1 indicator), so
@@ -58,7 +60,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from heapq import heapreplace
+from heapq import heappop, heappush
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -374,6 +376,26 @@ def _ragged(counts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return owner, np.arange(owner.size) - np.repeat(np.cumsum(counts) - counts, counts)
 
 
+def _wait_for_slots(release: np.ndarray, slots: int, rebuild: float) -> np.ndarray:
+    """Completions of rebuilds released at ``release`` (non-decreasing) into
+    ``slots`` slots: ``done[k] = max(release[k], done[k - slots]) + rebuild``
+    (``0.0`` before the first ``slots``), as completions are non-decreasing
+    too.  The guess that nobody waits holds where a slot is free; the walk
+    visits, in index order, exactly the releases that find theirs busy."""
+    done = release + rebuild
+    busy = np.zeros(release.size, dtype=bool)
+    busy[slots:] = release[slots:] < done[:-slots]
+    queue = np.flatnonzero(busy).tolist()  # sorted, so already a heap
+    while queue:
+        k = heappop(queue)
+        done[k] = max(release[k], done[k - slots]) + rebuild
+        after = k + slots  # its slot's next user, if this delay makes it wait
+        if after < release.size and not busy[after] and release[after] < done[k]:
+            busy[after] = True
+            heappush(queue, after)
+    return done
+
+
 def _fold(addends: np.ndarray) -> float:
     """``total += a`` over ``addends`` in order, from ``0.0``: the same
     rounding sequence as a per-event loop.  ``np.add.accumulate`` is a
@@ -471,16 +493,13 @@ class DurabilityEngine:
         if model.burst_rate_per_rack_year > 0:
             per_rack = model.burst_rate_per_rack_year * horizon / HOURS_PER_YEAR
             counts = rng.poisson(per_rack, fleet.num_racks)
-            for rack in range(fleet.num_racks):
-                for _ in range(int(counts[rack])):
-                    when = rng.uniform(0.0, horizon)
-                    killed = np.nonzero(
-                        rng.random(fleet.disks_per_rack)
-                        < model.burst_kill_probability
-                    )[0]
-                    if killed.size:
-                        times.append(np.full(killed.size, when))
-                        disks.append(rack * fleet.disks_per_rack + killed)
+            # One row per burst, in rack order: its time, then one draw
+            # per disk in the rack (`uniform(0, horizon)` is `0.0 + horizon * u`).
+            draws = rng.random((int(counts.sum()), fleet.disks_per_rack + 1))
+            burst, killed = np.nonzero(draws[:, 1:] < model.burst_kill_probability)
+            times.append(horizon * draws[burst, 0])
+            burst_rack = np.repeat(np.arange(fleet.num_racks), counts)[burst]
+            disks.append(burst_rack * fleet.disks_per_rack + killed)
         if not times:
             empty = np.zeros(0)
             return empty, empty.astype(int), empty.astype(bool)
@@ -500,50 +519,42 @@ class DurabilityEngine:
             return []
         per_rack = model.rack_outage_rate_per_year * horizon / HOURS_PER_YEAR
         counts = rng.poisson(per_rack, self.fleet.num_racks)
-        outages: List[Tuple[float, float, int]] = []
-        for rack in range(self.fleet.num_racks):
-            for _ in range(int(counts[rack])):
-                start = rng.uniform(0.0, horizon)
-                end = min(start + model.rack_outage_hours, horizon)
-                outages.append((start, end, rack))
-        return outages
+        starts = rng.uniform(0.0, horizon, counts.sum())
+        ends = np.minimum(starts + model.rack_outage_hours, horizon)
+        racks = np.repeat(np.arange(self.fleet.num_racks), counts)
+        return list(zip(starts.tolist(), ends.tolist(), racks.tolist()))
 
     # -- repair scheduling ----------------------------------------------
-    def _schedule_repairs(self, times: List[float]) -> List[float]:
+    def _schedule_repairs(self, times: np.ndarray) -> np.ndarray:
         """Repair-completion time per failure event.
 
         Each failure is detected after ``detection_hours``; lazy
         recovery then holds it until ``lazy_threshold`` disks are
-        pending or the oldest has waited ``lazy_max_wait_hours``.  A
-        released rebuild takes the earliest free slot (``slots[0]``) of
-        the ``concurrent_rebuilds`` pool.
+        pending or the oldest has waited ``lazy_max_wait_hours``.  The
+        released rebuilds, in release order, take the slots of the
+        ``concurrent_rebuilds`` pool (:func:`_wait_for_slots`).
         """
         repair = self.repair
-        detection, rebuild = repair.detection_hours, repair.disk_rebuild_hours
-        max_wait, threshold = repair.lazy_max_wait_hours, repair.lazy_threshold
-        done = [0.0] * len(times)
-        slots = [0.0] * repair.concurrent_rebuilds  # all equal: a heap
-        pending: List[Tuple[float, float, int]] = []  # (deadline, detect, idx)
-        for idx, failed_at in enumerate(times):
-            detect = failed_at + detection
-            # Deadline-expired stragglers release before this arrival.
-            while pending and pending[0][0] <= detect:
-                deadline, waited, held = pending.pop(0)
-                done[held] = finish = max(deadline, waited, slots[0]) + rebuild
-                heapreplace(slots, finish)
-            if len(pending) + 1 < threshold:
-                pending.append((detect + max_wait, detect, idx))
-                continue
-            # A full batch releases now: the held disks, then this one.
-            for _deadline, waited, held in pending:
-                done[held] = finish = max(detect, waited, slots[0]) + rebuild
-                heapreplace(slots, finish)
-            pending.clear()
-            done[idx] = finish = max(detect, slots[0]) + rebuild
-            heapreplace(slots, finish)
-        for deadline, waited, held in pending:
-            done[held] = finish = max(deadline, waited, slots[0]) + rebuild
-            heapreplace(slots, finish)
+        detect = times + repair.detection_hours
+        order, release = np.arange(times.size), detect
+        if repair.lazy_threshold > 1 and times.size:
+            held: List[Tuple[float, int]] = []  # (deadline, idx)
+            released: List[Tuple[float, int]] = []  # (release time, idx)
+            for idx, at in enumerate(detect.tolist()):
+                # Deadline-expired stragglers release before this arrival.
+                while held and held[0][0] <= at:
+                    released.append(held.pop(0))
+                held.append((at + repair.lazy_max_wait_hours, idx))
+                if len(held) == repair.lazy_threshold:
+                    # A full batch releases now, this arrival last.
+                    released.extend((at, waiting) for _deadline, waiting in held)
+                    held.clear()
+            released.extend(held)  # the last stragglers, at their deadlines
+            release, order = (np.array(column) for column in zip(*released))
+        done = np.empty(times.size)
+        done[order] = _wait_for_slots(
+            release, repair.concurrent_rebuilds, repair.disk_rebuild_hours
+        )
         return done
 
     # -- availability over outage segments --------------------------------
@@ -616,7 +627,7 @@ class DurabilityEngine:
         rng = self._trial_rng(trial)
         times, disks, bursts = self._sample_failures(rng, horizon)
         racks = disks // fleet.disks_per_rack
-        done = np.array(self._schedule_repairs(times.tolist()))
+        done = self._schedule_repairs(times)
         segments = self._outage_segments(self._sample_outages(rng, horizon))
         trace = active_tracer()
         n = times.size
@@ -673,14 +684,23 @@ class DurabilityEngine:
         total_dead_hours = math.fsum(np.minimum(done, horizon) - times)
 
         # --- availability over merged outage segments ---
-        # A disk struck again while dead counts once: its earlier event
-        # ends at the next one, as in the judgment's dead set.
-        next_time = np.append(times, math.inf)[next_hit]
+        # Event e is dead at a segment's midpoint iff times[e] <= mid <
+        # ends[e] (a disk struck again while dead ends its earlier event at
+        # the next, as in the judgment's dead set).  Events before the first
+        # whose running maximum of ends passes mid are over: skip them.
+        ends = np.minimum(done, np.append(times, math.inf)[next_hit])
+        mids = np.array([(start + end) / 2.0 for start, end, _dark in segments])
+        lo = np.searchsorted(np.maximum.accumulate(ends), mids, "right")
+        seg, step = _ragged(np.searchsorted(times, mids, "right") - lo)
+        at = lo[seg] + step
+        darks = [dark for _start, _end, dark in segments]
+        lit = np.ones((len(darks), fleet.num_racks), dtype=bool)
+        lit[np.repeat(np.arange(len(darks)), [len(dark) for dark in darks]),
+            [rack for dark in darks for rack in dark]] = False
+        counted = (ends[at] > mids[seg]) & lit[seg, racks[at]]
+        lit_counts = np.bincount(seg[counted], minlength=len(segments)).tolist()
         dark_hours: List[Tuple[List[float], float]] = []  # (per scheme, hours)
-        for start, end, dark in segments:
-            mid = (start + end) / 2.0
-            dead_racks = racks[(times <= mid) & (done > mid) & (next_time > mid)].tolist()
-            lit_dead = sum(rack not in dark for rack in dead_racks)
+        for (start, end, dark), lit_dead in zip(segments, lit_counts):
             expected = unreadable.get((len(dark), lit_dead))
             if expected is None:
                 lit_disks = (fleet.num_racks - len(dark)) * fleet.disks_per_rack

@@ -633,6 +633,73 @@ def reference_judge(
     return p_loss, unavailable_hours
 
 
+def loop_sample_failures(
+    engine: DurabilityEngine, rng: np.random.Generator, horizon: float
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``DurabilityEngine._sample_failures`` with its bursts drawn one at a
+    time: per rack, per burst, a ``uniform`` call for the burst's time and
+    a ``random`` call for the rack's kills."""
+    fleet = engine.fleet
+    turnaround = engine.repair.detection_hours + engine.repair.disk_rebuild_hours
+    times: List[np.ndarray] = []
+    disks: List[np.ndarray] = []
+    active = np.arange(fleet.num_disks)
+    clock = np.zeros(fleet.num_disks)
+    while active.size:
+        lifetimes = engine.lifetime.sample_lifetimes(rng, active.size)
+        fail_at = clock[active] + lifetimes
+        hit = fail_at < horizon
+        active = active[hit]
+        fail_at = fail_at[hit]
+        if not active.size:
+            break
+        times.append(fail_at)
+        disks.append(active.copy())
+        clock[active] = fail_at + turnaround
+    n_renewal = sum(chunk.size for chunk in times)
+    model = engine.correlated
+    if model.burst_rate_per_rack_year > 0:
+        per_rack = model.burst_rate_per_rack_year * horizon / HOURS_PER_YEAR
+        counts = rng.poisson(per_rack, fleet.num_racks)
+        for rack in range(fleet.num_racks):
+            for _ in range(int(counts[rack])):
+                when = rng.uniform(0.0, horizon)
+                killed = np.nonzero(
+                    rng.random(fleet.disks_per_rack) < model.burst_kill_probability
+                )[0]
+                if killed.size:
+                    times.append(np.full(killed.size, when))
+                    disks.append(rack * fleet.disks_per_rack + killed)
+    if not times:
+        empty = np.zeros(0)
+        return empty, empty.astype(int), empty.astype(bool)
+    all_times = np.concatenate(times)
+    all_disks = np.concatenate(disks)
+    from_burst = np.zeros(all_times.size, dtype=bool)
+    from_burst[n_renewal:] = True
+    order = np.lexsort((all_disks, all_times))
+    return all_times[order], all_disks[order], from_burst[order]
+
+
+def loop_sample_outages(
+    engine: DurabilityEngine, rng: np.random.Generator, horizon: float
+) -> List[Tuple[float, float, int]]:
+    """``DurabilityEngine._sample_outages`` with one ``uniform`` call per
+    outage."""
+    model = engine.correlated
+    if model.rack_outage_rate_per_year <= 0:
+        return []
+    per_rack = model.rack_outage_rate_per_year * horizon / HOURS_PER_YEAR
+    counts = rng.poisson(per_rack, engine.fleet.num_racks)
+    outages: List[Tuple[float, float, int]] = []
+    for rack in range(engine.fleet.num_racks):
+        for _ in range(int(counts[rack])):
+            start = rng.uniform(0.0, horizon)
+            end = min(start + model.rack_outage_hours, horizon)
+            outages.append((start, end, rack))
+    return outages
+
+
 def _closure_schedule(repair: RepairModel, times: List[float]) -> List[float]:
     """Repair-completion time per failure event: the scheduler as it ran
     with a ``release`` closure and a pop-then-push per rebuild."""
@@ -682,8 +749,9 @@ def event_loop_trial(
     a dict of dead disks with heap expiry, one judgment per event (an
     event that finds no other disk dead takes one of two verdicts per
     scheme), a ``+=`` per event and scheme, and the timeline's buckets
-    filled per event.  It shares the engine's samplers and compiled
-    judges, and brings its own repair scheduler.  An outage segment
+    filled per event.  It shares the engine's compiled judges and segment
+    merge, and brings its own samplers (one RNG call per burst and per
+    outage) and repair scheduler (a heap of slots).  An outage segment
     counts the disks dead at its midpoint by replaying the stream into a
     dict, so a disk struck again while dead counts once, as in the
     judgment's dead set.
@@ -691,13 +759,13 @@ def event_loop_trial(
     fleet = engine.fleet
     horizon = years * HOURS_PER_YEAR
     rng = engine._trial_rng(trial)
-    times_a, disks_a, burst_a = engine._sample_failures(rng, horizon)
+    times_a, disks_a, burst_a = loop_sample_failures(engine, rng, horizon)
     # One conversion per trial; the event loop runs on Python scalars.
     times, disks, bursts = times_a.tolist(), disks_a.tolist(), burst_a.tolist()
     racks_a = disks_a // fleet.disks_per_rack
     racks = racks_a.tolist()
     done = _closure_schedule(engine.repair, times)
-    outages = engine._sample_outages(rng, horizon)
+    outages = loop_sample_outages(engine, rng, horizon)
     trace = active_tracer()
     tracing: bool = trace.enabled
 

@@ -35,7 +35,14 @@ from repro.faults import (
 )
 from repro.obs import tracer
 from repro.units import HOURS_PER_YEAR
-from tests.oracles import analytic_mc_mttdl, event_loop_trial, reference_judge
+from tests.oracles import (
+    _closure_schedule,
+    analytic_mc_mttdl,
+    event_loop_trial,
+    loop_sample_failures,
+    loop_sample_outages,
+    reference_judge,
+)
 
 # ----------------------------------------------------------------------
 # Validation regime: exponential lifetimes with MTTF exactly 1e4 hours,
@@ -386,6 +393,7 @@ def test_run_work_is_counted(monkeypatch):
 
     counted("_binom_tail")
     counted("_chain_blocked")
+    counted("heappop")  # one per release the repair-slot walk visits
     compile_judge = montecarlo._compile_judge
 
     def watched_compile(fleet, scheme, p_block_lse):
@@ -413,6 +421,22 @@ def test_run_work_is_counted(monkeypatch):
     ) == (5, 18, 38, 40, 9)
     # The counting wrappers observed the pinned run, not another one.
     assert reports["raidp"].expected_groups_lost.hex() == "0x1.5c35e15223980p+0"
+
+    # The repair slots: the walk visits only the releases that find their
+    # slot busy -- two of the run's 1,691, where the heap of slots took a
+    # turn per release.  Queued behind one slot it visits almost every
+    # release, and still each at most once: linear, where iterating the
+    # recurrence to a fixed point over the whole array takes ~n passes.
+    assert calls["heappop"] == 2
+    saturated = DurabilityEngine(**SATURATED)
+    saturated.run(2, years=10.0)
+    events = sum(
+        saturated._sample_failures(saturated._trial_rng(trial), 10.0 * HOURS_PER_YEAR)[0].size
+        for trial in range(2)
+    )
+    walked = calls["heappop"] - 2
+    assert walked <= events
+    assert (walked, events) == (1_059, 1_062)
 
 
 def test_tracing_the_engine_is_an_observer():
@@ -474,6 +498,19 @@ DIFFERENTIAL_SCHEMES = (
 )
 
 
+#: Whole-rack bursts and infant mortality queued behind one 400 h rebuild
+#: slot: most releases wait, and disks are struck again while dead.
+SATURATED = dict(
+    fleet=Fleet(8, 6, groups=10_000), schemes=DIFFERENTIAL_SCHEMES,
+    lifetime=DiskLifetimeModel(afr=0.1, weibull_shape=0.5),
+    correlated=CorrelatedFailureModel(
+        burst_rate_per_rack_year=1.0, burst_kill_probability=1.0
+    ),
+    repair=RepairModel(concurrent_rebuilds=1, disk_rebuild_hours=400.0),
+    seed=1,
+)
+
+
 class DifferentialEngine(DurabilityEngine):
     """Runs each trial through ``tests/oracles.py::event_loop_trial`` as
     well, on the same compiled judges, and asserts the two agree bit for
@@ -495,10 +532,10 @@ def _struck_while_dead(engine, trial, years):
     times, disks, _bursts = engine._sample_failures(
         engine._trial_rng(trial), years * HOURS_PER_YEAR
     )
-    done = engine._schedule_repairs(times.tolist())
+    done = engine._schedule_repairs(times)
     dead_until = {}
     hits = 0
-    for t, disk, finish in zip(times.tolist(), disks.tolist(), done):
+    for t, disk, finish in zip(times.tolist(), disks.tolist(), done.tolist()):
         hits += dead_until.get(disk, -math.inf) > t
         dead_until[disk] = finish
     return hits
@@ -550,17 +587,79 @@ def test_array_judgment_matches_event_loop_when_disks_are_struck_while_dead():
     slot strike disks whose repair is still pending: the dead set's
     per-disk replacement, and ``remaining`` summed in the dict's order (a
     disk keeps the place its dead streak took), not in event order."""
-    engine = DifferentialEngine(
-        Fleet(8, 6, groups=10_000), DIFFERENTIAL_SCHEMES,
-        DiskLifetimeModel(afr=0.1, weibull_shape=0.5),
-        correlated=CorrelatedFailureModel(
-            burst_rate_per_rack_year=1.0, burst_kill_probability=1.0
-        ),
-        repair=RepairModel(concurrent_rebuilds=1, disk_rebuild_hours=400.0),
-        seed=1,
-    )
+    engine = DifferentialEngine(**SATURATED)
     engine.run(2, years=10.0)
     assert sum(_struck_while_dead(engine, trial, 10.0) for trial in range(2)) >= 1
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    instants=st.lists(
+        st.tuples(st.floats(min_value=0.0, max_value=500.0), st.integers(1, 4)),
+        max_size=60,
+    ),
+    repair=st.builds(
+        RepairModel,
+        detection_hours=st.floats(min_value=0.0, max_value=48.0),
+        disk_rebuild_hours=st.floats(min_value=1.0, max_value=1000.0),
+        concurrent_rebuilds=st.integers(min_value=1, max_value=8),
+        lazy_threshold=st.integers(min_value=1, max_value=4),
+        lazy_max_wait_hours=st.floats(min_value=0.0, max_value=200.0),
+    ),
+)
+def test_repair_schedule_matches_the_heap_of_slots(instants, repair):
+    """``_schedule_repairs`` -- the release pass and the slot recurrence --
+    returns, float for float, what the heap-of-slots loop
+    (``tests/oracles.py::_closure_schedule``) returns: over sorted failure
+    times with runs of equal instants (a burst strikes several disks at
+    once), no events at all, one to eight slots, short and long rebuilds,
+    and eager and lazy recovery."""
+    times = []
+    clock = 0.0
+    for gap, disks in instants:
+        clock += gap
+        times.extend([clock] * disks)
+    engine = DurabilityEngine(Fleet(4, 2), (Scheme.replication(2),), repair=repair)
+    done = engine._schedule_repairs(np.array(times, dtype=float))
+    assert [x.hex() for x in done.tolist()] == [
+        x.hex() for x in _closure_schedule(repair, times)
+    ]
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    fleet=st.builds(
+        Fleet,
+        num_racks=st.integers(min_value=2, max_value=12),
+        disks_per_rack=st.integers(min_value=1, max_value=30),
+    ),
+    correlated=st.builds(
+        CorrelatedFailureModel,
+        rack_outage_rate_per_year=st.floats(min_value=0.0, max_value=20.0),
+        rack_outage_hours=st.floats(min_value=0.5, max_value=300.0),
+        burst_rate_per_rack_year=st.floats(min_value=0.0, max_value=3.0),
+        burst_kill_probability=st.floats(min_value=0.0, max_value=1.0),
+    ),
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+)
+def test_samplers_draw_what_one_call_per_burst_and_outage_drew(fleet, correlated, seed):
+    """All of a trial's bursts and all of its outages are each drawn in one
+    RNG call, and give the arrays the loops of one call per burst and per
+    outage (``tests/oracles.py``) gave, leaving the stream where they did."""
+    engine = DurabilityEngine(
+        fleet, (Scheme.replication(2),), correlated=correlated, seed=seed
+    )
+    horizon = 5.0 * HOURS_PER_YEAR
+    ours, loops = engine._trial_rng(0), engine._trial_rng(0)
+    for got, expected in zip(
+        engine._sample_failures(ours, horizon), loop_sample_failures(engine, loops, horizon)
+    ):
+        assert got.dtype == expected.dtype
+        assert np.array_equal(got, expected)
+    assert engine._sample_outages(ours, horizon) == loop_sample_outages(
+        engine, loops, horizon
+    )
+    assert ours.random() == loops.random()
 
 
 def test_array_judgment_of_a_trial_without_failures():
