@@ -4,7 +4,7 @@ PYTHON     ?= python
 PYTHONPATH := src
 export PYTHONPATH
 
-.PHONY: test lint typecheck shapes bench benchmark chaos verify profile flight-recorder experiments durability-smoke experiments-smoke clean
+.PHONY: test lint typecheck shapes bench benchmark chaos verify profile flight-recorder experiments durability-smoke experiments-smoke reach clean
 
 # Tier-1: the full unit/integration/property suite.
 test:
@@ -110,10 +110,23 @@ experiments-smoke:
 	echo "ext-scale --full --jobs 2: $$(( $$(date +%s) - start )) s"
 	cat experiments-smoke/scale-full.txt
 
+# Reachability ledger (DESIGN.md §4b): run the shipped entry points under
+# one trace hook, timed, and diff the src/ functions none of them calls
+# against tests/reach_ledger.txt.  Fails either way: a new never-called
+# function (">") or a stale ledger entry ("<").
+reach:
+	mkdir -p reach
+	@start=$$(date +%s%N); \
+	$(PYTHON) -m tests.reach > reach/never-called.txt && \
+	ms=$$(( ($$(date +%s%N) - start) / 1000000 )) && \
+	echo "reach: $$((ms / 1000)).$$(printf %03d $$((ms % 1000))) s"
+	cut -d' ' -f1 tests/reach_ledger.txt | diff - reach/never-called.txt \
+		|| { echo "reach: probe and tests/reach_ledger.txt differ (< stale entry, > never called)"; exit 1; }
+
 # Regenerate every table/figure of the paper (uses all cores).
 experiments:
 	$(PYTHON) -m repro.experiments all --full --jobs 0
 
 clean:
 	find . -name __pycache__ -type d -prune -exec rm -rf {} +
-	rm -rf .pytest_cache .benchmarks .bench_out .hypothesis .mypy_cache flight-recorder durability-smoke experiments-smoke
+	rm -rf .pytest_cache .benchmarks .bench_out .hypothesis .mypy_cache flight-recorder durability-smoke experiments-smoke reach

@@ -13,12 +13,12 @@ worker processes (results are bit-identical at any job count).
 
 from __future__ import annotations
 
-import inspect
 from typing import Dict
 
 import pytest
 
 from repro.experiments.parallel import resolve_jobs
+from repro.experiments.runner import run_experiment
 
 
 def rows_by_label(result) -> Dict[str, float]:
@@ -34,17 +34,14 @@ def experiment_jobs() -> int:
 
 @pytest.fixture
 def run_once(experiment_jobs):
-    """Run an experiment exactly once under the benchmark timer.
+    """Run a registered experiment exactly once under the benchmark
+    timer, at the session's ``RAIDP_JOBS`` fan-out."""
 
-    Experiments that support process fan-out (a ``jobs`` parameter)
-    automatically inherit the session's ``RAIDP_JOBS`` setting.
-    """
-
-    def runner(benchmark, experiment_fn, **kwargs):
-        if "jobs" in inspect.signature(experiment_fn).parameters:
-            kwargs.setdefault("jobs", experiment_jobs)
+    def runner(benchmark, name, **kwargs):
         return benchmark.pedantic(
-            lambda: experiment_fn(**kwargs), rounds=1, iterations=1
+            lambda: run_experiment(name, jobs=experiment_jobs, **kwargs),
+            rounds=1,
+            iterations=1,
         )
 
     return runner

@@ -2,7 +2,7 @@
 
 Each ablation isolates one mechanism and shows the effect the paper
 attributes to it: the writer lock, block accumulation, journal sync
-granularity, the recovery planner, and the read-modify-write cache.
+granularity, the recovery planner's optimum, and the read-modify-write cache.
 """
 
 import pytest
@@ -10,10 +10,11 @@ import pytest
 from repro import units
 from repro.core.cluster import RaidpCluster
 from repro.core.node import RaidpConfig
-from repro.core.recovery import RecoveryManager, RecoveryOptions
+from repro.core.recovery import RecoveryManager
 from repro.hdfs.config import DfsConfig
 from repro.sim.cluster import ClusterSpec
 from repro.workloads.dfsio import dfsio_write
+from tests.oracles import min_remirror_load
 
 DATASET = 2 * units.GiB
 SPEC = ClusterSpec(num_nodes=16)
@@ -85,7 +86,9 @@ def test_ablation_rmw_cache_sweep(benchmark):
     assert cold > warm > hot
 
 
-def recovery_duration(planner):
+def test_ablation_recovery_planner(benchmark):
+    """The Hungarian remirror plan's receiver load is the brute-force
+    minimum over every legal, exchange-free plan."""
     dfs = RaidpCluster(
         spec=ClusterSpec(num_nodes=12),
         config=DfsConfig(block_size=units.MiB, replication=2),
@@ -104,25 +107,14 @@ def recovery_duration(planner):
         yield dfs.sim.all_of(procs)
 
     dfs.sim.run_process(writers())
-    manager = RecoveryManager(dfs)
-    report = manager.recover(("n0",), RecoveryOptions(planner=planner))
-    loads = [dfs.map.load_of_disk(dn.name) for dn in dfs.datanodes if dn.alive]
-    return report.duration, max(loads) - min(loads)
-
-
-def test_ablation_recovery_planner(benchmark):
-    """Hungarian vs greedy: both legal; Hungarian at least as balanced."""
-
-    def measure():
-        return {
-            "greedy": recovery_duration("greedy"),
-            "hungarian": recovery_duration("hungarian"),
-        }
-
-    results = benchmark.pedantic(measure, rounds=1, iterations=1)
-    _greedy_time, greedy_imbalance = results["greedy"]
-    _hung_time, hung_imbalance = results["hungarian"]
-    assert hung_imbalance <= greedy_imbalance + 1
+    dfs.namenode.mark_datanode_dead("n0")
+    dfs.layout.remove_disk("n0")
+    plan = benchmark.pedantic(
+        lambda: RecoveryManager(dfs).plan_remirror("n0"), rounds=1, iterations=1
+    )
+    load = sum(dfs.map.load_of_disk(receiver) for _sc, _s, receiver in plan)
+    senders = [(sc, sender) for sc, sender, _r in plan]
+    assert load == min_remirror_load(dfs, "n0", senders)
 
 
 def test_ablation_superchunk_size(benchmark):

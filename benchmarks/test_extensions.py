@@ -5,9 +5,6 @@ from conftest import rows_by_label
 
 from repro.experiments import ext_ssd
 from repro.experiments.common import pick_scale
-from repro.experiments.ext_durability import run as run_durability
-from repro.experiments.ext_ssd import run as run_ssd
-from repro.experiments.ext_updates import run as run_updates
 from repro.sim.disk import DiskGeometry, ssd_geometry
 from tests.oracles import assert_rows_agree, packet_train_differential
 
@@ -15,7 +12,7 @@ from tests.oracles import assert_rows_agree, packet_train_differential
 # Both scales: the 10,000-disk fleet is the one the engine exists for.
 @pytest.mark.parametrize("full_scale", [False, True], ids=["smoke", "full"])
 def test_ext_durability(benchmark, run_once, full_scale):
-    result = run_once(benchmark, run_durability, full_scale=full_scale)
+    result = run_once(benchmark, "ext-durability", full_scale=full_scale)
     rows = rows_by_label(result)
     # Analytic ladder: rep2 << raidp == rep3 << raidp(2 lstors).
     assert rows["analytic MTTDL [rep2] (years)"] < rows["analytic MTTDL [raidp] (years)"]
@@ -33,7 +30,7 @@ def test_ext_durability(benchmark, run_once, full_scale):
 
 
 def test_ext_updates(benchmark, run_once):
-    result = run_once(benchmark, run_updates)
+    result = run_once(benchmark, "ext-updates")
     rows = rows_by_label(result)
     assert rows["runtime speedup (rewrite / in-place)"] > 1.5
     assert (
@@ -44,7 +41,7 @@ def test_ext_updates(benchmark, run_once):
 
 
 def test_ext_ssd(benchmark, run_once):
-    result = run_once(benchmark, run_ssd)
+    result = run_once(benchmark, "ext-ssd")
     rows = rows_by_label(result)
     # The unoptimized layout's ping-pong penalty collapses on flash.
     assert (

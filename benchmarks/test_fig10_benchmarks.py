@@ -2,11 +2,9 @@
 
 from conftest import rows_by_label
 
-from repro.experiments.fig10_benchmarks import run
-
 
 def test_fig10_benchmark_suite(benchmark, run_once):
-    result = run_once(benchmark, run)
+    result = run_once(benchmark, "fig10")
     rows = rows_by_label(result)
 
     # Write: RAIDP clearly faster, network halved.

@@ -2,11 +2,9 @@
 
 from conftest import rows_by_label
 
-from repro.experiments.fig1_design_space import run
-
 
 def test_fig1_design_space(benchmark, run_once):
-    result = run_once(benchmark, run)
+    result = run_once(benchmark, "fig1")
     rows = rows_by_label(result)
     # Storage efficiency: triplication < raidp < erasure.
     assert (

@@ -3,11 +3,9 @@
 import pytest
 from conftest import rows_by_label
 
-from repro.experiments.fig7_cost import run
-
 
 def test_fig7_cost_analysis(benchmark, run_once):
-    result = run_once(benchmark, run)
+    result = run_once(benchmark, "fig7")
     rows = rows_by_label(result)
     # The Fig. 7 breakdown: servers dominate, overheads are ~43%.
     assert rows["TCO share: servers"] == pytest.approx(0.57)

@@ -5,12 +5,11 @@ from conftest import rows_by_label
 
 from repro.experiments import fig8_write
 from repro.experiments.common import build_raidp, pick_scale
-from repro.experiments.fig8_write import run
 from tests.oracles import assert_rows_agree, packet_train_differential
 
 
 def test_fig8_write_performance(benchmark, run_once):
-    result = run_once(benchmark, run)
+    result = run_once(benchmark, "fig8")
     rows = rows_by_label(result)
 
     h2 = rows["hdfs 2 replicas"]

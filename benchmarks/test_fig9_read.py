@@ -2,11 +2,9 @@
 
 from conftest import rows_by_label
 
-from repro.experiments.fig9_read import run
-
 
 def test_fig9_read_performance(benchmark, run_once):
-    result = run_once(benchmark, run)
+    result = run_once(benchmark, "fig9")
     rows = rows_by_label(result)
     # Every configuration reads within ~10% of HDFS-3 (paper: 0.96-1.03).
     for label, measured in rows.items():

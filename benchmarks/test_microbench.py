@@ -147,7 +147,7 @@ def test_bench_network_solver_churn(benchmark):
 
         sim.process(feeder())
         sim.run()
-        return switch.active_flows
+        return len(switch._flows)
 
     assert benchmark.pedantic(churn, rounds=3, iterations=1) == 0
 

@@ -2,13 +2,12 @@
 
 from conftest import rows_by_label
 
-from repro.experiments.table1_properties import run
 
 BEST, MID, WORST = 1.0, 0.0, -1.0
 
 
 def test_table1_property_matrix(benchmark, run_once):
-    result = run_once(benchmark, run)
+    result = run_once(benchmark, "table1")
     rows = rows_by_label(result)
     # RAIDP's wins: sub-stripe write network, degraded reads, single-
     # failure repair, disk sequentiality.

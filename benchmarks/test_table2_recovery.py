@@ -3,12 +3,11 @@
 from conftest import rows_by_label
 
 from repro.experiments import table2_recovery
-from repro.experiments.table2_recovery import run
 from tests.oracles import assert_rows_agree, table2_differential
 
 
 def test_table2_recovery_runtimes(benchmark, run_once):
-    result = run_once(benchmark, run)
+    result = run_once(benchmark, "table2")
     rows = rows_by_label(result)
 
     byte4 = rows["raidp byte_range 4MB @10Gbps"]

@@ -1,18 +1,18 @@
 #!/usr/bin/env python3
-"""Recovery planner lab: greedy vs dynamic-Hungarian re-replication.
+"""Recovery planner lab: dynamic-Hungarian re-replication.
 
 Section 3.3 frames post-failure re-mirroring as a matching problem:
 senders (disks holding now-unique superchunks) must be paired with
 receivers without violating 1-sharing, without mutual exchanges, and with
-balanced load.  This example fails a disk, runs both planners, and prints
-the plans and the resulting load spread.
+balanced load.  This example fails a disk, runs the min-cost planner, and
+prints the plan, its cost and the resulting load spread.
 
 Run:  python examples/recovery_planner_lab.py
 """
 
 from repro import units
 from repro.core.cluster import RaidpCluster
-from repro.core.recovery import RecoveryManager, RecoveryOptions
+from repro.core.recovery import RecoveryManager
 from repro.hdfs.config import DfsConfig
 from repro.sim.cluster import ClusterSpec
 
@@ -37,28 +37,26 @@ def build_loaded_cluster() -> RaidpCluster:
 
 
 def main() -> None:
-    for planner in ("greedy", "hungarian"):
-        dfs = build_loaded_cluster()
-        manager = RecoveryManager(dfs)
-        victim = "n0"
-        report = manager.recover((victim,), RecoveryOptions(planner=planner))
-        print(f"planner={planner}: disk {victim} failed, plan:")
-        for sc_id, sender, receiver in report.remirrored:
-            print(f"  superchunk {sc_id}: {sender} -> {receiver}")
-        loads = sorted(
-            (dfs.map.load_of_disk(dn.name), dn.name)
-            for dn in dfs.datanodes
-            if dn.alive
-        )
-        spread = loads[-1][0] - loads[0][0]
-        print(
-            f"  recovery took {units.format_duration(report.duration)} "
-            f"(simulated); load spread {spread} blocks "
-            f"(min {loads[0]}, max {loads[-1]})"
-        )
-        dfs.layout.verify()
-        assert dfs.layout.is_fully_mirrored
-        print("  1-sharing and 1-mirroring verified after recovery\n")
+    dfs = build_loaded_cluster()
+    manager = RecoveryManager(dfs)
+    victim = "n0"
+    report = manager.recover((victim,))
+    print(f"disk {victim} failed, Hungarian plan:")
+    for sc_id, sender, receiver in report.remirrored:
+        print(f"  superchunk {sc_id}: {sender} -> {receiver}")
+    print(f"  plan cost {report.plan_cost:.0f} (total receiver load, in blocks)")
+    loads = sorted(
+        (dfs.map.load_of_disk(dn.name), dn.name) for dn in dfs.datanodes if dn.alive
+    )
+    spread = loads[-1][0] - loads[0][0]
+    print(
+        f"  recovery took {units.format_duration(report.duration)} "
+        f"(simulated); load spread {spread} blocks "
+        f"(min {loads[0]}, max {loads[-1]})"
+    )
+    dfs.layout.verify()
+    assert dfs.layout.is_fully_mirrored
+    print("  1-sharing and 1-mirroring verified after recovery")
 
 
 if __name__ == "__main__":

@@ -165,12 +165,6 @@ class SchemeReport:
         return -math.log10(max(rate, 1e-18))
 
     @property
-    def mttdl_years(self) -> float:
-        """Per-group mean time to data loss implied by the loss rate."""
-        rate = self.loss_rate_per_group_year
-        return 1.0 / rate if rate > 0 else math.inf
-
-    @property
     def repair_gb_per_day(self) -> float:
         return self.repair_gb / self.sim_days if self.sim_days else 0.0
 

@@ -137,9 +137,6 @@ class RaidpCluster(InlineState):
     def client(self, index: int = 0) -> DfsClient:
         return self.clients[index]
 
-    def datanode(self, index: int) -> RaidpDataNode:
-        return self.datanodes[index]
-
     def datanode_by_name(self, name: str) -> RaidpDataNode:
         datanode = self.namenode.datanode(name)
         assert isinstance(datanode, RaidpDataNode)
@@ -151,9 +148,6 @@ class RaidpCluster(InlineState):
 
     def total_network_bytes(self) -> int:
         return self.cluster.total_network_bytes()
-
-    def run(self, until: Optional[float] = None) -> float:
-        return self.sim.run(until=until)
 
     # ------------------------------------------------------------------
     # Invariant checking (used by tests and the failure drills).
@@ -215,33 +209,6 @@ class RaidpCluster(InlineState):
                     raise LayoutError(
                         f"parity mismatch on {datanode.name} slot {slot}"
                     )
-
-    def render_with_lstors(self) -> str:
-        """Fig. 2-style ASCII: each disk's superchunks plus its Lstor line.
-
-        The Lstor row shows which superchunks the device's XOR parity
-        currently covers -- the picture the paper uses to explain
-        double-failure recovery.
-        """
-        lines = [self.layout.render(), ""]
-        for datanode in self.datanodes:
-            sc_ids = self.layout.superchunks_of(datanode.name)
-            covered = sorted(
-                sc_id
-                for sc_id in sc_ids
-                if any(
-                    not datanode.slot_payload(sc_id, slot).is_zero()
-                    for slot in range(self.map.slots_per_superchunk)
-                )
-            )
-            label = (
-                "xor(" + ", ".join(f"sc{sc}" for sc in covered) + ")"
-                if covered
-                else "(empty)"
-            )
-            state = "FAILED" if datanode.lstors.primary.failed else "ok"
-            lines.append(f"L[{datanode.name}] = {label}  [{state}]")
-        return "\n".join(lines)
 
     def journals_empty(self) -> bool:
         """True when no journal record is outstanding cluster-wide."""

@@ -152,9 +152,6 @@ class ClusterMonitor:
             yield self.sim.timeout(interval)
         return None
 
-    def last_heartbeat(self, name: str) -> float:
-        return self._last_heartbeat.get(name, float("-inf"))
-
     # ------------------------------------------------------------------
     # Detection and recovery.
     # ------------------------------------------------------------------

@@ -66,9 +66,6 @@ class SuperchunkMap(InlineState):
     def free_slots(self, sc_id: int) -> int:
         return self.slots_per_superchunk - self.used_slots(sc_id)
 
-    def block_at(self, sc_id: int, slot: int) -> Optional[str]:
-        return self._occupancy[sc_id].get(slot)
-
     def blocks_in(self, sc_id: int) -> Dict[int, str]:
         """slot -> block name for every occupied slot."""
         return dict(self._occupancy[sc_id])

@@ -7,10 +7,9 @@ outside the set that still hold it (:meth:`Layout.holds`):
 **A healthy holder survives: remirror.**  The superchunk is matched with
 a *receiver* disk such that 1-sharing is preserved, no receiver takes
 more than one superchunk (parallelism), mutual-exchange violations (the
-paper's D0<->D2 example) are excluded, and disk load is balanced.  Two
-planners are provided: a greedy least-loaded planner and a min-cost
-assignment planner on the dynamic Hungarian solver -- the formulation the
-paper sketches in Fig. 6.  A holder that is itself failing leaves the
+paper's D0<->D2 example) are excluded, and disk load is balanced: a
+min-cost assignment on the dynamic Hungarian solver -- the formulation
+the paper sketches in Fig. 6.  A holder that is itself failing leaves the
 superchunk to that disk's own recovery.
 
 **No holder survives: decode.**  After two failures at most one
@@ -54,7 +53,6 @@ class RecoveryOptions:
     chunk_size: int = 4 * units.MiB
     lock_mode: str = "byte_range"  # or "superchunk"
     nic_index: int = 0  # 0 = 10 Gbps NIC, 1 = 1 Gbps NIC
-    planner: str = "hungarian"  # or "greedy"
     #: XOR rate when the working chunk fits the last-level cache.
     xor_rate_cached: float = 0.78 * units.GB
     #: XOR rate when chunks stream from DRAM (large chunks miss cache).
@@ -78,8 +76,6 @@ class RecoveryOptions:
     def __post_init__(self) -> None:
         if self.lock_mode not in ("byte_range", "superchunk"):
             raise ValueError(f"unknown lock mode {self.lock_mode!r}")
-        if self.planner not in ("hungarian", "greedy"):
-            raise ValueError(f"unknown planner {self.planner!r}")
         if self.chunk_size <= 0:
             raise ValueError("chunk size must be positive")
 
@@ -129,9 +125,7 @@ class RecoveryManager:
     # ==================================================================
     # Planning (pure, no simulated time).
     # ==================================================================
-    def plan_remirror(
-        self, failed: str, options: Optional[RecoveryOptions] = None
-    ) -> List[Tuple[int, str, str]]:
+    def plan_remirror(self, failed: str) -> List[Tuple[int, str, str]]:
         """Match ``failed``'s orphan superchunks to receivers:
         (sc_id, sender, receiver).
 
@@ -140,7 +134,6 @@ class RecoveryManager:
         the layout.  Raises :class:`RecoveryError` when no legal full
         assignment exists.
         """
-        options = options or RecoveryOptions()
         layout = self.dfs.layout
         senders = []
         for sc in layout.superchunks.values():
@@ -165,8 +158,6 @@ class RecoveryManager:
             for dn in self.dfs.datanodes
             if healthy_datanode(dn) and dn.name != failed
         ]
-        if options.planner == "greedy":
-            return self._plan_greedy(senders, receivers)
         return self._plan_hungarian(senders, receivers)
 
     def _legal(self, sender: str, receiver: str) -> bool:
@@ -192,32 +183,6 @@ class RecoveryManager:
 
     def _load(self, disk: str) -> int:
         return self.dfs.map.load_of_disk(disk)
-
-    def _plan_greedy(
-        self, senders: List[Tuple[int, str]], receivers: List[str]
-    ) -> List[Tuple[int, str, str]]:
-        """Least-loaded-first greedy assignment (the naive baseline)."""
-        free = set(receivers)
-        plan = []
-        used_pairs = set()
-        for sc_id, sender in senders:
-            candidates = sorted(
-                (r for r in free if self._legal(sender, r)),
-                key=lambda r: (self._load(r), r),
-            )
-            chosen = None
-            for receiver in candidates:
-                if frozenset((sender, receiver)) not in used_pairs:
-                    chosen = receiver
-                    break
-            if chosen is None:
-                raise RecoveryError(
-                    f"greedy planner: no receiver for superchunk {sc_id}"
-                )
-            free.remove(chosen)
-            used_pairs.add(frozenset((sender, chosen)))
-            plan.append((sc_id, sender, chosen))
-        return plan
 
     def _plan_hungarian(
         self, senders: List[Tuple[int, str]], receivers: List[str]
@@ -388,7 +353,7 @@ class RecoveryManager:
         run it into ``report``, one transfer process per superchunk.
         ``failed`` must already be out of the layout."""
         self._last_plan_cost = 0.0
-        plan = self.plan_remirror(failed, options)
+        plan = self.plan_remirror(failed)
         report.plan_cost += self._last_plan_cost
         trace = self.sim.trace
         if trace.enabled:

@@ -1,8 +1,8 @@
 """Erasure-coding substrate built from scratch.
 
-The paper's baseline comparisons (RAID-6 in Table 2, the n+2 erasure
-column of Table 1) and the "stacked Lstors" extension (k local parities
-tolerating k+1 failures) all need real erasure codes:
+The "stacked Lstors" extension (k local parities tolerating k+1
+failures) needs a real erasure code, and the RAID-6 comparator's code
+is kept bit-exact beside it:
 
 - :mod:`repro.ec.gf256` -- arithmetic in GF(2^8) with log/antilog tables
   and numpy-vectorized bulk operations.
@@ -10,17 +10,16 @@ tolerating k+1 failures) all need real erasure codes:
   from a Vandermonde-derived generator matrix; decodes from any k of n
   shards (MDS).
 - :mod:`repro.ec.raid6` -- the classic P+Q array code with closed-form
-  one- and two-erasure recovery, plus an array model used as the Table 2
-  recovery baseline.
+  two-erasure recovery.  Table 2's RAID-6 rows are a timing rig
+  (``core.recovery._Raid6Rig``) and do not use it.
 """
 
 from repro.ec.gf256 import GF256
 from repro.ec.reed_solomon import ReedSolomon
-from repro.ec.raid6 import Raid6Array, pq_encode, pq_recover_two_data
+from repro.ec.raid6 import pq_encode, pq_recover_two_data
 
 __all__ = [
     "GF256",
-    "Raid6Array",
     "ReedSolomon",
     "pq_encode",
     "pq_recover_two_data",

@@ -1,8 +1,9 @@
 """Experiment regenerators: one module per table/figure of the paper.
 
-Every experiment module exposes ``run(full_scale=False, ...) ->
-ExperimentResult`` and is listed in the registry in
-:mod:`repro.experiments.runner`, which also provides the CLI::
+Every experiment module is listed in the registry in
+:mod:`repro.experiments.runner`; ``run_experiment(name, full_scale=False,
+seeds=None, jobs=None)`` regenerates one, and the module also provides
+the CLI::
 
     python -m repro.experiments            # list experiments
     python -m repro.experiments fig8       # regenerate Fig. 8
@@ -16,7 +17,6 @@ paper-scale inputs.  Reported *ratios* are scale-stable.
 from repro.experiments.runner import (
     REGISTRY,
     ExperimentResult,
-    get_experiment,
     list_experiments,
     run_experiment,
 )
@@ -24,7 +24,6 @@ from repro.experiments.runner import (
 __all__ = [
     "REGISTRY",
     "ExperimentResult",
-    "get_experiment",
     "list_experiments",
     "run_experiment",
 ]

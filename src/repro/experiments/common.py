@@ -11,7 +11,7 @@ set because they simulate every 64 KB packet.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Optional
+from typing import Any, Callable, Optional
 
 from repro import units
 from repro.core.cluster import RaidpCluster
@@ -20,7 +20,6 @@ from repro.hdfs.config import DfsConfig
 from repro.hdfs.filesystem import HdfsCluster
 from repro.sim import snapshot
 from repro.sim.cluster import ClusterSpec
-from repro.sim.stats import mean
 
 #: Seeds averaged per configuration (the paper averages five runs).
 DEFAULT_SEEDS = (1, 2, 3)
@@ -134,15 +133,3 @@ def build_raidp_written(
         seed=seed,
         **raidp_kwargs,
     )
-
-
-def averaged(
-    run_one: Callable[[int], float], seeds: Iterable[int] = DEFAULT_SEEDS
-) -> float:
-    """Average a measurement across placement seeds.
-
-    Uses the exact-summation mean from :mod:`repro.sim.stats` (RDP005):
-    ``statistics.mean`` over a generator is both slower and, for future
-    parallel seed fan-out, order-sensitive in the last ulp.
-    """
-    return mean(run_one(seed) for seed in seeds)

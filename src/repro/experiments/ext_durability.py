@@ -22,7 +22,6 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union, cast
 
 from repro.analysis.montecarlo import DurabilityEngine, Fleet, SchemeReport
 from repro.analysis.scheme import default_schemes
-from repro.experiments.parallel import fan_out
 from repro.experiments.runner import ExperimentResult
 from repro.units import HOURS_PER_YEAR
 
@@ -122,12 +121,3 @@ def merge(
         "the §2 caveat in durability as well as availability."
     )
     return result
-
-
-def run(
-    full_scale: bool = False,
-    seeds: Optional[Sequence[int]] = None,
-    jobs: Optional[int] = None,
-) -> ExperimentResult:
-    keyed = fan_out(__name__, full_scale=full_scale, seeds=seeds, jobs=jobs)
-    return merge(keyed, full_scale=full_scale, seeds=seeds)

@@ -30,7 +30,6 @@ from repro import units
 from repro.core.cluster import RaidpCluster
 from repro.core.node import RaidpConfig
 from repro.core.recovery import RecoveryManager
-from repro.experiments.parallel import fan_out
 from repro.experiments.runner import ExperimentResult
 from repro.hdfs.config import DfsConfig
 from repro.hdfs.filesystem import HdfsCluster
@@ -205,12 +204,3 @@ def merge(
         "~flat (rebuild cost is per-disk, not per-cluster)"
     )
     return result
-
-
-def run(
-    full_scale: bool = False,
-    seeds: Optional[Sequence[int]] = None,
-    jobs: Optional[int] = None,
-) -> ExperimentResult:
-    keyed = fan_out(__name__, full_scale=full_scale, seeds=seeds, jobs=jobs)
-    return merge(keyed, full_scale=full_scale, seeds=seeds)

@@ -11,7 +11,7 @@ replication dominates.
 from __future__ import annotations
 
 from repro.sim.stats import mean
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Sequence, Tuple
 
 from repro.experiments.common import (
     DEFAULT_SEEDS,
@@ -23,7 +23,6 @@ from repro.experiments.common import (
     pick_scale,
     warm_phase,
 )
-from repro.experiments.parallel import fan_out
 from repro.experiments.runner import ExperimentResult
 from repro.workloads.dfsio import dfsio_read, dfsio_write
 from repro.workloads.terasort import teragen, terasort
@@ -137,12 +136,3 @@ def merge(
         "in the text); the reproduced value is near zero"
     )
     return result
-
-
-def run(
-    full_scale: bool = False,
-    seeds: Sequence[int] = DEFAULT_SEEDS,
-    jobs: Optional[int] = None,
-) -> ExperimentResult:
-    keyed = fan_out(__name__, full_scale=full_scale, seeds=seeds, jobs=jobs)
-    return merge(keyed, full_scale=full_scale, seeds=seeds)

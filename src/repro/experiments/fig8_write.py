@@ -9,7 +9,7 @@ relative to HDFS-3 (the paper prints these ratios above its bars).
 from __future__ import annotations
 
 from repro.sim.stats import mean
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, List, Sequence, Tuple
 
 from repro.experiments.common import (
     DEFAULT_SEEDS,
@@ -17,7 +17,6 @@ from repro.experiments.common import (
     build_raidp,
     pick_scale,
 )
-from repro.experiments.parallel import fan_out
 from repro.experiments.runner import ExperimentResult
 from repro.workloads.dfsio import dfsio_write
 
@@ -125,12 +124,3 @@ def merge(
         "unoptimized +journal off the chart"
     )
     return result
-
-
-def run(
-    full_scale: bool = False,
-    seeds: Sequence[int] = DEFAULT_SEEDS,
-    jobs: Optional[int] = None,
-) -> ExperimentResult:
-    keyed = fan_out(__name__, full_scale=full_scale, seeds=seeds, jobs=jobs)
-    return merge(keyed, full_scale=full_scale, seeds=seeds)

@@ -9,7 +9,7 @@ writing produced and the replica choice is uniform.
 from __future__ import annotations
 
 from repro.sim.stats import mean
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, List, Sequence, Tuple
 
 from repro.experiments.common import (
     DEFAULT_SEEDS,
@@ -17,7 +17,6 @@ from repro.experiments.common import (
     build_raidp_written,
     pick_scale,
 )
-from repro.experiments.parallel import fan_out
 from repro.experiments.runner import ExperimentResult
 from repro.workloads.dfsio import dfsio_read
 
@@ -84,12 +83,3 @@ def merge(
         result.add(label, avg("raidp", label) / baseline, paper)
     result.notes = "expected shape: all configurations within a few percent of 1.0"
     return result
-
-
-def run(
-    full_scale: bool = False,
-    seeds: Sequence[int] = DEFAULT_SEEDS,
-    jobs: Optional[int] = None,
-) -> ExperimentResult:
-    keyed = fan_out(__name__, full_scale=full_scale, seeds=seeds, jobs=jobs)
-    return merge(keyed, full_scale=full_scale, seeds=seeds)

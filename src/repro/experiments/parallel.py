@@ -13,8 +13,9 @@ those sweep points out to a worker pool:
   :class:`~repro.experiments.runner.ExperimentResult`.  Each key embeds
   its own placement seed and tasks share nothing, so results are
   bit-identical at any job count.
-- Modules without the protocol run whole-experiment-at-a-time (still
-  inside a worker, so independent experiments overlap).
+- Modules without the protocol export ``run(full_scale)`` and run
+  whole-experiment-at-a-time (still inside a worker, so independent
+  experiments overlap).
 
 Rows are merged in the order ``tasks`` emitted them, never in completion
 order, so ``--jobs 4`` output is row-for-row identical to ``--jobs 1``.
@@ -34,7 +35,7 @@ from __future__ import annotations
 import importlib
 import multiprocessing
 import os
-from typing import Any, Dict, Hashable, List, NamedTuple, Optional, Sequence
+from typing import Any, Hashable, List, NamedTuple, Optional, Sequence
 
 #: Sentinel key for "run the module's run() as a single task".
 WHOLE_EXPERIMENT = "__whole_experiment__"
@@ -99,28 +100,6 @@ def run_specs(specs: Sequence[TaskSpec], jobs: Optional[int] = None) -> List[Any
         return [_execute(spec) for spec in specs]
     with _pool_context().Pool(processes=min(jobs, len(specs))) as pool:
         return pool.map(_execute, specs, chunksize=1)
-
-
-def fan_out(
-    module_name: str,
-    full_scale: bool = False,
-    seeds: Optional[Sequence[int]] = None,
-    jobs: Optional[int] = None,
-) -> Dict[Hashable, Any]:
-    """Run one protocol module's tasks, returning ``{key: value}``.
-
-    Used by the modules' own ``run()`` so the single-experiment API gets
-    the same fan-out as the CLI.
-    """
-    module = importlib.import_module(module_name)
-    keys = list(
-        module.tasks(full_scale=full_scale, seeds=seeds)
-        if seeds is not None
-        else module.tasks(full_scale=full_scale)
-    )
-    specs = [TaskSpec(module_name, key, full_scale) for key in keys]
-    values = run_specs(specs, jobs)
-    return dict(zip(keys, values))
 
 
 def run_many(

@@ -3,10 +3,9 @@
 from __future__ import annotations
 
 import argparse
-import importlib
 import sys
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 
 @dataclass
@@ -73,16 +72,16 @@ def list_experiments() -> List[str]:
     return sorted(REGISTRY)
 
 
-def get_experiment(name: str) -> Callable:
-    if name not in REGISTRY:
-        raise KeyError(f"unknown experiment {name!r}; known: {list_experiments()}")
-    module_name, _title = REGISTRY[name]
-    module = importlib.import_module(module_name)
-    return module.run
+def run_experiment(
+    name: str,
+    full_scale: bool = False,
+    seeds: Optional[Sequence[int]] = None,
+    jobs: Optional[int] = None,
+) -> "ExperimentResult":
+    """Regenerate one registered experiment (see :func:`run_many`)."""
+    from repro.experiments.parallel import run_many
 
-
-def run_experiment(name: str, **kwargs: Any) -> "ExperimentResult":
-    return get_experiment(name)(**kwargs)
+    return run_many([name], full_scale=full_scale, jobs=jobs, seeds=seeds)[0]
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -153,8 +152,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # Worker processes would trace into their own interpreters;
         # jobs=1 keeps every simulation (and its tracer) in-process.
         with capture(Tracer(categories=categories)) as tracer:
-            for result in run_many(names, full_scale=args.full, jobs=1):
-                print(result.render())
+            for name in names:
+                print(run_experiment(name, full_scale=args.full, jobs=1).render())
                 print()
         write_trace(tracer, args.trace)
         print(

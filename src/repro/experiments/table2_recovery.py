@@ -23,7 +23,6 @@ from repro.core.recovery import (
     simulate_raid6_rebuild,
 )
 from repro.experiments.common import build_raidp, pick_scale
-from repro.experiments.parallel import fan_out
 from repro.experiments.runner import ExperimentResult
 from repro.sim.stats import mean
 
@@ -130,12 +129,3 @@ def merge(
         "magnitude slower"
     )
     return result
-
-
-def run(
-    full_scale: bool = False,
-    jobs: Optional[int] = None,
-    seeds: Optional[Sequence[int]] = None,
-) -> ExperimentResult:
-    keyed = fan_out(__name__, full_scale=full_scale, seeds=seeds, jobs=jobs)
-    return merge(keyed, full_scale=full_scale, seeds=seeds)

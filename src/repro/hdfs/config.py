@@ -59,7 +59,3 @@ class DfsConfig(InlineState):
             raise ValueError("retry counts must be non-negative")
         if self.read_backoff < 0 or self.allocate_backoff < 0:
             raise ValueError("backoffs must be non-negative")
-
-    @property
-    def packets_per_block(self) -> int:
-        return self.block_size // self.packet_size

@@ -61,12 +61,6 @@ class HdfsCluster(InlineState):
             for index, node in enumerate(self.cluster.nodes)
         ]
 
-    def client(self, index: int = 0) -> DfsClient:
-        return self.clients[index]
-
-    def datanode(self, index: int) -> DataNode:
-        return self.datanodes[index]
-
     @property
     def switch(self):
         return self.cluster.switch
@@ -74,5 +68,3 @@ class HdfsCluster(InlineState):
     def total_network_bytes(self) -> int:
         return self.cluster.total_network_bytes()
 
-    def run(self, until: Optional[float] = None) -> float:
-        return self.sim.run(until=until)

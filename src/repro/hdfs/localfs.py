@@ -81,9 +81,6 @@ class LocalFs(InlineState):
     def exists(self, name: str) -> bool:
         return name in self._files
 
-    def size_of(self, name: str) -> int:
-        return self._get(name).size
-
     def delete(self, name: str) -> None:
         """Remove a file, returning its extents to the free list."""
         file = self._get(name)
@@ -224,7 +221,3 @@ class LocalFs(InlineState):
     def fragmentation_of(self, name: str) -> int:
         """Number of physical extents backing the file."""
         return len(self._get(name).extents)
-
-    @property
-    def frontier(self) -> int:
-        return self._frontier

@@ -166,10 +166,6 @@ class NameNode(InlineState):
         except KeyError:
             raise DfsError(f"unknown datanode {name}") from None
 
-    @property
-    def datanodes(self) -> List["DataNode"]:
-        return list(self._datanodes.values())
-
     # ------------------------------------------------------------------
     # Namespace.
     # ------------------------------------------------------------------

@@ -139,14 +139,6 @@ class DynamicHungarian:
         self._row_potential: Optional[List[float]] = None
         self._col_potential: Optional[List[float]] = None
 
-    @property
-    def n_rows(self) -> int:
-        return len(self._matrix)
-
-    @property
-    def n_cols(self) -> int:
-        return len(self._matrix[0]) if self._matrix else 0
-
     def remove_edge(self, row: int, col: int) -> None:
         """Forbid the (row, col) pair."""
         self._matrix[row][col] = _INF

@@ -45,7 +45,6 @@ class Cluster(InlineState):
         self.spec = spec or ClusterSpec()
         self.switch = Switch(sim)
         self.nodes: List[Node] = []
-        self._by_name: Dict[str, Node] = {}
         for index in range(self.spec.num_nodes):
             self._build_node(index)
 
@@ -60,15 +59,11 @@ class Cluster(InlineState):
             secondary = Nic(f"{node.name}.nic1", spec.secondary_nic_rate)
             node.add_nic(self.switch.attach(secondary))
         self.nodes.append(node)
-        self._by_name[node.name] = node
         return node
 
     # ------------------------------------------------------------------
     # Lookup helpers.
     # ------------------------------------------------------------------
-    def node(self, name: str) -> Node:
-        return self._by_name[name]
-
     def all_disks(self) -> List[Disk]:
         return [disk for node in self.nodes for disk in node.disks]
 

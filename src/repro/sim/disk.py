@@ -124,22 +124,6 @@ class DiskStats(InlineState):
     def ios(self) -> int:
         return self.reads + self.writes
 
-    @property
-    def bytes_total(self) -> int:
-        return self.bytes_read + self.bytes_written
-
-    def snapshot(self) -> "DiskStats":
-        return DiskStats(
-            reads=self.reads,
-            writes=self.writes,
-            bytes_read=self.bytes_read,
-            bytes_written=self.bytes_written,
-            seeks=self.seeks,
-            seek_seconds=self.seek_seconds,
-            busy_seconds=self.busy_seconds,
-            syncs=self.syncs,
-        )
-
 
 class Disk(InlineState):
     """One simulated drive: a head position, a FIFO queue, and stats."""
@@ -537,17 +521,6 @@ class Disk(InlineState):
             self.stats.writes += 1
             self.stats.bytes_written += nbytes
         self.stats.busy_seconds += duration
-        return duration
-
-    def estimate(self, offset: int, nbytes: int) -> float:
-        """Duration the next I/O *would* take, without performing it."""
-        geometry = self.geometry
-        distance = abs(offset - self.head)
-        duration = geometry.transfer_time(nbytes)
-        if distance != 0:
-            duration += geometry.seek_time(distance)
-            if distance > geometry.near_threshold:
-                duration += geometry.rotational_latency
         return duration
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

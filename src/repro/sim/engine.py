@@ -133,10 +133,6 @@ class Event:
             raise self._exception
         return self._value
 
-    @property
-    def exception(self) -> Optional[BaseException]:
-        return self._exception
-
     def succeed(self, value: Any = None) -> "Event":
         """Trigger the event successfully, delivering ``value``.
 
@@ -278,10 +274,6 @@ class Process(Event):
         sim._seq += 1
         sim._now_bucket.append((sim._seq, entry))
         sim._live_processes += 1
-
-    @property
-    def is_alive(self) -> bool:
-        return not self.triggered
 
     def add_callback(self, callback: Callable[["Event"], None]) -> None:
         # Remember that somebody waits on this process, so an unhandled

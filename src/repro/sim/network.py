@@ -71,10 +71,6 @@ class FlowStats(InlineState):
     flows_started: int = 0
     flows_finished: int = 0
 
-    @property
-    def bytes_total(self) -> int:
-        return self.bytes_sent + self.bytes_received
-
 
 class Nic:
     """One full-duplex port: independent transmit and receive capacity."""
@@ -401,9 +397,6 @@ class Switch(InlineState):
             raise SimulationError(f"NIC {nic.name!r} attached twice")
         self._nics[nic.name] = nic
         return nic
-
-    def nic(self, name: str) -> Nic:
-        return self._nics[name]
 
     def _port(self, nic: Nic, is_tx: bool) -> _Port:
         # Ports are created lazily so transfers work for NICs that were
@@ -981,40 +974,9 @@ class Switch(InlineState):
     # Introspection.
     # ------------------------------------------------------------------
     @property
-    def active_flows(self) -> int:
-        return len(self._flows)
-
-    @property
     def deadline_pushes(self) -> int:
         """Completion deadlines pushed so far (one per effective re-rate)."""
         return self._push_seq
-
-    def flow_rates(self) -> List[Tuple[str, str, float, float]]:
-        """Active flows as (src, dst, remaining, rate), in arrival order.
-
-        Progress is reported as-if banked to now (without mutating state),
-        so two switches driven through identical histories are directly
-        comparable even though progress is banked lazily.
-        """
-        # Arrivals queued at this instant have no rates yet; solve them
-        # before reporting so mid-instant introspection sees final rates.
-        self._flush_pending()
-        now = self.sim.now
-        rows = []
-        for flow in self._flows:
-            src, dst = flow.src, flow.dst
-            if src is None or dst is None:
-                continue  # a packet train: no network flow
-            elapsed = now - flow.last_update
-            remaining = flow.remaining
-            if elapsed > 0 and flow.rate > 0:
-                remaining = max(0.0, remaining - flow.rate * elapsed)
-            rows.append((src.name, dst.name, remaining, flow.rate))
-        return rows
-
-    def node_traffic(self) -> Dict[str, FlowStats]:
-        """Per-NIC traffic counters, keyed by NIC name."""
-        return {name: nic.stats for name, nic in self._nics.items()}
 
     def audit_flow_conservation(self) -> List[str]:
         """Flow-bookkeeping problems, as strings (empty = conserved).

@@ -55,10 +55,6 @@ class Resource(InlineState):
     def in_use(self) -> int:
         return self._in_use
 
-    @property
-    def queue_length(self) -> int:
-        return len(self._queue)
-
     def request(self) -> Event:
         """Return an event that fires when a unit of the resource is granted.
 
@@ -163,9 +159,6 @@ class Lock(Resource):
     def __init__(self, sim: Simulator, name: str = "") -> None:
         super().__init__(sim, capacity=1, name=name)
 
-    def locked(self) -> bool:
-        return self._in_use >= self.capacity
-
 
 class ByteRangeLock(InlineState):
     """Exclusive locking over half-open byte ranges ``[start, end)``.
@@ -254,8 +247,3 @@ class ByteRangeLock(InlineState):
                     granted_any = True
                     break
                 earlier.append((start, end))
-
-    @property
-    def queue_length(self) -> int:
-        return len(self._waiters)
-

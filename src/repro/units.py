@@ -44,11 +44,6 @@ def gbps(gigabits: float) -> float:
     return gigabits * 1e9 / 8.0
 
 
-def mbps(megabits: float) -> float:
-    """Convert a line rate in megabits/second to bytes/second."""
-    return megabits * 1e6 / 8.0
-
-
 _SIZE_SUFFIXES = {
     "b": 1,
     "kb": KB,

@@ -2,8 +2,7 @@
 
 - :mod:`repro.workloads.dfsio` -- TestDFSIO write/read (Fig. 8, Fig. 9).
 - :mod:`repro.workloads.terasort` -- TeraGen + TeraSort with configurable
-  output replication (Fig. 10), including a functional record sort used
-  by the correctness tests.
+  output replication (Fig. 10).
 - :mod:`repro.workloads.wordcount` -- WordCount: read-dominated I/O with
   a heavy CPU component (Fig. 10).
 
@@ -15,15 +14,13 @@ network volume, and disk counters.
 
 from repro.workloads.dfsio import dfsio_read, dfsio_write
 from repro.workloads.driver import WorkloadResult
-from repro.workloads.terasort import terasort, sort_records, generate_records
+from repro.workloads.terasort import terasort
 from repro.workloads.wordcount import wordcount
 
 __all__ = [
     "WorkloadResult",
     "dfsio_read",
     "dfsio_write",
-    "generate_records",
-    "sort_records",
     "terasort",
     "wordcount",
 ]

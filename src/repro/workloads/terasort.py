@@ -13,55 +13,20 @@ The timed model follows Hadoop's TeraSort execution:
    the paper modifies stock TeraSort (which writes one replica) the same
    way, precisely to expose the replication difference.
 
-A small functional core (``generate_records`` / ``sort_records``)
-implements the actual 100-byte-record sort so correctness tests can
-verify a real TeraSort on real bytes at laptop scale.
+No record is sorted: the phases are charged as I/O, network and CPU
+time over the DFS data.
 """
 
 from __future__ import annotations
 
-from typing import Generator, List, Optional, Tuple
-
-import numpy as np
+from typing import Generator, List, Optional
 
 from repro.workloads.driver import WorkloadResult, run_tasks, spread_tasks
-
-#: TeraSort's record format: 10-byte key + 90-byte value.
-KEY_SIZE = 10
-RECORD_SIZE = 100
 
 #: CPU intensity (passes over the data) of map partitioning and reduce
 #: merging, relative to the node's base compute rate.
 MAP_INTENSITY = 0.6
 REDUCE_INTENSITY = 0.8
-
-
-# ----------------------------------------------------------------------
-# Functional core: a real record sort on real bytes.
-# ----------------------------------------------------------------------
-def generate_records(num_records: int, seed: int = 0) -> np.ndarray:
-    """Deterministic TeraGen: ``num_records`` rows of 100 random bytes."""
-    rng = np.random.default_rng(seed)
-    return rng.integers(0, 256, size=(num_records, RECORD_SIZE), dtype=np.uint8)
-
-
-def sort_records(records: np.ndarray) -> np.ndarray:
-    """Sort records by their 10-byte key, stable (TeraSort semantics)."""
-    if records.ndim != 2 or records.shape[1] != RECORD_SIZE:
-        raise ValueError("records must be an (n, 100) byte array")
-    keys = records[:, :KEY_SIZE]
-    # Lexicographic sort on the key bytes; np.lexsort sorts by the last
-    # key first, so feed the columns most-significant-last.
-    order = np.lexsort(tuple(keys[:, i] for i in reversed(range(KEY_SIZE))))
-    return records[order]
-
-
-def is_sorted(records: np.ndarray) -> bool:
-    keys = records[:, :KEY_SIZE]
-    prev = keys[:-1]
-    cur = keys[1:]
-    # Compare rows lexicographically via tobytes on the view.
-    return all(prev[i].tobytes() <= cur[i].tobytes() for i in range(len(prev)))
 
 
 # ----------------------------------------------------------------------

@@ -2,15 +2,13 @@
 
 The input is 100 GB of word instances but only ~100 distinct words, so
 the output (word, count) histogram is tiny: runtime is reads plus the
-counting CPU, with negligible write and shuffle volume.  A functional
-core (:func:`count_words`) implements the actual counting for the
-correctness tests.
+counting CPU, with negligible write and shuffle volume.  No word is
+counted: the counting is charged as CPU time over the bytes read.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-from typing import Dict, Generator, List, Optional
+from typing import Generator, Optional
 
 from repro import units
 from repro.workloads.driver import WorkloadResult, run_tasks, spread_tasks
@@ -22,20 +20,6 @@ COUNT_INTENSITY = 2.2
 #: Size of the per-task histogram shipped to the reducer (100 unique
 #: words with counts).
 HISTOGRAM_BYTES = 4 * units.KiB
-
-
-def count_words(text: str) -> Dict[str, int]:
-    """The functional core: whitespace-tokenized word frequencies."""
-    return dict(Counter(text.split()))
-
-
-def generate_text(num_words: int, vocabulary: Optional[List[str]] = None, seed: int = 0) -> str:
-    """Deterministic corpus of ``num_words`` drawn from a small vocabulary."""
-    import random
-
-    vocab = vocabulary or [f"word{i:03d}" for i in range(100)]
-    rng = random.Random(seed)
-    return " ".join(rng.choice(vocab) for _ in range(num_words))
 
 
 def wordcount_input(dfs, total_bytes: int, tasks_per_node: Optional[int] = None) -> None:

@@ -2,7 +2,9 @@
 
 Oracles are test-side code: production modules carry no switch, branch
 or hook for them.  The classes subclass the production class and replace
-the optimized decisions with the obvious ones; one function runs an
+the optimized decisions with the obvious ones; three functions read a
+switch's flows and a disk's next I/O cost from outside; one enumerates
+every remirror plan for the recovery planner's optimum; one runs an
 ext-scale RAIDP point with no observer bound; then come the
 Monte-Carlo engine's closed form, its per-event judge as it was before
 it was compiled per scheme, and its trial as the loop over failure
@@ -14,6 +16,7 @@ path shows up as a disagreement.
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -111,6 +114,47 @@ class ReferenceSwitch(Switch):
                 for flow in unfrozen
                 if flow.src_port not in bottlenecks and flow.dst_port not in bottlenecks
             ]
+
+
+def flow_rates(switch):
+    """Active flows as (src, dst, remaining, rate), in arrival order.
+
+    Progress is reported as-if banked to now (without mutating state),
+    so two switches driven through identical histories are directly
+    comparable even though progress is banked lazily.  Arrivals queued
+    at this instant are solved first, so mid-instant introspection sees
+    final rates.
+    """
+    switch._flush_pending()
+    now = switch.sim.now
+    rows = []
+    for flow in switch._flows:
+        src, dst = flow.src, flow.dst
+        if src is None or dst is None:
+            continue  # a packet train: no network flow
+        elapsed = now - flow.last_update
+        remaining = flow.remaining
+        if elapsed > 0 and flow.rate > 0:
+            remaining = max(0.0, remaining - flow.rate * elapsed)
+        rows.append((src.name, dst.name, remaining, flow.rate))
+    return rows
+
+
+def node_traffic(switch):
+    """Per-NIC traffic counters, keyed by NIC name."""
+    return {name: nic.stats for name, nic in switch._nics.items()}
+
+
+def estimate(disk, offset, nbytes):
+    """Duration ``disk``'s next I/O would take by its geometry alone."""
+    geometry = disk.geometry
+    distance = abs(offset - disk.head)
+    duration = geometry.transfer_time(nbytes)
+    if distance != 0:
+        duration += geometry.seek_time(distance)
+        if distance > geometry.near_threshold:
+            duration += geometry.rotational_latency
+    return duration
 
 
 class ScanFillSwitch(Switch):
@@ -233,6 +277,40 @@ class FullScanPlacement(RaidpPlacement):
                 pair.insert(0, pair.pop(index))
                 break
         return BlockLocations(block=block, datanodes=pair, sc_id=sc_id, slot=slot)
+
+
+def min_remirror_load(dfs, failed, senders):
+    """The least total receiver load of any legal, exchange-free plan.
+
+    Enumerates every assignment of ``senders`` ((sc_id, sender) pairs)
+    to distinct healthy disks other than ``failed``.  A legal receiver
+    is another disk, in another failure domain, sharing no superchunk
+    with the sender and below its superchunk capacity; no two senders
+    may swap (A -> B while B -> A).  ``plan_remirror`` must reach this
+    minimum.  Exhaustive, so keep the cluster small.
+    """
+    layout = dfs.layout
+    receivers = [
+        dn.name for dn in dfs.datanodes if healthy_datanode(dn) and dn.name != failed
+    ]
+
+    def legal(sender, receiver):
+        return (
+            sender != receiver
+            and not layout.same_domain(sender, receiver)
+            and layout.shared(sender, receiver) is None
+            and len(layout.superchunks_of(receiver)) < layout.max_superchunks(receiver)
+        )
+
+    best = None
+    for chosen in itertools.permutations(receivers, len(senders)):
+        moves = {(sender, receiver) for (_sc, sender), receiver in zip(senders, chosen)}
+        if all(legal(*move) for move in moves) and not any(
+            (receiver, sender) in moves for sender, receiver in moves
+        ):
+            load = sum(dfs.map.load_of_disk(receiver) for receiver in chosen)
+            best = load if best is None else min(best, load)
+    return best
 
 
 class DiscretePullers(_Pullers):

@@ -116,4 +116,4 @@ def test_moves_update_namenode_metadata():
         if loc.block.name in moved:
             sc = dfs.layout.superchunk(loc.sc_id)
             assert set(loc.datanodes) == set(sc.disks)
-            assert dfs.map.block_at(loc.sc_id, loc.slot) == loc.block.name
+            assert dfs.map.blocks_in(loc.sc_id).get(loc.slot) == loc.block.name

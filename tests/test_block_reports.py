@@ -20,7 +20,7 @@ def hdfs():
 
 def test_clean_report_changes_nothing():
     dfs = hdfs()
-    dfs.sim.run_process(dfs.client(0).write_file("/f", 3 * units.MiB))
+    dfs.sim.run_process(dfs.clients[0].write_file("/f", 3 * units.MiB))
     for datanode in dfs.datanodes:
         missing, orphans = dfs.namenode.process_block_report(
             datanode.name, datanode.block_report()
@@ -32,7 +32,7 @@ def test_clean_report_changes_nothing():
 
 def test_report_surfaces_silently_lost_replicas():
     dfs = hdfs()
-    dfs.sim.run_process(dfs.client(0).write_file("/f", 2 * units.MiB))
+    dfs.sim.run_process(dfs.clients[0].write_file("/f", 2 * units.MiB))
     block = dfs.namenode.file_blocks("/f")[0]
     locations = dfs.namenode.locate_block(block.block_id)
     victim = dfs.namenode.datanode(locations.datanodes[0])
@@ -48,7 +48,7 @@ def test_report_surfaces_silently_lost_replicas():
 
 def test_report_surfaces_orphan_replicas():
     dfs = hdfs()
-    dfs.sim.run_process(dfs.client(0).write_file("/f", units.MiB))
+    dfs.sim.run_process(dfs.clients[0].write_file("/f", units.MiB))
     block = dfs.namenode.file_blocks("/f")[0]
     locations = dfs.namenode.locate_block(block.block_id)
     holder = dfs.namenode.datanode(locations.datanodes[0])
@@ -70,7 +70,7 @@ def test_raidp_report_excludes_prealloc_fillers():
         superchunk_size=2 * units.MiB,
         payload_mode="tokens",
     )
-    dfs.sim.run_process(dfs.client(0).write_file("/f", units.MiB))
+    dfs.sim.run_process(dfs.clients[0].write_file("/f", units.MiB))
     for datanode in dfs.datanodes:
         report = datanode.block_report()
         assert all(not name.startswith("pre_sc") for name in report)

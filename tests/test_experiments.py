@@ -12,7 +12,6 @@ import pytest
 from repro.experiments.runner import (
     REGISTRY,
     ExperimentResult,
-    get_experiment,
     list_experiments,
     main,
     run_experiment,
@@ -37,7 +36,7 @@ def test_registry_covers_every_table_and_figure():
 
 def test_unknown_experiment_rejected():
     with pytest.raises(KeyError):
-        get_experiment("fig99")
+        run_experiment("fig99")
 
 
 def test_analytic_experiments_run():
@@ -72,9 +71,7 @@ def test_cli_runs_an_experiment(capsys):
 
 
 def test_fig8_runs_at_reduced_scale():
-    from repro.experiments.fig8_write import run
-
-    result = run(seeds=(1,))
+    result = run_experiment("fig8", seeds=(1,))
     rows = {label: value for label, value, _ in result.rows}
     # Core shape even with a single seed.
     assert rows["raidp opt: only superchunks"] < 1.0
@@ -89,7 +86,7 @@ def test_ext_durability_rungs_share_the_five_schemes():
 
     keys = ext_durability.tasks()
     assert len(keys) == 5 and {key[0] for key in keys} == {"analytic", "mc"}
-    result = ext_durability.run(jobs=1)
+    result = run_experiment("ext-durability", jobs=1)
     rows = {label: value for label, value, _ in result.rows}
     names = [scheme.name for scheme in default_schemes()]
     by_rung = {}

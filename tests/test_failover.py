@@ -246,7 +246,7 @@ def test_heartbeats_survive_clientless_cluster():
     monitor.stop()
     dfs.sim.run()
     for datanode in dfs.datanodes:
-        assert monitor.last_heartbeat(datanode.name) > 5.0
+        assert monitor._last_heartbeat[datanode.name] > 5.0
     assert monitor.detected == []
 
 

@@ -30,12 +30,11 @@ def test_config_validation():
         DfsConfig(block_size=100, packet_size=64)
     with pytest.raises(ValueError):
         DfsConfig(replication=0)
-    assert DfsConfig().packets_per_block == 1024
 
 
 def test_write_creates_replicas_on_k_nodes():
     dfs = small_cluster(replication=3)
-    client = dfs.client(0)
+    client = dfs.clients[0]
     dfs.sim.run_process(client.write_file("/f1", 8 * units.MiB))
     blocks = dfs.namenode.file_blocks("/f1")
     assert len(blocks) == 2
@@ -48,7 +47,7 @@ def test_write_creates_replicas_on_k_nodes():
 
 def test_writer_local_replica_first():
     dfs = small_cluster(replication=2)
-    client = dfs.client(1)
+    client = dfs.clients[1]
     dfs.sim.run_process(client.write_file("/f", units.MiB))
     locations = dfs.namenode.locate_block(dfs.namenode.file_blocks("/f")[0].block_id)
     assert locations.datanodes[0] == dfs.datanodes[1].name
@@ -56,7 +55,7 @@ def test_writer_local_replica_first():
 
 def test_read_returns_written_payload():
     dfs = small_cluster(replication=2)
-    client = dfs.client(0)
+    client = dfs.clients[0]
 
     def body():
         yield from client.write_file("/f", 6 * units.MiB)
@@ -72,7 +71,7 @@ def test_read_returns_written_payload():
 
 def test_read_file_returns_total_bytes():
     dfs = small_cluster(replication=2)
-    client = dfs.client(0)
+    client = dfs.clients[0]
 
     def body():
         yield from client.write_file("/f", 9 * units.MiB)
@@ -84,7 +83,7 @@ def test_read_file_returns_total_bytes():
 
 def test_remote_read_crosses_network():
     dfs = small_cluster(replication=2)
-    writer = dfs.client(0)
+    writer = dfs.clients[0]
 
     def body():
         yield from writer.write_file("/f", 4 * units.MiB)
@@ -108,7 +107,7 @@ def test_write_network_volume_scales_with_replication():
     volumes = {}
     for replication in (2, 3):
         dfs = small_cluster(replication=replication, payload_mode="tokens")
-        client = dfs.client(0)
+        client = dfs.clients[0]
         dfs.sim.run_process(client.write_file("/f", 16 * units.MiB))
         volumes[replication] = dfs.total_network_bytes()
     # Writer-local first replica: k replicas need k-1 network copies.
@@ -134,7 +133,7 @@ def test_triplication_slower_than_two_replicas():
 
 def test_duplicate_create_rejected():
     dfs = small_cluster()
-    client = dfs.client(0)
+    client = dfs.clients[0]
     dfs.sim.run_process(client.write_file("/f", units.MiB))
     with pytest.raises(FileExistsInDfsError):
         dfs.sim.run_process(client.write_file("/f", units.MiB))
@@ -142,7 +141,7 @@ def test_duplicate_create_rejected():
 
 def test_missing_file_read_rejected():
     dfs = small_cluster()
-    client = dfs.client(0)
+    client = dfs.clients[0]
     with pytest.raises(FileNotFoundInDfsError):
         dfs.sim.run_process(client.read_file("/nope"))
 
@@ -151,14 +150,14 @@ def test_placement_fails_with_too_few_nodes():
     dfs = small_cluster(replication=3, num_nodes=4)
     for name in ("n1", "n2"):
         dfs.namenode.mark_datanode_dead(name)
-    client = dfs.client(0)
+    client = dfs.clients[0]
     with pytest.raises(PlacementError):
         dfs.sim.run_process(client.write_file("/f", units.MiB))
 
 
 def test_delete_file_drops_replicas():
     dfs = small_cluster(replication=2)
-    client = dfs.client(0)
+    client = dfs.clients[0]
 
     def body():
         yield from client.write_file("/f", 4 * units.MiB)
@@ -174,7 +173,7 @@ def test_delete_file_drops_replicas():
 
 def test_datanode_death_surfaces_under_replication():
     dfs = small_cluster(replication=2)
-    client = dfs.client(0)
+    client = dfs.clients[0]
     dfs.sim.run_process(client.write_file("/f", 8 * units.MiB))
     victim = dfs.namenode.locate_block(
         dfs.namenode.file_blocks("/f")[0].block_id
@@ -187,20 +186,20 @@ def test_datanode_death_surfaces_under_replication():
 
 def test_all_replicas_dead_is_lost_block():
     dfs = small_cluster(replication=2)
-    client = dfs.client(0)
+    client = dfs.clients[0]
     dfs.sim.run_process(client.write_file("/f", units.MiB))
     locations = dfs.namenode.locate_block(dfs.namenode.file_blocks("/f")[0].block_id)
     for name in list(locations.datanodes):
         dfs.namenode.mark_datanode_dead(name)
     assert dfs.namenode.lost_blocks()
-    reader = dfs.client(3)
+    reader = dfs.clients[3]
     with pytest.raises(BlockMissingError):
         dfs.sim.run_process(reader.read_file("/f"))
 
 
 def test_rewrite_bumps_version_and_keeps_placement():
     dfs = small_cluster(replication=2)
-    client = dfs.client(0)
+    client = dfs.clients[0]
 
     def body():
         yield from client.write_file("/f", 4 * units.MiB)
@@ -221,7 +220,7 @@ def test_rewrite_bumps_version_and_keeps_placement():
 def test_streamed_and_accumulated_paths_both_store_content():
     for accumulate in (False, True):
         dfs = small_cluster(replication=2, accumulate_writes=accumulate)
-        client = dfs.client(0)
+        client = dfs.clients[0]
         dfs.sim.run_process(client.write_file("/f", 4 * units.MiB))
         block = dfs.namenode.file_blocks("/f")[0]
         locations = dfs.namenode.locate_block(block.block_id)

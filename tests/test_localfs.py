@@ -50,7 +50,7 @@ def test_sequential_appends_are_contiguous():
     sim.run_process(body())
     assert fs.fragmentation_of("f1") == 1  # merged into one extent
     assert disk.stats.seeks == 0
-    assert fs.size_of("f1") == 4 * units.MiB
+    assert fs._get("f1").size == 4 * units.MiB
 
 
 def test_interleaved_writers_stay_sequential_on_extent_policy():
@@ -118,12 +118,12 @@ def test_overwrite_hits_same_physical_location():
 
     def body():
         yield from fs.write("f", 0, units.MiB)
-        frontier_after_first = fs.frontier
+        frontier_after_first = fs._frontier
         yield from fs.write("f", 0, units.MiB)  # overwrite, no new alloc
         return frontier_after_first
 
     frontier = sim.run_process(body())
-    assert fs.frontier == frontier
+    assert fs._frontier == frontier
 
 
 def test_sparse_write_rejected():
@@ -146,7 +146,7 @@ def test_delete_recycles_space():
         yield from fs.write("a", 0, 4 * units.MiB)
 
     sim.run_process(fill())
-    frontier = fs.frontier
+    frontier = fs._frontier
     fs.delete("a")
     fs.create("b")
 
@@ -155,7 +155,7 @@ def test_delete_recycles_space():
 
     sim.run_process(refill())
     # Reused the freed extent instead of advancing the frontier.
-    assert fs.frontier == frontier
+    assert fs._frontier == frontier
 
 
 def test_read_past_eof_rejected():

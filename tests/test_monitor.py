@@ -61,7 +61,7 @@ def test_heartbeats_keep_healthy_nodes_fresh():
 
     run_monitored(dfs, monitor, scenario())
     for datanode in dfs.datanodes:
-        assert monitor.last_heartbeat(datanode.name) > 20.0
+        assert monitor._last_heartbeat[datanode.name] > 20.0
     assert monitor.detected == []
 
 

@@ -93,7 +93,7 @@ def test_engine_converges_to_analytic_mttdl(seed):
         analytic_years = analytic_mc_mttdl(
             scheme, VALIDATION_FLEET, VALIDATION_LIFETIME, VALIDATION_REPAIR
         )
-        mc_years = reports[scheme.name].mttdl_years
+        mc_years = 1.0 / reports[scheme.name].loss_rate_per_group_year
         ratio = analytic_years / mc_years
         assert 0.80 <= ratio <= 1.25, (
             f"{scheme.name}: MC {mc_years:.1f}y vs analytic "

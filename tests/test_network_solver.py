@@ -22,7 +22,7 @@ import pytest
 from repro import units
 from repro.sim.engine import Simulator
 from repro.sim.network import Nic, Switch
-from tests.oracles import ReferenceSwitch, ScanFillSwitch
+from tests.oracles import ReferenceSwitch, ScanFillSwitch, flow_rates
 
 GBPS = units.gbps(1)
 
@@ -78,7 +78,7 @@ def _replay(solver, rates, script):
                     tx_rate=base[index][0] * factor,
                     rx_rate=base[index][1] * factor,
                 )
-            snapshots.append((sim.now, switch.flow_rates()))
+            snapshots.append((sim.now, flow_rates(switch)))
 
     sim.process(driver())
     sim.run()
@@ -130,12 +130,12 @@ def test_degenerate_topology_all_flows_one_port():
             sim.process(body(src))
         # After startup, every flow gets exactly 1/N of the receive port.
         sim.run(until=0.001)
-        rows = switch.flow_rates()
+        rows = flow_rates(switch)
         assert len(rows) == n
         for _src, _dst, _rem, flow_rate in rows:
             assert flow_rate == pytest.approx(rate / n, rel=1e-9)
         sim.run()
-        assert switch.active_flows == 0
+        assert len(switch._flows) == 0
         assert sink.stats.bytes_received == n * int(rate)
 
 
@@ -152,7 +152,7 @@ def test_degenerate_topology_one_sender_fan_out():
     for dst in nics[1:]:
         sim.process(body(dst))
     sim.run(until=0.001)
-    for _src, _dst, _rem, flow_rate in switch.flow_rates():
+    for _src, _dst, _rem, flow_rate in flow_rates(switch):
         assert flow_rate == pytest.approx(rate / n, rel=1e-9)
     sim.run()
     assert source.stats.bytes_sent == n * int(rate)
@@ -167,7 +167,7 @@ def test_single_flow_fast_path_runs_at_slower_endpoint():
 
     proc = sim.process(body())
     sim.run(until=0.001)
-    ((_s, _d, _rem, rate),) = switch.flow_rates()
+    ((_s, _d, _rem, rate),) = flow_rates(switch)
     assert rate == pytest.approx(units.gbps(1))  # min(tx, rx), one round
     sim.run()
     assert proc.value == pytest.approx(1.0, rel=0.01)
@@ -189,7 +189,7 @@ def test_disjoint_components_solved_independently():
     def late_arrival():
         yield sim.timeout(0.25)
         switch.transfer(nics[4], nics[3], int(rate))
-        rows = {(src, dst): r for src, dst, _rem, r in switch.flow_rates()}
+        rows = {(src, dst): r for src, dst, _rem, r in flow_rates(switch)}
         # Component A still runs at line rate; component B split in half.
         assert rows[("n0", "n1")] == pytest.approx(rate, rel=1e-9)
         assert rows[("n2", "n3")] == pytest.approx(rate / 2, rel=1e-9)
@@ -197,7 +197,7 @@ def test_disjoint_components_solved_independently():
 
     sim.process(late_arrival())
     sim.run()
-    assert switch.active_flows == 0
+    assert len(switch._flows) == 0
 
 
 def test_zero_byte_transfer_closes_accounting():
@@ -253,7 +253,7 @@ def test_idle_rate_change_is_a_no_op():
     sim.process(body())
     sim.process(tweak())
     sim.run()
-    assert switch.active_flows == 0
+    assert len(switch._flows) == 0
     assert a.stats.flows_finished == 1
 
 
@@ -283,7 +283,7 @@ def test_network_churn_event_budget():
 
     sim.process(feeder())
     sim.run()
-    assert switch.active_flows == 0
+    assert len(switch._flows) == 0
     assert sim._seq <= 16 * num_flows + 64, (
         f"{sim._seq} engine events for {num_flows} flows: "
         "event count is no longer proportional to arrivals/departures"
@@ -369,11 +369,11 @@ def _replay_pipelines(switch_cls, num_nics, script):
                 )
             # Once per instant, so same-instant arrivals stay one batch.
             if step + 1 == len(script) or script[step + 1][0] > at:
-                snapshots.append((sim.now, switch.flow_rates()))
+                snapshots.append((sim.now, flow_rates(switch)))
 
     sim.process(driver())
     sim.run()
-    assert switch.active_flows == 0
+    assert len(switch._flows) == 0
     return snapshots, completions, switch._push_seq, sim.now, sim._seq
 
 
@@ -495,11 +495,11 @@ def _replay_star(switch_cls, num_spokes, mode, hub_receives, seed, script):
                     nics[index], tx_rate=rates[index] * factor, rx_rate=rates[index] * factor
                 )
             if step + 1 == len(script) or script[step + 1][0] > at:
-                snapshots.append((sim.now, switch.flow_rates()))
+                snapshots.append((sim.now, flow_rates(switch)))
 
     sim.process(driver())
     sim.run()
-    assert switch.active_flows == 0
+    assert len(switch._flows) == 0
     return {
         "snapshots": snapshots,
         "completions": completions,
@@ -589,7 +589,7 @@ def test_star_arm_when_a_flow_finishes_inside_the_update(op):
                 switch.set_nic_rates(hub, rx_rate=_STAR_RATE / 2)
             else:
                 switch.transfer(late, hub, size)
-            seen.append((sim.now, switch.flow_rates()))
+            seen.append((sim.now, flow_rates(switch)))
 
         sim.process(driver())
         sim.run()
@@ -632,7 +632,7 @@ def _replica_burst_ledger(base):
         for src, dst in zip(hops, hops[1:]):
             switch.transfer(nics[src], nics[dst], 8 * units.MiB)
     sim.run()
-    assert switch.active_flows == 0
+    assert len(switch._flows) == 0
     assert switch.solves == len(switch.ledger)
     assert switch.fill_steps == sum(steps for _f, _p, steps in switch.ledger)
     return switch.ledger

@@ -89,7 +89,7 @@ def test_trains_sharing_a_disk_account_like_the_packet_loop(monkeypatch, count, 
     assert train.sim.now == pytest.approx(loop.sim.now, rel=0.005)
     assert train_dn.disk.queue_gauge.current == 0
     assert train_dn.disk.audit_state() == []
-    assert train_dn.disk._runs == {} and train.switch.active_flows == 0
+    assert train_dn.disk._runs == {} and len(train.switch._flows) == 0
 
 
 def test_an_open_train_holds_one_packet_record():

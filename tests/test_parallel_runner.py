@@ -17,7 +17,7 @@ from repro.experiments.parallel import (
     run_specs,
     supports_tasks,
 )
-from repro.experiments.runner import main
+from repro.experiments.runner import main, run_experiment
 
 
 # ----------------------------------------------------------------------
@@ -81,10 +81,8 @@ def test_analytic_experiments_fall_back_to_whole_run():
 # ----------------------------------------------------------------------
 def test_fig8_jobs1_and_jobs4_rows_identical():
     """The acceptance property: row-for-row identical output at any jobs."""
-    from repro.experiments.fig8_write import run
-
-    sequential = run(seeds=(1,), jobs=1)
-    parallel4 = run(seeds=(1,), jobs=4)
+    sequential = run_experiment("fig8", seeds=(1,), jobs=1)
+    parallel4 = run_experiment("fig8", seeds=(1,), jobs=4)
     assert sequential.rows == parallel4.rows
     assert sequential.experiment == parallel4.experiment
     assert sequential.unit == parallel4.unit

@@ -42,7 +42,7 @@ def test_superchunk_map_slot_lifecycle():
         sc_map.allocate_slot(sc_id, "blk_c")
     sc_map.release_slot(sc_id, first)
     assert sc_map.allocate_slot(sc_id, "blk_c") == 0  # lowest free slot
-    assert sc_map.block_at(sc_id, 0) == "blk_c"
+    assert sc_map.blocks_in(sc_id).get(0) == "blk_c"
     assert sc_map.blocks_in(sc_id) == {0: "blk_c", 1: "blk_b"}
 
 

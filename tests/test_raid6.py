@@ -1,16 +1,11 @@
-"""Unit tests for the RAID-6 P+Q code and array model."""
+"""Unit tests for the RAID-6 P+Q code."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.ec.raid6 import (
-    Raid6Array,
-    pq_encode,
-    pq_recover_one_data,
-    pq_recover_two_data,
-)
+from repro.ec.raid6 import pq_encode, pq_recover_two_data
 from repro.errors import CodingError
 
 
@@ -26,14 +21,6 @@ def test_p_is_xor_of_data():
     for block in data:
         np.bitwise_xor(expected, block, out=expected)
     assert np.array_equal(p, expected)
-
-
-def test_recover_one_data_block():
-    data = make_stripe(5, 64, seed=2)
-    p, _q = pq_encode(data)
-    survivors = {i: d for i, d in enumerate(data) if i != 3}
-    rebuilt = pq_recover_one_data(survivors, 3, p)
-    assert np.array_equal(rebuilt, data[3])
 
 
 @settings(max_examples=30, deadline=None)
@@ -63,75 +50,9 @@ def test_recover_rejects_survivor_marked_missing():
     data = make_stripe(4, 16)
     p, q = pq_encode(data)
     with pytest.raises(CodingError):
-        pq_recover_one_data({i: d for i, d in enumerate(data)}, 0, p)
-    with pytest.raises(CodingError):
         pq_recover_two_data({i: d for i, d in enumerate(data)}, 0, 1, p, q)
 
 
 def test_empty_stripe_rejected():
     with pytest.raises(CodingError):
         pq_encode([])
-
-
-def test_array_write_read_roundtrip():
-    array = Raid6Array(data_disks=4, disk_size=1024)
-    array.write(1, 100, b"hello raid6")
-    assert array.read(1, 100, 11) == b"hello raid6"
-    assert array.verify()
-
-
-def test_array_incremental_parity_stays_consistent():
-    array = Raid6Array(data_disks=3, disk_size=256)
-    rng = np.random.default_rng(4)
-    for _ in range(20):
-        disk = int(rng.integers(0, 3))
-        offset = int(rng.integers(0, 200))
-        payload = bytes(rng.integers(0, 256, size=int(rng.integers(1, 56)), dtype=np.uint8))
-        array.write(disk, offset, payload)
-    assert array.verify()
-
-
-def test_array_survives_double_failure():
-    array = Raid6Array(data_disks=5, disk_size=512)
-    rng = np.random.default_rng(9)
-    originals = {}
-    for disk in range(5):
-        payload = bytes(rng.integers(0, 256, size=512, dtype=np.uint8))
-        array.write(disk, 0, payload)
-        originals[disk] = payload
-    array.fail(1)
-    array.fail(4)
-    accounting = array.recover()
-    for disk in range(5):
-        assert array.read(disk, 0, 512) == originals[disk]
-    # Recovery volume: all 3 survivors + P + Q read, 2 disks rewritten.
-    assert accounting["bytes_read"] == 5 * 512
-    assert accounting["bytes_written"] == 2 * 512
-    assert array.verify()
-
-
-def test_array_rejects_third_failure():
-    array = Raid6Array(data_disks=4, disk_size=64)
-    array.fail(0)
-    array.fail(1)
-    with pytest.raises(CodingError):
-        array.fail(2)
-
-
-def test_array_rejects_io_on_failed_disk():
-    array = Raid6Array(data_disks=3, disk_size=64)
-    array.fail(0)
-    with pytest.raises(CodingError):
-        array.write(0, 0, b"x")
-    with pytest.raises(CodingError):
-        array.read(0, 0, 1)
-
-
-def test_array_bounds_checks():
-    array = Raid6Array(data_disks=2, disk_size=16)
-    with pytest.raises(ValueError):
-        array.write(0, 10, b"way too long payload")
-    with pytest.raises(ValueError):
-        array.write(5, 0, b"x")
-    with pytest.raises(ValueError):
-        Raid6Array(data_disks=1, disk_size=16)

@@ -26,7 +26,12 @@ from repro.sim import cluster as sim_cluster
 from repro.sim.cluster import ClusterSpec
 from repro.sim.network import Switch
 from repro.workloads.dfsio import dfsio_read, dfsio_write
-from tests.oracles import ReferenceSwitch, discrete_lane, ext_scale_raidp_single_sim
+from tests.oracles import (
+    ReferenceSwitch,
+    discrete_lane,
+    ext_scale_raidp_single_sim,
+    node_traffic,
+)
 
 
 def _fingerprint(switch_class, monkeypatch, seed=42):
@@ -48,7 +53,7 @@ def _fingerprint(switch_class, monkeypatch, seed=42):
     )
     traffic = tuple(
         (name, stats.bytes_sent, stats.bytes_received, stats.flows_started, stats.flows_finished)
-        for name, stats in sorted(dfs.switch.node_traffic().items())
+        for name, stats in sorted(node_traffic(dfs.switch).items())
     )
     return (write.runtime, write.network_bytes, read.runtime, placements, traffic)
 
@@ -74,8 +79,8 @@ def test_flow_accounting_balances_after_workload():
         seed=7,
     )
     dfsio_write(dfs, units.GiB)
-    started = sum(s.flows_started for s in dfs.switch.node_traffic().values())
-    finished = sum(s.flows_finished for s in dfs.switch.node_traffic().values())
+    started = sum(s.flows_started for s in node_traffic(dfs.switch).values())
+    finished = sum(s.flows_finished for s in node_traffic(dfs.switch).values())
     assert started > 0
     assert started == finished
 

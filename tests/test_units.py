@@ -14,7 +14,6 @@ def test_binary_and_decimal_sizes():
 
 def test_gbps_conversion():
     assert units.gbps(10) == pytest.approx(1.25e9)
-    assert units.mbps(100) == pytest.approx(12.5e6)
 
 
 @pytest.mark.parametrize(

@@ -31,7 +31,7 @@ def raidp_cluster(payload_mode="bytes", num_nodes=5):
 # ----------------------------------------------------------------------
 def test_update_range_patches_content_bit_exact():
     dfs = raidp_cluster()
-    client = dfs.client(0)
+    client = dfs.clients[0]
 
     def body():
         yield from client.write_file("/db", 3 * units.MiB)
@@ -50,7 +50,7 @@ def test_update_range_patches_content_bit_exact():
 
 def test_update_spanning_blocks_touches_both():
     dfs = raidp_cluster()
-    client = dfs.client(0)
+    client = dfs.clients[0]
 
     def body():
         yield from client.write_file("/db", 2 * units.MiB)
@@ -67,7 +67,7 @@ def test_update_spanning_blocks_touches_both():
 
 def test_update_moves_no_block_data_over_network():
     dfs = raidp_cluster(payload_mode="tokens")
-    client = dfs.client(0)
+    client = dfs.clients[0]
     dfs.sim.run_process(client.write_file("/db", 2 * units.MiB))
     before = dfs.total_network_bytes()
     dfs.sim.run_process(
@@ -80,7 +80,7 @@ def test_update_moves_no_block_data_over_network():
 
 def test_update_journals_and_drains():
     dfs = raidp_cluster(payload_mode="tokens")
-    client = dfs.client(0)
+    client = dfs.clients[0]
 
     def body():
         yield from client.write_file("/db", units.MiB)
@@ -94,7 +94,7 @@ def test_update_journals_and_drains():
 
 def test_update_bounds_checked():
     dfs = raidp_cluster(payload_mode="tokens")
-    client = dfs.client(0)
+    client = dfs.clients[0]
     dfs.sim.run_process(client.write_file("/db", units.MiB))
     with pytest.raises(DfsError):
         dfs.sim.run_process(client.update_file_range("/db", 0, 2 * units.MiB))
@@ -108,7 +108,7 @@ def test_stock_hdfs_rejects_in_place_updates():
         config=DfsConfig(block_size=units.MiB, replication=2),
         payload_mode="tokens",
     )
-    client = dfs.client(0)
+    client = dfs.clients[0]
     dfs.sim.run_process(client.write_file("/db", units.MiB))
     with pytest.raises(DfsError, match="append-only"):
         dfs.sim.run_process(client.update_file_range("/db", 0, 1024))
@@ -117,7 +117,7 @@ def test_stock_hdfs_rejects_in_place_updates():
 def test_update_is_cheaper_than_rewrite():
     def run(mode):
         dfs = raidp_cluster(payload_mode="tokens")
-        client = dfs.client(0)
+        client = dfs.clients[0]
         dfs.sim.run_process(client.write_file("/db", 4 * units.MiB))
         start = dfs.sim.now
         if mode == "in_place":

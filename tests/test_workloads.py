@@ -1,6 +1,5 @@
 """Tests for the workload drivers (DFSIO, TeraSort, WordCount)."""
 
-import numpy as np
 import pytest
 
 from repro import units
@@ -9,19 +8,8 @@ from repro.hdfs.config import DfsConfig
 from repro.hdfs.filesystem import HdfsCluster
 from repro.sim.cluster import ClusterSpec
 from repro.workloads.dfsio import dfsio_read, dfsio_rewrite, dfsio_write
-from repro.workloads.terasort import (
-    generate_records,
-    is_sorted,
-    sort_records,
-    teragen,
-    terasort,
-)
-from repro.workloads.wordcount import (
-    count_words,
-    generate_text,
-    wordcount,
-    wordcount_input,
-)
+from repro.workloads.terasort import teragen, terasort
+from repro.workloads.wordcount import wordcount, wordcount_input
 
 
 def hdfs(replication=3, num_nodes=4):
@@ -95,27 +83,6 @@ def test_dfsio_rejects_tiny_totals():
 
 
 # ----------------------------------------------------------------------
-# TeraSort functional core.
-# ----------------------------------------------------------------------
-def test_sort_records_sorts():
-    records = generate_records(500, seed=42)
-    sorted_records = sort_records(records)
-    assert is_sorted(sorted_records)
-    assert not is_sorted(records)  # vanishingly unlikely to be pre-sorted
-
-
-def test_sort_records_is_permutation():
-    records = generate_records(200, seed=7)
-    sorted_records = sort_records(records)
-    assert sorted(map(bytes, records)) == list(map(bytes, sorted_records))
-
-
-def test_sort_records_rejects_bad_shape():
-    with pytest.raises(ValueError):
-        sort_records(np.zeros((10, 50), dtype=np.uint8))
-
-
-# ----------------------------------------------------------------------
 # TeraSort timed workload.
 # ----------------------------------------------------------------------
 def test_terasort_runs_and_writes_output():
@@ -142,18 +109,6 @@ def test_terasort_network_reflects_replication():
 # ----------------------------------------------------------------------
 # WordCount.
 # ----------------------------------------------------------------------
-def test_count_words_counts():
-    assert count_words("a b a c a b") == {"a": 3, "b": 2, "c": 1}
-    assert count_words("") == {}
-
-
-def test_generate_text_vocabulary_bound():
-    text = generate_text(1000, seed=1)
-    counts = count_words(text)
-    assert sum(counts.values()) == 1000
-    assert len(counts) <= 100
-
-
 def test_wordcount_runs_and_is_read_dominated():
     dfs = hdfs()
     wordcount_input(dfs, TOTAL)
