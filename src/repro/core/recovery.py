@@ -848,7 +848,7 @@ class _Pullers:
             grant = yield lock_whole.request()
             try:
                 switch.hold_stage(stage, True)
-                yield sim.sleep(options.lock_overhead + xor_time)
+                yield sim.timeout(options.lock_overhead + xor_time)
             finally:
                 switch.hold_stage(stage, False)
                 lock_whole.release(grant)
@@ -856,12 +856,12 @@ class _Pullers:
             grant = yield lock_ranges.acquire(offset, offset + run)
             try:
                 bus_share = options.streaming_bus_share if self.streaming else 0.0
-                yield sim.sleep(options.lock_overhead + (1.0 - bus_share) * xor_time)
+                yield sim.timeout(options.lock_overhead + (1.0 - bus_share) * xor_time)
                 if bus_share > 0.0:
                     bus_grant = yield memory_bus.request()
                     try:
                         switch.hold_stage(stage, True)
-                        yield sim.sleep(bus_share * xor_time)
+                        yield sim.timeout(bus_share * xor_time)
                     finally:
                         switch.hold_stage(stage, False)
                         memory_bus.release(bus_grant)
@@ -935,7 +935,7 @@ class _Raid6Rig:
         flow = self.switch.transfer(src, self.master, run)
         yield self.sim.all_of([read, flow])
         # Decode on the master (serialized per received chunk).
-        yield self.sim.sleep(run / xor_rate)
+        yield self.sim.timeout(run / xor_rate)
         if run < data_per_disk:
             body = self.switch.stream(
                 src, self.master, data_per_disk - run, chunk_size,

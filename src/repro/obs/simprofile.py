@@ -16,10 +16,10 @@ Design constraints, mirroring :mod:`repro.obs.tracer`:
    are therefore exactly reproducible; wall-clock samples are
    measurements of the host and naturally vary between runs, but their
    bucket keys do not.
-2. **Zero cost when disabled.**  The engine consults
-   :func:`active_profiler` once per ``run()`` call -- never per event --
-   and takes the ordinary inlined drain loop when no profiler is
-   active.
+2. **One branch when disabled.**  The engine consults
+   :func:`active_profiler` once per ``run()`` call; its one drain loop
+   then tests ``profile is None`` once per dispatch and runs the
+   inlined dispatch when no profiler is active.
 3. **No sim imports.**  ``sim/engine.py`` imports this module; the
    reverse would be a cycle, so classification duck-types dispatched
    entries (``_callbacks`` / ``fn`` / ``body``) instead of naming

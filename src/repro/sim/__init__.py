@@ -5,7 +5,7 @@ ethernet NICs.  This package replaces that testbed with a seedable,
 deterministic discrete-event simulator:
 
 - :mod:`repro.sim.engine` -- event heap, generator-based processes,
-  timeouts, and composite events (a minimal simpy-like kernel).
+  timeouts, and the all-of join (a minimal simpy-like kernel).
 - :mod:`repro.sim.resources` -- FIFO resources, locks, and byte-range
   locks used to model disk serialization and reconstruction locking.
 - :mod:`repro.sim.disk` -- a mechanical hard-drive model with seek,
@@ -17,7 +17,7 @@ deterministic discrete-event simulator:
 - :mod:`repro.sim.stats` -- the gauge and histogram components own.
 """
 
-from repro.sim.engine import AllOf, AnyOf, Event, Process, Simulator, Timeout
+from repro.sim.engine import AllOf, Event, Process, Simulator, Timeout
 from repro.sim.resources import ByteRangeLock, Lock, Resource
 from repro.sim.disk import Disk, DiskGeometry, DiskStats
 from repro.sim.network import Nic, Switch, FlowStats
@@ -26,7 +26,6 @@ from repro.sim.cluster import Cluster, ClusterSpec
 
 __all__ = [
     "AllOf",
-    "AnyOf",
     "ByteRangeLock",
     "Cluster",
     "ClusterSpec",

@@ -210,7 +210,7 @@ class Disk(InlineState):
         self._wake_runs()
         try:
             transfer_time = self.geometry.transfer_time
-            yield self.sim.sleep(
+            yield self.sim.timeout(
                 math.fsum(transfer_time(run.chunk) + run.overhead for run in self._runs)
             )
         finally:
@@ -302,7 +302,7 @@ class Disk(InlineState):
                 yield from self._yield_to_runs()
             self._check_alive()
             delay = self.geometry.sync_time
-            yield sim.sleep(delay)
+            yield sim.timeout(delay)
             self.stats.syncs += 1
             self.stats.busy_seconds += delay
             self.io_latency.observe(sim.now - t0)
@@ -338,7 +338,7 @@ class Disk(InlineState):
             self._check_alive()
             delay = self.geometry.reposition_time(abs(offset - self.head))
             self.head = offset
-            yield sim.sleep(delay)
+            yield sim.timeout(delay)
             self.stats.seeks += 1
             self.stats.seek_seconds += delay
             self.stats.busy_seconds += delay
@@ -393,7 +393,7 @@ class Disk(InlineState):
             self.stats.bytes_written += nbytes
             self.stats.busy_seconds += settle + self.geometry.transfer_time(nbytes)
             self.head = offset + nbytes
-            yield sim.sleep(duration)
+            yield sim.timeout(duration)
             self.io_latency.observe(sim.now - t0)
             self._check_alive()
         finally:
@@ -430,7 +430,7 @@ class Disk(InlineState):
             if self.failed:
                 raise DiskFailedError(f"I/O on failed disk {self.name}")
             duration = self._charge(kind, offset, nbytes)
-            yield sim.sleep(duration)
+            yield sim.timeout(duration)
             self.io_latency.observe(sim.now - t0)
             if self.failed:
                 raise DiskFailedError(f"I/O on failed disk {self.name}")

@@ -22,35 +22,28 @@ Example::
 
 Scheduler
 ---------
-Pending entries live in three lanes, dispatched in exact global
+Pending entries live in two containers, dispatched in exact global
 ``(time, seq)`` order:
 
 - the *now-bucket*: a FIFO of zero-delay entries for the current instant
   (event triggers, process bootstraps, deferred callbacks) -- the bulk of
   the schedule;
-- the *calendar lane*: a FIFO of future entries appended while their
-  times are non-decreasing.  Simulated hardware overwhelmingly schedules
-  constant-delay chains (disk service times, network timer ticks,
-  recovery chunk loops), so successive delays land in non-decreasing
-  time order and a deque append/popleft replaces two O(log n) heap
-  operations;
-- the *overflow heap*: a binary heap catching entries scheduled out of
-  order (an earlier deadline while later work is already parked).
+- the *heap*: a binary heap of every future entry.
 
-Dispatch always takes the minimum ``(time, seq)`` across the three
-lanes, so the routing policy never changes the dispatch order -- it only
-changes which container held the entry.  The pure binary-heap reference
-is test-side code: ``tests/oracles.py`` subclasses the simulator so
-every timed entry is heap-pushed, and
+A heap entry that falls due at the current instant is dispatched before
+the bucket front exactly when its sequence number is smaller, so the
+merge reproduces the order of one heap holding everything.  That single
+heap is test-side code: ``tests/oracles.py`` subclasses the simulator
+so zero-delay entries are heap-pushed too, and
 ``tests/test_scheduler_differential.py`` requires bitwise-identical
 dispatch.
 """
 
 from __future__ import annotations
 
-import heapq
 import weakref
 from collections import deque
+from heapq import heappop, heappush
 from typing import Any, Callable, Deque, Dict, Generator, Iterable, List, Optional, Tuple
 
 from repro.errors import SimulationError
@@ -64,8 +57,6 @@ ProcessBody = Generator["Event", Any, Any]
 #: Sentinel stored in ``Event._callbacks`` once the event has dispatched.
 _DISPATCHED = object()
 
-_NEG_INF = float("-inf")
-
 
 class _Deferred:
     """A bare callback on the schedule.
@@ -74,21 +65,15 @@ class _Deferred:
     one-field object is much cheaper than a full :class:`Event` for the
     internal "run this soon" pattern (process bootstrap, late callbacks,
     interrupts), which fires once per process and never carries a value.
-
-    Instances are pooled by the simulator: once dispatched, the loop
-    recycles the entry for the next :meth:`Simulator._schedule_callback`,
-    so callback-heavy phases (process churn) allocate no entries in
-    steady state.
     """
 
     __slots__ = ("fn",)
 
-    def __init__(self, fn: Optional[Callable[[], None]]) -> None:
+    def __init__(self, fn: Callable[[], None]) -> None:
         self.fn = fn
 
     def _dispatch(self) -> None:
-        fn, self.fn = self.fn, None
-        fn()
+        self.fn()
 
 
 class Event:
@@ -219,21 +204,6 @@ class Timeout(Event):
         sim._schedule_event(self, delay=delay)
 
 
-class _Sleep(Event):
-    """A pooled one-shot delay: the engine-internal cousin of Timeout.
-
-    Obtained via :meth:`Simulator.sleep` and recycled by the run loop the
-    moment it has dispatched, so delay-heavy hot paths (disk I/O, network
-    timers, recovery chunk loops) allocate no event per wait in steady
-    state.  The pooling contract: the caller must consume the event
-    immediately (``yield`` it from exactly one process, or attach exactly
-    one callback) and must not retain a reference past its firing --
-    internal call sites only, never part of the public waiting API.
-    """
-
-    __slots__ = ()
-
-
 class Process(Event):
     """A running generator.  As an Event it fires when the body returns."""
 
@@ -264,15 +234,9 @@ class Process(Event):
         if sim.trace.enabled:
             self._trace_t0 = sim.now
         # Kick off the body on the next step; inlined _schedule_callback
-        # (deferred-pool reuse, no bootstrap Event allocation).
-        pool = sim._deferred_pool
-        if pool:
-            entry = pool.pop()
-            entry.fn = self._start
-        else:
-            entry = _Deferred(self._start)
+        # (no bootstrap Event allocation).
         sim._seq += 1
-        sim._now_bucket.append((sim._seq, entry))
+        sim._now_bucket.append((sim._seq, _Deferred(self._start)))
         sim._live_processes += 1
 
     def add_callback(self, callback: Callable[["Event"], None]) -> None:
@@ -455,39 +419,15 @@ class AllOf(Event):
             self.succeed([c._value for c in self._children])
 
 
-class AnyOf(Event):
-    """Fires when the first child event fires; value is ``(index, value)``."""
-
-    __slots__ = ("_children",)
-
-    def __init__(self, sim: "Simulator", events: Iterable[Event]) -> None:
-        super().__init__(sim)
-        self._children = list(events)
-        if not self._children:
-            raise ValueError("AnyOf requires at least one event")
-        for index, child in enumerate(self._children):
-            child.add_callback(lambda ev, i=index: self._on_child(i, ev))
-
-    def _on_child(self, index: int, child: Event) -> None:
-        if self.triggered:
-            return
-        if child._exception is not None:
-            self.fail(child._exception)
-        else:
-            self.succeed((index, child._value))
-
-
 class Simulator:
-    """The event loop: three dispatch lanes merged in (time, seq) order.
+    """The event loop: a now-bucket and a heap merged in (time, seq) order.
 
     Zero-delay work (event triggers, process bootstraps, deferred
-    callbacks) dominates the schedule, so it bypasses timed containers
-    entirely: a FIFO *now-bucket* holds entries for the current instant.
-    Timed entries land in the calendar *lane* (a deque) while their times
-    are non-decreasing and spill to the overflow *heap* otherwise; see
-    the module docstring.  The run loop merges all three by sequence
+    callbacks) dominates the schedule, so it bypasses the heap entirely:
+    a FIFO *now-bucket* holds entries for the current instant.  Timed
+    entries go to the heap.  The run loop merges the two by sequence
     number, which reproduces the exact (time, seq) dispatch order of a
-    single heap bit-for-bit.
+    single heap bit-for-bit; see the module docstring.
     """
 
     def __init__(self) -> None:
@@ -496,21 +436,12 @@ class Simulator:
         # Entries are (time, seq, Event-or-_Deferred); seq is unique, so
         # the third element is never compared.
         self._heap: List[Tuple[float, int, Any]] = []
-        # Calendar lane: (time, seq, entry) with non-decreasing (time,
-        # seq); _lane_tail is the time of the latest append.  An empty
-        # lane accepts any time, recapturing the next monotone run.
-        self._lane: Deque[Tuple[float, int, Any]] = deque()
-        self._lane_tail = _NEG_INF
         # Zero-delay entries for the current instant: (seq, entry) pairs,
         # appended in seq order (seq is globally monotone).
         self._now_bucket: Deque[Tuple[int, Any]] = deque()
         self._seq = 0
         self._live_processes = 0
         self._failed: List[Tuple[Process, BaseException]] = []
-        # Recycled _Deferred entries (see _schedule_callback).
-        self._deferred_pool: List[_Deferred] = []
-        # Recycled _Sleep events (see sleep()).
-        self._sleep_pool: List[_Sleep] = []
         # One-shot hooks run when the cascade at the current instant has
         # drained, before simulated time advances (see add_flush_hook).
         self._flush_hooks: List[Callable[[], None]] = []
@@ -574,7 +505,6 @@ class Simulator:
         """
         if (
             self._heap
-            or self._lane
             or self._now_bucket
             or self._flush_hooks
             or self._live_processes
@@ -593,14 +523,10 @@ class Simulator:
         # whatever is ambient in the restoring process.
         self.bind_observers()
         self._heap = []
-        self._lane = deque()
-        self._lane_tail = _NEG_INF
         self._now_bucket = deque()
         self._seq = int(state["seq"])
         self._live_processes = 0
         self._failed = []
-        self._deferred_pool = []
-        self._sleep_pool = []
         self._flush_hooks = []
         self._grants = {}
 
@@ -628,47 +554,7 @@ class Simulator:
         if delay == 0.0:
             self._now_bucket.append((seq, event))
         else:
-            when = self.now + delay
-            if when >= self._lane_tail or not self._lane:
-                self._lane_tail = when
-                self._lane.append((when, seq, event))
-            else:
-                heapq.heappush(self._heap, (when, seq, event))
-        return event
-
-    def sleep(self, delay: float, value: Any = None) -> Event:
-        """A pooled fixed delay for engine-internal hot paths.
-
-        Semantically a :meth:`timeout`, but the returned event is recycled
-        the moment it dispatches.  The caller must therefore consume it
-        immediately -- yield it from exactly one process or attach exactly
-        one callback -- and must not retain a reference past its firing.
-        Composite events (``all_of``/``any_of``) keep child references, so
-        they must use :meth:`timeout`.
-        """
-        if delay < 0:
-            raise ValueError(f"negative sleep: {delay}")
-        pool = self._sleep_pool
-        if pool:
-            event = pool.pop()
-            event._callbacks = None
-            event._value = value
-            event._exception = None
-        else:
-            event = _Sleep(self)
-            event._value = value
-        event.triggered = True
-        event._scheduled = True
-        self._seq = seq = self._seq + 1
-        if delay == 0.0:
-            self._now_bucket.append((seq, event))
-        else:
-            when = self.now + delay
-            if when >= self._lane_tail or not self._lane:
-                self._lane_tail = when
-                self._lane.append((when, seq, event))
-            else:
-                heapq.heappush(self._heap, (when, seq, event))
+            heappush(self._heap, (self.now + delay, seq, event))
         return event
 
     def process(self, body: ProcessBody, name: str = "") -> Process:
@@ -676,9 +562,6 @@ class Simulator:
 
     def all_of(self, events: Iterable[Event]) -> AllOf:
         return AllOf(self, events)
-
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        return AnyOf(self, events)
 
     # ------------------------------------------------------------------
     # Scheduling and the main loop.
@@ -691,29 +574,17 @@ class Simulator:
         if delay == 0.0:
             self._now_bucket.append((seq, event))
         else:
-            when = self.now + delay
-            if when >= self._lane_tail or not self._lane:
-                self._lane_tail = when
-                self._lane.append((when, seq, event))
-            else:
-                heapq.heappush(self._heap, (when, seq, event))
+            heappush(self._heap, (self.now + delay, seq, event))
 
     def _schedule_callback(self, fn: Callable[[], None]) -> None:
         """Queue a bare callback at the current time (fast path).
 
         Replaces the allocate-Event-and-succeed idiom for internal
         scheduling; consumes one sequence number, exactly like the event
-        it replaces, so tie-breaking order is unchanged.  Entries are
-        reused from a free list refilled by the dispatch loop.
+        it replaces, so tie-breaking order is unchanged.
         """
-        pool = self._deferred_pool
-        if pool:
-            entry = pool.pop()
-            entry.fn = fn
-        else:
-            entry = _Deferred(fn)
         self._seq += 1
-        self._now_bucket.append((self._seq, entry))
+        self._now_bucket.append((self._seq, _Deferred(fn)))
 
     def add_flush_hook(self, fn: Callable[[], None]) -> None:
         """Run ``fn()`` once the cascade at the current instant drains.
@@ -772,17 +643,12 @@ class Simulator:
         from repro.errors import DeadlockError
 
         sampler, profile = self._sampler, self._profile
-        if sampler is not None:
-            self._drain_sampled(until, sampler)
-        elif profile is not None:
-            self._drain_profiled(until, profile)
+        if sampler is None:
+            self._drain(until, profile)
         else:
-            self._drain(until)
-        # Pooled sleeps point back at this simulator; an idle pool would
-        # make every finished simulator a reference cycle.
-        self._sleep_pool.clear()
+            self._drain_sampled(until, sampler, profile)
         self._raise_orphan_failures()
-        if self._heap or self._lane or self._now_bucket:
+        if self._heap or self._now_bucket:
             return self.now  # stopped at ``until``
         if self._live_processes:
             if until is None:
@@ -798,173 +664,97 @@ class Simulator:
             )
         return self.now
 
-    def _drain(self, until: Optional[float]) -> None:
-        """The simulation's innermost hot path.
+    def _drain(self, until: Optional[float], profile: Optional[SimProfiler]) -> None:
+        """The simulation's innermost hot path: the one dispatch loop.
 
-        Inlines entry selection, event dispatch (``Event._dispatch``
-        body) and :class:`_Deferred`/:class:`_Sleep` recycling with the
-        three lanes bound locally.  Bucket, lane and heap are merged by
-        (time, seq), reproducing single-heap dispatch order exactly.
+        Inlines entry selection and event dispatch (the
+        ``Event._dispatch`` body) with the bucket and the heap bound
+        locally.  The two are merged by (time, seq), reproducing
+        single-heap dispatch order exactly.  Flush hooks run once the
+        current instant has drained, before time advances or the run
+        ends; a heap entry beyond ``until`` stops the loop there.
+
+        With a profiler, each dispatch is classified before it runs and
+        its wall and simulated time are recorded after; selection is the
+        same code, so profiled and bare runs execute bitwise-identical
+        schedules (tested in ``tests/test_profile.py``).
         """
         heap = self._heap
-        lane = self._lane
         bucket = self._now_bucket
-        pop = heapq.heappop
         popleft = bucket.popleft
-        lane_popleft = lane.popleft
-        deferred_pool = self._deferred_pool
-        sleep_pool = self._sleep_pool
         flush_hooks = self._flush_hooks
-        now = self.now
+        now = last = self.now
+        if profile is not None:
+            clock, record, bucket_for = profile.clock, profile.record, profile.bucket_for
         while True:
             if bucket:
-                # Same instant: dispatch the oldest seq among bucket
-                # front and any lane/heap entries already due at `now`
-                # (they predate later bucket appends iff seq is smaller).
-                event = None
-                bseq = bucket[0][0]
-                if lane:
-                    l0 = lane[0]
-                    if l0[0] <= now and l0[1] < bseq:
-                        if heap and heap[0] < l0:
-                            event = pop(heap)[2]
-                        else:
-                            event = lane_popleft()[2]
-                if event is None:
-                    if heap and heap[0][0] <= now and heap[0][1] < bseq:
-                        event = pop(heap)[2]
-                    else:
-                        event = popleft()[1]
+                # Same instant: a heap entry already due at `now`
+                # predates the bucket front iff its seq is smaller.
+                if heap and heap[0][0] <= now and heap[0][1] < bucket[0][0]:
+                    event = heappop(heap)[2]
+                else:
+                    event = popleft()[1]
             else:
-                if lane:
-                    use_lane = True
-                    l0 = lane[0]
-                    when = l0[0]
-                    if heap:
-                        h0 = heap[0]
-                        if h0 < l0:
-                            use_lane = False
-                            when = h0[0]
-                elif heap:
-                    use_lane = False
-                    when = heap[0][0]
-                elif flush_hooks:
+                if flush_hooks and (not heap or heap[0][0] > now):
+                    # The instant has drained: boundary hooks run before
+                    # time advances (or the run ends).
+                    if profile is not None:
+                        profile.watch_hooks(flush_hooks)
                     self._run_flush_hooks()
                     continue
-                else:
+                if not heap:
                     break
-                if when > now:
-                    if flush_hooks:
-                        self._run_flush_hooks()
-                        continue
-                elif when < now:
+                when = heap[0][0]
+                if when < now:
                     raise SimulationError("time went backwards")
                 if until is not None and when > until:
                     self.now = until
                     return
-                if use_lane:
-                    event = lane_popleft()[2]
-                else:
-                    event = pop(heap)[2]
+                event = heappop(heap)[2]
                 now = self.now = when
-            # Inlined Event._dispatch + pool recycling.
-            cls = event.__class__
-            if cls is _Deferred:
-                fn = event.fn
-                event.fn = None
-                fn()
-                deferred_pool.append(event)
+            if profile is None:
+                # Inlined Event._dispatch.
+                if event.__class__ is _Deferred:
+                    event.fn()
+                else:
+                    cb = event._callbacks
+                    event._callbacks = _DISPATCHED
+                    if cb is not None:
+                        if cb.__class__ is list:
+                            for callback in cb:
+                                callback(event)
+                        else:
+                            cb(event)
             else:
-                cb = event._callbacks
-                event._callbacks = _DISPATCHED
-                if cb is not None:
-                    if cb.__class__ is list:
-                        for callback in cb:
-                            callback(event)
-                    else:
-                        cb(event)
-                if cls is _Sleep:
-                    sleep_pool.append(event)
+                key = bucket_for(event)
+                t0 = clock()
+                event._dispatch()
+                record(key, now - last, clock() - t0)
+                last = now
 
-    def _drain_sampled(self, until: Optional[float], sampler: Any) -> None:
-        """The run loop chunked at the sampler's tick grid.
+    def _drain_sampled(
+        self, until: Optional[float], sampler: Sampler, profile: Optional[SimProfiler]
+    ) -> None:
+        """The run loop split at the sampler's tick grid.
 
-        Each chunk is an ordinary :meth:`_drain` (or profiled drain) to
-        the next sample instant -- the same ``until`` mechanism callers
-        use -- so the dispatched schedule is bitwise-identical to an
-        unsampled run: no event scheduled, no sequence number consumed.
-        A sample is taken only when the chunk actually reached its tick
-        (work remains beyond it); a drained schedule ends the run
-        without trailing empty ticks.
+        Each chunk is an ordinary :meth:`_drain` to the next sample
+        instant -- the same ``until`` mechanism callers use -- so the
+        dispatched schedule is bitwise-identical to an unsampled run: no
+        event scheduled, no sequence number consumed.  A sample is taken
+        only when the chunk actually reached its tick (work remains
+        beyond it); a drained schedule ends the run without trailing
+        empty ticks.
         """
-        profile = self._profile
         while True:
             due = sampler.next_due()
             target = due if until is None or due <= until else until
-            if profile is not None:
-                self._drain_profiled(target, profile)
-            else:
-                self._drain(target)
-            if not (self._now_bucket or self._lane or self._heap):
+            self._drain(target, profile)
+            if not (self._now_bucket or self._heap):
                 return
             if target != due:
                 # The caller's horizon precedes the next tick.
                 return
             sampler.sample(self)
-
-    def _drain_profiled(self, until: Optional[float], profile: Any) -> None:
-        """The run loop with per-dispatch attribution.
-
-        Entry selection (the minimal ``(time, seq)`` across the three
-        lanes, bucket entries firing at ``now``), flush-hook and
-        ``until`` semantics are those of :meth:`_drain`, written out of
-        line; the only additions are bucket classification before
-        dispatch and wall/sim-time accounting around it.  Profiling never
-        touches the sequence counter or the schedule, so profiled and
-        unprofiled runs execute bitwise-identical schedules (tested in
-        ``tests/test_profile.py``).
-        """
-        clock = profile.clock
-        record = profile.record
-        bucket_for = profile.bucket_for
-        bucket = self._now_bucket
-        lane = self._lane
-        heap = self._heap
-        hooks = self._flush_hooks
-        while True:
-            source: Any = None
-            when, seq = self.now, 0
-            if bucket:
-                source, seq = bucket, bucket[0][0]
-            if lane and (source is None or lane[0][:2] < (when, seq)):
-                source, when, seq = lane, lane[0][0], lane[0][1]
-            if heap and (source is None or heap[0][:2] < (when, seq)):
-                source, when, seq = heap, heap[0][0], heap[0][1]
-            if not bucket:
-                # The instant has drained: boundary hooks run before time
-                # advances (or the run ends), then the horizon applies.
-                if hooks and (source is None or when > self.now):
-                    profile.watch_hooks(hooks)
-                    self._run_flush_hooks()
-                    continue
-                if source is None:
-                    break
-                if until is not None and when > until:
-                    self.now = until
-                    return
-            event = heapq.heappop(heap)[2] if source is heap else source.popleft()[-1]
-            if when < self.now:
-                raise SimulationError("time went backwards")
-            prev_now, self.now = self.now, when
-            key = bucket_for(event)
-            t0 = clock()
-            event._dispatch()
-            record(key, when - prev_now, clock() - t0)
-            cls = type(event)
-            if cls is _Deferred:
-                self._deferred_pool.append(event)
-            elif cls is _Sleep:
-                self._sleep_pool.append(event)
 
     def run_process(self, body: ProcessBody, name: str = "") -> Any:
         """Convenience: spawn ``body``, run to completion, return its value."""

@@ -431,7 +431,7 @@ class Switch(InlineState):
         done._scheduled = False
         src.stats.flows_started += 1
         if nbytes == 0:
-            latency_done = sim.sleep(self.BASE_LATENCY)
+            latency_done = sim.timeout(self.BASE_LATENCY)
 
             def _deliver_empty(_ev: Event) -> None:
                 # A zero-byte flow still completes: close the
@@ -694,7 +694,7 @@ class Switch(InlineState):
             candidates = [flow for flow in candidates if not flow.finished]
         self._solve(candidates, now)
         if finished:
-            delivery = self.sim.sleep(self.BASE_LATENCY)
+            delivery = self.sim.timeout(self.BASE_LATENCY)
             for flow in finished:
                 self._deliver(flow, delivery)
         self._arm_timer(now)
@@ -758,9 +758,9 @@ class Switch(InlineState):
     def _deliver(self, flow: _Flow, delivery: Event) -> None:
         """Account a finished flow and schedule its completion delivery.
 
-        ``delivery`` is one base-latency sleep shared by every flow that
+        ``delivery`` is one base-latency timeout shared by every flow that
         finished in the same wave: callbacks fire in attach order, which
-        is the order per-flow sleeps would have dispatched in (their seqs
+        is the order per-flow timeouts would have dispatched in (their seqs
         would have been consecutive), so completion delivery order is
         unchanged.  The base latency keeps even an infinitely-fast link's
         transfer time nonzero.  A packet train crossed no link: it is
@@ -922,7 +922,7 @@ class Switch(InlineState):
         version = self._timer_version
         # Floor the delay at a nanosecond so floating-point residue can
         # never re-arm the timer at the current instant forever.
-        timer = self.sim.sleep(max(top - now, 1e-9))
+        timer = self.sim.timeout(max(top - now, 1e-9))
         timer.add_callback(lambda _ev: self._on_timer(version))
 
     def _on_timer(self, version: int) -> None:
@@ -956,7 +956,7 @@ class Switch(InlineState):
         for flow in finished:
             self._retire(flow)
         if finished:
-            delivery = self.sim.sleep(self.BASE_LATENCY)
+            delivery = self.sim.timeout(self.BASE_LATENCY)
             for flow in finished:
                 self._deliver(flow, delivery)
         # Departures free bandwidth: re-solve the components the finished

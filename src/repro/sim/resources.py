@@ -59,29 +59,24 @@ class Resource(InlineState):
         """Return an event that fires when a unit of the resource is granted.
 
         The event's value is an opaque grant token to pass to
-        :meth:`release`.  The construct-and-succeed path is flattened
-        (direct slot writes, no constructor or trigger frames): every
-        simulated I/O passes through here once.
+        :meth:`release`.  The constructor is flattened (direct slot
+        writes, no constructor frames): every simulated I/O passes
+        through here once.
         """
         sim = self.sim
         event = _Request.__new__(_Request)
         event.sim = sim
         event._callbacks = None
+        event._value = None
         event._exception = None
+        event.triggered = False
+        event._scheduled = False
         event.owner = self
         if self._in_use < self.capacity and not self._queue:
             self._in_use += 1
             sim._grant(self)
-            # Inlined event.succeed(_Grant(self)).
-            event._value = _Grant(self)
-            event.triggered = True
-            event._scheduled = True
-            sim._seq += 1
-            sim._now_bucket.append((sim._seq, event))
+            event.succeed(_Grant(self))
         else:
-            event._value = None
-            event.triggered = False
-            event._scheduled = False
             self._queue.append(event)
         return event
 
@@ -107,16 +102,8 @@ class Resource(InlineState):
             # O(1) FIFO handoff: the released token passes straight to the
             # head waiter with no allocation.  The unit never goes idle,
             # so _in_use and the ledger are untouched and the token stays
-            # live.  Inlined waiter.succeed(grant): queued events are
-            # request()-private and still pending, so the
-            # triggered/scheduled checks are statically true.
-            waiter = self._queue.popleft()
-            waiter._value = grant
-            waiter.triggered = True
-            waiter._scheduled = True
-            sim = waiter.sim
-            sim._seq += 1
-            sim._now_bucket.append((sim._seq, waiter))
+            # live.
+            self._queue.popleft().succeed(grant)
         else:
             grant.released = True
             self._in_use -= 1

@@ -44,30 +44,50 @@ from repro.units import HOURS_PER_YEAR
 from repro.workloads.dfsio import dfsio_write
 
 
-class HeapSimulator(Simulator):
-    """The reference scheduler: one binary heap for every timed entry.
+class _HeapBucket:
+    """The oracle's now-bucket: an ``append`` that heap-pushes.
 
-    Overrides the three scheduling sites production inlines
-    (``timeout``/``sleep``/``_schedule_event``) with the plain
-    constructor path and a ``heappush``; dispatch is the inherited
-    merge, which with an empty lane is a heap pop.  Sleeps are fresh
-    (unpooled) timeouts.
+    Production writes zero-delay entries as ``(seq, entry)`` pairs into
+    ``_now_bucket`` from several inlined sites; this stand-in pushes
+    each as ``(now, seq, entry)`` onto the one heap instead, and is
+    always empty, so the inherited loop only ever pops the heap.
     """
+
+    def __init__(self, sim: Simulator) -> None:
+        self.sim = sim
+
+    def append(self, pair: Tuple[int, Any]) -> None:
+        sim = self.sim
+        heapq.heappush(sim._heap, (sim.now, pair[0], pair[1]))
+
+    def __len__(self) -> int:
+        return 0
+
+    def popleft(self) -> Tuple[int, Any]:
+        raise AssertionError("the oracle's now-bucket is always empty")
+
+
+class HeapSimulator(Simulator):
+    """The reference scheduler: one binary heap for every entry.
+
+    Zero-delay entries included: the now-bucket is a :class:`_HeapBucket`.
+    ``timeout`` and ``_schedule_event`` are the plain constructor path and
+    a ``heappush``, so no inlined production scheduling site runs.
+    """
+
+    def __init__(self) -> None:
+        super().__init__()
+        self._now_bucket = _HeapBucket(self)
 
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         return Timeout(self, delay, value)
-
-    sleep = timeout
 
     def _schedule_event(self, event: Event, delay: float = 0.0) -> None:
         if event._scheduled:
             return
         event._scheduled = True
         self._seq += 1
-        if delay == 0.0:
-            self._now_bucket.append((self._seq, event))
-        else:
-            heapq.heappush(self._heap, (self.now + delay, self._seq, event))
+        heapq.heappush(self._heap, (self.now + delay, self._seq, event))
 
 
 class ReferenceSwitch(Switch):
@@ -347,20 +367,20 @@ class DiscretePullers(_Pullers):
             if options.lock_mode == "superchunk":
                 grant = yield lock_whole.request()
                 try:
-                    yield self.sim.sleep(options.lock_overhead + xor_time)
+                    yield self.sim.timeout(options.lock_overhead + xor_time)
                 finally:
                     lock_whole.release(grant)
             else:
                 grant = yield lock_ranges.acquire(offset, offset + run)
                 try:
                     bus_share = options.streaming_bus_share if streaming else 0.0
-                    yield self.sim.sleep(
+                    yield self.sim.timeout(
                         options.lock_overhead + (1.0 - bus_share) * xor_time
                     )
                     if bus_share > 0.0:
                         bus_grant = yield memory_bus.request()
                         try:
-                            yield self.sim.sleep(bus_share * xor_time)
+                            yield self.sim.timeout(bus_share * xor_time)
                         finally:
                             memory_bus.release(bus_grant)
                 finally:
@@ -378,7 +398,7 @@ class DiscreteRaid6Rig(_Raid6Rig):
         start_io = self.source_disks[index].start_io
         transfer = self.switch.transfer
         src, master = self.sources[index], self.master
-        all_of, sleep = sim.all_of, sim.sleep
+        all_of, timeout = sim.all_of, sim.timeout
         offset = 0
         while offset < data_per_disk:
             run = min(chunk_size, data_per_disk - offset)
@@ -386,7 +406,7 @@ class DiscreteRaid6Rig(_Raid6Rig):
             flow = transfer(src, master, run)
             yield all_of([read, flow])
             # Decode on the master (serialized per received chunk).
-            yield sleep(run / xor_rate)
+            yield timeout(run / xor_rate)
             offset += run
         return None
 

@@ -131,11 +131,11 @@ def _killed_recovery(monkeypatch, source, acquire, options):
     start = lines.index(acquire)
     sleep_line = next(
         n for n, line in enumerate(lines[start:], start + 1)
-        if line.startswith("yield sim.sleep(")
+        if line.startswith("yield sim.timeout(")
     )
 
     pullers, killed = {}, []
-    spawn, sleep = Simulator.process, Simulator.sleep
+    spawn, timeout = Simulator.process, Simulator.timeout
 
     def process(sim, body, name=""):
         proc = spawn(sim, body, name)
@@ -143,15 +143,15 @@ def _killed_recovery(monkeypatch, source, acquire, options):
             pullers[body.gi_frame] = proc
         return proc
 
-    def sleep_or_die(sim, delay, value=None):
+    def timeout_or_die(sim, delay, value=None):
         caller = sys._getframe(1)
         if not killed and caller.f_code is puller.__code__ and caller.f_lineno == sleep_line:
             killed.append(pullers[caller])
             killed[0].interrupt("killed at its yield")
-        return sleep(sim, delay, value)
+        return timeout(sim, delay, value)
 
     monkeypatch.setattr(Simulator, "process", process)
-    monkeypatch.setattr(Simulator, "sleep", sleep_or_die)
+    monkeypatch.setattr(Simulator, "timeout", timeout_or_die)
     dfs = sparse_cluster(num_nodes=8, per_disk=3, payload_mode="tokens")
     write_some_data(dfs)
     a, b = pick_sharing_pair(dfs)

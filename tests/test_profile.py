@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import json
 
-from repro.obs import simprofile
+import pytest
+
+from repro.obs import simprofile, timeseries
 from repro.obs.simprofile import SimProfiler, classify_code
 from repro.obs.taxonomy import is_registered
 from repro.units import MiB
@@ -29,10 +31,18 @@ def _dfsio_run():
     return (result.runtime, dfs.sim.now, dfs.sim._seq)
 
 
-def test_profiled_run_is_bitwise_identical_to_unprofiled():
+@pytest.mark.parametrize("sampled", [False, True], ids=["profiled", "sampled+profiled"])
+def test_profiled_run_is_bitwise_identical_to_unprofiled(sampled):
+    """The one dispatch loop, with the profiler on and with the sampler
+    splitting it at ticks as well, runs the bare run's schedule."""
     baseline = _dfsio_run()
     with simprofile.capture() as profiler:
-        profiled = _dfsio_run()
+        if sampled:
+            with timeseries.capture(interval=0.01) as sampler:
+                profiled = _dfsio_run()
+            assert len(sampler.store) > 1  # the loop was split at ticks
+        else:
+            profiled = _dfsio_run()
     assert profiled == baseline
     assert profiler.totals()["events"] > 0
 
@@ -136,6 +146,7 @@ def test_cli_report_and_json_export(tmp_path, capsys, monkeypatch):
     ) in text
     assert report["work"]["net_solves_total"] == 46043
     assert report["work"]["net_timer_fires_total"] == 38548
+    assert report["totals"]["events"] == 175465
 
 
 def test_step_summary_written_when_env_set(tmp_path, monkeypatch):

@@ -1,16 +1,17 @@
-"""Differential tests: calendar-queue scheduler vs a binary-heap oracle.
+"""Differential tests: the bucket-and-heap scheduler vs one binary heap.
 
-The three-lane calendar scheduler in :mod:`repro.sim.engine` is a pure
-routing optimization -- dispatch must follow the exact global
-``(time, seq)`` order a binary heap produces.  The oracle is
-:class:`tests.oracles.HeapSimulator`: a subclass that heap-pushes every timed
-entry, so its calendar lane stays empty and the production routing
-policy never runs.  These tests run the identical workload on both and
-require the full dispatch logs to match bitwise, under
-hypothesis-randomized mixes of the patterns that stress each lane:
-constant-delay chains (calendar lane), zero delays (now-bucket),
-out-of-order deadlines (overflow heap), interrupts, and combinator
-waits.
+:mod:`repro.sim.engine` keeps zero-delay entries in a FIFO now-bucket
+and everything timed in a heap, and merges the two at equal instants by
+sequence number.  That merge is a pure routing optimization -- dispatch
+must follow the exact global ``(time, seq)`` order of a single heap.
+The oracle is :class:`tests.oracles.HeapSimulator`: a subclass whose
+now-bucket heap-pushes, so every entry, zero-delay ones included, sits
+on its one heap and the merge never runs.  These tests run the identical
+workload on both and require the full dispatch logs to match bitwise,
+under hypothesis-randomized mixes of constant-delay chains, zero delays
+(bucket entries racing heap entries due at the same instant),
+out-of-order deadlines, interrupts and all-of joins, plus a real DFSIO
+write.
 """
 
 from __future__ import annotations
@@ -26,9 +27,9 @@ from repro.sim.engine import ProcessInterrupt, Simulator
 from tests.oracles import HeapSimulator
 
 
-# Delay menu: repeated values exercise the non-decreasing calendar lane,
-# 0.0 the now-bucket, and the spread (a large delay followed by a small
-# one from another process) the overflow heap.  Exact binary floats so
+# Delay menu: repeated values make entries due at one instant, 0.0 the
+# now-bucket, and the spread (a large delay followed by a small one from
+# another process) out-of-order deadlines.  Exact binary floats so
 # equality comparisons across schedulers are bitwise-trivial.
 _DELAYS = (0.0, 0.125, 0.25, 1.0, 1.0, 2.5, 7.0)
 
@@ -44,7 +45,7 @@ _interrupt_plans = st.lists(
     max_size=4,
 )
 
-_join_plan = st.sampled_from(("none", "all", "any"))
+_join_plan = st.sampled_from(("none", "all"))
 
 Log = List[Tuple[Any, ...]]
 
@@ -55,18 +56,16 @@ def _run_workload(sim_class, workers, interrupts, join):
     The log records every observable resume: (tag, worker id, step,
     sim.now).  Appends happen inside process bodies, so two schedulers
     produce equal logs only if they dispatched every entry in the same
-    order at the same simulated times.  Odd workers wait on pooled
-    sleeps, so both inlined scheduling sites are exercised.
+    order at the same simulated times.
     """
     sim = sim_class()
     log: Log = []
     procs = []
 
     def worker(wid, delays):
-        wait = sim.sleep if wid % 2 else sim.timeout
         for step, delay in enumerate(delays):
             try:
-                yield wait(delay)
+                yield sim.timeout(delay)
                 log.append(("tick", wid, step, sim.now))
             except ProcessInterrupt:
                 log.append(("interrupted", wid, step, sim.now))
@@ -80,10 +79,7 @@ def _run_workload(sim_class, workers, interrupts, join):
             target.interrupt("chaos")
 
     def joiner():
-        if join == "all":
-            value = yield sim.all_of(procs)
-        else:
-            value = yield sim.any_of(procs)
+        value = yield sim.all_of(procs)
         log.append(("joined", join, repr(value), sim.now))
 
     for wid, delays in enumerate(workers):
@@ -94,7 +90,7 @@ def _run_workload(sim_class, workers, interrupts, join):
         sim.process(joiner())
     sim.run()
     log.append(("end", sim.now, sim._seq))
-    assert not sim._lane and not sim._heap
+    assert not sim._heap
     return log
 
 
@@ -107,43 +103,41 @@ def test_calendar_matches_heap_reference(workers, interrupts, join):
 
 
 def test_overflow_heap_path_matches_reference():
-    """A hand-built worst case: deadlines arrive strictly out of order."""
-    workers = [[7.0, 0.125], [2.5, 0.125], [1.0, 0.0], [0.125, 7.0]]
+    """A hand-built worst case: deadlines arrive strictly out of order,
+    and at t=1 a zero delay lands in the bucket while an older heap
+    entry is due at the same instant."""
+    workers = [[7.0, 0.125], [2.5, 0.125], [1.0, 0.0], [0.125, 7.0], [1.0, 0.0]]
     calendar = _run_workload(Simulator, workers, [], "all")
     heap = _run_workload(HeapSimulator, workers, [], "all")
     assert calendar == heap
 
 
-def test_oracle_is_a_true_heap_and_production_uses_its_lanes():
-    """The oracle never touches the lane; production routes by order.
+def test_oracle_is_a_true_heap():
+    """Every oracle entry, zero-delay ones included, sits on its heap.
 
     Guards the differential suite against comparing the scheduler with
-    itself: out-of-order deadlines must all sit in the oracle's heap,
-    while production parks the monotone run in the lane and spills only
-    the early deadline.
+    itself: the oracle's now-bucket stays empty, so the production merge
+    of bucket and heap never runs on its side.
     """
-    delays = (1.0, 2.0, 3.0, 0.5)
+    delays = (1.0, 0.0, 3.0, 0.5, 0.0)
     oracle = HeapSimulator()
-    for index, delay in enumerate(delays):
-        (oracle.sleep if index % 2 else oracle.timeout)(delay)
-    assert not oracle._lane
-    assert sorted(when for when, _seq, _ev in oracle._heap) == sorted(delays)
-
-    sim = Simulator()
-    for index, delay in enumerate(delays):
-        (sim.sleep if index % 2 else sim.timeout)(delay)
-    assert [when for when, _seq, _ev in sim._lane] == [1.0, 2.0, 3.0]
-    assert [when for when, _seq, _ev in sim._heap] == [0.5]
+    for delay in delays:
+        oracle.timeout(delay)
+    oracle.process(step for step in ())
+    oracle.event().succeed()
+    assert not oracle._now_bucket
+    assert sorted(when for when, _seq, _ev in oracle._heap) == [
+        0.0, 0.0, 0.0, 0.0, 0.5, 1.0, 3.0,
+    ]
 
 
-@pytest.mark.parametrize("container", ["_lane", "_heap"])
-def test_drain_refuses_to_run_time_backwards(container):
-    """A mis-routed entry (deadline behind the clock) fails loudly in
-    either timed container instead of dispatching out of order."""
+def test_drain_refuses_to_run_time_backwards():
+    """A mis-routed entry (deadline behind the clock) fails loudly
+    instead of dispatching out of order."""
     sim = Simulator()
     sim.timeout(3.0)
     sim.run()
-    getattr(sim, container).append((0.5, sim._seq + 1, sim.event()))
+    sim._heap.append((0.5, sim._seq + 1, sim.event()))
     with pytest.raises(SimulationError, match="time went backwards"):
         sim.run()
 
@@ -166,5 +160,5 @@ def test_experiment_fingerprint_invariant_under_scheduler(monkeypatch):
         dfs = build_raidp(Scale(), seed=1)
         assert type(dfs.sim) is sim_class
         runtimes[sim_class] = dfsio_write(dfs, 64 * 1024 * 1024).runtime
-        assert not dfs.sim._lane and not dfs.sim._heap
+        assert not dfs.sim._heap
     assert runtimes[Simulator] == runtimes[HeapSimulator]

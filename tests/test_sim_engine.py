@@ -167,20 +167,6 @@ def test_all_of_empty_fires_immediately():
     assert sim.run_process(body()) == []
 
 
-def test_any_of_returns_first():
-    sim = Simulator()
-
-    def body():
-        index, value = yield sim.any_of(
-            [sim.timeout(3.0, "slow"), sim.timeout(1.0, "fast")]
-        )
-        return index, value, sim.now
-
-    # The losing timeout still drains afterwards, so check the time the
-    # process observed, not the final clock.
-    assert sim.run_process(body()) == (1, "fast", 1.0)
-
-
 def test_deadlock_detection():
     sim = Simulator()
 
