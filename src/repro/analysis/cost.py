@@ -85,8 +85,6 @@ class DatacenterCostModel:
     breakdown: Dict[str, float] = field(default_factory=lambda: dict(FIG7_BREAKDOWN))
     derived_disk_cost: float = HYPERCONVERGED.derived_disk_cost
     lstor: LstorBom = field(default_factory=LstorBom)
-    #: Fraction of TCO that scales with disk count (the paper: ~all).
-    disk_proportional_fraction: float = 1.0
 
     def __post_init__(self) -> None:
         total = sum(self.breakdown.values())
@@ -109,7 +107,7 @@ class DatacenterCostModel:
             raise ValueError("replication must be >= 1")
         disks = replication * self.derived_disk_cost / self.breakdown["servers"]
         lstors = replication * lstors_per_disk * self.lstor.total
-        return disks * self.disk_proportional_fraction + lstors
+        return disks + lstors
 
     def raidp_savings_fraction(self) -> float:
         """TCO saved by 2 replicas + 2 Lstors over triplication."""

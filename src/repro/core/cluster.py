@@ -118,8 +118,6 @@ class RaidpCluster(InlineState):
                 self.namenode,
                 self.cluster.switch,
                 self.factory,
-                accumulate_writes=self.raidp.optimized,
-                use_writer_lock=self.raidp.optimized,
                 seed=seed + index,
                 layout=self.layout,
                 superchunk_map=self.map,

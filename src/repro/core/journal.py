@@ -99,7 +99,9 @@ class Journal(InlineState):
         self.capacity = capacity
         self.strict_capacity = strict_capacity
         self.name = name
-        self._trace = trace if trace is not None else NULL_TRACER
+        # Any: emission sites branch on ``enabled`` first, and the null
+        # tracer has no emission methods.
+        self._trace: Any = trace if trace is not None else NULL_TRACER
         self._records: Dict[int, JournalRecord] = {}
         self._next_id = 0
         self._used = 0

@@ -47,7 +47,6 @@ class LayoutSpec(InlineState):
 
     superchunk_size: int = 6 * units.GiB  # the paper's evaluation size
     block_size: int = 64 * units.MiB  # HDFS default
-    max_superchunks_per_disk: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.superchunk_size <= 0 or self.block_size <= 0:
@@ -194,11 +193,9 @@ class Layout(InlineState):
         """The superchunk the two disks share, if any."""
         return self._pair_index.get(frozenset((disk_a, disk_b)))
 
-    def max_superchunks(self, disk: str) -> int:
-        limit = len(self._disks) - 1
-        if self.spec.max_superchunks_per_disk is not None:
-            limit = min(limit, self.spec.max_superchunks_per_disk)
-        return limit
+    def max_superchunks(self) -> int:
+        """Per-disk bound: one superchunk shared with each other disk."""
+        return len(self._disks) - 1
 
     # ------------------------------------------------------------------
     # Mutation.
@@ -214,8 +211,8 @@ class Layout(InlineState):
         if frozenset((disk_a, disk_b)) in self._pair_index:
             return False  # would violate 1-sharing
         return (
-            len(self._slots[disk_a]) < self.max_superchunks(disk_a)
-            and len(self._slots[disk_b]) < self.max_superchunks(disk_b)
+            len(self._slots[disk_a]) < self.max_superchunks()
+            and len(self._slots[disk_b]) < self.max_superchunks()
         )
 
     def add_disk(self, disk: str, domain: Optional[str] = None) -> None:
@@ -252,7 +249,7 @@ class Layout(InlineState):
         for disk in (disk_a, disk_b):
             if disk not in self._slots:
                 raise LayoutError(f"unknown disk {disk}")
-            if len(self._slots[disk]) >= self.max_superchunks(disk):
+            if len(self._slots[disk]) >= self.max_superchunks():
                 raise CapacityError(f"disk {disk} is full of superchunks")
         pair = frozenset((disk_a, disk_b))
         if pair in self._pair_index:
@@ -322,7 +319,7 @@ class Layout(InlineState):
             raise LayoutError(
                 f"disks {survivor} and {new_disk} already share (1-sharing)"
             )
-        if len(self._slots[new_disk]) >= self.max_superchunks(new_disk):
+        if len(self._slots[new_disk]) >= self.max_superchunks():
             raise CapacityError(f"disk {new_disk} is full of superchunks")
         updated = Superchunk(
             sc_id=sc_id,
@@ -383,7 +380,7 @@ class Layout(InlineState):
         for disk in (disk_a, disk_b):
             if disk not in self._slots:
                 raise LayoutError(f"unknown disk {disk}")
-            if len(self._slots[disk]) >= self.max_superchunks(disk):
+            if len(self._slots[disk]) >= self.max_superchunks():
                 raise CapacityError(f"disk {disk} is full of superchunks")
         pair = frozenset((disk_a, disk_b))
         if pair in self._pair_index:
@@ -439,10 +436,6 @@ class Layout(InlineState):
         # *allocation-time* constraint; after a failure shrinks N, the
         # surviving disks may transiently hold up to old-N minus one
         # superchunks until recovery rearranges them.
-        if self.spec.max_superchunks_per_disk is not None:
-            for disk, slots in self._slots.items():
-                if len(slots) > self.spec.max_superchunks_per_disk:
-                    raise LayoutError(f"disk {disk} exceeds its superchunk cap")
 
     @property
     def is_fully_mirrored(self) -> bool:

@@ -18,12 +18,12 @@ since Reed-Solomon needs real field arithmetic).
 
 Timing: parity arithmetic is offloaded to the Lstor's own logic (paper
 §2), so Lstor operations charge *no* datanode CPU; the simulated cost is
-the transfer into the device, charged at ``write_rate``.
+the transfer into the device, charged at :data:`LSTOR_WRITE_RATE`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Generator, Hashable, List, Optional, Set, Tuple
+from typing import Dict, Hashable, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -39,6 +39,9 @@ from repro.storage.payload import (
     XorAccumulator,
 )
 from repro.sim.snapshot import InlineState
+
+#: Transfer rate into an Lstor: parity deltas and journal records.
+LSTOR_WRITE_RATE = 1.2 * units.GB
 
 
 def filler_name(sc_id: int, slot: int) -> str:
@@ -62,13 +65,11 @@ class Lstor(InlineState):
         name: str,
         block_size: int,
         journal_capacity: int = 128 * units.MiB,
-        write_rate: float = 1.2 * units.GB,
     ) -> None:
         self.sim = sim
         self.factory = factory
         self.name = name
         self.block_size = block_size
-        self.write_rate = write_rate
         self.journal = Journal(
             capacity=journal_capacity, now=sim.now, trace=sim.trace, name=name
         )
@@ -83,7 +84,6 @@ class Lstor(InlineState):
         # Tags of already-absorbed updates: device-side sequence-number
         # dedup, which makes journal roll-forward idempotent.
         self._absorbed_tags: set = set()
-        self.stats_bytes_absorbed = 0
 
     # ------------------------------------------------------------------
     # Failure model: Lstors fail separately from their disks.
@@ -141,9 +141,8 @@ class Lstor(InlineState):
         content; the bytes plane folds each term into the parity in
         place, so the delta itself is never allocated.  ``tag``, when
         given, deduplicates: an update absorbed under the same tag twice
-        is applied once (journal replay idempotency).  Pure state change;
-        use :meth:`absorb_timed` from simulation processes to also charge
-        device-transfer time.
+        is applied once (journal replay idempotency).  Pure state change:
+        the writer charges the device-transfer time.
         """
         self._check_alive()
         if tag is not None:
@@ -172,13 +171,6 @@ class Lstor(InlineState):
                 delta = delta.xor(term)
             self._parity[slot] = self._current(slot).xor(delta)
 
-    def absorb_timed(self, slot: int, delta: Payload, nbytes: int) -> Generator:
-        """Process body: absorb a delta, charging transfer time."""
-        self.absorb(slot, delta)
-        self.stats_bytes_absorbed += nbytes
-        yield self.sim.timeout(nbytes / self.write_rate)
-        return None
-
     def journal_write_time(self, nbytes: int) -> float:
         """Time to persist one journal record of ``nbytes`` of new data.
 
@@ -186,7 +178,7 @@ class Lstor(InlineState):
         device streams them concurrently from its staging DRAM; the
         bottleneck is the record's dominant component.
         """
-        return nbytes / self.write_rate
+        return nbytes / LSTOR_WRITE_RATE
 
 
 class LstorStack(InlineState):
@@ -212,7 +204,6 @@ class LstorStack(InlineState):
         data_shards: int,
         parity_count: int,
         journal_capacity: int = 128 * units.MiB,
-        write_rate: float = 1.2 * units.GB,
     ) -> None:
         if parity_count < 1:
             raise ValueError("need at least one Lstor in a stack")
@@ -231,7 +222,6 @@ class LstorStack(InlineState):
                 name=f"{name}.L{i}",
                 block_size=block_size,
                 journal_capacity=journal_capacity,
-                write_rate=write_rate,
             )
             for i in range(parity_count)
         ]

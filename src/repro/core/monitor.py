@@ -33,6 +33,7 @@ from typing import Any, Dict, Generator, List, Optional, Set, Tuple
 
 from repro.core.recovery import RecoveryManager, RecoveryOptions, RecoveryReport
 from repro.errors import ReproError
+from repro.hdfs.config import ACK_SIZE
 from repro.hdfs.datanode import DataNode
 from repro.hdfs.namenode import healthy_datanode
 from repro.obs.audit import active_auditor
@@ -144,9 +145,7 @@ class ClusterMonitor:
                 target_nic = self._heartbeat_target_nic(datanode)
                 if target_nic is not None:
                     yield self.dfs.switch.transfer(
-                        datanode.node.primary_nic,
-                        target_nic,
-                        self.dfs.config.ack_size,
+                        datanode.node.primary_nic, target_nic, ACK_SIZE
                     )
                 self._last_heartbeat[datanode.name] = self.sim.now
             yield self.sim.timeout(interval)

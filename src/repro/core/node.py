@@ -28,15 +28,16 @@ from typing import TYPE_CHECKING, Any, Dict, Generator, Optional, Set, Tuple
 from repro import units
 from repro.core.journal import JournalRecord, RecordState
 from repro.core.layout import Layout
-from repro.core.lstor import LstorStack, filler, filler_name
+from repro.core.lstor import LSTOR_WRITE_RATE, LstorStack, filler
 from repro.core.placement import SuperchunkMap
 from repro.errors import DfsError
 from repro.hdfs.block import Block, BlockLocations
-from repro.hdfs.config import DfsConfig
+from repro.hdfs.config import ACK_SIZE, DfsConfig
 from repro.hdfs.datanode import DataNode
 from repro.sim.disk import Disk, DiskTrain
 from repro.sim.engine import Event, Simulator
 from repro.sim.network import Switch
+from repro.sim.resources import Lock
 from repro.sim.node import Node
 from repro.storage.payload import ContentFactory, Payload
 from repro.sim.snapshot import InlineState
@@ -61,7 +62,6 @@ class RaidpConfig(InlineState):
     optimized: bool = True
     update_oriented: bool = False
     lstors_per_disk: int = 1
-    lstor_write_rate: float = 1.2 * units.GB
     journal_capacity: int = 128 * units.MiB
     #: Fraction of old data served from the page cache on the
     #: read-modify-write path.  The paper's methodology repeats each
@@ -105,6 +105,7 @@ class RaidpDataNode(DataNode):
         self.map = superchunk_map
         self.raidp = raidp
         self.switch = switch
+        self.writer_lock = Lock(sim, name=f"{self.name}.writer")
         self._namenode: Optional["weakref.ref[NameNode]"] = None
         self.lstors = LstorStack(
             sim,
@@ -114,7 +115,6 @@ class RaidpDataNode(DataNode):
             data_shards=max(len(layout.disks) - 1, 1),
             parity_count=raidp.lstors_per_disk,
             journal_capacity=raidp.journal_capacity,
-            write_rate=raidp.lstor_write_rate,
         )
         # block name -> (sc_id, slot); (sc_id, slot) -> block name.
         self._slot_of: Dict[str, Tuple[int, int]] = {}
@@ -170,12 +170,6 @@ class RaidpDataNode(DataNode):
     # ------------------------------------------------------------------
     def _holds_filler(self, sc_id: int, slot: int) -> bool:
         return sc_id in self._prefilled and (sc_id, slot) not in self._overwritten
-
-    def block_in_slot(self, sc_id: int, slot: int) -> Optional[str]:
-        name = self._block_at.get((sc_id, slot))
-        if name is None and self._holds_filler(sc_id, slot):
-            return filler_name(sc_id, slot)
-        return name
 
     def slot_payload(self, sc_id: int, slot: int) -> Payload:
         """Current content of a block slot (zero when never written)."""
@@ -263,8 +257,34 @@ class RaidpDataNode(DataNode):
     # ------------------------------------------------------------------
     # Write paths.
     # ------------------------------------------------------------------
+    def _write_replica(
+        self,
+        locations: BlockLocations,
+        payload: Payload,
+        inbound: Optional[Event],
+    ) -> Generator:
+        """Optimized: the block accumulates in RAM and is written in one
+        I/O under the node-wide writer lock, which stops concurrent
+        writers from ping-ponging the head between superchunks.
+        Otherwise every packet is its own write (:meth:`_stream_block`).
+        """
+        if not self.raidp.optimized:
+            return (yield from self._stream_block(locations, payload, inbound))
+        if inbound is not None:
+            yield inbound
+        # Packet handling and checksum work happens while the block
+        # accumulates in RAM -- before the writer lock, so it overlaps
+        # other writers' disk I/O.
+        yield from self._process_stream(locations.block.size)
+        grant = yield self.writer_lock.request()
+        try:
+            yield from self._commit_block(locations, payload)
+        finally:
+            self.writer_lock.release(grant)
+        return None
+
     def _commit_block(self, locations: BlockLocations, payload: Payload) -> Generator:
-        """Accumulated (optimized) write with parity + journal."""
+        """One-shot write of the buffered block with parity + journal."""
         block = locations.block
         sc_id, slot = self._placement_of(locations)
         old = self.slot_payload(sc_id, slot)
@@ -301,8 +321,7 @@ class RaidpDataNode(DataNode):
             )
         else:
             yield from self.fs.write(block.name, 0, block.size)
-        if self.config.sync_on_block_close:
-            yield from self.fs.sync()
+        yield from self.fs.sync()
 
         if self.raidp.enable_parity:
             tag = ("w", block.name, locations.version)
@@ -384,7 +403,7 @@ class RaidpDataNode(DataNode):
                 + 2 * self.switch.BASE_LATENCY
             )
         if self.raidp.enable_parity:
-            cycle += packet / self.raidp.lstor_write_rate
+            cycle += packet / LSTOR_WRITE_RATE
         offset = self.block_offset(sc_id, slot)
         yield from self.disk.seek(offset)
         train = self.switch.train(
@@ -397,8 +416,7 @@ class RaidpDataNode(DataNode):
             journal.clear(record.record_id, self.sim.now)
         if inbound is not None:
             yield inbound
-        if self.config.sync_on_block_close:
-            yield from self.fs.sync()
+        yield from self.fs.sync()
         if self.raidp.enable_parity:
             self.lstors.absorb_update(
                 self.shard_index_of(sc_id),
@@ -422,7 +440,7 @@ class RaidpDataNode(DataNode):
         """Logical parity update plus the device-transfer time charge."""
         self.lstors.absorb_update(self.shard_index_of(sc_id), slot, old, new, tag=tag)
         if self.lstors.alive_lstors():  # dead devices absorb and cost nothing
-            yield self.sim.timeout(nbytes / self.raidp.lstor_write_rate)
+            yield self.sim.timeout(nbytes / LSTOR_WRITE_RATE)
         return None
 
     def _placement_of(self, locations: BlockLocations) -> Tuple[int, int]:
@@ -481,14 +499,13 @@ class RaidpDataNode(DataNode):
         # The sub-block RMW: read the old range, rewrite it in place.
         self.create_block_file(locations)
         yield from self.fs.read_modify_write(block.name, block_offset, nbytes)
-        if self.config.sync_on_block_close:
-            yield from self.fs.sync()
+        yield from self.fs.sync()
         if self.raidp.enable_parity:
             tag = ("u", block.name, locations.version, block_offset)
             self.lstors.absorb_update(
                 self.shard_index_of(sc_id), slot, old, new, tag=tag
             )
-            yield self.sim.timeout(nbytes / self.raidp.lstor_write_rate)
+            yield self.sim.timeout(nbytes / LSTOR_WRITE_RATE)
         self._install_content(locations, new)
         if record is not None:
             if not self.lstors.primary.failed:
@@ -505,7 +522,9 @@ class RaidpDataNode(DataNode):
         if isinstance(old, BytesPayload):
             patch = self.factory.make(f"{block.name}:u{version}", version, nbytes)
             assert isinstance(patch, BytesPayload)
-            return old.splice(block_offset, patch)
+            merged = old.mutable_copy()
+            merged[block_offset:block_offset + nbytes] = patch.data
+            return BytesPayload.adopt(merged)
         # Symbolic plane: sub-block granularity is not representable;
         # model the update as a whole-block version bump.
         return self.factory.make(block.name, version, block.size)
@@ -534,7 +553,7 @@ class RaidpDataNode(DataNode):
             self._pending_acks.pop(key)
             self._clear_record(key)
         flow = self.switch.transfer(
-            self.node.primary_nic, partner.node.primary_nic, self.config.ack_size
+            self.node.primary_nic, partner.node.primary_nic, ACK_SIZE
         )
         flow.add_callback(lambda _ev, p=partner, k=key: p._on_remote_ack(k))
         yield flow

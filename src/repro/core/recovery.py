@@ -46,6 +46,29 @@ from repro.sim.resources import ByteRangeLock, Lock
 from repro.storage.payload import Payload, XorAccumulator
 
 
+# The recovery node's measured costs (§6.4).
+#: XOR rate when the working chunk fits the last-level cache.
+XOR_RATE_CACHED = 0.78 * units.GB
+#: XOR rate when chunks stream from DRAM (large chunks miss cache).
+XOR_RATE_STREAMING = 0.65 * units.GB
+#: Fixed cost of taking the reconstruction lock once.
+LOCK_OVERHEAD = 1.3 * units.MSEC
+#: Share of a streaming (cache-missing) chunk's XOR that contends on the
+#: receiver's DRAM bus under byte-range locking; hardware prefetch
+#: overlaps the remainder with other threads.
+STREAMING_BUS_SHARE = 0.75
+#: Chunks at or below this size XOR at the cached rate.
+CACHE_THRESHOLD = 8 * units.MiB
+
+
+def chunk_xor_rate(chunk_size: int, cache_threshold: int = CACHE_THRESHOLD) -> float:
+    """Per-thread XOR rate at ``chunk_size``: chunks at or below
+    ``cache_threshold`` XOR at the cached rate."""
+    if chunk_size <= cache_threshold:
+        return XOR_RATE_CACHED
+    return XOR_RATE_STREAMING
+
+
 @dataclass(frozen=True)
 class RecoveryOptions:
     """Tunable axes of the recovery experiments (Table 2)."""
@@ -53,18 +76,7 @@ class RecoveryOptions:
     chunk_size: int = 4 * units.MiB
     lock_mode: str = "byte_range"  # or "superchunk"
     nic_index: int = 0  # 0 = 10 Gbps NIC, 1 = 1 Gbps NIC
-    #: XOR rate when the working chunk fits the last-level cache.
-    xor_rate_cached: float = 0.78 * units.GB
-    #: XOR rate when chunks stream from DRAM (large chunks miss cache).
-    xor_rate_streaming: float = 0.65 * units.GB
-    #: Chunks at or below this size XOR at the cached rate.
-    cache_threshold: int = 8 * units.MiB
-    #: Fixed cost of taking the reconstruction lock once.
-    lock_overhead: float = 1.3 * units.MSEC
-    #: Share of a streaming (cache-missing) chunk's XOR that contends on
-    #: the receiver's DRAM bus under byte-range locking; hardware
-    #: prefetch overlaps the remainder with other threads.
-    streaming_bus_share: float = 0.75
+    cache_threshold: int = CACHE_THRESHOLD
     #: Rebuild the lost superchunk's two halves concurrently on two
     #: recovery nodes, one half per failed disk's Lstor (§3.3: "the two
     #: Lstors and sets of mirroring superchunks can be used to rebuild
@@ -82,9 +94,7 @@ class RecoveryOptions:
     @property
     def xor_rate(self) -> float:
         """Effective per-thread XOR rate at the configured chunk size."""
-        if self.chunk_size <= self.cache_threshold:
-            return self.xor_rate_cached
-        return self.xor_rate_streaming
+        return chunk_xor_rate(self.chunk_size, self.cache_threshold)
 
 
 @dataclass
@@ -178,7 +188,7 @@ class RecoveryManager:
         if layout.shared(sender, receiver) is not None:
             return False
         return (
-            len(layout.superchunks_of(receiver)) < layout.max_superchunks(receiver)
+            len(layout.superchunks_of(receiver)) < layout.max_superchunks()
         )
 
     def _load(self, disk: str) -> int:
@@ -755,7 +765,7 @@ class RecoveryManager:
                 continue
             if layout.shared(receiver, name) is not None:
                 continue
-            if len(layout.superchunks_of(name)) >= layout.max_superchunks(name):
+            if len(layout.superchunks_of(name)) >= layout.max_superchunks():
                 continue
             return name
         raise RecoveryError(
@@ -803,11 +813,11 @@ class _Pullers:
         # superchunk lock (or, for streaming chunks, the bus) can pass.
         chunk = options.chunk_size
         xor_s = chunk / options.xor_rate
-        self.stage_s = options.lock_overhead + xor_s
+        self.stage_s = LOCK_OVERHEAD + xor_s
         if options.lock_mode == "superchunk":
             self.stage = Stage("lock", chunk / self.stage_s)
         elif self.streaming:
-            self.stage = Stage("bus", chunk / (options.streaming_bus_share * xor_s))
+            self.stage = Stage("bus", chunk / (STREAMING_BUS_SHARE * xor_s))
         else:
             self.stage = Stage("range")  # disjoint ranges XOR in parallel
         self.bodies: List[Transfer] = []
@@ -848,15 +858,15 @@ class _Pullers:
             grant = yield lock_whole.request()
             try:
                 switch.hold_stage(stage, True)
-                yield sim.timeout(options.lock_overhead + xor_time)
+                yield sim.timeout(LOCK_OVERHEAD + xor_time)
             finally:
                 switch.hold_stage(stage, False)
                 lock_whole.release(grant)
         else:
             grant = yield lock_ranges.acquire(offset, offset + run)
             try:
-                bus_share = options.streaming_bus_share if self.streaming else 0.0
-                yield sim.timeout(options.lock_overhead + (1.0 - bus_share) * xor_time)
+                bus_share = STREAMING_BUS_SHARE if self.streaming else 0.0
+                yield sim.timeout(LOCK_OVERHEAD + (1.0 - bus_share) * xor_time)
                 if bus_share > 0.0:
                     bus_grant = yield memory_bus.request()
                     try:
@@ -901,13 +911,10 @@ class _Raid6Rig:
         surviving_disks: int,
         chunk_size: int,
         nic_rate: float,
-        disk_rate: Optional[float],
     ) -> None:
         self.chunk_size = chunk_size
         self.sim = Simulator()
-        geometry = (
-            DiskGeometry(transfer_rate=disk_rate) if disk_rate else DiskGeometry()
-        )
+        geometry = DiskGeometry()
         self.switch = Switch(self.sim)
         self.master = self.switch.attach(Nic("master", nic_rate))
         self.replacements = [
@@ -976,20 +983,11 @@ class _Raid6Rig:
         yield self.sim.all_of(writers)
 
 
-def _raid6_xor_rate(chunk_size: int, xor_rate: Optional[float]) -> float:
-    if xor_rate is not None:
-        return xor_rate
-    # Same cache-vs-streaming decode rates as the RAIDP reconstruction.
-    return RecoveryOptions(chunk_size=chunk_size).xor_rate
-
-
 def simulate_raid6_rebuild(
     data_per_disk: int,
     surviving_disks: int = 14,
     chunk_size: int = 4 * units.MiB,
     nic_rate: float = units.gbps(10),
-    disk_rate: Optional[float] = None,
-    xor_rate: Optional[float] = None,
 ) -> float:
     """The RAID-6 double rebuild.  Every stripe lost two blocks, so *all*
     data on *all* survivors is read, shipped to the rebuild master and
@@ -997,8 +995,9 @@ def simulate_raid6_rebuild(
 
     Returns the rebuild completion time (the Table 2 row value).
     """
-    xor_rate = _raid6_xor_rate(chunk_size, xor_rate)
-    rig = _Raid6Rig(surviving_disks, chunk_size, nic_rate, disk_rate)
+    # Same cache-vs-streaming decode rates as the RAIDP reconstruction.
+    xor_rate = chunk_xor_rate(chunk_size)
+    rig = _Raid6Rig(surviving_disks, chunk_size, nic_rate)
 
     def rebuild() -> Generator:
         yield from rig.read_all(data_per_disk, xor_rate)

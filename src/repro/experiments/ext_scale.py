@@ -18,8 +18,7 @@ what a burst touches rather than the cluster size (DESIGN.md section
 floor of a bit-exact stock policy.
 
 Each point is one task: a RAIDP point ingests and then fails its worst
-pair on the same live cluster, each phase under its own sampler, so no
-cluster is pickled between phases.
+pair on the same live cluster, so no cluster is pickled between phases.
 """
 
 from __future__ import annotations
@@ -50,13 +49,8 @@ BYTES_PER_NODE = 32 * units.MiB
 SUPERCHUNK_SIZE = 32 * units.MiB
 SUPERCHUNKS_PER_DISK = 8
 
-#: Task key: (scheme, num_nodes, placement seed).  RAIDP points run
-#: under the flight recorder and carry a 4th result element -- per-phase
-#: disk-latency SLO summaries.
+#: Task key: (scheme, num_nodes, placement seed).
 TaskKey = Tuple[str, int, int]
-
-#: Sampling cadence for the phase SLO summaries (simulated seconds).
-SLO_SAMPLE_INTERVAL = 0.25
 
 
 def tasks(
@@ -108,37 +102,14 @@ def _recover_worst_pair(dfs: RaidpCluster) -> float:
     return report.duration
 
 
-def _phase_slo(sampler: Any) -> Dict[str, float]:
-    """Small, picklable SLO digest of one sampled phase.
-
-    Scores the default disk-latency specs over this run's window and
-    keeps only numbers: the worst windowed p50/p99 and a 0/1 verdict
-    (so seed-averaging in merge() turns it into a pass fraction).
-    """
-    from repro.obs.slo import default_slos, evaluate_slos
-
-    latency = [s for s in default_slos() if s.series.startswith("disk_io_latency")]
-    digest: Dict[str, float] = {}
-    ok = 1.0
-    for result in evaluate_slos(sampler.store, latency, run=sampler.run):
-        label = result.spec.series.rsplit(":", 1)[1]
-        digest[f"{label}_worst"] = float(result.worst or 0.0)
-        if not result.ok:
-            ok = 0.0
-    digest["slo_ok"] = ok
-    return digest
-
-
 def run_task(key: TaskKey, full_scale: bool = False) -> Tuple:
     """One sweep point.
 
     - hdfs3 keys return (write seconds, net GB per node, None).
     - raidp keys return (write seconds, net GB per node, recovery
-      seconds, {"write": slo, "recovery": slo}): the worst-pair recovery
-      runs on the ingested cluster itself, its simulator re-bound to a
-      second sampler so each phase gets its own SLO digest.
+      seconds): the worst-pair recovery runs on the ingested cluster
+      itself.
     """
-    from repro.obs.timeseries import capture
     from repro.workloads.dfsio import dfsio_write
 
     scheme, num_nodes, seed = key
@@ -148,18 +119,10 @@ def run_task(key: TaskKey, full_scale: bool = False) -> Tuple:
         dfs = _build(scheme, num_nodes, seed)
         write = dfsio_write(dfs, dataset)
         return write.runtime, dfs.switch.total_bytes / num_nodes / units.GB, None
-    with capture(interval=SLO_SAMPLE_INTERVAL) as sampler:
-        dfs = _build(scheme, num_nodes, seed, scale)
-        sampler.watch(dfs)
-        write = dfsio_write(dfs, dataset)
+    dfs = _build(scheme, num_nodes, seed, scale)
+    write = dfsio_write(dfs, dataset)
     per_node_gb = dfs.switch.total_bytes / num_nodes / units.GB
-    slo = {"write": _phase_slo(sampler)}
-    with capture(interval=SLO_SAMPLE_INTERVAL) as sampler:
-        dfs.sim.bind_observers()
-        sampler.watch(dfs)
-        recovery_s = _recover_worst_pair(dfs)
-    slo["recovery"] = _phase_slo(sampler)
-    return write.runtime, per_node_gb, recovery_s, slo
+    return write.runtime, per_node_gb, _recover_worst_pair(dfs)
 
 
 def merge(
@@ -187,16 +150,6 @@ def merge(
                     f"{scheme} recovery @{num_nodes}",
                     mean(s[2] for s in samples),
                 )
-                for phase in ("write", "recovery"):
-                    rows = [s[3][phase] for s in samples]
-                    result.add(
-                        f"{scheme} {phase} p99 worst @{num_nodes}",
-                        mean(r["p99_worst"] for r in rows),
-                    )
-                    result.add(
-                        f"{scheme} {phase} SLO ok @{num_nodes}",
-                        mean(r["slo_ok"] for r in rows),
-                    )
     result.notes = (
         "expected shape: write runtime and per-node network ~flat in "
         "cluster size for both schemes (scale-out); RAIDP's per-node "

@@ -76,6 +76,6 @@ def run(full_scale: bool = False) -> ExperimentResult:
         "disk vs 1 on HDFS-3).  The flip side, matching §8's caution: with "
         "seeks gone, the Lstor/journal device transfers dominate, so the "
         "+journal configuration loses its HDD-era advantage unless Lstors "
-        "scale up with the media (raise RaidpConfig.lstor_write_rate)"
+        "scale up with the media (raise core.lstor.LSTOR_WRITE_RATE)"
     )
     return result

@@ -117,10 +117,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "--trace",
         metavar="PATH",
         default=None,
-        help="record a simulation trace; '.jsonl' writes JSON-lines, "
-        "anything else writes Chrome trace format (load in Perfetto or "
-        "chrome://tracing).  Forces --jobs 1 so every simulation runs "
-        "in-process.",
+        help="record a simulation trace in Chrome trace format (load in "
+        "Perfetto or chrome://tracing).  Forces --jobs 1 so every "
+        "simulation runs in-process.",
     )
     parser.add_argument(
         "--trace-categories",

@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Generator, List, Optional, Tuple
 
 import numpy as np
@@ -113,12 +113,6 @@ class FaultSchedule:
 
     def __len__(self) -> int:
         return len(self.faults)
-
-    def shifted(self, delta: float) -> "FaultSchedule":
-        """The same schedule, ``delta`` seconds later."""
-        return FaultSchedule(
-            tuple(replace(f, at=f.at + delta) for f in self.faults)
-        )
 
     def validate(self, dfs) -> None:
         """Check every target resolves against ``dfs`` before running."""
@@ -423,11 +417,6 @@ class DiskLifetimeModel:
             1.0 / self.weibull_shape
         )
 
-    @property
-    def mttf_hours(self) -> float:
-        """Mean lifetime in hours (Weibull mean = scale * Gamma(1+1/k))."""
-        return self.scale_hours * math.gamma(1.0 + 1.0 / self.weibull_shape)
-
     def sample_lifetimes(
         self, rng: "np.random.Generator", count: int
     ) -> "np.ndarray":
@@ -460,18 +449,6 @@ class LatentErrorModel:
             raise FaultError("latent error rate must be non-negative")
         if self.scrub_interval_hours <= 0:
             raise FaultError("scrub interval must be positive")
-
-    def disk_read_error_probability(self) -> float:
-        """P(>= 1 undetected latent error present when a disk is read).
-
-        The read lands uniformly inside a scrub interval of length T, so
-        the exposure age u ~ U[0, T) and presence is 1 - exp(-r u);
-        averaging over u gives ``1 - (1 - exp(-rT)) / (rT)``.
-        """
-        rt = self.rate_per_disk_year / HOURS_PER_YEAR * self.scrub_interval_hours
-        if rt <= 0.0:
-            return 0.0
-        return 1.0 - (1.0 - math.exp(-rt)) / rt
 
     def block_read_error_probability(self, block_fraction: float) -> float:
         """P(a specific block's rebuild read hits a latent error).

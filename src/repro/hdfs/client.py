@@ -44,8 +44,6 @@ class DfsClient(InlineState):
         namenode: NameNode,
         switch: Switch,
         factory: ContentFactory,
-        accumulate_writes: bool = True,
-        use_writer_lock: bool = False,
         prefer_local_read: bool = False,
         seed: int = 0xC11E,
     ) -> None:
@@ -59,8 +57,6 @@ class DfsClient(InlineState):
         self.switch = switch
         self.factory = factory
         self.config = namenode.config
-        self.accumulate_writes = accumulate_writes
-        self.use_writer_lock = use_writer_lock
         self.prefer_local_read = prefer_local_read
         # Stable per-node seed (str.__hash__ is randomized per process).
         self._rng = random.Random(seed ^ zlib.crc32(node.name.encode()))
@@ -185,13 +181,7 @@ class DfsClient(InlineState):
 
         writes = [
             self.sim.process(
-                datanode.write_block(
-                    locations,
-                    payload,
-                    inbound=arrival,
-                    accumulate=self.accumulate_writes,
-                    use_writer_lock=self.use_writer_lock,
-                ),
+                datanode.write_block(locations, payload, inbound=arrival),
                 name=f"write:{block.name}@{datanode.name}",
             )
             for datanode, arrival in zip(targets, inbound)

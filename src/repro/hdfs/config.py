@@ -1,8 +1,9 @@
 """Configuration knobs for the DFS substrate.
 
 Defaults follow the paper's evaluation setup: Hadoop 1.0.4 defaults with
-64 MB blocks, 64 KB network packets, and a sync when a block write
-concludes (which the paper adds to both RAIDP and the HDFS baseline).
+64 MB blocks and 64 KB network packets.  Every block write concludes
+with a disk sync: the paper adds it to both RAIDP and the HDFS baseline
+for a fair comparison (stock HDFS 1.0.4 lacked it).
 """
 
 from __future__ import annotations
@@ -12,6 +13,14 @@ from dataclasses import dataclass
 from repro import units
 from repro.sim.snapshot import InlineState
 
+#: Size of the tiny control messages (journal acks, RPC).
+ACK_SIZE = 1 * units.KiB
+#: Per-replica stream-processing rate: packet handling plus CRC32
+#: checksum computation/verification in the DataNode (JVM-era HDFS moves
+#: data well below NIC speed).  Charged per block on the write and read
+#: paths.
+PIPELINE_PROCESS_RATE = 800 * units.MB
+
 
 @dataclass(frozen=True)
 class DfsConfig(InlineState):
@@ -20,18 +29,8 @@ class DfsConfig(InlineState):
     block_size: int = 64 * units.MiB
     packet_size: int = 64 * units.KiB
     replication: int = 3
-    #: Sync the disk when a block write concludes (the paper adds this to
-    #: both systems for a fair comparison; stock HDFS 1.0.4 lacked it).
-    sync_on_block_close: bool = True
     #: Tasks per node for the MapReduce-style workloads (Hadoop default).
     tasks_per_node: int = 2
-    #: Size of the tiny control messages (journal acks, RPC).
-    ack_size: int = 1 * units.KiB
-    #: Per-replica stream-processing rate: packet handling plus CRC32
-    #: checksum computation/verification in the DataNode (JVM-era HDFS
-    #: moves data well below NIC speed).  Charged per block on the write
-    #: and read paths; 0 disables.
-    pipeline_process_rate: float = 800 * units.MB
     #: Read-path failover: extra replica attempts after the first read
     #: fails mid-flight (HDFS clients rotate through the located replicas
     #: before giving up).  Each retry excludes the replicas that already

@@ -4,21 +4,16 @@ A DataNode owns one simulated server node (and its primary disk), an
 extent-allocating local filesystem, and an in-memory content store of
 block payloads (real bytes or symbolic tokens, see :mod:`repro.storage`).
 
-Write paths (paper §5 and §6.1):
-
-- **streamed** (stock HDFS): packets are written to disk as they arrive.
-  The local filesystem's extent allocator serializes concurrent writers,
-  so the disk streams sequentially; packets are batched into ``io_batch``
-  sized disk I/Os (pure event-count reduction -- the allocation pattern,
-  and thus fragmentation and seeks, is preserved at batch granularity).
-- **accumulated** (RAIDP optimized, also available to HDFS): the whole
-  block is buffered in RAM and written in one I/O, optionally under the
-  node-wide writer lock that stops concurrent writers from ping-ponging
-  the head between superchunks.
+Stock HDFS streams a write (paper §5 and §6.1): packets are written to
+disk as they arrive.  The local filesystem's extent allocator serializes
+concurrent writers, so the disk streams sequentially; packets are
+batched into ``io_batch`` sized disk I/Os (pure event-count reduction --
+the allocation pattern, and thus fragmentation and seeks, is preserved
+at batch granularity).
 
 Subclasses (RAIDP's DataNode in :mod:`repro.core.node`) override the
-block-file creation and the write hooks to add superchunk placement,
-parity maintenance, and journaling.
+block-file creation and the write hook to add superchunk placement,
+parity maintenance, journaling and the optimized accumulated path.
 """
 
 from __future__ import annotations
@@ -28,12 +23,11 @@ from typing import Dict, Generator, List, Optional, Tuple
 from repro import units
 from repro.errors import BlockMissingError, DfsError
 from repro.hdfs.block import Block, BlockLocations
-from repro.hdfs.config import DfsConfig
+from repro.hdfs.config import PIPELINE_PROCESS_RATE, DfsConfig
 from repro.hdfs.localfs import LocalFs
 from repro.sim.disk import Disk
 from repro.sim.engine import Event, Simulator
 from repro.sim.node import Node
-from repro.sim.resources import Lock
 from repro.storage.payload import ContentFactory, Payload
 from repro.sim.snapshot import InlineState
 
@@ -67,7 +61,6 @@ class DataNode(InlineState):
         self._name = name if name is not None else node.name
         self.fs = LocalFs(sim, self._disk, policy=fs_policy)
         self.io_batch = io_batch or self.DEFAULT_IO_BATCH
-        self.writer_lock = Lock(sim, name=f"{self._name}.writer")
         self._contents: Dict[str, Payload] = {}
         self._versions: Dict[str, int] = {}
         # Checksum records (HDFS keeps a CRC file beside every block):
@@ -167,41 +160,18 @@ class DataNode(InlineState):
         locations: BlockLocations,
         payload: Payload,
         inbound: Optional[Event] = None,
-        accumulate: bool = True,
-        use_writer_lock: bool = False,
     ) -> Generator:
         """Receive and persist one block replica.
 
         ``inbound`` is the network-arrival event (None for a local
-        write).  With ``accumulate`` the block is buffered and written in
-        one I/O once fully received; otherwise packets are streamed to
-        disk as they arrive (batched into ``io_batch`` I/Os).
+        write).
         """
         if not self.alive:
             raise DfsError(f"write to dead datanode {self.name}")
         trace = self.sim.trace
         t0 = self.sim.now
         self.create_block_file(locations)
-        if accumulate:
-            if inbound is not None:
-                yield inbound
-            # Packet handling and checksum work happens while the block
-            # accumulates in RAM -- before the writer lock, so it
-            # overlaps other writers' disk I/O.
-            yield from self._process_stream(locations.block.size)
-            # Admission runs *before* the writer lock: a subclass may
-            # block here on resources whose release depends on remote
-            # progress (RAIDP's journal space), and holding the writer
-            # lock across such a wait can deadlock two mirrors.
-            yield from self.admit_block(locations)
-            grant = (yield self.writer_lock.request()) if use_writer_lock else None
-            try:
-                yield from self._commit_block(locations, payload)
-            finally:
-                if grant is not None:
-                    self.writer_lock.release(grant)
-        else:
-            yield from self._stream_block(locations, payload, inbound)
+        yield from self._write_replica(locations, payload, inbound)
         self.stats_blocks_written += 1
         if trace.enabled:
             trace.complete(
@@ -211,34 +181,18 @@ class DataNode(InlineState):
             )
         return None
 
-    def admit_block(self, locations: BlockLocations) -> Generator:
-        """Hook: gate a block write on subclass-specific resources."""
-        return
-        yield  # pragma: no cover - makes this a generator
-
     def _process_stream(self, nbytes: int) -> Generator:
-        """Per-replica packet handling + checksum charge (see DfsConfig)."""
-        rate = self.config.pipeline_process_rate
-        if rate > 0:
-            yield self.sim.timeout(nbytes / rate)
+        """Per-replica packet handling + checksum charge."""
+        yield self.sim.timeout(nbytes / PIPELINE_PROCESS_RATE)
         return None
 
-    def _commit_block(self, locations: BlockLocations, payload: Payload) -> Generator:
-        """One-shot write of a fully buffered block (hookable)."""
-        block = locations.block
-        yield from self.fs.write(block.name, 0, block.size)
-        if self.config.sync_on_block_close:
-            yield from self.fs.sync()
-        self.store_content(block.name, payload, locations.version)
-        return None
-
-    def _stream_block(
+    def _write_replica(
         self,
         locations: BlockLocations,
         payload: Payload,
         inbound: Optional[Event],
     ) -> Generator:
-        """Packet-streamed write (hookable)."""
+        """Packet-streamed write, synced when the block closes (hookable)."""
         block = locations.block
         offset = 0
         while offset < block.size:
@@ -248,8 +202,7 @@ class DataNode(InlineState):
             offset += run
         if inbound is not None:
             yield inbound
-        if self.config.sync_on_block_close:
-            yield from self.fs.sync()
+        yield from self.fs.sync()
         self.store_content(block.name, payload, locations.version)
         return None
 

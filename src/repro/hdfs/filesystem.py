@@ -29,7 +29,6 @@ class HdfsCluster(InlineState):
         config: Optional[DfsConfig] = None,
         payload_mode: str = "tokens",
         placement: Optional[PlacementPolicy] = None,
-        accumulate_writes: bool = False,
         seed: int = 0xF00D,
     ) -> None:
         self.sim = Simulator()
@@ -55,7 +54,6 @@ class HdfsCluster(InlineState):
                 self.namenode,
                 self.cluster.switch,
                 self.factory,
-                accumulate_writes=accumulate_writes,
                 seed=seed + index,
             )
             for index, node in enumerate(self.cluster.nodes)

@@ -6,17 +6,16 @@ with a *receiver* disk such that 1-sharing is preserved and no receiver
 takes more than one superchunk, optionally minimizing disk load.  The
 paper points at maximum matchings (Hopcroft-Karp) and min-cost assignment
 (the Hungarian algorithm, with the Mills-Tettey dynamic variant).  We
-implement all three from scratch:
+implement both from scratch:
 
 - :mod:`repro.matching.hopcroft_karp` -- O(E sqrt(V)) maximum bipartite
   matching.
 - :mod:`repro.matching.hungarian` -- O(n^3) Kuhn-Munkres min-cost
   assignment with support for forbidden edges and rectangular problems,
-  plus a dynamic wrapper that warm-starts dual potentials across cost
-  updates and edge deletions.
+  warm-starting dual potentials across cost updates and edge deletions.
 """
 
 from repro.matching.hopcroft_karp import hopcroft_karp
-from repro.matching.hungarian import DynamicHungarian, hungarian
+from repro.matching.hungarian import DynamicHungarian
 
-__all__ = ["DynamicHungarian", "hopcroft_karp", "hungarian"]
+__all__ = ["DynamicHungarian", "hopcroft_karp"]

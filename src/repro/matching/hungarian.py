@@ -1,15 +1,15 @@
 """Kuhn-Munkres (Hungarian) min-cost assignment.
 
-``hungarian(cost)`` solves the rectangular assignment problem: given an
-``n_rows x n_cols`` cost matrix (entries may be ``None`` for forbidden
-pairs), find the cheapest assignment matching every row to a distinct
-column (requires ``n_rows <= n_cols``).  The implementation is the
-canonical O(n^2 m) shortest-augmenting-path formulation with dual
+:class:`DynamicHungarian` solves the rectangular assignment problem:
+given an ``n_rows x n_cols`` cost matrix (entries may be ``None`` for
+forbidden pairs), find the cheapest assignment matching every row to a
+distinct column (requires ``n_rows <= n_cols``).  The implementation is
+the canonical O(n^2 m) shortest-augmenting-path formulation with dual
 potentials (Jonker-Volgenant style).
 
-:class:`DynamicHungarian` supports the recovery planner's loop (paper
-Section 3.3): solve, then *remove an edge* (an assignment would violate
-1-sharing) or *update a cost* (a disk's load changed), and re-solve.
+It supports the recovery planner's loop (paper Section 3.3): solve, then
+*remove an edge* (an assignment would violate 1-sharing) or *update a
+cost* (a disk's load changed), and re-solve.
 Re-solves warm-start from the previous dual potentials -- the practical
 payoff of the Mills-Tettey dynamic Hungarian algorithm -- after clamping
 any potential made infeasible by the update.
@@ -100,24 +100,6 @@ def _solve(
     return assignment, u[1:], v[1:], total
 
 
-def hungarian(cost: CostMatrix) -> Tuple[Dict[int, int], float]:
-    """Solve min-cost assignment; returns (row->col mapping, total cost).
-
-    Entries that are ``None`` mark forbidden pairs.  Raises
-    :class:`MatchingError` if no complete assignment of rows exists.
-    """
-    matrix = [
-        [(_INF if entry is None else float(entry)) for entry in row] for row in cost
-    ]
-    if not matrix:
-        return {}, 0.0
-    widths = {len(row) for row in matrix}
-    if len(widths) != 1:
-        raise ValueError("ragged cost matrix")
-    assignment, _u, _v, total = _solve(matrix)
-    return {row: col for row, col in enumerate(assignment)}, total
-
-
 class DynamicHungarian:
     """Re-solvable assignment with edge deletion and cost updates.
 
@@ -159,6 +141,8 @@ class DynamicHungarian:
             self._row_potential[row] += slack
 
     def solve(self) -> Tuple[Dict[int, int], float]:
+        """Solve; returns (row->col mapping, total cost).  Raises
+        :class:`MatchingError` if no complete assignment of rows exists."""
         assignment, u, v, total = _solve(
             self._matrix, self._row_potential, self._col_potential
         )

@@ -1,15 +1,10 @@
-"""Trace export (JSONL, Chrome/Perfetto) and phase summarisation.
+"""Trace export (Chrome/Perfetto) and phase summarisation.
 
-Two on-disk formats, chosen by file extension in :func:`write_trace`:
-
-``*.jsonl``
-    One event per line, timestamps in simulated seconds.  Trivially
-    greppable and the format :func:`load_trace` round-trips exactly.
-``*.json`` (and anything else)
-    Chrome trace format (the JSON object flavour with ``traceEvents``),
-    loadable in Perfetto / ``chrome://tracing``.  Timestamps are scaled
-    to microseconds as the format requires; ``pid`` is the simulator run
-    index and ``tid`` is a per-category track.
+:func:`write_trace` writes the Chrome trace format (the JSON object
+flavour with ``traceEvents``), loadable in Perfetto /
+``chrome://tracing``, whatever the file's extension.  Timestamps are
+scaled to microseconds as the format requires; ``pid`` is the simulator
+run index and ``tid`` is a per-category track.
 """
 
 from __future__ import annotations
@@ -21,8 +16,6 @@ from repro.obs.tracer import TraceEvent, Tracer
 
 __all__ = [
     "write_trace",
-    "to_jsonl",
-    "to_chrome",
     "load_trace",
     "summarize",
     "recovery_breakdown",
@@ -39,17 +32,7 @@ def _events_of(source: Any) -> List[TraceEvent]:
     return list(source)
 
 
-def to_jsonl(source: Any, path: str) -> int:
-    """Write one JSON object per line; returns the event count."""
-    events = _events_of(source)
-    with open(path, "w", encoding="utf-8") as fh:
-        for event in events:
-            fh.write(json.dumps(event.as_dict(), sort_keys=True))
-            fh.write("\n")
-    return len(events)
-
-
-def to_chrome(source: Any, path: str) -> int:
+def write_trace(source: Any, path: str) -> int:
     """Write Chrome trace JSON; returns the event count."""
     events = _events_of(source)
     categories = sorted({event.category for event in events})
@@ -102,66 +85,27 @@ def to_chrome(source: Any, path: str) -> int:
     return len(events)
 
 
-def write_trace(source: Any, path: str) -> int:
-    """Dispatch on extension: ``.jsonl`` lines, otherwise Chrome JSON."""
-    if path.endswith(".jsonl"):
-        return to_jsonl(source, path)
-    return to_chrome(source, path)
-
-
 def load_trace(path: str) -> List[TraceEvent]:
-    """Read either export format back into :class:`TraceEvent` records.
-
-    Chrome files come back with timestamps rescaled to seconds and
-    metadata events dropped, so the two formats summarise identically.
-    """
+    """Read a Chrome trace back into :class:`TraceEvent` records:
+    timestamps rescaled to seconds, metadata events dropped."""
     with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    stripped = text.lstrip()
+        payload = json.load(fh)
+    records = payload["traceEvents"] if isinstance(payload, dict) else payload
     events: List[TraceEvent] = []
-    payload: Any = None
-    if stripped.startswith("{") or stripped.startswith("["):
-        # JSONL lines also start with '{': only a document that parses
-        # as a single JSON value is the Chrome format.
-        try:
-            payload = json.loads(stripped)
-        except json.JSONDecodeError:
-            payload = None
-    if payload is not None and (
-        isinstance(payload, list) or "traceEvents" in payload
-    ):
-        records = payload["traceEvents"] if isinstance(payload, dict) else payload
-        scale = 1.0 / _US
-        for seq, record in enumerate(records):
-            phase = record.get("ph", "X")
-            if phase == "M":
-                continue
-            events.append(
-                TraceEvent(
-                    int(record.get("pid", 0)),
-                    seq,
-                    phase,
-                    record.get("cat", ""),
-                    record.get("name", ""),
-                    float(record.get("ts", 0.0)) * scale,
-                    float(record.get("dur", 0.0)) * scale,
-                    record.get("args") or None,
-                )
-            )
-        return events
-    for line in stripped.splitlines():
-        if not line.strip():
+    scale = 1.0 / _US
+    for seq, record in enumerate(records):
+        phase = record.get("ph", "X")
+        if phase == "M":
             continue
-        record = json.loads(line)
         events.append(
             TraceEvent(
-                int(record.get("run", 0)),
-                int(record.get("seq", 0)),
-                record.get("ph", "X"),
+                int(record.get("pid", 0)),
+                seq,
+                phase,
                 record.get("cat", ""),
                 record.get("name", ""),
-                float(record.get("ts", 0.0)),
-                float(record.get("dur", 0.0)),
+                float(record.get("ts", 0.0)) * scale,
+                float(record.get("dur", 0.0)) * scale,
                 record.get("args") or None,
             )
         )

@@ -1,8 +1,8 @@
 """Declarative SLOs over flight-recorder windows, and the health report.
 
 A number the flight recorder samples explains itself when it is judged
-against a stated objective: ext-scale's ``p99 worst`` / ``SLO ok`` rows
-and the chaos soak's health artifact are both verdicts of this module.
+against a stated objective: the chaos soak's health artifact is a
+verdict of this module.
 An :class:`SloSpec` names a time-series (a :class:`~repro.obs.timeseries`
 series such as ``disk_io_latency:p99``), an upper objective, and an
 error budget; :func:`evaluate_slos` scores specs over sampler windows --

@@ -11,7 +11,7 @@ Design constraints, in order:
    pattern ``trace = self.sim.trace`` / ``if trace.enabled:`` -- one
    attribute load and one branch on the fast path.  The module-level
    :data:`NULL_TRACER` answers ``enabled`` with a plain class attribute
-   ``False`` and every method is a no-op, so nothing downstream of the
+   ``False`` and has no emission methods: nothing downstream of the
    branch ever runs.
 3. **No sim imports.**  ``sim/engine.py`` imports this module; the
    reverse would be a cycle.  Anything that needs cluster types lives in
@@ -81,21 +81,6 @@ class TraceEvent:
     @property
     def end(self) -> float:
         return self.ts + self.dur
-
-    def as_dict(self) -> Dict[str, Any]:
-        record: Dict[str, Any] = {
-            "run": self.run,
-            "seq": self.seq,
-            "ph": self.phase,
-            "cat": self.category,
-            "name": self.name,
-            "ts": self.ts,
-        }
-        if self.phase == "X":
-            record["dur"] = self.dur
-        if self.attrs:
-            record["args"] = self.attrs
-        return record
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -178,29 +163,15 @@ class Tracer:
 
 
 class NullTracer:
-    """Disabled tracer: every operation is a no-op.
+    """Disabled tracer: it records nothing.
 
     ``enabled`` is a class attribute so the hot-path check costs a
-    single attribute load on the type, with no per-call work.
+    single attribute load on the type, with no per-call work.  Every
+    emission site branches on it first, so the null tracer needs no
+    emission methods (``active_tracer`` is typed ``Any`` for mypy).
     """
 
     enabled = False
-
-    def register_run(self, label: str = "") -> int:
-        return 0
-
-    @property
-    def run_labels(self) -> Tuple[str, ...]:
-        return ()
-
-    def complete(self, category: str, name: str, t0: float, t1: float, **attrs: Any) -> None:
-        return None
-
-    def instant(self, category: str, name: str, ts: float, **attrs: Any) -> None:
-        return None
-
-    def count(self, category: str, name: str, ts: float, value: float) -> None:
-        return None
 
     def __len__(self) -> int:
         return 0

@@ -105,11 +105,6 @@ class Event:
         self._scheduled = False
 
     @property
-    def ok(self) -> bool:
-        """True once the event has triggered successfully."""
-        return self.triggered and self._exception is None
-
-    @property
     def value(self) -> Any:
         """The success value; raises if the event failed or is pending."""
         if not self.triggered:

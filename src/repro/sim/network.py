@@ -185,11 +185,6 @@ class Stage:
         self.rate = rate
         self.port = None if rate == _INF else _Port(Nic(name, rate), True, name)
 
-    @property
-    def held(self) -> bool:
-        """Does a chunk outside every body hold the lock now?"""
-        return self.port is not None and self.port.nic.tx_rate == 0.0
-
 
 class _DiskPort(_Port):
     """The disk under one or more bodies' runs: they share its
@@ -414,10 +409,10 @@ class Switch(InlineState):
         """Start a flow of ``nbytes`` from ``src`` to ``dst``.
 
         Returns an event that fires (with the flow duration) when the last
-        byte arrives.  Zero-byte transfers complete after the base latency.
+        byte arrives.  A flow carries at least one byte.
         """
-        if nbytes < 0:
-            raise ValueError("negative transfer size")
+        if nbytes <= 0:
+            raise ValueError(f"transfer size must be positive, got {nbytes}")
         sim = self.sim
         now = sim.now
         # Flattened sim.event(): one flow per transferred chunk makes the
@@ -430,17 +425,6 @@ class Switch(InlineState):
         done.triggered = False
         done._scheduled = False
         src.stats.flows_started += 1
-        if nbytes == 0:
-            latency_done = sim.timeout(self.BASE_LATENCY)
-
-            def _deliver_empty(_ev: Event) -> None:
-                # A zero-byte flow still completes: close the
-                # started/finished accounting pair (it banks no bytes).
-                src.stats.flows_finished += 1
-                done.succeed(self.sim.now - now)
-
-            latency_done.add_callback(_deliver_empty)
-            return done
         src_port = self._port(src, is_tx=True)
         dst_port = self._port(dst, is_tx=False)
         self._flow_seq += 1

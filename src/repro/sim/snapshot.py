@@ -110,11 +110,6 @@ class SnapshotStore:
         self.hits = 0
         self.misses = 0
 
-    def clear(self) -> None:
-        self._memory.clear()
-        self.hits = 0
-        self.misses = 0
-
     def get_or_build(self, key: str, builder: Callable[[], Any]) -> Any:
         """Return the cluster under ``key``, building it at most once.
 

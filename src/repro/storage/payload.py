@@ -154,20 +154,6 @@ class BytesPayload(Payload):
             self._zero = not self.data.any()
         return self._zero
 
-    def slice(self, start: int, end: int) -> "BytesPayload":
-        # The slice is a read-only view over this payload's immutable
-        # buffer, so the constructor takes it copy-free.
-        return BytesPayload(self.data[start:end])
-
-    def splice(self, offset: int, patch: "BytesPayload") -> "BytesPayload":
-        """Return a copy with ``patch`` written at ``offset``."""
-        end = offset + len(patch.data)
-        if offset < 0 or end > len(self.data):
-            raise ValueError("splice outside payload")
-        merged = self.data.copy()
-        merged[offset:end] = patch.data
-        return BytesPayload.adopt(merged)
-
     def checksum(self) -> int:
         """CRC32 of the content (models HDFS's per-block checksum file).
 
@@ -317,7 +303,8 @@ class ContentFactory(InlineState):
         # exactly the stream ``integers(0, 256, dtype=uint8)`` buffers out
         # one byte at a time (pinned by the golden-content test).  The
         # word buffer is frozen before the byte view is taken, so the
-        # payload's whole base chain is read-only and slices stay views.
+        # payload's whole base chain is read-only and a payload built over a
+        # slice of it stays a view.
         bits = np.random.PCG64(_stable_seed(self.seed, name, version))
         words = bits.random_raw(-(-length // 8)).astype("<u8", copy=False)
         words.setflags(write=False)

@@ -610,8 +610,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--trace",
         metavar="PATH",
         default=None,
-        help="record a simulation trace of the soak (same formats as the "
-        "experiment runner's --trace)",
+        help="record a simulation trace of the soak in Chrome trace format "
+        "(as the experiment runner's --trace)",
     )
     parser.add_argument(
         "--sample-interval",

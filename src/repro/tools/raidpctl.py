@@ -69,7 +69,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "trace",
         help="summarize a trace file (phase totals, recovery breakdowns)",
     )
-    trace.add_argument("file", help="trace produced by --trace (.json or .jsonl)")
+    trace.add_argument("file", help="Chrome trace JSON produced by --trace")
     trace.add_argument(
         "--category", default=None, help="restrict to one event category"
     )

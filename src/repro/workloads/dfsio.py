@@ -59,17 +59,3 @@ def dfsio_read(
     bodies = [client.read_file(path) for client, path in zip(clients, rotated)]
     return run_tasks(dfs, bodies, name)
 
-
-def dfsio_rewrite(
-    dfs,
-    tasks_per_node: Optional[int] = None,
-    name: str = "dfsio-rewrite",
-) -> WorkloadResult:
-    """Overwrite the DFSIO files in place (the update-oriented workload)."""
-    tasks = (tasks_per_node or dfs.config.tasks_per_node) * len(dfs.clients)
-    clients = spread_tasks(dfs, tasks)
-    bodies = [
-        client.rewrite_file(path)
-        for client, path in zip(clients, dfsio_paths(tasks))
-    ]
-    return run_tasks(dfs, bodies, name)

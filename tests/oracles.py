@@ -27,7 +27,7 @@ from repro import units
 from repro.analysis.montecarlo import DurabilityEngine, Fleet, _chain_blocked
 from repro.analysis.scheme import DurabilityModelError, Scheme
 from repro.core import recovery
-from repro.core.lstor import filler_name
+from repro.core.lstor import LSTOR_WRITE_RATE, filler_name
 from repro.core.node import RaidpDataNode
 from repro.core.placement import RaidpPlacement
 from repro.core.recovery import _Pullers, _Raid6Rig
@@ -319,7 +319,7 @@ def min_remirror_load(dfs, failed, senders):
             sender != receiver
             and not layout.same_domain(sender, receiver)
             and layout.shared(sender, receiver) is None
-            and len(layout.superchunks_of(receiver)) < layout.max_superchunks(receiver)
+            and len(layout.superchunks_of(receiver)) < layout.max_superchunks()
         )
 
     best = None
@@ -367,15 +367,15 @@ class DiscretePullers(_Pullers):
             if options.lock_mode == "superchunk":
                 grant = yield lock_whole.request()
                 try:
-                    yield self.sim.timeout(options.lock_overhead + xor_time)
+                    yield self.sim.timeout(recovery.LOCK_OVERHEAD + xor_time)
                 finally:
                     lock_whole.release(grant)
             else:
                 grant = yield lock_ranges.acquire(offset, offset + run)
                 try:
-                    bus_share = options.streaming_bus_share if streaming else 0.0
+                    bus_share = recovery.STREAMING_BUS_SHARE if streaming else 0.0
                     yield self.sim.timeout(
-                        options.lock_overhead + (1.0 - bus_share) * xor_time
+                        recovery.LOCK_OVERHEAD + (1.0 - bus_share) * xor_time
                     )
                     if bus_share > 0.0:
                         bus_grant = yield memory_bus.request()
@@ -472,12 +472,11 @@ def _packet_loop(self, locations, payload, inbound):
                 journal.mark_acked(record.record_id)
                 journal.clear(record.record_id, self.sim.now)
         if self.raidp.enable_parity:
-            yield self.sim.timeout(run / self.raidp.lstor_write_rate)
+            yield self.sim.timeout(run / LSTOR_WRITE_RATE)
         offset += run
     if inbound is not None:
         yield inbound
-    if self.config.sync_on_block_close:
-        yield from self.fs.sync()
+    yield from self.fs.sync()
     if self.raidp.enable_parity:
         self.lstors.absorb_update(
             self.shard_index_of(sc_id),
@@ -575,6 +574,11 @@ def ext_scale_raidp_single_sim(num_nodes, seed):
     return write.runtime, per_node_gb, ext_scale._recover_worst_pair(dfs)
 
 
+def mttf_hours(lifetime):
+    """Mean disk lifetime in hours (Weibull mean = scale * Gamma(1+1/k))."""
+    return lifetime.scale_hours * math.gamma(1.0 + 1.0 / lifetime.weibull_shape)
+
+
 def analytic_mc_mttdl(
     scheme: Scheme,
     fleet: Fleet,
@@ -603,7 +607,7 @@ def analytic_mc_mttdl(
     distribution explicitly.
     """
     window = repair.detection_hours + repair.disk_rebuild_hours
-    cycle = lifetime.mttf_hours + window
+    cycle = mttf_hours(lifetime) + window
     lam = 1.0 / cycle  # renewal failure rate per disk
     p_dead = window / cycle  # stationary P(a specific disk is mid-repair)
     if scheme.kind == "replication":

@@ -10,6 +10,7 @@ from repro.core.recovery import RecoveryManager
 from repro.errors import BlockMissingError
 from repro.hdfs.config import DfsConfig
 from repro.sim.cluster import ClusterSpec
+from tests.test_preallocation import block_in_slot
 
 
 def cluster(payload_mode="bytes", num_nodes=6, per_disk=None):
@@ -108,7 +109,7 @@ def test_degraded_read_refuses_a_sibling_on_an_undetected_dead_disk():
             mirror = dfs.datanode_by_name(name)
             if (
                 name not in locations.datanodes
-                and mirror.block_in_slot(other_sc, locations.slot) is not None
+                and block_in_slot(mirror, other_sc, locations.slot) is not None
             ):
                 return mirror
         return None

@@ -3,6 +3,7 @@
 import pytest
 
 from repro import units
+from repro.core.cluster import RaidpCluster
 from repro.errors import (
     BlockMissingError,
     DfsError,
@@ -218,8 +219,15 @@ def test_rewrite_bumps_version_and_keeps_placement():
 
 
 def test_streamed_and_accumulated_paths_both_store_content():
-    for accumulate in (False, True):
-        dfs = small_cluster(replication=2, accumulate_writes=accumulate)
+    """Stock HDFS streams every write; optimized RAIDP accumulates."""
+    accumulated = RaidpCluster(
+        spec=ClusterSpec(num_nodes=4),
+        config=DfsConfig(block_size=4 * units.MiB, replication=2),
+        superchunk_size=16 * units.MiB,
+        payload_mode="bytes",
+    )
+    assert accumulated.raidp.optimized
+    for dfs in (small_cluster(replication=2), accumulated):
         client = dfs.clients[0]
         dfs.sim.run_process(client.write_file("/f", 4 * units.MiB))
         block = dfs.namenode.file_blocks("/f")[0]

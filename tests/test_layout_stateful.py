@@ -70,7 +70,7 @@ class LayoutMachine(RuleBasedStateMachine):
             for d in sorted(self.live_disks)
             if d != survivor
             and self.layout.shared(survivor, d) is None
-            and len(self.layout.superchunks_of(d)) < self.layout.max_superchunks(d)
+            and len(self.layout.superchunks_of(d)) < self.layout.max_superchunks()
         ]
         if not receivers:
             return

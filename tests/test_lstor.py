@@ -75,17 +75,6 @@ def test_failed_lstor_raises():
         lstor.absorb(0, factory.zero(BLOCK))
 
 
-def test_absorb_timed_charges_transfer_time():
-    sim, factory, lstor = make_lstor()
-
-    def body():
-        yield from lstor.absorb_timed(0, factory.make("a", 1, BLOCK), BLOCK)
-
-    sim.run_process(body())
-    assert sim.now == pytest.approx(BLOCK / lstor.write_rate)
-    assert lstor.stats_bytes_absorbed == BLOCK
-
-
 def test_journal_write_time_scales():
     _sim, _factory, lstor = make_lstor()
     assert lstor.journal_write_time(2 * BLOCK) == 2 * lstor.journal_write_time(BLOCK)

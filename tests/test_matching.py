@@ -11,7 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import MatchingError
-from repro.matching import DynamicHungarian, hopcroft_karp, hungarian
+from repro.matching import DynamicHungarian, hopcroft_karp
+
+
+def hungarian(cost):
+    """One cold solve: (row->col mapping, total cost)."""
+    return DynamicHungarian(cost).solve()
 
 
 # ----------------------------------------------------------------------

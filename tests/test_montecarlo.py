@@ -41,6 +41,7 @@ from tests.oracles import (
     event_loop_trial,
     loop_sample_failures,
     loop_sample_outages,
+    mttf_hours,
     reference_judge,
 )
 
@@ -766,15 +767,12 @@ def test_weibull_scale_pins_first_year_failure_to_afr():
 
 def test_exponential_mttf_matches_scale():
     model = DiskLifetimeModel(afr=0.02, weibull_shape=1.0)
-    assert model.mttf_hours == pytest.approx(model.scale_hours)
+    assert mttf_hours(model) == pytest.approx(model.scale_hours)
 
 
 def test_latent_error_probability_bounds():
     model = LatentErrorModel(rate_per_disk_year=0.3, scrub_interval_hours=14 * 24.0)
-    p_disk = model.disk_read_error_probability()
-    assert 0.0 < p_disk < 1.0
     p_block = model.block_read_error_probability(1e-6)
-    assert 0.0 < p_block < p_disk
+    assert 0.0 < p_block < model.block_read_error_probability(1e-3) < 1.0
     none = LatentErrorModel(rate_per_disk_year=0.0)
-    assert none.disk_read_error_probability() == 0.0
     assert none.block_read_error_probability(1e-6) == 0.0

@@ -201,15 +201,14 @@ def test_disjoint_components_solved_independently():
 
 
 def test_zero_byte_transfer_closes_accounting():
-    """Zero-byte flows finish: started/finished pair up, no bytes banked."""
+    """A zero-byte flow is refused before it opens: the started/finished
+    pair stays closed at zero and no bytes are banked."""
     sim, switch, (a, b) = _build("incremental", [units.gbps(10)] * 2)
-
-    def body():
-        yield switch.transfer(a, b, 0)
-
-    sim.run_process(body())
-    assert a.stats.flows_started == 1
-    assert a.stats.flows_finished == 1
+    with pytest.raises(ValueError):
+        switch.transfer(a, b, 0)
+    sim.run()
+    assert a.stats.flows_started == 0
+    assert a.stats.flows_finished == 0
     assert a.stats.bytes_sent == 0
     assert b.stats.bytes_received == 0
     assert switch.total_bytes == 0

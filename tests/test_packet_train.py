@@ -55,7 +55,7 @@ def trains_on_one_disk(count, stagger, sample):
     def write(locations, delay):
         yield dfs.sim.timeout(delay)
         payload = dfs.factory.make(locations.block.name, 1, BLOCK)
-        yield from datanode.write_block(locations, payload, accumulate=False)
+        yield from datanode.write_block(locations, payload)
 
     def body():
         procs = [

@@ -58,16 +58,6 @@ def test_bytes_cross_plane_rejected():
         TokenPayload.of("x", 1).xor(BytesPayload(b"ab"))
 
 
-def test_bytes_slice_and_splice():
-    payload = BytesPayload(b"0123456789")
-    assert payload.slice(2, 5) == BytesPayload(b"234")
-    patched = payload.splice(2, BytesPayload(b"XYZ"))
-    assert patched == BytesPayload(b"01XYZ56789")
-    assert payload == BytesPayload(b"0123456789")  # original untouched
-    with pytest.raises(ValueError):
-        payload.splice(9, BytesPayload(b"toolong"))
-
-
 def test_bytes_checksum_changes_with_content():
     a = BytesPayload(b"aaaa")
     b = BytesPayload(b"aaab")
@@ -132,6 +122,9 @@ def _every_constructor():
     raw = b"pickle me, all 23 bytes"
     factory = ContentFactory(seed=7)
     minted = factory.make("blk_0001", 3, 13)
+    # A sub-block update's patch: a private copy, patched, then adopted.
+    patched = minted.mutable_copy()
+    patched[2:5] = np.frombuffer(b"XYZ", dtype=np.uint8)
     return {
         "bytes": BytesPayload(raw),
         "bytearray": BytesPayload(bytearray(raw)),
@@ -142,8 +135,8 @@ def _every_constructor():
         "factory-zero": factory.zero(9),
         "minted": minted,
         "minted-empty": factory.make("blk_0001", 3, 0),
-        "slice": minted.slice(3, 11),
-        "splice": minted.splice(2, BytesPayload(b"XYZ")),
+        "slice": BytesPayload(minted.data[3:11]),
+        "splice": BytesPayload.adopt(patched),
         "xor": minted.xor(factory.make("blk_0002", 1, 13)),
         "xor-zero": minted.xor(factory.zero(13)),
     }
@@ -239,18 +232,18 @@ def test_factory_golden_content():
 @pytest.mark.parametrize("length", [1, 7, 8, 13, 65536])
 def test_minted_payload_is_frozen_to_the_root_and_slices_are_views(length):
     """Freezing only the outermost byte view would leave the word buffer
-    writable: ``_is_safely_immutable`` would then make every ``slice()``
-    of a minted payload a silent copy."""
+    writable: ``_is_safely_immutable`` would then make every payload built
+    over a slice of a minted payload a silent copy."""
     payload = ContentFactory(seed=7).make("blk_0001", 3, length)
     arr = payload.data
     while arr is not None:  # the whole base chain, down to the owner
         assert isinstance(arr, np.ndarray) and not arr.flags.writeable
         arr = arr.base
     assert _is_safely_immutable(payload.data)
-    piece = payload.slice(length // 3, length)
+    piece = BytesPayload(payload.data[length // 3:length])
     assert np.shares_memory(piece.data, payload.data)
     assert piece == BytesPayload(payload.data[length // 3:].tobytes())
-    assert piece.slice(0, len(piece)).data.ctypes.data == piece.data.ctypes.data
+    assert BytesPayload(piece.data[0:len(piece)]).data.ctypes.data == piece.data.ctypes.data
 
 
 def test_factory_zero_is_one_shared_immutable_payload_per_length():
@@ -314,7 +307,7 @@ def test_adopt_does_not_copy_and_freezes():
 
 def test_slice_is_zero_copy_view():
     payload = BytesPayload(b"0123456789")
-    piece = payload.slice(2, 5)
+    piece = BytesPayload(payload.data[2:5])
     assert piece == BytesPayload(b"234")
     base = piece.data.base
     while isinstance(base, np.ndarray) and base is not payload.data:

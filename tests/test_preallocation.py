@@ -13,6 +13,7 @@ import pytest
 
 from repro import units
 from repro.core.cluster import RaidpCluster
+from repro.core.lstor import filler_name
 from repro.core.node import RaidpConfig, RaidpDataNode
 from repro.core.recovery import RecoveryManager
 from repro.ec.reed_solomon import ReedSolomon
@@ -24,6 +25,15 @@ from repro.sim import snapshot
 from repro.sim.cluster import ClusterSpec
 from repro.storage.payload import ContentFactory
 from tests.oracles import eager_preallocate
+
+
+def block_in_slot(datanode, sc_id, slot):
+    """The block name a slot holds: a stored block, its preallocation
+    filler, or None."""
+    name = datanode._block_at.get((sc_id, slot))
+    if name is None and datanode._holds_filler(sc_id, slot):
+        return filler_name(sc_id, slot)
+    return name
 
 MODES = {
     "tokens": dict(payload_mode="tokens", lstors_per_disk=1),
@@ -160,8 +170,8 @@ def test_fillers_are_derived_until_a_block_takes_the_slot():
     locations = dfs.namenode.all_blocks()[0]
     datanode = dfs.datanode_by_name(locations.datanodes[0])
     sc_id, slot = locations.sc_id, locations.slot
-    assert datanode.block_in_slot(sc_id, slot) == locations.block.name
-    assert datanode.block_in_slot(sc_id, slot + 1) == f"pre_sc{sc_id}_s{slot + 1}"
+    assert block_in_slot(datanode, sc_id, slot) == locations.block.name
+    assert block_in_slot(datanode, sc_id, slot + 1) == f"pre_sc{sc_id}_s{slot + 1}"
     assert datanode.slot_payload(sc_id, slot + 1) == dfs.factory.make(
         f"pre_sc{sc_id}_s{slot + 1}", 0, units.MiB
     )
@@ -172,14 +182,14 @@ def test_fillers_are_derived_until_a_block_takes_the_slot():
     dfs.sim.run_process(dfs.client(0).delete_file("/f"))
     for name in locations.datanodes:
         holder = dfs.datanode_by_name(name)
-        assert holder.block_in_slot(sc_id, slot) is None
+        assert block_in_slot(holder, sc_id, slot) is None
         assert holder.slot_payload(sc_id, slot).is_zero()
     # So does deleting a block that never reached its slot here.
     ghost = Block(block_id=99, path="/ghost", index=0, size=units.MiB)
     datanode.delete_block(
         BlockLocations(ghost, [datanode.name], sc_id=sc_id, slot=slot + 1)
     )
-    assert datanode.block_in_slot(sc_id, slot + 1) is None
+    assert block_in_slot(datanode, sc_id, slot + 1) is None
     assert datanode.slot_payload(sc_id, slot + 1).is_zero()
     dfs.verify_parity()
 

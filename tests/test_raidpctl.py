@@ -79,7 +79,7 @@ def test_trace_command_category_filter(tmp_path, capsys):
     tracer.register_run("t")
     tracer.complete("disk", "read", 0.0, 1.0)
     tracer.complete("net", "flow", 0.0, 2.0)
-    path = str(tmp_path / "t.jsonl")
+    path = str(tmp_path / "t.json")
     write_trace(tracer, path)
     assert main(["trace", path, "--category", "net"]) == 0
     out = capsys.readouterr().out

@@ -4,16 +4,41 @@
 no shipped entry point calls against ``tests/reach_ledger.txt``.  These
 tests hold the ledger's form here: every line names a function that
 exists, gives an allowed reason, and DESIGN.md §4b's *tests only*
-cells agree with it.
+cells agree with it.  The ledger's twin for options: every defaulted
+config field is set by some call, or it is a constant.
 """
 
+import ast
+import dataclasses
 import re
 from pathlib import Path
 
+from repro.analysis.cost import DatacenterCostModel
+from repro.analysis.montecarlo import Fleet
+from repro.core.layout import LayoutSpec
+from repro.core.monitor import MonitorConfig
+from repro.core.node import RaidpConfig
+from repro.core.recovery import RecoveryOptions
+from repro.experiments.common import Scale
+from repro.faults import (
+    CorrelatedFailureModel,
+    DiskLifetimeModel,
+    LatentErrorModel,
+    RepairModel,
+)
+from repro.hdfs.config import DfsConfig
+from repro.sim.cluster import ClusterSpec
+from repro.sim.disk import DiskGeometry
 from tests import reach
 
+ROOT = Path(__file__).resolve().parent.parent
 LEDGER = Path(__file__).with_name("reach_ledger.txt")
-DESIGN = Path(__file__).resolve().parent.parent / "DESIGN.md"
+DESIGN = ROOT / "DESIGN.md"
+CONFIG_CLASSES = (
+    DfsConfig, RaidpConfig, RecoveryOptions, LayoutSpec, MonitorConfig,
+    ClusterSpec, DiskGeometry, Scale, Fleet, DatacenterCostModel,
+    DiskLifetimeModel, LatentErrorModel, CorrelatedFailureModel, RepairModel,
+)
 REASON = re.compile(
     r"owed by item \d+|CLI flag --[\w-]+( json)?|paper §[\d.]+ claim, tests only|error path"
 )
@@ -53,3 +78,23 @@ def test_design_tests_only_cells_match_the_ledger():
             assert matched, f"DESIGN.md §4b marks {name} tests only; the ledger lacks it"
             for entry in matched:
                 assert entries[entry].startswith(reason), (entry, entries[entry], reason)
+
+
+def test_every_defaulted_config_field_is_set_by_some_call():
+    """A default no call overrides is a constant in disguise: it belongs
+    next to the code that reads it, not on a config class."""
+    passed = set()
+    for top in ("src", "tests", "examples", "benchmarks", "bench"):
+        for path in (ROOT / top).rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Call):
+                    passed.update(keyword.arg for keyword in node.keywords)
+    unset = [
+        f"{cls.__name__}.{f.name}"
+        for cls in CONFIG_CLASSES
+        for f in dataclasses.fields(cls)
+        if f.name not in passed
+        and (f.default is not dataclasses.MISSING
+             or f.default_factory is not dataclasses.MISSING)
+    ]
+    assert unset == [], unset

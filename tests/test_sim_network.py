@@ -121,16 +121,11 @@ def test_incast_fifteen_senders_one_receiver():
     assert sim.now == pytest.approx(1.0, rel=0.02)
 
 
-def test_zero_byte_transfer_completes_after_latency():
+def test_zero_byte_transfer_rejected():
     sim = Simulator()
     switch, (a, b) = build(sim, [units.gbps(10)] * 2)
-
-    def body():
-        duration = yield switch.transfer(a, b, 0)
-        return duration
-
-    duration = sim.run_process(body())
-    assert duration == pytest.approx(Switch.BASE_LATENCY, rel=0.1)
+    with pytest.raises(ValueError):
+        switch.transfer(a, b, 0)
 
 
 def test_negative_transfer_rejected():

@@ -299,7 +299,7 @@ def test_ledger_counts_a_start_io_slot_until_its_callback():
     done = disk.start_io("read", 0, 4096)
     assert sim._grants == {disk._queue: 1}
     sim.run()
-    assert done.ok and sim._grants == {}
+    assert done.triggered and done._exception is None and sim._grants == {}
 
 
 def test_ledger_follows_the_byte_range_wake_up():

@@ -19,12 +19,18 @@ from repro.sim import snapshot
 from repro.sim.engine import Simulator
 
 
+def _clear(store):
+    store._memory.clear()
+    store.hits = 0
+    store.misses = 0
+
+
 @pytest.fixture(autouse=True)
 def _fresh_store():
     """Isolate every test from the process-wide snapshot store."""
-    snapshot.GLOBAL_STORE.clear()
+    _clear(snapshot.GLOBAL_STORE)
     yield
-    snapshot.GLOBAL_STORE.clear()
+    _clear(snapshot.GLOBAL_STORE)
 
 
 def _cold_store(monkeypatch):

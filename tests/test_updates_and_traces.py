@@ -5,7 +5,7 @@ import pytest
 from repro import units
 from repro.core.cluster import RaidpCluster
 from repro.errors import DfsError
-from repro.hdfs.config import DfsConfig
+from repro.hdfs.config import ACK_SIZE, DfsConfig
 from repro.hdfs.filesystem import HdfsCluster
 from repro.sim.cluster import ClusterSpec
 from repro.workloads.traces import (
@@ -75,7 +75,7 @@ def test_update_moves_no_block_data_over_network():
     )
     moved = dfs.total_network_bytes() - before
     # Only the journal acknowledgments cross the wire.
-    assert moved <= 4 * dfs.config.ack_size
+    assert moved <= 4 * ACK_SIZE
 
 
 def test_update_journals_and_drains():

@@ -7,7 +7,7 @@ from repro.core.cluster import RaidpCluster
 from repro.hdfs.config import DfsConfig
 from repro.hdfs.filesystem import HdfsCluster
 from repro.sim.cluster import ClusterSpec
-from repro.workloads.dfsio import dfsio_read, dfsio_rewrite, dfsio_write
+from repro.workloads.dfsio import dfsio_read, dfsio_write
 from repro.workloads.terasort import teragen, terasort
 from repro.workloads.wordcount import wordcount, wordcount_input
 
@@ -66,15 +66,6 @@ def test_dfsio_read_after_write():
     result = dfsio_read(dfs)
     assert result.runtime > 0
     assert result.disk_bytes_read == pytest.approx(TOTAL, rel=0.01)
-
-
-def test_dfsio_rewrite_bumps_versions():
-    dfs = raidp()
-    dfsio_write(dfs, TOTAL)
-    result = dfsio_rewrite(dfs)
-    assert result.runtime > 0
-    for locations in dfs.namenode.all_blocks():
-        assert locations.version == 2
 
 
 def test_dfsio_rejects_tiny_totals():
