@@ -4,7 +4,7 @@ PYTHON     ?= python
 PYTHONPATH := src
 export PYTHONPATH
 
-.PHONY: test lint typecheck shapes bench benchmark chaos verify profile flight-recorder experiments durability-smoke experiments-smoke reach clean
+.PHONY: test lint typecheck shapes bench benchmark chaos verify profile flight-recorder experiments durability-smoke experiments-smoke reach run-twice clean
 
 # Tier-1: the full unit/integration/property suite.
 test:
@@ -123,10 +123,23 @@ reach:
 	cut -d' ' -f1 tests/reach_ledger.txt | diff - reach/never-called.txt \
 		|| { echo "reach: probe and tests/reach_ledger.txt differ (< stale entry, > never called)"; exit 1; }
 
+# Run twice: the chaos soak and every experiment must print the same
+# bytes under two string-hash seeds, so no output leans on hash() of a
+# str or on the order of a str-keyed set (~15 s).
+run-twice:
+	mkdir -p run-twice
+	for seed in 0 999; do \
+		PYTHONHASHSEED=$$seed $(MAKE) -s chaos > run-twice/chaos-$$seed.txt || exit 1; \
+		PYTHONHASHSEED=$$seed $(PYTHON) -m repro.experiments all --jobs 1 \
+			> run-twice/all-$$seed.txt || exit 1; \
+	done
+	cmp run-twice/chaos-0.txt run-twice/chaos-999.txt
+	cmp run-twice/all-0.txt run-twice/all-999.txt
+
 # Regenerate every table/figure of the paper (uses all cores).
 experiments:
 	$(PYTHON) -m repro.experiments all --full --jobs 0
 
 clean:
 	find . -name __pycache__ -type d -prune -exec rm -rf {} +
-	rm -rf .pytest_cache .benchmarks .bench_out .hypothesis .mypy_cache flight-recorder durability-smoke experiments-smoke reach
+	rm -rf .pytest_cache .benchmarks .bench_out .hypothesis .mypy_cache flight-recorder durability-smoke experiments-smoke reach run-twice

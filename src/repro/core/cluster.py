@@ -24,7 +24,7 @@ from repro.hdfs.namenode import NameNode
 from repro.sim.cluster import Cluster, ClusterSpec
 from repro.sim.engine import Simulator
 from repro.sim.network import Switch
-from repro.storage.payload import ContentFactory
+from repro.storage.payload import ContentFactory, XorAccumulator
 from repro.sim.snapshot import InlineState
 
 
@@ -196,14 +196,15 @@ class RaidpCluster(InlineState):
         configuration is verified through
         :meth:`RaidpDataNode.lstors.reconstruct_block` in tests.
         """
+        zero = self.factory.zero(self.config.block_size)
         for datanode in self._parity_trusted():
             sc_ids = self.layout.superchunks_of(datanode.name)
             for slot in range(self.map.slots_per_superchunk):
-                expected = self.factory.zero(self.config.block_size)
+                expected = XorAccumulator(zero)
                 for sc_id in sc_ids:
-                    expected = expected.xor(datanode.slot_payload(sc_id, slot))
+                    expected.add(datanode.slot_payload(sc_id, slot))
                 actual = datanode.lstors.parity_block(slot)
-                if actual != expected:
+                if actual != expected.result():
                     raise LayoutError(
                         f"parity mismatch on {datanode.name} slot {slot}"
                     )

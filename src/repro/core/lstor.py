@@ -75,11 +75,11 @@ class Lstor(InlineState):
         )
         self.failed = False
         self._parity: Dict[int, Payload] = {}
-        # Bytes-plane fast path: per-slot writable XOR accumulators, so
-        # absorbing a delta is one in-place bitwise_xor with no payload
-        # allocation.  ``_parity`` doubles as the cache of immutable
-        # snapshots handed out by :meth:`parity_block`; entries are
-        # invalidated whenever the accumulator advances.
+        # Bytes-plane fast path: per-slot XOR accumulators, so absorbing
+        # a delta is one in-place bitwise_xor with no payload allocation.
+        # ``_parity`` doubles as the cache of the snapshots handed out by
+        # :meth:`parity_block`, copy-on-write: a snapshot adopts its
+        # slot's accumulator, and the next absorb there copies it first.
         self._parity_accum: Dict[int, "np.ndarray"] = {}
         # Tags of already-absorbed updates: device-side sequence-number
         # dedup, which makes journal roll-forward idempotent.
@@ -115,7 +115,8 @@ class Lstor(InlineState):
         """Current parity for block slot ``slot`` (zero if untouched).
 
         The returned payload is an immutable snapshot: later absorbs at
-        the same slot never mutate it (journal records stay correct).
+        the same slot never mutate it (journal records stay correct).  It
+        costs no copy: the next absorb at the slot copies the buffer.
         """
         self._check_alive()
         return self._current(slot)
@@ -126,9 +127,9 @@ class Lstor(InlineState):
             accum = self._parity_accum.get(slot)
             if accum is None:
                 return self.factory.zero(self.block_size)
-            # Snapshot the writable accumulator; cached until the next
-            # absorb at this slot dirties it.
-            parity = BytesPayload(accum)
+            # The snapshot adopts the accumulator, no copy; cached until
+            # the next absorb at this slot copies it (see ``_xor_in``).
+            parity = BytesPayload.adopt(accum)
             self._parity[slot] = parity
         return parity
 
@@ -160,11 +161,15 @@ class Lstor(InlineState):
             if accum is None:
                 accum = np.zeros(self.block_size, dtype=np.uint8)
                 self._parity_accum[slot] = accum
+            elif self._parity.pop(slot, None) is not None:
+                # A cached snapshot owns this buffer: copy on write.  Keyed
+                # on the cache entry, not on ``flags.writeable``, which a
+                # pickle round trip sets again.
+                accum = self._parity_accum[slot] = accum.copy()
             for term in terms:
                 if not isinstance(term, BytesPayload):
                     raise TypeError("cannot XOR bytes with symbolic payload")
                 term.xor_into(accum)
-            self._parity.pop(slot, None)
         else:
             delta = terms[0]
             for term in terms[1:]:

@@ -230,35 +230,41 @@ class XorAccumulator(InlineState):
     In the bytes plane the accumulator owns one writable buffer and XORs
     into it in place; :meth:`result` adopts the buffer into an immutable
     payload (so the total cost of an N-term chain is one allocation, not
-    N).  In the token plane it falls back to immutable folding -- token
-    sets are tiny, so there is nothing to win there.
+    N).  The buffer is copied in only when a second operand not known to
+    be zero arrives: until then the fold is :meth:`BytesPayload.xor`,
+    which returns the other operand of a known zero itself.  In the token
+    plane it is immutable folding throughout -- token sets are tiny, so
+    there is nothing to win there.
     """
 
     __slots__ = ("_buf", "_payload")
 
     def __init__(self, initial: Payload) -> None:
-        if isinstance(initial, BytesPayload):
-            self._buf: Optional[np.ndarray] = initial.mutable_copy()
-            self._payload: Optional[Payload] = None
-        else:
-            self._buf = None
-            self._payload = initial
+        self._buf: Optional[np.ndarray] = None
+        self._payload = initial
 
     def add(self, payload: Payload) -> None:
-        if self._buf is not None:
-            if not isinstance(payload, BytesPayload):
-                raise TypeError("cannot XOR bytes with symbolic payload")
-            payload.xor_into(self._buf)
-        else:
-            assert self._payload is not None
-            self._payload = self._payload.xor(payload)
+        if self._buf is None:
+            current = self._payload
+            if (
+                not isinstance(current, BytesPayload)
+                or not isinstance(payload, BytesPayload)
+                or current._zero
+                or payload._zero
+            ):
+                # Token plane, or a known zero: no buffer, no pass.
+                self._payload = current.xor(payload)
+                return
+            self._buf = current.mutable_copy()
+        if not isinstance(payload, BytesPayload):
+            raise TypeError("cannot XOR bytes with symbolic payload")
+        payload.xor_into(self._buf)
 
     def result(self) -> Payload:
         """The folded payload; the accumulator must not be added to after."""
         if self._buf is not None:
             self._payload = BytesPayload.adopt(self._buf)
             self._buf = None  # buffer ownership transferred to the payload
-        assert self._payload is not None
         return self._payload
 
 

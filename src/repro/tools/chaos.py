@@ -37,7 +37,7 @@ import contextlib
 import dataclasses
 import json
 import sys
-from typing import Any, Dict, Generator, List, Optional, Tuple
+from typing import Any, Dict, Generator, List, Optional, Set, Tuple
 
 from repro import units
 from repro.core.cluster import RaidpCluster
@@ -52,6 +52,7 @@ from repro.obs import tracer as tracer_mod
 from repro.obs.export import write_trace
 from repro.obs.slo import health_report, render_dash, write_health_report
 from repro.sim.cluster import ClusterSpec
+from repro.storage.payload import Payload
 from repro.workloads.driver import workload_body
 from repro.workloads.terasort import terasort_tasks
 
@@ -251,59 +252,76 @@ def _traffic(dfs: Any, skipped: List[int]) -> Generator:
 # ----------------------------------------------------------------------
 # Verification.
 # ----------------------------------------------------------------------
-def _expected_payloads(dfs: Any) -> Dict[str, Any]:
-    """The content generator's payload for every block at its current
-    version, minted once per soak and shared by both verifiers."""
-    return {
-        loc.block.name: dfs.factory.make(loc.block.name, loc.version, loc.block.size)
-        for loc in dfs.namenode.all_blocks()
-    }
+def _expected(dfs: Any, locations: Any) -> Payload:
+    """The content generator's payload for a block at its current version."""
+    block = locations.block
+    return dfs.factory.make(block.name, locations.version, block.size)
 
 
-def _verify_reads(
-    dfs: Any, expected: Dict[str, Any], problems: List[str], blocks_fp: List
+def _verify_replicas(
+    dfs: Any, locations: Any, expected: Payload, problems: List[str]
+) -> None:
+    """Every listed replica of one block must be healthy and hold the
+    exact bytes."""
+    block = locations.block
+    if locations.replica_count == 0:
+        problems.append(f"{block.name}: no replicas survived")
+        return
+    for name in locations.datanodes:
+        datanode = dfs.namenode.datanode(name)
+        if not healthy_datanode(datanode):
+            problems.append(f"{block.name}: listed replica {name} is dead")
+            continue
+        if not datanode.has_block(block.name):
+            problems.append(f"{block.name}: replica {name} lost the content")
+            continue
+        if datanode.content_of(block.name) != expected:
+            problems.append(f"{block.name}: replica {name} diverged")
+
+
+def _verify_block(
+    dfs: Any, path: str, locations: Any, problems: List[str], blocks_fp: List
 ) -> Generator:
-    """Read every block back through the regular client path and compare
-    it bit-for-bit to the content generator's expected payload."""
-    client = dfs.clients[0]
-    for path in sorted(dfs.namenode.list_files()):
-        for block in dfs.namenode.file_blocks(path):
-            locations = dfs.namenode.locate_block(block.block_id)
-            try:
-                payload = yield from client.read_block(locations)
-            except ReproError as exc:
-                problems.append(f"read of {block.name} ({path}) failed: {exc}")
-                continue
-            if payload != expected[block.name]:
-                problems.append(f"{block.name} ({path}) read back wrong content")
-            blocks_fp.append(
-                (
-                    block.name,
-                    locations.version,
-                    tuple(sorted(locations.datanodes)),
-                    payload.checksum(),
-                )
-            )
+    """Mint one block's expected payload, compare every listed replica
+    and the regular client path's read-back against it bit for bit, and
+    append the block's fingerprint row.  The payload dies with this
+    frame, so the post-mortem holds one expected block at a time."""
+    expected = _expected(dfs, locations)
+    _verify_replicas(dfs, locations, expected, problems)
+    block = locations.block
+    try:
+        payload = yield from dfs.clients[0].read_block(locations)
+    except ReproError as exc:
+        problems.append(f"read of {block.name} ({path}) failed: {exc}")
+        return None
+    if payload != expected:
+        problems.append(f"{block.name} ({path}) read back wrong content")
+    blocks_fp.append(
+        (
+            block.name,
+            locations.version,
+            tuple(sorted(locations.datanodes)),
+            payload.checksum(),
+        )
+    )
     return None
 
 
-def _verify_replicas(dfs: Any, expected: Dict[str, Any], problems: List[str]) -> None:
-    """Every listed replica must be healthy and hold the exact bytes."""
+def _verify_blocks(dfs: Any, problems: List[str], blocks_fp: List) -> Generator:
+    """The post-mortem's one pass over the blocks: each file's blocks in
+    path order (the order of the reads and the fingerprint rows) through
+    :func:`_verify_block`, then a replica check for any block in the
+    block map that no file reaches."""
+    reached: Set[int] = set()
+    for path in dfs.namenode.list_files():
+        for block in dfs.namenode.file_blocks(path):
+            reached.add(block.block_id)
+            locations = dfs.namenode.locate_block(block.block_id)
+            yield from _verify_block(dfs, path, locations, problems, blocks_fp)
     for locations in dfs.namenode.all_blocks():
-        block = locations.block
-        if locations.replica_count == 0:
-            problems.append(f"{block.name}: no replicas survived")
-            continue
-        for name in locations.datanodes:
-            datanode = dfs.namenode.datanode(name)
-            if not healthy_datanode(datanode):
-                problems.append(f"{block.name}: listed replica {name} is dead")
-                continue
-            if not datanode.has_block(block.name):
-                problems.append(f"{block.name}: replica {name} lost the content")
-                continue
-            if datanode.content_of(block.name) != expected[block.name]:
-                problems.append(f"{block.name}: replica {name} diverged")
+        if locations.block.block_id not in reached:
+            _verify_replicas(dfs, locations, _expected(dfs, locations), problems)
+    return None
 
 
 def recovery_timeline(
@@ -507,15 +525,13 @@ def run_chaos(
     # Post-mortem verification.
     # ------------------------------------------------------------------
     _verify_lifecycle(dfs, monitor, injector, problems)
-    expected = _expected_payloads(dfs)
-    _verify_replicas(dfs, expected, problems)
     lost = dfs.namenode.lost_blocks()
     if lost:
         problems.append(f"{len(lost)} blocks lost: "
                         f"{[loc.block.name for loc in lost][:5]}")
 
     blocks_fp: List = []
-    dfs.sim.run_process(_verify_reads(dfs, expected, problems, blocks_fp))
+    dfs.sim.run_process(_verify_blocks(dfs, problems, blocks_fp))
 
     fingerprint = {
         "injections": [

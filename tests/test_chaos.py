@@ -7,6 +7,7 @@ the tier-1 suite so regressions in the failure lifecycle surface in CI.
 
 import hashlib
 import json
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -114,16 +115,19 @@ def test_soak_byte_work_is_counted(monkeypatch):
     verifier made 1,439 allocating XORs here (551,813,120 bytes XORed in
     all), 438 mints and 198 zero payloads.  Now a write's delta is applied
     once, where the Lstor absorbs it, XOR with a known zero is the other
-    operand, and both verifiers compare against one minted object.  The
-    single Lstor folds a write's old and new content into its parity with
-    two in-place XORs instead of allocating ``old ^ new`` first: 527
-    allocating XORs became 527 more in-place ones (584/666 -> 57/1,193),
-    the same bytes XORed."""
+    operand, and the post-mortem mints each block once.  The single Lstor
+    folds a write's old and new content into its parity with two in-place
+    XORs instead of allocating ``old ^ new`` first (584/666 -> 57/1,193,
+    the same bytes XORed).  The last 57 allocating XORs were the parity
+    check's, now folded in place (57/1,193 -> 0/1,250); its 32 copies of
+    live parity accumulators into snapshots are gone with copy-on-write
+    Lstor snapshots (32 payload copies -> 0)."""
     calls = Counter()
     real_xor, real_eq = np.bitwise_xor, BytesPayload.__eq__
     real_make, real_zeros = ContentFactory.make, BytesPayload.zeros.__func__
-    real_expected = chaos._expected_payloads
-    expected_ids = set()
+    real_init = BytesPayload.__init__
+    real_expected = chaos._expected
+    live_expected = set()
 
     def xor(a, b, out=None):
         calls["in-place" if out is not None else "allocating"] += 1
@@ -138,33 +142,46 @@ def test_soak_byte_work_is_counted(monkeypatch):
         calls["zero payloads"] += 1
         return real_zeros(cls, length)
 
-    def expected_payloads(dfs):
-        expected = real_expected(dfs)
-        expected_ids.update(id(payload) for payload in expected.values())
-        return expected
+    def init(self, data):
+        real_init(self, data)
+        if isinstance(data, np.ndarray) and not np.shares_memory(self.data, data):
+            calls["payload copies"] += 1
+
+    def expected(dfs, locations):
+        payload = real_expected(dfs, locations)
+        calls["expected"] += 1
+        live_expected.add(id(payload))
+        weakref.finalize(payload, live_expected.discard, id(payload))
+        calls["most expected alive"] = max(
+            calls["most expected alive"], len(live_expected)
+        )
+        return payload
 
     def eq(self, other):
-        calls["checked against expected"] += id(other) in expected_ids
+        calls["checked against expected"] += id(other) in live_expected
         return real_eq(self, other)
 
     monkeypatch.setattr(np, "bitwise_xor", xor)
     monkeypatch.setattr(ContentFactory, "make", make)
     monkeypatch.setattr(BytesPayload, "zeros", classmethod(zeros))
+    monkeypatch.setattr(BytesPayload, "__init__", init)
     monkeypatch.setattr(BytesPayload, "__eq__", eq)
-    monkeypatch.setattr(chaos, "_expected_payloads", expected_payloads)
+    monkeypatch.setattr(chaos, "_expected", expected)
     result = run_chaos(seed=101)
     assert result.ok, "\n".join(result.problems)
     blocks = result.fingerprint["blocks"]
-    assert calls["allocating"] <= 628
-    assert calls["bytes"] <= 339_214_336
+    assert calls["allocating"] == 0
+    assert calls["bytes"] <= 327_680_000
     assert calls["mints"] <= 390 and calls["zero payloads"] < 198
     assert (
         calls["allocating"], calls["in-place"], calls["bytes"],
-        calls["mints"], calls["zero payloads"],
-    ) == (57, 1_193, 327_680_000, 390, 1)
-    # One expected payload per block, and still one comparison per read
-    # and one per listed replica against it.
-    assert len(expected_ids) == len(blocks) == 48
+        calls["mints"], calls["zero payloads"], calls["payload copies"],
+    ) == (0, 1_250, 327_680_000, 390, 1, 0)
+    # The post-mortem mints one expected payload per verified block and
+    # holds one at a time; still one comparison per read and one per
+    # listed replica against it.
+    assert calls["expected"] == len(blocks) == 48
+    assert calls["most expected alive"] == 1 and not live_expected
     assert calls["checked against expected"] == len(blocks) + sum(
         len(datanodes) for _, _, datanodes, _ in blocks
     )
@@ -173,26 +190,28 @@ def test_soak_byte_work_is_counted(monkeypatch):
 
 
 def test_verifiers_catch_one_diverged_replica():
-    """Sharing one expected payload between the verifiers shares no
-    verdict: each still compares every replica and every read."""
+    """Checking one block at a time shares no verdict: the pass still
+    compares every replica and every read, and a block that no file
+    reaches still gets its replica check."""
     dfs = build_cluster(5)
     dfs.sim.run_process(dfs.clients[0].write_file("/f", 2 * BLOCK_SIZE))
-    expected = chaos._expected_payloads(dfs)
     problems, blocks_fp = [], []
-    chaos._verify_replicas(dfs, expected, problems)
-    dfs.sim.run_process(chaos._verify_reads(dfs, expected, problems, blocks_fp))
-    assert problems == [] and len(blocks_fp) == len(expected) == 2
+    dfs.sim.run_process(chaos._verify_blocks(dfs, problems, blocks_fp))
+    assert problems == [] and len(blocks_fp) == 2
     victim = dfs.namenode.all_blocks()[1]
     wrong = dfs.factory.make("not this block", 1, BLOCK_SIZE)
     for name in victim.datanodes:
         dfs.datanode_by_name(name).store_content(victim.block.name, wrong, victim.version)
-    chaos._verify_replicas(dfs, expected, problems)
-    dfs.sim.run_process(chaos._verify_reads(dfs, expected, problems, blocks_fp))
-    assert problems == [
+    diverged = [
         f"{victim.block.name}: replica {victim.datanodes[0]} diverged",
         f"{victim.block.name}: replica {victim.datanodes[1]} diverged",
-        f"{victim.block.name} (/f) read back wrong content",
     ]
+    dfs.sim.run_process(chaos._verify_blocks(dfs, problems, blocks_fp))
+    assert problems == diverged + [f"{victim.block.name} (/f) read back wrong content"]
+    problems.clear()
+    del dfs.namenode._files["/f"]  # the blocks stay in the block map
+    dfs.sim.run_process(chaos._verify_blocks(dfs, problems, blocks_fp))
+    assert problems == diverged and len(blocks_fp) == 4
 
 
 def test_chaos_cli_rejects_unknown_args():

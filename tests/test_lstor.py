@@ -1,5 +1,8 @@
 """Unit and property tests for Lstors and stacked Lstors (paper §3.2)."""
 
+import pickle
+import zlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -85,6 +88,52 @@ def test_token_mode_lstor():
     a = factory.make("a", 1, BLOCK)
     lstor.absorb(3, factory.zero(BLOCK).xor(a))
     assert lstor.parity_block(3) == a
+
+
+def _assert_copy_on_write(lstors, absorb):
+    """Each Lstor's parity snapshot shares its slot accumulator; the
+    ``absorb()`` after it moves the parity and leaves the snapshot's
+    bytes and CRC as they were."""
+    snapshots = [lstor.parity_block(0) for lstor in lstors]
+    for lstor, snap in zip(lstors, snapshots):
+        assert np.shares_memory(snap.data, lstor._parity_accum[0])
+    before = [(bytes(snap.data), snap.checksum()) for snap in snapshots]
+    absorb()
+    for lstor, snap, (content, crc) in zip(lstors, snapshots, before):
+        assert bytes(snap.data) == content and zlib.crc32(snap.data) == crc
+        assert lstor.parity_block(0) != snap
+        assert not np.shares_memory(snap.data, lstor._parity_accum[0])
+
+
+def test_parity_snapshot_is_copy_on_write():
+    _sim, factory, lstor = make_lstor()
+    lstor.absorb(0, factory.make("a", 1, BLOCK))
+    _assert_copy_on_write([lstor], lambda: lstor.absorb(0, factory.make("b", 1, BLOCK)))
+    assert lstor.parity_block(0) == factory.make("a", 1, BLOCK).xor(
+        factory.make("b", 1, BLOCK)
+    )
+
+
+def test_parity_snapshot_is_copy_on_write_after_pickle():
+    """Unpickled arrays are writable again, and the cached snapshot and
+    the accumulator still share one buffer: the cache entry, not the
+    flag, must decide the copy."""
+    _sim, factory, lstor = make_lstor()
+    lstor.absorb(0, factory.make("a", 1, BLOCK))
+    lstor.parity_block(0)
+    lstor = pickle.loads(pickle.dumps(lstor))
+    assert lstor._parity_accum[0].flags.writeable
+    _assert_copy_on_write([lstor], lambda: lstor.absorb(0, factory.make("b", 1, BLOCK)))
+
+
+def test_stacked_parity_snapshots_are_copy_on_write():
+    _sim, factory, stack = make_stack(parity_count=2, data_shards=3)
+    zero = factory.zero(BLOCK)
+    stack.absorb_update(0, 0, zero, factory.make("a", 1, BLOCK))
+    _assert_copy_on_write(
+        stack.lstors,
+        lambda: stack.absorb_update(1, 0, zero, factory.make("b", 1, BLOCK)),
+    )
 
 
 # ----------------------------------------------------------------------

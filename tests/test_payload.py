@@ -357,6 +357,26 @@ def test_xor_accumulator_bytes_plane():
     assert payloads[0] == BytesPayload(payloads[0].data)
 
 
+def test_xor_accumulator_copies_in_at_the_second_real_operand():
+    """Known zeros fold as :meth:`BytesPayload.xor` does: the other
+    operand itself, no buffer; a second real operand copies one in."""
+    from repro.storage.payload import XorAccumulator
+
+    factory = ContentFactory(mode="bytes")
+    zero, a, b = factory.zero(64), factory.make("a", 1, 64), factory.make("b", 1, 64)
+    accum = XorAccumulator(zero)
+    accum.add(a)
+    accum.add(zero)
+    assert accum.result() is a
+    accum = XorAccumulator(zero)
+    for payload in (a, zero, b):
+        accum.add(payload)
+    folded = accum.result()
+    assert folded == a.xor(b)
+    assert not np.shares_memory(folded.data, a.data)
+    assert a == factory.make("a", 1, 64)
+
+
 def test_xor_accumulator_token_plane():
     from repro.storage.payload import XorAccumulator
 
