@@ -10,10 +10,10 @@ export PYTHONPATH
 test:
 	$(PYTHON) -m pytest -x -q
 
-# Determinism & invariant linter (rules RDP001..RDP007; see DESIGN.md
-# §10).  --strict promotes warnings to failures.
+# Determinism checker (RDP001 wall clock / entropy, RDP002 set-ordered
+# iteration; DESIGN.md §10).  Standard library only.
 lint:
-	$(PYTHON) -m repro.lint --strict src/
+	$(PYTHON) -m tests.determinism src/
 
 # Strict typing gate (config in pyproject.toml).  mypy is a CI-installed
 # dev dependency; locally the target degrades to a visible skip rather

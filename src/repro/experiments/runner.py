@@ -148,9 +148,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             if args.trace_categories
             else None
         )
+        try:
+            tracer = Tracer(categories=categories)
+        except ValueError as error:
+            parser.error(f"--trace-categories: {error}")
         # Worker processes would trace into their own interpreters;
         # jobs=1 keeps every simulation (and its tracer) in-process.
-        with capture(Tracer(categories=categories)) as tracer:
+        with capture(tracer):
             for name in names:
                 print(run_experiment(name, full_scale=args.full, jobs=1).render())
                 print()

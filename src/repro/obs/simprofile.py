@@ -25,8 +25,8 @@ Design constraints, mirroring :mod:`repro.obs.tracer`:
    entries (``_callbacks`` / ``fn`` / ``body``) instead of naming
    engine classes.
 
-This module is allow-listed for ``RDP001``: a wall-clock profiler
-exists to read the host clock.
+The determinism checker's ``RDP001`` skips this module: a wall-clock
+profiler exists to read the host clock.
 """
 
 from __future__ import annotations

@@ -5,9 +5,9 @@ strings (``trace.complete("disk", ...)``).  Exporters group tracks by
 category, ``raidpctl trace`` summarizes per category, and the recovery
 breakdown keys its phases off them -- so a typo'd or ad-hoc category
 silently drops events from every downstream view.  This table is the
-single registry; the ``RDP004`` lint rule (:mod:`repro.lint`) statically
-checks that every *literal* category used at an emission site appears
-here, so a new category must land together with its registration.
+single registry; :class:`repro.obs.tracer.Tracer` raises on a category
+missing from it, in its filter and at every emission, so a new
+category must land together with its registration.
 
 Adding a category is one line: name -> a sentence describing what the
 category's events mean and who emits them.

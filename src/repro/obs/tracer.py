@@ -16,6 +16,10 @@ Design constraints, in order:
 3. **No sim imports.**  ``sim/engine.py`` imports this module; the
    reverse would be a cycle.  Anything that needs cluster types lives in
    :mod:`repro.obs.metrics` instead.
+4. **Registered categories only.**  A category missing from
+   :data:`repro.obs.taxonomy.CATEGORIES` is a ``ValueError``, in the
+   ``categories`` filter and at emission (even where the filter would
+   drop the event), so a typo cannot silently empty a trace.
 
 Event model (mirrors the Chrome trace phases we export to):
 
@@ -42,6 +46,7 @@ from __future__ import annotations
 from typing import Any, ContextManager, Dict, Iterable, List, Optional, Tuple
 
 from repro.obs.ambient import Slot
+from repro.obs.taxonomy import CATEGORIES
 
 __all__ = [
     "TraceEvent",
@@ -104,15 +109,21 @@ class Tracer:
         A full trace of a prefilled table-2 run is millions of disk and
         journal events; limiting to, say, ``{"recovery", "fault"}`` keeps
         the file Perfetto-sized while preserving the phase breakdown.
-        ``None`` records everything.
+        ``None`` records every registered category; naming an
+        unregistered one raises ``ValueError``.
         """
         self.events: List[TraceEvent] = []
         self._seq = 0
         self._runs: List[str] = []
         self.current_run = 0
-        self.categories: Optional[frozenset] = (
-            frozenset(categories) if categories is not None else None
-        )
+        recorded = frozenset(CATEGORIES if categories is None else categories)
+        unknown = sorted(recorded - CATEGORIES.keys())
+        if unknown:
+            raise ValueError(
+                f"unregistered trace categories {unknown}; "
+                f"registered: {sorted(CATEGORIES)}"
+            )
+        self._recorded = recorded
 
     # -- run bookkeeping ------------------------------------------------
     def register_run(self, label: str = "") -> int:
@@ -129,7 +140,8 @@ class Tracer:
     # -- emission -------------------------------------------------------
     def complete(self, category: str, name: str, t0: float, t1: float, **attrs: Any) -> None:
         """Record a closed span [t0, t1] in simulated seconds."""
-        if self.categories is not None and category not in self.categories:
+        if category not in self._recorded:
+            self._drop(category)
             return
         self._seq += 1
         self.events.append(
@@ -140,7 +152,8 @@ class Tracer:
 
     def instant(self, category: str, name: str, ts: float, **attrs: Any) -> None:
         """Record a point event at simulated time ``ts``."""
-        if self.categories is not None and category not in self.categories:
+        if category not in self._recorded:
+            self._drop(category)
             return
         self._seq += 1
         self.events.append(
@@ -149,7 +162,8 @@ class Tracer:
 
     def count(self, category: str, name: str, ts: float, value: float) -> None:
         """Record a counter sample (Perfetto counter track)."""
-        if self.categories is not None and category not in self.categories:
+        if category not in self._recorded:
+            self._drop(category)
             return
         self._seq += 1
         self.events.append(
@@ -157,6 +171,14 @@ class Tracer:
                 self.current_run, self._seq, "C", category, name, ts, 0.0, {"value": value}
             )
         )
+
+    def _drop(self, category: str) -> None:
+        """An event the filter leaves out: legal under a registered category."""
+        if category not in CATEGORIES:
+            raise ValueError(
+                f"trace category {category!r} is not registered in "
+                "repro.obs.taxonomy.CATEGORIES"
+            )
 
     def __len__(self) -> int:
         return len(self.events)

@@ -105,7 +105,7 @@ def mean(samples: Iterable[float]) -> float:
 
     ``math.fsum`` (exact float summation) rather than ``sum``: repeated
     means over experiment repetitions must not drift with summation
-    order (RDP005).
+    order.
     """
     values = list(samples)
     return fsum(values) / len(values) if values else 0.0

@@ -24,9 +24,9 @@ interpreter's own profiler:
 ``python -m cProfile -s tottime -m repro.experiments table2``.
 
 The JSON export follows the repo's report conventions (a ``schema``
-version plus sorted keys, like :mod:`repro.lint` findings); this module
-is allow-listed for the ``RDP001`` wall-clock rule because a profiler
-exists to read the host clock.
+version plus sorted keys); the determinism checker's ``RDP001``
+wall-clock rule skips this module because a profiler exists to read
+the host clock.
 """
 
 from __future__ import annotations

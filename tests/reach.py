@@ -1,11 +1,11 @@
 """Reachability probe: which ``src/`` functions does nothing we ship call?
 
 Runs the production entry points (the experiments CLI, the chaos soak
-and flight recorder, the ``raidpctl`` commands, the linter, three bench
-workloads and the bench kernels, the six examples) in one process under
-one trace hook, then prints every function defined under ``src/repro``
-that never ran, sorted, one ``module:qualname`` per line.  Dunder methods
-are skipped.  ``make reach`` diffs this list against
+and flight recorder, the ``raidpctl`` commands, three bench workloads
+and the bench kernels, the six examples) in one process under one trace
+hook, then prints every function defined under ``src/repro`` that never
+ran, sorted, one ``module:qualname`` per line.  Dunder methods are
+skipped.  ``make reach`` diffs this list against
 ``tests/reach_ledger.txt``, which gives each entry its reason.
 
 Run:  PYTHONPATH=src python -m tests.reach
@@ -56,7 +56,6 @@ def defined() -> Set[str]:
 
 def steps(tmp: Path) -> List[Tuple[str, Callable[[], object]]]:
     from repro.experiments.runner import main as experiments
-    from repro.lint.cli import main as lint
     from repro.tools.chaos import main as chaos
     from repro.tools.raidpctl import main as raidpctl
 
@@ -82,7 +81,6 @@ def steps(tmp: Path) -> List[Tuple[str, Callable[[], object]]]:
         ("raidpctl drill", lambda: raidpctl(["drill", "--nodes", "8", "--double"])),
         ("raidpctl tco", lambda: raidpctl(["tco"])),
         ("raidpctl experiments", lambda: raidpctl(["experiments", "fig1"])),
-        ("lint", lambda: lint(["--strict", str(SRC)])),
         ("bench kernels", lambda: run_kernels(samples=1)),
     ]
     # dfs_write, dfs_read and scale_out rerun fig8 / fig9 + fig10 /

@@ -1,12 +1,12 @@
-"""End-to-end lint and typing gates over the real source tree.
+"""End-to-end determinism and typing gates over the real source tree.
 
 These are the tests that make the invariants *stick*: the whole of
-``src/`` must lint clean with the repo allowlists, every annotation
-in the strict packages must actually resolve (a missing import hidden
-by ``from __future__ import annotations`` fails here, the way it once
-did for ``repro.obs.tracer``), and each historical defect re-seeded into
-the real file must be caught again, by a lint rule or by the
-simulator's grant ledger.
+``src/`` must pass the determinism checker (``tests/determinism.py``),
+every annotation in the strict packages must actually resolve (a
+missing import hidden by ``from __future__ import annotations`` fails
+here, the way it once did for ``repro.obs.tracer``), and each historical
+defect re-seeded into the real file must be caught again, by the checker
+or by the simulator's grant ledger.
 """
 
 import ast
@@ -27,34 +27,21 @@ import repro.sim
 from repro import units
 from repro.core import recovery
 from repro.errors import DeadlockError, SimulationError
-from repro.lint.cli import build_engine
 from repro.sim.engine import ProcessInterrupt, Simulator
+from tests.determinism import check, check_paths
 from tests.test_recovery import pick_sharing_pair, sparse_cluster, write_some_data
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def test_source_tree_lints_clean():
-    engine = build_engine()
-    findings = engine.lint_paths([str(SRC)])
-    errors = [f for f in findings if f.severity == "error"]
-    assert errors == [], "\n".join(
-        f"{f.path}:{f.line}: {f.rule} {f.message}" for f in errors
-    )
-
-
-def test_source_tree_has_no_unsuppressed_warnings():
-    engine = build_engine()
-    findings = engine.lint_paths([str(SRC)])
-    warnings = [f for f in findings if f.severity == "warning"]
-    assert warnings == [], "\n".join(
-        f"{f.path}:{f.line}: {f.rule} {f.message}" for f in warnings
-    )
+    findings = check_paths([str(SRC)])
+    assert findings == [], "\n".join(findings)
 
 
 # ----------------------------------------------------------------------
 # The kept checks, pinned to the bugs that justify them: each historical
-# defect (DESIGN.md 7.3, 10.2) is re-seeded into the *real* file by text
+# defect (DESIGN.md 7.3, 10) is re-seeded into the *real* file by text
 # substitution and must be caught again.
 # ----------------------------------------------------------------------
 def _mutated(relative, original, replacement):
@@ -93,9 +80,8 @@ def test_rdp001_catches_the_hash_seeded_payload_bug():
         '    return (zlib.crc32(b"hi\\x1f" + key) << 32) | zlib.crc32(b"lo\\x1f" + key)\n',
         "    return hash((seed, name, version))\n",
     )
-    engine = build_engine()
-    assert engine.lint_source(pristine, path=path) == []
-    (finding,) = engine.lint_source(mutant, path=path)
+    assert check(pristine, path) == []
+    (finding,) = check(mutant, path)
     assert finding.rule == "RDP001"
     assert finding.line in _lines_of(mutant, "return hash((seed, name, version))")
 
@@ -106,9 +92,8 @@ def test_rdp002_catches_the_set_order_freeze_loop():
         "        frozen = sorted(\n            {\n",
         "        frozen = (\n            {\n",
     )
-    engine = build_engine()
-    assert engine.lint_source(pristine, path=path) == []
-    findings = engine.lint_source(mutant, path=path)
+    assert check(pristine, path) == []
+    findings = check(mutant, path)
     assert [f.rule for f in findings] == ["RDP002", "RDP002", "RDP002"]
     # The decode-planning, freeze and unfreeze loops of failure_body.
     after = _lines_of(mutant, "frozen = (")[0]
@@ -225,21 +210,50 @@ def test_environment_switch_inventory():
     assert names == {"RAIDP_JOBS"}
 
 
-def test_no_collector_or_allocator_control():
-    """A run's memory returns through reference counting (DESIGN.md,
+@pytest.mark.parametrize(
+    "files, imports, calls",
+    [
+        (["repro"], {"gc", "ctypes"}, set()),
+        (
+            ["repro/sim", "repro/core", "repro/hdfs", "repro/faults.py"],
+            {"threading", "multiprocessing", "subprocess", "socket", "asyncio", "select"},
+            {"time.sleep", "os.system", "os.popen", "os.fork", "os.wait", "open", "input"},
+        ),
+    ],
+    ids=["collector", "data-plane"],
+)
+def test_no_collector_or_allocator_control(files, imports, calls):
+    """What a run must not reach for, by import root or dotted call.
+
+    A run's memory returns through reference counting (DESIGN.md,
     "Object lifetime"), so nothing under ``src/`` imports ``gc`` or
     ``ctypes``: a forced collection, a paused collector or tuned
     thresholds would hide a new reference cycle instead of removing it
     (``tests/test_lifetime.py`` finds the cycle), and malloc tuning
-    would hide it from the benchmark's peak RSS."""
-    imports = set()
-    for path in sorted(SRC.rglob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Import):
-                imports |= {alias.name.split(".")[0] for alias in node.names}
-            elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                imports.add((node.module or "").split(".")[0])
-    assert not imports & {"gc", "ctypes"}
+    would hide it from the benchmark's peak RSS.
+
+    The simulated data plane blocks only on simulated time: no threads,
+    processes, sockets or event loops, no ``sleep``, no raw file or
+    console I/O.  Real I/O belongs to ``storage/``, the exporters and
+    ``tools/``."""
+    found = []
+    for entry in (SRC / name for name in files):
+        for path in sorted(entry.rglob("*.py")) if entry.is_dir() else [entry]:
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Call) and ast.unparse(node.func) in calls:
+                    found.append(f"{path}:{node.lineno}: {ast.unparse(node.func)}()")
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    names = [node.module or ""]
+                else:
+                    continue
+                found += [
+                    f"{path}:{node.lineno}: import {name}"
+                    for name in names
+                    if name.split(".")[0] in imports
+                ]
+    assert found == []
 
 
 def test_settable_value_census():
@@ -431,24 +445,6 @@ def _check_observability_sections_cite_the_tree():
         assert not cited_as_code or resolves(bare), f"DESIGN.md cites `{token}`"
 
 
-def test_design_rule_table_matches_default_rules():
-    """Section 10's table: the ids and scopes ``--list-rules`` prints,
-    plus the two engine-level ids that have no Rule class."""
-    from repro.lint import default_rules
-    from repro.lint.engine import STALE_SUPPRESSION_RULE_ID, SUPPRESSION_RULE_ID
-
-    rows = re.findall(r"^\| (RDP\d{3}) \|.*\| ([^|]+) \|$", _design_section(10), re.M)
-    documented = {rule_id: scope for rule_id, scope in rows}
-    assert len(documented) == len(rows)
-    expected = {SUPPRESSION_RULE_ID: "all files", STALE_SUPPRESSION_RULE_ID: "all files"}
-    for rule in default_rules():
-        expected[rule.id] = ", ".join(
-            "`" + pattern.removeprefix("*/repro/").removesuffix("*") + "`"
-            for pattern in rule.paths
-        ) or "all files"
-    assert documented == expected
-
-
 def _strict_modules():
     names = []
     for package in (repro.analysis, repro.core, repro.sim):
@@ -479,13 +475,15 @@ def _type_checking_names(module):
 def test_promoted_packages_have_no_untyped_defs():
     """The local mirror of mypy's ``disallow_untyped_defs`` gate.
 
-    CI runs mypy with strict overrides for ``repro.experiments``,
-    ``repro.tools`` and ``repro.analysis`` (pyproject.toml); mypy is not
-    in the local image, so this sweep enforces the same surface -- every
-    def fully annotated -- without it.
+    CI runs mypy with strict overrides for ``repro.sim``, ``repro.core``
+    and ``repro.obs`` and for ``repro.experiments``, ``repro.tools`` and
+    ``repro.analysis`` (pyproject.toml); this sweep enforces the same
+    surface -- every def, public or private, fully annotated -- without
+    mypy installed.
     """
     offenders = []
-    for package in ("repro/experiments", "repro/tools", "repro/analysis"):
+    packages = ("sim", "core", "obs", "experiments", "tools", "analysis")
+    for package in (f"repro/{name}" for name in packages):
         for path in sorted((SRC / package).rglob("*.py")):
             tree = ast.parse(path.read_text(encoding="utf-8"))
             for node in ast.walk(tree):

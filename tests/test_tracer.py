@@ -63,6 +63,35 @@ def test_category_filter_drops_unlisted_categories():
     assert [event.category for event in tracer.events] == ["recovery"]
 
 
+def test_category_filter_rejects_unregistered_categories():
+    with pytest.raises(ValueError, match="fualt"):
+        Tracer(categories=["recovery", "fualt"])
+
+
+@pytest.mark.parametrize("categories", [None, {"recovery"}], ids=["all", "filtered"])
+def test_emission_under_unregistered_category_raises(categories):
+    """Also where the filter would drop the event anyway."""
+    tracer = Tracer(categories=categories)
+    with pytest.raises(ValueError, match="recovry"):
+        tracer.complete("recovry", "recover", 0.0, 1.0)
+    with pytest.raises(ValueError, match="recovry"):
+        tracer.instant("recovry", "detect", 0.5)
+    with pytest.raises(ValueError, match="recovry"):
+        tracer.count("recovry", "n0", 0.5, 1)
+    assert len(tracer) == 0
+
+
+def test_experiments_cli_refuses_an_unregistered_trace_category(tmp_path, capsys):
+    from repro.experiments.runner import main
+
+    trace = tmp_path / "t.json"
+    with pytest.raises(SystemExit) as exited:
+        main(["table2", "--trace", str(trace), "--trace-categories", "recovery,fualt"])
+    assert exited.value.code == 2
+    assert "fualt" in capsys.readouterr().err
+    assert not trace.exists()
+
+
 def test_null_tracer_is_inert():
     assert NULL_TRACER.enabled is False
     assert len(NULL_TRACER) == 0
