@@ -56,7 +56,15 @@ def filler(factory: ContentFactory, sc_id: int, slot: int, block_size: int) -> P
 
 
 class Lstor(InlineState):
-    """One parity device: an XOR region plus a journal."""
+    """One parity device: an XOR region plus a journal.
+
+    In the bytes plane a slot's parity is its accumulator XOR its
+    *pending* terms: per shard (the superchunk's slot on the disk), the
+    content last absorbed as ``new`` and not yet folded.  The next write
+    to that shard usually names the same object as ``old``, and
+    ``x ^ x = 0`` exactly, so a version overwritten before any parity
+    read is never XORed (nor, being a deferred mint, ever made).
+    """
 
     def __init__(
         self,
@@ -79,8 +87,10 @@ class Lstor(InlineState):
         # a delta is one in-place bitwise_xor with no payload allocation.
         # ``_parity`` doubles as the cache of the snapshots handed out by
         # :meth:`parity_block`, copy-on-write: a snapshot adopts its
-        # slot's accumulator, and the next absorb there copies it first.
+        # slot's accumulator, and the next fold there copies it first.
         self._parity_accum: Dict[int, "np.ndarray"] = {}
+        # slot -> {shard: content absorbed as ``new``, not yet folded}.
+        self._pending: Dict[int, Dict[int, Payload]] = {}
         # Tags of already-absorbed updates: device-side sequence-number
         # dedup, which makes journal roll-forward idempotent.
         self._absorbed_tags: set = set()
@@ -101,6 +111,7 @@ class Lstor(InlineState):
         self.failed = False
         self._parity.clear()
         self._parity_accum.clear()
+        self._pending.clear()
         self._absorbed_tags.clear()
         self.journal.drop_all(now)
 
@@ -114,35 +125,47 @@ class Lstor(InlineState):
     def parity_block(self, slot: int) -> Payload:
         """Current parity for block slot ``slot`` (zero if untouched).
 
-        The returned payload is an immutable snapshot: later absorbs at
-        the same slot never mutate it (journal records stay correct).  It
-        costs no copy: the next absorb at the slot copies the buffer.
+        The slot's pending terms are folded in first.  The returned
+        payload is an immutable snapshot: later absorbs at the same slot
+        never mutate it (journal records stay correct).  It costs no
+        copy: the next fold into the slot copies the buffer.
         """
         self._check_alive()
         return self._current(slot)
 
     def _current(self, slot: int) -> Payload:
+        pending = self._pending.pop(slot, None)
+        if pending:
+            self._xor_in(slot, tuple(pending.values()))
         parity = self._parity.get(slot)
         if parity is None:
             accum = self._parity_accum.get(slot)
             if accum is None:
                 return self.factory.zero(self.block_size)
             # The snapshot adopts the accumulator, no copy; cached until
-            # the next absorb at this slot copies it (see ``_xor_in``).
+            # the next fold at this slot copies it (see ``_xor_in``).
             parity = BytesPayload.adopt(accum)
             self._parity[slot] = parity
         return parity
 
     def absorb(
-        self, slot: int, *terms: Payload, tag: Optional[Hashable] = None
+        self,
+        slot: int,
+        *terms: Payload,
+        tag: Optional[Hashable] = None,
+        shard: Optional[int] = None,
     ) -> None:
         """Fold the XOR of ``terms`` into the parity at ``slot``.
 
         ``terms`` is one delta (= old XOR new) or a write's old and new
         content; the bytes plane folds each term into the parity in
-        place, so the delta itself is never allocated.  ``tag``, when
-        given, deduplicates: an update absorbed under the same tag twice
-        is applied once (journal replay idempotency).  Pure state change:
+        place, so the delta itself is never allocated.  Given the
+        ``shard`` whose content moves from ``old`` to ``new``, it defers
+        instead: an ``old`` that is the shard's pending term cancels it
+        with no XOR, any other is folded together with that term, and
+        ``new`` becomes the pending term.  ``tag``, when given,
+        deduplicates: an update absorbed under the same tag twice is
+        applied once (journal replay idempotency).  Pure state change:
         the writer charges the device-transfer time.
         """
         self._check_alive()
@@ -150,13 +173,29 @@ class Lstor(InlineState):
             if tag in self._absorbed_tags:
                 return
             self._absorbed_tags.add(tag)
-        self._xor_in(slot, terms)
+        if shard is None or self.factory.symbolic:
+            self._xor_in(slot, terms)
+            return
+        old, new = terms
+        pending = self._pending.setdefault(slot, {})
+        held = pending.get(shard)
+        if held is not old:
+            self._xor_in(slot, (old,) if held is None else (held, old))
+        pending[shard] = new
 
     def _xor_in(self, slot: int, terms: Tuple[Payload, ...]) -> None:
         """The parity arithmetic of :meth:`absorb`, with no liveness or
         tag check: :class:`LstorStack` also folds preallocation baselines
         through it, which a failed device held from before it failed."""
         if not self.factory.symbolic and isinstance(terms[0], BytesPayload):
+            folds: List[BytesPayload] = []
+            for term in terms:
+                if not isinstance(term, BytesPayload):
+                    raise TypeError("cannot XOR bytes with symbolic payload")
+                if not term._zero:
+                    folds.append(term)
+            if not folds:
+                return  # known zeros change nothing: no buffer, no copy
             accum = self._parity_accum.get(slot)
             if accum is None:
                 accum = np.zeros(self.block_size, dtype=np.uint8)
@@ -166,10 +205,8 @@ class Lstor(InlineState):
                 # on the cache entry, not on ``flags.writeable``, which a
                 # pickle round trip sets again.
                 accum = self._parity_accum[slot] = accum.copy()
-            for term in terms:
-                if not isinstance(term, BytesPayload):
-                    raise TypeError("cannot XOR bytes with symbolic payload")
-                term.xor_into(accum)
+            for fold in folds:
+                fold.xor_into(accum)
         else:
             delta = terms[0]
             for term in terms[1:]:
@@ -308,8 +345,9 @@ class LstorStack(InlineState):
         """Propagate one block update into every parity in the stack.
 
         The one place a write's ``old XOR new`` delta is applied; a
-        single Lstor folds ``old`` and ``new`` into its parity one after
-        the other, stacked Lstors get the codec's per-row deltas.
+        single Lstor takes ``old`` and ``new`` with the shard, whose
+        pending term ``old`` usually cancels (see :meth:`Lstor.absorb`),
+        stacked Lstors get the codec's per-row deltas.
         ``shard_index`` is the superchunk's slot on this disk (the RS data
         shard index); ``slot`` is the block slot within the superchunk.
         ``tag`` deduplicates replays (see :meth:`Lstor.absorb`).
@@ -318,7 +356,7 @@ class LstorStack(InlineState):
             if not self.lstors[0].failed:
                 # A failed Lstor absorbs nothing: the disk keeps serving,
                 # degraded to plain replication until the device is reset.
-                self.lstors[0].absorb(slot, old, new, tag=tag)
+                self.lstors[0].absorb(slot, old, new, tag=tag, shard=shard_index)
             return
         for lstor, delta in zip(self.lstors, self._row_deltas(shard_index, old, new)):
             if not lstor.failed:

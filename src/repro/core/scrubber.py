@@ -44,7 +44,7 @@ def corrupt_block(datanode: DataNode, block_name: str, seed: int = 0xBAD) -> Non
         data = payload.data.copy()
         victims = rng.choice(len(data), size=max(len(data) // 128, 1), replace=False)
         data[victims] ^= 0xFF
-        rotten: Payload = BytesPayload(data)
+        rotten: Payload = BytesPayload.adopt(data)
     else:
         rotten = TokenPayload.of(f"ROT:{block_name}", seed)
     # Slip beneath the content store without touching version/checksum.

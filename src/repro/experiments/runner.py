@@ -130,6 +130,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "prefilled run can be millions of disk-level events",
     )
     args = parser.parse_args(argv)
+    if args.trace_categories is not None and not args.trace:
+        parser.error("--trace-categories needs --trace")
     if not args.experiments:
         print("available experiments:")
         for name in list_experiments():

@@ -69,9 +69,14 @@ class BytesPayload(Payload):
     base chain is read-only); only writable sources are copied.  Fresh
     buffers produced by payload arithmetic are adopted without a copy via
     :meth:`adopt`.
+
+    A minted payload (:meth:`ContentFactory.make`) is *deferred*: it
+    holds ``(stable seed, length)`` in ``_spec`` and draws its bytes on
+    the first :attr:`data` read, so a version overwritten before anything
+    reads it is never made.  ``len()`` answers from the spec.
     """
 
-    __slots__ = ("data", "_crc", "_zero")
+    __slots__ = ("_data", "_spec", "_crc", "_zero")
 
     def __init__(self, data: Union[bytes, np.ndarray]) -> None:
         if isinstance(data, bytes):
@@ -86,7 +91,8 @@ class BytesPayload(Payload):
                 # Copy so the payload owns its buffer (immutability).
                 arr = arr.copy()
         arr.setflags(write=False)
-        self.data = arr
+        self._data: Optional[np.ndarray] = arr
+        self._spec: Optional[Tuple[int, int]] = None
         self._crc: Optional[int] = None
         self._zero: Optional[bool] = None
 
@@ -101,10 +107,32 @@ class BytesPayload(Payload):
         payload = cls.__new__(cls)
         arr = np.ascontiguousarray(arr, dtype=np.uint8)
         arr.setflags(write=False)
-        payload.data = arr
+        payload._data = arr
+        payload._spec = None
         payload._crc = None
         payload._zero = None
         return payload
+
+    @classmethod
+    def minted(cls, seed: int, length: int) -> "BytesPayload":
+        """The deferred mint of ``length`` bytes of PCG64 stream ``seed``."""
+        payload = cls.__new__(cls)
+        payload._data = None
+        payload._spec = (seed, length)
+        payload._crc = None
+        payload._zero = None
+        return payload
+
+    @property
+    def data(self) -> np.ndarray:
+        """The content, read-only; a deferred mint draws it here, once."""
+        data = self._data
+        if data is None:
+            assert self._spec is not None
+            seed, length = self._spec
+            data = self._data = _draw(seed, length)
+            self._spec = None
+        return data
 
     @classmethod
     def zeros(cls, length: int) -> "BytesPayload":
@@ -115,10 +143,8 @@ class BytesPayload(Payload):
     def xor(self, other: Payload) -> "BytesPayload":
         if not isinstance(other, BytesPayload):
             raise TypeError("cannot XOR bytes with symbolic payload")
-        if len(self.data) != len(other.data):
-            raise ValueError(
-                f"payload length mismatch: {len(self.data)} vs {len(other.data)}"
-            )
+        if len(self) != len(other):
+            raise ValueError(f"payload length mismatch: {len(self)} vs {len(other)}")
         # XOR with a payload already known to be zero is the other operand
         # itself (both are immutable): first writes, deletes and installs
         # into empty slots allocate and compute nothing.
@@ -137,10 +163,8 @@ class BytesPayload(Payload):
         payload itself stays immutable.  A payload known to be zero (see
         :meth:`xor`) changes nothing and computes nothing.
         """
-        if len(accum) != len(self.data):
-            raise ValueError(
-                f"payload length mismatch: {len(accum)} vs {len(self.data)}"
-            )
+        if len(accum) != len(self):
+            raise ValueError(f"payload length mismatch: {len(accum)} vs {len(self)}")
         if not self._zero:
             np.bitwise_xor(accum, self.data, out=accum)
 
@@ -149,9 +173,18 @@ class BytesPayload(Payload):
         return self.data.copy()
 
     def is_zero(self) -> bool:
-        """Cached like the CRC: computed once, never assumed from the source."""
+        """Cached like the CRC: computed once, never assumed from the source.
+
+        A deferred mint draws only its first 64-bit word: a nonzero word
+        proves the content nonzero.  A zero word, or a mint shorter than
+        one word, is settled by the bytes themselves.
+        """
         if self._zero is None:
-            self._zero = not self.data.any()
+            spec = self._spec
+            if spec is not None and spec[1] >= 8 and _draw(spec[0], 8).any():
+                self._zero = False
+            else:
+                self._zero = not self.data.any()
         return self._zero
 
     def checksum(self) -> int:
@@ -164,7 +197,8 @@ class BytesPayload(Payload):
         return self._crc
 
     def __len__(self) -> int:
-        return len(self.data)
+        spec = self._spec
+        return spec[1] if spec is not None else len(self.data)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, BytesPayload) and np.array_equal(self.data, other.data)
@@ -173,7 +207,7 @@ class BytesPayload(Payload):
         return hash(self.data.tobytes())
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<BytesPayload len={len(self.data)} crc={self.checksum():08x}>"
+        return f"<BytesPayload len={len(self)} crc={self.checksum():08x}>"
 
 
 class TokenPayload(Payload):
@@ -282,13 +316,30 @@ def _stable_seed(seed: int, name: str, version: int) -> int:
     return (zlib.crc32(b"hi\x1f" + key) << 32) | zlib.crc32(b"lo\x1f" + key)
 
 
+def _draw(seed: int, length: int) -> np.ndarray:
+    """The ``length`` minted bytes of stream ``seed``, frozen to the root.
+
+    One 64-bit PCG64 draw per 8 bytes: its little-endian bytes are
+    exactly the stream ``integers(0, 256, dtype=uint8)`` buffers out one
+    byte at a time (pinned by the golden-content test).  The word buffer
+    is frozen before the byte view is taken, so the payload's whole base
+    chain is read-only and a payload built over a slice of it stays a
+    view.
+    """
+    words = np.random.PCG64(seed).random_raw(-(-length // 8)).astype("<u8", copy=False)
+    words.setflags(write=False)
+    return words.view(np.uint8)[:length]
+
+
 class ContentFactory(InlineState):
     """Mints deterministic payloads for named data in either plane.
 
     ``mode`` is ``"bytes"`` (real data, sizes must be modest) or
     ``"tokens"`` (symbolic, any size).  The factory also *re-mints* a
     payload for verification: recovered content must equal
-    ``factory.make(name, version)``.
+    ``factory.make(name, version)``.  A bytes-plane mint is deferred: it
+    costs two CRC32s until something reads its bytes (see
+    :class:`BytesPayload`).
     """
 
     def __init__(self, mode: str = "bytes", seed: int = 0x5EED) -> None:
@@ -305,16 +356,8 @@ class ContentFactory(InlineState):
     def make(self, name: str, version: int, length: int) -> Payload:
         if self.mode == "tokens":
             return TokenPayload.of(name, version)
-        # One 64-bit PCG64 draw per 8 bytes: its little-endian bytes are
-        # exactly the stream ``integers(0, 256, dtype=uint8)`` buffers out
-        # one byte at a time (pinned by the golden-content test).  The
-        # word buffer is frozen before the byte view is taken, so the
-        # payload's whole base chain is read-only and a payload built over a
-        # slice of it stays a view.
-        bits = np.random.PCG64(_stable_seed(self.seed, name, version))
-        words = bits.random_raw(-(-length // 8)).astype("<u8", copy=False)
-        words.setflags(write=False)
-        return BytesPayload.adopt(words.view(np.uint8)[:length])
+        # Deferred: the bytes are drawn (:func:`_draw`) on the first read.
+        return BytesPayload.minted(_stable_seed(self.seed, name, version), length)
 
     def zero(self, length: int) -> Payload:
         if self.mode == "tokens":

@@ -8,9 +8,9 @@ every remirror plan for the recovery planner's optimum; one runs an
 ext-scale RAIDP point with no observer bound; then come the
 Monte-Carlo engine's closed form, its per-event judge as it was before
 it was compiled per scheme, and its trial as the loop over failure
-events it was before it judged arrays; last, the registry of live views
-the one metrics reader replaced.  Either way a defect in the production
-path shows up as a disagreement.
+events it was before it judged arrays; the registry of live views the
+one metrics reader replaced; last, an Lstor's parity folded eagerly.
+Either way a defect in the production path shows up as a disagreement.
 """
 
 from __future__ import annotations
@@ -517,6 +517,35 @@ def eager_preallocate(self):
                     self.factory.zero(self.config.block_size),
                     payload,
                 )
+
+
+class EagerParity:
+    """A single Lstor's parity by its definition: every term absorbed is
+    XORed in at once, and a failed device absorbs nothing until it is
+    reset.  The oracle of ``Lstor``'s pending terms, which defer a
+    write's ``new`` until the shard's next write or a parity read."""
+
+    def __init__(self, block_size: int) -> None:
+        self.block_size = block_size
+        self.failed = False
+        self._slots: Dict[int, np.ndarray] = {}
+
+    def absorb(self, slot: int, *terms: Any) -> None:
+        if self.failed:
+            return
+        accum = self._slots.setdefault(slot, np.zeros(self.block_size, dtype=np.uint8))
+        for term in terms:
+            accum ^= term.data
+
+    def parity(self, slot: int) -> bytes:
+        return bytes(self._slots.get(slot, np.zeros(self.block_size, dtype=np.uint8)))
+
+    def fail(self) -> None:
+        self.failed = True
+
+    def reset(self) -> None:
+        self.failed = False
+        self._slots.clear()
 
 
 def _table2_rows(keys):

@@ -15,6 +15,7 @@ import pytest
 
 from repro.core.cluster import RaidpCluster
 from repro.faults import chaos_schedule
+from repro.storage import payload as payload_module
 from repro.storage.payload import BytesPayload, ContentFactory
 from repro.tools import chaos
 from repro.tools.chaos import (
@@ -121,11 +122,15 @@ def test_soak_byte_work_is_counted(monkeypatch):
     the same bytes XORed).  The last 57 allocating XORs were the parity
     check's, now folded in place (57/1,193 -> 0/1,250); its 32 copies of
     live parity accumulators into snapshots are gone with copy-on-write
-    Lstor snapshots (32 payload copies -> 0)."""
+    Lstor snapshots (32 payload copies -> 0).  Mints are deferred and an
+    Lstor keeps each shard's last ``new`` pending, which the shard's next
+    write cancels with no XOR: 1,250 in-place XORs of 327,680,000 bytes
+    become 171 of 44,826,624, and 102 of the 390 mints are ever drawn."""
     calls = Counter()
     real_xor, real_eq = np.bitwise_xor, BytesPayload.__eq__
     real_make, real_zeros = ContentFactory.make, BytesPayload.zeros.__func__
     real_init = BytesPayload.__init__
+    real_draw = payload_module._draw
     real_expected = chaos._expected
     live_expected = set()
 
@@ -137,6 +142,10 @@ def test_soak_byte_work_is_counted(monkeypatch):
     def make(self, name, version, length):
         calls["mints"] += 1
         return real_make(self, name, version, length)
+
+    def draw(seed, length):
+        calls["mints materialized"] += 1
+        return real_draw(seed, length)
 
     def zeros(cls, length):
         calls["zero payloads"] += 1
@@ -163,6 +172,7 @@ def test_soak_byte_work_is_counted(monkeypatch):
 
     monkeypatch.setattr(np, "bitwise_xor", xor)
     monkeypatch.setattr(ContentFactory, "make", make)
+    monkeypatch.setattr(payload_module, "_draw", draw)
     monkeypatch.setattr(BytesPayload, "zeros", classmethod(zeros))
     monkeypatch.setattr(BytesPayload, "__init__", init)
     monkeypatch.setattr(BytesPayload, "__eq__", eq)
@@ -171,12 +181,14 @@ def test_soak_byte_work_is_counted(monkeypatch):
     assert result.ok, "\n".join(result.problems)
     blocks = result.fingerprint["blocks"]
     assert calls["allocating"] == 0
-    assert calls["bytes"] <= 327_680_000
+    assert calls["in-place"] <= 250 and calls["bytes"] <= 44_826_624
     assert calls["mints"] <= 390 and calls["zero payloads"] < 198
+    assert calls["mints materialized"] <= 150
     assert (
         calls["allocating"], calls["in-place"], calls["bytes"],
-        calls["mints"], calls["zero payloads"], calls["payload copies"],
-    ) == (0, 1_250, 327_680_000, 390, 1, 0)
+        calls["mints"], calls["mints materialized"],
+        calls["zero payloads"], calls["payload copies"],
+    ) == (0, 171, 44_826_624, 390, 102, 1, 0)
     # The post-mortem mints one expected payload per verified block and
     # holds one at a time; still one comparison per read and one per
     # listed replica against it.

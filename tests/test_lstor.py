@@ -9,10 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import units
-from repro.core.lstor import Lstor, LstorStack
+from repro.core.lstor import Lstor, LstorStack, filler
 from repro.errors import LstorFailedError
 from repro.sim.engine import Simulator
 from repro.storage.payload import BytesPayload, ContentFactory, TokenPayload
+from tests.oracles import EagerParity
 
 BLOCK = 1024
 
@@ -134,6 +135,101 @@ def test_stacked_parity_snapshots_are_copy_on_write():
         stack.lstors,
         lambda: stack.absorb_update(1, 0, zero, factory.make("b", 1, BLOCK)),
     )
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_pending_parity_matches_eager_folding(seed):
+    """Random writes, deletes, delta absorbs, parity reads, pickles,
+    failures and resets on one Lstor agree with :class:`EagerParity`
+    after every step (read on a pickled copy between the read steps, so
+    that pending terms live on).  ``old`` is the shard's last ``new``
+    itself (the pending term cancels), equal bytes in another object, a
+    known zero or unrelated content; every snapshot keeps its bytes."""
+    import random
+
+    rng = random.Random(seed)
+    block, shards, slots = 64, 3, 2
+    sim = Simulator()
+    factory = ContentFactory(mode="bytes", seed=seed)
+    stack = LstorStack(sim, factory, "S", block, data_shards=shards, parity_count=1)
+    oracle = EagerParity(block)
+    if seed % 2:  # preallocated: the fillers fold in at a slot's first read
+        stack.prefill([(0, 100), (2, 102)])
+        for _shard, sc_id in ((0, 100), (2, 102)):
+            for slot in range(slots):
+                oracle.absorb(slot, filler(factory, sc_id, slot, block))
+    zero = factory.zero(block)
+    last = {}  # (shard, slot) -> the object last absorbed as ``new``
+    snapshots = []
+    for step in range(150):
+        op = rng.choices(
+            ["write", "delete", "delta", "read", "pickle", "fail", "reset"],
+            weights=[10, 2, 1, 4, 1, 1, 1],
+        )[0]
+        slot, shard = rng.randrange(slots), rng.randrange(shards)
+        if op in ("write", "delete"):
+            name, version = f"v{rng.randrange(4)}", rng.randrange(3)
+            held = last.get((shard, slot))
+            old = rng.choice(
+                [held, held, factory.make(name, version, block), zero]
+                if held is not None
+                else [factory.make(name, version, block), zero]
+            )
+            if held is not None and old is not held and rng.random() < 0.5:
+                # Equal bytes in another object, as a re-minted filler.
+                old = BytesPayload(held.data.tobytes())
+            new = zero if op == "delete" else factory.make(name, version + 1, block)
+            stack.absorb_update(shard, slot, old, new)
+            oracle.absorb(slot, old, new)
+            last[(shard, slot)] = new
+        elif op == "delta" and not stack.primary.failed:
+            delta = factory.make(f"d{step}", 0, block)
+            stack.primary.absorb(slot, delta)
+            oracle.absorb(slot, delta)
+        elif op == "pickle":
+            stack = pickle.loads(pickle.dumps(stack))
+        elif op == "fail":
+            stack.primary.fail()
+            oracle.fail()
+        elif op == "reset":
+            stack.reset()
+            oracle.reset()
+            last.clear()
+        if stack.primary.failed:
+            with pytest.raises(LstorFailedError):
+                stack.parity_block(slot)
+            continue
+        # A read folds the pending terms; a copy's read leaves them be.
+        reader = stack if op == "read" else pickle.loads(pickle.dumps(stack))
+        for read in range(slots):
+            parity = reader.parity_block(read)
+            assert bytes(parity.data) == oracle.parity(read), (step, op)
+            if reader is stack:
+                snapshots.append((parity, bytes(parity.data)))
+    for parity, content in snapshots:
+        assert bytes(parity.data) == content
+
+
+def test_pending_term_cancels_without_xor(monkeypatch):
+    """A write whose ``old`` is the shard's pending ``new`` costs no
+    XOR and draws no bytes; the parity read folds what is left."""
+    _sim, factory, stack = make_stack(parity_count=1, data_shards=2)
+    zero = factory.zero(BLOCK)
+    versions = [factory.make("a", v, BLOCK) for v in range(4)]
+    calls = []
+    real_xor = np.bitwise_xor
+
+    def xor(a, b, out=None):
+        calls.append(out is not None)
+        return real_xor(a, b, out=out)
+
+    monkeypatch.setattr(np, "bitwise_xor", xor)
+    old = zero
+    for new in versions:
+        stack.absorb_update(1, 0, old, new)
+        old = new
+    assert calls == [] and all(v._data is None for v in versions[:-1])
+    assert stack.parity_block(0) == versions[-1] and calls == [True]
 
 
 # ----------------------------------------------------------------------

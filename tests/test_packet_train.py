@@ -209,6 +209,39 @@ def test_lstor_failing_mid_train_keeps_its_overheads(monkeypatch):
 
 
 # ----------------------------------------------------------------------
+# The streamed write's parity, in real bytes.
+# ----------------------------------------------------------------------
+def test_streamed_writes_keep_the_bytes_plane_parity():
+    """A train absorbs its block into the Lstor itself: after writes,
+    a delete and rewrites of real bytes, every parity slot equals the
+    XOR of its disk's blocks and every block reads back as minted."""
+    block = 256 * units.KiB
+    dfs = RaidpCluster(
+        spec=ClusterSpec(num_nodes=5),
+        config=DfsConfig(block_size=block, packet_size=PACKET, replication=2),
+        raidp=RaidpConfig(optimized=False),
+        superchunk_size=4 * block,
+        payload_mode="bytes",
+    )
+    client = dfs.client(0)
+
+    def phase(*bodies):
+        for body in bodies:
+            dfs.sim.run_process(body)
+        dfs.verify_parity()
+        for path in dfs.namenode.list_files():
+            for blk in dfs.namenode.file_blocks(path):
+                locations = dfs.namenode.locate_block(blk.block_id)
+                payload = dfs.sim.run_process(client.read_block(locations))
+                assert payload == dfs.factory.make(blk.name, locations.version, blk.size)
+
+    phase(*(client.write_file(f"/f{i}", 3 * block) for i in range(3)))
+    phase(client.delete_file("/f1"))
+    phase(client.rewrite_file("/f0"), client.write_file("/f3", 2 * block))
+    phase(client.rewrite_file("/f0"), client.rewrite_file("/f3"))
+
+
+# ----------------------------------------------------------------------
 # Fig. 8's cheap unoptimized rows.
 # ----------------------------------------------------------------------
 def test_journal_less_fig8_rows_agree_with_the_packet_loop(monkeypatch):

@@ -108,7 +108,7 @@ def test_is_zero_is_computed_once_never_assumed(content, expected):
 
     adopted = BytesPayload.adopt(np.frombuffer(content, dtype=np.uint8).copy())
     assert adopted._zero is None
-    adopted.data = adopted.data.view(Scanned)
+    adopted._data = adopted.data.view(Scanned)  # ``data`` itself is read-only
     assert adopted.is_zero() is expected and adopted.is_zero() is expected
     assert len(scans) == 1
     minted = ContentFactory(seed=7).make("blk_0001", 3, 64)
@@ -140,6 +140,22 @@ def _every_constructor():
         "xor": minted.xor(factory.make("blk_0002", 1, 13)),
         "xor-zero": minted.xor(factory.zero(13)),
     }
+
+
+def test_mint_pickles_as_its_spec_until_drawn():
+    """An unmade mint travels as ``(seed, length)``, a made one as bytes;
+    both come back with the same content."""
+    factory = ContentFactory(seed=7)
+    cold = factory.make("blk_0001", 3, 65536)
+    blob = pickle.dumps(cold)
+    assert len(blob) < 1024 and cold._data is None
+    thawed = pickle.loads(blob)
+    assert thawed._data is None and thawed._spec == cold._spec
+    drawn = factory.make("blk_0001", 3, 65536)
+    drawn.checksum()
+    again = pickle.loads(pickle.dumps(drawn))
+    assert again._spec is None and again._data is not None
+    assert thawed == again == drawn and again.checksum() == drawn.checksum()
 
 
 @pytest.mark.parametrize("how", sorted(_every_constructor()))
@@ -210,6 +226,36 @@ GOLDEN_CONTENT = {
     65536: 0x0428A64A,
     262144: 0xF7B45113,
 }
+
+
+@pytest.mark.parametrize("length", sorted(GOLDEN_CONTENT))
+def test_deferred_mint_draws_the_eager_bytes(length):
+    """A mint holds its spec until the first ``data`` read, and then has
+    exactly the bytes an eager draw of the same stream makes."""
+    payload = ContentFactory(seed=7).make("blk_0001", 3, length)
+    seed = _stable_seed(7, "blk_0001", 3)
+    assert payload._data is None and payload._spec == (seed, length)
+    words = np.random.PCG64(seed).random_raw(-(-length // 8)).astype("<u8")
+    eager = words.view(np.uint8)[:length]
+    assert np.array_equal(payload.data, eager)
+    assert payload._spec is None and payload.data is payload.data  # drawn once
+    assert payload.checksum() == GOLDEN_CONTENT[length]
+
+
+@pytest.mark.parametrize("length", [8, 13, 65536])
+def test_len_and_is_zero_leave_a_mint_unmade(length):
+    """``len()`` answers from the spec and ``is_zero()`` draws one word:
+    a nonzero first word proves the payload nonzero."""
+    payload = ContentFactory(seed=7).make("blk_0001", 3, length)
+    assert len(payload) == length and not payload.is_zero()
+    assert payload._data is None and payload._zero is False
+
+
+def test_is_zero_of_a_mint_settles_on_the_bytes_when_one_word_cannot():
+    """Shorter than a word, the first word's other bytes are not content:
+    the payload is drawn and scanned."""
+    payload = ContentFactory(seed=7).make("blk_0001", 3, 7)
+    assert not payload.is_zero() and payload._data is not None
 
 
 def test_factory_golden_content():

@@ -92,6 +92,18 @@ def test_experiments_cli_refuses_an_unregistered_trace_category(tmp_path, capsys
     assert not trace.exists()
 
 
+def test_experiments_cli_refuses_trace_categories_without_trace(capsys):
+    """A category filter with no trace to filter would trace nothing and
+    still exit 0: the flag alone is a usage error, before any run."""
+    from repro.experiments.runner import main
+
+    with pytest.raises(SystemExit) as exited:
+        main(["fig1", "--trace-categories", "fault"])
+    assert exited.value.code == 2
+    captured = capsys.readouterr()
+    assert "--trace-categories needs --trace" in captured.err and captured.out == ""
+
+
 def test_null_tracer_is_inert():
     assert NULL_TRACER.enabled is False
     assert len(NULL_TRACER) == 0
