@@ -59,24 +59,19 @@ profile:
 	$(PYTHON) -m repro.tools.raidpctl profile table2 --tasks 2 --limit 10
 	$(PYTHON) -m repro.tools.raidpctl profile ext-scale --limit 10
 
-# Flight recorder: one audited, sampled soak -> the health report and
-# the sampled time series CI uploads, then `raidpctl dash` re-renders
-# them from disk.  The soak runs twice and both files must repeat byte
-# for byte: the artifact is as deterministic as the fingerprint.
+# Flight recorder: one audited, sampled soak -> one Chrome trace (spans,
+# the sampled counter tracks, the verdict as metadata) CI uploads, then
+# `raidpctl trace` draws its key tracks and verdict from disk.  The soak
+# runs twice and the file must repeat byte for byte: the artifact is as
+# deterministic as the fingerprint.
 flight-recorder:
 	mkdir -p flight-recorder/again
+	$(PYTHON) -m repro.tools.chaos --runs 1 --trace flight-recorder/chaos-trace.json
 	$(PYTHON) -m repro.tools.chaos --runs 1 \
-		--health flight-recorder/chaos-health.json \
-		--timeseries flight-recorder/chaos-timeseries.jsonl --dash
-	$(PYTHON) -m repro.tools.chaos --runs 1 \
-		--health flight-recorder/again/chaos-health.json \
-		--timeseries flight-recorder/again/chaos-timeseries.jsonl > /dev/null
-	cmp flight-recorder/chaos-health.json flight-recorder/again/chaos-health.json
-	cmp flight-recorder/chaos-timeseries.jsonl flight-recorder/again/chaos-timeseries.jsonl
+		--trace flight-recorder/again/chaos-trace.json > /dev/null
+	cmp flight-recorder/chaos-trace.json flight-recorder/again/chaos-trace.json
 	rm -r flight-recorder/again
-	$(PYTHON) -m repro.tools.raidpctl dash \
-		flight-recorder/chaos-health.json \
-		--timeseries flight-recorder/chaos-timeseries.jsonl
+	$(PYTHON) -m repro.tools.raidpctl trace flight-recorder/chaos-trace.json
 
 # Durability smoke: the §2 experiment end-to-end -- the analytic MTTDL
 # ladder and the long-horizon Monte-Carlo engine over the same five

@@ -1,4 +1,4 @@
-"""Observability: tracer, profiler, flight recorder, auditor, SLO engine.
+"""Observability: tracer, profiler, flight recorder, auditor.
 
 Import the submodule you need (``from repro.obs import tracer``); the
 package re-exports nothing.  What ``sim/engine.py`` imports --
@@ -6,6 +6,6 @@ package re-exports nothing.  What ``sim/engine.py`` imports --
 :mod:`~repro.obs.simprofile`, :mod:`~repro.obs.timeseries` and the
 :mod:`~repro.obs.metrics` reader -- imports nothing from the simulation
 stack, so there is no cycle.  All event timestamps are *simulated*
-seconds -- never wall clock -- so traces and time series are as
-deterministic as the runs that produce them.
+seconds -- never wall clock -- so traces, the flight recorder's counter
+tracks among them, are as deterministic as the runs that produce them.
 """

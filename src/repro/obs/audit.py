@@ -9,7 +9,7 @@ conserves flows.  Tests assert these at the *end* of a scenario; this
 module checks them *throughout*: an :class:`Auditor` probes the cluster
 at flight-recorder sample points and on fault/recovery events, raising
 structured :class:`AuditViolation` records (fail-fast in tests,
-recorded for the chaos health report).
+recorded for the chaos soak's verdict and its trace's metadata).
 
 Everything is observer-only: checks read component state, never mutate
 it and never touch the schedule, so audited runs are bitwise-identical

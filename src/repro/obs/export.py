@@ -4,7 +4,8 @@
 flavour with ``traceEvents``), loadable in Perfetto /
 ``chrome://tracing``, whatever the file's extension.  Timestamps are
 scaled to microseconds as the format requires; ``pid`` is the simulator
-run index and ``tid`` is a per-category track.
+run index and ``tid`` is a per-category track.  A tracer's non-empty
+``metadata`` becomes the top-level ``otherData``.
 """
 
 from __future__ import annotations
@@ -79,18 +80,23 @@ def write_trace(source: Any, path: str) -> int:
         if event.attrs:
             record["args"] = event.attrs
         records.append(record)
-    payload = {"traceEvents": records, "displayTimeUnit": "ms"}
+    payload: Dict[str, Any] = {"traceEvents": records, "displayTimeUnit": "ms"}
+    if isinstance(source, Tracer) and source.metadata:
+        payload["otherData"] = source.metadata
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh)
     return len(events)
 
 
-def load_trace(path: str) -> List[TraceEvent]:
-    """Read a Chrome trace back into :class:`TraceEvent` records:
-    timestamps rescaled to seconds, metadata events dropped."""
+def load_trace(path: str) -> Tuple[List[TraceEvent], Dict[str, Any]]:
+    """Read a Chrome trace back: its :class:`TraceEvent` records
+    (timestamps rescaled to seconds, metadata events dropped) and its
+    ``otherData`` (``{}`` when it has none)."""
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
-    records = payload["traceEvents"] if isinstance(payload, dict) else payload
+    if not isinstance(payload, dict):
+        payload = {"traceEvents": payload}
+    records = payload["traceEvents"]
     events: List[TraceEvent] = []
     scale = 1.0 / _US
     for seq, record in enumerate(records):
@@ -109,7 +115,7 @@ def load_trace(path: str) -> List[TraceEvent]:
                 record.get("args") or None,
             )
         )
-    return events
+    return events, payload.get("otherData", {})
 
 
 def _union_seconds(intervals: Iterable[Tuple[float, float]]) -> float:

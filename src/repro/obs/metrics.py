@@ -11,7 +11,8 @@ name as the value (``disk_reads{disk=n3.d0}``,
 Nothing is registered and nothing is copied ahead of time, so there is
 nothing to refresh: a reading is as current as the call that took it.
 The flight-recorder :class:`~repro.obs.timeseries.Sampler` is the reader
-in traffic (one call per tick); duck-typed, no sim imports.
+in traffic (one call per tick, written to the trace as counter tracks);
+duck-typed, no sim imports.
 """
 
 from __future__ import annotations

@@ -42,12 +42,11 @@ CATEGORIES: Dict[str, str] = {
     "instants, per-trial spans), emitted by analysis/montecarlo.py.",
     "fleet": "Fleet-level state samples (dead-disk counters, merged "
     "rack-outage segments), emitted by analysis/montecarlo.py.",
-    "telemetry": "Flight-recorder time-series samples (counter/gauge/"
-    "percentile values at sampler ticks), emitted by obs/timeseries.py.",
+    "telemetry": "Flight-recorder counter tracks: one counter sample per "
+    "sampled series (counts, gauge levels, windowed histogram count/mean/"
+    "p50/p99) at each sampler tick, emitted by obs/timeseries.py.",
     "audit": "Redundancy invariant auditor instants (checks run, "
     "violations raised), emitted by obs/audit.py.",
-    "slo": "SLO-engine verdict instants (burn-rate evaluations over "
-    "sampler windows), emitted by obs/slo.py.",
 }
 
 

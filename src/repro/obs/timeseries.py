@@ -1,12 +1,13 @@
-"""Flight-recorder time series: the cluster's instruments, sampled in sim time.
+"""Flight-recorder time series: the cluster's instruments as trace counter tracks.
 
 The tracer answers *what happened when*; the profiler answers *where
 the wall time went*.  This module answers *what did the cluster look
 like over time*: at a fixed simulated-time interval a :class:`Sampler`
 takes one :func:`~repro.obs.metrics.read_cluster` reading of the watched
-cluster into a columnar :class:`TimeSeriesStore`, turning the always-on
-counts/gauges/histograms into p50/p99-over-time curves that line up
-with trace spans (same simulated clock, same run indices).
+cluster and writes every value into the simulation's trace as a
+``telemetry`` counter event (Chrome phase ``"C"``), one track per series,
+turning the always-on counts/gauges/histograms into p50/p99-over-time
+curves on the same clock, run index and file as the trace's spans.
 
 Design constraints, in order -- the same three the tracer obeys:
 
@@ -22,7 +23,9 @@ Design constraints, in order -- the same three the tracer obeys:
    components' :class:`~repro.sim.stats.Histogram` objects.
 2. **Zero cost when disabled.**  The engine consults
    :func:`active_sampler` once per Simulator -- never per event -- so
-   the disabled path costs one ``is not None`` per ``run()``.
+   the disabled path costs one ``is not None`` per ``run()``; a bound
+   sampler reads the cluster only when the simulation's tracer is
+   enabled (its on-sample hooks run either way).
 3. **No sim imports.**  ``sim/engine.py`` imports this module; the
    reverse would be a cycle.  The cluster is duck-typed through the
    reader.
@@ -30,48 +33,25 @@ Design constraints, in order -- the same three the tracer obeys:
 
 from __future__ import annotations
 
-import json
-from collections import deque
 from math import fsum
-from typing import (
-    Any,
-    Callable,
-    ContextManager,
-    Deque,
-    Dict,
-    Iterator,
-    List,
-    Optional,
-    Tuple,
-)
+from typing import Any, Callable, ContextManager, Dict, List, Optional, Tuple
 
 from repro.obs.ambient import Slot
 from repro.obs.metrics import read_cluster
 
 __all__ = [
-    "SCHEMA",
-    "TimeSeriesStore",
     "Sampler",
     "active_sampler",
     "capture",
     "percentile_from_buckets",
-    "write_timeseries",
-    "load_timeseries",
 ]
-
-#: Schema tag stamped on every JSONL export header.
-SCHEMA = "raidp-timeseries-v1"
-
-#: Ring-buffer depth per series (and for the shared time column).
-CAPACITY = 4096
 
 #: Sample every half simulated second by default: fine enough to
 #: resolve the paper's ~10s recovery windows, coarse enough that a
-#: 2000s chaos horizon stays a few thousand rows.
+#: 2000s chaos horizon stays a few thousand ticks.
 DEFAULT_INTERVAL = 0.5
 
-#: Quantiles reported per histogram window, by series suffix (p50/p99
-#: are the SLO pair).
+#: Quantiles reported per histogram window, by series suffix.
 PERCENTILES = {"p50": 0.5, "p99": 0.99}
 
 
@@ -126,74 +106,6 @@ def _emit_window(
         )
 
 
-class TimeSeriesStore:
-    """Columnar ring-buffer: one shared time column, one column per series.
-
-    All columns are ``deque(maxlen=capacity)`` and every :meth:`append`
-    pushes one entry to *every* column (``None`` where a series has no
-    value this tick), so eviction keeps the columns aligned: row ``i``
-    of any column belongs to row ``i`` of the time column.
-    """
-
-    def __init__(self, capacity: int) -> None:
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
-        self.capacity = capacity
-        #: (run, ts) per retained sample, oldest first.
-        self._time: Deque[Tuple[int, float]] = deque(maxlen=capacity)
-        self._series: Dict[str, Deque[Optional[float]]] = {}
-        self.total_appended = 0
-
-    def __len__(self) -> int:
-        return len(self._time)
-
-    def names(self) -> List[str]:
-        return sorted(self._series)
-
-    def append(self, run: int, ts: float, values: Dict[str, float]) -> None:
-        length = len(self._time)
-        for name in values:
-            if name not in self._series:
-                column: Deque[Optional[float]] = deque(maxlen=self.capacity)
-                column.extend([None] * length)
-                self._series[name] = column
-        self._time.append((run, ts))
-        for name, column in self._series.items():
-            column.append(values.get(name))
-        self.total_appended += 1
-
-    def series(
-        self, name: str, run: Optional[int] = None
-    ) -> List[Tuple[float, float]]:
-        """Retained ``(ts, value)`` pairs of one series, oldest first."""
-        column = self._series.get(name)
-        if column is None:
-            return []
-        points: List[Tuple[float, float]] = []
-        for (row_run, ts), value in zip(self._time, column):
-            if value is None:
-                continue
-            if run is not None and row_run != run:
-                continue
-            points.append((ts, value))
-        return points
-
-    def rows(self) -> Iterator[Tuple[int, float, Dict[str, float]]]:
-        """Retained rows as ``(run, ts, {series: value})``, oldest first.
-
-        Series are emitted in sorted-name order so exports are
-        byte-stable across runs.
-        """
-        ordered = sorted(self._series.items())
-        for index, (run, ts) in enumerate(self._time):
-            row: Dict[str, float] = {}
-            for name, column in ordered:
-                value = column[index]
-                if value is not None:
-                    row[name] = value
-            yield run, ts, row
-
-
 class Sampler:
     """Periodic cluster sampler driven by the engine's run loop.
 
@@ -207,9 +119,6 @@ class Sampler:
         if interval <= 0:
             raise ValueError("sample interval must be positive")
         self.interval = float(interval)
-        self.store = TimeSeriesStore(CAPACITY)
-        self.run = 0
-        self.run_labels: List[str] = []
         self._base = 0.0
         self._ticks = 0
         #: ``read_cluster``'s arguments, once someone called :meth:`watch`.
@@ -238,20 +147,15 @@ class Sampler:
         """Run ``hook(sim, now)`` after each sample (auditor probes)."""
         self._hooks.append(hook)
 
-    def register_run(self, start: float) -> None:
-        """Called by each Simulator binding this sampler at construction.
+    def restart(self, start: float) -> None:
+        """Called by each Simulator binding this sampler.
 
         Restarts the tick grid at ``start`` (sample instants are
         ``start + k * interval``, computed by multiplication so the grid
-        never drifts) and opens a new run index, mirroring the tracer's
-        run bookkeeping so rows align with trace events.  The previous
-        run's watched cluster and hooks are dropped with its grid: they
-        belong to a finished simulation, which a hook would go on
-        auditing at every tick of this one.
+        never drifts).  The previous run's watched cluster and hooks are
+        dropped with its grid: they belong to a finished simulation,
+        which a hook would go on auditing at every tick of this one.
         """
-        index = len(self.run_labels)
-        self.run_labels.append(f"run-{index}")
-        self.run = index
         self._base = float(start)
         self._ticks = 0
         self._watched = None
@@ -263,14 +167,23 @@ class Sampler:
         return self._base + (self._ticks + 1) * self.interval
 
     def sample(self, sim: Any) -> None:
-        """Record one row at ``sim.now`` (the engine guarantees
+        """Write one tick at ``sim.now`` into the trace, one counter event
+        per series in sorted-name order (the engine guarantees
         ``sim.now == next_due()`` when it calls this)."""
         now = sim.now
         self._ticks += 1
-        values: Dict[str, float] = {}
-        histograms: Dict[str, Any] = {}
-        if self._watched is not None:
-            values, histograms = read_cluster(*self._watched)
+        trace, watched = sim.trace, self._watched
+        if trace.enabled and watched is not None:
+            values = self._read(*watched)
+            for name in sorted(values):
+                trace.count("telemetry", name, now, values[name])
+        for hook in self._hooks:
+            hook(sim, now)
+
+    def _read(self, dfs: Any, monitor: Optional[Any]) -> Dict[str, float]:
+        """One reading of the watched cluster: counts and gauge levels as
+        they stand, histograms as windows since the previous tick."""
+        values, histograms = read_cluster(dfs, monitor)
         # Same-named labeled histograms also roll up into one window
         # (disk_io_latency{disk=...} -> cluster-wide disk_io_latency):
         # base name -> [bounds, bucket deltas, sum deltas, observed max].
@@ -296,59 +209,7 @@ class Sampler:
             _emit_window(
                 values, base, bounds, delta_counts, fsum(delta_sums), observed_max
             )
-        self.store.append(self.run, now, values)
-        trace = sim.trace
-        if trace.enabled:
-            trace.instant(
-                "telemetry", "sample", ts=now, tick=self._ticks, series=len(values)
-            )
-        for hook in self._hooks:
-            hook(sim, now)
-
-
-def write_timeseries(sampler: Sampler, path: str) -> int:
-    """Export as JSONL -- one header line, then one line per retained
-    sample row; returns the line count."""
-    store = sampler.store
-    header = {
-        "kind": "header",
-        "schema": SCHEMA,
-        "interval": sampler.interval,
-        "percentiles": list(PERCENTILES.values()),
-        "runs": list(sampler.run_labels),
-        "series": store.names(),
-        "samples_total": store.total_appended,
-        "samples_retained": len(store),
-    }
-    lines = 1
-    with open(path, "w", encoding="utf-8") as stream:
-        stream.write(json.dumps(header, sort_keys=True) + "\n")
-        for run, ts, row in store.rows():
-            sample = {"kind": "sample", "run": run, "ts": ts, "values": row}
-            stream.write(json.dumps(sample, sort_keys=True) + "\n")
-            lines += 1
-    return lines
-
-
-def load_timeseries(path: str) -> Tuple[Dict[str, Any], List[Dict[str, Any]]]:
-    """Read a JSONL export back: ``(header, sample_rows)``."""
-    header: Dict[str, Any] = {}
-    rows: List[Dict[str, Any]] = []
-    with open(path, "r", encoding="utf-8") as stream:
-        for line in stream:
-            line = line.strip()
-            if not line:
-                continue
-            record = json.loads(line)
-            if record.get("kind") == "header":
-                header = record
-                if record.get("schema") != SCHEMA:
-                    raise ValueError(
-                        f"unexpected time-series schema {record.get('schema')!r}"
-                    )
-            else:
-                rows.append(record)
-    return header, rows
+        return values
 
 
 _SLOT: Slot[Sampler] = Slot()

@@ -34,6 +34,11 @@ Event model (mirrors the Chrome trace phases we export to):
     A sampled counter value (phase ``"C"``): journal occupancy, active
     flows.  Renders as a counter track in Perfetto.
 
+A tracer also carries a ``metadata`` dict: what the run that produced
+the trace concluded (the chaos soak stores its seed, verdict, audit
+summary and fingerprint there).  The Chrome export writes it as the
+top-level ``otherData``.
+
 Every event also carries a *run* index: one :class:`Tracer` may outlive
 several sequential :class:`~repro.sim.engine.Simulator` instances (an
 experiment sweeping seeds), and each simulator registers itself on
@@ -113,6 +118,9 @@ class Tracer:
         unregistered one raises ``ValueError``.
         """
         self.events: List[TraceEvent] = []
+        #: JSON-serializable facts about the traced run, exported as
+        #: ``otherData``; empty unless a producer fills it.
+        self.metadata: Dict[str, Any] = {}
         self._seq = 0
         self._runs: List[str] = []
         self.current_run = 0

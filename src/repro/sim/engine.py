@@ -461,7 +461,7 @@ class Simulator:
         Construction and snapshot restore bind; between two ``run()``
         calls a caller may bind again, so the next phase of a live
         simulation reports to the observers ambient now (a sampler
-        opens a new run at the current instant) without a pickle.
+        restarts its tick grid at the current instant) without a pickle.
 
         The sampler and the profiler are held weakly: each keeps the
         components it reads alive (the watched cluster, the auditor's
@@ -477,7 +477,7 @@ class Simulator:
         sampler = active_sampler()
         self._sampler_ref = None if sampler is None else weakref.ref(sampler)
         if sampler is not None:
-            sampler.register_run(self.now)
+            sampler.restart(self.now)
 
     @property
     def _profile(self) -> Optional[SimProfiler]:

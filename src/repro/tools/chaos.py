@@ -28,12 +28,15 @@ the soak asserts:
 Run it from the shell (the ``make chaos`` target does exactly this)::
 
     PYTHONPATH=src python -m repro.tools.chaos --seed 12345 --runs 2
+
+``--trace PATH`` records the soak as one Chrome trace: its spans, the
+flight recorder's counter tracks at a 0.5 s cadence, and the verdict in
+the trace's metadata (``raidpctl trace PATH`` reads it back).
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import dataclasses
 import json
 import sys
@@ -50,7 +53,6 @@ from repro.obs import audit as audit_mod
 from repro.obs import timeseries as ts_mod
 from repro.obs import tracer as tracer_mod
 from repro.obs.export import write_trace
-from repro.obs.slo import health_report, render_dash, write_health_report
 from repro.sim.cluster import ClusterSpec
 from repro.storage.payload import Payload
 from repro.workloads.driver import workload_body
@@ -79,16 +81,16 @@ RESTART_DELAY = 4.0
 class ChaosResult:
     """Outcome of one soak run.
 
-    ``health`` (present only under an ambient sampler) rides *outside*
-    the fingerprint: sampled and unsampled runs must stay bit-identical
-    on ``fingerprint``, which the determinism tests compare.
+    ``audit`` is the auditor's summary (plain data: the auditor itself
+    holds the cluster).  It rides *outside* the fingerprint, which the
+    determinism tests compare.
     """
 
     seed: int
     ok: bool
     problems: List[str]
     fingerprint: Dict
-    health: Optional[Dict] = None
+    audit: Dict[str, Any]
 
     def summary(self) -> str:
         fp = self.fingerprint
@@ -414,7 +416,7 @@ def _verify_lifecycle(
 
 
 # ----------------------------------------------------------------------
-# The audit's waiver span and the health report's phases.
+# The audit's waiver span.
 # ----------------------------------------------------------------------
 def _fault_recovery_span(
     monitor: ClusterMonitor, injector: FaultInjector, final_time: float
@@ -429,20 +431,6 @@ def _fault_recovery_span(
     ends = list(monitor.report_times) + [t for t, _ in monitor.rejoined]
     end = max(ends) if ends else final_time
     return (start, max(start, end))
-
-
-def _chaos_phases(
-    span: Optional[Tuple[float, float]], final_time: float
-) -> List[Tuple[str, float, float]]:
-    """The health-report windows: pre-fault / fault / recovery / drain."""
-    fault_start, fault_end = FAULT_WINDOW
-    recovery_end = fault_end if span is None else max(span[1], fault_end)
-    return [
-        ("pre-fault", 0.0, fault_start),
-        ("fault", fault_start, fault_end),
-        ("recovery", fault_end, recovery_end),
-        ("drain", recovery_end, final_time),
-    ]
 
 
 # ----------------------------------------------------------------------
@@ -477,9 +465,10 @@ def run_chaos(
     deterministic history fingerprint.
 
     The flight recorder is the caller's ``with timeseries.capture(...)``
-    around the call, as ``--trace`` is a ``with tracer.capture()``: the
-    soak samples into the ambient sampler and audits at its ticks too.
-    Observers only: the fingerprint is bit-identical either way.
+    around the call, next to the ``with tracer.capture()`` that
+    ``--trace`` enters: the soak samples into the ambient sampler (its
+    counter tracks land in the ambient trace) and audits at its ticks
+    too.  Observers only: the fingerprint is bit-identical either way.
     """
     sampler = ts_mod.active_sampler()
     with audit_mod.capture(fail_fast=False) as auditor:
@@ -568,18 +557,9 @@ def run_chaos(
         "network_bytes": dfs.total_network_bytes(),
         "timeline": recovery_timeline(monitor, injector),
     }
-    health: Optional[Dict] = None
-    if sampler is not None:
-        health = health_report(
-            sampler,
-            auditor=auditor,
-            phases=_chaos_phases(span, fingerprint["final_time"]),
-            title=f"chaos seed={seed}",
-            run=sampler.run,
-        )
     return ChaosResult(
         seed=seed, ok=not problems, problems=problems, fingerprint=fingerprint,
-        health=health,
+        audit=auditor.summary(),
     )
 
 
@@ -626,59 +606,30 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--trace",
         metavar="PATH",
         default=None,
-        help="record a simulation trace of the soak in Chrome trace format "
-        "(as the experiment runner's --trace)",
-    )
-    parser.add_argument(
-        "--sample-interval",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="turn on flight-recorder telemetry at this simulated-time "
-        "cadence (implied at 0.5s by --health/--timeseries)",
-    )
-    parser.add_argument(
-        "--health",
-        metavar="PATH",
-        default=None,
-        help="write the run's health report (SLO verdicts, per-phase "
-        "latency series, audit summary) as JSON; implies sampling",
-    )
-    parser.add_argument(
-        "--timeseries",
-        metavar="PATH",
-        default=None,
-        help="export the sampled time series as JSONL; implies sampling",
-    )
-    parser.add_argument(
-        "--dash",
-        action="store_true",
-        help="render the health report to the terminal; implies sampling "
-        "(raidpctl dash renders saved reports)",
+        help="record the soak in Chrome trace format: spans, the flight "
+        "recorder's counter tracks (0.5s cadence) and the verdict as "
+        "metadata (raidpctl trace reads it)",
     )
     options = parser.parse_args(argv)
 
-    interval = options.sample_interval
-    if interval is None and (options.health or options.dash or options.timeseries):
-        interval = ts_mod.DEFAULT_INTERVAL
-    # The soak finds both observers the same way: whatever is active
-    # when its Simulator is built.
-    off = contextlib.nullcontext()
-    tracing: Any = tracer_mod.capture() if options.trace else off
-    sampling: Any = ts_mod.capture(interval=interval) if interval is not None else off
-    with tracing as tracer, sampling as sampler:
-        result = run_repeated(options.seed, runs=max(1, options.runs))
-    if tracer is not None:
+    runs = max(1, options.runs)
+    if options.trace:
+        # The soak finds both observers the same way: whatever is active
+        # when its Simulator is built.
+        with tracer_mod.capture() as tracer, ts_mod.capture(ts_mod.DEFAULT_INTERVAL):
+            result = run_repeated(options.seed, runs=runs)
+        tracer.metadata.update(
+            seed=options.seed,
+            runs=runs,
+            ok=result.ok,
+            problems=result.problems,
+            audit=result.audit,
+            fingerprint=result.fingerprint,
+        )
         count = write_trace(tracer, options.trace)
         print(f"trace: {count} events -> {options.trace}")
-    if sampler is not None and options.timeseries:
-        lines = ts_mod.write_timeseries(sampler, options.timeseries)
-        print(f"timeseries: {lines} lines -> {options.timeseries}")
-    if result.health is not None and options.health:
-        write_health_report(result.health, options.health)
-        print(f"health: report -> {options.health}")
-    if result.health is not None and options.dash:
-        print(render_dash(result.health))
+    else:
+        result = run_repeated(options.seed, runs=runs)
     print(result.summary())
     if options.timeline:
         print(result.render_timeline())

@@ -9,7 +9,6 @@ Subcommands::
     raidpctl experiments fig8                     # regenerate a figure
     raidpctl trace run.json                       # summarize a trace file
     raidpctl profile table2 --tasks 2             # rank simulation hot paths
-    raidpctl dash health.json                     # render a health report
 
 Every command is deterministic and runs entirely in simulation.
 """
@@ -18,7 +17,8 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Any, Generator, List, Optional, Sequence
+from math import fsum
+from typing import Any, Dict, Generator, List, Optional, Sequence
 
 from repro import units
 from repro.analysis.cost import DatacenterCostModel, LstorBom, ServerExample
@@ -27,6 +27,7 @@ from repro.core.node import RaidpConfig
 from repro.core.recovery import RecoveryManager
 from repro.hdfs.config import DfsConfig
 from repro.hdfs.filesystem import HdfsCluster
+from repro.obs.tracer import TraceEvent
 from repro.sim.cluster import ClusterSpec
 from repro.workloads.dfsio import dfsio_read, dfsio_write
 
@@ -67,7 +68,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     trace = sub.add_parser(
         "trace",
-        help="summarize a trace file (phase totals, recovery breakdowns)",
+        help="summarize a trace file (phase totals, recovery breakdowns; "
+        "flight-recorder tracks and verdict when it has them)",
     )
     trace.add_argument("file", help="Chrome trace JSON produced by --trace")
     trace.add_argument(
@@ -91,26 +93,6 @@ def _build_parser() -> argparse.ArgumentParser:
     profile.add_argument("--limit", type=int, default=None, metavar="N")
     profile.add_argument("--json", default=None, metavar="PATH")
     profile.add_argument("--full", action="store_true")
-
-    dash = sub.add_parser(
-        "dash",
-        help="render a flight-recorder health report (per-phase "
-        "sparklines + SLO verdicts) from a saved JSON file, optionally "
-        "alongside its time-series JSONL (`python -m repro.tools.chaos "
-        "--dash` runs a soak and dashes it)",
-    )
-    dash.add_argument(
-        "report", help="health report JSON written by chaos --health"
-    )
-    dash.add_argument(
-        "--timeseries",
-        metavar="PATH",
-        default=None,
-        help="sampled time-series JSONL to summarize alongside the report",
-    )
-    dash.add_argument(
-        "--width", type=int, default=40, help="sparkline width (default 40)"
-    )
     return parser
 
 
@@ -250,13 +232,94 @@ def cmd_experiments(args: argparse.Namespace) -> int:
     return experiments_main(argv)
 
 
+#: Glyph ramp for terminal sparklines (deterministic, 8 levels).
+_SPARK_BLOCKS = "▁▂▃▄▅▆▇█"
+
+#: The flight-recorder tracks ``raidpctl trace`` draws: the rebuild's
+#: contention with foreground I/O and the exposure it closes.
+KEY_TRACKS = (
+    "disk_io_latency:p50",
+    "disk_io_latency:p99",
+    "blocks_at_risk",
+    "net_active_flows",
+    "repair_bytes_total",
+)
+
+
+def sparkline(values: Sequence[float], width: int = 40) -> str:
+    """Downsample ``values`` into ``width`` glyph buckets.
+
+    Buckets average their samples (``fsum``, determinism) and the ramp
+    normalizes min..max; a flat series renders as the lowest glyph.
+    """
+    if not values:
+        return ""
+    values = list(values)
+    if len(values) > width:
+        buckets = []
+        for index in range(width):
+            lo = index * len(values) // width
+            hi = max(lo + 1, (index + 1) * len(values) // width)
+            chunk = values[lo:hi]
+            buckets.append(fsum(chunk) / len(chunk))
+        values = buckets
+    low = min(values)
+    high = max(values)
+    span = high - low
+    if span <= 0:
+        return _SPARK_BLOCKS[0] * len(values)
+    ramp = len(_SPARK_BLOCKS) - 1
+    return "".join(
+        _SPARK_BLOCKS[int((value - low) / span * ramp + 0.5)] for value in values
+    )
+
+
+def render_recorder(events: List[TraceEvent], metadata: Dict[str, Any]) -> List[str]:
+    """The flight-recorder section: per run, one sparkline per key
+    telemetry track; then the verdict the producer stored as metadata."""
+    tracks: Dict[int, Dict[str, List[float]]] = {}
+    for event in events:
+        if event.phase == "C" and event.category == "telemetry" and event.attrs:
+            per_run = tracks.setdefault(event.run, {})
+            per_run.setdefault(event.name, []).append(event.attrs["value"])
+    lines: List[str] = []
+    for run, series in sorted(tracks.items()):
+        ticks = max(len(values) for values in series.values())
+        lines += ["", f"flight recorder run={run}: {len(series)} tracks x {ticks} ticks"]
+        for name in KEY_TRACKS:
+            values = series.get(name)
+            if values:
+                lines.append(
+                    f"  {name:<20} {sparkline(values)}  "
+                    f"min {min(values):.4g}  max {max(values):.4g}"
+                )
+    if "ok" in metadata:
+        verdict = "PASS" if metadata["ok"] else "FAIL"
+        lines += [
+            "",
+            f"verdict: {verdict} seed={metadata.get('seed')} runs={metadata.get('runs')}",
+        ]
+        audit = metadata.get("audit")
+        if audit is not None:
+            waived = audit["violations"] - audit["unwaived"]
+            lines.append(
+                f"  audit: {audit['checks']} checks / {audit['audits']} audits, "
+                f"{audit['violations']} violations ({waived} waived, "
+                f"{audit['unwaived']} unwaived)"
+            )
+        lines += [f"  PROBLEM: {problem}" for problem in metadata.get("problems", [])]
+    return lines
+
+
 def cmd_trace(args: argparse.Namespace) -> int:
     from repro.obs.export import load_trace, render_summary
 
-    events = load_trace(args.file)
+    events, metadata = load_trace(args.file)
     print(f"{args.file}: {len(events)} events")
     print(render_summary(events, category=args.category, limit=args.limit))
-    return 0
+    for line in render_recorder(events, metadata):
+        print(line)
+    return 0 if metadata.get("ok", True) else 1
 
 
 def cmd_profile(args: argparse.Namespace) -> int:
@@ -274,23 +337,6 @@ def cmd_profile(args: argparse.Namespace) -> int:
     return profile_main(argv)
 
 
-def cmd_dash(args: argparse.Namespace) -> int:
-    from repro.obs.slo import load_health_report, render_dash
-    from repro.obs.timeseries import load_timeseries
-
-    report = load_health_report(args.report)
-    print(render_dash(report, width=args.width))
-    if args.timeseries:
-        header, rows = load_timeseries(args.timeseries)
-        print(
-            f"\ntimeseries {args.timeseries}: {len(rows)} samples retained "
-            f"({header.get('samples_total')} taken) x "
-            f"{len(header.get('series', []))} series at "
-            f"{header.get('interval')}s"
-        )
-    return 0 if report.get("ok") else 1
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     handlers = {
@@ -301,7 +347,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "experiments": cmd_experiments,
         "trace": cmd_trace,
         "profile": cmd_profile,
-        "dash": cmd_dash,
     }
     return handlers[args.command](args)
 

@@ -64,16 +64,15 @@ def steps(tmp: Path) -> List[Tuple[str, Callable[[], object]]]:
     from bench.trace import Spans
     from bench.workloads import WORKLOADS
 
-    trace, health, series = (str(tmp / n) for n in ("t2.json", "h.json", "ts.jsonl"))
+    trace, recorded = (str(tmp / n) for n in ("t2.json", "chaos.json"))
     found = [
         ("experiments all", lambda: experiments(["all", "--jobs", "1"])),
         ("trace export", lambda: experiments(
             ["table2", "--trace", trace, "--trace-categories", "recovery,fault"])),
         ("raidpctl trace", lambda: raidpctl(["trace", trace])),
         ("chaos", lambda: chaos(["--runs", "2"])),
-        ("flight recorder", lambda: chaos(
-            ["--runs", "1", "--health", health, "--timeseries", series, "--dash"])),
-        ("raidpctl dash", lambda: raidpctl(["dash", health, "--timeseries", series])),
+        ("flight recorder", lambda: chaos(["--runs", "1", "--trace", recorded])),
+        ("raidpctl trace flight recorder", lambda: raidpctl(["trace", recorded])),
         ("raidpctl profile", lambda: raidpctl(
             ["profile", "table2", "--tasks", "2", "--limit", "10"])),
         ("raidpctl layout", lambda: raidpctl(["layout", "--nodes", "7"])),

@@ -1,17 +1,17 @@
-"""The cluster flight recorder: sampler, invariant auditor, SLO engine.
+"""The cluster flight recorder: sampler and invariant auditor.
 
-Covers the three contracts ISSUE 9 pins down:
+Covers three contracts:
 
 - **observer-only**: sampled/audited runs are bitwise-identical to bare
   runs (table2 rows, chaos fingerprints, engine event sequences);
-- **correct telemetry**: windowed percentiles match the stats kernel,
-  ring buffers stay column-aligned, exports round-trip;
+- **correct telemetry**: the sampler's counter tracks in the trace hold
+  windowed percentiles that match the stats kernel, and they round-trip
+  through the Chrome export with the run's verdict as metadata;
 - **useful verdicts**: the auditor catches seeded corruption and stays
-  silent on healthy clusters; SLO burn rates and the health report
-  follow their definitions.
+  silent on healthy clusters.
 """
 
-import math
+import contextlib
 
 import pytest
 
@@ -21,15 +21,10 @@ from repro.core.node import RaidpConfig
 from repro.errors import AuditError
 from repro.hdfs.config import DfsConfig
 from repro.obs import audit as audit_mod
-from repro.obs import slo as slo_mod
 from repro.obs import timeseries as ts_mod
+from repro.obs import tracer as tracer_mod
 from repro.obs.metrics import read_cluster
-from repro.obs.timeseries import (
-    TimeSeriesStore,
-    load_timeseries,
-    percentile_from_buckets,
-    write_timeseries,
-)
+from repro.obs.timeseries import percentile_from_buckets
 from repro.sim.cluster import ClusterSpec
 from repro.sim.engine import Simulator
 from repro.sim.stats import Histogram
@@ -55,31 +50,38 @@ def _write_files(dfs, nbytes=2 * units.MiB):
 
 
 # ----------------------------------------------------------------------
-# TimeSeriesStore.
+# The sampler's output: telemetry counter tracks in the trace.
 # ----------------------------------------------------------------------
-def test_store_columns_stay_aligned_across_eviction():
-    store = TimeSeriesStore(capacity=3)
-    store.append(0, 1.0, {"a": 1.0})
-    store.append(0, 2.0, {"a": 2.0})
-    # A series born late is None-padded to the current length...
-    store.append(0, 3.0, {"a": 3.0, "b": 30.0})
-    # ...and eviction drops the oldest row from *every* column.
-    store.append(0, 4.0, {"a": 4.0, "b": 40.0})
-    assert len(store) == 3
-    assert store.total_appended == 4
-    assert store.series("a") == [(2.0, 2.0), (3.0, 3.0), (4.0, 4.0)]
-    assert store.series("b") == [(3.0, 30.0), (4.0, 40.0)]
-    rows = list(store.rows())
-    assert rows[0] == (0, 2.0, {"a": 2.0})
-    assert rows[-1] == (0, 4.0, {"a": 4.0, "b": 40.0})
+@contextlib.contextmanager
+def recording(interval):
+    """A tracer and a sampler, as ``chaos --trace`` switches them on."""
+    with tracer_mod.capture() as tracer, ts_mod.capture(interval) as sampler:
+        yield tracer, sampler
 
 
-def test_store_filters_by_run():
-    store = TimeSeriesStore(capacity=8)
-    store.append(0, 1.0, {"a": 1.0})
-    store.append(1, 1.0, {"a": 9.0})
-    assert store.series("a", run=0) == [(1.0, 1.0)]
-    assert store.series("a", run=1) == [(1.0, 9.0)]
+def _telemetry(tracer):
+    return [e for e in tracer.events if e.phase == "C" and e.category == "telemetry"]
+
+
+def track(tracer, name, run=None):
+    """One counter track's ``(ts, value)`` points, oldest first."""
+    return [
+        (e.ts, e.attrs["value"])
+        for e in _telemetry(tracer)
+        if e.name == name and (run is None or e.run == run)
+    ]
+
+
+def track_names(tracer):
+    return sorted({e.name for e in _telemetry(tracer)})
+
+
+def rows(tracer):
+    """The ticks as ``(run, ts) -> {series: value}``, in emission order."""
+    table = {}
+    for e in _telemetry(tracer):
+        table.setdefault((e.run, e.ts), {})[e.name] = e.attrs["value"]
+    return table
 
 
 # ----------------------------------------------------------------------
@@ -93,7 +95,7 @@ def _watch_fake(monkeypatch, reader):
 def test_sampler_grid_and_counter_series(monkeypatch):
     box = [0]
     _watch_fake(monkeypatch, lambda: ({"ops": float(box[0])}, {}))
-    with ts_mod.capture(interval=0.5) as sampler:
+    with recording(0.5) as (tracer, sampler):
         sim = Simulator()
         sampler.watch(None)
 
@@ -105,16 +107,30 @@ def test_sampler_grid_and_counter_series(monkeypatch):
         sim.run_process(ticker())
     # Ticks at 0.5, 1.0, ... while the schedule is non-empty; the body
     # spans 2.7 simulated seconds, so the 2.5 tick is the last one.
-    assert sampler.store.series("ops") == [
+    assert track(tracer, "ops") == [
         (0.5, 2.0), (1.0, 4.0), (1.5, 6.0), (2.0, 7.0), (2.5, 9.0)
     ]
-    assert sampler.store.total_appended == 5
+    assert len(_telemetry(tracer)) == 5  # one counter event per series and tick
+
+
+def test_an_untraced_sampler_reads_nothing_but_runs_its_hooks(monkeypatch):
+    """Without an enabled tracer nothing would keep a reading, so the
+    sampler takes none; the auditor's tick probes run either way."""
+    reads, hooked = [], []
+    _watch_fake(monkeypatch, lambda: reads.append(1) or ({"ops": 1.0}, {}))
+    with ts_mod.capture(interval=0.5) as sampler:
+        sim = Simulator()
+        sampler.watch(None)
+        sampler.on_sample(lambda _sim, now: hooked.append(now))
+        sim.run_process(_sleeper(sim, 1.2))
+    assert reads == [1]  # the watch() baseline only
+    assert hooked == [0.5, 1.0]
 
 
 def test_sampler_windowed_percentiles_match_stats_kernel(monkeypatch):
     hist = Histogram()
     _watch_fake(monkeypatch, lambda: ({}, {"lat": hist}))
-    with ts_mod.capture(interval=1.0) as sampler:
+    with recording(1.0) as (tracer, sampler):
         sim = Simulator()
         sampler.watch(None)
 
@@ -132,9 +148,9 @@ def test_sampler_windowed_percentiles_match_stats_kernel(monkeypatch):
             yield sim.timeout(1.0)  # keeps the schedule alive past t=2.0
 
         sim.run_process(body())
-    points = dict(sampler.store.series("lat:p50"))
-    p99 = dict(sampler.store.series("lat:p99"))
-    counts = dict(sampler.store.series("lat:count"))
+    points = dict(track(tracer, "lat:p50"))
+    p99 = dict(track(tracer, "lat:p99"))
+    counts = dict(track(tracer, "lat:count"))
     assert counts == {1.0: 6.0, 2.0: 1.0}
     # Window 1 is the whole histogram-so-far, so the sampled values must
     # equal the stats kernel applied to the tick-1 cumulative buckets.
@@ -153,20 +169,20 @@ def test_sampler_windowed_percentiles_match_stats_kernel(monkeypatch):
 
 def test_sampler_aggregates_labeled_histograms():
     """Per-disk labeled histograms roll up into a cluster-wide series."""
-    with ts_mod.capture(interval=0.05) as sampler:
+    with recording(0.05) as (tracer, sampler):
         dfs = _cluster()
         sampler.watch(dfs)
         _write_files(dfs)
-    agg = sampler.store.series("disk_io_latency:count")
+    agg = track(tracer, "disk_io_latency:count")
     assert agg, "aggregate series missing"
     per_disk_total = sum(
         value
-        for name in sampler.store.names()
+        for name in track_names(tracer)
         if name.startswith("disk_io_latency{") and name.endswith(":count")
-        for _, value in sampler.store.series(name)
+        for _, value in track(tracer, name)
     )
     assert sum(v for _, v in agg) == pytest.approx(per_disk_total)
-    assert any(v > 0 for _, v in sampler.store.series("disk_io_latency:p99"))
+    assert any(v > 0 for _, v in track(tracer, "disk_io_latency:p99"))
 
 
 def test_a_restored_clusters_first_window_counts_only_what_follows_the_watch():
@@ -181,7 +197,7 @@ def test_a_restored_clusters_first_window_counts_only_what_follows_the_watch():
     written = _cluster()
     _write_files(written)
     blob = snapshot.capture(written)
-    with ts_mod.capture(interval=0.05) as sampler:
+    with recording(0.05) as (tracer, sampler):
         dfs = snapshot.restore(blob)
         before = ios(dfs)
         sampler.watch(dfs)
@@ -192,7 +208,7 @@ def test_a_restored_clusters_first_window_counts_only_what_follows_the_watch():
             yield dfs.sim.timeout(1.0)  # a tick after the last I/O closes its window
 
         dfs.sim.run_process(rewrite())
-    windows = [count for _ts, count in sampler.store.series("disk_io_latency:count")]
+    windows = [count for _ts, count in track(tracer, "disk_io_latency:count")]
     assert before > 0 and windows[0] > 0
     assert sum(windows) == ios(dfs) - before
 
@@ -203,9 +219,11 @@ def test_a_restored_clusters_first_window_counts_only_what_follows_the_watch():
 def test_sampled_run_is_bitwise_identical():
     def fingerprint(sampled):
         if sampled:
-            with ts_mod.capture(interval=0.25):
+            with recording(0.25) as (tracer, sampler):
                 dfs = _cluster(seed=5)
+                sampler.watch(dfs)
                 _write_files(dfs)
+            assert track(tracer, "disk_io_latency:count")
         else:
             dfs = _cluster(seed=5)
             _write_files(dfs)
@@ -226,45 +244,35 @@ def test_table2_rows_bitwise_identical_under_flight_recorder():
     )
 
     bare = t2.run_task(key)
-    with ts_mod.capture(interval=0.5), audit_mod.capture(fail_fast=True):
+    with recording(0.5), audit_mod.capture(fail_fast=True):
         recorded = t2.run_task(key)
     assert recorded == bare
 
 
 def test_chaos_fingerprint_bitwise_identical_and_healthy():
-    """The acceptance drill: one chaos schedule, bare vs flight-recorded.
+    """The acceptance drill: one chaos schedule, bare vs traced and
+    sampled as ``chaos --trace`` runs it.
 
-    The fingerprints must match bit-for-bit and the recorded run must
-    produce a health report with per-phase latency series, repair
-    accounting, SLO verdicts, and zero un-waived audit violations.
+    The fingerprints must match bit-for-bit; the recorded run's trace
+    must carry the key latency, exposure and repair tracks, and its
+    audit summary zero un-waived violations with the ticks audited.
     """
     from repro.tools.chaos import run_chaos
 
     bare = run_chaos(seed=20260809)
-    with ts_mod.capture(interval=0.5):
+    with recording(0.5) as (tracer, _sampler):
         recorded = run_chaos(seed=20260809)
-    assert bare.health is None
     assert bare.ok, bare.problems
     assert recorded.ok, recorded.problems
     assert recorded.fingerprint == bare.fingerprint
-    health = recorded.health
-    assert health is not None and health["schema"] == slo_mod.HEALTH_SCHEMA
-    assert [p["phase"] for p in health["phases"]] == [
-        "pre-fault", "fault", "recovery", "drain"
-    ]
-    pre = health["phases"][0]["series"]
-    assert pre["disk_io_latency:p50"]["samples"] > 0
-    assert pre["disk_io_latency:p99"]["samples"] > 0
-    assert health["repair_gb"] >= 0.0
-    assert health["audit"]["unwaived"] == 0
-    # Detection/recovery probes audited beyond the per-tick hook.
-    assert health["audit"]["audits"] > health["samples"]
-    assert {s["name"] for s in health["slos"]} == {
-        "disk-p50-latency", "disk-p99-latency", "blocks-at-risk",
-        "repair-traffic",
-    }
-    dash = slo_mod.render_dash(health)
-    assert "SLO verdicts" in dash and "phase fault" in dash
+    assert recorded.audit["unwaived"] == bare.audit["unwaived"] == 0
+    for name in ("disk_io_latency:p50", "disk_io_latency:p99", "blocks_at_risk",
+                 "repair_bytes_total"):
+        assert track(tracer, name), name
+    assert max(v for _, v in track(tracer, "disk_io_latency:p99")) > 0
+    assert track(tracer, "repair_bytes_total")[-1][1] > 0
+    # Every tick audited, on top of the detection/recovery probes.
+    assert recorded.audit["audits"] == bare.audit["audits"] + len(rows(tracer))
 
 
 def test_soak_series_names_and_sampled_rows_are_pinned():
@@ -302,16 +310,18 @@ def test_soak_series_names_and_sampled_rows_are_pinned():
             f"client_{name}{{client={index}}}"
             for name in ("pipeline_recoveries", "read_failovers", "degraded_reads")
         }
-    with ts_mod.capture(interval=0.5) as sampler:
+    with recording(0.5) as (tracer, _sampler):
         assert run_chaos(805381).ok
-    assert sampler.store.names() == sorted(expected) and len(expected) == 243
+    assert track_names(tracer) == sorted(expected) and len(expected) == 243
     digest = hashlib.sha256()
-    for run, ts, row in sampler.store.rows():
+    ticks = rows(tracer)
+    for (run, ts), row in ticks.items():
+        assert list(row) == sorted(row)  # each tick in sorted-name order
         digest.update(f"{run} {ts.hex()}".encode())
         for name in sorted(row):
             digest.update(f" {name}={row[name].hex()}".encode())
         digest.update(b"\n")
-    assert len(sampler.store) == 61
+    assert len(ticks) == 61
     assert digest.hexdigest() == (
         "b5f99c0e42d9122608f145760e2dd76bc82e7e19d431d560fd91347ddc92652f"
     )
@@ -328,65 +338,51 @@ def test_a_new_run_drops_the_last_runs_registries_and_hooks(monkeypatch):
         sim = Simulator()
         sampler.watch(label)
         sampler.on_sample(lambda _sim, _now: ticks.__setitem__(label, ticks[label] + 1))
-        sim.run_process(_sleeper(sim))
+        sim.run_process(_sleeper(sim, 1.2))
 
-    def _sleeper(sim):
-        yield sim.timeout(1.2)
-
-    with ts_mod.capture(interval=0.5) as sampler:
+    with recording(0.5) as (tracer, sampler):
         run("first")
         run("second")
     assert ticks == {"first": 2, "second": 2}
-    assert [ts for ts, _ in sampler.store.series("first", run=1)] == []
-    assert [ts for ts, _ in sampler.store.series("second", run=1)] == [0.5, 1.0]
+    assert [ts for ts, _ in track(tracer, "first", run=1)] == []
+    assert [ts for ts, _ in track(tracer, "second", run=1)] == [0.5, 1.0]
+
+
+def _sleeper(sim, seconds):
+    yield sim.timeout(seconds)
 
 
 # ----------------------------------------------------------------------
-# Exports: JSONL time series, Perfetto/JSONL traces.
+# Export: one Chrome trace, counter tracks and verdict included.
 # ----------------------------------------------------------------------
-def test_timeseries_jsonl_round_trip(tmp_path):
-    with ts_mod.capture(interval=0.05) as sampler:
+def test_trace_exports_carry_telemetry_samples(tmp_path):
+    """The Chrome export round-trips the counter tracks, and the
+    tracer's metadata as ``otherData``."""
+    import json
+
+    from repro.obs.export import load_trace, write_trace
+
+    with recording(0.05) as (tracer, sampler):
         dfs = _cluster()
         sampler.watch(dfs)
         _write_files(dfs)
-    path = str(tmp_path / "ts.jsonl")
-    lines = write_timeseries(sampler, path)
-    header, rows = load_timeseries(path)
-    assert lines == len(rows) + 1
-    assert header["schema"] == ts_mod.SCHEMA
-    assert header["interval"] == 0.05
-    assert header["samples_retained"] == len(rows) == len(sampler.store)
-    assert header["series"] == sampler.store.names()
-    reconstructed = [(r["run"], r["ts"], r["values"]) for r in rows]
-    assert reconstructed == list(sampler.store.rows())
-
-
-def test_trace_exports_carry_telemetry_samples(tmp_path):
-    """The Perfetto trace export round-trips with sample instants."""
-    from repro.obs.export import load_trace, write_trace
-    from repro.obs.tracer import Tracer
-    from repro.obs.tracer import capture as trace_capture
-
-    with trace_capture(Tracer()) as tracer:
-        with ts_mod.capture(interval=0.05) as sampler:
-            dfs = _cluster()
-            sampler.watch(dfs)
-            _write_files(dfs)
-    telemetry = [e for e in tracer.events if e.category == "telemetry"]
-    assert len(telemetry) == sampler.store.total_appended
-    assert all(e.name == "sample" for e in telemetry)
+    telemetry = _telemetry(tracer)
+    assert telemetry and {e.name for e in telemetry} >= {"disk_io_latency:p99"}
+    tracer.metadata.update(ok=True, audit={"unwaived": 0})
 
     chrome = str(tmp_path / "run.json")
     assert write_trace(tracer, chrome) == len(tracer.events)
-    # Chrome rescales to microseconds; the telemetry instants must still
-    # come back with their tick attributes and (approximate) timestamps.
-    chrome_loaded = [
-        e for e in load_trace(chrome) if e.category == "telemetry"
+    with open(chrome) as fh:
+        assert json.load(fh)["otherData"] == tracer.metadata
+    # Chrome rescales to microseconds; the counter values come back
+    # exactly, the timestamps approximately.
+    events, metadata = load_trace(chrome)
+    loaded = [e for e in events if e.category == "telemetry"]
+    assert [(e.phase, e.name, e.attrs) for e in loaded] == [
+        (e.phase, e.name, e.attrs) for e in telemetry
     ]
-    assert len(chrome_loaded) == len(telemetry)
-    for got, want in zip(chrome_loaded, telemetry):
-        assert got.ts == pytest.approx(want.ts)
-        assert got.attrs["tick"] == want.attrs["tick"]
+    assert [e.ts for e in loaded] == pytest.approx([e.ts for e in telemetry])
+    assert metadata == tracer.metadata
 
 
 # ----------------------------------------------------------------------
@@ -511,68 +507,14 @@ def test_auditor_flags_orphaned_superchunk():
 
 
 # ----------------------------------------------------------------------
-# SLO engine.
+# Rendering.
 # ----------------------------------------------------------------------
-def _points(values, t0=1.0, dt=1.0):
-    return [(t0 + i * dt, v) for i, v in enumerate(values)]
-
-
-def test_slo_each_mode_burn_rate():
-    spec = slo_mod.SloSpec("lat", "x:p99", 0.1, budget=0.2)
-    result = slo_mod.evaluate_slo(spec, _points([0.05] * 8 + [0.5] * 2))
-    assert result.samples == 10 and result.breaches == 2
-    assert result.burn_rate == pytest.approx(1.0)  # 20% breach / 20% budget
-    assert result.ok and result.worst == 0.5
-    hot = slo_mod.evaluate_slo(spec, _points([0.05] * 6 + [0.5] * 4))
-    assert hot.burn_rate == pytest.approx(2.0) and not hot.ok
-
-
-def test_slo_zero_budget_and_final_mode():
-    strict = slo_mod.SloSpec("zero", "x", 0.0, budget=0.0)
-    assert slo_mod.evaluate_slo(strict, _points([0.0, 0.0])).ok
-    breached = slo_mod.evaluate_slo(strict, _points([0.0, 1.0]))
-    assert breached.burn_rate == math.inf and not breached.ok
-
-    final = slo_mod.SloSpec("budget", "x", 100.0, mode="final", unit="B")
-    result = slo_mod.evaluate_slo(final, _points([10.0, 40.0, 80.0]))
-    assert result.ok and result.worst == 80.0
-    assert result.burn_rate == pytest.approx(0.8)  # utilization, not breach
-    assert not slo_mod.evaluate_slo(final, _points([10.0, 120.0])).ok
-
-    empty = slo_mod.evaluate_slo(strict, [])
-    assert empty.ok and empty.samples == 0
-
-    with pytest.raises(ValueError):
-        slo_mod.SloSpec("bad", "x", 1.0, mode="sometimes")
-    with pytest.raises(ValueError):
-        slo_mod.SloSpec("bad", "x", 1.0, budget=1.5)
-
-
 def test_sparkline_shape():
-    assert slo_mod.sparkline([]) == ""
-    flat = slo_mod.sparkline([3.0, 3.0, 3.0])
+    from repro.tools.raidpctl import sparkline
+
+    assert sparkline([]) == ""
+    flat = sparkline([3.0, 3.0, 3.0])
     assert len(flat) == 3 and len(set(flat)) == 1
-    ramp = slo_mod.sparkline(list(range(16)), width=8)
+    ramp = sparkline(list(range(16)), width=8)
     assert len(ramp) == 8
     assert ramp[0] == "▁" and ramp[-1] == "█"
-
-
-def test_health_report_round_trip(tmp_path):
-    with ts_mod.capture(interval=0.05) as sampler:
-        dfs = _cluster()
-        sampler.watch(dfs)
-        _write_files(dfs)
-    auditor = audit_mod.Auditor()
-    auditor.attach(dfs)
-    auditor.audit(dfs.sim, dfs.sim.now, event="final")
-    report = slo_mod.health_report(
-        sampler, auditor, phases=[("all", 0.0, dfs.sim.now)], title="unit",
-        run=sampler.run,
-    )
-    assert report["ok"]
-    assert report["phases"][0]["phase"] == "all"
-    path = str(tmp_path / "health.json")
-    slo_mod.write_health_report(report, path)
-    assert slo_mod.load_health_report(path) == report
-    rendered = slo_mod.render_dash(report)
-    assert "unit" in rendered and "HEALTHY" in rendered

@@ -21,7 +21,7 @@ from repro import units
 from repro.core.recovery import RecoveryManager, RecoveryOptions
 from repro.experiments import ext_scale, table2_recovery
 from repro.experiments.common import Scale, build_hdfs, build_raidp
-from repro.obs import simprofile, timeseries
+from repro.obs import simprofile, timeseries, tracer
 from repro.sim import snapshot
 from repro.sim.engine import Simulator
 from repro.tools.chaos import run_chaos
@@ -71,13 +71,16 @@ def test_chaos_soak_frees_its_cluster(simulators):
 
 
 def test_sampled_chaos_soak_frees_its_cluster(simulators):
-    """The flight recorder watches the cluster and hooks the auditor;
-    neither keeps a cycle alive once the sampler itself is dropped."""
+    """``chaos --trace``'s flight recorder: the sampler watches the
+    cluster and hooks the auditor, and its counter tracks fill the
+    tracer; none of them keeps the cluster alive, and the result holds
+    the audit summary, never the auditor."""
     with collector_off():
-        with timeseries.capture(interval=0.5):
+        with tracer.capture() as trace, timeseries.capture(interval=0.5):
             result = run_chaos(seed=101)
-        assert result.ok and result.health is not None
-        assert_all_freed(simulators)
+        assert result.ok and result.audit["unwaived"] == 0
+        assert any(event.category == "telemetry" for event in trace.events)
+        assert_all_freed(simulators)  # the tracer is still held here
 
 
 def test_warm_double_failure_recovery_frees_its_cluster(simulators):

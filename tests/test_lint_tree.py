@@ -262,7 +262,7 @@ def test_settable_value_census():
     (here), not by accretion."""
     import dataclasses
 
-    from repro.obs import audit, simprofile, slo, timeseries, tracer
+    from repro.obs import audit, simprofile, timeseries, tracer
     from repro.sim.cluster import ClusterSpec
     from repro.sim.disk import Disk
     from repro.sim.node import Node
@@ -282,10 +282,6 @@ def test_settable_value_census():
     assert params(audit.capture) == ["fail_fast"]
     assert params(audit.Auditor.__init__) == ["fail_fast"]
     assert params(audit.Auditor.attach) == ["dfs"]
-    assert params(slo.health_report) == ["sampler", "auditor", "phases", "title", "run"]
-    assert [f.name for f in dataclasses.fields(slo.SloSpec)] == [
-        "name", "series", "objective", "budget", "mode", "unit",
-    ]
 
     assert params(chaos.run_chaos) == ["seed", "schedule"]
     assert params(chaos.run_repeated) == ["seed", "runs", "schedule"]
@@ -302,16 +298,20 @@ def test_settable_value_census():
             for action in subcommands[name]._actions
             if action.dest != "help"
         )
-        for name in ("dash", "profile")
+        for name in ("profile", "trace")
     }
     assert arguments == {
-        "dash": ["--timeseries", "--width", "report"],
         "profile": ["--full", "--json", "--limit", "--tasks", "experiment"],
+        "trace": ["--category", "--limit", "file"],
     }
     for main, argv in (
         (profile.main, ["fig1", "--cprofile"]),
-        (raidpctl.main, ["dash", "--live"]),
+        (raidpctl.main, ["dash", "x"]),
         (chaos.main, ["--audit"]),
+        (chaos.main, ["--health", "x"]),
+        (chaos.main, ["--timeseries", "x"]),
+        (chaos.main, ["--dash"]),
+        (chaos.main, ["--sample-interval", "1"]),
     ):
         with pytest.raises(SystemExit):
             main(argv)
@@ -360,6 +360,52 @@ def test_ambient_slot_inventory():
         "obs/audit.py", "obs/simprofile.py", "obs/timeseries.py", "obs/tracer.py",
     ]
     assert enabled_flags == {("obs/tracer.py", "NullTracer"), ("obs/tracer.py", "Tracer")}
+
+
+def _strings(expression):
+    """The string constants an expression can evaluate to: a literal, a
+    conditional's two arms, or a ``.get(key, default)``'s default."""
+    if isinstance(expression, ast.Constant) and isinstance(expression.value, str):
+        return {expression.value}
+    if isinstance(expression, ast.IfExp):
+        return _strings(expression.body) | _strings(expression.orelse)
+    if isinstance(expression, ast.Call) and len(expression.args) == 2:
+        return _strings(expression.args[1])
+    return set()
+
+
+def test_registered_categories_are_the_emitted_ones():
+    """The taxonomy registers exactly the categories the tree uses: the
+    literal first argument of every ``*.complete`` / ``*.instant`` /
+    ``*.count`` emission under ``src/``, plus every category the
+    profiler's classifier (``obs/simprofile.py``) can return.  A
+    registered category nothing emits is a dead entry."""
+    from repro.obs.taxonomy import CATEGORIES
+
+    emitted = set()
+    for path in sorted((SRC / "repro").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr in ("complete", "instant", "count")
+                and node.args
+                and len(node.args) + len(node.keywords) >= 3  # category, name, ts
+            ):
+                emitted |= _strings(node.args[0])
+    classified = set()
+    profiler = SRC / "repro" / "obs" / "simprofile.py"
+    for node in ast.walk(ast.parse(profiler.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Assign):
+            names = [ast.unparse(target) for target in node.targets]
+            if names == ["category"]:
+                classified |= _strings(node.value)
+            elif names[0].endswith("_CATEGORIES"):
+                classified |= set().union(*map(_strings, node.value.values))
+        elif isinstance(node, ast.Return) and isinstance(node.value, ast.Tuple):
+            classified |= _strings(node.value.elts[0])
+    assert emitted and classified
+    assert set(CATEGORIES) == emitted | classified
 
 
 # ----------------------------------------------------------------------

@@ -69,6 +69,34 @@ def test_trace_command_summarizes_a_recorded_drill(tmp_path, capsys):
     assert "recovery run=0 dead=['n0', 'n1']" in out
     assert "reconstruct" in out
     assert "coverage" in out
+    assert "flight recorder" not in out and "verdict" not in out
+
+
+@pytest.mark.parametrize("ok", [True, False])
+def test_trace_command_draws_the_flight_recorder_and_its_verdict(tmp_path, capsys, ok):
+    """Telemetry counter tracks get one sparkline per key track, the
+    metadata verdict is printed, and a failed verdict exits 1."""
+    from repro.obs.export import write_trace
+    from repro.obs.tracer import Tracer
+
+    tracer = Tracer()
+    tracer.register_run("soak")
+    for tick in range(1, 5):
+        tracer.count("telemetry", "blocks_at_risk", 0.5 * tick, float(tick % 3))
+        tracer.count("telemetry", "disk_reads{disk=n0.d0}", 0.5 * tick, 1.0)
+    audit = {"audits": 5, "checks": 20, "violations": 1, "unwaived": 0, "records": []}
+    tracer.metadata.update(seed=7, runs=1, ok=ok, problems=[] if ok else ["lost"],
+                           audit=audit)
+    path = str(tmp_path / "soak.json")
+    write_trace(tracer, path)
+    assert main(["trace", path]) == (0 if ok else 1)
+    out = capsys.readouterr().out
+    section = out.split("flight recorder run=0: 2 tracks x 4 ticks\n", 1)[1]
+    assert "blocks_at_risk" in section and "▁" in section and "█" in section
+    assert "disk_reads" not in section  # key tracks only
+    assert f"verdict: {'PASS' if ok else 'FAIL'} seed=7 runs=1" in out
+    assert "audit: 20 checks / 5 audits, 1 violations (1 waived, 0 unwaived)" in out
+    assert ("PROBLEM: lost" in out) is not ok
 
 
 def test_trace_command_category_filter(tmp_path, capsys):

@@ -201,7 +201,7 @@ def test_jsonl_round_trip(tmp_path):
     assert write_trace(tracer, path) == 3
     with open(path) as fh:
         assert "traceEvents" in json.load(fh)
-    events = load_trace(path)
+    events, _metadata = load_trace(path)
     original = [(e.run, e.phase, e.category, e.name, e.attrs) for e in tracer.events]
     loaded = [(e.run, e.phase, e.category, e.name, e.attrs) for e in events]
     assert original == loaded
@@ -227,8 +227,11 @@ def test_chrome_export_shape_and_round_trip(tmp_path):
     assert spans[0]["dur"] == pytest.approx(1.5e6)
     instants = [r for r in records if r["ph"] == "i"]
     assert instants[0]["s"] == "t"
-    # Loading rescales back to seconds and drops metadata.
-    events = load_trace(path)
+    # No metadata, no ``otherData``: the export is the plain format.
+    assert set(payload) == {"traceEvents", "displayTimeUnit"}
+    # Loading rescales back to seconds and drops metadata events.
+    events, metadata = load_trace(path)
+    assert metadata == {}
     assert len(events) == 3
     assert events[0].ts == pytest.approx(0.25)
     assert events[0].dur == pytest.approx(1.5)
