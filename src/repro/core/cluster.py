@@ -24,7 +24,7 @@ from repro.hdfs.namenode import NameNode
 from repro.sim.cluster import Cluster, ClusterSpec
 from repro.sim.engine import Simulator
 from repro.sim.network import Switch
-from repro.storage.payload import ContentFactory, XorAccumulator
+from repro.storage.payload import ContentFactory
 from repro.sim.snapshot import InlineState
 
 
@@ -192,19 +192,18 @@ class RaidpCluster(InlineState):
     def verify_parity(self) -> None:
         """Every live Lstor's XOR parity matches its disk's superchunks.
 
-        Applies to the single-Lstor configuration (XOR); the stacked
-        configuration is verified through
+        Applies to the single-Lstor configuration (XOR), where it is a
+        pure observer: :meth:`LstorStack.covers` cancels each stored
+        block against its pending parity term and reads only what is
+        left, through temporaries: it folds, caches and makes nothing.
+        The stacked configuration is verified through
         :meth:`RaidpDataNode.lstors.reconstruct_block` in tests.
         """
-        zero = self.factory.zero(self.config.block_size)
         for datanode in self._parity_trusted():
             sc_ids = self.layout.superchunks_of(datanode.name)
             for slot in range(self.map.slots_per_superchunk):
-                expected = XorAccumulator(zero)
-                for sc_id in sc_ids:
-                    expected.add(datanode.slot_payload(sc_id, slot))
-                actual = datanode.lstors.parity_block(slot)
-                if actual != expected.result():
+                payloads = [datanode.slot_payload(sc_id, slot) for sc_id in sc_ids]
+                if not datanode.lstors.covers(slot, payloads):
                     raise LayoutError(
                         f"parity mismatch on {datanode.name} slot {slot}"
                     )

@@ -23,7 +23,7 @@ the transfer into the device, charged at :data:`LSTOR_WRITE_RATE`.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Optional, Set, Tuple
+from typing import Dict, Hashable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -37,6 +37,8 @@ from repro.storage.payload import (
     ContentFactory,
     Payload,
     XorAccumulator,
+    cancel_equal_pairs,
+    xor_matches,
 )
 from repro.sim.snapshot import InlineState
 
@@ -64,6 +66,7 @@ class Lstor(InlineState):
     to that shard usually names the same object as ``old``, and
     ``x ^ x = 0`` exactly, so a version overwritten before any parity
     read is never XORed (nor, being a deferred mint, ever made).
+    :meth:`parity_terms` hands both parts to a verifier as they are.
     """
 
     def __init__(
@@ -132,6 +135,14 @@ class Lstor(InlineState):
         """
         self._check_alive()
         return self._current(slot)
+
+    def parity_terms(self, slot: int) -> Tuple[Optional[np.ndarray], List[Payload]]:
+        """The bytes-plane parity at ``slot`` as its parts: the
+        accumulator (``None`` when zero) and the pending terms, whose XOR
+        it is.  Folds, copies and draws nothing; the caller only reads
+        the accumulator."""
+        self._check_alive()
+        return self._parity_accum.get(slot), list(self._pending.get(slot, {}).values())
 
     def _current(self, slot: int) -> Payload:
         pending = self._pending.pop(slot, None)
@@ -333,6 +344,38 @@ class LstorStack(InlineState):
         slot's preallocation baseline first."""
         self._fold_baseline(slot)
         return self.primary.parity_block(slot)
+
+    def parity_terms(self, slot: int) -> Tuple[Optional[np.ndarray], List[Payload]]:
+        """A single Lstor's :meth:`Lstor.parity_terms` at ``slot``, plus
+        the preallocation fillers not yet folded there (minted, not
+        drawn)."""
+        assert self._codec is None, "the terms of a single Lstor only"
+        accum, terms = self.primary.parity_terms(slot)
+        if slot not in self._folded:
+            terms += [
+                filler(self.factory, sc_id, slot, self.block_size)
+                for _shard, sc_id in self._prefilled
+            ]
+        return accum, terms
+
+    def covers(self, slot: int, payloads: Sequence[Payload]) -> bool:
+        """Is the primary's parity at ``slot`` the XOR of ``payloads``?
+
+        A single bytes-plane Lstor answers without changing anything:
+        ``payloads`` and :meth:`parity_terms` cancel in provably equal
+        pairs (usually each stored block against its own pending term),
+        and only what is left is read, transiently, and compared with
+        the accumulator.  Stacked and token-plane Lstors fold as a
+        parity read does.
+        """
+        if self._codec is not None or self.factory.symbolic:
+            expected = XorAccumulator(self.factory.zero(self.block_size))
+            for payload in payloads:
+                expected.add(payload)
+            return self.parity_block(slot) == expected.result()
+        accum, terms = self.parity_terms(slot)
+        left = cancel_equal_pairs([*payloads, *terms])  # type: ignore[list-item]
+        return xor_matches(accum, left)
 
     def absorb_update(
         self,

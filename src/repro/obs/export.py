@@ -11,7 +11,7 @@ run index and ``tid`` is a per-category track.  A tracer's non-empty
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.obs.tracer import TraceEvent, Tracer
 
@@ -132,10 +132,16 @@ def _union_seconds(intervals: Iterable[Tuple[float, float]]) -> float:
 
 
 def summarize(events: List[TraceEvent]) -> Dict[str, Dict[str, Any]]:
-    """Aggregate per ``category.name``: span counts/durations, instants."""
+    """Aggregate per ``category.name``: span counts/durations, instants.
+    Counter events aggregate per category, with their ``tracks``."""
     table: Dict[str, Dict[str, Any]] = {}
+    tracks: Dict[str, Set[str]] = {}
     for event in events:
-        key = f"{event.category}.{event.name}"
+        if event.phase == "C":
+            key = event.category
+            tracks.setdefault(key, set()).add(event.name)
+        else:
+            key = f"{event.category}.{event.name}"
         row = table.get(key)
         if row is None:
             row = table[key] = {
@@ -148,6 +154,8 @@ def summarize(events: List[TraceEvent]) -> Dict[str, Dict[str, Any]]:
         if event.phase == "X":
             row["total_s"] += event.dur
             row["max_s"] = max(row["max_s"], event.dur)
+    for key, names in tracks.items():
+        table[key]["tracks"] = len(names)
     return dict(sorted(table.items()))
 
 
@@ -241,17 +249,24 @@ def render_summary(
     table = summarize(events)
     if not table:
         return "(no events)"
-    width = max(len(key) for key in table)
+    labels = {
+        key: f"{key} ({row['tracks']} counter track{'s' * (row['tracks'] > 1)})"
+        if "tracks" in row
+        else key
+        for key, row in table.items()
+    }
+    width = max(len(label) for label in labels.values())
     lines.append(f"{'event':<{width}}  {'count':>8}  {'total s':>12}  {'max s':>10}")
     lines.append("-" * (width + 36))
     for key, row in table.items():
+        label = labels[key]
         if row["phase"] == "X":
             lines.append(
-                f"{key:<{width}}  {row['count']:>8}  {row['total_s']:>12.3f}  "
+                f"{label:<{width}}  {row['count']:>8}  {row['total_s']:>12.3f}  "
                 f"{row['max_s']:>10.3f}"
             )
         else:
-            lines.append(f"{key:<{width}}  {row['count']:>8}  {'-':>12}  {'-':>10}")
+            lines.append(f"{label:<{width}}  {row['count']:>8}  {'-':>12}  {'-':>10}")
     breakdowns = recovery_breakdown(events)
     for item in breakdowns:
         lines.append("")

@@ -95,11 +95,15 @@ def _emit_window(
     delta_sum: float,
     observed_max: float,
 ) -> None:
-    """Write one histogram window's ``:count``/``:mean``/``:pNN`` series."""
+    """Write one histogram window's ``:count``/``:mean``/``:pNN`` series.
+
+    A window with no observations has a count and nothing else: a mean
+    or percentile of nothing would read as zero latency."""
     window_count = sum(delta_counts)
     values[f"{key}:count"] = float(window_count)
-    if window_count > 0:
-        values[f"{key}:mean"] = delta_sum / window_count
+    if window_count == 0:
+        return
+    values[f"{key}:mean"] = delta_sum / window_count
     for label, q in PERCENTILES.items():
         values[f"{key}:{label}"] = percentile_from_buckets(
             bounds, delta_counts, q, observed_max

@@ -9,7 +9,7 @@ cannot be mutated from underneath it).
 from __future__ import annotations
 
 import zlib
-from typing import Dict, FrozenSet, Optional, Tuple, Union
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 from repro.sim.snapshot import InlineState
@@ -73,10 +73,16 @@ class BytesPayload(Payload):
     A minted payload (:meth:`ContentFactory.make`) is *deferred*: it
     holds ``(stable seed, length)`` in ``_spec`` and draws its bytes on
     the first :attr:`data` read, so a version overwritten before anything
-    reads it is never made.  ``len()`` answers from the spec.
+    reads it is never made.  ``len()`` answers from the spec.  The spec
+    stays the mint's identity in ``_mint`` after the draw: two mints of
+    one spec hold equal bytes, so ``==`` answers ``True`` for them (or
+    for the same object) without reading any; any other pair compares
+    bytes.  Verifier reads (``==``, :meth:`checksum`, :func:`xor_matches`)
+    go through :meth:`peek`, which caches only the CRC: an observer never
+    leaves a mint drawn.
     """
 
-    __slots__ = ("_data", "_spec", "_crc", "_zero")
+    __slots__ = ("_data", "_spec", "_mint", "_crc", "_zero")
 
     def __init__(self, data: Union[bytes, np.ndarray]) -> None:
         if isinstance(data, bytes):
@@ -93,6 +99,7 @@ class BytesPayload(Payload):
         arr.setflags(write=False)
         self._data: Optional[np.ndarray] = arr
         self._spec: Optional[Tuple[int, int]] = None
+        self._mint: Optional[Tuple[int, int]] = None
         self._crc: Optional[int] = None
         self._zero: Optional[bool] = None
 
@@ -109,6 +116,7 @@ class BytesPayload(Payload):
         arr.setflags(write=False)
         payload._data = arr
         payload._spec = None
+        payload._mint = None
         payload._crc = None
         payload._zero = None
         return payload
@@ -118,7 +126,7 @@ class BytesPayload(Payload):
         """The deferred mint of ``length`` bytes of PCG64 stream ``seed``."""
         payload = cls.__new__(cls)
         payload._data = None
-        payload._spec = (seed, length)
+        payload._spec = payload._mint = (seed, length)
         payload._crc = None
         payload._zero = None
         return payload
@@ -132,6 +140,15 @@ class BytesPayload(Payload):
             seed, length = self._spec
             data = self._data = _draw(seed, length)
             self._spec = None
+        return data
+
+    def peek(self) -> np.ndarray:
+        """The content, read-only, without making a mint: an undrawn one
+        is drawn into a temporary that dies with the caller's use."""
+        data = self._data
+        if data is None:
+            assert self._spec is not None
+            data = _draw(*self._spec)
         return data
 
     @classmethod
@@ -193,7 +210,7 @@ class BytesPayload(Payload):
         Cached: payloads are immutable, so the CRC can never change.
         """
         if self._crc is None:
-            self._crc = zlib.crc32(self.data)
+            self._crc = zlib.crc32(self.peek())
         return self._crc
 
     def __len__(self) -> int:
@@ -201,10 +218,14 @@ class BytesPayload(Payload):
         return spec[1] if spec is not None else len(self.data)
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, BytesPayload) and np.array_equal(self.data, other.data)
+        if not isinstance(other, BytesPayload):
+            return False
+        if self is other or (self._mint is not None and self._mint == other._mint):
+            return True
+        return np.array_equal(self.peek(), other.peek())
 
     def __hash__(self) -> int:
-        return hash(self.data.tobytes())
+        return hash(self.peek().tobytes())
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<BytesPayload len={len(self)} crc={self.checksum():08x}>"
@@ -300,6 +321,34 @@ class XorAccumulator(InlineState):
             self._payload = BytesPayload.adopt(self._buf)
             self._buf = None  # buffer ownership transferred to the payload
         return self._payload
+
+
+def cancel_equal_pairs(terms: Sequence[BytesPayload]) -> List[BytesPayload]:
+    """``terms`` less every pair provably equal, since ``x ^ x = 0``:
+    the same object twice, or two mints of one spec.  Known zeros go
+    too.  Reads no bytes; the XOR of the result is the XOR of ``terms``."""
+    left: Dict[object, BytesPayload] = {}
+    for term in terms:
+        if term._zero:
+            continue
+        key = term._mint or id(term)  # ``terms`` keeps every id alive
+        if left.pop(key, None) is None:
+            left[key] = term
+    return list(left.values())
+
+
+def xor_matches(accum: Optional[np.ndarray], terms: Sequence[BytesPayload]) -> bool:
+    """Is ``accum`` (``None``: zero) the XOR of ``terms``?  Each term is
+    read through :meth:`BytesPayload.peek`, two or more are folded into
+    one scratch buffer; ``accum`` is only read."""
+    if not terms:
+        return accum is None or not accum.any()
+    folded = terms[0].peek()
+    if len(terms) > 1:
+        folded = folded.copy()
+        for term in terms[1:]:
+            np.bitwise_xor(folded, term.peek(), out=folded)
+    return not folded.any() if accum is None else np.array_equal(folded, accum)
 
 
 def _stable_seed(seed: int, name: str, version: int) -> int:

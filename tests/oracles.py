@@ -31,7 +31,7 @@ from repro.core.lstor import LSTOR_WRITE_RATE, filler_name
 from repro.core.node import RaidpDataNode
 from repro.core.placement import RaidpPlacement
 from repro.core.recovery import _Pullers, _Raid6Rig
-from repro.errors import PlacementError
+from repro.errors import LayoutError, PlacementError
 from repro.experiments import ext_scale, table2_recovery
 from repro.faults import DiskLifetimeModel, RepairModel
 from repro.hdfs.block import BlockLocations
@@ -40,6 +40,7 @@ from repro.obs.metrics import SWITCH_WORK_COUNTERS
 from repro.obs.tracer import active_tracer
 from repro.sim.engine import Event, Simulator, Timeout
 from repro.sim.network import Switch
+from repro.storage.payload import XorAccumulator
 from repro.units import HOURS_PER_YEAR
 from repro.workloads.dfsio import dfsio_write
 
@@ -546,6 +547,28 @@ class EagerParity:
     def reset(self) -> None:
         self.failed = False
         self._slots.clear()
+
+
+def folding_covers(stack: Any, slot: int, payloads: List[Any]) -> bool:
+    """The parity check by folding: XOR ``payloads`` into a fresh
+    accumulator and compare it with a parity read, which folds the
+    slot's pending terms and preallocation fillers first.  The oracle of
+    ``LstorStack.covers``; unlike it, this changes the stack it reads
+    and makes every mint it meets."""
+    expected = XorAccumulator(stack.factory.zero(stack.block_size))
+    for payload in payloads:
+        expected.add(payload)
+    return stack.parity_block(slot) == expected.result()
+
+
+def folding_verify_parity(dfs: Any) -> None:
+    """``RaidpCluster.verify_parity`` on :func:`folding_covers`."""
+    for datanode in dfs._parity_trusted():
+        sc_ids = dfs.layout.superchunks_of(datanode.name)
+        for slot in range(dfs.map.slots_per_superchunk):
+            payloads = [datanode.slot_payload(sc_id, slot) for sc_id in sc_ids]
+            if not folding_covers(datanode.lstors, slot, payloads):
+                raise LayoutError(f"parity mismatch on {datanode.name} slot {slot}")
 
 
 def _table2_rows(keys):

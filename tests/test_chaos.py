@@ -7,7 +7,9 @@ the tier-1 suite so regressions in the failure lifecycle surface in CI.
 
 import hashlib
 import json
+import tracemalloc
 import weakref
+import zlib
 from collections import Counter
 
 import numpy as np
@@ -125,7 +127,11 @@ def test_soak_byte_work_is_counted(monkeypatch):
     Lstor snapshots (32 payload copies -> 0).  Mints are deferred and an
     Lstor keeps each shard's last ``new`` pending, which the shard's next
     write cancels with no XOR: 1,250 in-place XORs of 327,680,000 bytes
-    become 171 of 44,826,624, and 102 of the 390 mints are ever drawn."""
+    become 171 of 44,826,624, and 102 of the 390 mints are ever drawn.
+    The final audit's parity check cancels each stored block against its
+    pending term instead of folding, and the verifiers' ``==`` and CRC
+    read through temporaries: 171/44,826,624 -> 28/7,340,032, and 102
+    draws -> 57 (the post-mortem's CRCs, none cached)."""
     calls = Counter()
     real_xor, real_eq = np.bitwise_xor, BytesPayload.__eq__
     real_make, real_zeros = ContentFactory.make, BytesPayload.zeros.__func__
@@ -181,14 +187,14 @@ def test_soak_byte_work_is_counted(monkeypatch):
     assert result.ok, "\n".join(result.problems)
     blocks = result.fingerprint["blocks"]
     assert calls["allocating"] == 0
-    assert calls["in-place"] <= 250 and calls["bytes"] <= 44_826_624
+    assert calls["in-place"] <= 50 and calls["bytes"] <= 7_340_032
     assert calls["mints"] <= 390 and calls["zero payloads"] < 198
-    assert calls["mints materialized"] <= 150
+    assert calls["mints materialized"] <= 60
     assert (
         calls["allocating"], calls["in-place"], calls["bytes"],
         calls["mints"], calls["mints materialized"],
         calls["zero payloads"], calls["payload copies"],
-    ) == (0, 171, 44_826_624, 390, 102, 1, 0)
+    ) == (0, 28, 7_340_032, 390, 57, 1, 0)
     # The post-mortem mints one expected payload per verified block and
     # holds one at a time; still one comparison per read and one per
     # listed replica against it.
@@ -199,6 +205,83 @@ def test_soak_byte_work_is_counted(monkeypatch):
     )
     # The counting wrappers observed the pinned run, not another one.
     assert [crc for *_, crc in blocks[:2]] == [0x094AC4A6, 0x5E0FED33]
+
+
+def _observed(dfs):
+    """What a verifier must leave as it found it: every Lstor's pending
+    terms, accumulator buffers and snapshots (by identity, the buffers
+    also by CRC), the folded preallocation slots, and which stored
+    mints are drawn."""
+    lstors = [lstor for dn in dfs.datanodes for lstor in dn.lstors.lstors]
+    return (
+        [{slot: {s: id(t) for s, t in p.items()} for slot, p in l._pending.items()}
+         for l in lstors],
+        [{slot: (id(a), zlib.crc32(a)) for slot, a in l._parity_accum.items()}
+         for l in lstors],
+        [{slot: id(p) for slot, p in l._parity.items()} for l in lstors],
+        [sorted(dn.lstors._folded) for dn in dfs.datanodes],
+        [{name: p._data is None for name, p in dn._contents.items() if p._mint}
+         for dn in dfs.datanodes],
+    )
+
+
+def test_verifiers_leave_what_they_observe(monkeypatch):
+    """The final audit's parity and mirror checks and the post-mortem
+    change no Lstor and make no stored mint; the two checks draw no
+    bytes at all on this soak (the post-mortem's CRCs draw into
+    temporaries)."""
+    draws = [0]
+    real_draw = payload_module._draw
+
+    def draw(seed, length):
+        draws[0] += 1
+        return real_draw(seed, length)
+
+    seen = {}
+
+    def observing(name, real):
+        def verifier(self):
+            before, drawn = _observed(self), draws[0]
+            real(self)
+            seen[name] = (_observed(self) == before, draws[0] - drawn)
+            assert any(before[0]) and any(before[1]) and any(before[4])
+
+        return verifier
+
+    for name in ("verify_parity", "verify_mirrors"):
+        monkeypatch.setattr(
+            RaidpCluster, name, observing(name, getattr(RaidpCluster, name))
+        )
+    real_post_mortem = chaos._verify_blocks
+
+    def post_mortem(dfs, problems, blocks_fp):
+        before = _observed(dfs)
+        yield from real_post_mortem(dfs, problems, blocks_fp)
+        seen["post-mortem"] = (_observed(dfs) == before, None)
+
+    monkeypatch.setattr(payload_module, "_draw", draw)
+    monkeypatch.setattr(chaos, "_verify_blocks", post_mortem)
+    result = run_chaos(seed=101)
+    assert result.ok, "\n".join(result.problems)
+    assert seen == {
+        "verify_parity": (True, 0),
+        "verify_mirrors": (True, 0),
+        "post-mortem": (True, None),
+    }
+
+
+def test_soak_memory_peak_is_bounded():
+    """tracemalloc's peak over one soak, a deterministic stand-in for
+    host RSS: 4.96 MiB.  It was 23.47 MiB while the final audit folded
+    every parity slot and the verifiers cached every mint they read."""
+    tracemalloc.start()
+    try:
+        result = run_chaos(seed=101)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.ok, "\n".join(result.problems)
+    assert peak < 8 * 2**20
 
 
 def test_verifiers_catch_one_diverged_replica():

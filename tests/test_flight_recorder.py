@@ -167,6 +167,25 @@ def test_sampler_windowed_percentiles_match_stats_kernel(monkeypatch):
     assert lo < points[2.0] <= hi
 
 
+def test_an_empty_window_writes_only_its_count(monkeypatch):
+    """No observations between two ticks: the window has a count of 0
+    and no mean or percentile, which would read as zero latency."""
+    hist = Histogram()
+    _watch_fake(monkeypatch, lambda: ({}, {"lat": hist}))
+    with recording(1.0) as (tracer, sampler):
+        sim = Simulator()
+        sampler.watch(None)
+
+        def body():
+            hist.observe(0.02)
+            yield sim.timeout(2.5)  # the window ending at t=2.0 is empty
+
+        sim.run_process(body())
+    assert dict(track(tracer, "lat:count")) == {1.0: 1.0, 2.0: 0.0}
+    for window in ("mean", "p50", "p99"):
+        assert [t for t, _ in track(tracer, f"lat:{window}")] == [1.0], window
+
+
 def test_sampler_aggregates_labeled_histograms():
     """Per-disk labeled histograms roll up into a cluster-wide series."""
     with recording(0.05) as (tracer, sampler):
@@ -279,7 +298,9 @@ def test_soak_series_names_and_sampled_rows_are_pinned():
     """The flight recorder's artifact, value for value: the default
     soak's 243 series (named here from the cluster's components, not
     from the reader) and a float-hex digest of its 61 sampled rows, as
-    measured before the registry of views was replaced by the reader."""
+    measured before the registry of views was replaced by the reader,
+    then re-pinned once when empty histogram windows stopped writing
+    percentiles of 0.0 (b5f99c0e...)."""
     import hashlib
 
     from repro.tools.chaos import build_cluster, run_chaos
@@ -323,7 +344,7 @@ def test_soak_series_names_and_sampled_rows_are_pinned():
         digest.update(b"\n")
     assert len(ticks) == 61
     assert digest.hexdigest() == (
-        "b5f99c0e42d9122608f145760e2dd76bc82e7e19d431d560fd91347ddc92652f"
+        "5c273ded963b6da92e18feeb8a843c5097b6edb9d3632407f57211d3a7f2f453"
     )
 
 

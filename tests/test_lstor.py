@@ -10,10 +10,11 @@ from hypothesis import strategies as st
 
 from repro import units
 from repro.core.lstor import Lstor, LstorStack, filler
-from repro.errors import LstorFailedError
+from repro.errors import LayoutError, LstorFailedError
 from repro.sim.engine import Simulator
 from repro.storage.payload import BytesPayload, ContentFactory, TokenPayload
-from tests.oracles import EagerParity
+from repro.tools.chaos import build_cluster
+from tests.oracles import EagerParity, folding_covers, folding_verify_parity
 
 BLOCK = 1024
 
@@ -230,6 +231,149 @@ def test_pending_term_cancels_without_xor(monkeypatch):
         old = new
     assert calls == [] and all(v._data is None for v in versions[:-1])
     assert stack.parity_block(0) == versions[-1] and calls == [True]
+
+
+def _flipped(payload):
+    """An adopted copy of ``payload`` with its first byte flipped."""
+    data = payload.data.copy()
+    data[0] ^= 1
+    return BytesPayload.adopt(data)
+
+
+def _flip_accumulator(lstor, slot):
+    """Flip one byte of ``slot``'s accumulator, copy on write."""
+    accum = lstor._parity_accum[slot].copy()
+    accum[0] ^= 1
+    lstor._parity_accum[slot] = accum
+    lstor._parity.pop(slot, None)
+
+
+def _observed(stack, disk):
+    """What a check must leave as it found it: the pending terms by
+    identity, the accumulators' bytes, the snapshots, the folded slots
+    and which mints are drawn."""
+    lstor = stack.primary
+    return (
+        {slot: {s: id(t) for s, t in p.items()} for slot, p in lstor._pending.items()},
+        {slot: bytes(a) for slot, a in lstor._parity_accum.items()},
+        {slot: id(p) for slot, p in lstor._parity.items()},
+        set(stack._folded),
+        {key: p._data is None for key, p in disk.items()},
+    )
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_parity_check_agrees_with_the_folding_oracle(seed):
+    """Random writes, deletes, parity reads, pickles, corruptions and
+    resets on one bytes-plane Lstor: after every step,
+    :meth:`LstorStack.covers` gives every slot the verdict of
+    :func:`folding_covers` (run on a pickled copy of the stack and its
+    disk together, so identities survive) and changes nothing.  Writes
+    cancel pending terms, re-mint equal specs on other shards, and
+    odd seeds start preallocated.  A corruption is one of the three
+    mutants: a flipped accumulator byte, a pending term swapped for
+    another mint, a stored block replaced by a flipped adopted copy."""
+    import random
+
+    rng = random.Random(seed)
+    block, shards, slots = 64, 3, 2
+    factory = ContentFactory(mode="bytes", seed=seed)
+    stack = LstorStack(Simulator(), factory, "S", block, data_shards=shards, parity_count=1)
+    disk = {}  # (shard, slot) -> the stored content
+    if seed % 2:
+        stack.prefill([(0, 100), (2, 102)])
+        for shard, sc_id in ((0, 100), (2, 102)):
+            for slot in range(slots):
+                disk[shard, slot] = filler(factory, sc_id, slot, block)
+    zero = factory.zero(block)
+    verdicts = []
+    for step in range(120):
+        op = rng.choices(
+            ["write", "delete", "read", "pickle", "corrupt", "reset"],
+            weights=[10, 2, 2, 1, 1, 1],
+        )[0]
+        slot, shard = rng.randrange(slots), rng.randrange(shards)
+        held = disk.get((shard, slot), zero)
+        if op in ("write", "delete"):
+            old = held
+            if held._mint is not None and rng.random() < 0.2:
+                old = BytesPayload.minted(*held._mint)  # equal spec, another object
+            new = zero if op == "delete" else factory.make(f"v{rng.randrange(3)}", 0, block)
+            stack.absorb_update(shard, slot, old, new)
+            disk[shard, slot] = new
+        elif op == "read":
+            stack.parity_block(slot)
+        elif op == "pickle":
+            stack, disk = pickle.loads(pickle.dumps((stack, disk)))
+        elif op == "corrupt":
+            lstor, mutant = stack.primary, rng.choice(["accum", "pending", "stored"])
+            if mutant == "accum" and slot in lstor._parity_accum:
+                _flip_accumulator(lstor, slot)
+            elif mutant == "pending" and lstor._pending.get(slot):
+                pending = lstor._pending[slot]
+                pending[next(iter(pending))] = factory.make(f"x{step}", 0, block)
+            elif not held._zero:
+                disk[shard, slot] = _flipped(held)
+        elif op == "reset":
+            stack.reset()
+            disk.clear()
+        copy, copy_disk = pickle.loads(pickle.dumps((stack, disk)))
+        before = _observed(stack, disk)
+        for read in range(slots):
+            payloads = [disk.get((s, read), zero) for s in range(shards)]
+            copies = [copy_disk.get((s, read), copy.factory.zero(block)) for s in range(shards)]
+            verdict = stack.covers(read, payloads)
+            assert verdict == folding_covers(copy, read, copies), (step, op, read)
+            verdicts.append(verdict)
+        assert _observed(stack, disk) == before, (step, op)
+    assert True in verdicts and False in verdicts
+
+
+def _pending_block(dfs):
+    """A parity-trusted DataNode, a slot, and the block stored there
+    whose pending term at that slot is the stored object itself."""
+    for datanode in dfs._parity_trusted():
+        pending = datanode.lstors.primary._pending
+        for (sc_id, slot), name in datanode._block_at.items():
+            stored = datanode._contents[name]
+            if pending.get(slot, {}).get(datanode.shard_index_of(sc_id)) is stored:
+                return datanode, slot, name
+    raise AssertionError("no pending term")
+
+
+@pytest.mark.parametrize("mutant", ["accumulator byte", "pending term", "stored slot"])
+def test_parity_checks_reject_each_mutant(mutant):
+    """On a bytes cluster after writes and a rewrite, both the
+    cancelling ``verify_parity`` and the folding oracle pass, and each
+    reject one flipped accumulator byte, one pending term swapped for
+    another mint, and one stored block replaced by an adopted copy with
+    one flipped byte."""
+    dfs = build_cluster(5)
+
+    def body():
+        yield from dfs.clients[0].write_file("/f", 4 * dfs.config.block_size)
+        yield from dfs.clients[1].rewrite_file("/f")
+
+    dfs.sim.run_process(body())
+    dfs.verify_parity()
+    folding_verify_parity(pickle.loads(pickle.dumps(dfs)))
+    datanode, slot, name = _pending_block(dfs)
+    lstor = datanode.lstors.primary
+    if mutant == "accumulator byte":
+        datanode.lstors.parity_block(slot)  # fold: the slot gets an accumulator
+        dfs.verify_parity()
+        _flip_accumulator(lstor, slot)
+    elif mutant == "pending term":
+        pending = lstor._pending[slot]
+        for shard, term in pending.items():
+            if term is datanode._contents[name]:
+                pending[shard] = dfs.factory.make("another", 1, len(term))
+    else:
+        datanode._contents[name] = _flipped(datanode._contents[name])
+    with pytest.raises(LayoutError, match=f"{datanode.name} slot {slot}"):
+        dfs.verify_parity()
+    with pytest.raises(LayoutError, match=f"{datanode.name} slot {slot}"):
+        folding_verify_parity(dfs)
 
 
 # ----------------------------------------------------------------------

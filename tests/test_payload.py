@@ -18,6 +18,8 @@ from repro.storage.payload import (
     TokenPayload,
     _is_safely_immutable,
     _stable_seed,
+    cancel_equal_pairs,
+    xor_matches,
 )
 
 
@@ -142,6 +144,40 @@ def _every_constructor():
     }
 
 
+def test_verifier_reads_leave_a_mint_unmade():
+    """A mint keeps its spec as its identity after the draw: ``==``
+    answers two mints of one spec (drawn or not) without reading, and
+    compares bytes otherwise; ``checksum()`` caches only the CRC."""
+    factory = ContentFactory(seed=7)
+    a, b = factory.make("blk", 1, 64), factory.make("blk", 1, 64)
+    assert a == b and a._data is None and b._data is None
+    b.data
+    assert b._spec is None and b._mint == a._mint and a == b and a._data is None
+    same = BytesPayload(b.data.tobytes())
+    flipped = bytearray(b.data.tobytes())
+    flipped[63] ^= 1
+    assert a == same and a != BytesPayload(bytes(flipped)) and a._data is None
+    assert a != factory.make("blk", 2, 64) and a._data is None
+    assert a.checksum() == b.checksum() and a._crc is not None and a._data is None
+
+
+def test_cancel_equal_pairs_and_xor_matches():
+    """Pairs of one object or of one mint spec cancel and known zeros
+    drop, reading nothing; what is left is compared by its bytes."""
+    factory = ContentFactory(seed=7)
+    a, b = factory.make("a", 1, 16), factory.make("b", 1, 16)
+    copy = BytesPayload(factory.make("a", 1, 16).data.tobytes())
+    zero = factory.zero(16)
+    left = cancel_equal_pairs([a, b, zero, factory.make("a", 1, 16), copy, copy, b, b])
+    assert left == [b] and left[0] is b and a._data is None and b._data is None
+    assert cancel_equal_pairs([a, copy]) == [a, copy]  # equal bytes, no proof
+    accum = factory.make("a", 1, 16).data ^ factory.make("b", 1, 16).data
+    assert xor_matches(accum, [a, b]) and xor_matches(None, [])
+    assert not xor_matches(accum, [a]) and not xor_matches(None, [a])
+    assert xor_matches(None, cancel_equal_pairs([a, copy]))
+    assert a._data is None and b._data is None  # read through temporaries
+
+
 def test_mint_pickles_as_its_spec_until_drawn():
     """An unmade mint travels as ``(seed, length)``, a made one as bytes;
     both come back with the same content."""
@@ -152,7 +188,7 @@ def test_mint_pickles_as_its_spec_until_drawn():
     thawed = pickle.loads(blob)
     assert thawed._data is None and thawed._spec == cold._spec
     drawn = factory.make("blk_0001", 3, 65536)
-    drawn.checksum()
+    drawn.data
     again = pickle.loads(pickle.dumps(drawn))
     assert again._spec is None and again._data is not None
     assert thawed == again == drawn and again.checksum() == drawn.checksum()

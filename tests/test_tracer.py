@@ -247,6 +247,21 @@ def test_summarize_aggregates_by_category_and_name():
     assert table["fault.disk_fail"]["count"] == 1
 
 
+def test_summary_folds_counter_tracks_into_one_row_per_category():
+    """Counter events are one row per category with its track count,
+    not one row per track."""
+    tracer = _sample_tracer()
+    tracer.count("journal", "n1", 2.5, 1)
+    tracer.count("journal", "n0", 3.0, 4)
+    table = summarize(tracer.events)
+    assert table["journal"] == {
+        "phase": "C", "count": 3, "total_s": 0.0, "max_s": 0.0, "tracks": 2,
+    }
+    assert not any(key.startswith("journal.") for key in table)
+    rendered = render_summary(tracer.events)
+    assert "journal (2 counter tracks)" in rendered and "journal." not in rendered
+
+
 # ----------------------------------------------------------------------
 # Recovery breakdowns on a real cluster.
 # ----------------------------------------------------------------------
