@@ -12,10 +12,13 @@ fixed per-node working set and reports, per replication scheme:
 
 The sweep leans on the incremental fair-share solver and on placement
 that reads the writer's own slot tables and a per-disk load tally: at
-256 nodes a write burst keeps hundreds of flows in flight, and both cost
-what a burst touches rather than the cluster size (DESIGN.md section
-7.5).  HDFS-3 placement reads each DataNode's health once per block, the
-floor of a bit-exact stock policy.
+256 nodes an HDFS-3 write burst is one component of about a thousand
+flows, and every finished block pipeline re-solves it.  A departure
+resumes the component's last solve from the earliest round it changed,
+so the 256-node write's 375 solves take about 30k filling steps rather
+than 240k (DESIGN.md section 7.5).  Stock HDFS-3 placement, which reads
+every DataNode's health and shuffles twice per block, is now that
+point's largest cost: the floor of a bit-exact stock policy.
 
 Each point is one task: a RAIDP point ingests and then fails its worst
 pair on the same live cluster, so no cluster is pickled between phases.

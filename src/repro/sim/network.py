@@ -25,7 +25,10 @@ to bytes transferred or to the square of the flow count.
 
 A re-solve runs progressive filling off a heap of per-port offers, so
 it costs the flows it freezes rather than a scan of every port per
-round.
+round.  Every solve leaves a log on the flows it rated, and a
+re-solve after departures alone resumes it from the earliest round a
+departed flow froze in: the rounds before it are what a fresh solve
+would repeat, bit for bit.
 
 The rebuild-the-world *reference* allocator (bank every flow and
 re-solve the whole topology on every event) and the scan-every-port
@@ -48,7 +51,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro import units
 from repro.errors import SimulationError
@@ -128,6 +131,7 @@ class _Flow:
         "deadline",
         "finished",
         "threshold",
+        "log",
     )
 
     def __init__(
@@ -161,6 +165,38 @@ class _Flow:
         # cannot strand a flow.  Precomputed -- it is consulted on every
         # bank of every flow.
         self.threshold = max(1e-6, self.total * 1e-12)
+        self.log: Optional[_SolveLog] = None  # the solve that rated it
+
+
+class _SolveLog:
+    """What one progressive-filling solve leaves on the flows it rated,
+    so that a re-solve of the same flows less departures can resume it
+    (:meth:`Switch._resume`).
+
+    ``capacity`` holds each port's capacity at round 0;
+    ``remaining_cap`` and ``load`` are the filling state (every load is
+    0 once the solve is done).  ``undo`` is one flat list:
+    per round, a ``port, previous remaining_cap`` pair for every charge,
+    then the round's start offset, its frozen flows and its bottleneck.
+    ``size`` counts the flows rated, ``departed`` those retired since.
+    """
+
+    __slots__ = ("size", "capacity", "remaining_cap", "load", "undo", "departed")
+
+    def __init__(self, size: int) -> None:
+        self.size = size
+        self.capacity: Dict[_Port, float] = {}
+        self.remaining_cap: Dict[_Port, float] = {}
+        self.load: Dict[_Port, int] = {}
+        self.undo: List[Any] = []
+        self.departed: List[_Flow] = []
+
+
+#: A filling loop's start: its log, the offer heap, the flows to freeze
+#: and each racing port's first-seen key.
+_FillStart = Tuple[
+    _SolveLog, List[Tuple[float, int, int, _Port]], Set[_Flow], Dict[_Port, int]
+]
 
 
 class Stage:
@@ -728,6 +764,10 @@ class Switch(InlineState):
         """Drop a finished flow from the global and per-port registries."""
         flow.finished = True
         del self._flows[flow]
+        log = flow.log
+        if log is not None:
+            log.departed.append(flow)
+            flow.log = None
         disk_run = flow.disk if isinstance(flow, Transfer) else None
         if disk_run is not None:
             self._settle_disk(self._disk_ports[disk_run.disk], self.sim.now)
@@ -775,50 +815,123 @@ class Switch(InlineState):
 
         ``flows`` is closed under port sharing (a connected component),
         so the computed rates equal what global progressive filling
-        would assign these flows.
+        would assign these flows.  The filling resumes the flows' log
+        when it can (:meth:`_resume`) and starts at round 0 otherwise.
         """
         if not flows:
             return
         self.solves += 1
-        remaining_cap: Dict[_Port, float] = {}
-        load: Dict[_Port, int] = {}
+        start = self._resume(flows)
+        if start is None:
+            start = self._fresh(flows)
+        self._fill(*start, now)
+
+    def _fresh(self, flows: List[_Flow]) -> _FillStart:
+        """Round 0: every port at its capacity, every flow unfrozen, and
+        ports keyed in the order the seq-ordered scan first meets them."""
+        log = _SolveLog(len(flows))
+        remaining_cap, load = log.remaining_cap, log.load
         for flow in flows:
+            flow.log = log
             for port in flow.ports:
-                if port not in remaining_cap:
+                if port in load:
+                    load[port] += 1
+                else:
                     remaining_cap[port] = port.capacity
                     load[port] = 1
-                else:
-                    load[port] += 1
-        self._fill(flows, remaining_cap, load, now)
-
-    def _fill(
-        self,
-        flows: List[_Flow],
-        remaining_cap: Dict[_Port, float],
-        load: Dict[_Port, int],
-        now: float,
-    ) -> None:
-        """Heap-driven progressive filling.
-
-        Each round freezes the flows of the port offering the smallest
-        fair share ``remaining_cap / load``; on equal offers the port
-        seen first in the seq-ordered flow scan wins, which is ``load``'s
-        insertion order.  One heap entry per port is keyed ``(offer,
-        first-seen index)`` and a fresh one is pushed whenever a freeze
-        takes a flow off the port.  A port's load only ever decreases,
-        so an entry is live iff the load it was pushed with is still the
-        port's load -- older ones are skipped on pop.  A round thus
-        costs its frozen flows (plus a log factor), not a scan over
-        every port and every unfrozen flow.
-        """
+        log.capacity = dict(remaining_cap)
         first_seen = {port: index for index, port in enumerate(load)}
         heap = [
             (remaining_cap[port] / port_load, first_seen[port], port_load, port)
             for port, port_load in load.items()
         ]
+        return log, heap, set(flows), first_seen
+
+    def _resume(self, flows: List[_Flow]) -> Optional[_FillStart]:
+        """The state a fresh solve of ``flows`` reaches at the round the
+        earliest departed flow froze in, from the flows' log; ``None``
+        unless ``flows`` are that log's flows less the departed ones, at
+        the capacities it was solved at.
+
+        Exact: until that round every departed flow is unfrozen, so its
+        ports offer no less without it (and meet ties no earlier), and
+        every earlier round pops the same port at the same share and
+        charges the same ports in the same order.  Loads come back as
+        deltas: a kept round's loads still count departed flows.  A port
+        below zero remaining capacity would offer less: round 0.  The
+        racing ports are keyed ``seq * 8`` plus their place in the
+        ``ports`` of their first flow (a flow crosses at most five): the
+        order the new component's scan meets them in.
+        """
+        log = flows[0].log
+        if log is None or len(flows) + len(log.departed) != log.size:
+            return None
+        for flow in flows:
+            if flow.log is not log:
+                return None
+        for port, capacity in log.capacity.items():
+            if port.flows and port.capacity != capacity:
+                return None
+        remaining_cap, load, undo = log.remaining_cap, log.load, log.undo
+        refill: List[_Flow] = []
+        left = len(log.departed)
+        while left:
+            bottleneck = undo.pop()
+            frozen: List[_Flow] = undo.pop()
+            start = undo.pop()
+            load[bottleneck] += len(frozen)
+            for index in range(len(undo) - 2, start - 1, -2):
+                port = undo[index]
+                remaining_cap[port] = undo[index + 1]
+                load[port] += 1
+            del undo[start:]
+            for flow in frozen:
+                if flow.finished:
+                    left -= 1
+                else:
+                    refill.append(flow)
+        for flow in log.departed:
+            for port in flow.ports:
+                load[port] -= 1
+                if port.flows and remaining_cap[port] < 0:
+                    return None
+        log.size = len(flows)
+        log.departed = []
+        first_seen: Dict[_Port, int] = {}
+        for flow in refill:
+            for port in flow.ports:
+                if port not in first_seen:
+                    first = next(iter(port.flows))
+                    first_seen[port] = (first.seq << 3) + first.ports.index(port)
+        heap = [
+            (remaining_cap[port] / load[port], key, load[port], port)
+            for port, key in first_seen.items()
+        ]
+        return log, heap, set(refill), first_seen
+
+    def _fill(
+        self,
+        log: _SolveLog,
+        heap: List[Tuple[float, int, int, _Port]],
+        unfrozen: Set[_Flow],
+        first_seen: Dict[_Port, int],
+        now: float,
+    ) -> None:
+        """Heap-driven progressive filling from ``heap``, logged in ``log``.
+
+        Each round freezes the flows of the port offering the smallest
+        fair share ``remaining_cap / load``; on equal offers the port
+        seen first in the seq-ordered flow scan wins.  One heap entry
+        per port is keyed ``(offer, first-seen key)`` and a fresh one is
+        pushed whenever a freeze takes a flow off the port.  A port's
+        load only ever decreases, so an entry is live iff the load it
+        was pushed with is still the port's load -- older ones are
+        skipped on pop.  A round thus costs its frozen flows (plus a log
+        factor), not a scan over every port and every unfrozen flow.
+        """
+        remaining_cap, load, undo = log.remaining_cap, log.load, log.undo
         heapq.heapify(heap)
         steps = len(heap)
-        unfrozen = set(flows)
         while unfrozen:
             _offer, _index, pushed_load, bottleneck = heapq.heappop(heap)
             if load[bottleneck] != pushed_load:
@@ -833,28 +946,29 @@ class Switch(InlineState):
             frozen_now = [flow for flow in bottleneck.flows if flow in unfrozen]
             load[bottleneck] = 0  # all of its flows freeze: out of the race
             steps += len(frozen_now)
+            start = len(undo)
             for flow in frozen_now:
                 for other in flow.ports:
                     if other is bottleneck:
                         continue
-                    remaining_cap[other] -= share
+                    cap = remaining_cap[other]
+                    undo.append(other)
+                    undo.append(cap)
+                    cap = remaining_cap[other] = cap - share
                     other_load = load[other] = load[other] - 1
                     if other_load > 0:
                         steps += 1
                         heapq.heappush(
-                            heap,
-                            (
-                                remaining_cap[other] / other_load,
-                                first_seen[other],
-                                other_load,
-                                other,
-                            ),
+                            heap, (cap / other_load, first_seen[other], other_load, other)
                         )
                 unfrozen.discard(flow)
                 if isinstance(flow, Transfer):
                     self._set_rate(flow, flow.pace(share, bottleneck, now), now)
                 else:
                     self._set_rate(flow, share, now)
+            undo.append(start)
+            undo.append(frozen_now)
+            undo.append(bottleneck)
         self.fill_steps += steps
 
     def _set_rate(self, flow: _Flow, rate: float, now: float) -> None:

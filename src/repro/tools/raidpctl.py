@@ -18,7 +18,7 @@ from __future__ import annotations
 import argparse
 import sys
 from math import fsum
-from typing import Any, Dict, Generator, List, Optional, Sequence
+from typing import Any, Dict, Generator, List, Optional, Sequence, Tuple
 
 from repro import units
 from repro.analysis.cost import DatacenterCostModel, LstorBom, ServerExample
@@ -246,51 +246,60 @@ KEY_TRACKS = (
 )
 
 
-def sparkline(values: Sequence[float], width: int = 40) -> str:
-    """Downsample ``values`` into ``width`` glyph buckets.
-
-    Buckets average their samples (``fsum``, determinism) and the ramp
-    normalizes min..max; a flat series renders as the lowest glyph.
-    """
-    if not values:
-        return ""
-    values = list(values)
-    if len(values) > width:
-        buckets = []
-        for index in range(width):
-            lo = index * len(values) // width
-            hi = max(lo + 1, (index + 1) * len(values) // width)
-            chunk = values[lo:hi]
-            buckets.append(fsum(chunk) / len(chunk))
-        values = buckets
-    low = min(values)
-    high = max(values)
-    span = high - low
-    if span <= 0:
-        return _SPARK_BLOCKS[0] * len(values)
+def sparkline(cells: Sequence[Optional[float]]) -> str:
+    """One glyph per cell, the ramp normalized min..max over the cells
+    that hold a value; a cell without one (``None``) stays blank, and a
+    flat series renders as the lowest glyph."""
+    present = [cell for cell in cells if cell is not None]
+    if not present:
+        return " " * len(cells)
+    low = min(present)
+    span = max(present) - low
     ramp = len(_SPARK_BLOCKS) - 1
     return "".join(
-        _SPARK_BLOCKS[int((value - low) / span * ramp + 0.5)] for value in values
+        " " if cell is None
+        else _SPARK_BLOCKS[int((cell - low) / span * ramp + 0.5) if span > 0 else 0]
+        for cell in cells
     )
+
+
+def time_cells(
+    samples: Sequence[Tuple[float, float]], start: float, end: float, width: int
+) -> List[Optional[float]]:
+    """``(ts, value)`` samples placed on a ``width``-cell time axis from
+    ``start`` to ``end``: each cell averages the samples that fall in it
+    (``fsum``, determinism) and is ``None`` when none does."""
+    buckets: List[List[float]] = [[] for _ in range(width)]
+    span = end - start
+    for ts, value in samples:
+        cell = min(width - 1, int((ts - start) / span * width)) if span > 0 else 0
+        buckets[cell].append(value)
+    return [fsum(bucket) / len(bucket) if bucket else None for bucket in buckets]
 
 
 def render_recorder(events: List[TraceEvent], metadata: Dict[str, Any]) -> List[str]:
     """The flight-recorder section: per run, one sparkline per key
-    telemetry track; then the verdict the producer stored as metadata."""
-    tracks: Dict[int, Dict[str, List[float]]] = {}
+    telemetry track, every track on the run's one time axis of up to
+    40 cells (a cell with no sample of the track is blank); then the
+    verdict the producer stored as metadata."""
+    tracks: Dict[int, Dict[str, List[Tuple[float, float]]]] = {}
     for event in events:
         if event.phase == "C" and event.category == "telemetry" and event.attrs:
             per_run = tracks.setdefault(event.run, {})
-            per_run.setdefault(event.name, []).append(event.attrs["value"])
+            per_run.setdefault(event.name, []).append((event.ts, event.attrs["value"]))
     lines: List[str] = []
     for run, series in sorted(tracks.items()):
-        ticks = max(len(values) for values in series.values())
+        stamps = [ts for samples in series.values() for ts, _value in samples]
+        ticks = len(set(stamps))
+        start, end = min(stamps), max(stamps)
         lines += ["", f"flight recorder run={run}: {len(series)} tracks x {ticks} ticks"]
         for name in KEY_TRACKS:
-            values = series.get(name)
-            if values:
+            samples = series.get(name)
+            if samples:
+                values = [value for _ts, value in samples]
+                cells = time_cells(samples, start, end, min(40, ticks))
                 lines.append(
-                    f"  {name:<20} {sparkline(values)}  "
+                    f"  {name:<20} {sparkline(cells)}  "
                     f"min {min(values):.4g}  max {max(values):.4g}"
                 )
     if "ok" in metadata:

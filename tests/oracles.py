@@ -178,18 +178,37 @@ def estimate(disk, offset, nbytes):
     return duration
 
 
+class FullSolveSwitch(Switch):
+    """The production switch with the resume disabled: every solve
+    fills from round 0 (``Switch._fresh``), so a departure re-solves
+    its whole component.  Held to production with ``==``."""
+
+    def _resume(self, flows):
+        return None
+
+
 class ScanFillSwitch(Switch):
     """The exact-arithmetic oracle for heap-driven filling.
 
-    Progressive filling as a plain scan: every round takes ``min()`` over
-    all ports still carrying unfrozen flows (first port in scan order on
-    ties) and filters every unfrozen flow against the bottleneck.  Same
-    floats, same ``_set_rate`` order as production's heap -- compared
-    with ``==`` -- at O(rounds x (ports + flows)) per solve, which the
-    work counters show.
+    Every solve fills from round 0 as a plain scan: each round takes
+    ``min()`` over all ports still carrying unfrozen flows (first port
+    in scan order on ties) and filters every unfrozen flow against the
+    bottleneck.  Same floats, same ``_set_rate`` order as production's
+    heap -- compared with ``==`` -- at O(rounds x (ports + flows)) per
+    solve, which the work counters show.
     """
 
-    def _fill(self, flows, remaining_cap, load, now):
+    def _solve(self, flows, now):
+        if not flows:
+            return
+        self.solves += 1
+        remaining_cap, load = {}, {}
+        for flow in flows:
+            for port in (flow.src_port, flow.dst_port):
+                if port not in load:
+                    remaining_cap[port] = port.capacity
+                    load[port] = 0
+                load[port] += 1
         unfrozen = dict.fromkeys(flows)
         while unfrozen:
             racing = [port for port in load if load[port] > 0]

@@ -299,8 +299,10 @@ def test_soak_series_names_and_sampled_rows_are_pinned():
     soak's 243 series (named here from the cluster's components, not
     from the reader) and a float-hex digest of its 61 sampled rows, as
     measured before the registry of views was replaced by the reader,
-    then re-pinned once when empty histogram windows stopped writing
-    percentiles of 0.0 (b5f99c0e...)."""
+    then re-pinned when empty histogram windows stopped writing
+    percentiles of 0.0 (b5f99c0e...) and when departures began resuming
+    the fair-share solve, which moved only ``net_fill_steps_total``
+    (5c273ded...)."""
     import hashlib
 
     from repro.tools.chaos import build_cluster, run_chaos
@@ -344,7 +346,7 @@ def test_soak_series_names_and_sampled_rows_are_pinned():
         digest.update(b"\n")
     assert len(ticks) == 61
     assert digest.hexdigest() == (
-        "5c273ded963b6da92e18feeb8a843c5097b6edb9d3632407f57211d3a7f2f453"
+        "9f13c3efb6828c260f8fc96635f92c7783f6de391dbd4653b244473f2187bfc7"
     )
 
 
@@ -536,6 +538,16 @@ def test_sparkline_shape():
     assert sparkline([]) == ""
     flat = sparkline([3.0, 3.0, 3.0])
     assert len(flat) == 3 and len(set(flat)) == 1
-    ramp = sparkline(list(range(16)), width=8)
-    assert len(ramp) == 8
-    assert ramp[0] == "▁" and ramp[-1] == "█"
+    assert sparkline([float(value) for value in range(8)]) == "▁▂▃▄▅▆▇█"
+    assert sparkline([None, 1.0, None, 2.0]) == " ▁ █"
+    assert sparkline([None, None]) == "  "
+
+
+def test_time_cells_average_by_time_and_leave_gaps_blank():
+    from repro.tools.raidpctl import time_cells
+
+    samples = [(0.5 * tick, float(tick)) for tick in range(16)]
+    assert time_cells(samples, 0.0, 7.5, 8) == [0.5, 2.5, 4.5, 6.5, 8.5, 10.5, 12.5, 14.5]
+    # Two samples early, none after: the tail is blank, not stretched.
+    assert time_cells(samples[:2], 0.0, 7.5, 4) == [0.5, None, None, None]
+    assert time_cells([(3.0, 2.0)], 3.0, 3.0, 1) == [2.0]

@@ -12,7 +12,10 @@ bugfixes and the churn event budget.
 Heap-driven filling is additionally held *bitwise* to the
 scan-every-port loop it replaced (:class:`tests.oracles.ScanFillSwitch`)
 on large all-ties components and on churning reconstruction stars, and
-to a work budget linear in the size of what each solve touches.
+to a work budget linear in the size of what each solve touches.  The
+same histories (and one where a disk dies under a stream body) hold a
+departure's resumed solve to a full re-solve from round 0
+(:class:`tests.oracles.FullSolveSwitch`) with ``==``.
 """
 
 import random
@@ -20,14 +23,15 @@ import random
 import pytest
 
 from repro import units
+from repro.sim.disk import Disk, DiskRun
 from repro.sim.engine import Simulator
-from repro.sim.network import Nic, Switch
-from tests.oracles import ReferenceSwitch, ScanFillSwitch, flow_rates
+from repro.sim.network import Nic, Stage, Switch
+from tests.oracles import FullSolveSwitch, ReferenceSwitch, ScanFillSwitch, flow_rates
 
 GBPS = units.gbps(1)
 
 
-SOLVERS = {"incremental": Switch, "reference": ReferenceSwitch}
+SOLVERS = {"incremental": Switch, "full": FullSolveSwitch, "reference": ReferenceSwitch}
 
 
 def _build(solver, rates):
@@ -86,18 +90,24 @@ def _replay(solver, rates, script):
         (n.stats.bytes_sent, n.stats.bytes_received, n.stats.flows_started, n.stats.flows_finished)
         for n in nics
     ]
-    return snapshots, stats, sim.now
+    return snapshots, stats, sim.now, (switch.solves, switch.deadline_pushes, sim._seq)
 
 
 @pytest.mark.parametrize("seed", range(8))
 def test_randomized_differential_incremental_vs_reference(seed):
+    """Seed 0 is the history that tells loads restored as deltas from
+    loads restored as absolute values (which still count departed
+    flows) when a departure resumes a solve."""
     rng = random.Random(seed)
     num_nics = rng.randrange(3, 9)
     rates = [rng.choice([GBPS, 2 * GBPS, 10 * GBPS]) for _ in range(num_nics)]
     script = _random_script(rng, num_nics, num_ops=40)
 
-    inc_snaps, inc_stats, inc_end = _replay("incremental", rates, script)
-    ref_snaps, ref_stats, ref_end = _replay("reference", rates, script)
+    incremental = _replay("incremental", rates, script)
+    # Resuming solves moves no rate, byte, instant, solve, push or event.
+    assert _replay("full", rates, script) == incremental
+    inc_snaps, inc_stats, inc_end, _work = incremental
+    ref_snaps, ref_stats, ref_end, _work = _replay("reference", rates, script)
 
     assert len(inc_snaps) == len(ref_snaps)
     for (t_inc, flows_inc), (t_ref, flows_ref) in zip(inc_snaps, ref_snaps):
@@ -373,22 +383,28 @@ def _replay_pipelines(switch_cls, num_nics, script):
     sim.process(driver())
     sim.run()
     assert len(switch._flows) == 0
-    return snapshots, completions, switch._push_seq, sim.now, sim._seq
+    return (
+        snapshots, completions, switch.solves, switch._push_seq, sim.now, sim._seq,
+    ), switch.fill_steps
 
 
 @pytest.mark.parametrize("num_nics,seed", [(64, 0), (64, 1), (128, 2), (256, 3)])
 def test_heap_filling_is_bitwise_the_scan_loop(num_nics, seed):
     script = _pipeline_script(random.Random(seed), num_nics, num_ops=120)
-    heap = _replay_pipelines(Switch, num_nics, script)
-    scan = _replay_pipelines(ScanFillSwitch, num_nics, script)
+    heap, heap_steps = _replay_pipelines(Switch, num_nics, script)
+    full, full_steps = _replay_pipelines(FullSolveSwitch, num_nics, script)
+    scan, _steps = _replay_pipelines(ScanFillSwitch, num_nics, script)
     # ``==`` throughout: rates and remaining bytes at every step, the
-    # completion order with times and durations, the number of deadline
-    # pushes (one per _set_rate that changed a rate), the end instant and
-    # the engine's event count.
+    # completion order with times and durations, the solves, the number
+    # of deadline pushes (one per _set_rate that changed a rate), the
+    # end instant and the engine's event count.
     for (t_heap, rows_heap), (t_scan, rows_scan) in zip(heap[0], scan[0]):
         assert t_heap == t_scan
         assert rows_heap == rows_scan
     assert heap == scan
+    # Resumed departures: the same everything, for fewer filling steps.
+    assert heap == full
+    assert heap_steps < full_steps
 
 
 # ----------------------------------------------------------------------
@@ -526,10 +542,13 @@ def _replay_star(switch_cls, num_spokes, mode, hub_receives, seed, script):
 )
 def test_star_churn_agrees_with_the_oracles(num_spokes, mode, seed, hub_receives):
     script = _star_script(random.Random(seed), num_spokes, mode, num_ops=80)
-    heap, scan, reference = (
+    heap, full, scan, reference = (
         _replay_star(cls, num_spokes, mode, hub_receives, seed, script)
-        for cls in (Switch, ScanFillSwitch, ReferenceSwitch)
+        for cls in (Switch, FullSolveSwitch, ScanFillSwitch, ReferenceSwitch)
     )
+    # Full re-solves: ``==`` on everything, for no fewer filling steps.
+    assert heap["fill_steps"] <= full["fill_steps"]
+    del full["fill_steps"]
     # The scan loop: ``==`` throughout -- rates and remaining bytes at
     # every step, then completion order with times and durations,
     # deadline pushes, solve count, the end instant and the engine's
@@ -542,6 +561,7 @@ def test_star_churn_agrees_with_the_oracles(num_spokes, mode, seed, hub_receives
         assert rows_heap == rows_scan
     del heap["fill_steps"], scan["fill_steps"]
     assert heap == scan
+    assert heap == full
     # The brute-force reference solves more often and may round a tie
     # the other way: the same rates and completions, to a relative 1e-9.
     assert len(reference["snapshots"]) == len(heap["snapshots"])
@@ -630,11 +650,14 @@ def _replica_burst_ledger(base):
         hops = [head] + rng.sample([i for i in range(num_nics) if i != head], 3)
         for src, dst in zip(hops, hops[1:]):
             switch.transfer(nics[src], nics[dst], 8 * units.MiB)
+    completions = [flow.done for flow in switch._flows]
     sim.run()
     assert len(switch._flows) == 0
     assert switch.solves == len(switch.ledger)
     assert switch.fill_steps == sum(steps for _f, _p, steps in switch.ledger)
-    return switch.ledger
+    return switch.ledger, (
+        [done.value for done in completions], switch._push_seq, sim.now, sim._seq,
+    )
 
 
 def test_filling_work_budget_is_linear_per_solve():
@@ -646,12 +669,97 @@ def test_filling_work_budget_is_linear_per_solve():
     a 768-flow replication burst and its drain; the scan loop -- an
     offer per racing port per round -- must overshoot it, or the budget
     is not measuring the thing this test is named for.
+
+    A departure resumes the solve it left rather than filling from
+    round 0: the drain's 117 solves take 155,423 steps as full
+    re-solves (``FullSolveSwitch``) and what is pinned here resumed,
+    with every completion, push and event equal.
     """
-    ledger = _replica_burst_ledger(Switch)
+    ledger, outcome = _replica_burst_ledger(Switch)
     assert max(flows for flows, _p, _s in ledger) >= 700  # one big component
     for flows, ports, steps in ledger:
         assert steps <= 2 * (flows + ports), (flows, ports, steps)
-    scan = _replica_burst_ledger(ScanFillSwitch)
+    full, full_outcome = _replica_burst_ledger(FullSolveSwitch)
+    assert full_outcome == outcome
+    assert [row[:2] for row in full] == [row[:2] for row in ledger]
+    assert len(ledger) == 117
+    assert sum(s for *_r, s in full) == 155_423
+    assert sum(s for *_r, s in ledger) == 6_962
+    scan, _outcome = _replica_burst_ledger(ScanFillSwitch)
     assert [row[:2] for row in scan] == [row[:2] for row in ledger]
     assert any(steps > 2 * (flows + ports) for flows, ports, steps in scan)
     assert sum(s for *_r, s in scan) > 10 * sum(s for *_r, s in ledger)
+
+
+# ----------------------------------------------------------------------
+# A disk dies under a stream body between two departures.
+# ----------------------------------------------------------------------
+def _cut_history(switch_cls):
+    """Bodies on a shared disk, a lone-run disk and a bounded stage,
+    plus plain flows, into one hub.  A plain flow leaves, then the lone
+    disk dies (``Switch._cut`` retires its body mid-run), then the rest
+    drain; the stage is held once in between."""
+    sim = Simulator()
+    switch = switch_cls(sim)
+    rate = units.gbps(10)
+    hub = switch.attach(Nic("hub", rate))
+    spokes = [switch.attach(Nic(f"s{i}", rate)) for i in range(7)]
+    shared, lone = Disk(sim, name="shared"), Disk(sim, name="lone")
+    stage = Stage("bus", 300 * units.MB)
+    chunk = 4 * units.MiB
+    outcomes, snapshots = [], []
+
+    def watch(name, done):
+        def record(event):
+            failure = event._exception
+            outcomes.append(
+                (name, sim.now, type(failure).__name__ if failure else event.value)
+            )
+
+        done.add_callback(record)
+
+    bodies = [
+        ("near", switch.stream(spokes[0], hub, 40 * chunk, chunk, 0.0,
+                               disk=DiskRun(shared, "read", 0))),
+        ("far", switch.stream(spokes[1], hub, 30 * chunk, chunk, 0.0,
+                              disk=DiskRun(shared, "read", units.TB))),
+        ("cut", switch.stream(spokes[2], hub, 60 * chunk, chunk, 0.002,
+                              disk=DiskRun(lone, "read", 0))),
+        ("bus", switch.stream(spokes[3], hub, 20 * chunk, chunk, 0.001, shared=stage)),
+    ]
+    for name, body in bodies:
+        watch(name, body.done)
+    for index, nbytes in ((4, 8 * units.MiB), (5, 90 * units.MiB), (6, 200 * units.MiB)):
+        watch(f"s{index}", switch.transfer(spokes[index], hub, nbytes))
+
+    def driver():
+        for at, act in (
+            (0.05, lambda: None),
+            (0.2, lambda: lone.fail()),
+            (0.25, lambda: switch.hold_stage(stage, True)),
+            (0.27, lambda: switch.hold_stage(stage, False)),
+            (0.6, lambda: None),
+        ):
+            yield sim.timeout(at - sim.now)
+            act()
+            snapshots.append((sim.now, flow_rates(switch), list(outcomes)))
+
+    sim.process(driver())
+    sim.run()
+    assert len(switch._flows) == 0
+    bounds = [body.bound for _name, body in bodies]
+    return (
+        snapshots, outcomes, bounds, shared.stats.bytes_read, lone.stats.bytes_read,
+        switch.solves, switch._push_seq, sim.now, sim._seq,
+    ), switch.fill_steps
+
+
+def test_a_cut_between_departures_resumes_like_a_full_solve():
+    resumed, resumed_steps = _cut_history(Switch)
+    full, full_steps = _cut_history(FullSolveSwitch)
+    assert resumed == full
+    # The cut lands between the first departure and the next.
+    names = [name for name, _at, _value in resumed[1]]
+    assert names.index("s4") < names.index("cut") < names.index("s5")
+    assert ("cut", 0.2, "DiskFailedError") in resumed[1]
+    assert resumed_steps < full_steps

@@ -99,6 +99,27 @@ def test_trace_command_draws_the_flight_recorder_and_its_verdict(tmp_path, capsy
     assert ("PROBLEM: lost" in out) is not ok
 
 
+def test_trace_command_places_tracks_on_one_time_axis(tmp_path, capsys):
+    """A track that stops sampling halfway ends halfway: its cells past
+    its last sample are blank, not a shorter, denser line."""
+    from repro.obs.export import write_trace
+    from repro.obs.tracer import Tracer
+
+    tracer = Tracer()
+    tracer.register_run("soak")
+    for tick in range(1, 9):
+        tracer.count("telemetry", "blocks_at_risk", 0.5 * tick, float(tick))
+        if tick <= 4:
+            tracer.count("telemetry", "net_active_flows", 0.5 * tick, float(tick))
+    path = str(tmp_path / "soak.json")
+    write_trace(tracer, path)
+    assert main(["trace", path]) == 0
+    out = capsys.readouterr().out
+    assert "flight recorder run=0: 2 tracks x 8 ticks" in out
+    assert "  blocks_at_risk       ▁▂▃▄▅▆▇█  min 1  max 8\n" in out
+    assert "  net_active_flows     ▁▃▆█      min 1  max 4\n" in out
+
+
 def test_trace_command_category_filter(tmp_path, capsys):
     from repro.obs.export import write_trace
     from repro.obs.tracer import Tracer
