@@ -9,7 +9,6 @@
 - :mod:`repro.core.recovery` -- single- and double-failure recovery.
 """
 
-from repro.core.balancer import Balancer, BalanceReport
 from repro.core.client import RaidpClient
 from repro.core.cluster import RaidpCluster
 from repro.core.journal import Journal, JournalRecord, RecordState
@@ -19,11 +18,8 @@ from repro.core.monitor import ClusterMonitor, MonitorConfig
 from repro.core.node import RaidpConfig, RaidpDataNode
 from repro.core.placement import RaidpPlacement, SuperchunkMap
 from repro.core.recovery import RecoveryManager, RecoveryOptions, RecoveryReport
-from repro.core.scrubber import Scrubber, corrupt_block
 
 __all__ = [
-    "BalanceReport",
-    "Balancer",
     "ClusterMonitor",
     "RaidpClient",
     "Journal",
@@ -41,9 +37,7 @@ __all__ = [
     "RecoveryManager",
     "RecoveryOptions",
     "RecoveryReport",
-    "Scrubber",
     "Superchunk",
     "SuperchunkMap",
-    "corrupt_block",
     "rotational_layout",
 ]

@@ -20,10 +20,10 @@ Failure-lifecycle semantics (the hardened behavior):
 - the detector *spawns* recoveries as child processes, so a sweep is
   never blocked behind an in-flight recovery -- a second failure during
   a long rebuild is detected on schedule,
-- a revived node re-enters through :meth:`rejoin`: it re-registers,
-  sends a block report for reconciliation, has its orphaned/stale
-  replicas purged, and leaves the ``_handled`` quarantine so a *second*
-  failure of the same node is detectable again.
+- a revived node re-enters through :meth:`rejoin` once recovery has
+  re-homed its disk: it re-registers on wiped media, re-enters the
+  layout as an empty disk, and leaves the ``_handled`` quarantine so a
+  *second* failure of the same node is detectable again.
 """
 
 from __future__ import annotations
@@ -31,8 +31,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, Generator, List, Optional, Set, Tuple
 
+from repro.core.node import RaidpDataNode
 from repro.core.recovery import RecoveryManager, RecoveryOptions, RecoveryReport
 from repro.errors import ReproError
+from repro.faults import FaultError
 from repro.hdfs.config import ACK_SIZE
 from repro.hdfs.datanode import DataNode
 from repro.hdfs.namenode import healthy_datanode
@@ -259,43 +261,27 @@ class ClusterMonitor:
     # ------------------------------------------------------------------
     # Rejoin (the revival path).
     # ------------------------------------------------------------------
-    def rejoin(self, datanode: DataNode) -> Dict[str, List[str]]:
+    def rejoin(self, datanode: RaidpDataNode) -> Dict[str, List[str]]:
         """Readmit a revived DataNode (node restarted, disk replaced).
 
-        The HDFS re-registration protocol: the node comes back up, sends
-        a block report, and the NameNode reconciles it against the block
-        map.  Replicas that are still current are re-adopted; orphaned
-        and stale replicas are purged.  A node whose data was already
-        re-homed by recovery (its disk left the layout) restarts from
-        wiped media.  Either way the node leaves the ``_handled``
-        quarantine and its staleness clock restarts, so a *second*
-        failure is detectable.  Returns the reconciliation verdict.
+        Recovery must already have re-homed everything the disk held (the
+        disk left the layout): the node comes back on replaced, empty
+        media (fresh parity, clean journal) and re-enters the layout as
+        an empty disk, a legal receiver again.  It leaves the
+        ``_handled`` quarantine and its staleness clock restarts, so a
+        *second* failure is detectable.  Returns the verdict: the
+        ``orphans`` the wipe purged.  A rejoin that comes before
+        recovery re-homed the disk raises :class:`FaultError`.
         """
         name = datanode.name
+        layout = self.dfs.layout
+        if name in layout.disks:
+            raise FaultError(f"{name} rejoined before recovery re-homed its disk")
         datanode.alive = True
-        layout = getattr(self.dfs, "layout", None)
-        in_layout = layout is None or name in layout.disks
-        readopted: List[str] = []
-        orphans: List[str] = []
-        stale: List[str] = []
-        if in_layout:
-            held = datanode.block_report()
-            readopt = getattr(self.dfs.namenode, "readopt_replicas", None)
-            if readopt is not None:
-                readopted, orphans, stale = readopt(
-                    name, held, version_of=datanode.version_of
-                )
-            for block_name in list(orphans) + list(stale):
-                datanode.purge_block(block_name)
-        else:
-            # Recovery already re-homed everything this disk held; the
-            # replacement starts empty (fresh parity, clean journal) and
-            # re-enters the layout as an empty disk so it can legally
-            # receive superchunks again.
-            orphans = datanode.block_report()
-            datanode.wipe_storage()
-            layout.add_disk(name)
+        orphans = datanode.block_report()
+        datanode.wipe_storage()
+        layout.add_disk(name)
         self._handled.discard(name)
         self._last_heartbeat[name] = self.sim.now
         self.rejoined.append((self.sim.now, name))
-        return {"readopted": readopted, "orphans": orphans, "stale": stale}
+        return {"orphans": orphans}

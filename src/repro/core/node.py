@@ -602,12 +602,12 @@ class RaidpDataNode(DataNode):
         return partner
 
     # ------------------------------------------------------------------
-    # Rejoin cleanup.
+    # Remirror rollback and rejoin.
     # ------------------------------------------------------------------
     def purge_block(self, block_name: str) -> None:
         """Drop one replica and keep the local parity consistent.
 
-        Rejoin-time cleanup for orphaned/stale replicas: the parity
+        A remirror rolls a half-built copy back with this: the parity
         contribution of the dropped content is folded out (deferred-work
         accounting, charges no time) before the slot is unbound, so the
         surviving Lstor still matches the disk.

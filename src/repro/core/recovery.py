@@ -35,7 +35,7 @@ from repro import units
 from repro.core.cluster import RaidpCluster
 from repro.core.journal import RecordState
 from repro.core.node import RaidpDataNode
-from repro.errors import DataLossError, MatchingError, RecoveryError, ReproError
+from repro.errors import DataLossError, DfsError, MatchingError, RecoveryError, ReproError
 from repro.hdfs.block import BlockLocations
 from repro.hdfs.namenode import healthy_datanode
 from repro.matching.hungarian import DynamicHungarian
@@ -59,6 +59,9 @@ LOCK_OVERHEAD = 1.3 * units.MSEC
 STREAMING_BUS_SHARE = 0.75
 #: Chunks at or below this size XOR at the cached rate.
 CACHE_THRESHOLD = 8 * units.MiB
+#: How often a remirror looks again for a rewrite still landing on its
+#: sender (:meth:`RecoveryManager._remirror_superchunk`).
+LANDING_POLL = 1 * units.MSEC
 
 
 def chunk_xor_rate(chunk_size: int, cache_threshold: int = CACHE_THRESHOLD) -> float:
@@ -297,8 +300,7 @@ class RecoveryManager:
         report = RecoveryReport(failed_disks=tuple(dead))
         started = self.sim.now
         trace = self.sim.trace
-        # A dead disk recovery already evicted (e.g. a rejoined node
-        # dying again before the balancer re-admitted it) holds nothing:
+        # A dead disk an earlier recovery already evicted holds nothing:
         # only its liveness changes.
         present = [name for name in dead if layout.has_disk(name)]
         # Divert writes away from the dead disks' superchunks for the
@@ -420,11 +422,20 @@ class RecoveryManager:
                     locations.block.size,
                 )
                 yield self.sim.all_of([read, flow])
-                # Capture the content at install time and publish the new
-                # replica in the same instant: a rewrite landing on the
-                # sender mid-copy is resent (HDFS pipeline-recovery style),
-                # and one landing after this point already targets the
-                # receiver, so the copy can never go stale.
+                # A rewrite admitted before the receiver was published
+                # targets the sender alone: wait for it to land there, so
+                # the copy carries the version ``locations`` names and the
+                # sender's journal record awaits no ack from the receiver.
+                while src.version_of(block_name) < locations.version:
+                    if sender not in locations.datanodes or not healthy_datanode(src):
+                        raise DfsError(
+                            f"{sender} lost a rewrite of {block_name} mid-copy"
+                        )
+                    yield self.sim.timeout(LANDING_POLL)
+                # Capture the content and publish the new replica in the
+                # same instant: a rewrite admitted after this point
+                # already targets the receiver, so the copy cannot go
+                # stale.
                 payload = src.content_of(block_name)
                 dst.install_recovered_block(locations, payload)
                 if receiver not in locations.datanodes:

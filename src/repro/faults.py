@@ -23,9 +23,10 @@ Fault kinds and their semantics:
 ``node_restart``
     The crashed server comes back with replaced disks.  When the
     injector was given a monitor, each DataNode re-enters through
-    :meth:`~repro.core.monitor.ClusterMonitor.rejoin` (block report,
-    reconciliation, quarantine release); without one the DataNodes are
-    just marked alive again.
+    :meth:`~repro.core.monitor.ClusterMonitor.rejoin` (wiped media,
+    back into the layout, quarantine release), which refuses a restart
+    that comes before recovery re-homed the disk; without a monitor the
+    DataNodes are just marked alive again.
 ``nic_degrade``
     The target node's primary NIC runs at ``factor`` of its rates for
     ``duration`` seconds, then restores -- a transient link fault.
@@ -431,9 +432,9 @@ class LatentErrorModel:
     """Latent sector errors interacting with a periodic scrubber.
 
     Errors develop silently at ``rate_per_disk_year`` and are detected
-    and repaired by the scrub pass that next reads them (the
-    :class:`repro.core.scrubber.Scrubber` cadence).  What durability
-    cares about is the probability that a *rebuild* read -- issued at an
+    and repaired by the scrub pass that next reads them; the scrubber is
+    only this cadence (the simulator runs none).  What durability cares
+    about is the probability that a *rebuild* read -- issued at an
     effectively uniform point inside a scrub interval -- hits an error
     the scrubber has not cleaned yet: the classic rep-2 "second copy has
     a bad sector" loss path.

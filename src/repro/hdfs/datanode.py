@@ -63,11 +63,6 @@ class DataNode(InlineState):
         self.io_batch = io_batch or self.DEFAULT_IO_BATCH
         self._contents: Dict[str, Payload] = {}
         self._versions: Dict[str, int] = {}
-        # Checksum records (HDFS keeps a CRC file beside every block):
-        # the payload as stored, whose cached CRC is computed on first
-        # read.  Updated on store, *not* by media decay -- the scrubber's
-        # anchor.
-        self._checksums: Dict[str, Payload] = {}
         self.alive = True
         self.stats_blocks_written = 0
         self.stats_blocks_read = 0
@@ -86,14 +81,6 @@ class DataNode(InlineState):
     def store_content(self, block_name: str, payload: Payload, version: int) -> None:
         self._contents[block_name] = payload
         self._versions[block_name] = version
-        self._checksums[block_name] = payload
-
-    def content_checksum_ok(self, block_name: str) -> bool:
-        """Does the stored content still match its checksum record?"""
-        record = self._checksums.get(block_name)
-        if record is None:
-            return False
-        return self.content_of(block_name).checksum() == record.checksum()
 
     def content_of(self, block_name: str) -> Payload:
         try:
@@ -116,25 +103,14 @@ class DataNode(InlineState):
     def drop_content(self, block_name: str) -> None:
         self._contents.pop(block_name, None)
         self._versions.pop(block_name, None)
-        self._checksums.pop(block_name, None)
 
     def purge_block(self, block_name: str) -> None:
-        """Drop one replica without a locations record (rejoin cleanup:
-        orphaned or stale blocks flagged by the NameNode's block-report
-        reconciliation).  Charges no simulated time, like HDFS's lazy
-        deletion."""
+        """Drop one replica without a locations record (a remirror's
+        rollback when a stacked failure hits mid-copy).  Charges no
+        simulated time, like HDFS's lazy deletion."""
         self.drop_content(block_name)
         if self.fs.exists(block_name):
             self.fs.delete(block_name)
-
-    def wipe_storage(self) -> None:
-        """Model a replaced (empty) disk: forget every stored payload.
-
-        Used when a node rejoins after its data was re-homed elsewhere --
-        the revived DataNode starts from clean media.
-        """
-        for block_name in list(self._contents):
-            self.purge_block(block_name)
 
     # ------------------------------------------------------------------
     # Block file lifecycle hooks (overridden by RAIDP).

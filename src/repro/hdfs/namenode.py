@@ -275,41 +275,6 @@ class NameNode(InlineState):
                 dropped.append(name)
         self.pipeline_failures.append((locations.block.name, tuple(dropped)))
 
-    def readopt_replicas(
-        self, datanode_name: str, held: Iterable[str], version_of=None
-    ):
-        """Reconcile a *rejoining* DataNode's holdings with the block map.
-
-        The inverse of the death path: replicas the namespace still knows
-        about, at the current version, and still under-replicated, are
-        re-adopted into the block's locations.  Everything else the node
-        holds is returned for purging, split into ``orphans`` (blocks the
-        namespace no longer references, or already fully replicated
-        elsewhere) and ``stale`` (the block exists but was rewritten at a
-        newer version while the node was down).  Returns
-        ``(readopted, orphans, stale)`` as sorted block-name lists.
-        """
-        readopted: List[str] = []
-        orphans: List[str] = []
-        stale: List[str] = []
-        for block_name in held:
-            locations = self._blocks_by_name.get(block_name)
-            if locations is None:
-                orphans.append(block_name)
-                continue
-            if datanode_name in locations.datanodes:
-                readopted.append(block_name)
-                continue
-            if version_of is not None and version_of(block_name) != locations.version:
-                stale.append(block_name)
-                continue
-            if locations.replica_count >= self.config.replication:
-                orphans.append(block_name)
-                continue
-            locations.datanodes.append(datanode_name)
-            readopted.append(block_name)
-        return sorted(readopted), sorted(orphans), sorted(stale)
-
     def under_replicated(self) -> List[BlockLocations]:
         return [
             loc
@@ -320,31 +285,3 @@ class NameNode(InlineState):
     def lost_blocks(self) -> List[BlockLocations]:
         """Blocks with zero live replicas (recoverable only via Lstors)."""
         return [loc for loc in self._blocks.values() if loc.replica_count == 0]
-
-    # ------------------------------------------------------------------
-    # Block reports (HDFS's metadata anti-entropy).
-    # ------------------------------------------------------------------
-    def process_block_report(self, datanode_name: str, held: Iterable[str]):
-        """Reconcile one DataNode's actual holdings with the block map.
-
-        HDFS DataNodes periodically report every block they store.
-        Blocks the NameNode *expected* there but that are gone (a wiped
-        disk, partial crash) are dropped from the node's locations --
-        surfacing under-replication for the recovery machinery.  Blocks
-        the node holds that the namespace no longer references (deleted
-        files, aborted writes) are returned as *orphans* for the node to
-        purge.  Returns ``(missing, orphans)`` as block-name lists.
-        """
-        datanode = self.datanode(datanode_name)
-        held_set = set(held)
-        missing: List[str] = []
-        expected: set = set()
-        for locations in self._blocks.values():
-            if datanode_name not in locations.datanodes:
-                continue
-            expected.add(locations.block.name)
-            if locations.block.name not in held_set:
-                locations.remove_datanode(datanode_name)
-                missing.append(locations.block.name)
-        orphans = sorted(held_set - expected)
-        return sorted(missing), orphans

@@ -71,18 +71,18 @@ class BytesPayload(Payload):
     :meth:`adopt`.
 
     A minted payload (:meth:`ContentFactory.make`) is *deferred*: it
-    holds ``(stable seed, length)`` in ``_spec`` and draws its bytes on
-    the first :attr:`data` read, so a version overwritten before anything
-    reads it is never made.  ``len()`` answers from the spec.  The spec
-    stays the mint's identity in ``_mint`` after the draw: two mints of
-    one spec hold equal bytes, so ``==`` answers ``True`` for them (or
-    for the same object) without reading any; any other pair compares
-    bytes.  Verifier reads (``==``, :meth:`checksum`, :func:`xor_matches`)
-    go through :meth:`peek`, which caches only the CRC: an observer never
-    leaves a mint drawn.
+    holds ``(stable seed, length)`` in ``_mint`` and, while ``_data`` is
+    None, draws its bytes on the first :attr:`data` read, so a version
+    overwritten before anything reads it is never made.  ``len()``
+    answers from the spec.  The spec stays the mint's identity after the
+    draw: two mints of one spec hold equal bytes, so ``==`` answers
+    ``True`` for them (or for the same object) without reading any; any
+    other pair compares bytes.  Verifier reads (``==``,
+    :meth:`checksum`, :func:`xor_matches`) go through :meth:`peek`,
+    which caches only the CRC: an observer never leaves a mint drawn.
     """
 
-    __slots__ = ("_data", "_spec", "_mint", "_crc", "_zero")
+    __slots__ = ("_data", "_mint", "_crc", "_zero")
 
     def __init__(self, data: Union[bytes, np.ndarray]) -> None:
         if isinstance(data, bytes):
@@ -98,7 +98,6 @@ class BytesPayload(Payload):
                 arr = arr.copy()
         arr.setflags(write=False)
         self._data: Optional[np.ndarray] = arr
-        self._spec: Optional[Tuple[int, int]] = None
         self._mint: Optional[Tuple[int, int]] = None
         self._crc: Optional[int] = None
         self._zero: Optional[bool] = None
@@ -115,7 +114,6 @@ class BytesPayload(Payload):
         arr = np.ascontiguousarray(arr, dtype=np.uint8)
         arr.setflags(write=False)
         payload._data = arr
-        payload._spec = None
         payload._mint = None
         payload._crc = None
         payload._zero = None
@@ -126,7 +124,7 @@ class BytesPayload(Payload):
         """The deferred mint of ``length`` bytes of PCG64 stream ``seed``."""
         payload = cls.__new__(cls)
         payload._data = None
-        payload._spec = payload._mint = (seed, length)
+        payload._mint = (seed, length)
         payload._crc = None
         payload._zero = None
         return payload
@@ -136,10 +134,8 @@ class BytesPayload(Payload):
         """The content, read-only; a deferred mint draws it here, once."""
         data = self._data
         if data is None:
-            assert self._spec is not None
-            seed, length = self._spec
-            data = self._data = _draw(seed, length)
-            self._spec = None
+            assert self._mint is not None
+            data = self._data = _draw(*self._mint)
         return data
 
     def peek(self) -> np.ndarray:
@@ -147,8 +143,8 @@ class BytesPayload(Payload):
         is drawn into a temporary that dies with the caller's use."""
         data = self._data
         if data is None:
-            assert self._spec is not None
-            data = _draw(*self._spec)
+            assert self._mint is not None
+            data = _draw(*self._mint)
         return data
 
     @classmethod
@@ -197,7 +193,7 @@ class BytesPayload(Payload):
         one word, is settled by the bytes themselves.
         """
         if self._zero is None:
-            spec = self._spec
+            spec = self._mint if self._data is None else None
             if spec is not None and spec[1] >= 8 and _draw(spec[0], 8).any():
                 self._zero = False
             else:
@@ -214,7 +210,7 @@ class BytesPayload(Payload):
         return self._crc
 
     def __len__(self) -> int:
-        spec = self._spec
+        spec = self._mint if self._data is None else None
         return spec[1] if spec is not None else len(self.data)
 
     def __eq__(self, other: object) -> bool:

@@ -16,7 +16,9 @@ import numpy as np
 import pytest
 
 from repro.core.cluster import RaidpCluster
+from repro.core.node import RaidpDataNode
 from repro.faults import chaos_schedule
+from repro.hdfs.namenode import healthy_datanode
 from repro.storage import payload as payload_module
 from repro.storage.payload import BytesPayload, ContentFactory
 from repro.tools import chaos
@@ -108,6 +110,48 @@ def test_gate_seed_passes_the_final_audit(monkeypatch):
     result = run_chaos(seed=701)
     assert result.ok, "\n".join(result.problems)
     assert calls == {"verify_parity": 1, "verify_mirrors": 1}
+
+
+def test_a_remirror_copies_the_version_its_locations_name(monkeypatch):
+    """Seed 703: ``blk_5`` is down to one replica (``n7``) when a rewrite
+    to version 11 starts, and the remirror of its superchunk copies
+    ``n7`` to ``n11`` while that write is still landing.  Every block a
+    recovery installs must be the bytes of the version its locations
+    name, and no live journal may keep a record at the end: copying
+    ``n7``'s version-10 bytes left ``n11`` serving them under a
+    version-11 label and ``n7`` waiting for an ack ``n11`` never sends."""
+    installs, built = [], []
+    real_install = RaidpDataNode.install_recovered_block
+    real_build = chaos.build_cluster
+
+    def install(self, locations, payload):
+        block = locations.block
+        expected = self.factory.make(block.name, locations.version, block.size)
+        installs.append((block.name, locations.version, payload == expected))
+        real_install(self, locations, payload)
+
+    def build(seed):
+        built.append(real_build(seed))
+        return built[-1]
+
+    monkeypatch.setattr(RaidpDataNode, "install_recovered_block", install)
+    monkeypatch.setattr(chaos, "build_cluster", build)
+    result = run_chaos(seed=703)
+    assert result.ok, "\n".join(result.problems)
+    assert ("blk_5", 11, True) in installs
+    assert [entry for entry in installs if not entry[2]] == []
+    assert [
+        (datanode.name, record.block_name, record.state)
+        for datanode in built[0].datanodes
+        if healthy_datanode(datanode) and not datanode.lstors.primary.failed
+        for record in datanode.lstors.primary.journal.replay_candidates()
+    ] == []
+    text = json.dumps(
+        result.fingerprint, sort_keys=True, separators=(",", ":"), default=list
+    )
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "87633314f8a975c1eff8ae8860fe98d15db5208b7c4b6c51230f99eafa53aa2d"
+    )
 
 
 def test_soak_byte_work_is_counted(monkeypatch):

@@ -151,6 +151,29 @@ def test_node_restart_rejoins_through_monitor():
     assert victim.name not in monitor._handled
 
 
+def test_node_restart_before_detection_is_refused():
+    """A user-built schedule may restart a node before its crash is even
+    detected; its disk is still in the layout, so the rejoin is refused
+    by name rather than readmitting replicas recovery never saw go."""
+    dfs = cluster()
+    monitor = ClusterMonitor(
+        dfs, MonitorConfig(heartbeat_interval=0.5, dead_after=1.5, sweep_interval=0.5)
+    )
+    victim = dfs.datanodes[0]
+    schedule = FaultSchedule(
+        (
+            Fault(at=1.0, kind="node_crash", target=victim.node.name),
+            Fault(at=1.2, kind="node_restart", target=victim.node.name),
+        )
+    )
+    monitor.start()
+    FaultInjector(dfs, schedule, monitor=monitor).start()
+    with pytest.raises(FaultError, match=f"{victim.name} rejoined before recovery"):
+        dfs.sim.run(until=20.0)
+    assert monitor.detected == [] and monitor.rejoined == []
+    assert victim.name in dfs.layout.disks
+
+
 def test_nic_degrade_restores_rates():
     dfs = cluster()
     node = dfs.datanodes[0].node

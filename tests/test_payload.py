@@ -152,7 +152,7 @@ def test_verifier_reads_leave_a_mint_unmade():
     a, b = factory.make("blk", 1, 64), factory.make("blk", 1, 64)
     assert a == b and a._data is None and b._data is None
     b.data
-    assert b._spec is None and b._mint == a._mint and a == b and a._data is None
+    assert b._data is not None and b._mint == a._mint and a == b and a._data is None
     same = BytesPayload(b.data.tobytes())
     flipped = bytearray(b.data.tobytes())
     flipped[63] ^= 1
@@ -186,11 +186,11 @@ def test_mint_pickles_as_its_spec_until_drawn():
     blob = pickle.dumps(cold)
     assert len(blob) < 1024 and cold._data is None
     thawed = pickle.loads(blob)
-    assert thawed._data is None and thawed._spec == cold._spec
+    assert thawed._data is None and thawed._mint == cold._mint
     drawn = factory.make("blk_0001", 3, 65536)
     drawn.data
     again = pickle.loads(pickle.dumps(drawn))
-    assert again._spec is None and again._data is not None
+    assert again._mint == drawn._mint and again._data is not None
     assert thawed == again == drawn and again.checksum() == drawn.checksum()
 
 
@@ -270,11 +270,12 @@ def test_deferred_mint_draws_the_eager_bytes(length):
     exactly the bytes an eager draw of the same stream makes."""
     payload = ContentFactory(seed=7).make("blk_0001", 3, length)
     seed = _stable_seed(7, "blk_0001", 3)
-    assert payload._data is None and payload._spec == (seed, length)
+    assert payload._data is None and payload._mint == (seed, length)
     words = np.random.PCG64(seed).random_raw(-(-length // 8)).astype("<u8")
     eager = words.view(np.uint8)[:length]
     assert np.array_equal(payload.data, eager)
-    assert payload._spec is None and payload.data is payload.data  # drawn once
+    assert payload._data is not None and payload._mint == (seed, length)
+    assert payload.data is payload.data  # drawn once
     assert payload.checksum() == GOLDEN_CONTENT[length]
 
 

@@ -176,7 +176,7 @@ def test_fillers_are_derived_until_a_block_takes_the_slot():
         f"pre_sc{sc_id}_s{slot + 1}", 0, units.MiB
     )
     assert datanode.block_report() == [locations.block.name]
-    # A purged replica (rejoin cleanup) leaves its slot empty, not refilled;
+    # A purged replica (remirror rollback) leaves its slot empty, not refilled;
     # so does a deleted block.
     datanode.purge_block(locations.block.name)
     dfs.sim.run_process(dfs.client(0).delete_file("/f"))

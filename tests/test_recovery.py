@@ -11,7 +11,7 @@ from repro import units
 from repro.core.cluster import RaidpCluster
 from repro.core.node import RaidpConfig
 from repro.core.recovery import RecoveryManager, RecoveryOptions
-from repro.errors import RecoveryError
+from repro.errors import RecoveryError, ReproError
 from repro.hdfs.config import DfsConfig
 from repro.sim.cluster import ClusterSpec
 from tests.oracles import discrete_lane, min_remirror_load
@@ -370,3 +370,65 @@ def test_a_rejoined_empty_disk_is_no_sender():
         assert len(locations.datanodes) == 2
         for home in locations.datanodes:
             assert dfs.datanode_by_name(home).content_of(name) == original
+
+
+@pytest.mark.parametrize("sender_dies", [False, True])
+def test_a_remirror_waits_for_a_rewrite_landing_on_its_sender(sender_dies):
+    """A rewrite admitted after its block lost a replica targets the
+    surviving sender alone.  The remirror copying that sender waits for
+    the write to land (held here behind the sender's writer lock) and
+    copies the new version, so the sender's journal record clears and
+    needs no ack from the receiver; a sender that dies while the copy
+    waits rolls the copy back."""
+    dfs = sparse_cluster()
+    write_some_data(dfs, files=2)
+    victim = "n0"
+    locations = next(
+        loc for loc in dfs.namenode.all_blocks() if victim in loc.datanodes
+    )
+    name = locations.block.name
+    sender = dfs.datanode_by_name(
+        next(dn for dn in locations.datanodes if dn != victim)
+    )
+    dfs.datanode_by_name(victim).disk.fail()
+    dfs.namenode.mark_datanode_dead(victim)
+    manager = RecoveryManager(dfs)
+    outcome = {}
+
+    def rewrite():
+        try:
+            yield from dfs.clients[0].write_block(locations)
+        except ReproError as exc:
+            outcome["rewrite"] = exc
+
+    def scenario():
+        grant = yield sender.writer_lock.request()
+        locations.version += 1
+        dfs.sim.process(rewrite())
+        recovery = dfs.sim.process(manager.failure_body((victim,)))
+        yield dfs.sim.timeout(1.0)
+        assert sender.version_of(name) == locations.version - 1
+        if sender_dies:
+            sender.disk.fail()
+        sender.writer_lock.release(grant)
+        outcome["report"] = yield recovery
+
+    dfs.sim.run_process(scenario())
+    report = outcome["report"]
+    failed = [entry for entry, _exc in report.failed_remirrors]
+    (entry,) = [e for e in report.remirrored + failed if e[0] == locations.sc_id]
+    receiver = dfs.datanode_by_name(entry[2])
+    if sender_dies:
+        assert "rewrite" in outcome and entry in failed
+        assert not receiver.has_block(name)
+        assert receiver.name not in locations.datanodes
+        return
+    assert entry in report.remirrored and report.duration > 1.0
+    assert locations.datanodes == [sender.name, receiver.name]
+    expected = dfs.factory.make(name, locations.version, locations.block.size)
+    for holder in (sender, receiver):
+        assert holder.version_of(name) == locations.version
+        assert holder.content_of(name) == expected
+    assert sender.lstors.primary.journal.outstanding == 0
+    dfs.verify_mirrors()
+    dfs.verify_parity()
