@@ -93,10 +93,17 @@ durability-smoke:
 # Experiments smoke: every experiment at one and at two workers must
 # print the same bytes (each task is keyed and merged in emission
 # order), then the 16-256 node scale-out sweep once at --full (8x the
-# data, superchunks grown with it), timed.
+# data, superchunks grown with it), timed.  The one-worker run's peak
+# RSS is printed and capped at 96 MiB: it is ~54 MiB while payloads
+# stay undrawn, and one drawn 64 MiB block crosses the cap.
 experiments-smoke:
 	mkdir -p experiments-smoke
-	$(PYTHON) -m repro.experiments all --jobs 1 > experiments-smoke/jobs1.txt
+	$(PYTHON) -c "import resource, subprocess, sys; \
+		out = open('experiments-smoke/jobs1.txt', 'wb'); \
+		rc = subprocess.call([sys.executable, '-m', 'repro.experiments', 'all', '--jobs', '1'], stdout=out); \
+		mib = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024; \
+		print(f'experiments all --jobs 1: peak RSS {mib:.1f} MiB (cap 96 MiB)'); \
+		sys.exit(rc or (mib > 96 and 'experiments all: peak RSS above the cap'))"
 	cat experiments-smoke/jobs1.txt
 	$(PYTHON) -m repro.experiments all --jobs 2 > experiments-smoke/jobs2.txt
 	cmp experiments-smoke/jobs1.txt experiments-smoke/jobs2.txt

@@ -25,7 +25,6 @@ def raidp_runtime(**kwargs):
         spec=SPEC,
         config=DfsConfig(replication=2),
         raidp=RaidpConfig(**kwargs),
-        payload_mode="tokens",
         seed=1,
     )
     return dfsio_write(dfs, DATASET).runtime
@@ -95,7 +94,6 @@ def test_ablation_recovery_planner(benchmark):
         raidp=RaidpConfig(),
         superchunk_size=4 * units.MiB,
         superchunks_per_disk=4,
-        payload_mode="tokens",
         seed=1,
     )
 
@@ -128,7 +126,6 @@ def test_ablation_superchunk_size(benchmark):
                 config=DfsConfig(replication=2),
                 raidp=RaidpConfig(),
                 superchunk_size=sc_size,
-                payload_mode="tokens",
                 seed=1,
             )
             runtimes[sc_size] = dfsio_write(dfs, DATASET).runtime

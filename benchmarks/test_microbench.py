@@ -15,7 +15,7 @@ from repro.matching.hungarian import DynamicHungarian
 from repro.matching.hopcroft_karp import hopcroft_karp
 from repro.sim.engine import Simulator
 from repro.sim.network import Nic, Switch
-from repro.storage.payload import BytesPayload
+from repro.storage.payload import Payload
 
 
 def test_bench_gf256_addmul(benchmark):
@@ -55,19 +55,19 @@ def test_bench_raid6_double_recovery(benchmark):
 
 
 def test_bench_payload_xor_allocating(benchmark):
-    """The old path: every XOR allocates a fresh payload."""
+    """XOR of two dense residues allocates a fresh payload."""
     rng = np.random.default_rng(21)
-    a = BytesPayload(rng.integers(0, 256, size=units.MiB, dtype=np.uint8))
-    b = BytesPayload(rng.integers(0, 256, size=units.MiB, dtype=np.uint8))
+    a = Payload.adopt(rng.integers(0, 256, size=units.MiB, dtype=np.uint8))
+    b = Payload.adopt(rng.integers(0, 256, size=units.MiB, dtype=np.uint8))
     result = benchmark(a.xor, b)
     assert len(result) == units.MiB
 
 
 def test_bench_payload_xor_into(benchmark):
-    """The copy-free accumulator path used by Lstor.absorb and recovery."""
+    """A residue XORed into a caller-owned buffer, no allocation."""
     rng = np.random.default_rng(22)
-    a = BytesPayload(rng.integers(0, 256, size=units.MiB, dtype=np.uint8))
-    b = BytesPayload(rng.integers(0, 256, size=units.MiB, dtype=np.uint8))
+    a = Payload.adopt(rng.integers(0, 256, size=units.MiB, dtype=np.uint8))
+    b = Payload.adopt(rng.integers(0, 256, size=units.MiB, dtype=np.uint8))
     buf = a.mutable_copy()
     benchmark(b.xor_into, buf)
     assert len(buf) == units.MiB
@@ -75,7 +75,7 @@ def test_bench_payload_xor_into(benchmark):
 
 def test_bench_payload_checksum_cached(benchmark):
     rng = np.random.default_rng(23)
-    payload = BytesPayload(rng.integers(0, 256, size=units.MiB, dtype=np.uint8))
+    payload = Payload.adopt(rng.integers(0, 256, size=units.MiB, dtype=np.uint8))
     payload.checksum()  # prime the cache; the benchmark measures hits
     crc = benchmark(payload.checksum)
     assert crc == payload.checksum()

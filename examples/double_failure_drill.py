@@ -25,7 +25,6 @@ def main() -> None:
         config=DfsConfig(block_size=units.MiB, replication=2),
         superchunk_size=4 * units.MiB,
         superchunks_per_disk=3,
-        payload_mode="bytes",
     )
 
     def workload():

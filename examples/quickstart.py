@@ -20,7 +20,6 @@ def main() -> None:
         spec=ClusterSpec(num_nodes=7),
         config=DfsConfig(block_size=units.MiB, replication=2),
         superchunk_size=4 * units.MiB,
-        payload_mode="bytes",  # real data: parity is bit-exact
     )
 
     print("Superchunk layout (columns = disks, rows = slots, cf. Fig. 3):")

@@ -23,7 +23,6 @@ def build_loaded_cluster() -> RaidpCluster:
         config=DfsConfig(block_size=units.MiB, replication=2),
         superchunk_size=4 * units.MiB,
         superchunks_per_disk=4,  # sparse: recovery headroom exists
-        payload_mode="tokens",
     )
 
     def workload():

@@ -15,12 +15,12 @@ import numpy as np
 from repro import units
 from repro.core.lstor import LstorStack
 from repro.sim.engine import Simulator
-from repro.storage.payload import BytesPayload, ContentFactory
+from repro.storage.payload import ContentFactory
 
 
 def main() -> None:
     sim = Simulator()
-    factory = ContentFactory(mode="bytes")
+    factory = ContentFactory()
     block_size = 256 * units.KiB
     superchunks = 6  # superchunks on this disk = RS data shards
     blocks_per_superchunk = 4
@@ -60,7 +60,6 @@ def main() -> None:
         rebuilt = stack.reconstruct_block(slot, survivors, missing_shards=lost)
         for shard in lost:
             original = contents[(shard, slot)]
-            assert isinstance(rebuilt[shard], BytesPayload)
             assert rebuilt[shard] == original, f"sc{shard} slot {slot} mismatch"
     print("both superchunks reconstructed bit-for-bit from the RS parities")
 

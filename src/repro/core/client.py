@@ -12,7 +12,7 @@ window.
 
 from __future__ import annotations
 
-from typing import Any, Generator, Optional
+from typing import Any, Dict, Generator, Optional
 
 from repro.core.layout import Layout
 from repro.core.node import RaidpDataNode
@@ -21,7 +21,7 @@ from repro.errors import BlockMissingError
 from repro.hdfs.block import BlockLocations
 from repro.hdfs.client import DfsClient
 from repro.hdfs.namenode import healthy_datanode
-from repro.storage.payload import XorAccumulator
+from repro.storage.payload import Payload
 
 
 class RaidpClient(DfsClient):
@@ -60,11 +60,11 @@ class RaidpClient(DfsClient):
             )
         source = self._pick_parity_source(sc_id)
         # Parity block ships from the failed disk's (alive) node.
-        accum = XorAccumulator(source.lstors.parity_block(slot))
         yield self.switch.transfer(
             source.node.primary_nic, self.node.primary_nic, block.size
         )
-        # XOR in the mirrors of the source disk's other superchunks.
+        # Then the mirrors of the source disk's other superchunks.
+        survivors: Dict[int, Payload] = {}
         for other_sc in self.layout.superchunks_of(source.name):
             if other_sc == sc_id:
                 continue
@@ -75,12 +75,14 @@ class RaidpClient(DfsClient):
                     f"degraded read of {block.name} needs dead mirror {mirror_name}"
                 )
             assert isinstance(mirror, RaidpDataNode)
-            payload = mirror.slot_payload(other_sc, slot)
+            shard = source.shard_index_of(other_sc)
+            survivors[shard] = mirror.slot_payload(other_sc, slot)
             yield from mirror.read_slot(other_sc, slot, block.size)
             yield self.switch.transfer(
                 mirror.node.primary_nic, self.node.primary_nic, block.size
             )
-            accum.add(payload)
+        missing = source.shard_index_of(sc_id)
+        rebuilt = source.lstors.reconstruct_block(slot, survivors, [missing])[missing]
         # The XOR chain is a CPU pass on the client.
         yield from self.node.compute_bytes(
             block.size * max(len(self.layout.superchunks_of(source.name)), 1),
@@ -92,7 +94,7 @@ class RaidpClient(DfsClient):
                 "hdfs", "degraded_read", t0, self.sim.now,
                 block=block.name, sc=sc_id, source=source.name,
             )
-        return accum.result()
+        return rebuilt.resized(block.size)
 
     def _pick_parity_source(self, sc_id: int) -> RaidpDataNode:
         """A home of the lost superchunk whose node and Lstor survive."""

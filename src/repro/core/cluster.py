@@ -38,7 +38,6 @@ class RaidpCluster(InlineState):
         raidp: Optional[RaidpConfig] = None,
         superchunk_size: Optional[int] = None,
         superchunks_per_disk: Optional[int] = None,
-        payload_mode: str = "tokens",
         seed: int = 0xF00D,
     ) -> None:
         self.sim = Simulator()
@@ -51,7 +50,7 @@ class RaidpCluster(InlineState):
         self.config = base_config
         self.raidp = raidp or RaidpConfig()
         self.cluster = Cluster(self.sim, self.spec)
-        self.factory = ContentFactory(mode=payload_mode, seed=seed)
+        self.factory = ContentFactory(seed=seed)
 
         sc_size = superchunk_size or 6 * units.GiB
         layout_spec = LayoutSpec(

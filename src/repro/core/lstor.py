@@ -9,12 +9,13 @@ independently of the disk and stores:
   superchunk), and
 - the append-only journal of :mod:`repro.core.journal`.
 
-With a single Lstor per disk the erasure code is plain XOR -- both in the
-real-bytes plane and in the symbolic plane, where XOR is symmetric set
-difference.  :class:`LstorStack` generalizes to ``k`` Lstors per disk
-using the Reed-Solomon rows of :mod:`repro.ec.reed_solomon`, allowing the
-system to survive ``k + 1`` simultaneous disk failures (bytes plane only,
-since Reed-Solomon needs real field arithmetic).
+With a single Lstor per disk the erasure code is plain XOR, which over
+mint terms is symmetric set difference (:mod:`repro.storage`): parity
+upkeep, its checks and a rebuild's fold draw no byte.
+:class:`LstorStack` generalizes to ``k`` Lstors per disk using the
+Reed-Solomon rows of :mod:`repro.ec.reed_solomon`, allowing the system
+to survive ``k + 1`` simultaneous disk failures; its rows need real
+field arithmetic, so a stack draws the blocks it encodes.
 
 Timing: parity arithmetic is offloaded to the Lstor's own logic (paper
 §2), so Lstor operations charge *no* datanode CPU; the simulated cost is
@@ -25,21 +26,12 @@ from __future__ import annotations
 
 from typing import Dict, Hashable, List, Optional, Sequence, Set, Tuple
 
-import numpy as np
-
 from repro import units
 from repro.core.journal import Journal
 from repro.ec.reed_solomon import ReedSolomon
 from repro.errors import LstorFailedError
 from repro.sim.engine import Simulator
-from repro.storage.payload import (
-    BytesPayload,
-    ContentFactory,
-    Payload,
-    XorAccumulator,
-    cancel_equal_pairs,
-    xor_matches,
-)
+from repro.storage.payload import ContentFactory, Payload
 from repro.sim.snapshot import InlineState
 
 #: Transfer rate into an Lstor: parity deltas and journal records.
@@ -60,13 +52,11 @@ def filler(factory: ContentFactory, sc_id: int, slot: int, block_size: int) -> P
 class Lstor(InlineState):
     """One parity device: an XOR region plus a journal.
 
-    In the bytes plane a slot's parity is its accumulator XOR its
-    *pending* terms: per shard (the superchunk's slot on the disk), the
-    content last absorbed as ``new`` and not yet folded.  The next write
-    to that shard usually names the same object as ``old``, and
-    ``x ^ x = 0`` exactly, so a version overwritten before any parity
-    read is never XORed (nor, being a deferred mint, ever made).
-    :meth:`parity_terms` hands both parts to a verifier as they are.
+    A slot's parity is a :class:`~repro.storage.payload.Payload`, the XOR
+    of every ``old`` and ``new`` absorbed there.  Over mints that is a
+    set of terms: a write's ``old`` is the term its previous write
+    absorbed as ``new``, so an overwritten version cancels exactly and no
+    byte is drawn (or, being a mint, ever made).
     """
 
     def __init__(
@@ -86,14 +76,6 @@ class Lstor(InlineState):
         )
         self.failed = False
         self._parity: Dict[int, Payload] = {}
-        # Bytes-plane fast path: per-slot XOR accumulators, so absorbing
-        # a delta is one in-place bitwise_xor with no payload allocation.
-        # ``_parity`` doubles as the cache of the snapshots handed out by
-        # :meth:`parity_block`, copy-on-write: a snapshot adopts its
-        # slot's accumulator, and the next fold there copies it first.
-        self._parity_accum: Dict[int, "np.ndarray"] = {}
-        # slot -> {shard: content absorbed as ``new``, not yet folded}.
-        self._pending: Dict[int, Dict[int, Payload]] = {}
         # Tags of already-absorbed updates: device-side sequence-number
         # dedup, which makes journal roll-forward idempotent.
         self._absorbed_tags: set = set()
@@ -113,8 +95,6 @@ class Lstor(InlineState):
         """
         self.failed = False
         self._parity.clear()
-        self._parity_accum.clear()
-        self._pending.clear()
         self._absorbed_tags.clear()
         self.journal.drop_all(now)
 
@@ -126,103 +106,42 @@ class Lstor(InlineState):
     # Parity plane.
     # ------------------------------------------------------------------
     def parity_block(self, slot: int) -> Payload:
-        """Current parity for block slot ``slot`` (zero if untouched).
-
-        The slot's pending terms are folded in first.  The returned
-        payload is an immutable snapshot: later absorbs at the same slot
-        never mutate it (journal records stay correct).  It costs no
-        copy: the next fold into the slot copies the buffer.
-        """
+        """Current parity for block slot ``slot`` (zero if untouched): an
+        immutable payload, which later absorbs replace and never mutate
+        (journal records stay correct)."""
         self._check_alive()
-        return self._current(slot)
-
-    def parity_terms(self, slot: int) -> Tuple[Optional[np.ndarray], List[Payload]]:
-        """The bytes-plane parity at ``slot`` as its parts: the
-        accumulator (``None`` when zero) and the pending terms, whose XOR
-        it is.  Folds, copies and draws nothing; the caller only reads
-        the accumulator."""
-        self._check_alive()
-        return self._parity_accum.get(slot), list(self._pending.get(slot, {}).values())
-
-    def _current(self, slot: int) -> Payload:
-        pending = self._pending.pop(slot, None)
-        if pending:
-            self._xor_in(slot, tuple(pending.values()))
         parity = self._parity.get(slot)
-        if parity is None:
-            accum = self._parity_accum.get(slot)
-            if accum is None:
-                return self.factory.zero(self.block_size)
-            # The snapshot adopts the accumulator, no copy; cached until
-            # the next fold at this slot copies it (see ``_xor_in``).
-            parity = BytesPayload.adopt(accum)
-            self._parity[slot] = parity
-        return parity
+        return parity if parity is not None else self.factory.zero(self.block_size)
 
     def absorb(
-        self,
-        slot: int,
-        *terms: Payload,
-        tag: Optional[Hashable] = None,
-        shard: Optional[int] = None,
+        self, slot: int, *payloads: Payload, tag: Optional[Hashable] = None
     ) -> None:
-        """Fold the XOR of ``terms`` into the parity at ``slot``.
+        """Fold the XOR of ``payloads`` into the parity at ``slot``.
 
-        ``terms`` is one delta (= old XOR new) or a write's old and new
-        content; the bytes plane folds each term into the parity in
-        place, so the delta itself is never allocated.  Given the
-        ``shard`` whose content moves from ``old`` to ``new``, it defers
-        instead: an ``old`` that is the shard's pending term cancels it
-        with no XOR, any other is folded together with that term, and
-        ``new`` becomes the pending term.  ``tag``, when given,
-        deduplicates: an update absorbed under the same tag twice is
-        applied once (journal replay idempotency).  Pure state change:
-        the writer charges the device-transfer time.
+        ``payloads`` is one delta (= old XOR new) or a write's old and
+        new content.  ``tag``, when given, deduplicates: an update
+        absorbed under the same tag twice is applied once (journal replay
+        idempotency).  Pure state change: the writer charges the
+        device-transfer time.
         """
         self._check_alive()
         if tag is not None:
             if tag in self._absorbed_tags:
                 return
             self._absorbed_tags.add(tag)
-        if shard is None or self.factory.symbolic:
-            self._xor_in(slot, terms)
-            return
-        old, new = terms
-        pending = self._pending.setdefault(slot, {})
-        held = pending.get(shard)
-        if held is not old:
-            self._xor_in(slot, (old,) if held is None else (held, old))
-        pending[shard] = new
+        self._xor_in(slot, payloads)
 
-    def _xor_in(self, slot: int, terms: Tuple[Payload, ...]) -> None:
+    def _xor_in(self, slot: int, payloads: Sequence[Payload]) -> None:
         """The parity arithmetic of :meth:`absorb`, with no liveness or
         tag check: :class:`LstorStack` also folds preallocation baselines
         through it, which a failed device held from before it failed."""
-        if not self.factory.symbolic and isinstance(terms[0], BytesPayload):
-            folds: List[BytesPayload] = []
-            for term in terms:
-                if not isinstance(term, BytesPayload):
-                    raise TypeError("cannot XOR bytes with symbolic payload")
-                if not term._zero:
-                    folds.append(term)
-            if not folds:
-                return  # known zeros change nothing: no buffer, no copy
-            accum = self._parity_accum.get(slot)
-            if accum is None:
-                accum = np.zeros(self.block_size, dtype=np.uint8)
-                self._parity_accum[slot] = accum
-            elif self._parity.pop(slot, None) is not None:
-                # A cached snapshot owns this buffer: copy on write.  Keyed
-                # on the cache entry, not on ``flags.writeable``, which a
-                # pickle round trip sets again.
-                accum = self._parity_accum[slot] = accum.copy()
-            for fold in folds:
-                fold.xor_into(accum)
-        else:
-            delta = terms[0]
-            for term in terms[1:]:
-                delta = delta.xor(term)
-            self._parity[slot] = self._current(slot).xor(delta)
+        parity = self._parity.get(slot)
+        if parity is None:
+            parity = self.factory.zero(self.block_size)
+        for payload in payloads:
+            # A block shorter than the slot occupies the slot's head.
+            parity = parity ^ payload.resized(self.block_size)
+        self._parity[slot] = parity
 
     def journal_write_time(self, nbytes: int) -> float:
         """Time to persist one journal record of ``nbytes`` of new data.
@@ -244,8 +163,9 @@ class LstorStack(InlineState):
     loses at most ``k`` superchunks on any given disk (one shared with
     each other failed disk), and the k parities recover them.
 
-    Requires the bytes plane: Reed-Solomon coefficients have no symbolic
-    analogue.
+    The codec's rows multiply bytes in GF(256), so a stack of two or
+    more draws every update and keeps its rows as residues; a single
+    Lstor keeps terms.
     """
 
     def __init__(
@@ -260,8 +180,6 @@ class LstorStack(InlineState):
     ) -> None:
         if parity_count < 1:
             raise ValueError("need at least one Lstor in a stack")
-        if factory.symbolic and parity_count > 1:
-            raise ValueError("stacked Lstors require the bytes payload plane")
         self.sim = sim
         self.factory = factory
         self.name = name
@@ -283,9 +201,10 @@ class LstorStack(InlineState):
         )
         # Preallocated superchunks as (shard index, sc_id): the parity
         # covers their fillers from the start, but a slot's share is
-        # folded in only when the slot is first read (``_folded``).  XOR
-        # and the RS rows are indifferent to order, so absorbs before the
-        # fold land exactly where they would have.
+        # folded in only when the slot is first read (``_folded``), so a
+        # build mints nothing and a stack draws no filler it never reads.
+        # XOR and the RS rows are indifferent to order, so absorbs before
+        # the fold land exactly where they would have.
         self._prefilled: List[Tuple[int, int]] = []
         self._folded: Set[int] = set()
 
@@ -308,34 +227,42 @@ class LstorStack(InlineState):
         given as ``(shard_index, sc_id)`` pairs, without minting any."""
         self._prefilled.extend(superchunks)
 
+    def _fillers(self, slot: int) -> List[Tuple[int, Payload]]:
+        """``(shard_index, filler)`` at ``slot`` not yet folded there."""
+        if slot in self._folded:
+            return []
+        return [
+            (shard_index, filler(self.factory, sc_id, slot, self.block_size))
+            for shard_index, sc_id in self._prefilled
+        ]
+
     def _fold_baseline(self, slot: int) -> None:
         """Fold the preallocation fillers at ``slot`` into every parity
         row, once -- failed rows too: they held them before failing."""
         if not self._prefilled or slot in self._folded:
             return
+        fillers = self._fillers(slot)
         self._folded.add(slot)
+        if self._codec is None:
+            self.lstors[0]._xor_in(slot, [payload for _shard, payload in fillers])
+            return
         zero = self.factory.zero(self.block_size)
-        for shard_index, sc_id in self._prefilled:
-            payload = filler(self.factory, sc_id, slot, self.block_size)
-            if self._codec is None:
-                self.lstors[0]._xor_in(slot, (payload,))
-                continue
+        for shard_index, payload in fillers:
             for lstor, delta in zip(
                 self.lstors, self._row_deltas(shard_index, zero, payload)
             ):
                 lstor._xor_in(slot, (delta,))
 
-    def _row_deltas(
-        self, shard_index: int, old: Payload, new: Payload
-    ) -> List[BytesPayload]:
+    def _row_deltas(self, shard_index: int, old: Payload, new: Payload) -> List[Payload]:
         """The codec's per-row parity deltas of one shard update."""
         assert self._codec is not None
-        if not isinstance(old, BytesPayload) or not isinstance(new, BytesPayload):
-            raise TypeError("stacked Lstors require BytesPayload data")
         # The codec returns freshly allocated buffers: adopt them copy-free.
+        size = self.block_size
         return [
-            BytesPayload.adopt(delta)
-            for delta in self._codec.parity_delta(shard_index, old.data, new.data)
+            Payload.adopt(delta)
+            for delta in self._codec.parity_delta(
+                shard_index, old.resized(size).data, new.resized(size).data
+            )
         ]
 
     def parity_block(self, slot: int) -> Payload:
@@ -345,37 +272,19 @@ class LstorStack(InlineState):
         self._fold_baseline(slot)
         return self.primary.parity_block(slot)
 
-    def parity_terms(self, slot: int) -> Tuple[Optional[np.ndarray], List[Payload]]:
-        """A single Lstor's :meth:`Lstor.parity_terms` at ``slot``, plus
-        the preallocation fillers not yet folded there (minted, not
-        drawn)."""
-        assert self._codec is None, "the terms of a single Lstor only"
-        accum, terms = self.primary.parity_terms(slot)
-        if slot not in self._folded:
-            terms += [
-                filler(self.factory, sc_id, slot, self.block_size)
-                for _shard, sc_id in self._prefilled
-            ]
-        return accum, terms
-
     def covers(self, slot: int, payloads: Sequence[Payload]) -> bool:
         """Is the primary's parity at ``slot`` the XOR of ``payloads``?
 
-        A single bytes-plane Lstor answers without changing anything:
-        ``payloads`` and :meth:`parity_terms` cancel in provably equal
-        pairs (usually each stored block against its own pending term),
-        and only what is left is read, transiently, and compared with
-        the accumulator.  Stacked and token-plane Lstors fold as a
-        parity read does.
+        An observer: the fillers not yet folded at ``slot`` join the
+        expected side instead of the parity, so nothing changes.  Over
+        mints the two sides are equal term sets and ``==`` draws nothing.
         """
-        if self._codec is not None or self.factory.symbolic:
-            expected = XorAccumulator(self.factory.zero(self.block_size))
-            for payload in payloads:
-                expected.add(payload)
-            return self.parity_block(slot) == expected.result()
-        accum, terms = self.parity_terms(slot)
-        left = cancel_equal_pairs([*payloads, *terms])  # type: ignore[list-item]
-        return xor_matches(accum, left)
+        expected = self.factory.zero(self.block_size)
+        for payload in payloads:
+            expected = expected ^ payload.resized(self.block_size)
+        for _shard, payload in self._fillers(slot):
+            expected = expected ^ payload
+        return self.primary.parity_block(slot) == expected
 
     def absorb_update(
         self,
@@ -387,19 +296,19 @@ class LstorStack(InlineState):
     ) -> None:
         """Propagate one block update into every parity in the stack.
 
-        The one place a write's ``old XOR new`` delta is applied; a
-        single Lstor takes ``old`` and ``new`` with the shard, whose
-        pending term ``old`` usually cancels (see :meth:`Lstor.absorb`),
-        stacked Lstors get the codec's per-row deltas.
-        ``shard_index`` is the superchunk's slot on this disk (the RS data
-        shard index); ``slot`` is the block slot within the superchunk.
-        ``tag`` deduplicates replays (see :meth:`Lstor.absorb`).
+        The one place a write's ``old XOR new`` delta is applied: a
+        single Lstor absorbs ``old`` and ``new`` (``old`` usually cancels
+        the term its previous write left), stacked Lstors get the codec's
+        per-row deltas.  ``shard_index`` is the superchunk's slot on this
+        disk (the RS data shard index); ``slot`` is the block slot within
+        the superchunk.  ``tag`` deduplicates replays (see
+        :meth:`Lstor.absorb`).
         """
         if self._codec is None:
             if not self.lstors[0].failed:
                 # A failed Lstor absorbs nothing: the disk keeps serving,
                 # degraded to plain replication until the device is reset.
-                self.lstors[0].absorb(slot, old, new, tag=tag, shard=shard_index)
+                self.lstors[0].absorb(slot, old, new, tag=tag)
             return
         for lstor, delta in zip(self.lstors, self._row_deltas(shard_index, old, new)):
             if not lstor.failed:
@@ -415,40 +324,36 @@ class LstorStack(InlineState):
 
         ``surviving_blocks`` maps shard index (superchunk slot on this
         disk) to its block payload; ``missing_shards`` lists the shard
-        indices to recover.  For a single Lstor this is the XOR chain of
-        the paper's Fig. 2; for stacks it is an RS decode.
+        indices to recover.  A block shorter than the slot occupies the
+        slot's head; a caller cuts a rebuilt block back to its size.  For
+        a single Lstor this is the XOR chain of the paper's Fig. 2, which
+        over mints cancels to the lost block's terms; for stacks it is an
+        RS decode (a codec row is plain XOR only for some shard counts).
         """
-        self._fold_baseline(slot)
-        alive = self.alive_lstors()
-        if not alive:
+        if not self.alive_lstors():
             raise LstorFailedError(f"no live Lstor in stack {self.name}")
         if self._codec is None:
             if len(missing_shards) != 1:
                 raise ValueError("a single Lstor recovers exactly one superchunk")
-            accum = XorAccumulator(alive[0].parity_block(slot))
+            rebuilt = self.parity_block(slot)
             for payload in surviving_blocks.values():
-                accum.add(payload)
-            return {missing_shards[0]: accum.result()}
-        shards: Dict[int, Payload] = dict(surviving_blocks)
-        full: Dict[int, "BytesPayload"] = {
-            i: p for i, p in shards.items() if isinstance(p, BytesPayload)
-        }
-        arrays = {i: p.data for i, p in full.items()}
+                rebuilt = rebuilt ^ payload.resized(self.block_size)
+            return {missing_shards[0]: rebuilt}
+        self._fold_baseline(slot)
+        arrays = {i: p.resized(self.block_size).data for i, p in surviving_blocks.items()}
         # Missing *data* shards default to zeros if they were never
         # written; parity shards come from the live Lstors.
         for index, lstor in enumerate(self.lstors):
             if not lstor.failed:
-                parity = lstor.parity_block(slot)
-                assert isinstance(parity, BytesPayload)
-                arrays[self.data_shards + index] = parity.data
+                arrays[self.data_shards + index] = lstor.parity_block(slot).data
         for shard in range(self.data_shards):
             if shard not in arrays and shard not in missing_shards:
-                arrays[shard] = self.factory.zero(self.block_size).data  # type: ignore[union-attr]
+                arrays[shard] = self.factory.zero(self.block_size).data
         result = {}
         for shard in missing_shards:
             rebuilt = self._codec.reconstruct_shard(
                 {i: a for i, a in arrays.items() if i != shard}, shard
             )
-            result[shard] = BytesPayload.adopt(rebuilt)
+            result[shard] = Payload.adopt(rebuilt)
             arrays[shard] = rebuilt
         return result

@@ -516,18 +516,11 @@ class RaidpDataNode(DataNode):
     def _patched_content(
         self, block: Block, version: int, old: Payload, block_offset: int, nbytes: int
     ) -> Payload:
-        """Deterministic post-update content of a partially updated block."""
-        from repro.storage.payload import BytesPayload
-
-        if isinstance(old, BytesPayload):
-            patch = self.factory.make(f"{block.name}:u{version}", version, nbytes)
-            assert isinstance(patch, BytesPayload)
-            merged = old.mutable_copy()
-            merged[block_offset:block_offset + nbytes] = patch.data
-            return BytesPayload.adopt(merged)
-        # Symbolic plane: sub-block granularity is not representable;
-        # model the update as a whole-block version bump.
-        return self.factory.make(block.name, version, block.size)
+        """Deterministic post-update content of a partially updated block:
+        ``nbytes`` fresh minted bytes spliced into ``old`` (by terms,
+        nothing drawn)."""
+        patch = self.factory.make(f"{block.name}:u{version}", version, nbytes)
+        return old.splice(block_offset, patch)
 
     # ------------------------------------------------------------------
     # Journal acknowledgment protocol (paper §3.4).

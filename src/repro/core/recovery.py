@@ -43,7 +43,7 @@ from repro.sim.disk import Disk, DiskGeometry, DiskRun
 from repro.sim.engine import Simulator
 from repro.sim.network import Nic, Stage, Switch, Transfer
 from repro.sim.resources import ByteRangeLock, Lock
-from repro.storage.payload import Payload, XorAccumulator
+from repro.storage.payload import Payload
 
 
 # The recovery node's measured costs (§6.4).
@@ -616,19 +616,19 @@ class RecoveryManager:
         if slots is None:
             slots = range(dfs.map.slots_per_superchunk)
         rebuilt: Dict[int, Payload] = {}
+        missing = lost_source.shard_index_of(shared_sc)
         for slot in slots:
             blocks_at_slot = {
                 lost_source.shard_index_of(sc_id): payloads[slot]
                 for sc_id, payloads in surviving.items()
                 if slot in payloads
             }
-            missing = lost_source.shard_index_of(shared_sc)
-            chain = XorAccumulator(lost_source.lstors.parity_block(slot))
-            for payload in blocks_at_slot.values():
-                chain.add(payload)
-            accum = chain.result()
-            if not accum.is_zero():
-                rebuilt[slot] = accum
+            # Over mints the chain cancels to the lost block's terms.
+            chain = lost_source.lstors.reconstruct_block(
+                slot, blocks_at_slot, [missing]
+            )[missing]
+            if not chain.is_zero():
+                rebuilt[slot] = chain
         for slot, payload in roll_forward.items():
             if slot in slots:
                 rebuilt[slot] = payload
@@ -758,7 +758,9 @@ class RecoveryManager:
                 )
             for home in (receiver_name, partner_name):
                 datanode = dfs.datanode_by_name(home)
-                datanode.install_recovered_block(locations, payload)
+                datanode.install_recovered_block(
+                    locations, payload.resized(locations.block.size)
+                )
                 if home not in locations.datanodes:
                     locations.datanodes.append(home)
 

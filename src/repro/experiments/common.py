@@ -47,7 +47,6 @@ def build_hdfs(replication: int, scale: Scale, seed: int) -> HdfsCluster:
     return HdfsCluster(
         spec=ClusterSpec(num_nodes=scale.num_nodes),
         config=DfsConfig(replication=replication),
-        payload_mode="tokens",
         seed=seed,
     )
 
@@ -58,7 +57,6 @@ def build_raidp(scale: Scale, seed: int, **raidp_kwargs: Any) -> RaidpCluster:
         config=DfsConfig(replication=2),
         raidp=RaidpConfig(**raidp_kwargs),
         superchunk_size=scale.superchunk_size,
-        payload_mode="tokens",
         seed=seed,
     )
 

@@ -76,7 +76,6 @@ def _build(scheme: str, num_nodes: int, seed: int, scale: int = 1) -> Any:
         return HdfsCluster(
             spec=spec,
             config=DfsConfig(replication=3, block_size=BLOCK_SIZE),
-            payload_mode="tokens",
             seed=seed,
         )
     return RaidpCluster(
@@ -85,7 +84,6 @@ def _build(scheme: str, num_nodes: int, seed: int, scale: int = 1) -> Any:
         raidp=RaidpConfig(),
         superchunk_size=SUPERCHUNK_SIZE * scale,
         superchunks_per_disk=SUPERCHUNKS_PER_DISK,
-        payload_mode="tokens",
         seed=seed,
     )
 

@@ -39,7 +39,6 @@ def build_raidp(geometry: DiskGeometry, scale: Scale, label: str) -> RaidpCluste
         config=DfsConfig(replication=2),
         raidp=RaidpConfig(**dict(CONFIGS)[label]),
         superchunk_size=scale.superchunk_size,
-        payload_mode="tokens",
         seed=1,
     )
 
@@ -47,7 +46,7 @@ def build_raidp(geometry: DiskGeometry, scale: Scale, label: str) -> RaidpCluste
 def _family(geometry: DiskGeometry, scale: Scale, dataset: int) -> Dict[str, float]:
     spec = ClusterSpec(num_nodes=scale.num_nodes, disk_geometry=geometry)
     hdfs = HdfsCluster(
-        spec=spec, config=DfsConfig(replication=3), payload_mode="tokens", seed=1
+        spec=spec, config=DfsConfig(replication=3), seed=1
     )
     baseline = dfsio_write(hdfs, dataset).runtime
     return {

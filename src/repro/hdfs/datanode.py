@@ -2,7 +2,8 @@
 
 A DataNode owns one simulated server node (and its primary disk), an
 extent-allocating local filesystem, and an in-memory content store of
-block payloads (real bytes or symbolic tokens, see :mod:`repro.storage`).
+block payloads (sets of mint terms, drawn to bytes only when read; see
+:mod:`repro.storage`).
 
 Stock HDFS streams a write (paper §5 and §6.1): packets are written to
 disk as they arrive.  The local filesystem's extent allocator serializes

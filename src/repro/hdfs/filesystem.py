@@ -27,7 +27,6 @@ class HdfsCluster(InlineState):
         self,
         spec: Optional[ClusterSpec] = None,
         config: Optional[DfsConfig] = None,
-        payload_mode: str = "tokens",
         placement: Optional[PlacementPolicy] = None,
         seed: int = 0xF00D,
     ) -> None:
@@ -35,7 +34,7 @@ class HdfsCluster(InlineState):
         self.spec = spec or ClusterSpec()
         self.config = config or DfsConfig()
         self.cluster = Cluster(self.sim, self.spec)
-        self.factory = ContentFactory(mode=payload_mode, seed=seed)
+        self.factory = ContentFactory(seed=seed)
         self.namenode = NameNode(
             self.config,
             placement or ReplicationPlacement(self.config.replication, seed=seed),

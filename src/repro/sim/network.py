@@ -50,6 +50,7 @@ paper's "accumulated network GB" bars (Fig. 10).
 from __future__ import annotations
 
 import heapq
+import operator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Set, Tuple
 
@@ -63,6 +64,7 @@ if TYPE_CHECKING:
     from repro.sim.disk import Disk, DiskRun
 
 _INF = float("inf")
+_BY_SEQ = operator.attrgetter("seq")
 
 
 @dataclass
@@ -708,6 +710,8 @@ class Switch(InlineState):
         if trace.enabled:
             trace.instant("net", "resolve", now, flows=len(candidates))
         finished = self._bank(candidates, now)
+        if len(finished) > 1:
+            finished.sort(key=_BY_SEQ)  # retire and deliver in arrival order
         for flow in finished:
             self._retire(flow)
         if finished:
@@ -720,12 +724,11 @@ class Switch(InlineState):
         self._arm_timer(now)
 
     def _component(self, dirty_ports: List[_Port]) -> List[_Flow]:
-        """Flows in the connected component(s) of the dirty ports.
+        """Flows in the connected component(s) of the dirty ports, in
+        traversal order: dicts (not sets) keep it deterministic.  Only a
+        fresh solve reads the order of the flows; it sorts them itself.
 
         Ports are vertices, flows are (hyper)edges over their ports.
-        Dicts (not sets) keep the traversal order deterministic; the
-        result is sorted by flow arrival order so the solve's
-        tie-breaking matches a global iteration over every flow.
         """
         seen_ports: Dict[_Port, None] = dict.fromkeys(dirty_ports)
         flows: Dict[_Flow, None] = {}
@@ -739,7 +742,7 @@ class Switch(InlineState):
                         if other not in seen_ports:
                             seen_ports[other] = None
                             stack.append(other)
-        return sorted(flows, key=lambda flow: flow.seq)
+        return list(flows)
 
     def _bank(self, flows: Iterable[_Flow], now: float) -> List[_Flow]:
         """Credit ``flows`` with bytes moved at their current rate.
@@ -823,7 +826,8 @@ class Switch(InlineState):
         self.solves += 1
         start = self._resume(flows)
         if start is None:
-            start = self._fresh(flows)
+            # By arrival order, so ties break as a global scan would.
+            start = self._fresh(sorted(flows, key=_BY_SEQ))
         self._fill(*start, now)
 
     def _fresh(self, flows: List[_Flow]) -> _FillStart:

@@ -1,28 +1,20 @@
-"""Payload substrate: real-bytes and symbolic data planes.
+"""Payload substrate: block and parity content as sets of mint terms.
 
-Functional tests need bit-exact parity and recovery (real XOR over real
-bytes); large timing experiments simulate hundreds of gigabytes that
-cannot live in memory.  Both run through the same code paths by swapping
-the payload representation:
+Functional tests need bit-exact parity and recovery; timing experiments
+simulate hundreds of gigabytes that cannot live in memory.  One
+representation serves both: a :class:`Payload` is a frozenset of *mint
+terms* -- the deterministic PCG64 stream of one ``(name, version)``,
+whole or cut to a byte window at an offset -- plus an optional dense
+residue, over a fixed length.  XOR is symmetric difference of the terms
+(residues XOR bytewise), so a parity, its checks and a rebuild's fold
+cancel by set algebra and draw nothing; the zero is the empty set.
+:attr:`Payload.data` draws the terms' streams only when a reader needs
+bytes (CRCs, Reed-Solomon rows, an ``==`` whose term sets differ).
 
-- :class:`BytesPayload` carries a real numpy byte buffer; XOR is
-  ``np.bitwise_xor``.
-- :class:`TokenPayload` carries a frozenset of opaque write tokens; XOR is
-  symmetric difference.  Because (sets, symmetric-difference) and
-  (bytes, XOR) are both abelian groups where every element is its own
-  inverse, every parity identity that holds for tokens holds for bytes --
-  the symbolic plane is a faithful homomorphic image of the real one.
-
-:class:`ContentFactory` mints deterministic payloads for a given
-(name, version) in either mode, so experiments can verify recovered data
-without retaining originals.
+:class:`ContentFactory` mints the payload of a given (name, version), so
+experiments can verify recovered data without retaining originals.
 """
 
-from repro.storage.payload import (
-    BytesPayload,
-    ContentFactory,
-    Payload,
-    TokenPayload,
-)
+from repro.storage.payload import ContentFactory, Payload
 
-__all__ = ["BytesPayload", "ContentFactory", "Payload", "TokenPayload"]
+__all__ = ["ContentFactory", "Payload"]

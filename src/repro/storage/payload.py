@@ -1,6 +1,6 @@
-"""Payload representations shared by the data and parity planes.
+"""Payloads: the content of blocks and parities, as sets of mint terms.
 
-See the package docstring for the byte/token duality.  All payloads are
+See the package docstring for the representation.  All payloads are
 immutable value objects: every operation returns a new payload, which
 keeps journal records trivially correct (a record's "old data" snapshot
 cannot be mutated from underneath it).
@@ -9,353 +9,233 @@ cannot be mutated from underneath it).
 from __future__ import annotations
 
 import zlib
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, FrozenSet, Optional, Set, Tuple
 
 import numpy as np
 from repro.sim.snapshot import InlineState
 
+#: A mint term: ``(seed, name, version, length)`` is the whole stream of
+#: that mint, which then spans its payload; ``(seed, name, version, lo,
+#: hi, at)`` is the stream's bytes ``[lo, hi)`` placed at byte ``at``.
+Term = Tuple[Any, ...]
+_NO_TERMS: FrozenSet[Term] = frozenset()
+
 
 class Payload(InlineState):
-    """Common interface of both payload planes."""
+    """A fixed-length byte string: the XOR of mint terms and an optional
+    dense residue.
 
-    def xor(self, other: "Payload") -> "Payload":
-        raise NotImplementedError
-
-    def is_zero(self) -> bool:
-        raise NotImplementedError
-
-    def checksum(self) -> int:
-        """A content checksum stable across processes and runs.
-
-        Both planes derive it from CRC32 (never ``hash()``, whose
-        str/bytes hashing is randomized per process), so checksums may
-        be persisted, fingerprinted, and compared across worker
-        processes.
-        """
-        raise NotImplementedError
-
-    def __xor__(self, other: "Payload") -> "Payload":
-        return self.xor(other)
-
-    # Subclasses implement __eq__/__hash__.
-
-
-def _is_safely_immutable(arr: np.ndarray) -> bool:
-    """True if ``arr`` can never be written through any live reference.
-
-    Walking the base chain catches the trap of a read-only *view* whose
-    underlying buffer is still writable through the base array.
-    """
-    if arr.flags.writeable:
-        return False
-    base = arr.base
-    while base is not None:
-        if isinstance(base, np.ndarray):
-            if base.flags.writeable:
-                return False
-            base = base.base
-        else:
-            # Non-ndarray buffer owner (e.g. the ``bytes`` object behind
-            # ``np.frombuffer``): immutable iff the owner is immutable.
-            return isinstance(base, bytes)
-    return True
-
-
-class BytesPayload(Payload):
-    """A real byte buffer (numpy uint8), fixed length.
-
-    Construction is copy-free whenever the source is provably immutable
-    (``bytes`` via ``np.frombuffer``, or a read-only array whose whole
-    base chain is read-only); only writable sources are copied.  Fresh
-    buffers produced by payload arithmetic are adopted without a copy via
-    :meth:`adopt`.
-
-    A minted payload (:meth:`ContentFactory.make`) is *deferred*: it
-    holds ``(stable seed, length)`` in ``_mint`` and, while ``_data`` is
-    None, draws its bytes on the first :attr:`data` read, so a version
-    overwritten before anything reads it is never made.  ``len()``
-    answers from the spec.  The spec stays the mint's identity after the
-    draw: two mints of one spec hold equal bytes, so ``==`` answers
-    ``True`` for them (or for the same object) without reading any; any
-    other pair compares bytes.  Verifier reads (``==``,
-    :meth:`checksum`, :func:`xor_matches`) go through :meth:`peek`,
-    which caches only the CRC: an observer never leaves a mint drawn.
+    XOR is the terms' symmetric difference (residues XOR bytewise), so a
+    version overwritten in a parity meets its own term and cancels
+    exactly, and the zero is the empty set with no buffer.  :attr:`data`
+    draws the terms' PCG64 streams when a reader needs bytes and caches
+    nothing: only :meth:`checksum` keeps what it read, the CRC.  ``==``
+    answers equal term sets and residues without reading; otherwise it
+    draws the terms the two do not share and compares bytes.
     """
 
-    __slots__ = ("_data", "_mint", "_crc", "_zero")
+    __slots__ = ("terms", "residue", "length", "_crc", "__weakref__")
 
-    def __init__(self, data: Union[bytes, np.ndarray]) -> None:
-        if isinstance(data, bytes):
-            # frombuffer on bytes is a zero-copy read-only view backed by
-            # the immutable bytes object itself.
-            arr = np.frombuffer(data, dtype=np.uint8)
-        elif isinstance(data, (bytearray, memoryview)):
-            arr = np.frombuffer(data, dtype=np.uint8).copy()
-        else:
-            arr = np.asarray(data, dtype=np.uint8)
-            if not _is_safely_immutable(arr):
-                # Copy so the payload owns its buffer (immutability).
-                arr = arr.copy()
-        arr.setflags(write=False)
-        self._data: Optional[np.ndarray] = arr
-        self._mint: Optional[Tuple[int, int]] = None
+    def __init__(self, data: bytes = b"") -> None:
+        """The literal content ``data``, over the bytes object itself."""
+        if not isinstance(data, bytes):
+            raise TypeError("a payload is built from bytes; adopt() takes an array")
+        self.terms = _NO_TERMS
+        self.residue: Optional[np.ndarray] = np.frombuffer(data, dtype=np.uint8)
+        self.length = len(data)
         self._crc: Optional[int] = None
-        self._zero: Optional[bool] = None
 
     @classmethod
-    def adopt(cls, arr: np.ndarray) -> "BytesPayload":
-        """Wrap a freshly allocated array without copying.
+    def _of(
+        cls, terms: FrozenSet[Term], residue: Optional[np.ndarray], length: int
+    ) -> "Payload":
+        payload = cls.__new__(cls)
+        payload.terms = terms
+        payload.residue = residue
+        payload.length = length
+        payload._crc = None
+        return payload
+
+    @classmethod
+    def adopt(cls, arr: np.ndarray) -> "Payload":
+        """Wrap a freshly allocated array as a residue, without copying.
 
         The caller transfers ownership: it must not retain any writable
-        reference to ``arr`` (or its base) after adoption.  This is the
-        allocation-free path used by the XOR/codec kernels.
+        reference to ``arr`` (or its base) after adoption.
         """
-        payload = cls.__new__(cls)
         arr = np.ascontiguousarray(arr, dtype=np.uint8)
         arr.setflags(write=False)
-        payload._data = arr
-        payload._mint = None
-        payload._crc = None
-        payload._zero = None
-        return payload
+        return cls._of(_NO_TERMS, arr, len(arr))
 
     @classmethod
-    def minted(cls, seed: int, length: int) -> "BytesPayload":
-        """The deferred mint of ``length`` bytes of PCG64 stream ``seed``."""
-        payload = cls.__new__(cls)
-        payload._data = None
-        payload._mint = (seed, length)
-        payload._crc = None
-        payload._zero = None
-        return payload
+    def zeros(cls, length: int) -> "Payload":
+        return cls._of(_NO_TERMS, None, length)
 
     @property
     def data(self) -> np.ndarray:
-        """The content, read-only; a deferred mint draws it here, once."""
-        data = self._data
-        if data is None:
-            assert self._mint is not None
-            data = self._data = _draw(*self._mint)
-        return data
+        """The content, read-only, drawn afresh on every read."""
+        terms, residue = self.terms, self.residue
+        if not terms:
+            return residue if residue is not None else _frozen(np.zeros(self.length, np.uint8))
+        if residue is None and len(terms) == 1:
+            (term,) = terms
+            if len(term) == 4:
+                return _draw(_stable_seed(*term[:3]), self.length)
+        buf = np.zeros(self.length, np.uint8) if residue is None else residue.copy()
+        for term in terms:  # XOR commutes: any order draws the same bytes
+            seed, name, version, lo, hi, at = _parts(term)
+            span = buf[at:at + hi - lo]
+            np.bitwise_xor(span, _draw(_stable_seed(seed, name, version), hi)[lo:], out=span)
+        return _frozen(buf)
 
-    def peek(self) -> np.ndarray:
-        """The content, read-only, without making a mint: an undrawn one
-        is drawn into a temporary that dies with the caller's use."""
-        data = self._data
-        if data is None:
-            assert self._mint is not None
-            data = _draw(*self._mint)
-        return data
-
-    @classmethod
-    def zeros(cls, length: int) -> "BytesPayload":
-        payload = cls.adopt(np.zeros(length, dtype=np.uint8))
-        payload._zero = True
-        return payload
-
-    def xor(self, other: Payload) -> "BytesPayload":
-        if not isinstance(other, BytesPayload):
-            raise TypeError("cannot XOR bytes with symbolic payload")
-        if len(self) != len(other):
-            raise ValueError(f"payload length mismatch: {len(self)} vs {len(other)}")
-        # XOR with a payload already known to be zero is the other operand
-        # itself (both are immutable): first writes, deletes and installs
-        # into empty slots allocate and compute nothing.
-        if other._zero:
+    def xor(self, other: "Payload") -> "Payload":
+        if not isinstance(other, Payload):
+            raise TypeError(f"cannot XOR a payload with {type(other).__name__}")
+        if self.length != other.length:
+            raise ValueError(f"payload length mismatch: {self.length} vs {other.length}")
+        # XOR with a known zero is the other operand itself.
+        if not other.terms and other.residue is None:
             return self
-        if self._zero:
+        if not self.terms and self.residue is None:
             return other
-        return BytesPayload.adopt(np.bitwise_xor(self.data, other.data))
+        residue = self.residue
+        if other.residue is not None:
+            residue = (
+                other.residue if residue is None
+                else _frozen(np.bitwise_xor(residue, other.residue))
+            )
+        return Payload._of(self.terms ^ other.terms, residue, self.length)
+
+    __xor__ = xor
+
+    def splice(self, at: int, patch: "Payload") -> "Payload":
+        """This content with ``patch`` written over bytes ``[at, at +
+        len(patch))``: ``self ^ self[at:hi] ^ patch@at``, by terms."""
+        hi = at + patch.length
+        if not 0 <= at <= hi <= self.length:
+            raise ValueError(f"patch [{at}, {hi}) outside a {self.length}-byte payload")
+        terms: Set[Term] = set(self.terms)
+        for term in self.terms:  # toggles commute: any order
+            _toggle(terms, _window(term, at, hi, 0, self.length))
+        for term in patch.terms:
+            _toggle(terms, _window(term, 0, patch.length, at, self.length))
+        residue = self.residue
+        if residue is not None or patch.residue is not None:
+            residue = np.zeros(self.length, np.uint8) if residue is None else residue.copy()
+            residue[at:hi] = 0 if patch.residue is None else patch.residue
+            residue = _frozen(residue)
+        return Payload._of(frozenset(terms), residue, self.length)
+
+    def resized(self, length: int) -> "Payload":
+        """The first ``length`` bytes, zero-extended: a short block in
+        its slot, or a slot's head as the block."""
+        if length == self.length:
+            return self
+        keep = min(length, self.length)
+        terms: Set[Term] = set()
+        for term in self.terms:
+            _toggle(terms, _window(term, 0, keep, 0, length))
+        residue = self.residue
+        if residue is not None:
+            head = residue[:keep]
+            residue = np.zeros(length, np.uint8)
+            residue[:keep] = head
+            residue = _frozen(residue)
+        return Payload._of(frozenset(terms), residue, length)
 
     def xor_into(self, accum: np.ndarray) -> None:
-        """``accum ^= self`` in place, no allocation.
-
-        ``accum`` must be a writable uint8 array of matching length owned
-        by the caller; it is never retained.  This keeps long XOR chains
-        (parity absorption, superchunk reconstruction) copy-free while the
-        payload itself stays immutable.  A payload known to be zero (see
-        :meth:`xor`) changes nothing and computes nothing.
-        """
-        if len(accum) != len(self):
-            raise ValueError(f"payload length mismatch: {len(accum)} vs {len(self)}")
-        if not self._zero:
+        """``accum ^= self`` in place; ``accum`` is only written."""
+        if len(accum) != self.length:
+            raise ValueError(f"payload length mismatch: {len(accum)} vs {self.length}")
+        if self.terms or self.residue is not None:
             np.bitwise_xor(accum, self.data, out=accum)
 
     def mutable_copy(self) -> np.ndarray:
-        """A writable copy of the content, for use as an XOR accumulator."""
+        """A writable copy of the content."""
         return self.data.copy()
 
     def is_zero(self) -> bool:
-        """Cached like the CRC: computed once, never assumed from the source.
-
-        A deferred mint draws only its first 64-bit word: a nonzero word
-        proves the content nonzero.  A zero word, or a mint shorter than
-        one word, is settled by the bytes themselves.
-        """
-        if self._zero is None:
-            spec = self._mint if self._data is None else None
-            if spec is not None and spec[1] >= 8 and _draw(spec[0], 8).any():
-                self._zero = False
-            else:
-                self._zero = not self.data.any()
-        return self._zero
+        """Known zero: no term (a mint's PCG64 window is taken as nonzero)
+        and no residue byte set.  Reads only a residue."""
+        if self.terms:
+            return self.length == 0
+        return self.residue is None or not self.residue.any()
 
     def checksum(self) -> int:
-        """CRC32 of the content (models HDFS's per-block checksum file).
-
-        Cached: payloads are immutable, so the CRC can never change.
-        """
+        """CRC32 of the content (models HDFS's per-block checksum file),
+        stable across processes (never ``hash()``), cached."""
         if self._crc is None:
-            self._crc = zlib.crc32(self.peek())
+            self._crc = zlib.crc32(self.data)
         return self._crc
 
     def __len__(self) -> int:
-        spec = self._mint if self._data is None else None
-        return spec[1] if spec is not None else len(self.data)
+        return self.length
 
     def __eq__(self, other: object) -> bool:
-        if not isinstance(other, BytesPayload):
-            return False
-        if self is other or (self._mint is not None and self._mint == other._mint):
+        if not isinstance(other, Payload):
+            return NotImplemented
+        if self is other:
             return True
-        return np.array_equal(self.peek(), other.peek())
+        if self.length != other.length:
+            return False
+        if self.terms == other.terms:
+            mine, theirs = self.residue, other.residue
+            if mine is None or theirs is None:
+                rest = theirs if mine is None else mine
+                return rest is None or not rest.any()
+            return mine is theirs or bool(np.array_equal(mine, theirs))
+        return not self.xor(other).data.any()
 
     def __hash__(self) -> int:
-        return hash(self.peek().tobytes())
+        return hash(self.data.tobytes())
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<BytesPayload len={len(self)} crc={self.checksum():08x}>"
+        residue = "" if self.residue is None else " +residue"
+        return f"<Payload len={self.length} terms={sorted(self.terms)!r}{residue}>"
 
 
-class TokenPayload(Payload):
-    """A symbolic payload: a set of opaque tokens under symmetric diff.
-
-    A fresh write of version ``v`` of some datum is the singleton
-    ``{(name, v)}``.  XOR-ing an old version against a new one yields
-    ``{(name, v_old), (name, v_new)}`` -- exactly the delta an Lstor
-    absorbs -- and parity consistency reduces to set equality.
-    """
-
-    __slots__ = ("tokens",)
-
-    def __init__(self, tokens: FrozenSet[Tuple] = frozenset()) -> None:
-        self.tokens = frozenset(tokens)
-
-    @classmethod
-    def zeros(cls, _length: int = 0) -> "TokenPayload":
-        return cls(frozenset())
-
-    @classmethod
-    def of(cls, name: str, version: int) -> "TokenPayload":
-        return cls(frozenset({(name, version)}))
-
-    def xor(self, other: Payload) -> "TokenPayload":
-        if not isinstance(other, TokenPayload):
-            raise TypeError("cannot XOR symbolic payload with bytes")
-        return TokenPayload(self.tokens ^ other.tokens)
-
-    def is_zero(self) -> bool:
-        return not self.tokens
-
-    def checksum(self) -> int:
-        """CRC32 over the canonically ordered token set (process-stable)."""
-        return zlib.crc32(
-            "\x1f".join(f"{name}\x1e{version}" for name, version in sorted(self.tokens)).encode(
-                "utf-8"
-            )
-        )
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, TokenPayload) and self.tokens == other.tokens
-
-    def __hash__(self) -> int:
-        return hash(self.tokens)
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<TokenPayload {sorted(self.tokens)!r}>"
+#: The name ``bench/kernels.py`` imports.
+BytesPayload = Payload
 
 
-class XorAccumulator(InlineState):
-    """Folds payloads under XOR without a fresh allocation per step.
-
-    In the bytes plane the accumulator owns one writable buffer and XORs
-    into it in place; :meth:`result` adopts the buffer into an immutable
-    payload (so the total cost of an N-term chain is one allocation, not
-    N).  The buffer is copied in only when a second operand not known to
-    be zero arrives: until then the fold is :meth:`BytesPayload.xor`,
-    which returns the other operand of a known zero itself.  In the token
-    plane it is immutable folding throughout -- token sets are tiny, so
-    there is nothing to win there.
-    """
-
-    __slots__ = ("_buf", "_payload")
-
-    def __init__(self, initial: Payload) -> None:
-        self._buf: Optional[np.ndarray] = None
-        self._payload = initial
-
-    def add(self, payload: Payload) -> None:
-        if self._buf is None:
-            current = self._payload
-            if (
-                not isinstance(current, BytesPayload)
-                or not isinstance(payload, BytesPayload)
-                or current._zero
-                or payload._zero
-            ):
-                # Token plane, or a known zero: no buffer, no pass.
-                self._payload = current.xor(payload)
-                return
-            self._buf = current.mutable_copy()
-        if not isinstance(payload, BytesPayload):
-            raise TypeError("cannot XOR bytes with symbolic payload")
-        payload.xor_into(self._buf)
-
-    def result(self) -> Payload:
-        """The folded payload; the accumulator must not be added to after."""
-        if self._buf is not None:
-            self._payload = BytesPayload.adopt(self._buf)
-            self._buf = None  # buffer ownership transferred to the payload
-        return self._payload
+def _toggle(terms: Set[Term], term: Optional[Term]) -> None:
+    if term is not None:
+        terms.symmetric_difference_update((term,))
 
 
-def cancel_equal_pairs(terms: Sequence[BytesPayload]) -> List[BytesPayload]:
-    """``terms`` less every pair provably equal, since ``x ^ x = 0``:
-    the same object twice, or two mints of one spec.  Known zeros go
-    too.  Reads no bytes; the XOR of the result is the XOR of ``terms``."""
-    left: Dict[object, BytesPayload] = {}
-    for term in terms:
-        if term._zero:
-            continue
-        key = term._mint or id(term)  # ``terms`` keeps every id alive
-        if left.pop(key, None) is None:
-            left[key] = term
-    return list(left.values())
+def _parts(term: Term) -> Term:
+    """``(seed, name, version, lo, hi, at)`` of a whole mint or a window."""
+    return term if len(term) == 6 else (*term[:3], 0, term[3], 0)
 
 
-def xor_matches(accum: Optional[np.ndarray], terms: Sequence[BytesPayload]) -> bool:
-    """Is ``accum`` (``None``: zero) the XOR of ``terms``?  Each term is
-    read through :meth:`BytesPayload.peek`, two or more are folded into
-    one scratch buffer; ``accum`` is only read."""
-    if not terms:
-        return accum is None or not accum.any()
-    folded = terms[0].peek()
-    if len(terms) > 1:
-        folded = folded.copy()
-        for term in terms[1:]:
-            np.bitwise_xor(folded, term.peek(), out=folded)
-    return not folded.any() if accum is None else np.array_equal(folded, accum)
+def _window(term: Term, lo: int, hi: int, shift: int, length: int) -> Optional[Term]:
+    """``term``'s bytes within ``[lo, hi)``, moved ``shift`` bytes on, as
+    a term of a ``length``-byte payload (``None`` when nothing is left).
+    One spelling per window, so equal windows cancel as set members."""
+    seed, name, version, start, stop, at = _parts(term)
+    begin, end = max(at, lo), min(at + stop - start, hi)
+    if begin >= end:
+        return None
+    start += begin - at
+    at = begin + shift
+    if start == 0 and at == 0 and end - begin == length:
+        return (seed, name, version, length)
+    return (seed, name, version, start, start + end - begin, at)
+
+
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
 
 
 def _stable_seed(seed: int, name: str, version: int) -> int:
     """A 64-bit RNG seed independent of ``PYTHONHASHSEED``.
 
-    The previous implementation seeded the generator from
-    ``hash((seed, name, version))`` -- but ``hash()`` of a ``str`` is
-    randomized per interpreter process, so the *content* of minted
-    payloads (and every CRC-derived fingerprint over them) differed from
-    run to run and between parallel-runner workers.  Two domain-
-    separated CRC32s give a stable 64-bit seed instead.
+    Seeding from ``hash((seed, name, version))`` would make the content
+    of every mint (and every CRC-derived fingerprint over it) differ
+    between interpreter processes, since ``hash()`` of a ``str`` is
+    randomized per process.  Two domain-separated CRC32s give a stable
+    64-bit seed instead.
     """
     key = f"{seed}\x1f{version}\x1f{name}".encode("utf-8")
     return (zlib.crc32(b"hi\x1f" + key) << 32) | zlib.crc32(b"lo\x1f" + key)
@@ -366,10 +246,8 @@ def _draw(seed: int, length: int) -> np.ndarray:
 
     One 64-bit PCG64 draw per 8 bytes: its little-endian bytes are
     exactly the stream ``integers(0, 256, dtype=uint8)`` buffers out one
-    byte at a time (pinned by the golden-content test).  The word buffer
-    is frozen before the byte view is taken, so the payload's whole base
-    chain is read-only and a payload built over a slice of it stays a
-    view.
+    byte at a time (pinned by the golden-content test), and a shorter
+    draw is a prefix of a longer one.
     """
     words = np.random.PCG64(seed).random_raw(-(-length // 8)).astype("<u8", copy=False)
     words.setflags(write=False)
@@ -377,39 +255,23 @@ def _draw(seed: int, length: int) -> np.ndarray:
 
 
 class ContentFactory(InlineState):
-    """Mints deterministic payloads for named data in either plane.
+    """Mints deterministic payloads for named data.
 
-    ``mode`` is ``"bytes"`` (real data, sizes must be modest) or
-    ``"tokens"`` (symbolic, any size).  The factory also *re-mints* a
-    payload for verification: recovered content must equal
-    ``factory.make(name, version)``.  A bytes-plane mint is deferred: it
-    costs two CRC32s until something reads its bytes (see
-    :class:`BytesPayload`).
+    ``make(name, version, length)`` is the one-term payload of that
+    mint: it derives no seed and draws nothing until a reader needs the
+    bytes.  The factory also *re-mints* a payload for verification:
+    recovered content must equal ``factory.make(name, version, length)``.
     """
 
-    def __init__(self, mode: str = "bytes", seed: int = 0x5EED) -> None:
-        if mode not in ("bytes", "tokens"):
-            raise ValueError(f"unknown payload mode {mode!r}")
-        self.mode = mode
+    def __init__(self, seed: int = 0x5EED) -> None:
         self.seed = seed
-        self._zeros: Dict[int, BytesPayload] = {}
-
-    @property
-    def symbolic(self) -> bool:
-        return self.mode == "tokens"
+        self._zeros: Dict[int, Payload] = {}
 
     def make(self, name: str, version: int, length: int) -> Payload:
-        if self.mode == "tokens":
-            return TokenPayload.of(name, version)
-        # Deferred: the bytes are drawn (:func:`_draw`) on the first read.
-        return BytesPayload.minted(_stable_seed(self.seed, name, version), length)
+        return Payload._of(frozenset({(self.seed, name, version, length)}), None, length)
 
     def zero(self, length: int) -> Payload:
-        if self.mode == "tokens":
-            return TokenPayload.zeros()
-        # Payloads are immutable, so every empty slot of one length can
-        # share a single zero buffer.
         zero = self._zeros.get(length)
         if zero is None:
-            zero = self._zeros[length] = BytesPayload.zeros(length)
+            zero = self._zeros[length] = Payload.zeros(length)
         return zero

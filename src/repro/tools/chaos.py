@@ -453,7 +453,6 @@ def build_cluster(seed: int) -> RaidpCluster:
         config=config,
         superchunk_size=SUPERCHUNK_SIZE,
         superchunks_per_disk=SUPERCHUNKS_PER_DISK,
-        payload_mode="bytes",
         seed=seed,
     )
 

@@ -131,7 +131,6 @@ def _build_system(system: str, nodes: int, seed: int) -> Any:
         return HdfsCluster(
             spec=spec,
             config=DfsConfig(replication=replication),
-            payload_mode="tokens",
             seed=seed,
         )
     raidp = RaidpConfig(update_oriented=(system == "raidp-rewrite"))
@@ -139,7 +138,6 @@ def _build_system(system: str, nodes: int, seed: int) -> Any:
         spec=spec,
         config=DfsConfig(replication=2),
         raidp=raidp,
-        payload_mode="tokens",
         seed=seed,
     )
 
@@ -164,7 +162,6 @@ def cmd_drill(args: argparse.Namespace) -> int:
         config=DfsConfig(block_size=units.MiB, replication=2),
         superchunk_size=4 * units.MiB,
         superchunks_per_disk=max(args.nodes // 3, 2),
-        payload_mode="bytes",
         seed=args.seed,
     )
 

@@ -40,7 +40,6 @@ from repro.obs.metrics import SWITCH_WORK_COUNTERS
 from repro.obs.tracer import active_tracer
 from repro.sim.engine import Event, Simulator, Timeout
 from repro.sim.network import Switch
-from repro.storage.payload import XorAccumulator
 from repro.units import HOURS_PER_YEAR
 from repro.workloads.dfsio import dfsio_write
 
@@ -114,6 +113,7 @@ class ReferenceSwitch(Switch):
         return list(self._flows)
 
     def _solve(self, flows, now):
+        flows = sorted(flows, key=lambda flow: flow.seq)
         ports = {port for flow in flows for port in (flow.src_port, flow.dst_port)}
         cap = {port: port.capacity for port in ports}
         unfrozen = list(flows)
@@ -202,6 +202,7 @@ class ScanFillSwitch(Switch):
         if not flows:
             return
         self.solves += 1
+        flows = sorted(flows, key=lambda flow: flow.seq)  # the scan order
         remaining_cap, load = {}, {}
         for flow in flows:
             for port in (flow.src_port, flow.dst_port):
@@ -540,22 +541,22 @@ def eager_preallocate(self):
 
 
 class EagerParity:
-    """A single Lstor's parity by its definition: every term absorbed is
-    XORed in at once, and a failed device absorbs nothing until it is
-    reset.  The oracle of ``Lstor``'s pending terms, which defer a
-    write's ``new`` until the shard's next write or a parity read."""
+    """A single Lstor's parity by its definition, in bytes: every payload
+    absorbed is drawn and XORed in at once, and a failed device absorbs
+    nothing until it is reset.  The oracle of ``Lstor``'s term sets,
+    where a write's ``old`` cancels its previous ``new`` unread."""
 
     def __init__(self, block_size: int) -> None:
         self.block_size = block_size
         self.failed = False
         self._slots: Dict[int, np.ndarray] = {}
 
-    def absorb(self, slot: int, *terms: Any) -> None:
+    def absorb(self, slot: int, *payloads: Any) -> None:
         if self.failed:
             return
         accum = self._slots.setdefault(slot, np.zeros(self.block_size, dtype=np.uint8))
-        for term in terms:
-            accum ^= term.data
+        for payload in payloads:
+            accum ^= payload.data
 
     def parity(self, slot: int) -> bytes:
         return bytes(self._slots.get(slot, np.zeros(self.block_size, dtype=np.uint8)))
@@ -569,15 +570,15 @@ class EagerParity:
 
 
 def folding_covers(stack: Any, slot: int, payloads: List[Any]) -> bool:
-    """The parity check by folding: XOR ``payloads`` into a fresh
-    accumulator and compare it with a parity read, which folds the
-    slot's pending terms and preallocation fillers first.  The oracle of
-    ``LstorStack.covers``; unlike it, this changes the stack it reads
-    and makes every mint it meets."""
-    expected = XorAccumulator(stack.factory.zero(stack.block_size))
+    """The parity check by folding bytes: XOR every payload's drawn
+    bytes into a fresh buffer and compare it with a parity read's bytes
+    (the read folds the slot's preallocation fillers first).  The oracle
+    of ``LstorStack.covers``; unlike it, this changes the stack it reads
+    and draws every term it meets."""
+    expected = np.zeros(stack.block_size, dtype=np.uint8)
     for payload in payloads:
-        expected.add(payload)
-    return stack.parity_block(slot) == expected.result()
+        expected ^= payload.data
+    return bytes(stack.parity_block(slot).data) == bytes(expected)
 
 
 def folding_verify_parity(dfs: Any) -> None:

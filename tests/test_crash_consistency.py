@@ -20,13 +20,12 @@ from repro.hdfs.config import DfsConfig
 from repro.sim.cluster import ClusterSpec
 
 
-def make_cluster(payload_mode="bytes"):
+def make_cluster():
     return RaidpCluster(
         spec=ClusterSpec(num_nodes=5),
         config=DfsConfig(block_size=units.MiB, replication=2),
         raidp=RaidpConfig(),
         superchunk_size=4 * units.MiB,
-        payload_mode=payload_mode,
     )
 
 
@@ -154,7 +153,7 @@ def test_roll_forward_of_deleted_block_just_clears():
     rewrites=st.integers(min_value=0, max_value=2),
 )
 def test_property_roll_forward_always_restores_invariants(steps_a, steps_b, rewrites):
-    dfs = make_cluster(payload_mode="tokens")
+    dfs = make_cluster()
     client = dfs.client(0)
     dfs.sim.run_process(client.write_file("/base", 2 * units.MiB))
     locations = allocate_block(dfs, path="/torn")
@@ -170,9 +169,9 @@ def test_property_roll_forward_always_restores_invariants(steps_a, steps_b, rewr
 # Journal unit tests.
 # ----------------------------------------------------------------------
 def zero_payload():
-    from repro.storage.payload import TokenPayload
+    from repro.storage.payload import Payload
 
-    return TokenPayload.zeros()
+    return Payload.zeros(1024)
 
 
 def append_one(journal, name="blk_1", nbytes=1024):

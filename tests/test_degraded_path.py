@@ -13,13 +13,12 @@ from repro.sim.cluster import ClusterSpec
 from tests.test_preallocation import block_in_slot
 
 
-def cluster(payload_mode="bytes", num_nodes=6, per_disk=None):
+def cluster(num_nodes=6, per_disk=None):
     return RaidpCluster(
         spec=ClusterSpec(num_nodes=num_nodes),
         config=DfsConfig(block_size=units.MiB, replication=2),
         superchunk_size=4 * units.MiB,
         superchunks_per_disk=per_disk,
-        payload_mode=payload_mode,
     )
 
 
@@ -55,10 +54,33 @@ def test_degraded_read_returns_exact_content():
     assert reader.stats_degraded_reads == 1
 
 
+def test_degraded_read_and_rebuild_through_stacked_lstors():
+    """Ten disks give each stack nine RS data shards, whose first parity
+    row is not plain XOR: a degraded read and a rebuild must decode."""
+    dfs = RaidpCluster(
+        spec=ClusterSpec(num_nodes=10),
+        config=DfsConfig(block_size=units.MiB, replication=2),
+        raidp=RaidpConfig(lstors_per_disk=2),
+        superchunk_size=4 * units.MiB,
+        superchunks_per_disk=3,
+    )
+    assert set(dfs.datanodes[0].lstors._codec._matrix[9]) != {1}
+    dfs.sim.run_process(dfs.client(0).write_file("/f", 3 * units.MiB))
+    block = dfs.namenode.file_blocks("/f")[0]
+    locations = dfs.namenode.locate_block(block.block_id)
+    original = dfs.datanode_by_name(locations.datanodes[0]).content_of(block.name)
+    fail_both_replicas(dfs, locations)
+    reader = next(c for c in dfs.clients if c.node.name not in locations.datanodes)
+    assert dfs.sim.run_process(reader.degraded_read(locations)) == original
+    RecoveryManager(dfs).recover(tuple(locations.datanodes))
+    for name in locations.datanodes:
+        assert dfs.datanode_by_name(name).content_of(block.name) == original
+
+
 def test_degraded_read_burdens_many_nodes():
     """Like an erasure-coded degraded read, the fallback moves roughly
     one block per surviving superchunk of the failed disk."""
-    dfs = cluster(payload_mode="tokens")
+    dfs = cluster()
     writer = dfs.client(0)
     dfs.sim.run_process(writer.write_file("/f", units.MiB))
     locations = dfs.namenode.locate_block(dfs.namenode.file_blocks("/f")[0].block_id)
@@ -72,7 +94,7 @@ def test_degraded_read_burdens_many_nodes():
 
 
 def test_degraded_read_fails_without_any_lstor():
-    dfs = cluster(payload_mode="tokens")
+    dfs = cluster()
     writer = dfs.client(0)
     dfs.sim.run_process(writer.write_file("/f", units.MiB))
     locations = dfs.namenode.locate_block(dfs.namenode.file_blocks("/f")[0].block_id)
@@ -135,7 +157,6 @@ def test_degraded_read_over_preallocated_fillers():
         config=DfsConfig(block_size=units.MiB, replication=2),
         raidp=RaidpConfig(update_oriented=True),
         superchunk_size=4 * units.MiB,
-        payload_mode="bytes",
     )
     dfs.sim.run_process(dfs.client(0).write_file("/f", 2 * units.MiB))
     block = dfs.namenode.file_blocks("/f")[0]
@@ -152,7 +173,7 @@ def test_degraded_read_over_preallocated_fillers():
 
 
 def test_normal_reads_unaffected():
-    dfs = cluster(payload_mode="tokens")
+    dfs = cluster()
     writer = dfs.client(0)
 
     def body():
@@ -168,7 +189,7 @@ def test_normal_reads_unaffected():
 # Write diversion.
 # ----------------------------------------------------------------------
 def test_frozen_superchunks_reject_new_placements():
-    dfs = cluster(payload_mode="tokens", num_nodes=8, per_disk=3)
+    dfs = cluster(num_nodes=8, per_disk=3)
     frozen = dfs.layout.superchunks_of("n0")
     for sc_id in frozen:
         dfs.map.freeze(sc_id)
@@ -180,7 +201,7 @@ def test_frozen_superchunks_reject_new_placements():
 
 
 def test_recovery_unfreezes_when_done():
-    dfs = cluster(payload_mode="tokens", num_nodes=8, per_disk=3)
+    dfs = cluster(num_nodes=8, per_disk=3)
 
     def writers():
         procs = [

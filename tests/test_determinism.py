@@ -24,7 +24,6 @@ def run_raidp(seed):
         spec=ClusterSpec(num_nodes=8),
         config=DfsConfig(replication=2),
         raidp=RaidpConfig(),
-        payload_mode="tokens",
         seed=seed,
     )
     write = dfsio_write(dfs, units.GiB)
@@ -40,7 +39,6 @@ def run_hdfs(seed):
     dfs = HdfsCluster(
         spec=ClusterSpec(num_nodes=8),
         config=DfsConfig(replication=3),
-        payload_mode="tokens",
         seed=seed,
     )
     teragen(dfs, units.GiB)

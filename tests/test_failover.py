@@ -12,7 +12,7 @@ from repro.hdfs.config import DfsConfig
 from repro.sim.cluster import ClusterSpec
 
 
-def cluster(num_nodes=8, per_disk=3, payload_mode="bytes"):
+def cluster(num_nodes=8, per_disk=3):
     return RaidpCluster(
         spec=ClusterSpec(num_nodes=num_nodes),
         config=DfsConfig(
@@ -23,7 +23,6 @@ def cluster(num_nodes=8, per_disk=3, payload_mode="bytes"):
         ),
         superchunk_size=4 * units.MiB,
         superchunks_per_disk=per_disk,
-        payload_mode=payload_mode,
     )
 
 
@@ -193,7 +192,7 @@ def payloads(factory, name, nbytes):
 def test_journal_strict_capacity_overflow():
     from repro.storage.payload import ContentFactory
 
-    factory = ContentFactory("tokens")
+    factory = ContentFactory()
     journal = Journal(capacity=2 * units.MiB, strict_capacity=True)
     old, new = payloads(factory, "blk_a", units.MiB)
     first = journal.append("blk_a", 0, 0, old, new, units.MiB, now=0.0)
@@ -212,7 +211,7 @@ def test_journal_strict_capacity_overflow():
 def test_journal_soft_capacity_counts_overflows():
     from repro.storage.payload import ContentFactory
 
-    factory = ContentFactory("tokens")
+    factory = ContentFactory()
     journal = Journal(capacity=units.MiB, strict_capacity=False)
     old, new = payloads(factory, "blk_a", units.MiB)
     journal.append("blk_a", 0, 0, old, new, units.MiB, now=0.0)
@@ -239,7 +238,7 @@ class _BareCluster:
 
 
 def test_heartbeats_survive_clientless_cluster():
-    dfs = cluster(payload_mode="tokens")
+    dfs = cluster()
     monitor = ClusterMonitor(_BareCluster(dfs))
     monitor.start()
     dfs.sim.run(until=10.0)

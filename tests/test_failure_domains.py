@@ -85,7 +85,6 @@ def multi_disk_cluster(num_nodes=4, disks_per_node=3, per_disk=4):
         config=DfsConfig(block_size=units.MiB, replication=2),
         superchunk_size=4 * units.MiB,
         superchunks_per_disk=per_disk,
-        payload_mode="bytes",
     )
 
 
@@ -95,7 +94,6 @@ def test_multi_disk_cluster_requires_explicit_density():
             spec=ClusterSpec(num_nodes=4, disks_per_node=2),
             config=DfsConfig(block_size=units.MiB, replication=2),
             superchunk_size=4 * units.MiB,
-            payload_mode="tokens",
         )
 
 

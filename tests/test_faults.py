@@ -16,13 +16,12 @@ from repro.hdfs.config import DfsConfig
 from repro.sim.cluster import ClusterSpec
 
 
-def cluster(num_nodes=8, payload_mode="tokens"):
+def cluster(num_nodes=8):
     return RaidpCluster(
         spec=ClusterSpec(num_nodes=num_nodes),
         config=DfsConfig(block_size=units.MiB, replication=2),
         superchunk_size=4 * units.MiB,
         superchunks_per_disk=3,
-        payload_mode=payload_mode,
     )
 
 
@@ -197,7 +196,7 @@ def test_nic_degrade_restores_rates():
 
 
 def test_lstor_fail_keeps_disk_serving():
-    dfs = cluster(payload_mode="bytes")
+    dfs = cluster()
 
     def body():
         yield from dfs.clients[0].write_file("/f", 2 * units.MiB)

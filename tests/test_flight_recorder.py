@@ -36,7 +36,6 @@ def _cluster(seed=11, nodes=8):
         config=DfsConfig(block_size=units.MiB, replication=2),
         raidp=RaidpConfig(),
         superchunk_size=4 * units.MiB,
-        payload_mode="tokens",
         seed=seed,
     )
 

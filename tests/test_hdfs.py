@@ -16,14 +16,14 @@ from repro.hdfs.filesystem import HdfsCluster
 from repro.sim.cluster import ClusterSpec
 
 
-def small_cluster(replication=3, num_nodes=4, payload_mode="bytes", **kwargs):
+def small_cluster(replication=3, num_nodes=4, **kwargs):
     config = DfsConfig(
         block_size=4 * units.MiB,
         packet_size=64 * units.KiB,
         replication=replication,
     )
     spec = ClusterSpec(num_nodes=num_nodes)
-    return HdfsCluster(spec=spec, config=config, payload_mode=payload_mode, **kwargs)
+    return HdfsCluster(spec=spec, config=config, **kwargs)
 
 
 def test_config_validation():
@@ -107,7 +107,7 @@ def test_remote_read_crosses_network():
 def test_write_network_volume_scales_with_replication():
     volumes = {}
     for replication in (2, 3):
-        dfs = small_cluster(replication=replication, payload_mode="tokens")
+        dfs = small_cluster(replication=replication)
         client = dfs.clients[0]
         dfs.sim.run_process(client.write_file("/f", 16 * units.MiB))
         volumes[replication] = dfs.total_network_bytes()
@@ -118,7 +118,7 @@ def test_write_network_volume_scales_with_replication():
 def test_triplication_slower_than_two_replicas():
     runtimes = {}
     for replication in (2, 3):
-        dfs = small_cluster(replication=replication, payload_mode="tokens")
+        dfs = small_cluster(replication=replication)
 
         def all_writers(dfs=dfs):
             procs = [
@@ -224,7 +224,6 @@ def test_streamed_and_accumulated_paths_both_store_content():
         spec=ClusterSpec(num_nodes=4),
         config=DfsConfig(block_size=4 * units.MiB, replication=2),
         superchunk_size=16 * units.MiB,
-        payload_mode="bytes",
     )
     assert accumulated.raidp.optimized
     for dfs in (small_cluster(replication=2), accumulated):

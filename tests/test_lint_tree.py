@@ -137,7 +137,7 @@ def _killed_recovery(monkeypatch, source, acquire, options):
 
     monkeypatch.setattr(Simulator, "process", process)
     monkeypatch.setattr(Simulator, "timeout", timeout_or_die)
-    dfs = sparse_cluster(num_nodes=8, per_disk=3, payload_mode="tokens")
+    dfs = sparse_cluster(num_nodes=8, per_disk=3)
     write_some_data(dfs)
     a, b = pick_sharing_pair(dfs)
     manager = recovery.RecoveryManager(dfs)
@@ -262,10 +262,13 @@ def test_settable_value_census():
     (here), not by accretion."""
     import dataclasses
 
+    from repro.core.cluster import RaidpCluster
+    from repro.hdfs.filesystem import HdfsCluster
     from repro.obs import audit, simprofile, timeseries, tracer
     from repro.sim.cluster import ClusterSpec
     from repro.sim.disk import Disk
     from repro.sim.node import Node
+    from repro.storage.payload import ContentFactory
     from repro.tools import chaos, profile, raidpctl
 
     def params(fn):
@@ -283,6 +286,12 @@ def test_settable_value_census():
     assert params(audit.Auditor.__init__) == ["fail_fast"]
     assert params(audit.Auditor.attach) == ["dfs"]
 
+    # One payload representation: the clusters and the factory take no mode.
+    assert params(HdfsCluster.__init__) == ["spec", "config", "placement", "seed"]
+    assert params(RaidpCluster.__init__) == [
+        "spec", "config", "raidp", "superchunk_size", "superchunks_per_disk", "seed",
+    ]
+    assert params(ContentFactory.__init__) == ["seed"]
     assert params(chaos.run_chaos) == ["seed", "schedule"]
     assert params(chaos.run_repeated) == ["seed", "runs", "schedule"]
     assert params(Disk.__init__) == ["sim", "geometry", "name"]

@@ -12,22 +12,23 @@ from repro import units
 from repro.core.lstor import Lstor, LstorStack, filler
 from repro.errors import LayoutError, LstorFailedError
 from repro.sim.engine import Simulator
-from repro.storage.payload import BytesPayload, ContentFactory, TokenPayload
+from repro.storage import payload as payload_module
+from repro.storage.payload import ContentFactory, Payload
 from repro.tools.chaos import build_cluster
 from tests.oracles import EagerParity, folding_covers, folding_verify_parity
 
 BLOCK = 1024
 
 
-def make_lstor(mode="bytes"):
+def make_lstor():
     sim = Simulator()
-    factory = ContentFactory(mode=mode)
+    factory = ContentFactory()
     return sim, factory, Lstor(sim, factory, name="L0", block_size=BLOCK)
 
 
 def make_stack(parity_count=2, data_shards=5):
     sim = Simulator()
-    factory = ContentFactory(mode="bytes")
+    factory = ContentFactory()
     return (
         sim,
         factory,
@@ -85,26 +86,18 @@ def test_journal_write_time_scales():
     assert lstor.journal_write_time(2 * BLOCK) == 2 * lstor.journal_write_time(BLOCK)
 
 
-def test_token_mode_lstor():
-    _sim, factory, lstor = make_lstor(mode="tokens")
-    a = factory.make("a", 1, BLOCK)
-    lstor.absorb(3, factory.zero(BLOCK).xor(a))
-    assert lstor.parity_block(3) == a
-
-
 def _assert_copy_on_write(lstors, absorb):
-    """Each Lstor's parity snapshot shares its slot accumulator; the
-    ``absorb()`` after it moves the parity and leaves the snapshot's
-    bytes and CRC as they were."""
+    """Each Lstor's parity snapshot is the slot's payload itself, no
+    copy; the ``absorb()`` after it replaces the slot's payload and
+    leaves the snapshot's bytes and CRC as they were."""
     snapshots = [lstor.parity_block(0) for lstor in lstors]
     for lstor, snap in zip(lstors, snapshots):
-        assert np.shares_memory(snap.data, lstor._parity_accum[0])
+        assert snap is lstor._parity[0]
     before = [(bytes(snap.data), snap.checksum()) for snap in snapshots]
     absorb()
     for lstor, snap, (content, crc) in zip(lstors, snapshots, before):
         assert bytes(snap.data) == content and zlib.crc32(snap.data) == crc
         assert lstor.parity_block(0) != snap
-        assert not np.shares_memory(snap.data, lstor._parity_accum[0])
 
 
 def test_parity_snapshot_is_copy_on_write():
@@ -117,15 +110,17 @@ def test_parity_snapshot_is_copy_on_write():
 
 
 def test_parity_snapshot_is_copy_on_write_after_pickle():
-    """Unpickled arrays are writable again, and the cached snapshot and
-    the accumulator still share one buffer: the cache entry, not the
-    flag, must decide the copy."""
+    """Unpickled arrays are writable again: an absorb into a slot whose
+    parity holds a residue still makes a new one."""
     _sim, factory, lstor = make_lstor()
-    lstor.absorb(0, factory.make("a", 1, BLOCK))
-    lstor.parity_block(0)
+    rng = np.random.default_rng(3)
+    lstor.absorb(0, Payload.adopt(rng.integers(0, 256, BLOCK, dtype=np.uint8)))
     lstor = pickle.loads(pickle.dumps(lstor))
-    assert lstor._parity_accum[0].flags.writeable
-    _assert_copy_on_write([lstor], lambda: lstor.absorb(0, factory.make("b", 1, BLOCK)))
+    assert lstor._parity[0].residue.flags.writeable
+    _assert_copy_on_write(
+        [lstor],
+        lambda: lstor.absorb(0, Payload.adopt(rng.integers(0, 256, BLOCK, dtype=np.uint8))),
+    )
 
 
 def test_stacked_parity_snapshots_are_copy_on_write():
@@ -142,16 +137,16 @@ def test_stacked_parity_snapshots_are_copy_on_write():
 def test_pending_parity_matches_eager_folding(seed):
     """Random writes, deletes, delta absorbs, parity reads, pickles,
     failures and resets on one Lstor agree with :class:`EagerParity`
-    after every step (read on a pickled copy between the read steps, so
-    that pending terms live on).  ``old`` is the shard's last ``new``
-    itself (the pending term cancels), equal bytes in another object, a
-    known zero or unrelated content; every snapshot keeps its bytes."""
+    after every step (read on a pickled copy between the read steps).
+    ``old`` is the shard's last ``new`` itself (its term cancels), equal
+    bytes as a residue, a known zero or unrelated content; every
+    snapshot keeps its bytes."""
     import random
 
     rng = random.Random(seed)
     block, shards, slots = 64, 3, 2
     sim = Simulator()
-    factory = ContentFactory(mode="bytes", seed=seed)
+    factory = ContentFactory(seed=seed)
     stack = LstorStack(sim, factory, "S", block, data_shards=shards, parity_count=1)
     oracle = EagerParity(block)
     if seed % 2:  # preallocated: the fillers fold in at a slot's first read
@@ -178,7 +173,7 @@ def test_pending_parity_matches_eager_folding(seed):
             )
             if held is not None and old is not held and rng.random() < 0.5:
                 # Equal bytes in another object, as a re-minted filler.
-                old = BytesPayload(held.data.tobytes())
+                old = Payload(held.data.tobytes())
             new = zero if op == "delete" else factory.make(name, version + 1, block)
             stack.absorb_update(shard, slot, old, new)
             oracle.absorb(slot, old, new)
@@ -200,7 +195,7 @@ def test_pending_parity_matches_eager_folding(seed):
             with pytest.raises(LstorFailedError):
                 stack.parity_block(slot)
             continue
-        # A read folds the pending terms; a copy's read leaves them be.
+        # A read folds a slot's fillers; a copy's read leaves them be.
         reader = stack if op == "read" else pickle.loads(pickle.dumps(stack))
         for read in range(slots):
             parity = reader.parity_block(read)
@@ -212,53 +207,62 @@ def test_pending_parity_matches_eager_folding(seed):
 
 
 def test_pending_term_cancels_without_xor(monkeypatch):
-    """A write whose ``old`` is the shard's pending ``new`` costs no
-    XOR and draws no bytes; the parity read folds what is left."""
+    """A write's ``old`` cancels the term its previous write absorbed as
+    ``new``: the parity is the last version's term, reached, read and
+    compared with no byte XORed or drawn."""
     _sim, factory, stack = make_stack(parity_count=1, data_shards=2)
     zero = factory.zero(BLOCK)
     versions = [factory.make("a", v, BLOCK) for v in range(4)]
     calls = []
-    real_xor = np.bitwise_xor
+    real_xor, real_draw = np.bitwise_xor, payload_module._draw
 
     def xor(a, b, out=None):
-        calls.append(out is not None)
+        calls.append("xor")
         return real_xor(a, b, out=out)
 
+    def draw(seed, length):
+        calls.append("draw")
+        return real_draw(seed, length)
+
     monkeypatch.setattr(np, "bitwise_xor", xor)
+    monkeypatch.setattr(payload_module, "_draw", draw)
     old = zero
     for new in versions:
         stack.absorb_update(1, 0, old, new)
         old = new
-    assert calls == [] and all(v._data is None for v in versions[:-1])
-    assert stack.parity_block(0) == versions[-1] and calls == [True]
+    assert stack.parity_block(0).terms == versions[-1].terms
+    assert stack.parity_block(0) == versions[-1] and calls == []
 
 
 def _flipped(payload):
     """An adopted copy of ``payload`` with its first byte flipped."""
     data = payload.data.copy()
     data[0] ^= 1
-    return BytesPayload.adopt(data)
+    return Payload.adopt(data)
 
 
-def _flip_accumulator(lstor, slot):
-    """Flip one byte of ``slot``'s accumulator, copy on write."""
-    accum = lstor._parity_accum[slot].copy()
-    accum[0] ^= 1
-    lstor._parity_accum[slot] = accum
-    lstor._parity.pop(slot, None)
+def _flip_parity_byte(lstor, slot):
+    """Flip one bit of ``slot``'s parity: a one-byte residue joins it."""
+    bit = np.zeros(lstor.block_size, dtype=np.uint8)
+    bit[0] = 1
+    lstor._parity[slot] = lstor.parity_block(slot) ^ Payload.adopt(bit)
+
+
+def _swap_parity_term(lstor, slot, term, other):
+    """Swap the whole-mint term ``term`` of ``slot``'s parity for
+    ``other``: XOR is symmetric difference."""
+    seed, name, version, length = term
+    removed = ContentFactory(seed).make(name, version, length)
+    lstor._parity[slot] = lstor._parity[slot] ^ removed ^ other
 
 
 def _observed(stack, disk):
-    """What a check must leave as it found it: the pending terms by
-    identity, the accumulators' bytes, the snapshots, the folded slots
-    and which mints are drawn."""
-    lstor = stack.primary
+    """What a check must leave as it found it: each slot's parity and
+    each stored block by identity, and the folded slots."""
     return (
-        {slot: {s: id(t) for s, t in p.items()} for slot, p in lstor._pending.items()},
-        {slot: bytes(a) for slot, a in lstor._parity_accum.items()},
-        {slot: id(p) for slot, p in lstor._parity.items()},
+        {slot: id(p) for slot, p in stack.primary._parity.items()},
         set(stack._folded),
-        {key: p._data is None for key, p in disk.items()},
+        {key: id(p) for key, p in disk.items()},
     )
 
 
@@ -269,15 +273,16 @@ def test_parity_check_agrees_with_the_folding_oracle(seed):
     :meth:`LstorStack.covers` gives every slot the verdict of
     :func:`folding_covers` (run on a pickled copy of the stack and its
     disk together, so identities survive) and changes nothing.  Writes
-    cancel pending terms, re-mint equal specs on other shards, and
-    odd seeds start preallocated.  A corruption is one of the three
-    mutants: a flipped accumulator byte, a pending term swapped for
-    another mint, a stored block replaced by a flipped adopted copy."""
+    cancel the terms their previous writes left, ``old`` is sometimes an
+    equal payload in another object, and odd seeds start preallocated.
+    A corruption is one of the three mutants: a flipped parity byte, a
+    parity term swapped for another mint, a stored block replaced by a
+    flipped adopted copy."""
     import random
 
     rng = random.Random(seed)
     block, shards, slots = 64, 3, 2
-    factory = ContentFactory(mode="bytes", seed=seed)
+    factory = ContentFactory(seed=seed)
     stack = LstorStack(Simulator(), factory, "S", block, data_shards=shards, parity_count=1)
     disk = {}  # (shard, slot) -> the stored content
     if seed % 2:
@@ -296,8 +301,8 @@ def test_parity_check_agrees_with_the_folding_oracle(seed):
         held = disk.get((shard, slot), zero)
         if op in ("write", "delete"):
             old = held
-            if held._mint is not None and rng.random() < 0.2:
-                old = BytesPayload.minted(*held._mint)  # equal spec, another object
+            if held.terms and rng.random() < 0.2:
+                old = pickle.loads(pickle.dumps(held))  # equal terms, another object
             new = zero if op == "delete" else factory.make(f"v{rng.randrange(3)}", 0, block)
             stack.absorb_update(shard, slot, old, new)
             disk[shard, slot] = new
@@ -306,13 +311,13 @@ def test_parity_check_agrees_with_the_folding_oracle(seed):
         elif op == "pickle":
             stack, disk = pickle.loads(pickle.dumps((stack, disk)))
         elif op == "corrupt":
-            lstor, mutant = stack.primary, rng.choice(["accum", "pending", "stored"])
-            if mutant == "accum" and slot in lstor._parity_accum:
-                _flip_accumulator(lstor, slot)
-            elif mutant == "pending" and lstor._pending.get(slot):
-                pending = lstor._pending[slot]
-                pending[next(iter(pending))] = factory.make(f"x{step}", 0, block)
-            elif not held._zero:
+            lstor, mutant = stack.primary, rng.choice(["byte", "term", "stored"])
+            terms = sorted(lstor._parity[slot].terms) if slot in lstor._parity else []
+            if mutant == "byte" and slot in lstor._parity:
+                _flip_parity_byte(lstor, slot)
+            elif mutant == "term" and terms:
+                _swap_parity_term(lstor, slot, terms[0], factory.make(f"x{step}", 0, block))
+            elif not held.is_zero():
                 disk[shard, slot] = _flipped(held)
         elif op == "reset":
             stack.reset()
@@ -329,25 +334,25 @@ def test_parity_check_agrees_with_the_folding_oracle(seed):
     assert True in verdicts and False in verdicts
 
 
-def _pending_block(dfs):
-    """A parity-trusted DataNode, a slot, and the block stored there
-    whose pending term at that slot is the stored object itself."""
+def _stored_block(dfs):
+    """A parity-trusted DataNode, a slot, and a rewritten block stored
+    there, whose one term is in that slot's parity."""
     for datanode in dfs._parity_trusted():
-        pending = datanode.lstors.primary._pending
-        for (sc_id, slot), name in datanode._block_at.items():
-            stored = datanode._contents[name]
-            if pending.get(slot, {}).get(datanode.shard_index_of(sc_id)) is stored:
+        parity = datanode.lstors.primary._parity
+        for (_sc_id, slot), name in sorted(datanode._block_at.items()):
+            (term,) = datanode._contents[name].terms
+            if term[2] > 1 and term in parity[slot].terms:
                 return datanode, slot, name
-    raise AssertionError("no pending term")
+    raise AssertionError("no rewritten block")
 
 
-@pytest.mark.parametrize("mutant", ["accumulator byte", "pending term", "stored slot"])
+@pytest.mark.parametrize("mutant", ["parity byte", "parity term", "stored slot"])
 def test_parity_checks_reject_each_mutant(mutant):
-    """On a bytes cluster after writes and a rewrite, both the
+    """On a soak-sized cluster after writes and a rewrite, both the
     cancelling ``verify_parity`` and the folding oracle pass, and each
-    reject one flipped accumulator byte, one pending term swapped for
-    another mint, and one stored block replaced by an adopted copy with
-    one flipped byte."""
+    reject one flipped parity byte, one parity term swapped for another
+    mint, and one stored block replaced by an adopted copy with one
+    flipped byte."""
     dfs = build_cluster(5)
 
     def body():
@@ -357,17 +362,14 @@ def test_parity_checks_reject_each_mutant(mutant):
     dfs.sim.run_process(body())
     dfs.verify_parity()
     folding_verify_parity(pickle.loads(pickle.dumps(dfs)))
-    datanode, slot, name = _pending_block(dfs)
+    datanode, slot, name = _stored_block(dfs)
     lstor = datanode.lstors.primary
-    if mutant == "accumulator byte":
-        datanode.lstors.parity_block(slot)  # fold: the slot gets an accumulator
-        dfs.verify_parity()
-        _flip_accumulator(lstor, slot)
-    elif mutant == "pending term":
-        pending = lstor._pending[slot]
-        for shard, term in pending.items():
-            if term is datanode._contents[name]:
-                pending[shard] = dfs.factory.make("another", 1, len(term))
+    stored = datanode._contents[name]
+    if mutant == "parity byte":
+        _flip_parity_byte(lstor, slot)
+    elif mutant == "parity term":
+        (term,) = stored.terms
+        _swap_parity_term(lstor, slot, term, dfs.factory.make("another", 1, len(stored)))
     else:
         datanode._contents[name] = _flipped(datanode._contents[name])
     with pytest.raises(LayoutError, match=f"{datanode.name} slot {slot}"):
@@ -381,26 +383,9 @@ def test_parity_checks_reject_each_mutant(mutant):
 # ----------------------------------------------------------------------
 def test_stack_requires_at_least_one():
     sim = Simulator()
-    factory = ContentFactory(mode="bytes")
+    factory = ContentFactory()
     with pytest.raises(ValueError):
         LstorStack(sim, factory, "S", BLOCK, data_shards=4, parity_count=0)
-
-
-def test_stack_rejects_symbolic_mode_for_rs():
-    sim = Simulator()
-    factory = ContentFactory(mode="tokens")
-    with pytest.raises(ValueError):
-        LstorStack(sim, factory, "S", BLOCK, data_shards=4, parity_count=2)
-
-
-def test_stack_single_parity_allows_tokens():
-    sim = Simulator()
-    factory = ContentFactory(mode="tokens")
-    stack = LstorStack(sim, factory, "S", BLOCK, data_shards=4, parity_count=1)
-    payload = factory.make("a", 1, BLOCK)
-    stack.absorb_update(0, 0, factory.zero(BLOCK), payload)
-    rebuilt = stack.reconstruct_block(0, {}, missing_shards=[0])
-    assert rebuilt[0] == payload
 
 
 def test_stack_recovers_two_missing_superchunks():

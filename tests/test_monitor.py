@@ -13,13 +13,12 @@ from repro.obs.tracer import Tracer, capture
 from repro.sim.cluster import ClusterSpec
 
 
-def cluster(num_nodes=8, per_disk=3, payload_mode="bytes"):
+def cluster(num_nodes=8, per_disk=3):
     return RaidpCluster(
         spec=ClusterSpec(num_nodes=num_nodes),
         config=DfsConfig(block_size=units.MiB, replication=2),
         superchunk_size=4 * units.MiB,
         superchunks_per_disk=per_disk,
-        payload_mode=payload_mode,
     )
 
 
@@ -53,7 +52,7 @@ def test_config_validation():
 
 
 def test_heartbeats_keep_healthy_nodes_fresh():
-    dfs = cluster(payload_mode="tokens")
+    dfs = cluster()
     monitor = ClusterMonitor(dfs)
 
     def scenario():
@@ -113,7 +112,7 @@ def test_double_failure_triggers_lstor_reconstruction():
 
 
 def test_non_sharing_double_failure_runs_one_recovery():
-    dfs = cluster(num_nodes=9, per_disk=2, payload_mode="tokens")
+    dfs = cluster(num_nodes=9, per_disk=2)
     write_data(dfs, files=4)
     pair = next(
         (x, y)
@@ -138,7 +137,7 @@ def test_non_sharing_double_failure_runs_one_recovery():
 
 
 def test_stop_lets_simulation_drain():
-    dfs = cluster(payload_mode="tokens")
+    dfs = cluster()
     monitor = ClusterMonitor(dfs)
     monitor.start()
     dfs.sim.run(until=10.0)

@@ -23,7 +23,6 @@ def loaded_cluster():
         config=DfsConfig(block_size=units.MiB, replication=2),
         raidp=RaidpConfig(),
         superchunk_size=4 * units.MiB,
-        payload_mode="tokens",
         seed=11,
     )
 
@@ -154,7 +153,6 @@ def test_reader_equals_the_registry_of_views_it_replaced():
         config=DfsConfig(block_size=units.MiB, replication=2),
         superchunk_size=4 * units.MiB,
         superchunks_per_disk=3,
-        payload_mode="bytes",
         seed=7,
     )
     monitor = ClusterMonitor(

@@ -32,7 +32,6 @@ def unoptimized_cluster(**raidp_kwargs):
         config=DfsConfig(block_size=BLOCK, packet_size=PACKET, replication=2),
         raidp=RaidpConfig(optimized=False, **raidp_kwargs),
         superchunk_size=4 * BLOCK,
-        payload_mode="tokens",
     )
 
 
@@ -221,7 +220,6 @@ def test_streamed_writes_keep_the_bytes_plane_parity():
         config=DfsConfig(block_size=block, packet_size=PACKET, replication=2),
         raidp=RaidpConfig(optimized=False),
         superchunk_size=4 * block,
-        payload_mode="bytes",
     )
     client = dfs.client(0)
 

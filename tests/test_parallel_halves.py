@@ -10,13 +10,12 @@ from repro.hdfs.config import DfsConfig
 from repro.sim.cluster import ClusterSpec
 
 
-def sparse_cluster(payload_mode="bytes"):
+def sparse_cluster():
     return RaidpCluster(
         spec=ClusterSpec(num_nodes=8),
         config=DfsConfig(block_size=units.MiB, replication=2),
         superchunk_size=4 * units.MiB,
         superchunks_per_disk=3,
-        payload_mode=payload_mode,
     )
 
 
@@ -79,7 +78,6 @@ def test_parallel_halves_speeds_up_reconstruction():
             config=DfsConfig(replication=2),
             raidp=RaidpConfig(),
             superchunk_size=6 * units.GiB,
-            payload_mode="tokens",
         )
         manager = RecoveryManager(dfs)
         options = RecoveryOptions(parallel_halves=parallel)

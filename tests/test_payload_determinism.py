@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from repro import units
-from repro.storage.payload import ContentFactory, TokenPayload, _stable_seed
+from repro.storage.payload import ContentFactory, _stable_seed
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -22,9 +22,10 @@ _CHILD = """
 import sys
 sys.path.insert(0, {src!r})
 from repro.storage.payload import ContentFactory
-factory = ContentFactory(seed=7, mode="bytes")
+factory = ContentFactory(seed=7)
 payload = factory.make("blk_0001", 3, 65536)
-print(payload.checksum())
+terms = payload ^ factory.make("blk_0002", 1, 65536)
+print(payload.checksum(), terms.splice(9, factory.make("u", 1, 99)).checksum())
 """
 
 
@@ -48,9 +49,11 @@ def test_payload_checksum_stable_across_hash_seeds():
 
 
 def test_child_process_matches_parent():
-    factory = ContentFactory(seed=7, mode="bytes")
-    parent = factory.make("blk_0001", 3, 65536).checksum()
-    assert str(parent) == _child_checksum(12345)
+    factory = ContentFactory(seed=7)
+    payload = factory.make("blk_0001", 3, 65536)
+    terms = payload ^ factory.make("blk_0002", 1, 65536)
+    parent = (payload.checksum(), terms.splice(9, factory.make("u", 1, 99)).checksum())
+    assert " ".join(map(str, parent)) == _child_checksum(12345)
 
 
 def test_stable_seed_is_pure_and_collision_spread():
@@ -64,16 +67,18 @@ def test_stable_seed_is_pure_and_collision_spread():
     assert len(seeds) == 8  # domain separation: no accidental collisions
 
 
-def test_token_payload_checksum_ignores_token_order():
-    a = TokenPayload(tokens=frozenset({("x", 1), ("y", 2)}))
-    b = TokenPayload(tokens=frozenset({("y", 2), ("x", 1)}))
-    assert a.checksum() == b.checksum()
-    c = TokenPayload(tokens=frozenset({("x", 2), ("y", 2)}))
-    assert a.checksum() != c.checksum()
+def test_checksum_ignores_term_order():
+    """A payload draws its terms in set order, which follows the string
+    hash; XOR commutes, so the bytes do not.  The child processes above
+    draw a multi-term payload under three hash seeds."""
+    factory = ContentFactory(seed=7)
+    x, y = factory.make("x", 1, 64), factory.make("y", 2, 64)
+    assert (x ^ y).checksum() == (y ^ x).checksum()
+    assert (x ^ y).checksum() != (x ^ factory.make("y", 3, 64)).checksum()
 
 
 def test_same_logical_block_same_bytes():
-    one = ContentFactory(seed=9, mode="bytes").make("b", 1, units.KiB)
-    two = ContentFactory(seed=9, mode="bytes").make("b", 1, units.KiB)
+    one = ContentFactory(seed=9).make("b", 1, units.KiB)
+    two = ContentFactory(seed=9).make("b", 1, units.KiB)
     assert one.checksum() == two.checksum()
     assert (one.data == two.data).all()

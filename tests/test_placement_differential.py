@@ -161,7 +161,6 @@ def _rejoined_empty():
         config=DfsConfig(replication=2, block_size=units.MiB),
         superchunk_size=2 * units.MiB,
         superchunks_per_disk=2,
-        payload_mode="tokens",
     )
     orphans = dfs.layout.remove_disk("n0")
     dfs.layout.add_disk("n0")

@@ -160,7 +160,6 @@ def test_raidp_cluster_rejects_oversize_block():
         spec=ClusterSpec(num_nodes=4),
         config=DfsConfig(block_size=units.MiB, replication=2),
         superchunk_size=4 * units.MiB,
-        payload_mode="tokens",
     )
     with pytest.raises(DfsError):
         dfs.namenode.allocate_block("/missing", 2 * units.MiB)
@@ -173,7 +172,6 @@ def test_namenode_rejects_duplicate_datanode_registration():
         spec=ClusterSpec(num_nodes=4),
         config=DfsConfig(block_size=units.MiB, replication=2),
         superchunk_size=4 * units.MiB,
-        payload_mode="tokens",
     )
     with pytest.raises(DfsError):
         dfs.namenode.register_datanode(dfs.datanodes[0])

@@ -35,21 +35,17 @@ def block_in_slot(datanode, sc_id, slot):
         return filler_name(sc_id, slot)
     return name
 
-MODES = {
-    "tokens": dict(payload_mode="tokens", lstors_per_disk=1),
-    "bytes": dict(payload_mode="bytes", lstors_per_disk=1),
-    "bytes-rs2": dict(payload_mode="bytes", lstors_per_disk=2),
-}
+#: Lstors per disk: one XOR Lstor, or a stack of two RS rows.
+STACKS = {"xor": 1, "rs2": 2}
 
 
-def preallocated(payload_mode, lstors_per_disk):
+def preallocated(lstors_per_disk):
     return RaidpCluster(
         spec=ClusterSpec(num_nodes=8),
         config=DfsConfig(block_size=units.MiB, replication=2),
         raidp=RaidpConfig(update_oriented=True, lstors_per_disk=lstors_per_disk),
         superchunk_size=4 * units.MiB,
         superchunks_per_disk=3,
-        payload_mode=payload_mode,
     )
 
 
@@ -119,12 +115,12 @@ def sharing_pair(dfs):
     )
 
 
-@pytest.mark.parametrize("mode", sorted(MODES))
-def test_lazy_preallocation_matches_the_eager_loop(mode, monkeypatch):
-    lazy = preallocated(**MODES[mode])
+@pytest.mark.parametrize("stack", sorted(STACKS))
+def test_lazy_preallocation_matches_the_eager_loop(stack, monkeypatch):
+    lazy = preallocated(STACKS[stack])
     with monkeypatch.context() as patch:
         patch.setattr(RaidpDataNode, "preallocate_superchunks", eager_preallocate)
-        eager = preallocated(**MODES[mode])
+        eager = preallocated(STACKS[stack])
     sc_ids = sorted(lazy.layout.superchunks)
     assert slots(lazy, sc_ids) == slots(eager, sc_ids)
     # One disk's parity is read before any write lands on it; the other
@@ -165,7 +161,7 @@ def test_preallocated_build_mints_nothing(monkeypatch):
 
 
 def test_fillers_are_derived_until_a_block_takes_the_slot():
-    dfs = preallocated(payload_mode="tokens", lstors_per_disk=1)
+    dfs = preallocated(lstors_per_disk=1)
     dfs.sim.run_process(dfs.client(0).write_file("/f", units.MiB))
     locations = dfs.namenode.all_blocks()[0]
     datanode = dfs.datanode_by_name(locations.datanodes[0])
@@ -194,11 +190,11 @@ def test_fillers_are_derived_until_a_block_takes_the_slot():
     dfs.verify_parity()
 
 
-@pytest.mark.parametrize("mode", sorted(MODES))
-def test_stack_reconstruction_reads_the_fillers_baseline(mode):
+@pytest.mark.parametrize("stack", sorted(STACKS))
+def test_stack_reconstruction_reads_the_fillers_baseline(stack):
     """Rebuilding a slot straight from a fresh stack (nothing read or
     absorbed yet) recovers the lost superchunks' fillers."""
-    dfs = preallocated(**MODES[mode])
+    dfs = preallocated(STACKS[stack])
     datanode = dfs.datanodes[0]
     sc_ids = dfs.layout.superchunks_of(datanode.name)
     lost = sc_ids[: datanode.lstors.parity_count]
@@ -215,6 +211,6 @@ def test_stack_reconstruction_reads_the_fillers_baseline(mode):
 
 
 def test_preallocation_sets_up_an_empty_datanode_once():
-    dfs = preallocated(payload_mode="tokens", lstors_per_disk=1)
+    dfs = preallocated(lstors_per_disk=1)
     with pytest.raises(DfsError, match="once"):
         dfs.datanodes[0].preallocate_superchunks()

@@ -11,7 +11,6 @@ from repro.sim.cluster import ClusterSpec
 
 def small_raidp(
     num_nodes=5,
-    payload_mode="bytes",
     block_size=units.MiB,
     superchunk_blocks=4,
     **raidp_kwargs,
@@ -24,7 +23,6 @@ def small_raidp(
         config=config,
         raidp=RaidpConfig(**raidp_kwargs),
         superchunk_size=superchunk_blocks * block_size,
-        payload_mode=payload_mode,
     )
 
 
@@ -50,13 +48,6 @@ def test_mirrors_hold_identical_content():
 def test_parity_consistent_after_writes():
     dfs = small_raidp()
     client = dfs.client(0)
-    dfs.sim.run_process(client.write_file("/f", 8 * units.MiB))
-    dfs.verify_parity()
-
-
-def test_parity_consistent_in_token_mode():
-    dfs = small_raidp(payload_mode="tokens")
-    client = dfs.client(1)
     dfs.sim.run_process(client.write_file("/f", 8 * units.MiB))
     dfs.verify_parity()
 
@@ -129,7 +120,7 @@ def test_preallocation_fills_slots_and_parity():
 def test_update_oriented_reads_before_write():
     """The re-write variant must read old data: 2 reads + 2 writes per
     block across the two replicas (the paper's 4-I/O argument)."""
-    dfs = small_raidp(update_oriented=True, payload_mode="tokens")
+    dfs = small_raidp(update_oriented=True)
     client = dfs.client(0)
     before_reads = sum(dn.disk.stats.reads for dn in dfs.datanodes)
     dfs.sim.run_process(client.write_file("/f", 4 * units.MiB))
@@ -139,7 +130,7 @@ def test_update_oriented_reads_before_write():
 
 
 def test_base_variant_never_reads_before_write():
-    dfs = small_raidp(update_oriented=False, payload_mode="tokens")
+    dfs = small_raidp(update_oriented=False)
     client = dfs.client(0)
     dfs.sim.run_process(client.write_file("/f", 8 * units.MiB))
     assert all(dn.disk.stats.reads == 0 for dn in dfs.datanodes)
@@ -148,7 +139,7 @@ def test_base_variant_never_reads_before_write():
 def test_network_volume_is_one_replica_copy():
     """RAIDP halves network volume vs triplication: one remote copy per
     block (plus tiny acks)."""
-    dfs = small_raidp(payload_mode="tokens")
+    dfs = small_raidp()
     client = dfs.client(0)
     nbytes = 8 * units.MiB
     dfs.sim.run_process(client.write_file("/f", nbytes))
@@ -159,7 +150,7 @@ def test_network_volume_is_one_replica_copy():
 def test_unoptimized_streaming_is_much_slower():
     runtimes = {}
     for optimized in (True, False):
-        dfs = small_raidp(payload_mode="tokens", optimized=optimized)
+        dfs = small_raidp(optimized=optimized)
 
         def writers(dfs=dfs):
             procs = [
@@ -176,7 +167,7 @@ def test_unoptimized_streaming_is_much_slower():
 def test_writer_lock_prevents_ping_pong_seeks():
     seeks = {}
     for optimized in (True, False):
-        dfs = small_raidp(payload_mode="tokens", optimized=optimized)
+        dfs = small_raidp(optimized=optimized)
 
         def writers(dfs=dfs):
             procs = [
@@ -207,9 +198,7 @@ def test_journal_requires_parity():
 
 def test_ablation_configs_run():
     for parity, journal in ((False, False), (True, False), (True, True)):
-        dfs = small_raidp(
-            payload_mode="tokens", enable_parity=parity, enable_journal=journal
-        )
+        dfs = small_raidp(enable_parity=parity, enable_journal=journal)
         client = dfs.client(0)
         dfs.sim.run_process(client.write_file("/f", 4 * units.MiB))
         if parity:

@@ -17,7 +17,7 @@ from repro.sim.cluster import ClusterSpec
 from tests.oracles import discrete_lane, min_remirror_load
 
 
-def sparse_cluster(num_nodes=8, per_disk=3, payload_mode="bytes", **raidp_kwargs):
+def sparse_cluster(num_nodes=8, per_disk=3, **raidp_kwargs):
     """A RaidpCluster whose layout leaves re-mirroring headroom."""
     config = DfsConfig(block_size=units.MiB, replication=2)
     return RaidpCluster(
@@ -26,7 +26,6 @@ def sparse_cluster(num_nodes=8, per_disk=3, payload_mode="bytes", **raidp_kwargs
         raidp=RaidpConfig(**raidp_kwargs),
         superchunk_size=4 * units.MiB,
         superchunks_per_disk=per_disk,
-        payload_mode=payload_mode,
     )
 
 
@@ -89,7 +88,7 @@ def test_single_failure_restores_replica_counts():
 def test_plan_remirror_reaches_the_brute_force_minimum(victim):
     """The Hungarian plan's total receiver load is the least of every
     legal, exchange-free assignment (``tests/oracles.py``)."""
-    dfs = sparse_cluster(payload_mode="tokens")
+    dfs = sparse_cluster()
     write_some_data(dfs, files=8)
     name = dfs.datanodes[victim].name
     dfs.namenode.mark_datanode_dead(name)
@@ -113,7 +112,7 @@ def pick_sharing_pair(dfs):
 
 
 def test_double_failure_reconstructs_lost_superchunk_bit_exact():
-    dfs = sparse_cluster(num_nodes=8, per_disk=3, payload_mode="bytes")
+    dfs = sparse_cluster(num_nodes=8, per_disk=3)
     write_some_data(dfs, files=10, size=4 * units.MiB)
     a, b = pick_sharing_pair(dfs)
     shared = dfs.layout.shared(a, b)
@@ -138,7 +137,7 @@ def test_double_failure_reconstructs_lost_superchunk_bit_exact():
 
 
 def test_double_failure_restores_full_mirroring_and_parity():
-    dfs = sparse_cluster(num_nodes=8, per_disk=3, payload_mode="bytes")
+    dfs = sparse_cluster(num_nodes=8, per_disk=3)
     write_some_data(dfs, files=8)
     a, b = pick_sharing_pair(dfs)
     manager = RecoveryManager(dfs)
@@ -150,7 +149,7 @@ def test_double_failure_restores_full_mirroring_and_parity():
 
 
 def test_double_failure_without_shared_superchunk():
-    dfs = sparse_cluster(num_nodes=9, per_disk=2, payload_mode="tokens")
+    dfs = sparse_cluster(num_nodes=9, per_disk=2)
     write_some_data(dfs, files=4)
     non_sharing = None
     for a in dfs.layout.disks:
@@ -168,7 +167,7 @@ def test_double_failure_without_shared_superchunk():
 
 
 def test_double_failure_uses_other_lstor_when_first_failed():
-    dfs = sparse_cluster(num_nodes=8, per_disk=3, payload_mode="bytes")
+    dfs = sparse_cluster(num_nodes=8, per_disk=3)
     write_some_data(dfs, files=8)
     a, b = pick_sharing_pair(dfs)
     dfs.datanode_by_name(a).lstors.primary.fail()
@@ -181,7 +180,7 @@ def test_double_failure_uses_other_lstor_when_first_failed():
 def test_double_failure_with_both_lstors_dead_is_data_loss():
     from repro.errors import DataLossError
 
-    dfs = sparse_cluster(num_nodes=8, per_disk=3, payload_mode="bytes")
+    dfs = sparse_cluster(num_nodes=8, per_disk=3)
     write_some_data(dfs, files=8)
     a, b = pick_sharing_pair(dfs)
     dfs.datanode_by_name(a).lstors.primary.fail()
@@ -194,7 +193,7 @@ def test_double_failure_with_both_lstors_dead_is_data_loss():
 def test_reconstruction_lock_modes_and_chunk_sizes_run():
     for lock_mode in ("byte_range", "superchunk"):
         for chunk in (units.MiB, 2 * units.MiB):
-            dfs = sparse_cluster(num_nodes=8, per_disk=3, payload_mode="tokens")
+            dfs = sparse_cluster(num_nodes=8, per_disk=3)
             write_some_data(dfs, files=6)
             a, b = pick_sharing_pair(dfs)
             manager = RecoveryManager(dfs)
@@ -218,7 +217,7 @@ def test_double_recovery_freezes_superchunks_in_sorted_order():
     flagged it (RDP002) and the fix sorts it.  Lock the ordering in so
     the freeze-window trace and fingerprints stay bitwise reproducible
     regardless of PYTHONHASHSEED."""
-    dfs = sparse_cluster(num_nodes=8, per_disk=3, payload_mode="tokens")
+    dfs = sparse_cluster(num_nodes=8, per_disk=3)
     write_some_data(dfs, files=6)
     a, b = pick_sharing_pair(dfs)
     frozen_order = []
@@ -259,7 +258,7 @@ def _fail_source_mid_chunk():
     surviving pullers drain on their own.  Returns (report instant, end
     instant, solves, deadline pushes), checking what must hold on either
     lane along the way."""
-    dfs = sparse_cluster(num_nodes=8, per_disk=3, payload_mode="tokens")
+    dfs = sparse_cluster(num_nodes=8, per_disk=3)
     write_some_data(dfs, files=6)
     a, b = pick_sharing_pair(dfs)
     shared = dfs.layout.shared(a, b)

@@ -42,7 +42,6 @@ def _fingerprint(switch_class, monkeypatch, seed=42):
         spec=ClusterSpec(num_nodes=8),
         config=DfsConfig(replication=2),
         raidp=RaidpConfig(),
-        payload_mode="tokens",
         seed=seed,
     )
     assert type(dfs.switch) is switch_class
@@ -76,7 +75,6 @@ def test_flow_accounting_balances_after_workload():
         spec=ClusterSpec(num_nodes=8),
         config=DfsConfig(replication=2),
         raidp=RaidpConfig(),
-        payload_mode="tokens",
         seed=7,
     )
     dfsio_write(dfs, units.GiB)

@@ -42,7 +42,6 @@ def test_ssd_shrinks_raidp_random_io_penalty():
                     enable_parity=False,
                     enable_journal=False,
                 ),
-                payload_mode="tokens",
             )
             runtimes[optimized] = dfsio_write(dfs, units.GiB).runtime
         return runtimes[False] / runtimes[True]

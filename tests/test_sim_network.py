@@ -179,3 +179,28 @@ def test_many_concurrent_flows_conserve_bytes():
     sim.run()
     assert switch.total_bytes == total
     assert len(switch._flows) == 0
+
+
+def test_flows_finishing_in_one_re_solve_are_delivered_in_arrival_order():
+    """A re-rate at the instant two flows complete banks and delivers
+    them from the component scan, which meets the later arrival first
+    (from its own sender's port); delivery still follows arrival."""
+    sim = Simulator()
+    rate = units.gbps(10)
+    switch, (n0, n1, n2) = build(sim, [rate, rate, rate])
+    delivered = []
+
+    def rerate():
+        yield sim.timeout(2.0)  # both flows share n2's port: done at 2 s
+        switch.set_nic_rates(n0, tx_rate=rate / 2)
+
+    def send(name, src):
+        yield switch.transfer(src, n2, int(rate))
+        delivered.append(name)
+
+    sim.process(rerate())
+    sim.process(send("first", n1))
+    sim.process(send("second", n0))
+    sim.run()
+    assert delivered == ["first", "second"]
+    assert switch.timer_idle_fires == 1  # the timer found them delivered

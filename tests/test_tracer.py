@@ -142,7 +142,6 @@ def _workload_fingerprint(seed=42):
         spec=ClusterSpec(num_nodes=8),
         config=DfsConfig(replication=2),
         raidp=RaidpConfig(),
-        payload_mode="tokens",
         seed=seed,
     )
     write = dfsio_write(dfs, 256 * units.MiB)
@@ -271,7 +270,6 @@ def _recovery_cluster(seed=3):
         config=DfsConfig(block_size=units.MiB, replication=2),
         superchunk_size=4 * units.MiB,
         superchunks_per_disk=2,
-        payload_mode="bytes",
         seed=seed,
     )
 

@@ -70,7 +70,7 @@ def test_cheap_table2_rows_agree_with_the_chunk_loop(monkeypatch):
 def test_single_chunk_streams_take_no_body(pullers):
     """A stream of one chunk never enters the body: 4 MiB superchunks
     at the default 4 MiB chunk (the chaos soak's shape)."""
-    dfs = sparse_cluster(num_nodes=8, per_disk=3, payload_mode="tokens")
+    dfs = sparse_cluster(num_nodes=8, per_disk=3)
     write_some_data(dfs)
     a, b = pick_sharing_pair(dfs)
     report = RecoveryManager(dfs).recover((a, b))
@@ -123,7 +123,7 @@ def test_source_disk_failing_inside_a_body_is_a_tolerated_loss(pullers):
     ~25 ms).  The body ends at the fault instant with the bytes it
     moved, ``DiskFailedError`` fails the puller, and the loss is
     recorded at that same instant; nothing stays open or held."""
-    dfs = sparse_cluster(num_nodes=8, per_disk=3, payload_mode="tokens")
+    dfs = sparse_cluster(num_nodes=8, per_disk=3)
     write_some_data(dfs, files=6)
     a, b = pick_sharing_pair(dfs)
     shared = dfs.layout.shared(a, b)
@@ -217,7 +217,6 @@ def test_a_shared_stage_saturated_for_part_of_the_rebuild(pullers, monkeypatch):
             raidp=RaidpConfig(),
             superchunk_size=32 * units.MiB,
             superchunks_per_disk=3,
-            payload_mode="tokens",
         )
         a, b = pick_sharing_pair(dfs)
         options = RecoveryOptions(lock_mode="superchunk", chunk_size=units.MiB)
@@ -266,7 +265,6 @@ def test_parallel_halves_agree_with_the_chunk_loop(
             config=DfsConfig(replication=2),
             raidp=RaidpConfig(),
             superchunk_size=6 * units.GiB,
-            payload_mode="tokens",
         )
         options = RecoveryOptions(parallel_halves=True, lock_mode=lock_mode, chunk_size=chunk)
         duration = RecoveryManager(dfs).recover(

@@ -17,12 +17,11 @@ from repro.workloads.traces import (
 )
 
 
-def raidp_cluster(payload_mode="bytes", num_nodes=5):
+def raidp_cluster(num_nodes=5):
     return RaidpCluster(
         spec=ClusterSpec(num_nodes=num_nodes),
         config=DfsConfig(block_size=units.MiB, replication=2),
         superchunk_size=4 * units.MiB,
-        payload_mode=payload_mode,
     )
 
 
@@ -66,7 +65,7 @@ def test_update_spanning_blocks_touches_both():
 
 
 def test_update_moves_no_block_data_over_network():
-    dfs = raidp_cluster(payload_mode="tokens")
+    dfs = raidp_cluster()
     client = dfs.clients[0]
     dfs.sim.run_process(client.write_file("/db", 2 * units.MiB))
     before = dfs.total_network_bytes()
@@ -79,7 +78,7 @@ def test_update_moves_no_block_data_over_network():
 
 
 def test_update_journals_and_drains():
-    dfs = raidp_cluster(payload_mode="tokens")
+    dfs = raidp_cluster()
     client = dfs.clients[0]
 
     def body():
@@ -93,7 +92,7 @@ def test_update_journals_and_drains():
 
 
 def test_update_bounds_checked():
-    dfs = raidp_cluster(payload_mode="tokens")
+    dfs = raidp_cluster()
     client = dfs.clients[0]
     dfs.sim.run_process(client.write_file("/db", units.MiB))
     with pytest.raises(DfsError):
@@ -106,7 +105,6 @@ def test_stock_hdfs_rejects_in_place_updates():
     dfs = HdfsCluster(
         spec=ClusterSpec(num_nodes=4),
         config=DfsConfig(block_size=units.MiB, replication=2),
-        payload_mode="tokens",
     )
     client = dfs.clients[0]
     dfs.sim.run_process(client.write_file("/db", units.MiB))
@@ -116,7 +114,7 @@ def test_stock_hdfs_rejects_in_place_updates():
 
 def test_update_is_cheaper_than_rewrite():
     def run(mode):
-        dfs = raidp_cluster(payload_mode="tokens")
+        dfs = raidp_cluster()
         client = dfs.clients[0]
         dfs.sim.run_process(client.write_file("/db", 4 * units.MiB))
         start = dfs.sim.now
@@ -176,7 +174,7 @@ def test_replay_in_place_beats_rewrite():
     )
     results = {}
     for mode in ("in_place", "rewrite"):
-        dfs = raidp_cluster(payload_mode="tokens", num_nodes=6)
+        dfs = raidp_cluster(num_nodes=6)
         results[mode] = replay_trace(dfs, trace, mode=mode)
         dfs.verify_parity()
     assert results["in_place"].runtime < results["rewrite"].runtime
@@ -187,6 +185,6 @@ def test_replay_in_place_beats_rewrite():
 
 
 def test_replay_rejects_unknown_mode():
-    dfs = raidp_cluster(payload_mode="tokens")
+    dfs = raidp_cluster()
     with pytest.raises(ValueError):
         replay_trace(dfs, [], mode="teleport")

@@ -15,7 +15,7 @@ from repro.workloads.wordcount import wordcount, wordcount_input
 def hdfs(replication=3, num_nodes=4):
     config = DfsConfig(block_size=4 * units.MiB, replication=replication)
     return HdfsCluster(
-        spec=ClusterSpec(num_nodes=num_nodes), config=config, payload_mode="tokens"
+        spec=ClusterSpec(num_nodes=num_nodes), config=config
     )
 
 
@@ -25,7 +25,6 @@ def raidp(num_nodes=4):
         spec=ClusterSpec(num_nodes=num_nodes),
         config=config,
         superchunk_size=64 * units.MiB,
-        payload_mode="tokens",
     )
 
 
