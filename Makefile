@@ -6,9 +6,12 @@ export PYTHONPATH
 
 .PHONY: test lint typecheck shapes bench benchmark chaos verify profile flight-recorder experiments durability-smoke experiments-smoke reach run-twice clean
 
-# Tier-1: the full unit/integration/property suite.
+# Tier-1: the full unit/integration/property suite.  The log ends with
+# the ten slowest tests and the total time, so it says where its
+# seconds go (pyproject's addopts already pass -q; a second -q would
+# drop the total).
 test:
-	$(PYTHON) -m pytest -x -q
+	$(PYTHON) -m pytest -x --durations=10
 
 # Determinism checker (RDP001 wall clock / entropy, RDP002 set-ordered
 # iteration; DESIGN.md §10).  Standard library only.

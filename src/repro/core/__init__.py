@@ -13,7 +13,7 @@ from repro.core.client import RaidpClient
 from repro.core.cluster import RaidpCluster
 from repro.core.journal import Journal, JournalRecord, RecordState
 from repro.core.layout import Layout, LayoutSpec, Superchunk, rotational_layout
-from repro.core.lstor import Lstor, LstorStack
+from repro.core.lstor import Lstor, LstorDevice
 from repro.core.monitor import ClusterMonitor, MonitorConfig
 from repro.core.node import RaidpConfig, RaidpDataNode
 from repro.core.placement import RaidpPlacement, SuperchunkMap
@@ -27,7 +27,7 @@ __all__ = [
     "Layout",
     "LayoutSpec",
     "Lstor",
-    "LstorStack",
+    "LstorDevice",
     "MonitorConfig",
     "RaidpCluster",
     "RaidpConfig",

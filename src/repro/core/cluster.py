@@ -164,9 +164,9 @@ class RaidpCluster(InlineState):
                     )
 
     def _parity_trusted(self) -> Iterator[RaidpDataNode]:
-        """The DataNodes whose parity must equal their disk's XOR: alive,
-        in the layout (one evicted by recovery rejoined empty) and with a
-        live Lstor.  Dead and evicted disks keep their parity and journal
+        """The DataNodes whose parity must match their disk: alive, in
+        the layout (one evicted by recovery rejoined empty) and with a
+        live primary Lstor.  Dead and evicted disks keep their parity and journal
         as they were, for recovery to read."""
         for datanode in self.datanodes:
             if (
@@ -189,20 +189,22 @@ class RaidpCluster(InlineState):
         ]
 
     def verify_parity(self) -> None:
-        """Every live Lstor's XOR parity matches its disk's superchunks.
+        """Every live parity row matches its disk's superchunks.
 
-        Applies to the single-Lstor configuration (XOR), where it is a
-        pure observer: :meth:`LstorStack.covers` cancels each stored
-        block against its pending parity term and reads only what is
-        left, through temporaries: it folds, caches and makes nothing.
-        The stacked configuration is verified through
-        :meth:`RaidpDataNode.lstors.reconstruct_block` in tests.
+        A pure observer that draws nothing: :meth:`Lstor.covers`
+        compares each live row's terms with the sum its disk's blocks
+        make, and folds, caches and makes nothing.
         """
         for datanode in self._parity_trusted():
-            sc_ids = self.layout.superchunks_of(datanode.name)
+            shards = [
+                (datanode.shard_index_of(sc_id), sc_id)
+                for sc_id in self.layout.superchunks_of(datanode.name)
+            ]
             for slot in range(self.map.slots_per_superchunk):
-                payloads = [datanode.slot_payload(sc_id, slot) for sc_id in sc_ids]
-                if not datanode.lstors.covers(slot, payloads):
+                blocks = {
+                    shard: datanode.slot_payload(sc_id, slot) for shard, sc_id in shards
+                }
+                if not datanode.lstors.covers(slot, blocks):
                     raise LayoutError(
                         f"parity mismatch on {datanode.name} slot {slot}"
                     )

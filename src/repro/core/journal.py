@@ -3,7 +3,7 @@
 Every incoming write creates a journal record referencing the new data
 and the old data it overwrites.  The parity delta is derived, not stored:
 it is ``old XOR new``, computed once where the Lstor absorbs it
-(:meth:`repro.core.lstor.LstorStack.absorb_update`).  The protocol is:
+(:meth:`repro.core.lstor.Lstor.absorb_update`).  The protocol is:
 
 1. append the record to the journal (fast, on the Lstor),
 2. commit the data write to disk (synced),

@@ -1,4 +1,4 @@
-"""Lstor: the per-disk parity add-on (paper §3.2).
+"""Lstor: the per-disk parity add-on (paper §3.2, §3.3).
 
 An Lstor is a small persistent device attached to one disk.  It fails
 independently of the disk and stores:
@@ -9,13 +9,14 @@ independently of the disk and stores:
   superchunk), and
 - the append-only journal of :mod:`repro.core.journal`.
 
-With a single Lstor per disk the erasure code is plain XOR, which over
-mint terms is symmetric set difference (:mod:`repro.storage`): parity
-upkeep, its checks and a rebuild's fold draw no byte.
-:class:`LstorStack` generalizes to ``k`` Lstors per disk using the
-Reed-Solomon rows of :mod:`repro.ec.reed_solomon`, allowing the system
-to survive ``k + 1`` simultaneous disk failures; its rows need real
-field arithmetic, so a stack draws the blocks it encodes.
+A disk may stack ``k`` Lstors (§3.3) to survive ``k + 1`` simultaneous
+disk failures.  :class:`Lstor` keeps all ``k`` as the rows of one code:
+row ``r`` holds ``sum_i c[r][i] * block_i`` over the disk's superchunks
+``i``, in GF(256), with every ``c = 1`` (plain XOR) for a single Lstor
+and the parity rows of :mod:`repro.ec.reed_solomon`'s generator for a
+stack.  Over mint terms (:mod:`repro.storage`) such a sum is a
+combination of terms, so parity upkeep, its checks and a rebuild draw
+no byte, whatever ``k`` is.
 
 Timing: parity arithmetic is offloaded to the Lstor's own logic (paper
 §2), so Lstor operations charge *no* datanode CPU; the simulated cost is
@@ -24,12 +25,13 @@ the transfer into the device, charged at :data:`LSTOR_WRITE_RATE`.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Hashable, Iterable, List, Optional, Set, Tuple
 
 from repro import units
 from repro.core.journal import Journal
+from repro.ec.gf256 import GF256
 from repro.ec.reed_solomon import ReedSolomon
-from repro.errors import LstorFailedError
+from repro.errors import CodingError, LstorFailedError
 from repro.sim.engine import Simulator
 from repro.storage.payload import ContentFactory, Payload
 from repro.sim.snapshot import InlineState
@@ -49,99 +51,24 @@ def filler(factory: ContentFactory, sc_id: int, slot: int, block_size: int) -> P
     return factory.make(filler_name(sc_id, slot), 0, block_size)
 
 
-class Lstor(InlineState):
-    """One parity device: an XOR region plus a journal.
+class LstorDevice(InlineState):
+    """One parity device of a disk and its journal: it fails on its own.
+    The disk writes only the primary's (row 0) journal."""
 
-    A slot's parity is a :class:`~repro.storage.payload.Payload`, the XOR
-    of every ``old`` and ``new`` absorbed there.  Over mints that is a
-    set of terms: a write's ``old`` is the term its previous write
-    absorbed as ``new``, so an overwritten version cancels exactly and no
-    byte is drawn (or, being a mint, ever made).
-    """
-
-    def __init__(
-        self,
-        sim: Simulator,
-        factory: ContentFactory,
-        name: str,
-        block_size: int,
-        journal_capacity: int = 128 * units.MiB,
-    ) -> None:
-        self.sim = sim
-        self.factory = factory
+    def __init__(self, sim: Simulator, name: str, journal_capacity: int) -> None:
         self.name = name
-        self.block_size = block_size
         self.journal = Journal(
             capacity=journal_capacity, now=sim.now, trace=sim.trace, name=name
         )
         self.failed = False
-        self._parity: Dict[int, Payload] = {}
-        # Tags of already-absorbed updates: device-side sequence-number
-        # dedup, which makes journal roll-forward idempotent.
-        self._absorbed_tags: set = set()
 
-    # ------------------------------------------------------------------
-    # Failure model: Lstors fail separately from their disks.
-    # ------------------------------------------------------------------
     def fail(self) -> None:
         self.failed = True
 
-    def reset(self, now: float = 0.0) -> None:
-        """Model a replaced Lstor: zero parity, empty journal, healthy.
-
-        Used when a node rejoins after recovery already re-homed its
-        data -- the replacement disk ships with a fresh parity device, so
-        the zero parity matches the (empty) disk it now covers.
-        """
+    def reset(self, now: float) -> None:
+        """A replaced device: healthy, with an empty journal."""
         self.failed = False
-        self._parity.clear()
-        self._absorbed_tags.clear()
         self.journal.drop_all(now)
-
-    def _check_alive(self) -> None:
-        if self.failed:
-            raise LstorFailedError(f"access to failed Lstor {self.name}")
-
-    # ------------------------------------------------------------------
-    # Parity plane.
-    # ------------------------------------------------------------------
-    def parity_block(self, slot: int) -> Payload:
-        """Current parity for block slot ``slot`` (zero if untouched): an
-        immutable payload, which later absorbs replace and never mutate
-        (journal records stay correct)."""
-        self._check_alive()
-        parity = self._parity.get(slot)
-        return parity if parity is not None else self.factory.zero(self.block_size)
-
-    def absorb(
-        self, slot: int, *payloads: Payload, tag: Optional[Hashable] = None
-    ) -> None:
-        """Fold the XOR of ``payloads`` into the parity at ``slot``.
-
-        ``payloads`` is one delta (= old XOR new) or a write's old and
-        new content.  ``tag``, when given, deduplicates: an update
-        absorbed under the same tag twice is applied once (journal replay
-        idempotency).  Pure state change: the writer charges the
-        device-transfer time.
-        """
-        self._check_alive()
-        if tag is not None:
-            if tag in self._absorbed_tags:
-                return
-            self._absorbed_tags.add(tag)
-        self._xor_in(slot, payloads)
-
-    def _xor_in(self, slot: int, payloads: Sequence[Payload]) -> None:
-        """The parity arithmetic of :meth:`absorb`, with no liveness or
-        tag check: :class:`LstorStack` also folds preallocation baselines
-        through it, which a failed device held from before it failed."""
-        parity = self._parity.get(slot)
-        if parity is None:
-            parity = self.factory.zero(self.block_size)
-        for payload in payloads:
-            # A block shorter than the slot occupies the slot's head.
-            parity = parity ^ payload.resized(self.block_size)
-        self._parity[slot] = parity
 
     def journal_write_time(self, nbytes: int) -> float:
         """Time to persist one journal record of ``nbytes`` of new data.
@@ -153,19 +80,19 @@ class Lstor(InlineState):
         return nbytes / LSTOR_WRITE_RATE
 
 
-class LstorStack(InlineState):
-    """``k`` Lstors on one disk: Reed-Solomon parities over superchunks.
+class Lstor(InlineState):
+    """A disk's ``parity_count`` parity devices, one row each.
 
-    Lstor ``i`` in the stack stores parity row ``i`` of an RS code whose
-    data shards are the disk's superchunks (shard index = the
-    superchunk's slot on this disk).  With ``k`` stacked Lstors the
-    cluster survives ``k + 1`` simultaneous disk failures: a (k+1)-failure
-    loses at most ``k`` superchunks on any given disk (one shared with
-    each other failed disk), and the k parities recover them.
-
-    The codec's rows multiply bytes in GF(256), so a stack of two or
-    more draws every update and keeps its rows as residues; a single
-    Lstor keeps terms.
+    Row ``r`` at block slot ``s`` is ``sum_i c[r][i] * block_s(i)``,
+    where ``i`` is a superchunk's slot on this disk (its data shard
+    index).  A payload's terms carry coefficients, so an absorb adds
+    ``c[r][i] * (old ^ new)`` to each live row as terms: a write's
+    ``old`` cancels the term its previous write added as ``new``, and no
+    byte is drawn (or, being a mint, ever made).  With ``parity_count``
+    rows the cluster survives ``parity_count + 1`` simultaneous disk
+    failures: such a failure loses at most ``parity_count`` superchunks
+    of any one disk (one shared with each other failed disk), and the
+    rows recover them.
     """
 
     def __init__(
@@ -175,53 +102,62 @@ class LstorStack(InlineState):
         name: str,
         block_size: int,
         data_shards: int,
-        parity_count: int,
+        parity_count: int = 1,
         journal_capacity: int = 128 * units.MiB,
     ) -> None:
         if parity_count < 1:
             raise ValueError("need at least one Lstor in a stack")
-        self.sim = sim
         self.factory = factory
         self.name = name
         self.block_size = block_size
-        self.data_shards = data_shards
         self.parity_count = parity_count
-        self.lstors: List[Lstor] = [
-            Lstor(
-                sim,
-                factory,
-                name=f"{name}.L{i}",
-                block_size=block_size,
-                journal_capacity=journal_capacity,
-            )
-            for i in range(parity_count)
+        self.devices = [
+            LstorDevice(sim, f"{name}.L{row}", journal_capacity)
+            for row in range(parity_count)
         ]
-        self._codec = (
-            ReedSolomon(data_shards, parity_count) if parity_count > 1 else None
+        #: ``c[row][shard]``: plain XOR for one Lstor (§3.2), the
+        #: Reed-Solomon generator's parity rows for a stack (§3.3).
+        self.coefficients = (
+            ReedSolomon(data_shards, parity_count).parity_rows()
+            if parity_count > 1 else [[1] * data_shards]
         )
+        self._parity: List[Dict[int, Payload]] = [{} for _ in self.devices]
+        # Tags of already-absorbed updates: device-side sequence-number
+        # dedup, which makes journal roll-forward idempotent.
+        self._absorbed_tags: Set[Hashable] = set()
         # Preallocated superchunks as (shard index, sc_id): the parity
         # covers their fillers from the start, but a slot's share is
-        # folded in only when the slot is first read (``_folded``), so a
-        # build mints nothing and a stack draws no filler it never reads.
-        # XOR and the RS rows are indifferent to order, so absorbs before
-        # the fold land exactly where they would have.
+        # added only when the slot is first read (``_folded``), so a
+        # build mints nothing.  Addition is indifferent to order, so
+        # absorbs before the fold land exactly where they would have.
         self._prefilled: List[Tuple[int, int]] = []
         self._folded: Set[int] = set()
 
     @property
-    def primary(self) -> Lstor:
-        return self.lstors[0]
+    def primary(self) -> LstorDevice:
+        return self.devices[0]
 
-    def alive_lstors(self) -> List[Lstor]:
-        return [l for l in self.lstors if not l.failed]
+    def live_rows(self) -> List[int]:
+        return [row for row, device in enumerate(self.devices) if not device.failed]
 
     def reset(self, now: float = 0.0) -> None:
-        """Replace every Lstor in the stack (see :meth:`Lstor.reset`)."""
-        for lstor in self.lstors:
-            lstor.reset(now)
+        """Model replaced Lstors: zero parity, empty journal, healthy.
+
+        Used when a node rejoins after recovery already re-homed its
+        data -- the replacement disk ships with fresh parity devices, so
+        the zero parity matches the (empty) disk it now covers.
+        """
+        for device in self.devices:
+            device.reset(now)
+        for parity in self._parity:
+            parity.clear()
+        self._absorbed_tags.clear()
         self._prefilled.clear()
         self._folded.clear()
 
+    # ------------------------------------------------------------------
+    # Preallocation baseline.
+    # ------------------------------------------------------------------
     def prefill(self, superchunks: List[Tuple[int, int]]) -> None:
         """Cover the fillers (:func:`filler`) of preallocated superchunks,
         given as ``(shard_index, sc_id)`` pairs, without minting any."""
@@ -237,54 +173,49 @@ class LstorStack(InlineState):
         ]
 
     def _fold_baseline(self, slot: int) -> None:
-        """Fold the preallocation fillers at ``slot`` into every parity
-        row, once -- failed rows too: they held them before failing."""
+        """Add the preallocation fillers at ``slot`` to every parity row,
+        once -- failed rows too: they held them before failing."""
         if not self._prefilled or slot in self._folded:
             return
         fillers = self._fillers(slot)
         self._folded.add(slot)
-        if self._codec is None:
-            self.lstors[0]._xor_in(slot, [payload for _shard, payload in fillers])
-            return
-        zero = self.factory.zero(self.block_size)
         for shard_index, payload in fillers:
-            for lstor, delta in zip(
-                self.lstors, self._row_deltas(shard_index, zero, payload)
-            ):
-                lstor._xor_in(slot, (delta,))
+            self._add(slot, shard_index, payload, range(self.parity_count))
 
-    def _row_deltas(self, shard_index: int, old: Payload, new: Payload) -> List[Payload]:
-        """The codec's per-row parity deltas of one shard update."""
-        assert self._codec is not None
-        # The codec returns freshly allocated buffers: adopt them copy-free.
-        size = self.block_size
-        return [
-            Payload.adopt(delta)
-            for delta in self._codec.parity_delta(
-                shard_index, old.resized(size).data, new.resized(size).data
-            )
-        ]
+    # ------------------------------------------------------------------
+    # Parity plane.
+    # ------------------------------------------------------------------
+    def _stored(self, row: int, slot: int) -> Payload:
+        parity = self._parity[row].get(slot)
+        return parity if parity is not None else self.factory.zero(self.block_size)
 
-    def parity_block(self, slot: int) -> Payload:
-        """The primary's parity at block slot ``slot`` (see
-        :meth:`Lstor.parity_block`): the read path, which brings in the
-        slot's preallocation baseline first."""
+    def _add(self, slot: int, shard_index: int, delta: Payload, rows: Iterable[int]) -> None:
+        """Row ``r`` at ``slot`` += ``c[r][shard_index] * delta``: the one
+        parity update, of absorbs and of the preallocation fold."""
+        for row in rows:
+            scaled = delta.scaled(self.coefficients[row][shard_index])
+            self._parity[row][slot] = self._stored(row, slot) ^ scaled
+
+    def _combine(self, row: int, blocks: Iterable[Tuple[int, Payload]]) -> Payload:
+        """``sum c[row][shard] * block`` over ``(shard, block)`` pairs; a
+        block shorter than the slot occupies the slot's head."""
+        return _weighted_sum(
+            self.factory.zero(self.block_size),
+            (
+                (self.coefficients[row][shard], block.resized(self.block_size))
+                for shard, block in blocks
+            ),
+        )
+
+    def parity_block(self, slot: int, row: int = 0) -> Payload:
+        """Row ``row``'s parity at block slot ``slot`` (zero if
+        untouched), with the slot's preallocation baseline brought in: an
+        immutable payload, which later absorbs replace and never mutate
+        (journal records stay correct)."""
         self._fold_baseline(slot)
-        return self.primary.parity_block(slot)
-
-    def covers(self, slot: int, payloads: Sequence[Payload]) -> bool:
-        """Is the primary's parity at ``slot`` the XOR of ``payloads``?
-
-        An observer: the fillers not yet folded at ``slot`` join the
-        expected side instead of the parity, so nothing changes.  Over
-        mints the two sides are equal term sets and ``==`` draws nothing.
-        """
-        expected = self.factory.zero(self.block_size)
-        for payload in payloads:
-            expected = expected ^ payload.resized(self.block_size)
-        for _shard, payload in self._fillers(slot):
-            expected = expected ^ payload
-        return self.primary.parity_block(slot) == expected
+        if self.devices[row].failed:
+            raise LstorFailedError(f"access to failed Lstor {self.devices[row].name}")
+        return self._stored(row, slot)
 
     def absorb_update(
         self,
@@ -294,25 +225,36 @@ class LstorStack(InlineState):
         new: Payload,
         tag: Optional[Hashable] = None,
     ) -> None:
-        """Propagate one block update into every parity in the stack.
+        """Propagate one block update into every live parity row.
 
-        The one place a write's ``old XOR new`` delta is applied: a
-        single Lstor absorbs ``old`` and ``new`` (``old`` usually cancels
-        the term its previous write left), stacked Lstors get the codec's
-        per-row deltas.  ``shard_index`` is the superchunk's slot on this
-        disk (the RS data shard index); ``slot`` is the block slot within
-        the superchunk.  ``tag`` deduplicates replays (see
-        :meth:`Lstor.absorb`).
+        The one place a write's ``old XOR new`` delta is applied.
+        ``shard_index`` is the superchunk's slot on this disk;
+        ``slot`` is the block slot within the superchunk.  ``tag``, when
+        given, deduplicates: an update absorbed under the same tag twice
+        is applied once (journal replay idempotency).  A failed row
+        absorbs nothing: with every row dead the disk keeps serving,
+        degraded to plain replication until the devices are reset.  Pure
+        state change: the writer charges the device-transfer time.
         """
-        if self._codec is None:
-            if not self.lstors[0].failed:
-                # A failed Lstor absorbs nothing: the disk keeps serving,
-                # degraded to plain replication until the device is reset.
-                self.lstors[0].absorb(slot, old, new, tag=tag)
-            return
-        for lstor, delta in zip(self.lstors, self._row_deltas(shard_index, old, new)):
-            if not lstor.failed:
-                lstor.absorb(slot, delta, tag=tag)
+        if tag is not None:
+            if tag in self._absorbed_tags:
+                return
+            self._absorbed_tags.add(tag)
+        delta = old.resized(self.block_size) ^ new.resized(self.block_size)
+        self._add(slot, shard_index, delta, self.live_rows())
+
+    def covers(self, slot: int, blocks: Dict[int, Payload]) -> bool:
+        """Does every live row at ``slot`` hold its sum of ``blocks``
+        (shard index -> the disk's block there)?
+
+        An observer: the fillers not yet folded at ``slot`` join the
+        expected side instead of the parity, so nothing changes.  Over
+        mints the two sides are equal term maps and ``==`` draws nothing.
+        """
+        known = list(blocks.items()) + self._fillers(slot)
+        return all(
+            self._stored(row, slot) == self._combine(row, known) for row in self.live_rows()
+        )
 
     def reconstruct_block(
         self,
@@ -323,37 +265,39 @@ class LstorStack(InlineState):
         """Rebuild missing superchunk blocks at ``slot``.
 
         ``surviving_blocks`` maps shard index (superchunk slot on this
-        disk) to its block payload; ``missing_shards`` lists the shard
-        indices to recover.  A block shorter than the slot occupies the
-        slot's head; a caller cuts a rebuilt block back to its size.  For
-        a single Lstor this is the XOR chain of the paper's Fig. 2, which
-        over mints cancels to the lost block's terms; for stacks it is an
-        RS decode (a codec row is plain XOR only for some shard counts).
+        disk) to its block payload; a shard in neither argument was never
+        written and counts as zero.  A block shorter than the slot
+        occupies the slot's head; a caller cuts a rebuilt block back to
+        its size.  Each of ``len(missing_shards)`` live rows, less its
+        survivors' share, leaves a sum of the missing blocks alone; the
+        inverse of that system's coefficients solves it.  For one Lstor
+        this is the XOR chain of the paper's Fig. 2, which over mints
+        cancels to the lost block's terms.
         """
-        if not self.alive_lstors():
+        rows = self.live_rows()
+        if not rows:
             raise LstorFailedError(f"no live Lstor in stack {self.name}")
-        if self._codec is None:
-            if len(missing_shards) != 1:
-                raise ValueError("a single Lstor recovers exactly one superchunk")
-            rebuilt = self.parity_block(slot)
-            for payload in surviving_blocks.values():
-                rebuilt = rebuilt ^ payload.resized(self.block_size)
-            return {missing_shards[0]: rebuilt}
-        self._fold_baseline(slot)
-        arrays = {i: p.resized(self.block_size).data for i, p in surviving_blocks.items()}
-        # Missing *data* shards default to zeros if they were never
-        # written; parity shards come from the live Lstors.
-        for index, lstor in enumerate(self.lstors):
-            if not lstor.failed:
-                arrays[self.data_shards + index] = lstor.parity_block(slot).data
-        for shard in range(self.data_shards):
-            if shard not in arrays and shard not in missing_shards:
-                arrays[shard] = self.factory.zero(self.block_size).data
-        result = {}
-        for shard in missing_shards:
-            rebuilt = self._codec.reconstruct_shard(
-                {i: a for i, a in arrays.items() if i != shard}, shard
+        if len(rows) < len(missing_shards):
+            raise CodingError(
+                f"{len(missing_shards)} lost superchunks need as many live "
+                f"Lstors; {self.name} has {len(rows)}"
             )
-            result[shard] = Payload.adopt(rebuilt)
-            arrays[shard] = rebuilt
-        return result
+        rows = rows[: len(missing_shards)]
+        survivors = list(surviving_blocks.items())
+        sums = [self.parity_block(slot, row) ^ self._combine(row, survivors) for row in rows]
+        inverse = GF256.mat_invert(
+            [[self.coefficients[row][shard] for shard in missing_shards] for row in rows]
+        )
+        zero = self.factory.zero(self.block_size)
+        return {
+            shard: _weighted_sum(zero, zip(weights, sums))
+            for shard, weights in zip(missing_shards, inverse)
+        }
+
+
+def _weighted_sum(zero: Payload, pairs: Iterable[Tuple[int, Payload]]) -> Payload:
+    """``sum coef * payload`` over ``(coef, payload)`` pairs, from ``zero``."""
+    total = zero
+    for coef, payload in pairs:
+        total = total ^ payload.scaled(coef)
+    return total

@@ -28,7 +28,7 @@ from typing import TYPE_CHECKING, Any, Dict, Generator, Optional, Set, Tuple
 from repro import units
 from repro.core.journal import JournalRecord, RecordState
 from repro.core.layout import Layout
-from repro.core.lstor import LSTOR_WRITE_RATE, LstorStack, filler
+from repro.core.lstor import LSTOR_WRITE_RATE, Lstor, filler
 from repro.core.placement import SuperchunkMap
 from repro.errors import DfsError
 from repro.hdfs.block import Block, BlockLocations
@@ -107,7 +107,7 @@ class RaidpDataNode(DataNode):
         self.switch = switch
         self.writer_lock = Lock(sim, name=f"{self.name}.writer")
         self._namenode: Optional["weakref.ref[NameNode]"] = None
-        self.lstors = LstorStack(
+        self.lstors = Lstor(
             sim,
             factory,
             name=f"{self.name}.lstor",
@@ -439,7 +439,7 @@ class RaidpDataNode(DataNode):
     ) -> Generator:
         """Logical parity update plus the device-transfer time charge."""
         self.lstors.absorb_update(self.shard_index_of(sc_id), slot, old, new, tag=tag)
-        if self.lstors.alive_lstors():  # dead devices absorb and cost nothing
+        if self.lstors.live_rows():  # dead devices absorb and cost nothing
             yield self.sim.timeout(nbytes / LSTOR_WRITE_RATE)
         return None
 

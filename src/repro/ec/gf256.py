@@ -58,14 +58,6 @@ class GF256:
     ORDER = _FIELD_SIZE
 
     @staticmethod
-    def add(a: int, b: int) -> int:
-        return a ^ b
-
-    @staticmethod
-    def sub(a: int, b: int) -> int:
-        return a ^ b  # characteristic 2: subtraction is addition
-
-    @staticmethod
     def mul(a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0
@@ -95,12 +87,6 @@ class GF256:
     def exp(power: int) -> int:
         """The generator raised to ``power``."""
         return _EXP[power % 255]
-
-    @staticmethod
-    def log(a: int) -> int:
-        if a == 0:
-            raise ValueError("log of zero in GF(256)")
-        return _LOG[a]
 
     # ------------------------------------------------------------------
     # Vectorized buffer operations.

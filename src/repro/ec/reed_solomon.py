@@ -6,13 +6,14 @@ by Jerasure, Backblaze, and others).  Because every k x k submatrix of a
 Vandermonde matrix is invertible, the resulting code is MDS: the original
 data is recoverable from *any* k of the n shards.
 
-Stacked Lstors (paper Section 3.3) reuse this codec: k parities over a
-disk's superchunks tolerate k Lstor-assisted superchunk losses.
+Stacked Lstors (paper Section 3.3) take this codec's parity rows as
+their coefficients: k parities over a disk's superchunks tolerate k
+Lstor-assisted superchunk losses.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 import numpy as np
 
@@ -41,6 +42,11 @@ class ReedSolomon:
         top_inv = GF256.mat_invert(top)
         return GF256.mat_mul(vandermonde, top_inv)
 
+    def parity_rows(self) -> List[List[int]]:
+        """The generator's parity rows: parity ``j`` is ``sum_i
+        rows[j][i] * data_i``."""
+        return [list(row) for row in self._matrix[self.data_shards:]]
+
     # ------------------------------------------------------------------
     # Encoding.
     # ------------------------------------------------------------------
@@ -60,28 +66,6 @@ class ReedSolomon:
                 GF256.addmul_bytes(accum, coeff, shard)
             parities.append(accum)
         return parities
-
-    def parity_delta(
-        self, shard_index: int, old: np.ndarray, new: np.ndarray
-    ) -> List[np.ndarray]:
-        """Parity *updates* when one data shard changes (RMW path).
-
-        Returns, per parity, the buffer to XOR into the stored parity:
-        ``coeff * (old ^ new)``.  This is the operation a single Lstor
-        performs on every in-place update.
-        """
-        if not 0 <= shard_index < self.data_shards:
-            raise ValueError(f"bad shard index {shard_index}")
-        old_arr = np.asarray(old, dtype=np.uint8)
-        new_arr = np.asarray(new, dtype=np.uint8)
-        if old_arr.shape != new_arr.shape:
-            raise CodingError("old/new shard size mismatch")
-        delta = np.bitwise_xor(old_arr, new_arr)
-        updates = []
-        for parity_index in range(self.parity_shards):
-            coeff = self._matrix[self.data_shards + parity_index][shard_index]
-            updates.append(GF256.mul_bytes(coeff, delta))
-        return updates
 
     # ------------------------------------------------------------------
     # Decoding.
@@ -109,32 +93,6 @@ class ReedSolomon:
                 GF256.addmul_bytes(accum, coeff, shard)
             data.append(accum)
         return data
-
-    def reconstruct_shard(
-        self, shards: Dict[int, np.ndarray], missing: int
-    ) -> np.ndarray:
-        """Rebuild one shard (data or parity) from any k others."""
-        if not 0 <= missing < self.total_shards:
-            raise ValueError(f"bad shard index {missing}")
-        usable = {i: s for i, s in shards.items() if i != missing}
-        data = self.decode(usable)
-        if missing < self.data_shards:
-            return data[missing]
-        row = self._matrix[missing]
-        accum = np.zeros(len(data[0]), dtype=np.uint8)
-        for coeff, shard in zip(row, data):
-            GF256.addmul_bytes(accum, coeff, shard)
-        return accum
-
-    def verify(self, data: Sequence[np.ndarray], parity: Sequence[np.ndarray]) -> bool:
-        """Check that stored parity matches the data."""
-        expected = self.encode(data)
-        if len(parity) != len(expected):
-            return False
-        return all(
-            np.array_equal(np.asarray(p, dtype=np.uint8), e)
-            for p, e in zip(parity, expected)
-        )
 
     # ------------------------------------------------------------------
     # Helpers.

@@ -20,11 +20,12 @@ class Block(InlineState):
     path: str  # the DFS file this block belongs to
     index: int  # position within the file
     size: int
+    #: The local file name replicas store this block under, formatted
+    #: once: every name-keyed lookup hashes this one string.
+    name: str = field(init=False, repr=False, compare=False)
 
-    @property
-    def name(self) -> str:
-        """The local file name replicas store this block under."""
-        return f"blk_{self.block_id}"
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "name", f"blk_{self.block_id}")
 
 
 @dataclass

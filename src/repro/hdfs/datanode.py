@@ -58,23 +58,15 @@ class DataNode(InlineState):
         self.node = node
         self.config = config
         self.factory = factory
-        self._disk = disk if disk is not None else node.primary_disk
-        self._name = name if name is not None else node.name
-        self.fs = LocalFs(sim, self._disk, policy=fs_policy)
+        self.disk: Disk = disk if disk is not None else node.primary_disk
+        self.name: str = name if name is not None else node.name
+        self.fs = LocalFs(sim, self.disk, policy=fs_policy)
         self.io_batch = io_batch or self.DEFAULT_IO_BATCH
         self._contents: Dict[str, Payload] = {}
         self._versions: Dict[str, int] = {}
         self.alive = True
         self.stats_blocks_written = 0
         self.stats_blocks_read = 0
-
-    @property
-    def name(self) -> str:
-        return self._name
-
-    @property
-    def disk(self) -> Disk:
-        return self._disk
 
     # ------------------------------------------------------------------
     # Content store (the data plane).

@@ -36,18 +36,9 @@ def healthy_datanode(datanode) -> bool:
     Placement and replica choice must agree on this -- a DataNode whose
     disk already died but whose heartbeat staleness has not yet been
     declared is *not* a valid target, even though its metadata still says
-    ``alive``.  Minimal DataNode stand-ins (tests) may lack the device
-    attributes; only the checks they support apply.
+    ``alive``.
     """
-    if not datanode.alive:
-        return False
-    disk = getattr(datanode, "disk", None)
-    if disk is not None and disk.failed:
-        return False
-    node = getattr(datanode, "node", None)
-    if node is not None and not node.alive:
-        return False
-    return True
+    return datanode.alive and not datanode.disk.failed and datanode.node.alive
 
 
 class PlacementPolicy(InlineState):

@@ -1,4 +1,5 @@
-"""Payloads: the content of blocks and parities, as sets of mint terms.
+"""Payloads: the content of blocks and parities, as GF(256) combinations
+of mint terms.
 
 See the package docstring for the representation.  All payloads are
 immutable value objects: every operation returns a new payload, which
@@ -9,52 +10,58 @@ cannot be mutated from underneath it).
 from __future__ import annotations
 
 import zlib
-from typing import Any, Dict, FrozenSet, Optional, Set, Tuple
+from typing import Any, Dict, FrozenSet, Optional, Tuple
 
 import numpy as np
+from repro.ec.gf256 import GF256
 from repro.sim.snapshot import InlineState
 
 #: A mint term: ``(seed, name, version, length)`` is the whole stream of
 #: that mint, which then spans its payload; ``(seed, name, version, lo,
 #: hi, at)`` is the stream's bytes ``[lo, hi)`` placed at byte ``at``.
 Term = Tuple[Any, ...]
+#: Terms to their GF(256) coefficients.
+Coefficients = Dict[Term, int]
 _NO_TERMS: FrozenSet[Term] = frozenset()
+#: Shared: no payload ever mutates its map.
+_NO_WEIGHTS: Coefficients = {}
 
 
 class Payload(InlineState):
-    """A fixed-length byte string: the XOR of mint terms and an optional
-    dense residue.
+    """A fixed-length byte string: a GF(256) combination of mint terms
+    plus an optional dense residue.
 
-    XOR is the terms' symmetric difference (residues XOR bytewise), so a
+    Every term carries a nonzero coefficient: ``terms`` holds those whose
+    coefficient is 1, ``weighted`` maps the others (2..255) to theirs,
+    and a term is in one or neither.  Adding two payloads (XOR) adds
+    coefficients, and a term whose coefficient reaches 0 drops out, so a
     version overwritten in a parity meets its own term and cancels
-    exactly, and the zero is the empty set with no buffer.  :attr:`data`
-    draws the terms' PCG64 streams when a reader needs bytes and caches
-    nothing: only :meth:`checksum` keeps what it read, the CRC.  ``==``
-    answers equal term sets and residues without reading; otherwise it
-    draws the terms the two do not share and compares bytes.
+    exactly; over coefficient 1 alone that is the symmetric difference
+    of ``terms``.  The zero is the empty combination with no buffer, and
+    :meth:`scaled` multiplies every coefficient.  :attr:`data` draws the
+    terms' PCG64 streams when a reader needs bytes and caches nothing:
+    only :meth:`checksum` keeps what it read, the CRC.  ``==`` answers
+    equal combinations and residues without reading; otherwise it draws
+    the terms the two do not share and compares bytes.
     """
 
-    __slots__ = ("terms", "residue", "length", "_crc", "__weakref__")
+    __slots__ = ("terms", "weighted", "residue", "length", "_crc", "__weakref__")
 
     def __init__(self, data: bytes = b"") -> None:
         """The literal content ``data``, over the bytes object itself."""
         if not isinstance(data, bytes):
             raise TypeError("a payload is built from bytes; adopt() takes an array")
         self.terms = _NO_TERMS
+        self.weighted = _NO_WEIGHTS
         self.residue: Optional[np.ndarray] = np.frombuffer(data, dtype=np.uint8)
         self.length = len(data)
         self._crc: Optional[int] = None
 
-    @classmethod
-    def _of(
-        cls, terms: FrozenSet[Term], residue: Optional[np.ndarray], length: int
-    ) -> "Payload":
-        payload = cls.__new__(cls)
-        payload.terms = terms
-        payload.residue = residue
-        payload.length = length
-        payload._crc = None
-        return payload
+    def coefficients(self) -> Coefficients:
+        """Every term mapped to its coefficient, as a new dict."""
+        coefficients = dict.fromkeys(self.terms, 1)
+        coefficients.update(self.weighted)
+        return coefficients
 
     @classmethod
     def adopt(cls, arr: np.ndarray) -> "Payload":
@@ -63,40 +70,41 @@ class Payload(InlineState):
         The caller transfers ownership: it must not retain any writable
         reference to ``arr`` (or its base) after adoption.
         """
-        arr = np.ascontiguousarray(arr, dtype=np.uint8)
-        arr.setflags(write=False)
-        return cls._of(_NO_TERMS, arr, len(arr))
+        arr = _frozen(np.ascontiguousarray(arr, dtype=np.uint8))
+        return _payload(_NO_TERMS, arr, len(arr))
 
     @classmethod
     def zeros(cls, length: int) -> "Payload":
-        return cls._of(_NO_TERMS, None, length)
+        return _payload(_NO_TERMS, None, length)
 
     @property
     def data(self) -> np.ndarray:
         """The content, read-only, drawn afresh on every read."""
         terms, residue = self.terms, self.residue
-        if not terms:
+        if not terms and not self.weighted:
             return residue if residue is not None else _frozen(np.zeros(self.length, np.uint8))
-        if residue is None and len(terms) == 1:
+        if residue is None and len(terms) == 1 and not self.weighted:
             (term,) = terms
             if len(term) == 4:
                 return _draw(_stable_seed(*term[:3]), self.length)
         buf = np.zeros(self.length, np.uint8) if residue is None else residue.copy()
-        for term in terms:  # XOR commutes: any order draws the same bytes
+        # Addition commutes: any order draws the same bytes.
+        for term, coef in self.coefficients().items():
             seed, name, version, lo, hi, at = _parts(term)
-            span = buf[at:at + hi - lo]
-            np.bitwise_xor(span, _draw(_stable_seed(seed, name, version), hi)[lo:], out=span)
+            stream = _draw(_stable_seed(seed, name, version), hi)[lo:]
+            GF256.addmul_bytes(buf[at:at + hi - lo], coef, stream)
         return _frozen(buf)
 
     def xor(self, other: "Payload") -> "Payload":
+        """The sum in GF(256): coefficients add, residues XOR bytewise."""
         if not isinstance(other, Payload):
             raise TypeError(f"cannot XOR a payload with {type(other).__name__}")
         if self.length != other.length:
             raise ValueError(f"payload length mismatch: {self.length} vs {other.length}")
         # XOR with a known zero is the other operand itself.
-        if not other.terms and other.residue is None:
+        if not other.terms and not other.weighted and other.residue is None:
             return self
-        if not self.terms and self.residue is None:
+        if not self.terms and not self.weighted and self.residue is None:
             return other
         residue = self.residue
         if other.residue is not None:
@@ -104,9 +112,29 @@ class Payload(InlineState):
                 other.residue if residue is None
                 else _frozen(np.bitwise_xor(residue, other.residue))
             )
-        return Payload._of(self.terms ^ other.terms, residue, self.length)
+        if not self.weighted and not other.weighted:
+            return _payload(self.terms ^ other.terms, residue, self.length)
+        coefficients = self.coefficients()
+        for term, coef in other.coefficients().items():
+            _add(coefficients, term, coef)
+        return _combination(coefficients, residue, self.length)
 
     __xor__ = xor
+
+    def scaled(self, coef: int) -> "Payload":
+        """``coef`` times this content in GF(256): every term's
+        coefficient and every residue byte multiplied, nothing drawn."""
+        if coef == 1:
+            return self
+        if coef == 0:
+            return _payload(_NO_TERMS, None, self.length)
+        residue = self.residue
+        if residue is not None:
+            residue = _frozen(GF256.mul_bytes(coef, residue))
+        coefficients = {
+            term: GF256.mul(coef, mine) for term, mine in self.coefficients().items()
+        }
+        return _combination(coefficients, residue, self.length)
 
     def splice(self, at: int, patch: "Payload") -> "Payload":
         """This content with ``patch`` written over bytes ``[at, at +
@@ -114,17 +142,18 @@ class Payload(InlineState):
         hi = at + patch.length
         if not 0 <= at <= hi <= self.length:
             raise ValueError(f"patch [{at}, {hi}) outside a {self.length}-byte payload")
-        terms: Set[Term] = set(self.terms)
-        for term in self.terms:  # toggles commute: any order
-            _toggle(terms, _window(term, at, hi, 0, self.length))
-        for term in patch.terms:
-            _toggle(terms, _window(term, 0, patch.length, at, self.length))
+        mine = self.coefficients()
+        coefficients = dict(mine)
+        for term, coef in mine.items():  # additions commute: any order
+            _add(coefficients, _window(term, at, hi, 0, self.length), coef)
+        for term, coef in patch.coefficients().items():
+            _add(coefficients, _window(term, 0, patch.length, at, self.length), coef)
         residue = self.residue
         if residue is not None or patch.residue is not None:
             residue = np.zeros(self.length, np.uint8) if residue is None else residue.copy()
             residue[at:hi] = 0 if patch.residue is None else patch.residue
             residue = _frozen(residue)
-        return Payload._of(frozenset(terms), residue, self.length)
+        return _combination(coefficients, residue, self.length)
 
     def resized(self, length: int) -> "Payload":
         """The first ``length`` bytes, zero-extended: a short block in
@@ -132,22 +161,22 @@ class Payload(InlineState):
         if length == self.length:
             return self
         keep = min(length, self.length)
-        terms: Set[Term] = set()
-        for term in self.terms:
-            _toggle(terms, _window(term, 0, keep, 0, length))
+        coefficients: Coefficients = {}
+        for term, coef in self.coefficients().items():
+            _add(coefficients, _window(term, 0, keep, 0, length), coef)
         residue = self.residue
         if residue is not None:
             head = residue[:keep]
             residue = np.zeros(length, np.uint8)
             residue[:keep] = head
             residue = _frozen(residue)
-        return Payload._of(frozenset(terms), residue, length)
+        return _combination(coefficients, residue, length)
 
     def xor_into(self, accum: np.ndarray) -> None:
         """``accum ^= self`` in place; ``accum`` is only written."""
         if len(accum) != self.length:
             raise ValueError(f"payload length mismatch: {len(accum)} vs {self.length}")
-        if self.terms or self.residue is not None:
+        if self.terms or self.weighted or self.residue is not None:
             np.bitwise_xor(accum, self.data, out=accum)
 
     def mutable_copy(self) -> np.ndarray:
@@ -157,7 +186,7 @@ class Payload(InlineState):
     def is_zero(self) -> bool:
         """Known zero: no term (a mint's PCG64 window is taken as nonzero)
         and no residue byte set.  Reads only a residue."""
-        if self.terms:
+        if self.terms or self.weighted:
             return self.length == 0
         return self.residue is None or not self.residue.any()
 
@@ -178,7 +207,7 @@ class Payload(InlineState):
             return True
         if self.length != other.length:
             return False
-        if self.terms == other.terms:
+        if self.terms == other.terms and self.weighted == other.weighted:
             mine, theirs = self.residue, other.residue
             if mine is None or theirs is None:
                 rest = theirs if mine is None else mine
@@ -191,16 +220,48 @@ class Payload(InlineState):
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         residue = "" if self.residue is None else " +residue"
-        return f"<Payload len={self.length} terms={sorted(self.terms)!r}{residue}>"
+        return f"<Payload len={self.length} terms={sorted(self.coefficients().items())!r}{residue}>"
 
 
 #: The name ``bench/kernels.py`` imports.
 BytesPayload = Payload
 
 
-def _toggle(terms: Set[Term], term: Optional[Term]) -> None:
+def _payload(
+    terms: FrozenSet[Term],
+    residue: Optional[np.ndarray],
+    length: int,
+    weighted: Coefficients = _NO_WEIGHTS,
+) -> Payload:
+    """A payload from its parts, unchecked: a plain function, since
+    every XOR builds one."""
+    payload = Payload.__new__(Payload)
+    payload.terms = terms
+    payload.weighted = weighted
+    payload.residue = residue
+    payload.length = length
+    payload._crc = None
+    return payload
+
+
+def _combination(
+    coefficients: Coefficients, residue: Optional[np.ndarray], length: int
+) -> Payload:
+    """The payload of a term -> nonzero coefficient map."""
+    terms = frozenset(term for term, coef in coefficients.items() if coef == 1)
+    if len(terms) == len(coefficients):
+        return _payload(terms, residue, length)
+    weighted = {term: coef for term, coef in coefficients.items() if coef != 1}
+    return _payload(terms, residue, length, weighted)
+
+
+def _add(coefficients: Coefficients, term: Optional[Term], coef: int) -> None:
+    """``coefficients += coef * term`` in place: a term whose coefficient
+    reaches 0 drops out."""
     if term is not None:
-        terms.symmetric_difference_update((term,))
+        coef ^= coefficients.pop(term, 0)
+        if coef:
+            coefficients[term] = coef
 
 
 def _parts(term: Term) -> Term:
@@ -211,7 +272,7 @@ def _parts(term: Term) -> Term:
 def _window(term: Term, lo: int, hi: int, shift: int, length: int) -> Optional[Term]:
     """``term``'s bytes within ``[lo, hi)``, moved ``shift`` bytes on, as
     a term of a ``length``-byte payload (``None`` when nothing is left).
-    One spelling per window, so equal windows cancel as set members."""
+    One spelling per window, so equal windows cancel."""
     seed, name, version, start, stop, at = _parts(term)
     begin, end = max(at, lo), min(at + stop - start, hi)
     if begin >= end:
@@ -250,8 +311,7 @@ def _draw(seed: int, length: int) -> np.ndarray:
     draw is a prefix of a longer one.
     """
     words = np.random.PCG64(seed).random_raw(-(-length // 8)).astype("<u8", copy=False)
-    words.setflags(write=False)
-    return words.view(np.uint8)[:length]
+    return _frozen(words).view(np.uint8)[:length]
 
 
 class ContentFactory(InlineState):
@@ -268,7 +328,7 @@ class ContentFactory(InlineState):
         self._zeros: Dict[int, Payload] = {}
 
     def make(self, name: str, version: int, length: int) -> Payload:
-        return Payload._of(frozenset({(self.seed, name, version, length)}), None, length)
+        return _payload(frozenset({(self.seed, name, version, length)}), None, length)
 
     def zero(self, length: int) -> Payload:
         zero = self._zeros.get(length)

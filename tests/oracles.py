@@ -31,6 +31,7 @@ from repro.core.lstor import LSTOR_WRITE_RATE, filler_name
 from repro.core.node import RaidpDataNode
 from repro.core.placement import RaidpPlacement
 from repro.core.recovery import _Pullers, _Raid6Rig
+from repro.ec.gf256 import GF256
 from repro.errors import LayoutError, PlacementError
 from repro.experiments import ext_scale, table2_recovery
 from repro.faults import DiskLifetimeModel, RepairModel
@@ -569,16 +570,20 @@ class EagerParity:
         self._slots.clear()
 
 
-def folding_covers(stack: Any, slot: int, payloads: List[Any]) -> bool:
-    """The parity check by folding bytes: XOR every payload's drawn
-    bytes into a fresh buffer and compare it with a parity read's bytes
-    (the read folds the slot's preallocation fillers first).  The oracle
-    of ``LstorStack.covers``; unlike it, this changes the stack it reads
-    and draws every term it meets."""
-    expected = np.zeros(stack.block_size, dtype=np.uint8)
-    for payload in payloads:
-        expected ^= payload.data
-    return bytes(stack.parity_block(slot).data) == bytes(expected)
+def folding_covers(stack: Any, slot: int, blocks: Dict[int, Any]) -> bool:
+    """The parity check by folding bytes: for every live row, add each
+    block's drawn bytes times the row's coefficient into a fresh buffer
+    and compare it with a read of the row (the read folds the slot's
+    preallocation fillers first).  The oracle of ``Lstor.covers``;
+    unlike it, this changes the stack it reads and draws every term it
+    meets."""
+    for row in stack.live_rows():
+        expected = np.zeros(stack.block_size, dtype=np.uint8)
+        for shard, payload in blocks.items():
+            GF256.addmul_bytes(expected, stack.coefficients[row][shard], payload.data)
+        if bytes(stack.parity_block(slot, row).data) != bytes(expected):
+            return False
+    return True
 
 
 def folding_verify_parity(dfs: Any) -> None:
@@ -586,8 +591,11 @@ def folding_verify_parity(dfs: Any) -> None:
     for datanode in dfs._parity_trusted():
         sc_ids = dfs.layout.superchunks_of(datanode.name)
         for slot in range(dfs.map.slots_per_superchunk):
-            payloads = [datanode.slot_payload(sc_id, slot) for sc_id in sc_ids]
-            if not folding_covers(datanode.lstors, slot, payloads):
+            blocks = {
+                datanode.shard_index_of(sc_id): datanode.slot_payload(sc_id, slot)
+                for sc_id in sc_ids
+            }
+            if not folding_covers(datanode.lstors, slot, blocks):
                 raise LayoutError(f"parity mismatch on {datanode.name} slot {slot}")
 
 
@@ -1099,7 +1107,7 @@ class RegistryReader:
             )
             lstors = getattr(datanode, "lstors", None)
             if lstors is not None:
-                for lstor in lstors.lstors:
+                for lstor in lstors.devices:
                     journal = lstor.journal
                     self._gauges[self.key("journal_outstanding", journal=lstor.name)] = (
                         journal.outstanding_gauge

@@ -250,8 +250,8 @@ def _observed(dfs):
     payloads and every stored block, by identity, and the folded
     preallocation slots."""
     return (
-        [{slot: id(p) for slot, p in lstor._parity.items()}
-         for dn in dfs.datanodes for lstor in dn.lstors.lstors],
+        [{slot: id(p) for slot, p in row.items()}
+         for dn in dfs.datanodes for row in dn.lstors._parity],
         [sorted(dn.lstors._folded) for dn in dfs.datanodes],
         [{name: id(p) for name, p in dn._contents.items()} for dn in dfs.datanodes],
     )

@@ -7,7 +7,7 @@ from repro import units
 from repro.core.cluster import RaidpCluster
 from repro.core.node import RaidpConfig
 from repro.core.recovery import RecoveryManager
-from repro.errors import BlockMissingError
+from repro.errors import BlockMissingError, LayoutError
 from repro.hdfs.config import DfsConfig
 from repro.sim.cluster import ClusterSpec
 from tests.test_preallocation import block_in_slot
@@ -54,17 +54,22 @@ def test_degraded_read_returns_exact_content():
     assert reader.stats_degraded_reads == 1
 
 
-def test_degraded_read_and_rebuild_through_stacked_lstors():
-    """Ten disks give each stack nine RS data shards, whose first parity
-    row is not plain XOR: a degraded read and a rebuild must decode."""
-    dfs = RaidpCluster(
+def stacked_cluster():
+    """Ten disks with two stacked Lstors each: nine RS data shards."""
+    return RaidpCluster(
         spec=ClusterSpec(num_nodes=10),
         config=DfsConfig(block_size=units.MiB, replication=2),
         raidp=RaidpConfig(lstors_per_disk=2),
         superchunk_size=4 * units.MiB,
         superchunks_per_disk=3,
     )
-    assert set(dfs.datanodes[0].lstors._codec._matrix[9]) != {1}
+
+
+def test_degraded_read_and_rebuild_through_stacked_lstors():
+    """Ten disks give each stack nine RS data shards, whose first parity
+    row is not plain XOR: a degraded read and a rebuild must decode."""
+    dfs = stacked_cluster()
+    assert set(dfs.datanodes[0].lstors.coefficients[0]) != {1}
     dfs.sim.run_process(dfs.client(0).write_file("/f", 3 * units.MiB))
     block = dfs.namenode.file_blocks("/f")[0]
     locations = dfs.namenode.locate_block(block.block_id)
@@ -75,6 +80,22 @@ def test_degraded_read_and_rebuild_through_stacked_lstors():
     RecoveryManager(dfs).recover(tuple(locations.datanodes))
     for name in locations.datanodes:
         assert dfs.datanode_by_name(name).content_of(block.name) == original
+
+
+def test_verify_parity_checks_every_stacked_row():
+    """``verify_parity`` holds each live row of a stack to its sum of
+    the disk's blocks, not only the primary's: one stray term in a slot
+    of row 1 is a mismatch."""
+    dfs = stacked_cluster()
+    dfs.sim.run_process(dfs.client(0).write_file("/f", 3 * units.MiB))
+    dfs.verify_parity()
+    locations = dfs.namenode.locate_block(dfs.namenode.file_blocks("/f")[0].block_id)
+    datanode = dfs.datanode_by_name(locations.datanodes[0])
+    slot = locations.slot
+    stray = dfs.factory.make("stray", 1, units.MiB)
+    datanode.lstors._parity[1][slot] = datanode.lstors.parity_block(slot, row=1) ^ stray
+    with pytest.raises(LayoutError, match=f"{datanode.name} slot {slot}"):
+        dfs.verify_parity()
 
 
 def test_degraded_read_burdens_many_nodes():

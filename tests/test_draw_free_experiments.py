@@ -1,10 +1,11 @@
 """Timing experiments move no payload bytes.
 
-Every experiment runs on the same payloads as the chaos soak: sets of
-mint terms that parity upkeep, partial updates and a rebuild's fold
-combine by set algebra.  One run of each kind that once needed bytes
-draws no PCG64 stream here, and its tracemalloc peak stays below one of
-its blocks: a single drawn block would cross it.
+Every experiment runs on the same payloads as the chaos soak: GF(256)
+combinations of mint terms that parity upkeep, partial updates and a
+rebuild combine term by term, through one Lstor or a stack.  One run of
+each kind that once needed bytes draws no PCG64 stream here, and its
+tracemalloc peak stays below one of its blocks: a single drawn block
+would cross it.
 """
 
 import tracemalloc
@@ -12,9 +13,28 @@ import tracemalloc
 import pytest
 
 from repro import units
+from repro.core.recovery import RecoveryManager
 from repro.experiments import ext_scale, ext_updates, fig8_write, table2_recovery
+from repro.experiments.common import Scale, build_raidp
 from repro.hdfs.config import DfsConfig
 from repro.storage import payload as payload_module
+from repro.workloads.dfsio import dfsio_write
+
+
+def stacked_write_and_rebuild():
+    """Two stacked Lstors per disk at the default scale: the DFSIO
+    dataset, then one sharing pair's superchunk rebuilt through the RS
+    rows."""
+    dfs = build_raidp(Scale(), 1, lstors_per_disk=2)
+    dfsio_write(dfs, Scale().dataset)
+    disks = dfs.layout.disks
+    pair = next(
+        (a, b)
+        for i, a in enumerate(disks)
+        for b in disks[i + 1:]
+        if dfs.layout.shared(a, b) is not None
+    )
+    assert RecoveryManager(dfs).recover(pair, reconstruct_only=True).reconstructed
 
 #: run -> (the run, its cluster's block size).
 RUNS = {
@@ -31,6 +51,10 @@ RUNS = {
         ext_scale.BLOCK_SIZE,
     ),
     "ext-updates": (ext_updates.run, DfsConfig().block_size),
+    "raidp 2 stacked lstors write + rebuild": (
+        stacked_write_and_rebuild,
+        DfsConfig().block_size,
+    ),
 }
 
 

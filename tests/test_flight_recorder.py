@@ -481,11 +481,12 @@ def test_final_audit_content_check_is_never_skipped_or_waived():
     leave_record_on(dead)
     dead.alive = False
     assert not dfs.journals_empty() and dfs.unabsorbed_writes() == []
-    live.lstors.primary.absorb(locations.slot, content)  # corrupt live parity
+    shard, zero = live.shard_index_of(locations.sc_id), dfs.factory.zero(len(content))
+    live.lstors.absorb_update(shard, locations.slot, content, zero)  # corrupt live parity
     assert parity_findings(5.0) == [
         ("lstor", f"parity mismatch on {live.name} slot {locations.slot}")
     ]
-    live.lstors.primary.absorb(locations.slot, content)  # and undo
+    live.lstors.absorb_update(shard, locations.slot, zero, content)  # and undo
     leave_record_on(live)
     write = f"{live.name}:{locations.block.name}@{locations.version}"
     assert dfs.unabsorbed_writes() == [write]

@@ -1,4 +1,4 @@
-"""Unit and property tests for Lstors and stacked Lstors (paper §3.2)."""
+"""Unit and property tests for Lstors, one or stacked (paper §3.2, §3.3)."""
 
 import pickle
 import zlib
@@ -9,8 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import units
-from repro.core.lstor import Lstor, LstorStack, filler
-from repro.errors import LayoutError, LstorFailedError
+from repro.core.lstor import Lstor, filler
+from repro.ec.reed_solomon import ReedSolomon
+from repro.errors import CodingError, LayoutError, LstorFailedError
 from repro.sim.engine import Simulator
 from repro.storage import payload as payload_module
 from repro.storage.payload import ContentFactory, Payload
@@ -21,22 +22,20 @@ BLOCK = 1024
 
 
 def make_lstor():
-    sim = Simulator()
-    factory = ContentFactory()
-    return sim, factory, Lstor(sim, factory, name="L0", block_size=BLOCK)
+    return make_stack(parity_count=1, data_shards=2)
 
 
-def make_stack(parity_count=2, data_shards=5):
+def make_stack(parity_count=2, data_shards=5, block=BLOCK):
     sim = Simulator()
     factory = ContentFactory()
     return (
         sim,
         factory,
-        LstorStack(
+        Lstor(
             sim,
             factory,
             name="S",
-            block_size=BLOCK,
+            block_size=block,
             data_shards=data_shards,
             parity_count=parity_count,
         ),
@@ -54,56 +53,65 @@ def test_parity_starts_zero():
 def test_absorb_updates_parity():
     _sim, factory, lstor = make_lstor()
     payload = factory.make("a", 1, BLOCK)
-    lstor.absorb(0, factory.zero(BLOCK).xor(payload))
+    lstor.absorb_update(0, 0, factory.zero(BLOCK), payload)
     assert lstor.parity_block(0) == payload
     # A second superchunk's block at the same slot XORs in.
     other = factory.make("b", 1, BLOCK)
-    lstor.absorb(0, factory.zero(BLOCK).xor(other))
+    lstor.absorb_update(1, 0, factory.zero(BLOCK), other)
     assert lstor.parity_block(0) == payload.xor(other)
 
 
 def test_absorb_tag_dedup():
     _sim, factory, lstor = make_lstor()
-    delta = factory.make("a", 1, BLOCK)
-    lstor.absorb(0, delta, tag="t1")
-    lstor.absorb(0, delta, tag="t1")  # replay: must be a no-op
-    assert lstor.parity_block(0) == delta
-    lstor.absorb(0, delta, tag="t2")  # different tag applies
+    zero, new = factory.zero(BLOCK), factory.make("a", 1, BLOCK)
+    lstor.absorb_update(0, 0, zero, new, tag="t1")
+    lstor.absorb_update(0, 0, zero, new, tag="t1")  # replay: must be a no-op
+    assert lstor.parity_block(0) == new
+    lstor.absorb_update(0, 0, zero, new, tag="t2")  # different tag applies
     assert lstor.parity_block(0).is_zero()
 
 
 def test_failed_lstor_raises():
     _sim, factory, lstor = make_lstor()
-    lstor.fail()
+    lstor.primary.fail()
     with pytest.raises(LstorFailedError):
         lstor.parity_block(0)
     with pytest.raises(LstorFailedError):
-        lstor.absorb(0, factory.zero(BLOCK))
+        lstor.reconstruct_block(0, {}, [0])
+    # A failed device absorbs nothing; a replaced one starts from zero.
+    lstor.absorb_update(0, 0, factory.zero(BLOCK), factory.make("a", 1, BLOCK))
+    lstor.reset()
+    assert lstor.parity_block(0).is_zero()
 
 
 def test_journal_write_time_scales():
     _sim, _factory, lstor = make_lstor()
-    assert lstor.journal_write_time(2 * BLOCK) == 2 * lstor.journal_write_time(BLOCK)
+    device = lstor.primary
+    assert device.journal_write_time(2 * BLOCK) == 2 * device.journal_write_time(BLOCK)
 
 
-def _assert_copy_on_write(lstors, absorb):
-    """Each Lstor's parity snapshot is the slot's payload itself, no
-    copy; the ``absorb()`` after it replaces the slot's payload and
-    leaves the snapshot's bytes and CRC as they were."""
-    snapshots = [lstor.parity_block(0) for lstor in lstors]
-    for lstor, snap in zip(lstors, snapshots):
-        assert snap is lstor._parity[0]
+def _assert_copy_on_write(lstor, absorb):
+    """Each row's parity snapshot is the slot's payload itself, no copy;
+    the ``absorb()`` after it replaces the slot's payload and leaves the
+    snapshot's bytes and CRC as they were."""
+    rows = range(lstor.parity_count)
+    snapshots = [lstor.parity_block(0, row) for row in rows]
+    for row, snap in zip(rows, snapshots):
+        assert snap is lstor._parity[row][0]
     before = [(bytes(snap.data), snap.checksum()) for snap in snapshots]
     absorb()
-    for lstor, snap, (content, crc) in zip(lstors, snapshots, before):
+    for row, snap, (content, crc) in zip(rows, snapshots, before):
         assert bytes(snap.data) == content and zlib.crc32(snap.data) == crc
-        assert lstor.parity_block(0) != snap
+        assert lstor.parity_block(0, row) != snap
 
 
 def test_parity_snapshot_is_copy_on_write():
     _sim, factory, lstor = make_lstor()
-    lstor.absorb(0, factory.make("a", 1, BLOCK))
-    _assert_copy_on_write([lstor], lambda: lstor.absorb(0, factory.make("b", 1, BLOCK)))
+    zero = factory.zero(BLOCK)
+    lstor.absorb_update(0, 0, zero, factory.make("a", 1, BLOCK))
+    _assert_copy_on_write(
+        lstor, lambda: lstor.absorb_update(1, 0, zero, factory.make("b", 1, BLOCK))
+    )
     assert lstor.parity_block(0) == factory.make("a", 1, BLOCK).xor(
         factory.make("b", 1, BLOCK)
     )
@@ -114,13 +122,15 @@ def test_parity_snapshot_is_copy_on_write_after_pickle():
     parity holds a residue still makes a new one."""
     _sim, factory, lstor = make_lstor()
     rng = np.random.default_rng(3)
-    lstor.absorb(0, Payload.adopt(rng.integers(0, 256, BLOCK, dtype=np.uint8)))
+    zero = factory.zero(BLOCK)
+
+    def dense():
+        return Payload.adopt(rng.integers(0, 256, BLOCK, dtype=np.uint8))
+
+    lstor.absorb_update(0, 0, zero, dense())
     lstor = pickle.loads(pickle.dumps(lstor))
-    assert lstor._parity[0].residue.flags.writeable
-    _assert_copy_on_write(
-        [lstor],
-        lambda: lstor.absorb(0, Payload.adopt(rng.integers(0, 256, BLOCK, dtype=np.uint8))),
-    )
+    assert lstor._parity[0][0].residue.flags.writeable
+    _assert_copy_on_write(lstor, lambda: lstor.absorb_update(1, 0, zero, dense()))
 
 
 def test_stacked_parity_snapshots_are_copy_on_write():
@@ -128,8 +138,7 @@ def test_stacked_parity_snapshots_are_copy_on_write():
     zero = factory.zero(BLOCK)
     stack.absorb_update(0, 0, zero, factory.make("a", 1, BLOCK))
     _assert_copy_on_write(
-        stack.lstors,
-        lambda: stack.absorb_update(1, 0, zero, factory.make("b", 1, BLOCK)),
+        stack, lambda: stack.absorb_update(1, 0, zero, factory.make("b", 1, BLOCK))
     )
 
 
@@ -147,7 +156,7 @@ def test_pending_parity_matches_eager_folding(seed):
     block, shards, slots = 64, 3, 2
     sim = Simulator()
     factory = ContentFactory(seed=seed)
-    stack = LstorStack(sim, factory, "S", block, data_shards=shards, parity_count=1)
+    stack = Lstor(sim, factory, "S", block, data_shards=shards)
     oracle = EagerParity(block)
     if seed % 2:  # preallocated: the fillers fold in at a slot's first read
         stack.prefill([(0, 100), (2, 102)])
@@ -180,7 +189,7 @@ def test_pending_parity_matches_eager_folding(seed):
             last[(shard, slot)] = new
         elif op == "delta" and not stack.primary.failed:
             delta = factory.make(f"d{step}", 0, block)
-            stack.primary.absorb(slot, delta)
+            stack.absorb_update(shard, slot, zero, delta)
             oracle.absorb(slot, delta)
         elif op == "pickle":
             stack = pickle.loads(pickle.dumps(stack))
@@ -241,26 +250,28 @@ def _flipped(payload):
     return Payload.adopt(data)
 
 
-def _flip_parity_byte(lstor, slot):
-    """Flip one bit of ``slot``'s parity: a one-byte residue joins it."""
+def _flip_parity_byte(lstor, slot, row=0):
+    """Flip one bit of ``slot``'s parity in ``row``: a one-byte residue
+    joins it."""
     bit = np.zeros(lstor.block_size, dtype=np.uint8)
     bit[0] = 1
-    lstor._parity[slot] = lstor.parity_block(slot) ^ Payload.adopt(bit)
+    lstor._parity[row][slot] = lstor.parity_block(slot, row) ^ Payload.adopt(bit)
 
 
-def _swap_parity_term(lstor, slot, term, other):
-    """Swap the whole-mint term ``term`` of ``slot``'s parity for
-    ``other``: XOR is symmetric difference."""
+def _swap_parity_term(lstor, slot, term, other, row=0):
+    """Swap the whole-mint term ``term`` of ``slot``'s parity in ``row``
+    for ``other``: take the term away at its coefficient, add ``other``."""
+    parity = lstor._parity[row][slot]
     seed, name, version, length = term
     removed = ContentFactory(seed).make(name, version, length)
-    lstor._parity[slot] = lstor._parity[slot] ^ removed ^ other
+    lstor._parity[row][slot] = parity ^ removed.scaled(parity.coefficients()[term]) ^ other
 
 
 def _observed(stack, disk):
     """What a check must leave as it found it: each slot's parity and
     each stored block by identity, and the folded slots."""
     return (
-        {slot: id(p) for slot, p in stack.primary._parity.items()},
+        [{slot: id(p) for slot, p in row.items()} for row in stack._parity],
         set(stack._folded),
         {key: id(p) for key, p in disk.items()},
     )
@@ -269,21 +280,22 @@ def _observed(stack, disk):
 @pytest.mark.parametrize("seed", range(12))
 def test_parity_check_agrees_with_the_folding_oracle(seed):
     """Random writes, deletes, parity reads, pickles, corruptions and
-    resets on one bytes-plane Lstor: after every step,
-    :meth:`LstorStack.covers` gives every slot the verdict of
-    :func:`folding_covers` (run on a pickled copy of the stack and its
-    disk together, so identities survive) and changes nothing.  Writes
-    cancel the terms their previous writes left, ``old`` is sometimes an
-    equal payload in another object, and odd seeds start preallocated.
-    A corruption is one of the three mutants: a flipped parity byte, a
-    parity term swapped for another mint, a stored block replaced by a
-    flipped adopted copy."""
+    resets on one Lstor (seeds 2, 3, 6, 7, 10, 11: a stack of two):
+    after every step, :meth:`Lstor.covers` gives every slot the verdict
+    of :func:`folding_covers` (run on a pickled copy of the stack and
+    its disk together, so identities survive) and changes nothing.
+    Writes cancel the terms their previous writes left, ``old`` is
+    sometimes an equal payload in another object, and odd seeds start
+    preallocated.  A corruption is one of the three mutants, in a random
+    row: a flipped parity byte, a parity term swapped for another mint,
+    a stored block replaced by a flipped adopted copy."""
     import random
 
     rng = random.Random(seed)
     block, shards, slots = 64, 3, 2
     factory = ContentFactory(seed=seed)
-    stack = LstorStack(Simulator(), factory, "S", block, data_shards=shards, parity_count=1)
+    rows = 2 if seed % 4 >= 2 else 1
+    stack = Lstor(Simulator(), factory, "S", block, data_shards=shards, parity_count=rows)
     disk = {}  # (shard, slot) -> the stored content
     if seed % 2:
         stack.prefill([(0, 100), (2, 102)])
@@ -311,12 +323,14 @@ def test_parity_check_agrees_with_the_folding_oracle(seed):
         elif op == "pickle":
             stack, disk = pickle.loads(pickle.dumps((stack, disk)))
         elif op == "corrupt":
-            lstor, mutant = stack.primary, rng.choice(["byte", "term", "stored"])
-            terms = sorted(lstor._parity[slot].terms) if slot in lstor._parity else []
-            if mutant == "byte" and slot in lstor._parity:
-                _flip_parity_byte(lstor, slot)
+            row, mutant = rng.randrange(rows), rng.choice(["byte", "term", "stored"])
+            parity = stack._parity[row].get(slot)
+            terms = sorted(parity.coefficients()) if parity is not None else []
+            if mutant == "byte" and parity is not None:
+                _flip_parity_byte(stack, slot, row)
             elif mutant == "term" and terms:
-                _swap_parity_term(lstor, slot, terms[0], factory.make(f"x{step}", 0, block))
+                other = factory.make(f"x{step}", 0, block)
+                _swap_parity_term(stack, slot, terms[0], other, row)
             elif not held.is_zero():
                 disk[shard, slot] = _flipped(held)
         elif op == "reset":
@@ -325,9 +339,9 @@ def test_parity_check_agrees_with_the_folding_oracle(seed):
         copy, copy_disk = pickle.loads(pickle.dumps((stack, disk)))
         before = _observed(stack, disk)
         for read in range(slots):
-            payloads = [disk.get((s, read), zero) for s in range(shards)]
-            copies = [copy_disk.get((s, read), copy.factory.zero(block)) for s in range(shards)]
-            verdict = stack.covers(read, payloads)
+            blocks = {s: disk.get((s, read), zero) for s in range(shards)}
+            copies = {s: copy_disk.get((s, read), copy.factory.zero(block)) for s in range(shards)}
+            verdict = stack.covers(read, blocks)
             assert verdict == folding_covers(copy, read, copies), (step, op, read)
             verdicts.append(verdict)
         assert _observed(stack, disk) == before, (step, op)
@@ -338,7 +352,7 @@ def _stored_block(dfs):
     """A parity-trusted DataNode, a slot, and a rewritten block stored
     there, whose one term is in that slot's parity."""
     for datanode in dfs._parity_trusted():
-        parity = datanode.lstors.primary._parity
+        parity = datanode.lstors._parity[0]
         for (_sc_id, slot), name in sorted(datanode._block_at.items()):
             (term,) = datanode._contents[name].terms
             if term[2] > 1 and term in parity[slot].terms:
@@ -363,7 +377,7 @@ def test_parity_checks_reject_each_mutant(mutant):
     dfs.verify_parity()
     folding_verify_parity(pickle.loads(pickle.dumps(dfs)))
     datanode, slot, name = _stored_block(dfs)
-    lstor = datanode.lstors.primary
+    lstor = datanode.lstors
     stored = datanode._contents[name]
     if mutant == "parity byte":
         _flip_parity_byte(lstor, slot)
@@ -385,7 +399,7 @@ def test_stack_requires_at_least_one():
     sim = Simulator()
     factory = ContentFactory()
     with pytest.raises(ValueError):
-        LstorStack(sim, factory, "S", BLOCK, data_shards=4, parity_count=0)
+        Lstor(sim, factory, "S", BLOCK, data_shards=4, parity_count=0)
 
 
 def test_stack_recovers_two_missing_superchunks():
@@ -408,7 +422,7 @@ def test_stack_survives_one_lstor_failure():
         payload = factory.make(f"s{shard}", 1, BLOCK)
         stack.absorb_update(shard, 0, factory.zero(BLOCK), payload)
         contents[shard] = payload
-    stack.lstors[0].fail()
+    stack.devices[0].fail()
     survivors = {s: p for s, p in contents.items() if s != 2}
     rebuilt = stack.reconstruct_block(0, survivors, missing_shards=[2])
     assert rebuilt[2] == contents[2]
@@ -416,7 +430,7 @@ def test_stack_survives_one_lstor_failure():
 
 def test_stack_with_all_lstors_dead_raises():
     _sim, factory, stack = make_stack(parity_count=1, data_shards=3)
-    stack.lstors[0].fail()
+    stack.devices[0].fail()
     with pytest.raises(LstorFailedError):
         stack.reconstruct_block(0, {}, missing_shards=[0])
 
@@ -456,3 +470,71 @@ def test_property_stack_recovers_after_random_updates(parity_count, updates, see
     rebuilt = stack.reconstruct_block(0, survivors, missing_shards=list(missing))
     for shard in missing:
         assert rebuilt[shard] == current[shard]
+
+
+def test_stack_cannot_recover_more_losses_than_live_rows():
+    _sim, factory, stack = make_stack(parity_count=2, data_shards=5)
+    with pytest.raises(CodingError, match="3 lost superchunks"):
+        stack.reconstruct_block(0, {}, missing_shards=[0, 1, 2])
+    stack.devices[1].fail()
+    with pytest.raises(CodingError, match="has 1"):
+        stack.reconstruct_block(0, {}, missing_shards=[0, 1])
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    parity_count=st.integers(min_value=1, max_value=3),
+    updates=st.integers(min_value=1, max_value=10),
+    seed=st.integers(min_value=0, max_value=2**31),
+)
+def test_stacked_rows_are_the_codec_encoding(parity_count, updates, seed):
+    """Every row's bytes are the Reed-Solomon encoding of the blocks it
+    absorbed (plain XOR for one row), whether a block is a mint or a
+    dense residue, and a rebuild from a mix of the two is bit-exact."""
+    import random
+
+    rng = random.Random(seed)
+    block, data_shards = 48, 5
+    _sim, factory, stack = make_stack(parity_count, data_shards, block)
+    current = {s: factory.zero(block) for s in range(data_shards)}
+    for version in range(1, updates + 1):
+        shard = rng.randrange(data_shards)
+        new = factory.make(f"s{shard}", version, block)
+        if rng.random() < 0.3:
+            new = Payload.adopt(new.data.copy())
+        stack.absorb_update(shard, 0, current[shard], new)
+        current[shard] = new
+    data = [current[s].data for s in range(data_shards)]
+    if parity_count == 1:
+        expected = [np.bitwise_xor.reduce(data)]
+    else:
+        expected = ReedSolomon(data_shards, parity_count).encode(data)
+    for row, encoded in enumerate(expected):
+        assert np.array_equal(stack.parity_block(0, row).data, encoded)
+    missing = rng.sample(range(data_shards), k=parity_count)
+    survivors = {s: p for s, p in current.items() if s not in missing}
+    rebuilt = stack.reconstruct_block(0, survivors, missing_shards=missing)
+    for shard in missing:
+        assert np.array_equal(rebuilt[shard].data, data[shard])
+
+
+def test_a_stack_draws_nothing(monkeypatch):
+    """Absorbs, the preallocation fold, parity checks and a two-loss
+    rebuild through two RS rows are term algebra: no stream drawn."""
+    draws = []
+    real_draw = payload_module._draw
+    monkeypatch.setattr(
+        payload_module, "_draw", lambda seed, length: draws.append(length) or real_draw(seed, length)
+    )
+    _sim, factory, stack = make_stack(parity_count=2, data_shards=4)
+    stack.prefill([(0, 100), (3, 103)])
+    disk = {0: filler(factory, 100, 0, BLOCK), 3: filler(factory, 103, 0, BLOCK)}
+    for version in range(1, 4):
+        for shard in (0, 1, 2):
+            new = factory.make(f"s{shard}", version, BLOCK)
+            stack.absorb_update(shard, 0, disk.get(shard, factory.zero(BLOCK)), new)
+            disk[shard] = new
+    assert stack.covers(0, disk)
+    rebuilt = stack.reconstruct_block(0, {1: disk[1], 2: disk[2]}, missing_shards=[0, 3])
+    assert rebuilt == {0: disk[0], 3: disk[3]} and stack.covers(0, disk)
+    assert draws == []

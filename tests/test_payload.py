@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.ec.gf256 import GF256
 from repro.storage import payload as payload_module
 from repro.storage.payload import ContentFactory, Payload, _stable_seed
 
@@ -140,6 +141,55 @@ def test_term_group_properties(sa, sb):
     assert a.xor(b) == b.xor(a) and a.xor(b).xor(b) == a
     assert a.xor(a).is_zero()
     assert np.array_equal((a ^ b).data, a.data ^ b.data)
+
+
+def test_coefficients_add_and_scale_by_terms(draws):
+    """A term's coefficient lives in GF(256): scaling multiplies it,
+    adding adds it, and a term whose coefficient reaches 0 drops out;
+    coefficient 1 is a plain term."""
+    factory = ContentFactory(seed=7)
+    a = factory.make("a", 1, 64)
+    term = (7, "a", 1, 64)
+    two_a = a.scaled(2)
+    assert two_a.terms == frozenset() and two_a.weighted == {term: 2}
+    assert (two_a ^ a).weighted == {term: 3}
+    assert (two_a ^ a.scaled(3)) == a and (two_a ^ a.scaled(3)).weighted == {}
+    assert (two_a ^ two_a).is_zero() and a.scaled(0).is_zero() and a.scaled(1) is a
+    assert two_a.scaled(GF256.inv(2)).terms == a.terms
+    assert draws[0] == 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.integers(1, 255), st.sampled_from("abc"), st.integers(0, 2)),
+        max_size=6,
+    ),
+    st.integers(0, 255),
+    st.integers(0, 24),
+    st.integers(0, 24),
+)
+def test_weighted_combinations_draw_their_bytes(specs, scale, lo, hi):
+    """A combination of mints draws the sum of each stream times its
+    coefficient; scaling, splicing and resizing it, windows carrying
+    their coefficients, draw what the same operations on bytes make."""
+    factory = ContentFactory(seed=3)
+    payload, expected = factory.zero(24), np.zeros(24, np.uint8)
+    for coef, name, version in specs:
+        mint = factory.make(name, version, 24)
+        payload = payload ^ mint.scaled(coef)
+        expected ^= GF256.mul_bytes(coef, mint.data)
+    assert np.array_equal(payload.data, expected)
+    payload, expected = payload.scaled(scale), GF256.mul_bytes(scale, expected)
+    assert np.array_equal(payload.data, expected)
+    lo, hi = min(lo, hi), max(lo, hi)
+    patch = (payload ^ factory.make("p", 1, 24)).scaled(5).resized(hi - lo)
+    spliced = payload.splice(lo, patch)
+    expected = expected.copy()
+    expected[lo:hi] = patch.data
+    assert np.array_equal(spliced.data, expected)
+    assert np.array_equal(spliced.resized(30).data, np.concatenate([expected, np.zeros(6, np.uint8)]))
+    assert np.array_equal(spliced.resized(10).data, expected[:10])
 
 
 @settings(max_examples=60, deadline=None)

@@ -47,6 +47,8 @@ class FakeDn:
     def __init__(self, name):
         self.name = name
         self.alive = True
+        self.disk = SimpleNamespace(failed=False)
+        self.node = SimpleNamespace(alive=True)
 
 
 class World:

@@ -1,5 +1,7 @@
 """Edge-case tests for placement policies and the superchunk map."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro import units
@@ -19,6 +21,8 @@ class FakeDn:
     def __init__(self, name, alive=True):
         self.name = name
         self.alive = alive
+        self.disk = SimpleNamespace(failed=False)
+        self.node = SimpleNamespace(alive=True)
 
 
 def make_placement(num_disks=4):

@@ -8,7 +8,6 @@ it replaced; the differential drives both through the same history and
 requires every slot payload and every parity row to be equal.
 """
 
-import numpy as np
 import pytest
 
 from repro import units
@@ -16,7 +15,6 @@ from repro.core.cluster import RaidpCluster
 from repro.core.lstor import filler_name
 from repro.core.node import RaidpConfig, RaidpDataNode
 from repro.core.recovery import RecoveryManager
-from repro.ec.reed_solomon import ReedSolomon
 from repro.errors import DfsError, LstorFailedError
 from repro.experiments.common import Scale, build_raidp
 from repro.hdfs.block import Block, BlockLocations
@@ -65,33 +63,12 @@ def parity(datanodes):
     for datanode in datanodes:
         stack = datanode.lstors
         for slot in range(datanode.map.slots_per_superchunk):
-            stack.parity_block(slot)
-            for lstor in stack.lstors:
+            for row in range(stack.parity_count):
                 try:
-                    rows.append(lstor.parity_block(slot))
+                    rows.append(stack.parity_block(slot, row))
                 except LstorFailedError:
                     rows.append("failed")
     return rows
-
-
-def verify_parity(dfs):
-    """``verify_parity`` for XOR; for stacked Lstors, every parity row
-    against the RS encoding of the disk's slots."""
-    if dfs.raidp.lstors_per_disk == 1:
-        dfs.verify_parity()
-        return
-    for datanode in dfs._parity_trusted():
-        stack = datanode.lstors
-        codec = ReedSolomon(stack.data_shards, stack.parity_count)
-        for slot in range(dfs.map.slots_per_superchunk):
-            data = [np.zeros(dfs.config.block_size, np.uint8)] * stack.data_shards
-            for sc_id in dfs.layout.superchunks_of(datanode.name):
-                data[datanode.shard_index_of(sc_id)] = datanode.slot_payload(
-                    sc_id, slot
-                ).data
-            stack.parity_block(slot)
-            for lstor, expected in zip(stack.lstors, codec.encode(data)):
-                assert np.array_equal(lstor.parity_block(slot).data, expected)
 
 
 def churn(dfs):
@@ -132,13 +109,13 @@ def test_lazy_preallocation_matches_the_eager_loop(stack, monkeypatch):
     assert slots(lazy, sc_ids) == slots(eager, sc_ids)
     assert parity(lazy.datanodes) == parity(eager.datanodes)
     for dfs in (lazy, eager):
-        verify_parity(dfs)
+        dfs.verify_parity()
         dfs.verify_mirrors()
 
     for dfs in (lazy, eager):
         report = RecoveryManager(dfs).recover(sharing_pair(dfs))
         assert report.reconstructed
-        verify_parity(dfs)
+        dfs.verify_parity()
         dfs.verify_mirrors()
     sc_ids = sorted(set(sc_ids) | set(lazy.layout.superchunks))
     assert slots(lazy, sc_ids) == slots(eager, sc_ids)
