@@ -166,25 +166,28 @@ class RaidpCluster(InlineState):
     def _parity_trusted(self) -> Iterator[RaidpDataNode]:
         """The DataNodes whose parity must match their disk: alive, in
         the layout (one evicted by recovery rejoined empty) and with a
-        live primary Lstor.  Dead and evicted disks keep their parity and journal
-        as they were, for recovery to read."""
+        live Lstor row.  Dead and evicted disks keep their parity and
+        journal as they were, for recovery to read."""
         for datanode in self.datanodes:
             if (
                 datanode.alive
                 and datanode.name in self.layout.disks
-                and not datanode.lstors.primary.failed
+                and datanode.lstors.live_rows()
             ):
                 yield datanode
 
     def unabsorbed_writes(self) -> List[str]:
         """``node:block@version`` per write still between journal append
-        and commit on a parity-trusted DataNode -- the only span in which
-        parity legitimately trails the data (a COMMITTED record has
-        absorbed its delta).  Empty on a quiescent cluster."""
+        and commit in the live journal of a parity-trusted DataNode --
+        the only span in which parity legitimately trails the data (a
+        COMMITTED record has absorbed its delta).  Records stranded in a
+        journal that died with its Lstor are not counted.  Empty on a
+        quiescent cluster."""
         return [
             f"{datanode.name}:{record.block_name}@{record.version}"
             for datanode in self._parity_trusted()
-            for record in datanode.lstors.primary.journal.replay_candidates()
+            if not datanode.lstors.primary.failed
+            for record in datanode.lstors.journal.replay_candidates()
             if record.state is RecordState.APPENDED
         ]
 
@@ -210,7 +213,10 @@ class RaidpCluster(InlineState):
                     )
 
     def journals_empty(self) -> bool:
-        """True when no journal record is outstanding cluster-wide."""
+        """True when no live journal holds an outstanding record: one
+        that died with its Lstor strands its records for good."""
         return all(
-            dn.lstors.primary.journal.outstanding == 0 for dn in self.datanodes
+            dn.lstors.journal.outstanding == 0
+            for dn in self.datanodes
+            if not dn.lstors.primary.failed
         )

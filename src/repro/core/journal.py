@@ -1,20 +1,24 @@
-"""The Lstor's append-only journal (paper §3.4).
+"""The Lstor's append-only journal (paper §3.4): one per disk, kept by
+its :class:`~repro.core.lstor.Lstor` on row 0's device.
 
 Every incoming write creates a journal record referencing the new data
 and the old data it overwrites.  The parity delta is derived, not stored:
 it is ``old XOR new``, computed once where the Lstor absorbs it
-(:meth:`repro.core.lstor.Lstor.absorb_update`).  The protocol is:
+(:meth:`repro.core.lstor.Lstor.absorb_update`).  The protocol, which
+every journaled write of :class:`~repro.core.node.RaidpDataNode` runs
+through one body, is:
 
 1. append the record to the journal (fast, on the Lstor),
-2. commit the data write to disk (synced),
+2. commit the data write to disk (synced) and absorb its parity delta,
 3. acknowledge to the remote mirror's Lstor,
 4. on receiving the remote acknowledgment, clear the record.
 
 A record still present after a crash means the write may not have reached
 one of the replicas or parities; :meth:`Journal.replay_candidates`
 surfaces those records so the roll-forward procedure can re-apply them.
-The journal is bounded (the paper keeps it at 128 MB) and tracks the
-outstanding-record gauge -- the paper observes at most one or two
+The journal's capacity (the paper keeps it at 128 MB) is observed, not
+enforced: an over-capacity append is admitted and counted.  It tracks
+the outstanding-record gauge -- the paper observes at most one or two
 outstanding records at a time, which we assert in tests.
 """
 
@@ -83,21 +87,17 @@ class Journal(InlineState):
         self,
         capacity: int = 128 * units.MiB,
         now: float = 0.0,
-        strict_capacity: bool = False,
         trace: Optional[Any] = None,
         name: str = "journal",
     ) -> None:
-        """``strict_capacity`` makes over-capacity appends raise.
-
-        The default is soft: overflowing appends are admitted but counted
-        (``overflows``, ``high_water_bytes``).  The real device relieves
-        pressure through packet-level flow control on the write path; at
-        our block-granularity model a hard cap would deadlock two mirrors
-        waiting on each other's acknowledgments, so we observe pressure
-        instead of enforcing it.
+        """The capacity is soft: overflowing appends are admitted but
+        counted (``overflows``, ``high_water_bytes``).  The real device
+        relieves pressure through packet-level flow control on the write
+        path; at our block-granularity model a hard cap would deadlock two
+        mirrors waiting on each other's acknowledgments, so we observe
+        pressure instead of enforcing it.
         """
         self.capacity = capacity
-        self.strict_capacity = strict_capacity
         self.name = name
         # Any: emission sites branch on ``enabled`` first, and the null
         # tracer has no emission methods.
@@ -136,11 +136,6 @@ class Journal(InlineState):
             version=version,
         )
         if self._used + record.journal_bytes > self.capacity:
-            if self.strict_capacity:
-                raise JournalError(
-                    f"journal full: {self._used} + {record.journal_bytes} "
-                    f"> {self.capacity}"
-                )
             self.overflows += 1
         self._next_id += 1
         self._records[record.record_id] = record

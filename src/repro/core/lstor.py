@@ -7,7 +7,7 @@ independently of the disk and stores:
   *all* superchunks on the local disk, indexed here by block slot within
   the superchunk (parity slot ``j`` covers block ``j`` of every local
   superchunk), and
-- the append-only journal of :mod:`repro.core.journal`.
+- the disk's append-only journal (:mod:`repro.core.journal`).
 
 A disk may stack ``k`` Lstors (§3.3) to survive ``k + 1`` simultaneous
 disk failures.  :class:`Lstor` keeps all ``k`` as the rows of one code:
@@ -16,7 +16,8 @@ row ``r`` holds ``sum_i c[r][i] * block_i`` over the disk's superchunks
 and the parity rows of :mod:`repro.ec.reed_solomon`'s generator for a
 stack.  Over mint terms (:mod:`repro.storage`) such a sum is a
 combination of terms, so parity upkeep, its checks and a rebuild draw
-no byte, whatever ``k`` is.
+no byte, whatever ``k`` is.  The stack keeps one journal, the disk's:
+it sits on row 0's device and dies with it.
 
 Timing: parity arithmetic is offloaded to the Lstor's own logic (paper
 §2), so Lstor operations charge *no* datanode CPU; the simulated cost is
@@ -52,36 +53,19 @@ def filler(factory: ContentFactory, sc_id: int, slot: int, block_size: int) -> P
 
 
 class LstorDevice(InlineState):
-    """One parity device of a disk and its journal: it fails on its own.
-    The disk writes only the primary's (row 0) journal."""
+    """One parity device of a disk: it fails on its own."""
 
-    def __init__(self, sim: Simulator, name: str, journal_capacity: int) -> None:
+    def __init__(self, name: str) -> None:
         self.name = name
-        self.journal = Journal(
-            capacity=journal_capacity, now=sim.now, trace=sim.trace, name=name
-        )
         self.failed = False
 
     def fail(self) -> None:
         self.failed = True
 
-    def reset(self, now: float) -> None:
-        """A replaced device: healthy, with an empty journal."""
-        self.failed = False
-        self.journal.drop_all(now)
-
-    def journal_write_time(self, nbytes: int) -> float:
-        """Time to persist one journal record of ``nbytes`` of new data.
-
-        A record carries new data, old data, and parity (3x), but the
-        device streams them concurrently from its staging DRAM; the
-        bottleneck is the record's dominant component.
-        """
-        return nbytes / LSTOR_WRITE_RATE
-
 
 class Lstor(InlineState):
-    """A disk's ``parity_count`` parity devices, one row each.
+    """A disk's ``parity_count`` parity devices, one row each, and its
+    journal.
 
     Row ``r`` at block slot ``s`` is ``sum_i c[r][i] * block_s(i)``,
     where ``i`` is a superchunk's slot on this disk (its data shard
@@ -92,7 +76,8 @@ class Lstor(InlineState):
     rows the cluster survives ``parity_count + 1`` simultaneous disk
     failures: such a failure loses at most ``parity_count`` superchunks
     of any one disk (one shared with each other failed disk), and the
-    rows recover them.
+    rows recover them.  ``journal`` is the disk's one journal, named
+    after row 0's device, on which it lives.
     """
 
     def __init__(
@@ -111,10 +96,13 @@ class Lstor(InlineState):
         self.name = name
         self.block_size = block_size
         self.parity_count = parity_count
-        self.devices = [
-            LstorDevice(sim, f"{name}.L{row}", journal_capacity)
-            for row in range(parity_count)
-        ]
+        self.devices = [LstorDevice(f"{name}.L{row}") for row in range(parity_count)]
+        self.journal = Journal(
+            capacity=journal_capacity,
+            now=sim.now,
+            trace=sim.trace,
+            name=self.devices[0].name,
+        )
         #: ``c[row][shard]``: plain XOR for one Lstor (§3.2), the
         #: Reed-Solomon generator's parity rows for a stack (§3.3).
         self.coefficients = (
@@ -140,6 +128,15 @@ class Lstor(InlineState):
     def live_rows(self) -> List[int]:
         return [row for row, device in enumerate(self.devices) if not device.failed]
 
+    def journal_write_time(self, nbytes: int) -> float:
+        """Time to persist one journal record of ``nbytes`` of new data.
+
+        A record carries new data, old data, and parity (3x), but the
+        device streams them concurrently from its staging DRAM; the
+        bottleneck is the record's dominant component.
+        """
+        return nbytes / LSTOR_WRITE_RATE
+
     def reset(self, now: float = 0.0) -> None:
         """Model replaced Lstors: zero parity, empty journal, healthy.
 
@@ -148,7 +145,8 @@ class Lstor(InlineState):
         the zero parity matches the (empty) disk it now covers.
         """
         for device in self.devices:
-            device.reset(now)
+            device.failed = False
+        self.journal.drop_all(now)
         for parity in self._parity:
             parity.clear()
         self._absorbed_tags.clear()

@@ -7,9 +7,13 @@ paper's Section 5 machinery:
   regions (``fs_policy="fixed"``); the update-oriented setup's filler
   content is derived on demand, never stored (see
   :meth:`RaidpDataNode.preallocate_superchunks`),
-- every block write updates the disk's Lstor parity at the block's slot,
-- writes are journaled; the record clears when the mirror's
-  acknowledgment arrives,
+- every change of a slot's content -- a write, a range update, a
+  recovered install, a journal replay, a purge, a delete -- is one slot
+  update (:meth:`RaidpDataNode._update_slot`), which moves the slot's
+  Lstor parity rows and its content binding together,
+- writes are journaled, each through one record lifecycle
+  (:meth:`RaidpDataNode._journaled_write`): the record clears when the
+  mirror's acknowledgment arrives,
 - the *update-oriented* variant reads old data before overwriting it
   (read-modify-write), the *base* variant treats reused slots as null
   because deleted-block parity is folded in during idle time.
@@ -23,7 +27,9 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Dict, Generator, Optional, Set, Tuple
+from typing import (
+    TYPE_CHECKING, Any, Dict, Generator, Hashable, Optional, Set, Tuple,
+)
 
 from repro import units
 from repro.core.journal import JournalRecord, RecordState
@@ -239,19 +245,7 @@ class RaidpDataNode(DataNode):
         """Drop a replica; parity removal is deferred-to-idle (free)."""
         sc_id, slot = locations.sc_id, locations.slot
         if sc_id is not None and slot is not None:
-            old = self.slot_payload(sc_id, slot)
-            if self.raidp.enable_parity and not old.is_zero():
-                self.lstors.absorb_update(
-                    self.shard_index_of(sc_id),
-                    slot,
-                    old,
-                    self.factory.zero(self.config.block_size),
-                )
-            self._unfill(sc_id, slot)
-            name = self._block_at.pop((sc_id, slot), None)
-            if name is not None:
-                self._slot_of.pop(name, None)
-                self.drop_content(name)
+            self._update_slot_now(sc_id, slot, self.slot_payload(sc_id, slot))
         super().delete_block(locations)
 
     # ------------------------------------------------------------------
@@ -278,72 +272,104 @@ class RaidpDataNode(DataNode):
         yield from self._process_stream(locations.block.size)
         grant = yield self.writer_lock.request()
         try:
-            yield from self._commit_block(locations, payload)
+            sc_id, slot = self._placement_of(locations)
+            yield from self._journaled_write(
+                locations, self.slot_payload(sc_id, slot), payload, locations.block.size
+            )
         finally:
             self.writer_lock.release(grant)
         return None
 
-    def _commit_block(self, locations: BlockLocations, payload: Payload) -> Generator:
-        """One-shot write of the buffered block with parity + journal."""
+    def _journaled_write(
+        self,
+        locations: BlockLocations,
+        old: Payload,
+        new: Payload,
+        nbytes: int,
+        block_offset: Optional[int] = None,
+    ) -> Generator:
+        """The one journaled write (paper §3.4) of the buffered block, or
+        of ``nbytes`` in place at ``block_offset``: append the record,
+        wait for the journal write, persist, sync, update the slot
+        (parity, Lstor transfer, content), commit the record and
+        acknowledge to the mirror."""
         block = locations.block
         sc_id, slot = self._placement_of(locations)
-        old = self.slot_payload(sc_id, slot)
-
-        record = None
-        if self._journal_active():
-            record = self.lstors.primary.journal.append(
-                block_name=block.name,
-                sc_id=sc_id,
-                slot=slot,
-                old_data=old,
-                new_data=payload,
-                nbytes=block.size,
-                now=self.sim.now,
-                version=locations.version,
-            )
-            yield self.sim.timeout(
-                self.lstors.primary.journal_write_time(block.size)
-            )
-
-        if self.raidp.update_oriented and self.raidp.enable_parity and not old.is_zero():
-            # Read-modify-write: the old data is needed to compute the
-            # parity delta before overwriting it (without parity there is
-            # nothing to maintain, so no read -- Fig. 8's re-write
-            # "only superchunks" bar matches the base variant).  The
-            # rewrite is scheduled immediately after its related read
-            # (§3.2), so it pays reduced rotational delay, not a seek.
-            cached = self.raidp.old_data_cache_fraction
-            yield from self.fs.read_modify_write(
-                block.name,
-                0,
-                block.size,
-                read_bytes=int(block.size * (1.0 - cached)),
-            )
-        else:
-            yield from self.fs.write(block.name, 0, block.size)
-        yield from self.fs.sync()
-
-        if self.raidp.enable_parity:
-            tag = ("w", block.name, locations.version)
-            yield from self._absorb_parity(
-                sc_id, slot, old, payload, block.size, tag=tag
-            )
-
-        self._install_content(locations, payload)
+        record = self._open_record(locations, sc_id, slot, old, new, nbytes)
         if record is not None:
-            if not self.lstors.primary.failed:
-                self.lstors.primary.journal.mark_committed(record.record_id)
+            yield self.sim.timeout(self.lstors.journal_write_time(nbytes))
+        if block_offset is not None:
+            # The sub-block RMW: read the old range, rewrite it in place.
+            yield from self.fs.read_modify_write(block.name, block_offset, nbytes)
+            tag: Hashable = ("u", block.name, locations.version, block_offset)
+        else:
+            if self.raidp.update_oriented and self.raidp.enable_parity and not old.is_zero():
+                # Read-modify-write: the old data is needed to compute the
+                # parity delta before overwriting it (without parity there
+                # is nothing to maintain, so no read -- Fig. 8's re-write
+                # "only superchunks" bar matches the base variant).  The
+                # rewrite is scheduled immediately after its related read
+                # (§3.2), so it pays reduced rotational delay, not a seek.
+                cached = self.raidp.old_data_cache_fraction
+                yield from self.fs.read_modify_write(
+                    block.name, 0, nbytes, read_bytes=int(nbytes * (1.0 - cached))
+                )
+            else:
+                yield from self.fs.write(block.name, 0, nbytes)
+            tag = ("w", block.name, locations.version)
+        yield from self.fs.sync()
+        yield from self._update_slot(sc_id, slot, old, new, locations, tag, nbytes)
+        if record is not None:
+            self._commit_record(record)
             yield from self._send_ack(locations, record)
         return None
 
     def _journal_active(self) -> bool:
-        """Journal only while the primary Lstor lives.
+        """Journal only while the primary Lstor, the journal's device,
+        lives.
 
         Losing the Lstor degrades the disk to plain replication: data
         keeps being served and written, but there is no parity to protect
         and no journal device to append to (paper's Lstor-loss case).
         """
         return self.raidp.enable_journal and not self.lstors.primary.failed
+
+    def _open_record(
+        self,
+        locations: BlockLocations,
+        sc_id: int,
+        slot: int,
+        old: Payload,
+        new: Payload,
+        nbytes: int,
+    ) -> Optional[JournalRecord]:
+        """Append a write's record to the disk's journal: the one append.
+        None while nothing journals (:meth:`_journal_active`)."""
+        if not self._journal_active():
+            return None
+        return self.lstors.journal.append(
+            block_name=locations.block.name,
+            sc_id=sc_id,
+            slot=slot,
+            old_data=old,
+            new_data=new,
+            nbytes=nbytes,
+            now=self.sim.now,
+            version=locations.version,
+        )
+
+    def _commit_record(self, record: JournalRecord) -> None:
+        """The write is on disk: commit its record, unless the journal
+        died with its Lstor since the append."""
+        if not self.lstors.primary.failed:
+            self.lstors.journal.mark_committed(record.record_id)
+
+    def _close_record(self, record: JournalRecord) -> None:
+        """The mirror acknowledged: ack and clear the record, unless the
+        journal died with its Lstor."""
+        if not self.lstors.primary.failed:
+            self.lstors.journal.mark_acked(record.record_id)
+            self.lstors.journal.clear(record.record_id, self.sim.now)
 
     def _stream_block(
         self,
@@ -381,24 +407,13 @@ class RaidpDataNode(DataNode):
         )
         geometry = self.disk.geometry
         cycle = geometry.transfer_time(packet)
-        record = None
-        journaling = self._journal_active()
+        record = self._open_record(locations, sc_id, slot, old, payload, packet)
+        journaling = record is not None
         if journaling:
-            journal = self.lstors.primary.journal
-            record = journal.append(
-                block_name=block.name,
-                sc_id=sc_id,
-                slot=slot,
-                old_data=old,
-                new_data=payload,
-                nbytes=packet,
-                now=self.sim.now,
-                version=locations.version,
-            )
             # Each packet's remote acknowledgment is charged as latency
             # rather than modeled as a flow.
             cycle += (
-                self.lstors.primary.journal_write_time(packet)
+                self.lstors.journal_write_time(packet)
                 + geometry.sync_time
                 + 2 * self.switch.BASE_LATENCY
             )
@@ -410,38 +425,71 @@ class RaidpDataNode(DataNode):
             DiskTrain(self.disk, offset, sync=journaling), block.size, packet, cycle
         )
         yield train.done
-        if record is not None and not self.lstors.primary.failed:
-            journal.mark_committed(record.record_id)
-            journal.mark_acked(record.record_id)
-            journal.clear(record.record_id, self.sim.now)
+        if record is not None:
+            self._commit_record(record)
+            self._close_record(record)
         if inbound is not None:
             yield inbound
         yield from self.fs.sync()
+        # The cycle charged the Lstor transfer: the update waits no more.
+        yield from self._update_slot(
+            sc_id, slot, old, payload, locations, ("w", block.name, locations.version)
+        )
+        return None
+
+    def _update_slot(
+        self,
+        sc_id: int,
+        slot: int,
+        old: Payload,
+        new: Optional[Payload] = None,
+        locations: Optional[BlockLocations] = None,
+        tag: Optional[Hashable] = None,
+        transfer: int = 0,
+    ) -> Generator:
+        """The one slot update: ``old -> new`` on the slot's parity rows,
+        then on its content binding (``locations``' block and version);
+        ``new`` None empties the slot instead.
+
+        Every live row absorbs the delta -- the Lstor's own rule, so a
+        failed row costs nothing -- deduplicated on ``tag``.  A write
+        hands its ``transfer`` bytes to the Lstor between the absorb and
+        the install, and waits for them while a row lives; with none it
+        runs in its caller's instant (:meth:`_update_slot_now`).
+        """
         if self.raidp.enable_parity:
             self.lstors.absorb_update(
                 self.shard_index_of(sc_id),
                 slot,
                 old,
-                payload,
-                tag=("w", block.name, locations.version),
+                self.factory.zero(self.config.block_size) if new is None else new,
+                tag=tag,
             )
-        self._install_content(locations, payload)
+            if transfer and self.lstors.live_rows():
+                yield self.sim.timeout(transfer / LSTOR_WRITE_RATE)
+        if new is None:
+            self._unfill(sc_id, slot)
+            name = self._block_at.pop((sc_id, slot), None)
+            if name is not None:
+                self._slot_of.pop(name, None)
+                self.drop_content(name)
+        else:
+            assert locations is not None
+            self._install_content(locations, new)
         return None
 
-    def _absorb_parity(
+    def _update_slot_now(
         self,
         sc_id: int,
         slot: int,
         old: Payload,
-        new: Payload,
-        nbytes: int,
-        tag: Optional[Tuple] = None,
-    ) -> Generator:
-        """Logical parity update plus the device-transfer time charge."""
-        self.lstors.absorb_update(self.shard_index_of(sc_id), slot, old, new, tag=tag)
-        if self.lstors.live_rows():  # dead devices absorb and cost nothing
-            yield self.sim.timeout(nbytes / LSTOR_WRITE_RATE)
-        return None
+        new: Optional[Payload] = None,
+        locations: Optional[BlockLocations] = None,
+        tag: Optional[Hashable] = None,
+    ) -> None:
+        """:meth:`_update_slot` with no transfer: it never waits, so one
+        step runs it to its end."""
+        next(self._update_slot(sc_id, slot, old, new, locations, tag), None)
 
     def _placement_of(self, locations: BlockLocations) -> Tuple[int, int]:
         if locations.sc_id is None or locations.slot is None:
@@ -482,35 +530,8 @@ class RaidpDataNode(DataNode):
             )
         old = self.slot_payload(sc_id, slot)
         new = self._patched_content(block, locations.version, old, block_offset, nbytes)
-
-        record = None
-        if self._journal_active():
-            record = self.lstors.primary.journal.append(
-                block_name=block.name,
-                sc_id=sc_id,
-                slot=slot,
-                old_data=old,
-                new_data=new,
-                nbytes=nbytes,
-                now=self.sim.now,
-                version=locations.version,
-            )
-            yield self.sim.timeout(self.lstors.primary.journal_write_time(nbytes))
-        # The sub-block RMW: read the old range, rewrite it in place.
         self.create_block_file(locations)
-        yield from self.fs.read_modify_write(block.name, block_offset, nbytes)
-        yield from self.fs.sync()
-        if self.raidp.enable_parity:
-            tag = ("u", block.name, locations.version, block_offset)
-            self.lstors.absorb_update(
-                self.shard_index_of(sc_id), slot, old, new, tag=tag
-            )
-            yield self.sim.timeout(nbytes / LSTOR_WRITE_RATE)
-        self._install_content(locations, new)
-        if record is not None:
-            if not self.lstors.primary.failed:
-                self.lstors.primary.journal.mark_committed(record.record_id)
-            yield from self._send_ack(locations, record)
+        yield from self._journaled_write(locations, old, new, nbytes, block_offset)
         return None
 
     def _patched_content(
@@ -559,12 +580,7 @@ class RaidpDataNode(DataNode):
             self._pending_acks[key] = self._pending_acks.get(key, 0) + 1
 
     def _clear_record(self, key: Tuple[str, int]) -> None:
-        record = self._awaiting_ack.pop(key)
-        if self.lstors.primary.failed:
-            return  # the journal died with its Lstor; nothing left to clear
-        journal = self.lstors.primary.journal
-        journal.mark_acked(record.record_id)
-        journal.clear(record.record_id, self.sim.now)
+        self._close_record(self._awaiting_ack.pop(key))
 
     def resolve_orphan_ack(self, block_name: str, version: int) -> bool:
         """Settle a journal record whose mirror died before acknowledging.
@@ -595,34 +611,20 @@ class RaidpDataNode(DataNode):
         return partner
 
     # ------------------------------------------------------------------
-    # Remirror rollback and rejoin.
+    # Remirror rollback and replacement.
     # ------------------------------------------------------------------
     def purge_block(self, block_name: str) -> None:
         """Drop one replica and keep the local parity consistent.
 
-        A remirror rolls a half-built copy back with this: the parity
-        contribution of the dropped content is folded out (deferred-work
-        accounting, charges no time) before the slot is unbound, so the
-        surviving Lstor still matches the disk.
+        A remirror rolls a half-built copy back with this: one slot update
+        folds the dropped content out of every live parity row
+        (deferred-work accounting, charges no time) and unbinds the slot,
+        so the surviving Lstor still matches the disk.
         """
-        placement = self._slot_of.pop(block_name, None)
+        placement = self._slot_of.get(block_name)
         if placement is not None:
             sc_id, slot = placement
-            self._block_at.pop(placement, None)
-            if (
-                self.raidp.enable_parity
-                and not self.lstors.primary.failed
-                and sc_id in self.layout.superchunks
-                and self.name in self.layout.superchunk(sc_id).disks
-            ):
-                old = self.content_of(block_name)
-                if not old.is_zero():
-                    self.lstors.absorb_update(
-                        self.shard_index_of(sc_id),
-                        slot,
-                        old,
-                        self.factory.zero(self.config.block_size),
-                    )
+            self._update_slot_now(sc_id, slot, self.slot_payload(sc_id, slot))
         super().purge_block(block_name)
 
     def wipe_storage(self) -> None:
@@ -661,10 +663,9 @@ class RaidpDataNode(DataNode):
         """Adopt a re-replicated or reconstructed block (logical side)."""
         self.create_block_file(locations)
         sc_id, slot = self._placement_of(locations)
-        old = self.slot_payload(sc_id, slot)
-        if self.raidp.enable_parity:
-            self.lstors.absorb_update(self.shard_index_of(sc_id), slot, old, payload)
-        self._install_content(locations, payload)
+        self._update_slot_now(
+            sc_id, slot, self.slot_payload(sc_id, slot), payload, locations
+        )
 
     # ------------------------------------------------------------------
     # Journal roll-forward (paper §3.4).
@@ -677,21 +678,12 @@ class RaidpDataNode(DataNode):
         record's tag, and content installation is a plain overwrite.
         """
         sc_id, slot = self._placement_of(locations)
-        old = self.slot_payload(sc_id, slot)
         self.create_block_file(locations)
-        if self.raidp.enable_parity:
-            already_applied = (
-                self.version_of(record.block_name) >= record.version
-            )
-            effective_old = record.new_data if already_applied else old
-            self.lstors.absorb_update(
-                self.shard_index_of(sc_id),
-                slot,
-                effective_old,
-                record.new_data,
-                tag=record.tag,
-            )
-        self._install_content(locations, record.new_data)
+        already_applied = self.version_of(record.block_name) >= record.version
+        old = record.new_data if already_applied else self.slot_payload(sc_id, slot)
+        self._update_slot_now(
+            sc_id, slot, old, record.new_data, locations, record.tag
+        )
         self._versions[record.block_name] = max(
             self.version_of(record.block_name), record.version
         )
@@ -703,7 +695,7 @@ class RaidpDataNode(DataNode):
         record to the mirror so its replica and parity catch up, and
         clears the record.  Returns the number of records replayed.
         """
-        journal = self.lstors.primary.journal
+        journal = self.lstors.journal
         records = journal.replay_candidates()
         for record in records:
             locations = self._locations_of_record(record)

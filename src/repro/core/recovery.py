@@ -64,10 +64,10 @@ CACHE_THRESHOLD = 8 * units.MiB
 LANDING_POLL = 1 * units.MSEC
 
 
-def chunk_xor_rate(chunk_size: int, cache_threshold: int = CACHE_THRESHOLD) -> float:
+def chunk_xor_rate(chunk_size: int) -> float:
     """Per-thread XOR rate at ``chunk_size``: chunks at or below
-    ``cache_threshold`` XOR at the cached rate."""
-    if chunk_size <= cache_threshold:
+    :data:`CACHE_THRESHOLD` XOR at the cached rate."""
+    if chunk_size <= CACHE_THRESHOLD:
         return XOR_RATE_CACHED
     return XOR_RATE_STREAMING
 
@@ -79,7 +79,6 @@ class RecoveryOptions:
     chunk_size: int = 4 * units.MiB
     lock_mode: str = "byte_range"  # or "superchunk"
     nic_index: int = 0  # 0 = 10 Gbps NIC, 1 = 1 Gbps NIC
-    cache_threshold: int = CACHE_THRESHOLD
     #: Rebuild the lost superchunk's two halves concurrently on two
     #: recovery nodes, one half per failed disk's Lstor (§3.3: "the two
     #: Lstors and sets of mirroring superchunks can be used to rebuild
@@ -97,7 +96,7 @@ class RecoveryOptions:
     @property
     def xor_rate(self) -> float:
         """Effective per-thread XOR rate at the configured chunk size."""
-        return chunk_xor_rate(self.chunk_size, self.cache_threshold)
+        return chunk_xor_rate(self.chunk_size)
 
 
 @dataclass
@@ -592,7 +591,7 @@ class RecoveryManager:
         # keeps the XOR chain consistent.
         replayed = set()
         roll_forward: Dict[int, Payload] = {}
-        for record in lost_source.lstors.primary.journal.replay_candidates():
+        for record in lost_source.lstors.journal.replay_candidates():
             if record.state is not RecordState.APPENDED:
                 continue
             key = (record.sc_id, record.slot)
@@ -820,7 +819,7 @@ class _Pullers:
         # threads contend on the receiver's DRAM bandwidth: one streaming
         # XOR at a time.  Cache-resident (small) chunks XOR in parallel.
         self.memory_bus = Lock(sim, name="xor-bus")
-        self.streaming = options.chunk_size > options.cache_threshold
+        self.streaming = options.chunk_size > CACHE_THRESHOLD
         # The bodies' view of the same stage: each chunk costs its puller
         # the lock overhead plus its XOR, and the streams share what the
         # superchunk lock (or, for streaming chunks, the bus) can pass.

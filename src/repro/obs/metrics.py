@@ -62,9 +62,9 @@ def read_cluster(
         readings["dn_blocks_written" + label] = float(datanode.stats_blocks_written)
         readings["dn_blocks_read" + label] = float(datanode.stats_blocks_read)
         lstors = getattr(datanode, "lstors", None)  # RAIDP datanodes only
-        for lstor in lstors.devices if lstors is not None else ():
-            journal = lstor.journal
-            label = f"{{journal={lstor.name}}}"
+        if lstors is not None:
+            journal = lstors.journal
+            label = f"{{journal={journal.name}}}"
             readings["journal_outstanding" + label] = float(
                 journal.outstanding_gauge.current
             )

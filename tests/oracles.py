@@ -470,44 +470,25 @@ def _packet_loop(self, locations, payload, inbound):
     offset = 0
     while offset < block.size:
         run = min(granularity, block.size - offset)
-        record = None
-        if self._journal_active():
-            journal = self.lstors.primary.journal
-            record = journal.append(
-                block_name=block.name,
-                sc_id=sc_id,
-                slot=slot,
-                old_data=old,
-                new_data=payload,
-                nbytes=run,
-                now=self.sim.now,
-                version=locations.version,
-            )
-            yield self.sim.timeout(self.lstors.primary.journal_write_time(run))
+        record = self._open_record(locations, sc_id, slot, old, payload, run)
+        if record is not None:
+            yield self.sim.timeout(self.lstors.journal_write_time(run))
         yield from self.fs.write(block.name, offset, run)
         if record is not None:
             yield from self.fs.sync()
             # Per-packet remote acknowledgment, charged as latency.
             yield self.sim.timeout(2 * self.switch.BASE_LATENCY)
-            if not self.lstors.primary.failed:
-                journal.mark_committed(record.record_id)
-                journal.mark_acked(record.record_id)
-                journal.clear(record.record_id, self.sim.now)
+            self._commit_record(record)
+            self._close_record(record)
         if self.raidp.enable_parity:
             yield self.sim.timeout(run / LSTOR_WRITE_RATE)
         offset += run
     if inbound is not None:
         yield inbound
     yield from self.fs.sync()
-    if self.raidp.enable_parity:
-        self.lstors.absorb_update(
-            self.shard_index_of(sc_id),
-            slot,
-            old,
-            payload,
-            tag=("w", block.name, locations.version),
-        )
-    self._install_content(locations, payload)
+    yield from self._update_slot(
+        sc_id, slot, old, payload, locations, ("w", block.name, locations.version)
+    )
     return None
 
 
@@ -1107,23 +1088,22 @@ class RegistryReader:
             )
             lstors = getattr(datanode, "lstors", None)
             if lstors is not None:
-                for lstor in lstors.devices:
-                    journal = lstor.journal
-                    self._gauges[self.key("journal_outstanding", journal=lstor.name)] = (
-                        journal.outstanding_gauge
-                    )
-                    self.counter(
-                        "journal_appends", lambda j=journal: j.total_appends,
-                        journal=lstor.name,
-                    )
-                    self.counter(
-                        "journal_clears", lambda j=journal: j.total_clears,
-                        journal=lstor.name,
-                    )
-                    self.counter(
-                        "journal_used_bytes", lambda j=journal: j.used_bytes,
-                        journal=lstor.name,
-                    )
+                journal = lstors.journal
+                self._gauges[self.key("journal_outstanding", journal=journal.name)] = (
+                    journal.outstanding_gauge
+                )
+                self.counter(
+                    "journal_appends", lambda j=journal: j.total_appends,
+                    journal=journal.name,
+                )
+                self.counter(
+                    "journal_clears", lambda j=journal: j.total_clears,
+                    journal=journal.name,
+                )
+                self.counter(
+                    "journal_used_bytes", lambda j=journal: j.used_bytes,
+                    journal=journal.name,
+                )
         for index, client in enumerate(getattr(dfs, "clients", ()) or ()):
             for name in ("pipeline_recoveries", "read_failovers", "degraded_reads"):
                 if hasattr(client, f"stats_{name}"):

@@ -144,7 +144,7 @@ def test_a_remirror_copies_the_version_its_locations_name(monkeypatch):
         (datanode.name, record.block_name, record.state)
         for datanode in built[0].datanodes
         if healthy_datanode(datanode) and not datanode.lstors.primary.failed
-        for record in datanode.lstors.primary.journal.replay_candidates()
+        for record in datanode.lstors.journal.replay_candidates()
     ] == []
     text = json.dumps(
         result.fingerprint, sort_keys=True, separators=(",", ":"), default=list

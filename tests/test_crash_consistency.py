@@ -47,7 +47,7 @@ def torn_write(dfs, locations, steps_a, steps_b):
         sc_id, slot = locations.sc_id, locations.slot
         old = datanode.slot_payload(sc_id, slot)
         if steps >= 1:
-            datanode.lstors.primary.journal.append(
+            datanode.lstors.journal.append(
                 block_name=block.name,
                 sc_id=sc_id,
                 slot=slot,
@@ -73,7 +73,7 @@ def torn_write(dfs, locations, steps_a, steps_b):
 
 def roll_forward_all(dfs):
     for datanode in dfs.datanodes:
-        if datanode.lstors.primary.journal.outstanding:
+        if datanode.lstors.journal.outstanding:
             dfs.sim.run_process(datanode.roll_forward())
 
 
@@ -100,8 +100,8 @@ def test_a_mirror_without_an_lstor_leaves_no_record_waiting():
     lossy, journaling = (dfs.datanode_by_name(n) for n in locations.datanodes)
     lossy.lstors.primary.fail()
     dfs.sim.run_process(dfs.client(0).write_block(locations))
-    assert journaling.lstors.primary.journal.total_appends == 1
-    assert lossy.lstors.primary.journal.total_appends == 0
+    assert journaling.lstors.journal.total_appends == 1
+    assert lossy.lstors.journal.total_appends == 0
     assert not journaling._awaiting_ack
     assert dfs.journals_empty()
     dfs.verify_mirrors()
@@ -209,11 +209,20 @@ def test_journal_rejects_out_of_order_transitions():
         journal.mark_committed(record.record_id)
 
 
-def test_journal_capacity_strict_mode_raises():
-    journal = Journal(capacity=1536, strict_capacity=True)
-    append_one(journal, name="a", nbytes=1024)  # 1 KiB of journal space
-    with pytest.raises(JournalError):
-        append_one(journal, name="b", nbytes=1024)  # would exceed 1.5 KiB
+def test_journal_capacity_frees_on_clear():
+    """Clearing a record frees its space: an append that overflowed
+    before the clear fits after it, and is not counted."""
+    journal = Journal(capacity=1536)
+    first = append_one(journal, name="a", nbytes=1024)  # 1 KiB of journal space
+    append_one(journal, name="b", nbytes=1024)  # exceeds 1.5 KiB: counted
+    assert journal.overflows == 1
+    journal.mark_committed(first.record_id)
+    journal.mark_acked(first.record_id)
+    journal.clear(first.record_id, now=0.0)
+    assert journal.used_bytes == 1024
+    append_one(journal, name="c", nbytes=512)  # fits the freed space
+    assert journal.overflows == 1
+    assert journal.high_water_bytes == 2048
 
 
 def test_journal_capacity_soft_mode_counts_overflows():

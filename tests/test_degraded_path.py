@@ -11,6 +11,7 @@ from repro.errors import BlockMissingError, LayoutError
 from repro.hdfs.config import DfsConfig
 from repro.sim.cluster import ClusterSpec
 from tests.test_preallocation import block_in_slot
+from tests.test_slot_update import live_rows_cover
 
 
 def cluster(num_nodes=6, per_disk=None):
@@ -240,3 +241,22 @@ def test_recovery_unfreezes_when_done():
     client = dfs.client(1)
     dfs.sim.run_process(client.write_file("/post", 4 * units.MiB))
     dfs.verify_mirrors()
+
+
+def test_a_stack_without_its_primary_stays_audited():
+    """Row 0 of a holder's stack fails: purging one of its blocks still
+    folds the block out of live row 1, and ``verify_parity`` audits that
+    disk -- a stray term in its row 1 is a mismatch."""
+    dfs = stacked_cluster()
+    dfs.sim.run_process(dfs.client(0).write_file("/f", 3 * units.MiB))
+    locations = dfs.namenode.locate_block(dfs.namenode.file_blocks("/f")[0].block_id)
+    datanode = dfs.datanode_by_name(locations.datanodes[0])
+    datanode.lstors.primary.fail()
+    datanode.purge_block(locations.block.name)
+    assert live_rows_cover(dfs, datanode)
+    dfs.verify_parity()
+    slot = locations.slot
+    stray = dfs.factory.make("stray", 1, units.MiB)
+    datanode.lstors._parity[1][slot] = datanode.lstors.parity_block(slot, row=1) ^ stray
+    with pytest.raises(LayoutError, match=f"{datanode.name} slot {slot}"):
+        dfs.verify_parity()

@@ -7,7 +7,6 @@ from repro import units
 from repro.core.cluster import RaidpCluster
 from repro.core.journal import Journal
 from repro.core.monitor import ClusterMonitor, MonitorConfig
-from repro.errors import JournalError
 from repro.hdfs.config import DfsConfig
 from repro.sim.cluster import ClusterSpec
 
@@ -189,30 +188,11 @@ def payloads(factory, name, nbytes):
     return old, new
 
 
-def test_journal_strict_capacity_overflow():
-    from repro.storage.payload import ContentFactory
-
-    factory = ContentFactory()
-    journal = Journal(capacity=2 * units.MiB, strict_capacity=True)
-    old, new = payloads(factory, "blk_a", units.MiB)
-    first = journal.append("blk_a", 0, 0, old, new, units.MiB, now=0.0)
-    journal.append("blk_b", 0, 1, old, new, units.MiB, now=0.0)
-    with pytest.raises(JournalError):
-        journal.append("blk_c", 0, 2, old, new, units.MiB, now=0.0)
-    assert journal.overflows == 0  # strict mode raises instead of counting
-    # Clearing a record frees its space for a new append.
-    journal.mark_committed(first.record_id)
-    journal.mark_acked(first.record_id)
-    journal.clear(first.record_id, now=1.0)
-    journal.append("blk_c", 0, 2, old, new, units.MiB, now=1.0)
-    assert journal.outstanding == 2
-
-
 def test_journal_soft_capacity_counts_overflows():
     from repro.storage.payload import ContentFactory
 
     factory = ContentFactory()
-    journal = Journal(capacity=units.MiB, strict_capacity=False)
+    journal = Journal(capacity=units.MiB)
     old, new = payloads(factory, "blk_a", units.MiB)
     journal.append("blk_a", 0, 0, old, new, units.MiB, now=0.0)
     journal.append("blk_b", 0, 1, old, new, units.MiB, now=0.0)

@@ -316,7 +316,7 @@ def test_soak_series_names_and_sampled_rows_are_pinned():
         *(f"disk_io_latency:{w}" for w in windows),
     }
     for index, datanode in enumerate(dfs.datanodes):
-        disk, journal = datanode.disk.name, datanode.lstors.primary.name
+        disk, journal = datanode.disk.name, datanode.lstors.journal.name
         expected |= {
             f"disk_{name}{{disk={disk}}}"
             for name in ("reads", "writes", "bytes_read", "bytes_written", "seeks",
@@ -465,7 +465,7 @@ def test_final_audit_content_check_is_never_skipped_or_waived():
     content = live.slot_payload(locations.sc_id, locations.slot)
 
     def leave_record_on(datanode):
-        datanode.lstors.primary.journal.append(
+        datanode.lstors.journal.append(
             block_name=locations.block.name, sc_id=locations.sc_id,
             slot=locations.slot, old_data=content, new_data=content,
             nbytes=locations.block.size,

@@ -173,7 +173,7 @@ def _killed_recovery(monkeypatch, source, acquire, options):
         ),
         (
             "bus_grant = yield memory_bus.request()",
-            recovery.RecoveryOptions(cache_threshold=units.MiB),  # streaming XOR
+            recovery.RecoveryOptions(chunk_size=16 * units.MiB),  # streaming XOR
             "xor-bus",
         ),
     ],

@@ -86,8 +86,7 @@ def test_failed_lstor_raises():
 
 def test_journal_write_time_scales():
     _sim, _factory, lstor = make_lstor()
-    device = lstor.primary
-    assert device.journal_write_time(2 * BLOCK) == 2 * device.journal_write_time(BLOCK)
+    assert lstor.journal_write_time(2 * BLOCK) == 2 * lstor.journal_write_time(BLOCK)
 
 
 def _assert_copy_on_write(lstor, absorb):

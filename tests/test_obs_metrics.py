@@ -42,7 +42,8 @@ def test_snapshot_covers_every_component(loaded_cluster):
         assert f"disk_queue_depth{{disk={disk}}}" in readings
         assert f"disk_io_latency{{disk={disk}}}" in histograms
         assert f"dn_blocks_written{{dn={datanode.name}}}" in readings
-        journal = datanode.lstors.primary.name
+        journal = datanode.lstors.journal.name
+        assert journal == datanode.lstors.primary.name  # named after row 0
         assert f"journal_outstanding{{journal={journal}}}" in readings
     assert "client_degraded_reads{client=0}" in readings
     assert "net_bytes_total" in readings

@@ -97,14 +97,14 @@ def test_an_open_train_holds_one_packet_record():
     seen = []
 
     def sample(dfs, datanode):
-        journal = datanode.lstors.primary.journal
+        journal = datanode.lstors.journal
         trains = len(datanode.disk._runs)
         seen.append(trains)
         assert journal.outstanding <= trains
         assert journal.used_bytes <= trains * PACKET
 
     dfs, datanode = trains_on_one_disk(3, 0.02, sample)
-    journal = datanode.lstors.primary.journal
+    journal = datanode.lstors.journal
     assert max(seen) == 3
     assert journal.overflows == 0 and journal.high_water_bytes == 3 * PACKET
     assert journal.total_appends == journal.total_clears == 3

@@ -85,7 +85,7 @@ def test_journals_drain_after_writes():
     dfs.sim.run_process(client.write_file("/f", 8 * units.MiB))
     assert dfs.journals_empty()
     for datanode in dfs.datanodes:
-        journal = datanode.lstors.primary.journal
+        journal = datanode.lstors.journal
         assert journal.total_appends == journal.total_clears
 
 
@@ -102,7 +102,7 @@ def test_journal_outstanding_stays_small():
 
     dfs.sim.run_process(body())
     for datanode in dfs.datanodes:
-        gauge = datanode.lstors.primary.journal.outstanding_gauge
+        gauge = datanode.lstors.journal.outstanding_gauge
         # Bounded by the number of concurrent writers targeting the node,
         # and small on time-weighted average (the paper observes 1-2).
         assert gauge.max_value <= len(dfs.clients)

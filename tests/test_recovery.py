@@ -428,6 +428,6 @@ def test_a_remirror_waits_for_a_rewrite_landing_on_its_sender(sender_dies):
     for holder in (sender, receiver):
         assert holder.version_of(name) == locations.version
         assert holder.content_of(name) == expected
-    assert sender.lstors.primary.journal.outstanding == 0
+    assert sender.lstors.journal.outstanding == 0
     dfs.verify_mirrors()
     dfs.verify_parity()
