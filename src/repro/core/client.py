@@ -3,25 +3,25 @@
 Between a double failure and the end of recovery, blocks whose two
 replicas are both gone are still *readable*: "Reading is handled similar
 to erasure coded systems, but the scope of impact is substantially
-smaller" -- the client assembles the block from a failed disk's Lstor
-parity and the surviving mirrors of that disk's other superchunks at the
-same slot.  Expensive (it touches up to N-1 nodes, like a degraded
-erasure-coded read), but it keeps data available during the recovery
-window.
+smaller" -- the client assembles the block from a failed home's Lstor
+parity and the mirrors of that home's other superchunks at the same
+slot.  It picks the home and decodes the slot by the rebuild's own rule
+(:meth:`RaidpDataNode.decode_chain`, :meth:`RaidpDataNode.decode`), so the
+home's journal stands in for any write its parity has not absorbed.
+Expensive (it touches up to N-1 nodes, like a degraded erasure-coded
+read), but it keeps data available during the recovery window.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Generator, Optional
+from typing import Any, Generator, Optional
 
 from repro.core.layout import Layout
 from repro.core.node import RaidpDataNode
 from repro.core.placement import SuperchunkMap
-from repro.errors import BlockMissingError
+from repro.errors import BlockMissingError, DeviceError
 from repro.hdfs.block import BlockLocations
 from repro.hdfs.client import DfsClient
-from repro.hdfs.namenode import healthy_datanode
-from repro.storage.payload import Payload
 
 
 class RaidpClient(DfsClient):
@@ -49,7 +49,9 @@ class RaidpClient(DfsClient):
         return payload
 
     def degraded_read(self, locations: BlockLocations) -> Generator:
-        """Assemble a doubly-lost block from an Lstor plus mirrors."""
+        """Assemble a doubly-lost block through the first home (in name
+        order) with a decode chain: the rebuild's decode
+        (:meth:`RaidpDataNode.decode`) for the block's one slot."""
         block = locations.block
         sc_id, slot = locations.sc_id, locations.slot
         trace = self.sim.trace
@@ -58,35 +60,38 @@ class RaidpClient(DfsClient):
             raise BlockMissingError(
                 f"no live replica of {block.name} and no superchunk placement"
             )
-        source = self._pick_parity_source(sc_id)
+        homes = sorted(self.layout.superchunk(sc_id).disks)
+        for home in homes:
+            source = self.namenode.datanode(home)
+            assert isinstance(source, RaidpDataNode)
+            chain = source.decode_chain(sc_id, homes)
+            if chain is not None:
+                break
+        if chain is None:
+            raise BlockMissingError(
+                f"degraded read of {block.name}: no home of superchunk "
+                f"{sc_id} has a live Lstor and a healthy chain"
+            )
+        # Decode in the instant the chain was checked; the charges follow.
+        decoded = source.decode(sc_id, chain, range(slot, slot + 1))
+        rebuilt = decoded.get(slot, self.factory.zero(block.size))
         # Parity block ships from the failed disk's (alive) node.
         yield self.switch.transfer(
             source.node.primary_nic, self.node.primary_nic, block.size
         )
-        # Then the mirrors of the source disk's other superchunks.
-        survivors: Dict[int, Payload] = {}
-        for other_sc in self.layout.superchunks_of(source.name):
-            if other_sc == sc_id:
-                continue
-            mirror_name = self.layout.superchunk(other_sc).mirror_of(source.name)
-            mirror = self.namenode.datanode(mirror_name)
-            if not healthy_datanode(mirror):
-                raise BlockMissingError(
-                    f"degraded read of {block.name} needs dead mirror {mirror_name}"
-                )
+        for other_sc, holder in chain.items():
+            mirror = self.namenode.datanode(holder)
             assert isinstance(mirror, RaidpDataNode)
-            shard = source.shard_index_of(other_sc)
-            survivors[shard] = mirror.slot_payload(other_sc, slot)
-            yield from mirror.read_slot(other_sc, slot, block.size)
+            try:
+                yield from mirror.read_slot(other_sc, slot, block.size)
+            except DeviceError as exc:  # the chain disk died mid-read
+                raise BlockMissingError(f"degraded read of {block.name}: {exc}") from exc
             yield self.switch.transfer(
                 mirror.node.primary_nic, self.node.primary_nic, block.size
             )
-        missing = source.shard_index_of(sc_id)
-        rebuilt = source.lstors.reconstruct_block(slot, survivors, [missing])[missing]
         # The XOR chain is a CPU pass on the client.
         yield from self.node.compute_bytes(
-            block.size * max(len(self.layout.superchunks_of(source.name)), 1),
-            intensity=0.2,
+            block.size * (len(chain) + 1), intensity=0.2
         )
         self.stats_degraded_reads += 1
         if trace.enabled:
@@ -95,15 +100,3 @@ class RaidpClient(DfsClient):
                 block=block.name, sc=sc_id, source=source.name,
             )
         return rebuilt.resized(block.size)
-
-    def _pick_parity_source(self, sc_id: int) -> RaidpDataNode:
-        """A home of the lost superchunk whose node and Lstor survive."""
-        sc = self.layout.superchunk(sc_id)
-        for home in sorted(sc.disks):
-            datanode = self.namenode.datanode(home)
-            assert isinstance(datanode, RaidpDataNode)
-            if datanode.node.alive and not datanode.lstors.primary.failed:
-                return datanode
-        raise BlockMissingError(
-            f"superchunk {sc_id}: no reachable Lstor for a degraded read"
-        )

@@ -28,7 +28,7 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass
 from typing import (
-    TYPE_CHECKING, Any, Dict, Generator, Hashable, Optional, Set, Tuple,
+    TYPE_CHECKING, Any, Collection, Dict, Generator, Hashable, Optional, Set, Tuple,
 )
 
 from repro import units
@@ -36,10 +36,11 @@ from repro.core.journal import JournalRecord, RecordState
 from repro.core.layout import Layout
 from repro.core.lstor import LSTOR_WRITE_RATE, Lstor, filler
 from repro.core.placement import SuperchunkMap
-from repro.errors import DfsError
+from repro.errors import DataLossError, DfsError
 from repro.hdfs.block import Block, BlockLocations
 from repro.hdfs.config import ACK_SIZE, DfsConfig
 from repro.hdfs.datanode import DataNode
+from repro.hdfs.namenode import healthy_datanode
 from repro.sim.disk import Disk, DiskTrain
 from repro.sim.engine import Event, Simulator
 from repro.sim.network import Switch
@@ -601,14 +602,16 @@ class RaidpDataNode(DataNode):
         return True
 
     def _partner_of(self, locations: BlockLocations) -> Optional["RaidpDataNode"]:
+        others = [n for n in locations.datanodes if n != self.name]
+        return self._peer(others[0]) if others else None
+
+    def _peer(self, name: str) -> "RaidpDataNode":
+        """The DataNode ``name`` of this node's cluster."""
         if self.namenode is None:
             raise DfsError(f"{self.name} has no namenode attached")
-        others = [n for n in locations.datanodes if n != self.name]
-        if not others:
-            return None
-        partner = self.namenode.datanode(others[0])
-        assert isinstance(partner, RaidpDataNode)
-        return partner
+        peer = self.namenode.datanode(name)
+        assert isinstance(peer, RaidpDataNode)
+        return peer
 
     # ------------------------------------------------------------------
     # Remirror rollback and replacement.
@@ -645,17 +648,101 @@ class RaidpDataNode(DataNode):
     # ------------------------------------------------------------------
     # Recovery-side accessors.
     # ------------------------------------------------------------------
-    def superchunk_payloads(self, sc_id: int) -> Dict[int, Payload]:
-        """slot -> payload for every occupied slot of a local superchunk."""
+    def superchunk_payloads(self, sc_id: int, slots: range) -> Dict[int, Payload]:
+        """slot -> payload for each occupied one of a local superchunk's ``slots``."""
         prefilled = sc_id in self._prefilled
         result = {}
-        for slot in range(self.map.slots_per_superchunk):
+        for slot in slots:
             name = self._block_at.get((sc_id, slot))
             if name is not None:
                 result[slot] = self.content_of(name)
             elif prefilled and (sc_id, slot) not in self._overwritten:
                 result[slot] = filler(self.factory, sc_id, slot, self.config.block_size)
         return result
+
+    def decode_chain(
+        self, sc_id: int, unreadable: Collection[str]
+    ) -> Optional[Dict[int, str]]:
+        """other superchunk -> the disk whose copy a decode of lost ``sc_id``
+        reads beside this disk's parity; None unless this disk holds
+        ``sc_id``, its node is up, its primary Lstor lives and every chain
+        disk is outside ``unreadable``, holds its copy and is healthy."""
+        layout = self.layout
+        if not (
+            layout.holds(self.name, sc_id)
+            and self.node.alive
+            and not self.lstors.primary.failed
+        ):
+            return None
+        chain = {
+            other: layout.superchunk(other).mirror_of(self.name)
+            for other in layout.superchunks_of(self.name)
+            if other != sc_id
+        }
+        if all(
+            holder not in unreadable
+            and layout.holds(holder, other)
+            and healthy_datanode(self._peer(holder))
+            for other, holder in chain.items()
+        ):
+            return chain
+        return None
+
+    def decode(
+        self, sc_id: int, chain: Dict[int, str], slots: range
+    ) -> Dict[int, Payload]:
+        """slot -> rebuilt block of lost ``sc_id`` for each of ``slots``
+        that holds one: this disk's parity less the ``chain`` disks' blocks
+        at that slot.  Charges no time: the callers charge their reads."""
+        surviving: Dict[int, Dict[int, Payload]] = {}
+        for other, holder in chain.items():
+            mirror = self._peer(holder)
+            if not healthy_datanode(mirror):
+                raise DataLossError(f"mirror {holder} of superchunk {other} is dead too")
+            surviving[other] = mirror.superchunk_payloads(other, slots)
+        # Journal replay (crash consistency): a write in flight when this
+        # disk died may have landed on the mirror without its delta ever
+        # reaching this disk's parity.  The Lstor survives -- RAIDP's
+        # premise -- and keeps the write as an APPENDED record whose
+        # ``old_data`` is what the parity covers: the chain uses that.
+        replayed = set()
+        roll_forward: Dict[int, Payload] = {}
+        for record in self.lstors.journal.replay_candidates():
+            if record.state is not RecordState.APPENDED:
+                continue
+            key = (record.sc_id, record.slot)
+            if key in replayed:
+                continue
+            replayed.add(key)
+            payloads = surviving.get(record.sc_id)
+            if payloads is not None:
+                payloads[record.slot] = record.old_data
+            elif record.sc_id == sc_id:
+                # A write to the lost superchunk itself may have completed
+                # on its other (also lost) home: if the NameNode kept its
+                # version, the record's new_data is the only copy left.
+                # If the client rolled the version back, the parity's old
+                # view is already right.
+                assert self.namenode is not None
+                locations = self.namenode.locate_block_by_name(record.block_name)
+                if locations is not None and locations.version == record.version:
+                    roll_forward[record.slot] = record.new_data
+        rebuilt: Dict[int, Payload] = {}
+        missing = self.shard_index_of(sc_id)
+        for slot in slots:
+            blocks_at_slot = {
+                self.shard_index_of(other): payloads[slot]
+                for other, payloads in surviving.items()
+                if slot in payloads
+            }
+            # Over mints the chain cancels to the lost block's terms.
+            block = self.lstors.reconstruct_block(slot, blocks_at_slot, [missing])[missing]
+            if not block.is_zero():
+                rebuilt[slot] = block
+        for slot, payload in roll_forward.items():
+            if slot in slots:
+                rebuilt[slot] = payload
+        return rebuilt
 
     def install_recovered_block(
         self, locations: BlockLocations, payload: Payload

@@ -14,14 +14,15 @@ superchunk to that disk's own recovery.
 
 **No holder survives: decode.**  After two failures at most one
 superchunk is lost, and either dead disk's Lstor rebuilds it: on a
-recovery node, XOR that disk's parity with the surviving mirrors of its
-other superchunks.  The timed model matches §6.4: one thread per source
-(14 superchunk threads + 1 parity thread on a 16-node cluster), each
-looping request-chunk / lock / XOR, under either a whole-superchunk lock
-or a byte-range lock, at a configurable chunk size and over a
-configurable NIC -- the axes of Table 2.  The content plane is verified
-bit-exactly through the Lstor.  A superchunk no dead holder's chain can
-decode is past the design point and is recorded as lost.
+recovery node, XOR the parity of the first dead holder by name with a
+chain with the mirrors of its other superchunks, bit-exactly, by the
+degraded read's rule and method (:meth:`RaidpDataNode.decode`).  The
+timed model matches §6.4: one thread per source (14 superchunk threads
++ 1 parity thread on a 16-node cluster), each looping request-chunk /
+lock / XOR, under either a whole-superchunk lock or a byte-range lock,
+at a configurable chunk size and over a configurable NIC -- the axes of
+Table 2.  A superchunk no dead holder's chain can decode is past the
+design point and is recorded as lost.
 
 A RAID-6 full-array rebuild simulator provides Table 2's baseline rows.
 """
@@ -33,7 +34,6 @@ from typing import Dict, Generator, List, Optional, Sequence, Tuple
 
 from repro import units
 from repro.core.cluster import RaidpCluster
-from repro.core.journal import RecordState
 from repro.core.node import RaidpDataNode
 from repro.errors import DataLossError, DfsError, MatchingError, RecoveryError, ReproError
 from repro.hdfs.block import BlockLocations
@@ -323,7 +323,13 @@ class RecoveryManager:
                 for disk in (sc.disk_a, sc.disk_b)
                 if disk not in dead
             ):
-                decodes.append((sc_id, self._decoders(sc_id, dead)))
+                # The dead holders that can decode it, in name order.
+                decoders = [
+                    (datanode, chain)
+                    for datanode in map(dfs.datanode_by_name, sorted(dead))
+                    if (chain := datanode.decode_chain(sc_id, dead)) is not None
+                ]
+                decodes.append((sc_id, decoders))
         for sc_id in frozen:
             dfs.map.freeze(sc_id)
         try:
@@ -469,36 +475,6 @@ class RecoveryManager:
     # ==================================================================
     # Decoding a superchunk no survivor holds (Table 2's RAIDP rows).
     # ==================================================================
-    def _decoders(
-        self, sc_id: int, dead: Sequence[str]
-    ) -> List[Tuple[RaidpDataNode, Dict[int, str]]]:
-        """The dead holders of ``sc_id`` whose Lstor can rebuild it, in
-        name order, each with its chain: the disk holding each of its
-        other superchunks.  A holder qualifies when its Lstor lives and
-        every chain disk is outside ``dead``, holds its copy and is
-        healthy -- a third overlapping failure breaks one side's chain,
-        and the other side still decodes."""
-        dfs = self.dfs
-        layout = dfs.layout
-        decoders = []
-        for name in sorted(dead):
-            datanode = dfs.datanode_by_name(name)
-            if not layout.holds(name, sc_id) or datanode.lstors.primary.failed:
-                continue
-            chain = {
-                other: layout.superchunk(other).mirror_of(name)
-                for other in layout.superchunks_of(name)
-                if other != sc_id
-            }
-            if all(
-                holder not in dead
-                and layout.holds(holder, other)
-                and healthy_datanode(dfs.datanode_by_name(holder))
-                for other, holder in chain.items()
-            ):
-                decoders.append((datanode, chain))
-        return decoders
-
     def _decode(
         self,
         sc_id: int,
@@ -560,8 +536,8 @@ class RecoveryManager:
 
         ``byte_range``/``slots`` restrict the work to part of the
         superchunk (the parallel-halves mode); default is the whole
-        thing.  Returns slot -> payload of the rebuilt superchunk
-        (logical plane, computed through the Lstor for bit-exactness).
+        thing.  Returns slot -> payload of the rebuilt superchunk, which
+        :meth:`RaidpDataNode.decode` computes through the Lstor.
         """
         dfs = self.dfs
         trace = self.sim.trace
@@ -571,68 +547,11 @@ class RecoveryManager:
         byte_lo, byte_hi = byte_range if byte_range is not None else (0, full_size)
         sc_size = byte_hi - byte_lo
         block_size = dfs.config.block_size
-
-        # --- logical plane: XOR parity with surviving mirror contents.
-        surviving: Dict[int, Dict[int, Payload]] = {}
-        for sc_id, mirror_name in mirrors.items():
-            mirror = dfs.datanode_by_name(mirror_name)
-            if not healthy_datanode(mirror):
-                raise DataLossError(
-                    f"mirror {mirror_name} of superchunk {sc_id} is dead too"
-                )
-            surviving[sc_id] = mirror.superchunk_payloads(sc_id)
-        # Journal replay (crash consistency): a write that was in flight
-        # when the source disk died may have landed on the surviving
-        # mirror without its delta ever being absorbed into the source's
-        # parity.  The source's Lstor survives -- RAIDP's premise -- and
-        # every un-absorbed write still sits in its journal as an
-        # APPENDED record whose ``old_data`` is exactly the content the
-        # parity covers; substituting it for the mirror's newer copy
-        # keeps the XOR chain consistent.
-        replayed = set()
-        roll_forward: Dict[int, Payload] = {}
-        for record in lost_source.lstors.journal.replay_candidates():
-            if record.state is not RecordState.APPENDED:
-                continue
-            key = (record.sc_id, record.slot)
-            if key in replayed:
-                continue
-            replayed.add(key)
-            payloads = surviving.get(record.sc_id)
-            if payloads is not None:
-                payloads[record.slot] = record.old_data
-            elif record.sc_id == shared_sc:
-                # The record is *for* the superchunk being reconstructed:
-                # the write may have completed on the other (also dead)
-                # replica, in which case the NameNode kept the new
-                # version and the journal's new_data is the only
-                # surviving copy.  If the client rolled the version back
-                # (no replica survived the write), the parity's old view
-                # is already correct.
-                locations = dfs.namenode.locate_block_by_name(record.block_name)
-                if locations is not None and locations.version == record.version:
-                    roll_forward[record.slot] = record.new_data
         if slots is None:
             slots = range(dfs.map.slots_per_superchunk)
-        rebuilt: Dict[int, Payload] = {}
-        missing = lost_source.shard_index_of(shared_sc)
-        for slot in slots:
-            blocks_at_slot = {
-                lost_source.shard_index_of(sc_id): payloads[slot]
-                for sc_id, payloads in surviving.items()
-                if slot in payloads
-            }
-            # Over mints the chain cancels to the lost block's terms.
-            chain = lost_source.lstors.reconstruct_block(
-                slot, blocks_at_slot, [missing]
-            )[missing]
-            if not chain.is_zero():
-                rebuilt[slot] = chain
-        for slot, payload in roll_forward.items():
-            if slot in slots:
-                rebuilt[slot] = payload
+        rebuilt = lost_source.decode(shared_sc, mirrors, slots)
 
-        # --- timed plane: one puller thread per source + one for parity.
+        # One puller thread per source + one for parity.
         pullers = _Pullers(dfs, receiver, options, byte_lo, byte_hi)
 
         def writer() -> Generator:

@@ -15,6 +15,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from repro.core.client import RaidpClient
 from repro.core.cluster import RaidpCluster
 from repro.core.node import RaidpDataNode
 from repro.faults import chaos_schedule
@@ -152,6 +153,36 @@ def test_a_remirror_copies_the_version_its_locations_name(monkeypatch):
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "87633314f8a975c1eff8ae8860fe98d15db5208b7c4b6c51230f99eafa53aa2d"
     )
+
+
+@pytest.mark.parametrize("seed", [101, 102, 103, 104])
+def test_soak_degraded_reads_return_the_block(monkeypatch, seed):
+    """Every degraded read of a soak returns its block's bytes at the
+    version the NameNode names when the read begins or when it ends.
+    Churn reads discard what they read, so only this observer sees a
+    wrong payload, as it did while the read skipped the journal's
+    stand-in for a write its parity had not absorbed."""
+    reads = []
+    real = RaidpClient.degraded_read
+
+    def observed(self, locations):
+        name, size = locations.block.name, locations.block.size
+
+        def version():
+            return self.namenode.locate_block_by_name(name).version
+
+        began = version()
+        payload = yield from real(self, locations)
+        reads.append(
+            any(payload == self.factory.make(name, v, size) for v in (began, version()))
+        )
+        return payload
+
+    monkeypatch.setattr(RaidpClient, "degraded_read", observed)
+    result = run_chaos(seed=seed)
+    assert result.ok, "\n".join(result.problems)
+    assert len(reads) == result.fingerprint["degraded_reads"] > 0
+    assert all(reads), f"{reads.count(False)} of {len(reads)} reads were wrong"
 
 
 def test_soak_byte_work_is_counted(monkeypatch):

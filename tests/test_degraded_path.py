@@ -5,6 +5,7 @@ import pytest
 
 from repro import units
 from repro.core.cluster import RaidpCluster
+from repro.core.journal import RecordState
 from repro.core.node import RaidpConfig
 from repro.core.recovery import RecoveryManager
 from repro.errors import BlockMissingError, LayoutError
@@ -23,11 +24,15 @@ def cluster(num_nodes=6, per_disk=None):
     )
 
 
-def fail_both_replicas(dfs, locations):
-    for name in locations.datanodes:
-        datanode = dfs.datanode_by_name(name)
-        datanode.disk.fail()
+def kill(dfs, *names):
+    """Fail each named disk and declare its DataNode dead."""
+    for name in names:
+        dfs.datanode_by_name(name).disk.fail()
         dfs.namenode.datanode(name).alive = False
+
+
+def fail_both_replicas(dfs, locations):
+    kill(dfs, *locations.datanodes)
     return locations
 
 
@@ -129,10 +134,11 @@ def test_degraded_read_fails_without_any_lstor():
 
 
 def test_degraded_read_refuses_a_sibling_on_an_undetected_dead_disk():
-    """Detection lag: a sibling mirror's disk died but its DataNode is
-    not yet declared dead.  The read cannot be assembled, and says so
-    the way every read does -- ``BlockMissingError`` -- instead of
-    leaking the device's ``DiskFailedError``."""
+    """Detection lag: in each home's chain a sibling mirror's disk died
+    but its DataNode is not yet declared dead.  The read cannot be
+    assembled, and says so the way every read does --
+    ``BlockMissingError`` -- instead of leaking the device's
+    ``DiskFailedError``."""
     dfs = cluster()
 
     def fill():
@@ -142,14 +148,13 @@ def test_degraded_read_refuses_a_sibling_on_an_undetected_dead_disk():
     dfs.sim.run_process(fill())
     reader = dfs.client(0)
 
-    def populated_sibling(locations):
-        """A mirror, outside the block's own replicas, that the degraded
-        read of ``locations`` must read a stored block from."""
-        source = reader._pick_parity_source(locations.sc_id)
-        for other_sc in dfs.layout.superchunks_of(source.name):
+    def populated_sibling(locations, home):
+        """A mirror in ``home``'s chain, outside the block's own
+        replicas, holding a stored block at the block's slot."""
+        for other_sc in dfs.layout.superchunks_of(home):
             if other_sc == locations.sc_id:
                 continue
-            name = dfs.layout.superchunk(other_sc).mirror_of(source.name)
+            name = dfs.layout.superchunk(other_sc).mirror_of(home)
             mirror = dfs.datanode_by_name(name)
             if (
                 name not in locations.datanodes
@@ -158,16 +163,124 @@ def test_degraded_read_refuses_a_sibling_on_an_undetected_dead_disk():
                 return mirror
         return None
 
-    locations, victim = next(
-        (loc, mirror)
+    locations, victims = next(
+        (loc, victims)
         for loc in dfs.namenode.all_blocks()
-        if (mirror := populated_sibling(loc)) is not None
+        if None not in (
+            victims := [populated_sibling(loc, home) for home in sorted(loc.datanodes)]
+        )
     )
     fail_both_replicas(dfs, locations)
-    victim.disk.fail()
-    assert victim.alive  # not yet detected
-    with pytest.raises(BlockMissingError, match=f"dead mirror {victim.name}"):
+    for victim in victims:
+        victim.disk.fail()
+        assert victim.alive  # not yet detected
+    with pytest.raises(
+        BlockMissingError,
+        match=f"no home of superchunk {locations.sc_id} has a live Lstor",
+    ):
         dfs.sim.run_process(reader.degraded_read(locations))
+
+
+# ----------------------------------------------------------------------
+# One decode: the read takes the rebuild's rule and its journal stand-ins.
+# On ten disks with three superchunks each, blk_0 sits at slot 0 of
+# superchunk 9 (homes n0 and n9) and blk_1 at slot 0 of superchunk 0
+# (n0 and n1); n0 decodes superchunk 9 through n1 and n2, n9 through n8.
+# ----------------------------------------------------------------------
+def ten_disks():
+    dfs = cluster(num_nodes=10, per_disk=3)
+    dfs.sim.run_process(dfs.client(0).write_file("/f", 4 * units.MiB))
+    layout, namenode = dfs.layout, dfs.namenode
+    assert [layout.shared("n0", d) for d in ("n1", "n9", "n2")] == [0, 9, 10]
+    assert [layout.shared("n9", d) for d in ("n8", "n0")] == [8, 9]
+    assert [
+        (locations.sc_id, locations.slot)
+        for locations in map(namenode.locate_block_by_name, ("blk_0", "blk_1"))
+    ] == [(9, 0), (0, 0)]
+    return dfs
+
+
+def torn_rewrite(dfs, block_name):
+    """Rewrite ``block_name`` from n4 in the instant n0's disk fails: the
+    write lands on the block's other home alone and leaves n0 an
+    APPENDED journal record its parity never absorbed."""
+    locations = dfs.namenode.locate_block_by_name(block_name)
+
+    def body():
+        dfs.datanode_by_name("n0").disk.fail()
+        locations.version += 1
+        yield from dfs.client(4).write_block(locations)
+
+    dfs.sim.run_process(body())
+    (record,) = dfs.datanode_by_name("n0").lstors.journal.replay_candidates()
+    assert (record.block_name, record.state) == (block_name, RecordState.APPENDED)
+    (home,) = locations.datanodes
+    assert dfs.datanode_by_name(home).version_of(block_name) == locations.version
+
+
+def read_and_rebuild(dfs, block_name, dead):
+    """What a degraded read of ``block_name`` returns, once the ``dead``
+    disks are dead, and what the rebuild then installs on both new
+    homes."""
+    locations = dfs.namenode.locate_block_by_name(block_name)
+    kill(dfs, *dead)
+    read = dfs.sim.run_process(dfs.client(4).read_block(locations))
+    report = RecoveryManager(dfs).recover(dead)
+    assert report.lost_superchunks == []
+    installed = {
+        dfs.datanode_by_name(name).content_of(block_name)
+        for name in locations.datanodes
+    }
+    assert len(locations.datanodes) == 2 and len(installed) == 1
+    return read, installed.pop()
+
+
+def test_degraded_read_falls_back_to_the_other_home():
+    """blk_0's homes die, and so does n1, which n0's chain needs and
+    n9's does not: the read decodes through n9, as the rebuild does."""
+    dfs = ten_disks()
+    original = dfs.factory.make("blk_0", 1, units.MiB)
+    assert read_and_rebuild(dfs, "blk_0", ("n0", "n9", "n1")) == (original, original)
+
+
+def test_degraded_read_refuses_a_chain_disk_dying_mid_read():
+    """n2, in n0's chain, passes the chain check and its disk dies as its
+    slot is read: the read says ``BlockMissingError``, not the device's
+    ``DiskFailedError``."""
+    dfs = ten_disks()
+    locations = dfs.namenode.locate_block_by_name("blk_0")
+    kill(dfs, "n0", "n9")
+    n2 = dfs.datanode_by_name("n2")
+    read_slot = n2.read_slot
+
+    def dying(*args):
+        n2.disk.fail()
+        return (yield from read_slot(*args))
+
+    n2.read_slot = dying
+    with pytest.raises(BlockMissingError, match="I/O on failed disk n2"):
+        dfs.sim.run_process(dfs.client(4).read_block(locations))
+
+
+def test_degraded_read_stands_in_for_a_torn_sibling_write():
+    """A rewrite of blk_1 lands on n1 but never reaches n0's parity: the
+    read of blk_0 through n0 must chain blk_1's journaled old bytes, not
+    n1's new ones."""
+    dfs = ten_disks()
+    torn_rewrite(dfs, "blk_1")
+    original = dfs.factory.make("blk_0", 1, units.MiB)
+    assert read_and_rebuild(dfs, "blk_0", ("n0", "n9")) == (original, original)
+
+
+def test_degraded_read_rolls_a_torn_own_write_forward():
+    """A rewrite of blk_0 to version 2 completes on n9 alone, then n9
+    dies: n0's parity still covers version 1, and its journal holds the
+    version the NameNode names."""
+    dfs = ten_disks()
+    torn_rewrite(dfs, "blk_0")
+    assert dfs.namenode.locate_block_by_name("blk_0").version == 2
+    rewritten = dfs.factory.make("blk_0", 2, units.MiB)
+    assert read_and_rebuild(dfs, "blk_0", ("n0", "n9")) == (rewritten, rewritten)
 
 
 def test_degraded_read_over_preallocated_fillers():

@@ -263,7 +263,7 @@ def _fail_source_mid_chunk():
     a, b = pick_sharing_pair(dfs)
     shared = dfs.layout.shared(a, b)
     manager = RecoveryManager(dfs)
-    (_source, chain), *_ = manager._decoders(shared, (a, b))
+    chain = dfs.datanode_by_name(min(a, b)).decode_chain(shared, (a, b))
     victim = dfs.datanode_by_name(min(chain.values()))
     sim = dfs.sim
     t0 = sim.now

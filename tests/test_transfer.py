@@ -128,7 +128,7 @@ def test_source_disk_failing_inside_a_body_is_a_tolerated_loss(pullers):
     a, b = pick_sharing_pair(dfs)
     shared = dfs.layout.shared(a, b)
     manager = RecoveryManager(dfs)
-    (_source, chain), *_ = manager._decoders(shared, (a, b))
+    chain = dfs.datanode_by_name(min(a, b)).decode_chain(shared, (a, b))
     victim = dfs.datanode_by_name(chain[min(chain)])
     sim, switch = dfs.sim, dfs.switch
     t0 = sim.now
