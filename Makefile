@@ -4,7 +4,7 @@ PYTHON     ?= python
 PYTHONPATH := src
 export PYTHONPATH
 
-.PHONY: test lint typecheck shapes bench benchmark chaos verify profile flight-recorder experiments durability-smoke experiments-smoke reach run-twice clean
+.PHONY: test lint typecheck shapes bench benchmark chaos verify profile flight-recorder experiments durability-smoke experiments-smoke reach dead-sets run-twice clean
 
 # Tier-1: the full unit/integration/property suite.  The log ends with
 # the ten slowest tests and the total time, so it says where its
@@ -127,6 +127,17 @@ reach:
 	echo "reach: $$((ms / 1000)).$$(printf %03d $$((ms % 1000))) s"
 	cut -d' ' -f1 tests/reach_ledger.txt | diff - reach/never-called.txt \
 		|| { echo "reach: probe and tests/reach_ledger.txt differ (< stale entry, > never called)"; exit 1; }
+
+# Dead sets (DESIGN.md §8.4): fail every set of 1-4 disks of the 10-disk,
+# 3-per-disk cluster at once and recover it, timed.  Each recovery must
+# raise nothing, lose exactly the superchunks the recovery plan says,
+# keep every surviving block bit-exact and leave layout, mirrors and
+# parity verified (tier-1 runs a fixed sample).
+dead-sets:
+	@start=$$(date +%s%N); \
+	$(PYTHON) -m tests.dead_sets && \
+	ms=$$(( ($$(date +%s%N) - start) / 1000000 )) && \
+	echo "dead-sets: $$((ms / 1000)).$$(printf %03d $$((ms % 1000))) s"
 
 # Run twice: the chaos soak and every experiment must print the same
 # bytes under two string-hash seeds, so no output leans on hash() of a

@@ -110,8 +110,8 @@ def test_ablation_recovery_planner(benchmark):
     plan = benchmark.pedantic(
         lambda: RecoveryManager(dfs).plan_remirror("n0"), rounds=1, iterations=1
     )
-    load = sum(dfs.map.load_of_disk(receiver) for _sc, _s, receiver in plan)
-    senders = [(sc, sender) for sc, sender, _r in plan]
+    load = sum(dfs.map.load_of_disk(receiver) for _sc, _s, receiver in plan.moves)
+    senders = [(sc, sender) for sc, sender, _r in plan.moves]
     assert load == min_remirror_load(dfs, "n0", senders)
 
 

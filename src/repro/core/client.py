@@ -5,19 +5,20 @@ replicas are both gone are still *readable*: "Reading is handled similar
 to erasure coded systems, but the scope of impact is substantially
 smaller" -- the client assembles the block from a failed home's Lstor
 parity and the mirrors of that home's other superchunks at the same
-slot.  It picks the home and decodes the slot by the rebuild's own rule
-(:meth:`RaidpDataNode.decode_chain`, :meth:`RaidpDataNode.decode`), so the
-home's journal stands in for any write its parity has not absorbed.
-Expensive (it touches up to N-1 nodes, like a degraded erasure-coded
-read), but it keeps data available during the recovery window.
+slot.  The recovery's own plan, with the block's two homes as the dead
+set (:func:`~repro.core.layout.plan_recovery`), picks the home and its
+chain, and :meth:`RaidpDataNode.decode` rebuilds the slot, so the home's
+journal stands in for any write its parity has not absorbed.  Expensive
+(it touches up to N-1 nodes, like a degraded erasure-coded read), but it
+keeps data available during the recovery window.
 """
 
 from __future__ import annotations
 
 from typing import Any, Generator, Optional
 
-from repro.core.layout import Layout
-from repro.core.node import RaidpDataNode
+from repro.core.layout import Layout, plan_recovery
+from repro.core.node import RaidpDataNode, liveness
 from repro.core.placement import SuperchunkMap
 from repro.errors import BlockMissingError, DeviceError
 from repro.hdfs.block import BlockLocations
@@ -49,9 +50,9 @@ class RaidpClient(DfsClient):
         return payload
 
     def degraded_read(self, locations: BlockLocations) -> Generator:
-        """Assemble a doubly-lost block through the first home (in name
-        order) with a decode chain: the rebuild's decode
-        (:meth:`RaidpDataNode.decode`) for the block's one slot."""
+        """Assemble a doubly-lost block through the first of its homes (in
+        name order) the recovery plan decodes it from, with the block's
+        homes as the dead set: the rebuild's decode for its one slot."""
         block = locations.block
         sc_id, slot = locations.sc_id, locations.slot
         trace = self.sim.trace
@@ -60,18 +61,16 @@ class RaidpClient(DfsClient):
             raise BlockMissingError(
                 f"no live replica of {block.name} and no superchunk placement"
             )
-        homes = sorted(self.layout.superchunk(sc_id).disks)
-        for home in homes:
-            source = self.namenode.datanode(home)
-            assert isinstance(source, RaidpDataNode)
-            chain = source.decode_chain(sc_id, homes)
-            if chain is not None:
-                break
-        if chain is None:
+        homes = self.layout.superchunk(sc_id).disks
+        alive = liveness(map(self._raidp_datanode, self.layout.disks))
+        decoders = plan_recovery(self.layout, homes, *alive).decode
+        if sc_id not in decoders:
             raise BlockMissingError(
                 f"degraded read of {block.name}: no home of superchunk "
                 f"{sc_id} has a live Lstor and a healthy chain"
             )
+        home, chain = decoders[sc_id][0]
+        source = self._raidp_datanode(home)
         # Decode in the instant the chain was checked; the charges follow.
         decoded = source.decode(sc_id, chain, range(slot, slot + 1))
         rebuilt = decoded.get(slot, self.factory.zero(block.size))
@@ -80,8 +79,7 @@ class RaidpClient(DfsClient):
             source.node.primary_nic, self.node.primary_nic, block.size
         )
         for other_sc, holder in chain.items():
-            mirror = self.namenode.datanode(holder)
-            assert isinstance(mirror, RaidpDataNode)
+            mirror = self._raidp_datanode(holder)
             try:
                 yield from mirror.read_slot(other_sc, slot, block.size)
             except DeviceError as exc:  # the chain disk died mid-read
@@ -100,3 +98,8 @@ class RaidpClient(DfsClient):
                 block=block.name, sc=sc_id, source=source.name,
             )
         return rebuilt.resized(block.size)
+
+    def _raidp_datanode(self, name: str) -> RaidpDataNode:
+        datanode = self.namenode.datanode(name)
+        assert isinstance(datanode, RaidpDataNode)
+        return datanode

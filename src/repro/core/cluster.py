@@ -13,12 +13,12 @@ import dataclasses
 from typing import Iterator, List, Optional
 
 from repro import units
+from repro.core.client import RaidpClient
 from repro.core.layout import LayoutSpec, domain_aware_layout, rotational_layout
 from repro.core.journal import RecordState
 from repro.core.node import RaidpConfig, RaidpDataNode
 from repro.core.placement import RaidpPlacement, SuperchunkMap
 from repro.errors import LayoutError
-from repro.hdfs.client import DfsClient
 from repro.hdfs.config import DfsConfig
 from repro.hdfs.namenode import NameNode
 from repro.sim.cluster import Cluster, ClusterSpec
@@ -108,9 +108,7 @@ class RaidpCluster(InlineState):
                 datanode.attach_namenode(self.namenode)
                 self.datanodes.append(datanode)
 
-        from repro.core.client import RaidpClient
-
-        self.clients: List[DfsClient] = [
+        self.clients: List[RaidpClient] = [
             RaidpClient(
                 self.sim,
                 node,
@@ -131,7 +129,7 @@ class RaidpCluster(InlineState):
     # ------------------------------------------------------------------
     # Accessors.
     # ------------------------------------------------------------------
-    def client(self, index: int = 0) -> DfsClient:
+    def client(self, index: int = 0) -> RaidpClient:
         return self.clients[index]
 
     def datanode_by_name(self, name: str) -> RaidpDataNode:

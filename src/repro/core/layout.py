@@ -10,7 +10,9 @@ rebuild.
 mirror-pair at a time and every invariant is enforced at the point of
 mutation.  :func:`rotational_layout` builds the paper's Fig. 3
 construction (shifted row pairs) for any disk count, yielding the maximal
-N-1 superchunks per disk.
+N-1 superchunks per disk.  :func:`plan_recovery` decides, from the layout
+alone, what a set of dead disks leaves of each superchunk: remirrored,
+decoded through an Lstor, or lost.
 
 Terminology used throughout the core package:
 
@@ -25,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import (
+    Collection,
     Dict,
     FrozenSet,
     Iterable,
@@ -145,9 +148,6 @@ class Layout(InlineState):
             and self._domains[disk_a] == self._domains[disk_b]
         )
 
-    # Backwards-compatible private alias used internally.
-    _same_domain = same_domain
-
     # ------------------------------------------------------------------
     # Introspection.
     # ------------------------------------------------------------------
@@ -206,7 +206,7 @@ class Layout(InlineState):
             return False
         if disk_a not in self._slots or disk_b not in self._slots:
             return False
-        if self._same_domain(disk_a, disk_b):
+        if self.same_domain(disk_a, disk_b):
             return False  # both copies in one failure domain
         if frozenset((disk_a, disk_b)) in self._pair_index:
             return False  # would violate 1-sharing
@@ -241,7 +241,7 @@ class Layout(InlineState):
         """Allocate a new mirrored superchunk across two disks."""
         if disk_a == disk_b:
             raise LayoutError(f"superchunk mirrors must be distinct disks: {disk_a}")
-        if self._same_domain(disk_a, disk_b):
+        if self.same_domain(disk_a, disk_b):
             raise LayoutError(
                 f"{disk_a} and {disk_b} share failure domain "
                 f"{self.domain_of(disk_a)!r}"
@@ -309,7 +309,7 @@ class Layout(InlineState):
             raise LayoutError("cannot mirror a superchunk onto its own disk")
         if new_disk not in self._slots:
             raise LayoutError(f"unknown disk {new_disk}")
-        if self._same_domain(survivor, new_disk):
+        if self.same_domain(survivor, new_disk):
             raise LayoutError(
                 f"{survivor} and {new_disk} share failure domain "
                 f"{self.domain_of(survivor)!r}"
@@ -372,7 +372,7 @@ class Layout(InlineState):
             )
         if disk_a == disk_b:
             raise LayoutError("superchunk mirrors must be distinct disks")
-        if self._same_domain(disk_a, disk_b):
+        if self.same_domain(disk_a, disk_b):
             raise LayoutError(
                 f"{disk_a} and {disk_b} share failure domain "
                 f"{self.domain_of(disk_a)!r}"
@@ -421,7 +421,7 @@ class Layout(InlineState):
                         f"1-sharing violated: {sorted(pair)} share two superchunks"
                     )
                 seen_pairs.add(pair)
-                if self._same_domain(*sorted(pair)):
+                if self.same_domain(*sorted(pair)):
                     raise LayoutError(
                         f"superchunk {sc.sc_id} mirrored within one failure domain"
                     )
@@ -481,6 +481,66 @@ class Layout(InlineState):
                 cells.append(f"{slots[row]:>5}" if row < len(slots) else "    .")
             lines.append(f"S{row:<4} " + " ".join(cells))
         return "\n".join(lines)
+
+
+#: A dead holder and its chain: other superchunk -> the disk whose copy
+#: the decode reads beside the holder's parity.
+Decoder = Tuple[str, Dict[int, str]]
+
+
+@dataclass(frozen=True)
+class RecoveryPlan:
+    """What a dead set leaves of each superchunk it names, in id order:
+    the sender of each remirror, the decoders of each decode (in name
+    order), and the superchunks lost (:func:`plan_recovery`)."""
+
+    remirror: Dict[int, str]
+    decode: Dict[int, List[Decoder]]
+    lost: List[int]
+
+
+def plan_recovery(
+    layout: Layout,
+    dead: Collection[str],
+    readable: Collection[str],
+    decodable: Collection[str],
+) -> RecoveryPlan:
+    """Sort each superchunk a ``dead`` disk names, and some disk holds,
+    into remirror, decode or lost (paper §3.3).
+
+    A superchunk held outside ``dead`` by a ``readable`` disk remirrors
+    from it; one held outside only by an unreadable disk is left to that
+    disk's own recovery.  Otherwise a dead holder decodes it when the
+    holder is ``decodable`` (node up, primary Lstor alive) and each other
+    superchunk on it, its chain, has a readable holder outside ``dead``.
+    """
+    plan = RecoveryPlan({}, {}, [])
+    for sc in layout.superchunks.values():
+        if sc.disk_a not in dead and sc.disk_b not in dead:
+            continue
+        holders = [d for d in (sc.disk_a, sc.disk_b) if layout.holds(d, sc.sc_id)]
+        outside = [d for d in holders if d not in dead]
+        if outside:
+            if outside[0] in readable:
+                plan.remirror[sc.sc_id] = outside[0]
+            continue
+        decoders: List[Decoder] = []
+        for disk in sorted(holders):
+            chain = {
+                other: layout.superchunk(other).mirror_of(disk)
+                for other in layout.superchunks_of(disk)
+                if other != sc.sc_id
+            }
+            if disk in decodable and all(
+                holder not in dead and holder in readable and layout.holds(holder, other)
+                for other, holder in chain.items()
+            ):
+                decoders.append((disk, chain))
+        if decoders:
+            plan.decode[sc.sc_id] = decoders
+        elif holders:
+            plan.lost.append(sc.sc_id)
+    return plan
 
 
 def domain_aware_layout(

@@ -14,9 +14,9 @@ reports it produced for inspection.
 
 Failure-lifecycle semantics (the hardened behavior):
 
-- heartbeats go to the NameNode's node (falling back to the first
-  client's node, then to skipping the network charge entirely on
-  degenerate single-endpoint clusters),
+- heartbeats go to the NameNode's node (the DataNode collocated with
+  it still charges its loopback flow, keeping every node's heartbeat on
+  the same clock),
 - the detector *spawns* recoveries as child processes, so a sweep is
   never blocked behind an in-flight recovery -- a second failure during
   a long rebuild is detected on schedule,
@@ -29,8 +29,9 @@ Failure-lifecycle semantics (the hardened behavior):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Generator, List, Optional, Set, Tuple
+from typing import Dict, Generator, List, Optional, Set, Tuple
 
+from repro.core.cluster import RaidpCluster
 from repro.core.node import RaidpDataNode
 from repro.core.recovery import RecoveryManager, RecoveryOptions, RecoveryReport
 from repro.errors import ReproError
@@ -40,7 +41,6 @@ from repro.hdfs.datanode import DataNode
 from repro.hdfs.namenode import healthy_datanode
 from repro.obs.audit import active_auditor
 from repro.sim.engine import Process
-from repro.sim.network import Nic
 
 
 @dataclass(frozen=True)
@@ -65,7 +65,7 @@ class ClusterMonitor:
 
     def __init__(
         self,
-        dfs: Any,
+        dfs: RaidpCluster,
         config: Optional[MonitorConfig] = None,
         recovery_options: Optional[RecoveryOptions] = None,
     ) -> None:
@@ -119,36 +119,17 @@ class ClusterMonitor:
     # ------------------------------------------------------------------
     # Heartbeats.
     # ------------------------------------------------------------------
-    def _heartbeat_target_nic(self, datanode: DataNode) -> Optional[Nic]:
-        """NIC the heartbeat RPC lands on: the NameNode's node.
-
-        Falls back to the first client's node (the historical endpoint)
-        when the facade does not expose ``namenode_node``, and to None --
-        no network charge -- when no endpoint exists at all (a bare
-        cluster with neither attribute).  The DataNode collocated with
-        the NameNode still charges its loopback flow, keeping every
-        node's heartbeat on the same clock.
-        """
-        node = getattr(self.dfs, "namenode_node", None)
-        if node is None:
-            clients = getattr(self.dfs, "clients", None)
-            if clients:
-                node = clients[0].node
-        if node is None:
-            return None
-        return node.primary_nic
-
     def _heartbeat_loop(self, datanode: DataNode) -> Generator:
         interval = self.config.heartbeat_interval
         while self._running:
             if healthy_datanode(datanode):
                 # The heartbeat is a tiny control message; its network
                 # cost is negligible and charged as the ack size.
-                target_nic = self._heartbeat_target_nic(datanode)
-                if target_nic is not None:
-                    yield self.dfs.switch.transfer(
-                        datanode.node.primary_nic, target_nic, ACK_SIZE
-                    )
+                yield self.dfs.switch.transfer(
+                    datanode.node.primary_nic,
+                    self.dfs.namenode_node.primary_nic,
+                    ACK_SIZE,
+                )
                 self._last_heartbeat[datanode.name] = self.sim.now
             yield self.sim.timeout(interval)
         return None
@@ -216,11 +197,12 @@ class ClusterMonitor:
                 auditor.audit(self.sim, self.sim.now, event="recovered")
             # Remirrors that a stacked failure aborted mid-copy (the
             # metadata rolled back, so the next sweep can retry or
-            # degrade gracefully) and superchunks past the design point:
-            # the operator should still see them.
+            # degrade gracefully), superchunks past the design point and
+            # orphans no receiver could take: the operator should still
+            # see them.
             for _entry, exc in report.failed_remirrors:
                 self.recovery_errors.append((self.sim.now, dead, exc))
-            for _sc_id, exc in report.lost_superchunks:
+            for _sc_id, exc in [*report.lost_superchunks, *report.unplaced_orphans]:
                 self.recovery_errors.append((self.sim.now, dead, exc))
         if trace.enabled:
             # Detection-to-restored window.
@@ -240,9 +222,7 @@ class ClusterMonitor:
         next sweep anyway -- so it is co-detected now and the pair is
         recovered as one dead set.
         """
-        layout = getattr(self.dfs, "layout", None)
-        if layout is None:
-            return list(stale)
+        layout = self.dfs.layout
         expanded = list(stale)
         index = 0
         while index < len(expanded):

@@ -16,7 +16,10 @@ paper's Section 5 machinery:
   mirror's acknowledgment arrives,
 - the *update-oriented* variant reads old data before overwriting it
   (read-modify-write), the *base* variant treats reused slots as null
-  because deleted-block parity is folded in during idle time.
+  because deleted-block parity is folded in during idle time,
+- the rebuild and the degraded read both decode a lost superchunk
+  through :meth:`RaidpDataNode.decode`, along the chain the recovery
+  plan chose (:func:`~repro.core.layout.plan_recovery`).
 
 The logical parity ledger is **always** kept bit-exact (deferred work is
 free in simulated time, not skipped), so the recovery invariants hold in
@@ -28,7 +31,7 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass
 from typing import (
-    TYPE_CHECKING, Any, Collection, Dict, Generator, Hashable, Optional, Set, Tuple,
+    TYPE_CHECKING, Any, Dict, Generator, Hashable, Iterable, Optional, Set, Tuple,
 )
 
 from repro import units
@@ -660,40 +663,13 @@ class RaidpDataNode(DataNode):
                 result[slot] = filler(self.factory, sc_id, slot, self.config.block_size)
         return result
 
-    def decode_chain(
-        self, sc_id: int, unreadable: Collection[str]
-    ) -> Optional[Dict[int, str]]:
-        """other superchunk -> the disk whose copy a decode of lost ``sc_id``
-        reads beside this disk's parity; None unless this disk holds
-        ``sc_id``, its node is up, its primary Lstor lives and every chain
-        disk is outside ``unreadable``, holds its copy and is healthy."""
-        layout = self.layout
-        if not (
-            layout.holds(self.name, sc_id)
-            and self.node.alive
-            and not self.lstors.primary.failed
-        ):
-            return None
-        chain = {
-            other: layout.superchunk(other).mirror_of(self.name)
-            for other in layout.superchunks_of(self.name)
-            if other != sc_id
-        }
-        if all(
-            holder not in unreadable
-            and layout.holds(holder, other)
-            and healthy_datanode(self._peer(holder))
-            for other, holder in chain.items()
-        ):
-            return chain
-        return None
-
     def decode(
         self, sc_id: int, chain: Dict[int, str], slots: range
     ) -> Dict[int, Payload]:
         """slot -> rebuilt block of lost ``sc_id`` for each of ``slots``
-        that holds one: this disk's parity less the ``chain`` disks' blocks
-        at that slot.  Charges no time: the callers charge their reads."""
+        that holds one: this disk's parity less the blocks at that slot of
+        its ``chain``, as :func:`~repro.core.layout.plan_recovery` gave
+        it.  Charges no time: the callers charge their reads."""
         surviving: Dict[int, Dict[int, Payload]] = {}
         for other, holder in chain.items():
             mirror = self._peer(holder)
@@ -816,3 +792,18 @@ class RaidpDataNode(DataNode):
             if locations.block.name == record.block_name:
                 return locations
         return None  # block deleted since the record was written
+
+
+def liveness(datanodes: Iterable[RaidpDataNode]) -> Tuple[Set[str], Set[str]]:
+    """The (readable, decodable) disk names
+    :func:`~repro.core.layout.plan_recovery` takes: a disk reads while its
+    DataNode is healthy, and decodes while its node is up and its primary
+    Lstor lives."""
+    readable: Set[str] = set()
+    decodable: Set[str] = set()
+    for dn in datanodes:
+        if healthy_datanode(dn):
+            readable.add(dn.name)
+        if dn.node.alive and not dn.lstors.primary.failed:
+            decodable.add(dn.name)
+    return readable, decodable

@@ -1,28 +1,29 @@
 """Failure recovery: re-replication planning and Lstor reconstruction.
 
 Covers the paper's Section 3.3 and the Section 6.4 evaluation.  One body
-recovers any set of dead disks, planned per superchunk from the disks
-outside the set that still hold it (:meth:`Layout.holds`):
+recovers any set of dead disks, and one pure function of the layout
+plans it (:func:`~repro.core.layout.plan_recovery`): each superchunk a
+dead disk names is remirrored, decoded or lost.
 
 **A healthy holder survives: remirror.**  The superchunk is matched with
 a *receiver* disk such that 1-sharing is preserved, no receiver takes
 more than one superchunk (parallelism), mutual-exchange violations (the
 paper's D0<->D2 example) are excluded, and disk load is balanced: a
 min-cost assignment on the dynamic Hungarian solver -- the formulation
-the paper sketches in Fig. 6.  A holder that is itself failing leaves the
-superchunk to that disk's own recovery.
+the paper sketches in Fig. 6.  An orphan no receiver can take is
+recorded and stays singly homed; the rest are still placed.
 
 **No holder survives: decode.**  After two failures at most one
 superchunk is lost, and either dead disk's Lstor rebuilds it: on a
-recovery node, XOR the parity of the first dead holder by name with a
-chain with the mirrors of its other superchunks, bit-exactly, by the
-degraded read's rule and method (:meth:`RaidpDataNode.decode`).  The
+recovery node, XOR the parity of the first dead holder the plan names
+with its chain, the mirrors of its other superchunks, bit-exactly
+(:meth:`RaidpDataNode.decode`, which the degraded read shares).  The
 timed model matches §6.4: one thread per source (14 superchunk threads
 + 1 parity thread on a 16-node cluster), each looping request-chunk /
 lock / XOR, under either a whole-superchunk lock or a byte-range lock,
 at a configurable chunk size and over a configurable NIC -- the axes of
-Table 2.  A superchunk no dead holder's chain can decode is past the
-design point and is recorded as lost.
+Table 2.  A superchunk the plan finds no decoder for is past the design
+point and is recorded as lost.
 
 A RAID-6 full-array rebuild simulator provides Table 2's baseline rows.
 """
@@ -34,7 +35,8 @@ from typing import Dict, Generator, List, Optional, Sequence, Tuple
 
 from repro import units
 from repro.core.cluster import RaidpCluster
-from repro.core.node import RaidpDataNode
+from repro.core.layout import Decoder, plan_recovery
+from repro.core.node import RaidpDataNode, liveness
 from repro.errors import DataLossError, DfsError, MatchingError, RecoveryError, ReproError
 from repro.hdfs.block import BlockLocations
 from repro.hdfs.namenode import healthy_datanode
@@ -112,19 +114,30 @@ class RecoveryReport:
     #: The dead set this recovery covered -- lets auditors match reports
     #: to failures.
     failed_disks: Tuple[str, ...] = ()
-    #: ((sc_id, sender, receiver), error) per remirror that failed --
-    #: e.g. a sender dying mid-copy (a stacked failure).  The rest of
-    #: the recovery still completes; the superchunk's metadata rolls
-    #: back to its pre-remirror state.
+    #: Past the design point the body records and salvages the rest.
+    #: ((sc_id, sender, receiver), error) per remirror that failed, e.g.
+    #: a sender dying mid-copy; its metadata rolls back.
     failed_remirrors: List[Tuple[Tuple[int, str, str], ReproError]] = field(
         default_factory=list
     )
-    #: (sc_id, error) per superchunk whose reconstruction was impossible
-    #: -- more overlapping failures than the two the design tolerates.
-    #: Recorded rather than raised so the recovery can still salvage the
-    #: singly-lost superchunks around it; :meth:`RecoveryManager.recover`
-    #: raises the first once the body is done.
+    #: (sc_id, error) per superchunk no decode could rebuild -- more
+    #: overlapping failures than the two the design tolerates;
+    #: :meth:`RecoveryManager.recover` raises the first.
     lost_superchunks: List[Tuple[int, ReproError]] = field(default_factory=list)
+    #: (sc_id, error) per orphan no legal receiver could take: it stays
+    #: singly homed.
+    unplaced_orphans: List[Tuple[int, ReproError]] = field(default_factory=list)
+
+
+@dataclass(frozen=True)
+class RemirrorPlan:
+    """One dead disk's remirrors (:meth:`RecoveryManager.plan_remirror`):
+    (sc_id, sender, receiver) per orphan placed, (sc_id, error) per orphan
+    no legal receiver can take, and the receivers' total load."""
+
+    moves: List[Tuple[int, str, str]]
+    unplaced: List[Tuple[int, ReproError]]
+    cost: float
 
 
 class RecoveryManager:
@@ -137,40 +150,23 @@ class RecoveryManager:
     # ==================================================================
     # Planning (pure, no simulated time).
     # ==================================================================
-    def plan_remirror(self, failed: str) -> List[Tuple[int, str, str]]:
-        """Match ``failed``'s orphan superchunks to receivers:
-        (sc_id, sender, receiver).
+    def plan_remirror(self, failed: str) -> RemirrorPlan:
+        """Match ``failed``'s orphan superchunks to receivers.
 
-        An orphan names ``failed`` and is held by exactly one disk, its
-        sender.  Must be called *after* the failed disk was removed from
-        the layout.  Raises :class:`RecoveryError` when no legal full
-        assignment exists.
+        An orphan names ``failed`` and is held by exactly one readable
+        disk, its sender (:func:`plan_recovery`).  Must be called *after*
+        the failed disk was removed from the layout.  When no legal
+        assignment places them all, as many as can be are placed and the
+        rest come back unplaced.
         """
-        layout = self.dfs.layout
-        senders = []
-        for sc in layout.superchunks.values():
-            if failed not in sc.disks:
-                continue
-            holders = [d for d in (sc.disk_a, sc.disk_b) if layout.holds(d, sc.sc_id)]
-            if len(holders) != 1:
-                continue  # still mirrored, rebuilt elsewhere, or lost
-            sender = holders[0]
-            if not healthy_datanode(self.dfs.datanode_by_name(sender)):
-                # The survivor is failing too: a copy from it cannot be
-                # read.  Its own recovery decodes the superchunk.
-                continue
-            senders.append((sc.sc_id, sender))
-        if not senders:
-            return []
+        readable, decodable = liveness(self.dfs.datanodes)
+        remirror = plan_recovery(self.dfs.layout, (failed,), readable, decodable).remirror
         # A receiver must be healthy in fact, not just in metadata: a
         # sweeping failure (whole server down) may not have marked every
         # sibling disk dead yet.
-        receivers = [
-            dn.name
-            for dn in self.dfs.datanodes
-            if healthy_datanode(dn) and dn.name != failed
-        ]
-        return self._plan_hungarian(senders, receivers)
+        readable.discard(failed)
+        receivers = [dn.name for dn in self.dfs.datanodes if dn.name in readable]
+        return self._plan_hungarian(list(remirror.items()), receivers)
 
     def _legal(self, sender: str, receiver: str) -> bool:
         """Can ``receiver`` adopt a superchunk whose survivor is ``sender``?
@@ -181,16 +177,13 @@ class RecoveryManager:
         copy and gains nothing from the transfer.
         """
         layout = self.dfs.layout
-        if sender == receiver:
-            return False
-        if sender not in layout.disks or receiver not in layout.disks:
-            return False
-        if layout.same_domain(sender, receiver):
-            return False
-        if layout.shared(sender, receiver) is not None:
-            return False
         return (
-            len(layout.superchunks_of(receiver)) < layout.max_superchunks()
+            sender != receiver
+            and layout.has_disk(sender)
+            and layout.has_disk(receiver)
+            and not layout.same_domain(sender, receiver)
+            and layout.shared(sender, receiver) is None
+            and len(layout.superchunks_of(receiver)) < layout.max_superchunks()
         )
 
     def _load(self, disk: str) -> int:
@@ -198,7 +191,7 @@ class RecoveryManager:
 
     def _plan_hungarian(
         self, senders: List[Tuple[int, str]], receivers: List[str]
-    ) -> List[Tuple[int, str, str]]:
+    ) -> RemirrorPlan:
         """Min-cost assignment with mutual-exchange elimination.
 
         Costs are receiver loads, so lightly-loaded disks attract
@@ -206,31 +199,47 @@ class RecoveryManager:
         receiver B while sender B -> receiver A, which would create the
         same shared pair twice or pair two senders) has its costlier edge
         removed and the problem re-solved on the warm-started dynamic
-        solver -- the paper's Mills-Tettey use case.
+        solver -- the paper's Mills-Tettey use case.  Each round removes
+        a real edge, so the loop ends.
         """
-        cost: List[List[Optional[float]]] = []
-        for _sc_id, sender in senders:
-            row = [
+        cost: List[List[Optional[float]]] = [
+            [
                 float(self._load(receiver)) if self._legal(sender, receiver) else None
                 for receiver in receivers
             ]
-            cost.append(row)
-        solver = DynamicHungarian(cost)
-        for _round in range(len(senders) * len(receivers) + 1):
+            for _sc_id, sender in senders
+        ]
+        solver, penalty = DynamicHungarian(cost), 0.0
+        while True:
             try:
                 assignment, total = solver.solve()
-            except MatchingError as err:
-                raise RecoveryError(f"hungarian planner: {err}") from err
-            conflict = self._find_exchange_conflict(assignment, senders, receivers)
+            except MatchingError:
+                # No full assignment: give each orphan a column of its own
+                # dearer than any real plan, so the fewest stay unplaced
+                # (and the padded solve always succeeds).
+                loads = [entry for row in cost for entry in row if entry is not None]
+                penalty = 1.0 + len(senders) * max(loads, default=0.0)
+                solver = DynamicHungarian([row + [penalty] * len(senders) for row in cost])
+                continue
+            placed = {row: col for row, col in assignment.items() if col < len(receivers)}
+            conflict = self._find_exchange_conflict(placed, senders, receivers)
             if conflict is None:
-                plan = [
-                    (senders[row][0], senders[row][1], receivers[col])
-                    for row, col in sorted(assignment.items())
+                unplaced: List[Tuple[int, ReproError]] = [
+                    (sc_id, RecoveryError(
+                        f"superchunk {sc_id}: no legal receiver for the copy on {sender}"
+                    ))
+                    for row, (sc_id, sender) in enumerate(senders)
+                    if row not in placed
                 ]
-                self._last_plan_cost = total
-                return plan
+                return RemirrorPlan(
+                    moves=[
+                        (senders[row][0], senders[row][1], receivers[col])
+                        for row, col in sorted(placed.items())
+                    ],
+                    unplaced=unplaced,
+                    cost=total - penalty * len(unplaced),
+                )
             solver.remove_edge(*conflict)
-        raise RecoveryError("hungarian planner failed to converge")
 
     def _find_exchange_conflict(
         self,
@@ -285,10 +294,10 @@ class RecoveryManager:
         returns the report.
 
         The superchunks no disk outside ``dead`` still holds are decoded
-        first, in id order (:meth:`_decode`); one that cannot be is
-        recorded in ``report.lost_superchunks`` and the recovery goes
-        on.  Then each dead disk's orphans are remirrored
-        (:meth:`plan_remirror`).  ``reconstruct_only`` stops after the
+        first, in id order, as :func:`plan_recovery` plans them; one it
+        finds lost, or whose decode fails, is recorded in
+        ``report.lost_superchunks``.  Then each dead disk's orphans are
+        remirrored (:meth:`plan_remirror`).  ``reconstruct_only`` stops after the
         decodes and installs nothing: §6.4's timing experiment measures
         reconstruction alone, and a maximally-dense layout has no legal
         pair left to install on.
@@ -307,38 +316,24 @@ class RecoveryManager:
         # must not run in set-hash order (RDP002) -- a shared superchunk
         # appears in both disks' lists, and ordered traversal keeps every
         # freeze-window trace and fingerprint bitwise reproducible.
-        frozen = sorted(
-            {
-                sc_id
-                for name in present
-                for sc_id in layout.superchunks_of(name)
-            }
-        )
+        frozen = sorted({sc for name in present for sc in layout.superchunks_of(name)})
         # Plan the decodes before anything moves.
-        decodes = []
-        for sc_id in frozen:
-            sc = layout.superchunk(sc_id)
-            if not any(
-                layout.holds(disk, sc_id)
-                for disk in (sc.disk_a, sc.disk_b)
-                if disk not in dead
-            ):
-                # The dead holders that can decode it, in name order.
-                decoders = [
-                    (datanode, chain)
-                    for datanode in map(dfs.datanode_by_name, sorted(dead))
-                    if (chain := datanode.decode_chain(sc_id, dead)) is not None
-                ]
-                decodes.append((sc_id, decoders))
+        plan = plan_recovery(layout, dead, *liveness(dfs.datanodes))
         for sc_id in frozen:
             dfs.map.freeze(sc_id)
         try:
             for name in dead:
                 dfs.namenode.mark_datanode_dead(name)
-            for sc_id, decoders in decodes:
+            for sc_id in sorted([*plan.decode, *plan.lost]):
                 try:
+                    if sc_id in plan.lost:
+                        raise DataLossError(
+                            f"superchunk {sc_id} is lost: no dead holder has a "
+                            "live Lstor and a healthy chain"
+                        )
                     yield from self._decode(
-                        sc_id, decoders, dead, options, report, reconstruct_only
+                        sc_id, plan.decode[sc_id], dead, options, report,
+                        reconstruct_only,
                     )
                 except ReproError as exc:
                     # Past the design point, or no healthy receiver is
@@ -369,27 +364,27 @@ class RecoveryManager:
         """Plan the re-replication of ``failed``'s orphan superchunks and
         run it into ``report``, one transfer process per superchunk.
         ``failed`` must already be out of the layout."""
-        self._last_plan_cost = 0.0
         plan = self.plan_remirror(failed)
-        report.plan_cost += self._last_plan_cost
+        report.plan_cost += plan.cost
+        report.unplaced_orphans.extend(plan.unplaced)
         trace = self.sim.trace
         if trace.enabled:
             # Planning is pure (charges no simulated time): a
             # zero-duration phase span keeps it in the breakdown.
             trace.complete(
                 "recovery", "plan", self.sim.now, self.sim.now,
-                failed=failed, moves=len(plan), cost=self._last_plan_cost,
+                failed=failed, moves=len(plan.moves), cost=plan.cost,
             )
         transfers = [
             self.sim.process(
                 self._remirror_superchunk(sc_id, sender, receiver, options),
                 name=f"remirror:sc{sc_id}",
             )
-            for sc_id, sender, receiver in plan
+            for sc_id, sender, receiver in plan.moves
         ]
         # Await each transfer individually: one superchunk's sender dying
         # mid-copy (a stacked failure) must not abort the others.
-        for entry, proc in zip(plan, transfers):
+        for entry, proc in zip(plan.moves, transfers):
             try:
                 yield proc
             except ReproError as exc:
@@ -478,7 +473,7 @@ class RecoveryManager:
     def _decode(
         self,
         sc_id: int,
-        decoders: List[Tuple[RaidpDataNode, Dict[int, str]]],
+        decoders: List[Decoder],
         dead: Sequence[str],
         options: RecoveryOptions,
         report: RecoveryReport,
@@ -487,11 +482,6 @@ class RecoveryManager:
         """Rebuild ``sc_id`` through its first decoder (the first two,
         one half each, with ``parallel_halves``) and, unless
         ``reconstruct_only``, re-home it on a fresh legal pair."""
-        if not decoders:
-            raise DataLossError(
-                f"superchunk {sc_id} is lost: no dead holder has a live "
-                "Lstor and a healthy chain"
-            )
         receiver_name = self._pick_recovery_node(exclude=set(dead))
         if options.parallel_halves and len(decoders) > 1:
             rebuilt = yield from self._reconstruct_halves(
@@ -516,16 +506,14 @@ class RecoveryManager:
     def _pick_recovery_node(self, exclude: set) -> str:
         layout = self.dfs.layout
         for dn in self.dfs.datanodes:
-            if dn.name in exclude or dn.name not in layout.disks:
-                continue
-            if healthy_datanode(dn):
+            if dn.name not in exclude and layout.has_disk(dn.name) and healthy_datanode(dn):
                 return dn.name
         raise RecoveryError("no live node available for reconstruction")
 
     def _reconstruct_superchunk(
         self,
         shared_sc: int,
-        lost_source: RaidpDataNode,
+        source: str,
         mirrors: Dict[int, str],
         receiver_name: str,
         options: RecoveryOptions,
@@ -543,6 +531,7 @@ class RecoveryManager:
         trace = self.sim.trace
         t0 = self.sim.now
         receiver = dfs.datanode_by_name(receiver_name)
+        lost_source = dfs.datanode_by_name(source)
         full_size = dfs.layout.spec.superchunk_size
         byte_lo, byte_hi = byte_range if byte_range is not None else (0, full_size)
         sc_size = byte_hi - byte_lo
@@ -594,8 +583,8 @@ class RecoveryManager:
     def _reconstruct_halves(
         self,
         shared_sc: int,
-        half_a: Tuple[RaidpDataNode, Dict[int, str]],
-        half_b: Tuple[RaidpDataNode, Dict[int, str]],
+        half_a: Decoder,
+        half_b: Decoder,
         receiver_name: str,
         dead: Sequence[str],
         options: RecoveryOptions,
@@ -622,23 +611,15 @@ class RecoveryManager:
         receiver_b = self._pick_recovery_node(exclude={*dead, receiver_name})
         proc_a = self.sim.process(
             self._reconstruct_superchunk(
-                shared_sc,
-                *half_a,
-                receiver_name,
-                options,
-                byte_range=(0, mid_byte),
-                slots=range(0, mid_slot),
+                shared_sc, *half_a, receiver_name, options,
+                byte_range=(0, mid_byte), slots=range(0, mid_slot),
             ),
             name="rebuild:half-a",
         )
         proc_b = self.sim.process(
             self._reconstruct_superchunk(
-                shared_sc,
-                *half_b,
-                receiver_b,
-                options,
-                byte_range=(mid_byte, full_size),
-                slots=range(mid_slot, slots_total),
+                shared_sc, *half_b, receiver_b, options,
+                byte_range=(mid_byte, full_size), slots=range(mid_slot, slots_total),
             ),
             name="rebuild:half-b",
         )
@@ -683,22 +664,11 @@ class RecoveryManager:
                     locations.datanodes.append(home)
 
     def _pick_partner_for(self, receiver: str, exclude: set) -> str:
-        layout = self.dfs.layout
         for dn in self.dfs.datanodes:
-            name = dn.name
-            if name == receiver or name in exclude:
+            if dn.name in exclude or not healthy_datanode(dn):
                 continue
-            if not healthy_datanode(dn):
-                continue
-            if name not in layout.disks:
-                continue  # rejoined-from-wipe disks re-enter via add_disk
-            if layout.same_domain(receiver, name):
-                continue
-            if layout.shared(receiver, name) is not None:
-                continue
-            if len(layout.superchunks_of(name)) >= layout.max_superchunks():
-                continue
-            return name
+            if self._legal(receiver, dn.name):
+                return dn.name
         raise RecoveryError(
             f"no legal mirror partner for reconstructed superchunk on {receiver}"
         )

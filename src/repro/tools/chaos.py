@@ -549,9 +549,7 @@ def run_chaos(
             c.stats_pipeline_recoveries for c in dfs.clients
         ),
         "read_failovers": sum(c.stats_read_failovers for c in dfs.clients),
-        "degraded_reads": sum(
-            getattr(c, "stats_degraded_reads", 0) for c in dfs.clients
-        ),
+        "degraded_reads": sum(c.stats_degraded_reads for c in dfs.clients),
         "final_time": dfs.sim.now,
         "network_bytes": dfs.total_network_bytes(),
         "timeline": recovery_timeline(monitor, injector),

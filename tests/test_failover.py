@@ -204,10 +204,11 @@ def test_journal_soft_capacity_counts_overflows():
 # Heartbeats and rejoin edges.
 # ----------------------------------------------------------------------
 class _BareCluster:
-    """A cluster facade with no clients and no NameNode endpoint --
-    the degenerate shape that used to crash the heartbeat loop."""
+    """A cluster facade with no clients: heartbeats land on the
+    NameNode's node whether or not any client exists."""
 
     def __init__(self, dfs):
+        self.namenode_node = dfs.namenode_node
         self.sim = dfs.sim
         self.switch = dfs.switch
         self.config = dfs.config

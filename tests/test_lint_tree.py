@@ -89,16 +89,18 @@ def test_rdp001_catches_the_hash_seeded_payload_bug():
 def test_rdp002_catches_the_set_order_freeze_loop():
     path, pristine, mutant = _mutated(
         "core/recovery.py",
-        "        frozen = sorted(\n            {\n",
-        "        frozen = (\n            {\n",
+        "        frozen = sorted({sc for name in present",
+        "        frozen = ({sc for name in present",
     )
     assert check(pristine, path) == []
     findings = check(mutant, path)
-    assert [f.rule for f in findings] == ["RDP002", "RDP002", "RDP002"]
-    # The decode-planning, freeze and unfreeze loops of failure_body.
-    after = _lines_of(mutant, "frozen = (")[0]
+    assert [f.rule for f in findings] == ["RDP002", "RDP002"]
+    # The freeze and unfreeze loops of failure_body.
+    (after,) = _lines_of(
+        mutant, "frozen = ({sc for name in present for sc in layout.superchunks_of(name)})"
+    )
     loops = [n for n in _lines_of(mutant, "for sc_id in frozen:") if n > after]
-    assert [f.line for f in findings] == loops and len(loops) == 3
+    assert [f.line for f in findings] == loops and len(loops) == 2
 
 
 def _killed_recovery(monkeypatch, source, acquire, options):

@@ -272,3 +272,22 @@ def test_a_triple_failure_is_one_dead_set(shape):
     dfs.verify_mirrors()
     dfs.verify_parity()
     assert_survivors_bit_exact(dfs, expected)
+
+
+def test_an_unplaced_orphan_reaches_recovery_errors():
+    """Four disks die at once and n4's orphan superchunk 12 has no legal
+    receiver: the recovery still completes, and the monitor surfaces the
+    orphan beside any loss."""
+    dfs = cluster(num_nodes=10, per_disk=3)
+    write_data(dfs, files=10)
+    dead = ("n0", "n3", "n4", "n9")
+    monitor = run_faults(dfs, [Fault(dfs.sim.now + 1.0, "disk_fail", name) for name in dead])
+    (report,) = monitor.reports
+    assert report.failed_disks == dead
+    assert [sc_id for sc_id, _exc in report.unplaced_orphans] == [12]
+    assert [str(exc) for _t, _dead, exc in monitor.recovery_errors] == [
+        "superchunk 12: no legal receiver for the copy on n6"
+    ]
+    dfs.layout.verify()
+    dfs.verify_mirrors()
+    dfs.verify_parity()

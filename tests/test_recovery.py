@@ -9,11 +9,13 @@ import pytest
 
 from repro import units
 from repro.core.cluster import RaidpCluster
-from repro.core.node import RaidpConfig
+from repro.core.layout import plan_recovery
+from repro.core.node import RaidpConfig, liveness
 from repro.core.recovery import RecoveryManager, RecoveryOptions
 from repro.errors import RecoveryError, ReproError
 from repro.hdfs.config import DfsConfig
 from repro.sim.cluster import ClusterSpec
+from tests import dead_sets
 from tests.oracles import discrete_lane, min_remirror_load
 
 
@@ -51,10 +53,10 @@ def test_single_failure_plan_is_legal():
     dfs.namenode.mark_datanode_dead(victim)
     orphans = {sc.sc_id for sc in dfs.layout.remove_disk(victim)}
     plan = manager.plan_remirror(victim)
-    assert {sc for sc, _s, _r in plan} == orphans
-    receivers = [r for _sc, _s, r in plan]
+    assert {sc for sc, _s, _r in plan.moves} == orphans and plan.unplaced == []
+    receivers = [r for _sc, _s, r in plan.moves]
     assert len(set(receivers)) == len(receivers)  # parallelism: one each
-    for sc, sender, receiver in plan:
+    for sc, sender, receiver in plan.moves:
         assert dfs.layout.shared(sender, receiver) is None
 
 
@@ -94,10 +96,10 @@ def test_plan_remirror_reaches_the_brute_force_minimum(victim):
     dfs.namenode.mark_datanode_dead(name)
     dfs.layout.remove_disk(name)
     plan = RecoveryManager(dfs).plan_remirror(name)
-    assert plan
-    load = sum(dfs.map.load_of_disk(receiver) for _sc, _s, receiver in plan)
-    senders = [(sc, sender) for sc, sender, _r in plan]
-    assert load == min_remirror_load(dfs, name, senders)
+    assert plan.moves and plan.unplaced == []
+    load = sum(dfs.map.load_of_disk(receiver) for _sc, _s, receiver in plan.moves)
+    senders = [(sc, sender) for sc, sender, _r in plan.moves]
+    assert load == plan.cost == min_remirror_load(dfs, name, senders)
 
 
 # ----------------------------------------------------------------------
@@ -263,7 +265,7 @@ def _fail_source_mid_chunk():
     a, b = pick_sharing_pair(dfs)
     shared = dfs.layout.shared(a, b)
     manager = RecoveryManager(dfs)
-    chain = dfs.datanode_by_name(min(a, b)).decode_chain(shared, (a, b))
+    _source, chain = plan_recovery(dfs.layout, (a, b), *liveness(dfs.datanodes)).decode[shared][0]
     victim = dfs.datanode_by_name(min(chain.values()))
     sim = dfs.sim
     t0 = sim.now
@@ -431,3 +433,43 @@ def test_a_remirror_waits_for_a_rewrite_landing_on_its_sender(sender_dies):
     assert sender.lstors.journal.outstanding == 0
     dfs.verify_mirrors()
     dfs.verify_parity()
+
+
+# ----------------------------------------------------------------------
+# An orphan no receiver can take.
+# ----------------------------------------------------------------------
+#: Four-disk dead sets of the 10-disk, 3-per-disk cluster in which some
+#: dead disk's orphans have no full legal assignment: that disk -> the
+#: orphan it leaves unplaced.
+UNPLACEABLE = {
+    ("n0", "n1", "n3", "n6"): {"n6": 12},
+    ("n0", "n2", "n3", "n6"): {"n6": 12},
+    ("n0", "n3", "n4", "n9"): {"n4": 12},
+    ("n1", "n2", "n5", "n6"): {"n6": 12},
+    ("n2", "n6", "n7", "n9"): {"n7": 13, "n9": 9},
+}
+
+
+@pytest.mark.parametrize("dead", list(UNPLACEABLE), ids="+".join)
+def test_an_unplaceable_orphan_is_recorded_and_the_rest_remirrored(dead):
+    """The orphan no legal receiver can take is recorded as a
+    :class:`RecoveryError` and stays singly homed; every other orphan of
+    its disk, and of the dead disks after it, is remirrored, and nothing
+    is lost."""
+    dfs = dead_sets.loaded_cluster()
+    for name in dead:
+        dfs.datanode_by_name(name).disk.fail()
+    orphans = plan_recovery(dfs.layout, dead, *liveness(dfs.datanodes)).remirror
+    report = dfs.sim.run_process(RecoveryManager(dfs).failure_body(dead))
+    unplaced = {}
+    for sc_id, exc in report.unplaced_orphans:
+        assert isinstance(exc, RecoveryError)
+        sc = dfs.layout.superchunk(sc_id)
+        assert [dfs.layout.holds(d, sc_id) for d in sorted(sc.disks)].count(True) == 1
+        (failed,) = sc.disks & set(dead)
+        unplaced[failed] = sc_id
+    assert unplaced == UNPLACEABLE[dead]
+    assert sorted(sc for sc, _s, _r in report.remirrored) == sorted(
+        set(orphans) - set(unplaced.values())
+    )
+    assert report.lost_superchunks == report.failed_remirrors == []

@@ -16,7 +16,8 @@ import pytest
 from repro import units
 from repro.core import recovery
 from repro.core.cluster import RaidpCluster
-from repro.core.node import RaidpConfig
+from repro.core.layout import plan_recovery
+from repro.core.node import RaidpConfig, liveness
 from repro.core.recovery import RecoveryManager, RecoveryOptions
 from repro.errors import DiskFailedError
 from repro.experiments import table2_recovery as t2
@@ -128,7 +129,7 @@ def test_source_disk_failing_inside_a_body_is_a_tolerated_loss(pullers):
     a, b = pick_sharing_pair(dfs)
     shared = dfs.layout.shared(a, b)
     manager = RecoveryManager(dfs)
-    chain = dfs.datanode_by_name(min(a, b)).decode_chain(shared, (a, b))
+    _source, chain = plan_recovery(dfs.layout, (a, b), *liveness(dfs.datanodes)).decode[shared][0]
     victim = dfs.datanode_by_name(chain[min(chain)])
     sim, switch = dfs.sim, dfs.switch
     t0 = sim.now
