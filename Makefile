@@ -132,7 +132,8 @@ reach:
 # 3-per-disk cluster at once and recover it, timed.  Each recovery must
 # raise nothing, lose exactly the superchunks the recovery plan says,
 # keep every surviving block bit-exact and leave layout, mirrors and
-# parity verified (tier-1 runs a fixed sample).
+# parity verified, and each dead disk's remirror plan must equal the
+# brute-force optimum (tier-1 runs a fixed sample).
 dead-sets:
 	@start=$$(date +%s%N); \
 	$(PYTHON) -m tests.dead_sets && \

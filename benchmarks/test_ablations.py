@@ -86,8 +86,8 @@ def test_ablation_rmw_cache_sweep(benchmark):
 
 
 def test_ablation_recovery_planner(benchmark):
-    """The Hungarian remirror plan's receiver load is the brute-force
-    minimum over every legal, exchange-free plan."""
+    """The remirror plan places as many orphans as any legal,
+    exchange-free plan, at the brute-force minimum receiver load."""
     dfs = RaidpCluster(
         spec=ClusterSpec(num_nodes=12),
         config=DfsConfig(block_size=units.MiB, replication=2),
@@ -111,8 +111,7 @@ def test_ablation_recovery_planner(benchmark):
         lambda: RecoveryManager(dfs).plan_remirror("n0"), rounds=1, iterations=1
     )
     load = sum(dfs.map.load_of_disk(receiver) for _sc, _s, receiver in plan.moves)
-    senders = [(sc, sender) for sc, sender, _r in plan.moves]
-    assert load == min_remirror_load(dfs, "n0", senders)
+    assert (len(plan.moves), load) == min_remirror_load(dfs, "n0")
 
 
 def test_ablation_superchunk_size(benchmark):

@@ -11,7 +11,7 @@ from repro import units
 from repro.ec.gf256 import GF256
 from repro.ec.raid6 import pq_encode, pq_recover_two_data
 from repro.ec.reed_solomon import ReedSolomon
-from repro.matching.hungarian import DynamicHungarian
+from repro.matching.hungarian import assign
 from repro.matching.hopcroft_karp import hopcroft_karp
 from repro.sim.engine import Simulator
 from repro.sim.network import Nic, Switch
@@ -157,7 +157,7 @@ def test_bench_hungarian_50x50(benchmark):
 
     rng = random.Random(5)
     cost = [[rng.randint(1, 100) for _ in range(50)] for _ in range(50)]
-    assignment, _total = benchmark(lambda: DynamicHungarian(cost).solve())
+    assignment, _total = benchmark(lambda: assign(cost))
     assert len(assignment) == 50
 
 

@@ -1,11 +1,14 @@
 #!/usr/bin/env python3
-"""Recovery planner lab: dynamic-Hungarian re-replication.
+"""Recovery planner lab: exact min-cost re-replication.
 
 Section 3.3 frames post-failure re-mirroring as a matching problem:
 senders (disks holding now-unique superchunks) must be paired with
 receivers without violating 1-sharing, without mutual exchanges, and with
-balanced load.  This example fails a disk, runs the min-cost planner, and
-prints the plan, its cost and the resulting load spread.
+balanced load.  The planner (``repro.core.layout.plan_remirror``) takes,
+of every legal, exchange-free assignment, the one that places the most
+orphans, then loads its receivers least: a Hungarian solve that branches
+on each exchange it finds.  This example fails a disk, runs the planner,
+and prints the plan, its cost and the resulting load spread.
 
 Run:  python examples/recovery_planner_lab.py
 """

@@ -12,7 +12,8 @@ mutation.  :func:`rotational_layout` builds the paper's Fig. 3
 construction (shifted row pairs) for any disk count, yielding the maximal
 N-1 superchunks per disk.  :func:`plan_recovery` decides, from the layout
 alone, what a set of dead disks leaves of each superchunk: remirrored,
-decoded through an Lstor, or lost.
+decoded through an Lstor, or lost; :func:`plan_remirror` matches each
+remirrored superchunk with its receiver.
 
 Terminology used throughout the core package:
 
@@ -27,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import (
+    Callable,
     Collection,
     Dict,
     FrozenSet,
@@ -40,7 +42,8 @@ from typing import (
 )
 
 from repro import units
-from repro.errors import CapacityError, LayoutError
+from repro.errors import CapacityError, LayoutError, RecoveryError, ReproError
+from repro.matching.hungarian import assign
 from repro.sim.snapshot import InlineState
 
 
@@ -200,20 +203,41 @@ class Layout(InlineState):
     # ------------------------------------------------------------------
     # Mutation.
     # ------------------------------------------------------------------
+    def pairing_error(
+        self, disk_a: str, disk_b: str, gaining: Collection[str]
+    ) -> Optional[LayoutError]:
+        """Why ``disk_a`` and ``disk_b`` may not hold the two copies of a
+        superchunk, or None when they may.
+
+        The rule every pairing obeys: two distinct disks of the layout,
+        in different failure domains, sharing no superchunk yet
+        (1-sharing), with room on each disk in ``gaining`` -- the disks
+        that take a new copy (a remirror's survivor already holds its).
+        """
+        if disk_a == disk_b:
+            return LayoutError(f"superchunk mirrors must be distinct disks: {disk_a}")
+        for disk in (disk_a, disk_b):
+            if disk not in self._slots:
+                return LayoutError(f"unknown disk {disk}")
+        if self.same_domain(disk_a, disk_b):
+            return LayoutError(
+                f"{disk_a} and {disk_b} share failure domain "
+                f"{self.domain_of(disk_a)!r}"
+            )
+        shared = self.shared(disk_a, disk_b)
+        if shared is not None:
+            return LayoutError(
+                f"disks {disk_a} and {disk_b} already share superchunk "
+                f"{shared} (1-sharing)"
+            )
+        for disk in gaining:
+            if len(self._slots[disk]) >= self.max_superchunks():
+                return CapacityError(f"disk {disk} is full of superchunks")
+        return None
+
     def can_pair(self, disk_a: str, disk_b: str) -> bool:
         """True if a new superchunk may legally span these two disks."""
-        if disk_a == disk_b:
-            return False
-        if disk_a not in self._slots or disk_b not in self._slots:
-            return False
-        if self.same_domain(disk_a, disk_b):
-            return False  # both copies in one failure domain
-        if frozenset((disk_a, disk_b)) in self._pair_index:
-            return False  # would violate 1-sharing
-        return (
-            len(self._slots[disk_a]) < self.max_superchunks()
-            and len(self._slots[disk_b]) < self.max_superchunks()
-        )
+        return self.pairing_error(disk_a, disk_b, (disk_a, disk_b)) is None
 
     def add_disk(self, disk: str, domain: Optional[str] = None) -> None:
         """Admit a (replacement) disk that holds no superchunks yet.
@@ -239,24 +263,9 @@ class Layout(InlineState):
 
     def add_superchunk(self, disk_a: str, disk_b: str) -> Superchunk:
         """Allocate a new mirrored superchunk across two disks."""
-        if disk_a == disk_b:
-            raise LayoutError(f"superchunk mirrors must be distinct disks: {disk_a}")
-        if self.same_domain(disk_a, disk_b):
-            raise LayoutError(
-                f"{disk_a} and {disk_b} share failure domain "
-                f"{self.domain_of(disk_a)!r}"
-            )
-        for disk in (disk_a, disk_b):
-            if disk not in self._slots:
-                raise LayoutError(f"unknown disk {disk}")
-            if len(self._slots[disk]) >= self.max_superchunks():
-                raise CapacityError(f"disk {disk} is full of superchunks")
-        pair = frozenset((disk_a, disk_b))
-        if pair in self._pair_index:
-            raise LayoutError(
-                f"disks {disk_a} and {disk_b} already share superchunk "
-                f"{self._pair_index[pair]} (1-sharing)"
-            )
+        error = self.pairing_error(disk_a, disk_b, (disk_a, disk_b))
+        if error is not None:
+            raise error
         sc = Superchunk(
             sc_id=self._next_id,
             disk_a=disk_a,
@@ -268,7 +277,7 @@ class Layout(InlineState):
         self._superchunks[sc.sc_id] = sc
         self._slots[disk_a].append(sc.sc_id)
         self._slots[disk_b].append(sc.sc_id)
-        self._pair_index[pair] = sc.sc_id
+        self._pair_index[sc.disks] = sc.sc_id
         self.mutations += 1
         return sc
 
@@ -305,22 +314,9 @@ class Layout(InlineState):
                 "remirror applies only to singly-homed superchunks"
             )
         survivor = survivors[0]
-        if new_disk == survivor:
-            raise LayoutError("cannot mirror a superchunk onto its own disk")
-        if new_disk not in self._slots:
-            raise LayoutError(f"unknown disk {new_disk}")
-        if self.same_domain(survivor, new_disk):
-            raise LayoutError(
-                f"{survivor} and {new_disk} share failure domain "
-                f"{self.domain_of(survivor)!r}"
-            )
-        pair = frozenset((survivor, new_disk))
-        if pair in self._pair_index:
-            raise LayoutError(
-                f"disks {survivor} and {new_disk} already share (1-sharing)"
-            )
-        if len(self._slots[new_disk]) >= self.max_superchunks():
-            raise CapacityError(f"disk {new_disk} is full of superchunks")
+        error = self.pairing_error(survivor, new_disk, (new_disk,))
+        if error is not None:
+            raise error
         updated = Superchunk(
             sc_id=sc_id,
             disk_a=survivor,
@@ -330,7 +326,7 @@ class Layout(InlineState):
         )
         self._superchunks[sc_id] = updated
         self._slots[new_disk].append(sc_id)
-        self._pair_index[pair] = sc_id
+        self._pair_index[updated.disks] = sc_id
         self.mutations += 1
         return updated
 
@@ -370,23 +366,9 @@ class Layout(InlineState):
             raise LayoutError(
                 f"superchunk {sc_id} still has a live home; use remirror"
             )
-        if disk_a == disk_b:
-            raise LayoutError("superchunk mirrors must be distinct disks")
-        if self.same_domain(disk_a, disk_b):
-            raise LayoutError(
-                f"{disk_a} and {disk_b} share failure domain "
-                f"{self.domain_of(disk_a)!r}"
-            )
-        for disk in (disk_a, disk_b):
-            if disk not in self._slots:
-                raise LayoutError(f"unknown disk {disk}")
-            if len(self._slots[disk]) >= self.max_superchunks():
-                raise CapacityError(f"disk {disk} is full of superchunks")
-        pair = frozenset((disk_a, disk_b))
-        if pair in self._pair_index:
-            raise LayoutError(
-                f"disks {disk_a} and {disk_b} already share (1-sharing)"
-            )
+        error = self.pairing_error(disk_a, disk_b, (disk_a, disk_b))
+        if error is not None:
+            raise error
         updated = Superchunk(
             sc_id=sc_id,
             disk_a=disk_a,
@@ -397,7 +379,7 @@ class Layout(InlineState):
         self._superchunks[sc_id] = updated
         self._slots[disk_a].append(sc_id)
         self._slots[disk_b].append(sc_id)
-        self._pair_index[pair] = sc_id
+        self._pair_index[updated.disks] = sc_id
         self.mutations += 1
         return updated
 
@@ -541,6 +523,111 @@ def plan_recovery(
         elif holders:
             plan.lost.append(sc.sc_id)
     return plan
+
+
+@dataclass(frozen=True)
+class RemirrorPlan:
+    """One dead disk's remirrors (:func:`plan_remirror`): (sc_id, sender,
+    receiver) per orphan placed, (sc_id, error) per orphan no legal
+    receiver can take, and the receivers' total load."""
+
+    moves: List[Tuple[int, str, str]]
+    unplaced: List[Tuple[int, ReproError]]
+    cost: float
+
+
+#: A solved assignment: row -> column, and its total cost.
+_Assignment = Tuple[Dict[int, int], float]
+
+
+def plan_remirror(
+    layout: Layout,
+    senders: Sequence[Tuple[int, str]],
+    receivers: Sequence[str],
+    load: Callable[[str], int],
+) -> RemirrorPlan:
+    """Match each orphan, an (sc_id, sender) pair, with a receiver
+    (paper §3.3, Fig. 6).
+
+    A receiver is legal for a sender when the two may pair with only the
+    receiver gaining a copy (:meth:`Layout.pairing_error`); no receiver
+    takes two orphans, and no two senders exchange (A -> B while
+    B -> A).  Of every such plan this returns the one that leaves the
+    fewest orphans unplaced, then puts the least total ``load`` on its
+    receivers.
+
+    Each orphan adds a penalty column, dearer than any plan's whole
+    load, that any orphan may take to stay unplaced, so one min-cost
+    assignment places as many orphans as any plan can.  A solve that
+    contains an exchange branches: it is solved again with each of the
+    exchange's two edges forbidden, the edge whose receiver carries more
+    load first, and the cheaper result is kept, the first on a tie.
+    Forbidding an edge never lowers the optimum, so a branch whose solve
+    costs at least the best plan found so far is cut.
+    """
+    n = len(senders)
+    cost: List[List[Optional[float]]] = [
+        [
+            float(load(receiver))
+            if layout.pairing_error(sender, receiver, (receiver,)) is None
+            else None
+            for receiver in receivers
+        ]
+        for _sc_id, sender in senders
+    ]
+    penalty = 1.0 + n * max(
+        (entry for row in cost for entry in row if entry is not None), default=0.0
+    )
+    width = len(receivers)
+
+    def solve(forbidden: FrozenSet[Tuple[int, int]]) -> _Assignment:
+        return assign([
+            [None if (row, col) in forbidden else entry for col, entry in enumerate(line)]
+            + [penalty] * n
+            for row, line in enumerate(cost)
+        ])
+
+    def exchange(assignment: Dict[int, int]) -> Optional[List[Tuple[int, int]]]:
+        """The first exchange's two edges, the dearer receiver's first."""
+        placed = [(row, col) for row, col in assignment.items() if col < width]
+        for row, col in placed:
+            for other, other_col in placed:
+                if (
+                    receivers[col] == senders[other][1]
+                    and receivers[other_col] == senders[row][1]
+                ):
+                    edges = [(row, col), (other, other_col)]
+                    dearer = load(receivers[col]) >= load(receivers[other_col])
+                    return edges if dearer else edges[::-1]
+        return None
+
+    # Depth first from the plan that leaves every orphan unplaced.
+    best: _Assignment = ({row: width + row for row in range(n)}, n * penalty)
+    pending: List[FrozenSet[Tuple[int, int]]] = [frozenset()]
+    while pending:
+        forbidden = pending.pop()
+        assignment, total = solve(forbidden)
+        if total >= best[1]:
+            continue
+        edges = exchange(assignment)
+        if edges is None:
+            best = (assignment, total)
+        else:
+            pending.extend(forbidden | {edge} for edge in reversed(edges))
+    assignment, total = best
+    moves = [
+        (sc_id, sender, receivers[assignment[row]])
+        for row, (sc_id, sender) in enumerate(senders)
+        if assignment[row] < width
+    ]
+    unplaced: List[Tuple[int, ReproError]] = [
+        (sc_id, RecoveryError(
+            f"superchunk {sc_id}: no legal receiver for the copy on {sender}"
+        ))
+        for row, (sc_id, sender) in enumerate(senders)
+        if assignment[row] >= width
+    ]
+    return RemirrorPlan(moves, unplaced, total - penalty * len(unplaced))
 
 
 def domain_aware_layout(

@@ -758,10 +758,13 @@ class RaidpDataNode(DataNode):
         record to the mirror so its replica and parity catch up, and
         clears the record.  Returns the number of records replayed.
         """
+        if self.namenode is None:
+            raise DfsError(f"{self.name} has no namenode attached")
         journal = self.lstors.journal
         records = journal.replay_candidates()
         for record in records:
-            locations = self._locations_of_record(record)
+            # None: the block was deleted since the record was written.
+            locations = self.namenode.locate_block_by_name(record.block_name)
             if locations is not None:
                 self.apply_replayed_write(record, locations)
                 yield from self.fs.write(record.block_name, 0, record.nbytes)
@@ -784,14 +787,6 @@ class RaidpDataNode(DataNode):
             journal.clear(record.record_id, self.sim.now)
             self._awaiting_ack.pop((record.block_name, record.version), None)
         return len(records)
-
-    def _locations_of_record(self, record: JournalRecord) -> Optional[BlockLocations]:
-        if self.namenode is None:
-            raise DfsError(f"{self.name} has no namenode attached")
-        for locations in self.namenode.all_blocks():
-            if locations.block.name == record.block_name:
-                return locations
-        return None  # block deleted since the record was written
 
 
 def liveness(datanodes: Iterable[RaidpDataNode]) -> Tuple[Set[str], Set[str]]:

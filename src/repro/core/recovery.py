@@ -8,10 +8,13 @@ dead disk names is remirrored, decoded or lost.
 **A healthy holder survives: remirror.**  The superchunk is matched with
 a *receiver* disk such that 1-sharing is preserved, no receiver takes
 more than one superchunk (parallelism), mutual-exchange violations (the
-paper's D0<->D2 example) are excluded, and disk load is balanced: a
-min-cost assignment on the dynamic Hungarian solver -- the formulation
-the paper sketches in Fig. 6.  An orphan no receiver can take is
-recorded and stays singly homed; the rest are still placed.
+paper's D0<->D2 example) are excluded, and disk load is balanced --
+the matching the paper sketches in Fig. 6.  The plan
+(:func:`~repro.core.layout.plan_remirror`) is exact: of every legal,
+exchange-free assignment it takes the one that leaves the fewest
+orphans unplaced, then puts the least load on its receivers.  An orphan
+no plan can place is recorded and stays singly homed; the rest are
+still placed.
 
 **No holder survives: decode.**  After two failures at most one
 superchunk is lost, and either dead disk's Lstor rebuilds it: on a
@@ -35,12 +38,11 @@ from typing import Dict, Generator, List, Optional, Sequence, Tuple
 
 from repro import units
 from repro.core.cluster import RaidpCluster
-from repro.core.layout import Decoder, plan_recovery
+from repro.core.layout import Decoder, RemirrorPlan, plan_recovery, plan_remirror
 from repro.core.node import RaidpDataNode, liveness
-from repro.errors import DataLossError, DfsError, MatchingError, RecoveryError, ReproError
+from repro.errors import DataLossError, DfsError, RecoveryError, ReproError
 from repro.hdfs.block import BlockLocations
 from repro.hdfs.namenode import healthy_datanode
-from repro.matching.hungarian import DynamicHungarian
 from repro.sim.disk import Disk, DiskGeometry, DiskRun
 from repro.sim.engine import Simulator
 from repro.sim.network import Nic, Stage, Switch, Transfer
@@ -129,17 +131,6 @@ class RecoveryReport:
     unplaced_orphans: List[Tuple[int, ReproError]] = field(default_factory=list)
 
 
-@dataclass(frozen=True)
-class RemirrorPlan:
-    """One dead disk's remirrors (:meth:`RecoveryManager.plan_remirror`):
-    (sc_id, sender, receiver) per orphan placed, (sc_id, error) per orphan
-    no legal receiver can take, and the receivers' total load."""
-
-    moves: List[Tuple[int, str, str]]
-    unplaced: List[Tuple[int, ReproError]]
-    cost: float
-
-
 class RecoveryManager:
     """Drives recovery on a :class:`RaidpCluster`."""
 
@@ -151,13 +142,14 @@ class RecoveryManager:
     # Planning (pure, no simulated time).
     # ==================================================================
     def plan_remirror(self, failed: str) -> RemirrorPlan:
-        """Match ``failed``'s orphan superchunks to receivers.
+        """Match ``failed``'s orphan superchunks to receivers
+        (:func:`~repro.core.layout.plan_remirror`).
 
         An orphan names ``failed`` and is held by exactly one readable
-        disk, its sender (:func:`plan_recovery`).  Must be called *after*
-        the failed disk was removed from the layout.  When no legal
-        assignment places them all, as many as can be are placed and the
-        rest come back unplaced.
+        disk, its sender (:func:`plan_recovery`); a receiver is any other
+        readable disk.  Must be called *after* the failed disk was
+        removed from the layout.  When no legal plan places them all, as
+        many as can be are placed and the rest come back unplaced.
         """
         readable, decodable = liveness(self.dfs.datanodes)
         remirror = plan_recovery(self.dfs.layout, (failed,), readable, decodable).remirror
@@ -166,100 +158,9 @@ class RecoveryManager:
         # sibling disk dead yet.
         readable.discard(failed)
         receivers = [dn.name for dn in self.dfs.datanodes if dn.name in readable]
-        return self._plan_hungarian(list(remirror.items()), receivers)
-
-    def _legal(self, sender: str, receiver: str) -> bool:
-        """Can ``receiver`` adopt a superchunk whose survivor is ``sender``?
-
-        Like a fresh pairing -- distinct disks, no existing shared
-        superchunk, different failure domains -- except that only the
-        *receiver* needs free capacity: the sender already holds its
-        copy and gains nothing from the transfer.
-        """
-        layout = self.dfs.layout
-        return (
-            sender != receiver
-            and layout.has_disk(sender)
-            and layout.has_disk(receiver)
-            and not layout.same_domain(sender, receiver)
-            and layout.shared(sender, receiver) is None
-            and len(layout.superchunks_of(receiver)) < layout.max_superchunks()
+        return plan_remirror(
+            self.dfs.layout, list(remirror.items()), receivers, self.dfs.map.load_of_disk
         )
-
-    def _load(self, disk: str) -> int:
-        return self.dfs.map.load_of_disk(disk)
-
-    def _plan_hungarian(
-        self, senders: List[Tuple[int, str]], receivers: List[str]
-    ) -> RemirrorPlan:
-        """Min-cost assignment with mutual-exchange elimination.
-
-        Costs are receiver loads, so lightly-loaded disks attract
-        superchunks.  After each solve, any mutual exchange (sender A ->
-        receiver B while sender B -> receiver A, which would create the
-        same shared pair twice or pair two senders) has its costlier edge
-        removed and the problem re-solved on the warm-started dynamic
-        solver -- the paper's Mills-Tettey use case.  Each round removes
-        a real edge, so the loop ends.
-        """
-        cost: List[List[Optional[float]]] = [
-            [
-                float(self._load(receiver)) if self._legal(sender, receiver) else None
-                for receiver in receivers
-            ]
-            for _sc_id, sender in senders
-        ]
-        solver, penalty = DynamicHungarian(cost), 0.0
-        while True:
-            try:
-                assignment, total = solver.solve()
-            except MatchingError:
-                # No full assignment: give each orphan a column of its own
-                # dearer than any real plan, so the fewest stay unplaced
-                # (and the padded solve always succeeds).
-                loads = [entry for row in cost for entry in row if entry is not None]
-                penalty = 1.0 + len(senders) * max(loads, default=0.0)
-                solver = DynamicHungarian([row + [penalty] * len(senders) for row in cost])
-                continue
-            placed = {row: col for row, col in assignment.items() if col < len(receivers)}
-            conflict = self._find_exchange_conflict(placed, senders, receivers)
-            if conflict is None:
-                unplaced: List[Tuple[int, ReproError]] = [
-                    (sc_id, RecoveryError(
-                        f"superchunk {sc_id}: no legal receiver for the copy on {sender}"
-                    ))
-                    for row, (sc_id, sender) in enumerate(senders)
-                    if row not in placed
-                ]
-                return RemirrorPlan(
-                    moves=[
-                        (senders[row][0], senders[row][1], receivers[col])
-                        for row, col in sorted(placed.items())
-                    ],
-                    unplaced=unplaced,
-                    cost=total - penalty * len(unplaced),
-                )
-            solver.remove_edge(*conflict)
-
-    def _find_exchange_conflict(
-        self,
-        assignment: Dict[int, int],
-        senders: List[Tuple[int, str]],
-        receivers: List[str],
-    ) -> Optional[Tuple[int, int]]:
-        """Detect A->B while B->A; returns the costlier edge to remove."""
-        chosen = {
-            senders[row][1]: (row, receivers[col]) for row, col in assignment.items()
-        }
-        for sender, (row, receiver) in chosen.items():
-            back = chosen.get(receiver)
-            if back is not None and back[1] == sender:
-                other_row = back[0]
-                # Remove the edge whose receiver carries more load.
-                if self._load(receiver) >= self._load(sender):
-                    return (row, assignment[row])
-                return (other_row, assignment[other_row])
-        return None
 
     # ==================================================================
     # Recovery of a dead set.
@@ -667,7 +568,7 @@ class RecoveryManager:
         for dn in self.dfs.datanodes:
             if dn.name in exclude or not healthy_datanode(dn):
                 continue
-            if self._legal(receiver, dn.name):
+            if self.dfs.layout.pairing_error(receiver, dn.name, (dn.name,)) is None:
                 return dn.name
         raise RecoveryError(
             f"no legal mirror partner for reconstructed superchunk on {receiver}"

@@ -1,23 +1,18 @@
 """Kuhn-Munkres (Hungarian) min-cost assignment.
 
-:class:`DynamicHungarian` solves the rectangular assignment problem:
-given an ``n_rows x n_cols`` cost matrix (entries may be ``None`` for
-forbidden pairs), find the cheapest assignment matching every row to a
-distinct column (requires ``n_rows <= n_cols``).  The implementation is
-the canonical O(n^2 m) shortest-augmenting-path formulation with dual
-potentials (Jonker-Volgenant style).
-
-It supports the recovery planner's loop (paper Section 3.3): solve, then
-*remove an edge* (an assignment would violate 1-sharing) or *update a
-cost* (a disk's load changed), and re-solve.
-Re-solves warm-start from the previous dual potentials -- the practical
-payoff of the Mills-Tettey dynamic Hungarian algorithm -- after clamping
-any potential made infeasible by the update.
+:func:`assign` solves the rectangular assignment problem: given an
+``n_rows x n_cols`` cost matrix (entries may be ``None`` for forbidden
+pairs), find the cheapest assignment matching every row to a distinct
+column (requires ``n_rows <= n_cols``).  The implementation is the
+canonical O(n^2 m) shortest-augmenting-path formulation with dual
+potentials (Jonker-Volgenant style).  Each call solves from scratch: the
+recovery planner (paper Section 3.3) re-solves with edges forbidden by
+calling it again on the changed matrix.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro.errors import MatchingError
 
@@ -26,29 +21,26 @@ _INF = float("inf")
 CostMatrix = Sequence[Sequence[Optional[float]]]
 
 
-def _solve(
-    cost: List[List[float]],
-    row_potential: Optional[List[float]] = None,
-    col_potential: Optional[List[float]] = None,
-) -> Tuple[List[int], List[float], List[float], float]:
-    """Shortest-augmenting-path assignment on an n_rows <= n_cols matrix.
+def assign(cost: CostMatrix) -> Tuple[Dict[int, int], float]:
+    """Min-cost assignment of every row to a distinct column.
 
-    Uses 1-based arrays internally (index 0 is a virtual source).  The
-    supplied potentials, if any, must be dual-feasible
-    (``cost[i][j] >= u[i] + v[j]`` for every finite entry).
-
-    Returns (row -> col assignment, row potentials, col potentials,
-    total cost).  ``inf`` entries are forbidden.
+    Returns (row -> col mapping, total cost).  Raises
+    :class:`MatchingError` when some row cannot be matched (too few
+    columns, or every remaining column forbidden).
     """
-    n = len(cost)
-    m = len(cost[0]) if n else 0
+    matrix = [[(_INF if entry is None else float(entry)) for entry in row] for row in cost]
+    n = len(matrix)
     if n == 0:
-        return [], [], [], 0.0
+        return {}, 0.0
+    m = len(matrix[0])
+    if any(len(row) != m for row in matrix):
+        raise ValueError("ragged cost matrix")
     if n > m:
         raise MatchingError("more rows than columns; transpose the problem")
 
-    u = [0.0] + (list(row_potential) if row_potential is not None else [0.0] * n)
-    v = [0.0] + (list(col_potential) if col_potential is not None else [0.0] * m)
+    # 1-based arrays; index 0 is a virtual source.
+    u = [0.0] * (n + 1)
+    v = [0.0] * (m + 1)
     # p[j] = 1-based row currently matched to 1-based column j (0 = free).
     p = [0] * (m + 1)
     way = [0] * (m + 1)
@@ -66,7 +58,7 @@ def _solve(
             for j in range(1, m + 1):
                 if used[j]:
                     continue
-                cur = cost[i0 - 1][j - 1] - u[i0] - v[j]
+                cur = matrix[i0 - 1][j - 1] - u[i0] - v[j]
                 if cur < minv[j]:
                     minv[j] = cur
                     way[j] = j0
@@ -96,55 +88,5 @@ def _solve(
     for j in range(1, m + 1):
         if p[j] != 0:
             assignment[p[j] - 1] = j - 1
-    total = sum(cost[r][assignment[r]] for r in range(n))
-    return assignment, u[1:], v[1:], total
-
-
-class DynamicHungarian:
-    """Re-solvable assignment with edge deletion and cost updates.
-
-    The solver keeps dual potentials between solves, so after a local
-    change (one edge removed, one cost bumped) the next solve converges
-    quickly.  Raising a cost or removing an edge never breaks dual
-    feasibility; lowering a cost may, so the affected row potential is
-    clamped to restore ``cost >= u + v``.
-    """
-
-    def __init__(self, cost: CostMatrix) -> None:
-        self._matrix: List[List[float]] = [
-            [(_INF if entry is None else float(entry)) for entry in row]
-            for row in cost
-        ]
-        widths = {len(row) for row in self._matrix}
-        if self._matrix and len(widths) != 1:
-            raise ValueError("ragged cost matrix")
-        self._row_potential: Optional[List[float]] = None
-        self._col_potential: Optional[List[float]] = None
-
-    def remove_edge(self, row: int, col: int) -> None:
-        """Forbid the (row, col) pair."""
-        self._matrix[row][col] = _INF
-
-    def update_cost(self, row: int, col: int, new_cost: float) -> None:
-        self._matrix[row][col] = float(new_cost)
-        self._restore_feasibility(row, col)
-
-    def _restore_feasibility(self, row: int, col: int) -> None:
-        if self._row_potential is None or self._col_potential is None:
-            return
-        slack = (
-            self._matrix[row][col]
-            - self._row_potential[row]
-            - self._col_potential[col]
-        )
-        if slack < 0:
-            self._row_potential[row] += slack
-
-    def solve(self) -> Tuple[Dict[int, int], float]:
-        """Solve; returns (row->col mapping, total cost).  Raises
-        :class:`MatchingError` if no complete assignment of rows exists."""
-        assignment, u, v, total = _solve(
-            self._matrix, self._row_potential, self._col_potential
-        )
-        self._row_potential, self._col_potential = u, v
-        return {row: col for row, col in enumerate(assignment)}, total
+    total = sum(matrix[row][assignment[row]] for row in range(n))
+    return dict(enumerate(assignment)), total

@@ -10,7 +10,10 @@ cluster and requires:
 - the planner's lost set equals ``report.lost_superchunks``;
 - every block outside a lost superchunk keeps a replica, and every
   replica reads back bit-exact;
-- ``layout.verify()``, ``verify_mirrors()`` and ``verify_parity()`` pass.
+- ``layout.verify()``, ``verify_mirrors()`` and ``verify_parity()`` pass;
+- each dead disk's remirror plan places as many orphans as the best
+  legal, exchange-free plan, at its least receiver load
+  (``tests/oracles.py::min_remirror_load``).
 
 ``make dead-sets`` runs all 385 dead sets of size 1-4 (a few seconds);
 ``tests/test_recovery_plan.py`` runs a fixed sample in tier-1.
@@ -26,11 +29,12 @@ from typing import Iterator, Sequence, Tuple
 
 from repro import units
 from repro.core.cluster import RaidpCluster
-from repro.core.layout import plan_recovery
+from repro.core.layout import RemirrorPlan, plan_recovery
 from repro.core.node import liveness
 from repro.core.recovery import RecoveryManager, RecoveryReport
 from repro.hdfs.config import DfsConfig
 from repro.sim.cluster import ClusterSpec
+from tests.oracles import min_remirror_load
 
 DISKS = tuple(f"n{i}" for i in range(10))
 
@@ -55,6 +59,16 @@ def loaded_cluster() -> RaidpCluster:
     return dfs
 
 
+class OracleCheckedRecovery(RecoveryManager):
+    """Holds each dead disk's remirror plan to the brute-force optimum."""
+
+    def plan_remirror(self, failed: str) -> RemirrorPlan:
+        plan = super().plan_remirror(failed)
+        best = min_remirror_load(self.dfs, failed)
+        assert (len(plan.moves), plan.cost) == best, (failed, plan, best)
+        return plan
+
+
 def check(dead: Sequence[str]) -> RecoveryReport:
     """Fail ``dead`` at once, recover it, and hold the outcome to the
     plan; returns the report."""
@@ -66,7 +80,7 @@ def check(dead: Sequence[str]) -> RecoveryReport:
     for name in dead:
         dfs.datanode_by_name(name).disk.fail()
     plan = plan_recovery(dfs.layout, dead, *liveness(dfs.datanodes))
-    report = dfs.sim.run_process(RecoveryManager(dfs).failure_body(dead))
+    report = dfs.sim.run_process(OracleCheckedRecovery(dfs).failure_body(dead))
     assert [sc_id for sc_id, _exc in report.lost_superchunks] == plan.lost, dead
     for loc in dfs.namenode.all_blocks():
         assert loc.datanodes or loc.sc_id in plan.lost, (dead, loc.block.name)

@@ -16,7 +16,6 @@ Either way a defect in the production path shows up as a disagreement.
 from __future__ import annotations
 
 import heapq
-import itertools
 import math
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -321,38 +320,57 @@ class FullScanPlacement(RaidpPlacement):
         return BlockLocations(block=block, datanodes=pair, sc_id=sc_id, slot=slot)
 
 
-def min_remirror_load(dfs, failed, senders):
-    """The least total receiver load of any legal, exchange-free plan.
+def min_remirror_load(dfs, failed):
+    """(orphans placed, least total receiver load) of the best legal,
+    exchange-free plan for ``failed``'s orphans.
 
-    Enumerates every assignment of ``senders`` ((sc_id, sender) pairs)
-    to distinct healthy disks other than ``failed``.  A legal receiver
-    is another disk, in another failure domain, sharing no superchunk
-    with the sender and below its superchunk capacity; no two senders
-    may swap (A -> B while B -> A).  ``plan_remirror`` must reach this
-    minimum.  Exhaustive, so keep the cluster small.
+    An orphan is a superchunk naming ``failed`` whose one other holder,
+    its sender, is healthy.  Enumerates every plan that gives each
+    orphan a distinct healthy receiver other than ``failed``, or leaves
+    it unplaced.  A legal receiver is another disk of the layout, in
+    another failure domain, sharing no superchunk with the sender and
+    below its superchunk capacity; no two senders may swap (A -> B while
+    B -> A).  The best plan places the most orphans, then loads its
+    receivers least; ``plan_remirror`` must reach it.  Exhaustive, so
+    keep the cluster small.
     """
     layout = dfs.layout
-    receivers = [
-        dn.name for dn in dfs.datanodes if healthy_datanode(dn) and dn.name != failed
-    ]
+    healthy = [dn.name for dn in dfs.datanodes if healthy_datanode(dn)]
+    senders = []
+    for sc in layout.superchunks.values():
+        if failed in sc.disks:
+            (other,) = sc.disks - {failed}
+            if other in healthy and layout.holds(other, sc.sc_id):
+                senders.append(other)
+    receivers = [name for name in healthy if name != failed]
 
     def legal(sender, receiver):
         return (
             sender != receiver
+            and layout.has_disk(receiver)
             and not layout.same_domain(sender, receiver)
             and layout.shared(sender, receiver) is None
             and len(layout.superchunks_of(receiver)) < layout.max_superchunks()
         )
 
-    best = None
-    for chosen in itertools.permutations(receivers, len(senders)):
-        moves = {(sender, receiver) for (_sc, sender), receiver in zip(senders, chosen)}
-        if all(legal(*move) for move in moves) and not any(
-            (receiver, sender) in moves for sender, receiver in moves
-        ):
-            load = sum(dfs.map.load_of_disk(receiver) for receiver in chosen)
-            best = load if best is None else min(best, load)
-    return best
+    def best(index, moves):
+        """The least (-placed, load) over the plans extending ``moves``."""
+        if index == len(senders):
+            return (-len(moves), sum(dfs.map.load_of_disk(r) for _s, r in moves))
+        sender = senders[index]
+        options = [best(index + 1, moves)]  # leave this orphan unplaced
+        taken = {r for _s, r in moves}
+        for receiver in receivers:
+            if (
+                receiver not in taken
+                and legal(sender, receiver)
+                and (receiver, sender) not in moves
+            ):
+                options.append(best(index + 1, moves + [(sender, receiver)]))
+        return min(options)
+
+    placed, load = best(0, [])
+    return -placed, load
 
 
 class DiscretePullers(_Pullers):

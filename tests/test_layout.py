@@ -62,6 +62,27 @@ def test_capacity_bound_n_minus_one():
         layout.add_superchunk("a", "b")
 
 
+def test_pairing_error_names_the_first_rule_broken():
+    """One rule for every pairing: distinct known disks, different
+    domains, no shared superchunk, room on each disk gaining a copy."""
+    layout = Layout(["a", "b", "c"], domains={"a": "x", "b": "y", "c": "y"})
+    layout.add_superchunk("a", "b")
+    assert "distinct" in str(layout.pairing_error("b", "b", ("b",)))
+    assert "unknown disk zz" in str(layout.pairing_error("b", "zz", ("zz",)))
+    assert "failure domain" in str(layout.pairing_error("b", "c", ("c",)))
+    assert "1-sharing" in str(layout.pairing_error("a", "b", ("a", "b")))
+    layout = Layout(["a", "b", "c"])
+    layout.add_superchunk("a", "b")
+    layout.add_superchunk("a", "c")
+    layout.remove_disk("c")
+    layout.add_disk("e")  # "a" still holds its orphan of "c": full
+    full = layout.pairing_error("e", "a", ("e", "a"))
+    assert isinstance(full, CapacityError) and "disk a is full" in str(full)
+    assert not layout.can_pair("a", "e")
+    # A remirror from "a" gains a copy on "e" alone.
+    assert layout.pairing_error("a", "e", ("e",)) is None
+
+
 def test_shared_lookup():
     layout = Layout(["a", "b", "c"])
     sc = layout.add_superchunk("a", "b")

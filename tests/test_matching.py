@@ -11,12 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import MatchingError
-from repro.matching import DynamicHungarian, hopcroft_karp
-
-
-def hungarian(cost):
-    """One cold solve: (row->col mapping, total cost)."""
-    return DynamicHungarian(cost).solve()
+from repro.matching import assign, hopcroft_karp
 
 
 # ----------------------------------------------------------------------
@@ -81,7 +76,7 @@ def test_hk_matches_networkx_cardinality(seed):
 # Hungarian.
 # ----------------------------------------------------------------------
 def test_hungarian_trivial():
-    assignment, total = hungarian([[1.0]])
+    assignment, total = assign([[1.0]])
     assert assignment == {0: 0}
     assert total == 1.0
 
@@ -92,7 +87,7 @@ def test_hungarian_classic_example():
         [2, 0, 5],
         [3, 2, 2],
     ]
-    assignment, total = hungarian(cost)
+    assignment, total = assign(cost)
     assert total == 5.0  # 1 + 2 + 2
     assert assignment == {0: 1, 1: 0, 2: 2}
 
@@ -102,7 +97,7 @@ def test_hungarian_rectangular_more_cols():
         [10, 1, 10, 10],
         [10, 10, 2, 10],
     ]
-    assignment, total = hungarian(cost)
+    assignment, total = assign(cost)
     assert assignment == {0: 1, 1: 2}
     assert total == 3.0
 
@@ -112,23 +107,23 @@ def test_hungarian_forbidden_edges():
         [None, 1.0],
         [1.0, None],
     ]
-    assignment, total = hungarian(cost)
+    assignment, total = assign(cost)
     assert assignment == {0: 1, 1: 0}
     assert total == 2.0
 
 
 def test_hungarian_infeasible_raises():
     with pytest.raises(MatchingError):
-        hungarian([[None, None], [1.0, 2.0]])
+        assign([[None, None], [1.0, 2.0]])
 
 
 def test_hungarian_more_rows_than_cols_raises():
     with pytest.raises(MatchingError):
-        hungarian([[1.0], [2.0]])
+        assign([[1.0], [2.0]])
 
 
 def test_hungarian_empty():
-    assignment, total = hungarian([])
+    assignment, total = assign([])
     assert assignment == {}
     assert total == 0.0
 
@@ -144,73 +139,9 @@ def test_hungarian_matches_scipy_reference(seed):
     n = rng.randint(1, 8)
     m = rng.randint(n, 9)
     cost = [[rng.randint(0, 50) for _ in range(m)] for _ in range(n)]
-    assignment, total = hungarian(cost)
+    assignment, total = assign(cost)
     rows, cols = linear_sum_assignment(cost)
     reference = sum(cost[r][c] for r, c in zip(rows, cols))
     assert total == pytest.approx(reference)
     # Also check the assignment is consistent and unique.
     assert len(set(assignment.values())) == n
-
-
-# ----------------------------------------------------------------------
-# Dynamic Hungarian.
-# ----------------------------------------------------------------------
-def test_dynamic_resolve_after_edge_removal():
-    solver = DynamicHungarian([[1, 5], [5, 1]])
-    assignment, total = solver.solve()
-    assert total == 2.0
-    solver.remove_edge(0, 0)
-    assignment, total = solver.solve()
-    assert assignment == {0: 1, 1: 0}
-    assert total == 10.0
-
-
-def test_dynamic_resolve_after_cost_update():
-    solver = DynamicHungarian([[1, 5], [5, 1]])
-    solver.solve()
-    solver.update_cost(0, 1, 0.5)
-    solver.update_cost(1, 0, 0.5)
-    assignment, total = solver.solve()
-    assert assignment == {0: 1, 1: 0}
-    assert total == 1.0
-
-
-def test_dynamic_lowering_cost_keeps_correctness():
-    solver = DynamicHungarian([[10, 20, 30], [20, 10, 30], [30, 20, 10]])
-    _, total = solver.solve()
-    assert total == 30.0
-    # Lowering costs can break dual feasibility of the warm start; the
-    # solver must clamp and still find the new optimum.
-    solver.update_cost(0, 2, 1.0)
-    solver.update_cost(1, 0, 1.0)
-    solver.update_cost(2, 1, 1.0)
-    assignment, total = solver.solve()
-    assert assignment == {0: 2, 1: 0, 2: 1}
-    assert total == 3.0
-
-
-@settings(max_examples=25, deadline=None)
-@given(st.integers(min_value=0, max_value=2**31))
-def test_dynamic_matches_fresh_solve(seed):
-    import random
-
-    from scipy.optimize import linear_sum_assignment
-
-    rng = random.Random(seed)
-    n = rng.randint(2, 6)
-    cost = [[rng.randint(1, 30) for _ in range(n)] for _ in range(n)]
-    solver = DynamicHungarian(cost)
-    solver.solve()
-    # Apply a few random mutations, keeping at least one edge per row.
-    for _ in range(3):
-        row, col = rng.randrange(n), rng.randrange(n)
-        if rng.random() < 0.5:
-            cost[row][col] = rng.randint(1, 30)
-            solver.update_cost(row, col, cost[row][col])
-        else:
-            cost[row][col] = 10**6  # effectively forbidden but feasible
-            solver.update_cost(row, col, cost[row][col])
-    _, total = solver.solve()
-    rows, cols = linear_sum_assignment(cost)
-    reference = sum(cost[r][c] for r, c in zip(rows, cols))
-    assert total == pytest.approx(reference)

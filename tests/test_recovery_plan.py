@@ -68,7 +68,9 @@ def test_a_pair_decodes_through_either_lstor():
     assert plan.lost == [shared] and plan.decode == {}
 
 
-#: The four-disk dead sets whose remirror found no full assignment.
+#: The four-disk dead sets whose remirror leaves an orphan unplaced
+#: (n0+n3+n4+n9, n1+n2+n5+n6), or would if an exchange's dearer edge
+#: were dropped for good (the other three).
 UNPLACEABLE = [
     ("n0", "n1", "n3", "n6"),
     ("n0", "n2", "n3", "n6"),
@@ -79,8 +81,8 @@ UNPLACEABLE = [
 
 
 def _sample():
-    """Every triple that loses data, the unplaceable four-sets, and a
-    seeded handful of the rest."""
+    """Every triple that loses data, the four-sets above, and a seeded
+    handful of the rest."""
     layout = rotational_layout(10, 3, disk_names=dead_sets.DISKS)
     losing = losing_sets(layout, 3)
     rest = [
